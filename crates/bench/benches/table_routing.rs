@@ -1,9 +1,25 @@
 //! Section III.e — routing-table sizes and actively maintained connections
 //! per level, measured against the paper's analytic accounting, for both
-//! child policies — plus scaling benchmarks of the indexed peer registry:
-//! `find`, `touch`, `expire` and `multicast_fanout` at 1k / 10k / 100k
-//! peers, demonstrating that point operations stay logarithmic (flat across
-//! the three sizes) instead of scanning the tables.
+//! child policies — plus scaling benchmarks of the flat peer registry
+//! (`treep::tables`: one identifier-sorted vector of slots with role bits).
+//!
+//! Sizes: n = 32 and 128 are what the protocol produces (a settled
+//! 10⁴-node overlay holds 30 entries per node on average, 115 at most) and
+//! so what every served keep-alive, lookup and multicast pays; 1k / 10k /
+//! 100k show the asymptote. The honest trade-off of the layout:
+//!
+//! * `find`, `touch`, role tests and refreshing a known peer are one binary
+//!   search — `O(log n)`, flat across the sizes;
+//! * probes filtered by a role (`closest_child`, `bus_neighbors`, the
+//!   fan-out) walk adjacent slots until one carries the bit, so they cost
+//!   the gap between holders of that role, not `log n`;
+//! * inserting a peer not yet known, or dropping one, is an `O(n)`
+//!   `memmove` of the 56-byte slots behind it — about 3 KB on average at
+//!   the largest table the protocol produces, megabytes at n = 100 000,
+//!   where a tree would win; nothing in TreeP builds such a table;
+//! * `expire` and `prune_level0` are a single pass whatever the number of
+//!   victims (`expire_half` drops 50 000 of 100 000 entries in one
+//!   `retain`; a `Vec::remove` per victim would be quadratic).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::{routing_table_report, ExperimentParams};
@@ -72,7 +88,7 @@ fn seeded(n: u64) -> RoutingTables {
 
 fn bench_registry_scaling(c: &mut Criterion) {
     let space = IdSpace::default();
-    for n in [1_000u64, 10_000, 100_000] {
+    for n in [32u64, 128, 1_000, 10_000, 100_000] {
         let tables = seeded(n);
         let stride = 4_000_000_000 / n;
         let hit = NodeId(1 + (n / 2) * stride);
@@ -86,6 +102,16 @@ fn bench_registry_scaling(c: &mut Criterion) {
         group.bench_function("touch", |b| {
             let mut t = tables.clone();
             b.iter(|| black_box(t.touch(hit, SimTime::from_millis(1_000))))
+        });
+        // The layout's O(n) side: a peer not yet known lands mid-vector
+        // and leaves again, shifting the slots behind it both times.
+        group.bench_function("insert_drop_new", |b| {
+            let mut t = tables.clone();
+            let newcomer = entry(hit.0 + 1, 0, 1_000);
+            b.iter(|| {
+                t.upsert_level0(newcomer);
+                black_box(t.remove_peer(newcomer.id))
+            })
         });
         group.bench_function("closest_child", |b| {
             b.iter(|| black_box(tables.closest_child(space, NodeId(2_000_000_000))))
@@ -131,18 +157,23 @@ fn bench_registry_scaling(c: &mut Criterion) {
                 black_box(route(&view, &mut req))
             })
         });
-        // The sweep is O(n) by necessity (it must look at every entry once);
-        // the win over the old per-table expiry is the single pass over one
-        // canonical map with no per-table re-scans or cross-table repair.
+        // The sweep is O(n) by necessity (it must look at every entry once):
+        // one `retain` over the vector, however many entries it drops.
         // The shim criterion has no iter_batched, so expire_half includes a
-        // per-iteration clone; clone_baseline isolates that setup cost so
-        // the true sweep time is the difference of the two.
+        // per-iteration clone (so does prune_level0_to_8); clone_baseline
+        // isolates that setup cost so the true sweep time is the difference.
         group.sample_size(10);
         group.bench_function("clone_baseline", |b| b.iter(|| black_box(tables.clone())));
         group.bench_function("expire_half", |b| {
             b.iter(|| {
                 let mut t = tables.clone();
                 black_box(t.expire(SimTime::from_millis(1_000), SimDuration::from_millis(500)))
+            })
+        });
+        group.bench_function("prune_level0_to_8", |b| {
+            b.iter(|| {
+                let mut t = tables.clone();
+                black_box(t.prune_level0(space, hit, 8))
             })
         });
         group.finish();

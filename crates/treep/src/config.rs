@@ -1,6 +1,7 @@
 //! Protocol configuration.
 
 use crate::id::IdSpace;
+use crate::tables::MAX_BUS_LEVEL;
 use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 
@@ -200,6 +201,12 @@ impl TreePConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.height == 0 {
             return Err("height must be at least 1".into());
+        }
+        if self.height > MAX_BUS_LEVEL {
+            return Err(format!(
+                "height ({}) must be at most {MAX_BUS_LEVEL}: the routing tables hold one bus per level up to that, and a space of at most 2^63 identifiers cannot tessellate deeper",
+                self.height
+            ));
         }
         if self.max_ttl == 0 {
             return Err("max_ttl must be at least 1".into());
@@ -418,6 +425,18 @@ mod tests {
                 "bad config {i} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn height_is_bounded_by_the_bus_levels_the_tables_hold() {
+        let with_height = |height| TreePConfig {
+            height,
+            multicast_hop_budget: height + 1,
+            ..TreePConfig::default()
+        };
+        with_height(MAX_BUS_LEVEL).validate().unwrap();
+        let complaint = with_height(MAX_BUS_LEVEL + 1).validate().unwrap_err();
+        assert!(complaint.starts_with("height (64)"), "{complaint}");
     }
 
     #[test]

@@ -148,11 +148,13 @@ impl TreePNode {
             return true;
         };
         let space = self.config.space;
-        let near = self.tables.nearest_peers(space, self.id, 4, addr);
-        near.len() < 4
-            || near
-                .iter()
-                .any(|e| space.distance(candidate, self.id) < space.distance(e.id, self.id))
+        // The walk is nearest-first, so the fourth peer is the farthest of
+        // the four: the candidate tightens the ring when it beats that one
+        // (or when there is no fourth yet).
+        match self.tables.nearest_walk(self.id, addr).nth(3) {
+            Some(fourth) => space.distance(candidate, self.id) < space.distance(fourth.id, self.id),
+            None => true,
+        }
     }
 
     /// The updates this node piggy-backs on keep-alives: its parent, its own
@@ -161,7 +163,9 @@ impl TreePNode {
     /// window, so second-hand knowledge (and with it any dead peer) never
     /// re-enters the gossip stream.
     fn my_updates(&self, now: SimTime) -> Vec<RoutingUpdate> {
-        let mut updates = Vec::new();
+        // Sized once for the most a node advertises: parent, own level,
+        // and four each of children, superiors and ring contacts.
+        let mut updates = Vec::with_capacity(14);
         if let Some(p) = self.tables.parent().filter(|p| self.advertisable(p, now)) {
             updates.push(RoutingUpdate::ParentOf {
                 peer: PeerInfo::from_entry(p),
@@ -204,8 +208,8 @@ impl TreePNode {
         if let Some(addr) = self.addr {
             for near in self
                 .tables
-                .nearest_peers(self.config.space, self.id, 4, addr)
-                .iter()
+                .nearest_walk(self.id, addr)
+                .take(4)
                 .filter(|e| self.advertisable(e, now))
             {
                 updates.push(RoutingUpdate::Contact {

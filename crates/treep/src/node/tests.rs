@@ -211,6 +211,54 @@ fn keep_alive_learns_sender_and_updates() {
 }
 
 #[test]
+fn keep_alive_with_an_absurd_level_is_absorbed() {
+    // A malformed (or hostile) keep-alive claims levels no hierarchy has.
+    // No bus beyond the node's own levels is ever opened for it, no bit
+    // shifts out of range and no level arithmetic overflows.
+    for own_level in [0, 2] {
+        let (mut node, mut rng) = started_node(10);
+        node.seed_max_level(own_level);
+        node.seed_child(peer(3, 0), true, SimTime::ZERO);
+        let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10), &mut rng);
+        let updates = vec![
+            RoutingUpdate::LevelMember {
+                level: u32::MAX,
+                peer: peer(50, u32::MAX),
+            },
+            RoutingUpdate::LevelMember {
+                level: 64,
+                peer: peer(51, 64),
+            },
+        ];
+        node.on_message(
+            NodeAddr(3),
+            TreePMessage::KeepAlive {
+                sender: peer(3, u32::MAX),
+                updates,
+            },
+            &mut ctx,
+        );
+        let tables = node.tables();
+        tables.validate_invariants().unwrap();
+        assert!(tables.is_level0_neighbor(NodeId(3)));
+        assert_eq!(tables.find(NodeId(3)).unwrap().max_level, u32::MAX);
+        // Members of levels above our own are superiors, whatever the level.
+        let superiors: Vec<u64> = tables.superiors().map(|e| e.id.0).collect();
+        assert_eq!(superiors, vec![50, 51]);
+        assert_eq!(tables.level_members(u32::MAX).count(), 0);
+        assert_eq!(tables.level_members(64).count(), 0);
+        assert!(tables.known_levels().next().is_none());
+        // The own child now claims level u32::MAX: the fan-out window and
+        // the subtree extent saturate instead of overflowing.
+        let config = TreePConfig::default();
+        let everything = KeyRange::new(NodeId(0), config.space.max_id());
+        let fanout = tables.multicast_fanout(config.space, config.height, everything, 0);
+        assert_eq!(fanout.len(), 1);
+        assert_eq!(node.subtree_span(), everything);
+    }
+}
+
+#[test]
 fn keep_alive_ack_does_not_reply() {
     let (mut node, mut rng) = started_node(10);
     let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10), &mut rng);

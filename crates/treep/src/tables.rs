@@ -1,5 +1,6 @@
-//! The six-table routing-table system of Section III.c, rebuilt as a single
-//! **canonical peer registry** with role indexes.
+//! The six-table routing-table system of Section III.c, kept as a single
+//! **flat peer registry**: one vector of peers sorted by identifier, each
+//! carrying a bit mask of the tables it appears in.
 //!
 //! Every peer maintains, conceptually:
 //!
@@ -19,41 +20,61 @@
 //!
 //! ## Registry design
 //!
-//! Earlier revisions stored an independent [`RoutingEntry`] copy in every
-//! table a peer appeared in. The same peer could then carry different
-//! addresses, levels and freshness timestamps depending on which table was
-//! consulted first — [`RoutingTables::find`] surfaced whichever copy a scan
-//! hit, and expiry had to visit every table separately (the seed's
-//! table-severing expire bug was exactly this duplication going stale out of
-//! sync).
+//! Each known peer is stored **exactly once**, as a slot
+//! `{ `[`PeerEntry`]`, roles }` in one `Vec` kept in ascending
+//! [`NodeId`] order. The six tables are *role bits* on the slot, not
+//! containers of their own:
 //!
-//! The rewrite keeps each peer's metadata **exactly once**, in a canonical
-//! `NodeId → `[`PeerEntry`] map (`registry`). The six tables become *role
-//! indexes* — ordered ID sets pointing into the registry:
+//! | role | bit | set by |
+//! |---|---|---|
+//! | level-0 neighbour | `levels` bit 0 | [`RoutingTables::upsert_level0`] |
+//! | bus member at level `L` (1 ≤ L ≤ 63) | `levels` bit `L` | [`RoutingTables::upsert_level`] |
+//! | child (own or a bus neighbour's) | `tree` bit 0 | [`RoutingTables::upsert_child`] |
+//! | own child (implies child) | `tree` bit 1 | [`RoutingTables::upsert_child`] with `own` |
+//! | parent (mirrors the `parent` field) | `tree` bit 2 | [`RoutingTables::set_parent`] |
+//! | superior | `tree` bit 3 | [`RoutingTables::upsert_superior`] |
 //!
-//! * `level0`, `children`, `own_children`, `superiors`: `BTreeSet<NodeId>`,
-//! * `levels`: per-level `BTreeSet<NodeId>` (the bus rings),
-//! * `parent`: `Option<NodeId>`.
+//! One metadata record per peer means [`RoutingTables::find`] and
+//! [`RoutingTables::touch`] always see the one freshest address, level and
+//! timestamp, and [`RoutingTables::expire`] removes a stale peer from all
+//! of its roles at once — roles cannot desynchronize. A slot whose last
+//! role bit is cleared is dropped, so memory is bounded by the number of
+//! peers, not of (peer, role) pairs.
 //!
-//! Consequences:
+//! **Why a sorted vector.** TreeP's point is that these tables stay small
+//! (Section III.e): a settled 10⁴-node overlay holds 30 entries per node on
+//! average and 115 at most. At that size an ordered tree per table buys
+//! nothing — seven B-trees are seven sets of heap nodes to miss the cache
+//! on and to allocate and free as peers come and go — while a sorted vector
+//! is one contiguous block of a few cache lines:
 //!
-//! * [`RoutingTables::find`] and [`RoutingTables::touch`] are a single
-//!   `O(log n)` map operation and always return/refresh the one freshest
-//!   entry, no matter how many roles the peer holds.
-//! * [`RoutingTables::expire`] is a single freshness sweep over the
-//!   registry; a peer either stays (in all of its roles) or is removed from
-//!   all of them — roles can never desynchronize.
-//! * [`RoutingTables::closest_child`], [`RoutingTables::bus_neighbors`] and
-//!   [`RoutingTables::multicast_fanout`] are ordered-range queries over the
-//!   ID indexes instead of linear scans.
-//! * A peer present in no index is dropped from the registry, so memory is
-//!   bounded by the number of *roles*, not the number of (peer, role) pairs.
+//! * point operations (`find`, `touch`, role tests, refreshing a known
+//!   peer) are one binary search, `O(log n)`;
+//! * range probes (`closest_peer`, `peers_outward_from`, `nearest_peers`,
+//!   `kth_neighbor_ids`, `bus_neighbors`, `closest_child`,
+//!   `multicast_fanout`) are one `partition_point` plus a walk over
+//!   adjacent slots, skipping the ones without the wanted role bit;
+//! * role iterators (`level0`, `children`, `superiors`, …) are a filtered
+//!   scan of the whole vector, in the same ascending-ID order the indexes
+//!   had.
+//!
+//! **What is `O(n)`.** Inserting a peer not yet known, or dropping one
+//! ([`RoutingTables::remove_peer`], a parent change that orphans the old
+//! parent), shifts the slots behind it — a `memmove` of at most
+//! `n × size_of::<Slot>()` bytes, about 6 KB at the largest table the
+//! protocol produces. A role-filtered probe for a role nobody holds scans
+//! every slot. Batch removals stay linear, never quadratic:
+//! [`RoutingTables::expire`] is one `retain` sweep and
+//! [`RoutingTables::prune_level0`] one pass that clears bits followed by
+//! at most one `retain`. `bench table_routing` measures all of this from
+//! n = 32 to n = 100 000.
 //!
 //! The registry additionally records the **exact subtree extent** each own
 //! child reported ([`RoutingTables::record_child_span`], piggy-backed on
 //! `ChildReport`); `multicast_fanout` prefers the exact span over the
-//! tessellation-radius estimate, closing the ROADMAP "tessellation radius"
-//! modelling gap.
+//! tessellation-radius estimate. Spans and topic filters exist only on
+//! parents and only per own child, so they stay in small side maps keyed by
+//! the child's identifier.
 
 use crate::entry::RoutingEntry;
 use crate::id::{IdSpace, NodeId};
@@ -61,14 +82,64 @@ use crate::multicast::KeyRange;
 use crate::pubsub::TopicFilter;
 use serde::{Deserialize, Serialize};
 use simnet::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::BTreeMap;
 
 /// The canonical registry record: one per known peer, holding the peer's
 /// address, characteristics summary, maximum level and freshness timestamp
-/// exactly once (role membership lives in the indexes of
-/// [`RoutingTables`]).
+/// exactly once (role membership lives in the role bits next to it).
 pub type PeerEntry = RoutingEntry;
+
+/// The highest bus level the registry can represent: each slot has one
+/// membership bit per level in a `u64` whose bit 0 is the level-0 table.
+/// An identifier space of at most 2⁶³ coordinates cannot tessellate deeper
+/// anyway; [`crate::TreePConfig::validate`] rejects a greater `height`.
+pub const MAX_BUS_LEVEL: u32 = 63;
+
+/// `Slot::levels` bit of the level-0 table.
+const LEVEL0: u64 = 1;
+/// `Slot::tree` bits.
+const CHILD: u8 = 1 << 0;
+const OWN_CHILD: u8 = 1 << 1;
+const PARENT: u8 = 1 << 2;
+const SUPERIOR: u8 = 1 << 3;
+
+/// The `Slot::levels` bit of the level-`level` bus, or 0 — a mask no slot
+/// matches — for a level that is not a bus (`0`, or beyond
+/// [`MAX_BUS_LEVEL`]).
+fn bus_bit(level: u32) -> u64 {
+    if (1..=MAX_BUS_LEVEL).contains(&level) {
+        1 << level
+    } else {
+        0
+    }
+}
+
+/// One known peer and the roles it holds.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    entry: PeerEntry,
+    /// Bit 0: level-0 neighbour; bit `L`: member of the level-`L` bus.
+    levels: u64,
+    /// `CHILD | OWN_CHILD | PARENT | SUPERIOR`.
+    tree: u8,
+}
+
+impl Slot {
+    fn roleless(&self) -> bool {
+        self.levels == 0 && self.tree == 0
+    }
+
+    fn report(&self) -> RemovalReport {
+        RemovalReport {
+            was_level0: self.levels & LEVEL0 != 0,
+            was_level_neighbor: self.levels & !LEVEL0 != 0,
+            was_own_child: self.tree & OWN_CHILD != 0,
+            was_neighbor_child: self.tree & (CHILD | OWN_CHILD) == CHILD,
+            was_parent: self.tree & PARENT != 0,
+            was_superior: self.tree & SUPERIOR != 0,
+        }
+    }
+}
 
 /// Which tables a peer appears in; returned by [`RoutingTables::remove_peer`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,24 +199,20 @@ impl TableSizes {
     }
 }
 
-/// The complete routing-table state of one peer: a canonical peer registry
-/// plus ordered role indexes (see the module documentation).
+/// The complete routing-table state of one peer: a flat, identifier-sorted
+/// peer registry with role bits (see the module documentation).
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTables {
-    /// Canonical peer metadata, exactly one entry per known peer.
-    registry: BTreeMap<NodeId, PeerEntry>,
-    /// Level-0 ring membership.
-    level0: BTreeSet<NodeId>,
-    /// Bus membership per level `> 0`.
-    levels: BTreeMap<u32, BTreeSet<NodeId>>,
-    /// All known children (own and replicated neighbours').
-    children: BTreeSet<NodeId>,
-    /// The subset of `children` in this node's own tessellation.
-    own_children: BTreeSet<NodeId>,
-    /// The immediate parent.
+    /// Every known peer exactly once, in strictly ascending identifier
+    /// order; every slot holds at least one role.
+    slots: Vec<Slot>,
+    /// The immediate parent (the slot carrying the `PARENT` bit).
     parent: Option<NodeId>,
-    /// Superior-node list membership.
-    superiors: BTreeSet<NodeId>,
+    /// Number of slots with the `LEVEL0` bit: read on every maintenance
+    /// tick (`l0` of Section III.e, the prune budget check).
+    level0_len: usize,
+    /// Number of slots with the `OWN_CHILD` bit (`ca` of Section III.e).
+    own_children_len: usize,
     /// Exact subtree extents reported by own children (`ChildReport`).
     child_spans: BTreeMap<NodeId, KeyRange>,
     /// Topic-subscription summaries reported by own children
@@ -169,100 +236,127 @@ impl RoutingTables {
 
     // ---- registry core ---------------------------------------------------
 
+    /// Position of `id` in the vector, or where it would be inserted.
+    fn position(&self, id: NodeId) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&id, |s| s.entry.id)
+    }
+
+    fn slot(&self, id: NodeId) -> Option<&Slot> {
+        self.position(id).ok().map(|i| &self.slots[i])
+    }
+
     /// Merge `entry` into the registry (insert, or fold newer information
-    /// into the canonical record) and return its ID.
-    fn upsert(&mut self, entry: PeerEntry) -> NodeId {
-        let id = entry.id;
-        match self.registry.get_mut(&id) {
-            Some(existing) => {
-                existing.merge(&entry);
-                // An own child's level can rise through *any* role's upsert
-                // (a keep-alive, a gossip update); the fan-out window bound
-                // must keep covering it.
-                if self.own_children.contains(&id) {
-                    self.max_child_level = self.max_child_level.max(existing.max_level);
+    /// into the canonical record) and add the given role bits to it.
+    fn grant(&mut self, entry: PeerEntry, levels: u64, tree: u8) {
+        let slot = match self.position(entry.id) {
+            Ok(i) => {
+                let slot = &mut self.slots[i];
+                slot.entry.merge(&entry);
+                slot
+            }
+            Err(i) => {
+                let fresh = Slot {
+                    entry,
+                    levels: 0,
+                    tree: 0,
+                };
+                // Grow by a quarter, not by doubling: this vector exists once
+                // per node, and at ~30 slots doubling leaves a third of
+                // every node's registry unused.
+                if self.slots.len() == self.slots.capacity() {
+                    self.slots.reserve_exact(self.slots.len() / 4 + 4);
                 }
+                self.slots.insert(i, fresh);
+                &mut self.slots[i]
             }
-            None => {
-                self.registry.insert(id, entry);
-            }
+        };
+        self.level0_len += usize::from(levels & !slot.levels & LEVEL0 != 0);
+        self.own_children_len += usize::from(tree & !slot.tree & OWN_CHILD != 0);
+        slot.levels |= levels;
+        slot.tree |= tree;
+        // An own child's level can rise through *any* role's upsert (a
+        // keep-alive, a gossip update); the fan-out window bound must keep
+        // covering it.
+        if slot.tree & OWN_CHILD != 0 {
+            self.max_child_level = self.max_child_level.max(slot.entry.max_level);
         }
-        id
     }
 
-    /// The registry entry a role index points at. Panics if an index is
-    /// dangling — the invariant the whole design maintains.
-    fn entry_of(&self, id: NodeId) -> &PeerEntry {
-        self.registry
-            .get(&id)
-            .expect("role index points at a peer missing from the registry")
-    }
-
-    /// True when `id` still holds at least one role.
-    fn has_role(&self, id: NodeId) -> bool {
-        self.parent == Some(id)
-            || self.level0.contains(&id)
-            || self.children.contains(&id)
-            || self.superiors.contains(&id)
-            || self.levels.values().any(|bus| bus.contains(&id))
-    }
-
-    /// Drop the registry record once the last role is gone.
-    fn drop_if_roleless(&mut self, id: NodeId) {
-        if !self.has_role(id) {
-            self.registry.remove(&id);
+    /// Bookkeeping for a slot that has left the vector: the role counters,
+    /// the parent field and the per-child side maps. The child caches are
+    /// left to the caller, so a batch removal recomputes them once.
+    fn settle_removal(&mut self, id: NodeId, report: &RemovalReport) {
+        self.level0_len -= usize::from(report.was_level0);
+        if report.was_own_child {
+            self.own_children_len -= 1;
+            self.child_spans.remove(&id);
+            self.child_filters.remove(&id);
+        }
+        if report.was_parent {
+            self.parent = None;
         }
     }
 
     /// Canonical lookup: the single freshest entry for `id`, whatever roles
     /// it holds ("IF target X is in the routing table"). `O(log n)`.
     pub fn find(&self, id: NodeId) -> Option<&PeerEntry> {
-        self.registry.get(&id)
+        self.slot(id).map(|s| &s.entry)
     }
 
     /// Refresh the canonical timestamp of `id`. Returns true if the peer was
-    /// known. `O(log n)` — one map lookup, regardless of role count.
+    /// known. `O(log n)` — one binary search, regardless of role count.
     pub fn touch(&mut self, id: NodeId, now: SimTime) -> bool {
-        match self.registry.get_mut(&id) {
-            Some(e) => {
-                e.touch(now);
+        match self.position(id) {
+            Ok(i) => {
+                self.slots[i].entry.touch(now);
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
     /// Every distinct peer known, each exactly once (the canonical entry).
     pub fn all_peers(&self) -> Vec<PeerEntry> {
-        self.registry.values().copied().collect()
+        self.slots.iter().map(|s| s.entry).collect()
+    }
+
+    /// Every slot, walked outward from `key` in `(distance, id)` order: two
+    /// cursors moving apart from the partition point of `key`, the nearer
+    /// side first and the lower side on a tie. Every distance-ordered probe
+    /// of the registry is this walk with a filter, so the tie-break lives
+    /// in one place. The distance is the paper's `|a - b|`
+    /// ([`IdSpace::distance`]), which needs no parameter of the space.
+    fn outward(&self, key: NodeId) -> impl Iterator<Item = &Slot> {
+        let slots = self.slots.as_slice();
+        let mut lo = slots.partition_point(|s| s.entry.id <= key);
+        let mut hi = lo;
+        std::iter::from_fn(move || {
+            let below = lo.checked_sub(1).map(|i| &slots[i]);
+            let above = slots.get(hi);
+            let take_below = match (below, above) {
+                (Some(b), Some(a)) => b.entry.id.0.abs_diff(key.0) <= a.entry.id.0.abs_diff(key.0),
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if take_below {
+                lo -= 1;
+                below
+            } else {
+                hi += 1;
+                above
+            }
+        })
     }
 
     /// Every known peer, walked **outward from `key` in 1-D distance
     /// order** (nearest first; ties prefer the smaller identifier, matching
     /// every other probe of the registry). A two-cursor merge over the
-    /// ordered registry: no allocation, no copy, and a consumer that stops
+    /// sorted vector: no allocation, no copy, and a consumer that stops
     /// early — like the non-greedy next-hop scan, which only wants peers
     /// strictly closer to the target than the local node — pays only for
     /// the prefix it reads.
     pub fn peers_outward_from(&self, key: NodeId) -> impl Iterator<Item = &PeerEntry> {
-        let mut below = self.registry.range(..=key).rev().map(|(_, e)| e).peekable();
-        let mut above = self
-            .registry
-            .range((Bound::Excluded(key), Bound::Unbounded))
-            .map(|(_, e)| e)
-            .peekable();
-        std::iter::from_fn(move || match (below.peek(), above.peek()) {
-            (Some(b), Some(a)) => {
-                if b.id.0.abs_diff(key.0) <= a.id.0.abs_diff(key.0) {
-                    below.next()
-                } else {
-                    above.next()
-                }
-            }
-            (Some(_), None) => below.next(),
-            (None, Some(_)) => above.next(),
-            (None, None) => None,
-        })
+        self.outward(key).map(|s| &s.entry)
     }
 
     /// The known peer closest to `key` in the 1-D space (excluding the one
@@ -270,75 +364,45 @@ impl RoutingTables {
     /// instead of a full scan. Ties prefer the smaller identifier.
     pub fn closest_peer(
         &self,
-        space: IdSpace,
+        _space: IdSpace,
         key: NodeId,
         exclude_addr: simnet::NodeAddr,
     ) -> Option<&PeerEntry> {
-        let below = self
-            .registry
-            .range(..=key)
-            .rev()
-            .map(|(_, e)| e)
-            .find(|e| e.addr != exclude_addr);
-        let above = self
-            .registry
-            .range((Bound::Excluded(key), Bound::Unbounded))
-            .map(|(_, e)| e)
-            .find(|e| e.addr != exclude_addr);
-        nearer_of(
-            space,
-            key,
-            below.map(|e| (e.id, e)),
-            above.map(|e| (e.id, e)),
-        )
+        self.nearest_walk(key, exclude_addr).next()
+    }
+
+    /// The borrowed walk behind [`RoutingTables::nearest_peers`]: every
+    /// known peer except the one at `exclude_addr`, nearest to `key` first,
+    /// ties preferring the smaller identifier. Nothing is allocated or
+    /// copied; take as many as needed.
+    pub fn nearest_walk(
+        &self,
+        key: NodeId,
+        exclude_addr: simnet::NodeAddr,
+    ) -> impl Iterator<Item = &PeerEntry> {
+        self.peers_outward_from(key)
+            .filter(move |e| e.addr != exclude_addr)
     }
 
     /// Up to `count` known peers nearest to `key` in the 1-D space
     /// (excluding the one at `exclude_addr`), ordered by `(distance, id)` —
     /// ties prefer the smaller identifier, matching every other probe of the
-    /// registry. Implemented as a two-cursor merge walk outward from `key`
-    /// over the ordered registry, so the cost is `O(count + log n)`, not a
-    /// scan.
+    /// registry. The first `count` steps of
+    /// [`RoutingTables::nearest_walk`], copied out, so the cost is
+    /// `O(count + log n)`, not a scan.
     ///
     /// This is the successor query the replication subsystem places replicas
     /// with: the `k` nearest registry neighbours of a key coordinate are the
     /// key's replica set.
     pub fn nearest_peers(
         &self,
-        space: IdSpace,
+        _space: IdSpace,
         key: NodeId,
         count: usize,
         exclude_addr: simnet::NodeAddr,
     ) -> Vec<PeerEntry> {
-        let mut below = self
-            .registry
-            .range(..=key)
-            .rev()
-            .map(|(_, e)| e)
-            .filter(|e| e.addr != exclude_addr)
-            .peekable();
-        let mut above = self
-            .registry
-            .range((Bound::Excluded(key), Bound::Unbounded))
-            .map(|(_, e)| e)
-            .filter(|e| e.addr != exclude_addr)
-            .peekable();
-        let mut out = Vec::with_capacity(count);
-        while out.len() < count {
-            let next = match (below.peek(), above.peek()) {
-                (Some(b), Some(a)) => {
-                    if space.distance(b.id, key) <= space.distance(a.id, key) {
-                        below.next()
-                    } else {
-                        above.next()
-                    }
-                }
-                (Some(_), None) => below.next(),
-                (None, Some(_)) => above.next(),
-                (None, None) => break,
-            };
-            out.push(*next.expect("peeked above"));
-        }
+        let mut out = Vec::with_capacity(count.min(self.slots.len()));
+        out.extend(self.nearest_walk(key, exclude_addr).take(count));
         out
     }
 
@@ -352,92 +416,104 @@ impl RoutingTables {
         if k == 0 {
             return (None, None);
         }
-        let below = self
-            .registry
-            .range(..own)
-            .rev()
-            .nth(k - 1)
-            .map(|(id, _)| *id);
-        let above = self
-            .registry
-            .range((Bound::Excluded(own), Bound::Unbounded))
-            .nth(k - 1)
-            .map(|(id, _)| *id);
-        (below, above)
+        let id_at = |i: usize| self.slots.get(i).map(|s| s.entry.id);
+        let first_not_below = self.slots.partition_point(|s| s.entry.id < own);
+        let first_above = self.slots.partition_point(|s| s.entry.id <= own);
+        (
+            first_not_below.checked_sub(k).and_then(id_at),
+            first_above.checked_add(k - 1).and_then(id_at),
+        )
+    }
+
+    /// The entries of the slots holding any of the `levels` bits, by ID.
+    fn on_levels(&self, levels: u64) -> impl Iterator<Item = &PeerEntry> {
+        self.slots
+            .iter()
+            .filter(move |s| s.levels & levels != 0)
+            .map(|s| &s.entry)
+    }
+
+    /// The entries of the slots holding any of the `tree` bits, by ID.
+    fn in_tree(&self, tree: u8) -> impl Iterator<Item = &PeerEntry> {
+        self.slots
+            .iter()
+            .filter(move |s| s.tree & tree != 0)
+            .map(|s| &s.entry)
     }
 
     // ---- level 0 ---------------------------------------------------------
 
     /// Insert or refresh a level-0 neighbour.
     pub fn upsert_level0(&mut self, entry: PeerEntry) {
-        let id = self.upsert(entry);
-        self.level0.insert(id);
+        self.grant(entry, LEVEL0, 0);
     }
 
     /// All level-0 neighbours, ordered by ID.
     pub fn level0(&self) -> impl Iterator<Item = &PeerEntry> {
-        self.level0.iter().map(|id| self.entry_of(*id))
+        self.on_levels(LEVEL0)
     }
 
     /// Number of level-0 connections (`l0` in Section III.e).
     pub fn level0_degree(&self) -> usize {
-        self.level0.len()
+        self.level0_len
     }
 
     /// True when `id` is a direct level-0 neighbour.
     pub fn is_level0_neighbor(&self, id: NodeId) -> bool {
-        self.level0.contains(&id)
+        self.slot(id).is_some_and(|s| s.levels & LEVEL0 != 0)
     }
 
     // ---- levels i > 0 ------------------------------------------------------
 
-    /// Insert or refresh a bus neighbour at `level` (> 0).
+    /// Insert or refresh a bus neighbour at `level` (> 0). A level beyond
+    /// [`MAX_BUS_LEVEL`] names no bus this registry can hold (it can only
+    /// come from a malformed message): the entry is ignored.
     pub fn upsert_level(&mut self, level: u32, entry: PeerEntry) {
         assert!(
             level > 0,
             "level tables start at 1; level 0 has its own table"
         );
-        let id = self.upsert(entry);
-        self.levels.entry(level).or_default().insert(id);
+        let bit = bus_bit(level);
+        if bit != 0 {
+            self.grant(entry, bit, 0);
+        }
     }
 
-    /// Members of the level-`level` bus known to this node, ordered by ID.
+    /// Members of the level-`level` bus known to this node, ordered by ID
+    /// (none for a level that is not a bus).
     pub fn level_members(&self, level: u32) -> impl Iterator<Item = &PeerEntry> {
-        self.levels
-            .get(&level)
-            .into_iter()
-            .flat_map(|bus| bus.iter().map(|id| self.entry_of(*id)))
+        self.on_levels(bus_bit(level))
     }
 
     /// Levels (> 0) for which we know at least one bus neighbour.
     pub fn known_levels(&self) -> impl Iterator<Item = u32> + '_ {
-        self.levels.keys().copied()
+        let known = self.slots.iter().fold(0, |acc, s| acc | s.levels);
+        (1..=MAX_BUS_LEVEL).filter(move |level| known & bus_bit(*level) != 0)
     }
 
     /// Direct left (largest ID below `own`) and right (smallest ID above
-    /// `own`) bus neighbours at `level`: an ordered-range query on the bus
-    /// index.
+    /// `own`) bus neighbours at `level`: the nearest slot with the bus bit
+    /// on either side of `own`'s position (none for a level that is not a
+    /// bus, whose mask no slot matches).
     pub fn bus_neighbors(
         &self,
         level: u32,
         own: NodeId,
     ) -> (Option<&PeerEntry>, Option<&PeerEntry>) {
-        match self.levels.get(&level) {
-            Some(bus) => {
-                let left = bus.range(..own).next_back().map(|id| self.entry_of(*id));
-                let right = bus
-                    .range((Bound::Excluded(own), Bound::Unbounded))
-                    .next()
-                    .map(|id| self.entry_of(*id));
-                (left, right)
-            }
-            None => (None, None),
-        }
+        let bit = bus_bit(level);
+        let (below, rest) = self
+            .slots
+            .split_at(self.slots.partition_point(|s| s.entry.id < own));
+        let left = below.iter().rev().find(|s| s.levels & bit != 0);
+        let right = rest
+            .iter()
+            .find(|s| s.levels & bit != 0 && s.entry.id != own);
+        (left.map(|s| &s.entry), right.map(|s| &s.entry))
     }
 
     /// Total number of bus-neighbour entries over all levels `> 0`.
     pub fn level_neighbor_count(&self) -> usize {
-        self.levels.values().map(|bus| bus.len()).sum()
+        self.sizes().level_neighbors
     }
 
     // ---- children ----------------------------------------------------------
@@ -445,51 +521,39 @@ impl RoutingTables {
     /// Insert or refresh a child entry. `own` marks children of this node's
     /// tessellation (as opposed to replicated children of bus neighbours).
     pub fn upsert_child(&mut self, entry: PeerEntry, own: bool) {
-        let id = self.upsert(entry);
-        self.children.insert(id);
-        if own {
-            self.own_children.insert(id);
-            let level = self.entry_of(id).max_level;
-            self.max_child_level = self.max_child_level.max(level);
-        }
+        self.grant(entry, 0, if own { CHILD | OWN_CHILD } else { CHILD });
     }
 
     /// All known children (own and neighbours'), ordered by ID.
     pub fn children(&self) -> impl Iterator<Item = &PeerEntry> {
-        self.children.iter().map(|id| self.entry_of(*id))
+        self.in_tree(CHILD)
     }
 
     /// This node's own children, ordered by ID.
     pub fn own_children(&self) -> impl Iterator<Item = &PeerEntry> + '_ {
-        self.own_children.iter().map(|id| self.entry_of(*id))
+        self.in_tree(OWN_CHILD)
     }
 
     /// Number of own children (`ca` in Section III.e).
     pub fn own_children_count(&self) -> usize {
-        self.own_children.len()
+        self.own_children_len
     }
 
     /// True when `id` is one of this node's own children.
     pub fn is_own_child(&self, id: NodeId) -> bool {
-        self.own_children.contains(&id)
+        self.slot(id).is_some_and(|s| s.tree & OWN_CHILD != 0)
     }
 
     /// The own child closest to `target` (the `Closest_Child(X)` primitive of
-    /// the routing algorithm in Figure 3): an ordered neighbour probe on the
-    /// own-children index, ties preferring the smaller identifier.
-    pub fn closest_child(&self, space: IdSpace, target: NodeId) -> Option<&PeerEntry> {
-        let below = self.own_children.range(..=target).next_back();
-        let above = self
-            .own_children
-            .range((Bound::Excluded(target), Bound::Unbounded))
-            .next();
-        nearer_of(
-            space,
-            target,
-            below.map(|&id| (id, id)),
-            above.map(|&id| (id, id)),
-        )
-        .map(|id| self.entry_of(id))
+    /// the routing algorithm in Figure 3): the first own child on the
+    /// outward walk from `target`, ties preferring the smaller identifier.
+    pub fn closest_child(&self, _space: IdSpace, target: NodeId) -> Option<&PeerEntry> {
+        if self.own_children_len == 0 {
+            return None;
+        }
+        self.outward(target)
+            .find(|s| s.tree & OWN_CHILD != 0)
+            .map(|s| &s.entry)
     }
 
     // ---- subtree spans -----------------------------------------------------
@@ -507,7 +571,7 @@ impl RoutingTables {
     /// unaffected. An event-driven child report on adoption would close the
     /// window (see ROADMAP).
     pub fn record_child_span(&mut self, child: NodeId, span: KeyRange) -> bool {
-        if !self.own_children.contains(&child) {
+        if !self.is_own_child(child) {
             return false;
         }
         let reach = (child.0.saturating_sub(span.lo.0)).max(span.hi.0.saturating_sub(child.0));
@@ -534,7 +598,7 @@ impl RoutingTables {
     /// forwards a publish down an empty branch; only a missing topic could
     /// lose a delivery, which event-driven reporting prevents.
     pub fn record_child_filter(&mut self, child: NodeId, filter: TopicFilter) -> bool {
-        if !self.own_children.contains(&child) {
+        if !self.is_own_child(child) {
             return false;
         }
         self.child_filters.insert(child, filter);
@@ -571,7 +635,7 @@ impl RoutingTables {
         if child.max_level == 0 {
             return (child.id.0, child.id.0, true);
         }
-        let radius = space.coverage_radius(height, (child.max_level + 1).min(height));
+        let radius = space.coverage_radius(height, child.max_level.saturating_add(1).min(height));
         (
             child.id.0.saturating_sub(radius),
             child.id.0.saturating_add(radius),
@@ -587,8 +651,7 @@ impl RoutingTables {
     pub fn own_subtree_extent(&self, own: NodeId, space: IdSpace, height: u32) -> KeyRange {
         let mut lo = own.0;
         let mut hi = own.0;
-        for id in &self.own_children {
-            let child = self.entry_of(*id);
+        for child in self.own_children() {
             let (clo, chi, _) = self.child_extent(child, space, height);
             lo = lo.min(clo);
             hi = hi.max(chi);
@@ -607,9 +670,8 @@ impl RoutingTables {
             .max()
             .unwrap_or(0);
         self.max_child_level = self
-            .own_children
-            .iter()
-            .map(|id| self.entry_of(*id).max_level)
+            .own_children()
+            .map(|child| child.max_level)
             .max()
             .unwrap_or(0);
     }
@@ -617,10 +679,10 @@ impl RoutingTables {
     /// Multicast fan-out selection: the own children whose subtree could
     /// intersect `range`, in identifier order.
     ///
-    /// Implemented as an ordered-range query on the own-children index: only
-    /// children whose coordinate lies within the maximum possible reach of
-    /// the range are examined at all, then each candidate is filtered by its
-    /// exact extent. A child's extent is its **reported subtree span** when
+    /// Implemented as a range query on the sorted vector: only own children
+    /// whose coordinate lies within the maximum possible reach of the range
+    /// are examined at all, then each candidate is filtered by its exact
+    /// extent. A child's extent is its **reported subtree span** when
     /// one arrived via `ChildReport` (exact bookkeeping); otherwise the
     /// deliberately generous estimate that a level-`j` child's descendants
     /// lie within one tessellation radius of the level above it,
@@ -641,22 +703,25 @@ impl RoutingTables {
         range: KeyRange,
         level0_slack: u64,
     ) -> Vec<PeerEntry> {
-        if self.own_children.is_empty() {
+        if self.own_children_len == 0 {
             return Vec::new();
         }
         let estimate_reach = if self.max_child_level == 0 {
             0
         } else {
-            space.coverage_radius(height, (self.max_child_level + 1).min(height))
+            space.coverage_radius(height, self.max_child_level.saturating_add(1).min(height))
         };
         let reach = estimate_reach
             .max(self.span_reach)
             .saturating_add(level0_slack);
-        let window_lo = NodeId(range.lo.0.saturating_sub(reach));
-        let window_hi = NodeId(range.hi.0.saturating_add(reach));
-        self.own_children
-            .range(window_lo..=window_hi)
-            .map(|id| self.entry_of(*id))
+        let window_lo = range.lo.0.saturating_sub(reach);
+        let window_hi = range.hi.0.saturating_add(reach);
+        let first = self.slots.partition_point(|s| s.entry.id.0 < window_lo);
+        self.slots[first..]
+            .iter()
+            .take_while(|s| s.entry.id.0 <= window_hi)
+            .filter(|s| s.tree & OWN_CHILD != 0)
+            .map(|s| &s.entry)
             .filter(|child| {
                 let (lo, hi, slack_applies) = self.child_extent(child, space, height);
                 let slack = if slack_applies { level0_slack } else { 0 };
@@ -670,25 +735,35 @@ impl RoutingTables {
 
     /// Record `entry` as the immediate parent.
     pub fn set_parent(&mut self, entry: PeerEntry) {
-        let id = self.upsert(entry);
-        if let Some(old) = self.parent.replace(id) {
-            if old != id {
-                self.drop_if_roleless(old);
-            }
+        let id = entry.id;
+        if self.parent != Some(id) {
+            self.clear_parent();
         }
+        self.grant(entry, 0, PARENT);
+        self.parent = Some(id);
     }
 
     /// Forget the parent (it left or expired).
     pub fn clear_parent(&mut self) -> Option<PeerEntry> {
         let id = self.parent.take()?;
-        let entry = *self.entry_of(id);
-        self.drop_if_roleless(id);
+        let i = self
+            .position(id)
+            .expect("the parent field names a peer missing from the registry");
+        let slot = &mut self.slots[i];
+        slot.tree &= !PARENT;
+        let entry = slot.entry;
+        if slot.roleless() {
+            self.slots.remove(i);
+        }
         Some(entry)
     }
 
     /// The immediate parent, if known.
     pub fn parent(&self) -> Option<&PeerEntry> {
-        self.parent.map(|id| self.entry_of(id))
+        self.parent.map(|id| {
+            self.find(id)
+                .expect("the parent field names a peer missing from the registry")
+        })
     }
 
     // ---- superiors ---------------------------------------------------------
@@ -696,19 +771,18 @@ impl RoutingTables {
     /// Insert or refresh an entry of the superior-node list (ancestors and
     /// direct neighbours of the immediate parent).
     pub fn upsert_superior(&mut self, entry: PeerEntry) {
-        let id = self.upsert(entry);
-        self.superiors.insert(id);
+        self.grant(entry, 0, SUPERIOR);
     }
 
     /// The superior-node list, ordered by ID.
     pub fn superiors(&self) -> impl Iterator<Item = &PeerEntry> {
-        self.superiors.iter().map(|id| self.entry_of(*id))
+        self.in_tree(SUPERIOR)
     }
 
     /// True when the superior-node list is non-empty (the
     /// `Superior_Node_List_Not_empty()` predicate of Figure 3).
     pub fn has_superiors(&self) -> bool {
-        !self.superiors.is_empty()
+        self.superiors().next().is_some()
     }
 
     /// The superior with the highest known level ("send the request to the
@@ -720,56 +794,22 @@ impl RoutingTables {
 
     // ---- cross-table operations ---------------------------------------------
 
-    /// Remove `id` from every role index and the registry; reports where it
-    /// was found.
+    /// Remove `id` from every role and the registry; reports where it was
+    /// found.
     pub fn remove_peer(&mut self, id: NodeId) -> RemovalReport {
-        let report = self.remove_peer_deferred(id);
+        let Ok(i) = self.position(id) else {
+            return RemovalReport::default();
+        };
+        let report = self.slots.remove(i).report();
+        self.settle_removal(id, &report);
         if report.was_own_child {
             self.recompute_child_caches();
         }
         report
     }
 
-    /// [`RoutingTables::remove_peer`] without the child-cache recompute, so
-    /// batch removals ([`RoutingTables::expire`]) can recompute once at the
-    /// end instead of once per removed own child.
-    fn remove_peer_deferred(&mut self, id: NodeId) -> RemovalReport {
-        let mut report = RemovalReport {
-            was_level0: self.level0.remove(&id),
-            ..RemovalReport::default()
-        };
-        let mut emptied_a_level = false;
-        for bus in self.levels.values_mut() {
-            if bus.remove(&id) {
-                report.was_level_neighbor = true;
-                emptied_a_level |= bus.is_empty();
-            }
-        }
-        if emptied_a_level {
-            self.levels.retain(|_, bus| !bus.is_empty());
-        }
-        if self.children.remove(&id) {
-            if self.own_children.remove(&id) {
-                report.was_own_child = true;
-                self.child_spans.remove(&id);
-                self.child_filters.remove(&id);
-            } else {
-                report.was_neighbor_child = true;
-            }
-        }
-        if self.parent == Some(id) {
-            self.parent = None;
-            report.was_parent = true;
-        }
-        report.was_superior = self.superiors.remove(&id);
-        if report.any() {
-            self.registry.remove(&id);
-        }
-        report
-    }
-
     /// Keep only the `keep` level-0 neighbours closest to `own` in the 1-D
-    /// identifier space, removing the rest **from the level-0 index only**
+    /// identifier space, removing the rest **from the level-0 table only**
     /// (peers that are also a parent, child, bus neighbour or superior keep
     /// those roles and their registry entry). Returns the number of pruned
     /// entries.
@@ -777,95 +817,89 @@ impl RoutingTables {
     /// This implements the paper's "avoid maintaining unnecessary edges"
     /// rule: contacts picked up through gossip beyond the configured budget
     /// are dropped so the keep-alive fan-out stays bounded. The survivors
-    /// are selected by walking the ordered index outward from `own` (two
-    /// cursors), not by sorting the whole table.
+    /// are the first `keep` level-0 slots of the outward walk from `own`
+    /// (ties preferring the smaller identifier); one pass clears the bit on
+    /// everything past the last survivor and one `retain` drops the slots
+    /// that held no other role, so the cost is linear whatever the number
+    /// of victims.
     pub fn prune_level0(&mut self, space: IdSpace, own: NodeId, keep: usize) -> usize {
-        if self.level0.len() <= keep {
+        if self.level0_len <= keep {
             return 0;
         }
-        let mut below = self.level0.range(..own).rev().copied().peekable();
-        let mut above = self.level0.range(own..).copied().peekable();
-        let mut kept = 0usize;
-        let mut victims: Vec<NodeId> = Vec::with_capacity(self.level0.len() - keep);
-        loop {
-            // Ties prefer the smaller identifier (the one below `own`),
-            // matching a sort by (distance, id).
-            let next = match (below.peek(), above.peek()) {
-                (Some(&b), Some(&a)) => {
-                    if space.distance(b, own) <= space.distance(a, own) {
-                        below.next()
-                    } else {
-                        above.next()
-                    }
-                }
-                (Some(_), None) => below.next(),
-                (None, Some(_)) => above.next(),
-                (None, None) => break,
-            };
-            let id = next.expect("peeked above");
-            if kept < keep {
-                kept += 1;
-            } else {
-                victims.push(id);
+        let rank = |id: NodeId| (space.distance(id, own), id);
+        let last_kept = keep.checked_sub(1).and_then(|k| {
+            self.outward(own)
+                .filter(|s| s.levels & LEVEL0 != 0)
+                .nth(k)
+                .map(|s| rank(s.entry.id))
+        });
+        let mut orphaned = false;
+        for slot in &mut self.slots {
+            if slot.levels & LEVEL0 != 0 && last_kept.is_none_or(|k| rank(slot.entry.id) > k) {
+                slot.levels &= !LEVEL0;
+                orphaned |= slot.roleless();
             }
         }
-        for id in &victims {
-            self.level0.remove(id);
-            self.drop_if_roleless(*id);
+        if orphaned {
+            self.slots.retain(|s| !s.roleless());
         }
-        victims.len()
+        let pruned = self.level0_len - keep;
+        self.level0_len = keep;
+        pruned
     }
 
     /// Expire every peer not refreshed within `ttl` of `now` ("The entry
-    /// will be deleted after the expiration of the timestamp"). With the
-    /// canonical registry this is a **single freshness sweep**: each peer
-    /// has exactly one timestamp, so it either stays in all of its roles or
-    /// leaves all of them — the role indexes can never desynchronize (the
-    /// seed's bug where one stale gossip copy severed a live parent link is
-    /// structurally impossible). Returns the removed identifiers with a
-    /// report of which roles each held.
+    /// will be deleted after the expiration of the timestamp"). One
+    /// `retain` sweep over the vector: each peer has exactly one timestamp,
+    /// so it either stays in all of its roles or leaves all of them — the
+    /// roles can never desynchronize (the seed's bug where one stale gossip
+    /// copy severed a live parent link is structurally impossible). Returns
+    /// the removed identifiers, ascending, with a report of which roles
+    /// each held.
     pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<(NodeId, RemovalReport)> {
-        let stale: Vec<NodeId> = self
-            .registry
-            .values()
-            .filter(|e| e.is_stale(now, ttl))
-            .map(|e| e.id)
-            .collect();
+        let mut removed = Vec::new();
+        self.slots.retain(|slot| {
+            let stale = slot.entry.is_stale(now, ttl);
+            if stale {
+                removed.push((slot.entry.id, slot.report()));
+            }
+            !stale
+        });
         let mut lost_own_child = false;
-        let reports: Vec<(NodeId, RemovalReport)> = stale
-            .into_iter()
-            .map(|id| {
-                let report = self.remove_peer_deferred(id);
-                lost_own_child |= report.was_own_child;
-                (id, report)
-            })
-            .collect();
+        for (id, report) in &removed {
+            self.settle_removal(*id, report);
+            lost_own_child |= report.was_own_child;
+        }
         if lost_own_child {
             self.recompute_child_caches();
         }
-        reports
+        removed
     }
 
     /// Per-table sizes for the Section III.e audit.
     pub fn sizes(&self) -> TableSizes {
-        TableSizes {
-            level0: self.level0.len(),
-            level_neighbors: self.level_neighbor_count(),
-            own_children: self.own_children.len(),
-            neighbor_children: self.children.len() - self.own_children.len(),
+        let mut sizes = TableSizes {
+            level0: self.level0_len,
+            own_children: self.own_children_len,
             parent: usize::from(self.parent.is_some()),
-            superiors: self.superiors.len(),
+            ..TableSizes::default()
+        };
+        for slot in &self.slots {
+            sizes.level_neighbors += (slot.levels & !LEVEL0).count_ones() as usize;
+            sizes.neighbor_children += usize::from(slot.tree & (CHILD | OWN_CHILD) == CHILD);
+            sizes.superiors += usize::from(slot.tree & SUPERIOR != 0);
         }
+        sizes
     }
 
     /// Number of **actively maintained** connections, per the accounting of
     /// Section III.e: level-0 connections plus, for nodes in the hierarchy,
     /// own children, direct bus neighbours and the parent link.
     pub fn active_connections(&self, own: NodeId, max_level: u32) -> usize {
-        let mut n = self.level0.len();
+        let mut n = self.level0_len;
         if max_level > 0 {
-            n += self.own_children.len();
-            for lvl in 1..=max_level {
+            n += self.own_children_len;
+            for lvl in 1..=max_level.min(MAX_BUS_LEVEL) {
                 let (l, r) = self.bus_neighbors(lvl, own);
                 n += usize::from(l.is_some()) + usize::from(r.is_some());
             }
@@ -877,88 +911,61 @@ impl RoutingTables {
     /// description of the first violation found. Used by the property tests
     /// (and available to embedders for debugging):
     ///
-    /// 1. every role-index member has a registry entry,
-    /// 2. every registry entry holds at least one role,
-    /// 3. own children are children, spans belong to own children,
-    /// 4. no bus index is empty.
+    /// 1. slots are in strictly ascending identifier order,
+    /// 2. every slot holds at least one role,
+    /// 3. own children are children,
+    /// 4. the parent bit is on exactly the slot the `parent` field names,
+    /// 5. the cached role counts match the bits,
+    /// 6. spans and topic filters belong to own children.
     pub fn validate_invariants(&self) -> Result<(), String> {
-        let check = |id: &NodeId, role: &str| -> Result<(), String> {
-            if self.registry.contains_key(id) {
-                Ok(())
-            } else {
-                Err(format!("{role} index references {id:?} not in registry"))
-            }
-        };
-        for id in &self.level0 {
-            check(id, "level0")?;
-        }
-        for (lvl, bus) in &self.levels {
-            if bus.is_empty() {
-                return Err(format!("bus index for level {lvl} is empty"));
-            }
-            for id in bus {
-                check(id, "bus")?;
+        for pair in self.slots.windows(2) {
+            if pair[0].entry.id >= pair[1].entry.id {
+                return Err(format!(
+                    "slots out of order: {:?} before {:?}",
+                    pair[0].entry.id, pair[1].entry.id
+                ));
             }
         }
-        for id in &self.children {
-            check(id, "children")?;
-        }
-        for id in &self.own_children {
-            check(id, "own_children")?;
-            if !self.children.contains(id) {
-                return Err(format!("own child {id:?} missing from children index"));
+        for slot in &self.slots {
+            let id = slot.entry.id;
+            if slot.roleless() {
+                return Err(format!("registry entry {id:?} holds no role"));
+            }
+            if slot.tree & OWN_CHILD != 0 && slot.tree & CHILD == 0 {
+                return Err(format!("own child {id:?} lacks the child role"));
+            }
+            if (slot.tree & PARENT != 0) != (self.parent == Some(id)) {
+                return Err(format!(
+                    "parent bit of {id:?} disagrees with the parent field {:?}",
+                    self.parent
+                ));
             }
         }
         if let Some(p) = self.parent {
-            check(&p, "parent")?;
+            if self.slot(p).is_none() {
+                return Err(format!("parent {p:?} not in registry"));
+            }
         }
-        for id in &self.superiors {
-            check(id, "superiors")?;
+        if self.level0().count() != self.level0_len {
+            return Err(format!("level-0 count {} is stale", self.level0_len));
+        }
+        if self.own_children().count() != self.own_children_len {
+            return Err(format!(
+                "own-children count {} is stale",
+                self.own_children_len
+            ));
         }
         for id in self.child_spans.keys() {
-            if !self.own_children.contains(id) {
+            if !self.is_own_child(*id) {
                 return Err(format!("span recorded for non-own-child {id:?}"));
             }
         }
         for id in self.child_filters.keys() {
-            if !self.own_children.contains(id) {
+            if !self.is_own_child(*id) {
                 return Err(format!("topic filter recorded for non-own-child {id:?}"));
             }
         }
-        for (id, entry) in &self.registry {
-            if *id != entry.id {
-                return Err(format!("registry key {id:?} != entry id {:?}", entry.id));
-            }
-            if !self.has_role(*id) {
-                return Err(format!("registry entry {id:?} holds no role"));
-            }
-        }
         Ok(())
-    }
-}
-
-/// Of the nearest candidate below (`<= key`) and above (`> key`) an ordered
-/// index, the one closer to `key` in the 1-D space; ties prefer the one
-/// below (the smaller identifier), matching a sort by `(distance, id)`.
-/// Shared by [`RoutingTables::closest_peer`] and
-/// [`RoutingTables::closest_child`] so the probe contract lives in one
-/// place.
-fn nearer_of<T>(
-    space: IdSpace,
-    key: NodeId,
-    below: Option<(NodeId, T)>,
-    above: Option<(NodeId, T)>,
-) -> Option<T> {
-    match (below, above) {
-        (Some((b, bt)), Some((a, at))) => {
-            if space.distance(b, key) <= space.distance(a, key) {
-                Some(bt)
-            } else {
-                Some(at)
-            }
-        }
-        (Some((_, t)), None) | (None, Some((_, t))) => Some(t),
-        (None, None) => None,
     }
 }
 
@@ -1024,6 +1031,35 @@ mod tests {
         assert!(l.is_none() && r.is_none());
         assert_eq!(t.level_members(2).count(), 4);
         assert_eq!(t.level_members(7).count(), 0);
+    }
+
+    #[test]
+    fn an_out_of_range_level_is_no_bus() {
+        let mut t = RoutingTables::new();
+        t.upsert_level(MAX_BUS_LEVEL, entry(100, MAX_BUS_LEVEL, 1));
+        t.upsert_level(1, entry(200, 1, 1));
+        t.upsert_level0(entry(300, 0, 1));
+        // Beyond the last bus bit: nothing is recorded, nothing shifts out
+        // of range, and no roleless entry is left behind.
+        for level in [MAX_BUS_LEVEL + 1, 100, u32::MAX] {
+            t.upsert_level(level, entry(400, 0, 1));
+            assert!(t.find(NodeId(400)).is_none());
+            assert_eq!(t.level_members(level).count(), 0);
+            let (l, r) = t.bus_neighbors(level, NodeId(150));
+            assert!(l.is_none() && r.is_none());
+        }
+        // Level 0 is the level-0 table, not a bus: its bit must not leak.
+        assert_eq!(t.level_members(0).count(), 0);
+        let (l, r) = t.bus_neighbors(0, NodeId(350));
+        assert!(l.is_none() && r.is_none());
+        // The top bus works like any other.
+        assert_eq!(t.level_members(MAX_BUS_LEVEL).count(), 1);
+        let (l, r) = t.bus_neighbors(MAX_BUS_LEVEL, NodeId(150));
+        assert_eq!(l.unwrap().id, NodeId(100));
+        assert!(r.is_none());
+        assert_eq!(t.known_levels().collect::<Vec<_>>(), vec![1, MAX_BUS_LEVEL]);
+        assert_eq!(t.active_connections(NodeId(150), u32::MAX), 1 + 2);
+        t.validate_invariants().unwrap();
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //! linear scan. After each operation the registry's structural invariants
 //! are checked ([`RoutingTables::validate_invariants`]) and the observable
 //! behaviour — find, role membership, sizes, closest-child and fan-out
-//! selection, expiry — must match the model exactly.
+//! selection, expiry — must match the model exactly. So must every probe
+//! the flat registry derives from slice bounds (`closest_peer`,
+//! `nearest_peers` and the borrowed `nearest_walk`, `peers_outward_from`,
+//! `kth_neighbor_ids`, `bus_neighbors`), asked at keys equal to, just below
+//! and just above a stored identifier, with and without the nearest entry
+//! excluded by address.
 
 use simnet::{NodeAddr, SimDuration, SimRng, SimTime};
 use treep::{
     CharacteristicsSummary, ChildPolicy, IdSpace, KeyRange, NodeCharacteristics, NodeId,
-    RoutingEntry, RoutingTables,
+    RoutingEntry, RoutingTables, TopicFilter,
 };
 
 fn space() -> IdSpace {
@@ -36,6 +41,9 @@ struct Model {
     own_children: std::collections::BTreeSet<NodeId>,
     parent: Option<NodeId>,
     superiors: std::collections::BTreeSet<NodeId>,
+    /// Spans / topic filters recorded for own children.
+    spans: std::collections::BTreeMap<NodeId, KeyRange>,
+    filters: std::collections::BTreeSet<NodeId>,
 }
 
 impl Model {
@@ -75,6 +83,8 @@ impl Model {
         }
         self.superiors.remove(&id);
         self.peers.remove(&id);
+        self.spans.remove(&id);
+        self.filters.remove(&id);
     }
 
     fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<NodeId> {
@@ -106,6 +116,58 @@ impl Model {
         }
     }
 
+    /// Every peer not at `exclude`, sorted by `(distance to key, id)`: the
+    /// order every distance probe of the registry must reproduce.
+    fn by_distance(&self, key: NodeId, exclude: NodeAddr) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = self
+            .peers
+            .values()
+            .filter(|e| e.addr != exclude)
+            .map(|e| e.id)
+            .collect();
+        ids.sort_by_key(|id| (space().distance(*id, key), *id));
+        ids
+    }
+
+    fn kth_neighbor_ids(&self, own: NodeId, k: usize) -> (Option<NodeId>, Option<NodeId>) {
+        if k == 0 {
+            return (None, None);
+        }
+        let below: Vec<NodeId> = self.peers.keys().copied().filter(|id| *id < own).collect();
+        let above: Vec<NodeId> = self.peers.keys().copied().filter(|id| *id > own).collect();
+        (
+            below.iter().rev().nth(k - 1).copied(),
+            above.get(k - 1).copied(),
+        )
+    }
+
+    fn bus_neighbors(&self, level: u32, own: NodeId) -> (Option<NodeId>, Option<NodeId>) {
+        let bus = || self.levels.get(&level).into_iter().flatten().copied();
+        (
+            bus().filter(|id| *id < own).max(),
+            bus().filter(|id| *id > own).min(),
+        )
+    }
+
+    fn active_connections(&self, own: NodeId, max_level: u32) -> usize {
+        let mut n = self.level0.len() + usize::from(self.parent.is_some());
+        if max_level > 0 {
+            n += self.own_children.len();
+            for level in 1..=max_level {
+                let (l, r) = self.bus_neighbors(level, own);
+                n += usize::from(l.is_some()) + usize::from(r.is_some());
+            }
+        }
+        n
+    }
+
+    fn highest_superior(&self) -> Option<NodeId> {
+        self.superiors
+            .iter()
+            .copied()
+            .max_by_key(|id| (self.peers[id].max_level, std::cmp::Reverse(*id)))
+    }
+
     fn closest_child(&self, target: NodeId) -> Option<NodeId> {
         self.own_children
             .iter()
@@ -114,7 +176,88 @@ impl Model {
     }
 }
 
-fn compare(tables: &RoutingTables, model: &Model, op: &str) {
+/// The probes re-derived from slice bounds, at one key.
+fn compare_probes(tables: &RoutingTables, model: &Model, key: NodeId, op: &str) {
+    let nobody = NodeAddr(u64::MAX);
+    assert_eq!(
+        tables.find(key).map(|e| e.id),
+        model.peers.get(&key).map(|e| e.id),
+        "find({key:?}) after {op}"
+    );
+    assert_eq!(
+        tables.is_own_child(key),
+        model.own_children.contains(&key),
+        "is_own_child({key:?}) after {op}"
+    );
+    assert_eq!(
+        tables.is_level0_neighbor(key),
+        model.level0.contains(&key),
+        "is_level0_neighbor({key:?}) after {op}"
+    );
+    assert_eq!(
+        tables.child_span(key),
+        model.spans.get(&key).copied(),
+        "child_span({key:?}) after {op}"
+    );
+    assert_eq!(
+        tables.child_filter(key).is_some(),
+        model.filters.contains(&key),
+        "child_filter({key:?}) after {op}"
+    );
+
+    let walked: Vec<NodeId> = tables.peers_outward_from(key).map(|e| e.id).collect();
+    assert_eq!(
+        walked,
+        model.by_distance(key, nobody),
+        "outward walk from {key:?} after {op}"
+    );
+
+    // Once with nobody excluded, once with the nearest entry's address
+    // excluded (the probe must step over it, on whichever side it sits).
+    let nearest_addr = walked.first().map(|id| model.peers[id].addr);
+    for exclude in [Some(nobody), nearest_addr].into_iter().flatten() {
+        let want = model.by_distance(key, exclude);
+        assert_eq!(
+            tables.closest_peer(space(), key, exclude).map(|e| e.id),
+            want.first().copied(),
+            "closest_peer({key:?}, {exclude:?}) after {op}"
+        );
+        let walk: Vec<NodeId> = tables.nearest_walk(key, exclude).map(|e| e.id).collect();
+        assert_eq!(walk, want, "nearest_walk({key:?}, {exclude:?}) after {op}");
+        for count in [0, 1, 4, want.len() + 2] {
+            let got: Vec<NodeId> = tables
+                .nearest_peers(space(), key, count, exclude)
+                .iter()
+                .map(|e| e.id)
+                .collect();
+            let want = &want[..count.min(want.len())];
+            assert_eq!(got, want, "nearest_peers({key:?}, {count}) after {op}");
+        }
+    }
+
+    for k in [0, 1, 2, 5] {
+        assert_eq!(
+            tables.kth_neighbor_ids(key, k),
+            model.kth_neighbor_ids(key, k),
+            "kth_neighbor_ids({key:?}, {k}) after {op}"
+        );
+    }
+    for level in 0..=4 {
+        let (l, r) = tables.bus_neighbors(level, key);
+        assert_eq!(
+            (l.map(|e| e.id), r.map(|e| e.id)),
+            model.bus_neighbors(level, key),
+            "bus_neighbors({level}, {key:?}) after {op}"
+        );
+        assert_eq!(
+            tables.active_connections(key, level),
+            model.active_connections(key, level),
+            "active_connections({key:?}, {level}) after {op}"
+        );
+    }
+}
+
+fn compare(tables: &RoutingTables, model: &Model, keys: &[NodeId], op: &str) {
     tables
         .validate_invariants()
         .unwrap_or_else(|e| panic!("invariant violated after {op}: {e}"));
@@ -167,8 +310,42 @@ fn compare(tables: &RoutingTables, model: &Model, op: &str) {
         assert_eq!(got.last_seen, want.last_seen, "timestamp drift after {op}");
     }
 
+    assert_eq!(
+        tables.highest_superior().map(|e| e.id),
+        model.highest_superior(),
+        "highest_superior after {op}"
+    );
+    assert_eq!(
+        tables.has_superiors(),
+        !model.superiors.is_empty(),
+        "has_superiors after {op}"
+    );
+    assert_eq!(
+        tables.level0_degree(),
+        model.level0.len(),
+        "level0_degree after {op}"
+    );
+    assert_eq!(
+        tables.own_children_count(),
+        model.own_children.len(),
+        "own_children_count after {op}"
+    );
+    assert_eq!(
+        tables.level_neighbor_count(),
+        model.levels.values().map(|s| s.len()).sum::<usize>(),
+        "level_neighbor_count after {op}"
+    );
+    for key in keys {
+        compare_probes(tables, model, *key, op);
+    }
+
     let sizes = tables.sizes();
     assert_eq!(sizes.level0, model.level0.len(), "sizes.level0 after {op}");
+    assert_eq!(
+        sizes.parent,
+        usize::from(model.parent.is_some()),
+        "sizes.parent after {op}"
+    );
     assert_eq!(
         sizes.own_children,
         model.own_children.len(),
@@ -200,7 +377,9 @@ fn random_trace(seed: u64, steps: usize) {
     for step in 0..steps {
         // Mostly-forward clock with occasional stale-information arrivals.
         now_ms += rng.gen_range_u64(0..40);
-        let id = NodeId(1 + rng.gen_range_u64(0..48));
+        // Stored identifiers are multiples of ten, so `id - 1` and `id + 1`
+        // probe just beside a stored slot without hitting another.
+        let id = NodeId(10 * (1 + rng.gen_range_u64(0..48)));
         // Addresses drift over time so canonical-freshness is exercised.
         let addr = NodeAddr(id.0 * 1000 + rng.gen_range_u64(0..3));
         let level = rng.gen_range_u64(0..4) as u32;
@@ -211,7 +390,7 @@ fn random_trace(seed: u64, steps: usize) {
         };
         let entry = RoutingEntry::new(id, addr, level, summary(), SimTime::from_millis(at_ms));
 
-        let op = rng.gen_range_u64(0..12);
+        let op = rng.gen_range_u64(0..15);
         let name = match op {
             0 | 1 => {
                 tables.upsert_level0(entry);
@@ -287,9 +466,48 @@ fn random_trace(seed: u64, steps: usize) {
             }
             10 => {
                 let keep = rng.gen_range_usize(0..12);
-                tables.prune_level0(space(), id, keep);
+                let pruned = tables.prune_level0(space(), id, keep);
+                let before = model.level0.len();
                 model.prune_level0(id, keep);
+                assert_eq!(pruned, before - model.level0.len(), "prune count diverged");
                 "prune_level0"
+            }
+            11 => {
+                let got = tables.clear_parent().map(|e| e.id);
+                let want = model.parent.take();
+                assert_eq!(got, want, "clear_parent diverged");
+                if let Some(old) = want {
+                    model.gc(old);
+                }
+                "clear_parent"
+            }
+            12 => {
+                // Spans are accepted for own children only, and vanish with
+                // their child (checked by `compare_probes` ever after).
+                let span = KeyRange::new(NodeId(id.0 - 5), NodeId(id.0 + 5));
+                let accepted = tables.record_child_span(id, span);
+                assert_eq!(
+                    accepted,
+                    model.own_children.contains(&id),
+                    "span acceptance"
+                );
+                if accepted {
+                    model.spans.insert(id, span);
+                }
+                "record_child_span"
+            }
+            13 => {
+                let accepted =
+                    tables.record_child_filter(id, TopicFilter::from_topics([NodeId(7)], 8));
+                assert_eq!(
+                    accepted,
+                    model.own_children.contains(&id),
+                    "filter acceptance"
+                );
+                if accepted {
+                    model.filters.insert(id);
+                }
+                "record_child_filter"
             }
             _ => {
                 let a = NodeId(rng.gen_range_u64(0..50_000));
@@ -321,9 +539,16 @@ fn random_trace(seed: u64, steps: usize) {
                 "queries"
             }
         };
+        let keys = [
+            id,
+            NodeId(id.0 - 1),
+            NodeId(id.0 + 1),
+            NodeId(rng.gen_range_u64(0..600)),
+        ];
         compare(
             &tables,
             &model,
+            &keys,
             &format!("step {step}: {name} (seed {seed})"),
         );
     }
