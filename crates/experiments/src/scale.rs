@@ -14,10 +14,10 @@
 //!   conservative time-barrier protocol.
 //!
 //! Every leg runs **twice** with the same seed and asserts the FNV event
-//! digests match (`deterministic`). The legacy and wheel engines share the
-//! digest scheme, so equal digests additionally prove the new engine
-//! dispatches byte-for-byte the same event sequence as the old one
-//! (`matches_reference`).
+//! digests match (`deterministic`). The legacy engine folds its events with
+//! the wheel engine's own [`fold_event`], so equal digests additionally
+//! prove the new engine dispatches byte-for-byte the same event sequence as
+//! the old one ([`ScaleReport::engines_agree_at`]).
 //!
 //! The workload models TreeP keep-alive traffic: nodes form groups of 256
 //! arranged as arity-4 trees (computed arithmetically — no per-node
@@ -27,6 +27,7 @@
 //! timer wheel targets.
 
 use analysis::AsciiTable;
+use simnet::sim::{fold_event, FNV_OFFSET};
 use simnet::{
     Action, Context, EventKind, HeapScheduler, LatencyModel, LinkModel, LossModel, NodeAddr,
     Protocol, ShardedSimulation, SimConfig, SimDuration, SimRng, SimTime, Simulation,
@@ -146,29 +147,6 @@ impl Protocol for ScaleProto {
 }
 
 // ---- legacy engine replica -------------------------------------------------
-
-// FNV-1a constants, identical to the simulation's digest so legacy and
-// wheel digests are directly comparable.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(digest: u64, word: u64) -> u64 {
-    (digest ^ word).wrapping_mul(FNV_PRIME)
-}
-
-fn fold_event<M>(digest: u64, at: SimTime, seq: u64, kind: &EventKind<M>) -> u64 {
-    let (tag, node) = match kind {
-        EventKind::Deliver { src, dest, .. } => (0u64, dest.0 ^ (src.0 << 1)),
-        EventKind::Timer { node, token } => (1, node.0 ^ (token.0 << 1)),
-        EventKind::Start { node } => (2, node.0),
-        EventKind::Fail { node } => (3, node.0),
-        EventKind::Stop { node } => (4, node.0),
-    };
-    let mut d = fnv_fold(digest, at.as_micros());
-    d = fnv_fold(d, seq);
-    d = fnv_fold(d, tag);
-    fnv_fold(d, node)
-}
 
 struct LegacySlot<P> {
     proto: P,

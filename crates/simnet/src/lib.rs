@@ -52,7 +52,6 @@ pub mod shard;
 pub mod sim;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use arena::{Arena, Handle};
 pub use event::{Event, EventKind};
@@ -65,4 +64,3 @@ pub use shard::ShardedSimulation;
 pub use sim::{SimConfig, Simulation};
 pub use telemetry::{Telemetry, TelemetryConfig, TraceCtx};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceSink};

@@ -45,17 +45,27 @@ impl SimMetrics {
     /// Difference of every counter against an earlier snapshot; used to
     /// measure the traffic of a single experiment phase.
     pub fn delta_since(&self, earlier: &SimMetrics) -> SimMetrics {
+        self.zip_with(earlier, |now, then| now - then)
+    }
+
+    /// Sum of every counter with another engine's; a sharded run reports
+    /// the total over its shards.
+    pub fn plus(&self, other: &SimMetrics) -> SimMetrics {
+        self.zip_with(other, |a, b| a + b)
+    }
+
+    fn zip_with(&self, other: &SimMetrics, f: impl Fn(u64, u64) -> u64) -> SimMetrics {
         SimMetrics {
-            messages_sent: self.messages_sent - earlier.messages_sent,
-            messages_delivered: self.messages_delivered - earlier.messages_delivered,
-            messages_lost: self.messages_lost - earlier.messages_lost,
-            messages_to_dead: self.messages_to_dead - earlier.messages_to_dead,
-            timers_fired: self.timers_fired - earlier.timers_fired,
-            timers_dropped: self.timers_dropped - earlier.timers_dropped,
-            nodes_started: self.nodes_started - earlier.nodes_started,
-            nodes_failed: self.nodes_failed - earlier.nodes_failed,
-            nodes_stopped: self.nodes_stopped - earlier.nodes_stopped,
-            events_dispatched: self.events_dispatched - earlier.events_dispatched,
+            messages_sent: f(self.messages_sent, other.messages_sent),
+            messages_delivered: f(self.messages_delivered, other.messages_delivered),
+            messages_lost: f(self.messages_lost, other.messages_lost),
+            messages_to_dead: f(self.messages_to_dead, other.messages_to_dead),
+            timers_fired: f(self.timers_fired, other.timers_fired),
+            timers_dropped: f(self.timers_dropped, other.timers_dropped),
+            nodes_started: f(self.nodes_started, other.nodes_started),
+            nodes_failed: f(self.nodes_failed, other.nodes_failed),
+            nodes_stopped: f(self.nodes_stopped, other.nodes_stopped),
+            events_dispatched: f(self.events_dispatched, other.events_dispatched),
         }
     }
 }

@@ -1,35 +1,56 @@
-//! The simulation host: owns nodes, virtual time, the event queue and the
+//! The simulation engine: owns nodes, virtual time, the event queue and the
 //! link model, and drives [`Protocol`] state machines.
 //!
-//! # Engine layout (million-node scale)
+//! # One dispatch path
 //!
-//! The host is built so the per-event dispatch path does no hashing and no
-//! allocation:
+//! [`Simulation`] is the only place in this crate that turns an event into
+//! a protocol callback and a callback's actions into new events: `step`
+//! pops and accounts one event (digest, telemetry), `dispatch_event` gates
+//! it on the target node's state and runs the callback, and
+//! `apply_actions` schedules what the callback asked for. The
+//! multi-threaded [`ShardedSimulation`](crate::shard::ShardedSimulation) is
+//! a `Vec<Simulation>` plus a barrier loop — it has no dispatch code of its
+//! own.
+//!
+//! # Placement
+//!
+//! Every engine carries a *placement*: the address range
+//! `[base, base + block)` it owns, its index among its peers and one outbox
+//! per peer. A send whose destination lies in the range is scheduled on the
+//! engine's own queue; any other goes, with its arrival time already drawn,
+//! into the owner's outbox for the barrier loop to carry over. A
+//! **stand-alone** engine ([`Simulation::new`]) is the degenerate placement
+//! `base = 0`, `block = u64::MAX`, no peers: every address is local, the
+//! test for that is one subtract-and-compare, and the outboxes are never
+//! touched.
+//!
+//! # Layout (million-node scale)
+//!
+//! The per-event dispatch path does no hashing and no allocation:
 //!
 //! * events come off a hierarchical timer wheel ([`Scheduler`]) in exact
 //!   `(time, seq)` order;
-//! * node state lives in a generation-tagged [`Arena`]; the sim assigns
-//!   dense `NodeAddr`s, so resolving an address is two `Vec` indexes
-//!   (`addr → handle → slot`) instead of a `HashMap` probe;
+//! * node state lives in a generation-tagged [`Arena`]; addresses are
+//!   assigned densely from `base`, so resolving one is two `Vec` indexes
+//!   (`addr − base → handle → slot`) instead of a `HashMap` probe;
 //! * each callback's actions are recorded into one recycled buffer
 //!   ([`Context::with_buffer`]) instead of a fresh `Vec` per event.
 //!
-//! Node sweeps ([`Simulation::alive_nodes`], [`Simulation::all_nodes`],
-//! metrics, shutdown) iterate the arena in index order, which equals
-//! address order — deterministic by construction, with nothing to sort.
-//! An optional FNV-1a [`Simulation::event_digest`] folds every dispatched
-//! event so two runs can be compared for identical event order cheaply.
+//! Node sweeps ([`Simulation::alive_nodes`], [`Simulation::all_nodes`])
+//! iterate in address order — deterministic by construction, with nothing
+//! to sort. An optional FNV-1a [`Simulation::event_digest`] folds every
+//! dispatched event so two runs can be compared for identical event order
+//! cheaply.
 
 use crate::arena::{Arena, Handle};
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
 use crate::link::LinkModel;
 use crate::metrics::SimMetrics;
-use crate::protocol::{Action, Context, NodeAddr, Protocol, SendTrace, TimerToken};
+use crate::protocol::{Action, Context, NodeAddr, Protocol, SendTrace};
 use crate::rng::SimRng;
 use crate::scheduler::Scheduler;
 use crate::telemetry::{FlightEntry, Telemetry, TelemetryConfig, TraceCtx};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{MemoryTrace, TraceEvent, TraceSink};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -57,9 +78,22 @@ struct NodeSlot<P> {
     started: bool,
 }
 
-/// Seed for the 64-bit FNV-1a-style event digest.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// A message on its way to a node, its arrival time already drawn by the
+/// sender's engine: what a local send schedules directly and what a remote
+/// send parks in an outbox.
+pub(crate) struct Outgoing<M> {
+    pub(crate) arrival: SimTime,
+    src: NodeAddr,
+    dest: NodeAddr,
+    msg: M,
+    /// Trace continuation for the receiver's callback (the sender already
+    /// recorded the hop span). Envelope metadata, never serialised.
+    trace: Option<TraceCtx>,
+}
+
+/// Seed of the 64-bit FNV-1a-style event digest.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One xor-multiply round over a whole 64-bit word. A byte-wise FNV would
 /// cost 32 serially dependent multiplies per event on the dispatch hot
@@ -72,9 +106,11 @@ pub(crate) fn fnv_fold(digest: u64, word: u64) -> u64 {
 
 /// Fold one dispatched event into a digest: its time, FIFO sequence,
 /// target node and kind discriminant. Two runs with equal digests
-/// dispatched the same events in the same order.
+/// dispatched the same events in the same order — under any host that
+/// folds with this function, which is how the legacy reference engine of
+/// `reproduce --scale` stays comparable.
 #[inline]
-pub(crate) fn fold_event<M>(digest: u64, at: SimTime, seq: u64, kind: &EventKind<M>) -> u64 {
+pub fn fold_event<M>(digest: u64, at: SimTime, seq: u64, kind: &EventKind<M>) -> u64 {
     let (tag, node) = event_word(kind);
     let mut d = fnv_fold(digest, at.as_micros());
     d = fnv_fold(d, seq);
@@ -86,7 +122,7 @@ pub(crate) fn fold_event<M>(digest: u64, at: SimTime, seq: u64, kind: &EventKind
 /// Shared by the digest fold and the flight recorder so a recorder dump
 /// reads in the digest's vocabulary.
 #[inline]
-pub(crate) fn event_word<M>(kind: &EventKind<M>) -> (u8, u64) {
+fn event_word<M>(kind: &EventKind<M>) -> (u8, u64) {
     match kind {
         EventKind::Deliver { src, dest, .. } => (0u8, dest.0 ^ (src.0 << 1)),
         EventKind::Timer { node, token } => (1, node.0 ^ (token.0 << 1)),
@@ -102,12 +138,11 @@ pub struct Simulation<P: Protocol> {
     scheduler: Scheduler<P::Message>,
     /// Node state, in a slab arena addressed by dense index handles.
     nodes: Arena<NodeSlot<P>>,
-    /// `NodeAddr.0 → Handle`. Addresses are assigned densely by the sim,
-    /// so this is a plain `Vec` — no hashing on the dispatch path.
+    /// `NodeAddr.0 − base → Handle`. Addresses are assigned densely, so
+    /// this is a plain `Vec` — no hashing on the dispatch path.
     handles: Vec<Handle>,
     rng: SimRng,
     metrics: SimMetrics,
-    trace: Option<MemoryTrace>,
     /// Recycled action buffer threaded through every [`Context`].
     action_buf: Vec<Action<P::Message>>,
     /// FNV-1a fold over dispatched events; `None` until enabled.
@@ -115,10 +150,20 @@ pub struct Simulation<P: Protocol> {
     /// Telemetry sink (registry, spans, flight recorder); `None` until
     /// enabled, and behaviourally inert when on.
     telemetry: Option<Box<Telemetry>>,
+    /// Placement (see the module docs): the first address this engine owns.
+    base: u64,
+    /// Placement: how many addresses it owns, the same for every peer.
+    block: u64,
+    /// Placement: its position among the peers.
+    index: usize,
+    /// Placement: sends awaiting the barrier loop, one outbox per peer
+    /// (none when stand-alone).
+    outboxes: Vec<Vec<Outgoing<P::Message>>>,
 }
 
 impl<P: Protocol> Simulation<P> {
-    /// Create an empty simulation with the given configuration and RNG seed.
+    /// Create an empty stand-alone simulation with the given configuration
+    /// and RNG seed.
     pub fn new(config: SimConfig, seed: u64) -> Self {
         Simulation {
             config,
@@ -127,10 +172,35 @@ impl<P: Protocol> Simulation<P> {
             handles: Vec::new(),
             rng: SimRng::seed_from(seed),
             metrics: SimMetrics::default(),
-            trace: None,
             action_buf: Vec::new(),
             digest: None,
             telemetry: None,
+            base: 0,
+            block: u64::MAX,
+            index: 0,
+            outboxes: Vec::new(),
+        }
+    }
+
+    /// Create shard `index` of `shards`, owning `block` addresses. Shard
+    /// RNG streams derive from `seed`; shard 0 uses `seed` itself, so a
+    /// single shard replays the stand-alone engine exactly.
+    pub(crate) fn new_shard(
+        config: SimConfig,
+        seed: u64,
+        index: usize,
+        shards: usize,
+        block: u64,
+    ) -> Self {
+        let stream = (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Simulation {
+            nodes: Arena::with_capacity(block as usize),
+            handles: Vec::with_capacity(block as usize),
+            base: index as u64 * block,
+            block,
+            index,
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
+            ..Simulation::new(config, seed.wrapping_add(stream))
         }
     }
 
@@ -138,16 +208,6 @@ impl<P: Protocol> Simulation<P> {
     /// populations).
     pub fn reserve_nodes(&mut self, additional: usize) {
         self.handles.reserve(additional);
-    }
-
-    /// Enable in-memory tracing (used by tests and debugging sessions).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(MemoryTrace::default());
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&MemoryTrace> {
-        self.trace.as_ref()
     }
 
     /// Start folding every dispatched event into an order-sensitive FNV-1a
@@ -159,10 +219,11 @@ impl<P: Protocol> Simulation<P> {
     /// Turn telemetry on: metrics registry, causal spans, engine profiling
     /// and the flight recorder (see [`crate::telemetry`]). Inert with
     /// respect to simulation behaviour — a digest-pinned test holds the
-    /// engine to that.
+    /// engine to that. Trace and span ids carry the placement index in
+    /// their high bits, so the sinks of a sharded run merge collision-free.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         if self.telemetry.is_none() {
-            self.telemetry = Some(Box::new(Telemetry::new(config)));
+            self.telemetry = Some(Box::new(Telemetry::with_tag(config, self.index as u64)));
         }
     }
 
@@ -206,7 +267,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Add a node and schedule its start at `at`.
     pub fn add_node_at(&mut self, proto: P, at: SimTime) -> NodeAddr {
-        let addr = NodeAddr(self.handles.len() as u64);
+        let addr = NodeAddr(self.base + self.handles.len() as u64);
         let handle = self.nodes.insert(NodeSlot {
             proto,
             alive: true,
@@ -217,15 +278,22 @@ impl<P: Protocol> Simulation<P> {
         addr
     }
 
+    /// Index of `addr` in `handles`; out of bounds for an address this
+    /// engine does not own.
+    #[inline]
+    fn local(&self, addr: NodeAddr) -> usize {
+        addr.0.wrapping_sub(self.base) as usize
+    }
+
     #[inline]
     fn slot(&self, addr: NodeAddr) -> Option<&NodeSlot<P>> {
-        let handle = *self.handles.get(addr.0 as usize)?;
+        let handle = *self.handles.get(self.local(addr))?;
         self.nodes.get(handle)
     }
 
     #[inline]
     fn slot_mut(&mut self, addr: NodeAddr) -> Option<&mut NodeSlot<P>> {
-        let handle = *self.handles.get(addr.0 as usize)?;
+        let handle = *self.handles.get(self.local(addr))?;
         self.nodes.get_mut(handle)
     }
 
@@ -247,20 +315,20 @@ impl<P: Protocol> Simulation<P> {
         self.slot(addr).map(|s| s.alive).unwrap_or(false)
     }
 
-    /// Addresses of all currently alive nodes, in address order (arena
-    /// index order — no sort needed).
+    /// Addresses of all currently alive nodes, in address order.
     pub fn alive_nodes(&self) -> Vec<NodeAddr> {
-        self.handles
-            .iter()
-            .enumerate()
+        (self.base..)
+            .zip(&self.handles)
             .filter(|(_, &h)| self.nodes.get(h).map(|s| s.alive).unwrap_or(false))
-            .map(|(i, _)| NodeAddr(i as u64))
+            .map(|(addr, _)| NodeAddr(addr))
             .collect()
     }
 
     /// Addresses of every node ever added, in address order.
     pub fn all_nodes(&self) -> Vec<NodeAddr> {
-        (0..self.handles.len() as u64).map(NodeAddr).collect()
+        (self.base..self.base + self.handles.len() as u64)
+            .map(NodeAddr)
+            .collect()
     }
 
     /// Number of alive nodes.
@@ -301,7 +369,7 @@ impl<P: Protocol> Simulation<P> {
         addr: NodeAddr,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> Option<R> {
-        let handle = *self.handles.get(addr.0 as usize)?;
+        let handle = *self.handles.get(self.local(addr))?;
         let slot = self.nodes.get_mut(handle)?;
         if !slot.alive {
             return None;
@@ -335,24 +403,20 @@ impl<P: Protocol> Simulation<P> {
         if let Some(d) = self.digest.as_mut() {
             *d = fold_event(*d, event.at, event.seq, &event.kind);
         }
-        let now = event.at;
-        let seq = event.seq;
         // Telemetry pre-dispatch: flight-record the event, sample the
         // scalar series on its virtual-time cadence, and decide whether
         // this is one of the 1-in-64 dispatches whose wall-clock cost gets
         // measured. All of it is off the hot path when telemetry is off.
         let mut timed_tag = None;
-        if self.telemetry.is_some() {
+        if let Some(t) = self.telemetry.as_deref_mut() {
             let (tag, node) = event_word(&event.kind);
-            let metrics = self.metrics;
-            let t = self.telemetry.as_deref_mut().expect("checked above");
             t.recorder.record(FlightEntry {
-                at: now,
-                seq,
+                at: event.at,
+                seq: event.seq,
                 tag,
                 node,
             });
-            t.maybe_sample(now, &metrics);
+            t.maybe_sample(event.at, &self.metrics);
             if t.should_time() {
                 timed_tag = Some(tag);
             }
@@ -360,31 +424,15 @@ impl<P: Protocol> Simulation<P> {
         match timed_tag {
             Some(tag) => {
                 let started = std::time::Instant::now();
-                self.dispatch_event(event.kind, now, seq);
+                self.dispatch_event(event);
                 let nanos = started.elapsed().as_nanos() as u64;
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.record_dispatch(tag, nanos);
                 }
             }
-            None => self.dispatch_event(event.kind, now, seq),
+            None => self.dispatch_event(event),
         }
         true
-    }
-
-    fn dispatch_event(&mut self, kind: EventKind<P::Message>, now: SimTime, seq: u64) {
-        match kind {
-            EventKind::Start { node } => self.dispatch_start(node, now),
-            EventKind::Fail { node } => self.dispatch_fail(node, now),
-            EventKind::Stop { node } => self.dispatch_stop(node, now),
-            EventKind::Timer { node, token } => self.dispatch_timer(node, token, now),
-            EventKind::Deliver { src, dest, msg } => {
-                let trace = self
-                    .telemetry
-                    .as_deref_mut()
-                    .and_then(|t| t.take_inflight(seq));
-                self.dispatch_deliver(src, dest, msg, now, trace)
-            }
-        }
     }
 
     /// Run until the event queue drains completely.
@@ -414,184 +462,126 @@ impl<P: Protocol> Simulation<P> {
         self.scheduler.len()
     }
 
-    // ---- dispatch helpers -------------------------------------------------
-
-    fn record(&mut self, ev: TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record(ev);
-        }
+    /// Time of the earliest queued event.
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+        self.scheduler.peek_time()
     }
 
-    fn dispatch_start(&mut self, node: NodeAddr, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive || slot.started {
-            self.action_buf = buf;
-            return;
-        }
-        slot.started = true;
-        self.metrics.nodes_started += 1;
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
+    /// The outboxes filled since the last call, indexed by destination
+    /// peer; the barrier loop empties them between windows.
+    pub(crate) fn outboxes_mut(&mut self) -> &mut [Vec<Outgoing<P::Message>>] {
+        &mut self.outboxes
+    }
+
+    /// Put a delivery on this engine's own queue: a local send, or one a
+    /// peer parked in its outbox for us.
+    pub(crate) fn schedule_delivery(&mut self, out: Outgoing<P::Message>) {
+        let seq = self.scheduler.schedule(
+            out.arrival,
+            EventKind::Deliver {
+                src: out.src,
+                dest: out.dest,
+                msg: out.msg,
+            },
         );
-        slot.proto.on_start(&mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.record(TraceEvent::NodeStarted { at: now, node });
-        self.apply_actions(node, actions, traces);
+        if let (Some(ctx), Some(t)) = (out.trace, self.telemetry.as_deref_mut()) {
+            t.put_inflight(seq, ctx);
+        }
     }
 
-    fn dispatch_fail(&mut self, node: NodeAddr, now: SimTime) {
+    /// The peer that owns `dest`, unless that is this engine.
+    #[inline]
+    fn remote_owner(&self, dest: NodeAddr) -> Option<usize> {
+        if dest.0.wrapping_sub(self.base) < self.block {
+            return None;
+        }
+        // Addresses past the last peer's range clamp to that peer, which
+        // records them as messages_to_dead.
+        let last = self.outboxes.len().saturating_sub(1);
+        let owner = ((dest.0 / self.block) as usize).min(last);
+        (owner != self.index).then_some(owner)
+    }
+
+    /// The one place an event becomes a protocol callback: find the target
+    /// node, gate on its state, run the callback the event kind names, then
+    /// apply the actions it recorded.
+    fn dispatch_event(&mut self, event: Event<P::Message>) {
+        let node = event.target();
+        let trace = match event.kind {
+            EventKind::Deliver { .. } => self
+                .telemetry
+                .as_deref_mut()
+                .and_then(|t| t.take_inflight(event.seq)),
+            _ => None,
+        };
         // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
         // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
+        let local = self.local(node);
+        let slot = self.handles.get(local).and_then(|&h| self.nodes.get_mut(h));
+        let metrics = &mut self.metrics;
+        let ready = |slot: &&mut NodeSlot<P>| {
+            slot.alive
+                && match event.kind {
+                    EventKind::Start { .. } => !slot.started,
+                    EventKind::Deliver { .. } => slot.started,
+                    _ => true,
+                }
+        };
+        let Some(slot) = slot.filter(ready) else {
+            match event.kind {
+                EventKind::Deliver { .. } => metrics.messages_to_dead += 1,
+                EventKind::Timer { .. } => metrics.timers_dropped += 1,
+                _ => {}
+            }
             return;
         };
-        if !slot.alive {
-            return;
-        }
-        slot.alive = false;
-        self.metrics.nodes_failed += 1;
-        self.record(TraceEvent::NodeFailed { at: now, node });
-    }
-
-    fn dispatch_stop(&mut self, node: NodeAddr, now: SimTime) {
         let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive {
-            self.action_buf = buf;
-            return;
-        }
         let mut ctx = Context::for_host(
-            now,
+            event.at,
             node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_stop(&mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        slot.alive = false;
-        self.metrics.nodes_stopped += 1;
-        self.record(TraceEvent::NodeStopped { at: now, node });
-        // A stopping node may still send goodbye messages, but any timers it
-        // sets are pointless; apply_actions filters them because the node is
-        // already marked dead by the time the timer would fire.
-        self.apply_actions(node, actions, traces);
-    }
-
-    fn dispatch_timer(&mut self, node: NodeAddr, token: TimerToken, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.metrics.timers_dropped += 1;
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive {
-            self.metrics.timers_dropped += 1;
-            self.action_buf = buf;
-            return;
-        }
-        self.metrics.timers_fired += 1;
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_timer(token, &mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.record(TraceEvent::TimerFired {
-            at: now,
-            node,
-            token,
-        });
-        self.apply_actions(node, actions, traces);
-    }
-
-    fn dispatch_deliver(
-        &mut self,
-        src: NodeAddr,
-        dest: NodeAddr,
-        msg: P::Message,
-        now: SimTime,
-        trace: Option<TraceCtx>,
-    ) {
-        let buf = std::mem::take(&mut self.action_buf);
-        let Some(slot) = self
-            .handles
-            .get(dest.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.metrics.messages_to_dead += 1;
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive || !slot.started {
-            self.metrics.messages_to_dead += 1;
-            self.action_buf = buf;
-            return;
-        }
-        self.metrics.messages_delivered += 1;
-        let mut ctx = Context::for_host(
-            now,
-            dest,
             &mut self.rng,
             buf,
             self.telemetry.as_deref_mut(),
             trace,
         );
-        slot.proto.on_message(src, msg, &mut ctx);
+        match event.kind {
+            EventKind::Start { .. } => {
+                slot.started = true;
+                metrics.nodes_started += 1;
+                slot.proto.on_start(&mut ctx);
+            }
+            EventKind::Timer { token, .. } => {
+                metrics.timers_fired += 1;
+                slot.proto.on_timer(token, &mut ctx);
+            }
+            EventKind::Deliver { src, msg, .. } => {
+                metrics.messages_delivered += 1;
+                slot.proto.on_message(src, msg, &mut ctx);
+            }
+            // A crash runs no callback, so the context stays empty.
+            EventKind::Fail { .. } => {
+                slot.alive = false;
+                metrics.nodes_failed += 1;
+            }
+            // A stopping node may still send goodbye messages; any timer it
+            // sets is dropped when it fires, the node being dead by then.
+            EventKind::Stop { .. } => {
+                slot.proto.on_stop(&mut ctx);
+                slot.alive = false;
+                metrics.nodes_stopped += 1;
+            }
+        }
         let (actions, traces) = ctx.into_parts();
-        self.record(TraceEvent::Delivered { at: now, src, dest });
-        self.apply_actions(dest, actions, traces);
+        self.apply_actions(node, actions, traces);
     }
 
     /// Dispatch recorded actions, then keep the (drained) buffer for the
-    /// next callback. `traces` carries the trace contexts attached to sends
-    /// (by action index); each traced send becomes a hop span, and delivered
-    /// hops stash their continuation context under the scheduled event's
-    /// sequence number.
+    /// next callback. A send draws its fate from the link model here, on
+    /// the sender's RNG stream, so the arrival time is fixed before the
+    /// message leaves this engine. `traces` carries the trace contexts
+    /// attached to sends (by action index); each traced send becomes a hop
+    /// span recorded sender-side, and only the continuation context
+    /// travels with the delivery.
     fn apply_actions(
         &mut self,
         origin: NodeAddr,
@@ -599,66 +589,37 @@ impl<P: Protocol> Simulation<P> {
         traces: Vec<SendTrace>,
     ) {
         let now = self.scheduler.now();
-        let mut trace_iter = traces.iter();
-        let mut next_trace = trace_iter.next();
+        let mut traces = traces.iter().peekable();
         for (index, action) in actions.drain(..).enumerate() {
             match action {
                 Action::Send { dest, msg } => {
-                    let sent_trace = match next_trace {
-                        Some(t) if t.action as usize == index => {
-                            let t = *t;
-                            next_trace = trace_iter.next();
-                            Some(t)
-                        }
-                        _ => None,
-                    };
+                    let sent_trace = traces.next_if(|t| t.action as usize == index);
                     self.metrics.messages_sent += 1;
-                    match self.config.link.transmit(origin, dest, &mut self.rng) {
-                        Some(latency) => {
-                            self.record(TraceEvent::Sent {
-                                at: now,
-                                src: origin,
-                                dest,
-                            });
-                            let seq = self.scheduler.schedule(
-                                now + latency,
-                                EventKind::Deliver {
-                                    src: origin,
-                                    dest,
-                                    msg,
-                                },
-                            );
-                            if let (Some(st), Some(t)) = (sent_trace, self.telemetry.as_deref_mut())
-                            {
-                                let hop = t.record_hop(
-                                    st.label,
-                                    st.ctx,
-                                    origin,
-                                    dest,
-                                    now,
-                                    Some(now + latency),
-                                );
-                                t.put_inflight(
-                                    seq,
-                                    TraceCtx {
-                                        trace_id: st.ctx.trace_id,
-                                        parent_span: hop,
-                                    },
-                                );
-                            }
-                        }
+                    let arrival = match self.config.link.transmit(origin, dest, &mut self.rng) {
+                        Some(latency) => Some(now + latency),
                         None => {
                             self.metrics.messages_lost += 1;
-                            self.record(TraceEvent::Lost {
-                                at: now,
-                                src: origin,
-                                dest,
-                            });
-                            if let (Some(st), Some(t)) = (sent_trace, self.telemetry.as_deref_mut())
-                            {
-                                t.record_hop(st.label, st.ctx, origin, dest, now, None);
-                            }
+                            None
                         }
+                    };
+                    let hop = match (sent_trace, self.telemetry.as_deref_mut()) {
+                        (Some(st), Some(t)) => Some(TraceCtx {
+                            trace_id: st.ctx.trace_id,
+                            parent_span: t.record_hop(st.label, st.ctx, origin, dest, now, arrival),
+                        }),
+                        _ => None,
+                    };
+                    let Some(arrival) = arrival else { continue };
+                    let out = Outgoing {
+                        arrival,
+                        src: origin,
+                        dest,
+                        msg,
+                        trace: hop,
+                    };
+                    match self.remote_owner(dest) {
+                        None => self.schedule_delivery(out),
+                        Some(owner) => self.outboxes[owner].push(out),
                     }
                 }
                 Action::SetTimer { delay, token } => {
@@ -684,6 +645,7 @@ impl<P: Protocol> Simulation<P> {
 mod tests {
     use super::*;
     use crate::link::{LatencyModel, LossModel};
+    use crate::protocol::TimerToken;
 
     /// Ping-pong test protocol: node 0 pings node 1 on start, node 1 pongs
     /// back, each side counts what it received; node 0 also arms a timer.
@@ -741,7 +703,6 @@ mod tests {
     #[test]
     fn ping_pong_round_trip() {
         let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
-        sim.enable_trace();
         let a = sim.add_node(PingPong::default());
         let b = sim.add_node(PingPong::default());
         sim.run_until_idle();
@@ -753,11 +714,6 @@ mod tests {
         assert_eq!(m.messages_delivered, 2);
         assert_eq!(m.timers_fired, 1);
         assert_eq!(m.nodes_started, 2);
-        let trace = sim.trace().unwrap();
-        assert_eq!(
-            trace.count_matching(|e| matches!(e, TraceEvent::Delivered { .. })),
-            2
-        );
     }
 
     #[test]

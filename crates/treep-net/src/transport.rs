@@ -8,9 +8,10 @@
 //! * the **timer loop** replays `Context::set_timer` requests when their
 //!   deadline passes and fires `Protocol::on_timer`.
 //!
-//! All outgoing actions produced by the node (sends, timers) are dispatched
-//! under the same lock that protects the node, so the state machine observes
-//! the same single-threaded semantics it has under simulation.
+//! Every callback runs under the one lock that guards the node and its RNG,
+//! so the state machine observes the same single-threaded semantics it has
+//! under simulation; the actions it produced (sends, timers) are dispatched
+//! after that lock is released.
 
 use crate::codec::{decode_datagram, encode_batch_frames, encode_message};
 use simnet::{Action, Context, NodeAddr, Protocol, SimRng, SimTime, TimerToken};
@@ -120,14 +121,27 @@ impl TransportStats {
     }
 }
 
+/// The state machine and the RNG its callbacks draw from: a callback needs
+/// both, so one lock guards both.
+struct Hosted {
+    node: TreePNode,
+    rng: SimRng,
+}
+
+/// Pending timers and the counter that numbers them (FIFO among equal
+/// deadlines). The timer thread peeks here without ever touching the node.
+#[derive(Default)]
+struct TimerQueue {
+    heap: BinaryHeap<PendingTimer>,
+    next_seq: u64,
+}
+
 struct Shared {
-    node: Mutex<TreePNode>,
-    timers: Mutex<BinaryHeap<PendingTimer>>,
-    rng: Mutex<SimRng>,
+    hosted: Mutex<Hosted>,
+    timers: Mutex<TimerQueue>,
     started_at: Instant,
     self_addr: NodeAddr,
     socket: UdpSocket,
-    timer_seq: Mutex<u64>,
     running: AtomicBool,
     stats: Mutex<TransportStats>,
 }
@@ -138,19 +152,19 @@ impl Shared {
     }
 
     /// Run a closure against the node with a fresh context and dispatch the
-    /// actions it produced.
+    /// actions it produced — after the node lock is released, so encoding
+    /// and socket writes never hold it.
     fn with_node<R>(
         &self,
         f: impl FnOnce(&mut TreePNode, &mut Context<'_, treep::TreePMessage>) -> R,
     ) -> R {
         let now = self.now();
-        let mut rng = self.rng.lock();
-        let mut ctx = Context::new(now, self.self_addr, &mut rng);
-        let mut node = self.node.lock();
-        let out = f(&mut node, &mut ctx);
-        drop(node);
+        let mut hosted = self.hosted.lock();
+        let Hosted { node, rng } = &mut *hosted;
+        let mut ctx = Context::new(now, self.self_addr, rng);
+        let out = f(node, &mut ctx);
         let actions = ctx.into_actions();
-        drop(rng);
+        drop(hosted);
         self.dispatch(actions);
         out
     }
@@ -174,15 +188,11 @@ impl Shared {
                     }
                 }
                 Action::SetTimer { delay, token } => {
-                    let mut seq = self.timer_seq.lock();
-                    *seq += 1;
-                    let pending = PendingTimer {
-                        due: Instant::now() + Duration::from_micros(delay.as_micros()),
-                        token,
-                        seq: *seq,
-                    };
-                    drop(seq);
-                    self.timers.lock().push(pending);
+                    let due = Instant::now() + Duration::from_micros(delay.as_micros());
+                    let mut timers = self.timers.lock();
+                    timers.next_seq += 1;
+                    let seq = timers.next_seq;
+                    timers.heap.push(PendingTimer { due, token, seq });
                 }
                 Action::Shutdown => {
                     self.running.store(false, Ordering::SeqCst);
@@ -277,13 +287,14 @@ impl UdpNode {
             .with_addr(self_addr)
             .with_bootstrap(bootstrap);
         let shared = Arc::new(Shared {
-            node: Mutex::new(node),
-            timers: Mutex::new(BinaryHeap::new()),
-            rng: Mutex::new(SimRng::seed_from(self_addr.0 ^ id.0)),
+            hosted: Mutex::new(Hosted {
+                node,
+                rng: SimRng::seed_from(self_addr.0 ^ id.0),
+            }),
+            timers: Mutex::new(TimerQueue::default()),
             started_at: Instant::now(),
             self_addr,
             socket,
-            timer_seq: Mutex::new(0),
             running: AtomicBool::new(true),
             stats: Mutex::new(TransportStats::default()),
         });
@@ -321,8 +332,8 @@ impl UdpNode {
                 {
                     let mut timers = timer_shared.timers.lock();
                     let now = Instant::now();
-                    while timers.peek().map(|t| t.due <= now).unwrap_or(false) {
-                        due.push(timers.pop().expect("peeked").token);
+                    while timers.heap.peek().is_some_and(|t| t.due <= now) {
+                        due.push(timers.heap.pop().expect("peeked").token);
                     }
                 }
                 for token in due {
@@ -340,7 +351,7 @@ impl UdpNode {
 
     /// The node's overlay identifier.
     pub fn id(&self) -> NodeId {
-        self.shared.node.lock().id()
+        self.shared.hosted.lock().node.id()
     }
 
     /// The node's transport address as a socket address.
@@ -351,12 +362,12 @@ impl UdpNode {
     /// The node's contact information, suitable as a bootstrap entry for
     /// other [`UdpNode::bind`] calls.
     pub fn peer_info(&self) -> PeerInfo {
-        self.shared.node.lock().peer_info()
+        self.shared.hosted.lock().node.peer_info()
     }
 
     /// Inspect the protocol state under the lock.
     pub fn with_node<R>(&self, f: impl FnOnce(&TreePNode) -> R) -> R {
-        f(&self.shared.node.lock())
+        f(&self.shared.hosted.lock().node)
     }
 
     /// Originate a lookup for `target`.
@@ -382,12 +393,12 @@ impl UdpNode {
 
     /// Collect the lookup outcomes recorded so far.
     pub fn drain_lookup_outcomes(&self) -> Vec<LookupOutcome> {
-        self.shared.node.lock().drain_lookup_outcomes()
+        self.shared.hosted.lock().node.drain_lookup_outcomes()
     }
 
     /// Collect the DHT outcomes recorded so far.
     pub fn drain_dht_outcomes(&self) -> Vec<DhtOutcome> {
-        self.shared.node.lock().drain_dht_outcomes()
+        self.shared.hosted.lock().node.drain_dht_outcomes()
     }
 
     /// Wire-level send counters accumulated since bind.

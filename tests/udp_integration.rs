@@ -1,9 +1,10 @@
 //! Cross-crate integration: the same protocol code that powers the simulator
 //! experiments runs over real UDP sockets (loopback cluster).
 
+use std::net::UdpSocket;
 use std::time::Duration;
-use treep::{NodeCharacteristics, NodeId, RoutingAlgorithm, TreePConfig};
-use treep_net::UdpNode;
+use treep::{NodeCharacteristics, NodeId, RoutingAlgorithm, TreePConfig, TreePMessage};
+use treep_net::{encode_message, UdpNode};
 
 fn fast_config() -> TreePConfig {
     TreePConfig {
@@ -74,4 +75,80 @@ fn udp_cluster_self_organises_and_routes() {
         p.shutdown();
     }
     seed.shutdown();
+}
+
+/// The receive loop is the only code between the open socket and the state
+/// machine: whatever arrives, it must drop what does not decode and keep
+/// serving what does.
+#[test]
+fn receive_loop_survives_hostile_datagrams() {
+    let config = fast_config();
+    let bind = |id, characteristics, bootstrap| {
+        UdpNode::bind(
+            "127.0.0.1:0",
+            config,
+            NodeId(id),
+            characteristics,
+            bootstrap,
+        )
+        .expect("bind")
+    };
+    let victim = bind(1_000_000_000, NodeCharacteristics::strong(), vec![]);
+    let client = bind(
+        3_000_000_000,
+        NodeCharacteristics::default(),
+        vec![victim.peer_info()],
+    );
+    std::thread::sleep(Duration::from_millis(600));
+
+    let batch_of = |frames: u32, rest: &[u8]| [&[255u8][..], &frames.to_le_bytes(), rest].concat();
+    let valid = encode_message(&TreePMessage::JoinRequest {
+        joiner: client.peer_info(),
+    });
+    let mut hostile = vec![
+        Vec::new(),
+        // An envelope claiming u32::MAX frames and holding none.
+        batch_of(u32::MAX, &[]),
+        // An envelope whose only frame claims 1000 bytes and holds three.
+        batch_of(1, &[&1000u32.to_le_bytes()[..], &[1, 2, 3]].concat()),
+        // A frame that decodes, followed by garbage.
+        [&valid[..], &[0xAB; 64]].concat(),
+    ];
+    let mut state = 0x5eed_2005u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for _ in 0..64 {
+        let len = 1 + next() as usize % 512;
+        hostile.push((0..len).map(|_| next() as u8).collect());
+    }
+
+    let attacker = UdpSocket::bind("127.0.0.1:0").expect("bind attacker");
+    let sent_before = victim.transport_stats();
+    let received_before = victim.with_node(|n| n.stats().received.total());
+    for datagram in &hostile {
+        attacker
+            .send_to(datagram, victim.local_addr())
+            .expect("send hostile datagram");
+    }
+    std::thread::sleep(Duration::from_millis(300));
+
+    client.lookup(victim.id(), RoutingAlgorithm::Greedy);
+    std::thread::sleep(Duration::from_millis(600));
+    let outcomes = client.drain_lookup_outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes[0].status.is_success(), "{:?}", outcomes[0]);
+    assert!(
+        victim.with_node(|n| n.stats().received.total()) > received_before,
+        "the victim's receive loop stopped taking messages"
+    );
+    let sent_after = victim.transport_stats();
+    assert!(sent_after.datagrams_sent > sent_before.datagrams_sent);
+    assert!(sent_after.messages_sent > sent_before.messages_sent);
+
+    client.shutdown();
+    victim.shutdown();
 }
