@@ -19,33 +19,9 @@ impl BytesMut {
             inner: Vec::with_capacity(capacity),
         }
     }
-
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The written bytes as a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.clone()
-    }
-
-    /// The written bytes as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.inner
-    }
 }
 
+/// The written bytes, without a copy.
 impl From<BytesMut> for Vec<u8> {
     fn from(b: BytesMut) -> Vec<u8> {
         b.inner
@@ -154,7 +130,7 @@ mod tests {
         buf.put_u32_le(0xDEAD_BEEF);
         buf.put_u64_le(0x0123_4567_89AB_CDEF);
         buf.put_slice(b"xyz");
-        let bytes = buf.to_vec();
+        let bytes = Vec::from(buf);
         let mut cursor: &[u8] = &bytes;
         assert_eq!(cursor.remaining(), 1 + 2 + 4 + 8 + 3);
         assert_eq!(cursor.get_u8(), 7);

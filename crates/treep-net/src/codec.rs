@@ -5,6 +5,45 @@
 //! format is self-contained (no schema negotiation) and deliberately boring:
 //! the goal is a dependency-free wire encoding whose round-trip is easy to
 //! test exhaustively.
+//!
+//! # Layout tables
+//!
+//! Every wire type implements the private `Wire` trait (`put` appends the
+//! encoding, `get` consumes it), and the field order of each type is written
+//! exactly once, as a row of one of two tables:
+//!
+//! * a `wire_structs!` row `PeerInfo { id, addr, max_level, summary }` says
+//!   "the fields, in this order, each in its own type's encoding";
+//! * a `wire_enums!` row `12 => LookupFound { request_id, target, .. }` says
+//!   "tag byte 12, then the fields in this order".
+//!
+//! Each row expands to both directions, so encoder and decoder cannot drift.
+//! `get` builds the value with a struct literal whose field types come from
+//! the definition in `treep`, and `put` matches without a wildcard: a field
+//! or a variant added there without a row here does not compile.
+//!
+//! Only types whose encoding involves a decision are written by hand: the
+//! integers (length check before the read), `bool` and `Option` (a presence
+//! byte other than 0 or 1 is rejected, not read as `false`/`None`), the two
+//! sequence shapes (length prefix; pre-allocation capped, since the count
+//! comes from the peer) and `KeyRange`, which is decoded through
+//! [`KeyRange::new`] so that a range a peer wrote `hi` first still arrives
+//! with `lo <= hi` — a struct row would build it unnormalised.
+//!
+//! `u8` deliberately has no `Wire` impl; tag and presence bytes go through
+//! the one checked `get_u8`. That is what lets `Vec<u8>` have its own impl
+//! (one `memcpy` for an 8 KiB value) next to the element-wise `Vec<T>`.
+//!
+//! # Adding a message
+//!
+//! 1. Add the variant to [`treep::TreePMessage`] (and its `MessageKind`).
+//! 2. Add one row to the `TreePMessage` table below with the next free tag.
+//!    Never renumber or reorder an existing row: deployed peers speak it.
+//! 3. Add one `arb_message` arm in the `proptests` module and bump
+//!    `VARIANTS`, so the round-trip and truncation tests draw it.
+//! 4. Pin its bytes in a *new* golden module next to `wire_compat*`. The
+//!    existing goldens are frozen — a change that needs one edited has
+//!    changed the wire format of an old tag.
 
 use bytes::{Buf, BufMut, BytesMut};
 use simnet::NodeAddr;
@@ -37,639 +76,18 @@ impl std::error::Error for CodecError {}
 
 type Result<T> = std::result::Result<T, CodecError>;
 
-// ---- message tags ----------------------------------------------------------
-
-const TAG_JOIN_REQUEST: u8 = 1;
-const TAG_JOIN_ACK: u8 = 2;
-const TAG_KEEP_ALIVE: u8 = 3;
-const TAG_KEEP_ALIVE_ACK: u8 = 4;
-const TAG_CHILD_REPORT: u8 = 5;
-const TAG_CHILD_REPORT_ACK: u8 = 6;
-const TAG_ELECTION_CALL: u8 = 7;
-const TAG_PARENT_ANNOUNCE: u8 = 8;
-const TAG_PARENT_ACCEPT: u8 = 9;
-const TAG_DEMOTION: u8 = 10;
-const TAG_LOOKUP: u8 = 11;
-const TAG_LOOKUP_FOUND: u8 = 12;
-const TAG_LOOKUP_NOT_FOUND: u8 = 13;
-const TAG_DHT_PUT: u8 = 14;
-const TAG_DHT_PUT_ACK: u8 = 15;
-const TAG_DHT_GET: u8 = 16;
-const TAG_DHT_GET_REPLY: u8 = 17;
-const TAG_MULTICAST_DOWN: u8 = 18;
-const TAG_AGGREGATE_UP: u8 = 19;
-const TAG_REPLICA_PUT: u8 = 20;
-const TAG_REPLICA_SYNC_REQUEST: u8 = 21;
-const TAG_REPLICA_SYNC_REPLY: u8 = 22;
-const TAG_MULTICAST_ACK: u8 = 23;
-const TAG_AGGREGATE_ACK: u8 = 24;
-const TAG_GET_VERSIONED: u8 = 25;
-const TAG_GET_VERSIONED_REPLY: u8 = 26;
-const TAG_PUT_VERSIONED: u8 = 27;
-const TAG_PUT_VERSIONED_ACK: u8 = 28;
-const TAG_READ_REPAIR: u8 = 29;
-const TAG_READ_VERIFY: u8 = 30;
-const TAG_SUBSCRIBE: u8 = 31;
-const TAG_SUBSCRIBE_ACK: u8 = 32;
-const TAG_UNSUBSCRIBE: u8 = 33;
-const TAG_FILTER_REPORT: u8 = 34;
-
 // ---- public API -------------------------------------------------------------
 
 /// Encode a message into a fresh buffer.
 pub fn encode_message(msg: &TreePMessage) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(128);
-    match msg {
-        TreePMessage::JoinRequest { joiner } => {
-            buf.put_u8(TAG_JOIN_REQUEST);
-            put_peer(&mut buf, joiner);
-        }
-        TreePMessage::JoinAck {
-            responder,
-            contacts,
-            parent,
-        } => {
-            buf.put_u8(TAG_JOIN_ACK);
-            put_peer(&mut buf, responder);
-            put_peers(&mut buf, contacts);
-            put_opt_peer(&mut buf, parent.as_ref());
-        }
-        TreePMessage::KeepAlive { sender, updates } => {
-            buf.put_u8(TAG_KEEP_ALIVE);
-            put_peer(&mut buf, sender);
-            put_updates(&mut buf, updates);
-        }
-        TreePMessage::KeepAliveAck { sender, updates } => {
-            buf.put_u8(TAG_KEEP_ALIVE_ACK);
-            put_peer(&mut buf, sender);
-            put_updates(&mut buf, updates);
-        }
-        TreePMessage::ChildReport { child, span } => {
-            buf.put_u8(TAG_CHILD_REPORT);
-            put_peer(&mut buf, child);
-            put_range(&mut buf, span);
-        }
-        TreePMessage::ChildReportAck { parent, superiors } => {
-            buf.put_u8(TAG_CHILD_REPORT_ACK);
-            put_peer(&mut buf, parent);
-            put_peers(&mut buf, superiors);
-        }
-        TreePMessage::ElectionCall { level, caller } => {
-            buf.put_u8(TAG_ELECTION_CALL);
-            buf.put_u32_le(*level);
-            put_peer(&mut buf, caller);
-        }
-        TreePMessage::ParentAnnounce { level, parent } => {
-            buf.put_u8(TAG_PARENT_ANNOUNCE);
-            buf.put_u32_le(*level);
-            put_peer(&mut buf, parent);
-        }
-        TreePMessage::ParentAccept { child } => {
-            buf.put_u8(TAG_PARENT_ACCEPT);
-            put_peer(&mut buf, child);
-        }
-        TreePMessage::Demotion { node, from_level } => {
-            buf.put_u8(TAG_DEMOTION);
-            put_peer(&mut buf, node);
-            buf.put_u32_le(*from_level);
-        }
-        TreePMessage::Lookup(req) => {
-            buf.put_u8(TAG_LOOKUP);
-            put_lookup_request(&mut buf, req);
-        }
-        TreePMessage::LookupFound {
-            request_id,
-            target,
-            result,
-            hops,
-            algorithm,
-        } => {
-            buf.put_u8(TAG_LOOKUP_FOUND);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(target.0);
-            put_peer(&mut buf, result);
-            buf.put_u32_le(*hops);
-            buf.put_u8(algorithm_tag(*algorithm));
-        }
-        TreePMessage::LookupNotFound {
-            request_id,
-            target,
-            hops,
-            algorithm,
-        } => {
-            buf.put_u8(TAG_LOOKUP_NOT_FOUND);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(target.0);
-            buf.put_u32_le(*hops);
-            buf.put_u8(algorithm_tag(*algorithm));
-        }
-        TreePMessage::DhtPut {
-            request_id,
-            origin,
-            key,
-            value,
-            ttl,
-        } => {
-            buf.put_u8(TAG_DHT_PUT);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            put_bytes(&mut buf, value);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::DhtPutAck {
-            request_id,
-            key,
-            stored_at,
-        } => {
-            buf.put_u8(TAG_DHT_PUT_ACK);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(key.0);
-            put_peer(&mut buf, stored_at);
-        }
-        TreePMessage::DhtGet {
-            request_id,
-            origin,
-            key,
-            ttl,
-        } => {
-            buf.put_u8(TAG_DHT_GET);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::DhtGetReply {
-            request_id,
-            key,
-            value,
-            responder,
-        } => {
-            buf.put_u8(TAG_DHT_GET_REPLY);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(key.0);
-            match value {
-                Some(v) => {
-                    buf.put_u8(1);
-                    put_bytes(&mut buf, v);
-                }
-                None => buf.put_u8(0),
-            }
-            put_peer(&mut buf, responder);
-        }
-        TreePMessage::ReplicaPut { sender, key, value } => {
-            buf.put_u8(TAG_REPLICA_PUT);
-            put_peer(&mut buf, sender);
-            buf.put_u64_le(key.0);
-            put_bytes(&mut buf, value);
-        }
-        TreePMessage::ReplicaSyncRequest {
-            sender,
-            range,
-            keys,
-        } => {
-            buf.put_u8(TAG_REPLICA_SYNC_REQUEST);
-            put_peer(&mut buf, sender);
-            put_range(&mut buf, range);
-            put_node_ids(&mut buf, keys);
-        }
-        TreePMessage::ReplicaSyncReply {
-            sender,
-            range,
-            entries,
-            want,
-        } => {
-            buf.put_u8(TAG_REPLICA_SYNC_REPLY);
-            put_peer(&mut buf, sender);
-            put_range(&mut buf, range);
-            buf.put_u32_le(entries.len() as u32);
-            for entry in entries {
-                buf.put_u64_le(entry.key.0);
-                put_bytes(&mut buf, &entry.value);
-            }
-            put_node_ids(&mut buf, want);
-        }
-        TreePMessage::MulticastDown {
-            origin,
-            request_id,
-            range,
-            payload,
-            budget,
-            hops,
-            phase,
-            bus_level,
-        } => {
-            buf.put_u8(TAG_MULTICAST_DOWN);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(request_id.0);
-            put_range(&mut buf, range);
-            put_multicast_payload(&mut buf, payload);
-            buf.put_u32_le(*budget);
-            buf.put_u32_le(*hops);
-            buf.put_u8(phase_tag(*phase));
-            buf.put_u32_le(*bus_level);
-        }
-        TreePMessage::AggregateUp {
-            origin,
-            request_id,
-            query,
-            partial,
-            truncated,
-            final_answer,
-        } => {
-            buf.put_u8(TAG_AGGREGATE_UP);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(request_id.0);
-            buf.put_u8(query_tag(*query));
-            put_partial(&mut buf, partial);
-            buf.put_u8(u8::from(*truncated));
-            buf.put_u8(u8::from(*final_answer));
-        }
-        TreePMessage::MulticastAck { origin, request_id } => {
-            buf.put_u8(TAG_MULTICAST_ACK);
-            buf.put_u64_le(origin.0);
-            buf.put_u64_le(request_id.0);
-        }
-        TreePMessage::AggregateAck { origin, request_id } => {
-            buf.put_u8(TAG_AGGREGATE_ACK);
-            buf.put_u64_le(origin.0);
-            buf.put_u64_le(request_id.0);
-        }
-        TreePMessage::GetVersioned {
-            request_id,
-            origin,
-            key,
-            ttl,
-            min_stamp,
-            path,
-        } => {
-            buf.put_u8(TAG_GET_VERSIONED);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            buf.put_u32_le(*ttl);
-            match min_stamp {
-                Some(s) => {
-                    buf.put_u8(1);
-                    put_stamp(&mut buf, s);
-                }
-                None => buf.put_u8(0),
-            }
-            put_addrs(&mut buf, path);
-        }
-        TreePMessage::GetVersionedReply {
-            request_id,
-            origin,
-            key,
-            value,
-            source,
-            hops,
-            responder,
-            path,
-        } => {
-            buf.put_u8(TAG_GET_VERSIONED_REPLY);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(origin.0);
-            buf.put_u64_le(key.0);
-            match value {
-                Some(sv) => {
-                    buf.put_u8(1);
-                    put_stamp(&mut buf, &sv.stamp);
-                    put_bytes(&mut buf, &sv.value);
-                }
-                None => buf.put_u8(0),
-            }
-            buf.put_u8(source_tag(*source));
-            buf.put_u32_le(*hops);
-            put_peer(&mut buf, responder);
-            put_addrs(&mut buf, path);
-        }
-        TreePMessage::PutVersioned {
-            request_id,
-            origin,
-            key,
-            stamp,
-            value,
-            ttl,
-        } => {
-            buf.put_u8(TAG_PUT_VERSIONED);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, stamp);
-            put_bytes(&mut buf, value);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::PutVersionedAck {
-            request_id,
-            key,
-            stamp,
-            stored_at,
-        } => {
-            buf.put_u8(TAG_PUT_VERSIONED_ACK);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, stamp);
-            put_peer(&mut buf, stored_at);
-        }
-        TreePMessage::ReadRepair {
-            sender,
-            key,
-            stamp,
-            value,
-        } => {
-            buf.put_u8(TAG_READ_REPAIR);
-            put_peer(&mut buf, sender);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, stamp);
-            put_bytes(&mut buf, value);
-        }
-        TreePMessage::ReadVerify {
-            server,
-            key,
-            served_stamp,
-            ttl,
-        } => {
-            buf.put_u8(TAG_READ_VERIFY);
-            put_peer(&mut buf, server);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, served_stamp);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::Subscribe {
-            request_id,
-            origin,
-            topic,
-            ttl,
-        } => {
-            buf.put_u8(TAG_SUBSCRIBE);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(topic.0);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::SubscribeAck {
-            request_id,
-            topic,
-            subscribers,
-            stored_at,
-        } => {
-            buf.put_u8(TAG_SUBSCRIBE_ACK);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(topic.0);
-            buf.put_u32_le(*subscribers);
-            put_peer(&mut buf, stored_at);
-        }
-        TreePMessage::Unsubscribe {
-            request_id,
-            origin,
-            topic,
-            ttl,
-        } => {
-            buf.put_u8(TAG_UNSUBSCRIBE);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(topic.0);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::FilterReport {
-            child,
-            topics,
-            overflow,
-        } => {
-            buf.put_u8(TAG_FILTER_REPORT);
-            put_peer(&mut buf, child);
-            put_node_ids(&mut buf, topics);
-            buf.put_u8(u8::from(*overflow));
-        }
-    }
-    buf.to_vec()
+    msg.put(&mut buf);
+    buf.into()
 }
 
 /// Decode one message from a datagram.
 pub fn decode_message(mut buf: &[u8]) -> Result<TreePMessage> {
-    let tag = get_u8(&mut buf)?;
-    let msg = match tag {
-        TAG_JOIN_REQUEST => TreePMessage::JoinRequest {
-            joiner: get_peer(&mut buf)?,
-        },
-        TAG_JOIN_ACK => TreePMessage::JoinAck {
-            responder: get_peer(&mut buf)?,
-            contacts: get_peers(&mut buf)?,
-            parent: get_opt_peer(&mut buf)?,
-        },
-        TAG_KEEP_ALIVE => TreePMessage::KeepAlive {
-            sender: get_peer(&mut buf)?,
-            updates: get_updates(&mut buf)?,
-        },
-        TAG_KEEP_ALIVE_ACK => TreePMessage::KeepAliveAck {
-            sender: get_peer(&mut buf)?,
-            updates: get_updates(&mut buf)?,
-        },
-        TAG_CHILD_REPORT => TreePMessage::ChildReport {
-            child: get_peer(&mut buf)?,
-            span: get_range(&mut buf)?,
-        },
-        TAG_CHILD_REPORT_ACK => TreePMessage::ChildReportAck {
-            parent: get_peer(&mut buf)?,
-            superiors: get_peers(&mut buf)?,
-        },
-        TAG_ELECTION_CALL => TreePMessage::ElectionCall {
-            level: get_u32(&mut buf)?,
-            caller: get_peer(&mut buf)?,
-        },
-        TAG_PARENT_ANNOUNCE => TreePMessage::ParentAnnounce {
-            level: get_u32(&mut buf)?,
-            parent: get_peer(&mut buf)?,
-        },
-        TAG_PARENT_ACCEPT => TreePMessage::ParentAccept {
-            child: get_peer(&mut buf)?,
-        },
-        TAG_DEMOTION => TreePMessage::Demotion {
-            node: get_peer(&mut buf)?,
-            from_level: get_u32(&mut buf)?,
-        },
-        TAG_LOOKUP => TreePMessage::Lookup(get_lookup_request(&mut buf)?),
-        TAG_LOOKUP_FOUND => TreePMessage::LookupFound {
-            request_id: RequestId(get_u64(&mut buf)?),
-            target: NodeId(get_u64(&mut buf)?),
-            result: get_peer(&mut buf)?,
-            hops: get_u32(&mut buf)?,
-            algorithm: algorithm_from_tag(get_u8(&mut buf)?)?,
-        },
-        TAG_LOOKUP_NOT_FOUND => TreePMessage::LookupNotFound {
-            request_id: RequestId(get_u64(&mut buf)?),
-            target: NodeId(get_u64(&mut buf)?),
-            hops: get_u32(&mut buf)?,
-            algorithm: algorithm_from_tag(get_u8(&mut buf)?)?,
-        },
-        TAG_DHT_PUT => TreePMessage::DhtPut {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            value: get_bytes(&mut buf)?,
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_DHT_PUT_ACK => TreePMessage::DhtPutAck {
-            request_id: RequestId(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            stored_at: get_peer(&mut buf)?,
-        },
-        TAG_DHT_GET => TreePMessage::DhtGet {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_DHT_GET_REPLY => TreePMessage::DhtGetReply {
-            request_id: RequestId(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            value: {
-                if get_u8(&mut buf)? == 1 {
-                    Some(get_bytes(&mut buf)?)
-                } else {
-                    None
-                }
-            },
-            responder: get_peer(&mut buf)?,
-        },
-        TAG_REPLICA_PUT => TreePMessage::ReplicaPut {
-            sender: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            value: get_bytes(&mut buf)?,
-        },
-        TAG_REPLICA_SYNC_REQUEST => TreePMessage::ReplicaSyncRequest {
-            sender: get_peer(&mut buf)?,
-            range: get_range(&mut buf)?,
-            keys: get_node_ids(&mut buf)?,
-        },
-        TAG_REPLICA_SYNC_REPLY => TreePMessage::ReplicaSyncReply {
-            sender: get_peer(&mut buf)?,
-            range: get_range(&mut buf)?,
-            entries: {
-                let n = get_u32(&mut buf)? as usize;
-                let mut out = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    out.push(ReplicaEntry {
-                        key: NodeId(get_u64(&mut buf)?),
-                        value: get_bytes(&mut buf)?,
-                    });
-                }
-                out
-            },
-            want: get_node_ids(&mut buf)?,
-        },
-        TAG_MULTICAST_DOWN => TreePMessage::MulticastDown {
-            origin: get_peer(&mut buf)?,
-            request_id: RequestId(get_u64(&mut buf)?),
-            range: get_range(&mut buf)?,
-            payload: get_multicast_payload(&mut buf)?,
-            budget: get_u32(&mut buf)?,
-            hops: get_u32(&mut buf)?,
-            phase: phase_from_tag(get_u8(&mut buf)?)?,
-            bus_level: get_u32(&mut buf)?,
-        },
-        TAG_AGGREGATE_UP => TreePMessage::AggregateUp {
-            origin: get_peer(&mut buf)?,
-            request_id: RequestId(get_u64(&mut buf)?),
-            query: query_from_tag(get_u8(&mut buf)?)?,
-            partial: get_partial(&mut buf)?,
-            truncated: get_bool(&mut buf)?,
-            final_answer: get_bool(&mut buf)?,
-        },
-        TAG_MULTICAST_ACK => TreePMessage::MulticastAck {
-            origin: NodeAddr(get_u64(&mut buf)?),
-            request_id: RequestId(get_u64(&mut buf)?),
-        },
-        TAG_AGGREGATE_ACK => TreePMessage::AggregateAck {
-            origin: NodeAddr(get_u64(&mut buf)?),
-            request_id: RequestId(get_u64(&mut buf)?),
-        },
-        TAG_GET_VERSIONED => TreePMessage::GetVersioned {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-            min_stamp: {
-                if get_u8(&mut buf)? == 1 {
-                    Some(get_stamp(&mut buf)?)
-                } else {
-                    None
-                }
-            },
-            path: get_addrs(&mut buf)?,
-        },
-        TAG_GET_VERSIONED_REPLY => TreePMessage::GetVersionedReply {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: NodeAddr(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            value: {
-                if get_u8(&mut buf)? == 1 {
-                    Some(StampedValue {
-                        stamp: get_stamp(&mut buf)?,
-                        value: get_bytes(&mut buf)?,
-                    })
-                } else {
-                    None
-                }
-            },
-            source: source_from_tag(get_u8(&mut buf)?)?,
-            hops: get_u32(&mut buf)?,
-            responder: get_peer(&mut buf)?,
-            path: get_addrs(&mut buf)?,
-        },
-        TAG_PUT_VERSIONED => TreePMessage::PutVersioned {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            stamp: get_stamp(&mut buf)?,
-            value: get_bytes(&mut buf)?,
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_PUT_VERSIONED_ACK => TreePMessage::PutVersionedAck {
-            request_id: RequestId(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            stamp: get_stamp(&mut buf)?,
-            stored_at: get_peer(&mut buf)?,
-        },
-        TAG_READ_REPAIR => TreePMessage::ReadRepair {
-            sender: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            stamp: get_stamp(&mut buf)?,
-            value: get_bytes(&mut buf)?,
-        },
-        TAG_READ_VERIFY => TreePMessage::ReadVerify {
-            server: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            served_stamp: get_stamp(&mut buf)?,
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_SUBSCRIBE => TreePMessage::Subscribe {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            topic: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_SUBSCRIBE_ACK => TreePMessage::SubscribeAck {
-            request_id: RequestId(get_u64(&mut buf)?),
-            topic: NodeId(get_u64(&mut buf)?),
-            subscribers: get_u32(&mut buf)?,
-            stored_at: get_peer(&mut buf)?,
-        },
-        TAG_UNSUBSCRIBE => TreePMessage::Unsubscribe {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            topic: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_FILTER_REPORT => TreePMessage::FilterReport {
-            child: get_peer(&mut buf)?,
-            topics: get_node_ids(&mut buf)?,
-            overflow: get_bool(&mut buf)?,
-        },
-        other => return Err(CodecError::UnknownTag(other)),
-    };
-    Ok(msg)
+    TreePMessage::get(&mut buf)
 }
 
 // ---- batch frames ----------------------------------------------------------
@@ -678,6 +96,11 @@ pub fn decode_message(mut buf: &[u8]) -> Result<TreePMessage> {
 /// datagram. Chosen far above the per-message tags (1–34) so a batch can
 /// never be confused with a single message.
 const TAG_BATCH: u8 = 255;
+
+/// Most elements a decoder reserves room for before it has read them: the
+/// count comes from the peer, so a larger one grows the vector only as
+/// elements actually decode.
+const PREALLOC_CAP: usize = 1024;
 
 /// Encode several already-encoded messages into one batch datagram.
 ///
@@ -689,12 +112,11 @@ pub fn encode_batch_frames(frames: &[Vec<u8>]) -> Vec<u8> {
     let payload: usize = frames.iter().map(|f| 4 + f.len()).sum();
     let mut buf = BytesMut::with_capacity(5 + payload);
     buf.put_u8(TAG_BATCH);
-    buf.put_u32_le(frames.len() as u32);
+    (frames.len() as u32).put(&mut buf);
     for frame in frames {
-        buf.put_u32_le(frame.len() as u32);
-        buf.put_slice(frame);
+        frame.put(&mut buf);
     }
-    buf.to_vec()
+    buf.into()
 }
 
 /// Encode several messages into one batch datagram (see
@@ -713,421 +135,300 @@ pub fn decode_datagram(mut buf: &[u8]) -> Result<Vec<TreePMessage>> {
         return Ok(vec![decode_message(buf)?]);
     }
     let _ = get_u8(&mut buf)?;
-    let count = get_u32(&mut buf)? as usize;
-    let mut msgs = Vec::with_capacity(count.min(1024));
+    let count = u32::get(&mut buf)? as usize;
+    let mut msgs = Vec::with_capacity(count.min(PREALLOC_CAP));
     for _ in 0..count {
-        let len = get_u32(&mut buf)? as usize;
-        if buf.len() < len {
-            return Err(CodecError::Truncated);
-        }
+        let len = u32::get(&mut buf)? as usize;
+        need(buf, len)?;
         msgs.push(decode_message(&buf[..len])?);
         buf = &buf[len..];
     }
     Ok(msgs)
 }
 
-// ---- field helpers -----------------------------------------------------------
+// ---- the Wire trait and its hand-written impls -------------------------------
 
-fn algorithm_tag(algorithm: RoutingAlgorithm) -> u8 {
-    match algorithm {
-        RoutingAlgorithm::Greedy => 0,
-        RoutingAlgorithm::NonGreedy => 1,
-        RoutingAlgorithm::NonGreedyFallback => 2,
-    }
+/// A type with exactly one wire encoding. `get` reads back what `put` wrote
+/// and returns an error — never panics — on anything else.
+///
+/// The non-generic `get`s are `#[inline]`: `Vec<T>::get` calls them once per
+/// element from whichever codegen unit instantiates it, and without the
+/// attribute each element of a keep-alive's update list costs a call and a
+/// `Result` copied through memory.
+trait Wire: Sized {
+    /// Append the encoding of `self`.
+    fn put(&self, buf: &mut BytesMut);
+    /// Consume one value from the front of `buf`.
+    fn get(buf: &mut &[u8]) -> Result<Self>;
 }
 
-fn algorithm_from_tag(tag: u8) -> Result<RoutingAlgorithm> {
-    match tag {
-        0 => Ok(RoutingAlgorithm::Greedy),
-        1 => Ok(RoutingAlgorithm::NonGreedy),
-        2 => Ok(RoutingAlgorithm::NonGreedyFallback),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_peer(buf: &mut BytesMut, peer: &PeerInfo) {
-    buf.put_u64_le(peer.id.0);
-    buf.put_u64_le(peer.addr.0);
-    buf.put_u32_le(peer.max_level);
-    buf.put_u16_le(peer.summary.score_milli);
-    buf.put_u32_le(peer.summary.max_children);
-}
-
-fn get_peer(buf: &mut &[u8]) -> Result<PeerInfo> {
-    Ok(PeerInfo {
-        id: NodeId(get_u64(buf)?),
-        addr: NodeAddr(get_u64(buf)?),
-        max_level: get_u32(buf)?,
-        summary: CharacteristicsSummary {
-            score_milli: get_u16(buf)?,
-            max_children: get_u32(buf)?,
-        },
-    })
-}
-
-fn put_opt_peer(buf: &mut BytesMut, peer: Option<&PeerInfo>) {
-    match peer {
-        Some(p) => {
-            buf.put_u8(1);
-            put_peer(buf, p);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_opt_peer(buf: &mut &[u8]) -> Result<Option<PeerInfo>> {
-    if get_u8(buf)? == 1 {
-        Ok(Some(get_peer(buf)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_peers(buf: &mut BytesMut, peers: &[PeerInfo]) {
-    buf.put_u32_le(peers.len() as u32);
-    for p in peers {
-        put_peer(buf, p);
-    }
-}
-
-fn get_peers(buf: &mut &[u8]) -> Result<Vec<PeerInfo>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_peer(buf)?);
-    }
-    Ok(out)
-}
-
-const UPDATE_CONTACT: u8 = 0;
-const UPDATE_LEVEL_MEMBER: u8 = 1;
-const UPDATE_PARENT_OF: u8 = 2;
-const UPDATE_CHILD_OF: u8 = 3;
-const UPDATE_SUPERIOR: u8 = 4;
-
-fn put_updates(buf: &mut BytesMut, updates: &[RoutingUpdate]) {
-    buf.put_u32_le(updates.len() as u32);
-    for u in updates {
-        match u {
-            RoutingUpdate::Contact { peer } => {
-                buf.put_u8(UPDATE_CONTACT);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::LevelMember { level, peer } => {
-                buf.put_u8(UPDATE_LEVEL_MEMBER);
-                buf.put_u32_le(*level);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::ParentOf { peer } => {
-                buf.put_u8(UPDATE_PARENT_OF);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::ChildOf { peer } => {
-                buf.put_u8(UPDATE_CHILD_OF);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::Superior { peer } => {
-                buf.put_u8(UPDATE_SUPERIOR);
-                put_peer(buf, peer);
-            }
-        }
-    }
-}
-
-fn get_updates(buf: &mut &[u8]) -> Result<Vec<RoutingUpdate>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let tag = get_u8(buf)?;
-        let update = match tag {
-            UPDATE_CONTACT => RoutingUpdate::Contact {
-                peer: get_peer(buf)?,
-            },
-            UPDATE_LEVEL_MEMBER => RoutingUpdate::LevelMember {
-                level: get_u32(buf)?,
-                peer: get_peer(buf)?,
-            },
-            UPDATE_PARENT_OF => RoutingUpdate::ParentOf {
-                peer: get_peer(buf)?,
-            },
-            UPDATE_CHILD_OF => RoutingUpdate::ChildOf {
-                peer: get_peer(buf)?,
-            },
-            UPDATE_SUPERIOR => RoutingUpdate::Superior {
-                peer: get_peer(buf)?,
-            },
-            other => return Err(CodecError::UnknownTag(other)),
-        };
-        out.push(update);
-    }
-    Ok(out)
-}
-
-// ---- multicast field helpers -------------------------------------------------
-
-fn phase_tag(phase: MulticastPhase) -> u8 {
-    match phase {
-        MulticastPhase::Up => 0,
-        MulticastPhase::BusLeft => 1,
-        MulticastPhase::BusRight => 2,
-        MulticastPhase::Down => 3,
-    }
-}
-
-fn phase_from_tag(tag: u8) -> Result<MulticastPhase> {
-    match tag {
-        0 => Ok(MulticastPhase::Up),
-        1 => Ok(MulticastPhase::BusLeft),
-        2 => Ok(MulticastPhase::BusRight),
-        3 => Ok(MulticastPhase::Down),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn query_tag(query: AggregateQuery) -> u8 {
-    match query {
-        AggregateQuery::CountNodes => 0,
-        AggregateQuery::MaxCapability => 1,
-        AggregateQuery::DhtKeyDigest => 2,
-        AggregateQuery::KeysInRange => 3,
-    }
-}
-
-fn query_from_tag(tag: u8) -> Result<AggregateQuery> {
-    match tag {
-        0 => Ok(AggregateQuery::CountNodes),
-        1 => Ok(AggregateQuery::MaxCapability),
-        2 => Ok(AggregateQuery::DhtKeyDigest),
-        3 => Ok(AggregateQuery::KeysInRange),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_range(buf: &mut BytesMut, range: &KeyRange) {
-    buf.put_u64_le(range.lo.0);
-    buf.put_u64_le(range.hi.0);
-}
-
-fn get_range(buf: &mut &[u8]) -> Result<KeyRange> {
-    Ok(KeyRange::new(NodeId(get_u64(buf)?), NodeId(get_u64(buf)?)))
-}
-
-const PAYLOAD_DATA: u8 = 0;
-const PAYLOAD_AGGREGATE: u8 = 1;
-const PAYLOAD_TOPIC: u8 = 2;
-
-fn put_multicast_payload(buf: &mut BytesMut, payload: &MulticastPayload) {
-    match payload {
-        MulticastPayload::Data(data) => {
-            buf.put_u8(PAYLOAD_DATA);
-            put_bytes(buf, data);
-        }
-        MulticastPayload::Aggregate(query) => {
-            buf.put_u8(PAYLOAD_AGGREGATE);
-            buf.put_u8(query_tag(*query));
-        }
-        MulticastPayload::Topic { topic, data } => {
-            buf.put_u8(PAYLOAD_TOPIC);
-            buf.put_u64_le(topic.0);
-            put_bytes(buf, data);
-        }
-    }
-}
-
-fn get_multicast_payload(buf: &mut &[u8]) -> Result<MulticastPayload> {
-    match get_u8(buf)? {
-        PAYLOAD_DATA => Ok(MulticastPayload::Data(get_bytes(buf)?)),
-        PAYLOAD_AGGREGATE => Ok(MulticastPayload::Aggregate(query_from_tag(get_u8(buf)?)?)),
-        PAYLOAD_TOPIC => Ok(MulticastPayload::Topic {
-            topic: NodeId(get_u64(buf)?),
-            data: get_bytes(buf)?,
-        }),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-const PARTIAL_COUNT: u8 = 0;
-const PARTIAL_MAX_CAPABILITY: u8 = 1;
-const PARTIAL_DIGEST: u8 = 2;
-const PARTIAL_KEYS: u8 = 3;
-
-fn put_partial(buf: &mut BytesMut, partial: &AggregatePartial) {
-    match partial {
-        AggregatePartial::Count(n) => {
-            buf.put_u8(PARTIAL_COUNT);
-            buf.put_u64_le(*n);
-        }
-        AggregatePartial::MaxCapability(m) => {
-            buf.put_u8(PARTIAL_MAX_CAPABILITY);
-            buf.put_u16_le(*m);
-        }
-        AggregatePartial::Digest { xor, count } => {
-            buf.put_u8(PARTIAL_DIGEST);
-            buf.put_u64_le(*xor);
-            buf.put_u64_le(*count);
-        }
-        AggregatePartial::Keys(keys) => {
-            buf.put_u8(PARTIAL_KEYS);
-            put_node_ids(buf, keys);
-        }
-    }
-}
-
-fn get_partial(buf: &mut &[u8]) -> Result<AggregatePartial> {
-    match get_u8(buf)? {
-        PARTIAL_COUNT => Ok(AggregatePartial::Count(get_u64(buf)?)),
-        PARTIAL_MAX_CAPABILITY => Ok(AggregatePartial::MaxCapability(get_u16(buf)?)),
-        PARTIAL_DIGEST => Ok(AggregatePartial::Digest {
-            xor: get_u64(buf)?,
-            count: get_u64(buf)?,
-        }),
-        PARTIAL_KEYS => Ok(AggregatePartial::Keys(get_node_ids(buf)?)),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_lookup_request(buf: &mut BytesMut, req: &LookupRequest) {
-    buf.put_u64_le(req.request_id.0);
-    put_peer(buf, &req.origin);
-    buf.put_u64_le(req.target.0);
-    buf.put_u8(algorithm_tag(req.algorithm));
-    buf.put_u32_le(req.ttl);
-    buf.put_u32_le(req.visited.len() as u32);
-    for v in &req.visited {
-        buf.put_u64_le(v.0);
-    }
-    put_peers(buf, &req.fallbacks);
-}
-
-fn get_lookup_request(buf: &mut &[u8]) -> Result<LookupRequest> {
-    let request_id = RequestId(get_u64(buf)?);
-    let origin = get_peer(buf)?;
-    let target = NodeId(get_u64(buf)?);
-    let algorithm = algorithm_from_tag(get_u8(buf)?)?;
-    let ttl = get_u32(buf)?;
-    let visited_len = get_u32(buf)? as usize;
-    let mut visited = Vec::with_capacity(visited_len.min(1024));
-    for _ in 0..visited_len {
-        visited.push(NodeAddr(get_u64(buf)?));
-    }
-    let fallbacks = get_peers(buf)?;
-    let mut req = LookupRequest::new(request_id, origin, target, algorithm);
-    req.ttl = ttl;
-    req.visited = visited;
-    req.fallbacks = fallbacks;
-    Ok(req)
-}
-
-fn put_stamp(buf: &mut BytesMut, stamp: &VersionStamp) {
-    buf.put_u64_le(stamp.version);
-    buf.put_u64_le(stamp.origin.0);
-}
-
-fn get_stamp(buf: &mut &[u8]) -> Result<VersionStamp> {
-    Ok(VersionStamp {
-        version: get_u64(buf)?,
-        origin: NodeId(get_u64(buf)?),
-    })
-}
-
-fn source_tag(source: ReadSource) -> u8 {
-    match source {
-        ReadSource::Responsible => 0,
-        ReadSource::Replica => 1,
-        ReadSource::Cache => 2,
-    }
-}
-
-fn source_from_tag(tag: u8) -> Result<ReadSource> {
-    match tag {
-        0 => Ok(ReadSource::Responsible),
-        1 => Ok(ReadSource::Replica),
-        2 => Ok(ReadSource::Cache),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_addrs(buf: &mut BytesMut, addrs: &[NodeAddr]) {
-    buf.put_u32_le(addrs.len() as u32);
-    for a in addrs {
-        buf.put_u64_le(a.0);
-    }
-}
-
-fn get_addrs(buf: &mut &[u8]) -> Result<Vec<NodeAddr>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(NodeAddr(get_u64(buf)?));
-    }
-    Ok(out)
-}
-
-fn put_node_ids(buf: &mut BytesMut, ids: &[NodeId]) {
-    buf.put_u32_le(ids.len() as u32);
-    for id in ids {
-        buf.put_u64_le(id.0);
-    }
-}
-
-fn get_node_ids(buf: &mut &[u8]) -> Result<Vec<NodeId>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(NodeId(get_u64(buf)?));
-    }
-    Ok(out)
-}
-
-fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
-    buf.put_u32_le(bytes.len() as u32);
-    buf.put_slice(bytes);
-}
-
-fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>> {
-    let n = get_u32(buf)? as usize;
+/// The length check every fixed-width read makes first: the `bytes` getters
+/// panic on a short buffer.
+#[inline]
+fn need(buf: &[u8], n: usize) -> Result<()> {
     if buf.remaining() < n {
         return Err(CodecError::Truncated);
     }
-    let mut out = vec![0u8; n];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
+    Ok(())
 }
 
-fn get_bool(buf: &mut &[u8]) -> Result<bool> {
-    match get_u8(buf)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
+/// The one checked read of a tag or presence byte.
+#[inline]
 fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
+    need(buf, 1)?;
     Ok(buf.get_u8())
 }
 
-fn get_u16(buf: &mut &[u8]) -> Result<u16> {
-    if buf.remaining() < 2 {
-        return Err(CodecError::Truncated);
+impl Wire for u16 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u16_le(*self);
     }
-    Ok(buf.get_u16_le())
+    #[inline]
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        need(buf, 2)?;
+        Ok(buf.get_u16_le())
+    }
 }
 
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
+impl Wire for u32 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(*self);
     }
-    Ok(buf.get_u32_le())
+    #[inline]
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        need(buf, 4)?;
+        Ok(buf.get_u32_le())
+    }
 }
 
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
+impl Wire for u64 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(*self);
     }
-    Ok(buf.get_u64_le())
+    #[inline]
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        need(buf, 8)?;
+        Ok(buf.get_u64_le())
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(*self));
+    }
+    #[inline]
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        match get_u8(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::UnknownTag(other)),
+        }
+    }
+}
+
+/// Presence byte (a `bool`, so 2…255 is an error), then the value if any.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(value) = self {
+            value.put(buf);
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let n = u32::get(buf)? as usize;
+        let mut out = Vec::with_capacity(n.min(PREALLOC_CAP));
+        for _ in 0..n {
+            out.push(T::get(buf)?);
+        }
+        Ok(out)
+    }
+}
+
+/// `u32` byte count, then the bytes as one copy (see the module doc for why
+/// this can sit beside the generic impl).
+impl Wire for Vec<u8> {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let n = u32::get(buf)? as usize;
+        need(buf, n)?;
+        let mut out = vec![0u8; n];
+        buf.copy_to_slice(&mut out);
+        Ok(out)
+    }
+}
+
+/// Not a table row: `KeyRange::new` orders the two ends.
+impl Wire for KeyRange {
+    fn put(&self, buf: &mut BytesMut) {
+        self.lo.put(buf);
+        self.hi.put(buf);
+    }
+    #[inline]
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Ok(KeyRange::new(NodeId::get(buf)?, NodeId::get(buf)?))
+    }
+}
+
+// ---- layout tables ------------------------------------------------------------
+
+/// Struct rows: `Type { field, .. }` encodes the fields in the order written
+/// (Rust evaluates a struct literal's fields in source order, so the row
+/// order is the wire order whatever the definition's is). A tuple struct's
+/// only field is named `0`.
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:tt),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)*
+            }
+            #[inline]
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                Ok($ty { $($field: Wire::get(buf)?),* })
+            }
+        }
+    )*};
+}
+
+/// Enum rows: `tag => Variant`, `tag => Variant(a)` or
+/// `tag => Variant { field, .. }` encodes the tag byte, then the fields in
+/// the order written. Two rows with one tag, or one variant, do not compile.
+macro_rules! wire_enums {
+    ($($ty:ident {
+        $($tag:literal => $variant:ident $(($($elem:ident),*))? $({ $($field:ident),* })?,)*
+    })*) => {$(
+        #[deny(unreachable_patterns)]
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                match self {$(
+                    $ty::$variant $(($($elem),*))? $({ $($field),* })? => {
+                        buf.put_u8($tag);
+                        $($($elem.put(buf);)*)?
+                        $($($field.put(buf);)*)?
+                    }
+                )*}
+            }
+            #[inline]
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                Ok(match get_u8(buf)? {
+                    $($tag => $ty::$variant
+                        $(($({ let $elem = Wire::get(buf)?; $elem }),*))?
+                        $({ $($field: Wire::get(buf)?),* })?,)*
+                    other => return Err(CodecError::UnknownTag(other)),
+                })
+            }
+        }
+    )*};
+}
+
+wire_structs! {
+    NodeId { 0 }
+    NodeAddr { 0 }
+    RequestId { 0 }
+    CharacteristicsSummary { score_milli, max_children }
+    PeerInfo { id, addr, max_level, summary }
+    VersionStamp { version, origin }
+    StampedValue { stamp, value }
+    ReplicaEntry { key, value }
+    LookupRequest { request_id, origin, target, algorithm, ttl, visited, fallbacks }
+}
+
+wire_enums! {
+    RoutingAlgorithm {
+        0 => Greedy,
+        1 => NonGreedy,
+        2 => NonGreedyFallback,
+    }
+    MulticastPhase {
+        0 => Up,
+        1 => BusLeft,
+        2 => BusRight,
+        3 => Down,
+    }
+    AggregateQuery {
+        0 => CountNodes,
+        1 => MaxCapability,
+        2 => DhtKeyDigest,
+        3 => KeysInRange,
+    }
+    ReadSource {
+        0 => Responsible,
+        1 => Replica,
+        2 => Cache,
+    }
+    RoutingUpdate {
+        0 => Contact { peer },
+        1 => LevelMember { level, peer },
+        2 => ParentOf { peer },
+        3 => ChildOf { peer },
+        4 => Superior { peer },
+    }
+    MulticastPayload {
+        0 => Data(data),
+        1 => Aggregate(query),
+        2 => Topic { topic, data },
+    }
+    AggregatePartial {
+        0 => Count(count),
+        1 => MaxCapability(score_milli),
+        2 => Digest { xor, count },
+        3 => Keys(keys),
+    }
+    TreePMessage {
+        1 => JoinRequest { joiner },
+        2 => JoinAck { responder, contacts, parent },
+        3 => KeepAlive { sender, updates },
+        4 => KeepAliveAck { sender, updates },
+        5 => ChildReport { child, span },
+        6 => ChildReportAck { parent, superiors },
+        7 => ElectionCall { level, caller },
+        8 => ParentAnnounce { level, parent },
+        9 => ParentAccept { child },
+        10 => Demotion { node, from_level },
+        11 => Lookup(request),
+        12 => LookupFound { request_id, target, result, hops, algorithm },
+        13 => LookupNotFound { request_id, target, hops, algorithm },
+        14 => DhtPut { request_id, origin, key, value, ttl },
+        15 => DhtPutAck { request_id, key, stored_at },
+        16 => DhtGet { request_id, origin, key, ttl },
+        17 => DhtGetReply { request_id, key, value, responder },
+        18 => MulticastDown { origin, request_id, range, payload, budget, hops, phase, bus_level },
+        19 => AggregateUp { origin, request_id, query, partial, truncated, final_answer },
+        20 => ReplicaPut { sender, key, value },
+        21 => ReplicaSyncRequest { sender, range, keys },
+        22 => ReplicaSyncReply { sender, range, entries, want },
+        23 => MulticastAck { origin, request_id },
+        24 => AggregateAck { origin, request_id },
+        25 => GetVersioned { request_id, origin, key, ttl, min_stamp, path },
+        26 => GetVersionedReply { request_id, origin, key, value, source, hops, responder, path },
+        27 => PutVersioned { request_id, origin, key, stamp, value, ttl },
+        28 => PutVersionedAck { request_id, key, stamp, stored_at },
+        29 => ReadRepair { sender, key, stamp, value },
+        30 => ReadVerify { server, key, served_stamp, ttl },
+        31 => Subscribe { request_id, origin, topic, ttl },
+        32 => SubscribeAck { request_id, topic, subscribers, stored_at },
+        33 => Unsubscribe { request_id, origin, topic, ttl },
+        34 => FilterReport { child, topics, overflow },
+    }
 }
 
 #[cfg(test)]
@@ -1457,6 +758,73 @@ mod tests {
     }
 
     #[test]
+    fn option_presence_byte_must_be_0_or_1() {
+        // Accepting 2…255 as `None` would parse the rest of a hostile
+        // datagram as the fields that follow the option.
+        let mut join_ack = encode_message(&TreePMessage::JoinAck {
+            responder: peer(2, 1),
+            contacts: vec![],
+            parent: None,
+        });
+        *join_ack.last_mut().unwrap() = 2;
+        assert_eq!(decode_message(&join_ack), Err(CodecError::UnknownTag(2)));
+
+        let mut get_reply = encode_message(&TreePMessage::DhtGetReply {
+            request_id: RequestId(104),
+            key: NodeId(79),
+            value: None,
+            responder: peer(24, 0),
+        });
+        // tag, request_id, key, then the presence byte.
+        assert_eq!(get_reply[17], 0);
+        get_reply[17] = 0xFF;
+        assert_eq!(
+            decode_message(&get_reply),
+            Err(CodecError::UnknownTag(0xFF))
+        );
+    }
+
+    #[test]
+    fn inverted_key_range_is_normalised() {
+        let msg = TreePMessage::ChildReport {
+            child: peer(12, 0),
+            span: KeyRange::new(NodeId(8), NodeId(24)),
+        };
+        let mut encoded = encode_message(&msg);
+        // The span is the last 16 bytes, `lo` then `hi`: write `hi` first.
+        let span = encoded.len() - 16;
+        encoded[span..].rotate_left(8);
+        assert_ne!(encoded, encode_message(&msg));
+        assert_eq!(decode_message(&encoded), Ok(msg));
+    }
+
+    #[test]
+    fn sequence_count_bomb_is_truncated_not_allocated() {
+        // A count of u32::MAX over a short frame: reserving what the peer
+        // claims (128 GiB of `PeerInfo`) would abort, so returning at all
+        // shows the reservation was capped.
+        let mut join_ack = encode_message(&TreePMessage::JoinAck {
+            responder: peer(2, 1),
+            contacts: vec![],
+            parent: None,
+        });
+        // Ends with the `contacts` count and the `parent` presence byte.
+        let count = join_ack.len() - 5;
+        join_ack[count..count + 4].fill(0xFF);
+        assert_eq!(decode_message(&join_ack), Err(CodecError::Truncated));
+
+        let mut sync = encode_message(&TreePMessage::ReplicaSyncRequest {
+            sender: peer(31, 0),
+            range: KeyRange::new(NodeId(10), NodeId(90)),
+            keys: vec![],
+        });
+        // Ends with the `keys` count.
+        let count = sync.len() - 4;
+        sync[count..].fill(0xFF);
+        assert_eq!(decode_message(&sync), Err(CodecError::Truncated));
+    }
+
+    #[test]
     fn error_display_is_informative() {
         assert_eq!(CodecError::Truncated.to_string(), "datagram truncated");
         assert_eq!(CodecError::UnknownTag(7).to_string(), "unknown tag byte 7");
@@ -1521,8 +889,9 @@ mod wire_compat {
     use super::*;
 
     /// A peer with fully literal fields (no helpers whose defaults could
-    /// drift), so the golden bytes depend only on the codec.
-    fn peer(id: u64, addr: u64, level: u32) -> PeerInfo {
+    /// drift), so the golden bytes depend only on the codec. Shared by the
+    /// three golden modules.
+    pub(super) fn peer(id: u64, addr: u64, level: u32) -> PeerInfo {
         PeerInfo {
             id: NodeId(id),
             addr: NodeAddr(addr),
@@ -1688,34 +1057,45 @@ mod wire_compat {
         hash
     }
 
+    /// FNV-1a digest and total length of the fixtures' encodings laid end
+    /// to end, after checking that each one decodes back to itself. The
+    /// legacy golden was pinned over `u32`-length-prefixed frames, the two
+    /// later ones over bare frames; `length_prefixed` says which.
+    pub(super) fn golden(messages: &[TreePMessage], length_prefixed: bool) -> (u64, usize) {
+        let mut all = Vec::new();
+        for msg in messages {
+            let encoded = encode_message(msg);
+            assert_eq!(decode_message(&encoded).as_ref(), Ok(msg));
+            if length_prefixed {
+                all.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
+            }
+            all.extend_from_slice(&encoded);
+        }
+        (fnv1a64(&all), all.len())
+    }
+
     #[test]
     fn legacy_tags_encode_byte_identically() {
         let messages = legacy_messages();
         assert_eq!(messages.len(), 22, "one fixture per legacy tag");
-        let mut all = Vec::new();
         for (i, msg) in messages.iter().enumerate() {
-            let encoded = encode_message(msg);
             assert_eq!(
-                encoded[0],
+                encode_message(msg)[0],
                 (i + 1) as u8,
                 "fixture {i} must encode with tag {}",
                 i + 1
             );
-            all.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-            all.extend_from_slice(&encoded);
-            assert_eq!(&decode_message(&encoded).unwrap(), msg);
         }
+        let (digest, len) = golden(&messages, true);
         // The pinned digest of every legacy encoding. If this assertion
         // fails, the wire format of a pre-reliability message changed —
         // which breaks `max_retransmits = 0` interoperability with already
         // deployed nodes. Extend the protocol with new tags instead.
         assert_eq!(
-            fnv1a64(&all),
-            0x1A2D_D1FA_DD8A_2D1F_u64,
-            "legacy wire encoding changed (total {} bytes)",
-            all.len()
+            digest, 0x1A2D_D1FA_DD8A_2D1F_u64,
+            "legacy wire encoding changed (total {len} bytes)"
         );
-        assert_eq!(all.len(), 1278, "legacy encodings changed length");
+        assert_eq!(len, 1278, "legacy encodings changed length");
     }
 }
 
@@ -1727,20 +1107,8 @@ mod wire_compat_readpath {
     //! `read_repair` and the hot-key cache all defaulting to off, a node
     //! never emits these tags — but once two deployments opt in they must
     //! agree on every byte, so the new tags get their own checksum.
+    use super::wire_compat::{golden, peer};
     use super::*;
-
-    /// Fully literal peer, mirroring the legacy golden's helper.
-    fn peer(id: u64, addr: u64, level: u32) -> PeerInfo {
-        PeerInfo {
-            id: NodeId(id),
-            addr: NodeAddr(addr),
-            max_level: level,
-            summary: CharacteristicsSummary {
-                score_milli: 640,
-                max_children: 4,
-            },
-        }
-    }
 
     fn stamp(version: u64, origin: u64) -> VersionStamp {
         VersionStamp {
@@ -1822,28 +1190,17 @@ mod wire_compat_readpath {
         ]
     }
 
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
     #[test]
     fn readpath_tag_encodings_are_frozen() {
         let messages = readpath_messages();
         let expected_tags: &[u8] = &[23, 24, 25, 26, 26, 27, 28, 29, 30];
-        let mut all = Vec::new();
+        assert_eq!(messages.len(), expected_tags.len());
         for (msg, want_tag) in messages.iter().zip(expected_tags) {
-            let encoded = encode_message(msg);
-            assert_eq!(encoded[0], *want_tag, "tag byte moved for {:?}", msg.kind());
-            assert_eq!(decode_message(&encoded).as_ref(), Ok(msg));
-            all.extend_from_slice(&encoded);
+            let tag = encode_message(msg)[0];
+            assert_eq!(tag, *want_tag, "tag byte moved for {:?}", msg.kind());
         }
         assert_eq!(
-            (fnv1a64(&all), all.len()),
+            golden(&messages, false),
             (0xCD5D_0BB9_4CB2_16A3_u64, 524),
             "read-path wire format changed; if intentional, bump the \
              protocol notes and re-pin this checksum"
@@ -1860,20 +1217,8 @@ mod wire_compat_pubsub {
     //! off a node never emits any of these, so the legacy and read-path
     //! goldens stay byte-identical; this checksum freezes what opted-in
     //! deployments exchange.
+    use super::wire_compat::{golden, peer};
     use super::*;
-
-    /// Fully literal peer, mirroring the other goldens' helper.
-    fn peer(id: u64, addr: u64, level: u32) -> PeerInfo {
-        PeerInfo {
-            id: NodeId(id),
-            addr: NodeAddr(addr),
-            max_level: level,
-            summary: CharacteristicsSummary {
-                score_milli: 640,
-                max_children: 4,
-            },
-        }
-    }
 
     /// One deterministic message per pub/sub tag in tag order 31–34, then
     /// the extended payload/query/partial encodings under tags 18–19.
@@ -1931,28 +1276,17 @@ mod wire_compat_pubsub {
         ]
     }
 
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
     #[test]
     fn pubsub_tag_encodings_are_frozen() {
         let messages = pubsub_messages();
         let expected_tags: &[u8] = &[31, 32, 33, 34, 34, 18, 19];
-        let mut all = Vec::new();
+        assert_eq!(messages.len(), expected_tags.len());
         for (msg, want_tag) in messages.iter().zip(expected_tags) {
-            let encoded = encode_message(msg);
-            assert_eq!(encoded[0], *want_tag, "tag byte moved for {:?}", msg.kind());
-            assert_eq!(decode_message(&encoded).as_ref(), Ok(msg));
-            all.extend_from_slice(&encoded);
+            let tag = encode_message(msg)[0];
+            assert_eq!(tag, *want_tag, "tag byte moved for {:?}", msg.kind());
         }
         assert_eq!(
-            (fnv1a64(&all), all.len()),
+            golden(&messages, false),
             (0x144D_4923_C44D_035B_u64, 374),
             "pub/sub wire format changed; if intentional, bump the \
              protocol notes and re-pin this checksum"
@@ -1966,7 +1300,8 @@ mod proptests {
     //! build has no `proptest`, so a deterministic xorshift drives many
     //! random cases; a failing seed reproduces exactly.
     use super::*;
-    use treep::RoutingUpdate;
+    use std::collections::BTreeSet;
+    use treep::{MessageKind, RoutingUpdate};
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -2031,8 +1366,8 @@ mod proptests {
     }
 
     /// One random instance of the message variant with index `variant`.
-    /// Keep `VARIANTS` in sync when adding messages: the exhaustiveness test
-    /// below fails if a new variant is not mapped here.
+    /// Keep `VARIANTS` in sync when adding messages:
+    /// `variant_count_matches_the_enum` fails if a kind is never drawn.
     const VARIANTS: usize = 34;
 
     fn arb_message(variant: usize, state: &mut u64) -> TreePMessage {
@@ -2327,62 +1662,17 @@ mod proptests {
         }
     }
 
-    /// Exhaustive (no wildcard arm) mapping from message to its
-    /// `arb_message` variant index: adding a `TreePMessage` variant without
-    /// extending the generator breaks compilation here, which is the
-    /// enforcement the round-trip test needs.
-    fn variant_index(msg: &TreePMessage) -> usize {
-        match msg {
-            TreePMessage::JoinRequest { .. } => 0,
-            TreePMessage::JoinAck { .. } => 1,
-            TreePMessage::KeepAlive { .. } => 2,
-            TreePMessage::KeepAliveAck { .. } => 3,
-            TreePMessage::ChildReport { .. } => 4,
-            TreePMessage::ChildReportAck { .. } => 5,
-            TreePMessage::ElectionCall { .. } => 6,
-            TreePMessage::ParentAnnounce { .. } => 7,
-            TreePMessage::ParentAccept { .. } => 8,
-            TreePMessage::Demotion { .. } => 9,
-            TreePMessage::Lookup(_) => 10,
-            TreePMessage::LookupFound { .. } => 11,
-            TreePMessage::LookupNotFound { .. } => 12,
-            TreePMessage::DhtPut { .. } => 13,
-            TreePMessage::DhtPutAck { .. } => 14,
-            TreePMessage::DhtGet { .. } => 15,
-            TreePMessage::DhtGetReply { .. } => 16,
-            TreePMessage::MulticastDown { .. } => 17,
-            TreePMessage::AggregateUp { .. } => 18,
-            TreePMessage::ReplicaPut { .. } => 19,
-            TreePMessage::ReplicaSyncRequest { .. } => 20,
-            TreePMessage::ReplicaSyncReply { .. } => 21,
-            TreePMessage::MulticastAck { .. } => 22,
-            TreePMessage::AggregateAck { .. } => 23,
-            TreePMessage::GetVersioned { .. } => 24,
-            TreePMessage::GetVersionedReply { .. } => 25,
-            TreePMessage::PutVersioned { .. } => 26,
-            TreePMessage::PutVersionedAck { .. } => 27,
-            TreePMessage::ReadRepair { .. } => 28,
-            TreePMessage::ReadVerify { .. } => 29,
-            TreePMessage::Subscribe { .. } => 30,
-            TreePMessage::SubscribeAck { .. } => 31,
-            TreePMessage::Unsubscribe { .. } => 32,
-            TreePMessage::FilterReport { .. } => 33,
-        }
-    }
-
+    /// `arb_message` draws every kind exactly once. (That the codec itself
+    /// covers every variant needs no test: the table's `put` match has no
+    /// wildcard arm.)
     #[test]
     fn variant_count_matches_the_enum() {
         let mut state = 1;
-        for v in 0..VARIANTS {
-            assert_eq!(
-                variant_index(&arb_message(v, &mut state)),
-                v,
-                "arb_message({v}) generates the wrong variant"
-            );
-        }
-        // `variant_index` is exhaustive, so `VARIANTS` must equal the
-        // number of match arms above.
-        assert_eq!(VARIANTS, 34);
+        let drawn: BTreeSet<MessageKind> = (0..VARIANTS)
+            .map(|v| arb_message(v, &mut state).kind())
+            .collect();
+        assert_eq!(drawn, BTreeSet::from(MessageKind::ALL));
+        assert_eq!(VARIANTS, MessageKind::COUNT);
     }
 
     #[test]
