@@ -1,8 +1,9 @@
 //! Digest-pinned proof that the telemetry subsystem is behaviourally inert.
 //!
-//! The constants below were captured from the engine **before** the
-//! telemetry subsystem existed. Three scenarios — a lossy ring workload on
-//! the wheel engine, the same workload on the sharded engine, and a full
+//! The ring constants below were captured from the engine **before** the
+//! telemetry subsystem existed; the TreeP one moves with the protocol and
+//! is captured with telemetry off. Three scenarios — a lossy ring workload
+//! on the wheel engine, the same workload on the sharded engine, and a full
 //! TreeP topology with pub/sub + read path — must replay those exact FNV
 //! event digests with telemetry disabled (default) *and* with telemetry
 //! enabled: tracing allocates ids from plain counters, never the simulation
@@ -71,8 +72,11 @@ fn horizon() -> SimDuration {
 const PIN_WHEEL: u64 = 0x178f_1fb0_64b5_9f44;
 /// Pre-PR digest of the 4-shard sharded-engine ring scenario.
 const PIN_SHARDED: u64 = 0x617b_9a1e_18fc_800e;
-/// Pre-PR digest of the TreeP pub/sub + read-path topology scenario.
-const PIN_TREEP: u64 = 0x4a4b_6849_c770_b106;
+/// Digest of the TreeP pub/sub + read-path topology scenario. Unlike the
+/// two ring pins it follows the TreeP protocol: captured pre-telemetry as
+/// `0x4a4b_6849_c770_b106`, re-pinned (with telemetry off) when keep-alives
+/// stopped being acknowledged by nodes that ping the sender themselves.
+const PIN_TREEP: u64 = 0xb6db_9563_e4af_bb01;
 
 fn run_ring_wheel(telemetry: bool) -> u64 {
     let mut sim = Simulation::new(ring_config(), RING_SEED);

@@ -10,7 +10,7 @@ use crate::config::TreePConfig;
 use crate::id::NodeId;
 use crate::node::TreePNode;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Summary of the hierarchy across a set of nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -25,6 +25,12 @@ pub struct HierarchyAudit {
     pub orphans: usize,
     /// Nodes whose parent entry refers to an ID outside the inspected set.
     pub dangling_parents: usize,
+    /// Nodes whose parent (an inspected node) sits at or below their own
+    /// level: the parent demoted and the child never let go of it.
+    pub inverted_parents: usize,
+    /// Cycles in the parent graph. The nodes on and below a cycle have no
+    /// root: an ascent from them never turns into a descent.
+    pub parent_cycles: usize,
     /// Parents whose own-children count exceeds their configured maximum.
     pub overfull_parents: usize,
     /// Nodes with fewer than the minimum number of level-0 connections.
@@ -42,6 +48,8 @@ impl HierarchyAudit {
     pub fn is_clean(&self) -> bool {
         self.orphans == 0
             && self.dangling_parents == 0
+            && self.inverted_parents == 0
+            && self.parent_cycles == 0
             && self.overfull_parents == 0
             && self.under_connected == 0
     }
@@ -53,10 +61,17 @@ where
     I: IntoIterator<Item = &'a TreePNode>,
 {
     let nodes: Vec<&TreePNode> = nodes.into_iter().collect();
-    let ids: BTreeSet<NodeId> = nodes.iter().map(|n| n.id()).collect();
+    let index: BTreeMap<NodeId, usize> =
+        nodes.iter().enumerate().map(|(i, n)| (n.id(), i)).collect();
+    // The parent graph over the inspected nodes (dangling parents left out).
+    let parent_of: Vec<Option<usize>> = nodes
+        .iter()
+        .map(|n| n.tables().parent().and_then(|p| index.get(&p.id).copied()))
+        .collect();
     let mut level_population: BTreeMap<u32, usize> = BTreeMap::new();
     let mut orphans = 0usize;
     let mut dangling_parents = 0usize;
+    let mut inverted_parents = 0usize;
     let mut overfull_parents = 0usize;
     let mut under_connected = 0usize;
     let mut children_sum = 0usize;
@@ -65,23 +80,22 @@ where
     let mut max_table_size = 0usize;
     let mut height = 0u32;
 
-    for node in &nodes {
+    for (node, parent) in nodes.iter().zip(&parent_of) {
         for lvl in 0..=node.max_level() {
             *level_population.entry(lvl).or_insert(0) += 1;
         }
         height = height.max(node.max_level());
 
-        match node.tables().parent() {
-            None => {
+        match (node.tables().parent(), parent) {
+            (None, _) => {
                 // The root (a node at the top level) legitimately has no parent.
                 if node.max_level() < height || nodes.len() == 1 {
                     orphans += 1;
                 }
             }
-            Some(p) => {
-                if !ids.contains(&p.id) {
-                    dangling_parents += 1;
-                }
+            (Some(_), None) => dangling_parents += 1,
+            (Some(_), Some(p)) => {
+                inverted_parents += usize::from(nodes[*p].max_level() <= node.max_level());
             }
         }
 
@@ -114,12 +128,28 @@ where
         orphans = orphans_final;
     }
 
+    // Every node has at most one parent, so a walk up the graph either ends
+    // or runs into a node already walked — and running into a node of the
+    // walk under way closes a cycle no earlier walk has counted.
+    let mut walk_of = vec![usize::MAX; nodes.len()];
+    let mut parent_cycles = 0usize;
+    for start in 0..nodes.len() {
+        let mut cur = Some(start);
+        while let Some(i) = cur.filter(|&i| walk_of[i] == usize::MAX) {
+            walk_of[i] = start;
+            cur = parent_of[i];
+        }
+        parent_cycles += usize::from(cur.is_some_and(|i| walk_of[i] == start));
+    }
+
     HierarchyAudit {
         nodes: nodes.len(),
         level_population,
         height,
         orphans,
         dangling_parents,
+        inverted_parents,
+        parent_cycles,
         overfull_parents,
         under_connected,
         avg_children: if parents_with_children == 0 {
@@ -239,6 +269,33 @@ mod tests {
         let report = audit(nodes.iter(), &config);
         assert_eq!(report.orphans, 1);
         assert_eq!(report.dangling_parents, 1);
+        assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn audit_detects_inverted_parents_and_cycles() {
+        let config = TreePConfig::default();
+        let t = SimTime::ZERO;
+        // 10 -> 20 -> 30 -> 10 is a cycle with 40 hanging below it; 50 sits
+        // under a proper root 60 but above its own parent's level.
+        let parents = [(10, 20), (20, 30), (30, 10), (40, 10), (50, 60)];
+        let levels = [(10, 1), (20, 2), (30, 3), (40, 0), (50, 4), (60, 4)];
+        let nodes: Vec<TreePNode> = levels
+            .iter()
+            .map(|&(id, level)| {
+                let mut n = node(id, level);
+                if let Some(&(_, parent)) = parents.iter().find(|(child, _)| *child == id) {
+                    // What the child recorded when it adopted the parent.
+                    n.seed_parent(peer(parent, level + 1), t);
+                }
+                n
+            })
+            .collect();
+        let report = audit(nodes.iter(), &config);
+        assert_eq!(report.parent_cycles, 1, "{report:?}");
+        // 30 -> 10 closes the cycle downwards; 50 -> 60 is level with it.
+        assert_eq!(report.inverted_parents, 2, "{report:?}");
+        assert_eq!(report.dangling_parents, 0);
         assert!(!report.is_clean());
     }
 

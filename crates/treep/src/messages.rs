@@ -93,7 +93,14 @@ pub enum TreePMessage {
         /// Out-of-date information being refreshed.
         updates: Vec<RoutingUpdate>,
     },
-    /// Reply to a keep-alive with the receiver's own updates.
+    /// Reply to a keep-alive with the receiver's own updates — sent only
+    /// when the receiver does not itself keep-alive the sender (it holds the
+    /// sender neither as a level-0 neighbour nor as a direct bus neighbour),
+    /// so the ack is that edge's only refresh. A sender the receiver pings
+    /// anyway hears from it once per interval and gets no ack. The receiver
+    /// decides this before it learns the sender, because learning makes
+    /// every sender a level-0 neighbour (see the membership layer's module
+    /// documentation).
     KeepAliveAck {
         /// The sender of the ack.
         sender: PeerInfo,

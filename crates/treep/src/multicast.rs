@@ -392,9 +392,10 @@ pub struct AggregateRelay {
 }
 
 /// Bounded insertion-ordered set of identification keys — the per-node
-/// duplicate guard of the multicast descent (keyed by `(origin address,
-/// request id)`) and, when the reliability layer retransmits, of the
-/// convergecast fold (keyed by `(sender, origin address, request id)`).
+/// duplicate guard of the multicast descent and, in a window of its own, of
+/// the ascent (both keyed by `(origin address, request id)`) and, when the
+/// reliability layer retransmits, of the convergecast fold (keyed by
+/// `(sender, origin address, request id)`).
 ///
 /// Delegation is structural (one parent per node, directional bus walk), so
 /// in steady state no node is ever visited twice. Under churn, however, a

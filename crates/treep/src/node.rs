@@ -115,6 +115,10 @@ pub struct TreePNode {
     store: DhtStore,
     multicast_deliveries: Vec<MulticastDelivery>,
     multicast_seen: SeenWindow,
+    /// Ascent dedup, same key as `multicast_seen` but a window of its own:
+    /// an ancestor forwards the ascent and later legitimately receives the
+    /// descent of the same multicast.
+    ascent_seen: SeenWindow,
     /// Convergecast fold dedup (sender, origin, request): only populated
     /// when the reliability layer is on, where a lost ack can make a relay
     /// retransmit a partial the receiver already folded.
@@ -188,6 +192,7 @@ impl TreePNode {
             store: DhtStore::new(),
             multicast_deliveries: Vec::new(),
             multicast_seen: SeenWindow::default(),
+            ascent_seen: SeenWindow::default(),
             aggregate_seen: SeenWindow::default(),
             pending_aggregates: BTreeMap::new(),
             aggregate_outcomes: Vec::new(),

@@ -9,6 +9,22 @@
 //! the [`TIMER_KEEPALIVE`] maintenance tick that expires stale registry
 //! entries, prunes the gossip-learned level-0 contacts and re-arms itself.
 //!
+//! # One liveness proof per link and direction
+//!
+//! A [`TreePMessage::KeepAlive`] is answered with a
+//! [`TreePMessage::KeepAliveAck`] **only when this node does not itself
+//! keep-alive the sender** — when the sender is neither a level-0 neighbour
+//! nor a direct bus neighbour at one of our levels, the target set of the
+//! maintenance tick. A sender in that set survived our last prune: we
+//! pinged it at our last tick or will at the next, so it hears from us
+//! directly once per interval and an ack would only repeat that (four
+//! messages per link and interval where two prove liveness both ways). A
+//! sender outside it — an asymmetric edge (it keeps us among its nearest,
+//! we pruned it), a first contact, a one-sided bus link — is acknowledged,
+//! because the ack is the only refresh that edge gets. The test runs
+//! *before* the sender is learned: learning makes every sender a level-0
+//! neighbour until the next prune, which would make the test vacuous.
+//!
 //! Child reports carry the reporting child's **exact subtree span**
 //! ([`TreePNode::subtree_span`]); the parent records it in the registry so
 //! the multicast layer can prune fan-outs by exact extents instead of
@@ -248,6 +264,17 @@ impl TreePNode {
         sup
     }
 
+    /// True when `peer` is a target of this node's own keep-alives: a
+    /// level-0 neighbour, or a direct bus neighbour at one of our levels —
+    /// membership in the set [`TreePNode::maintenance_tick`] steps 4–5 walk.
+    fn pings(&self, peer: NodeId) -> bool {
+        self.tables.is_level0_neighbor(peer)
+            || (1..=self.max_level).any(|level| {
+                let (l, r) = self.tables.bus_neighbors(level, self.id);
+                [l, r].into_iter().flatten().any(|e| e.id == peer)
+            })
+    }
+
     // ---- maintenance tick ------------------------------------------------------
 
     pub(super) fn maintenance_tick(&mut self, ctx: &mut Context<'_, TreePMessage>) {
@@ -271,9 +298,25 @@ impl TreePNode {
             self.config.max_level0_connections,
         ) as u64;
 
-        // 2. Trigger an election when we have degree >= 2 and no parent.
-        //    Nodes already sitting at the top of the hierarchy (the root) do
-        //    not need a parent and never call one.
+        // 2. The parent link. A parent sits strictly above its child: one
+        //    recorded at or below our own level has demoted since we adopted
+        //    it. It ignores our reports, yet its keep-alives refresh the one
+        //    timestamp the `PARENT` role shares with the peer's other roles,
+        //    so the link would never expire — and its own new parent can sit
+        //    below us, closing a cycle that no root absorbs. Drop the role
+        //    and keep the peer as a level-0 contact. Then trigger an
+        //    election when we have degree >= 2 and no parent. Nodes already
+        //    sitting at the top of the hierarchy (the root) do not need a
+        //    parent and never call one.
+        if let Some(demoted) = self
+            .tables
+            .parent()
+            .filter(|p| p.max_level <= self.max_level)
+            .copied()
+        {
+            self.tables.clear_parent();
+            self.tables.upsert_level0(demoted);
+        }
         if self.tables.parent().is_none()
             && self.max_level < self.config.height
             && self.tables.level0_degree() >= self.config.min_level0_connections
@@ -432,6 +475,9 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) {
         let now = ctx.now();
+        // Decided before `learn_peer`, which makes every sender a level-0
+        // neighbour and would make the test vacuous.
+        let reply = reply && !self.pings(sender.id);
         self.learn_peer(sender, now);
         for u in updates {
             self.apply_update(u, now);
@@ -452,6 +498,9 @@ impl TreePNode {
                 self.register_with_parent(p.addr, ctx);
             }
         }
+        // One liveness proof per link and direction: a sender we ping
+        // ourselves hears from us once per interval anyway, so only the
+        // others — whose sole refresh this is — get an ack.
         if reply {
             let me = self.peer_info();
             let my_updates = self.my_updates(now);

@@ -55,6 +55,11 @@
 //!   are deduplicated by the per-node seen-window (as churn races always
 //!   were), and convergecast folds by an equivalent `(sender, origin,
 //!   request)` window, so a partial is folded into a relay at most once.
+//!   Ascent copies have a seen-window of their own — an ancestor forwards
+//!   the ascent and later legitimately receives the descent, so the two
+//!   cannot share one — which is what keeps a retransmitted copy from
+//!   climbing a second time (and, in a parent cycle, from circling for the
+//!   whole hop budget while every lost ack adds another).
 //!
 //! With `max_retransmits = 0` none of this state exists: no acks are sent,
 //! no timers armed, no entries queued — the wire traffic is byte-identical
@@ -202,6 +207,15 @@ impl TreePNode {
         }
         match phase {
             MulticastPhase::Up => {
+                // Ascent duplicate guard. A second climbing copy is a
+                // retransmission whose predecessor arrived (it was re-acked
+                // above) or the same copy back around a parent cycle, where
+                // no root exists to absorb it: forwarded again, every lost
+                // ack would add a copy per hop for the whole hop budget.
+                if !self.ascent_seen.insert((origin.addr, request_id)) {
+                    self.stats.multicast_duplicates_suppressed += 1;
+                    return;
+                }
                 // An exhausted budget ends the ascent early: the node acts as
                 // a (degraded) descent root so the message still delivers
                 // locally instead of silently vanishing.

@@ -5,7 +5,7 @@ use super::*;
 use crate::config::ChildPolicy;
 use crate::id::hash_key;
 use crate::lookup::{LookupRequest, LookupStatus};
-use crate::messages::RoutingUpdate;
+use crate::messages::{MessageKind, RoutingUpdate};
 use crate::multicast::{AggregatePartial, AggregateQuery, MulticastPayload, MulticastPhase};
 use crate::routing::RoutingAlgorithm;
 
@@ -199,15 +199,185 @@ fn keep_alive_learns_sender_and_updates() {
     assert!(node.tables().is_level0_neighbor(NodeId(3)));
     assert!(node.tables().is_level0_neighbor(NodeId(7)));
     assert!(node.tables().find(NodeId(100)).is_some());
-    // It must have replied with an ack.
+    // The sender was unknown until now, so this node has never pinged it:
+    // the ack is the only thing the sender will hear back on this edge.
+    assert_eq!(keep_alive_acks(&ctx.into_actions()), vec![NodeAddr(3)]);
+}
+
+/// The destinations of the `KeepAliveAck`s among `actions`.
+fn keep_alive_acks(actions: &[simnet::Action<TreePMessage>]) -> Vec<NodeAddr> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            simnet::Action::Send {
+                dest,
+                msg: TreePMessage::KeepAliveAck { .. },
+            } => Some(*dest),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn keep_alive_from_a_level0_neighbour_is_learned_but_not_acked() {
+    let (mut node, mut rng) = started_node(10);
+    node.seed_level0_neighbor(peer(3, 0), SimTime::ZERO);
+    let now = SimTime::from_millis(5);
+    let mut ctx = Context::new(now, NodeAddr(10), &mut rng);
+    let updates = vec![
+        RoutingUpdate::ParentOf { peer: peer(100, 1) },
+        RoutingUpdate::Contact { peer: peer(7, 0) },
+    ];
+    node.on_message(
+        NodeAddr(3),
+        TreePMessage::KeepAlive {
+            sender: peer(3, 2),
+            updates,
+        },
+        &mut ctx,
+    );
+    // Everything but the ack happens as for any keep-alive: the sender is
+    // refreshed, the gossip applied, the advertised parent adopted.
+    let sender = node.tables().find(NodeId(3)).unwrap();
+    assert_eq!((sender.last_seen, sender.max_level), (now, 2));
+    assert!(node.tables().is_level0_neighbor(NodeId(7)));
+    assert_eq!(node.tables().parent().unwrap().id, NodeId(100));
     let actions = ctx.into_actions();
     assert!(actions.iter().any(|a| matches!(
         a,
+        simnet::Action::Send { dest, msg: TreePMessage::ParentAccept { .. } } if *dest == NodeAddr(100)
+    )));
+    // We ping this neighbour at every tick of our own: no ack.
+    assert_eq!(keep_alive_acks(&actions), vec![]);
+}
+
+#[test]
+fn keep_alive_from_a_direct_bus_neighbour_is_not_acked() {
+    // A level-2 node between two direct bus neighbours, with one more bus
+    // member further out. None of them is a level-0 neighbour.
+    let (mut node, mut rng) = started_node(10_000);
+    node.seed_max_level(2);
+    node.seed_level_neighbor(2, peer(3_000, 2), SimTime::ZERO);
+    node.seed_level_neighbor(2, peer(5_000, 2), SimTime::ZERO);
+    node.seed_level_neighbor(2, peer(15_000, 2), SimTime::ZERO);
+    for (sender, acked) in [(5_000, false), (15_000, false), (3_000, true)] {
+        let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10_000), &mut rng);
+        node.on_message(
+            NodeAddr(sender),
+            TreePMessage::KeepAlive {
+                sender: peer(sender, 2),
+                updates: vec![],
+            },
+            &mut ctx,
+        );
+        // Step 5 of the tick pings the direct neighbours only; the member
+        // beyond them hears from us through this ack or not at all.
+        let expected = if acked {
+            vec![NodeAddr(sender)]
+        } else {
+            vec![]
+        };
+        assert_eq!(keep_alive_acks(&ctx.into_actions()), expected, "{sender}");
+    }
+}
+
+#[test]
+fn asymmetric_edge_stays_fresh_through_acks() {
+    // A (1000) keeps B (2000) as its nearest peer; B holds eight peers
+    // nearer than A, so every tick of B prunes A again and B never pings
+    // it. The ack is the only message A ever gets from B.
+    let (mut a, mut rng) = started_node(1_000);
+    let (mut b, _) = started_node(2_000);
+    a.seed_level0_neighbor(peer(2_000, 0), SimTime::ZERO);
+    let interval = TreePConfig::default().keepalive_interval;
+    // The keep-alive traffic (pings and acks) among `actions` bound for `to`;
+    // election calls and the like are none of this test's business.
+    let sends_to = |actions: Vec<simnet::Action<TreePMessage>>, to: u64| {
+        actions
+            .into_iter()
+            .filter_map(move |a| match a {
+                simnet::Action::Send {
+                    dest,
+                    msg: msg @ (TreePMessage::KeepAlive { .. } | TreePMessage::KeepAliveAck { .. }),
+                } if dest == NodeAddr(to) => Some(msg),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut now = SimTime::ZERO;
+    for round in 0..10 {
+        now += interval;
+        // The eight nearer peers stay alive (this harness stands in for them).
+        for near in 2_001..=2_008 {
+            b.seed_level0_neighbor(peer(near, 0), now);
+        }
+        let mut ctx = Context::new(now, NodeAddr(2_000), &mut rng);
+        b.on_timer(encode_timer(TIMER_KEEPALIVE, 0), &mut ctx);
+        assert!(!b.tables().is_level0_neighbor(NodeId(1_000)));
+        assert!(
+            sends_to(ctx.into_actions(), 1_000).is_empty(),
+            "round {round}: B never pings the peer it pruned"
+        );
+
+        let mut ctx = Context::new(now, NodeAddr(1_000), &mut rng);
+        a.on_timer(encode_timer(TIMER_KEEPALIVE, 0), &mut ctx);
+        let pings = sends_to(ctx.into_actions(), 2_000);
+        assert_eq!(pings.len(), 1, "round {round}: A pings B");
+        let mut ctx = Context::new(now, NodeAddr(2_000), &mut rng);
+        for ping in pings {
+            b.on_message(NodeAddr(1_000), ping, &mut ctx);
+        }
+        let acks = sends_to(ctx.into_actions(), 1_000);
+        assert!(
+            matches!(acks[..], [TreePMessage::KeepAliveAck { .. }]),
+            "round {round}: B acks the peer it does not ping, got {acks:?}"
+        );
+        let mut ctx = Context::new(now, NodeAddr(1_000), &mut rng);
+        for ack in acks {
+            a.on_message(NodeAddr(2_000), ack, &mut ctx);
+        }
+    }
+    // Ten intervals are two entry lifetimes: without the acks B would have
+    // expired at A long ago.
+    assert!(a.tables().is_level0_neighbor(NodeId(2_000)));
+    assert_eq!(a.tables().find(NodeId(2_000)).unwrap().last_seen, now);
+}
+
+#[test]
+fn demoted_parent_is_dropped_at_the_next_tick() {
+    // A level-5 node whose level-6 parent has demoted to level 0. The
+    // ex-parent keeps sending keep-alives, which refresh the entry the
+    // `PARENT` role lives on, so expiry alone would never end the link.
+    let (mut node, mut rng) = started_node(10);
+    node.seed_max_level(5);
+    node.seed_parent(peer(50, 6), SimTime::ZERO);
+    node.seed_level0_neighbor(peer(1, 0), SimTime::ZERO);
+    node.seed_level0_neighbor(peer(2, 0), SimTime::ZERO);
+    let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10), &mut rng);
+    node.on_message(
+        NodeAddr(50),
+        TreePMessage::KeepAlive {
+            sender: peer(50, 0),
+            updates: vec![],
+        },
+        &mut ctx,
+    );
+    drop(ctx);
+    assert_eq!(node.tables().parent().unwrap().max_level, 0);
+    let mut ctx = Context::new(SimTime::from_millis(500), NodeAddr(10), &mut rng);
+    node.on_timer(encode_timer(TIMER_KEEPALIVE, 0), &mut ctx);
+    assert!(node.tables().parent().is_none());
+    assert!(node.tables().is_level0_neighbor(NodeId(50)));
+    // Parentless below the top with two connections: it calls an election.
+    assert_eq!(node.election.election().unwrap().level, 6);
+    assert!(ctx.into_actions().iter().any(|a| matches!(
+        a,
         simnet::Action::Send {
-            msg: TreePMessage::KeepAliveAck { .. },
+            msg: TreePMessage::ElectionCall { level: 6, .. },
             ..
         }
     )));
+    node.tables().validate_invariants().unwrap();
 }
 
 #[test]
@@ -835,6 +1005,57 @@ fn multicast_with_parent_climbs_first() {
     assert_eq!(ups, vec![(NodeAddr(900), 1)]);
     // Nothing delivered locally during the ascent.
     assert!(node.drain_multicast_deliveries().is_empty());
+}
+
+#[test]
+fn ascent_around_a_parent_cycle_is_absorbed() {
+    // Three nodes whose parent links form a cycle (0 -> 1 -> 2 -> 0), so an
+    // ascent finds no root. With acks on and a lossy link every lost ack
+    // re-sends a copy; unless a node refuses to forward a second climbing
+    // copy of the same multicast, each of them circles for the whole hop
+    // budget and spawns more on the way. The event cap turns that storm
+    // into a failure instead of a hang.
+    use simnet::{LinkModel, LossModel, SimConfig, Simulation};
+    let sim_config = SimConfig {
+        link: LinkModel {
+            loss: LossModel::Bernoulli { p: 0.10 },
+            ..LinkModel::default()
+        },
+        max_events: 50_000,
+    };
+    let mut sim: Simulation<TreePNode> = Simulation::new(sim_config, 7);
+    let config = TreePConfig::default().with_reliability(3);
+    for id in 0..3 {
+        let mut node = TreePNode::new(config, NodeId(id), NodeCharacteristics::default());
+        node.seed_parent(peer((id + 1) % 3, 1), SimTime::ZERO);
+        assert_eq!(sim.add_node(node), NodeAddr(id));
+    }
+    // Start the three nodes, then multicast before any of them ticks.
+    for _ in 0..3 {
+        sim.step();
+    }
+    let everything = KeyRange::full(config.space);
+    sim.invoke(NodeAddr(0), |node, ctx| {
+        node.start_multicast(everything, b"around".to_vec(), ctx)
+    });
+    sim.run_for(SimDuration::from_secs(20));
+
+    let nodes: Vec<&TreePNode> = (0..3).map(|a| sim.node(NodeAddr(a)).unwrap()).collect();
+    let sent: u64 = nodes
+        .iter()
+        .map(|n| n.stats().sent.get(MessageKind::MulticastDown))
+        .sum();
+    // One hop per node, plus at most three retransmissions of each.
+    assert!(sent <= 3 * 4, "{sent} MulticastDown for one multicast");
+    let suppressed: u64 = nodes
+        .iter()
+        .map(|n| n.stats().multicast_duplicates_suppressed)
+        .sum();
+    assert!(suppressed >= 1, "the copy that came back around is dropped");
+    for node in nodes {
+        assert_eq!(node.pending_retransmit_count(), 0);
+        assert!(node.multicast_deliveries().len() <= 1);
+    }
 }
 
 #[test]

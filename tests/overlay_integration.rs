@@ -118,6 +118,52 @@ fn hierarchy_survives_moderate_failures() {
     );
 }
 
+/// Failure detection: the time from a crash until no survivor lists a
+/// victim any more. An entry lives `entry_ttl` past the victim's last
+/// message and is swept at the holder's next tick, so the bound is one
+/// lifetime plus one interval (plus link latency and the 100 ms sampling
+/// step) — and it must not depend on how many keep-alives were acknowledged
+/// while the victim was alive.
+#[test]
+fn crashed_peers_leave_every_table_within_one_entry_lifetime() {
+    let config = TreePConfig::paper_case_fixed();
+    let bound = config.entry_ttl + config.keepalive_interval + SimDuration::from_millis(200);
+    let step = SimDuration::from_millis(100);
+    for seed in [2005, 2006, 2007] {
+        let (mut sim, topo) = TopologyBuilder::new(1000)
+            .with_config(config)
+            .build_simulation(seed);
+        let mut rng = sim.rng_mut().fork();
+        let victims: Vec<_> = rng
+            .sample_indices(topo.len(), 20)
+            .into_iter()
+            .map(|i| &topo.nodes[i])
+            .collect();
+        for victim in &victims {
+            sim.fail_node(victim.addr);
+        }
+        let mut elapsed = SimDuration::from_micros(0);
+        loop {
+            sim.run_for(step);
+            elapsed += step;
+            let holders = topo
+                .alive_pairs(&sim)
+                .iter()
+                .filter_map(|&(addr, _)| sim.node(addr))
+                .filter(|n| victims.iter().any(|v| n.tables().find(v.id).is_some()))
+                .count();
+            if holders == 0 {
+                break;
+            }
+            assert!(
+                elapsed < bound,
+                "seed {seed}: {holders} survivors still list a crashed peer after {elapsed}"
+            );
+        }
+        println!("seed {seed}: last stale entry gone after {elapsed}");
+    }
+}
+
 #[test]
 fn adaptive_policy_gives_stronger_nodes_more_children() {
     let builder = TopologyBuilder::new(220)
