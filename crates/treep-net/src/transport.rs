@@ -370,35 +370,41 @@ impl UdpNode {
         f(&self.shared.hosted.lock().node)
     }
 
+    /// Run `f` against the node with a context on the wall clock and send
+    /// whatever it produced: every operation [`TreePNode`] offers
+    /// (`node.dht_put_versioned(key, value, ctx)`, `node.start_aggregate(..)`,
+    /// `node.drain_read_outcomes()`, …) under this host, exactly as
+    /// `Simulation::invoke` offers it under the simulator.
+    pub fn invoke<R>(
+        &self,
+        f: impl FnOnce(&mut TreePNode, &mut Context<'_, treep::TreePMessage>) -> R,
+    ) -> R {
+        self.shared.with_node(f)
+    }
+
     /// Originate a lookup for `target`.
     pub fn lookup(&self, target: NodeId, algorithm: RoutingAlgorithm) {
-        self.shared.with_node(|node, ctx| {
-            node.start_lookup(target, algorithm, ctx);
-        });
+        self.invoke(|node, ctx| node.start_lookup(target, algorithm, ctx));
     }
 
     /// Store a value in the DHT.
     pub fn dht_put(&self, key: &[u8], value: Vec<u8>) {
-        self.shared.with_node(|node, ctx| {
-            node.dht_put(key, value, ctx);
-        });
+        self.invoke(|node, ctx| node.dht_put(key, value, ctx));
     }
 
     /// Query the DHT.
     pub fn dht_get(&self, key: &[u8]) {
-        self.shared.with_node(|node, ctx| {
-            node.dht_get(key, ctx);
-        });
+        self.invoke(|node, ctx| node.dht_get(key, ctx));
     }
 
     /// Collect the lookup outcomes recorded so far.
     pub fn drain_lookup_outcomes(&self) -> Vec<LookupOutcome> {
-        self.shared.hosted.lock().node.drain_lookup_outcomes()
+        self.invoke(|node, _| node.drain_lookup_outcomes())
     }
 
     /// Collect the DHT outcomes recorded so far.
     pub fn drain_dht_outcomes(&self) -> Vec<DhtOutcome> {
-        self.shared.hosted.lock().node.drain_dht_outcomes()
+        self.invoke(|node, _| node.drain_dht_outcomes())
     }
 
     /// Wire-level send counters accumulated since bind.

@@ -74,9 +74,10 @@ pub struct TreePConfig {
     /// keep-alive fan-out — and therefore the maintenance overhead — bounded
     /// independently of the network size.
     pub max_level0_connections: usize,
-    /// Lookups not answered within this period are reported as failed by the
-    /// origin (the paper's simulator counts them as lost requests). Also
-    /// bounds how long an aggregation origin waits for its folded answer.
+    /// Deadline of every origin-side request (lookup, put/get, versioned,
+    /// aggregate, subscription): one not answered within this period is
+    /// reported as failed by the origin (the paper's simulator counts them
+    /// as lost requests).
     pub lookup_timeout: SimDuration,
     /// Hop budget of a scoped multicast (ascent + bus walk + descent). Must
     /// comfortably exceed the hierarchy height plus the expected top-level
@@ -138,11 +139,6 @@ pub struct TreePConfig {
     /// topic" (overflow), trading pruning for bounded summary size. Only
     /// meaningful when `pubsub_enabled`.
     pub max_filter_topics: usize,
-    /// Pub/sub: how long a subscriber waits for the directory
-    /// acknowledgement of a `Subscribe`/`Unsubscribe` before reporting the
-    /// registration as timed out (local delivery state is unaffected).
-    /// Only meaningful when `pubsub_enabled`.
-    pub subscribe_timeout: SimDuration,
 }
 
 impl Default for TreePConfig {
@@ -171,7 +167,6 @@ impl Default for TreePConfig {
             cache_ttl: SimDuration::from_millis(500),
             pubsub_enabled: false,
             max_filter_topics: 64,
-            subscribe_timeout: SimDuration::from_secs(10),
         }
     }
 }
@@ -269,16 +264,11 @@ impl TreePConfig {
                 "read_repair needs replica_reads: only replica-served gets are verified".into(),
             );
         }
-        if self.pubsub_enabled {
-            if self.max_filter_topics == 0 {
-                return Err(
-                    "max_filter_topics must be positive when pub/sub is enabled (every filter would overflow)"
-                        .into(),
-                );
-            }
-            if self.subscribe_timeout.as_micros() == 0 {
-                return Err("subscribe_timeout must be positive when pub/sub is enabled".into());
-            }
+        if self.pubsub_enabled && self.max_filter_topics == 0 {
+            return Err(
+                "max_filter_topics must be positive when pub/sub is enabled (every filter would overflow)"
+                    .into(),
+            );
         }
         Ok(())
     }
@@ -413,11 +403,6 @@ mod tests {
                 max_filter_topics: 0,
                 ..TreePConfig::default()
             },
-            TreePConfig {
-                pubsub_enabled: true,
-                subscribe_timeout: SimDuration::from_micros(0),
-                ..TreePConfig::default()
-            },
         ];
         for (i, config) in bad.into_iter().enumerate() {
             assert!(
@@ -485,7 +470,6 @@ mod tests {
         let p = TreePConfig::default().with_pubsub();
         assert!(p.pubsub_enabled);
         assert!(p.max_filter_topics > 0);
-        assert!(p.subscribe_timeout.as_micros() > 0);
         assert!(p.validate().is_ok());
         // Off-mode tolerates degenerate pub/sub knobs: they are inert.
         let inert = TreePConfig {

@@ -148,15 +148,6 @@ impl DhtOutcome {
     }
 }
 
-/// A DHT request the origin is still waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingDht {
-    /// The key coordinate being put/got.
-    pub key: NodeId,
-    /// When the request started.
-    pub started_at: SimTime,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -98,12 +98,10 @@ pub use multicast::{
 };
 pub use node::TreePNode;
 pub use pubsub::{
-    decode_subscriber_set, encode_subscriber_set, topic_key, PendingSubscribe, SubscribeOutcome,
-    TopicDelivery, TopicFilter,
+    decode_subscriber_set, encode_subscriber_set, topic_key, SubscribeOutcome, TopicDelivery,
+    TopicFilter,
 };
-pub use readpath::{
-    CacheFill, HotKeyCache, PendingRead, ReadOutcome, ReadSource, StampedValue, VersionStamp,
-};
+pub use readpath::{CacheFill, HotKeyCache, ReadOutcome, ReadSource, StampedValue, VersionStamp};
 pub use replication::{audit_replication, ReplicaEntry, ReplicationAudit};
 pub use routing::{RouteDecision, RouterView, RoutingAlgorithm};
 pub use stats::{KindCounters, NodeStats};

@@ -109,17 +109,6 @@ pub struct LookupOutcome {
     pub completed_at: SimTime,
 }
 
-/// A lookup the origin is still waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PendingLookup {
-    /// The identifier being resolved.
-    pub target: NodeId,
-    /// The algorithm used.
-    pub algorithm: RoutingAlgorithm,
-    /// When the lookup started.
-    pub started_at: SimTime,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -515,164 +515,108 @@ pub enum TreePMessage {
     },
 }
 
-/// Static index of every [`TreePMessage`] variant.
-///
-/// Per-node statistics key send/receive counters by this enum — a dense
-/// array index on the hot path where a `BTreeMap<String, u64>` used to
-/// allocate a `String` per recorded message. The snake_case wire of the old
-/// string keys survives as [`MessageKind::name`] (and `Display`) for
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-#[allow(missing_docs)]
-pub enum MessageKind {
-    JoinRequest,
-    JoinAck,
-    KeepAlive,
-    KeepAliveAck,
-    ChildReport,
-    ChildReportAck,
-    ElectionCall,
-    ParentAnnounce,
-    ParentAccept,
-    Demotion,
-    Lookup,
-    LookupFound,
-    LookupNotFound,
-    DhtPut,
-    DhtPutAck,
-    DhtGet,
-    DhtGetReply,
-    ReplicaPut,
-    ReplicaSyncRequest,
-    ReplicaSyncReply,
-    MulticastDown,
-    AggregateUp,
-    MulticastAck,
-    AggregateAck,
-    GetVersioned,
-    GetVersionedReply,
-    PutVersioned,
-    PutVersionedAck,
-    ReadRepair,
-    ReadVerify,
-    Subscribe,
-    SubscribeAck,
-    Unsubscribe,
-    FilterReport,
+/// The one table behind [`MessageKind`]: a row per [`TreePMessage`]
+/// variant, in index order, with its snake_case report name and whether it
+/// counts as overlay maintenance. It expands to the enum, `ALL`, `COUNT`,
+/// `name()`, `is_maintenance()` and [`TreePMessage::kind`], so the five
+/// cannot disagree.
+macro_rules! message_kinds {
+    ($($variant:ident $name:literal $class:ident,)*) => {
+        /// Static index of every [`TreePMessage`] variant.
+        ///
+        /// Per-node statistics key send/receive counters by this enum — a
+        /// dense array index on the hot path where a `BTreeMap<String, u64>`
+        /// used to allocate a `String` per recorded message. The snake_case
+        /// wire of the old string keys survives as [`MessageKind::name`]
+        /// (and `Display`) for reports.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        #[allow(missing_docs)]
+        pub enum MessageKind {
+            $($variant,)*
+        }
+
+        impl MessageKind {
+            /// Every kind, in index order.
+            pub const ALL: [MessageKind; MessageKind::COUNT] = [$(MessageKind::$variant,)*];
+
+            /// Number of message kinds (the length of a per-kind counter
+            /// array).
+            pub const COUNT: usize = [$($name,)*].len();
+
+            /// Dense array index of this kind.
+            #[inline]
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Short, stable snake_case name (the report/display form,
+            /// identical to the string keys the per-node statistics used
+            /// historically).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(MessageKind::$variant => $name,)*
+                }
+            }
+
+            /// True for kinds that belong to overlay maintenance rather than
+            /// user traffic; the maintenance-overhead ablation counts these.
+            pub fn is_maintenance(self) -> bool {
+                match self {
+                    $(MessageKind::$variant => message_kinds!(@maintenance $class),)*
+                }
+            }
+        }
+
+        impl TreePMessage {
+            /// The message's kind index (used by per-node statistics and
+            /// tracing; `kind().name()` recovers the historical string form).
+            pub fn kind(&self) -> MessageKind {
+                match self {
+                    $(TreePMessage::$variant { .. } => MessageKind::$variant,)*
+                }
+            }
+        }
+    };
+    (@maintenance maintenance) => { true };
+    (@maintenance user) => { false };
 }
 
-impl MessageKind {
-    /// Number of message kinds (the length of a per-kind counter array).
-    pub const COUNT: usize = 34;
-
-    /// Every kind, in index order.
-    pub const ALL: [MessageKind; MessageKind::COUNT] = [
-        MessageKind::JoinRequest,
-        MessageKind::JoinAck,
-        MessageKind::KeepAlive,
-        MessageKind::KeepAliveAck,
-        MessageKind::ChildReport,
-        MessageKind::ChildReportAck,
-        MessageKind::ElectionCall,
-        MessageKind::ParentAnnounce,
-        MessageKind::ParentAccept,
-        MessageKind::Demotion,
-        MessageKind::Lookup,
-        MessageKind::LookupFound,
-        MessageKind::LookupNotFound,
-        MessageKind::DhtPut,
-        MessageKind::DhtPutAck,
-        MessageKind::DhtGet,
-        MessageKind::DhtGetReply,
-        MessageKind::ReplicaPut,
-        MessageKind::ReplicaSyncRequest,
-        MessageKind::ReplicaSyncReply,
-        MessageKind::MulticastDown,
-        MessageKind::AggregateUp,
-        MessageKind::MulticastAck,
-        MessageKind::AggregateAck,
-        MessageKind::GetVersioned,
-        MessageKind::GetVersionedReply,
-        MessageKind::PutVersioned,
-        MessageKind::PutVersionedAck,
-        MessageKind::ReadRepair,
-        MessageKind::ReadVerify,
-        MessageKind::Subscribe,
-        MessageKind::SubscribeAck,
-        MessageKind::Unsubscribe,
-        MessageKind::FilterReport,
-    ];
-
-    /// Dense array index of this kind.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Short, stable snake_case name (the report/display form, identical to
-    /// the string keys the per-node statistics used historically).
-    pub fn name(self) -> &'static str {
-        match self {
-            MessageKind::JoinRequest => "join_request",
-            MessageKind::JoinAck => "join_ack",
-            MessageKind::KeepAlive => "keep_alive",
-            MessageKind::KeepAliveAck => "keep_alive_ack",
-            MessageKind::ChildReport => "child_report",
-            MessageKind::ChildReportAck => "child_report_ack",
-            MessageKind::ElectionCall => "election_call",
-            MessageKind::ParentAnnounce => "parent_announce",
-            MessageKind::ParentAccept => "parent_accept",
-            MessageKind::Demotion => "demotion",
-            MessageKind::Lookup => "lookup",
-            MessageKind::LookupFound => "lookup_found",
-            MessageKind::LookupNotFound => "lookup_not_found",
-            MessageKind::DhtPut => "dht_put",
-            MessageKind::DhtPutAck => "dht_put_ack",
-            MessageKind::DhtGet => "dht_get",
-            MessageKind::DhtGetReply => "dht_get_reply",
-            MessageKind::ReplicaPut => "replica_put",
-            MessageKind::ReplicaSyncRequest => "replica_sync_request",
-            MessageKind::ReplicaSyncReply => "replica_sync_reply",
-            MessageKind::MulticastDown => "multicast_down",
-            MessageKind::AggregateUp => "aggregate_up",
-            MessageKind::MulticastAck => "multicast_ack",
-            MessageKind::AggregateAck => "aggregate_ack",
-            MessageKind::GetVersioned => "get_versioned",
-            MessageKind::GetVersionedReply => "get_versioned_reply",
-            MessageKind::PutVersioned => "put_versioned",
-            MessageKind::PutVersionedAck => "put_versioned_ack",
-            MessageKind::ReadRepair => "read_repair",
-            MessageKind::ReadVerify => "read_verify",
-            MessageKind::Subscribe => "subscribe",
-            MessageKind::SubscribeAck => "subscribe_ack",
-            MessageKind::Unsubscribe => "unsubscribe",
-            MessageKind::FilterReport => "filter_report",
-        }
-    }
-
-    /// True for kinds that belong to overlay maintenance rather than user
-    /// traffic; the maintenance-overhead ablation counts these.
-    pub fn is_maintenance(self) -> bool {
-        matches!(
-            self,
-            MessageKind::JoinRequest
-                | MessageKind::JoinAck
-                | MessageKind::KeepAlive
-                | MessageKind::KeepAliveAck
-                | MessageKind::ChildReport
-                | MessageKind::ChildReportAck
-                | MessageKind::ElectionCall
-                | MessageKind::ParentAnnounce
-                | MessageKind::ParentAccept
-                | MessageKind::Demotion
-                | MessageKind::ReplicaPut
-                | MessageKind::ReplicaSyncRequest
-                | MessageKind::ReplicaSyncReply
-                | MessageKind::ReadRepair
-                | MessageKind::FilterReport
-        )
-    }
+message_kinds! {
+    JoinRequest "join_request" maintenance,
+    JoinAck "join_ack" maintenance,
+    KeepAlive "keep_alive" maintenance,
+    KeepAliveAck "keep_alive_ack" maintenance,
+    ChildReport "child_report" maintenance,
+    ChildReportAck "child_report_ack" maintenance,
+    ElectionCall "election_call" maintenance,
+    ParentAnnounce "parent_announce" maintenance,
+    ParentAccept "parent_accept" maintenance,
+    Demotion "demotion" maintenance,
+    Lookup "lookup" user,
+    LookupFound "lookup_found" user,
+    LookupNotFound "lookup_not_found" user,
+    DhtPut "dht_put" user,
+    DhtPutAck "dht_put_ack" user,
+    DhtGet "dht_get" user,
+    DhtGetReply "dht_get_reply" user,
+    ReplicaPut "replica_put" maintenance,
+    ReplicaSyncRequest "replica_sync_request" maintenance,
+    ReplicaSyncReply "replica_sync_reply" maintenance,
+    MulticastDown "multicast_down" user,
+    AggregateUp "aggregate_up" user,
+    MulticastAck "multicast_ack" user,
+    AggregateAck "aggregate_ack" user,
+    GetVersioned "get_versioned" user,
+    GetVersionedReply "get_versioned_reply" user,
+    PutVersioned "put_versioned" user,
+    PutVersionedAck "put_versioned_ack" user,
+    ReadRepair "read_repair" maintenance,
+    ReadVerify "read_verify" user,
+    Subscribe "subscribe" user,
+    SubscribeAck "subscribe_ack" user,
+    Unsubscribe "unsubscribe" user,
+    FilterReport "filter_report" maintenance,
 }
 
 impl std::fmt::Display for MessageKind {
@@ -682,47 +626,6 @@ impl std::fmt::Display for MessageKind {
 }
 
 impl TreePMessage {
-    /// The message's kind index (used by per-node statistics and tracing;
-    /// `kind().name()` recovers the historical string form).
-    pub fn kind(&self) -> MessageKind {
-        match self {
-            TreePMessage::JoinRequest { .. } => MessageKind::JoinRequest,
-            TreePMessage::JoinAck { .. } => MessageKind::JoinAck,
-            TreePMessage::KeepAlive { .. } => MessageKind::KeepAlive,
-            TreePMessage::KeepAliveAck { .. } => MessageKind::KeepAliveAck,
-            TreePMessage::ChildReport { .. } => MessageKind::ChildReport,
-            TreePMessage::ChildReportAck { .. } => MessageKind::ChildReportAck,
-            TreePMessage::ElectionCall { .. } => MessageKind::ElectionCall,
-            TreePMessage::ParentAnnounce { .. } => MessageKind::ParentAnnounce,
-            TreePMessage::ParentAccept { .. } => MessageKind::ParentAccept,
-            TreePMessage::Demotion { .. } => MessageKind::Demotion,
-            TreePMessage::Lookup(_) => MessageKind::Lookup,
-            TreePMessage::LookupFound { .. } => MessageKind::LookupFound,
-            TreePMessage::LookupNotFound { .. } => MessageKind::LookupNotFound,
-            TreePMessage::DhtPut { .. } => MessageKind::DhtPut,
-            TreePMessage::DhtPutAck { .. } => MessageKind::DhtPutAck,
-            TreePMessage::DhtGet { .. } => MessageKind::DhtGet,
-            TreePMessage::DhtGetReply { .. } => MessageKind::DhtGetReply,
-            TreePMessage::ReplicaPut { .. } => MessageKind::ReplicaPut,
-            TreePMessage::ReplicaSyncRequest { .. } => MessageKind::ReplicaSyncRequest,
-            TreePMessage::ReplicaSyncReply { .. } => MessageKind::ReplicaSyncReply,
-            TreePMessage::MulticastDown { .. } => MessageKind::MulticastDown,
-            TreePMessage::AggregateUp { .. } => MessageKind::AggregateUp,
-            TreePMessage::MulticastAck { .. } => MessageKind::MulticastAck,
-            TreePMessage::AggregateAck { .. } => MessageKind::AggregateAck,
-            TreePMessage::GetVersioned { .. } => MessageKind::GetVersioned,
-            TreePMessage::GetVersionedReply { .. } => MessageKind::GetVersionedReply,
-            TreePMessage::PutVersioned { .. } => MessageKind::PutVersioned,
-            TreePMessage::PutVersionedAck { .. } => MessageKind::PutVersionedAck,
-            TreePMessage::ReadRepair { .. } => MessageKind::ReadRepair,
-            TreePMessage::ReadVerify { .. } => MessageKind::ReadVerify,
-            TreePMessage::Subscribe { .. } => MessageKind::Subscribe,
-            TreePMessage::SubscribeAck { .. } => MessageKind::SubscribeAck,
-            TreePMessage::Unsubscribe { .. } => MessageKind::Unsubscribe,
-            TreePMessage::FilterReport { .. } => MessageKind::FilterReport,
-        }
-    }
-
     /// True for messages that belong to overlay maintenance rather than user
     /// traffic; the maintenance-overhead ablation counts these.
     pub fn is_maintenance(&self) -> bool {
@@ -743,6 +646,48 @@ impl TreePMessage {
             | TreePMessage::Subscribe { origin, .. }
             | TreePMessage::Unsubscribe { origin, .. } => Some(origin.addr),
             TreePMessage::GetVersionedReply { origin, .. } => Some(*origin),
+            _ => None,
+        }
+    }
+
+    /// The request this message ends at its origin, when it is one of the
+    /// eight reply kinds. A branch partial of a convergecast (an
+    /// `AggregateUp` that is not the final fold) answers no request: it
+    /// belongs to a relay.
+    pub(crate) fn answers(&self) -> Option<RequestId> {
+        match self {
+            TreePMessage::LookupFound { request_id, .. }
+            | TreePMessage::LookupNotFound { request_id, .. }
+            | TreePMessage::DhtPutAck { request_id, .. }
+            | TreePMessage::DhtGetReply { request_id, .. }
+            | TreePMessage::GetVersionedReply { request_id, .. }
+            | TreePMessage::PutVersionedAck { request_id, .. }
+            | TreePMessage::SubscribeAck { request_id, .. }
+            | TreePMessage::AggregateUp {
+                request_id,
+                final_answer: true,
+                ..
+            } => Some(*request_id),
+            _ => None,
+        }
+    }
+
+    /// The key coordinate this message is routed toward and its hop
+    /// counter, when it is one of the kinds that descend greedily toward a
+    /// key.
+    pub(crate) fn key_route_mut(&mut self) -> Option<(NodeId, &mut u32)> {
+        match self {
+            TreePMessage::DhtPut { key, ttl, .. }
+            | TreePMessage::DhtGet { key, ttl, .. }
+            | TreePMessage::GetVersioned { key, ttl, .. }
+            | TreePMessage::PutVersioned { key, ttl, .. }
+            | TreePMessage::ReadVerify { key, ttl, .. }
+            | TreePMessage::Subscribe {
+                topic: key, ttl, ..
+            }
+            | TreePMessage::Unsubscribe {
+                topic: key, ttl, ..
+            } => Some((*key, ttl)),
             _ => None,
         }
     }

@@ -346,17 +346,6 @@ impl AggregateOutcome {
     }
 }
 
-/// An aggregation the origin is still waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PendingAggregate {
-    /// The query asked.
-    pub query: AggregateQuery,
-    /// The scoped range.
-    pub range: KeyRange,
-    /// When the aggregation started.
-    pub started_at: SimTime,
-}
-
 /// Where a completed relay fold should be reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyTo {

@@ -10,6 +10,10 @@
 //!   maintenance tick and routing-table gossip.
 //! * `promotion` — countdown elections, promotions and demotions (the
 //!   hierarchy-formation layer).
+//! * `inflight` — the origin side of every request: the one table of what
+//!   this node is waiting on, how an entry is opened, matched to its reply
+//!   and ended by that reply or by its deadline; and the greedy key descent
+//!   the put/get, versioned, read-verify and directory requests ride.
 //! * `lookup` — the three lookup algorithms' request handling and the DHT
 //!   put/get routing built on them.
 //! * `multicast` — tree-scoped multicast dissemination and convergecast
@@ -18,6 +22,8 @@
 //!   repair and key handoff (see [`crate::replication`]).
 //! * `readpath` — versioned puts/gets, replica-first serving, read-repair
 //!   and the per-hop hot-key cache (see [`crate::readpath`]).
+//! * `pubsub` — topic subscriptions, the replicated subscriber directory,
+//!   filter reports and topic publishes (see [`crate::pubsub`]).
 //!
 //! This file owns only construction, the public accessors, the shared
 //! plumbing (request IDs, timer tokens, send accounting) and the
@@ -26,6 +32,7 @@
 //! not objects — so handlers freely cooperate through `&mut self` while the
 //! file layout keeps each protocol concern reviewable in isolation.
 
+mod inflight;
 mod lookup;
 mod membership;
 mod multicast;
@@ -39,19 +46,18 @@ mod tests;
 
 use crate::characteristics::{CharacteristicsSummary, NodeCharacteristics};
 use crate::config::TreePConfig;
-use crate::dht::{DhtOutcome, DhtStore, PendingDht};
+use crate::dht::{DhtOutcome, DhtStore};
 use crate::distance::HierarchicalDistance;
 use crate::election::ElectionState;
 use crate::entry::PeerInfo;
 use crate::id::NodeId;
-use crate::lookup::{LookupOutcome, PendingLookup, RequestId};
+use crate::lookup::{LookupOutcome, RequestId};
 use crate::messages::TreePMessage;
 use crate::multicast::{
-    AggregateOutcome, AggregateRelay, KeyRange, MulticastDelivery, PendingAggregate, PendingRetx,
-    SeenWindow,
+    AggregateOutcome, AggregateRelay, KeyRange, MulticastDelivery, PendingRetx, SeenWindow,
 };
-use crate::pubsub::{PendingSubscribe, SubscribeOutcome, TopicDelivery, TopicFilter};
-use crate::readpath::{HotKeyCache, PendingRead, ReadOutcome, VersionStamp};
+use crate::pubsub::{SubscribeOutcome, TopicDelivery, TopicFilter};
+use crate::readpath::{HotKeyCache, ReadOutcome, VersionStamp};
 use crate::routing::RouterView;
 use crate::stats::NodeStats;
 use crate::tables::RoutingTables;
@@ -60,8 +66,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 // ---- timer token encoding ---------------------------------------------------
 //
-// Each layer owns the timers listed next to it; the `on_timer` dispatch
-// below routes a decoded token to the owning layer.
+// Seven kinds. Each layer owns the timers listed next to it; the `on_timer`
+// dispatch below routes a decoded token to the owning layer. The values
+// enter every pinned event digest (the engine hashes the token of each
+// timer it fires), so a kind keeps its number and the gaps stay gaps.
 
 /// Maintenance tick (`membership`).
 const TIMER_KEEPALIVE: u64 = 0;
@@ -69,24 +77,14 @@ const TIMER_KEEPALIVE: u64 = 0;
 const TIMER_ELECTION: u64 = 1;
 /// Demotion countdown (`promotion`).
 const TIMER_DEMOTION: u64 = 2;
-/// Lookup timeout (`lookup`).
-const TIMER_LOOKUP: u64 = 3;
-/// DHT request timeout (`lookup`).
-const TIMER_DHT: u64 = 4;
-/// Aggregation origin timeout (`multicast`).
-const TIMER_AGGREGATE: u64 = 5;
+/// Deadline of one origin-side request of any kind (`inflight`).
+const TIMER_REQUEST: u64 = 3;
 /// Aggregation relay hold timer (`multicast`).
 const TIMER_AGG_RELAY: u64 = 6;
 /// Anti-entropy round (`replication`).
 const TIMER_REPLICA: u64 = 7;
 /// Retransmission backoff of one pending reliable hop (`multicast`).
 const TIMER_RETX: u64 = 8;
-/// Versioned read/write timeout (`readpath`).
-const TIMER_READ: u64 = 9;
-/// Subscribe/unsubscribe directory-registration timeout (`pubsub`). Only
-/// armed by application-initiated subscription calls, so a deployment with
-/// the layer off schedules nothing.
-const TIMER_PUBSUB: u64 = 10;
 
 fn encode_timer(kind: u64, payload: u64) -> TimerToken {
     TimerToken(kind | (payload << 4))
@@ -108,9 +106,10 @@ pub struct TreePNode {
     bootstrap: Vec<PeerInfo>,
     election: ElectionState,
     next_request_id: u64,
-    pending_lookups: BTreeMap<RequestId, PendingLookup>,
+    /// Every request this node originated and still waits on, of any kind
+    /// (owned by the `inflight` layer).
+    pending: BTreeMap<RequestId, inflight::Pending>,
     lookup_outcomes: Vec<LookupOutcome>,
-    pending_dht: BTreeMap<RequestId, PendingDht>,
     dht_outcomes: Vec<DhtOutcome>,
     store: DhtStore,
     multicast_deliveries: Vec<MulticastDelivery>,
@@ -123,7 +122,6 @@ pub struct TreePNode {
     /// when the reliability layer is on, where a lost ack can make a relay
     /// retransmit a partial the receiver already folded.
     aggregate_seen: SeenWindow<(NodeAddr, NodeAddr, RequestId)>,
-    pending_aggregates: BTreeMap<RequestId, PendingAggregate>,
     aggregate_outcomes: Vec<AggregateOutcome>,
     relays: BTreeMap<u64, AggregateRelay>,
     next_relay_round: u64,
@@ -135,9 +133,6 @@ pub struct TreePNode {
     /// Replication repair state: true when the next anti-entropy round must
     /// run a pairwise sync instead of the cheap digest probe.
     replica_dirty: bool,
-    /// In-flight digest probes: probe request id → the `(xor, count)` the
-    /// convergecast is expected to fold if the replica range is healthy.
-    replica_digest_probes: BTreeMap<RequestId, (u64, u64)>,
     /// Read path: last-write-wins stamp of every stored value that arrived
     /// through a versioned write (side table, so [`DhtStore`] and the
     /// replication audit stay unchanged; absent keys carry the legacy floor
@@ -149,14 +144,10 @@ pub struct TreePNode {
     observed: BTreeMap<NodeId, VersionStamp>,
     /// Read path: the per-hop hot-key cache (inert at capacity 0).
     cache: HotKeyCache,
-    /// Read path: versioned requests this origin is still waiting on.
-    pending_reads: BTreeMap<RequestId, PendingRead>,
     read_outcomes: Vec<ReadOutcome>,
     /// Pub/sub: topics this node is locally subscribed to (drives both
     /// delivery and the subtree filter; empty while the layer is off).
     local_topics: BTreeSet<NodeId>,
-    /// Pub/sub: directory registrations this origin is still waiting on.
-    pending_subs: BTreeMap<RequestId, PendingSubscribe>,
     sub_outcomes: Vec<SubscribeOutcome>,
     topic_deliveries: Vec<TopicDelivery>,
     /// Pub/sub: the last subtree filter reported to the parent, so
@@ -185,30 +176,25 @@ impl TreePNode {
             bootstrap: Vec::new(),
             election: ElectionState::new(),
             next_request_id: 0,
-            pending_lookups: BTreeMap::new(),
+            pending: BTreeMap::new(),
             lookup_outcomes: Vec::new(),
-            pending_dht: BTreeMap::new(),
             dht_outcomes: Vec::new(),
             store: DhtStore::new(),
             multicast_deliveries: Vec::new(),
             multicast_seen: SeenWindow::default(),
             ascent_seen: SeenWindow::default(),
             aggregate_seen: SeenWindow::default(),
-            pending_aggregates: BTreeMap::new(),
             aggregate_outcomes: Vec::new(),
             relays: BTreeMap::new(),
             next_relay_round: 0,
             retx_pending: BTreeMap::new(),
             next_retx_id: 0,
             replica_dirty: true,
-            replica_digest_probes: BTreeMap::new(),
             versions: BTreeMap::new(),
             observed: BTreeMap::new(),
             cache: HotKeyCache::new(config.cache_capacity, config.cache_ttl),
-            pending_reads: BTreeMap::new(),
             read_outcomes: Vec::new(),
             local_topics: BTreeSet::new(),
-            pending_subs: BTreeMap::new(),
             sub_outcomes: Vec::new(),
             topic_deliveries: Vec::new(),
             last_reported_filter: None,
@@ -272,11 +258,6 @@ impl TreePNode {
         &self.store
     }
 
-    /// Number of lookups this node has originated and not yet resolved.
-    pub fn pending_lookup_count(&self) -> usize {
-        self.pending_lookups.len()
-    }
-
     /// Drain the completed lookup outcomes recorded at this origin.
     pub fn drain_lookup_outcomes(&mut self) -> Vec<LookupOutcome> {
         std::mem::take(&mut self.lookup_outcomes)
@@ -302,21 +283,10 @@ impl TreePNode {
         std::mem::take(&mut self.aggregate_outcomes)
     }
 
-    /// Number of aggregations this node originated and not yet resolved.
-    pub fn pending_aggregate_count(&self) -> usize {
-        self.pending_aggregates.len()
-    }
-
     /// Drain the completed versioned read/write outcomes recorded at this
     /// origin.
     pub fn drain_read_outcomes(&mut self) -> Vec<ReadOutcome> {
         std::mem::take(&mut self.read_outcomes)
-    }
-
-    /// Number of versioned requests this node originated and not yet
-    /// resolved.
-    pub fn pending_read_count(&self) -> usize {
-        self.pending_reads.len()
     }
 
     /// Number of live lines in this node's hot-key cache.
@@ -343,12 +313,6 @@ impl TreePNode {
     /// The topic-publish deliveries recorded at this subscriber (read-only).
     pub fn topic_deliveries(&self) -> &[TopicDelivery] {
         &self.topic_deliveries
-    }
-
-    /// Number of directory registrations this node originated and not yet
-    /// resolved.
-    pub fn pending_subscribe_count(&self) -> usize {
-        self.pending_subs.len()
     }
 
     /// Number of reliable hops whose acknowledgement is still outstanding —
@@ -525,34 +489,16 @@ impl Protocol for TreePNode {
             }
             // ---- lookup / DHT layer ------------------------------------
             TreePMessage::Lookup(req) => self.handle_lookup(req, ctx),
-            TreePMessage::LookupFound {
-                request_id, hops, ..
-            } => {
-                self.complete_lookup(request_id, crate::lookup::LookupStatus::Found, hops, now);
-            }
-            TreePMessage::LookupNotFound {
-                request_id, hops, ..
-            } => {
-                self.complete_lookup(request_id, crate::lookup::LookupStatus::NotFound, hops, now);
-            }
             TreePMessage::DhtPut { .. } | TreePMessage::DhtGet { .. } => {
                 self.route_dht(msg, ctx);
             }
-            TreePMessage::DhtPutAck {
-                request_id,
-                key,
-                stored_at,
-            } => {
-                self.record_dht_ack(request_id, key, stored_at, now);
-            }
-            TreePMessage::DhtGetReply {
-                request_id,
-                key,
-                value,
-                responder,
-            } => {
-                self.record_dht_answer(request_id, key, value, responder, now);
-            }
+            // ---- in-flight layer: replies that end a request here -------
+            TreePMessage::LookupFound { .. }
+            | TreePMessage::LookupNotFound { .. }
+            | TreePMessage::DhtPutAck { .. }
+            | TreePMessage::DhtGetReply { .. }
+            | TreePMessage::PutVersionedAck { .. }
+            | TreePMessage::SubscribeAck { .. } => self.on_reply(msg, now),
             // ---- replication layer -------------------------------------
             TreePMessage::ReplicaPut { sender, key, value } => {
                 self.handle_replica_put(sender, key, value, ctx)
@@ -583,25 +529,7 @@ impl Protocol for TreePNode {
                     from, origin, request_id, range, payload, budget, hops, phase, bus_level, ctx,
                 );
             }
-            TreePMessage::AggregateUp {
-                origin,
-                request_id,
-                query,
-                partial,
-                truncated,
-                final_answer,
-            } => {
-                self.handle_aggregate_up(
-                    from,
-                    origin,
-                    request_id,
-                    query,
-                    partial,
-                    truncated,
-                    final_answer,
-                    ctx,
-                );
-            }
+            TreePMessage::AggregateUp { .. } => self.handle_aggregate_up(from, msg, ctx),
             TreePMessage::MulticastAck { origin, request_id } => {
                 self.handle_multicast_ack(from, origin, request_id);
             }
@@ -612,37 +540,16 @@ impl Protocol for TreePNode {
             TreePMessage::GetVersioned { .. } => self.route_get_versioned(msg, ctx),
             TreePMessage::GetVersionedReply { .. } => self.handle_get_versioned_reply(msg, ctx),
             TreePMessage::PutVersioned { .. } => self.route_put_versioned(msg, ctx),
-            TreePMessage::PutVersionedAck {
-                request_id,
-                key,
-                stamp,
-                stored_at,
-            } => {
-                self.record_put_versioned_ack(request_id, key, stamp, stored_at.addr, now);
-            }
             TreePMessage::ReadRepair {
                 sender,
                 key,
                 stamp,
                 value,
             } => self.handle_read_repair(sender, key, stamp, value, ctx),
-            TreePMessage::ReadVerify {
-                server,
-                key,
-                served_stamp,
-                ttl,
-            } => self.handle_read_verify(server, key, served_stamp, ttl, ctx),
+            TreePMessage::ReadVerify { .. } => self.handle_read_verify(msg, ctx),
             // ---- pub/sub layer -----------------------------------------
             TreePMessage::Subscribe { .. } | TreePMessage::Unsubscribe { .. } => {
                 self.route_subscription(msg, ctx)
-            }
-            TreePMessage::SubscribeAck {
-                request_id,
-                topic,
-                subscribers,
-                stored_at,
-            } => {
-                self.record_subscribe_ack(request_id, topic, subscribers, stored_at, now);
             }
             TreePMessage::FilterReport {
                 child,
@@ -658,14 +565,10 @@ impl Protocol for TreePNode {
             TIMER_KEEPALIVE => self.maintenance_tick(ctx),
             TIMER_ELECTION => self.election_timer_fired(payload, ctx),
             TIMER_DEMOTION => self.demotion_timer_fired(payload, ctx),
-            TIMER_LOOKUP => self.lookup_timer_fired(payload, ctx),
-            TIMER_DHT => self.dht_timer_fired(payload, ctx),
-            TIMER_AGGREGATE => self.aggregate_timer_fired(payload, ctx),
+            TIMER_REQUEST => self.request_timer_fired(payload, ctx),
             TIMER_AGG_RELAY => self.relay_timer_fired(payload, ctx),
             TIMER_REPLICA => self.replication_tick(ctx),
             TIMER_RETX => self.retransmit_timer_fired(payload, ctx),
-            TIMER_READ => self.read_timer_fired(payload, ctx),
-            TIMER_PUBSUB => self.subscribe_timer_fired(payload, ctx),
             _ => {}
         }
     }

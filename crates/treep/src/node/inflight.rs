@@ -1,0 +1,355 @@
+//! In-flight layer: the origin side of every request, and the key descent
+//! that carries most of them.
+//!
+//! Whatever an application asks of a node — a lookup, a put or get, a
+//! versioned read or write, an aggregation, a directory registration — is a
+//! request with one lifecycle: the origin opens it ([`TreePNode::begin`]:
+//! identifier, table entry, deadline), some node answers it
+//! ([`TreePNode::answer`]: over the wire, or on the spot when the answering
+//! node is the origin), and it ends exactly once, as the reply
+//! ([`TreePNode::on_reply`]) or as the [`super::TIMER_REQUEST`] deadline
+//! ([`TreePNode::request_timer_fired`]) — whichever finds the entry first
+//! removes it, and the other finds nothing. The other layers say *what* is
+//! asked and what a responsible node does with it; how a request begins, is
+//! matched to its reply and ends is written here once, as two adjacent
+//! matches over [`Pending`].
+//!
+//! A reply resolves an entry only when their kinds agree. Request
+//! identifiers are one per-node counter shared by every kind, so a stray or
+//! forged reply of another kind can carry the identifier of a live request;
+//! it must find that request untouched.
+//!
+//! The second half is the greedy descent toward a key coordinate that DHT
+//! puts and gets, their versioned counterparts, read-verify probes and
+//! directory registrations all ride: [`TreePNode::key_hop`] decides one step
+//! of it and [`TreePNode::pass_on`] takes it.
+
+use super::*;
+use crate::entry::RoutingEntry;
+use crate::lookup::LookupStatus;
+use crate::multicast::{AggregatePartial, AggregateQuery};
+use crate::routing::RoutingAlgorithm;
+
+/// What an origin keeps about a request it is waiting on: exactly what the
+/// timeout outcome has to name.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Pending {
+    Lookup {
+        target: NodeId,
+        algorithm: RoutingAlgorithm,
+        started_at: SimTime,
+    },
+    /// An unversioned put or get.
+    Dht {
+        key: NodeId,
+    },
+    /// A versioned put or get.
+    Read {
+        key: NodeId,
+    },
+    Aggregate {
+        query: AggregateQuery,
+    },
+    /// The replication layer's digest probe: an aggregation whose answer is
+    /// compared with the fold a healthy replica range gives and never
+    /// reaches the embedder.
+    DigestProbe {
+        xor: u64,
+        count: u64,
+    },
+    /// A directory registration or its removal.
+    Subscribe {
+        topic: NodeId,
+    },
+}
+
+/// One step of the greedy descent toward a key coordinate.
+pub(super) enum KeyHop {
+    /// The hop budget is spent; the origin times out.
+    Drop,
+    /// This peer is strictly closer to the key.
+    Forward(NodeAddr),
+    /// No known peer is closer: this node is responsible for the key.
+    Responsible,
+}
+
+impl TreePNode {
+    /// Number of requests this node has originated and not yet resolved,
+    /// of every kind (including the one replication digest probe it may
+    /// have in flight).
+    pub fn pending_request_count(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Open a request: identifier, table entry and deadline, armed before
+    /// the first message leaves.
+    pub(super) fn begin(
+        &mut self,
+        what: Pending,
+        ctx: &mut Context<'_, TreePMessage>,
+    ) -> RequestId {
+        let request_id = self.fresh_request_id();
+        self.pending.insert(request_id, what);
+        ctx.set_timer(
+            self.config.lookup_timeout,
+            encode_timer(TIMER_REQUEST, request_id.0),
+        );
+        request_id
+    }
+
+    /// Send `reply` on its way to the request's origin — `dest` is the
+    /// origin itself or, for a versioned get, the first caching hop of the
+    /// walk back to it — or hand it straight to [`TreePNode::on_reply`]
+    /// when that is this node.
+    pub(super) fn answer(
+        &mut self,
+        dest: NodeAddr,
+        reply: TreePMessage,
+        ctx: &mut Context<'_, TreePMessage>,
+    ) {
+        if dest == self.addr.expect("node not started") {
+            self.on_reply(reply, ctx.now());
+        } else {
+            self.send(ctx, dest, reply);
+        }
+    }
+
+    /// A reply reached its origin: end the request it answers. A reply
+    /// whose request is gone (answered or timed out already), or is of
+    /// another kind, resolves nothing.
+    pub(super) fn on_reply(&mut self, reply: TreePMessage, now: SimTime) {
+        let Some(request_id) = reply.answers() else {
+            return;
+        };
+        let Some(&pending) = self.pending.get(&request_id) else {
+            return;
+        };
+        match (reply, pending) {
+            (TreePMessage::LookupFound { hops, .. }, Pending::Lookup { .. }) => {
+                return self.complete_lookup(request_id, LookupStatus::Found, hops, now);
+            }
+            (TreePMessage::LookupNotFound { hops, .. }, Pending::Lookup { .. }) => {
+                return self.complete_lookup(request_id, LookupStatus::NotFound, hops, now);
+            }
+            (TreePMessage::DhtPutAck { key, stored_at, .. }, Pending::Dht { .. }) => {
+                self.dht_outcomes.push(DhtOutcome::PutAcked {
+                    request_id,
+                    key,
+                    stored_at,
+                    completed_at: now,
+                });
+            }
+            (
+                TreePMessage::DhtGetReply {
+                    key,
+                    value,
+                    responder,
+                    ..
+                },
+                Pending::Dht { .. },
+            ) => {
+                self.dht_outcomes.push(DhtOutcome::GetAnswered {
+                    request_id,
+                    key,
+                    value,
+                    responder,
+                    completed_at: now,
+                });
+            }
+            (
+                TreePMessage::GetVersionedReply {
+                    key,
+                    value,
+                    source,
+                    hops,
+                    responder,
+                    ..
+                },
+                Pending::Read { .. },
+            ) => {
+                if let Some(sv) = &value {
+                    self.observe_stamp(key, sv.stamp);
+                }
+                self.read_outcomes.push(ReadOutcome::Got {
+                    request_id,
+                    key,
+                    value,
+                    source,
+                    hops,
+                    responder: responder.addr,
+                    completed_at: now,
+                });
+            }
+            (
+                TreePMessage::PutVersionedAck {
+                    key,
+                    stamp,
+                    stored_at,
+                    ..
+                },
+                Pending::Read { .. },
+            ) => {
+                self.observe_stamp(key, stamp);
+                self.read_outcomes.push(ReadOutcome::PutAcked {
+                    request_id,
+                    key,
+                    stamp,
+                    stored_at: stored_at.addr,
+                    completed_at: now,
+                });
+            }
+            (
+                TreePMessage::SubscribeAck {
+                    topic, subscribers, ..
+                },
+                Pending::Subscribe { .. },
+            ) => {
+                self.sub_outcomes.push(SubscribeOutcome::Acked {
+                    request_id,
+                    topic,
+                    subscribers,
+                    completed_at: now,
+                });
+            }
+            (
+                TreePMessage::AggregateUp {
+                    query,
+                    partial,
+                    truncated,
+                    ..
+                },
+                Pending::Aggregate { .. },
+            ) => {
+                self.aggregate_outcomes.push(AggregateOutcome::Completed {
+                    request_id,
+                    query,
+                    partial,
+                    truncated,
+                    completed_at: now,
+                });
+            }
+            (
+                TreePMessage::AggregateUp {
+                    partial, truncated, ..
+                },
+                Pending::DigestProbe { xor, count },
+            ) => {
+                self.digest_probe_ended(
+                    !truncated && partial == AggregatePartial::Digest { xor, count },
+                );
+            }
+            _ => return,
+        }
+        self.pending.remove(&request_id);
+    }
+
+    /// The deadline of a request passed: end it as a timeout, unless its
+    /// reply got there first.
+    pub(super) fn request_timer_fired(
+        &mut self,
+        payload: u64,
+        ctx: &mut Context<'_, TreePMessage>,
+    ) {
+        let request_id = RequestId(payload);
+        let completed_at = ctx.now();
+        let Some(&pending) = self.pending.get(&request_id) else {
+            return;
+        };
+        match pending {
+            Pending::Lookup { .. } => {
+                return self.complete_lookup(request_id, LookupStatus::TimedOut, 0, completed_at);
+            }
+            Pending::Dht { key } => self.dht_outcomes.push(DhtOutcome::TimedOut {
+                request_id,
+                key,
+                completed_at,
+            }),
+            Pending::Read { key } => self.read_outcomes.push(ReadOutcome::TimedOut {
+                request_id,
+                key,
+                completed_at,
+            }),
+            Pending::Aggregate { query } => {
+                self.aggregate_outcomes.push(AggregateOutcome::TimedOut {
+                    request_id,
+                    query,
+                    completed_at,
+                })
+            }
+            Pending::DigestProbe { .. } => self.digest_probe_ended(false),
+            Pending::Subscribe { topic } => self.sub_outcomes.push(SubscribeOutcome::TimedOut {
+                request_id,
+                topic,
+                completed_at,
+            }),
+        }
+        self.pending.remove(&request_id);
+    }
+
+    /// End a pending lookup with `status`: the one [`LookupOutcome`]
+    /// constructor, shared by the reply, the deadline and the origin that
+    /// resolves its own lookup without a hop.
+    pub(super) fn complete_lookup(
+        &mut self,
+        request_id: RequestId,
+        status: LookupStatus,
+        hops: u32,
+        now: SimTime,
+    ) {
+        if let Some(&Pending::Lookup {
+            target,
+            algorithm,
+            started_at,
+        }) = self.pending.get(&request_id)
+        {
+            self.pending.remove(&request_id);
+            self.lookup_outcomes.push(LookupOutcome {
+                request_id,
+                target,
+                algorithm,
+                status,
+                hops,
+                started_at,
+                completed_at: now,
+            });
+        }
+    }
+
+    // ---- the key descent -------------------------------------------------------
+
+    /// The peer strictly closer (Euclidean) to `key` than this node, if any:
+    /// an ordered neighbour probe on the registry, not a scan.
+    fn closer_peer_to(&self, key: NodeId) -> Option<&RoutingEntry> {
+        let self_addr = self.addr.expect("node not started");
+        let own = self.dist.euclidean(self.id, key);
+        self.tables
+            .closest_peer(self.config.space, key, self_addr)
+            .filter(|p| self.dist.euclidean(p.id, key) < own)
+    }
+
+    /// Decide this node's step of `msg`'s descent toward its key. `msg`
+    /// must be one of the key-routed kinds.
+    pub(super) fn key_hop(&self, msg: &mut TreePMessage) -> KeyHop {
+        let (key, ttl) = msg.key_route_mut().expect("a key-routed message");
+        if *ttl >= self.config.max_ttl {
+            return KeyHop::Drop;
+        }
+        match self.closer_peer_to(key) {
+            Some(next) => KeyHop::Forward(next.addr),
+            None => KeyHop::Responsible,
+        }
+    }
+
+    /// Take the step [`TreePNode::key_hop`] decided: one hop further from
+    /// the origin, one closer to the key.
+    pub(super) fn pass_on(
+        &mut self,
+        next: NodeAddr,
+        mut msg: TreePMessage,
+        ctx: &mut Context<'_, TreePMessage>,
+    ) {
+        let (_, ttl) = msg.key_route_mut().expect("a key-routed message");
+        *ttl += 1;
+        self.send(ctx, next, msg);
+    }
+}

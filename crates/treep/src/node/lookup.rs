@@ -4,13 +4,13 @@
 //! [`TreePMessage::Lookup`] requests (routed by the three Section III.f
 //! algorithms via [`crate::routing::route`]), their answers, and the DHT
 //! put/get requests that ride the same greedy routing toward a key's
-//! coordinate. The [`super::TIMER_LOOKUP`] and [`super::TIMER_DHT`]
-//! timeouts that resolve abandoned requests at the origin are owned here.
+//! coordinate. How a request is opened, answered and ended at its origin,
+//! and the key descent itself, are the `inflight` layer's.
 
+use super::inflight::{KeyHop, Pending};
 use super::*;
-use crate::dht::PendingDht;
 use crate::id::hash_key;
-use crate::lookup::{LookupRequest, LookupStatus, PendingLookup};
+use crate::lookup::{LookupRequest, LookupStatus};
 use crate::routing::{route, RouteDecision, RoutingAlgorithm};
 
 impl TreePNode {
@@ -24,19 +24,14 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
         ctx.start_trace("lookup");
-        let request_id = self.fresh_request_id();
         self.stats.lookups_initiated += 1;
-        self.pending_lookups.insert(
-            request_id,
-            PendingLookup {
+        let request_id = self.begin(
+            Pending::Lookup {
                 target,
                 algorithm,
                 started_at: ctx.now(),
             },
-        );
-        ctx.set_timer(
-            self.config.lookup_timeout,
-            encode_timer(TIMER_LOOKUP, request_id.0),
+            ctx,
         );
 
         let mut req = LookupRequest::new(request_id, self.peer_info(), target, algorithm);
@@ -70,18 +65,7 @@ impl TreePNode {
     ) -> RequestId {
         ctx.start_trace("dht_put");
         let coord = hash_key(self.config.space, key);
-        let request_id = self.fresh_request_id();
-        self.pending_dht.insert(
-            request_id,
-            PendingDht {
-                key: coord,
-                started_at: ctx.now(),
-            },
-        );
-        ctx.set_timer(
-            self.config.lookup_timeout,
-            encode_timer(TIMER_DHT, request_id.0),
-        );
+        let request_id = self.begin(Pending::Dht { key: coord }, ctx);
         let msg = TreePMessage::DhtPut {
             request_id,
             origin: self.peer_info(),
@@ -97,18 +81,7 @@ impl TreePNode {
     pub fn dht_get(&mut self, key: &[u8], ctx: &mut Context<'_, TreePMessage>) -> RequestId {
         ctx.start_trace("dht_get");
         let coord = hash_key(self.config.space, key);
-        let request_id = self.fresh_request_id();
-        self.pending_dht.insert(
-            request_id,
-            PendingDht {
-                key: coord,
-                started_at: ctx.now(),
-            },
-        );
-        ctx.set_timer(
-            self.config.lookup_timeout,
-            encode_timer(TIMER_DHT, request_id.0),
-        );
+        let request_id = self.begin(Pending::Dht { key: coord }, ctx);
         let msg = TreePMessage::DhtGet {
             request_id,
             origin: self.peer_info(),
@@ -121,32 +94,11 @@ impl TreePNode {
 
     // ---- lookup internals ------------------------------------------------------
 
-    pub(super) fn complete_lookup(
-        &mut self,
-        request_id: RequestId,
-        status: LookupStatus,
-        hops: u32,
-        now: SimTime,
-    ) {
-        if let Some(pending) = self.pending_lookups.remove(&request_id) {
-            self.lookup_outcomes.push(LookupOutcome {
-                request_id,
-                target: pending.target,
-                algorithm: pending.algorithm,
-                status,
-                hops,
-                started_at: pending.started_at,
-                completed_at: now,
-            });
-        }
-    }
-
     pub(super) fn handle_lookup(
         &mut self,
         mut req: LookupRequest,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let now = ctx.now();
         let me = self.peer_info();
         self.stats.lookups_forwarded += 1;
 
@@ -160,11 +112,7 @@ impl TreePNode {
                 hops: req.hops(),
                 algorithm: req.algorithm,
             };
-            if req.origin.addr == me.addr {
-                self.complete_lookup(req.request_id, LookupStatus::Found, req.hops(), now);
-            } else {
-                self.send(ctx, req.origin.addr, answer);
-            }
+            self.answer(req.origin.addr, answer, ctx);
             return;
         }
 
@@ -179,11 +127,7 @@ impl TreePNode {
                     hops: req.hops(),
                     algorithm: req.algorithm,
                 };
-                if req.origin.addr == me.addr {
-                    self.complete_lookup(req.request_id, LookupStatus::Found, req.hops(), now);
-                } else {
-                    self.send(ctx, req.origin.addr, answer);
-                }
+                self.answer(req.origin.addr, answer, ctx);
             }
             RouteDecision::Forward(next) => {
                 req.advance(me.addr);
@@ -197,11 +141,7 @@ impl TreePNode {
                     hops: req.hops(),
                     algorithm: req.algorithm,
                 };
-                if req.origin.addr == me.addr {
-                    self.complete_lookup(req.request_id, LookupStatus::NotFound, req.hops(), now);
-                } else {
-                    self.send(ctx, req.origin.addr, answer);
-                }
+                self.answer(req.origin.addr, answer, ctx);
             }
             RouteDecision::Drop => {
                 self.stats.lookups_ttl_dropped += 1;
@@ -211,43 +151,16 @@ impl TreePNode {
 
     // ---- DHT internals ---------------------------------------------------------
 
-    /// The peer strictly closer (Euclidean) to `key` than this node, if any:
-    /// an ordered neighbour probe on the registry, not a scan. Shared with
-    /// the read-path layer, whose versioned requests ride the same descent.
-    pub(super) fn closer_peer_to(&self, key: NodeId) -> Option<crate::entry::RoutingEntry> {
-        let self_addr = self.addr.expect("node not started");
-        let own = self.dist.euclidean(self.id, key);
-        self.tables
-            .closest_peer(self.config.space, key, self_addr)
-            .filter(|p| self.dist.euclidean(p.id, key) < own)
-            .copied()
-    }
-
-    pub(super) fn route_dht(&mut self, msg: TreePMessage, ctx: &mut Context<'_, TreePMessage>) {
-        let (key, ttl) = match &msg {
-            TreePMessage::DhtPut { key, ttl, .. } | TreePMessage::DhtGet { key, ttl, .. } => {
-                (*key, *ttl)
-            }
-            _ => unreachable!("route_dht only handles DHT requests"),
-        };
-        if ttl >= self.config.max_ttl {
-            return; // dropped; the origin times out
-        }
-        match self.closer_peer_to(key) {
-            Some(next) => {
-                let forwarded = bump_dht_ttl(msg);
-                self.send(ctx, next.addr, forwarded);
-            }
-            None => {
-                // This node is responsible for the key.
-                self.answer_dht_locally(msg, ctx);
-            }
+    pub(super) fn route_dht(&mut self, mut msg: TreePMessage, ctx: &mut Context<'_, TreePMessage>) {
+        match self.key_hop(&mut msg) {
+            KeyHop::Drop => {} // the origin times out
+            KeyHop::Forward(next) => self.pass_on(next, msg, ctx),
+            KeyHop::Responsible => self.answer_dht_locally(msg, ctx),
         }
     }
 
     fn answer_dht_locally(&mut self, msg: TreePMessage, ctx: &mut Context<'_, TreePMessage>) {
         let me = self.peer_info();
-        let self_addr = me.addr;
         match msg {
             TreePMessage::DhtPut {
                 request_id,
@@ -266,11 +179,7 @@ impl TreePNode {
                     key,
                     stored_at: me,
                 };
-                if origin.addr == self_addr {
-                    self.record_dht_ack(request_id, key, me, ctx.now());
-                } else {
-                    self.send(ctx, origin.addr, ack);
-                }
+                self.answer(origin.addr, ack, ctx);
             }
             TreePMessage::DhtGet {
                 request_id,
@@ -278,106 +187,15 @@ impl TreePNode {
                 key,
                 ..
             } => {
-                let value = self.store.get(key).cloned();
-                if origin.addr == self_addr {
-                    self.record_dht_answer(request_id, key, value, me, ctx.now());
-                } else {
-                    let reply = TreePMessage::DhtGetReply {
-                        request_id,
-                        key,
-                        value,
-                        responder: me,
-                    };
-                    self.send(ctx, origin.addr, reply);
-                }
+                let reply = TreePMessage::DhtGetReply {
+                    request_id,
+                    key,
+                    value: self.store.get(key).cloned(),
+                    responder: me,
+                };
+                self.answer(origin.addr, reply, ctx);
             }
             _ => unreachable!("answer_dht_locally only handles DHT requests"),
         }
-    }
-
-    pub(super) fn record_dht_ack(
-        &mut self,
-        request_id: RequestId,
-        key: NodeId,
-        stored_at: PeerInfo,
-        now: SimTime,
-    ) {
-        if self.pending_dht.remove(&request_id).is_some() {
-            self.dht_outcomes.push(DhtOutcome::PutAcked {
-                request_id,
-                key,
-                stored_at,
-                completed_at: now,
-            });
-        }
-    }
-
-    pub(super) fn record_dht_answer(
-        &mut self,
-        request_id: RequestId,
-        key: NodeId,
-        value: Option<Vec<u8>>,
-        responder: PeerInfo,
-        now: SimTime,
-    ) {
-        if self.pending_dht.remove(&request_id).is_some() {
-            self.dht_outcomes.push(DhtOutcome::GetAnswered {
-                request_id,
-                key,
-                value,
-                responder,
-                completed_at: now,
-            });
-        }
-    }
-
-    // ---- timers ----------------------------------------------------------------
-
-    pub(super) fn lookup_timer_fired(&mut self, payload: u64, ctx: &mut Context<'_, TreePMessage>) {
-        let request_id = RequestId(payload);
-        if self.pending_lookups.contains_key(&request_id) {
-            self.complete_lookup(request_id, LookupStatus::TimedOut, 0, ctx.now());
-        }
-    }
-
-    pub(super) fn dht_timer_fired(&mut self, payload: u64, ctx: &mut Context<'_, TreePMessage>) {
-        let request_id = RequestId(payload);
-        if let Some(pending) = self.pending_dht.remove(&request_id) {
-            self.dht_outcomes.push(DhtOutcome::TimedOut {
-                request_id,
-                key: pending.key,
-                completed_at: ctx.now(),
-            });
-        }
-    }
-}
-
-fn bump_dht_ttl(msg: TreePMessage) -> TreePMessage {
-    match msg {
-        TreePMessage::DhtPut {
-            request_id,
-            origin,
-            key,
-            value,
-            ttl,
-        } => TreePMessage::DhtPut {
-            request_id,
-            origin,
-            key,
-            value,
-            ttl: ttl + 1,
-        },
-        TreePMessage::DhtGet {
-            request_id,
-            origin,
-            key,
-            ttl,
-        } => TreePMessage::DhtGet {
-            request_id,
-            origin,
-            key,
-            ttl: ttl + 1,
-        },
-        other => other,
     }
 }

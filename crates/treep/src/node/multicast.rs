@@ -11,9 +11,9 @@
 //! tessellation-radius estimate. Aggregation queries ride the same descent
 //! and convergecast back up with per-hop combining
 //! ([`TreePMessage::AggregateUp`]); this layer owns the
-//! [`super::TIMER_AGGREGATE`] origin timeout and the
 //! [`super::TIMER_AGG_RELAY`] per-relay hold timer that folds up truncated
-//! branches.
+//! branches, while the origin's wait for the final fold is a request of the
+//! `inflight` layer like any other.
 //!
 //! # Reliability layer (`max_retransmits > 0`)
 //!
@@ -65,6 +65,7 @@
 //! no timers armed, no entries queued — the wire traffic is byte-identical
 //! to the unacknowledged protocol.
 
+use super::inflight::Pending;
 use super::*;
 use crate::multicast::{
     AggregatePartial, AggregateQuery, MulticastPayload, MulticastPhase, PendingRetx, ReplyTo,
@@ -132,21 +133,22 @@ impl TreePNode {
         query: AggregateQuery,
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
+        self.start_aggregate_as(Pending::Aggregate { query }, range, query, ctx)
+    }
+
+    /// [`TreePNode::start_aggregate`] under a caller-chosen in-flight entry:
+    /// the replication layer's digest probe is the same aggregation whose
+    /// answer ends somewhere else.
+    pub(super) fn start_aggregate_as(
+        &mut self,
+        what: Pending,
+        range: KeyRange,
+        query: AggregateQuery,
+        ctx: &mut Context<'_, TreePMessage>,
+    ) -> RequestId {
         ctx.start_trace("aggregate");
-        let request_id = self.fresh_request_id();
         self.stats.aggregates_initiated += 1;
-        self.pending_aggregates.insert(
-            request_id,
-            PendingAggregate {
-                query,
-                range,
-                started_at: ctx.now(),
-            },
-        );
-        ctx.set_timer(
-            self.config.lookup_timeout,
-            encode_timer(TIMER_AGGREGATE, request_id.0),
-        );
+        let request_id = self.begin(what, ctx);
         let me = self.peer_info();
         self.dispatch_multicast(
             me.addr,
@@ -579,93 +581,51 @@ impl TreePNode {
         // surface it exactly like a lossy convergecast, so the origin never
         // mistakes a capped range query for an exhaustive one.
         let truncated = truncated || acc.keys_at_capacity();
-        match reply_to {
-            ReplyTo::SelfOrigin => {
-                self.record_aggregate_outcome(request_id, query, acc, truncated, ctx.now())
-            }
-            ReplyTo::Origin(addr) => {
-                let msg = TreePMessage::AggregateUp {
-                    origin,
-                    request_id,
-                    query,
-                    partial: acc,
-                    truncated,
-                    final_answer: true,
-                };
-                self.send_reliable(
-                    addr,
-                    Some(origin.id),
-                    RetxKind::Up,
-                    origin.addr,
-                    request_id,
-                    msg,
-                    false,
-                    ctx,
-                );
-            }
-            ReplyTo::Upstream(addr) => {
-                let msg = TreePMessage::AggregateUp {
-                    origin,
-                    request_id,
-                    query,
-                    partial: acc,
-                    truncated,
-                    final_answer: false,
-                };
-                // The delegator's overlay id is not tracked through the
-                // relay; a dead upstream is abandoned (its own hold timer
-                // marks the branch truncated), so no id is needed.
-                self.send_reliable(
-                    addr,
-                    None,
-                    RetxKind::Up,
-                    origin.addr,
-                    request_id,
-                    msg,
-                    false,
-                    ctx,
-                );
-            }
-        }
+        let msg = TreePMessage::AggregateUp {
+            origin,
+            request_id,
+            query,
+            partial: acc,
+            truncated,
+            final_answer: !matches!(reply_to, ReplyTo::Upstream(_)),
+        };
+        let (dest, dest_id) = match reply_to {
+            ReplyTo::SelfOrigin => return self.on_reply(msg, ctx.now()),
+            ReplyTo::Origin(addr) => (addr, Some(origin.id)),
+            // The delegator's overlay id is not tracked through the relay;
+            // a dead upstream is abandoned (its own hold timer marks the
+            // branch truncated), so no id is needed.
+            ReplyTo::Upstream(addr) => (addr, None),
+        };
+        self.send_reliable(
+            dest,
+            dest_id,
+            RetxKind::Up,
+            origin.addr,
+            request_id,
+            msg,
+            false,
+            ctx,
+        );
     }
 
-    fn record_aggregate_outcome(
-        &mut self,
-        request_id: RequestId,
-        query: AggregateQuery,
-        partial: AggregatePartial,
-        truncated: bool,
-        now: SimTime,
-    ) {
-        if self.pending_aggregates.remove(&request_id).is_some() {
-            let outcome = AggregateOutcome::Completed {
-                request_id,
-                query,
-                partial,
-                truncated,
-                completed_at: now,
-            };
-            // Replication digest probes are internal: the replication layer
-            // consumes them instead of the embedder's outcome queue.
-            if self.intercept_replica_digest(&outcome) {
-                return;
-            }
-            self.aggregate_outcomes.push(outcome);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_aggregate_up(
         &mut self,
         from: NodeAddr,
-        origin: PeerInfo,
-        request_id: RequestId,
-        query: AggregateQuery,
-        partial: AggregatePartial,
-        truncated: bool,
-        final_answer: bool,
+        msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
+        let TreePMessage::AggregateUp {
+            origin,
+            request_id,
+            ref partial,
+            truncated,
+            final_answer,
+            ..
+        } = msg
+        else {
+            unreachable!("handle_aggregate_up only handles AggregateUp")
+        };
         // Reliability: ack the fold on receipt, then suppress retransmitted
         // copies — a partial folded twice would corrupt the relay's
         // accumulator and expected-count, breaking the exactly-once fold.
@@ -687,7 +647,7 @@ impl TreePNode {
         // origin can simultaneously be a relay of its own aggregation).
         if final_answer {
             if origin.addr == self.addr.expect("node not started") {
-                self.record_aggregate_outcome(request_id, query, partial, truncated, ctx.now());
+                self.on_reply(msg, ctx.now());
             }
             return;
         }
@@ -700,7 +660,7 @@ impl TreePNode {
         if let Some(round) = matching {
             let done = {
                 let relay = self.relays.get_mut(&round).expect("found above");
-                relay.acc.combine(&partial);
+                relay.acc.combine(partial);
                 relay.truncated |= truncated;
                 relay.expected = relay.expected.saturating_sub(1);
                 self.stats.aggregate_partials_folded += 1;
@@ -724,25 +684,6 @@ impl TreePNode {
     }
 
     // ---- timers ----------------------------------------------------------------
-
-    pub(super) fn aggregate_timer_fired(
-        &mut self,
-        payload: u64,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) {
-        let request_id = RequestId(payload);
-        if let Some(pending) = self.pending_aggregates.remove(&request_id) {
-            let outcome = AggregateOutcome::TimedOut {
-                request_id,
-                query: pending.query,
-                completed_at: ctx.now(),
-            };
-            if self.intercept_replica_digest(&outcome) {
-                return;
-            }
-            self.aggregate_outcomes.push(outcome);
-        }
-    }
 
     pub(super) fn relay_timer_fired(&mut self, payload: u64, ctx: &mut Context<'_, TreePMessage>) {
         // A delegated branch never reported: fold up whatever arrived so the

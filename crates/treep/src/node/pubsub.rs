@@ -23,13 +23,13 @@
 //!   event-driven on every change (local subscribe/unsubscribe, a child's
 //!   report changing the union) and periodically from the maintenance tick
 //!   next to the `ChildReport` span, bounding the propagation of a new
-//!   subscription to one tree ascent. This layer also owns the
-//!   [`super::TIMER_PUBSUB`] registration timeout.
+//!   subscription to one tree ascent.
 //!
 //! Everything here is inert while `pubsub_enabled` is off: the handlers
 //! ignore stray pub/sub messages, no filter state is kept and no timers are
 //! armed, keeping the off-mode wire byte-identical.
 
+use super::inflight::{KeyHop, Pending};
 use super::*;
 use crate::multicast::{AggregateQuery, MulticastPayload, MulticastPhase};
 use crate::pubsub::{decode_subscriber_set, encode_subscriber_set};
@@ -60,6 +60,7 @@ impl TreePNode {
         topic: NodeId,
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
+        ctx.start_trace("unsubscribe");
         self.local_topics.remove(&topic);
         self.filters_changed(ctx);
         self.send_subscription(topic, false, ctx)
@@ -71,18 +72,7 @@ impl TreePNode {
         subscribe: bool,
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
-        let request_id = self.fresh_request_id();
-        self.pending_subs.insert(
-            request_id,
-            crate::pubsub::PendingSubscribe {
-                topic,
-                started_at: ctx.now(),
-            },
-        );
-        ctx.set_timer(
-            self.config.subscribe_timeout,
-            encode_timer(TIMER_PUBSUB, request_id.0),
-        );
+        let request_id = self.begin(Pending::Subscribe { topic }, ctx);
         let origin = self.peer_info();
         let msg = if subscribe {
             TreePMessage::Subscribe {
@@ -156,47 +146,16 @@ impl TreePNode {
     /// apply it here when no peer is closer (this node is responsible).
     pub(super) fn route_subscription(
         &mut self,
-        msg: TreePMessage,
+        mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let (topic, ttl) = match &msg {
-            TreePMessage::Subscribe { topic, ttl, .. }
-            | TreePMessage::Unsubscribe { topic, ttl, .. } => (*topic, *ttl),
-            _ => unreachable!("route_subscription only handles subscription requests"),
-        };
-        if !self.config.pubsub_enabled || ttl >= self.config.max_ttl {
+        if !self.config.pubsub_enabled {
             return; // dropped; the origin times out
         }
-        match self.closer_peer_to(topic) {
-            Some(next) => {
-                let forwarded = match msg {
-                    TreePMessage::Subscribe {
-                        request_id,
-                        origin,
-                        topic,
-                        ttl,
-                    } => TreePMessage::Subscribe {
-                        request_id,
-                        origin,
-                        topic,
-                        ttl: ttl + 1,
-                    },
-                    TreePMessage::Unsubscribe {
-                        request_id,
-                        origin,
-                        topic,
-                        ttl,
-                    } => TreePMessage::Unsubscribe {
-                        request_id,
-                        origin,
-                        topic,
-                        ttl: ttl + 1,
-                    },
-                    other => other,
-                };
-                self.send(ctx, next.addr, forwarded);
-            }
-            None => self.apply_subscription_locally(msg, ctx),
+        match self.key_hop(&mut msg) {
+            KeyHop::Drop => {} // the origin times out
+            KeyHop::Forward(next) => self.pass_on(next, msg, ctx),
+            KeyHop::Responsible => self.apply_subscription_locally(msg, ctx),
         }
     }
 
@@ -207,7 +166,6 @@ impl TreePNode {
         msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let me = self.peer_info();
         let (request_id, origin, topic, subscribe) = match msg {
             TreePMessage::Subscribe {
                 request_id,
@@ -241,38 +199,13 @@ impl TreePNode {
         self.push_replicas(topic, &value, ctx);
         self.store.put(topic, value);
         self.stats.dht_values_stored = self.store.len() as u64;
-        if origin.addr == me.addr {
-            self.record_subscribe_ack(request_id, topic, subscribers, me, ctx.now());
-        } else {
-            self.send(
-                ctx,
-                origin.addr,
-                TreePMessage::SubscribeAck {
-                    request_id,
-                    topic,
-                    subscribers,
-                    stored_at: me,
-                },
-            );
-        }
-    }
-
-    pub(super) fn record_subscribe_ack(
-        &mut self,
-        request_id: RequestId,
-        topic: NodeId,
-        subscribers: u32,
-        _stored_at: PeerInfo,
-        now: SimTime,
-    ) {
-        if self.pending_subs.remove(&request_id).is_some() {
-            self.sub_outcomes.push(SubscribeOutcome::Acked {
-                request_id,
-                topic,
-                subscribers,
-                completed_at: now,
-            });
-        }
+        let ack = TreePMessage::SubscribeAck {
+            request_id,
+            topic,
+            subscribers,
+            stored_at: self.peer_info(),
+        };
+        self.answer(origin.addr, ack, ctx);
     }
 
     /// The subscriber set recorded in this node's store for `topic`, when
@@ -364,23 +297,6 @@ impl TreePNode {
         };
         if self.tables.record_child_filter(child.id, filter) {
             self.filters_changed(ctx);
-        }
-    }
-
-    // ---- timers ----------------------------------------------------------------
-
-    pub(super) fn subscribe_timer_fired(
-        &mut self,
-        payload: u64,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) {
-        let request_id = RequestId(payload);
-        if let Some(pending) = self.pending_subs.remove(&request_id) {
-            self.sub_outcomes.push(SubscribeOutcome::TimedOut {
-                request_id,
-                topic: pending.topic,
-                completed_at: ctx.now(),
-            });
         }
     }
 }

@@ -9,7 +9,7 @@
 //! * [`TreePNode::dht_put_versioned`] / [`TreePNode::dht_get_versioned`]
 //!   originate stamped requests; outcomes land in the queue drained by
 //!   [`TreePNode::drain_read_outcomes`], resolved by an answer or the
-//!   [`super::TIMER_READ`] timeout.
+//!   request deadline (the `inflight` layer).
 //! * Every hop of a `GetVersioned` tries, in order: its hot-key cache, its
 //!   replica store (`replica_reads`), then forwards toward the key; the
 //!   node with no closer peer answers from its authoritative store. A
@@ -21,9 +21,10 @@
 //!   configuration (empty path) gets a direct reply and identical wire
 //!   behaviour.
 
+use super::inflight::{KeyHop, Pending};
 use super::*;
 use crate::id::hash_key;
-use crate::readpath::{PendingRead, ReadOutcome, ReadSource, StampedValue, VersionStamp};
+use crate::readpath::{ReadSource, StampedValue, VersionStamp};
 
 impl TreePNode {
     /// Store `value` in the DHT under an application key with a fresh
@@ -39,19 +40,7 @@ impl TreePNode {
         let coord = hash_key(self.config.space, key);
         let stamp = VersionStamp::next(self.observed.get(&coord).copied(), self.id);
         self.observe_stamp(coord, stamp);
-        let request_id = self.fresh_request_id();
-        self.pending_reads.insert(
-            request_id,
-            PendingRead {
-                key: coord,
-                is_put: true,
-                started_at: ctx.now(),
-            },
-        );
-        ctx.set_timer(
-            self.config.lookup_timeout,
-            encode_timer(TIMER_READ, request_id.0),
-        );
+        let request_id = self.begin(Pending::Read { key: coord }, ctx);
         let msg = TreePMessage::PutVersioned {
             request_id,
             origin: self.peer_info(),
@@ -74,19 +63,7 @@ impl TreePNode {
     ) -> RequestId {
         ctx.start_trace("get_versioned");
         let coord = hash_key(self.config.space, key);
-        let request_id = self.fresh_request_id();
-        self.pending_reads.insert(
-            request_id,
-            PendingRead {
-                key: coord,
-                is_put: false,
-                started_at: ctx.now(),
-            },
-        );
-        ctx.set_timer(
-            self.config.lookup_timeout,
-            encode_timer(TIMER_READ, request_id.0),
-        );
+        let request_id = self.begin(Pending::Read { key: coord }, ctx);
         let msg = TreePMessage::GetVersioned {
             request_id,
             origin: self.peer_info(),
@@ -124,7 +101,7 @@ impl TreePNode {
 
     /// Merge `stamp` into the highest-observed table (monotonic-reads
     /// bookkeeping at the origin).
-    fn observe_stamp(&mut self, key: NodeId, stamp: VersionStamp) {
+    pub(super) fn observe_stamp(&mut self, key: NodeId, stamp: VersionStamp) {
         let slot = self.observed.entry(key).or_insert(stamp);
         if stamp > *slot {
             *slot = stamp;
@@ -158,178 +135,115 @@ impl TreePNode {
 
     pub(super) fn route_get_versioned(
         &mut self,
-        msg: TreePMessage,
+        mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
+        let hop = self.key_hop(&mut msg);
         let TreePMessage::GetVersioned {
-            request_id,
-            origin,
             key,
             ttl,
             min_stamp,
-            mut path,
+            ref mut path,
+            ..
         } = msg
         else {
             unreachable!("route_get_versioned only handles GetVersioned")
         };
-        if ttl >= self.config.max_ttl {
-            return; // dropped; the origin times out
-        }
         let now = ctx.now();
         let satisfies = |stamp: VersionStamp| min_stamp.is_none_or(|m| stamp >= m);
-        match self.closer_peer_to(key) {
-            None => {
-                // Responsible node: the store is authoritative here, so the
-                // cache (which could lag it) is not consulted.
+        let next = match hop {
+            KeyHop::Drop => return, // the origin times out
+            KeyHop::Forward(next) => next,
+            KeyHop::Responsible => {
+                // The store is authoritative here, so the cache (which
+                // could lag it) is not consulted.
                 let value = self.stored_value(key);
-                self.serve_read(
-                    request_id,
-                    origin,
-                    key,
-                    value,
-                    ReadSource::Responsible,
-                    ttl,
-                    path,
-                    ctx,
-                );
+                return self.serve_read(msg, value, ReadSource::Responsible, ctx);
             }
-            Some(next) => {
-                if let Some((stamp, value)) = self.cache.get(key, now) {
-                    if satisfies(stamp) {
-                        let value = value.clone();
-                        self.stats.cache_hits += 1;
-                        ctx.trace_note("cache_hit");
-                        self.serve_read(
-                            request_id,
-                            origin,
-                            key,
-                            Some(StampedValue { stamp, value }),
-                            ReadSource::Cache,
-                            ttl,
-                            path,
-                            ctx,
-                        );
-                        return;
-                    }
-                }
-                if self.config.replica_reads {
-                    if let Some(sv) = self.stored_value(key) {
-                        if satisfies(sv.stamp) {
-                            self.stats.replica_served_gets += 1;
-                            ctx.trace_note("replica_serve");
-                            let served_stamp = sv.stamp;
-                            self.serve_read(
-                                request_id,
-                                origin,
-                                key,
-                                Some(sv),
-                                ReadSource::Replica,
-                                ttl,
-                                path,
-                                ctx,
-                            );
-                            if self.config.read_repair {
-                                let me = self.peer_info();
-                                self.send(
-                                    ctx,
-                                    next.addr,
-                                    TreePMessage::ReadVerify {
-                                        server: me,
-                                        key,
-                                        served_stamp,
-                                        ttl: ttl + 1,
-                                    },
-                                );
-                            }
-                            return;
-                        }
-                    }
-                }
-                // Miss: record this hop on the caching path (only if it can
-                // actually cache) and forward toward the key.
-                if self.config.cache_capacity > 0 {
-                    path.push(self.addr.expect("node not started"));
-                }
-                self.send(
-                    ctx,
-                    next.addr,
-                    TreePMessage::GetVersioned {
-                        request_id,
-                        origin,
-                        key,
-                        ttl: ttl + 1,
-                        min_stamp,
-                        path,
-                    },
-                );
+        };
+        if let Some((stamp, value)) = self.cache.get(key, now) {
+            if satisfies(stamp) {
+                let value = Some(StampedValue {
+                    stamp,
+                    value: value.clone(),
+                });
+                self.stats.cache_hits += 1;
+                ctx.trace_note("cache_hit");
+                return self.serve_read(msg, value, ReadSource::Cache, ctx);
             }
         }
+        if self.config.replica_reads {
+            if let Some(sv) = self.stored_value(key) {
+                if satisfies(sv.stamp) {
+                    self.stats.replica_served_gets += 1;
+                    ctx.trace_note("replica_serve");
+                    let served_stamp = sv.stamp;
+                    self.serve_read(msg, Some(sv), ReadSource::Replica, ctx);
+                    if self.config.read_repair {
+                        let verify = TreePMessage::ReadVerify {
+                            server: self.peer_info(),
+                            key,
+                            served_stamp,
+                            ttl,
+                        };
+                        self.pass_on(next, verify, ctx);
+                    }
+                    return;
+                }
+            }
+        }
+        // Miss: record this hop on the caching path (only if it can
+        // actually cache) and forward toward the key.
+        if self.config.cache_capacity > 0 {
+            path.push(self.addr.expect("node not started"));
+        }
+        self.pass_on(next, msg, ctx);
     }
 
     pub(super) fn route_put_versioned(
         &mut self,
-        msg: TreePMessage,
+        mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
+        let hop = self.key_hop(&mut msg);
         let TreePMessage::PutVersioned {
             request_id,
             origin,
             key,
             stamp,
-            value,
-            ttl,
+            ref value,
+            ..
         } = msg
         else {
             unreachable!("route_put_versioned only handles PutVersioned")
         };
-        if ttl >= self.config.max_ttl {
-            return; // dropped; the origin times out
-        }
-        match self.closer_peer_to(key) {
-            Some(next) => {
+        match hop {
+            KeyHop::Drop => {} // the origin times out
+            KeyHop::Forward(next) => {
                 // Write-through: a forwarding hop that caches this key must
                 // refresh its line now, or a get served here between the
                 // pass-through and the line's expiry would return the
                 // pre-write version (`repair` never grants new slots, so
                 // uncached hops stay untouched).
                 if self.config.cache_capacity > 0 {
-                    self.cache.repair(key, stamp, &value, ctx.now());
+                    self.cache.repair(key, stamp, value, ctx.now());
                 }
-                self.send(
-                    ctx,
-                    next.addr,
-                    TreePMessage::PutVersioned {
-                        request_id,
-                        origin,
-                        key,
-                        stamp,
-                        value,
-                        ttl: ttl + 1,
-                    },
-                );
+                self.pass_on(next, msg, ctx);
             }
-            None => {
-                // Responsible node: apply last-write-wins, place stamped
-                // replica copies, and acknowledge either way (a losing
-                // write is still durably resolved).
-                if self.store_stamped(key, stamp, &value, ctx.now()) {
-                    self.push_stamped_replicas(key, stamp, &value, ctx);
+            KeyHop::Responsible => {
+                // Apply last-write-wins, place stamped replica copies, and
+                // acknowledge either way (a losing write is still durably
+                // resolved).
+                if self.store_stamped(key, stamp, value, ctx.now()) {
+                    self.push_stamped_replicas(key, stamp, value, ctx);
                 }
-                let me = self.peer_info();
-                if origin.addr == me.addr {
-                    self.record_put_versioned_ack(request_id, key, stamp, me.addr, ctx.now());
-                } else {
-                    self.send(
-                        ctx,
-                        origin.addr,
-                        TreePMessage::PutVersionedAck {
-                            request_id,
-                            key,
-                            stamp,
-                            stored_at: me,
-                        },
-                    );
-                }
+                let ack = TreePMessage::PutVersionedAck {
+                    request_id,
+                    key,
+                    stamp,
+                    stored_at: self.peer_info(),
+                };
+                self.answer(origin.addr, ack, ctx);
             }
         }
     }
@@ -378,66 +292,62 @@ impl TreePNode {
 
     // ---- reply path ------------------------------------------------------------
 
-    /// Answer a `GetVersioned` from this node: record locally when this node
-    /// is the origin, otherwise start the reply down the recorded caching
-    /// path (or straight to the origin when no hop can cache).
-    #[allow(clippy::too_many_arguments)]
+    /// Answer the `GetVersioned` `request` from this node: start the reply
+    /// down the recorded caching path, or straight to the origin — which may
+    /// be this very node — when no hop on the way can cache.
     fn serve_read(
         &mut self,
-        request_id: RequestId,
-        origin: PeerInfo,
-        key: NodeId,
+        request: TreePMessage,
         value: Option<StampedValue>,
         source: ReadSource,
-        hops: u32,
-        mut path: Vec<NodeAddr>,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let me = self.peer_info();
-        if origin.addr == me.addr {
-            self.record_read_answer(request_id, key, value, source, hops, me.addr, ctx.now());
-            return;
-        }
+        let TreePMessage::GetVersioned {
+            request_id,
+            origin,
+            key,
+            ttl,
+            mut path,
+            ..
+        } = request
+        else {
+            unreachable!("serve_read only answers GetVersioned")
+        };
         let dest = path.pop().unwrap_or(origin.addr);
-        self.send(
-            ctx,
-            dest,
-            TreePMessage::GetVersionedReply {
-                request_id,
-                origin: origin.addr,
-                key,
-                value,
-                source,
-                hops,
-                responder: me,
-                path,
-            },
-        );
+        let reply = TreePMessage::GetVersionedReply {
+            request_id,
+            origin: origin.addr,
+            key,
+            value,
+            source,
+            hops: ttl,
+            responder: self.peer_info(),
+            path,
+        };
+        self.answer(dest, reply, ctx);
     }
 
     /// A reply on its walk back to the origin: fill this hop's cache, then
     /// consume it (origin) or relay it to the previous hop.
     pub(super) fn handle_get_versioned_reply(
         &mut self,
-        msg: TreePMessage,
+        mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
         let TreePMessage::GetVersionedReply {
-            request_id,
             origin,
             key,
             value,
-            source,
-            hops,
-            responder,
-            mut path,
-        } = msg
+            path,
+            ..
+        } = &mut msg
         else {
             unreachable!("handle_get_versioned_reply only handles GetVersionedReply")
         };
+        let origin = *origin;
         if self.config.cache_capacity > 0 {
-            if let Some(sv) = &value {
-                let fill = self.cache.fill(key, sv.stamp, &sv.value, ctx.now());
+            if let Some(sv) = value {
+                let fill = self.cache.fill(*key, sv.stamp, &sv.value, ctx.now());
                 if fill.stored {
                     self.stats.cache_fills += 1;
                 }
@@ -447,78 +357,10 @@ impl TreePNode {
             }
         }
         if origin == self.addr.expect("node not started") {
-            self.record_read_answer(
-                request_id,
-                key,
-                value,
-                source,
-                hops,
-                responder.addr,
-                ctx.now(),
-            );
+            self.on_reply(msg, ctx.now());
         } else {
             let dest = path.pop().unwrap_or(origin);
-            self.send(
-                ctx,
-                dest,
-                TreePMessage::GetVersionedReply {
-                    request_id,
-                    origin,
-                    key,
-                    value,
-                    source,
-                    hops,
-                    responder,
-                    path,
-                },
-            );
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record_read_answer(
-        &mut self,
-        request_id: RequestId,
-        key: NodeId,
-        value: Option<StampedValue>,
-        source: ReadSource,
-        hops: u32,
-        responder: NodeAddr,
-        now: SimTime,
-    ) {
-        if self.pending_reads.remove(&request_id).is_some() {
-            if let Some(sv) = &value {
-                self.observe_stamp(key, sv.stamp);
-            }
-            self.read_outcomes.push(ReadOutcome::Got {
-                request_id,
-                key,
-                value,
-                source,
-                hops,
-                responder,
-                completed_at: now,
-            });
-        }
-    }
-
-    pub(super) fn record_put_versioned_ack(
-        &mut self,
-        request_id: RequestId,
-        key: NodeId,
-        stamp: VersionStamp,
-        stored_at: NodeAddr,
-        now: SimTime,
-    ) {
-        if self.pending_reads.remove(&request_id).is_some() {
-            self.observe_stamp(key, stamp);
-            self.read_outcomes.push(ReadOutcome::PutAcked {
-                request_id,
-                key,
-                stamp,
-                stored_at,
-                completed_at: now,
-            });
+            self.send(ctx, dest, msg);
         }
     }
 
@@ -558,29 +400,23 @@ impl TreePNode {
     /// side lags.
     pub(super) fn handle_read_verify(
         &mut self,
-        server: PeerInfo,
-        key: NodeId,
-        served_stamp: VersionStamp,
-        ttl: u32,
+        mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        if ttl >= self.config.max_ttl {
-            return;
-        }
-        match self.closer_peer_to(key) {
-            Some(next) => {
-                self.send(
-                    ctx,
-                    next.addr,
-                    TreePMessage::ReadVerify {
-                        server,
-                        key,
-                        served_stamp,
-                        ttl: ttl + 1,
-                    },
-                );
-            }
-            None => match self.stored_stamp(key) {
+        let hop = self.key_hop(&mut msg);
+        let TreePMessage::ReadVerify {
+            server,
+            key,
+            served_stamp,
+            ..
+        } = msg
+        else {
+            unreachable!("handle_read_verify only handles ReadVerify")
+        };
+        match hop {
+            KeyHop::Drop => {}
+            KeyHop::Forward(next) => self.pass_on(next, msg, ctx),
+            KeyHop::Responsible => match self.stored_stamp(key) {
                 Some(fresh) if fresh > served_stamp => {
                     // The server answered stale: push the authoritative copy
                     // to it and re-place it on the replica set, so one stale
@@ -611,19 +447,6 @@ impl TreePNode {
                     self.replica_dirty = true;
                 }
             },
-        }
-    }
-
-    // ---- timers ----------------------------------------------------------------
-
-    pub(super) fn read_timer_fired(&mut self, payload: u64, ctx: &mut Context<'_, TreePMessage>) {
-        let request_id = RequestId(payload);
-        if let Some(pending) = self.pending_reads.remove(&request_id) {
-            self.read_outcomes.push(ReadOutcome::TimedOut {
-                request_id,
-                key: pending.key,
-                completed_at: ctx.now(),
-            });
         }
     }
 }

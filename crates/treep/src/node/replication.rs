@@ -14,9 +14,12 @@
 //!   strictly-closer peers — pushing the value to the key's whole replica
 //!   set *before* dropping it, so a responsibility transfer never reduces
 //!   the number of live copies.
-//! * Digest-probe answers are intercepted before they reach the embedder's
-//!   aggregate-outcome queue ([`TreePNode::intercept_replica_digest`]): a
-//!   mismatching, truncated or timed-out probe marks the node dirty.
+//! * A digest probe is an in-flight request kind of its own
+//!   (`Pending::DigestProbe`, entered before the aggregation is
+//!   dispatched), so its answer ends in
+//!   [`TreePNode::digest_probe_ended`] and never reaches the embedder's
+//!   aggregate-outcome queue: a mismatching, truncated or timed-out probe
+//!   marks the node dirty.
 //!
 //! The digest probe is a `DhtKeyDigest` convergecast, so with
 //! `max_retransmits > 0` it automatically rides the multicast reliability
@@ -30,6 +33,7 @@
 //! armed, no message is ever sent, and the node behaves exactly like the
 //! paper's single-copy DHT.
 
+use super::inflight::Pending;
 use super::*;
 use crate::multicast::AggregateQuery;
 use crate::replication::ReplicaEntry;
@@ -304,8 +308,11 @@ impl TreePNode {
         self.handoff_misplaced_keys(ctx);
         // A probe still unanswered after a whole interval is as good as a
         // mismatch: fall back to pairwise sync rather than stalling. Its
-        // late answer is still swallowed by the intercept.
-        let probe_in_flight = !self.replica_digest_probes.is_empty();
+        // late answer still ends at the replication layer.
+        let probe_in_flight = self
+            .pending
+            .values()
+            .any(|p| matches!(p, Pending::DigestProbe { .. }));
         if self.replica_dirty || probe_in_flight {
             self.run_pairwise_sync(ctx);
             // Optimistically clean: the next round's digest probe verifies.
@@ -334,33 +341,23 @@ impl TreePNode {
         let range = self.primary_range();
         let k = u64::from(self.config.replication_factor);
         let (own_xor, own_count) = self.store.digest_range(range);
-        let expect = (if k % 2 == 1 { own_xor } else { 0 }, k * own_count);
-        let request_id = self.start_aggregate(range, AggregateQuery::DhtKeyDigest, ctx);
+        let xor = if k % 2 == 1 { own_xor } else { 0 };
+        let count = k * own_count;
         self.stats.replica_digest_probes += 1;
-        self.replica_digest_probes.insert(request_id, expect);
+        // The entry exists before the dispatch: a prober with no parent and
+        // an empty fan-out folds its own probe inside this call.
+        let probe = Pending::DigestProbe { xor, count };
+        self.start_aggregate_as(probe, range, AggregateQuery::DhtKeyDigest, ctx);
     }
 
-    /// Swallow the answer of a digest probe before it reaches the
-    /// embedder's aggregate-outcome queue. Returns true when `outcome`
-    /// belonged to a probe. Anything but a complete, exactly-matching
-    /// digest marks the node dirty.
-    pub(super) fn intercept_replica_digest(&mut self, outcome: &AggregateOutcome) -> bool {
-        let Some((expect_xor, expect_count)) =
-            self.replica_digest_probes.remove(&outcome.request_id())
-        else {
-            return false;
-        };
-        let healthy = outcome.is_complete()
-            && outcome.partial()
-                == Some(crate::multicast::AggregatePartial::Digest {
-                    xor: expect_xor,
-                    count: expect_count,
-                });
+    /// A digest probe ended. Anything but a complete, exactly-matching
+    /// fold — a mismatch, a truncated convergecast, a timeout — marks the
+    /// node dirty.
+    pub(super) fn digest_probe_ended(&mut self, healthy: bool) {
         if !healthy {
             self.stats.replica_digest_mismatches += 1;
             self.replica_dirty = true;
         }
-        true
     }
 
     /// Reconcile the replica range with the replica partners: the `2k`

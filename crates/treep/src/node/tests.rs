@@ -104,7 +104,7 @@ fn start_lookup_forwards_toward_target() {
     assert_eq!(sends.len(), 1);
     assert_eq!(sends[0].0, NodeAddr(4_000_000_000));
     assert!(matches!(sends[0].1, TreePMessage::Lookup(_)));
-    assert_eq!(node.pending_lookup_count(), 1);
+    assert_eq!(node.pending_request_count(), 1);
 }
 
 #[test]
@@ -124,9 +124,9 @@ fn lookup_timeout_records_outcome() {
     let mut ctx = Context::new(SimTime::ZERO, NodeAddr(10), &mut rng);
     let req_id = node.start_lookup(NodeId(4_000_000_100), RoutingAlgorithm::Greedy, &mut ctx);
     drop(ctx);
-    assert_eq!(node.pending_lookup_count(), 1);
+    assert_eq!(node.pending_request_count(), 1);
     let mut ctx2 = Context::new(SimTime::from_secs(20), NodeAddr(10), &mut rng);
-    node.on_timer(encode_timer(TIMER_LOOKUP, req_id.0), &mut ctx2);
+    node.on_timer(encode_timer(TIMER_REQUEST, req_id.0), &mut ctx2);
     let outcomes = node.drain_lookup_outcomes();
     assert_eq!(outcomes.len(), 1);
     assert_eq!(outcomes[0].status, LookupStatus::TimedOut);
@@ -157,7 +157,7 @@ fn lookup_found_reply_completes_pending() {
     assert_eq!(outcomes[0].hops, 4);
     // A late timeout for the same request is ignored.
     let mut ctx3 = Context::new(SimTime::from_secs(20), NodeAddr(10), &mut rng);
-    node.on_timer(encode_timer(TIMER_LOOKUP, req_id.0), &mut ctx3);
+    node.on_timer(encode_timer(TIMER_REQUEST, req_id.0), &mut ctx3);
     assert!(node.drain_lookup_outcomes().is_empty());
 }
 
@@ -1128,7 +1128,7 @@ fn aggregate_convergecast_folds_children_partials() {
     // Own contribution (1) + the two children (1 each).
     assert_eq!(outcomes[0].partial().unwrap().as_count(), Some(3));
     assert!(outcomes[0].is_complete(), "no branch was lost");
-    assert_eq!(node.pending_aggregate_count(), 0);
+    assert_eq!(node.pending_request_count(), 0);
 }
 
 #[test]
@@ -1181,9 +1181,9 @@ fn aggregate_origin_timeout_records_failure() {
         &mut ctx,
     );
     drop(ctx);
-    assert_eq!(node.pending_aggregate_count(), 1);
+    assert_eq!(node.pending_request_count(), 1);
     let mut tctx = Context::new(SimTime::from_secs(20), NodeAddr(100), &mut rng);
-    node.on_timer(encode_timer(TIMER_AGGREGATE, req.0), &mut tctx);
+    node.on_timer(encode_timer(TIMER_REQUEST, req.0), &mut tctx);
     let outcomes = node.drain_aggregate_outcomes();
     assert_eq!(outcomes.len(), 1);
     assert!(!outcomes[0].is_success());
@@ -1376,4 +1376,275 @@ fn put_versioned_pass_through_refreshes_hop_cache() {
     assert_eq!(served.1, ReadSource::Cache);
     assert_eq!(served.0.stamp, v2);
     assert_eq!(served.0.value, b"v2".to_vec());
+}
+
+#[test]
+fn solitary_digest_probe_resolves_without_leaking() {
+    // A replicating node that knows nobody: no parent and an empty fan-out,
+    // so the digest probe folds inside the call that starts it. Its answer
+    // must reach the replication layer, not the embedder, and must leave
+    // nothing in flight — a leftover would read as an unanswered probe and
+    // turn every later round into a pairwise sync.
+    let config = TreePConfig {
+        replication_factor: 3,
+        ..TreePConfig::default()
+    };
+    let mut node =
+        TreePNode::new(config, NodeId(10), NodeCharacteristics::default()).with_addr(NodeAddr(10));
+    let mut rng = simnet::SimRng::seed_from(1);
+    for round in 1..=6u64 {
+        let now = SimTime::from_millis(900 * round);
+        let mut ctx = Context::new(now, NodeAddr(10), &mut rng);
+        node.on_timer(encode_timer(TIMER_REPLICA, 0), &mut ctx);
+        assert!(
+            node.drain_aggregate_outcomes().is_empty(),
+            "round {round}: the probe's outcome leaked to the embedder"
+        );
+        assert_eq!(node.pending_request_count(), 0, "round {round}");
+        // The first round is the pairwise sync every node starts with;
+        // every later one is clean and probes.
+        assert_eq!(node.stats().replica_digest_probes, round - 1);
+    }
+    assert_eq!(node.stats().replica_sync_rounds, 6);
+    assert_eq!(node.stats().replica_digest_mismatches, 0);
+}
+
+// ---- the in-flight table: what five typed maps gave for free ----------------
+
+/// True when not one outcome or delivery queue of `node` holds anything.
+fn nothing_to_drain(node: &mut TreePNode) -> bool {
+    node.drain_lookup_outcomes().is_empty()
+        && node.drain_dht_outcomes().is_empty()
+        && node.drain_read_outcomes().is_empty()
+        && node.drain_aggregate_outcomes().is_empty()
+        && node.drain_subscribe_outcomes().is_empty()
+        && node.drain_multicast_deliveries().is_empty()
+        && node.drain_topic_deliveries().is_empty()
+}
+
+/// A node whose every request leaves it: a parent (aggregations climb) and
+/// a peer sitting exactly on the coordinate of key `k` (gets, puts and
+/// lookups toward it are forwarded).
+fn forwarding_node() -> (TreePNode, simnet::SimRng, NodeId) {
+    let (mut node, rng) = started_node(10);
+    let key = hash_key(TreePConfig::default().space, b"k");
+    node.seed_parent(peer(900, 1), SimTime::ZERO);
+    node.seed_level0_neighbor(
+        PeerInfo {
+            id: key,
+            ..peer(777, 0)
+        },
+        SimTime::ZERO,
+    );
+    (node, rng, key)
+}
+
+#[test]
+fn a_reply_of_the_wrong_kind_resolves_nothing() {
+    use crate::readpath::ReadSource;
+    let (mut node, mut rng, key) = forwarding_node();
+    let mut ctx = Context::new(SimTime::ZERO, NodeAddr(10), &mut rng);
+    let lookup = node.start_lookup(NodeId(key.0 + 1), RoutingAlgorithm::Greedy, &mut ctx);
+    let get = node.dht_get_versioned(b"k", &mut ctx);
+    let everything = KeyRange::full(TreePConfig::default().space);
+    let aggregate = node.start_aggregate(everything, AggregateQuery::CountNodes, &mut ctx);
+    drop(ctx);
+    assert_eq!(node.pending_request_count(), 3);
+    let me = node.peer_info();
+
+    // Request identifiers are one counter for every kind, so each of these
+    // names a live request — of another kind.
+    let strays = [
+        TreePMessage::DhtPutAck {
+            request_id: lookup,
+            key,
+            stored_at: peer(777, 0),
+        },
+        TreePMessage::SubscribeAck {
+            request_id: lookup,
+            topic: key,
+            subscribers: 1,
+            stored_at: peer(777, 0),
+        },
+        TreePMessage::LookupFound {
+            request_id: get,
+            target: key,
+            result: peer(777, 0),
+            hops: 1,
+            algorithm: RoutingAlgorithm::Greedy,
+        },
+        TreePMessage::PutVersionedAck {
+            request_id: aggregate,
+            key,
+            stamp: crate::VersionStamp::LEGACY,
+            stored_at: peer(777, 0),
+        },
+        // The right kind of message, but a branch partial: it belongs to a
+        // relay (there is none here), never to the origin's request.
+        TreePMessage::AggregateUp {
+            origin: me,
+            request_id: aggregate,
+            query: AggregateQuery::CountNodes,
+            partial: AggregatePartial::Count(7),
+            truncated: false,
+            final_answer: false,
+        },
+    ];
+    for stray in strays {
+        let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10), &mut rng);
+        node.on_message(NodeAddr(777), stray.clone(), &mut ctx);
+        assert_eq!(node.pending_request_count(), 3, "{stray:?}");
+        assert!(nothing_to_drain(&mut node), "{stray:?}");
+    }
+
+    // The right replies still find their requests.
+    let replies = [
+        TreePMessage::LookupFound {
+            request_id: lookup,
+            target: NodeId(key.0 + 1),
+            result: peer(778, 0),
+            hops: 2,
+            algorithm: RoutingAlgorithm::Greedy,
+        },
+        TreePMessage::GetVersionedReply {
+            request_id: get,
+            origin: NodeAddr(10),
+            key,
+            value: None,
+            source: ReadSource::Responsible,
+            hops: 1,
+            responder: peer(777, 0),
+            path: vec![],
+        },
+        TreePMessage::AggregateUp {
+            origin: me,
+            request_id: aggregate,
+            query: AggregateQuery::CountNodes,
+            partial: AggregatePartial::Count(7),
+            truncated: false,
+            final_answer: true,
+        },
+    ];
+    for reply in replies {
+        let mut ctx = Context::new(SimTime::from_millis(9), NodeAddr(10), &mut rng);
+        node.on_message(NodeAddr(777), reply, &mut ctx);
+    }
+    assert_eq!(node.pending_request_count(), 0);
+    assert_eq!(node.drain_lookup_outcomes()[0].status, LookupStatus::Found);
+    assert!(matches!(
+        node.drain_read_outcomes()[..],
+        [crate::ReadOutcome::Got { value: None, .. }]
+    ));
+    assert_eq!(
+        node.drain_aggregate_outcomes()[0].partial(),
+        Some(AggregatePartial::Count(7))
+    );
+}
+
+#[test]
+fn a_request_ends_exactly_once() {
+    use crate::readpath::ReadSource;
+    let (mut node, mut rng, key) = forwarding_node();
+    let mut ctx = Context::new(SimTime::ZERO, NodeAddr(10), &mut rng);
+    let put = node.dht_put(b"k", b"v".to_vec(), &mut ctx);
+    let get = node.dht_get_versioned(b"k", &mut ctx);
+    drop(ctx);
+    assert_eq!(node.pending_request_count(), 2);
+
+    // Answered: the duplicate of the reply and the deadline find nothing.
+    let ack = TreePMessage::DhtPutAck {
+        request_id: put,
+        key,
+        stored_at: peer(777, 0),
+    };
+    for _ in 0..2 {
+        let mut ctx = Context::new(SimTime::from_millis(40), NodeAddr(10), &mut rng);
+        node.on_message(NodeAddr(777), ack.clone(), &mut ctx);
+    }
+    let mut ctx = Context::new(SimTime::from_secs(10), NodeAddr(10), &mut rng);
+    node.on_timer(encode_timer(TIMER_REQUEST, put.0), &mut ctx);
+    let outcomes = node.drain_dht_outcomes();
+    assert!(
+        matches!(outcomes[..], [DhtOutcome::PutAcked { .. }]),
+        "{outcomes:?}"
+    );
+
+    // Timed out: the reply that arrives afterwards finds nothing.
+    let mut ctx = Context::new(SimTime::from_secs(10), NodeAddr(10), &mut rng);
+    node.on_timer(encode_timer(TIMER_REQUEST, get.0), &mut ctx);
+    let mut ctx = Context::new(SimTime::from_secs(11), NodeAddr(10), &mut rng);
+    node.on_message(
+        NodeAddr(777),
+        TreePMessage::GetVersionedReply {
+            request_id: get,
+            origin: NodeAddr(10),
+            key,
+            value: None,
+            source: ReadSource::Responsible,
+            hops: 1,
+            responder: peer(777, 0),
+            path: vec![],
+        },
+        &mut ctx,
+    );
+    let outcomes = node.drain_read_outcomes();
+    assert!(
+        matches!(outcomes[..], [crate::ReadOutcome::TimedOut { .. }]),
+        "{outcomes:?}"
+    );
+    assert_eq!(node.pending_request_count(), 0);
+    assert!(nothing_to_drain(&mut node));
+}
+
+#[test]
+fn unsubscribe_is_traced_and_times_out_like_any_request() {
+    use crate::pubsub::SubscribeOutcome;
+    use simnet::{SimConfig, Simulation, TelemetryConfig};
+    let config = TreePConfig::default().with_pubsub();
+    let topic = crate::topic_key(config.space, "jobs");
+    let mut sim: Simulation<TreePNode> = Simulation::new(SimConfig::default(), 7);
+    sim.enable_telemetry(TelemetryConfig::default());
+    let addr = sim.add_node(TreePNode::new(
+        config,
+        NodeId(10),
+        NodeCharacteristics::default(),
+    ));
+    sim.step();
+    // The directory of the topic lives at a peer that is not there: the
+    // `Unsubscribe` leaves and no ack ever comes back.
+    let directory = PeerInfo {
+        id: topic,
+        ..peer(777, 0)
+    };
+    let started = sim.now();
+    sim.node_mut(addr)
+        .unwrap()
+        .seed_level0_neighbor(directory, started);
+    sim.invoke(addr, |node, ctx| node.start_unsubscribe(topic, ctx));
+    let spans = sim.telemetry().unwrap().spans.spans();
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.name == "unsubscribe" && s.parent == 0),
+        "no root span for the unsubscribe: {spans:?}"
+    );
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.name == "unsubscribe" && s.parent != 0),
+        "the hop toward the directory is not recorded under it: {spans:?}"
+    );
+
+    let deadline = started + config.lookup_timeout;
+    sim.run_until(SimTime::from_micros(deadline.as_micros() - 1));
+    assert_eq!(sim.node(addr).unwrap().pending_request_count(), 1);
+    sim.run_until(deadline);
+    let node = sim.node_mut(addr).unwrap();
+    assert_eq!(node.pending_request_count(), 0);
+    let outcomes = node.drain_subscribe_outcomes();
+    assert!(
+        matches!(outcomes[..], [SubscribeOutcome::TimedOut { topic: t, completed_at, .. }]
+            if t == topic && completed_at == deadline),
+        "{outcomes:?}"
+    );
 }

@@ -206,15 +206,6 @@ impl SubscribeOutcome {
     }
 }
 
-/// A directory update the origin is still waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingSubscribe {
-    /// The topic coordinate.
-    pub topic: NodeId,
-    /// When the request started.
-    pub started_at: SimTime,
-}
-
 // ---- subscriber-directory value codec ---------------------------------------
 
 /// Serialise a subscriber set into the DHT value stored under the topic

@@ -190,17 +190,6 @@ impl ReadOutcome {
     }
 }
 
-/// A versioned request the origin is still waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingRead {
-    /// The key coordinate.
-    pub key: NodeId,
-    /// True for a put, false for a get.
-    pub is_put: bool,
-    /// When the request started.
-    pub started_at: SimTime,
-}
-
 /// The result of offering a value to a [`HotKeyCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheFill {

@@ -34,7 +34,12 @@
 //!    is the own XOR repeated `k` times (`own_xor` for odd `k`, `0` for
 //!    even `k`) — one scoped aggregation replacing `n` point checks.
 //!    Primary ranges tile the key space, so every key is probed by exactly
-//!    one node and a healthy network probes clean everywhere.
+//!    one node and a healthy network probes clean everywhere. At the prober
+//!    the probe is an in-flight request kind of its own, entered before the
+//!    aggregation is dispatched: its fold (or its timeout) ends at the
+//!    replication layer and never appears among the aggregate outcomes an
+//!    embedder drains — including when a solitary root folds its own probe
+//!    inside the call that starts it.
 //! 2. **Pairwise range sync** — only when the probe mismatches (or times
 //!    out, or the local store changed) does the node fall back to
 //!    [`crate::messages::TreePMessage::ReplicaSyncRequest`]: it sends its

@@ -1,0 +1,207 @@
+//! The origin-side request lifecycle of the composed system, pinned.
+//!
+//! Everything an application gets from a `TreePNode` is a request: an
+//! origin opens it, routing carries it, and it ends as an answer or as a
+//! timeout. This trace drives all ten ways of opening one — lookup, put,
+//! get, versioned put and get, multicast, aggregate, subscribe,
+//! unsubscribe, publish — through an overlay with every feature on
+//! (replication, the reliability layer, the read path, pub/sub) under
+//! per-hop loss and crashes, and pins two digests per seed:
+//!
+//! * the **outcome digest** — everything every survivor drains after each
+//!   round, every survivor's `NodeStats` and the engine's `SimMetrics` —
+//!   which moves only when what a request *returns* moves;
+//! * the **event digest** of the engine, which additionally moves with any
+//!   change to what is sent or armed, and when.
+//!
+//! A refactor of the in-flight bookkeeping must leave both alone; a change
+//! of the protocol re-pins them once, on purpose, and says so (both values
+//! are printed). The trace also bounds the in-flight table: a round outlasts
+//! the request deadline, so after the last one a survivor holds at most the
+//! one replication digest probe it may have started since.
+//!
+//! History of the constants: captured on the five typed `pending_*` maps
+//! and five timer kinds of PR 18 (plus the fix that registers a digest
+//! probe before dispatching it), they survived the move to the one
+//! `inflight` table with both digests unchanged. Folding the five timer
+//! kinds into `TIMER_REQUEST` then moved the event digests once — the
+//! engine hashes the token of every timer it fires — and left the outcome
+//! digests alone: `0x93c5_243c_671c_e4a6`, `0x903a_c1bc_17d7_2584` and
+//! `0x301e_2f6c_b7c6_e3df` became the values below.
+
+use simnet::{LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
+use treep::{
+    topic_key, AggregateQuery, KeyRange, NodeId, RoutingAlgorithm, TreePConfig, TreePNode,
+};
+use workloads::TopologyBuilder;
+
+const NODES: usize = 120;
+const ROUNDS: usize = 4;
+const OPS_PER_ROUND: usize = 40;
+const CRASHES_PER_ROUND: usize = 5;
+const KEYS: u64 = 8;
+const TOPICS: u64 = 3;
+
+/// `(seed, outcome digest, event digest)`.
+const PINS: [(u64, u64, u64); 3] = [
+    (1, 0x930e_d2d1_c4d9_1427, 0x0380_f17f_a77e_06f6),
+    (2, 0xda12_d54e_c354_6828, 0xf219_dc7e_5061_6d6c),
+    (3, 0x78cc_86f8_30c4_0dbb, 0x87f2_1e13_990b_5f7f),
+];
+
+struct Run {
+    outcome_digest: u64,
+    event_digest: u64,
+    outcomes: usize,
+    max_pending_at_end: usize,
+}
+
+/// Byte-wise FNV-1a over the `Debug` form of `item`.
+fn fold(digest: &mut u64, item: &impl std::fmt::Debug) {
+    for byte in format!("{item:?}").bytes() {
+        *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Open request number `i` of a round at `origin`.
+fn open_request(
+    sim: &mut Simulation<TreePNode>,
+    i: usize,
+    origin: NodeAddr,
+    alive: &[(NodeAddr, NodeId)],
+    rng: &mut SimRng,
+) {
+    let space = TreePConfig::default().space;
+    let key = format!("key-{}", rng.gen_range_u64(0..KEYS)).into_bytes();
+    let value = format!("value-{}", rng.next_u64()).into_bytes();
+    let topic = topic_key(space, &format!("topic-{}", rng.gen_range_u64(0..TOPICS)));
+    let target = alive[rng.gen_range_usize(0..alive.len())].1;
+    let (a, b) = (
+        alive[rng.gen_range_usize(0..alive.len())].1,
+        alive[rng.gen_range_usize(0..alive.len())].1,
+    );
+    let range = KeyRange::new(a.min(b), a.max(b));
+    sim.invoke(origin, |node, ctx| match i % 10 {
+        0 => node.start_lookup(target, RoutingAlgorithm::NonGreedyFallback, ctx),
+        1 => node.dht_put(&key, value, ctx),
+        2 => node.dht_get(&key, ctx),
+        3 => node.dht_put_versioned(&key, value, ctx),
+        4 => node.dht_get_versioned(&key, ctx),
+        5 => node.start_multicast(range, value, ctx),
+        6 => node.start_aggregate(range, AggregateQuery::CountNodes, ctx),
+        7 => node.start_subscribe(topic, ctx),
+        8 => node.start_unsubscribe(topic, ctx),
+        _ => node.start_publish(topic, value, ctx),
+    });
+}
+
+fn run(seed: u64) -> Run {
+    let config = TreePConfig {
+        replication_factor: 3,
+        ..TreePConfig::paper_case_fixed()
+    }
+    .with_reliability(3)
+    .with_read_path(16)
+    .with_pubsub();
+    // A round outlasts the request deadline, so every request opened in a
+    // round has ended — answered or timed out — when the round is drained.
+    let round = config.lookup_timeout + SimDuration::from_millis(600);
+    let sim_config = SimConfig {
+        link: LinkModel {
+            loss: LossModel::Bernoulli { p: 0.05 },
+            ..LinkModel::default()
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(sim_config, seed);
+    sim.enable_digest();
+    let topo = TopologyBuilder::new(NODES)
+        .with_config(config)
+        .build(&mut sim);
+    sim.run_for(SimDuration::from_secs(3));
+    let mut rng = sim.rng_mut().fork();
+
+    let mut digest = simnet::sim::FNV_OFFSET;
+    let mut outcomes = 0;
+    for _ in 0..ROUNDS {
+        let mut alive = topo.alive_pairs(&sim);
+        for _ in 0..CRASHES_PER_ROUND {
+            let victim = alive.remove(rng.gen_range_usize(0..alive.len())).0;
+            sim.fail_node(victim);
+        }
+        for i in 0..OPS_PER_ROUND {
+            let origin = alive[rng.gen_range_usize(0..alive.len())].0;
+            open_request(&mut sim, i, origin, &alive, &mut rng);
+        }
+        sim.run_for(round);
+
+        for &(addr, _) in &alive {
+            let node = sim.node_mut(addr).expect("survivor");
+            let mut drained = 0;
+            macro_rules! drain {
+                ($($queue:ident),*) => {$(
+                    for item in node.$queue() {
+                        fold(&mut digest, &item);
+                        drained += 1;
+                    }
+                )*};
+            }
+            drain!(
+                drain_lookup_outcomes,
+                drain_dht_outcomes,
+                drain_read_outcomes,
+                drain_aggregate_outcomes,
+                drain_subscribe_outcomes,
+                drain_multicast_deliveries,
+                drain_topic_deliveries
+            );
+            outcomes += drained;
+            fold(&mut digest, node.stats());
+        }
+        fold(&mut digest, &sim.metrics());
+    }
+
+    let max_pending_at_end = topo
+        .alive_pairs(&sim)
+        .iter()
+        .map(|&(addr, _)| sim.node(addr).expect("survivor").pending_request_count())
+        .max()
+        .unwrap_or(0);
+    Run {
+        outcome_digest: digest,
+        event_digest: sim.event_digest().expect("digest enabled"),
+        outcomes,
+        max_pending_at_end,
+    }
+}
+
+#[test]
+fn composed_request_lifecycle_replays_its_pinned_digests() {
+    // Every seed runs before anything is compared, so one failing run
+    // prints all the values a deliberate re-pin needs.
+    let runs: Vec<Run> = PINS.iter().map(|&(seed, _, _)| run(seed)).collect();
+    for ((seed, _, _), got) in PINS.iter().zip(&runs) {
+        println!(
+            "seed {seed}: {} drained, outcome digest {:#018x}, event digest {:#018x}, \
+             max pending at end {}",
+            got.outcomes, got.outcome_digest, got.event_digest, got.max_pending_at_end
+        );
+    }
+    for ((seed, outcome_pin, event_pin), got) in PINS.into_iter().zip(runs) {
+        assert!(got.outcomes >= OPS_PER_ROUND * ROUNDS / 2, "seed {seed}");
+        assert!(
+            got.max_pending_at_end <= 1,
+            "seed {seed}: a survivor holds {} requests in flight after every deadline passed",
+            got.max_pending_at_end
+        );
+        assert_eq!(got.outcome_digest, outcome_pin, "seed {seed}: outcomes");
+        assert_eq!(got.event_digest, event_pin, "seed {seed}: events");
+    }
+}
+
+#[test]
+fn composed_request_lifecycle_is_deterministic() {
+    let (a, b) = (run(1), run(1));
+    assert_eq!(a.outcome_digest, b.outcome_digest);
+    assert_eq!(a.event_digest, b.event_digest);
+}

@@ -2,8 +2,11 @@
 //! experiments runs over real UDP sockets (loopback cluster).
 
 use std::net::UdpSocket;
-use std::time::Duration;
-use treep::{NodeCharacteristics, NodeId, RoutingAlgorithm, TreePConfig, TreePMessage};
+use std::time::{Duration, Instant};
+use treep::{
+    topic_key, AggregateQuery, KeyRange, NodeCharacteristics, NodeId, ReadOutcome,
+    RoutingAlgorithm, SubscribeOutcome, TreePConfig, TreePMessage,
+};
 use treep_net::{encode_message, UdpNode};
 
 fn fast_config() -> TreePConfig {
@@ -151,4 +154,115 @@ fn receive_loop_survives_hostile_datagrams() {
 
     client.shutdown();
     victim.shutdown();
+}
+
+/// Call `f` every 20 ms until it yields, for at most five seconds.
+fn poll<T>(mut f: impl FnMut() -> Option<T>) -> Option<T> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if let Some(found) = f() {
+            return Some(found);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// `UdpNode::invoke` gives the socket host every operation the simulator
+/// has: a versioned write and read, an aggregation, and a request whose
+/// deadline fires on the wall clock.
+#[test]
+fn invoke_runs_versioned_ops_aggregates_and_deadlines_over_udp() {
+    let config = fast_config();
+    let bind = |id, characteristics, bootstrap| {
+        UdpNode::bind(
+            "127.0.0.1:0",
+            config,
+            NodeId(id),
+            characteristics,
+            bootstrap,
+        )
+        .expect("bind")
+    };
+    let seed = bind(2_000_000_000, NodeCharacteristics::strong(), vec![]);
+    let writer = bind(
+        500_000_000,
+        NodeCharacteristics::default(),
+        vec![seed.peer_info()],
+    );
+    let reader = bind(
+        3_500_000_000,
+        NodeCharacteristics::default(),
+        vec![seed.peer_info()],
+    );
+    poll(|| {
+        seed.with_node(|n| n.tables().level0_degree() == 2)
+            .then_some(())
+    })
+    .expect("the seed never learned both joiners");
+
+    let put = writer.invoke(|n, ctx| n.dht_put_versioned(b"job/42", b"running".to_vec(), ctx));
+    let written = poll(|| {
+        writer
+            .invoke(|n, _| n.drain_read_outcomes())
+            .into_iter()
+            .find_map(|o| match o {
+                ReadOutcome::PutAcked {
+                    request_id, stamp, ..
+                } if request_id == put => Some(stamp),
+                _ => None,
+            })
+    })
+    .expect("the versioned put was never acknowledged");
+
+    let get = reader.invoke(|n, ctx| n.dht_get_versioned(b"job/42", ctx));
+    let read = poll(|| {
+        reader
+            .invoke(|n, _| n.drain_read_outcomes())
+            .into_iter()
+            .find_map(|o| match o {
+                ReadOutcome::Got {
+                    request_id, value, ..
+                } if request_id == get => Some(value),
+                _ => None,
+            })
+    })
+    .expect("the versioned get was never answered")
+    .expect("the value written is not there");
+    assert_eq!((read.stamp, &read.value[..]), (written, &b"running"[..]));
+
+    let everyone = KeyRange::full(config.space);
+    let census = seed.invoke(|n, ctx| n.start_aggregate(everyone, AggregateQuery::CountNodes, ctx));
+    let counted = poll(|| {
+        seed.invoke(|n, _| n.drain_aggregate_outcomes())
+            .into_iter()
+            .find(|o| o.request_id() == census)
+    })
+    .expect("the aggregation never resolved");
+    let count = counted.partial().and_then(|p| p.as_count());
+    assert!(matches!(count, Some(1..=3)), "{counted:?}");
+
+    // Pub/sub is off, so the registration is dropped where it starts and
+    // only the request deadline can end it — on this host, a wall-clock
+    // timer.
+    let opened = Instant::now();
+    let topic = topic_key(config.space, "jobs");
+    let sub = reader.invoke(|n, ctx| n.start_subscribe(topic, ctx));
+    poll(|| {
+        reader
+            .invoke(|n, _| n.drain_subscribe_outcomes())
+            .into_iter()
+            .find(|o| matches!(o, SubscribeOutcome::TimedOut { request_id, .. } if *request_id == sub))
+    })
+    .expect("the deadline never fired");
+    assert!(opened.elapsed() >= Duration::from_micros(config.lookup_timeout.as_micros()));
+    for node in [&seed, &writer, &reader] {
+        assert_eq!(node.with_node(|n| n.pending_request_count()), 0);
+    }
+
+    reader.shutdown();
+    writer.shutdown();
+    seed.shutdown();
 }
