@@ -13,13 +13,17 @@
 //!   [`treep::audit_replication`] reference check);
 //! * **repair windows** — extra anti-entropy intervals the network needed
 //!   after each failure batch before the audit converged (the
-//!   repair-convergence-time curve).
+//!   repair-convergence-time curve);
+//! * **anti-entropy msgs / node / round** — what the repair costs: the
+//!   `replica_digest`, `replica_sync_request` and `replica_sync_reply`
+//!   messages the live nodes sent during the step, per node and
+//!   anti-entropy round (`k - 1` digests when every replica pair agrees).
 
 use analysis::{AsciiTable, Csv};
 use simnet::{NodeAddr, SimDuration, Simulation};
 use std::collections::BTreeMap;
 use treep::lookup::RequestId;
-use treep::{audit_replication, DhtOutcome, ReplicationAudit, TreePConfig, TreePNode};
+use treep::{audit_replication, DhtOutcome, MessageKind, ReplicationAudit, TreePConfig, TreePNode};
 use workloads::{BuiltTopology, ChurnPlan, KvWorkload, TopologyBuilder};
 
 /// Parameters of one durability run.
@@ -115,6 +119,10 @@ pub struct DurabilityRow {
     pub repair_windows: usize,
     /// True when the audit converged within the window budget.
     pub converged: bool,
+    /// Anti-entropy messages (`replica_digest` + `replica_sync_request` +
+    /// `replica_sync_reply`) the live nodes sent during this step, per node
+    /// and anti-entropy round; 0 when no round ran (k = 1).
+    pub anti_entropy_msgs_per_node_round: f64,
 }
 
 impl DurabilityRow {
@@ -167,6 +175,7 @@ impl DurabilityReport {
             "divergent",
             "repair_windows",
             "converged",
+            "anti_entropy_msgs_per_node_round",
         ]);
         for row in &self.rows {
             csv.push_row([
@@ -179,6 +188,7 @@ impl DurabilityReport {
                 row.divergent.to_string(),
                 row.repair_windows.to_string(),
                 u8::from(row.converged).to_string(),
+                format!("{:.3}", row.anti_entropy_msgs_per_node_round),
             ]);
         }
         csv
@@ -200,6 +210,7 @@ impl DurabilityReport {
             "divergent",
             "repair wins",
             "converged",
+            "a-e msgs/node/round",
         ]);
         for row in &self.rows {
             table.push_row([
@@ -212,6 +223,7 @@ impl DurabilityReport {
                 row.divergent.to_string(),
                 row.repair_windows.to_string(),
                 if row.converged { "yes" } else { "NO" }.to_string(),
+                format!("{:.2}", row.anti_entropy_msgs_per_node_round),
             ]);
         }
         table
@@ -262,6 +274,8 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
             }
         }
 
+        let (msgs_before, rounds_before) = anti_entropy_totals(&sim, &topo);
+
         // 2. Settle, then grant extra anti-entropy windows until the
         //    replica placement converges (k = 1 has no repair to wait for).
         sim.run_for(params.settle_per_step);
@@ -308,6 +322,8 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
             }
         }
 
+        let (msgs, rounds) = anti_entropy_totals(&sim, &topo);
+        let node_rounds = rounds - rounds_before;
         rows.push(DurabilityRow {
             k,
             failed_fraction: churn_step.failed_fraction,
@@ -319,6 +335,11 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
             divergent: audit.divergent,
             repair_windows,
             converged: audit.is_converged(),
+            anti_entropy_msgs_per_node_round: if node_rounds == 0 {
+                0.0
+            } else {
+                (msgs - msgs_before) as f64 / node_rounds as f64
+            },
         });
     }
     rows
@@ -334,6 +355,26 @@ fn audit_now(sim: &Simulation<TreePNode>, topo: &BuiltTopology, k: u32) -> Repli
         .filter(|n| sim.is_alive(n.addr))
         .filter_map(|n| sim.node(n.addr).map(|node| (n.id, node.dht_store())));
     audit_replication(views, k)
+}
+
+/// Anti-entropy messages sent and anti-entropy rounds run so far, summed
+/// over the live nodes: the difference of two readings with no failure in
+/// between, divided, is messages per node and round.
+fn anti_entropy_totals(sim: &Simulation<TreePNode>, topo: &BuiltTopology) -> (u64, u64) {
+    topo.alive_pairs(sim)
+        .iter()
+        .filter_map(|&(addr, _)| sim.node(addr))
+        .map(|node| {
+            let stats = node.stats();
+            let msgs = [
+                MessageKind::ReplicaDigest,
+                MessageKind::ReplicaSyncRequest,
+                MessageKind::ReplicaSyncReply,
+            ]
+            .map(|kind| stats.sent.get(kind));
+            (msgs.iter().sum::<u64>(), stats.replica_sync_rounds)
+        })
+        .fold((0, 0), |(m, r), (dm, dr)| (m + dm, r + dr))
 }
 
 #[cfg(test)]
@@ -383,6 +424,18 @@ mod tests {
             "anti-entropy must converge the surviving replicas: {k3:?}"
         );
         assert_eq!(k3.divergent, 0);
+        // What the repair costs: nothing without replication, and on the
+        // intact network the k - 1 digests of agreeing pairs (less at the
+        // two edges of the identifier space), no key list.
+        assert!(report
+            .rows_for(1)
+            .iter()
+            .all(|r| r.anti_entropy_msgs_per_node_round == 0.0));
+        let intact = report.row_at(3, 0.0).unwrap();
+        assert!(
+            (1.9..=2.0).contains(&intact.anti_entropy_msgs_per_node_round),
+            "{intact:?}"
+        );
     }
 
     #[test]

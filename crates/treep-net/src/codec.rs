@@ -93,7 +93,7 @@ pub fn decode_message(mut buf: &[u8]) -> Result<TreePMessage> {
 // ---- batch frames ----------------------------------------------------------
 
 /// Tag byte marking a batch frame: several messages bundled into one
-/// datagram. Chosen far above the per-message tags (1–34) so a batch can
+/// datagram. Chosen far above the per-message tags (1–35) so a batch can
 /// never be confused with a single message.
 const TAG_BATCH: u8 = 255;
 
@@ -428,6 +428,7 @@ wire_enums! {
         32 => SubscribeAck { request_id, topic, subscribers, stored_at },
         33 => Unsubscribe { request_id, origin, topic, ttl },
         34 => FilterReport { child, topics, overflow },
+        35 => ReplicaDigest { sender, range, xor, count },
     }
 }
 
@@ -1295,6 +1296,40 @@ mod wire_compat_pubsub {
 }
 
 #[cfg(test)]
+mod wire_compat_replica_digest {
+    //! Fourth golden wire-format test: pins tag 35, the pairwise replica
+    //! digest that replaced the replication layer's tree-wide probe. The
+    //! message is small enough to pin byte by byte rather than by checksum.
+    //! With `replication_factor` defaulting to 1 a node never emits it, so
+    //! the three goldens above stay byte-identical.
+    use super::wire_compat::peer;
+    use super::*;
+
+    #[test]
+    fn replica_digest_encoding_is_frozen() {
+        let msg = TreePMessage::ReplicaDigest {
+            sender: peer(57, 157, 1),
+            range: KeyRange::new(NodeId(0x1000), NodeId(0x2fff)),
+            xor: 0x0123_4567_89ab_cdef,
+            count: 3,
+        };
+        let mut want = vec![35u8];
+        want.extend_from_slice(&57u64.to_le_bytes()); // sender.id
+        want.extend_from_slice(&157u64.to_le_bytes()); // sender.addr
+        want.extend_from_slice(&1u32.to_le_bytes()); // sender.max_level
+        want.extend_from_slice(&640u16.to_le_bytes()); // summary.score_milli
+        want.extend_from_slice(&4u32.to_le_bytes()); // summary.max_children
+        want.extend_from_slice(&0x1000u64.to_le_bytes()); // range.lo
+        want.extend_from_slice(&0x2fffu64.to_le_bytes()); // range.hi
+        want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes()); // xor
+        want.extend_from_slice(&3u64.to_le_bytes()); // count
+        assert_eq!(want.len(), 59);
+        assert_eq!(encode_message(&msg), want, "tag 35 changed on the wire");
+        assert_eq!(decode_message(&want), Ok(msg));
+    }
+}
+
+#[cfg(test)]
 mod proptests {
     //! Randomised round-trip checks over every message variant. The offline
     //! build has no `proptest`, so a deterministic xorshift drives many
@@ -1368,7 +1403,7 @@ mod proptests {
     /// One random instance of the message variant with index `variant`.
     /// Keep `VARIANTS` in sync when adding messages:
     /// `variant_count_matches_the_enum` fails if a kind is never drawn.
-    const VARIANTS: usize = 34;
+    const VARIANTS: usize = 35;
 
     fn arb_message(variant: usize, state: &mut u64) -> TreePMessage {
         match variant {
@@ -1611,6 +1646,12 @@ mod proptests {
                     .map(|_| NodeId(xorshift(state)))
                     .collect(),
                 overflow: xorshift(state).is_multiple_of(2),
+            },
+            34 => TreePMessage::ReplicaDigest {
+                sender: arb_peer(state),
+                range: treep::KeyRange::new(NodeId(xorshift(state)), NodeId(xorshift(state))),
+                xor: xorshift(state),
+                count: xorshift(state),
             },
             other => panic!("variant index {other} not mapped; update arb_message"),
         }

@@ -95,7 +95,8 @@ pub struct TreePConfig {
     /// protocol.
     pub replication_factor: u32,
     /// Interval between anti-entropy rounds of the replication subsystem
-    /// (digest probe, pairwise range sync, handoff / garbage collection).
+    /// (handoff / garbage collection, then one digest per replica partner;
+    /// a pairwise range sync where one disagrees).
     /// Only armed when `replication_factor > 1`.
     pub replica_sync_interval: SimDuration,
     /// Maximum number of times an unacknowledged multicast / convergecast

@@ -79,10 +79,12 @@ impl DhtStore {
     }
 
     /// Digest of the keys stored inside `range`: XOR of the SplitMix64-mixed
-    /// key coordinates plus their count. This is the local contribution of
-    /// the [`crate::multicast::AggregateQuery::DhtKeyDigest`] aggregation —
-    /// one scoped multicast folds these into a key census of a whole
-    /// identifier range, replacing `n` point lookups.
+    /// key coordinates plus their count. This is what a
+    /// [`crate::messages::TreePMessage::ReplicaDigest`] carries, and the
+    /// local contribution of the
+    /// [`crate::multicast::AggregateQuery::DhtKeyDigest`] aggregation — one
+    /// scoped multicast folds these into a key census of a whole identifier
+    /// range, replacing `n` point lookups.
     pub fn digest_range(&self, range: KeyRange) -> (u64, u64) {
         let mut xor = 0u64;
         let mut count = 0u64;

@@ -21,7 +21,7 @@
 //! non-greedy, non-greedy with fall-back). A DHT / resource-discovery layer
 //! sits on top of the same routing; with `replication_factor = k` every
 //! stored value is kept on the responsible node plus its `k - 1` nearest
-//! registry neighbours and continuously repaired by a digest-probed
+//! registry neighbours and continuously repaired by a pairwise-digest
 //! anti-entropy engine ([`replication`]). The hierarchy doubles as a
 //! dissemination and aggregation spine ([`multicast`]): a payload addressed
 //! to a contiguous identifier range climbs to the initiator's root, walks

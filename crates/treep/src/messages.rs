@@ -250,12 +250,13 @@ pub enum TreePMessage {
         value: Vec<u8>,
     },
     /// Pairwise anti-entropy: "these are the keys I hold in `range` — send
-    /// me what I lack, ask for what you lack."
+    /// me what I lack, ask for what you lack." The answer to a
+    /// [`TreePMessage::ReplicaDigest`] that did not match.
     ReplicaSyncRequest {
         /// The syncing node (the reply goes back to it).
         sender: PeerInfo,
-        /// The key-space interval being reconciled (the sender's replica
-        /// range).
+        /// The key-space interval being reconciled (the one the mismatching
+        /// digest covered).
         range: KeyRange,
         /// Every key the sender stores inside `range`, in key order.
         keys: Vec<NodeId>,
@@ -272,6 +273,25 @@ pub enum TreePMessage {
         entries: Vec<ReplicaEntry>,
         /// Keys the requester listed that the responder lacks.
         want: Vec<NodeId>,
+    },
+    /// Steady-state anti-entropy between two replicas: "over `range` — the
+    /// keys both of us must hold — my store digests to `(xor, count)`".
+    /// Sent once per round to each of the sender's `k - 1` nearest registry
+    /// successors, so every replica pair is compared once, from its lower
+    /// member. A receiver whose own [`crate::dht::DhtStore::digest_range`]
+    /// agrees stays silent; one that differs answers with a
+    /// [`TreePMessage::ReplicaSyncRequest`] over the same `range`.
+    /// Fire-and-forget: the next round repeats a lost one.
+    ReplicaDigest {
+        /// The comparing node (a mismatch is answered to it).
+        sender: PeerInfo,
+        /// The interval of keys both ends belong to the replica set of
+        /// (see [`crate::tables::RoutingTables::replica_pair_range`]).
+        range: KeyRange,
+        /// XOR of the mixed key coordinates the sender stores in `range`.
+        xor: u64,
+        /// Number of keys the sender stores in `range`.
+        count: u64,
     },
 
     // ---- multicast / aggregation --------------------------------------------
@@ -603,6 +623,7 @@ message_kinds! {
     ReplicaPut "replica_put" maintenance,
     ReplicaSyncRequest "replica_sync_request" maintenance,
     ReplicaSyncReply "replica_sync_reply" maintenance,
+    ReplicaDigest "replica_digest" maintenance,
     MulticastDown "multicast_down" user,
     AggregateUp "aggregate_up" user,
     MulticastAck "multicast_ack" user,
@@ -822,6 +843,14 @@ mod tests {
         assert_eq!(reply.kind().name(), "replica_sync_reply");
         assert!(reply.is_maintenance());
         assert_eq!(reply.origin_addr(), None);
+        let digest = TreePMessage::ReplicaDigest {
+            sender: peer(3),
+            range: KeyRange::new(NodeId(0), NodeId(10)),
+            xor: 0xD1,
+            count: 1,
+        };
+        assert_eq!(digest.kind().name(), "replica_digest");
+        assert!(digest.is_maintenance(), "its cost shows as maintenance");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   put/get routing built on them.
 //! * `multicast` — tree-scoped multicast dissemination and convergecast
 //!   aggregation.
-//! * `replication` — k-way DHT replica placement, digest-probed anti-entropy
-//!   repair and key handoff (see [`crate::replication`]).
+//! * `replication` — k-way DHT replica placement, pairwise-digest
+//!   anti-entropy repair and key handoff (see [`crate::replication`]).
 //! * `readpath` — versioned puts/gets, replica-first serving, read-repair
 //!   and the per-hop hot-key cache (see [`crate::readpath`]).
 //! * `pubsub` — topic subscriptions, the replicated subscriber directory,
@@ -130,9 +130,6 @@ pub struct TreePNode {
     /// backoff timer carries. Always empty when `max_retransmits == 0`.
     retx_pending: BTreeMap<u64, PendingRetx>,
     next_retx_id: u64,
-    /// Replication repair state: true when the next anti-entropy round must
-    /// run a pairwise sync instead of the cheap digest probe.
-    replica_dirty: bool,
     /// Read path: last-write-wins stamp of every stored value that arrived
     /// through a versioned write (side table, so [`DhtStore`] and the
     /// replication audit stay unchanged; absent keys carry the legacy floor
@@ -189,7 +186,6 @@ impl TreePNode {
             next_relay_round: 0,
             retx_pending: BTreeMap::new(),
             next_retx_id: 0,
-            replica_dirty: true,
             versions: BTreeMap::new(),
             observed: BTreeMap::new(),
             cache: HotKeyCache::new(config.cache_capacity, config.cache_ttl),
@@ -514,6 +510,12 @@ impl Protocol for TreePNode {
                 entries,
                 want,
             } => self.handle_replica_sync_reply(sender, range, entries, want, ctx),
+            TreePMessage::ReplicaDigest {
+                sender,
+                range,
+                xor,
+                count,
+            } => self.handle_replica_digest(sender, range, xor, count, ctx),
             // ---- multicast / aggregation layer -------------------------
             TreePMessage::MulticastDown {
                 origin,

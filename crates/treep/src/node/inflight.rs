@@ -27,11 +27,11 @@
 use super::*;
 use crate::entry::RoutingEntry;
 use crate::lookup::LookupStatus;
-use crate::multicast::{AggregatePartial, AggregateQuery};
+use crate::multicast::AggregateQuery;
 use crate::routing::RoutingAlgorithm;
 
-/// What an origin keeps about a request it is waiting on: exactly what the
-/// timeout outcome has to name.
+/// What an origin keeps about a request it is waiting on, one variant per
+/// kind of request (five): exactly what the timeout outcome has to name.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Pending {
     Lookup {
@@ -49,13 +49,6 @@ pub(super) enum Pending {
     },
     Aggregate {
         query: AggregateQuery,
-    },
-    /// The replication layer's digest probe: an aggregation whose answer is
-    /// compared with the fold a healthy replica range gives and never
-    /// reaches the embedder.
-    DigestProbe {
-        xor: u64,
-        count: u64,
     },
     /// A directory registration or its removal.
     Subscribe {
@@ -75,8 +68,7 @@ pub(super) enum KeyHop {
 
 impl TreePNode {
     /// Number of requests this node has originated and not yet resolved,
-    /// of every kind (including the one replication digest probe it may
-    /// have in flight).
+    /// of every kind.
     pub fn pending_request_count(&self) -> usize {
         self.pending.len()
     }
@@ -228,16 +220,6 @@ impl TreePNode {
                     completed_at: now,
                 });
             }
-            (
-                TreePMessage::AggregateUp {
-                    partial, truncated, ..
-                },
-                Pending::DigestProbe { xor, count },
-            ) => {
-                self.digest_probe_ended(
-                    !truncated && partial == AggregatePartial::Digest { xor, count },
-                );
-            }
             _ => return,
         }
         self.pending.remove(&request_id);
@@ -276,7 +258,6 @@ impl TreePNode {
                     completed_at,
                 })
             }
-            Pending::DigestProbe { .. } => self.digest_probe_ended(false),
             Pending::Subscribe { topic } => self.sub_outcomes.push(SubscribeOutcome::TimedOut {
                 request_id,
                 topic,

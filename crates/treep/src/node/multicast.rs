@@ -133,22 +133,9 @@ impl TreePNode {
         query: AggregateQuery,
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
-        self.start_aggregate_as(Pending::Aggregate { query }, range, query, ctx)
-    }
-
-    /// [`TreePNode::start_aggregate`] under a caller-chosen in-flight entry:
-    /// the replication layer's digest probe is the same aggregation whose
-    /// answer ends somewhere else.
-    pub(super) fn start_aggregate_as(
-        &mut self,
-        what: Pending,
-        range: KeyRange,
-        query: AggregateQuery,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) -> RequestId {
         ctx.start_trace("aggregate");
         self.stats.aggregates_initiated += 1;
-        let request_id = self.begin(what, ctx);
+        let request_id = self.begin(Pending::Aggregate { query }, ctx);
         let me = self.peer_info();
         self.dispatch_multicast(
             me.addr,

@@ -286,8 +286,7 @@ impl TreePNode {
             );
         }
         // Fire-and-forget placement, same as the unversioned path: the next
-        // anti-entropy round verifies with a pairwise sync.
-        self.replica_dirty = true;
+        // anti-entropy round's digests notice a lost copy.
     }
 
     // ---- reply path ------------------------------------------------------------
@@ -387,10 +386,7 @@ impl TreePNode {
         let me_addr = self.addr.expect("node not started");
         if self.store.contains(key) || self.in_replica_set(key, self.id, me_addr) {
             self.stats.replica_values_received += 1;
-            let changed = self.stored_stamp(key) != Some(stamp);
-            if self.store_stamped(key, stamp, &value, now) && changed {
-                self.replica_dirty = true;
-            }
+            self.store_stamped(key, stamp, &value, now);
         }
     }
 
@@ -436,16 +432,11 @@ impl TreePNode {
                     );
                     self.push_stamped_replicas(key, fresh, &value, ctx);
                 }
-                Some(fresh) if fresh < served_stamp => {
-                    // The authoritative copy is the stale one: let the next
-                    // anti-entropy round pull the newer value.
-                    self.replica_dirty = true;
-                }
-                Some(_) => {} // equal stamps: healthy
-                None => {
-                    // A replica holds a copy the responsible node lacks.
-                    self.replica_dirty = true;
-                }
+                // Equal stamps are healthy. A copy the responsible node
+                // lacks reaches it through the next digest it exchanges
+                // with that replica; an older one is overwritten by the
+                // next stamped write or repair that reaches it.
+                _ => {}
             },
         }
     }

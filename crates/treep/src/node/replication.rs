@@ -1,76 +1,38 @@
-//! Replication layer: k-way replica placement, digest-probed anti-entropy
+//! Replication layer: k-way replica placement, pairwise-digest anti-entropy
 //! repair and key handoff.
 //!
-//! The placement rule, the digest hierarchy and the repair state machine
-//! are documented in [`crate::replication`]; this layer implements them:
+//! The placement rule, the digest exchange and the repair round are
+//! documented in [`crate::replication`]; this layer implements them:
 //!
 //! * [`TreePNode::push_replicas`] places `k - 1` copies the moment a
 //!   `DhtPut` lands at the responsible node.
-//! * The [`super::TIMER_REPLICA`] round alternates between the cheap
-//!   subtree [`AggregateQuery::DhtKeyDigest`] probe over the node's primary
-//!   range (clean state) and pairwise
-//!   [`TreePMessage::ReplicaSyncRequest`] range reconciliation (dirty
-//!   state), and every round hands off keys with at least `2k` known
-//!   strictly-closer peers — pushing the value to the key's whole replica
-//!   set *before* dropping it, so a responsibility transfer never reduces
-//!   the number of live copies.
-//! * A digest probe is an in-flight request kind of its own
-//!   (`Pending::DigestProbe`, entered before the aggregation is
-//!   dispatched), so its answer ends in
-//!   [`TreePNode::digest_probe_ended`] and never reaches the embedder's
-//!   aggregate-outcome queue: a mismatching, truncated or timed-out probe
-//!   marks the node dirty.
+//! * Every [`super::TIMER_REPLICA`] round hands off keys with at least `2k`
+//!   known strictly-closer peers — pushing the value to the key's whole
+//!   replica set *before* dropping it, so a responsibility transfer never
+//!   reduces the number of live copies — and then sends one
+//!   [`TreePMessage::ReplicaDigest`] to each of the node's `k - 1` nearest
+//!   registry successors, over the interval of keys the two must both hold
+//!   ([`crate::tables::RoutingTables::replica_pair_range`]).
+//! * A digest that matches the receiver's own store is not answered. One
+//!   that differs is answered with a [`TreePMessage::ReplicaSyncRequest`]
+//!   over the same interval, and the request → reply → `ReplicaPut` /
+//!   `ReadRepair` exchange converges the two stores.
 //!
-//! The digest probe is a `DhtKeyDigest` convergecast, so with
-//! `max_retransmits > 0` it automatically rides the multicast reliability
-//! layer (per-hop acks, retransmission, re-route — see the multicast
-//! layer's module documentation): on lossy links the probe's dissemination
-//! and fold no longer die to a single dropped datagram, which means far
-//! fewer spurious truncated outcomes — and a truncated outcome marks the
-//! node dirty, so reliability directly cuts needless pairwise-sync rounds.
+//! Every message of the layer travels one hop between two replicas and
+//! none is awaited: there is no in-flight entry, no timer besides the
+//! round's own, and nothing rides the tree. A lost digest, request or copy
+//! is made good by the next round, which compares again.
 //!
 //! The whole layer is inert when `replication_factor <= 1`: no timer is
 //! armed, no message is ever sent, and the node behaves exactly like the
 //! paper's single-copy DHT.
 
-use super::inflight::Pending;
 use super::*;
-use crate::multicast::AggregateQuery;
 use crate::replication::ReplicaEntry;
 
 impl TreePNode {
     fn replication_enabled(&self) -> bool {
         self.config.replication_factor > 1
-    }
-
-    /// The interval of the key space this node can be responsible for
-    /// replicating: keys for which it is among the `k` nearest peers all lie
-    /// between its `k`-th registry neighbour below and above (unbounded
-    /// sides extend to the edge of the identifier space).
-    pub fn replica_range(&self) -> KeyRange {
-        let k = self.config.replication_factor as usize;
-        let (below, above) = self.tables.kth_neighbor_ids(self.id, k);
-        KeyRange::new(
-            below.unwrap_or(NodeId::MIN),
-            above.unwrap_or(self.config.space.max_id()),
-        )
-    }
-
-    /// The interval of keys this node is *primary* (closest known peer)
-    /// for: from just past the midpoint to its nearest registry neighbour
-    /// below, to the midpoint to its nearest neighbour above. Midpoint ties
-    /// prefer the smaller identifier, matching the ordered-probe tie-break
-    /// everywhere else in the routing.
-    fn primary_range(&self) -> KeyRange {
-        let space = self.config.space;
-        let (below, above) = self.tables.kth_neighbor_ids(self.id, 1);
-        let lo = below
-            .map(|p| NodeId(space.midpoint(p, self.id).0 + 1))
-            .unwrap_or(NodeId::MIN);
-        let hi = above
-            .map(|s| space.midpoint(self.id, s))
-            .unwrap_or(space.max_id());
-        KeyRange::new(lo, hi)
     }
 
     /// Number of known peers strictly closer (Euclidean) to `key` than the
@@ -148,10 +110,6 @@ impl TreePNode {
                 },
             );
         }
-        // Storing a fresh put marks the node dirty: the placement pushes
-        // are fire-and-forget, so the next round verifies them with a
-        // pairwise sync instead of waiting for a probe to notice a loss.
-        self.replica_dirty = true;
     }
 
     // ---- message handlers ------------------------------------------------------
@@ -176,12 +134,7 @@ impl TreePNode {
         }
         // Otherwise stored unconditionally: the sender chose this node as a
         // replica target, and a misplaced copy is corrected by the handoff
-        // sweep, while a rejected copy could be the key's last. A *new*
-        // value means repair is in flight — go dirty so the next round
-        // spreads it with a pairwise sync.
-        if self.store.get(key) != Some(&value) {
-            self.replica_dirty = true;
-        }
+        // sweep, while a rejected copy could be the key's last.
         self.store.put(key, value);
         self.stats.dht_values_stored = self.store.len() as u64;
     }
@@ -268,9 +221,6 @@ impl TreePNode {
             {
                 continue;
             }
-            if self.store.get(entry.key) != Some(&entry.value) {
-                self.replica_dirty = true;
-            }
             self.store.put(entry.key, entry.value);
         }
         self.stats.dht_values_stored = self.store.len() as u64;
@@ -306,87 +256,68 @@ impl TreePNode {
         }
         self.stats.replica_sync_rounds += 1;
         self.handoff_misplaced_keys(ctx);
-        // A probe still unanswered after a whole interval is as good as a
-        // mismatch: fall back to pairwise sync rather than stalling. Its
-        // late answer still ends at the replication layer.
-        let probe_in_flight = self
-            .pending
-            .values()
-            .any(|p| matches!(p, Pending::DigestProbe { .. }));
-        if self.replica_dirty || probe_in_flight {
-            self.run_pairwise_sync(ctx);
-            // Optimistically clean: the next round's digest probe verifies.
-            self.replica_dirty = false;
-        } else {
-            self.start_digest_probe(ctx);
-        }
+        self.send_replica_digests(ctx);
         ctx.set_timer(
             self.config.replica_sync_interval,
             encode_timer(TIMER_REPLICA, 0),
         );
     }
 
-    /// Steady-state divergence detection: fold one `DhtKeyDigest`
-    /// convergecast over this node's **primary range** — the subinterval of
-    /// keys it is the closest peer of, where its own store is authoritative
-    /// (it must hold *every* key there, each replicated `k` times
-    /// network-wide). A healthy fold therefore answers exactly
-    /// `k · |own keys in range|` with the own XOR repeated `k` times
-    /// (`own_xor` for odd `k`, `0` for even — XOR self-cancels pairwise).
-    /// Every key in the space lies in exactly one node's primary range, so
-    /// the probes tile the whole key space with no false mismatch from
-    /// overlap: a wider range (e.g. the full replica range) would fold in
-    /// keys the prober legitimately does not hold and never match.
-    fn start_digest_probe(&mut self, ctx: &mut Context<'_, TreePMessage>) {
-        let range = self.primary_range();
-        let k = u64::from(self.config.replication_factor);
-        let (own_xor, own_count) = self.store.digest_range(range);
-        let xor = if k % 2 == 1 { own_xor } else { 0 };
-        let count = k * own_count;
-        self.stats.replica_digest_probes += 1;
-        // The entry exists before the dispatch: a prober with no parent and
-        // an empty fan-out folds its own probe inside this call.
-        let probe = Pending::DigestProbe { xor, count };
-        self.start_aggregate_as(probe, range, AggregateQuery::DhtKeyDigest, ctx);
-    }
-
-    /// A digest probe ended. Anything but a complete, exactly-matching
-    /// fold — a mismatch, a truncated convergecast, a timeout — marks the
-    /// node dirty.
-    pub(super) fn digest_probe_ended(&mut self, healthy: bool) {
-        if !healthy {
-            self.stats.replica_digest_mismatches += 1;
-            self.replica_dirty = true;
-        }
-    }
-
-    /// Reconcile the replica range with the replica partners: the `2k`
-    /// nearest registry neighbours of this node's own coordinate, which
-    /// together cover the replica set of every key this node can be
-    /// responsible for.
-    fn run_pairwise_sync(&mut self, ctx: &mut Context<'_, TreePMessage>) {
+    /// Steady-state divergence detection: tell each of the `k - 1` nearest
+    /// registry successors what this node's store digests to over the keys
+    /// the two must both hold. Every unordered replica pair is thus compared
+    /// once per round, from its lower member; the primary of a key is paired
+    /// with all `k - 1` other members of the key's replica window, so a
+    /// missing copy anywhere in the window shows in at least one pair.
+    fn send_replica_digests(&mut self, ctx: &mut Context<'_, TreePMessage>) {
         let me = self.peer_info();
-        let range = self.replica_range();
-        let keys = self.store.keys_in_range(range);
-        let partner_count = 2 * self.config.replication_factor as usize;
-        let partners: Vec<NodeAddr> = self
-            .tables
-            .nearest_peers(self.config.space, self.id, partner_count, me.addr)
-            .into_iter()
-            .map(|e| e.addr)
-            .collect();
-        for addr in partners {
-            self.stats.replica_syncs_sent += 1;
+        let k = self.config.replication_factor as usize;
+        for j in 1..k {
+            let Some((partner, range)) =
+                self.tables
+                    .replica_pair_range(self.config.space, self.id, k, j)
+            else {
+                continue; // no j-th successor, or no key the two share
+            };
+            let partner = partner.addr;
+            let (xor, count) = self.store.digest_range(range);
+            self.stats.replica_digests_sent += 1;
             self.send(
                 ctx,
-                addr,
-                TreePMessage::ReplicaSyncRequest {
+                partner,
+                TreePMessage::ReplicaDigest {
                     sender: me,
                     range,
-                    keys: keys.clone(),
+                    xor,
+                    count,
                 },
             );
         }
+    }
+
+    /// A replica partner's digest over the keys we share: silence when this
+    /// store digests the same, otherwise open the pairwise reconciliation of
+    /// exactly that interval.
+    pub(super) fn handle_replica_digest(
+        &mut self,
+        sender: PeerInfo,
+        range: KeyRange,
+        xor: u64,
+        count: u64,
+        ctx: &mut Context<'_, TreePMessage>,
+    ) {
+        self.learn_peer(sender, ctx.now());
+        if self.store.digest_range(range) == (xor, count) {
+            return;
+        }
+        self.stats.replica_digest_mismatches += 1;
+        self.stats.replica_syncs_sent += 1;
+        let request = TreePMessage::ReplicaSyncRequest {
+            sender: self.peer_info(),
+            range,
+            keys: self.store.keys_in_range(range),
+        };
+        self.send(ctx, sender.addr, request);
     }
 
     /// Hand off stored keys this node has clearly left the replica set of —

@@ -1378,35 +1378,282 @@ fn put_versioned_pass_through_refreshes_hop_cache() {
     assert_eq!(served.0.value, b"v2".to_vec());
 }
 
+// ---- replication: the pairwise digest exchange -------------------------------
+
+/// Replicating nodes (k = 3) at `ids`, each knowing every other as a
+/// level-0 neighbour; a node's address is its identifier.
+fn replicas(ids: &[u64]) -> Vec<TreePNode> {
+    let config = TreePConfig {
+        replication_factor: 3,
+        ..TreePConfig::default()
+    };
+    ids.iter()
+        .map(|&id| {
+            let mut node = TreePNode::new(config, NodeId(id), NodeCharacteristics::default())
+                .with_addr(NodeAddr(id));
+            for &other in ids.iter().filter(|&&other| other != id) {
+                node.seed_level0_neighbor(peer(other, 0), SimTime::ZERO);
+            }
+            node
+        })
+        .collect()
+}
+
+fn replica(nodes: &mut [TreePNode], id: u64) -> &mut TreePNode {
+    nodes.iter_mut().find(|n| n.id == NodeId(id)).unwrap()
+}
+
+/// Run `first` on node `at`, then deliver every message it and its
+/// receivers send — replies to replies included — until none is left,
+/// except those `lose` picks. Returns what was delivered, in order.
+fn exchange(
+    nodes: &mut [TreePNode],
+    at: u64,
+    first: impl FnOnce(&mut TreePNode, &mut Context<'_, TreePMessage>),
+    mut lose: impl FnMut(&TreePMessage) -> bool,
+) -> Vec<(NodeAddr, TreePMessage)> {
+    let mut rng = simnet::SimRng::seed_from(1);
+    let now = SimTime::from_millis(900);
+    let mut ctx = Context::new(now, NodeAddr(at), &mut rng);
+    first(replica(nodes, at), &mut ctx);
+    let mut queue = std::collections::VecDeque::from([(NodeAddr(at), ctx.into_actions())]);
+    let mut delivered = Vec::new();
+    while let Some((from, actions)) = queue.pop_front() {
+        for action in actions {
+            let simnet::Action::Send { dest, msg } = action else {
+                continue;
+            };
+            if lose(&msg) {
+                continue;
+            }
+            delivered.push((dest, msg.clone()));
+            let mut ctx = Context::new(now, dest, &mut rng);
+            replica(nodes, dest.0).on_message(from, msg, &mut ctx);
+            queue.push_back((dest, ctx.into_actions()));
+        }
+    }
+    delivered
+}
+
+/// One anti-entropy round on every node, nothing lost.
+fn replica_round(nodes: &mut [TreePNode]) -> Vec<(NodeAddr, TreePMessage)> {
+    let ids: Vec<u64> = nodes.iter().map(|n| n.id.0).collect();
+    ids.into_iter()
+        .flat_map(|id| {
+            exchange(
+                nodes,
+                id,
+                |node, ctx| node.on_timer(encode_timer(TIMER_REPLICA, 0), ctx),
+                |_| false,
+            )
+        })
+        .collect()
+}
+
+fn audit(nodes: &[TreePNode]) -> crate::replication::ReplicationAudit {
+    crate::replication::audit_replication(nodes.iter().map(|n| (n.id, n.dht_store())), 3)
+}
+
+fn count_kind(delivered: &[(NodeAddr, TreePMessage)], kind: MessageKind) -> usize {
+    delivered.iter().filter(|(_, m)| m.kind() == kind).count()
+}
+
 #[test]
-fn solitary_digest_probe_resolves_without_leaking() {
-    // A replicating node that knows nobody: no parent and an empty fan-out,
-    // so the digest probe folds inside the call that starts it. Its answer
-    // must reach the replication layer, not the embedder, and must leave
-    // nothing in flight — a leftover would read as an unanswered probe and
-    // turn every later round into a pairwise sync.
+fn a_matching_replica_digest_is_not_answered() {
+    let mut nodes = replicas(&[100, 200, 300]);
+    for node in &mut nodes {
+        node.store.put(NodeId(210), b"v".to_vec());
+    }
+    let range = KeyRange::new(NodeId(150), NodeId(250));
+    let (xor, count) = nodes[0].store.digest_range(range);
+    let mut rng = simnet::SimRng::seed_from(1);
+    let mut ctx = Context::new(SimTime::from_millis(900), NodeAddr(200), &mut rng);
+    nodes[1].on_message(
+        NodeAddr(100),
+        TreePMessage::ReplicaDigest {
+            sender: peer(100, 0),
+            range,
+            xor,
+            count,
+        },
+        &mut ctx,
+    );
+    assert!(ctx.into_actions().is_empty(), "agreement is silent");
+    assert_eq!(nodes[1].stats().replica_digest_mismatches, 0);
+    assert_eq!(nodes[1].stats().replica_syncs_sent, 0);
+}
+
+#[test]
+fn a_mismatching_replica_digest_opens_one_sync_over_the_same_range() {
+    let mut nodes = replicas(&[100, 200, 300]);
+    nodes[1].store.put(NodeId(210), b"v".to_vec());
+    nodes[1].store.put(NodeId(900), b"outside".to_vec());
+    let range = KeyRange::new(NodeId(150), NodeId(250));
+    let mut rng = simnet::SimRng::seed_from(1);
+    let mut ctx = Context::new(SimTime::from_millis(900), NodeAddr(200), &mut rng);
+    // The sender holds nothing in the range; this node holds key 210.
+    nodes[1].on_message(
+        NodeAddr(100),
+        TreePMessage::ReplicaDigest {
+            sender: peer(100, 0),
+            range,
+            xor: 0,
+            count: 0,
+        },
+        &mut ctx,
+    );
+    let actions = ctx.into_actions();
+    assert_eq!(actions.len(), 1, "exactly one message: {actions:?}");
+    match &actions[0] {
+        simnet::Action::Send {
+            dest,
+            msg:
+                TreePMessage::ReplicaSyncRequest {
+                    sender,
+                    range: asked,
+                    keys,
+                },
+        } => {
+            assert_eq!(*dest, NodeAddr(100));
+            assert_eq!(sender.id, NodeId(200));
+            assert_eq!(*asked, range);
+            assert_eq!(keys, &vec![NodeId(210)], "the keys of the range, only");
+        }
+        other => panic!("expected a ReplicaSyncRequest, got {other:?}"),
+    }
+    assert_eq!(nodes[1].stats().replica_digest_mismatches, 1);
+    assert_eq!(nodes[1].stats().replica_syncs_sent, 1);
+}
+
+#[test]
+fn a_dropped_replica_put_is_restored_within_two_rounds() {
+    let mut nodes = replicas(&[100, 200, 300, 400, 500]);
+    // Key 310 lands at its responsible node 300, which places copies on
+    // 200 and 400; the first of the two is lost.
+    let mut lost = false;
+    let delivered = exchange(
+        &mut nodes,
+        300,
+        |node, ctx| {
+            let put = TreePMessage::DhtPut {
+                request_id: RequestId(1),
+                origin: peer(100, 0),
+                key: NodeId(310),
+                value: b"v".to_vec(),
+                ttl: 0,
+            };
+            node.on_message(NodeAddr(100), put, ctx)
+        },
+        |msg| matches!(msg, TreePMessage::ReplicaPut { .. }) && !std::mem::replace(&mut lost, true),
+    );
+    assert_eq!(count_kind(&delivered, MessageKind::ReplicaPut), 1);
+    assert!(!audit(&nodes).is_converged(), "one copy is missing");
+    replica_round(&mut nodes);
+    replica_round(&mut nodes);
+    let after = audit(&nodes);
+    assert!(after.is_converged(), "{after:?}");
+    assert_eq!(after.total_copies, 3, "repaired, not over-replicated");
+}
+
+#[test]
+fn a_fresh_node_pulls_its_share_from_its_predecessors_digest() {
+    // 100..400 hold a converged key set; 250 has just joined, empty, and
+    // every registry knows it.
+    let mut nodes = replicas(&[100, 200, 250, 300, 400]);
+    let keys: Vec<u64> = (60..460).step_by(20).collect();
+    for &key in &keys {
+        let mut holders: Vec<u64> = vec![100, 200, 300, 400];
+        holders.sort_by_key(|id| (id.abs_diff(key), *id));
+        for &id in &holders[..3] {
+            replica(&mut nodes, id)
+                .store
+                .put(NodeId(key), key.to_le_bytes().to_vec());
+        }
+    }
+    // Only the predecessor's round runs: its digest to 250 mismatches, 250
+    // asks with an empty key list, 200 answers with the values.
+    let delivered = exchange(
+        &mut nodes,
+        200,
+        |node, ctx| node.on_timer(encode_timer(TIMER_REPLICA, 0), ctx),
+        |_| false,
+    );
+    assert_eq!(count_kind(&delivered, MessageKind::ReplicaDigest), 2);
+    let space = TreePConfig::default().space;
+    let predecessor = replica(&mut nodes, 200);
+    let (partner, shared) = predecessor
+        .tables
+        .replica_pair_range(space, NodeId(200), 3, 1)
+        .unwrap();
+    assert_eq!(partner.id, NodeId(250));
+    let expected = predecessor.store.keys_in_range(shared);
+    assert!(!expected.is_empty());
+    let fresh = replica(&mut nodes, 250);
+    assert_eq!(fresh.store.keys_in_range(KeyRange::full(space)), expected);
+    assert_eq!(fresh.stats().replica_digest_mismatches, 1);
+    assert_eq!(fresh.stats().replica_values_received, expected.len() as u64);
+    // Every one of them is a key 250 is among the three nearest nodes of.
+    for key in expected {
+        let mut ids = [100u64, 200, 250, 300, 400];
+        ids.sort_by_key(|id| (id.abs_diff(key.0), *id));
+        assert!(ids[..3].contains(&250), "{key:?} is not 250's to hold");
+    }
+}
+
+#[test]
+fn a_stamped_value_crosses_as_read_repair_with_its_stamp() {
+    let mut nodes = replicas(&[100, 200, 300]);
+    let stamp = VersionStamp {
+        version: 7,
+        origin: NodeId(100),
+    };
+    let now = SimTime::from_millis(1);
+    replica(&mut nodes, 100).store_stamped(NodeId(210), stamp, b"v7", now);
+    let delivered = replica_round(&mut nodes);
+    assert!(
+        delivered.iter().any(|(dest, msg)| *dest == NodeAddr(200)
+            && matches!(msg, TreePMessage::ReadRepair { key, stamp: s, .. }
+                if *key == NodeId(210) && *s == stamp)),
+        "{delivered:?}"
+    );
+    assert_eq!(count_kind(&delivered, MessageKind::ReplicaPut), 0);
+    for node in &nodes {
+        assert_eq!(node.stored_stamp(NodeId(210)), Some(stamp), "{:?}", node.id);
+        assert_eq!(node.store.get(NodeId(210)), Some(&b"v7".to_vec()));
+    }
+}
+
+#[test]
+fn a_node_with_empty_tables_sends_no_digest() {
+    // A replicating node that knows nobody has no replica partner: its
+    // rounds are silent, leave nothing in flight and never reach the
+    // embedder's aggregate outcomes (the tree-wide probe this replaced
+    // folded inside the call and once leaked there).
     let config = TreePConfig {
         replication_factor: 3,
         ..TreePConfig::default()
     };
     let mut node =
         TreePNode::new(config, NodeId(10), NodeCharacteristics::default()).with_addr(NodeAddr(10));
+    node.store.put(NodeId(11), b"v".to_vec());
     let mut rng = simnet::SimRng::seed_from(1);
     for round in 1..=6u64 {
         let now = SimTime::from_millis(900 * round);
         let mut ctx = Context::new(now, NodeAddr(10), &mut rng);
         node.on_timer(encode_timer(TIMER_REPLICA, 0), &mut ctx);
-        assert!(
-            node.drain_aggregate_outcomes().is_empty(),
-            "round {round}: the probe's outcome leaked to the embedder"
-        );
+        let sends = ctx
+            .into_actions()
+            .into_iter()
+            .filter(|a| matches!(a, simnet::Action::Send { .. }))
+            .count();
+        assert_eq!(sends, 0, "round {round}");
+        assert!(node.drain_aggregate_outcomes().is_empty(), "round {round}");
         assert_eq!(node.pending_request_count(), 0, "round {round}");
-        // The first round is the pairwise sync every node starts with;
-        // every later one is clean and probes.
-        assert_eq!(node.stats().replica_digest_probes, round - 1);
     }
     assert_eq!(node.stats().replica_sync_rounds, 6);
+    assert_eq!(node.stats().replica_digests_sent, 0);
     assert_eq!(node.stats().replica_digest_mismatches, 0);
+    assert_eq!(node.dht_store().len(), 1, "nowhere to hand off to: kept");
 }
 
 // ---- the in-flight table: what five typed maps gave for free ----------------

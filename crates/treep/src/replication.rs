@@ -3,9 +3,9 @@
 //! The Section-III DHT stores each key at exactly one responsible node — the
 //! peer closest to the key coordinate — so a single failure silently loses
 //! data. This subsystem keeps **k copies** of every value alive and repairs
-//! divergence continuously, layered on the registry's ordered successor
-//! queries and the multicast spine's `DhtKeyDigest` convergecast. The
-//! protocol behaviour lives in the `node/replication` layer of
+//! divergence continuously, layered on nothing but the registry's ordered
+//! neighbour queries: every message of it travels one hop, between two
+//! replicas. The protocol behaviour lives in the `node/replication` layer of
 //! [`crate::node::TreePNode`]; this module holds the wire/data types and the
 //! reference auditor the tests and experiments check convergence with.
 //!
@@ -23,59 +23,82 @@
 //! ## Digest hierarchy
 //!
 //! Anti-entropy rounds are cheap in the steady state because divergence is
-//! *detected* before any key list is exchanged:
+//! *detected* before any key list is exchanged, and detected where it can
+//! occur — between two replicas:
 //!
-//! 1. **Subtree digest probe** — a clean node folds one
-//!    [`crate::multicast::AggregateQuery::DhtKeyDigest`] convergecast over
-//!    its **primary range**: the interval of keys it is the closest peer
-//!    of (midpoint to its nearest registry neighbour on each side), where
-//!    its own store is authoritative. If every key there has exactly `k`
-//!    live copies, the folded count is `k · |own keys|` and the folded XOR
-//!    is the own XOR repeated `k` times (`own_xor` for odd `k`, `0` for
-//!    even `k`) — one scoped aggregation replacing `n` point checks.
-//!    Primary ranges tile the key space, so every key is probed by exactly
-//!    one node and a healthy network probes clean everywhere. At the prober
-//!    the probe is an in-flight request kind of its own, entered before the
-//!    aggregation is dispatched: its fold (or its timeout) ends at the
-//!    replication layer and never appears among the aggregate outcomes an
-//!    embedder drains — including when a solitary root folds its own probe
-//!    inside the call that starts it.
-//! 2. **Pairwise range sync** — only when the probe mismatches (or times
-//!    out, or the local store changed) does the node fall back to
-//!    [`crate::messages::TreePMessage::ReplicaSyncRequest`]: it sends its
-//!    per-range key list to each replica partner; the partner replies with
-//!    the values the sender lacks and a `want` list of the keys it lacks
-//!    itself, which the sender answers with `ReplicaPut`s. Two messages per
-//!    partner converge both stores over the range.
+//! 1. **Pairwise digest** — once per round a node sends one
+//!    [`crate::messages::TreePMessage::ReplicaDigest`] to each of its
+//!    `k - 1` nearest registry successors: the XOR-and-count
+//!    [`crate::dht::DhtStore::digest_range`] of its store over the
+//!    **shared interval**, the keys both ends belong to the replica set
+//!    of. The `k` nearest peers of a key are `k` adjacent identifiers, so
+//!    with `L_i` / `R_i` the sender's `i`-th registry neighbour below /
+//!    above, the interval it shares with its `j`-th successor `R_j`
+//!    (`1 <= j < k`) has the closed form
+//!    `[midpoint(L_{k-j}, R_j) + 1, midpoint(self, R_k)]`
+//!    ([`crate::tables::RoutingTables::replica_pair_range`]; a missing
+//!    neighbour runs the interval to that edge of the space, midpoint ties
+//!    go to the smaller identifier as in every ordered probe). The receiver
+//!    digests its own store over the interval it was given: equal means
+//!    silence. `k - 1` small messages per node and round, no
+//!    acknowledgement, nothing in flight, nothing through the tree.
+//! 2. **Pairwise range sync** — a receiver whose digest differs answers
+//!    with a [`crate::messages::TreePMessage::ReplicaSyncRequest`] carrying
+//!    its key list of that interval; the digest's sender replies with the
+//!    values the receiver lacks and a `want` list of the keys it lacks
+//!    itself, which the receiver answers with `ReplicaPut`s (`ReadRepair`s
+//!    for stamped values, so the version survives). That converges both
+//!    stores over the interval; the replier offers only keys the requester
+//!    is, by the replier's registry, a replica of, and asks only for keys
+//!    it is a replica of itself.
 //!
-//! ## Repair state machine
+//! **Why successors are enough.** Each unordered pair of nodes at most
+//! `k - 1` registry positions apart is compared exactly once per round, by
+//! its lower member. The replica set of a key is a window of `k` adjacent
+//! nodes, so its primary — the closest node — is paired with all `k - 1`
+//! others, and the key lies in the shared interval of every such pair. A
+//! copy missing anywhere in the window therefore shows in at least one
+//! pair: if the primary holds the key, every member that lacks it
+//! disagrees with the primary; if it does not, it disagrees with any member
+//! that does, obtains the key, and disagrees with the rest one round
+//! later.
 //!
-//! Each node runs one timer-driven round per `replica_sync_interval`:
+//! ## Repair round
+//!
+//! Each node runs one timer-driven round per `replica_sync_interval`, and
+//! the round is the whole state of the repair machine — there is no mode,
+//! and no message is awaited:
 //!
 //! ```text
-//!          ┌────────────┐   digest matches    ┌───────────┐
-//!  puts /  │   DIRTY    │ ◄────────────────┐  │   CLEAN   │
-//!  churn ─►│ (pairwise  │                  └──│ (digest   │◄─┐ probe ok
-//!          │  sync now) │ ─────────────────►  │  probe)   │──┘
-//!          └────────────┘   syncs sent        └───────────┘
-//!                │                                  │ mismatch / timeout
-//!                ▼                                  ▼
-//!          handoff & GC                       mark DIRTY
+//!   every replica_sync_interval
+//!        │
+//!        ▼
+//!   handoff & GC ──► ReplicaDigest to each of the k-1 successors
+//!                          │ receiver's digest_range(range)
+//!                 equal ◄──┴──► differs
+//!                (silence)      ReplicaSyncRequest ─► ReplicaSyncReply
+//!                                                     ─► ReplicaPut / ReadRepair
 //! ```
 //!
-//! * A node starts DIRTY; receiving a replica value, storing a put, or a
-//!   failed probe marks it DIRTY again.
-//! * A DIRTY round sends pairwise syncs to the replica partners and
-//!   optimistically returns to CLEAN; the next probe verifies.
-//! * Every round also **hands off**: a stored key with at least `2k` known
+//! * Placement pushes, digests, sync requests and repair copies are all
+//!   fire-and-forget. Whatever a lost one leaves undone is a disagreement
+//!   the next round's digest sees again.
+//! * Every round first **hands off**: a stored key with at least `2k` known
 //!   peers strictly closer than this node is outside any plausible replica
-//!   set — the value is pushed to the key's closest peer (so responsibility
+//!   set — the value is pushed to the key's replica set (so responsibility
 //!   transfer never drops a copy) and dropped locally. The `2k` slack
 //!   tolerates stale registry knowledge: over-retention is always safe,
 //!   under-retention never is.
-//! * Joins need no special case: a fresh node's empty-key-list syncs pull
-//!   everything in its replica range, and its partners' syncs push to it as
-//!   soon as gossip makes it a registry neighbour.
+//! * Joins need no special case: as soon as gossip makes a fresh node a
+//!   registry neighbour, its predecessors' digests mismatch against its
+//!   empty store and it pulls what they hold for it, and its own digests
+//!   mismatch at its successors, which push the rest through its `want`
+//!   list.
+//! * Two registries that disagree on who lies between them name different
+//!   intervals and may find a difference no transfer removes (the
+//!   per-key replica-set filter above is applied to each side's own
+//!   view); the cost is one request per round until gossip aligns the
+//!   registries, counted in `replica_digest_mismatches`.
 
 use crate::dht::DhtStore;
 use crate::id::NodeId;

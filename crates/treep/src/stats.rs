@@ -130,12 +130,13 @@ pub struct NodeStats {
     pub replica_sync_rounds: u64,
     /// Replicated values received (`ReplicaPut` and sync-reply entries).
     pub replica_values_received: u64,
-    /// Pairwise `ReplicaSyncRequest`s this node sent.
+    /// `ReplicaSyncRequest`s this node sent, one per mismatching
+    /// `ReplicaDigest` it received.
     pub replica_syncs_sent: u64,
-    /// Digest probes (subtree `DhtKeyDigest` convergecasts) this node
-    /// started in place of a pairwise sync.
-    pub replica_digest_probes: u64,
-    /// Digest probes that came back mismatching, truncated or timed out.
+    /// `ReplicaDigest`s this node sent: one per round and replica partner
+    /// (its `k - 1` nearest registry successors sharing a key interval).
+    pub replica_digests_sent: u64,
+    /// `ReplicaDigest`s received whose range digested differently here.
     pub replica_digest_mismatches: u64,
     /// Keys handed off (pushed to the replica set, then dropped locally)
     /// because this node left the key's replica set.

@@ -425,6 +425,39 @@ impl RoutingTables {
         )
     }
 
+    /// The `j`-th registry neighbour above `own` (`1 <= j < k`) and the
+    /// interval of keys **both** of them are among the `k` nearest known
+    /// peers of — what the two must agree on as replicas. The `k` nearest
+    /// peers of a key are `k` adjacent identifiers, so with `L_i` / `R_i`
+    /// the `i`-th neighbour below / above `own` the interval is
+    /// `[midpoint(L_{k-j}, R_j) + 1, midpoint(own, R_k)]`: above the first
+    /// bound `R_j` beats `L_{k-j}` into the set, up to the second `own`
+    /// still beats `R_k` (midpoint ties go to the smaller identifier, as in
+    /// every ordered probe). A missing `L` or `R_k` runs the interval to
+    /// that edge of the space. `None` when there is no such neighbour, or
+    /// when the bounds cross: distinct identifiers inside `space` keep them
+    /// in order, and for anything else no range is better than the one
+    /// [`KeyRange::new`] would make by swapping them.
+    pub fn replica_pair_range(
+        &self,
+        space: IdSpace,
+        own: NodeId,
+        k: usize,
+        j: usize,
+    ) -> Option<(&PeerEntry, KeyRange)> {
+        debug_assert!((1..k).contains(&j), "partner {j} of a {k}-replica set");
+        let partner = self.find(self.kth_neighbor_ids(own, j).1?)?;
+        let lo = match self.kth_neighbor_ids(own, k - j).0 {
+            Some(below) => NodeId(space.midpoint(below, partner.id).0 + 1),
+            None => NodeId::MIN,
+        };
+        let hi = match self.kth_neighbor_ids(own, k).1 {
+            Some(above) => space.midpoint(own, above),
+            None => space.max_id(),
+        };
+        (lo <= hi).then(|| (partner, KeyRange::new(lo, hi)))
+    }
+
     /// The entries of the slots holding any of the `levels` bits, by ID.
     fn on_levels(&self, levels: u64) -> impl Iterator<Item = &PeerEntry> {
         self.slots
@@ -1541,6 +1574,86 @@ mod tests {
             (None, Some(NodeId(300)))
         );
         assert_eq!(t.kth_neighbor_ids(NodeId(300), 0), (None, None));
+    }
+
+    /// The `k` identifiers nearest `key` by `(distance, id)` — the
+    /// replication audit's definition of a replica set.
+    fn k_nearest(ids: &[u64], key: u64, k: usize) -> Vec<u64> {
+        let mut ids = ids.to_vec();
+        ids.sort_by_key(|id| (id.abs_diff(key), *id));
+        ids.truncate(k);
+        ids
+    }
+
+    #[test]
+    fn replica_pair_range_is_where_both_ends_are_among_the_k_nearest() {
+        // A 7-bit space, so every key can be asked; populations from 2 to 9
+        // nodes, so most nodes have fewer than k neighbours on a side, and
+        // every third population sits on both edges of the space.
+        let space = IdSpace::new(7);
+        let max = space.max_id().0;
+        let mut state = 0x5eed_0020_u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut pairs = 0;
+        for trial in 0..120 {
+            let mut ids: Vec<u64> = (0..2 + draw() % 8).map(|_| draw() % (max + 1)).collect();
+            if trial % 3 == 0 {
+                ids.extend([0, max]);
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            for (at, &own) in ids.iter().enumerate() {
+                let mut t = RoutingTables::new();
+                for &id in ids.iter().filter(|&&id| id != own) {
+                    t.upsert_level0(entry(id, 0, 1));
+                }
+                for k in 2..=4usize {
+                    for j in 1..k {
+                        let got = t.replica_pair_range(space, NodeId(own), k, j);
+                        let Some(&partner) = ids.get(at + j) else {
+                            assert!(got.is_none(), "{ids:?} own {own} k {k} j {j}");
+                            continue;
+                        };
+                        let (entry, range) = got.expect("distinct identifiers share a key");
+                        assert_eq!(entry.id, NodeId(partner));
+                        assert!(range.lo <= range.hi && range.hi.0 <= max);
+                        for key in 0..=max {
+                            let nearest = k_nearest(&ids, key, k);
+                            assert_eq!(
+                                range.contains(NodeId(key)),
+                                nearest.contains(&own) && nearest.contains(&partner),
+                                "{ids:?} own {own} partner {partner} k {k} key {key}: {range:?}"
+                            );
+                        }
+                        pairs += 1;
+                    }
+                }
+            }
+        }
+        assert!(pairs > 1_000, "only {pairs} pairs drawn");
+    }
+
+    #[test]
+    fn crossed_replica_pair_bounds_are_skipped_not_swapped() {
+        // Identifiers beyond the space the caller names: the lower bound
+        // (past the midpoint of 100 and 400) lies above the space's last
+        // identifier, which is the upper bound for want of a third
+        // neighbour above. `KeyRange::new` would answer [127, 251].
+        let mut t = RoutingTables::new();
+        for id in [100u64, 200, 400] {
+            t.upsert_level0(entry(id, 0, 1));
+        }
+        assert!(t
+            .replica_pair_range(IdSpace::new(7), NodeId(300), 3, 1)
+            .is_none());
+        assert!(t
+            .replica_pair_range(IdSpace::default(), NodeId(300), 3, 1)
+            .is_some());
     }
 
     #[test]

@@ -44,8 +44,7 @@ fn values_published_anywhere_are_retrievable_from_anywhere() {
         found >= 8,
         "only {found}/10 DHT values were retrievable across the overlay"
     );
-    // Every put and get was answered, so no origin is left waiting: the
-    // in-flight table is empty wherever `k = 1` starts no digest probes.
+    // Every put and get was answered, so no origin is left waiting.
     for (addr, _) in pairs {
         assert_eq!(sim.node(addr).unwrap().pending_request_count(), 0);
     }

@@ -17,8 +17,8 @@
 //! A refactor of the in-flight bookkeeping must leave both alone; a change
 //! of the protocol re-pins them once, on purpose, and says so (both values
 //! are printed). The trace also bounds the in-flight table: a round outlasts
-//! the request deadline, so after the last one a survivor holds at most the
-//! one replication digest probe it may have started since.
+//! the request deadline, so after the last one no survivor holds anything
+//! in flight (the replication layer awaits no answer of its own).
 //!
 //! History of the constants: captured on the five typed `pending_*` maps
 //! and five timer kinds of PR 18 (plus the fix that registers a digest
@@ -27,7 +27,12 @@
 //! kinds into `TIMER_REQUEST` then moved the event digests once — the
 //! engine hashes the token of every timer it fires — and left the outcome
 //! digests alone: `0x93c5_243c_671c_e4a6`, `0x903a_c1bc_17d7_2584` and
-//! `0x301e_2f6c_b7c6_e3df` became the values below.
+//! `0x301e_2f6c_b7c6_e3df` became `0x0380_f17f_a77e_06f6`,
+//! `0xf219_dc7e_5061_6d6c` and `0x87f2_1e13_990b_5f7f`. Replacing the
+//! replication layer's tree-wide digest probe by the pairwise
+//! `ReplicaDigest` then moved all six, on purpose: what replicas send and
+//! what `NodeStats` counts changed (outcome digests before it:
+//! `0x930e_d2d1_c4d9_1427`, `0xda12_d54e_c354_6828`, `0x78cc_86f8_30c4_0dbb`).
 
 use simnet::{LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
 use treep::{
@@ -44,9 +49,9 @@ const TOPICS: u64 = 3;
 
 /// `(seed, outcome digest, event digest)`.
 const PINS: [(u64, u64, u64); 3] = [
-    (1, 0x930e_d2d1_c4d9_1427, 0x0380_f17f_a77e_06f6),
-    (2, 0xda12_d54e_c354_6828, 0xf219_dc7e_5061_6d6c),
-    (3, 0x78cc_86f8_30c4_0dbb, 0x87f2_1e13_990b_5f7f),
+    (1, 0x2066_408f_11a1_5e5b, 0x366e_4bae_b83d_3afe),
+    (2, 0x73e2_73f9_c9c7_a599, 0x08ef_bb42_b95a_d54e),
+    (3, 0xa6bd_2c4e_8ad1_bfd9, 0xc68b_e2d2_b374_6426),
 ];
 
 struct Run {
@@ -189,10 +194,9 @@ fn composed_request_lifecycle_replays_its_pinned_digests() {
     }
     for ((seed, outcome_pin, event_pin), got) in PINS.into_iter().zip(runs) {
         assert!(got.outcomes >= OPS_PER_ROUND * ROUNDS / 2, "seed {seed}");
-        assert!(
-            got.max_pending_at_end <= 1,
-            "seed {seed}: a survivor holds {} requests in flight after every deadline passed",
-            got.max_pending_at_end
+        assert_eq!(
+            got.max_pending_at_end, 0,
+            "seed {seed}: a survivor holds requests in flight after every deadline passed"
         );
         assert_eq!(got.outcome_digest, outcome_pin, "seed {seed}: outcomes");
         assert_eq!(got.event_digest, event_pin, "seed {seed}: events");
