@@ -132,6 +132,9 @@ fn event_word<M>(kind: &EventKind<M>) -> (u8, u64) {
     }
 }
 
+/// The callback of [`Simulation::on_dead_letter`].
+type DeadLetterObserver<M> = Box<dyn FnMut(SimTime, NodeAddr, NodeAddr, &M) + Send>;
+
 /// A discrete-event simulation hosting nodes of one protocol type.
 pub struct Simulation<P: Protocol> {
     config: SimConfig,
@@ -150,6 +153,9 @@ pub struct Simulation<P: Protocol> {
     /// Telemetry sink (registry, spans, flight recorder); `None` until
     /// enabled, and behaviourally inert when on.
     telemetry: Option<Box<Telemetry>>,
+    /// Told of every message that dies at a dead or unstarted destination
+    /// (see [`Simulation::on_dead_letter`]); `None` until set.
+    dead_letter: Option<DeadLetterObserver<P::Message>>,
     /// Placement (see the module docs): the first address this engine owns.
     base: u64,
     /// Placement: how many addresses it owns, the same for every peer.
@@ -175,6 +181,7 @@ impl<P: Protocol> Simulation<P> {
             action_buf: Vec::new(),
             digest: None,
             telemetry: None,
+            dead_letter: None,
             base: 0,
             block: u64::MAX,
             index: 0,
@@ -214,6 +221,19 @@ impl<P: Protocol> Simulation<P> {
     /// digest (see [`Simulation::event_digest`]).
     pub fn enable_digest(&mut self) {
         self.digest.get_or_insert(FNV_OFFSET);
+    }
+
+    /// Have `observer` called with `(arrival time, sender, destination,
+    /// message)` for every message that arrives at a crashed, stopped or
+    /// never-started node — the letters [`SimMetrics::messages_to_dead`]
+    /// only counts. It runs on that cold branch alone, sees the message
+    /// just before it is dropped and cannot act on the simulation, so the
+    /// event stream and its digest are the same with or without it.
+    pub fn on_dead_letter(
+        &mut self,
+        observer: impl FnMut(SimTime, NodeAddr, NodeAddr, &P::Message) + Send + 'static,
+    ) {
+        self.dead_letter = Some(Box::new(observer));
     }
 
     /// Turn telemetry on: metrics registry, causal spans, engine profiling
@@ -529,7 +549,12 @@ impl<P: Protocol> Simulation<P> {
         };
         let Some(slot) = slot.filter(ready) else {
             match event.kind {
-                EventKind::Deliver { .. } => metrics.messages_to_dead += 1,
+                EventKind::Deliver { src, msg, .. } => {
+                    metrics.messages_to_dead += 1;
+                    if let Some(observer) = self.dead_letter.as_mut() {
+                        observer(event.at, src, node, &msg);
+                    }
+                }
                 EventKind::Timer { .. } => metrics.timers_dropped += 1,
                 _ => {}
             }
@@ -751,6 +776,35 @@ mod tests {
             !sim.node(b).unwrap().stopped,
             "crash failure must not run on_stop"
         );
+    }
+
+    #[test]
+    fn dead_letter_observer_names_each_dead_letter_and_changes_nothing() {
+        let run = |observe: bool| {
+            let letters = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
+            sim.enable_digest();
+            if observe {
+                let seen = letters.clone();
+                sim.on_dead_letter(move |at, src, dest, msg: &Msg| {
+                    seen.lock().unwrap().push((at, src, dest, msg.clone()));
+                });
+            }
+            let a = sim.add_node(PingPong::default());
+            let b = sim.add_node(PingPong::default());
+            sim.fail_node(b);
+            sim.run_until_idle();
+            let letters = letters.lock().unwrap().clone();
+            (sim.event_digest(), sim.metrics(), a, b, letters)
+        };
+        let (digest, metrics, a, b, letters) = run(true);
+        assert_eq!(letters.len() as u64, metrics.messages_to_dead);
+        let (at, src, dest, msg) = letters[0].clone();
+        assert_eq!((src, dest, msg), (a, b, Msg::Ping));
+        assert_eq!(at, SimTime::from_micros(1), "the ideal link takes 1 µs");
+        let (plain_digest, plain_metrics, .., none) = run(false);
+        assert!(none.is_empty());
+        assert_eq!((digest, metrics), (plain_digest, plain_metrics));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! timers, behind the thin dispatch in this file:
 //!
 //! * `membership` — joining, keep-alives, child reports, the periodic
-//!   maintenance tick and routing-table gossip.
+//!   maintenance tick and routing-table gossip; and the three ages of a
+//!   table entry (fresh, suspect, expired) every other layer forwards by.
 //! * `promotion` — countdown elections, promotions and demotions (the
 //!   hierarchy-formation layer).
 //! * `inflight` — the origin side of every request: the one table of what
@@ -387,13 +388,27 @@ impl TreePNode {
 
     // ---- shared plumbing -----------------------------------------------------
 
+    /// Tell the registry what time it is, so that it knows which entries
+    /// have gone quiet (`membership`, "the three ages of an entry"). Every
+    /// function that reads suspicion calls this first — the router view, the
+    /// key descent, the reply walk-back, replica placement, the digest
+    /// round — and nothing on the maintenance path does: a keep-alive costs
+    /// what it cost before.
+    fn keep_time(&mut self, now: SimTime) {
+        let quiet = self.suspect_after().as_micros();
+        self.tables
+            .set_suspect_before(SimTime::from_micros(now.as_micros().saturating_sub(quiet)));
+    }
+
     fn fresh_request_id(&mut self) -> RequestId {
         let id = RequestId(self.next_request_id);
         self.next_request_id += 1;
         id
     }
 
-    fn router_view(&self) -> RouterView<'_> {
+    /// The view the next-hop selection routes by, as of `now`.
+    fn router_view(&mut self, now: SimTime) -> RouterView<'_> {
+        self.keep_time(now);
         RouterView {
             tables: &self.tables,
             dist: &self.dist,

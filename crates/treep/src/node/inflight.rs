@@ -22,10 +22,13 @@
 //! The second half is the greedy descent toward a key coordinate that DHT
 //! puts and gets, their versioned counterparts, read-verify probes and
 //! directory registrations all ride: [`TreePNode::key_hop`] decides one step
-//! of it and [`TreePNode::pass_on`] takes it.
+//! of it and [`TreePNode::pass_on`] takes it. The step goes to the nearest
+//! closer peer that is not a suspect (see the membership layer, "the three
+//! ages of an entry"), so two seconds after a crash a put or get already
+//! reaches the live next-nearest peer — a replica — instead of the corpse;
+//! a node that knows only suspects nearer to the key answers for it.
 
 use super::*;
-use crate::entry::RoutingEntry;
 use crate::lookup::LookupStatus;
 use crate::multicast::AggregateQuery;
 use crate::routing::RoutingAlgorithm;
@@ -298,26 +301,42 @@ impl TreePNode {
 
     // ---- the key descent -------------------------------------------------------
 
-    /// The peer strictly closer (Euclidean) to `key` than this node, if any:
-    /// an ordered neighbour probe on the registry, not a scan.
-    fn closer_peer_to(&self, key: NodeId) -> Option<&RoutingEntry> {
-        let self_addr = self.addr.expect("node not started");
-        let own = self.dist.euclidean(self.id, key);
-        self.tables
-            .closest_peer(self.config.space, key, self_addr)
-            .filter(|p| self.dist.euclidean(p.id, key) < own)
-    }
-
     /// Decide this node's step of `msg`'s descent toward its key. `msg`
     /// must be one of the key-routed kinds.
-    pub(super) fn key_hop(&self, msg: &mut TreePMessage) -> KeyHop {
+    ///
+    /// The next hop is the nearest peer strictly closer (Euclidean) to the
+    /// key than this node **that is not a suspect** — an ordered neighbour
+    /// probe on the registry, not a scan. When every closer peer is a
+    /// suspect this node answers as responsible, exactly as it will once
+    /// they have expired.
+    pub(super) fn key_hop(&mut self, msg: &mut TreePMessage, now: SimTime) -> KeyHop {
         let (key, ttl) = msg.key_route_mut().expect("a key-routed message");
         if *ttl >= self.config.max_ttl {
             return KeyHop::Drop;
         }
-        match self.closer_peer_to(key) {
-            Some(next) => KeyHop::Forward(next.addr),
-            None => KeyHop::Responsible,
+        self.keep_time(now);
+        let self_addr = self.addr.expect("node not started");
+        let own = self.dist.euclidean(self.id, key);
+        let mut passed_suspect = false;
+        let next = self
+            .tables
+            .nearest_walk(key, self_addr)
+            .take_while(|p| self.dist.euclidean(p.id, key) < own)
+            .find(|p| {
+                let suspect = self.tables.is_suspect(p);
+                passed_suspect |= suspect;
+                !suspect
+            })
+            .map(|p| p.addr);
+        match next {
+            Some(next) => {
+                self.stats.forwards_suspect_skipped += u64::from(passed_suspect);
+                KeyHop::Forward(next)
+            }
+            None => {
+                self.stats.responsible_by_suspicion += u64::from(passed_suspect);
+                KeyHop::Responsible
+            }
         }
     }
 

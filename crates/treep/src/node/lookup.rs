@@ -35,17 +35,18 @@ impl TreePNode {
         );
 
         let mut req = LookupRequest::new(request_id, self.peer_info(), target, algorithm);
-        if target == self.id || self.tables.find(target).is_some() {
-            // Resolved locally without a single hop.
+        if target == self.id {
             self.complete_lookup(request_id, LookupStatus::Found, 0, ctx.now());
             return request_id;
         }
-        let decision = route(&self.router_view(), &mut req);
+        let decision = route(&self.router_view(ctx.now()), &mut req);
         match decision {
+            // In the table and heard of lately: resolved without a hop.
             RouteDecision::Found(_) => {
                 self.complete_lookup(request_id, LookupStatus::Found, 0, ctx.now());
             }
             RouteDecision::Forward(next) => {
+                self.note_suspects_passed(target, next.id);
                 req.advance(self.addr.expect("node not started"));
                 self.send(ctx, next.addr, TreePMessage::Lookup(req));
             }
@@ -116,7 +117,7 @@ impl TreePNode {
             return;
         }
 
-        let decision = route(&self.router_view(), &mut req);
+        let decision = route(&self.router_view(ctx.now()), &mut req);
         match decision {
             RouteDecision::Found(entry) => {
                 self.stats.lookups_answered += 1;
@@ -130,6 +131,7 @@ impl TreePNode {
                 self.answer(req.origin.addr, answer, ctx);
             }
             RouteDecision::Forward(next) => {
+                self.note_suspects_passed(req.target, next.id);
                 req.advance(me.addr);
                 self.send(ctx, next.addr, TreePMessage::Lookup(req));
             }
@@ -149,10 +151,24 @@ impl TreePNode {
         }
     }
 
+    /// Count a lookup forward that went to `chosen` although the known peer
+    /// nearest to `target` is nearer than that, and a suspect.
+    fn note_suspects_passed(&mut self, target: NodeId, chosen: NodeId) {
+        let reach = self.dist.euclidean(chosen, target);
+        let passed = self
+            .tables
+            .peers_outward_from(target)
+            .next()
+            .is_some_and(|p| {
+                self.tables.is_suspect(p) && self.dist.euclidean(p.id, target) < reach
+            });
+        self.stats.forwards_suspect_skipped += u64::from(passed);
+    }
+
     // ---- DHT internals ---------------------------------------------------------
 
     pub(super) fn route_dht(&mut self, mut msg: TreePMessage, ctx: &mut Context<'_, TreePMessage>) {
-        match self.key_hop(&mut msg) {
+        match self.key_hop(&mut msg, ctx.now()) {
             KeyHop::Drop => {} // the origin times out
             KeyHop::Forward(next) => self.pass_on(next, msg, ctx),
             KeyHop::Responsible => self.answer_dht_locally(msg, ctx),

@@ -79,11 +79,69 @@ impl TreePNode {
     // Net effect: a dead peer vanishes from every registry within roughly
     // `entry_ttl` of its death, while live peers (directly refreshed by
     // their own neighbours every keep-alive round) circulate unhindered.
+    //
+    // # The three ages of an entry
+    //
+    // | silent for | the entry is |
+    // |---|---|
+    // | ≤ `gossip_penalty` (2 rounds) | heard directly and lately: advertised onward |
+    // | ≤ `suspect_after` (3.5 rounds) | fresh: chosen like any other |
+    // | > `suspect_after` | a **suspect**: pinged and kept in every role, but passed over by whatever hands a request, a reply or a copy to a peer |
+    // | > `entry_ttl`, at the next tick | expired: forgotten |
+    //
+    // Suspicion costs no message because the two rules above already keep
+    // the invariant it needs: a timestamp is either the arrival of a message
+    // the peer itself sent, or `gossip_penalty` before the arrival of an
+    // advertisement by somebody who had heard the peer within that penalty.
+    // So in every table of the network a crashed peer's `last_seen` is at
+    // most the instant its last message arrived somewhere, and "silent for
+    // longer than `suspect_after`" is a sound *local* test for "has missed
+    // its rounds". `suspect_after` is the age a live peer's entry can reach
+    // when it is known through gossip only — the penalty, plus the round
+    // until it is advertised again — and half a round of slack; any lower
+    // and a bus neighbour's children or the superiors would be suspected on
+    // a network where nobody died. It is derived here and configured
+    // nowhere; `entry_ttl` keeps meaning *forget*.
+    //
+    // A false suspicion costs a detour and never a link: the suspect is
+    // still pinged, and the first message from it ends the suspicion. When
+    // *every* candidate is a suspect the node acts as if they had expired
+    // already — a lookup takes the escape hatches or ends not found, a
+    // key-routed request is answered here. Using suspects as a last resort
+    // instead was measured and lost, narrowly, on seven `stack_churn` runs
+    // of ten: a request sent to a peer five rounds silent is most often a
+    // request lost, while the node next to it holds a replica. A key stored here
+    // under a false suspicion reaches its replica set through the handoff
+    // sweep of the next anti-entropy round.
+    //
+    // Who consults it: `routing::route` (all three algorithms, the escape
+    // hatches and "the target is in my table"), the key descent
+    // (`inflight::key_hop`), the walk back of a versioned-get reply
+    // (`readpath`), replica placement, handoff targets and digest partners
+    // (`replication`). Who does not: everything in this layer — keep-alives,
+    // reports, gossip, elections and expiry treat a suspect like any entry —
+    // and `multicast`, where the peer a copy goes to *is* its destination
+    // (parent, child, next bus member) and not one of several ways to it:
+    // passing over a live peer whose keep-alives were merely lost would
+    // lose the deliveries behind it, where the retransmission budget of the
+    // reliability layer loses none.
 
     /// The age stamped onto gossiped entries, and the freshness bar an entry
     /// must clear to be advertised onward (two keep-alive rounds).
     fn gossip_penalty(&self) -> SimDuration {
         self.config.keepalive_interval.saturating_mul(2)
+    }
+
+    /// The silence after which an entry is a suspect: the age a live peer's
+    /// entry reaches when it is known through gossip only (`gossip_penalty`,
+    /// plus the round until it is gossiped again), and half a round on top.
+    pub(super) fn suspect_after(&self) -> SimDuration {
+        let round = self.config.keepalive_interval.as_micros();
+        SimDuration::from_micros(
+            self.gossip_penalty()
+                .as_micros()
+                .saturating_add(round.saturating_mul(3) / 2),
+        )
     }
 
     /// The timestamp given to entries learned through gossip.
@@ -205,16 +263,9 @@ impl TreePNode {
                 });
             }
         }
-        for sup in self
-            .tables
-            .superiors()
-            .filter(|s| self.advertisable(s, now))
-            .take(4)
-        {
-            updates.push(RoutingUpdate::Superior {
-                peer: PeerInfo::from_entry(sup),
-            });
-        }
+        self.push_superiors_in_turn(&mut updates, 4, now, |peer| RoutingUpdate::Superior {
+            peer,
+        });
         // Ring repair: advertise the identifier-nearest peers we have heard
         // from directly, so the neighbours of a failed peer stitch the
         // level-0 ring back together within a few rounds instead of waiting
@@ -236,6 +287,32 @@ impl TreePNode {
         updates
     }
 
+    /// Append up to `count` advertisable superiors to `out`, the window
+    /// moving on by `count` every keep-alive round. A fixed window in
+    /// identifier order would advertise the same first `count` for ever: a
+    /// node's fifth superior would be refreshed at its neighbours only by
+    /// accident, live on the edge of expiry there and — read as a suspect —
+    /// cost lookups a detour on a network where nobody died.
+    fn push_superiors_in_turn<T>(
+        &self,
+        out: &mut Vec<T>,
+        count: usize,
+        now: SimTime,
+        wrap: impl Fn(PeerInfo) -> T,
+    ) {
+        let from = out.len();
+        let fresh = self
+            .tables
+            .superiors()
+            .filter(|s| self.advertisable(s, now));
+        out.extend(fresh.map(|s| wrap(PeerInfo::from_entry(s))));
+        let known = out.len() - from;
+        if known > count {
+            out[from..].rotate_left(self.stats.keepalive_rounds as usize * count % known);
+            out.truncate(from + count);
+        }
+    }
+
     /// Superiors advertised to children in a [`TreePMessage::ChildReportAck`]:
     /// our own parent, our ancestors, and our direct bus neighbours —
     /// gated by the same directly-heard freshness bar as every other
@@ -245,14 +322,7 @@ impl TreePNode {
         if let Some(p) = self.tables.parent().filter(|p| self.advertisable(p, now)) {
             sup.push(PeerInfo::from_entry(p));
         }
-        for s in self
-            .tables
-            .superiors()
-            .filter(|s| self.advertisable(s, now))
-            .take(6)
-        {
-            sup.push(PeerInfo::from_entry(s));
-        }
+        self.push_superiors_in_turn(&mut sup, 6, now, |peer| peer);
         if self.max_level > 0 {
             let (l, r) = self.tables.bus_neighbors(self.max_level, self.id);
             for e in [l, r].into_iter().flatten() {

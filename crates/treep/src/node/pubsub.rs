@@ -152,7 +152,7 @@ impl TreePNode {
         if !self.config.pubsub_enabled {
             return; // dropped; the origin times out
         }
-        match self.key_hop(&mut msg) {
+        match self.key_hop(&mut msg, ctx.now()) {
             KeyHop::Drop => {} // the origin times out
             KeyHop::Forward(next) => self.pass_on(next, msg, ctx),
             KeyHop::Responsible => self.apply_subscription_locally(msg, ctx),

@@ -138,7 +138,7 @@ impl TreePNode {
         mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let hop = self.key_hop(&mut msg);
+        let hop = self.key_hop(&mut msg, ctx.now());
         let TreePMessage::GetVersioned {
             key,
             ttl,
@@ -205,7 +205,7 @@ impl TreePNode {
         mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let hop = self.key_hop(&mut msg);
+        let hop = self.key_hop(&mut msg, ctx.now());
         let TreePMessage::PutVersioned {
             request_id,
             origin,
@@ -262,17 +262,8 @@ impl TreePNode {
             return;
         }
         let me = self.peer_info();
-        let targets: Vec<NodeAddr> = self
-            .tables
-            .nearest_peers(
-                self.config.space,
-                key,
-                self.config.replication_factor as usize - 1,
-                me.addr,
-            )
-            .into_iter()
-            .map(|e| e.addr)
-            .collect();
+        let targets =
+            self.copy_targets(key, self.config.replication_factor as usize - 1, ctx.now());
         for addr in targets {
             self.send(
                 ctx,
@@ -312,7 +303,7 @@ impl TreePNode {
         else {
             unreachable!("serve_read only answers GetVersioned")
         };
-        let dest = path.pop().unwrap_or(origin.addr);
+        let dest = self.previous_live_hop(&mut path, origin.addr, ctx.now());
         let reply = TreePMessage::GetVersionedReply {
             request_id,
             origin: origin.addr,
@@ -324,6 +315,26 @@ impl TreePNode {
             path,
         };
         self.answer(dest, reply, ctx);
+    }
+
+    /// The next stop of a reply walking its recorded caching `path` back to
+    /// `origin`: the most recent hop that is not a suspect — a relay that
+    /// has gone quiet since it passed the request on is skipped, and with
+    /// it only the cache fill it would have made — or the origin itself.
+    fn previous_live_hop(
+        &mut self,
+        path: &mut Vec<NodeAddr>,
+        origin: NodeAddr,
+        now: SimTime,
+    ) -> NodeAddr {
+        self.keep_time(now);
+        while let Some(hop) = path.pop() {
+            if !self.tables.is_suspect_addr(hop) {
+                return hop;
+            }
+            self.stats.replies_rerouted += 1;
+        }
+        origin
     }
 
     /// A reply on its walk back to the origin: fill this hop's cache, then
@@ -358,7 +369,7 @@ impl TreePNode {
         if origin == self.addr.expect("node not started") {
             self.on_reply(msg, ctx.now());
         } else {
-            let dest = path.pop().unwrap_or(origin);
+            let dest = self.previous_live_hop(path, origin, ctx.now());
             self.send(ctx, dest, msg);
         }
     }
@@ -399,7 +410,7 @@ impl TreePNode {
         mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let hop = self.key_hop(&mut msg);
+        let hop = self.key_hop(&mut msg, ctx.now());
         let TreePMessage::ReadVerify {
             server,
             key,

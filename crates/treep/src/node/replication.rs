@@ -74,6 +74,22 @@ impl TreePNode {
         self.replica_rank(key, subject_id, subject_addr, k) < k
     }
 
+    /// Where copies of `key` go: the `count` known peers nearest its
+    /// coordinate, suspects passed over — a copy sent to a peer that has
+    /// gone quiet is most likely a copy lost, and the live peer behind it
+    /// is the one that takes its place in the replica set when it expires.
+    pub(super) fn copy_targets(
+        &mut self,
+        key: NodeId,
+        count: usize,
+        now: SimTime,
+    ) -> Vec<NodeAddr> {
+        self.keep_time(now);
+        let me = self.addr.expect("node not started");
+        let live = self.tables.nearest_live_walk(key, me);
+        live.take(count).map(|e| e.addr).collect()
+    }
+
     /// Push one copy of `(key, value)` to each of the `k - 1` nearest known
     /// peers of the key coordinate. Called by the responsible node when a
     /// `DhtPut` lands; fire-and-forget, the anti-entropy rounds repair any
@@ -88,17 +104,8 @@ impl TreePNode {
             return;
         }
         let me = self.peer_info();
-        let targets: Vec<NodeAddr> = self
-            .tables
-            .nearest_peers(
-                self.config.space,
-                key,
-                self.config.replication_factor as usize - 1,
-                me.addr,
-            )
-            .into_iter()
-            .map(|e| e.addr)
-            .collect();
+        let targets =
+            self.copy_targets(key, self.config.replication_factor as usize - 1, ctx.now());
         for addr in targets {
             self.send(
                 ctx,
@@ -270,6 +277,7 @@ impl TreePNode {
     /// with all `k - 1` other members of the key's replica window, so a
     /// missing copy anywhere in the window shows in at least one pair.
     fn send_replica_digests(&mut self, ctx: &mut Context<'_, TreePMessage>) {
+        self.keep_time(ctx.now());
         let me = self.peer_info();
         let k = self.config.replication_factor as usize;
         for j in 1..k {
@@ -279,6 +287,9 @@ impl TreePNode {
             else {
                 continue; // no j-th successor, or no key the two share
             };
+            if self.tables.is_suspect(partner) {
+                continue; // gone quiet: nothing to compare with this round
+            }
             let partner = partner.addr;
             let (xor, count) = self.store.digest_range(range);
             self.stats.replica_digests_sent += 1;
@@ -333,7 +344,6 @@ impl TreePNode {
     fn handoff_misplaced_keys(&mut self, ctx: &mut Context<'_, TreePMessage>) {
         let me = self.peer_info();
         let k = self.config.replication_factor as usize;
-        let space = self.config.space;
         let victims: Vec<(NodeId, Vec<u8>)> = self
             .store
             .iter()
@@ -341,12 +351,7 @@ impl TreePNode {
             .map(|(key, value)| (*key, value.clone()))
             .collect();
         for (key, value) in victims {
-            let targets: Vec<NodeAddr> = self
-                .tables
-                .nearest_peers(space, key, k, me.addr)
-                .into_iter()
-                .map(|e| e.addr)
-                .collect();
+            let targets = self.copy_targets(key, k, ctx.now());
             if targets.is_empty() {
                 continue; // nowhere to hand off to: keep the copy
             }

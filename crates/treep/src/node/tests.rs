@@ -1410,10 +1410,20 @@ fn exchange(
     nodes: &mut [TreePNode],
     at: u64,
     first: impl FnOnce(&mut TreePNode, &mut Context<'_, TreePMessage>),
+    lose: impl FnMut(&TreePMessage) -> bool,
+) -> Vec<(NodeAddr, TreePMessage)> {
+    exchange_at(SimTime::from_millis(900), nodes, at, first, lose)
+}
+
+/// [`exchange`] with every callback running at the instant `now`.
+fn exchange_at(
+    now: SimTime,
+    nodes: &mut [TreePNode],
+    at: u64,
+    first: impl FnOnce(&mut TreePNode, &mut Context<'_, TreePMessage>),
     mut lose: impl FnMut(&TreePMessage) -> bool,
 ) -> Vec<(NodeAddr, TreePMessage)> {
     let mut rng = simnet::SimRng::seed_from(1);
-    let now = SimTime::from_millis(900);
     let mut ctx = Context::new(now, NodeAddr(at), &mut rng);
     first(replica(nodes, at), &mut ctx);
     let mut queue = std::collections::VecDeque::from([(NodeAddr(at), ctx.into_actions())]);
@@ -1894,4 +1904,263 @@ fn unsubscribe_is_traced_and_times_out_like_any_request() {
             if t == topic && completed_at == deadline),
         "{outcomes:?}"
     );
+}
+
+// ---- suspicion: fresh, suspect, expired -----------------------------------------
+
+/// Sends of one callback, as `(destination, message)`.
+fn sends(ctx: Context<'_, TreePMessage>) -> Vec<(NodeAddr, TreePMessage)> {
+    ctx.into_actions()
+        .into_iter()
+        .filter_map(|a| match a {
+            simnet::Action::Send { dest, msg } => Some((dest, msg)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn suspicion_age_is_derived_from_the_keepalive_interval() {
+    let (node, _) = started_node(10);
+    assert_eq!(node.suspect_after(), SimDuration::from_millis(1_750));
+    let config = TreePConfig {
+        keepalive_interval: SimDuration::from_millis(200),
+        entry_ttl: SimDuration::from_millis(1_000),
+        ..TreePConfig::default()
+    };
+    let node = TreePNode::new(config, NodeId(10), NodeCharacteristics::default());
+    // Gossip penalty (two rounds) plus a round and a half.
+    assert_eq!(node.suspect_after(), SimDuration::from_millis(700));
+}
+
+#[test]
+fn key_descent_passes_over_suspects_and_answers_when_only_suspects_are_nearer() {
+    let (mut node, mut rng) = started_node(10);
+    let key = hash_key(TreePConfig::default().space, b"k");
+    let at = |id: u64, addr: u64| PeerInfo {
+        id: NodeId(id),
+        ..peer(addr, 0)
+    };
+    // On the key: silent since 0. One step off it: heard at 0.5 s.
+    node.seed_level0_neighbor(at(key.0, 777), SimTime::ZERO);
+    node.seed_level0_neighbor(at(key.0 + 1, 778), SimTime::from_millis(500));
+
+    // 1.7 s: nobody has been silent for 1.75 s; the nearest peer is taken.
+    let mut ctx = Context::new(SimTime::from_millis(1_700), NodeAddr(10), &mut rng);
+    node.dht_put(b"k", b"v".to_vec(), &mut ctx);
+    assert_eq!(sends(ctx)[0].0, NodeAddr(777));
+
+    // 1.8 s: the nearest peer is a suspect, the request goes to the next.
+    let mut ctx = Context::new(SimTime::from_millis(1_800), NodeAddr(10), &mut rng);
+    node.dht_put(b"k", b"v".to_vec(), &mut ctx);
+    assert_eq!(sends(ctx)[0].0, NodeAddr(778));
+    assert_eq!(node.stats().forwards_suspect_skipped, 1);
+
+    // 2.4 s: both are suspects (neither is forgotten before 2.5 s); the
+    // node answers as the responsible one, as it will once they expire.
+    let mut ctx = Context::new(SimTime::from_millis(2_400), NodeAddr(10), &mut rng);
+    node.dht_put(b"k", b"v".to_vec(), &mut ctx);
+    assert!(sends(ctx).is_empty());
+    assert_eq!(node.dht_store().len(), 1);
+    assert_eq!(node.stats().responsible_by_suspicion, 1);
+    assert!(node.tables().find(key).is_some(), "suspected, not dropped");
+
+    // Heard from directly, a peer stops being a suspect at once.
+    let mut ctx = Context::new(SimTime::from_millis(2_450), NodeAddr(10), &mut rng);
+    let ping = TreePMessage::KeepAlive {
+        sender: at(key.0, 777),
+        updates: vec![],
+    };
+    node.on_message(NodeAddr(777), ping, &mut ctx);
+    let mut ctx = Context::new(SimTime::from_millis(2_460), NodeAddr(10), &mut rng);
+    node.dht_get(b"k", &mut ctx);
+    assert_eq!(sends(ctx)[0].0, NodeAddr(777));
+}
+
+#[test]
+fn lookup_is_not_resolved_from_a_suspect_entry() {
+    let (mut node, mut rng) = started_node(10);
+    node.seed_level0_neighbor(peer(4_000_000_100, 0), SimTime::ZERO);
+    node.seed_level0_neighbor(peer(4_000_000_000, 0), SimTime::from_secs(1));
+    let mut ctx = Context::new(SimTime::from_secs(2), NodeAddr(10), &mut rng);
+    node.start_lookup(NodeId(4_000_000_100), RoutingAlgorithm::NonGreedy, &mut ctx);
+    let out = sends(ctx);
+    assert_eq!(
+        out.len(),
+        1,
+        "forwarded, not answered from the silent entry"
+    );
+    assert_eq!(out[0].0, NodeAddr(4_000_000_000));
+    assert!(node.drain_lookup_outcomes().is_empty());
+    assert_eq!(node.stats().forwards_suspect_skipped, 1);
+}
+
+#[test]
+fn reply_skips_a_suspect_hop_of_its_path_and_fills_the_caches_it_passes() {
+    use crate::readpath::{ReadSource, StampedValue};
+    use crate::VersionStamp;
+
+    let config = TreePConfig::default().with_read_path(8);
+    let mut node =
+        TreePNode::new(config, NodeId(10), NodeCharacteristics::default()).with_addr(NodeAddr(10));
+    let mut rng = simnet::SimRng::seed_from(1);
+    node.seed_level0_neighbor(peer(20, 0), SimTime::from_secs(2)); // live
+    node.seed_level0_neighbor(peer(30, 0), SimTime::ZERO); // silent
+    let reply = |path: Vec<NodeAddr>| TreePMessage::GetVersionedReply {
+        request_id: RequestId(77),
+        origin: NodeAddr(9),
+        key: NodeId(4_000_000_100),
+        value: Some(StampedValue {
+            stamp: VersionStamp {
+                version: 1,
+                origin: NodeId(9),
+            },
+            value: b"v1".to_vec(),
+        }),
+        source: ReadSource::Responsible,
+        hops: 3,
+        responder: peer(40, 0),
+        path,
+    };
+    let relayed_to = |node: &mut TreePNode, rng: &mut simnet::SimRng, path: Vec<NodeAddr>| {
+        let mut ctx = Context::new(SimTime::from_secs(2), NodeAddr(10), rng);
+        node.on_message(NodeAddr(40), reply(path), &mut ctx);
+        let out = sends(ctx);
+        assert_eq!(out.len(), 1);
+        let TreePMessage::GetVersionedReply { path, .. } = &out[0].1 else {
+            panic!("a relayed reply, got {:?}", out[0].1)
+        };
+        (out[0].0, path.clone())
+    };
+    // The hop before this one (30) is a suspect: the reply goes to the hop
+    // before that, and the rest of the path is kept for it.
+    let (dest, rest) = relayed_to(
+        &mut node,
+        &mut rng,
+        vec![NodeAddr(50), NodeAddr(20), NodeAddr(30)],
+    );
+    assert_eq!((dest, rest), (NodeAddr(20), vec![NodeAddr(50)]));
+    // Only suspects left on the path: straight to the origin.
+    let (dest, rest) = relayed_to(&mut node, &mut rng, vec![NodeAddr(30)]);
+    assert_eq!((dest, rest), (NodeAddr(9), vec![]));
+    // A hop this node knows nothing about is not held in suspicion.
+    let (dest, _) = relayed_to(&mut node, &mut rng, vec![NodeAddr(60)]);
+    assert_eq!(dest, NodeAddr(60));
+    assert_eq!(node.stats().replies_rerouted, 2);
+    assert_eq!(
+        node.stats().cache_fills,
+        3,
+        "this hop cached what it relayed"
+    );
+    assert_eq!(node.hot_cache_len(), 1);
+}
+
+#[test]
+fn copies_and_digests_go_to_live_replicas_only() {
+    let mut nodes = replicas(&[100, 200, 300, 400, 500]);
+    let now = SimTime::from_secs(2);
+    // 300 has heard 100 and 500 lately, 200 and 400 not since 0.
+    for heard in [100, 500] {
+        replica(&mut nodes, 300).seed_level0_neighbor(peer(heard, 0), now);
+    }
+    let delivered = exchange_at(
+        now,
+        &mut nodes,
+        300,
+        |node, ctx| {
+            let put = TreePMessage::DhtPut {
+                request_id: RequestId(1),
+                origin: peer(100, 0),
+                key: NodeId(310),
+                value: b"v".to_vec(),
+                ttl: 0,
+            };
+            node.on_message(NodeAddr(100), put, ctx)
+        },
+        |msg| !matches!(msg, TreePMessage::ReplicaPut { .. }),
+    );
+    let copies: Vec<NodeAddr> = delivered.iter().map(|(dest, _)| *dest).collect();
+    assert_eq!(copies, vec![NodeAddr(500), NodeAddr(100)], "nearest live");
+
+    // The round's digests: the first successor (400) is silent and skipped,
+    // the second (500) is compared with as usual.
+    let mut rng = simnet::SimRng::seed_from(1);
+    let mut ctx = Context::new(now, NodeAddr(300), &mut rng);
+    replica(&mut nodes, 300).on_timer(encode_timer(TIMER_REPLICA, 0), &mut ctx);
+    let digests: Vec<NodeAddr> = sends(ctx)
+        .into_iter()
+        .filter(|(_, msg)| msg.kind() == MessageKind::ReplicaDigest)
+        .map(|(dest, _)| dest)
+        .collect();
+    assert_eq!(digests, vec![NodeAddr(500)]);
+}
+
+#[test]
+fn a_put_accepted_under_false_suspicion_is_handed_off_once_the_peers_are_heard_again() {
+    use crate::VersionStamp;
+
+    // Nine replicas; every one of them is nearer to key 510 than node 100,
+    // and at 5 s node 100 has heard none of them since 0.
+    let ids = [100, 200, 300, 400, 500, 600, 700, 800, 900];
+    let mut nodes = replicas(&ids);
+    let key = NodeId(510);
+    let stamp = VersionStamp {
+        version: 1,
+        origin: NodeId(100),
+    };
+    let delivered = exchange_at(
+        SimTime::from_secs(5),
+        &mut nodes,
+        100,
+        |node, ctx| {
+            let put = TreePMessage::PutVersioned {
+                request_id: RequestId(1),
+                origin: peer(100, 0),
+                key,
+                stamp,
+                value: b"v".to_vec(),
+                ttl: 0,
+            };
+            node.on_message(NodeAddr(100), put, ctx)
+        },
+        |_| false,
+    );
+    assert!(delivered.is_empty(), "no live peer to forward or copy to");
+    assert_eq!(replica(&mut nodes, 100).stats().responsible_by_suspicion, 1);
+    assert_eq!(replica(&mut nodes, 100).stored_stamp(key), Some(stamp));
+    assert!(
+        !audit(&nodes).is_converged(),
+        "the replica set lacks the key"
+    );
+
+    // The suspicion was false: everybody pings node 100 in the next round.
+    let heard = SimTime::from_millis(5_100);
+    for id in ids.into_iter().filter(|id| *id != 100) {
+        let mut rng = simnet::SimRng::seed_from(1);
+        let mut ctx = Context::new(heard, NodeAddr(100), &mut rng);
+        let ping = TreePMessage::KeepAliveAck {
+            sender: peer(id, 0),
+            updates: vec![],
+        };
+        replica(&mut nodes, 100).on_message(NodeAddr(id), ping, &mut ctx);
+    }
+
+    // The next anti-entropy round of node 100 hands the key to its replica
+    // set — 500, 600, 400 — and drops the misplaced copy.
+    let delivered = exchange_at(
+        SimTime::from_millis(5_200),
+        &mut nodes,
+        100,
+        |node, ctx| node.on_timer(encode_timer(TIMER_REPLICA, 0), ctx),
+        |_| false,
+    );
+    assert_eq!(count_kind(&delivered, MessageKind::ReadRepair), 3);
+    assert_eq!(replica(&mut nodes, 100).stats().replica_handoffs, 1);
+    assert_eq!(replica(&mut nodes, 100).stored_stamp(key), None);
+    let after = audit(&nodes);
+    assert!(after.is_converged(), "{after:?}");
+    assert_eq!(after.total_copies, 3);
+    for id in [400, 500, 600] {
+        assert_eq!(replica(&mut nodes, id).stored_stamp(key), Some(stamp));
+    }
 }

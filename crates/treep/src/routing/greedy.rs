@@ -23,7 +23,7 @@ pub fn greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteD
     let self_metric = view.self_metric(target, req.ttl);
     let mut best: Option<(u64, RoutingEntry)> = None; // (metric, entry)
     for peer in view.tables.peers_outward_from(target) {
-        if peer.addr == view.self_addr {
+        if !view.is_live(peer) {
             continue;
         }
         let metric = view.metric(peer.id, peer.max_level, target, req.ttl);
@@ -158,5 +158,31 @@ mod tests {
         };
         let mut r = req(7, 60_000);
         assert_eq!(greedy_next_hop(&view, &mut r), RouteDecision::NotFound);
+    }
+
+    #[test]
+    fn a_suspect_best_candidate_loses_to_a_live_runner_up() {
+        let dist = HierarchicalDistance::new(IdSpace::new(16), 6);
+        let mut tables = RoutingTables::new();
+        tables.upsert_level0(entry(39_000, 0)); // best placed, silent since 0
+        tables.upsert_level0(entry(30_000, 0));
+        tables.touch(NodeId(30_000), SimTime::from_millis(5));
+        let next = |tables: &RoutingTables| {
+            let view = RouterView {
+                tables,
+                dist: &dist,
+                self_id: NodeId(0),
+                self_level: 0,
+                self_addr: NodeAddr(0),
+                max_ttl: 255,
+            };
+            match greedy_next_hop(&view, &mut req(0, 40_000)) {
+                RouteDecision::Forward(e) => e.id,
+                other => panic!("expected forward, got {other:?}"),
+            }
+        };
+        assert_eq!(next(&tables), NodeId(39_000), "nobody is a suspect yet");
+        tables.set_suspect_before(SimTime::from_millis(1));
+        assert_eq!(next(&tables), NodeId(30_000));
     }
 }

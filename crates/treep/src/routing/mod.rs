@@ -16,6 +16,17 @@
 //! request whose TTL already exceeds the height of the hierarchy switches
 //! from `D` to the plain Euclidean distance ("a request that has a higher
 //! TTL means that the network is unstable and/or disrupted").
+//!
+//! None of them hands a request to a **suspect** — an entry whose peer has
+//! been silent past the suspicion age of its owner
+//! ([`RoutingTables::is_suspect`]; the membership layer of the node says
+//! where the age comes from). The candidate scans of all three algorithms,
+//! the three probes of the escape hatch and the "target is in my table"
+//! shortcut of [`route`] read the registry through
+//! [`RouterView::is_live`], so the best candidate is the best one that has
+//! been heard of lately; when only suspects qualify, the node routes as if
+//! they had expired already. There is no unfiltered variant: tables whose
+//! cut-off was never set suspect nobody.
 
 mod greedy;
 mod ngsa;
@@ -99,6 +110,12 @@ impl<'a> RouterView<'a> {
     pub fn self_metric(&self, target: NodeId, ttl: u32) -> u64 {
         self.metric(self.self_id, self.self_level, target, ttl)
     }
+
+    /// True when `entry` may be handed a request: it is another node and
+    /// not a suspect ([`RoutingTables::is_suspect`]).
+    pub fn is_live(&self, entry: &RoutingEntry) -> bool {
+        entry.addr != self.self_addr && !self.tables.is_suspect(entry)
+    }
 }
 
 /// Decision produced by the next-hop selection.
@@ -124,7 +141,10 @@ pub fn route(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
         return RouteDecision::Drop;
     }
     // "IF target X is in the routing table THEN transmit back the result."
-    if let Some(e) = view.tables.find(req.target) {
+    // A suspect entry vouches for nobody: the request travels on toward a
+    // node that has heard the target lately, or ends as not found.
+    let in_table = view.tables.find(req.target);
+    if let Some(e) = in_table.filter(|e| !view.tables.is_suspect(e)) {
         return RouteDecision::Found(*e);
     }
     match req.algorithm {
@@ -144,7 +164,7 @@ pub(crate) fn fallback_hop(view: &RouterView<'_>, req: &LookupRequest) -> Option
     let self_metric = view.self_metric(req.target, req.ttl);
     let mut best_superior: Option<&RoutingEntry> = None;
     for s in view.tables.superiors() {
-        if s.addr == view.self_addr || req.has_visited(s.addr) {
+        if !view.is_live(s) || req.has_visited(s.addr) {
             continue;
         }
         let m = view.metric(s.id, s.max_level, req.target, req.ttl);
@@ -318,6 +338,62 @@ mod tests {
             RoutingAlgorithm::Greedy,
         );
         assert_eq!(fallback_hop(&v, &req).unwrap().id, NodeId(40_000));
+    }
+
+    #[test]
+    fn fallback_skips_a_suspect_highest_superior_and_a_suspect_child() {
+        let dist = HierarchicalDistance::new(IdSpace::new(16), 6);
+        let mut tables = RoutingTables::new();
+        // Neither superior halves the distance, so the level decides.
+        tables.upsert_superior(entry(1_000, 5)); // highest, silent since 0
+        tables.upsert_superior(entry(2_000, 4));
+        tables.touch(NodeId(2_000), SimTime::from_millis(5));
+        tables.set_suspect_before(SimTime::from_millis(1));
+        let v = view(&tables, &dist, 10, 0);
+        let req =
+            |algorithm| LookupRequest::new(RequestId(1), origin(10), NodeId(55_000), algorithm);
+        let hop = fallback_hop(&v, &req(RoutingAlgorithm::Greedy)).unwrap();
+        assert_eq!(hop.id, NodeId(2_000));
+
+        // Children: the closest one is silent, the next one is taken.
+        let mut tables = RoutingTables::new();
+        tables.upsert_child(entry(50_000, 0), true);
+        tables.upsert_child(entry(40_000, 0), true);
+        tables.touch(NodeId(40_000), SimTime::from_millis(5));
+        tables.set_suspect_before(SimTime::from_millis(1));
+        let v = view(&tables, &dist, 30_000, 1);
+        let hop = fallback_hop(&v, &req(RoutingAlgorithm::Greedy)).unwrap();
+        assert_eq!(hop.id, NodeId(40_000));
+    }
+
+    #[test]
+    fn a_suspect_entry_does_not_answer_found() {
+        let dist = HierarchicalDistance::new(IdSpace::new(16), 6);
+        let mut tables = RoutingTables::new();
+        tables.upsert_level0(entry(500, 0)); // the target, silent since 0
+        tables.upsert_level0(entry(400, 0));
+        tables.touch(NodeId(400), SimTime::from_millis(5));
+        tables.set_suspect_before(SimTime::from_millis(1));
+        let v = view(&tables, &dist, 0, 0);
+        for algo in RoutingAlgorithm::ALL {
+            let mut req = LookupRequest::new(RequestId(1), origin(0), NodeId(500), algo);
+            match route(&v, &mut req) {
+                // Passed on to a peer that may have heard the target since.
+                RouteDecision::Forward(e) => assert_eq!(e.id, NodeId(400), "{algo}"),
+                other => panic!("{algo}: expected Forward, got {other:?}"),
+            }
+        }
+        // Heard again, the entry vouches for the target at once.
+        tables.upsert_level0(entry(500, 0));
+        tables.touch(NodeId(500), SimTime::from_millis(5));
+        let v = view(&tables, &dist, 0, 0);
+        let mut req = LookupRequest::new(
+            RequestId(1),
+            origin(0),
+            NodeId(500),
+            RoutingAlgorithm::Greedy,
+        );
+        assert!(matches!(route(&v, &mut req), RouteDecision::Found(e) if e.id == NodeId(500)));
     }
 
     #[test]

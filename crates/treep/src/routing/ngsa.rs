@@ -195,4 +195,25 @@ mod tests {
         r.advance(NodeAddr(39_000)); // pretend we came through it already
         assert_eq!(ngsa_next_hop(&v, &mut r), RouteDecision::NotFound);
     }
+
+    #[test]
+    fn a_suspect_is_neither_chosen_nor_recorded_as_a_fallback() {
+        let dist = HierarchicalDistance::new(IdSpace::new(16), 6);
+        let mut tables = RoutingTables::new();
+        tables.upsert_level0(entry(39_000, 0)); // nearest, silent since 0
+        tables.upsert_level0(entry(30_000, 0));
+        tables.touch(NodeId(30_000), SimTime::from_millis(5));
+        tables.upsert_level0(entry(20_000, 0)); // a runner-up, silent too
+        tables.upsert_level0(entry(10_000, 0));
+        tables.touch(NodeId(10_000), SimTime::from_millis(5));
+        tables.set_suspect_before(SimTime::from_millis(1));
+        let v = view(&tables, &dist, 0);
+        let mut r = req(0, 40_000);
+        match ngsa_next_hop(&v, &mut r) {
+            RouteDecision::Forward(e) => assert_eq!(e.id, NodeId(30_000)),
+            other => panic!("expected forward, got {other:?}"),
+        }
+        let fallback_ids: Vec<u64> = r.fallbacks.iter().map(|f| f.id.0).collect();
+        assert_eq!(fallback_ids, vec![10_000]);
+    }
 }

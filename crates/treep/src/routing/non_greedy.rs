@@ -29,7 +29,7 @@ pub(crate) fn improving_candidates(
     view.tables
         .peers_outward_from(target)
         .take_while(|p| view.dist.euclidean(p.id, target) < self_d)
-        .filter(|p| p.addr != view.self_addr)
+        .filter(|p| view.is_live(p))
         .copied()
         .collect()
 }
@@ -147,5 +147,34 @@ mod tests {
         let cands = improving_candidates(&v, &r);
         let ids: Vec<u64> = cands.iter().map(|e| e.id.0).collect();
         assert_eq!(ids, vec![39_000, 30_000, 10_000]);
+    }
+
+    #[test]
+    fn a_suspect_best_candidate_loses_to_a_live_runner_up() {
+        let dist = HierarchicalDistance::new(IdSpace::new(16), 6);
+        let mut tables = RoutingTables::new();
+        tables.upsert_level0(entry(39_000, 0)); // nearest, silent since 0
+        tables.upsert_level0(entry(30_000, 0));
+        tables.touch(NodeId(30_000), SimTime::from_millis(5));
+        tables.set_suspect_before(SimTime::from_millis(1));
+        let v = view(&tables, &dist, 0);
+        match non_greedy_next_hop(&v, &mut req(0, 40_000)) {
+            RouteDecision::Forward(e) => assert_eq!(e.id, NodeId(30_000)),
+            other => panic!("expected forward, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_suspects_improving_is_a_dead_end() {
+        let dist = HierarchicalDistance::new(IdSpace::new(16), 6);
+        let mut tables = RoutingTables::new();
+        tables.upsert_level0(entry(39_000, 0));
+        tables.set_suspect_before(SimTime::from_millis(1));
+        let v = view(&tables, &dist, 0);
+        assert_eq!(
+            non_greedy_next_hop(&v, &mut req(0, 40_000)),
+            RouteDecision::NotFound,
+            "as if the suspect had already expired"
+        );
     }
 }

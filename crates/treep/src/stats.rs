@@ -92,6 +92,16 @@ pub struct NodeStats {
     /// Level-0 entries dropped by the per-tick pruning that bounds the
     /// keep-alive fan-out.
     pub entries_pruned: u64,
+    /// Hand-overs (a lookup forward, a step of the key descent) that passed
+    /// over a suspect — a peer silent past the suspicion age — placed
+    /// better than the peer they went to.
+    pub forwards_suspect_skipped: u64,
+    /// Key-routed requests this node answered as responsible although it
+    /// knew closer peers, every one of them a suspect.
+    pub responsible_by_suspicion: u64,
+    /// Versioned-get replies that skipped a suspect hop of their recorded
+    /// path on the walk back to the origin.
+    pub replies_rerouted: u64,
     /// DHT values currently stored at this node.
     pub dht_values_stored: u64,
     /// Scoped multicasts this node originated.

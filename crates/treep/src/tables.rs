@@ -226,6 +226,10 @@ pub struct RoutingTables {
     /// Highest `max_level` ever seen on an own child; monotone
     /// over-approximation, recomputed when an own child is removed.
     max_child_level: u32,
+    /// An entry last heard before this instant is a **suspect** (see
+    /// [`RoutingTables::is_suspect`]). The owner moves it forward before it
+    /// consults a probe; [`SimTime::ZERO`], the default, suspects nobody.
+    suspect_before: SimTime,
 }
 
 impl RoutingTables {
@@ -313,6 +317,41 @@ impl RoutingTables {
             }
             Err(_) => false,
         }
+    }
+
+    // ---- suspicion ----------------------------------------------------------
+    //
+    // Between "heard a moment ago" and "expired" an entry has a third age:
+    // its peer has missed enough keep-alive rounds to be probably gone, not
+    // yet enough to be forgotten. A suspect keeps every role and leaves only
+    // through `expire`; what it loses is being *chosen* by the probes a
+    // request, a reply or a copy is handed over with (`nearest_live_walk`,
+    // `closest_child`, `highest_superior`, the scans of `crate::routing`).
+    // The cut-off is held as an instant, so the probes need no clock; the
+    // owning node moves it forward before it reads them.
+
+    /// Move the suspicion cut-off: from now on an entry whose `last_seen`
+    /// lies before `instant` is a suspect.
+    pub fn set_suspect_before(&mut self, instant: SimTime) {
+        self.suspect_before = instant;
+    }
+
+    /// True when `entry` has been silent past the suspicion cut-off: its
+    /// peer has missed its keep-alive rounds and is not handed anything
+    /// while a live alternative exists. Hearing from the peer again (a
+    /// newer `last_seen`) ends the suspicion at once.
+    pub fn is_suspect(&self, entry: &PeerEntry) -> bool {
+        entry.last_seen < self.suspect_before
+    }
+
+    /// True when the peer known at transport address `addr` is a suspect.
+    /// An address the registry does not know is not: nothing is held
+    /// against it. A scan — reply paths name hops by address, and the
+    /// registry is a few dozen slots.
+    pub fn is_suspect_addr(&self, addr: simnet::NodeAddr) -> bool {
+        self.slots
+            .iter()
+            .any(|s| s.entry.addr == addr && self.is_suspect(&s.entry))
     }
 
     /// Every distinct peer known, each exactly once (the canonical entry).
@@ -404,6 +443,17 @@ impl RoutingTables {
         let mut out = Vec::with_capacity(count.min(self.slots.len()));
         out.extend(self.nearest_walk(key, exclude_addr).take(count));
         out
+    }
+
+    /// [`RoutingTables::nearest_walk`] without the suspects: the peers a
+    /// request, a reply or a copy may be handed to, nearest to `key` first.
+    pub fn nearest_live_walk(
+        &self,
+        key: NodeId,
+        exclude_addr: simnet::NodeAddr,
+    ) -> impl Iterator<Item = &PeerEntry> {
+        self.nearest_walk(key, exclude_addr)
+            .filter(|e| !self.is_suspect(e))
     }
 
     /// The identifiers of the `k`-th registry neighbour strictly below and
@@ -579,13 +629,14 @@ impl RoutingTables {
 
     /// The own child closest to `target` (the `Closest_Child(X)` primitive of
     /// the routing algorithm in Figure 3): the first own child on the
-    /// outward walk from `target`, ties preferring the smaller identifier.
+    /// outward walk from `target` that is not a suspect, ties preferring
+    /// the smaller identifier.
     pub fn closest_child(&self, _space: IdSpace, target: NodeId) -> Option<&PeerEntry> {
         if self.own_children_len == 0 {
             return None;
         }
         self.outward(target)
-            .find(|s| s.tree & OWN_CHILD != 0)
+            .find(|s| s.tree & OWN_CHILD != 0 && !self.is_suspect(&s.entry))
             .map(|s| &s.entry)
     }
 
@@ -818,10 +869,11 @@ impl RoutingTables {
         self.superiors().next().is_some()
     }
 
-    /// The superior with the highest known level ("send the request to the
-    /// superior node with the highest level").
+    /// The superior with the highest known level that is not a suspect
+    /// ("send the request to the superior node with the highest level").
     pub fn highest_superior(&self) -> Option<&PeerEntry> {
         self.superiors()
+            .filter(|e| !self.is_suspect(e))
             .max_by_key(|e| (e.max_level, std::cmp::Reverse(e.id)))
     }
 
@@ -1027,6 +1079,57 @@ mod tests {
             CharacteristicsSummary::of(&NodeCharacteristics::default(), ChildPolicy::Fixed(4)),
             SimTime::from_millis(at_ms),
         )
+    }
+
+    #[test]
+    fn suspects_keep_their_roles_and_lose_only_being_chosen() {
+        let mut t = RoutingTables::new();
+        t.upsert_level0(entry(10, 0, 100));
+        t.upsert_level0(entry(20, 0, 500));
+        t.upsert_child(entry(30, 0, 100), true);
+        t.upsert_child(entry(40, 0, 500), true);
+        t.upsert_superior(entry(50, 3, 100));
+        t.upsert_superior(entry(60, 2, 500));
+        let quiet = *t.find(NodeId(10)).unwrap();
+        assert!(!t.is_suspect(&quiet), "no cut-off set: nobody is a suspect");
+        assert_eq!(t.highest_superior().unwrap().id, NodeId(50));
+
+        t.set_suspect_before(SimTime::from_millis(500));
+        assert!(t.is_suspect(&quiet));
+        assert!(
+            !t.is_suspect(t.find(NodeId(20)).unwrap()),
+            "heard at the cut-off"
+        );
+        assert!(t.is_suspect_addr(NodeAddr(10)) && !t.is_suspect_addr(NodeAddr(20)));
+        assert!(
+            !t.is_suspect_addr(NodeAddr(99)),
+            "an unknown address is not held"
+        );
+        // Chosen: only the live ones.
+        let live: Vec<u64> = t
+            .nearest_live_walk(NodeId(0), NodeAddr(0))
+            .map(|e| e.id.0)
+            .collect();
+        assert_eq!(live, vec![20, 40, 60]);
+        assert_eq!(
+            t.closest_child(IdSpace::new(16), NodeId(31)).unwrap().id,
+            NodeId(40)
+        );
+        assert_eq!(t.highest_superior().unwrap().id, NodeId(60));
+        // Kept: every role, every unfiltered probe, until `expire`.
+        assert_eq!(t.level0_degree(), 2);
+        assert_eq!(t.own_children_count(), 2);
+        assert_eq!(t.superiors().count(), 2);
+        assert_eq!(
+            t.closest_peer(IdSpace::new(16), NodeId(0), NodeAddr(0))
+                .unwrap()
+                .id,
+            NodeId(10)
+        );
+        // Heard again: no longer a suspect.
+        t.touch(NodeId(10), SimTime::from_millis(600));
+        assert!(!t.is_suspect_addr(NodeAddr(10)));
+        t.validate_invariants().unwrap();
     }
 
     #[test]

@@ -286,13 +286,14 @@ fn delivery_traces_replay_deterministically() {
 /// cargo test --release --test pubsub_invariants -- --ignored --nocapture exactly_once_sweep
 /// ```
 ///
-/// The gate is the rate measured when the sweep was written (57 of 200
-/// seeds failing): a change may not make the known bug more frequent.
+/// The gate is the rate last measured — 49 of 200 seeds failing since
+/// PR 21 (57 when the sweep was written, 55 after PR 18): a change may not
+/// make the known bug more frequent.
 #[test]
 #[ignore = "200 traces: run it in release mode"]
 fn exactly_once_sweep_over_200_seeds() {
     const SEEDS: std::ops::RangeInclusive<u64> = 1..=200;
-    const FAILING_SEEDS_AT_BASELINE: usize = 57;
+    const FAILING_SEEDS_AT_BASELINE: usize = 49;
     let (mut failing, mut split, mut cyclic) = (Vec::new(), Vec::new(), Vec::new());
     let (mut obligations, mut missed, mut leaked) = (0, 0, 0);
     for seed in SEEDS {

@@ -33,6 +33,12 @@
 //! `ReplicaDigest` then moved all six, on purpose: what replicas send and
 //! what `NodeStats` counts changed (outcome digests before it:
 //! `0x930e_d2d1_c4d9_1427`, `0xda12_d54e_c354_6828`, `0x78cc_86f8_30c4_0dbb`).
+//! PR 21 moved all six again, on purpose — crashes are in this trace, and
+//! since then no request, reply or copy is handed to a peer that has missed
+//! its keep-alives (outcome / event digests before it:
+//! `0x2066_408f_11a1_5e5b` / `0x366e_4bae_b83d_3afe`,
+//! `0x73e2_73f9_c9c7_a599` / `0x08ef_bb42_b95a_d54e`,
+//! `0xa6bd_2c4e_8ad1_bfd9` / `0xc68b_e2d2_b374_6426`).
 
 use simnet::{LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
 use treep::{
@@ -49,9 +55,9 @@ const TOPICS: u64 = 3;
 
 /// `(seed, outcome digest, event digest)`.
 const PINS: [(u64, u64, u64); 3] = [
-    (1, 0x2066_408f_11a1_5e5b, 0x366e_4bae_b83d_3afe),
-    (2, 0x73e2_73f9_c9c7_a599, 0x08ef_bb42_b95a_d54e),
-    (3, 0xa6bd_2c4e_8ad1_bfd9, 0xc68b_e2d2_b374_6426),
+    (1, 0x87b3_1912_0cb2_f284, 0x1d6d_b639_e0a4_4b36),
+    (2, 0xf9ee_88dc_a93d_c08c, 0xa2e1_9e2c_a51b_b5ff),
+    (3, 0x5f50_2e2a_885c_44a6, 0xc378_ab87_16ae_af61),
 ];
 
 struct Run {
