@@ -1,85 +1,40 @@
-//! Minimal CSV writer (hand-rolled — the experiment output is simple enough
-//! that a dedicated dependency is not justified).
+//! The CSV rendering of a [`Table`] (hand-rolled — the experiment output is
+//! simple enough that a dedicated dependency is not justified) and the
+//! file writer every rendered document goes through.
 
-use std::fmt::Write as _;
+use crate::{Cell, Table};
 use std::io;
 use std::path::Path;
 
-/// An in-memory CSV document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Csv {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Csv {
-    /// An empty document with the given column names.
-    pub fn new<I, S>(header: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Csv {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row of pre-rendered cells.
-    pub fn push_row<I, S>(&mut self, row: I)
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.rows.push(row.into_iter().map(Into::into).collect());
-    }
-
-    /// Append a row of floats.
-    pub fn push_f64_row(&mut self, row: &[f64]) {
-        self.rows.push(row.iter().map(|v| format!("{v}")).collect());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Render the document as RFC-4180-style CSV text (fields containing
-    /// commas, quotes or newlines are quoted).
-    pub fn render(&self) -> String {
+impl Table {
+    /// Render the columns that have a key as RFC-4180-style CSV text
+    /// (fields containing commas, quotes or newlines are quoted).
+    pub fn to_csv(&self) -> String {
+        let (keys, rows) = self.project(true, Cell::in_csv);
+        let line = |fields: &mut dyn Iterator<Item = &str>| -> String {
+            fields.map(escape).collect::<Vec<_>>().join(",") + "\n"
+        };
         let mut out = String::new();
-        if !self.header.is_empty() {
-            let _ = writeln!(out, "{}", render_row(&self.header));
+        if !keys.is_empty() {
+            out.push_str(&line(&mut keys.iter().copied()));
         }
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", render_row(row));
+        for row in &rows {
+            out.push_str(&line(&mut row.iter().map(String::as_str)));
         }
         out
     }
-
-    /// Write the document to a file, creating parent directories as needed.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.render())
-    }
 }
 
-fn render_row(cells: &[String]) -> String {
-    cells
-        .iter()
-        .map(|c| escape(c))
-        .collect::<Vec<_>>()
-        .join(",")
+/// Write a rendered document to a file, creating parent directories as
+/// needed.
+pub fn write_document(path: impl AsRef<Path>, text: &str) -> io::Result<()> {
+    let path = path.as_ref();
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::write(path, text)
 }
 
 fn escape(cell: &str) -> String {
@@ -96,43 +51,58 @@ mod tests {
 
     #[test]
     fn renders_header_and_rows() {
-        let mut csv = Csv::new(["failed", "g", "ng"]);
-        csv.push_row(["0", "1.5", "2.0"]);
-        csv.push_f64_row(&[30.0, 10.25, 11.5]);
-        let s = csv.render();
+        let columns = [
+            ("failed", "failed %"),
+            ("g", "G"),
+            ("", "shown only"),
+            ("ok", ""),
+        ];
+        let mut table = Table::new("", columns);
+        let ok = Cell::Flag(true, ["NO", "yes"]);
+        table.push_row([
+            Cell::text("0"),
+            Cell::float(1.5, 1, 1),
+            Cell::Int(7),
+            ok.clone(),
+        ]);
+        table.push_row([
+            Cell::Float(30.0, None, 0),
+            Cell::Float(10.25, None, 0),
+            Cell::Int(8),
+            ok.clone(),
+        ]);
+        let s = table.to_csv();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[0], "failed,g,ng");
-        assert_eq!(lines[1], "0,1.5,2.0");
-        assert_eq!(lines[2], "30,10.25,11.5");
-        assert_eq!(csv.len(), 2);
+        assert_eq!(lines, ["failed,g,ok", "0,1.5,1", "30,10.25,1"]);
+        assert_eq!(table.len(), 2);
     }
 
     #[test]
     fn escapes_commas_and_quotes() {
-        let mut csv = Csv::new(["a"]);
-        csv.push_row(["hello, \"world\""]);
+        let mut table = Table::new("", [("a", "a")]);
+        table.push_row([Cell::text("hello, \"world\"")]);
         assert_eq!(
-            csv.render().lines().nth(1).unwrap(),
+            table.to_csv().lines().nth(1).unwrap(),
             "\"hello, \"\"world\"\"\""
         );
     }
 
     #[test]
     fn empty_document() {
-        let csv = Csv::new(Vec::<String>::new());
-        assert!(csv.is_empty());
-        assert_eq!(csv.render(), "");
+        let table = Table::new("untitled", Vec::<(&str, &str)>::new());
+        assert!(table.is_empty());
+        assert_eq!(table.to_csv(), "");
     }
 
     #[test]
     fn writes_to_disk() {
         let dir = std::env::temp_dir().join("treep-analysis-csv-test");
         let path = dir.join("nested").join("out.csv");
-        let mut csv = Csv::new(["x", "y"]);
-        csv.push_f64_row(&[1.0, 2.0]);
-        csv.write_to(&path).expect("write csv");
+        let mut table = Table::new("", [("x", "x"), ("y", "y")]);
+        table.push_row([Cell::Float(1.0, None, 0), Cell::Float(2.0, None, 0)]);
+        write_document(&path, &table.to_csv()).expect("write csv");
         let read = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(read, csv.render());
+        assert_eq!(read, "x,y\n1,2\n");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

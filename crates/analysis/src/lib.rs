@@ -11,8 +11,10 @@
 //! * [`Series`] — a named `(x, y)` series (one curve of Figures A–E).
 //! * [`HopHistogram`] and [`HopSurface`] — the hop-count distributions and
 //!   the 3-D surfaces of Figures F–I.
-//! * [`AsciiTable`] and [`Csv`] — plain-text and CSV renderers used by the
-//!   experiment harness and the benches to print the paper's rows.
+//! * [`Table`] — the one tabular report: rows of [`Cell`]s under
+//!   [`Column`]s declared once per row type, rendered as an aligned text
+//!   table, as CSV and as a BENCH JSON document (the only JSON writer of the
+//!   workspace; [`validate_json`] is its checker).
 
 #![warn(missing_docs)]
 
@@ -23,9 +25,9 @@ pub mod series;
 pub mod summary;
 pub mod table;
 
-pub use csv::Csv;
+pub use csv::write_document;
 pub use histogram::{HopHistogram, HopSurface};
 pub use json::{validate_json, JsonError};
 pub use series::{Series, SeriesSet};
-pub use summary::SummaryStats;
-pub use table::AsciiTable;
+pub use summary::{ratio, SummaryStats};
+pub use table::{Cell, Column, Table};

@@ -72,6 +72,16 @@ impl SummaryStats {
     }
 }
 
+/// `part / whole`, or `of_nothing` when there is no whole to divide by:
+/// the one place a rate over an empty sample is decided.
+pub fn ratio(part: f64, whole: f64, of_nothing: f64) -> f64 {
+    if whole == 0.0 {
+        of_nothing
+    } else {
+        part / whole
+    }
+}
+
 fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

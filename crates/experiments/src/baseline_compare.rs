@@ -6,10 +6,11 @@
 //! fraction of the nodes — and reports success rate, mean hops, and messages
 //! per lookup.
 
-use analysis::AsciiTable;
+use crate::runner::{delta, Scenario};
+use analysis::{ratio, Cell, Column, Table};
 use baselines::{ChordBuilder, FloodingBuilder};
 use simnet::{NodeAddr, SimDuration, Simulation};
-use treep::{NodeId, RoutingAlgorithm, TreePNode};
+use treep::{NodeId, NodeStats, RoutingAlgorithm, TreePNode};
 use workloads::{CapabilityDistribution, LookupWorkload, TopologyBuilder};
 
 /// One overlay measured at one failure level.
@@ -45,27 +46,21 @@ impl OverlayComparison {
     }
 
     /// Render the comparison as an aligned table.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table =
-            AsciiTable::new(format!("Overlay comparison (n = {})", self.nodes)).header([
-                "overlay",
-                "failed %",
-                "lookups",
-                "success %",
-                "mean hops",
-                "msgs/lookup",
-            ]);
-        for row in &self.rows {
-            table.push_row([
-                row.overlay.clone(),
-                format!("{:.0}", row.failed_fraction * 100.0),
-                row.lookups.to_string(),
-                format!("{:.1}", row.success_pct),
-                format!("{:.2}", row.mean_hops),
-                format!("{:.1}", row.messages_per_lookup),
-            ]);
-        }
-        table
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("", "overlay", |r: &OverlayRow| Cell::text(&r.overlay)),
+            Column::new("", "failed %", |r| {
+                Cell::float(r.failed_fraction * 100.0, 0, 0)
+            }),
+            Column::new("", "lookups", |r| r.lookups.into()),
+            Column::new("", "success %", |r| Cell::float(r.success_pct, 1, 1)),
+            Column::new("", "mean hops", |r| Cell::float(r.mean_hops, 2, 2)),
+            Column::new("", "msgs/lookup", |r| {
+                Cell::float(r.messages_per_lookup, 1, 1)
+            }),
+        ];
+        let title = format!("Overlay comparison (n = {})", self.nodes);
+        Table::of(title, &columns, &self.rows)
     }
 }
 
@@ -122,58 +117,46 @@ fn measure_treep(nodes: usize, seed: u64, fraction: f64, lookups: usize) -> Over
     let builder = TopologyBuilder::new(nodes)
         .with_config(config)
         .with_capabilities(CapabilityDistribution::Heterogeneous);
-    let (mut sim, topo) = builder.build_simulation(seed);
-    let pairs = topo.pairs();
-    let alive = fail_fraction(&mut sim, &pairs, fraction, pairs[0].0);
+    let mut sc = Scenario::build(&builder, seed);
+    let pairs = sc.topo.pairs();
+    let alive = fail_fraction(&mut sc.sim, &pairs, fraction, pairs[0].0);
     // The whole failure fraction lands at once (unlike the gradual churn of
     // the Section IV runner), so give the self-maintenance protocol time to
     // expire the dead entries (entry_ttl) and re-run the elections that
     // repair the hierarchy before measuring.
-    sim.run_for(SimDuration::from_secs(6));
+    sc.sim.run_for(SimDuration::from_secs(6));
 
-    let lookup_sent_before = treep_lookup_messages(&sim, &alive);
+    let lookup_messages = |s: &NodeStats| [s.total_sent() - s.maintenance_sent()];
+    let sent_before = sc.sum(lookup_messages);
     let workload = LookupWorkload::new(lookups);
-    let mut rng = sim.rng_mut().fork();
+    let mut rng = sc.sim.rng_mut().fork();
     let batches = workload.generate(&alive, &mut rng);
     for batch in &batches {
-        sim.invoke(batch.source, |node, ctx| {
+        sc.sim.invoke(batch.source, |node, ctx| {
             // NGSA is the variant the paper positions for disrupted
             // networks (fall-back paths carried in the request); the
             // failure rows of this comparison are exactly that regime.
             node.start_lookup(batch.target, RoutingAlgorithm::NonGreedyFallback, ctx);
         });
     }
-    sim.run_for(SimDuration::from_millis(2_500));
+    sc.sim.run_for(SimDuration::from_millis(2_500));
 
-    let mut successes = 0usize;
-    let mut hops = Vec::new();
-    for &(addr, _) in &alive {
-        if let Some(node) = sim.node_mut(addr) {
-            for o in node.drain_lookup_outcomes() {
-                if o.status.is_success() {
-                    successes += 1;
-                    hops.push(o.hops as f64);
-                }
-            }
-        }
-    }
-    let lookup_sent_after = treep_lookup_messages(&sim, &alive);
+    let outcomes = sc.drain(TreePNode::drain_lookup_outcomes);
+    let hops: Vec<f64> = outcomes
+        .iter()
+        .flat_map(|(_, _, outcomes)| outcomes)
+        .filter(|o| o.status.is_success())
+        .map(|o| o.hops as f64)
+        .collect();
+    let [messages] = delta(sc.sum(lookup_messages), sent_before);
     finish_row(
         "TreeP",
         fraction,
         batches.len(),
-        successes,
+        hops.len(),
         &hops,
-        lookup_sent_after - lookup_sent_before,
+        messages,
     )
-}
-
-fn treep_lookup_messages(sim: &Simulation<TreePNode>, alive: &[(NodeAddr, NodeId)]) -> u64 {
-    alive
-        .iter()
-        .filter_map(|&(addr, _)| sim.node(addr))
-        .map(|n| n.stats().total_sent() - n.stats().maintenance_sent())
-        .sum()
 }
 
 fn measure_chord(nodes: usize, seed: u64, fraction: f64, lookups: usize) -> OverlayRow {
@@ -285,21 +268,9 @@ fn finish_row(
         overlay: overlay.to_string(),
         failed_fraction: fraction,
         lookups: issued,
-        success_pct: if issued == 0 {
-            0.0
-        } else {
-            successes as f64 * 100.0 / issued as f64
-        },
-        mean_hops: if hops.is_empty() {
-            0.0
-        } else {
-            hops.iter().sum::<f64>() / hops.len() as f64
-        },
-        messages_per_lookup: if issued == 0 {
-            0.0
-        } else {
-            messages as f64 / issued as f64
-        },
+        success_pct: ratio(successes as f64 * 100.0, issued as f64, 0.0),
+        mean_hops: ratio(hops.iter().sum(), hops.len() as f64, 0.0),
+        messages_per_lookup: ratio(messages as f64, issued as f64, 0.0),
     }
 }
 

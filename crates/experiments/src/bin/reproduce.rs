@@ -23,9 +23,12 @@
 //! runs only the durability gate, `--multicast --lossy --smoke` only the
 //! lossy-multicast gate and `--readpath --smoke` only the read-path gate,
 //! which is what CI exercises); `--out DIR` additionally writes one CSV
-//! per figure into `DIR`. An unknown flag prints the full experiment flag
-//! list and exits non-zero; `--help` prints it and exits zero.
+//! per figure into `DIR`. Every BENCH document is checked to be well-formed
+//! JSON before it is written (non-zero exit otherwise). An unknown flag
+//! prints the full experiment flag list and exits non-zero; `--help` prints
+//! it and exits zero.
 
+use analysis::Table;
 use experiments::{
     compare_multicast, compare_overlays, compare_pubsub, figures, maintenance,
     measure_telemetry_overhead, routing_table_report, run_churn_experiment, run_durability,
@@ -200,6 +203,41 @@ fn usage() -> String {
         .to_string()
 }
 
+/// Report a failed gate (or an artifact that must not be written) and exit
+/// non-zero.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
+}
+
+/// Write one rendered document and say so. Failing to is a warning: the
+/// table it renders has been printed already.
+fn write_artifact(path: &str, text: &str) {
+    match analysis::write_document(path, text) {
+        Ok(()) => eprintln!("#   wrote {path}"),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
+    }
+}
+
+/// Write `table` as `BENCH_<name>.json` into the `--out` directory (the
+/// working directory without one). A document that is not well-formed JSON
+/// is a bug of the writer, and no file is better than that one.
+fn write_bench(cli: &Cli, name: &str, table: &Table) {
+    let json = table.to_json();
+    if let Err(e) = analysis::validate_json(&json) {
+        fail(format!("BENCH_{name}.json is not well-formed JSON: {e}"));
+    }
+    let dir = cli.out.as_ref().map_or(String::new(), |d| format!("{d}/"));
+    write_artifact(&format!("{dir}BENCH_{name}.json"), &json);
+}
+
+/// Write `table` as `<name>.csv` into the `--out` directory, if one was given.
+fn write_csv(cli: &Cli, name: &str, table: &Table) {
+    if let Some(dir) = &cli.out {
+        write_artifact(&format!("{dir}/{name}.csv"), &table.to_csv());
+    }
+}
+
 fn paper_expectation(figure: Figure) -> &'static str {
     match figure {
         Figure::A => "paper: ~10% failed lookups at 30% failed nodes, 25-30% at 50%; all three algorithms within ~2%",
@@ -269,14 +307,11 @@ fn main() {
         let fixed = fixed.as_ref().expect("figures imply the churn run");
         let data = figures::extract(figure, fixed, adaptive.as_ref());
         let title = format!("Figure {figure} — {}", figure.description());
-        println!("{}", data.to_table(&title).render());
+        let table = data.to_table(&title);
+        println!("{}", table.render());
         println!("  ({})\n", paper_expectation(figure));
-        if let Some(dir) = &cli.out {
-            let path = format!("{dir}/figure_{}.csv", figure.label().to_lowercase());
-            if let Err(e) = data.to_csv().write_to(&path) {
-                eprintln!("warning: could not write {path}: {e}");
-            }
-        }
+        let name = format!("figure_{}", figure.label().to_lowercase());
+        write_csv(&cli, &name, &table);
     }
 
     if cli.table_routing {
@@ -340,23 +375,21 @@ fn main() {
             // gate.
             if cli.smoke {
                 let Some(reliable) = sweep.row(10.0, true) else {
-                    eprintln!("error: lossy smoke gate needs the 10% reliability-on row");
-                    std::process::exit(1);
+                    fail("lossy smoke gate needs the 10% reliability-on row");
                 };
                 eprintln!(
                     "#   at 10% per-hop loss: reliability on {:.1}% coverage, dup factor {:.2}, \
                      {:.2} retx/msg ({} reroutes)",
-                    reliable.coverage_pct(),
-                    reliable.duplicate_factor,
+                    reliable.tally.coverage_pct(),
+                    reliable.tally.duplicate_factor(),
                     reliable.retransmit_overhead(),
                     reliable.reroutes
                 );
-                if reliable.coverage_pct() < 99.0
-                    || (reliable.duplicate_factor - 1.0).abs() > 1e-9
+                if reliable.tally.coverage_pct() < 99.0
+                    || (reliable.tally.duplicate_factor() - 1.0).abs() > 1e-9
                     || reliable.retransmit_overhead() >= 1.0
                 {
-                    eprintln!("error: lossy multicast smoke gate failed: {reliable:?}");
-                    std::process::exit(1);
+                    fail(format!("lossy multicast smoke gate failed: {reliable:?}"));
                 }
             }
         }
@@ -370,7 +403,8 @@ fn main() {
             DurabilityParams::new(cli.nodes.min(400), cli.seed)
         };
         let report = run_durability(&params);
-        println!("{}", report.to_table().render());
+        let table = report.to_table();
+        println!("{}", table.render());
         // The smoke profile doubles as a regression gate: replication must
         // demonstrably keep keys alive where single copies die. The gate
         // fails hard when its acceptance point is missing (a schedule or
@@ -389,20 +423,13 @@ fn main() {
             if cli.smoke {
                 let at_acceptance_point = (k3.failed_fraction - 0.3).abs() < 1e-9;
                 if !at_acceptance_point || k3.availability_pct() < 99.0 || !k3.converged {
-                    eprintln!("error: durability smoke gate failed: {k3:?}");
-                    std::process::exit(1);
+                    fail(format!("durability smoke gate failed: {k3:?}"));
                 }
             }
         } else if cli.smoke {
-            eprintln!("error: durability smoke gate needs k=1 and k=3 rows, got neither");
-            std::process::exit(1);
+            fail("durability smoke gate needs k=1 and k=3 rows, got neither");
         }
-        if let Some(dir) = &cli.out {
-            let path = format!("{dir}/figure_r_durability.csv");
-            if let Err(e) = report.to_csv().write_to(&path) {
-                eprintln!("warning: could not write {path}: {e}");
-            }
-        }
+        write_csv(&cli, "figure_r_durability", &table);
     }
 
     if cli.readpath {
@@ -413,22 +440,10 @@ fn main() {
             ReadStormParams::new(cli.nodes.min(400), cli.seed)
         };
         let report = run_read_storm(&params);
-        println!("{}", report.to_table().render());
-        let bench_path = match &cli.out {
-            Some(dir) => format!("{dir}/BENCH_readpath.json"),
-            None => "BENCH_readpath.json".to_string(),
-        };
-        if let Err(e) = std::fs::write(&bench_path, report.to_json()) {
-            eprintln!("warning: could not write {bench_path}: {e}");
-        } else {
-            eprintln!("#   wrote {bench_path}");
-        }
-        if let Some(dir) = &cli.out {
-            let path = format!("{dir}/figure_s_readpath.csv");
-            if let Err(e) = report.to_csv().write_to(&path) {
-                eprintln!("warning: could not write {path}: {e}");
-            }
-        }
+        let table = report.to_table();
+        println!("{}", table.render());
+        write_bench(&cli, "readpath", &table);
+        write_csv(&cli, "figure_s_readpath", &table);
         // The smoke profile doubles as the read-path regression gate: at
         // equal completion the cache must exercise (hits > 0) and must not
         // lengthen the hop tail. Missing rows fail hard so a load-level
@@ -438,8 +453,7 @@ fn main() {
             let (Some(off), Some(on)) =
                 (report.row_at(false, offered), report.row_at(true, offered))
             else {
-                eprintln!("error: read-path smoke gate needs cached and uncached rows");
-                std::process::exit(1);
+                fail("read-path smoke gate needs cached and uncached rows");
             };
             eprintln!(
                 "#   at {} gets/round: uncached p99 {:.1} hops / max load {}, \
@@ -456,8 +470,9 @@ fn main() {
                 || on.cache_hits == 0
                 || on.p99_hops > off.p99_hops
             {
-                eprintln!("error: read-path smoke gate failed: off {off:?} on {on:?}");
-                std::process::exit(1);
+                fail(format!(
+                    "read-path smoke gate failed: off {off:?} on {on:?}"
+                ));
             }
         }
     }
@@ -470,16 +485,9 @@ fn main() {
             PubSubParams::new(cli.nodes.min(400), cli.seed)
         };
         let comparison = compare_pubsub(&params);
-        println!("{}", comparison.to_table().render());
-        let bench_path = match &cli.out {
-            Some(dir) => format!("{dir}/BENCH_pubsub.json"),
-            None => "BENCH_pubsub.json".to_string(),
-        };
-        if let Err(e) = std::fs::write(&bench_path, comparison.to_json()) {
-            eprintln!("warning: could not write {bench_path}: {e}");
-        } else {
-            eprintln!("#   wrote {bench_path}");
-        }
+        let table = comparison.to_table();
+        println!("{}", table.render());
+        write_bench(&cli, "pubsub", &table);
         // The smoke profile doubles as the pub/sub regression gate: at every
         // fan-out tier the pruned publish must reach every subscriber exactly
         // once (100% coverage, duplicate factor 1.0) while spending strictly
@@ -489,26 +497,26 @@ fn main() {
             let treep = comparison.overlay_rows("TreeP");
             let flooding = comparison.overlay_rows("Flooding");
             if treep.is_empty() || treep.len() != flooding.len() {
-                eprintln!("error: pub/sub smoke gate needs paired TreeP/Flooding rows per tier");
-                std::process::exit(1);
+                fail("pub/sub smoke gate needs paired TreeP/Flooding rows per tier");
             }
             for (t, f) in treep.iter().zip(&flooding) {
                 eprintln!(
                     "#   fanout {}: coverage {:.1}%, dup factor {:.2}, \
                      {:.2} msgs/delivery vs flooding {:.2} ({} branches pruned)",
                     t.subscribers,
-                    t.coverage_pct(),
-                    t.duplicate_factor,
-                    t.messages_per_delivery,
-                    f.messages_per_delivery,
+                    t.tally.coverage_pct(),
+                    t.tally.duplicate_factor(),
+                    t.messages_per_delivery(),
+                    f.messages_per_delivery(),
                     t.branches_pruned
                 );
-                if (t.coverage_pct() - 100.0).abs() > 1e-9
-                    || (t.duplicate_factor - 1.0).abs() > 1e-9
-                    || t.messages_per_delivery >= f.messages_per_delivery
+                if (t.tally.coverage_pct() - 100.0).abs() > 1e-9
+                    || (t.tally.duplicate_factor() - 1.0).abs() > 1e-9
+                    || t.messages_per_delivery() >= f.messages_per_delivery()
                 {
-                    eprintln!("error: pub/sub smoke gate failed: treep {t:?} flooding {f:?}");
-                    std::process::exit(1);
+                    fail(format!(
+                        "pub/sub smoke gate failed: treep {t:?} flooding {f:?}"
+                    ));
                 }
             }
         }
@@ -522,16 +530,9 @@ fn main() {
             ScaleParams::full(cli.seed)
         };
         let report = run_scale(&params);
-        println!("{}", report.to_table().render());
-        let bench_path = match &cli.out {
-            Some(dir) => format!("{dir}/BENCH_scale.json"),
-            None => "BENCH_scale.json".to_string(),
-        };
-        if let Err(e) = std::fs::write(&bench_path, report.to_json()) {
-            eprintln!("warning: could not write {bench_path}: {e}");
-        } else {
-            eprintln!("#   wrote {bench_path}");
-        }
+        let table = report.to_table();
+        println!("{}", table.render());
+        write_bench(&cli, "scale", &table);
         // The smoke profile doubles as the engine regression gate: every
         // leg must replay bit-identically under the same seed, the wheel
         // engine must dispatch the exact event sequence of the legacy
@@ -543,8 +544,9 @@ fn main() {
             let (Some(wheel), Some(legacy)) =
                 (report.row(gate_n, "wheel"), report.row(gate_n, "legacy"))
             else {
-                eprintln!("error: scale smoke gate needs wheel and legacy rows at n = {gate_n}");
-                std::process::exit(1);
+                fail(format!(
+                    "scale smoke gate needs wheel and legacy rows at n = {gate_n}"
+                ));
             };
             eprintln!(
                 "#   at n = {gate_n}: legacy {:.0} ksteps/s, wheel {:.0} ksteps/s \
@@ -555,20 +557,17 @@ fn main() {
                 report.engines_agree_at(gate_n)
             );
             if report.rows.iter().any(|row| !row.deterministic) {
-                eprintln!("error: scale smoke gate failed: non-deterministic replay");
-                std::process::exit(1);
+                fail("scale smoke gate failed: non-deterministic replay");
             }
             if report.engines_agree_at(gate_n) != Some(true) {
-                eprintln!("error: scale smoke gate failed: wheel digest diverges from legacy");
-                std::process::exit(1);
+                fail("scale smoke gate failed: wheel digest diverges from legacy");
             }
             const STEPS_PER_SEC_FLOOR: f64 = 250_000.0;
             if wheel.steps_per_sec < STEPS_PER_SEC_FLOOR {
-                eprintln!(
-                    "error: scale smoke gate failed: wheel {:.0} steps/s below floor {:.0}",
+                fail(format!(
+                    "scale smoke gate failed: wheel {:.0} steps/s below floor {:.0}",
                     wheel.steps_per_sec, STEPS_PER_SEC_FLOOR
-                );
-                std::process::exit(1);
+                ));
             }
         }
 
@@ -610,31 +609,26 @@ fn main() {
                 json_ok.is_ok()
             );
             if !overhead.digests_match {
-                eprintln!("error: telemetry smoke gate failed: telemetry-on digest diverged");
-                std::process::exit(1);
+                fail("telemetry smoke gate failed: telemetry-on digest diverged");
             }
             if overhead.overhead_pct() > 10.0 {
-                eprintln!(
-                    "error: telemetry smoke gate failed: {:.2}% overhead exceeds 10%",
+                fail(format!(
+                    "telemetry smoke gate failed: {:.2}% overhead exceeds 10%",
                     overhead.overhead_pct()
-                );
-                std::process::exit(1);
+                ));
             }
             if overhead.dispatch_samples == 0 || overhead.barrier_stall_samples == 0 {
-                eprintln!(
-                    "error: telemetry smoke gate failed: profilers collected no samples \
+                fail(format!(
+                    "telemetry smoke gate failed: profilers collected no samples \
                      ({} dispatch, {} barrier)",
                     overhead.dispatch_samples, overhead.barrier_stall_samples
-                );
-                std::process::exit(1);
+                ));
             }
             if let Err(e) = json_ok {
-                eprintln!("error: telemetry smoke gate failed: trace export: {e}");
-                std::process::exit(1);
+                fail(format!("telemetry smoke gate failed: trace export: {e}"));
             }
             if trace.spans == 0 {
-                eprintln!("error: telemetry smoke gate failed: trace capture produced no spans");
-                std::process::exit(1);
+                fail("telemetry smoke gate failed: trace capture produced no spans");
             }
         }
     }
@@ -657,8 +651,7 @@ fn main() {
             report.dropped_spans
         );
         if let Err(e) = analysis::validate_json(&report.trace_json) {
-            eprintln!("error: trace export is not well-formed JSON: {e}");
-            std::process::exit(1);
+            fail(format!("trace export is not well-formed JSON: {e}"));
         }
         match std::fs::write(path, &report.trace_json) {
             Ok(()) => eprintln!(
@@ -666,8 +659,7 @@ fn main() {
                 report.trace_json.len()
             ),
             Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                std::process::exit(1);
+                fail(format!("could not write {path}: {e}"));
             }
         }
     }

@@ -19,12 +19,12 @@
 //!   messages the live nodes sent during the step, per node and
 //!   anti-entropy round (`k - 1` digests when every replica pair agrees).
 
-use analysis::{AsciiTable, Csv};
-use simnet::{NodeAddr, SimDuration, Simulation};
-use std::collections::BTreeMap;
+use crate::runner::{delta, Scenario};
+use analysis::{ratio, Cell, Column, Table};
+use simnet::{NodeAddr, SimDuration};
 use treep::lookup::RequestId;
-use treep::{audit_replication, DhtOutcome, MessageKind, ReplicationAudit, TreePConfig, TreePNode};
-use workloads::{BuiltTopology, ChurnPlan, KvWorkload, TopologyBuilder};
+use treep::{audit_replication, DhtOutcome, MessageKind, NodeStats, TreePConfig, TreePNode};
+use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
 /// Parameters of one durability run.
 #[derive(Debug, Clone)]
@@ -128,11 +128,7 @@ pub struct DurabilityRow {
 impl DurabilityRow {
     /// Fraction of the corpus retrievable, in percent.
     pub fn availability_pct(&self) -> f64 {
-        if self.keys == 0 {
-            100.0
-        } else {
-            self.retrievable as f64 * 100.0 / self.keys as f64
-        }
+        ratio(self.retrievable as f64 * 100.0, self.keys as f64, 100.0)
     }
 }
 
@@ -163,70 +159,40 @@ impl DurabilityReport {
         })
     }
 
-    /// Export the rows as CSV (one row per factor and step).
-    pub fn to_csv(&self) -> Csv {
-        let mut csv = Csv::new([
-            "k",
-            "failed_fraction",
-            "alive_nodes",
-            "surviving_keys",
-            "availability_pct",
-            "fully_replicated_pct",
-            "divergent",
-            "repair_windows",
-            "converged",
-            "anti_entropy_msgs_per_node_round",
-        ]);
-        for row in &self.rows {
-            csv.push_row([
-                row.k.to_string(),
-                format!("{:.3}", row.failed_fraction),
-                row.alive_nodes.to_string(),
-                row.surviving.to_string(),
-                format!("{:.2}", row.availability_pct()),
-                format!("{:.2}", row.fully_replicated_pct),
-                row.divergent.to_string(),
-                row.repair_windows.to_string(),
-                u8::from(row.converged).to_string(),
-                format!("{:.3}", row.anti_entropy_msgs_per_node_round),
-            ]);
-        }
-        csv
-    }
-
-    /// Render the comparison as an aligned table.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    /// The comparison as a table: one row per factor and step.
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("k", "k", |r: &DurabilityRow| r.k.into()),
+            Column::new("failed_fraction", "", |r| {
+                Cell::float(r.failed_fraction, 3, 3)
+            }),
+            Column::new("", "failed %", |r| {
+                Cell::float(r.failed_fraction * 100.0, 0, 0)
+            }),
+            Column::new("alive_nodes", "alive", |r| r.alive_nodes.into()),
+            Column::new("surviving_keys", "surviving", |r| r.surviving.into()),
+            Column::new("availability_pct", "avail %", |r| {
+                Cell::float(r.availability_pct(), 2, 1)
+            }),
+            Column::new("fully_replicated_pct", "fully repl %", |r| {
+                Cell::float(r.fully_replicated_pct, 2, 1)
+            }),
+            Column::new("divergent", "divergent", |r| r.divergent.into()),
+            Column::new("repair_windows", "repair wins", |r| r.repair_windows.into()),
+            Column::new("converged", "converged", |r| {
+                Cell::Flag(r.converged, ["NO", "yes"])
+            }),
+            Column::new(
+                "anti_entropy_msgs_per_node_round",
+                "a-e msgs/node/round",
+                |r| Cell::float(r.anti_entropy_msgs_per_node_round, 3, 2),
+            ),
+        ];
+        let title = format!(
             "Figure R — DHT durability under churn (n = {}, {} keys)",
             self.nodes, self.keys
-        ))
-        .header([
-            "k",
-            "failed %",
-            "alive",
-            "surviving",
-            "avail %",
-            "fully repl %",
-            "divergent",
-            "repair wins",
-            "converged",
-            "a-e msgs/node/round",
-        ]);
-        for row in &self.rows {
-            table.push_row([
-                row.k.to_string(),
-                format!("{:.0}", row.failed_fraction * 100.0),
-                row.alive_nodes.to_string(),
-                row.surviving.to_string(),
-                format!("{:.1}", row.availability_pct()),
-                format!("{:.1}", row.fully_replicated_pct),
-                row.divergent.to_string(),
-                row.repair_windows.to_string(),
-                if row.converged { "yes" } else { "NO" }.to_string(),
-                format!("{:.2}", row.anti_entropy_msgs_per_node_round),
-            ]);
-        }
-        table
+        );
+        Table::of(title, &columns, &self.rows)
     }
 }
 
@@ -247,83 +213,86 @@ pub fn run_durability(params: &DurabilityParams) -> DurabilityReport {
 fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
     let config = params.config(k);
     let builder = TopologyBuilder::new(params.nodes).with_config(config);
-    let (mut sim, topo) = builder.build_simulation(params.seed);
+    let mut sc = Scenario::build(&builder, params.seed);
     let kv = KvWorkload::new(params.keys);
-    let mut rng = sim.rng_mut().fork();
+    let mut rng = sc.sim.rng_mut().fork();
 
     // Seed the corpus and let the puts (and the initial replica placement)
     // complete.
-    let alive = topo.alive_pairs(&sim);
-    for op in kv.batch(&alive, &mut rng) {
+    for op in kv.batch(&sc.alive(), &mut rng) {
         let key = kv.key_bytes(op.index);
         let value = kv.value_bytes(op.index);
-        sim.invoke(op.source, move |node, ctx| {
+        sc.sim.invoke(op.source, move |node, ctx| {
             node.dht_put(&key, value, ctx);
         });
     }
-    sim.run_for(params.settle_per_step);
+    sc.sim.run_for(params.settle_per_step);
+
+    // Anti-entropy messages sent and anti-entropy rounds run: the growth of
+    // the first over a step, divided by that of the second, is messages per
+    // node and round.
+    let anti_entropy = |s: &NodeStats| {
+        let sent = |kind| s.sent.get(kind);
+        let msgs = sent(MessageKind::ReplicaDigest)
+            + sent(MessageKind::ReplicaSyncRequest)
+            + sent(MessageKind::ReplicaSyncReply);
+        [msgs, s.replica_sync_rounds]
+    };
+    // The replica placement over every live store (the stores hold nothing
+    // but the corpus in this experiment, so no key filtering is needed).
+    let audit_now = |sc: &Scenario| {
+        let live = sc.alive().into_iter();
+        let views = live.filter_map(|(addr, id)| sc.sim.node(addr).map(|n| (id, n.dht_store())));
+        audit_replication(views, k)
+    };
 
     let mut rows = Vec::new();
     for churn_step in params.churn.steps(params.nodes) {
         // 1. Fail this step's victims (step 0 measures the intact network).
-        if churn_step.index > 0 {
-            let alive = sim.alive_nodes();
-            let victims = params.churn.pick_victims(&alive, params.nodes, &mut rng);
-            for v in victims {
-                sim.fail_node(v);
-            }
-        }
-
-        let (msgs_before, rounds_before) = anti_entropy_totals(&sim, &topo);
+        sc.crash(&params.churn, &churn_step, &mut rng);
+        let anti_entropy_before = sc.sum(anti_entropy);
 
         // 2. Settle, then grant extra anti-entropy windows until the
         //    replica placement converges (k = 1 has no repair to wait for).
-        sim.run_for(params.settle_per_step);
+        sc.sim.run_for(params.settle_per_step);
         let mut repair_windows = 0usize;
-        let mut audit = audit_now(&sim, &topo, k);
+        let mut audit = audit_now(&sc);
         while k > 1 && !audit.is_converged() && repair_windows < params.max_repair_windows {
-            sim.run_for(config.replica_sync_interval);
+            sc.sim.run_for(config.replica_sync_interval);
             repair_windows += 1;
-            audit = audit_now(&sim, &topo, k);
+            audit = audit_now(&sc);
         }
 
         // 3. End-to-end availability: one routed get per corpus key from a
         //    random survivor, answers checked against the expected values.
-        let alive_pairs = topo.alive_pairs(&sim);
-        let mut pending: BTreeMap<NodeAddr, Vec<(usize, RequestId)>> = BTreeMap::new();
+        let alive_pairs = sc.alive();
+        let mut asked: Vec<(NodeAddr, usize, RequestId)> = Vec::new();
         for op in kv.batch(&alive_pairs, &mut rng) {
             let key = kv.key_bytes(op.index);
-            let request_id = sim.invoke(op.source, move |node, ctx| node.dht_get(&key, ctx));
+            let request_id = sc
+                .sim
+                .invoke(op.source, move |node, ctx| node.dht_get(&key, ctx));
             if let Some(request_id) = request_id {
-                pending
-                    .entry(op.source)
-                    .or_default()
-                    .push((op.index, request_id));
+                asked.push((op.source, op.index, request_id));
             }
         }
-        sim.run_for(params.drain);
-        let mut retrievable = 0usize;
-        for (source, asked) in pending {
-            let Some(node) = sim.node_mut(source) else {
-                continue;
-            };
-            let outcomes = node.drain_dht_outcomes();
-            for (index, request_id) in asked {
-                let expected = kv.value_bytes(index);
-                let answered = outcomes.iter().any(|o| match o {
-                    DhtOutcome::GetAnswered {
-                        request_id: rid,
-                        value: Some(v),
-                        ..
-                    } => *rid == request_id && *v == expected,
-                    _ => false,
-                });
-                retrievable += usize::from(answered);
-            }
-        }
+        sc.sim.run_for(params.drain);
+        let answers = sc.drain(TreePNode::drain_dht_outcomes);
+        let answered = |&(source, index, request_id): &(NodeAddr, usize, RequestId)| {
+            let expected = kv.value_bytes(index);
+            let mut outcomes = answers.iter().filter(|a| a.0 == source).flat_map(|a| &a.2);
+            outcomes.any(|o| match o {
+                DhtOutcome::GetAnswered {
+                    request_id: rid,
+                    value: Some(v),
+                    ..
+                } => *rid == request_id && *v == expected,
+                _ => false,
+            })
+        };
+        let retrievable = asked.iter().filter(|&get| answered(get)).count();
 
-        let (msgs, rounds) = anti_entropy_totals(&sim, &topo);
-        let node_rounds = rounds - rounds_before;
+        let [msgs, node_rounds] = delta(sc.sum(anti_entropy), anti_entropy_before);
         rows.push(DurabilityRow {
             k,
             failed_fraction: churn_step.failed_fraction,
@@ -335,46 +304,10 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
             divergent: audit.divergent,
             repair_windows,
             converged: audit.is_converged(),
-            anti_entropy_msgs_per_node_round: if node_rounds == 0 {
-                0.0
-            } else {
-                (msgs - msgs_before) as f64 / node_rounds as f64
-            },
+            anti_entropy_msgs_per_node_round: ratio(msgs as f64, node_rounds as f64, 0.0),
         });
     }
     rows
-}
-
-/// Audit the replica placement over every live store (the stores hold
-/// nothing but the corpus in this experiment, so no key filtering is
-/// needed).
-fn audit_now(sim: &Simulation<TreePNode>, topo: &BuiltTopology, k: u32) -> ReplicationAudit {
-    let views = topo
-        .nodes
-        .iter()
-        .filter(|n| sim.is_alive(n.addr))
-        .filter_map(|n| sim.node(n.addr).map(|node| (n.id, node.dht_store())));
-    audit_replication(views, k)
-}
-
-/// Anti-entropy messages sent and anti-entropy rounds run so far, summed
-/// over the live nodes: the difference of two readings with no failure in
-/// between, divided, is messages per node and round.
-fn anti_entropy_totals(sim: &Simulation<TreePNode>, topo: &BuiltTopology) -> (u64, u64) {
-    topo.alive_pairs(sim)
-        .iter()
-        .filter_map(|&(addr, _)| sim.node(addr))
-        .map(|node| {
-            let stats = node.stats();
-            let msgs = [
-                MessageKind::ReplicaDigest,
-                MessageKind::ReplicaSyncRequest,
-                MessageKind::ReplicaSyncReply,
-            ]
-            .map(|kind| stats.sent.get(kind));
-            (msgs.iter().sum::<u64>(), stats.replica_sync_rounds)
-        })
-        .fold((0, 0), |(m, r), (dm, dr)| (m + dm, r + dr))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Extraction and rendering of the paper's figures (Section IV, Figures A–I).
 
 use crate::runner::ChurnRunResult;
-use analysis::{AsciiTable, Csv, HopSurface, Series, SeriesSet};
+use analysis::{Cell, HopSurface, SeriesSet, Table};
 use treep::RoutingAlgorithm;
 
 /// The figures of the paper's evaluation.
@@ -127,52 +127,30 @@ impl FigureData {
         }
     }
 
-    /// Render the data as an aligned plain-text table.
-    pub fn to_table(&self, title: &str) -> AsciiTable {
-        match self {
+    /// The data as a table: the aligned text shows two decimals of a curve
+    /// and one of a surface, the CSV carries every value exactly.
+    pub fn to_table(&self, title: &str) -> Table {
+        let (columns, rows, decimals) = match self {
             FigureData::Curves(set) => {
                 let (header, rows) = set.to_rows();
-                let mut table = AsciiTable::new(title).header(header);
-                for row in rows {
-                    table.push_f64_row(&row, 2);
-                }
-                table
+                let columns = header.into_iter().map(|name| (name.clone(), name));
+                (columns.collect::<Vec<_>>(), rows, 2)
             }
             FigureData::Surface(surface) => {
                 let (hops, rows) = surface.to_grid();
-                let mut header = vec!["failed %".to_string()];
-                header.extend(hops.iter().map(|h| format!("{h} hops")));
-                let mut table = AsciiTable::new(title).header(header);
-                for row in rows {
-                    table.push_f64_row(&row, 1);
-                }
-                table
+                let mut columns = vec![("failed_pct".to_string(), "failed %".to_string())];
+                columns.extend(
+                    hops.iter()
+                        .map(|h| (format!("hops_{h}"), format!("{h} hops"))),
+                );
+                (columns, rows, 1)
             }
+        };
+        let mut table = Table::new(title, columns);
+        for row in rows {
+            table.push_row(row.into_iter().map(|v| Cell::Float(v, None, decimals)));
         }
-    }
-
-    /// Render the data as CSV.
-    pub fn to_csv(&self) -> Csv {
-        match self {
-            FigureData::Curves(set) => {
-                let (header, rows) = set.to_rows();
-                let mut csv = Csv::new(header);
-                for row in rows {
-                    csv.push_f64_row(&row);
-                }
-                csv
-            }
-            FigureData::Surface(surface) => {
-                let (hops, rows) = surface.to_grid();
-                let mut header = vec!["failed_pct".to_string()];
-                header.extend(hops.iter().map(|h| format!("hops_{h}")));
-                let mut csv = Csv::new(header);
-                for row in rows {
-                    csv.push_f64_row(&row);
-                }
-                csv
-            }
-        }
+        table
     }
 }
 
@@ -274,25 +252,6 @@ pub fn extract(
     }
 }
 
-/// The mean of a curve family's final `y` values — a convenience used by the
-/// benches to print one summary number per figure.
-pub fn final_y_mean(set: &SeriesSet) -> f64 {
-    let finals: Vec<f64> = set
-        .iter()
-        .filter_map(|s| s.points.last().map(|p| p.1))
-        .collect();
-    if finals.is_empty() {
-        0.0
-    } else {
-        finals.iter().sum::<f64>() / finals.len() as f64
-    }
-}
-
-/// Convenience used by the per-figure curve extraction: a single named curve.
-pub fn single_series(set: &SeriesSet, name: &str) -> Option<Series> {
-    set.get(name).cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,8 +322,7 @@ mod tests {
             let data = extract(figure, &r, Some(&r));
             let table = data.to_table(&format!("Figure {figure}"));
             assert!(!table.is_empty(), "figure {figure} rendered an empty table");
-            let csv = data.to_csv();
-            assert!(!csv.is_empty());
+            assert!(table.to_csv().lines().count() > 1);
             match figure {
                 Figure::F | Figure::G | Figure::H | Figure::I => {
                     assert!(data.as_surface().is_some())
@@ -381,7 +339,5 @@ mod tests {
         assert_eq!(cmp.len(), 2);
         assert!(cmp.get("nc=4").is_some());
         assert!(cmp.get("nc=variable").is_some());
-        assert!(final_y_mean(&cmp) >= 0.0);
-        assert!(single_series(&cmp, "nc=4").is_some());
     }
 }

@@ -7,6 +7,10 @@
 //!
 //! * [`ExperimentParams`] — knobs of one run (population, child policy, seed,
 //!   lookups per step, churn schedule).
+//! * [`Scenario`] and [`DeliveryTally`] — the one harness every TreeP driver
+//!   below runs on: build (on lossy links if asked), crash a churn step, sum
+//!   `NodeStats` counters over the live nodes, drain an outcome queue, and
+//!   the coverage / duplicate-factor / messages-per-delivery arithmetic.
 //! * [`run_churn_experiment`] — the measurement loop shared by every figure;
 //!   it produces a [`ChurnRunResult`].
 //! * [`figures`] — extraction and rendering of every paper figure (A–I) from
@@ -28,8 +32,10 @@
 //!   bytes/node and peak RSS of the legacy, timer-wheel and sharded
 //!   simulation engines under an identical keep-alive workload.
 //!
-//! The `reproduce` binary drives all of the above from the command line; the
-//! Criterion benches in `crates/bench` wrap the same entry points.
+//! Every result type renders through one `to_table()` into an
+//! [`analysis::Table`] — aligned text, CSV and BENCH JSON from one column
+//! list. The `reproduce` binary drives all of the above from the command
+//! line; the timed legs live in `benchmark/`.
 
 #![warn(missing_docs)]
 
@@ -49,7 +55,6 @@ pub mod trace_demo;
 pub use baseline_compare::{compare_overlays, OverlayComparison, OverlayRow};
 pub use durability::{run_durability, DurabilityParams, DurabilityReport, DurabilityRow};
 pub use figures::{Figure, FigureData};
-pub use maintenance::{maintenance_series, MaintenancePoint};
 pub use multicast_compare::{
     compare_multicast, sweep_multicast_loss, LossRow, LossSweep, LossSweepParams,
     MulticastComparison, MulticastParams, MulticastRow,
@@ -58,8 +63,8 @@ pub use params::ExperimentParams;
 pub use pubsub_compare::{compare_pubsub, PubSubComparison, PubSubParams, PubSubRow};
 pub use readpath::{run_read_storm, ReadStormParams, ReadStormReport, ReadStormRow};
 pub use runner::{
-    run_churn_experiment, AlgoStepStats, ChurnRunResult, MulticastStepStats, ReadPathStepStats,
-    StepMeasurement,
+    run_churn_experiment, AlgoStepStats, ChurnRunResult, DeliveryTally, MulticastStepStats,
+    ReadPathStepStats, Scenario, StepMeasurement,
 };
 pub use scale::{
     measure_telemetry_overhead, run_scale, ScaleParams, ScaleReport, ScaleRow, TelemetryOverhead,

@@ -1,75 +1,34 @@
 //! Maintenance-overhead ablation.
 //!
 //! One of TreeP's claims is that the overlay is maintained "while limiting
-//! the overhead introduced by the overlay maintenance". This module extracts
-//! the maintenance traffic measured during the settle window of every churn
-//! step (keep-alives, child reports, election / demotion traffic) and
-//! normalises it per alive node, giving the overhead-vs-churn curve used by
-//! the `ablation_maintenance` bench.
+//! the overhead introduced by the overlay maintenance". Every churn step
+//! records the traffic of its settle window (keep-alives, child reports,
+//! election / demotion traffic) in
+//! [`StepMeasurement::maintenance_messages`](crate::StepMeasurement) and,
+//! normalised per alive node, in `maintenance_per_node`; this module renders
+//! that overhead-vs-churn curve (`reproduce --maintenance`).
 
 use crate::runner::ChurnRunResult;
-use analysis::{AsciiTable, Series};
-
-/// Maintenance overhead measured at one churn step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintenancePoint {
-    /// Fraction of the initial population failed so far (0–1).
-    pub failed_fraction: f64,
-    /// Nodes alive during the measurement window.
-    pub alive_nodes: usize,
-    /// Total messages sent during the settle window.
-    pub messages: u64,
-    /// Messages per alive node during the settle window.
-    pub per_node: f64,
-}
-
-/// Extract the maintenance-overhead curve from a churn run.
-pub fn maintenance_series(result: &ChurnRunResult) -> Vec<MaintenancePoint> {
-    result
-        .steps
-        .iter()
-        .map(|s| MaintenancePoint {
-            failed_fraction: s.failed_fraction,
-            alive_nodes: s.alive_nodes,
-            messages: s.maintenance_messages,
-            per_node: s.maintenance_per_node,
-        })
-        .collect()
-}
-
-/// The per-node overhead as an `(x = failed %, y = messages/node)` series.
-pub fn per_node_series(result: &ChurnRunResult) -> Series {
-    let mut series = Series::new(result.policy_label.clone());
-    for p in maintenance_series(result) {
-        series.push(p.failed_fraction * 100.0, p.per_node);
-    }
-    series
-}
+use analysis::{Cell, Table};
 
 /// Render the overhead of one or more runs side by side.
-pub fn to_table(results: &[&ChurnRunResult]) -> AsciiTable {
+pub fn to_table(results: &[&ChurnRunResult]) -> Table {
     let mut header = vec!["failed %".to_string()];
     header.extend(
         results
             .iter()
             .map(|r| format!("{} msgs/node", r.policy_label)),
     );
-    let mut table = AsciiTable::new("Maintenance overhead per settle window").header(header);
-    if results.is_empty() {
-        return table;
-    }
-    let steps = results[0].steps.len();
+    let columns = header.into_iter().map(|heading| ("", heading));
+    let mut table = Table::new("Maintenance overhead per settle window", columns);
+    let steps = results.first().map_or(0, |r| r.steps.len());
     for i in 0..steps {
         let mut row = vec![results[0].steps[i].failed_fraction * 100.0];
         for r in results {
-            row.push(
-                r.steps
-                    .get(i)
-                    .map(|s| s.maintenance_per_node)
-                    .unwrap_or(f64::NAN),
-            );
+            let step = r.steps.get(i);
+            row.push(step.map_or(f64::NAN, |s| s.maintenance_per_node));
         }
-        table.push_f64_row(&row, 2);
+        table.push_row(row.into_iter().map(|v| Cell::float(v, 2, 2)));
     }
     table
 }
@@ -86,29 +45,25 @@ mod tests {
 
     #[test]
     fn every_step_is_measured() {
-        let r = result();
-        let points = maintenance_series(&r);
-        assert_eq!(points.len(), r.steps.len());
-        for p in &points {
+        for step in &result().steps {
             assert!(
-                p.messages > 0,
+                step.maintenance_messages > 0,
                 "the maintenance protocol always sends keep-alives"
             );
-            assert!(p.per_node > 0.0);
+            assert!(step.maintenance_per_node > 0.0);
         }
     }
 
     #[test]
     fn per_node_overhead_is_bounded() {
-        let r = result();
-        for p in maintenance_series(&r) {
+        for step in &result().steps {
+            let per_node = step.maintenance_per_node;
             // A 2-second settle window with 500 ms keep-alives and a handful
             // of neighbours: the overhead must stay well below 200 messages
             // per node ("keeping control messages to a minimum").
             assert!(
-                p.per_node < 200.0,
-                "{} messages/node is runaway maintenance",
-                p.per_node
+                per_node < 200.0,
+                "{per_node} messages/node is runaway maintenance"
             );
         }
     }
@@ -116,8 +71,6 @@ mod tests {
     #[test]
     fn series_and_table_cover_all_steps() {
         let r = result();
-        let series = per_node_series(&r);
-        assert_eq!(series.len(), r.steps.len());
         let table = to_table(&[&r, &r]);
         assert_eq!(table.len(), r.steps.len());
         assert!(to_table(&[]).is_empty());

@@ -20,12 +20,12 @@
 //! for a bounded retransmission overhead). This is the measured curve the
 //! ROADMAP's old "known limit" paragraph became.
 
-use analysis::AsciiTable;
+use crate::runner::{delta, multicast_receipts, DeliveryTally, Scenario};
+use analysis::{ratio, Cell, Column, Table};
 use baselines::FloodingBuilder;
-use simnet::{LatencyModel, LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, Simulation};
-use treep::lookup::RequestId;
-use treep::{KeyRange, MessageKind, NodeId, TreePNode};
-use workloads::{MulticastOp, MulticastWorkload, TopologyBuilder};
+use simnet::{LatencyModel, SimDuration};
+use treep::{KeyRange, MessageKind, NodeId, NodeStats};
+use workloads::{MulticastWorkload, TopologyBuilder};
 
 /// Parameters of one multicast comparison run.
 #[derive(Debug, Clone)]
@@ -51,8 +51,8 @@ impl MulticastParams {
         }
     }
 
-    /// Reduced run for unit tests and Criterion benches: only the
-    /// full-space broadcast and the narrowest scope.
+    /// Reduced run for unit tests and the `--multicast --smoke` gate: only
+    /// the full-space broadcast and the narrowest scope.
     pub fn quick(nodes: usize, seed: u64) -> Self {
         MulticastParams {
             scopes: vec![1.0, 0.25],
@@ -68,16 +68,15 @@ pub struct MulticastRow {
     pub overlay: String,
     /// Scope width as a fraction of the identifier space.
     pub scope_fraction: f64,
-    /// Live nodes inside the target range.
-    pub targets: usize,
-    /// Distinct in-range nodes that received the payload.
-    pub delivered: usize,
-    /// `delivered / targets`, in percent.
-    pub coverage_pct: f64,
-    /// Copies received per distinct node reached (network-wide).
+    /// The live nodes inside the target range, and how many of them
+    /// received the payload.
+    pub tally: DeliveryTally,
+    /// Copies received per distinct node reached, network-wide. TreeP's
+    /// structural delegation pins this at exactly 1.0; flooding's value is
+    /// its inherent redundancy.
     pub duplicate_factor: f64,
-    /// Overlay messages sent per distinct in-range delivery.
-    pub messages_per_delivery: f64,
+    /// Overlay messages the dissemination sent.
+    pub messages: u64,
 }
 
 /// The full comparison.
@@ -96,30 +95,26 @@ impl MulticastComparison {
     }
 
     /// Render the comparison as an aligned table.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("", "overlay", |r: &MulticastRow| Cell::text(&r.overlay)),
+            Column::new("", "scope %", |r| {
+                Cell::float(r.scope_fraction * 100.0, 0, 0)
+            }),
+            Column::new("", "targets", |r| r.tally.targets.into()),
+            Column::new("", "coverage %", |r| {
+                Cell::float(r.tally.coverage_pct(), 1, 1)
+            }),
+            Column::new("", "dup factor", |r| Cell::float(r.duplicate_factor, 2, 2)),
+            Column::new("", "msgs/delivery", |r| {
+                Cell::float(r.tally.per_delivery(r.messages), 2, 2)
+            }),
+        ];
+        let title = format!(
             "Figure M — scoped multicast vs flooding broadcast (n = {})",
             self.nodes
-        ))
-        .header([
-            "overlay",
-            "scope %",
-            "targets",
-            "coverage %",
-            "dup factor",
-            "msgs/delivery",
-        ]);
-        for row in &self.rows {
-            table.push_row([
-                row.overlay.clone(),
-                format!("{:.0}", row.scope_fraction * 100.0),
-                row.targets.to_string(),
-                format!("{:.1}", row.coverage_pct),
-                format!("{:.2}", row.duplicate_factor),
-                format!("{:.2}", row.messages_per_delivery),
-            ]);
-        }
-        table
+        );
+        Table::of(title, &columns, &self.rows)
     }
 }
 
@@ -181,13 +176,10 @@ pub struct LossRow {
     pub reliable: bool,
     /// Probes issued.
     pub probes: usize,
-    /// Total delivery obligations (alive in-range nodes over all probes).
-    pub targets: usize,
-    /// Obligations met.
-    pub delivered: usize,
-    /// App-layer copies per met obligation (1.0 = exactly once; the
-    /// reliability layer must never push this above 1.0).
-    pub duplicate_factor: f64,
+    /// The alive in-range nodes over all probes, how many were reached and
+    /// with how many app-layer copies (the reliability layer must never
+    /// push the duplicate factor above 1.0).
+    pub tally: DeliveryTally,
     /// First transmissions of `MulticastDown` (excluding retransmitted
     /// copies).
     pub data_messages: u64,
@@ -197,29 +189,20 @@ pub struct LossRow {
     pub reroutes: u64,
     /// `MulticastAck` messages (the fixed per-hop cost of reliability).
     pub acks: u64,
-    /// All multicast traffic (data + retransmits + acks) per met
-    /// obligation.
-    pub messages_per_delivery: f64,
 }
 
 impl LossRow {
-    /// Fraction of delivery obligations met, in percent.
-    pub fn coverage_pct(&self) -> f64 {
-        if self.targets == 0 {
-            100.0
-        } else {
-            self.delivered as f64 * 100.0 / self.targets as f64
-        }
+    /// All multicast traffic (data + retransmits + acks) per met
+    /// obligation.
+    pub fn messages_per_delivery(&self) -> f64 {
+        self.tally
+            .per_delivery(self.data_messages + self.retransmits + self.acks)
     }
 
     /// Retransmitted copies per first transmission — the marginal overhead
     /// the reliability layer pays at this loss level.
     pub fn retransmit_overhead(&self) -> f64 {
-        if self.data_messages == 0 {
-            0.0
-        } else {
-            self.retransmits as f64 / self.data_messages as f64
-        }
+        ratio(self.retransmits as f64, self.data_messages as f64, 0.0)
     }
 }
 
@@ -241,129 +224,62 @@ impl LossSweep {
     }
 
     /// Render the sweep as an aligned table.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("", "loss %", |r: &LossRow| Cell::float(r.loss_pct, 0, 0)),
+            Column::new("", "reliability", |r| Cell::Flag(r.reliable, ["off", "on"])),
+            Column::new("", "coverage %", |r| {
+                Cell::float(r.tally.coverage_pct(), 1, 1)
+            }),
+            Column::new("", "dup factor", |r| {
+                Cell::float(r.tally.duplicate_factor(), 2, 2)
+            }),
+            Column::new("", "retx/msg", |r| {
+                Cell::float(r.retransmit_overhead(), 2, 2)
+            }),
+            Column::new("", "reroutes", |r| r.reroutes.into()),
+            Column::new("", "msgs/delivery", |r| {
+                Cell::float(r.messages_per_delivery(), 2, 2)
+            }),
+        ];
+        let title = format!(
             "Figure L — multicast coverage vs per-hop loss (n = {})",
             self.nodes
-        ))
-        .header([
-            "loss %",
-            "reliability",
-            "coverage %",
-            "dup factor",
-            "retx/msg",
-            "reroutes",
-            "msgs/delivery",
-        ]);
-        for row in &self.rows {
-            table.push_row([
-                format!("{:.0}", row.loss_pct),
-                if row.reliable { "on" } else { "off" }.to_string(),
-                format!("{:.1}", row.coverage_pct()),
-                format!("{:.2}", row.duplicate_factor),
-                format!("{:.2}", row.retransmit_overhead()),
-                row.reroutes.to_string(),
-                format!("{:.2}", row.messages_per_delivery),
-            ]);
-        }
-        table
+        );
+        Table::of(title, &columns, &self.rows)
     }
 }
 
 /// Run one cell: a fresh topology under the given link loss, `probes`
 /// scoped multicasts, coverage / duplicate / overhead tallies.
 fn measure_loss_cell(params: &LossSweepParams, loss: f64, reliable: bool) -> LossRow {
-    let link = LinkModel {
-        latency: LatencyModel::Fixed(SimDuration::from_millis(5)),
-        loss: if loss > 0.0 {
-            LossModel::Bernoulli { p: loss }
-        } else {
-            LossModel::None
-        },
-    };
     let retransmits = if reliable { params.max_retransmits } else { 0 };
     let config = treep::TreePConfig::paper_case_fixed().with_reliability(retransmits);
-    let mut sim: Simulation<TreePNode> = Simulation::new(
-        SimConfig {
-            link,
-            ..SimConfig::default()
-        },
-        params.seed,
-    );
-    let topo = TopologyBuilder::new(params.nodes)
-        .with_config(config)
-        .build(&mut sim);
-    sim.run_for(SimDuration::from_secs(3));
+    let builder = TopologyBuilder::new(params.nodes).with_config(config);
+    let latency = LatencyModel::Fixed(SimDuration::from_millis(5));
+    let mut sc = Scenario::build_lossy(&builder, params.seed, latency, loss);
 
-    let alive = topo.alive_pairs(&sim);
-    let mut rng = sim.rng_mut().fork();
+    let mut rng = sc.sim.rng_mut().fork();
     let workload =
         MulticastWorkload::data_only(params.probes).with_range_fraction(params.range_fraction);
-    let batch = workload.generate(topo.config.space, &alive, &mut rng);
-    let mut probes: Vec<(NodeAddr, RequestId, KeyRange)> = Vec::with_capacity(batch.len());
-    for b in &batch {
-        let MulticastOp::Data(payload) = b.op.clone() else {
-            unreachable!("data-only workload");
-        };
-        let range = b.range;
-        if let Some(request_id) = sim.invoke(b.source, move |node, ctx| {
-            node.start_multicast(range, payload, ctx)
-        }) {
-            probes.push((b.source, request_id, b.range));
-        }
-    }
-    sim.run_for(params.drain);
-
-    let mut targets = 0usize;
-    let mut delivered = 0usize;
-    let mut copies = 0usize;
-    let mut data_sends = 0u64;
-    let mut retx = 0u64;
-    let mut reroutes = 0u64;
-    let mut acks = 0u64;
-    for &(addr, id) in &alive {
-        let Some(node) = sim.node_mut(addr) else {
-            continue;
-        };
-        let mut per_probe: std::collections::BTreeMap<(NodeAddr, RequestId), usize> =
-            std::collections::BTreeMap::new();
-        for d in node.drain_multicast_deliveries() {
-            *per_probe.entry((d.origin.addr, d.request_id)).or_insert(0) += 1;
-        }
-        for &(source, request_id, range) in &probes {
-            if range.contains(id) {
-                targets += 1;
-                let got = per_probe.get(&(source, request_id)).copied().unwrap_or(0);
-                delivered += usize::from(got > 0);
-                copies += got;
-            }
-        }
-        let stats = node.stats();
-        data_sends += stats.sent.get(MessageKind::MulticastDown);
-        retx += stats.multicast_retransmits;
-        reroutes += stats.multicast_reroutes;
-        acks += stats.sent.get(MessageKind::MulticastAck);
-    }
+    let (probes, tally) = sc.probe_multicasts(&workload, &sc.alive(), params.drain, &mut rng);
+    let [data_sends, retransmits, reroutes, acks] = sc.sum(|s| {
+        [
+            s.sent.get(MessageKind::MulticastDown),
+            s.multicast_retransmits,
+            s.multicast_reroutes,
+            s.sent.get(MessageKind::MulticastAck),
+        ]
+    });
     LossRow {
         loss_pct: loss * 100.0,
         reliable,
-        probes: probes.len(),
-        targets,
-        delivered,
-        duplicate_factor: if delivered == 0 {
-            0.0
-        } else {
-            copies as f64 / delivered as f64
-        },
-        data_messages: data_sends - retx,
-        retransmits: retx,
+        probes,
+        tally,
+        data_messages: data_sends - retransmits,
+        retransmits,
         reroutes,
         acks,
-        messages_per_delivery: if delivered == 0 {
-            f64::INFINITY
-        } else {
-            (data_sends + acks) as f64 / delivered as f64
-        },
     }
 }
 
@@ -403,50 +319,32 @@ pub fn compare_multicast(params: &MulticastParams) -> MulticastComparison {
 }
 
 fn measure_treep(params: &MulticastParams, fraction: f64) -> MulticastRow {
-    let builder = TopologyBuilder::new(params.nodes);
-    let (mut sim, topo) = builder.build_simulation(params.seed);
-    let space = topo.config.space;
-    let range = scope_range(space, fraction);
-    let origin = topo.nodes[topo.nodes.len() / 7].addr;
+    let mut sc = Scenario::build(&TopologyBuilder::new(params.nodes), params.seed);
+    let range = scope_range(sc.topo.config.space, fraction);
+    let origin = sc.topo.nodes[sc.topo.nodes.len() / 7].addr;
 
-    let sent_before = multicast_messages(&sim, &topo);
-    sim.invoke(origin, |node, ctx| {
-        node.start_multicast(range, b"figure-m".to_vec(), ctx);
+    let down = |s: &NodeStats| [s.sent.get(MessageKind::MulticastDown)];
+    let sent_before = sc.sum(down);
+    let request_id = sc.sim.invoke(origin, |node, ctx| {
+        node.start_multicast(range, b"figure-m".to_vec(), ctx)
     });
-    sim.run_for(SimDuration::from_secs(5));
-    let messages = multicast_messages(&sim, &topo) - sent_before;
+    sc.sim.run_for(SimDuration::from_secs(5));
+    let [messages] = delta(sc.sum(down), sent_before);
 
-    let mut targets = 0usize;
-    let mut delivered = 0usize;
-    let mut copies = 0usize;
-    let mut reached_any = 0usize;
-    for n in &topo.nodes {
-        let node = sim.node_mut(n.addr).expect("intact run");
-        let deliveries = node.drain_multicast_deliveries().len();
-        copies += deliveries;
-        reached_any += usize::from(deliveries > 0);
-        if range.contains(n.id) {
-            targets += 1;
-            delivered += usize::from(deliveries > 0);
-        }
+    let probe = (origin, request_id.expect("intact run"));
+    let mut tally = DeliveryTally::default();
+    for (_, id, received) in sc.drain(multicast_receipts) {
+        tally.record(range.contains(id).then_some(probe), &received);
     }
-    finish_row(
-        "TreeP",
-        fraction,
-        targets,
-        delivered,
-        copies,
-        reached_any,
+    MulticastRow {
+        overlay: "TreeP".to_string(),
+        scope_fraction: fraction,
+        tally,
+        // Only nodes inside the range deliver, so the in-range tally is
+        // the network-wide one.
+        duplicate_factor: tally.duplicate_factor(),
         messages,
-    )
-}
-
-fn multicast_messages(sim: &Simulation<TreePNode>, topo: &workloads::BuiltTopology) -> u64 {
-    topo.nodes
-        .iter()
-        .filter_map(|n| sim.node(n.addr))
-        .map(|node| node.stats().sent.get(MessageKind::MulticastDown))
-        .sum()
+    }
 }
 
 fn measure_flooding(params: &MulticastParams, fraction: f64) -> MulticastRow {
@@ -454,8 +352,7 @@ fn measure_flooding(params: &MulticastParams, fraction: f64) -> MulticastRow {
         .with_ttl(params.flood_ttl)
         .build_simulation(params.seed);
     sim.run_until_idle();
-    let space = treep::IdSpace::default();
-    let range = scope_range(space, fraction);
+    let range = scope_range(treep::IdSpace::default(), fraction);
     let origin = pairs[pairs.len() / 7].0;
 
     let sent_before = sim.metrics().messages_sent;
@@ -465,62 +362,24 @@ fn measure_flooding(params: &MulticastParams, fraction: f64) -> MulticastRow {
     sim.run_until_idle();
     let messages = sim.metrics().messages_sent - sent_before;
 
-    let mut targets = 0usize;
-    let mut delivered = 0usize;
-    let mut copies = 0usize;
-    let mut reached_any = 0usize;
+    let mut in_range = DeliveryTally::default();
+    let mut network = DeliveryTally::default();
     for &(addr, id) in &pairs {
         let node = sim.node(addr).expect("intact run");
-        copies += node.broadcast_receipts as usize;
-        reached_any += usize::from(node.broadcasts_delivered > 0);
+        let reached = usize::from(node.broadcasts_delivered > 0);
+        network.delivered += reached;
+        network.copies += node.broadcast_receipts as usize;
         if range.contains(id) {
-            targets += 1;
-            delivered += usize::from(node.broadcasts_delivered > 0);
+            in_range.targets += 1;
+            in_range.delivered += reached;
         }
     }
-    finish_row(
-        "Flooding",
-        fraction,
-        targets,
-        delivered,
-        copies,
-        reached_any,
-        messages,
-    )
-}
-
-fn finish_row(
-    overlay: &str,
-    fraction: f64,
-    targets: usize,
-    delivered: usize,
-    copies: usize,
-    reached_any: usize,
-    messages: u64,
-) -> MulticastRow {
     MulticastRow {
-        overlay: overlay.to_string(),
+        overlay: "Flooding".to_string(),
         scope_fraction: fraction,
-        targets,
-        delivered,
-        coverage_pct: if targets == 0 {
-            0.0
-        } else {
-            delivered as f64 * 100.0 / targets as f64
-        },
-        // Copies received per distinct node reached, network-wide. TreeP's
-        // structural delegation pins this at exactly 1.0; flooding's value
-        // is its inherent redundancy.
-        duplicate_factor: if reached_any == 0 {
-            0.0
-        } else {
-            copies as f64 / reached_any as f64
-        },
-        messages_per_delivery: if delivered == 0 {
-            f64::INFINITY
-        } else {
-            messages as f64 / delivered as f64
-        },
+        tally: in_range,
+        duplicate_factor: network.duplicate_factor(),
+        messages,
     }
 }
 
@@ -545,9 +404,9 @@ mod tests {
         let c = comparison();
         for row in c.overlay_rows("TreeP") {
             assert!(
-                (row.coverage_pct - 100.0).abs() < 1e-9,
+                (row.tally.coverage_pct() - 100.0).abs() < 1e-9,
                 "TreeP coverage {:.1}% at scope {:.0}%",
-                row.coverage_pct,
+                row.tally.coverage_pct(),
                 row.scope_fraction * 100.0
             );
             assert!(
@@ -568,15 +427,17 @@ mod tests {
         {
             assert_eq!(t.scope_fraction, f.scope_fraction);
             assert!(
-                (f.coverage_pct - 100.0).abs() < 1e-9,
+                (f.tally.coverage_pct() - 100.0).abs() < 1e-9,
                 "flooding with TTL 32 reaches everything"
             );
+            let (treep, flooding) = (
+                t.tally.per_delivery(t.messages),
+                f.tally.per_delivery(f.messages),
+            );
             assert!(
-                t.messages_per_delivery < f.messages_per_delivery,
-                "scope {:.0}%: TreeP {:.2} msgs/delivery must beat flooding {:.2}",
+                treep < flooding,
+                "scope {:.0}%: TreeP {treep:.2} msgs/delivery must beat flooding {flooding:.2}",
                 t.scope_fraction * 100.0,
-                t.messages_per_delivery,
-                f.messages_per_delivery
             );
         }
     }
@@ -585,11 +446,9 @@ mod tests {
     fn narrower_scopes_cost_treep_fewer_messages() {
         let c = comparison();
         let rows = c.overlay_rows("TreeP");
-        // Absolute message cost shrinks with the scope: messages/delivery *
-        // delivered is monotone in the scope width.
-        let cost = |r: &&MulticastRow| r.messages_per_delivery * r.delivered.max(1) as f64;
+        // Absolute message cost shrinks with the scope.
         assert!(
-            cost(&rows[2]) <= cost(&rows[0]),
+            rows[2].messages <= rows[0].messages,
             "quarter scope must cost <= full scope"
         );
     }
@@ -616,8 +475,8 @@ mod tests {
         // and the off leg sends not a single ack (the byte-identical path).
         let l0_off = sweep.row(0.0, false).unwrap();
         let l0_on = sweep.row(0.0, true).unwrap();
-        assert!((l0_off.coverage_pct() - 100.0).abs() < 1e-9);
-        assert!((l0_on.coverage_pct() - 100.0).abs() < 1e-9);
+        assert!((l0_off.tally.coverage_pct() - 100.0).abs() < 1e-9);
+        assert!((l0_on.tally.coverage_pct() - 100.0).abs() < 1e-9);
         assert_eq!(l0_off.acks, 0, "reliability off must send no acks");
         assert_eq!(l0_off.retransmits, 0);
         assert_eq!(l0_on.retransmits, 0, "no loss, no retransmissions");
@@ -629,19 +488,19 @@ mod tests {
         let base = sweep.row(10.0, false).unwrap();
         let rel = sweep.row(10.0, true).unwrap();
         assert!(
-            base.coverage_pct() < 99.0,
+            base.tally.coverage_pct() < 99.0,
             "baseline at 10% loss should lose coverage, got {:.1}%",
-            base.coverage_pct()
+            base.tally.coverage_pct()
         );
         assert!(
-            rel.coverage_pct() >= 99.0,
+            rel.tally.coverage_pct() >= 99.0,
             "reliability at 10% loss must reach >= 99% coverage, got {:.1}%",
-            rel.coverage_pct()
+            rel.tally.coverage_pct()
         );
         assert!(
-            (rel.duplicate_factor - 1.0).abs() < 1e-9,
+            (rel.tally.duplicate_factor() - 1.0).abs() < 1e-9,
             "app-layer duplicate factor must stay exactly 1.0, got {}",
-            rel.duplicate_factor
+            rel.tally.duplicate_factor()
         );
         assert!(
             rel.retransmits > 0,

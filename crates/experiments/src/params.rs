@@ -64,10 +64,10 @@ impl ExperimentParams {
         params
     }
 
-    /// A reduced configuration for unit tests and Criterion benches: a small
-    /// population, fewer lookups, and a coarser churn schedule (10 % per
-    /// step, stop at 30 % survivors) so one run completes in well under a
-    /// second.
+    /// A reduced configuration for unit tests and the rendered-suite pin: a
+    /// small population, fewer lookups, and a coarser churn schedule (10 %
+    /// per step, stop at 30 % survivors) so one run completes in well under
+    /// a second.
     pub fn quick(nodes: usize, seed: u64) -> Self {
         let mut params = Self::paper_fixed(nodes, seed);
         params.lookups_per_step = 20;

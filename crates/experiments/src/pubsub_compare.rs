@@ -22,11 +22,11 @@
 //! * **branches pruned** (TreeP only) — fan-out edges skipped on filter
 //!   evidence.
 
-use analysis::AsciiTable;
+use crate::runner::{delta, DeliveryTally, Probe, Scenario};
+use analysis::{Cell, Column, Table};
 use baselines::FloodingBuilder;
 use simnet::{NodeAddr, SimDuration};
-use treep::lookup::RequestId;
-use treep::{topic_key, MessageKind, TreePConfig};
+use treep::{topic_key, MessageKind, NodeStats, TreePConfig, TreePNode};
 use workloads::TopologyBuilder;
 
 /// Parameters of one pub/sub comparison run.
@@ -78,27 +78,20 @@ pub struct PubSubRow {
     pub overlay: String,
     /// Live subscribers of the published topic in this cell.
     pub subscribers: usize,
-    /// Delivery obligations (`subscribers × publishes`).
-    pub targets: usize,
-    /// Obligations met.
-    pub delivered: usize,
-    /// Copies received per met obligation (1.0 = exactly once).
-    pub duplicate_factor: f64,
-    /// Overlay messages sent per met obligation.
-    pub messages_per_delivery: f64,
+    /// The delivery obligations (`subscribers × publishes`), how many were
+    /// met and with how many copies (1.0 per obligation = exactly once).
+    pub tally: DeliveryTally,
+    /// Overlay messages the publishes sent.
+    pub messages: u64,
     /// Fan-out edges skipped on subscription-filter evidence (TreeP only;
     /// 0 for the flooding baseline, which cannot prune).
     pub branches_pruned: u64,
 }
 
 impl PubSubRow {
-    /// Fraction of delivery obligations met, in percent.
-    pub fn coverage_pct(&self) -> f64 {
-        if self.targets == 0 {
-            100.0
-        } else {
-            self.delivered as f64 * 100.0 / self.targets as f64
-        }
+    /// Overlay messages sent per met obligation.
+    pub fn messages_per_delivery(&self) -> f64 {
+        self.tally.per_delivery(self.messages)
     }
 }
 
@@ -117,57 +110,31 @@ impl PubSubComparison {
         self.rows.iter().filter(|r| r.overlay == overlay).collect()
     }
 
-    /// Serialize the comparison as a `BENCH_pubsub.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"pubsub\",\n");
-        out.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"overlay\": \"{}\", \"subscribers\": {}, \"targets\": {}, \
-                 \"delivered\": {}, \"coverage_pct\": {:.2}, \"duplicate_factor\": {:.3}, \
-                 \"messages_per_delivery\": {:.3}, \"branches_pruned\": {}}}{}\n",
-                row.overlay,
-                row.subscribers,
-                row.targets,
-                row.delivered,
-                row.coverage_pct(),
-                row.duplicate_factor,
-                row.messages_per_delivery,
-                row.branches_pruned,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Render the comparison as an aligned table.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    /// The comparison as a table; its JSON is `BENCH_pubsub.json`.
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("overlay", "overlay", |r: &PubSubRow| Cell::text(&r.overlay)),
+            Column::new("subscribers", "fanout", |r| r.subscribers.into()),
+            Column::new("targets", "", |r| r.tally.targets.into()),
+            Column::new("delivered", "", |r| r.tally.delivered.into()),
+            Column::new("coverage_pct", "coverage %", |r| {
+                Cell::float(r.tally.coverage_pct(), 2, 1)
+            }),
+            Column::new("duplicate_factor", "dup factor", |r| {
+                Cell::float(r.tally.duplicate_factor(), 3, 2)
+            }),
+            Column::new("messages_per_delivery", "msgs/delivery", |r| {
+                Cell::float(r.messages_per_delivery(), 3, 2)
+            }),
+            Column::new("branches_pruned", "pruned", |r| r.branches_pruned.into()),
+        ];
+        let title = format!(
             "Figure P — subscription-pruned publish vs flooding (n = {})",
             self.nodes
-        ))
-        .header([
-            "overlay",
-            "fanout",
-            "coverage %",
-            "dup factor",
-            "msgs/delivery",
-            "pruned",
-        ]);
-        for row in &self.rows {
-            table.push_row([
-                row.overlay.clone(),
-                row.subscribers.to_string(),
-                format!("{:.1}", row.coverage_pct()),
-                format!("{:.2}", row.duplicate_factor),
-                format!("{:.2}", row.messages_per_delivery),
-                row.branches_pruned.to_string(),
-            ]);
-        }
-        table
+        );
+        Table::of(title, &columns, &self.rows)
+            .meta("bench", Cell::text("pubsub"))
+            .meta("nodes", self.nodes)
     }
 }
 
@@ -193,11 +160,10 @@ pub fn compare_pubsub(params: &PubSubParams) -> PubSubComparison {
 fn measure_treep(params: &PubSubParams, fanout: usize) -> PubSubRow {
     let config = TreePConfig::paper_case_fixed().with_pubsub();
     let builder = TopologyBuilder::new(params.nodes).with_config(config);
-    let (mut sim, topo) = builder.build_simulation(params.seed);
-    let space = topo.config.space;
-    let topic = topic_key(space, "figure-p");
-    let alive = topo.alive_pairs(&sim);
-    let mut rng = sim.rng_mut().fork();
+    let mut sc = Scenario::build(&builder, params.seed);
+    let topic = topic_key(sc.topo.config.space, "figure-p");
+    let alive = sc.alive();
+    let mut rng = sc.sim.rng_mut().fork();
 
     // Subscriber placement: `fanout` distinct live nodes.
     let fanout = fanout.min(alive.len());
@@ -207,85 +173,51 @@ fn measure_treep(params: &PubSubParams, fanout: usize) -> PubSubRow {
         .map(|i| alive[i].0)
         .collect();
     for &addr in &subscribers {
-        sim.invoke(addr, move |node, ctx| {
+        sc.sim.invoke(addr, move |node, ctx| {
             node.start_subscribe(topic, ctx);
         });
     }
     // Settle: directory registration plus the event-driven filter ascent.
-    sim.run_for(SimDuration::from_secs(3));
+    sc.sim.run_for(SimDuration::from_secs(3));
 
-    let sends_before = multicast_down_sends(&sim, &alive);
-    let pruned_before = branches_pruned(&sim, &alive);
-    let mut probes: Vec<(NodeAddr, RequestId)> = Vec::with_capacity(params.publishes);
+    let counters = |s: &NodeStats| {
+        [
+            s.sent.get(MessageKind::MulticastDown),
+            s.pubsub_branches_pruned,
+        ]
+    };
+    let before = sc.sum(counters);
+    let mut probes: Vec<Probe> = Vec::with_capacity(params.publishes);
     for i in 0..params.publishes {
         let source = alive[rng.gen_range_usize(0..alive.len())].0;
         let payload = format!("figure-p-{i}").into_bytes();
-        if let Some(request_id) = sim.invoke(source, move |node, ctx| {
+        if let Some(request_id) = sc.sim.invoke(source, move |node, ctx| {
             node.start_publish(topic, payload, ctx)
         }) {
             probes.push((source, request_id));
         }
     }
-    sim.run_for(params.drain);
+    sc.sim.run_for(params.drain);
 
-    let targets = subscribers.len() * probes.len();
-    let mut delivered = 0usize;
-    let mut copies = 0usize;
-    for &addr in &subscribers {
-        let Some(node) = sim.node_mut(addr) else {
-            continue;
-        };
-        let mut per_probe: std::collections::BTreeMap<(NodeAddr, RequestId), usize> =
-            std::collections::BTreeMap::new();
-        for d in node.drain_topic_deliveries() {
-            *per_probe.entry((d.origin.addr, d.request_id)).or_insert(0) += 1;
-        }
-        for probe in &probes {
-            let got = per_probe.get(probe).copied().unwrap_or(0);
-            delivered += usize::from(got > 0);
-            copies += got;
-        }
+    // Every subscriber owes every publish, a fallen one included.
+    let receipts = sc.drain(|node: &mut TreePNode| -> Vec<Probe> {
+        let deliveries = node.drain_topic_deliveries();
+        let key = |d: treep::TopicDelivery| (d.origin.addr, d.request_id);
+        deliveries.into_iter().map(key).collect()
+    });
+    let mut tally = DeliveryTally::default();
+    for addr in &subscribers {
+        let received = receipts.iter().find(|r| r.0 == *addr);
+        tally.record(probes.iter().copied(), received.map_or(&[], |r| &r.2));
     }
-    let messages = multicast_down_sends(&sim, &alive) - sends_before;
+    let [messages, branches_pruned] = delta(sc.sum(counters), before);
     PubSubRow {
         overlay: "TreeP".to_string(),
         subscribers: subscribers.len(),
-        targets,
-        delivered,
-        duplicate_factor: if delivered == 0 {
-            0.0
-        } else {
-            copies as f64 / delivered as f64
-        },
-        messages_per_delivery: if delivered == 0 {
-            f64::INFINITY
-        } else {
-            messages as f64 / delivered as f64
-        },
-        branches_pruned: branches_pruned(&sim, &alive) - pruned_before,
+        tally,
+        messages,
+        branches_pruned,
     }
-}
-
-fn multicast_down_sends(
-    sim: &simnet::Simulation<treep::TreePNode>,
-    alive: &[(NodeAddr, treep::NodeId)],
-) -> u64 {
-    alive
-        .iter()
-        .filter_map(|&(addr, _)| sim.node(addr))
-        .map(|node| node.stats().sent.get(MessageKind::MulticastDown))
-        .sum()
-}
-
-fn branches_pruned(
-    sim: &simnet::Simulation<treep::TreePNode>,
-    alive: &[(NodeAddr, treep::NodeId)],
-) -> u64 {
-    alive
-        .iter()
-        .filter_map(|&(addr, _)| sim.node(addr))
-        .map(|node| node.stats().pubsub_branches_pruned)
-        .sum()
 }
 
 fn measure_flooding(params: &PubSubParams, fanout: usize) -> PubSubRow {
@@ -314,29 +246,20 @@ fn measure_flooding(params: &PubSubParams, fanout: usize) -> PubSubRow {
     // A flooding overlay has no notion of a topic: every broadcast reaches
     // everyone, and only the copies landing on the `fanout` notional
     // subscribers count as useful.
-    let targets = subscribers.len() * params.publishes;
-    let mut delivered = 0usize;
-    let mut copies = 0usize;
+    let mut tally = DeliveryTally {
+        targets: subscribers.len() * params.publishes,
+        ..DeliveryTally::default()
+    };
     for &addr in &subscribers {
         let node = sim.node(addr).expect("intact run");
-        delivered += (node.broadcasts_delivered as usize).min(params.publishes);
-        copies += node.broadcast_receipts as usize;
+        tally.delivered += (node.broadcasts_delivered as usize).min(params.publishes);
+        tally.copies += node.broadcast_receipts as usize;
     }
     PubSubRow {
         overlay: "Flooding".to_string(),
         subscribers: subscribers.len(),
-        targets,
-        delivered,
-        duplicate_factor: if delivered == 0 {
-            0.0
-        } else {
-            copies as f64 / delivered as f64
-        },
-        messages_per_delivery: if delivered == 0 {
-            f64::INFINITY
-        } else {
-            messages as f64 / delivered as f64
-        },
+        tally,
+        messages,
         branches_pruned: 0,
     }
 }
@@ -362,16 +285,16 @@ mod tests {
         let c = comparison();
         for row in c.overlay_rows("TreeP") {
             assert!(
-                (row.coverage_pct() - 100.0).abs() < 1e-9,
+                (row.tally.coverage_pct() - 100.0).abs() < 1e-9,
                 "fanout {}: coverage {:.1}%",
                 row.subscribers,
-                row.coverage_pct()
+                row.tally.coverage_pct()
             );
             assert!(
-                (row.duplicate_factor - 1.0).abs() < 1e-9,
+                (row.tally.duplicate_factor() - 1.0).abs() < 1e-9,
                 "fanout {}: duplicate factor {:.2}",
                 row.subscribers,
-                row.duplicate_factor
+                row.tally.duplicate_factor()
             );
         }
     }
@@ -386,11 +309,11 @@ mod tests {
         {
             assert_eq!(t.subscribers, f.subscribers);
             assert!(
-                t.messages_per_delivery < f.messages_per_delivery,
+                t.messages_per_delivery() < f.messages_per_delivery(),
                 "fanout {}: TreeP {:.2} msgs/delivery must beat flooding {:.2}",
                 t.subscribers,
-                t.messages_per_delivery,
-                f.messages_per_delivery
+                t.messages_per_delivery(),
+                f.messages_per_delivery()
             );
         }
     }
@@ -405,8 +328,7 @@ mod tests {
             rows[0].branches_pruned
         );
         // Narrower interest must not cost more messages in total.
-        let total = |r: &&PubSubRow| r.messages_per_delivery * r.delivered.max(1) as f64;
-        assert!(total(&rows[0]) <= total(&rows[2]));
+        assert!(rows[0].messages <= rows[2].messages);
     }
 
     #[test]
@@ -419,5 +341,29 @@ mod tests {
             ..PubSubParams::smoke(3)
         });
         assert_eq!(clamped.rows.len(), 2, "both tiers clamp to n and collapse");
+    }
+
+    #[test]
+    fn zero_delivery_row_renders_to_well_formed_json() {
+        // Nothing delivered: messages per delivery is infinite, which JSON
+        // has no number for, and the overlay name wants escaping.
+        let comparison = PubSubComparison {
+            nodes: 10,
+            rows: vec![PubSubRow {
+                overlay: "Tree\"P\\".to_string(),
+                subscribers: 3,
+                tally: DeliveryTally {
+                    targets: 12,
+                    ..DeliveryTally::default()
+                },
+                messages: 40,
+                branches_pruned: 0,
+            }],
+        };
+        assert!(comparison.rows[0].messages_per_delivery().is_infinite());
+        let json = comparison.to_table().to_json();
+        analysis::validate_json(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        assert!(json.contains("\"overlay\": \"Tree\\\"P\\\\\", \"subscribers\": 3"));
+        assert!(json.contains("\"duplicate_factor\": 0.000, \"messages_per_delivery\": null"));
     }
 }

@@ -20,10 +20,10 @@
 //! smoke profile doubles as the CI regression gate: cached p99 hops must
 //! not exceed uncached at equal completion.
 
-use analysis::{AsciiTable, Csv, SummaryStats};
-use simnet::{NodeAddr, SimDuration};
-use treep::lookup::RequestId;
-use treep::{ReadOutcome, TreePConfig, TreePNode};
+use crate::runner::{delta, Scenario};
+use analysis::{ratio, Cell, Column, SummaryStats, Table};
+use simnet::SimDuration;
+use treep::{MessageKind, NodeStats, ReadOutcome, TreePConfig, TreePNode};
 use workloads::{KvWorkload, TopologyBuilder, ZipfSampler};
 
 /// Parameters of one read-storm comparison.
@@ -139,11 +139,7 @@ pub struct ReadStormRow {
 impl ReadStormRow {
     /// Fraction of issued gets answered with a value, in percent.
     pub fn completion_pct(&self) -> f64 {
-        if self.issued == 0 {
-            100.0
-        } else {
-            self.completed as f64 * 100.0 / self.issued as f64
-        }
+        ratio(self.completed as f64 * 100.0, self.issued as f64, 100.0)
     }
 }
 
@@ -168,115 +164,39 @@ impl ReadStormReport {
             .find(|r| r.cached == cached && r.offered == offered)
     }
 
-    /// Export the rows as CSV.
-    pub fn to_csv(&self) -> Csv {
-        let mut csv = Csv::new([
-            "cached",
-            "offered",
-            "issued",
-            "completion_pct",
-            "p50_hops",
-            "p99_hops",
-            "mean_hops",
-            "max_node_load",
-            "mean_node_load",
-            "cache_hits",
-            "cache_fills",
-            "cache_evictions",
-            "replica_served",
-            "read_repairs",
-        ]);
-        for row in &self.rows {
-            csv.push_row([
-                u8::from(row.cached).to_string(),
-                row.offered.to_string(),
-                row.issued.to_string(),
-                format!("{:.2}", row.completion_pct()),
-                format!("{:.2}", row.p50_hops),
-                format!("{:.2}", row.p99_hops),
-                format!("{:.2}", row.mean_hops),
-                row.max_node_load.to_string(),
-                format!("{:.2}", row.mean_node_load),
-                row.cache_hits.to_string(),
-                row.cache_fills.to_string(),
-                row.cache_evictions.to_string(),
-                row.replica_served.to_string(),
-                row.read_repairs.to_string(),
-            ]);
-        }
-        csv
-    }
-
-    /// Render the comparison as an aligned table.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    /// The comparison as a table; its JSON is `BENCH_readpath.json`.
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("cached", "cache", |r: &ReadStormRow| {
+                Cell::Flag(r.cached, ["off", "on"])
+            }),
+            Column::new("offered", "offered", |r| r.offered.into()),
+            Column::new("issued", "", |r| r.issued.into()),
+            Column::new("completion_pct", "compl %", |r| {
+                Cell::float(r.completion_pct(), 2, 1)
+            }),
+            Column::new("p50_hops", "p50 hops", |r| Cell::float(r.p50_hops, 2, 1)),
+            Column::new("p99_hops", "p99 hops", |r| Cell::float(r.p99_hops, 2, 1)),
+            Column::new("mean_hops", "", |r| Cell::float(r.mean_hops, 3, 3)),
+            Column::new("max_node_load", "max load", |r| r.max_node_load.into()),
+            Column::new("mean_node_load", "mean load", |r| {
+                Cell::float(r.mean_node_load, 2, 1)
+            }),
+            Column::new("cache_hits", "hits", |r| r.cache_hits.into()),
+            Column::new("cache_fills", "", |r| r.cache_fills.into()),
+            Column::new("cache_evictions", "", |r| r.cache_evictions.into()),
+            Column::new("replica_served", "repl-served", |r| r.replica_served.into()),
+            Column::new("read_repairs", "repairs", |r| r.read_repairs.into()),
+        ];
+        let title = format!(
             "Figure S — Zipf({:.2}) read storm (n = {}, {} keys): hot-key cache off vs on",
             self.alpha, self.nodes, self.keys
-        ))
-        .header([
-            "cache",
-            "offered",
-            "compl %",
-            "p50 hops",
-            "p99 hops",
-            "max load",
-            "mean load",
-            "hits",
-            "repl-served",
-            "repairs",
-        ]);
-        for row in &self.rows {
-            table.push_row([
-                if row.cached { "on" } else { "off" }.to_string(),
-                row.offered.to_string(),
-                format!("{:.1}", row.completion_pct()),
-                format!("{:.1}", row.p50_hops),
-                format!("{:.1}", row.p99_hops),
-                row.max_node_load.to_string(),
-                format!("{:.1}", row.mean_node_load),
-                row.cache_hits.to_string(),
-                row.replica_served.to_string(),
-                row.read_repairs.to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// The benchmark summary as a JSON document (hand-formatted: the
-    /// workspace deliberately carries no JSON dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"readpath\",\n");
-        out.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        out.push_str(&format!("  \"keys\": {},\n", self.keys));
-        out.push_str(&format!("  \"alpha\": {:.3},\n", self.alpha));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"cached\": {}, \"offered\": {}, \"issued\": {}, \
-                 \"completion_pct\": {:.2}, \"p50_hops\": {:.2}, \"p99_hops\": {:.2}, \
-                 \"mean_hops\": {:.3}, \"max_node_load\": {}, \"mean_node_load\": {:.2}, \
-                 \"cache_hits\": {}, \"cache_fills\": {}, \"cache_evictions\": {}, \
-                 \"replica_served\": {}, \"read_repairs\": {}}}{}\n",
-                row.cached,
-                row.offered,
-                row.issued,
-                row.completion_pct(),
-                row.p50_hops,
-                row.p99_hops,
-                row.mean_hops,
-                row.max_node_load,
-                row.mean_node_load,
-                row.cache_hits,
-                row.cache_fills,
-                row.cache_evictions,
-                row.replica_served,
-                row.read_repairs,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        );
+        Table::of(title, &columns, &self.rows)
+            .meta("bench", Cell::text("readpath"))
+            .meta("nodes", self.nodes)
+            .meta("keys", self.keys)
+            .meta("alpha", Cell::float(self.alpha, 3, 3))
     }
 }
 
@@ -298,22 +218,47 @@ pub fn run_read_storm(params: &ReadStormParams) -> ReadStormReport {
 fn run_one_mode(params: &ReadStormParams, cached: bool) -> Vec<ReadStormRow> {
     let config = params.config(cached);
     let builder = TopologyBuilder::new(params.nodes).with_config(config);
-    let (mut sim, topo) = builder.build_simulation(params.seed);
+    let mut sc = Scenario::build(&builder, params.seed);
     let kv = KvWorkload::new(params.keys);
     let sampler = ZipfSampler::new(params.keys, params.alpha);
-    let mut rng = sim.rng_mut().fork();
+    let mut rng = sc.sim.rng_mut().fork();
 
     // Seed the corpus with versioned puts and let the placement finish.
-    let alive = topo.alive_pairs(&sim);
-    for op in kv.batch(&alive, &mut rng) {
+    for op in kv.batch(&sc.alive(), &mut rng) {
         let key = kv.key_bytes(op.index);
         let value = kv.value_bytes(op.index);
-        sim.invoke(op.source, move |node, ctx| {
+        sc.sim.invoke(op.source, move |node, ctx| {
             node.dht_put_versioned(&key, value, ctx);
         });
     }
-    sim.run_for(params.settle);
-    drain_outcomes(&mut sim, &alive);
+    sc.sim.run_for(params.settle);
+    sc.drain(TreePNode::drain_read_outcomes);
+
+    // One round: Zipf-distributed versioned gets from random live nodes,
+    // given `drain` to resolve. Returns the gets issued and their outcomes.
+    let mut round = |sc: &mut Scenario, offered: usize| {
+        let batch = kv.zipf_batch(&sc.alive(), &sampler, offered, &mut rng);
+        let issued = batch.len();
+        for op in batch {
+            let key = kv.key_bytes(op.index);
+            sc.sim.invoke(op.source, move |node, ctx| {
+                node.dht_get_versioned(&key, ctx);
+            });
+        }
+        sc.sim.run_for(params.drain);
+        let drained = sc.drain(TreePNode::drain_read_outcomes).into_iter();
+        let outcomes: Vec<ReadOutcome> = drained.flat_map(|(_, _, outcomes)| outcomes).collect();
+        (issued, outcomes)
+    };
+    let counters = |s: &NodeStats| {
+        [
+            s.cache_hits,
+            s.cache_fills,
+            s.cache_evictions,
+            s.replica_served_gets,
+            s.read_repairs_issued,
+        ]
+    };
 
     let mut rows = Vec::new();
     for &offered in &params.load_levels {
@@ -321,151 +266,74 @@ fn run_one_mode(params: &ReadStormParams, cached: bool) -> Vec<ReadStormRow> {
         // uncached mode runs it too, so both modes measure the same
         // workload position in the RNG stream.
         for _ in 0..params.warmup_rounds {
-            issue_round(&mut sim, &topo, &kv, &sampler, offered, &mut rng, params);
-            let pairs = topo.alive_pairs(&sim);
-            drain_outcomes(&mut sim, &pairs);
+            round(&mut sc, offered);
         }
 
         // Measure: per-node received-message and counter deltas bracket
         // the window so warm-up and corpus seeding are excluded.
-        let alive_pairs = topo.alive_pairs(&sim);
-        let load_before = node_loads(&sim, &alive_pairs);
-        let counters_before = readpath_totals(&sim, &alive_pairs);
+        let load_before = node_loads(&sc);
+        let counters_before = sc.sum(counters);
         let mut issued = 0usize;
-        let mut completed = 0usize;
         let mut hops: Vec<f64> = Vec::new();
         for _ in 0..params.rounds {
-            issued += issue_round(&mut sim, &topo, &kv, &sampler, offered, &mut rng, params);
-            for outcome in drain_outcomes(&mut sim, &alive_pairs) {
+            let (asked, outcomes) = round(&mut sc, offered);
+            issued += asked;
+            for outcome in outcomes {
                 if let ReadOutcome::Got {
                     value: Some(_),
                     hops: h,
                     ..
                 } = outcome
                 {
-                    completed += 1;
                     hops.push(h as f64);
                 }
             }
         }
-        let load_after = node_loads(&sim, &alive_pairs);
-        let counters_after = readpath_totals(&sim, &alive_pairs);
-
-        let deltas: Vec<u64> = load_after
+        let load_after = node_loads(&sc);
+        let loads: Vec<u64> = load_after
             .iter()
             .zip(&load_before)
-            .map(|(a, b)| a.saturating_sub(*b))
+            .map(|(after, before)| after.saturating_sub(*before))
             .collect();
-        let stats = SummaryStats::of(&hops);
+        let [cache_hits, cache_fills, cache_evictions, replica_served, read_repairs] =
+            delta(sc.sum(counters), counters_before);
+
         rows.push(ReadStormRow {
             cached,
             offered,
             issued,
-            completed,
+            completed: hops.len(),
             p50_hops: SummaryStats::percentile(&hops, 50.0),
             p99_hops: SummaryStats::percentile(&hops, 99.0),
-            mean_hops: stats.mean,
-            max_node_load: deltas.iter().copied().max().unwrap_or(0),
-            mean_node_load: if deltas.is_empty() {
-                0.0
-            } else {
-                deltas.iter().sum::<u64>() as f64 / deltas.len() as f64
-            },
-            cache_hits: counters_after.0.saturating_sub(counters_before.0),
-            cache_fills: counters_after.1.saturating_sub(counters_before.1),
-            cache_evictions: counters_after.2.saturating_sub(counters_before.2),
-            replica_served: counters_after.3.saturating_sub(counters_before.3),
-            read_repairs: counters_after.4.saturating_sub(counters_before.4),
+            mean_hops: SummaryStats::of(&hops).mean,
+            max_node_load: loads.iter().copied().max().unwrap_or(0),
+            mean_node_load: ratio(loads.iter().sum::<u64>() as f64, loads.len() as f64, 0.0),
+            cache_hits,
+            cache_fills,
+            cache_evictions,
+            replica_served,
+            read_repairs,
         });
     }
     rows
 }
 
-/// Issue one round of Zipf-distributed versioned gets and drain it.
-/// Returns the number of gets issued.
-fn issue_round(
-    sim: &mut simnet::Simulation<TreePNode>,
-    topo: &workloads::BuiltTopology,
-    kv: &KvWorkload,
-    sampler: &ZipfSampler,
-    offered: usize,
-    rng: &mut simnet::SimRng,
-    params: &ReadStormParams,
-) -> usize {
-    let alive_pairs = topo.alive_pairs(sim);
-    let batch = kv.zipf_batch(&alive_pairs, sampler, offered, rng);
-    let issued = batch.len();
-    for op in batch {
-        let key = kv.key_bytes(op.index);
-        let _: Option<RequestId> = sim.invoke(op.source, move |node, ctx| {
-            node.dht_get_versioned(&key, ctx)
-        });
-    }
-    sim.run_for(params.drain);
-    issued
-}
-
-/// Drain every node's read outcomes.
-fn drain_outcomes(
-    sim: &mut simnet::Simulation<TreePNode>,
-    alive_pairs: &[(NodeAddr, treep::NodeId)],
-) -> Vec<ReadOutcome> {
-    let mut out = Vec::new();
-    for &(addr, _) in alive_pairs {
-        if let Some(node) = sim.node_mut(addr) {
-            out.extend(node.drain_read_outcomes());
-        }
-    }
-    out
-}
-
-/// Per-node read-path received-message counts, in `alive_pairs` order.
-/// Only the serving-layer kinds count: the experiment compares how the
+/// Read-path messages every live node has received, in build order. Only
+/// the six serving-layer kinds count: the experiment compares how the
 /// *read* load concentrates, not the (identical) background maintenance.
-fn node_loads(
-    sim: &simnet::Simulation<TreePNode>,
-    alive_pairs: &[(NodeAddr, treep::NodeId)],
-) -> Vec<u64> {
-    alive_pairs
-        .iter()
-        .map(|&(addr, _)| {
-            sim.node(addr)
-                .map(|n| {
-                    n.stats()
-                        .received
-                        .iter()
-                        .filter(|(k, _)| {
-                            let name = k.name();
-                            name.starts_with("get_versioned")
-                                || name.starts_with("put_versioned")
-                                || name.starts_with("read_")
-                        })
-                        .map(|(_, v)| v)
-                        .sum()
-                })
-                .unwrap_or(0)
-        })
+fn node_loads(sc: &Scenario) -> Vec<u64> {
+    const READ_PATH: [MessageKind; 6] = [
+        MessageKind::GetVersioned,
+        MessageKind::GetVersionedReply,
+        MessageKind::PutVersioned,
+        MessageKind::PutVersionedAck,
+        MessageKind::ReadRepair,
+        MessageKind::ReadVerify,
+    ];
+    let received = |s: &NodeStats| READ_PATH.iter().map(|&kind| s.received.get(kind)).sum();
+    let live = sc.alive().into_iter();
+    live.filter_map(|(addr, _)| sc.sim.node(addr).map(|n| received(n.stats())))
         .collect()
-}
-
-/// Summed (cache_hits, cache_fills, cache_evictions, replica_served_gets,
-/// read_repairs_issued) over the given nodes.
-fn readpath_totals(
-    sim: &simnet::Simulation<TreePNode>,
-    alive_pairs: &[(NodeAddr, treep::NodeId)],
-) -> (u64, u64, u64, u64, u64) {
-    let mut t = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for &(addr, _) in alive_pairs {
-        if let Some(node) = sim.node(addr) {
-            let s = node.stats();
-            t.0 += s.cache_hits;
-            t.1 += s.cache_fills;
-            t.2 += s.cache_evictions;
-            t.3 += s.replica_served_gets;
-            t.4 += s.read_repairs_issued;
-        }
-    }
-    t
 }
 
 #[cfg(test)]
@@ -561,21 +429,17 @@ mod tests {
         };
         assert_eq!(report.row_at(true, 20).unwrap().cache_hits, 25);
         assert!(report.row_at(true, 99).is_none());
-        assert_eq!(report.to_table().len(), 2);
-        assert_eq!(report.to_csv().len(), 2);
+        let table = report.to_table();
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.to_csv().lines().count(), 3);
+        assert!(table
+            .to_csv()
+            .contains("\n1,20,40,95.00,1.00,4.00,1.500,60,"));
         assert!((report.rows[1].completion_pct() - 95.0).abs() < 1e-9);
-        let json = report.to_json();
+        let json = table.to_json();
         assert!(json.contains("\"bench\": \"readpath\""));
         assert!(json.contains("\"cached\": true"));
         assert!(json.contains("\"p99_hops\": 4.00"));
-        // Balanced braces/brackets — the cheap well-formedness check
-        // available without a JSON parser in the workspace.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close} in {json}"
-            );
-        }
+        analysis::validate_json(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
     }
 }

@@ -1,11 +1,203 @@
-//! The churn / lookup measurement loop shared by every figure.
+//! The one experiment harness — [`Scenario`] and [`DeliveryTally`] — and
+//! the churn / lookup measurement loop shared by every figure.
+//!
+//! Every TreeP driver of this crate is the loop of the paper's Section IV:
+//! build the steady state, remove nodes, let it settle, issue requests,
+//! count. A [`Scenario`] is the overlay that loop runs on and the four
+//! things every driver does to it: build it (on lossy links if asked),
+//! crash one step of a [`ChurnPlan`], sum [`NodeStats`] counters over the
+//! live nodes, and drain one outcome queue from every live node. A
+//! [`DeliveryTally`] is the arithmetic of every dissemination figure. The
+//! Chord and flooding baselines keep their own short loops.
 
 use crate::params::ExperimentParams;
-use analysis::{HopHistogram, SummaryStats};
-use simnet::{NodeAddr, SimRng, Simulation};
+use analysis::{ratio, HopHistogram, SummaryStats};
+use simnet::{
+    LatencyModel, LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation,
+};
 use treep::lookup::RequestId;
-use treep::{audit, HierarchyAudit, KeyRange, LookupStatus, RoutingAlgorithm, TreePNode};
-use workloads::{LookupWorkload, MulticastOp, MulticastWorkload, TopologyBuilder};
+use treep::{
+    audit, HierarchyAudit, KeyRange, LookupOutcome, NodeId, NodeStats, RoutingAlgorithm, TreePNode,
+};
+use workloads::{
+    BuiltTopology, ChurnPlan, ChurnStep, LookupWorkload, MulticastOp, MulticastWorkload,
+    TopologyBuilder,
+};
+
+/// A dissemination as its receivers identify it: origin and request id.
+pub type Probe = (NodeAddr, RequestId);
+
+/// A built and settled TreeP overlay under measurement. The workload
+/// stream is not a field: each driver forks it from `sim` where it always
+/// did (two of them after their crash, one never), so no random stream
+/// moves.
+pub struct Scenario {
+    /// The simulation the overlay lives in.
+    pub sim: Simulation<TreePNode>,
+    /// The overlay as it was built.
+    pub topo: BuiltTopology,
+}
+
+impl Scenario {
+    /// Build and settle `builder`'s overlay on the simulator's default
+    /// lossless links.
+    pub fn build(builder: &TopologyBuilder, seed: u64) -> Scenario {
+        Self::build_lossy(builder, seed, LinkModel::default().latency, 0.0)
+    }
+
+    /// Build and settle `builder`'s overlay on links of the given latency
+    /// that drop every message independently with probability `loss`
+    /// (0 draws nothing, so a lossless run replays [`Scenario::build`]).
+    pub fn build_lossy(
+        builder: &TopologyBuilder,
+        seed: u64,
+        latency: LatencyModel,
+        loss: f64,
+    ) -> Scenario {
+        let loss = if loss > 0.0 {
+            LossModel::Bernoulli { p: loss }
+        } else {
+            LossModel::None
+        };
+        let config = SimConfig {
+            link: LinkModel { latency, loss },
+            ..SimConfig::default()
+        };
+        let (sim, topo) = builder.build_simulation_with(config, seed);
+        Scenario { sim, topo }
+    }
+
+    /// The live nodes, in build order.
+    pub fn alive(&self) -> Vec<(NodeAddr, NodeId)> {
+        self.topo.alive_pairs(&self.sim)
+    }
+
+    /// Fail the victims `plan` picks for `step` (none at step 0, which
+    /// measures the intact overlay).
+    pub fn crash(&mut self, plan: &ChurnPlan, step: &ChurnStep, rng: &mut SimRng) {
+        if step.index > 0 {
+            let alive = self.sim.alive_nodes();
+            for victim in plan.pick_victims(&alive, self.topo.len(), rng) {
+                self.sim.fail_node(victim);
+            }
+        }
+    }
+
+    /// Sum `N` counters of [`NodeStats`] over the live nodes. A fallen node
+    /// takes its counters with it, which is why [`delta`] saturates.
+    pub fn sum<const N: usize>(&self, counters: impl Fn(&NodeStats) -> [u64; N]) -> [u64; N] {
+        let mut totals = [0; N];
+        for (addr, _) in self.alive() {
+            let node = self.sim.node(addr).expect("a live node has a state");
+            for (total, counter) in totals.iter_mut().zip(counters(node.stats())) {
+                *total += counter;
+            }
+        }
+        totals
+    }
+
+    /// Drain one outcome queue from every live node, in build order (a
+    /// node that has nothing queued is listed with nothing).
+    pub fn drain<T>(
+        &mut self,
+        queue: impl Fn(&mut TreePNode) -> Vec<T>,
+    ) -> Vec<(NodeAddr, NodeId, Vec<T>)> {
+        let mut drained = Vec::new();
+        for (addr, id) in self.alive() {
+            let node = self.sim.node_mut(addr).expect("a live node has a state");
+            drained.push((addr, id, queue(node)));
+        }
+        drained
+    }
+
+    /// Issue one batch of data multicasts among `alive`, wait `drain`, and
+    /// tally what every live node inside a probe's range received of it.
+    /// Returns the number of probes issued beside the tally.
+    pub fn probe_multicasts(
+        &mut self,
+        workload: &MulticastWorkload,
+        alive: &[(NodeAddr, NodeId)],
+        drain: SimDuration,
+        rng: &mut SimRng,
+    ) -> (usize, DeliveryTally) {
+        let mut probes: Vec<(Probe, KeyRange)> = Vec::new();
+        for batch in workload.generate(self.topo.config.space, alive, rng) {
+            let MulticastOp::Data(payload) = batch.op else {
+                unreachable!("a data-only workload");
+            };
+            let range = batch.range;
+            let request_id = self.sim.invoke(batch.source, move |node, ctx| {
+                node.start_multicast(range, payload, ctx)
+            });
+            if let Some(request_id) = request_id {
+                probes.push(((batch.source, request_id), range));
+            }
+        }
+        self.sim.run_for(drain);
+
+        let mut tally = DeliveryTally::default();
+        for (_, id, received) in self.drain(multicast_receipts) {
+            let owed = probes.iter().filter(|(_, range)| range.contains(id));
+            tally.record(owed.map(|&(probe, _)| probe), &received);
+        }
+        (probes.len(), tally)
+    }
+}
+
+/// What `N` counters grew by between two readings of [`Scenario::sum`].
+pub fn delta<const N: usize>(after: [u64; N], before: [u64; N]) -> [u64; N] {
+    std::array::from_fn(|i| after[i].saturating_sub(before[i]))
+}
+
+/// The multicast payloads a node has delivered since it was last asked.
+pub fn multicast_receipts(node: &mut TreePNode) -> Vec<Probe> {
+    let deliveries = node.drain_multicast_deliveries();
+    let key = |d: treep::MulticastDelivery| (d.origin.addr, d.request_id);
+    deliveries.into_iter().map(key).collect()
+}
+
+/// Delivery obligations, how many were met, and how many copies met them —
+/// and the three ratios every dissemination figure reports of those.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeliveryTally {
+    /// Obligations: (receiver, probe) pairs that should see a delivery.
+    pub targets: usize,
+    /// Obligations that saw at least one.
+    pub delivered: usize,
+    /// Deliveries those obligations saw in all.
+    pub copies: usize,
+}
+
+impl DeliveryTally {
+    /// Count one receiver: every probe in `owed` is an obligation, met by
+    /// each of its occurrences in `received`.
+    pub fn record(&mut self, owed: impl IntoIterator<Item = Probe>, received: &[Probe]) {
+        for probe in owed {
+            let got = received.iter().filter(|r| **r == probe).count();
+            self.targets += 1;
+            self.delivered += usize::from(got > 0);
+            self.copies += got;
+        }
+    }
+
+    /// Fraction of the obligations met, in percent (100 when there were
+    /// none).
+    pub fn coverage_pct(&self) -> f64 {
+        ratio(self.delivered as f64 * 100.0, self.targets as f64, 100.0)
+    }
+
+    /// Copies per met obligation: 1.0 is exactly once (0 when none was
+    /// met).
+    pub fn duplicate_factor(&self) -> f64 {
+        ratio(self.copies as f64, self.delivered as f64, 0.0)
+    }
+
+    /// `messages` per met obligation (infinite when none was met, which
+    /// the JSON writer renders as `null`).
+    pub fn per_delivery(&self, messages: u64) -> f64 {
+        ratio(messages as f64, self.delivered as f64, f64::INFINITY)
+    }
+}
 
 /// Per-algorithm statistics of one churn step.
 #[derive(Debug, Clone)]
@@ -29,13 +221,33 @@ pub struct AlgoStepStats {
 }
 
 impl AlgoStepStats {
+    /// The statistics of `algorithm`'s share of one step's `outcomes`, out
+    /// of `issued` lookups.
+    fn of(algorithm: RoutingAlgorithm, issued: usize, outcomes: &[LookupOutcome]) -> Self {
+        let mine = || outcomes.iter().filter(|o| o.algorithm == algorithm);
+        let hops = |success: bool| -> Vec<f64> {
+            let ended = mine().filter(|o| o.status.is_success() == success);
+            ended.map(|o| o.hops as f64).collect()
+        };
+        let successes = hops(true);
+        let mut histogram = HopHistogram::new();
+        for outcome in mine().filter(|o| o.status.is_success()) {
+            histogram.record(outcome.hops);
+        }
+        AlgoStepStats {
+            algorithm,
+            issued,
+            completed: mine().count(),
+            failed: issued.saturating_sub(successes.len()),
+            histogram,
+            success_hops: SummaryStats::of(&successes),
+            failed_hops: SummaryStats::of(&hops(false)),
+        }
+    }
+
     /// Fraction of issued lookups that failed, as a percentage (0–100).
     pub fn failed_pct(&self) -> f64 {
-        if self.issued == 0 {
-            0.0
-        } else {
-            self.failed as f64 * 100.0 / self.issued as f64
-        }
+        ratio(self.failed as f64 * 100.0, self.issued as f64, 0.0)
     }
 
     /// Mean hops of the successful lookups.
@@ -48,32 +260,18 @@ impl AlgoStepStats {
 /// the dissemination counterpart of the lookup failure curves, measured
 /// under the same failure schedule (the PR 1 follow-up: multicast and
 /// replication durability share one churn harness).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MulticastStepStats {
     /// Scoped multicasts issued this step.
     pub probes: usize,
-    /// Total in-range live nodes over all probes (the delivery obligations).
-    pub targets: usize,
-    /// Obligations actually delivered.
-    pub delivered: usize,
+    /// The in-range live nodes over all probes, and how many were reached.
+    pub tally: DeliveryTally,
     /// Reliable-hop retransmissions spent during this step's probe window
     /// (always 0 when the configuration has `max_retransmits = 0`).
     pub retransmits: u64,
     /// Hops re-routed after a destination was declared dead during this
     /// step's probe window.
     pub reroutes: u64,
-}
-
-impl MulticastStepStats {
-    /// Fraction of delivery obligations met, in percent (100 for a step
-    /// with no targets).
-    pub fn coverage_pct(&self) -> f64 {
-        if self.targets == 0 {
-            100.0
-        } else {
-            self.delivered as f64 * 100.0 / self.targets as f64
-        }
-    }
 }
 
 /// Read-path counter deltas accumulated over one churn step (all zero
@@ -164,116 +362,88 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
     let builder = TopologyBuilder::new(params.nodes)
         .with_config(params.config)
         .with_capabilities(params.capabilities);
-    let (mut sim, topo) = if params.link_loss > 0.0 {
-        // A lossy run: identical topology build and settle, but every link
-        // drops messages independently.
-        let sim_config = simnet::SimConfig {
-            link: simnet::LinkModel {
-                loss: simnet::LossModel::Bernoulli {
-                    p: params.link_loss,
-                },
-                ..simnet::LinkModel::default()
-            },
-            ..simnet::SimConfig::default()
-        };
-        builder.build_simulation_with(sim_config, params.seed)
-    } else {
-        builder.build_simulation(params.seed)
-    };
+    let latency = LinkModel::default().latency;
+    let mut sc = Scenario::build_lossy(&builder, params.seed, latency, params.link_loss);
 
-    let steady_state = audit_alive(&sim);
-    let schedule = params.churn.steps(params.nodes);
+    let steady_state = audit_alive(&sc.sim);
     let workload = LookupWorkload::new(params.lookups_per_step);
-    let mut rng = sim.rng_mut().fork();
+    let mut rng = sc.sim.rng_mut().fork();
     // Forked only when probes are on, so a probe-free run stays
     // byte-identical to one predating the measurement.
-    let mut probe_rng = (params.multicast_probes_per_step > 0).then(|| sim.rng_mut().fork());
+    let mut probe_rng = (params.multicast_probes_per_step > 0).then(|| sc.sim.rng_mut().fork());
+    let readpath_counters = |s: &NodeStats| {
+        [
+            s.cache_hits,
+            s.cache_evictions,
+            s.replica_served_gets,
+            s.read_repairs_issued,
+        ]
+    };
 
-    let mut steps = Vec::with_capacity(schedule.len());
-    for churn_step in schedule {
+    let mut steps = Vec::new();
+    for churn_step in params.churn.steps(params.nodes) {
         // 1. Fail this step's victims (step 0 measures the intact topology).
-        if churn_step.index > 0 {
-            let alive = sim.alive_nodes();
-            let victims = params.churn.pick_victims(&alive, params.nodes, &mut rng);
-            for v in victims {
-                sim.fail_node(v);
-            }
-        }
+        sc.crash(&params.churn, &churn_step, &mut rng);
 
         // 2. Let keep-alives, expiry, elections and demotions react.
-        let before = sim.metrics();
-        let readpath_before = readpath_counters(&sim);
-        sim.run_for(params.settle_per_step);
-        let maintenance_messages = sim.metrics().messages_sent - before.messages_sent;
+        let sent_before = sc.sim.metrics().messages_sent;
+        let readpath_before = sc.sum(readpath_counters);
+        sc.sim.run_for(params.settle_per_step);
+        let maintenance_messages = sc.sim.metrics().messages_sent - sent_before;
 
         // 3. Issue the same batch of lookups once per routing algorithm.
-        let alive_pairs = topo.alive_pairs(&sim);
+        let alive_pairs = sc.alive();
         let alive_nodes = alive_pairs.len();
         let batches = workload.generate(&alive_pairs, &mut rng);
         for algorithm in RoutingAlgorithm::ALL {
             for batch in &batches {
-                sim.invoke(batch.source, |node, ctx| {
+                sc.sim.invoke(batch.source, |node, ctx| {
                     node.start_lookup(batch.target, algorithm, ctx);
                 });
             }
         }
 
         // 4. Wait for answers / timeouts and collect the outcomes.
-        sim.run_for(params.drain_per_step);
-        let mut collectors: Vec<OutcomeCollector> = RoutingAlgorithm::ALL
+        sc.sim.run_for(params.drain_per_step);
+        let drained = sc.drain(TreePNode::drain_lookup_outcomes).into_iter();
+        let outcomes: Vec<LookupOutcome> = drained.flat_map(|(_, _, queue)| queue).collect();
+        let per_algorithm = RoutingAlgorithm::ALL
             .iter()
-            .map(|&a| OutcomeCollector::new(a, batches.len()))
+            .map(|&algorithm| AlgoStepStats::of(algorithm, batches.len(), &outcomes))
             .collect();
-        for &(addr, _) in &alive_pairs {
-            if let Some(node) = sim.node_mut(addr) {
-                for outcome in node.drain_lookup_outcomes() {
-                    if let Some(c) = collectors
-                        .iter_mut()
-                        .find(|c| c.algorithm == outcome.algorithm)
-                    {
-                        c.record(outcome.status, outcome.hops);
-                    }
-                }
-            }
-        }
 
         // 5. Optionally probe multicast coverage over the same survivors.
-        let multicast = probe_rng
-            .as_mut()
-            .map(|prng| measure_multicast_coverage(&mut sim, &alive_pairs, params, prng));
+        let multicast = probe_rng.as_mut().map(|probe_rng| {
+            let workload = MulticastWorkload::data_only(params.multicast_probes_per_step);
+            let reliability = |s: &NodeStats| [s.multicast_retransmits, s.multicast_reroutes];
+            let before = sc.sum(reliability);
+            let (probes, tally) =
+                sc.probe_multicasts(&workload, &alive_pairs, params.drain_per_step, probe_rng);
+            let [retransmits, reroutes] = delta(sc.sum(reliability), before);
+            MulticastStepStats {
+                probes,
+                tally,
+                retransmits,
+                reroutes,
+            }
+        });
 
-        let readpath_after = readpath_counters(&sim);
-        let readpath = ReadPathStepStats {
-            cache_hits: readpath_after
-                .cache_hits
-                .saturating_sub(readpath_before.cache_hits),
-            cache_evictions: readpath_after
-                .cache_evictions
-                .saturating_sub(readpath_before.cache_evictions),
-            replica_served_gets: readpath_after
-                .replica_served_gets
-                .saturating_sub(readpath_before.replica_served_gets),
-            read_repairs_issued: readpath_after
-                .read_repairs_issued
-                .saturating_sub(readpath_before.read_repairs_issued),
-        };
-
+        let [cache_hits, cache_evictions, replica_served_gets, read_repairs_issued] =
+            delta(sc.sum(readpath_counters), readpath_before);
         steps.push(StepMeasurement {
             index: churn_step.index,
             failed_fraction: churn_step.failed_fraction,
             alive_nodes,
-            per_algorithm: collectors
-                .into_iter()
-                .map(OutcomeCollector::finish)
-                .collect(),
+            per_algorithm,
             maintenance_messages,
-            maintenance_per_node: if alive_nodes == 0 {
-                0.0
-            } else {
-                maintenance_messages as f64 / alive_nodes as f64
-            },
+            maintenance_per_node: ratio(maintenance_messages as f64, alive_nodes as f64, 0.0),
             multicast,
-            readpath,
+            readpath: ReadPathStepStats {
+                cache_hits,
+                cache_evictions,
+                replica_served_gets,
+                read_repairs_issued,
+            },
         });
     }
 
@@ -286,145 +456,12 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
     }
 }
 
-/// Issue one batch of scoped multicast probes among the survivors and
-/// measure how many in-range live nodes each payload reached.
-fn measure_multicast_coverage(
-    sim: &mut Simulation<TreePNode>,
-    alive_pairs: &[(NodeAddr, treep::NodeId)],
-    params: &ExperimentParams,
-    rng: &mut SimRng,
-) -> MulticastStepStats {
-    let workload = MulticastWorkload::data_only(params.multicast_probes_per_step);
-    let reliability_before = reliability_counters(sim, alive_pairs);
-    let batch = workload.generate(params.config.space, alive_pairs, rng);
-    let mut probes: Vec<(NodeAddr, RequestId, KeyRange)> = Vec::with_capacity(batch.len());
-    for b in &batch {
-        let MulticastOp::Data(payload) = b.op.clone() else {
-            unreachable!("aggregate fraction is zero");
-        };
-        let range = b.range;
-        let request_id = sim.invoke(b.source, move |node, ctx| {
-            node.start_multicast(range, payload, ctx)
-        });
-        if let Some(request_id) = request_id {
-            probes.push((b.source, request_id, b.range));
-        }
-    }
-    sim.run_for(params.drain_per_step);
-
-    let reliability_after = reliability_counters(sim, alive_pairs);
-    let mut stats = MulticastStepStats {
-        probes: probes.len(),
-        targets: 0,
-        delivered: 0,
-        retransmits: reliability_after.0.saturating_sub(reliability_before.0),
-        reroutes: reliability_after.1.saturating_sub(reliability_before.1),
-    };
-    for &(addr, id) in alive_pairs {
-        let Some(node) = sim.node_mut(addr) else {
-            continue;
-        };
-        let received: std::collections::BTreeSet<(NodeAddr, RequestId)> = node
-            .drain_multicast_deliveries()
-            .into_iter()
-            .map(|d| (d.origin.addr, d.request_id))
-            .collect();
-        for &(source, request_id, range) in &probes {
-            if range.contains(id) {
-                stats.targets += 1;
-                stats.delivered += usize::from(received.contains(&(source, request_id)));
-            }
-        }
-    }
-    stats
-}
-
-/// Sum of the read-path counters over every live node; per-step deltas
-/// come from sampling before and after the step window (fallen nodes take
-/// their counters with them, hence the saturating subtraction above).
-fn readpath_counters(sim: &Simulation<TreePNode>) -> ReadPathStepStats {
-    let mut totals = ReadPathStepStats::default();
-    for addr in sim.alive_nodes() {
-        if let Some(node) = sim.node(addr) {
-            let stats = node.stats();
-            totals.cache_hits += stats.cache_hits;
-            totals.cache_evictions += stats.cache_evictions;
-            totals.replica_served_gets += stats.replica_served_gets;
-            totals.read_repairs_issued += stats.read_repairs_issued;
-        }
-    }
-    totals
-}
-
-/// Sum of (retransmits, reroutes) over the given nodes — measured as a
-/// before/after delta around the probe window so each step reports only its
-/// own reliability spend.
-fn reliability_counters(
-    sim: &Simulation<TreePNode>,
-    alive_pairs: &[(NodeAddr, treep::NodeId)],
-) -> (u64, u64) {
-    let mut retransmits = 0u64;
-    let mut reroutes = 0u64;
-    for &(addr, _) in alive_pairs {
-        if let Some(node) = sim.node(addr) {
-            retransmits += node.stats().multicast_retransmits;
-            reroutes += node.stats().multicast_reroutes;
-        }
-    }
-    (retransmits, reroutes)
-}
-
 /// Audit the currently alive nodes of a simulation.
 pub fn audit_alive(sim: &Simulation<TreePNode>) -> HierarchyAudit {
     let alive = sim.alive_nodes();
     let nodes: Vec<&TreePNode> = alive.iter().filter_map(|&a| sim.node(a)).collect();
     let config = nodes.first().map(|n| *n.config()).unwrap_or_default();
     audit(nodes, &config)
-}
-
-struct OutcomeCollector {
-    algorithm: RoutingAlgorithm,
-    issued: usize,
-    completed: usize,
-    successes: Vec<f64>,
-    failures: Vec<f64>,
-    histogram: HopHistogram,
-}
-
-impl OutcomeCollector {
-    fn new(algorithm: RoutingAlgorithm, issued: usize) -> Self {
-        OutcomeCollector {
-            algorithm,
-            issued,
-            completed: 0,
-            successes: Vec::new(),
-            failures: Vec::new(),
-            histogram: HopHistogram::new(),
-        }
-    }
-
-    fn record(&mut self, status: LookupStatus, hops: u32) {
-        self.completed += 1;
-        if status.is_success() {
-            self.successes.push(hops as f64);
-            self.histogram.record(hops);
-        } else {
-            self.failures.push(hops as f64);
-        }
-    }
-
-    fn finish(self) -> AlgoStepStats {
-        let failed = self.issued.saturating_sub(self.successes.len());
-        AlgoStepStats {
-            algorithm: self.algorithm,
-            issued: self.issued,
-            completed: self.completed,
-            failed,
-            success_hops: SummaryStats::of(&self.successes),
-            failed_hops: SummaryStats::of(&self.failures),
-            histogram: self.histogram,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -541,15 +578,15 @@ mod tests {
         for step in &result.steps {
             let m = step.multicast.expect("probes enabled => coverage measured");
             assert_eq!(m.probes, 4);
-            assert!(m.delivered <= m.targets);
-            assert!(m.coverage_pct() <= 100.0);
+            assert!(m.tally.delivered <= m.tally.targets);
+            assert!(m.tally.coverage_pct() <= 100.0);
         }
         let intact = result.steps[0].multicast.unwrap();
-        assert!(intact.targets > 0);
+        assert!(intact.tally.targets > 0);
         assert!(
-            (intact.coverage_pct() - 100.0).abs() < 1e-9,
+            (intact.tally.coverage_pct() - 100.0).abs() < 1e-9,
             "intact steady state must cover every in-range node, got {:.1}%",
-            intact.coverage_pct()
+            intact.tally.coverage_pct()
         );
     }
 
@@ -569,25 +606,25 @@ mod tests {
 
         let intact = reliable.steps[0].multicast.expect("probes enabled");
         assert!(
-            intact.coverage_pct() >= 99.0,
+            intact.tally.coverage_pct() >= 99.0,
             "churn runner at 10% per-hop loss with reliability on must \
              cover >= 99% of the intact topology, got {:.1}%",
-            intact.coverage_pct()
+            intact.tally.coverage_pct()
         );
         let intact_base = base.steps[0].multicast.expect("probes enabled");
         assert!(
-            intact_base.coverage_pct() < 99.0,
+            intact_base.tally.coverage_pct() < 99.0,
             "the unacknowledged baseline should lose probe deliveries at \
              10% per-hop loss, got {:.1}%",
-            intact_base.coverage_pct()
+            intact_base.tally.coverage_pct()
         );
 
         let coverage = |r: &ChurnRunResult| {
             let (mut delivered, mut targets) = (0usize, 0usize);
             for step in &r.steps {
                 let m = step.multicast.expect("probes enabled");
-                delivered += m.delivered;
-                targets += m.targets;
+                delivered += m.tally.delivered;
+                targets += m.tally.targets;
             }
             delivered as f64 / targets.max(1) as f64
         };

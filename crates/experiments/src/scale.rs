@@ -26,7 +26,7 @@
 //! root. Timer-dominated near-horizon scheduling is exactly the regime the
 //! timer wheel targets.
 
-use analysis::AsciiTable;
+use analysis::{Cell, Column, Table};
 use simnet::sim::{fold_event, FNV_OFFSET};
 use simnet::{
     Action, Context, EventKind, HeapScheduler, LatencyModel, LinkModel, LossModel, NodeAddr,
@@ -660,79 +660,46 @@ impl ScaleReport {
         Some(self.row(n, "wheel")?.digest == self.row(n, "legacy")?.digest)
     }
 
-    /// Render the sweep as a table.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    /// The sweep as a table; its JSON is `BENCH_scale.json`.
+    pub fn to_table(&self) -> Table {
+        const MIB: f64 = 1024.0 * 1024.0;
+        let columns = [
+            Column::new("n", "n", |r: &ScaleRow| r.n.into()),
+            Column::new("engine", "engine", |r| Cell::text(r.engine)),
+            Column::new("threads", "threads", |r| r.threads.into()),
+            Column::new("events", "events", |r| r.events.into()),
+            Column::new("wall_ms", "", |r| Cell::float(r.wall_ms, 1, 1)),
+            Column::new("steps_per_sec", "", |r| Cell::float(r.steps_per_sec, 0, 0)),
+            Column::new("", "ksteps/s", |r| Cell::float(r.steps_per_sec / 1e3, 0, 0)),
+            Column::new("bytes_per_node", "bytes/node", |r| {
+                Cell::float(r.bytes_per_node, 1, 0)
+            }),
+            Column::new("peak_rss_bytes", "", |r| r.peak_rss_bytes.into()),
+            Column::new("", "peak RSS MB", |r| {
+                Cell::float(r.peak_rss_bytes as f64 / MIB, 0, 0)
+            }),
+            Column::new("digest", "", |r| Cell::text(format!("0x{:016x}", r.digest))),
+            Column::new("deterministic", "deterministic", |r| {
+                Cell::Flag(r.deterministic, ["false", "true"])
+            }),
+        ];
+        let title = format!(
             "Engine scale sweep (seed = {}, horizon = {}s, host threads = {})",
             self.seed, self.horizon_secs, self.hardware_threads
-        ))
-        .header([
-            "n",
-            "engine",
-            "threads",
-            "events",
-            "ksteps/s",
-            "bytes/node",
-            "peak RSS MB",
-            "deterministic",
-        ]);
-        for row in &self.rows {
-            table.push_row([
-                row.n.to_string(),
-                row.engine.to_string(),
-                row.threads.to_string(),
-                row.events.to_string(),
-                format!("{:.0}", row.steps_per_sec / 1e3),
-                format!("{:.0}", row.bytes_per_node),
-                format!("{:.0}", row.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
-                row.deterministic.to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// Serialise to the `BENCH_scale.json` format.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"scale\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"horizon_secs\": {},\n", self.horizon_secs));
-        out.push_str(&format!(
-            "  \"hardware_threads\": {},\n",
-            self.hardware_threads
-        ));
-        out.push_str(&format!("  \"shard_threads\": {},\n", self.shard_threads));
+        );
+        let mut table = Table::of(title, &columns, &self.rows)
+            .meta("bench", Cell::text("scale"))
+            .meta("seed", self.seed)
+            .meta("horizon_secs", self.horizon_secs)
+            .meta("hardware_threads", self.hardware_threads)
+            .meta("shard_threads", self.shard_threads);
         if let Some(speedup) = self.wheel_speedup_at(10_000) {
-            out.push_str(&format!(
-                "  \"wheel_speedup_vs_legacy_n10k\": {speedup:.2},\n"
-            ));
+            table = table.meta("wheel_speedup_vs_legacy_n10k", Cell::float(speedup, 2, 2));
         }
         if let Some(speedup) = self.sharded_speedup_at(10_000) {
-            out.push_str(&format!(
-                "  \"sharded_speedup_vs_wheel_n10k\": {speedup:.2},\n"
-            ));
+            table = table.meta("sharded_speedup_vs_wheel_n10k", Cell::float(speedup, 2, 2));
         }
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"n\": {}, \"engine\": \"{}\", \"threads\": {}, \"events\": {}, \
-                 \"wall_ms\": {:.1}, \"steps_per_sec\": {:.0}, \"bytes_per_node\": {:.1}, \
-                 \"peak_rss_bytes\": {}, \"digest\": \"0x{:016x}\", \"deterministic\": {}}}{}\n",
-                row.n,
-                row.engine,
-                row.threads,
-                row.events,
-                row.wall_ms,
-                row.steps_per_sec,
-                row.bytes_per_node,
-                row.peak_rss_bytes,
-                row.digest,
-                row.deterministic,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        table
     }
 }
 
@@ -779,12 +746,8 @@ mod tests {
     #[test]
     fn json_is_balanced_and_carries_rows() {
         let report = run_scale(&tiny_params());
-        let json = report.to_json();
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON:\n{json}"
-        );
+        let json = report.to_table().to_json();
+        analysis::validate_json(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
         assert!(json.contains("\"engine\": \"wheel\""));
         assert!(json.contains("\"engine\": \"sharded\""));
         assert!(json.contains("\"deterministic\": true"));

@@ -7,7 +7,7 @@
 //! topology and checks them against the bounds.
 
 use crate::params::ExperimentParams;
-use analysis::{AsciiTable, SummaryStats};
+use analysis::{Cell, Column, SummaryStats, Table};
 use treep::analytic_table_bound;
 use workloads::TopologyBuilder;
 
@@ -62,32 +62,27 @@ impl RoutingTableReport {
     }
 
     /// Render the report as an aligned table (one row per level).
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("", "level", |r: &LevelTableRow| r.level.into()),
+            Column::new("", "nodes", |r| r.nodes.into()),
+            Column::new("", "avg table", |r| Cell::float(r.table_size.mean, 1, 1)),
+            Column::new("", "max table", |r| Cell::float(r.table_size.max, 0, 0)),
+            Column::new("", "avg bound", |r| {
+                Cell::float(r.analytic_bound.mean, 1, 1)
+            }),
+            Column::new("", "avg active conns", |r| {
+                Cell::float(r.active_connections.mean, 1, 1)
+            }),
+            Column::new("", "within bound %", |r| {
+                Cell::float(r.within_bound * 100.0, 0, 0)
+            }),
+        ];
+        let title = format!(
             "Routing-table size per level ({}, n={}, height={})",
             self.policy_label, self.nodes, self.height
-        ))
-        .header([
-            "level",
-            "nodes",
-            "avg table",
-            "max table",
-            "avg bound",
-            "avg active conns",
-            "within bound %",
-        ]);
-        for row in &self.rows {
-            table.push_row([
-                row.level.to_string(),
-                row.nodes.to_string(),
-                format!("{:.1}", row.table_size.mean),
-                format!("{:.0}", row.table_size.max),
-                format!("{:.1}", row.analytic_bound.mean),
-                format!("{:.1}", row.active_connections.mean),
-                format!("{:.0}", row.within_bound * 100.0),
-            ]);
-        }
-        table
+        );
+        Table::of(title, &columns, &self.rows)
     }
 }
 

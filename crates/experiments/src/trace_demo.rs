@@ -10,7 +10,8 @@
 //! [`treep::NodeStats`] are mirrored into the telemetry registry so one sink
 //! carries engine metrics and protocol counters alike.
 
-use analysis::AsciiTable;
+use crate::runner::Scenario;
+use analysis::{Cell, Column, Table};
 use simnet::telemetry::export::chrome_trace;
 use simnet::{NodeAddr, SimDuration, TelemetryConfig};
 use std::collections::BTreeMap;
@@ -82,23 +83,22 @@ pub struct TraceDemoReport {
 
 impl TraceDemoReport {
     /// Console rendering of the per-class accounting.
-    pub fn to_table(&self) -> AsciiTable {
-        let mut table = AsciiTable::new(format!(
+    pub fn to_table(&self) -> Table {
+        let columns = [
+            Column::new("", "op", |r: &OpTraceSummary| Cell::text(r.op)),
+            Column::new("", "traces", |r| r.traces.into()),
+            Column::new("", "hops", |r| r.hops.into()),
+            Column::new("", "lost", |r| r.lost_hops.into()),
+            Column::new("", "mean hop (ms)", |r| {
+                Cell::float(r.mean_hop_us / 1_000.0, 2, 2)
+            }),
+            Column::new("", "notes", |r| r.notes.into()),
+        ];
+        let title = format!(
             "Causal traces — {} nodes, {} traces, {} spans ({} notes)",
             self.nodes, self.traces, self.spans, self.notes
-        ))
-        .header(["op", "traces", "hops", "lost", "mean hop (ms)", "notes"]);
-        for row in &self.per_op {
-            table.push_row([
-                row.op.to_string(),
-                row.traces.to_string(),
-                row.hops.to_string(),
-                row.lost_hops.to_string(),
-                format!("{:.2}", row.mean_hop_us / 1_000.0),
-                row.notes.to_string(),
-            ]);
-        }
-        table
+        );
+        Table::of(title, &columns, &self.per_op)
     }
 }
 
@@ -109,10 +109,11 @@ pub fn run_trace_demo(params: &TraceDemoParams) -> TraceDemoReport {
         .with_pubsub()
         .with_reliability(3);
     let builder = TopologyBuilder::new(params.nodes).with_config(config);
-    let (mut sim, topo) = builder.build_simulation(params.seed);
-    sim.enable_telemetry(TelemetryConfig::default());
-    let space = topo.config.space;
-    let alive = topo.alive_pairs(&sim);
+    let mut sc = Scenario::build(&builder, params.seed);
+    sc.sim.enable_telemetry(TelemetryConfig::default());
+    let space = sc.topo.config.space;
+    let alive = sc.alive();
+    let sim = &mut sc.sim;
     let mut rng = sim.rng_mut().fork();
     let pick = |rng: &mut simnet::SimRng, alive: &[(NodeAddr, treep::NodeId)]| {
         alive[rng.gen_range_usize(0..alive.len())].0
@@ -171,37 +172,30 @@ pub fn run_trace_demo(params: &TraceDemoParams) -> TraceDemoReport {
 
     // Mirror the aggregated protocol counters into the telemetry registry,
     // so the registry is the single sink for engine and protocol metrics.
-    let mut total_sent = 0u64;
-    let mut maintenance = 0u64;
-    let mut cache_hits = 0u64;
-    let mut retransmits = 0u64;
-    let mut pruned_entries = 0u64;
-    for &(addr, _) in &alive {
-        if let Some(node) = sim.node(addr) {
-            let s = node.stats();
-            total_sent += s.total_sent();
-            maintenance += s.maintenance_sent();
-            cache_hits += s.cache_hits;
-            retransmits += s.multicast_retransmits;
-            pruned_entries += s.entries_pruned;
-        }
+    let gauges = [
+        "treep.messages_sent",
+        "treep.maintenance_sent",
+        "treep.cache_hits",
+        "treep.multicast_retransmits",
+        "treep.entries_pruned",
+    ];
+    let totals = sc.sum(|s| {
+        [
+            s.total_sent(),
+            s.maintenance_sent(),
+            s.cache_hits,
+            s.multicast_retransmits,
+            s.entries_pruned,
+        ]
+    });
+    let now = sc.sim.now();
+    let telemetry = sc.sim.telemetry_mut().expect("telemetry enabled above");
+    for (name, total) in gauges.into_iter().zip(totals) {
+        let gauge = telemetry.registry.gauge(name);
+        telemetry.registry.set(gauge, total);
     }
-    let now = sim.now();
-    if let Some(t) = sim.telemetry_mut() {
-        let sent = t.registry.gauge("treep.messages_sent");
-        let maint = t.registry.gauge("treep.maintenance_sent");
-        let cache = t.registry.gauge("treep.cache_hits");
-        let retx = t.registry.gauge("treep.multicast_retransmits");
-        let pruned = t.registry.gauge("treep.entries_pruned");
-        t.registry.set(sent, total_sent);
-        t.registry.set(maint, maintenance);
-        t.registry.set(cache, cache_hits);
-        t.registry.set(retx, retransmits);
-        t.registry.set(pruned, pruned_entries);
-        t.registry.sample(now);
-    }
+    telemetry.registry.sample(now);
 
-    let telemetry = sim.telemetry().expect("telemetry enabled above");
     let log = &telemetry.spans;
     let trace_json = chrome_trace(&[log]);
 

@@ -1,0 +1,72 @@
+//! Digest pin of everything the quick experiment suite renders.
+//!
+//! Every driver of this crate is deterministic in simulated time, so the
+//! text it prints is a function of the seed alone: Figures A–I as tables
+//! and CSVs from the two churn runs at `ExperimentParams::quick(200, 2005)`,
+//! the maintenance table of the same runs, and the durability (table and
+//! CSV), lossy-multicast, multicast and overlay-comparison smoke tables.
+//! One FNV-1a digest over all of it, in that order, is what a refactor of
+//! the harness or of the renderers is held to: a change that claims to
+//! move no number and no column leaves the constant alone; a change of the
+//! protocol, of a workload or of a rendering re-pins it once, on purpose,
+//! and says old → new. The constant was captured at `2eaf9a3`, the commit
+//! before the drivers were folded into one harness, and that fold (PR 22)
+//! left it where it was.
+
+use experiments::{
+    compare_multicast, compare_overlays, figures, maintenance, run_churn_experiment,
+    run_durability, sweep_multicast_loss, DurabilityParams, ExperimentParams, Figure,
+    LossSweepParams, MulticastParams,
+};
+
+const SEED: u64 = 2005;
+
+/// FNV-1a digest of the rendered suite.
+const PIN_RENDERED_SUITE: u64 = 0x94a5_2af4_8517_3835;
+
+fn fnv1a(digest: u64, text: &str) -> u64 {
+    text.bytes().fold(digest, |d, byte| {
+        (d ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn quick_suite_renders_its_pinned_digest() {
+    let params = ExperimentParams::quick(200, SEED);
+    let fixed = run_churn_experiment(&params);
+    let adaptive = run_churn_experiment(&params.with_adaptive_policy());
+    let durability = run_durability(&DurabilityParams::smoke(SEED));
+
+    let mut rendered = Vec::new();
+    for figure in Figure::ALL {
+        let data = figures::extract(figure, &fixed, Some(&adaptive));
+        let title = format!("Figure {figure} — {}", figure.description());
+        let table = data.to_table(&title);
+        rendered.push(table.render());
+        rendered.push(table.to_csv());
+    }
+    rendered.push(maintenance::to_table(&[&fixed, &adaptive]).render());
+    rendered.push(durability.to_table().render());
+    rendered.push(durability.to_table().to_csv());
+    rendered.push(
+        sweep_multicast_loss(&LossSweepParams::smoke(SEED))
+            .to_table()
+            .render(),
+    );
+    rendered.push(
+        compare_multicast(&MulticastParams::quick(200, SEED))
+            .to_table()
+            .render(),
+    );
+    rendered.push(
+        compare_overlays(200, SEED, &[0.0, 0.2, 0.4], 20)
+            .to_table()
+            .render(),
+    );
+
+    let got = rendered
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |d, text| fnv1a(d, text));
+    println!("rendered suite digest: {PIN_RENDERED_SUITE:#018x} -> {got:#018x}");
+    assert_eq!(got, PIN_RENDERED_SUITE);
+}

@@ -3,7 +3,7 @@
 # would: in `src/`, everything before a file's first inline test module
 # (`#[cfg(test)]` on anything but an out-of-line `mod tests;`) is code and
 # everything from it on is test; a file named `tests.rs` is test
-# throughout; `tests/`, `benches/` and `examples/` are counted whole.
+# throughout; `tests/` and `examples/` are counted whole.
 # Informational: CI prints it, and a PR quotes the rows it moved.
 #
 #   scripts/loc.sh [DIR]      # DIR defaults to the repository root
@@ -26,15 +26,15 @@ whole() {
     find "$1" -name '*.rs' -print0 | xargs -0 -r cat | wc -l
 }
 
-printf '%-24s %8s %8s %8s %8s %8s\n' crate src-code src-test tests benches examples
-total=(0 0 0 0 0)
+printf '%-24s %8s %8s %8s %8s\n' crate src-code src-test tests examples
+total=(0 0 0 0)
 for manifest in Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml benchmark/Cargo.toml; do
     [ -f "$manifest" ] || continue
     dir=$(dirname "$manifest")
     [ -d "$dir/src" ] || continue
     read -r code test < <(split_src "$dir")
-    row=("$code" "$test" "$(whole "$dir/tests")" "$(whole "$dir/benches")" "$(whole "$dir/examples")")
-    printf '%-24s %8d %8d %8d %8d %8d\n' "$dir" "${row[@]}"
+    row=("$code" "$test" "$(whole "$dir/tests")" "$(whole "$dir/examples")")
+    printf '%-24s %8d %8d %8d %8d\n' "$dir" "${row[@]}"
     for i in "${!row[@]}"; do total[i]=$((total[i] + row[i])); done
 done
-printf '%-24s %8d %8d %8d %8d %8d\n' total "${total[@]}"
+printf '%-24s %8d %8d %8d %8d\n' total "${total[@]}"

@@ -88,7 +88,7 @@ fn every_figure_extracts_and_renders_from_real_runs() {
             rendered.lines().count() >= 3,
             "figure {figure} rendered almost nothing:\n{rendered}"
         );
-        let csv = data.to_csv().render();
+        let csv = table.to_csv();
         assert!(
             csv.lines().count() >= 2,
             "figure {figure} produced an empty CSV"
