@@ -11,14 +11,17 @@ use crate::entry::PeerInfo;
 use crate::id::{splitmix64, NodeId};
 use crate::lookup::RequestId;
 use crate::multicast::KeyRange;
+use crate::readpath::{StampedValue, VersionStamp};
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::collections::BTreeMap;
 
-/// Local key/value storage of one node.
+/// Local key/value storage of one node. Every value is held with the
+/// [`VersionStamp`] that orders it against other writes of its key; values
+/// written through the unversioned paths carry [`VersionStamp::LEGACY`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DhtStore {
-    values: BTreeMap<NodeId, Vec<u8>>,
+    values: BTreeMap<NodeId, StampedValue>,
 }
 
 impl DhtStore {
@@ -27,19 +30,48 @@ impl DhtStore {
         Self::default()
     }
 
-    /// Store `value` under the key coordinate, returning the previous value
-    /// if one existed.
+    /// Store `value` under the key coordinate whatever is held there, as an
+    /// unversioned write, returning the previous value if one existed.
     pub fn put(&mut self, key: NodeId, value: Vec<u8>) -> Option<Vec<u8>> {
-        self.values.insert(key, value)
+        let stamp = VersionStamp::LEGACY;
+        self.values
+            .insert(key, StampedValue { stamp, value })
+            .map(|old| old.value)
+    }
+
+    /// The one write rule of every copy of a key, last-write-wins: `(stamp,
+    /// value)` replaces what is held unless that carries a strictly greater
+    /// stamp. So stamps never regress; an unversioned write
+    /// ([`VersionStamp::LEGACY`]) replaces an unversioned value but never a
+    /// versioned one, having no stamp to beat it with; and two holders that
+    /// have seen the same writes, in whatever order, hold the same pair
+    /// (equal stamps are byte-identical writes, see [`crate::readpath`]).
+    /// Returns true when the write was applied.
+    pub fn merge(&mut self, key: NodeId, stamp: VersionStamp, value: Vec<u8>) -> bool {
+        if self.stamp(key).is_some_and(|held| held > stamp) {
+            return false;
+        }
+        self.values.insert(key, StampedValue { stamp, value });
+        true
     }
 
     /// Retrieve the value stored under `key`.
     pub fn get(&self, key: NodeId) -> Option<&Vec<u8>> {
+        self.values.get(&key).map(|held| &held.value)
+    }
+
+    /// The value stored under `key` together with its stamp.
+    pub fn stamped(&self, key: NodeId) -> Option<&StampedValue> {
         self.values.get(&key)
     }
 
+    /// The stamp of the value stored under `key`.
+    pub fn stamp(&self, key: NodeId) -> Option<VersionStamp> {
+        self.values.get(&key).map(|held| held.stamp)
+    }
+
     /// Remove the value stored under `key`.
-    pub fn remove(&mut self, key: NodeId) -> Option<Vec<u8>> {
+    pub fn remove(&mut self, key: NodeId) -> Option<StampedValue> {
         self.values.remove(&key)
     }
 
@@ -55,7 +87,7 @@ impl DhtStore {
 
     /// Iterate over the stored `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &Vec<u8>)> {
-        self.values.iter()
+        self.values.iter().map(|(key, held)| (key, &held.value))
     }
 
     /// True when a value is stored under `key`.
@@ -73,8 +105,12 @@ impl DhtStore {
             .collect()
     }
 
-    /// The `(key, value)` pairs stored inside `range`, in key order.
-    pub fn entries_in_range(&self, range: KeyRange) -> impl Iterator<Item = (&NodeId, &Vec<u8>)> {
+    /// The keys stored inside `range` with their stamped values, in key
+    /// order.
+    pub fn entries_in_range(
+        &self,
+        range: KeyRange,
+    ) -> impl Iterator<Item = (&NodeId, &StampedValue)> {
         self.values.range(range.lo..=range.hi)
     }
 
@@ -163,7 +199,26 @@ mod tests {
         assert_eq!(s.get(NodeId(1)), Some(&b"b".to_vec()));
         assert_eq!(s.get(NodeId(2)), None);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.remove(NodeId(1)), Some(b"b".to_vec()));
+        // An unversioned write is held under the floor stamp.
+        assert_eq!(s.stamp(NodeId(1)), Some(VersionStamp::LEGACY));
+        assert_eq!(s.stamp(NodeId(2)), None);
+        // A greater stamp replaces it, and then refuses the floor stamp and
+        // anything else below itself, but not `put`.
+        let v2 = VersionStamp::next(None, NodeId(9));
+        assert!(s.merge(NodeId(1), v2, b"c".to_vec()));
+        assert!(!s.merge(NodeId(1), VersionStamp::LEGACY, b"d".to_vec()));
+        assert!(
+            s.merge(NodeId(1), v2, b"c".to_vec()),
+            "an equal stamp rewrites"
+        );
+        let held = s.stamped(NodeId(1)).expect("held");
+        assert_eq!((held.stamp, held.value.as_slice()), (v2, &b"c"[..]));
+        assert_eq!(s.put(NodeId(1), b"b".to_vec()), Some(b"c".to_vec()));
+        assert_eq!(s.stamp(NodeId(1)), Some(VersionStamp::LEGACY));
+        assert_eq!(
+            s.remove(NodeId(1)).map(|held| held.value),
+            Some(b"b".to_vec())
+        );
         assert!(s.is_empty());
     }
 
@@ -175,6 +230,58 @@ mod tests {
         s.put(NodeId(3), vec![3]);
         let keys: Vec<u64> = s.iter().map(|(k, _)| k.0).collect();
         assert_eq!(keys, vec![1, 3, 5]);
+    }
+
+    /// Every order of `n` writes, as index lists.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        let Some(last) = n.checked_sub(1) else {
+            return vec![Vec::new()];
+        };
+        let mut out = Vec::new();
+        for shorter in permutations(last) {
+            for at in 0..=last {
+                let mut order = shorter.clone();
+                order.insert(at, last);
+                out.push(order);
+            }
+        }
+        out
+    }
+
+    /// The convergence replicas rely on: copies of a key reach its holders
+    /// in any order, and every order must leave the same pair — the greatest
+    /// stamp's.
+    #[test]
+    fn merge_leaves_the_greatest_stamp_under_every_order_of_writes() {
+        let mut rng = simnet::SimRng::seed_from(23);
+        for _ in 0..60 {
+            // A small stamp alphabet, so that sets repeat stamps and hold
+            // the floor stamp and other zero versions; a value is a function
+            // of its stamp (equal stamps are byte-identical writes).
+            let writes: Vec<StampedValue> = (0..rng.gen_range_u64(1..6))
+                .map(|_| {
+                    let version = rng.gen_range_u64(0..3);
+                    let origin = NodeId(rng.gen_range_u64(0..3));
+                    StampedValue {
+                        stamp: VersionStamp { version, origin },
+                        value: vec![version as u8, origin.0 as u8],
+                    }
+                })
+                .collect();
+            let expected = writes
+                .iter()
+                .fold(None, |best: Option<&StampedValue>, w| match best {
+                    Some(b) if w.stamp <= b.stamp => Some(b),
+                    _ => Some(w),
+                });
+            for order in permutations(writes.len()) {
+                let mut s = DhtStore::new();
+                for w in order.iter().map(|&i| &writes[i]) {
+                    s.merge(NodeId(7), w.stamp, w.value.clone());
+                }
+                assert_eq!(s.stamped(NodeId(7)), expected, "{writes:?} in {order:?}");
+            }
+        }
     }
 
     #[test]
@@ -211,7 +318,7 @@ mod tests {
         );
         let entries: Vec<(u64, u8)> = s
             .entries_in_range(KeyRange::new(NodeId(0), NodeId(20)))
-            .map(|(k, v)| (k.0, v[0]))
+            .map(|(k, held)| (k.0, held.value[0]))
             .collect();
         assert_eq!(entries, vec![(10, 1), (20, 2)]);
     }

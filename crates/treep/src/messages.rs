@@ -464,8 +464,10 @@ pub enum TreePMessage {
     /// versioned get (`read_repair` enabled): "I answered with this stamp —
     /// was it fresh?" A responsible node holding a strictly fresher copy
     /// answers the server (and the key's replica set) with
-    /// [`TreePMessage::ReadRepair`]; one holding a staler copy marks its
-    /// own repair state dirty for the next anti-entropy round.
+    /// [`TreePMessage::ReadRepair`]; one holding none does nothing and gets
+    /// the copy when it next compares digests with that replica, and one
+    /// holding a staler copy keeps it until a stamped write or repair
+    /// reaches it (digests cover keys, not stamps).
     ReadVerify {
         /// The node that served the get (the repair target).
         server: PeerInfo,

@@ -131,11 +131,6 @@ pub struct TreePNode {
     /// backoff timer carries. Always empty when `max_retransmits == 0`.
     retx_pending: BTreeMap<u64, PendingRetx>,
     next_retx_id: u64,
-    /// Read path: last-write-wins stamp of every stored value that arrived
-    /// through a versioned write (side table, so [`DhtStore`] and the
-    /// replication audit stay unchanged; absent keys carry the legacy floor
-    /// stamp).
-    versions: BTreeMap<NodeId, VersionStamp>,
     /// Read path: highest stamp this node has observed per key as a
     /// *client* — sent as `min_stamp` on its gets (monotonic reads) and
     /// bumped to produce fresh put stamps.
@@ -187,7 +182,6 @@ impl TreePNode {
             next_relay_round: 0,
             retx_pending: BTreeMap::new(),
             next_retx_id: 0,
-            versions: BTreeMap::new(),
             observed: BTreeMap::new(),
             cache: HotKeyCache::new(config.cache_capacity, config.cache_ttl),
             read_outcomes: Vec::new(),
@@ -417,6 +411,34 @@ impl TreePNode {
             self_addr: self.addr.expect("node not started"),
             max_ttl: self.config.max_ttl,
         }
+    }
+
+    /// Write `(stamp, value)` to the local store by its one rule
+    /// ([`DhtStore::merge`]): a copy pushed here, a put this node is
+    /// responsible for and a repair are all this call. An applied write also
+    /// refreshes a hot-key cache line this node holds for the key, so a get
+    /// served from that line does not return what the store has just
+    /// replaced. Returns true when the write was applied.
+    fn apply_write(
+        &mut self,
+        key: NodeId,
+        stamp: VersionStamp,
+        value: Vec<u8>,
+        now: SimTime,
+    ) -> bool {
+        let applied = self.store.merge(key, stamp, value);
+        if applied {
+            let held = self.store.get(key).expect("just merged");
+            self.cache.repair(key, stamp, held, now);
+            self.store_changed();
+        }
+        applied
+    }
+
+    /// `stats.dht_values_stored` follows the store: called after every
+    /// change to it.
+    fn store_changed(&mut self) {
+        self.stats.dht_values_stored = self.store.len() as u64;
     }
 
     fn send(&mut self, ctx: &mut Context<'_, TreePMessage>, dest: NodeAddr, msg: TreePMessage) {

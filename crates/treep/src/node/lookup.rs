@@ -186,10 +186,11 @@ impl TreePNode {
                 ..
             } => {
                 // Responsible node: store locally and place the k-1 replica
-                // copies on the key's nearest registry neighbours.
-                self.push_replicas(key, &value, ctx);
-                self.store.put(key, value);
-                self.stats.dht_values_stored = self.store.len() as u64;
+                // copies on the key's nearest registry neighbours. The new
+                // bytes go under whatever stamp the key already carries.
+                self.push_replicas(key, VersionStamp::LEGACY, &value, ctx);
+                let held = self.store.stamp(key).unwrap_or(VersionStamp::LEGACY);
+                self.apply_write(key, held, value, ctx.now());
                 let ack = TreePMessage::DhtPutAck {
                     request_id,
                     key,

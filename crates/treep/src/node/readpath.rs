@@ -79,24 +79,7 @@ impl TreePNode {
     /// The stamp of the locally stored copy of `key`, if any (values stored
     /// by the unversioned paths carry [`VersionStamp::LEGACY`]).
     pub fn stored_stamp(&self, key: NodeId) -> Option<VersionStamp> {
-        if self.store.contains(key) {
-            Some(
-                self.versions
-                    .get(&key)
-                    .copied()
-                    .unwrap_or(VersionStamp::LEGACY),
-            )
-        } else {
-            None
-        }
-    }
-
-    fn stored_value(&self, key: NodeId) -> Option<StampedValue> {
-        let stamp = self.stored_stamp(key)?;
-        self.store.get(key).map(|v| StampedValue {
-            stamp,
-            value: v.clone(),
-        })
+        self.store.stamp(key)
     }
 
     /// Merge `stamp` into the highest-observed table (monotonic-reads
@@ -106,29 +89,6 @@ impl TreePNode {
         if stamp > *slot {
             *slot = stamp;
         }
-    }
-
-    /// Apply `(stamp, value)` to the local store last-write-wins: a
-    /// strictly staler stamp is rejected, anything else is stored, the
-    /// version table updated and any matching hot-key cache line refreshed
-    /// in place. Returns true when the write was applied.
-    pub(super) fn store_stamped(
-        &mut self,
-        key: NodeId,
-        stamp: VersionStamp,
-        value: &[u8],
-        now: SimTime,
-    ) -> bool {
-        if self.stored_stamp(key).is_some_and(|cur| cur > stamp) {
-            return false;
-        }
-        self.store.put(key, value.to_vec());
-        self.versions.insert(key, stamp);
-        self.stats.dht_values_stored = self.store.len() as u64;
-        if self.config.cache_capacity > 0 {
-            self.cache.repair(key, stamp, value, now);
-        }
-        true
     }
 
     // ---- request routing -------------------------------------------------------
@@ -157,7 +117,7 @@ impl TreePNode {
             KeyHop::Responsible => {
                 // The store is authoritative here, so the cache (which
                 // could lag it) is not consulted.
-                let value = self.stored_value(key);
+                let value = self.store.stamped(key).cloned();
                 return self.serve_read(msg, value, ReadSource::Responsible, ctx);
             }
         };
@@ -173,7 +133,7 @@ impl TreePNode {
             }
         }
         if self.config.replica_reads {
-            if let Some(sv) = self.stored_value(key) {
+            if let Some(sv) = self.store.stamped(key).cloned() {
                 if satisfies(sv.stamp) {
                     self.stats.replica_served_gets += 1;
                     ctx.trace_note("replica_serve");
@@ -225,17 +185,15 @@ impl TreePNode {
                 // pass-through and the line's expiry would return the
                 // pre-write version (`repair` never grants new slots, so
                 // uncached hops stay untouched).
-                if self.config.cache_capacity > 0 {
-                    self.cache.repair(key, stamp, value, ctx.now());
-                }
+                self.cache.repair(key, stamp, value, ctx.now());
                 self.pass_on(next, msg, ctx);
             }
             KeyHop::Responsible => {
-                // Apply last-write-wins, place stamped replica copies, and
+                // Apply last-write-wins, place the replica copies, and
                 // acknowledge either way (a losing write is still durably
                 // resolved).
-                if self.store_stamped(key, stamp, value, ctx.now()) {
-                    self.push_stamped_replicas(key, stamp, value, ctx);
+                if self.apply_write(key, stamp, value.clone(), ctx.now()) {
+                    self.push_replicas(key, stamp, value, ctx);
                 }
                 let ack = TreePMessage::PutVersionedAck {
                     request_id,
@@ -246,38 +204,6 @@ impl TreePNode {
                 self.answer(origin.addr, ack, ctx);
             }
         }
-    }
-
-    /// Stamped replica placement: push the fresh copy to the key's `k - 1`
-    /// nearest registry neighbours as `ReadRepair`s (which preserve the
-    /// stamp, unlike the unversioned `ReplicaPut`).
-    fn push_stamped_replicas(
-        &mut self,
-        key: NodeId,
-        stamp: VersionStamp,
-        value: &[u8],
-        ctx: &mut Context<'_, TreePMessage>,
-    ) {
-        if self.config.replication_factor <= 1 {
-            return;
-        }
-        let me = self.peer_info();
-        let targets =
-            self.copy_targets(key, self.config.replication_factor as usize - 1, ctx.now());
-        for addr in targets {
-            self.send(
-                ctx,
-                addr,
-                TreePMessage::ReadRepair {
-                    sender: me,
-                    key,
-                    stamp,
-                    value: value.to_vec(),
-                },
-            );
-        }
-        // Fire-and-forget placement, same as the unversioned path: the next
-        // anti-entropy round's digests notice a lost copy.
     }
 
     // ---- reply path ------------------------------------------------------------
@@ -355,16 +281,10 @@ impl TreePNode {
             unreachable!("handle_get_versioned_reply only handles GetVersionedReply")
         };
         let origin = *origin;
-        if self.config.cache_capacity > 0 {
-            if let Some(sv) = value {
-                let fill = self.cache.fill(*key, sv.stamp, &sv.value, ctx.now());
-                if fill.stored {
-                    self.stats.cache_fills += 1;
-                }
-                if fill.evicted {
-                    self.stats.cache_evictions += 1;
-                }
-            }
+        if let Some(sv) = value {
+            let fill = self.cache.fill(*key, sv.stamp, &sv.value, ctx.now());
+            self.stats.cache_fills += u64::from(fill.stored);
+            self.stats.cache_evictions += u64::from(fill.evicted);
         }
         if origin == self.addr.expect("node not started") {
             self.on_reply(msg, ctx.now());
@@ -391,13 +311,11 @@ impl TreePNode {
     ) {
         let now = ctx.now();
         self.learn_peer(sender, now);
-        if self.config.cache_capacity > 0 {
-            self.cache.repair(key, stamp, &value, now);
-        }
+        self.cache.repair(key, stamp, &value, now);
         let me_addr = self.addr.expect("node not started");
         if self.store.contains(key) || self.in_replica_set(key, self.id, me_addr) {
             self.stats.replica_values_received += 1;
-            self.store_stamped(key, stamp, &value, now);
+            self.apply_write(key, stamp, value, now);
         }
     }
 
@@ -423,32 +341,25 @@ impl TreePNode {
         match hop {
             KeyHop::Drop => {}
             KeyHop::Forward(next) => self.pass_on(next, msg, ctx),
-            KeyHop::Responsible => match self.stored_stamp(key) {
-                Some(fresh) if fresh > served_stamp => {
-                    // The server answered stale: push the authoritative copy
-                    // to it and re-place it on the replica set, so one stale
-                    // observation repairs every lagging replica.
-                    self.stats.read_repairs_issued += 1;
-                    let value = self.store.get(key).cloned().expect("stamped key is stored");
-                    let me = self.peer_info();
-                    self.send(
-                        ctx,
-                        server.addr,
-                        TreePMessage::ReadRepair {
-                            sender: me,
-                            key,
-                            stamp: fresh,
-                            value: value.clone(),
-                        },
-                    );
-                    self.push_stamped_replicas(key, fresh, &value, ctx);
-                }
+            KeyHop::Responsible => {
                 // Equal stamps are healthy. A copy the responsible node
                 // lacks reaches it through the next digest it exchanges
                 // with that replica; an older one is overwritten by the
                 // next stamped write or repair that reaches it.
-                _ => {}
-            },
+                let held = self.store.stamped(key);
+                if let Some(fresh) = held.filter(|h| h.stamp > served_stamp).cloned() {
+                    // The server answered stale: push the authoritative copy
+                    // to it and re-place it on the replica set, so one stale
+                    // observation repairs every lagging replica.
+                    self.stats.read_repairs_issued += 1;
+                    self.send(
+                        ctx,
+                        server.addr,
+                        self.copy_message(key, fresh.stamp, fresh.value.clone()),
+                    );
+                    self.push_replicas(key, fresh.stamp, &fresh.value, ctx);
+                }
+            }
         }
     }
 }

@@ -4,19 +4,21 @@
 //! The placement rule, the digest exchange and the repair round are
 //! documented in [`crate::replication`]; this layer implements them:
 //!
-//! * [`TreePNode::push_replicas`] places `k - 1` copies the moment a
-//!   `DhtPut` lands at the responsible node.
+//! * [`TreePNode::push_replicas`] places `k - 1` copies the moment a write
+//!   lands at the responsible node; [`TreePNode::copy_message`] decides
+//!   which wire message carries a copy, for placement and for every other
+//!   transfer of a stored value between two nodes.
 //! * Every [`super::TIMER_REPLICA`] round hands off keys with at least `2k`
-//!   known strictly-closer peers — pushing the value to the key's whole
-//!   replica set *before* dropping it, so a responsibility transfer never
-//!   reduces the number of live copies — and then sends one
+//!   known strictly-closer peers — the local copy leaves only together with
+//!   a push to the key's whole replica set, so a responsibility transfer
+//!   never reduces the number of live copies — and then sends one
 //!   [`TreePMessage::ReplicaDigest`] to each of the node's `k - 1` nearest
 //!   registry successors, over the interval of keys the two must both hold
 //!   ([`crate::tables::RoutingTables::replica_pair_range`]).
 //! * A digest that matches the receiver's own store is not answered. One
 //!   that differs is answered with a [`TreePMessage::ReplicaSyncRequest`]
-//!   over the same interval, and the request → reply → `ReplicaPut` /
-//!   `ReadRepair` exchange converges the two stores.
+//!   over the same interval, and the request → reply → copy exchange
+//!   converges the two stores.
 //!
 //! Every message of the layer travels one hop between two replicas and
 //! none is awaited: there is no in-flight entry, no timer besides the
@@ -90,32 +92,48 @@ impl TreePNode {
         live.take(count).map(|e| e.addr).collect()
     }
 
-    /// Push one copy of `(key, value)` to each of the `k - 1` nearest known
-    /// peers of the key coordinate. Called by the responsible node when a
-    /// `DhtPut` lands; fire-and-forget, the anti-entropy rounds repair any
-    /// lost copy.
+    /// The message that carries a copy of `key` to another holder. A
+    /// stamped value travels as `ReadRepair`, which keeps the stamp that
+    /// orders it; an unversioned one keeps the pre-versioning `ReplicaPut`,
+    /// so a deployment that never calls the versioned API stays
+    /// byte-identical on the wire.
+    pub(super) fn copy_message(
+        &self,
+        key: NodeId,
+        stamp: VersionStamp,
+        value: Vec<u8>,
+    ) -> TreePMessage {
+        let sender = self.peer_info();
+        if stamp.is_stamped() {
+            TreePMessage::ReadRepair {
+                sender,
+                key,
+                stamp,
+                value,
+            }
+        } else {
+            TreePMessage::ReplicaPut { sender, key, value }
+        }
+    }
+
+    /// Push one copy of `(key, stamp, value)` to each of the `k - 1` nearest
+    /// known peers of the key coordinate. Called by the responsible node
+    /// when a write lands or a read-verify finds a replica behind;
+    /// fire-and-forget, the anti-entropy rounds repair any lost copy.
     pub(super) fn push_replicas(
         &mut self,
         key: NodeId,
+        stamp: VersionStamp,
         value: &[u8],
         ctx: &mut Context<'_, TreePMessage>,
     ) {
         if !self.replication_enabled() {
             return;
         }
-        let me = self.peer_info();
         let targets =
             self.copy_targets(key, self.config.replication_factor as usize - 1, ctx.now());
         for addr in targets {
-            self.send(
-                ctx,
-                addr,
-                TreePMessage::ReplicaPut {
-                    sender: me,
-                    key,
-                    value: value.to_vec(),
-                },
-            );
+            self.send(ctx, addr, self.copy_message(key, stamp, value.to_vec()));
         }
     }
 
@@ -130,20 +148,10 @@ impl TreePNode {
     ) {
         self.learn_peer(sender, ctx.now());
         self.stats.replica_values_received += 1;
-        // An unstamped copy never replaces a versioned one: the stamped
-        // value is the read path's last-write-wins winner, and this push
-        // carries no stamp to beat it with (see `crate::readpath`).
-        if self
-            .stored_stamp(key)
-            .is_some_and(|s| s > crate::readpath::VersionStamp::LEGACY)
-        {
-            return;
-        }
-        // Otherwise stored unconditionally: the sender chose this node as a
-        // replica target, and a misplaced copy is corrected by the handoff
-        // sweep, while a rejected copy could be the key's last.
-        self.store.put(key, value);
-        self.stats.dht_values_stored = self.store.len() as u64;
+        // Not checked against the placement rule: the sender chose this
+        // node as a replica target, and a misplaced copy is corrected by
+        // the handoff sweep, while a rejected copy could be the key's last.
+        self.apply_write(key, VersionStamp::LEGACY, value, ctx.now());
     }
 
     pub(super) fn handle_replica_sync_request(
@@ -158,37 +166,30 @@ impl TreePNode {
         let offered: std::collections::BTreeSet<NodeId> = keys.iter().copied().collect();
         // Values the requester lacks — but only those it is actually a
         // replica of, so copies do not creep beyond the placement rule.
-        // Stamped values travel separately as `ReadRepair` so the version
+        // Stamped values travel one copy message each, so the version
         // survives the transfer; only unstamped (legacy) values ride in
         // the reply's entry list, keeping the pre-versioning wire bytes.
-        let mut entries: Vec<ReplicaEntry> = Vec::new();
-        let mut stamped: Vec<(NodeId, crate::readpath::VersionStamp, Vec<u8>)> = Vec::new();
-        for (k, v) in self
+        let (stamped, unstamped): (Vec<_>, Vec<_>) = self
             .store
             .entries_in_range(range)
             .filter(|(k, _)| !offered.contains(k))
             .filter(|(k, _)| self.in_replica_set(**k, sender.id, sender.addr))
-        {
-            match self.versions.get(k).copied().filter(|s| s.version > 0) {
-                Some(stamp) => stamped.push((*k, stamp, v.clone())),
-                None => entries.push(ReplicaEntry {
-                    key: *k,
-                    value: v.clone(),
-                }),
-            }
-        }
-        for (key, stamp, value) in stamped {
+            .map(|(k, held)| (*k, held.clone()))
+            .partition(|(_, held)| held.stamp.is_stamped());
+        for (key, held) in stamped {
             self.send(
                 ctx,
                 sender.addr,
-                TreePMessage::ReadRepair {
-                    sender: me,
-                    key,
-                    stamp,
-                    value,
-                },
+                self.copy_message(key, held.stamp, held.value),
             );
         }
+        let entries: Vec<ReplicaEntry> = unstamped
+            .into_iter()
+            .map(|(key, held)| ReplicaEntry {
+                key,
+                value: held.value,
+            })
+            .collect();
         // Keys the requester offered that this node lacks and should hold.
         let want: Vec<NodeId> = keys
             .into_iter()
@@ -220,37 +221,15 @@ impl TreePNode {
         self.learn_peer(sender, ctx.now());
         for entry in entries {
             self.stats.replica_values_received += 1;
-            // Same guard as `handle_replica_put`: unstamped sync entries
-            // never replace a versioned value.
-            if self
-                .stored_stamp(entry.key)
-                .is_some_and(|s| s > crate::readpath::VersionStamp::LEGACY)
-            {
-                continue;
-            }
-            self.store.put(entry.key, entry.value);
+            self.apply_write(entry.key, VersionStamp::LEGACY, entry.value, ctx.now());
         }
-        self.stats.dht_values_stored = self.store.len() as u64;
-        let me = self.peer_info();
         for key in want {
-            if let Some(value) = self.store.get(key).cloned() {
-                // A stamped copy travels as `ReadRepair` so the stamp
-                // survives the transfer; unstamped values keep the legacy
-                // wire message.
-                let msg = match self.stored_stamp(key).filter(|s| s.version > 0) {
-                    Some(stamp) => TreePMessage::ReadRepair {
-                        sender: me,
-                        key,
-                        stamp,
-                        value,
-                    },
-                    None => TreePMessage::ReplicaPut {
-                        sender: me,
-                        key,
-                        value,
-                    },
-                };
-                self.send(ctx, sender.addr, msg);
+            if let Some(held) = self.store.stamped(key).cloned() {
+                self.send(
+                    ctx,
+                    sender.addr,
+                    self.copy_message(key, held.stamp, held.value),
+                );
             }
         }
     }
@@ -332,9 +311,10 @@ impl TreePNode {
     }
 
     /// Hand off stored keys this node has clearly left the replica set of —
-    /// at least `2k` known peers strictly closer: push the value to the
-    /// key's whole replica set first, then drop the local copy, so the
-    /// transfer itself can only *increase* the number of live copies. The
+    /// at least `2k` known peers strictly closer: the local copy is dropped
+    /// only in the same step that pushes it, stamp and all, to the key's
+    /// whole replica set, so the transfer itself can only *increase* the
+    /// number of live copies. The
     /// `2k` slack (not `k`) is deliberate: right after a failure batch the
     /// registry can still hold up-to-`entry_ttl`-stale entries for dead
     /// closer peers, and a `k` threshold could push a key's **last** copy
@@ -342,42 +322,29 @@ impl TreePNode {
     /// under-retention never is; unknown closer peers only ever delay a
     /// handoff.
     fn handoff_misplaced_keys(&mut self, ctx: &mut Context<'_, TreePMessage>) {
-        let me = self.peer_info();
+        let me = self.addr.expect("node not started");
         let k = self.config.replication_factor as usize;
-        let victims: Vec<(NodeId, Vec<u8>)> = self
+        let victims: Vec<NodeId> = self
             .store
             .iter()
-            .filter(|(key, _)| self.replica_rank(**key, self.id, me.addr, 2 * k) >= 2 * k)
-            .map(|(key, value)| (*key, value.clone()))
+            .map(|(key, _)| *key)
+            .filter(|key| self.replica_rank(*key, self.id, me, 2 * k) >= 2 * k)
             .collect();
-        for (key, value) in victims {
+        for key in victims {
             let targets = self.copy_targets(key, k, ctx.now());
             if targets.is_empty() {
                 continue; // nowhere to hand off to: keep the copy
             }
             self.stats.replica_handoffs += 1;
-            // Hand stamped keys off as `ReadRepair` so the responsibility
-            // transfer preserves the last-write-wins stamp.
-            let stamp = self.stored_stamp(key).filter(|s| s.version > 0);
+            let held = self.store.remove(key).expect("victims are stored keys");
             for addr in targets {
-                let msg = match stamp {
-                    Some(stamp) => TreePMessage::ReadRepair {
-                        sender: me,
-                        key,
-                        stamp,
-                        value: value.clone(),
-                    },
-                    None => TreePMessage::ReplicaPut {
-                        sender: me,
-                        key,
-                        value: value.clone(),
-                    },
-                };
-                self.send(ctx, addr, msg);
+                self.send(
+                    ctx,
+                    addr,
+                    self.copy_message(key, held.stamp, held.value.clone()),
+                );
             }
-            self.store.remove(key);
-            self.versions.remove(&key);
         }
-        self.stats.dht_values_stored = self.store.len() as u64;
+        self.store_changed();
     }
 }

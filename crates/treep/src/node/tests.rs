@@ -1612,24 +1612,28 @@ fn a_fresh_node_pulls_its_share_from_its_predecessors_digest() {
 
 #[test]
 fn a_stamped_value_crosses_as_read_repair_with_its_stamp() {
-    let mut nodes = replicas(&[100, 200, 300]);
-    let stamp = VersionStamp {
-        version: 7,
-        origin: NodeId(100),
-    };
-    let now = SimTime::from_millis(1);
-    replica(&mut nodes, 100).store_stamped(NodeId(210), stamp, b"v7", now);
-    let delivered = replica_round(&mut nodes);
-    assert!(
-        delivered.iter().any(|(dest, msg)| *dest == NodeAddr(200)
-            && matches!(msg, TreePMessage::ReadRepair { key, stamp: s, .. }
-                if *key == NodeId(210) && *s == stamp)),
-        "{delivered:?}"
-    );
-    assert_eq!(count_kind(&delivered, MessageKind::ReplicaPut), 0);
-    for node in &nodes {
-        assert_eq!(node.stored_stamp(NodeId(210)), Some(stamp), "{:?}", node.id);
-        assert_eq!(node.store.get(NodeId(210)), Some(&b"v7".to_vec()));
+    // The second stamp is one only a decoded datagram can carry: version 0,
+    // yet not the floor. Sender and receiver must agree that it is a stamp.
+    for (version, origin) in [(7, 100), (0, 5)] {
+        let mut nodes = replicas(&[100, 200, 300]);
+        let stamp = VersionStamp {
+            version,
+            origin: NodeId(origin),
+        };
+        let now = SimTime::from_millis(1);
+        replica(&mut nodes, 100).apply_write(NodeId(210), stamp, b"v7".to_vec(), now);
+        let delivered = replica_round(&mut nodes);
+        assert!(
+            delivered.iter().any(|(dest, msg)| *dest == NodeAddr(200)
+                && matches!(msg, TreePMessage::ReadRepair { key, stamp: s, .. }
+                    if *key == NodeId(210) && *s == stamp)),
+            "{delivered:?}"
+        );
+        assert_eq!(count_kind(&delivered, MessageKind::ReplicaPut), 0);
+        for node in &nodes {
+            assert_eq!(node.stored_stamp(NodeId(210)), Some(stamp), "{:?}", node.id);
+            assert_eq!(node.store.get(NodeId(210)), Some(&b"v7".to_vec()));
+        }
     }
 }
 

@@ -31,9 +31,10 @@
 //!   the served stamp. A responsible node holding a fresher stamp answers
 //!   with `ReadRepair` (the full stamped value) to the serving node *and*
 //!   re-pushes the fresh copy to the key's replica set, so one stale
-//!   observation repairs every lagging replica. A responsible node that is
-//!   itself behind marks its repair state dirty and lets the anti-entropy
-//!   round pull the newer copy.
+//!   observation repairs every lagging replica. A responsible node that
+//!   lacks the key gets it when it next compares digests with that replica;
+//!   one that holds a staler copy keeps it until a stamped write or repair
+//!   reaches it, since the digests cover keys, not stamps.
 //! * **Hot-key cache** (`cache_capacity` / `cache_ttl`) — every routing hop
 //!   keeps a bounded LRU of recently served values ([`HotKeyCache`]). A
 //!   `GetVersioned` records its route; the reply walks back hop by hop,
@@ -51,9 +52,13 @@
 //!   has observed per key and sends it as `min_stamp`; a replica or cache
 //!   line with a staler stamp is treated as a miss and the request routes
 //!   onward. A client therefore never reads backwards through a cache.
-//! * **Stamps never regress.** A store or cache holding stamp `s` only
-//!   accepts writes with stamp `> s` (byte-identical rewrites aside);
-//!   unstamped legacy values never replace a stamped one.
+//! * **Stamps never regress.** A value is stored together with its stamp,
+//!   and [`crate::dht::DhtStore::merge`] is the one function that decides
+//!   whether a write replaces what a store holds: it refuses only a stamp
+//!   strictly below the held one, so an unstamped legacy value — which
+//!   carries no stamp to win with — never replaces a stamped one, whichever
+//!   message brought it. [`HotKeyCache::fill`] and [`HotKeyCache::repair`]
+//!   apply the same comparison to a cache line.
 //! * **Defaults off, wire-identical.** All four config knobs default to
 //!   off/zero; a deployment that never calls the versioned API sends no new
 //!   message and stays byte-identical on the wire (the codec's golden
@@ -87,6 +92,14 @@ impl VersionStamp {
         version: 0,
         origin: NodeId(0),
     };
+
+    /// True for every stamp but the [`VersionStamp::LEGACY`] floor: the value
+    /// under it was written through the versioned API, so a copy of it must
+    /// travel with the stamp (as a `ReadRepair`) to keep its place in the
+    /// last-write-wins order.
+    pub fn is_stamped(self) -> bool {
+        self > Self::LEGACY
+    }
 
     /// The stamp a writer with identifier `origin` uses after having
     /// observed `observed` (or nothing) for the key.
@@ -242,11 +255,6 @@ impl HotKeyCache {
         }
     }
 
-    /// True when the cache can never hold a line.
-    pub fn is_disabled(&self) -> bool {
-        self.capacity == 0
-    }
-
     /// Number of live lines (expired lines may still be counted until the
     /// next touch reaps them).
     pub fn len(&self) -> usize {
@@ -277,14 +285,6 @@ impl HotKeyCache {
             }
             None => None,
         }
-    }
-
-    /// The stamp of the live line for `key`, without touching LRU order.
-    pub fn peek_stamp(&self, key: NodeId, now: SimTime) -> Option<VersionStamp> {
-        self.lines
-            .get(&key)
-            .filter(|line| line.expires_at > now)
-            .map(|line| line.stamp)
     }
 
     /// Offer `(stamp, value)` for `key` at `now`. Version-checked: an
@@ -360,11 +360,6 @@ impl HotKeyCache {
         line.last_used = self.clock;
         true
     }
-
-    /// Drop the line for `key`, if any.
-    pub fn invalidate(&mut self, key: NodeId) -> bool {
-        self.lines.remove(&key).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -384,6 +379,9 @@ mod tests {
         assert!(stamp(2, 5) > stamp(2, 3));
         assert_eq!(stamp(2, 5), stamp(2, 5));
         assert!(VersionStamp::LEGACY < stamp(1, 0));
+        // Only the floor itself is unstamped, a zero version included.
+        assert!(!VersionStamp::LEGACY.is_stamped());
+        assert!(stamp(0, 5).is_stamped() && stamp(1, 0).is_stamped());
         // `next` bumps past whatever was observed.
         let n = VersionStamp::next(Some(stamp(7, 3)), NodeId(5));
         assert_eq!(n, stamp(8, 5));
@@ -394,7 +392,6 @@ mod tests {
     #[test]
     fn disabled_cache_is_inert() {
         let mut cache = HotKeyCache::new(0, SimDuration::from_millis(100));
-        assert!(cache.is_disabled());
         let fill = cache.fill(NodeId(1), stamp(1, 1), b"v", SimTime::ZERO);
         assert!(!fill.stored && !fill.evicted);
         assert!(cache.get(NodeId(1), SimTime::ZERO).is_none());
@@ -475,8 +472,6 @@ mod tests {
             !cache.repair(NodeId(1), stamp(2, 1), b"older", t0),
             "repair never downgrades"
         );
-        assert!(cache.invalidate(NodeId(1)));
-        assert!(!cache.invalidate(NodeId(1)));
     }
 
     #[test]

@@ -66,8 +66,8 @@
 //! every slot. Batch removals stay linear, never quadratic:
 //! [`RoutingTables::expire`] is one `retain` sweep and
 //! [`RoutingTables::prune_level0`] one pass that clears bits followed by
-//! at most one `retain`. `bench table_routing` measures all of this from
-//! n = 32 to n = 100 000.
+//! at most one `retain`. The `treep.tables.*_ns` legs of the benchmark
+//! (`benchmark/src/legs.rs`) time these operations.
 //!
 //! The registry additionally records the **exact subtree extent** each own
 //! child reported ([`RoutingTables::record_child_span`], piggy-backed on
