@@ -186,11 +186,13 @@ impl TreePNode {
                 ..
             } => {
                 // Responsible node: store locally and place the k-1 replica
-                // copies on the key's nearest registry neighbours. The new
-                // bytes go under whatever stamp the key already carries.
-                self.push_replicas(key, VersionStamp::LEGACY, &value, ctx);
-                let held = self.store.stamp(key).unwrap_or(VersionStamp::LEGACY);
-                self.apply_write(key, held, value, ctx.now());
+                // copies on the key's nearest registry neighbours. Like a
+                // copy arriving at a replica, the put is an unstamped write
+                // and loses to a stamped value held; it is acknowledged
+                // either way, as a losing `PutVersioned` is.
+                if self.apply_write(key, VersionStamp::LEGACY, value.clone(), ctx.now()) {
+                    self.push_replicas(key, VersionStamp::LEGACY, &value, ctx);
+                }
                 let ack = TreePMessage::DhtPutAck {
                     request_id,
                     key,

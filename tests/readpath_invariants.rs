@@ -188,3 +188,61 @@ fn traces_replay_deterministically() {
         "same seed must replay the identical observation trace"
     );
 }
+
+/// One key written through both put paths: the unversioned write carries no
+/// stamp to win with, so after it every holder — the responsible node
+/// included — must still store the stamped bytes under their stamp, and a
+/// versioned get must return that pair. (The responsible node once took the
+/// unversioned bytes under the old stamp while its replicas refused them.)
+#[test]
+fn an_unversioned_put_never_splits_a_stamped_key() {
+    let mut config = TreePConfig::paper_case_fixed();
+    config.replication_factor = 3;
+    let space = config.space;
+    let (mut sim, topo) = TopologyBuilder::new(200)
+        .with_config(config)
+        .build_simulation(23);
+    let key = b"written-both-ways".to_vec();
+    let coord = treep::hash_key(space, &key);
+    let client = |i: usize| topo.nodes[i].addr;
+
+    let k = key.clone();
+    sim.invoke(client(10), move |node, ctx| {
+        node.dht_put_versioned(&k, b"v1".to_vec(), ctx);
+    });
+    sim.run_for(SimDuration::from_secs(1));
+    let k = key.clone();
+    sim.invoke(client(120), move |node, ctx| {
+        node.dht_put(&k, b"v2".to_vec(), ctx);
+    });
+    // Two anti-entropy rounds on every node.
+    for _ in 0..2 {
+        sim.run_for(config.replica_sync_interval);
+    }
+
+    let holders: Vec<_> = topo
+        .nodes
+        .iter()
+        .filter_map(|n| sim.node(n.addr))
+        .filter_map(|node| node.dht_store().stamped(coord).cloned())
+        .collect();
+    assert!(holders.len() >= 3, "{holders:?}");
+    let written = treep::StampedValue {
+        stamp: VersionStamp::next(None, topo.nodes[10].id),
+        value: b"v1".to_vec(),
+    };
+    for held in &holders {
+        assert_eq!(held, &written, "holders diverge: {holders:?}");
+    }
+
+    let k = key.clone();
+    sim.invoke(client(60), move |node, ctx| {
+        node.dht_get_versioned(&k, ctx);
+    });
+    sim.run_for(SimDuration::from_secs(2));
+    let outcomes = sim.node_mut(client(60)).unwrap().drain_read_outcomes();
+    let [ReadOutcome::Got { value, .. }] = &outcomes[..] else {
+        panic!("the get must be answered: {outcomes:?}");
+    };
+    assert_eq!(value.as_ref(), Some(&written));
+}

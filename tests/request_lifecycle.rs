@@ -39,6 +39,13 @@
 //! `0x2066_408f_11a1_5e5b` / `0x366e_4bae_b83d_3afe`,
 //! `0x73e2_73f9_c9c7_a599` / `0x08ef_bb42_b95a_d54e`,
 //! `0xa6bd_2c4e_8ad1_bfd9` / `0xc68b_e2d2_b374_6426`).
+//! PR 23 moved the stamps into the store with all six unchanged, and then
+//! moved all six with a fix, on purpose: this trace draws `dht_put` and
+//! `dht_put_versioned` from one key set, and an unversioned put no longer
+//! overwrites a stamped value at the responsible node (outcome / event
+//! digests before it: `0x87b3_1912_0cb2_f284` / `0x1d6d_b639_e0a4_4b36`,
+//! `0xf9ee_88dc_a93d_c08c` / `0xa2e1_9e2c_a51b_b5ff`,
+//! `0x5f50_2e2a_885c_44a6` / `0xc378_ab87_16ae_af61`).
 
 use simnet::{LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
 use treep::{
@@ -55,9 +62,9 @@ const TOPICS: u64 = 3;
 
 /// `(seed, outcome digest, event digest)`.
 const PINS: [(u64, u64, u64); 3] = [
-    (1, 0x87b3_1912_0cb2_f284, 0x1d6d_b639_e0a4_4b36),
-    (2, 0xf9ee_88dc_a93d_c08c, 0xa2e1_9e2c_a51b_b5ff),
-    (3, 0x5f50_2e2a_885c_44a6, 0xc378_ab87_16ae_af61),
+    (1, 0x970f_403d_4068_90bc, 0x70d4_04d0_d97c_3d7d),
+    (2, 0xa796_da0b_eb7d_0ed4, 0xb51d_f1d7_b5f6_a2b8),
+    (3, 0x73f1_d764_8e8d_daf2, 0xf9bc_e2e5_a402_7cba),
 ];
 
 struct Run {
