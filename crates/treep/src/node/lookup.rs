@@ -190,8 +190,8 @@ impl TreePNode {
                 // copy arriving at a replica, the put is an unstamped write
                 // and loses to a stamped value held; it is acknowledged
                 // either way, as a losing `PutVersioned` is.
-                if self.apply_write(key, VersionStamp::LEGACY, value.clone(), ctx.now()) {
-                    self.push_replicas(key, VersionStamp::LEGACY, &value, ctx);
+                if self.apply_write(key, VersionStamp::LEGACY, value, ctx.now()) {
+                    self.push_replicas(key, ctx);
                 }
                 let ack = TreePMessage::DhtPutAck {
                     request_id,

@@ -196,9 +196,9 @@ impl TreePNode {
         }
         let subscribers = set.len() as u32;
         let value = encode_subscriber_set(&set);
-        self.push_replicas(topic, VersionStamp::LEGACY, &value, ctx);
         self.store.put(topic, value);
         self.store_changed();
+        self.push_replicas(topic, ctx);
         let ack = TreePMessage::SubscribeAck {
             request_id,
             topic,

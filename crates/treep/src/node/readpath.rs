@@ -193,7 +193,7 @@ impl TreePNode {
                 // acknowledge either way (a losing write is still durably
                 // resolved).
                 if self.apply_write(key, stamp, value.clone(), ctx.now()) {
-                    self.push_replicas(key, stamp, value, ctx);
+                    self.push_replicas(key, ctx);
                 }
                 let ack = TreePMessage::PutVersionedAck {
                     request_id,
@@ -352,12 +352,8 @@ impl TreePNode {
                     // to it and re-place it on the replica set, so one stale
                     // observation repairs every lagging replica.
                     self.stats.read_repairs_issued += 1;
-                    self.send(
-                        ctx,
-                        server.addr,
-                        self.copy_message(key, fresh.stamp, fresh.value.clone()),
-                    );
-                    self.push_replicas(key, fresh.stamp, &fresh.value, ctx);
+                    self.send(ctx, server.addr, self.copy_message(key, fresh));
+                    self.push_replicas(key, ctx);
                 }
             }
         }

@@ -30,6 +30,7 @@
 //! paper's single-copy DHT.
 
 use super::*;
+use crate::readpath::StampedValue;
 use crate::replication::ReplicaEntry;
 
 impl TreePNode {
@@ -97,12 +98,8 @@ impl TreePNode {
     /// orders it; an unversioned one keeps the pre-versioning `ReplicaPut`,
     /// so a deployment that never calls the versioned API stays
     /// byte-identical on the wire.
-    pub(super) fn copy_message(
-        &self,
-        key: NodeId,
-        stamp: VersionStamp,
-        value: Vec<u8>,
-    ) -> TreePMessage {
+    pub(super) fn copy_message(&self, key: NodeId, copy: StampedValue) -> TreePMessage {
+        let StampedValue { stamp, value } = copy;
         let sender = self.peer_info();
         if stamp.is_stamped() {
             TreePMessage::ReadRepair {
@@ -116,24 +113,22 @@ impl TreePNode {
         }
     }
 
-    /// Push one copy of `(key, stamp, value)` to each of the `k - 1` nearest
-    /// known peers of the key coordinate. Called by the responsible node
-    /// when a write lands or a read-verify finds a replica behind;
-    /// fire-and-forget, the anti-entropy rounds repair any lost copy.
-    pub(super) fn push_replicas(
-        &mut self,
-        key: NodeId,
-        stamp: VersionStamp,
-        value: &[u8],
-        ctx: &mut Context<'_, TreePMessage>,
-    ) {
+    /// Push one copy of what this node holds under `key` to each of the
+    /// `k - 1` nearest known peers of the key coordinate. Called by the
+    /// responsible node when a write has landed or a read-verify finds a
+    /// replica behind; fire-and-forget, the anti-entropy rounds repair any
+    /// lost copy.
+    pub(super) fn push_replicas(&mut self, key: NodeId, ctx: &mut Context<'_, TreePMessage>) {
         if !self.replication_enabled() {
             return;
         }
+        let Some(held) = self.store.stamped(key).cloned() else {
+            return;
+        };
         let targets =
             self.copy_targets(key, self.config.replication_factor as usize - 1, ctx.now());
         for addr in targets {
-            self.send(ctx, addr, self.copy_message(key, stamp, value.to_vec()));
+            self.send(ctx, addr, self.copy_message(key, held.clone()));
         }
     }
 
@@ -177,11 +172,7 @@ impl TreePNode {
             .map(|(k, held)| (*k, held.clone()))
             .partition(|(_, held)| held.stamp.is_stamped());
         for (key, held) in stamped {
-            self.send(
-                ctx,
-                sender.addr,
-                self.copy_message(key, held.stamp, held.value),
-            );
+            self.send(ctx, sender.addr, self.copy_message(key, held));
         }
         let entries: Vec<ReplicaEntry> = unstamped
             .into_iter()
@@ -225,11 +216,7 @@ impl TreePNode {
         }
         for key in want {
             if let Some(held) = self.store.stamped(key).cloned() {
-                self.send(
-                    ctx,
-                    sender.addr,
-                    self.copy_message(key, held.stamp, held.value),
-                );
+                self.send(ctx, sender.addr, self.copy_message(key, held));
             }
         }
     }
@@ -338,11 +325,7 @@ impl TreePNode {
             self.stats.replica_handoffs += 1;
             let held = self.store.remove(key).expect("victims are stored keys");
             for addr in targets {
-                self.send(
-                    ctx,
-                    addr,
-                    self.copy_message(key, held.stamp, held.value.clone()),
-                );
+                self.send(ctx, addr, self.copy_message(key, held.clone()));
             }
         }
         self.store_changed();
