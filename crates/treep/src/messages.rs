@@ -695,6 +695,22 @@ impl TreePMessage {
         }
     }
 
+    /// The `(origin address, request)` the per-hop ack of this message
+    /// names, when it is one of the two kinds the reliability layer sends
+    /// hop by hop. With the destination and [`TreePMessage::kind`] it
+    /// identifies one unacknowledged transmission.
+    pub(crate) fn hop_acked_as(&self) -> Option<(NodeAddr, RequestId)> {
+        match self {
+            TreePMessage::MulticastDown {
+                origin, request_id, ..
+            }
+            | TreePMessage::AggregateUp {
+                origin, request_id, ..
+            } => Some((origin.addr, *request_id)),
+            _ => None,
+        }
+    }
+
     /// The key coordinate this message is routed toward and its hop
     /// counter, when it is one of the kinds that descend greedily toward a
     /// key.

@@ -359,8 +359,11 @@ pub enum ReplyTo {
     SelfOrigin,
 }
 
-/// In-flight convergecast state at a node that delegated an aggregation to
-/// one or more children / bus neighbours and is waiting for their partials.
+/// One node's branch of a convergecast: what it has folded so far and where
+/// the fold goes. A node that delegated the aggregation to children / bus
+/// neighbours holds it (keyed by the round its hold timer carries) until
+/// their partials are in or the timer fires; a node with nobody to delegate
+/// to reports it at once with `expected == 0`.
 #[derive(Debug, Clone)]
 pub struct AggregateRelay {
     /// The aggregation origin (its address scopes `request_id`).
@@ -440,41 +443,27 @@ impl<K: Ord + Copy> SeenWindow<K> {
 
 // ---- reliability layer state ------------------------------------------------
 
-/// Which reliable message class a pending transmission belongs to. The same
-/// peer can legitimately owe acks for a delegated descent
-/// ([`crate::messages::TreePMessage::MulticastDown`]) *and* a convergecast
-/// report ([`crate::messages::TreePMessage::AggregateUp`]) of the same
-/// multicast — e.g. a descent root reached by its own child's ascent fans
-/// the descent out to that child and later reports the final fold to it when
-/// the child is the origin — so the kind is part of the pending key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RetxKind {
-    /// A delegated dissemination hop (`MulticastDown`).
-    Down,
-    /// A convergecast report hop (`AggregateUp`).
-    Up,
-}
-
 /// One unacknowledged reliable transmission, waiting in a node's bounded
 /// retransmission queue (see the state machine in
-/// [`crate::node`]'s multicast layer). Identified at the sender by
-/// `(kind, dest, origin, request_id)`: a node never sends the same
-/// multicast (or fold) twice to the same peer, so an arriving ack maps to
-/// exactly one pending entry.
+/// [`crate::node`]'s multicast layer). An ack names the sender it comes
+/// from, the kind it acknowledges and an `(origin, request)`; the entry it
+/// ends is the one whose `dest`, `msg.kind()` and `msg.hop_acked_as()` are
+/// those. A node never sends the same multicast (or fold) twice to the same
+/// peer, so that is at most one entry — but the kind is part of the key:
+/// one peer can owe acks for a delegated descent
+/// ([`crate::messages::TreePMessage::MulticastDown`]) *and* a convergecast
+/// report ([`crate::messages::TreePMessage::AggregateUp`]) of the same
+/// multicast, e.g. a descent root reached by its own child's ascent fans
+/// the descent out to that child and later reports the final fold to it
+/// when the child is the origin.
 #[derive(Debug, Clone)]
 pub struct PendingRetx {
-    /// Which reliable message class the transmission belongs to.
-    pub kind: RetxKind,
     /// The peer whose ack is awaited.
     pub dest: NodeAddr,
     /// The destination's overlay identifier, when the sender knows it (it
     /// always does for dissemination hops, which are routed by registry
     /// entries). Used to aim the re-route once the hop is declared dead.
     pub dest_id: Option<NodeId>,
-    /// Address of the multicast's initiator (scopes `request_id`).
-    pub origin: NodeAddr,
-    /// Identifier of the multicast at its origin.
-    pub request_id: RequestId,
     /// The exact message to retransmit.
     pub msg: crate::messages::TreePMessage,
     /// Retransmissions still allowed before the hop is declared dead.

@@ -53,7 +53,7 @@ use crate::election::ElectionState;
 use crate::entry::PeerInfo;
 use crate::id::NodeId;
 use crate::lookup::{LookupOutcome, RequestId};
-use crate::messages::TreePMessage;
+use crate::messages::{MessageKind, TreePMessage};
 use crate::multicast::{
     AggregateOutcome, AggregateRelay, KeyRange, MulticastDelivery, PendingRetx, SeenWindow,
 };
@@ -554,26 +554,13 @@ impl Protocol for TreePNode {
                 count,
             } => self.handle_replica_digest(sender, range, xor, count, ctx),
             // ---- multicast / aggregation layer -------------------------
-            TreePMessage::MulticastDown {
-                origin,
-                request_id,
-                range,
-                payload,
-                budget,
-                hops,
-                phase,
-                bus_level,
-            } => {
-                self.dispatch_multicast(
-                    from, origin, request_id, range, payload, budget, hops, phase, bus_level, ctx,
-                );
-            }
+            TreePMessage::MulticastDown { .. } => self.dispatch_multicast(from, msg, ctx),
             TreePMessage::AggregateUp { .. } => self.handle_aggregate_up(from, msg, ctx),
             TreePMessage::MulticastAck { origin, request_id } => {
-                self.handle_multicast_ack(from, origin, request_id);
+                self.hop_acked(MessageKind::MulticastDown, from, origin, request_id)
             }
             TreePMessage::AggregateAck { origin, request_id } => {
-                self.handle_aggregate_ack(from, origin, request_id);
+                self.hop_acked(MessageKind::AggregateUp, from, origin, request_id)
             }
             // ---- read-path layer ---------------------------------------
             TreePMessage::GetVersioned { .. } => self.route_get_versioned(msg, ctx),

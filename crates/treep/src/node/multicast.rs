@@ -15,6 +15,16 @@
 //! branches, while the origin's wait for the final fold is a request of the
 //! `inflight` layer like any other.
 //!
+//! A dissemination is its message: every origin builds one
+//! [`TreePMessage::MulticastDown`] (`originate`), and the engine hands that
+//! message on from hop to hop, changing only what a hop changes. A node's
+//! part in the descent is the `phase` the message arrives in — an `Up` that
+//! ends here (no parent, no budget left, or a parent declared dead) makes
+//! the node the descent root, which walks its top bus both ways and answers
+//! an aggregation's origin directly; `BusLeft` / `BusRight` a node the walk
+//! reached, which continues it one way at `bus_level`; `Down` a node
+//! reached through its parent, which fans out to its own children only.
+//!
 //! # Reliability layer (`max_retransmits > 0`)
 //!
 //! With the default `max_retransmits = 0` every hop is one unacknowledged
@@ -27,11 +37,14 @@
 //!   *on receipt, before duplicate suppression* — a retransmitted copy is
 //!   re-acked, so a lost ack can delay but never wedge the sender.
 //! * **Retransmission queue.** Each reliable send registers a
-//!   [`PendingRetx`] in a per-node queue keyed by `(kind, dest, origin,
-//!   request id)` and arms a [`super::TIMER_RETX`] backoff timer
-//!   (`retransmit_timeout`, doubled after every attempt — exponential
-//!   backoff). An arriving ack removes the entry; a firing timer
-//!   retransmits until `r` attempts are spent. The queue provably drains:
+//!   [`PendingRetx`] in a per-node queue and arms a [`super::TIMER_RETX`]
+//!   backoff timer (`retransmit_timeout`, doubled after every attempt —
+//!   exponential backoff). An entry is identified by its destination, the
+//!   kind of the message it holds and the `(origin, request)` that message
+//!   carries ([`TreePMessage::hop_acked_as`]) — nothing is stored beside the
+//!   message to say so. An arriving ack names exactly those three and
+//!   removes the entry (`hop_acked`); a firing timer retransmits until `r`
+//!   attempts are spent. The queue provably drains:
 //!   every entry is removed by exactly one of ack, re-route or
 //!   abandonment, and an orphaned timer finds no entry and does nothing.
 //! * **Re-route rule.** A hop that exhausts its budget is declared dead
@@ -69,26 +82,7 @@ use super::inflight::Pending;
 use super::*;
 use crate::multicast::{
     AggregatePartial, AggregateQuery, MulticastPayload, MulticastPhase, PendingRetx, ReplyTo,
-    RetxKind,
 };
-
-/// Direction of the top-level bus walk of a multicast descent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BusDir {
-    Left,
-    Right,
-}
-
-/// How a node participates in a multicast descent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DescentRole {
-    /// Top of the initiator's tree: starts the bus walk in both directions.
-    Root,
-    /// Reached by the bus walk: continues it in one direction.
-    Bus(BusDir),
-    /// Reached through its parent: fans out to its own children only.
-    Subtree,
-}
 
 impl TreePNode {
     /// Multicast `payload` to every live node whose identifier falls in
@@ -107,20 +101,7 @@ impl TreePNode {
         ctx.start_trace("multicast");
         let request_id = self.fresh_request_id();
         self.stats.multicasts_initiated += 1;
-        let me = self.peer_info();
-        self.dispatch_multicast(
-            me.addr,
-            me,
-            request_id,
-            range,
-            MulticastPayload::Data(payload),
-            self.config.multicast_hop_budget,
-            0,
-            MulticastPhase::Up,
-            0,
-            ctx,
-        );
-        request_id
+        self.originate(request_id, range, MulticastPayload::Data(payload), ctx)
     }
 
     /// Fold `query` over every live node in `range` with one scoped
@@ -136,20 +117,7 @@ impl TreePNode {
         ctx.start_trace("aggregate");
         self.stats.aggregates_initiated += 1;
         let request_id = self.begin(Pending::Aggregate { query }, ctx);
-        let me = self.peer_info();
-        self.dispatch_multicast(
-            me.addr,
-            me,
-            request_id,
-            range,
-            MulticastPayload::Aggregate(query),
-            self.config.multicast_hop_budget,
-            0,
-            MulticastPhase::Up,
-            0,
-            ctx,
-        );
-        request_id
+        self.originate(request_id, range, MulticastPayload::Aggregate(query), ctx)
     }
 
     /// Census of the DHT keys stored across `range`: one scoped aggregation
@@ -164,159 +132,122 @@ impl TreePNode {
 
     // ---- dissemination engine ---------------------------------------------------
 
-    /// Central multicast state machine, shared by the origin (`from` is the
-    /// node's own address) and by the message dispatch.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn dispatch_multicast(
+    /// Start a dissemination here: the message every origin (multicast,
+    /// aggregation, publish) hands to the engine, at the foot of its ascent.
+    pub(super) fn originate(
         &mut self,
-        from: NodeAddr,
-        origin: PeerInfo,
         request_id: RequestId,
         range: KeyRange,
         payload: MulticastPayload,
-        budget: u32,
-        hops: u32,
-        phase: MulticastPhase,
-        bus_level: u32,
+        ctx: &mut Context<'_, TreePMessage>,
+    ) -> RequestId {
+        let origin = self.peer_info();
+        let msg = TreePMessage::MulticastDown {
+            origin,
+            request_id,
+            range,
+            payload,
+            budget: self.config.multicast_hop_budget,
+            hops: 0,
+            phase: MulticastPhase::Up,
+            bus_level: 0,
+        };
+        self.dispatch_multicast(origin.addr, msg, ctx);
+        request_id
+    }
+
+    /// Central multicast state machine, shared by the origin (`from` is the
+    /// node's own address) and by the message dispatch. `msg` is a
+    /// [`TreePMessage::MulticastDown`].
+    pub(super) fn dispatch_multicast(
+        &mut self,
+        from: NodeAddr,
+        mut msg: TreePMessage,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
+        let TreePMessage::MulticastDown {
+            origin,
+            request_id,
+            budget,
+            hops,
+            phase,
+            bus_level,
+            ..
+        } = &mut msg
+        else {
+            unreachable!("dispatch_multicast only handles MulticastDown")
+        };
+        let (origin, request_id) = (origin.addr, *request_id);
         // Reliability: acknowledge every network-received copy on receipt —
         // *before* any duplicate suppression — so the sender's pending
         // transmission drains even when its previous copy (or our previous
         // ack) was lost. `from == self` marks a locally initiated dispatch.
         if self.reliability_enabled() && from != self.addr.expect("node not started") {
-            self.send(
-                ctx,
-                from,
-                TreePMessage::MulticastAck {
-                    origin: origin.addr,
-                    request_id,
-                },
-            );
+            let ack = TreePMessage::MulticastAck { origin, request_id };
+            self.send(ctx, from, ack);
         }
-        match phase {
-            MulticastPhase::Up => {
-                // Ascent duplicate guard. A second climbing copy is a
-                // retransmission whose predecessor arrived (it was re-acked
-                // above) or the same copy back around a parent cycle, where
-                // no root exists to absorb it: forwarded again, every lost
-                // ack would add a copy per hop for the whole hop budget.
-                if !self.ascent_seen.insert((origin.addr, request_id)) {
-                    self.stats.multicast_duplicates_suppressed += 1;
-                    return;
-                }
-                // An exhausted budget ends the ascent early: the node acts as
-                // a (degraded) descent root so the message still delivers
-                // locally instead of silently vanishing.
-                if let Some((parent_addr, parent_id)) = self
-                    .tables
-                    .parent()
-                    .map(|p| (p.addr, p.id))
-                    .filter(|_| budget > 0)
-                {
-                    self.stats.multicast_forwards += 1;
-                    let msg = TreePMessage::MulticastDown {
-                        origin,
-                        request_id,
-                        range,
-                        payload,
-                        budget: budget - 1,
-                        hops: hops + 1,
-                        phase: MulticastPhase::Up,
-                        bus_level: 0,
-                    };
-                    self.send_reliable(
-                        parent_addr,
-                        Some(parent_id),
-                        RetxKind::Down,
-                        origin.addr,
-                        request_id,
-                        msg,
-                        false,
-                        ctx,
-                    );
-                } else {
-                    // No parent: this node is the root of its tree and
-                    // becomes the descent root.
-                    self.descend(
-                        from,
-                        origin,
-                        request_id,
-                        range,
-                        payload,
-                        budget,
-                        hops,
-                        DescentRole::Root,
-                        0,
-                        false,
-                        ctx,
-                    );
-                }
+        if *phase != MulticastPhase::Up {
+            return self.descend(from, msg, false, ctx);
+        }
+        // Ascent duplicate guard. A second climbing copy is a
+        // retransmission whose predecessor arrived (it was re-acked above)
+        // or the same copy back around a parent cycle, where no root exists
+        // to absorb it: forwarded again, every lost ack would add a copy per
+        // hop for the whole hop budget.
+        if !self.ascent_seen.insert((origin, request_id)) {
+            self.stats.multicast_duplicates_suppressed += 1;
+            return;
+        }
+        // An exhausted budget ends the ascent early: the node acts as a
+        // descent root so the message still delivers locally instead of
+        // silently vanishing.
+        let parent = self.tables.parent().map(|p| (p.addr, p.id));
+        match parent.filter(|_| *budget > 0) {
+            Some((parent_addr, parent_id)) => {
+                self.stats.multicast_forwards += 1;
+                *budget -= 1;
+                *hops += 1;
+                *bus_level = 0;
+                self.send_reliable(parent_addr, Some(parent_id), msg, false, ctx);
             }
-            MulticastPhase::BusLeft => self.descend(
-                from,
-                origin,
-                request_id,
-                range,
-                payload,
-                budget,
-                hops,
-                DescentRole::Bus(BusDir::Left),
-                bus_level,
-                false,
-                ctx,
-            ),
-            MulticastPhase::BusRight => self.descend(
-                from,
-                origin,
-                request_id,
-                range,
-                payload,
-                budget,
-                hops,
-                DescentRole::Bus(BusDir::Right),
-                bus_level,
-                false,
-                ctx,
-            ),
-            MulticastPhase::Down => self.descend(
-                from,
-                origin,
-                request_id,
-                range,
-                payload,
-                budget,
-                hops,
-                DescentRole::Subtree,
-                bus_level,
-                false,
-                ctx,
-            ),
+            // No parent: this node is the root of its tree, and the ascent
+            // ends here.
+            None => self.descend(from, msg, false, ctx),
         }
     }
 
     /// Deliver locally, fan out to the selected children, continue the bus
     /// walk, and (for aggregations) set up the convergecast relay.
     ///
+    /// `msg` is the [`TreePMessage::MulticastDown`] as it arrived, and its
+    /// `phase` is this node's part in the descent: an `Up` that ends here
+    /// makes it the descent root (top of the initiator's tree), a bus phase
+    /// a node reached by the walk, `Down` one reached through its parent.
+    ///
     /// `degraded` marks a descent started by the reliability layer after the
     /// ascent died (the parent was declared dead): the fold of such a
     /// descent covers only this node's reach, so aggregations start out
     /// truncated.
-    #[allow(clippy::too_many_arguments)]
     fn descend(
         &mut self,
         from: NodeAddr,
-        origin: PeerInfo,
-        request_id: RequestId,
-        range: KeyRange,
-        payload: MulticastPayload,
-        budget: u32,
-        hops: u32,
-        role: DescentRole,
-        bus_level: u32,
+        msg: TreePMessage,
         degraded: bool,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
+        let TreePMessage::MulticastDown {
+            origin,
+            request_id,
+            range,
+            payload,
+            budget,
+            hops,
+            phase,
+            bus_level,
+        } = msg
+        else {
+            unreachable!("descend only handles MulticastDown")
+        };
         let me_addr = self.addr.expect("node not started");
         // Duplicate guard. Delegation is structural, so a second descending
         // visit for the same multicast can only be a churn race (a child
@@ -338,30 +269,24 @@ impl TreePNode {
         //    direction it was reached from; subtree nodes never walk. The
         //    walk is not range-pruned: the top bus is short and walking it
         //    fully is what guarantees every tree of the forest is reached.
-        let walking: &[BusDir] = match role {
-            DescentRole::Root => &[BusDir::Left, BusDir::Right],
-            DescentRole::Bus(BusDir::Left) => &[BusDir::Left],
-            DescentRole::Bus(BusDir::Right) => &[BusDir::Right],
-            DescentRole::Subtree => &[],
-        };
-        let walk_level = match role {
-            DescentRole::Root => self.max_level,
-            DescentRole::Bus(_) | DescentRole::Subtree => bus_level,
+        let (walk_level, walking): (u32, &[MulticastPhase]) = match phase {
+            MulticastPhase::Up => (
+                self.max_level,
+                &[MulticastPhase::BusLeft, MulticastPhase::BusRight],
+            ),
+            MulticastPhase::BusLeft => (bus_level, &[MulticastPhase::BusLeft]),
+            MulticastPhase::BusRight => (bus_level, &[MulticastPhase::BusRight]),
+            MulticastPhase::Down => (bus_level, &[]),
         };
         if walk_level > 0 {
-            let (left, right) = {
-                let (l, r) = self.tables.bus_neighbors(walk_level, self.id);
-                (l.map(|e| (e.addr, e.id)), r.map(|e| (e.addr, e.id)))
-            };
-            for dir in walking {
-                let (next, phase) = match dir {
-                    BusDir::Left => (left, MulticastPhase::BusLeft),
-                    BusDir::Right => (right, MulticastPhase::BusRight),
+            let (left, right) = self.tables.bus_neighbors(walk_level, self.id);
+            for &dir in walking {
+                let next = match dir {
+                    MulticastPhase::BusLeft => left,
+                    _ => right,
                 };
-                if let Some((next, next_id)) = next {
-                    if next != me_addr && next != from {
-                        edges.push((next, next_id, phase));
-                    }
+                if let Some(next) = next.filter(|e| e.addr != me_addr && e.addr != from) {
+                    edges.push((next.addr, next.id, dir));
                 }
             }
         }
@@ -455,38 +380,27 @@ impl TreePNode {
                 }
             }
             MulticastPayload::Aggregate(query) => {
-                let acc = self.aggregate_contribution(*query, range);
-                let reply_to = match role {
-                    // The descent root reports the final fold straight to
-                    // the origin (`from` is an ascent hop, not a delegator).
-                    DescentRole::Root => {
-                        if origin.addr == me_addr {
-                            ReplyTo::SelfOrigin
-                        } else {
-                            ReplyTo::Origin(origin.addr)
-                        }
-                    }
-                    DescentRole::Bus(_) | DescentRole::Subtree => ReplyTo::Upstream(from),
+                let relay = AggregateRelay {
+                    origin,
+                    request_id,
+                    query: *query,
+                    reply_to: match phase {
+                        // The descent root reports the final fold straight to
+                        // the origin (`from` is an ascent hop, not a delegator).
+                        MulticastPhase::Up if origin.addr == me_addr => ReplyTo::SelfOrigin,
+                        MulticastPhase::Up => ReplyTo::Origin(origin.addr),
+                        _ => ReplyTo::Upstream(from),
+                    },
+                    acc: self.aggregate_contribution(*query, range),
+                    expected: edges.len(),
+                    truncated: degraded,
                 };
                 if edges.is_empty() {
-                    self.finish_aggregate_branch(
-                        origin, request_id, *query, acc, degraded, reply_to, ctx,
-                    );
+                    self.finish_aggregate_branch(relay, ctx);
                 } else {
                     let round = self.next_relay_round;
                     self.next_relay_round += 1;
-                    self.relays.insert(
-                        round,
-                        AggregateRelay {
-                            origin,
-                            request_id,
-                            query: *query,
-                            reply_to,
-                            acc,
-                            expected: edges.len(),
-                            truncated: degraded,
-                        },
-                    );
+                    self.relays.insert(round, relay);
                     ctx.set_timer(
                         self.config.aggregate_relay_timeout,
                         encode_timer(TIMER_AGG_RELAY, round),
@@ -508,16 +422,7 @@ impl TreePNode {
                 phase,
                 bus_level: walk_level,
             };
-            self.send_reliable(
-                dest,
-                Some(dest_id),
-                RetxKind::Down,
-                origin.addr,
-                request_id,
-                msg,
-                false,
-                ctx,
-            );
+            self.send_reliable(dest, Some(dest_id), msg, false, ctx);
         }
     }
 
@@ -553,17 +458,20 @@ impl TreePNode {
     }
 
     /// Report a completed (or truncated) convergecast branch.
-    #[allow(clippy::too_many_arguments)]
     fn finish_aggregate_branch(
         &mut self,
-        origin: PeerInfo,
-        request_id: RequestId,
-        query: AggregateQuery,
-        acc: AggregatePartial,
-        truncated: bool,
-        reply_to: ReplyTo,
+        relay: AggregateRelay,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
+        let AggregateRelay {
+            origin,
+            request_id,
+            query,
+            reply_to,
+            acc,
+            truncated,
+            ..
+        } = relay;
         // A key list that filled up may have dropped keys in the merge:
         // surface it exactly like a lossy convergecast, so the origin never
         // mistakes a capped range query for an exhaustive one.
@@ -584,16 +492,7 @@ impl TreePNode {
             // branch truncated), so no id is needed.
             ReplyTo::Upstream(addr) => (addr, None),
         };
-        self.send_reliable(
-            dest,
-            dest_id,
-            RetxKind::Up,
-            origin.addr,
-            request_id,
-            msg,
-            false,
-            ctx,
-        );
+        self.send_reliable(dest, dest_id, msg, false, ctx);
     }
 
     pub(super) fn handle_aggregate_up(
@@ -645,25 +544,14 @@ impl TreePNode {
             .find(|(_, r)| r.origin.addr == origin.addr && r.request_id == request_id)
             .map(|(round, _)| *round);
         if let Some(round) = matching {
-            let done = {
-                let relay = self.relays.get_mut(&round).expect("found above");
-                relay.acc.combine(partial);
-                relay.truncated |= truncated;
-                relay.expected = relay.expected.saturating_sub(1);
-                self.stats.aggregate_partials_folded += 1;
-                relay.expected == 0
-            };
-            if done {
+            let relay = self.relays.get_mut(&round).expect("found above");
+            relay.acc.combine(partial);
+            relay.truncated |= truncated;
+            relay.expected = relay.expected.saturating_sub(1);
+            self.stats.aggregate_partials_folded += 1;
+            if relay.expected == 0 {
                 let relay = self.relays.remove(&round).expect("found above");
-                self.finish_aggregate_branch(
-                    relay.origin,
-                    relay.request_id,
-                    relay.query,
-                    relay.acc,
-                    relay.truncated,
-                    relay.reply_to,
-                    ctx,
-                );
+                self.finish_aggregate_branch(relay, ctx);
             }
         }
         // A branch partial with no matching relay is one that arrived after
@@ -676,17 +564,9 @@ impl TreePNode {
         // A delegated branch never reported: fold up whatever arrived so the
         // rest of the convergecast can complete, marked truncated so the
         // origin knows the answer is a lower bound.
-        if let Some(relay) = self.relays.remove(&payload) {
-            let truncated = relay.truncated || relay.expected > 0;
-            self.finish_aggregate_branch(
-                relay.origin,
-                relay.request_id,
-                relay.query,
-                relay.acc,
-                truncated,
-                relay.reply_to,
-                ctx,
-            );
+        if let Some(mut relay) = self.relays.remove(&payload) {
+            relay.truncated |= relay.expected > 0;
+            self.finish_aggregate_branch(relay, ctx);
         }
     }
 
@@ -700,14 +580,10 @@ impl TreePNode {
     /// register the transmission in the retransmission queue and arm its
     /// backoff timer. With `max_retransmits = 0` this is a plain send — no
     /// state, no timer, no clone.
-    #[allow(clippy::too_many_arguments)]
     fn send_reliable(
         &mut self,
         dest: NodeAddr,
         dest_id: Option<NodeId>,
-        kind: RetxKind,
-        origin: NodeAddr,
-        request_id: RequestId,
         msg: TreePMessage,
         rerouted: bool,
         ctx: &mut Context<'_, TreePMessage>,
@@ -722,11 +598,8 @@ impl TreePNode {
         self.retx_pending.insert(
             retx_id,
             PendingRetx {
-                kind,
                 dest,
                 dest_id,
-                origin,
-                request_id,
                 msg,
                 attempts_left: self.config.max_retransmits,
                 backoff: self.config.retransmit_timeout,
@@ -740,43 +613,28 @@ impl TreePNode {
         );
     }
 
-    /// Drop the pending transmission an ack refers to, if it is still
-    /// queued (late acks after a give-up find nothing — harmless).
-    fn clear_pending(
+    /// `from` acknowledged the `acked_kind` message of `(origin,
+    /// request_id)` this node sent it: drop that pending transmission, if
+    /// it is still queued (late acks after a give-up find nothing —
+    /// harmless).
+    pub(super) fn hop_acked(
         &mut self,
-        kind: RetxKind,
-        dest: NodeAddr,
+        acked_kind: MessageKind,
+        from: NodeAddr,
         origin: NodeAddr,
         request_id: RequestId,
     ) {
+        let acked = Some((origin, request_id));
         let key = self
             .retx_pending
             .iter()
             .find(|(_, p)| {
-                p.kind == kind && p.dest == dest && p.origin == origin && p.request_id == request_id
+                p.dest == from && p.msg.kind() == acked_kind && p.msg.hop_acked_as() == acked
             })
             .map(|(id, _)| *id);
         if let Some(id) = key {
             self.retx_pending.remove(&id);
         }
-    }
-
-    pub(super) fn handle_multicast_ack(
-        &mut self,
-        from: NodeAddr,
-        origin: NodeAddr,
-        request_id: RequestId,
-    ) {
-        self.clear_pending(RetxKind::Down, from, origin, request_id);
-    }
-
-    pub(super) fn handle_aggregate_ack(
-        &mut self,
-        from: NodeAddr,
-        origin: NodeAddr,
-        request_id: RequestId,
-    ) {
-        self.clear_pending(RetxKind::Up, from, origin, request_id);
     }
 
     /// Backoff timer of one pending transmission: retransmit while attempts
@@ -805,12 +663,11 @@ impl TreePNode {
         let backoff = SimDuration::from_micros(entry.backoff.as_micros().saturating_mul(2).max(1));
         entry.backoff = backoff;
         let dest = entry.dest;
-        let kind = entry.kind;
         let msg = entry.msg.clone();
         ctx.set_trace(entry.trace);
-        match kind {
-            RetxKind::Down => self.stats.multicast_retransmits += 1,
-            RetxKind::Up => self.stats.aggregate_retransmits += 1,
+        match msg.kind() {
+            MessageKind::AggregateUp => self.stats.aggregate_retransmits += 1,
+            _ => self.stats.multicast_retransmits += 1,
         }
         ctx.trace_note("retransmit");
         self.send(ctx, dest, msg);
@@ -829,48 +686,28 @@ impl TreePNode {
         let PendingRetx {
             dest,
             dest_id,
-            origin,
-            request_id,
             msg,
             rerouted,
             ..
         } = entry;
+        let me = self.addr.expect("node not started");
         match msg {
             TreePMessage::MulticastDown {
-                origin,
-                request_id,
-                range,
-                payload,
-                budget,
-                hops,
                 phase: MulticastPhase::Up,
                 ..
             } => {
-                // Dead parent mid-ascent: become a degraded descent root so
-                // the reachable part of the range is still served.
+                // Dead parent mid-ascent: the ascent ends here, and this
+                // node becomes a degraded descent root so the reachable part
+                // of the range is still served.
                 self.stats.multicast_reroutes += 1;
-                let me = self.addr.expect("node not started");
-                self.descend(
-                    me,
-                    origin,
-                    request_id,
-                    range,
-                    payload,
-                    budget,
-                    hops,
-                    DescentRole::Root,
-                    0,
-                    true,
-                    ctx,
-                );
+                self.descend(me, msg, true, ctx);
             }
-            msg @ TreePMessage::MulticastDown { .. } => {
+            TreePMessage::MulticastDown { .. } => {
                 // Dead descent / bus hop: retry once through the registry's
                 // next-nearest peer of the dead peer's coordinate — with the
                 // dead peer's address excluded, `closest_peer` lands on the
                 // sibling whose recorded span sits closest to the orphaned
                 // interval.
-                let me = self.addr.expect("node not started");
                 let alt = (!rerouted)
                     .then_some(dest_id)
                     .flatten()
@@ -880,16 +717,7 @@ impl TreePNode {
                 match alt {
                     Some((alt_addr, alt_id)) => {
                         self.stats.multicast_reroutes += 1;
-                        self.send_reliable(
-                            alt_addr,
-                            Some(alt_id),
-                            RetxKind::Down,
-                            origin,
-                            request_id,
-                            msg,
-                            true,
-                            ctx,
-                        );
+                        self.send_reliable(alt_addr, Some(alt_id), msg, true, ctx);
                     }
                     None => self.stats.multicast_retx_abandoned += 1,
                 }

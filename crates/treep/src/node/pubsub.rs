@@ -31,7 +31,7 @@
 
 use super::inflight::{KeyHop, Pending};
 use super::*;
-use crate::multicast::{AggregateQuery, MulticastPayload, MulticastPhase};
+use crate::multicast::{AggregateQuery, MulticastPayload};
 use crate::pubsub::{decode_subscriber_set, encode_subscriber_set};
 
 impl TreePNode {
@@ -109,20 +109,13 @@ impl TreePNode {
         ctx.start_trace("publish");
         let request_id = self.fresh_request_id();
         self.stats.publishes_initiated += 1;
-        let me = self.peer_info();
-        self.dispatch_multicast(
-            me.addr,
-            me,
+        let everywhere = KeyRange::full(self.config.space);
+        self.originate(
             request_id,
-            KeyRange::full(self.config.space),
+            everywhere,
             MulticastPayload::Topic { topic, data },
-            self.config.multicast_hop_budget,
-            0,
-            MulticastPhase::Up,
-            0,
             ctx,
-        );
-        request_id
+        )
     }
 
     /// The DHT keys stored anywhere in `range`: one scoped aggregation

@@ -1241,6 +1241,107 @@ fn bus_walk_continues_in_one_direction() {
 }
 
 #[test]
+fn ascent_hop_resets_the_bus_level_and_spends_one_hop() {
+    let (mut node, mut rng) = started_node(100);
+    node.seed_parent(peer(900, 1), SimTime::ZERO);
+    let climbing = |budget, hops, bus_level| TreePMessage::MulticastDown {
+        origin: peer(7, 0),
+        request_id: RequestId(4),
+        range: KeyRange::new(NodeId(0), NodeId(5000)),
+        payload: MulticastPayload::Data(b"up".to_vec()),
+        budget,
+        hops,
+        phase: MulticastPhase::Up,
+        bus_level,
+    };
+    let mut ctx = Context::new(SimTime::ZERO, NodeAddr(100), &mut rng);
+    node.on_message(NodeAddr(7), climbing(16, 2, 5), &mut ctx);
+    assert_eq!(sends(ctx), vec![(NodeAddr(900), climbing(15, 3, 0))]);
+    assert!(node.drain_multicast_deliveries().is_empty());
+}
+
+#[test]
+fn an_ack_ends_the_pending_hop_of_its_own_kind_only() {
+    // A descent root reached by its own child's ascent delegates the descent
+    // to that child and later sends it the final fold (the child is the
+    // origin): two unacknowledged hops with one (peer, origin, request).
+    let mut node = TreePNode::new(
+        TreePConfig::default().with_reliability(2),
+        NodeId(1000),
+        NodeCharacteristics::default(),
+    )
+    .with_addr(NodeAddr(1000));
+    let mut rng = simnet::SimRng::seed_from(1);
+    node.seed_max_level(1);
+    node.seed_child(peer(500, 0), true, SimTime::ZERO);
+    let (origin, request_id) = (peer(500, 0), RequestId(9));
+    let deliver = |node: &mut TreePNode, rng: &mut simnet::SimRng, msg| {
+        let mut ctx = Context::new(SimTime::ZERO, NodeAddr(1000), rng);
+        node.on_message(origin.addr, msg, &mut ctx);
+        sends(ctx)
+    };
+    let sent = deliver(
+        &mut node,
+        &mut rng,
+        TreePMessage::MulticastDown {
+            origin,
+            request_id,
+            range: KeyRange::new(NodeId(0), NodeId(2000)),
+            payload: MulticastPayload::Aggregate(AggregateQuery::CountNodes),
+            budget: 16,
+            hops: 1,
+            phase: MulticastPhase::Up,
+            bus_level: 0,
+        },
+    );
+    assert_eq!(sent[1].1.kind(), MessageKind::MulticastDown, "{sent:?}");
+    let sent = deliver(
+        &mut node,
+        &mut rng,
+        TreePMessage::AggregateUp {
+            origin,
+            request_id,
+            query: AggregateQuery::CountNodes,
+            partial: AggregatePartial::Count(1),
+            truncated: false,
+            final_answer: false,
+        },
+    );
+    assert_eq!(sent[1].1.kind(), MessageKind::AggregateUp, "{sent:?}");
+    assert_eq!(node.pending_retransmit_count(), 2);
+
+    let origin = origin.addr;
+    for _ in 0..2 {
+        deliver(
+            &mut node,
+            &mut rng,
+            TreePMessage::AggregateAck { origin, request_id },
+        );
+        assert_eq!(node.pending_retransmit_count(), 1);
+    }
+    // What is left is the delegated descent (queued first, so timer 0): its
+    // timer retransmits it, the acknowledged fold's timer finds nothing.
+    let fire = |node: &mut TreePNode, rng: &mut simnet::SimRng, retx_id| {
+        let mut ctx = Context::new(SimTime::from_millis(120), NodeAddr(1000), rng);
+        node.on_timer(encode_timer(TIMER_RETX, retx_id), &mut ctx);
+        sends(ctx)
+    };
+    assert!(fire(&mut node, &mut rng, 1).is_empty());
+    let again = fire(&mut node, &mut rng, 0);
+    assert_eq!(again.len(), 1);
+    assert_eq!(again[0].1.kind(), MessageKind::MulticastDown);
+    assert_eq!(node.stats().multicast_retransmits, 1);
+    for _ in 0..2 {
+        deliver(
+            &mut node,
+            &mut rng,
+            TreePMessage::MulticastAck { origin, request_id },
+        );
+        assert_eq!(node.pending_retransmit_count(), 0);
+    }
+}
+
+#[test]
 fn join_handshake_establishes_mutual_contact() {
     let (mut responder, mut rng) = started_node(100);
     responder.seed_max_level(1);
