@@ -23,6 +23,7 @@ use crate::runner::{delta, Scenario};
 use analysis::{ratio, Cell, Column, Table};
 use simnet::{NodeAddr, SimDuration};
 use treep::lookup::RequestId;
+use treep::replication::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, DhtOutcome, MessageKind, NodeStats, TreePConfig, TreePNode};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
@@ -258,7 +259,7 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
         let mut repair_windows = 0usize;
         let mut audit = audit_now(&sc);
         while k > 1 && !audit.is_converged() && repair_windows < params.max_repair_windows {
-            sc.sim.run_for(config.replica_sync_interval);
+            sc.sim.run_for(REPLICA_SYNC_INTERVAL);
             repair_windows += 1;
             audit = audit_now(&sc);
         }

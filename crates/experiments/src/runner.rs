@@ -460,8 +460,7 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
 pub fn audit_alive(sim: &Simulation<TreePNode>) -> HierarchyAudit {
     let alive = sim.alive_nodes();
     let nodes: Vec<&TreePNode> = alive.iter().filter_map(|&a| sim.node(a)).collect();
-    let config = nodes.first().map(|n| *n.config()).unwrap_or_default();
-    audit(nodes, &config)
+    audit(nodes)
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub struct LevelTableRow {
     /// Fraction of nodes at this level whose actively maintained connection
     /// count respects the Section III.e accounting — `l0 + 1` for level-0
     /// nodes, `l0 + ca + da + 2` for nodes in the hierarchy — evaluated with
-    /// the configured budgets (`l0 = max_level0_connections`,
+    /// the configured budgets (`l0 = MAX_LEVEL0_CONNECTIONS`,
     /// `ca = nc`, `da = 2` per level). Values in 0–1.
     pub within_bound: f64,
 }
@@ -143,7 +143,7 @@ pub fn routing_table_report(params: &ExperimentParams) -> RoutingTableReport {
 /// belongs to). A small slack absorbs gossip contacts learned between two
 /// pruning ticks.
 fn connection_bound(config: &treep::TreePConfig, level: u32) -> f64 {
-    let l0 = config.max_level0_connections as f64;
+    let l0 = treep::tables::MAX_LEVEL0_CONNECTIONS as f64;
     let slack = 4.0;
     if level == 0 {
         l0 + 1.0 + slack

@@ -78,7 +78,7 @@ impl SimDuration {
     }
 
     /// Construct a duration from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
 

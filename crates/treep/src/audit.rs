@@ -6,9 +6,9 @@
 //! respected, what does the level population look like? This module computes
 //! those properties from a collection of node snapshots.
 
-use crate::config::TreePConfig;
 use crate::id::NodeId;
 use crate::node::TreePNode;
+use crate::tables::MIN_LEVEL0_CONNECTIONS;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -56,7 +56,7 @@ impl HierarchyAudit {
 }
 
 /// Inspect a set of live node snapshots.
-pub fn audit<'a, I>(nodes: I, config: &TreePConfig) -> HierarchyAudit
+pub fn audit<'a, I>(nodes: I) -> HierarchyAudit
 where
     I: IntoIterator<Item = &'a TreePNode>,
 {
@@ -107,8 +107,8 @@ where
         if own as u32 > node.max_children() {
             overfull_parents += 1;
         }
-        if node.tables().level0_degree() < config.min_level0_connections
-            && nodes.len() > config.min_level0_connections
+        if node.tables().level0_degree() < MIN_LEVEL0_CONNECTIONS
+            && nodes.len() > MIN_LEVEL0_CONNECTIONS
         {
             under_connected += 1;
         }
@@ -193,7 +193,7 @@ pub fn analytic_table_bound(node: &TreePNode) -> usize {
 mod tests {
     use super::*;
     use crate::characteristics::{CharacteristicsSummary, NodeCharacteristics};
-    use crate::config::ChildPolicy;
+    use crate::config::{ChildPolicy, TreePConfig};
     use crate::entry::PeerInfo;
     use simnet::{NodeAddr, SimTime};
 
@@ -222,7 +222,6 @@ mod tests {
 
     #[test]
     fn audit_of_tiny_well_formed_hierarchy() {
-        let config = TreePConfig::default();
         // Root (level 1) with two children; everyone level-0 connected.
         let mut root = node(100, 1);
         let mut a = node(50, 0);
@@ -240,7 +239,7 @@ mod tests {
         b.seed_level0_neighbor(peer(50, 0), t);
 
         let nodes = [root, a, b];
-        let report = audit(nodes.iter(), &config);
+        let report = audit(nodes.iter());
         assert_eq!(report.nodes, 3);
         assert_eq!(report.height, 1);
         assert_eq!(report.level_population[&0], 3);
@@ -254,7 +253,6 @@ mod tests {
 
     #[test]
     fn audit_detects_orphans_and_dangling_parents() {
-        let config = TreePConfig::default();
         let mut root = node(100, 1);
         root.seed_level0_neighbor(peer(50, 0), SimTime::ZERO);
         root.seed_level0_neighbor(peer(150, 0), SimTime::ZERO);
@@ -266,7 +264,7 @@ mod tests {
         b.seed_level0_neighbor(peer(100, 1), SimTime::ZERO);
         b.seed_level0_neighbor(peer(50, 0), SimTime::ZERO);
         let nodes = [root, a, b];
-        let report = audit(nodes.iter(), &config);
+        let report = audit(nodes.iter());
         assert_eq!(report.orphans, 1);
         assert_eq!(report.dangling_parents, 1);
         assert!(!report.is_clean());
@@ -274,7 +272,6 @@ mod tests {
 
     #[test]
     fn audit_detects_inverted_parents_and_cycles() {
-        let config = TreePConfig::default();
         let t = SimTime::ZERO;
         // 10 -> 20 -> 30 -> 10 is a cycle with 40 hanging below it; 50 sits
         // under a proper root 60 but above its own parent's level.
@@ -291,7 +288,7 @@ mod tests {
                 n
             })
             .collect();
-        let report = audit(nodes.iter(), &config);
+        let report = audit(nodes.iter());
         assert_eq!(report.parent_cycles, 1, "{report:?}");
         // 30 -> 10 closes the cycle downwards; 50 -> 60 is level with it.
         assert_eq!(report.inverted_parents, 2, "{report:?}");
@@ -313,7 +310,7 @@ mod tests {
         }
         root.seed_level0_neighbor(peer(1, 0), SimTime::ZERO);
         root.seed_level0_neighbor(peer(2, 0), SimTime::ZERO);
-        let report = audit([&root], &config);
+        let report = audit([&root]);
         assert_eq!(report.overfull_parents, 1);
     }
 

@@ -39,7 +39,12 @@ impl ChildPolicy {
     }
 }
 
-/// All tunable parameters of a TreeP deployment.
+/// The parameters of a TreeP deployment that a caller sets: the sizing and
+/// timing of the overlay, and one switch per optional layer, each off by
+/// default and byte-identical to the layer's absence while off. A value
+/// that has one setting at every caller is not a field but a `pub const` of
+/// the layer that reads it, in [`crate::tables`], [`crate::multicast`],
+/// [`crate::replication`] and [`crate::pubsub`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TreePConfig {
     /// The 1-D identifier space.
@@ -63,30 +68,11 @@ pub struct TreePConfig {
     /// Base value of the demotion countdown (parent with fewer than two
     /// children); scaled up by the capability score.
     pub demotion_base: SimDuration,
-    /// Minimum number of level-0 connections every node keeps alive
-    /// ("Each node needs to maintain a minimum of two connections").
-    pub min_level0_connections: usize,
-    /// Maximum number of level-0 neighbours a node actively maintains.
-    /// Entries learned through gossip beyond this budget are pruned during
-    /// the maintenance tick, keeping the ID-closest peers ("If they stop
-    /// interacting and have more than two edges, each node can safely delete
-    /// the other from their routing table"). This is what keeps the per-node
-    /// keep-alive fan-out — and therefore the maintenance overhead — bounded
-    /// independently of the network size.
-    pub max_level0_connections: usize,
     /// Deadline of every origin-side request (lookup, put/get, versioned,
     /// aggregate, subscription): one not answered within this period is
     /// reported as failed by the origin (the paper's simulator counts them
     /// as lost requests).
     pub lookup_timeout: SimDuration,
-    /// Hop budget of a scoped multicast (ascent + bus walk + descent). Must
-    /// comfortably exceed the hierarchy height plus the expected top-level
-    /// bus length; the message is dropped when the budget reaches zero.
-    pub multicast_hop_budget: u32,
-    /// How long a convergecast relay waits for the partials of its delegated
-    /// branches before folding up whatever has arrived (bounds the damage of
-    /// a lost `AggregateUp` under churn).
-    pub aggregate_relay_timeout: SimDuration,
     /// Number of copies of every DHT value the overlay maintains: the
     /// responsible node plus its `k - 1` nearest registry neighbours of the
     /// key coordinate (see [`crate::replication`]). `1` disables replication
@@ -94,11 +80,6 @@ pub struct TreePConfig {
     /// anti-entropy timer, byte-identical behaviour to the unreplicated
     /// protocol.
     pub replication_factor: u32,
-    /// Interval between anti-entropy rounds of the replication subsystem
-    /// (handoff / garbage collection, then one digest per replica partner;
-    /// a pairwise range sync where one disagrees).
-    /// Only armed when `replication_factor > 1`.
-    pub replica_sync_interval: SimDuration,
     /// Maximum number of times an unacknowledged multicast / convergecast
     /// hop is retransmitted before the peer is declared dead and the
     /// dissemination re-routed (see the reliability layer in
@@ -106,11 +87,6 @@ pub struct TreePConfig {
     /// acks are sent, no retransmission state is kept, and the protocol is
     /// byte-identical to the unacknowledged single-shot dissemination.
     pub max_retransmits: u32,
-    /// Base retransmission timeout of the reliability layer; doubled after
-    /// every unacknowledged attempt (exponential backoff). Must comfortably
-    /// exceed one round-trip time. Only meaningful when `max_retransmits >
-    /// 0`.
-    pub retransmit_timeout: SimDuration,
     /// Read-path: let a routed versioned get be answered by the *first*
     /// node on the route holding a replica whose stamp satisfies the
     /// client, instead of only by the responsible node (see
@@ -135,11 +111,6 @@ pub struct TreePConfig {
     /// kept, and the protocol is byte-identical to a deployment without
     /// the layer.
     pub pubsub_enabled: bool,
-    /// Pub/sub: largest number of topics a per-child subscription filter
-    /// lists exactly; beyond it the filter degrades to "assume every
-    /// topic" (overflow), trading pruning for bounded summary size. Only
-    /// meaningful when `pubsub_enabled`.
-    pub max_filter_topics: usize,
 }
 
 impl Default for TreePConfig {
@@ -153,21 +124,14 @@ impl Default for TreePConfig {
             entry_ttl: SimDuration::from_millis(2_500),
             election_base: SimDuration::from_millis(400),
             demotion_base: SimDuration::from_millis(800),
-            min_level0_connections: 2,
-            max_level0_connections: 8,
             lookup_timeout: SimDuration::from_secs(10),
-            multicast_hop_budget: 512,
-            aggregate_relay_timeout: SimDuration::from_millis(700),
             replication_factor: 1,
-            replica_sync_interval: SimDuration::from_millis(900),
             max_retransmits: 0,
-            retransmit_timeout: SimDuration::from_millis(120),
             replica_reads: false,
             read_repair: false,
             cache_capacity: 0,
             cache_ttl: SimDuration::from_millis(500),
             pubsub_enabled: false,
-            max_filter_topics: 64,
         }
     }
 }
@@ -223,39 +187,14 @@ impl TreePConfig {
             }
             _ => {}
         }
-        if self.min_level0_connections < 2 {
-            return Err("min_level0_connections must be >= 2 (paper, Section III.a)".into());
-        }
-        if self.max_level0_connections < self.min_level0_connections {
-            return Err(format!(
-                "max_level0_connections ({}) must be >= min_level0_connections ({})",
-                self.max_level0_connections, self.min_level0_connections
-            ));
-        }
         if self.entry_ttl <= self.keepalive_interval {
             return Err(
                 "entry_ttl must exceed keepalive_interval or entries expire between refreshes"
                     .into(),
             );
         }
-        if self.multicast_hop_budget <= self.height {
-            return Err(format!(
-                "multicast_hop_budget ({}) must exceed the hierarchy height ({}) or no ascent can complete",
-                self.multicast_hop_budget, self.height
-            ));
-        }
         if self.replication_factor == 0 {
             return Err("replication_factor must be at least 1 (1 = no replication)".into());
-        }
-        if self.replication_factor > 1 && self.replica_sync_interval.as_micros() == 0 {
-            return Err(
-                "replica_sync_interval must be positive when replication is enabled".into(),
-            );
-        }
-        if self.max_retransmits > 0 && self.retransmit_timeout.as_micros() == 0 {
-            return Err(
-                "retransmit_timeout must be positive when the reliability layer is enabled".into(),
-            );
         }
         if self.cache_capacity > 0 && self.cache_ttl.as_micros() == 0 {
             return Err("cache_ttl must be positive when the hot-key cache is enabled".into());
@@ -263,12 +202,6 @@ impl TreePConfig {
         if self.read_repair && !self.replica_reads {
             return Err(
                 "read_repair needs replica_reads: only replica-served gets are verified".into(),
-            );
-        }
-        if self.pubsub_enabled && self.max_filter_topics == 0 {
-            return Err(
-                "max_filter_topics must be positive when pub/sub is enabled (every filter would overflow)"
-                    .into(),
             );
         }
         Ok(())
@@ -359,10 +292,6 @@ mod tests {
                 ..TreePConfig::default()
             },
             TreePConfig {
-                min_level0_connections: 1,
-                ..TreePConfig::default()
-            },
-            TreePConfig {
                 entry_ttl: SimDuration::from_millis(10),
                 keepalive_interval: SimDuration::from_millis(500),
                 ..TreePConfig::default()
@@ -372,21 +301,7 @@ mod tests {
                 ..TreePConfig::default()
             },
             TreePConfig {
-                multicast_hop_budget: 6,
-                ..TreePConfig::default()
-            },
-            TreePConfig {
                 replication_factor: 0,
-                ..TreePConfig::default()
-            },
-            TreePConfig {
-                replication_factor: 3,
-                replica_sync_interval: SimDuration::from_micros(0),
-                ..TreePConfig::default()
-            },
-            TreePConfig {
-                max_retransmits: 3,
-                retransmit_timeout: SimDuration::from_micros(0),
                 ..TreePConfig::default()
             },
             TreePConfig {
@@ -397,11 +312,6 @@ mod tests {
             TreePConfig {
                 read_repair: true,
                 replica_reads: false,
-                ..TreePConfig::default()
-            },
-            TreePConfig {
-                pubsub_enabled: true,
-                max_filter_topics: 0,
                 ..TreePConfig::default()
             },
         ];
@@ -417,7 +327,6 @@ mod tests {
     fn height_is_bounded_by_the_bus_levels_the_tables_hold() {
         let with_height = |height| TreePConfig {
             height,
-            multicast_hop_budget: height + 1,
             ..TreePConfig::default()
         };
         with_height(MAX_BUS_LEVEL).validate().unwrap();
@@ -445,7 +354,6 @@ mod tests {
         assert_eq!(c.max_retransmits, 0, "reliability defaults to off");
         let r = TreePConfig::default().with_reliability(4);
         assert_eq!(r.max_retransmits, 4);
-        assert!(r.retransmit_timeout.as_micros() > 0);
         assert!(r.validate().is_ok());
     }
 
@@ -470,14 +378,7 @@ mod tests {
         assert!(!c.pubsub_enabled, "pub/sub defaults to off");
         let p = TreePConfig::default().with_pubsub();
         assert!(p.pubsub_enabled);
-        assert!(p.max_filter_topics > 0);
         assert!(p.validate().is_ok());
-        // Off-mode tolerates degenerate pub/sub knobs: they are inert.
-        let inert = TreePConfig {
-            max_filter_topics: 0,
-            ..TreePConfig::default()
-        };
-        assert!(inert.validate().is_ok());
     }
 
     #[test]

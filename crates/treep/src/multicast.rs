@@ -346,6 +346,19 @@ impl AggregateOutcome {
     }
 }
 
+/// Hop budget of a scoped multicast (ascent + bus walk + descent): what an
+/// origin sets out with and every forwarding hop spends one of. It
+/// comfortably exceeds the hierarchy height plus the expected top-level bus
+/// length; a node that receives a message with none left delivers it and
+/// forwards nothing.
+pub const MULTICAST_HOP_BUDGET: u32 = 512;
+const _: () = assert!(MULTICAST_HOP_BUDGET > crate::tables::MAX_BUS_LEVEL);
+
+/// How long a convergecast relay waits for the partials of its delegated
+/// branches before folding up whatever has arrived (bounds the damage of
+/// a lost `AggregateUp` under churn).
+pub const AGGREGATE_RELAY_TIMEOUT: SimDuration = SimDuration::from_millis(700);
+
 /// Where a completed relay fold should be reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyTo {
@@ -442,6 +455,11 @@ impl<K: Ord + Copy> SeenWindow<K> {
 }
 
 // ---- reliability layer state ------------------------------------------------
+
+/// Base retransmission timeout of the reliability layer; doubled after
+/// every unacknowledged attempt (exponential backoff). Comfortably exceeds
+/// one round-trip time. Only armed when `max_retransmits > 0`.
+pub const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(120);
 
 /// One unacknowledged reliable transmission, waiting in a node's bounded
 /// retransmission queue (see the state machine in

@@ -466,7 +466,7 @@ impl Protocol for TreePNode {
         // deployments stay byte-identical to the unreplicated protocol
         // (no extra timers, no extra RNG draws).
         if self.config.replication_factor > 1 {
-            let interval = self.config.replica_sync_interval.as_micros().max(1);
+            let interval = crate::replication::REPLICA_SYNC_INTERVAL.as_micros();
             let replica_jitter = ctx.rng().gen_range_u64(0..interval);
             ctx.set_timer(
                 SimDuration::from_micros(interval + replica_jitter),

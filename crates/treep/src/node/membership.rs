@@ -32,6 +32,7 @@
 
 use super::*;
 use crate::messages::RoutingUpdate;
+use crate::tables::{MAX_LEVEL0_CONNECTIONS, MIN_LEVEL0_CONNECTIONS};
 
 impl TreePNode {
     /// Register with a freshly adopted parent: the `ParentAccept` handshake
@@ -362,11 +363,10 @@ impl TreePNode {
         //    size.
         let expired = self.tables.expire(now, self.config.entry_ttl);
         self.stats.entries_expired += expired.len() as u64;
-        self.stats.entries_pruned += self.tables.prune_level0(
-            self.config.space,
-            self.id,
-            self.config.max_level0_connections,
-        ) as u64;
+        let pruned = self
+            .tables
+            .prune_level0(self.config.space, self.id, MAX_LEVEL0_CONNECTIONS);
+        self.stats.entries_pruned += pruned as u64;
 
         // 2. The parent link. A parent sits strictly above its child: one
         //    recorded at or below our own level has demoted since we adopted
@@ -389,7 +389,7 @@ impl TreePNode {
         }
         if self.tables.parent().is_none()
             && self.max_level < self.config.height
-            && self.tables.level0_degree() >= self.config.min_level0_connections
+            && self.tables.level0_degree() >= MIN_LEVEL0_CONNECTIONS
             && self.election.election().is_none()
         {
             self.trigger_election(ctx);

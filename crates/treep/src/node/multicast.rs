@@ -38,7 +38,7 @@
 //!   re-acked, so a lost ack can delay but never wedge the sender.
 //! * **Retransmission queue.** Each reliable send registers a
 //!   [`PendingRetx`] in a per-node queue and arms a [`super::TIMER_RETX`]
-//!   backoff timer (`retransmit_timeout`, doubled after every attempt —
+//!   backoff timer ([`RETRANSMIT_TIMEOUT`], doubled after every attempt —
 //!   exponential backoff). An entry is identified by its destination, the
 //!   kind of the message it holds and the `(origin, request)` that message
 //!   carries ([`TreePMessage::hop_acked_as`]) — nothing is stored beside the
@@ -82,6 +82,7 @@ use super::inflight::Pending;
 use super::*;
 use crate::multicast::{
     AggregatePartial, AggregateQuery, MulticastPayload, MulticastPhase, PendingRetx, ReplyTo,
+    AGGREGATE_RELAY_TIMEOUT, MULTICAST_HOP_BUDGET, RETRANSMIT_TIMEOUT,
 };
 
 impl TreePNode {
@@ -147,7 +148,7 @@ impl TreePNode {
             request_id,
             range,
             payload,
-            budget: self.config.multicast_hop_budget,
+            budget: MULTICAST_HOP_BUDGET,
             hops: 0,
             phase: MulticastPhase::Up,
             bus_level: 0,
@@ -219,10 +220,9 @@ impl TreePNode {
     /// Deliver locally, fan out to the selected children, continue the bus
     /// walk, and (for aggregations) set up the convergecast relay.
     ///
-    /// `msg` is the [`TreePMessage::MulticastDown`] as it arrived, and its
-    /// `phase` is this node's part in the descent: an `Up` that ends here
-    /// makes it the descent root (top of the initiator's tree), a bus phase
-    /// a node reached by the walk, `Down` one reached through its parent.
+    /// `msg` is the [`TreePMessage::MulticastDown`] as it arrived; its `phase`
+    /// is this node's part in the descent (an `Up` that ends here: the
+    /// descent root — see the module documentation).
     ///
     /// `degraded` marks a descent started by the reliability layer after the
     /// ascent died (the parent was declared dead): the fold of such a
@@ -402,7 +402,7 @@ impl TreePNode {
                     self.next_relay_round += 1;
                     self.relays.insert(round, relay);
                     ctx.set_timer(
-                        self.config.aggregate_relay_timeout,
+                        AGGREGATE_RELAY_TIMEOUT,
                         encode_timer(TIMER_AGG_RELAY, round),
                     );
                 }
@@ -538,13 +538,11 @@ impl TreePNode {
             return;
         }
         // A relay waiting on this branch folds the partial in.
-        let matching = self
+        let waiting = self
             .relays
-            .iter()
-            .find(|(_, r)| r.origin.addr == origin.addr && r.request_id == request_id)
-            .map(|(round, _)| *round);
-        if let Some(round) = matching {
-            let relay = self.relays.get_mut(&round).expect("found above");
+            .iter_mut()
+            .find(|(_, r)| r.origin.addr == origin.addr && r.request_id == request_id);
+        if let Some((&round, relay)) = waiting {
             relay.acc.combine(partial);
             relay.truncated |= truncated;
             relay.expected = relay.expected.saturating_sub(1);
@@ -602,15 +600,12 @@ impl TreePNode {
                 dest_id,
                 msg,
                 attempts_left: self.config.max_retransmits,
-                backoff: self.config.retransmit_timeout,
+                backoff: RETRANSMIT_TIMEOUT,
                 rerouted,
                 trace: ctx.trace_ctx(),
             },
         );
-        ctx.set_timer(
-            self.config.retransmit_timeout,
-            encode_timer(TIMER_RETX, retx_id),
-        );
+        ctx.set_timer(RETRANSMIT_TIMEOUT, encode_timer(TIMER_RETX, retx_id));
     }
 
     /// `from` acknowledged the `acked_kind` message of `(origin,

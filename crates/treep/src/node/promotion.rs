@@ -141,7 +141,7 @@ impl TreePNode {
         let eligible = self.max_level + 1 == level
             && level <= self.config.height
             && self.tables.parent().is_none()
-            && self.tables.level0_degree() >= self.config.min_level0_connections;
+            && self.tables.level0_degree() >= crate::tables::MIN_LEVEL0_CONNECTIONS;
         if eligible && self.election.election().is_none() {
             let (delay, round) = self.election.start_election(
                 level,

@@ -32,7 +32,7 @@
 use super::inflight::{KeyHop, Pending};
 use super::*;
 use crate::multicast::{AggregateQuery, MulticastPayload};
-use crate::pubsub::{decode_subscriber_set, encode_subscriber_set};
+use crate::pubsub::{decode_subscriber_set, encode_subscriber_set, MAX_FILTER_TOPICS};
 
 impl TreePNode {
     /// Subscribe this node to `topic` (a coordinate from
@@ -222,7 +222,7 @@ impl TreePNode {
         }
         let filter = self
             .tables
-            .subtree_filter(self.local_topics.iter(), self.config.max_filter_topics);
+            .subtree_filter(self.local_topics.iter(), MAX_FILTER_TOPICS);
         if self.last_reported_filter.as_ref() == Some(&filter) {
             return;
         }
@@ -239,7 +239,7 @@ impl TreePNode {
         }
         let filter = self
             .tables
-            .subtree_filter(self.local_topics.iter(), self.config.max_filter_topics);
+            .subtree_filter(self.local_topics.iter(), MAX_FILTER_TOPICS);
         self.report_filter(filter, ctx);
     }
 
@@ -286,7 +286,7 @@ impl TreePNode {
             // Re-bound on receipt: a report larger than this node's bound
             // (mixed configurations) degrades to overflow instead of
             // growing the table.
-            TopicFilter::from_topics(topics, self.config.max_filter_topics)
+            TopicFilter::from_topics(topics, MAX_FILTER_TOPICS)
         };
         if self.tables.record_child_filter(child.id, filter) {
             self.filters_changed(ctx);

@@ -31,7 +31,7 @@
 
 use super::*;
 use crate::readpath::StampedValue;
-use crate::replication::ReplicaEntry;
+use crate::replication::{ReplicaEntry, REPLICA_SYNC_INTERVAL};
 
 impl TreePNode {
     fn replication_enabled(&self) -> bool {
@@ -230,10 +230,7 @@ impl TreePNode {
         self.stats.replica_sync_rounds += 1;
         self.handoff_misplaced_keys(ctx);
         self.send_replica_digests(ctx);
-        ctx.set_timer(
-            self.config.replica_sync_interval,
-            encode_timer(TIMER_REPLICA, 0),
-        );
+        ctx.set_timer(REPLICA_SYNC_INTERVAL, encode_timer(TIMER_REPLICA, 0));
     }
 
     /// Steady-state divergence detection: tell each of the `k - 1` nearest

@@ -30,7 +30,7 @@
 //! [`crate::messages::TreePMessage::FilterReport`] next to the existing
 //! `ChildReport` span, both periodically and immediately whenever the
 //! summary changes (subscribe, unsubscribe, a child's filter update). A
-//! filter lists at most `max_filter_topics` topics exactly; past that bound
+//! filter lists at most [`MAX_FILTER_TOPICS`] topics exactly; past that bound
 //! it degrades to `overflow = true`, which means "assume every topic" —
 //! over-approximation is always safe, under-approximation never is.
 //!
@@ -76,6 +76,11 @@ pub fn topic_key(space: IdSpace, topic: &str) -> NodeId {
 /// as such through the existing `truncated` convergecast bit), bounding
 /// both datagram size and fold memory.
 pub const MAX_RANGE_KEYS: usize = 4096;
+
+/// Largest number of topics a per-child subscription filter lists exactly;
+/// beyond it the filter degrades to "assume every topic" (overflow),
+/// trading pruning for bounded summary size.
+pub const MAX_FILTER_TOPICS: usize = 64;
 
 /// The topics present in one subtree, summarised for fan-out pruning.
 ///

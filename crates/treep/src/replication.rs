@@ -65,12 +65,12 @@
 //!
 //! ## Repair round
 //!
-//! Each node runs one timer-driven round per `replica_sync_interval`, and
+//! Each node runs one timer-driven round per [`REPLICA_SYNC_INTERVAL`], and
 //! the round is the whole state of the repair machine — there is no mode,
 //! and no message is awaited:
 //!
 //! ```text
-//!   every replica_sync_interval
+//!   every REPLICA_SYNC_INTERVAL
 //!        │
 //!        ▼
 //!   handoff & GC ──► ReplicaDigest to each of the k-1 successors
@@ -103,6 +103,13 @@
 use crate::dht::DhtStore;
 use crate::id::NodeId;
 use serde::{Deserialize, Serialize};
+use simnet::SimDuration;
+
+/// Interval between anti-entropy rounds of the replication subsystem
+/// (handoff / garbage collection, then one digest per replica partner; a
+/// pairwise range sync where one disagrees). Only armed when
+/// `replication_factor > 1`.
+pub const REPLICA_SYNC_INTERVAL: SimDuration = SimDuration::from_millis(900);
 
 /// One replicated `(key, value)` pair as carried by a
 /// [`crate::messages::TreePMessage::ReplicaSyncReply`].

@@ -95,6 +95,21 @@ pub type PeerEntry = RoutingEntry;
 /// anyway; [`crate::TreePConfig::validate`] rejects a greater `height`.
 pub const MAX_BUS_LEVEL: u32 = 63;
 
+/// Minimum number of level-0 connections every node keeps alive ("Each node
+/// needs to maintain a minimum of two connections", Section III.a): a node
+/// with fewer neither calls nor joins an election.
+pub const MIN_LEVEL0_CONNECTIONS: usize = 2;
+
+/// Maximum number of level-0 neighbours a node actively maintains.
+/// Entries learned through gossip beyond this budget are pruned during
+/// the maintenance tick, keeping the ID-closest peers ("If they stop
+/// interacting and have more than two edges, each node can safely delete
+/// the other from their routing table"). This is what keeps the per-node
+/// keep-alive fan-out — and therefore the maintenance overhead — bounded
+/// independently of the network size.
+pub const MAX_LEVEL0_CONNECTIONS: usize = 8;
+const _: () = assert!(MAX_LEVEL0_CONNECTIONS >= MIN_LEVEL0_CONNECTIONS);
+
 /// `Slot::levels` bit of the level-0 table.
 const LEVEL0: u64 = 1;
 /// `Slot::tree` bits.

@@ -532,7 +532,7 @@ mod tests {
         let builder = TopologyBuilder::new(150);
         let (sim, topo) = builder.build_simulation(4);
         let nodes: Vec<&TreePNode> = topo.nodes.iter().filter_map(|n| sim.node(n.addr)).collect();
-        let report = audit(nodes, &builder.config());
+        let report = audit(nodes);
         assert_eq!(report.nodes, 150);
         assert_eq!(report.dangling_parents, 0, "{report:?}");
         assert_eq!(report.overfull_parents, 0, "{report:?}");

@@ -13,6 +13,7 @@
 //! ```
 
 use simnet::SimDuration;
+use treep::replication::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, TreePConfig};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
@@ -50,7 +51,7 @@ fn run(k: u32) {
         // Settle + a few anti-entropy rounds.
         sim.run_for(SimDuration::from_secs(3));
         for _ in 0..4 {
-            sim.run_for(config.replica_sync_interval);
+            sim.run_for(REPLICA_SYNC_INTERVAL);
         }
         let audit = audit_replication(
             topo.nodes

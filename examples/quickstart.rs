@@ -51,7 +51,7 @@ fn main() {
     sim.run_for(SimDuration::from_secs(12));
 
     let alive: Vec<&TreePNode> = ids.iter().filter_map(|&(a, _)| sim.node(a)).collect();
-    let report = audit(alive, &config);
+    let report = audit(alive);
     println!(
         "after 12 s of virtual time, {} peers self-organised into:",
         report.nodes

@@ -45,8 +45,7 @@ const MAX_RETRANSMITS: u32 = 4;
 fn experiments_free_audit(sim: &Simulation<TreePNode>) -> treep::HierarchyAudit {
     let alive = sim.alive_nodes();
     let nodes: Vec<&TreePNode> = alive.iter().filter_map(|&a| sim.node(a)).collect();
-    let config = nodes.first().map(|n| *n.config()).unwrap_or_default();
-    treep::audit(nodes, &config)
+    treep::audit(nodes)
 }
 
 /// The root of the tree `addr` belongs to: the end of its parent chain.

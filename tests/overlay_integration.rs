@@ -110,7 +110,7 @@ fn hierarchy_survives_moderate_failures() {
         .iter()
         .filter_map(|&(a, _)| sim.node(a))
         .collect();
-    let report = audit(nodes, &TreePConfig::paper_case_fixed());
+    let report = audit(nodes);
     assert_eq!(report.nodes, alive_pairs.len());
     assert!(
         report.avg_active_connections < 25.0,

@@ -225,7 +225,7 @@ fn run_trace(case: &Case, strict: bool) -> Trace {
         .iter()
         .filter(|n| n.tables().parent().is_none())
         .count();
-    trace.parent_cycles = treep::audit(survivors, &config).parent_cycles;
+    trace.parent_cycles = treep::audit(survivors).parent_cycles;
     trace
 }
 

@@ -9,6 +9,7 @@
 
 use simnet::{NodeAddr, SimDuration};
 use std::collections::BTreeMap;
+use treep::replication::REPLICA_SYNC_INTERVAL;
 use treep::{NodeId, ReadOutcome, TreePConfig, VersionStamp};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
@@ -217,7 +218,7 @@ fn an_unversioned_put_never_splits_a_stamped_key() {
     });
     // Two anti-entropy rounds on every node.
     for _ in 0..2 {
-        sim.run_for(config.replica_sync_interval);
+        sim.run_for(REPLICA_SYNC_INTERVAL);
     }
 
     let holders: Vec<_> = topo

@@ -12,6 +12,7 @@
 //! compiles against a `MessageKind` without the digest row.
 
 use simnet::{SimDuration, Simulation};
+use treep::replication::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, NodeStats, TreePConfig, TreePNode};
 use workloads::{KvWorkload, TopologyBuilder};
 
@@ -55,7 +56,7 @@ fn converged_replicas_cost_k_minus_one_digests_per_node_and_round() {
         )
     };
     // Placement and ten rounds for the last disagreeing pair to settle.
-    let round = config.replica_sync_interval.as_micros();
+    let round = REPLICA_SYNC_INTERVAL.as_micros();
     sim.run_for(SimDuration::from_micros(10 * round));
     let settled = audit(&sim);
     assert_eq!(settled.keys, KEYS);

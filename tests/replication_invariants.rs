@@ -9,6 +9,7 @@
 //! possibly stale registry views; the audit sees everything.
 
 use simnet::SimDuration;
+use treep::replication::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, ReplicationAudit, TreePConfig};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
@@ -70,7 +71,7 @@ fn run_case(case: &Case) -> (ReplicationAudit, usize) {
         sim.run_for(SimDuration::from_secs(3));
         let mut windows = 0usize;
         while !audit(&sim).is_converged() && windows < 15 {
-            sim.run_for(config.replica_sync_interval);
+            sim.run_for(REPLICA_SYNC_INTERVAL);
             windows += 1;
         }
         windows_used = windows_used.max(windows);
