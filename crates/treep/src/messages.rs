@@ -332,9 +332,9 @@ pub enum TreePMessage {
         /// Partial result folded over the reporting branch.
         partial: AggregatePartial,
         /// True when the reporting branch lost at least one delegated
-        /// sub-branch (its relay hold timer fired): the partial is a lower
-        /// bound, not an authoritative answer. Propagated by OR on the way
-        /// up.
+        /// sub-branch (its relay hold timer fired) or left one unvisited
+        /// (the hop budget ran out): the partial is a lower bound, not an
+        /// authoritative answer. Propagated by OR on the way up.
         truncated: bool,
         /// True only on the descent root's final fold to the origin. The
         /// discriminant matters when the origin is itself a relay of its own

@@ -294,8 +294,9 @@ pub enum AggregateOutcome {
         /// The combined result over the whole reached range.
         partial: AggregatePartial,
         /// True when at least one delegated branch never reported before its
-        /// relay's hold timer fired: the partial covers only part of the
-        /// range and must not be treated as authoritative (loss / churn).
+        /// relay's hold timer fired, or the hop budget ran out above a
+        /// subtree: the partial covers only part of the range and must not
+        /// be treated as authoritative (loss / churn).
         truncated: bool,
         /// When the answer arrived.
         completed_at: SimTime,

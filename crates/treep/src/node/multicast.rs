@@ -344,8 +344,10 @@ impl TreePNode {
         // The hop budget limits *forwarding*, never receipt: an arriving
         // message always delivers locally. An exhausted budget prunes the
         // outgoing edges (for aggregates the empty edge set completes the
-        // branch immediately with the local contribution).
-        if budget == 0 && !edges.is_empty() {
+        // branch immediately with the local contribution — a fold that
+        // skipped every subtree below this node, so it goes up truncated).
+        let cut_short = budget == 0 && !edges.is_empty();
+        if cut_short {
             self.stats.multicast_budget_dropped += 1;
             edges.clear();
         }
@@ -393,7 +395,7 @@ impl TreePNode {
                     },
                     acc: self.aggregate_contribution(*query, range),
                     expected: edges.len(),
-                    truncated: degraded,
+                    truncated: degraded || cut_short,
                 };
                 if edges.is_empty() {
                     self.finish_aggregate_branch(relay, ctx);

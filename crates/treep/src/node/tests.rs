@@ -920,34 +920,49 @@ fn multicast_on_isolated_node_delivers_locally_when_in_range() {
 fn exhausted_budget_still_delivers_locally() {
     // The hop budget limits forwarding, never receipt: a node receiving
     // a descending multicast with budget 0 delivers the payload but
-    // forwards nothing.
-    let (mut node, mut rng) = started_node(1000);
-    node.seed_max_level(1);
-    node.seed_child(peer(500, 0), true, SimTime::ZERO);
-    let mut ctx = Context::new(SimTime::ZERO, NodeAddr(1000), &mut rng);
-    node.on_message(
-        NodeAddr(7),
-        TreePMessage::MulticastDown {
-            origin: peer(7, 0),
-            request_id: RequestId(1),
-            range: KeyRange::new(NodeId(0), NodeId(2000)),
-            payload: MulticastPayload::Data(b"last-hop".to_vec()),
-            budget: 0,
-            hops: 9,
-            phase: MulticastPhase::Down,
-            bus_level: 3,
-        },
-        &mut ctx,
+    // forwards nothing — and a fold cut short there is not a complete one.
+    let origin = peer(7, 0);
+    let arrives_spent = |payload| {
+        let (mut node, mut rng) = started_node(1000);
+        node.seed_max_level(1);
+        node.seed_child(peer(500, 0), true, SimTime::ZERO);
+        let mut ctx = Context::new(SimTime::ZERO, NodeAddr(1000), &mut rng);
+        node.on_message(
+            NodeAddr(7),
+            TreePMessage::MulticastDown {
+                origin,
+                request_id: RequestId(1),
+                range: KeyRange::new(NodeId(0), NodeId(2000)),
+                payload,
+                budget: 0,
+                hops: 9,
+                phase: MulticastPhase::Down,
+                bus_level: 3,
+            },
+            &mut ctx,
+        );
+        assert_eq!(node.stats().multicast_budget_dropped, 1);
+        (node.drain_multicast_deliveries().len(), sends(ctx))
+    };
+    let (delivered, sent) = arrives_spent(MulticastPayload::Data(b"last-hop".to_vec()));
+    assert_eq!(delivered, 1);
+    assert!(sent.is_empty(), "no forwarding on an exhausted budget");
+
+    let count = AggregateQuery::CountNodes;
+    let (_, sent) = arrives_spent(MulticastPayload::Aggregate(count));
+    let partial_count = TreePMessage::AggregateUp {
+        origin,
+        request_id: RequestId(1),
+        query: count,
+        partial: AggregatePartial::Count(1),
+        truncated: true,
+        final_answer: false,
+    };
+    assert_eq!(
+        sent,
+        vec![(NodeAddr(7), partial_count)],
+        "the subtree below the cut was not counted"
     );
-    assert_eq!(node.drain_multicast_deliveries().len(), 1);
-    let actions = ctx.into_actions();
-    assert!(
-        actions
-            .iter()
-            .all(|a| !matches!(a, simnet::Action::Send { .. })),
-        "no forwarding on an exhausted budget"
-    );
-    assert_eq!(node.stats().multicast_budget_dropped, 1);
 }
 
 #[test]
