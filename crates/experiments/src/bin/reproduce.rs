@@ -34,7 +34,7 @@ use experiments::{
     measure_telemetry_overhead, routing_table_report, run_churn_experiment, run_durability,
     run_read_storm, run_scale, run_trace_demo, sweep_multicast_loss, ChurnRunResult,
     DurabilityParams, ExperimentParams, Figure, LossSweepParams, MulticastParams, PubSubParams,
-    ReadStormParams, ScaleParams, TraceDemoParams,
+    ReadStormParams, ScaleParams, TraceDemoParams, TELEMETRY_OVERHEAD_BOUND_PCT,
 };
 
 struct Cli {
@@ -611,9 +611,9 @@ fn main() {
             if !overhead.digests_match {
                 fail("telemetry smoke gate failed: telemetry-on digest diverged");
             }
-            if overhead.overhead_pct() > 10.0 {
+            if overhead.overhead_pct() > TELEMETRY_OVERHEAD_BOUND_PCT {
                 fail(format!(
-                    "telemetry smoke gate failed: {:.2}% overhead exceeds 10%",
+                    "telemetry smoke gate failed: {:.2}% overhead exceeds {TELEMETRY_OVERHEAD_BOUND_PCT}%",
                     overhead.overhead_pct()
                 ));
             }

@@ -68,6 +68,7 @@ pub use runner::{
 };
 pub use scale::{
     measure_telemetry_overhead, run_scale, ScaleParams, ScaleReport, ScaleRow, TelemetryOverhead,
+    TELEMETRY_OVERHEAD_BOUND_PCT,
 };
 pub use table_routing::{routing_table_report, LevelTableRow, RoutingTableReport};
 pub use trace_demo::{run_trace_demo, OpTraceSummary, TraceDemoParams, TraceDemoReport};
