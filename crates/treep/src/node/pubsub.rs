@@ -109,13 +109,8 @@ impl TreePNode {
         ctx.start_trace("publish");
         let request_id = self.fresh_request_id();
         self.stats.publishes_initiated += 1;
-        let everywhere = KeyRange::full(self.config.space);
-        self.originate(
-            request_id,
-            everywhere,
-            MulticastPayload::Topic { topic, data },
-            ctx,
-        )
+        let payload = MulticastPayload::Topic { topic, data };
+        self.originate(request_id, KeyRange::full(self.config.space), payload, ctx)
     }
 
     /// The DHT keys stored anywhere in `range`: one scoped aggregation
