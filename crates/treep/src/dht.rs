@@ -26,8 +26,10 @@ pub struct DhtStore {
 
 impl DhtStore {
     /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        DhtStore {
+            values: BTreeMap::new(),
+        }
     }
 
     /// Store `value` under the key coordinate whatever is held there, as an

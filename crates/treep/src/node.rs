@@ -31,7 +31,10 @@
 //! [`Protocol`] dispatch that routes every message and timer to the layer
 //! that handles it. All state lives in one struct — the layers are modules,
 //! not objects — so handlers freely cooperate through `&mut self` while the
-//! file layout keeps each protocol concern reviewable in isolation.
+//! file layout keeps each protocol concern reviewable in isolation. The
+//! state only the feature layers (DHT store, multicast, read path, pub/sub)
+//! touch sits in one `Features` box that the first write allocates, so a
+//! node that only maintains the overlay and answers lookups never holds it.
 
 mod inflight;
 mod lookup;
@@ -111,6 +114,20 @@ pub struct TreePNode {
     /// (owned by the `inflight` layer).
     pending: BTreeMap<RequestId, inflight::Pending>,
     lookup_outcomes: Vec<LookupOutcome>,
+    /// `None` until a feature layer first writes (see `Features`).
+    features: Option<Box<Features>>,
+    stats: NodeStats,
+    last_tick: Option<SimTime>,
+}
+
+/// Per-node state that only the feature layers read: the DHT store, the
+/// dissemination engine, the read path and pub/sub. About a third of a
+/// node's size, boxed and allocated by the first write that needs it
+/// (`TreePNode::features`) — a node that only maintains the overlay and
+/// answers lookups never allocates it. Reads of an absent box see the
+/// empty state it would start from.
+#[derive(Default)]
+struct Features {
     dht_outcomes: Vec<DhtOutcome>,
     store: DhtStore,
     multicast_deliveries: Vec<MulticastDelivery>,
@@ -147,8 +164,6 @@ pub struct TreePNode {
     /// unchanged summaries are not re-sent event-driven (the periodic
     /// report still refreshes the parent's entry).
     last_reported_filter: Option<TopicFilter>,
-    stats: NodeStats,
-    last_tick: Option<SimTime>,
 }
 
 impl TreePNode {
@@ -171,24 +186,7 @@ impl TreePNode {
             next_request_id: 0,
             pending: BTreeMap::new(),
             lookup_outcomes: Vec::new(),
-            dht_outcomes: Vec::new(),
-            store: DhtStore::new(),
-            multicast_deliveries: Vec::new(),
-            multicast_seen: SeenWindow::default(),
-            ascent_seen: SeenWindow::default(),
-            aggregate_seen: SeenWindow::default(),
-            aggregate_outcomes: Vec::new(),
-            relays: BTreeMap::new(),
-            next_relay_round: 0,
-            retx_pending: BTreeMap::new(),
-            next_retx_id: 0,
-            observed: BTreeMap::new(),
-            cache: HotKeyCache::new(config.cache_capacity, config.cache_ttl),
-            read_outcomes: Vec::new(),
-            local_topics: BTreeSet::new(),
-            sub_outcomes: Vec::new(),
-            topic_deliveries: Vec::new(),
-            last_reported_filter: None,
+            features: None,
             stats: NodeStats::default(),
             last_tick: None,
         }
@@ -246,7 +244,8 @@ impl TreePNode {
 
     /// The local DHT store.
     pub fn dht_store(&self) -> &DhtStore {
-        &self.store
+        static EMPTY: DhtStore = DhtStore::new();
+        self.features.as_ref().map_or(&EMPTY, |f| &f.store)
     }
 
     /// Drain the completed lookup outcomes recorded at this origin.
@@ -256,54 +255,57 @@ impl TreePNode {
 
     /// Drain the completed DHT outcomes recorded at this origin.
     pub fn drain_dht_outcomes(&mut self) -> Vec<DhtOutcome> {
-        std::mem::take(&mut self.dht_outcomes)
+        self.drain(|f| &mut f.dht_outcomes)
     }
 
     /// Drain the multicast payload deliveries recorded at this node.
     pub fn drain_multicast_deliveries(&mut self) -> Vec<MulticastDelivery> {
-        std::mem::take(&mut self.multicast_deliveries)
+        self.drain(|f| &mut f.multicast_deliveries)
     }
 
     /// The multicast payload deliveries recorded at this node (read-only).
     pub fn multicast_deliveries(&self) -> &[MulticastDelivery] {
-        &self.multicast_deliveries
+        self.features
+            .as_ref()
+            .map_or(&[], |f| &f.multicast_deliveries)
     }
 
     /// Drain the completed aggregation outcomes recorded at this origin.
     pub fn drain_aggregate_outcomes(&mut self) -> Vec<AggregateOutcome> {
-        std::mem::take(&mut self.aggregate_outcomes)
+        self.drain(|f| &mut f.aggregate_outcomes)
     }
 
     /// Drain the completed versioned read/write outcomes recorded at this
     /// origin.
     pub fn drain_read_outcomes(&mut self) -> Vec<ReadOutcome> {
-        std::mem::take(&mut self.read_outcomes)
+        self.drain(|f| &mut f.read_outcomes)
     }
 
     /// Number of live lines in this node's hot-key cache.
     pub fn hot_cache_len(&self) -> usize {
-        self.cache.len()
+        self.features.as_ref().map_or(0, |f| f.cache.len())
     }
 
     /// The topics this node is locally subscribed to (read-only).
     pub fn subscribed_topics(&self) -> &BTreeSet<NodeId> {
-        &self.local_topics
+        static NONE: BTreeSet<NodeId> = BTreeSet::new();
+        self.features.as_ref().map_or(&NONE, |f| &f.local_topics)
     }
 
     /// Drain the completed subscribe/unsubscribe outcomes recorded at this
     /// origin.
     pub fn drain_subscribe_outcomes(&mut self) -> Vec<SubscribeOutcome> {
-        std::mem::take(&mut self.sub_outcomes)
+        self.drain(|f| &mut f.sub_outcomes)
     }
 
     /// Drain the topic-publish deliveries recorded at this subscriber.
     pub fn drain_topic_deliveries(&mut self) -> Vec<TopicDelivery> {
-        std::mem::take(&mut self.topic_deliveries)
+        self.drain(|f| &mut f.topic_deliveries)
     }
 
     /// The topic-publish deliveries recorded at this subscriber (read-only).
     pub fn topic_deliveries(&self) -> &[TopicDelivery] {
-        &self.topic_deliveries
+        self.features.as_ref().map_or(&[], |f| &f.topic_deliveries)
     }
 
     /// Number of reliable hops whose acknowledgement is still outstanding —
@@ -311,7 +313,7 @@ impl TreePNode {
     /// when `max_retransmits == 0`, and drains back to `0` after quiescence
     /// (every entry is removed by an ack, a give-up or a re-route).
     pub fn pending_retransmit_count(&self) -> usize {
-        self.retx_pending.len()
+        self.features.as_ref().map_or(0, |f| f.retx_pending.len())
     }
 
     /// This node's contact information as carried in protocol messages.
@@ -394,6 +396,26 @@ impl TreePNode {
             .set_suspect_before(SimTime::from_micros(now.as_micros().saturating_sub(quiet)));
     }
 
+    /// The feature-layer state, allocated by its first use.
+    fn features(&mut self) -> &mut Features {
+        let config = &self.config;
+        self.features.get_or_insert_with(|| {
+            Box::new(Features {
+                cache: HotKeyCache::new(config.cache_capacity, config.cache_ttl),
+                ..Features::default()
+            })
+        })
+    }
+
+    /// Take one of the feature layers' outcome queues (empty while the box
+    /// was never allocated).
+    fn drain<T>(&mut self, queue: impl FnOnce(&mut Features) -> &mut Vec<T>) -> Vec<T> {
+        self.features
+            .as_deref_mut()
+            .map(|f| std::mem::take(queue(f)))
+            .unwrap_or_default()
+    }
+
     fn fresh_request_id(&mut self) -> RequestId {
         let id = RequestId(self.next_request_id);
         self.next_request_id += 1;
@@ -426,10 +448,11 @@ impl TreePNode {
         value: Vec<u8>,
         now: SimTime,
     ) -> bool {
-        let applied = self.store.merge(key, stamp, value);
+        let f = self.features();
+        let applied = f.store.merge(key, stamp, value);
         if applied {
-            let held = self.store.get(key).expect("just merged");
-            self.cache.repair(key, stamp, held, now);
+            let held = f.store.get(key).expect("just merged");
+            f.cache.repair(key, stamp, held, now);
             self.store_changed();
         }
         applied
@@ -438,7 +461,7 @@ impl TreePNode {
     /// `stats.dht_values_stored` follows the store: called after every
     /// change to it.
     fn store_changed(&mut self) {
-        self.stats.dht_values_stored = self.store.len() as u64;
+        self.stats.dht_values_stored = self.dht_store().len() as u64;
     }
 
     fn send(&mut self, ctx: &mut Context<'_, TreePMessage>, dest: NodeAddr, msg: TreePMessage) {

@@ -127,7 +127,7 @@ impl TreePNode {
                 return self.complete_lookup(request_id, LookupStatus::NotFound, hops, now);
             }
             (TreePMessage::DhtPutAck { key, stored_at, .. }, Pending::Dht { .. }) => {
-                self.dht_outcomes.push(DhtOutcome::PutAcked {
+                self.features().dht_outcomes.push(DhtOutcome::PutAcked {
                     request_id,
                     key,
                     stored_at,
@@ -143,7 +143,7 @@ impl TreePNode {
                 },
                 Pending::Dht { .. },
             ) => {
-                self.dht_outcomes.push(DhtOutcome::GetAnswered {
+                self.features().dht_outcomes.push(DhtOutcome::GetAnswered {
                     request_id,
                     key,
                     value,
@@ -165,7 +165,7 @@ impl TreePNode {
                 if let Some(sv) = &value {
                     self.observe_stamp(key, sv.stamp);
                 }
-                self.read_outcomes.push(ReadOutcome::Got {
+                self.features().read_outcomes.push(ReadOutcome::Got {
                     request_id,
                     key,
                     value,
@@ -185,7 +185,7 @@ impl TreePNode {
                 Pending::Read { .. },
             ) => {
                 self.observe_stamp(key, stamp);
-                self.read_outcomes.push(ReadOutcome::PutAcked {
+                self.features().read_outcomes.push(ReadOutcome::PutAcked {
                     request_id,
                     key,
                     stamp,
@@ -199,7 +199,7 @@ impl TreePNode {
                 },
                 Pending::Subscribe { .. },
             ) => {
-                self.sub_outcomes.push(SubscribeOutcome::Acked {
+                self.features().sub_outcomes.push(SubscribeOutcome::Acked {
                     request_id,
                     topic,
                     subscribers,
@@ -215,13 +215,15 @@ impl TreePNode {
                 },
                 Pending::Aggregate { .. },
             ) => {
-                self.aggregate_outcomes.push(AggregateOutcome::Completed {
-                    request_id,
-                    query,
-                    partial,
-                    truncated,
-                    completed_at: now,
-                });
+                self.features()
+                    .aggregate_outcomes
+                    .push(AggregateOutcome::Completed {
+                        request_id,
+                        query,
+                        partial,
+                        truncated,
+                        completed_at: now,
+                    });
             }
             _ => return,
         }
@@ -244,28 +246,34 @@ impl TreePNode {
             Pending::Lookup { .. } => {
                 return self.complete_lookup(request_id, LookupStatus::TimedOut, 0, completed_at);
             }
-            Pending::Dht { key } => self.dht_outcomes.push(DhtOutcome::TimedOut {
+            Pending::Dht { key } => self.features().dht_outcomes.push(DhtOutcome::TimedOut {
                 request_id,
                 key,
                 completed_at,
             }),
-            Pending::Read { key } => self.read_outcomes.push(ReadOutcome::TimedOut {
+            Pending::Read { key } => self.features().read_outcomes.push(ReadOutcome::TimedOut {
                 request_id,
                 key,
                 completed_at,
             }),
             Pending::Aggregate { query } => {
-                self.aggregate_outcomes.push(AggregateOutcome::TimedOut {
-                    request_id,
-                    query,
-                    completed_at,
-                })
+                self.features()
+                    .aggregate_outcomes
+                    .push(AggregateOutcome::TimedOut {
+                        request_id,
+                        query,
+                        completed_at,
+                    })
             }
-            Pending::Subscribe { topic } => self.sub_outcomes.push(SubscribeOutcome::TimedOut {
-                request_id,
-                topic,
-                completed_at,
-            }),
+            Pending::Subscribe { topic } => {
+                self.features()
+                    .sub_outcomes
+                    .push(SubscribeOutcome::TimedOut {
+                        request_id,
+                        topic,
+                        completed_at,
+                    })
+            }
         }
         self.pending.remove(&request_id);
     }

@@ -209,7 +209,7 @@ impl TreePNode {
                 let reply = TreePMessage::DhtGetReply {
                     request_id,
                     key,
-                    value: self.store.get(key).cloned(),
+                    value: self.dht_store().get(key).cloned(),
                     responder: me,
                 };
                 self.answer(origin.addr, reply, ctx);

@@ -195,7 +195,7 @@ impl TreePNode {
         // or the same copy back around a parent cycle, where no root exists
         // to absorb it: forwarded again, every lost ack would add a copy per
         // hop for the whole hop budget.
-        if !self.ascent_seen.insert((origin, request_id)) {
+        if !self.features().ascent_seen.insert((origin, request_id)) {
             self.stats.multicast_duplicates_suppressed += 1;
             return;
         }
@@ -256,7 +256,11 @@ impl TreePNode {
         // no delivery, no forwarding (a duplicate delegator's relay recovers
         // through its hold timer; a retransmitting sender was already
         // re-acked before this guard ran).
-        if !self.multicast_seen.insert((origin.addr, request_id)) {
+        if !self
+            .features()
+            .multicast_seen
+            .insert((origin.addr, request_id))
+        {
             self.stats.multicast_duplicates_suppressed += 1;
             return;
         }
@@ -358,20 +362,22 @@ impl TreePNode {
             MulticastPayload::Data(data) => {
                 if in_range {
                     self.stats.multicast_deliveries += 1;
-                    self.multicast_deliveries.push(MulticastDelivery {
-                        origin,
-                        request_id,
-                        range,
-                        payload: data.clone(),
-                        hops,
-                        at: ctx.now(),
-                    });
+                    self.features()
+                        .multicast_deliveries
+                        .push(MulticastDelivery {
+                            origin,
+                            request_id,
+                            range,
+                            payload: data.clone(),
+                            hops,
+                            at: ctx.now(),
+                        });
                 }
             }
             MulticastPayload::Topic { topic, data } => {
-                if in_range && self.local_topics.contains(topic) {
+                if in_range && self.subscribed_topics().contains(topic) {
                     self.stats.pubsub_deliveries += 1;
-                    self.topic_deliveries.push(TopicDelivery {
+                    self.features().topic_deliveries.push(TopicDelivery {
                         origin,
                         request_id,
                         topic: *topic,
@@ -400,9 +406,10 @@ impl TreePNode {
                 if edges.is_empty() {
                     self.finish_aggregate_branch(relay, ctx);
                 } else {
-                    let round = self.next_relay_round;
-                    self.next_relay_round += 1;
-                    self.relays.insert(round, relay);
+                    let f = self.features();
+                    let round = f.next_relay_round;
+                    f.next_relay_round += 1;
+                    f.relays.insert(round, relay);
                     ctx.set_timer(
                         AGGREGATE_RELAY_TIMEOUT,
                         encode_timer(TIMER_AGG_RELAY, round),
@@ -445,14 +452,14 @@ impl TreePNode {
                 // Keys in range can be stored at a node just outside it (the
                 // responsible node is the *closest* to the key), so the
                 // store is consulted regardless of the node's own position.
-                let (xor, count) = self.store.digest_range(range);
+                let (xor, count) = self.dht_store().digest_range(range);
                 AggregatePartial::Digest { xor, count }
             }
             AggregateQuery::KeysInRange => {
                 // Same store-regardless-of-position rule as the digest; the
                 // ordered store iteration keeps the list sorted, as the
                 // merge fold requires.
-                let mut keys = self.store.keys_in_range(range);
+                let mut keys = self.dht_store().keys_in_range(range);
                 keys.truncate(crate::pubsub::MAX_RANGE_KEYS);
                 AggregatePartial::Keys(keys)
             }
@@ -526,7 +533,8 @@ impl TreePNode {
                     request_id,
                 },
             );
-            if !self.aggregate_seen.insert((from, origin.addr, request_id)) {
+            let fold = (from, origin.addr, request_id);
+            if !self.features().aggregate_seen.insert(fold) {
                 return;
             }
         }
@@ -539,23 +547,24 @@ impl TreePNode {
             }
             return;
         }
-        // A relay waiting on this branch folds the partial in.
-        let waiting = self
-            .relays
+        // A relay waiting on this branch folds the partial in. A branch
+        // partial with no matching relay is one that arrived after the
+        // relay's hold timer already folded up without it: nothing to do.
+        let relays = &mut self.features().relays;
+        let Some((&round, relay)) = relays
             .iter_mut()
-            .find(|(_, r)| r.origin.addr == origin.addr && r.request_id == request_id);
-        if let Some((&round, relay)) = waiting {
-            relay.acc.combine(partial);
-            relay.truncated |= truncated;
-            relay.expected = relay.expected.saturating_sub(1);
-            self.stats.aggregate_partials_folded += 1;
-            if relay.expected == 0 {
-                let relay = self.relays.remove(&round).expect("found above");
-                self.finish_aggregate_branch(relay, ctx);
-            }
+            .find(|(_, r)| r.origin.addr == origin.addr && r.request_id == request_id)
+        else {
+            return;
+        };
+        relay.acc.combine(partial);
+        relay.truncated |= truncated;
+        relay.expected = relay.expected.saturating_sub(1);
+        let finished = (relay.expected == 0).then(|| relays.remove(&round).expect("found above"));
+        self.stats.aggregate_partials_folded += 1;
+        if let Some(relay) = finished {
+            self.finish_aggregate_branch(relay, ctx);
         }
-        // A branch partial with no matching relay is one that arrived after
-        // the relay's hold timer already folded up without it: nothing to do.
     }
 
     // ---- timers ----------------------------------------------------------------
@@ -564,7 +573,7 @@ impl TreePNode {
         // A delegated branch never reported: fold up whatever arrived so the
         // rest of the convergecast can complete, marked truncated so the
         // origin knows the answer is a lower bound.
-        if let Some(mut relay) = self.relays.remove(&payload) {
+        if let Some(mut relay) = self.features().relays.remove(&payload) {
             relay.truncated |= relay.expected > 0;
             self.finish_aggregate_branch(relay, ctx);
         }
@@ -593,20 +602,19 @@ impl TreePNode {
             return;
         }
         self.send(ctx, dest, msg.clone());
-        let retx_id = self.next_retx_id;
-        self.next_retx_id += 1;
-        self.retx_pending.insert(
-            retx_id,
-            PendingRetx {
-                dest,
-                dest_id,
-                msg,
-                attempts_left: self.config.max_retransmits,
-                backoff: RETRANSMIT_TIMEOUT,
-                rerouted,
-                trace: ctx.trace_ctx(),
-            },
-        );
+        let entry = PendingRetx {
+            dest,
+            dest_id,
+            msg,
+            attempts_left: self.config.max_retransmits,
+            backoff: RETRANSMIT_TIMEOUT,
+            rerouted,
+            trace: ctx.trace_ctx(),
+        };
+        let f = self.features();
+        let retx_id = f.next_retx_id;
+        f.next_retx_id += 1;
+        f.retx_pending.insert(retx_id, entry);
         ctx.set_timer(RETRANSMIT_TIMEOUT, encode_timer(TIMER_RETX, retx_id));
     }
 
@@ -622,15 +630,15 @@ impl TreePNode {
         request_id: RequestId,
     ) {
         let acked = Some((origin, request_id));
-        let key = self
-            .retx_pending
+        let pending = &mut self.features().retx_pending;
+        let key = pending
             .iter()
             .find(|(_, p)| {
                 p.dest == from && p.msg.kind() == acked_kind && p.msg.hop_acked_as() == acked
             })
             .map(|(id, _)| *id);
         if let Some(id) = key {
-            self.retx_pending.remove(&id);
+            pending.remove(&id);
         }
     }
 
@@ -644,14 +652,12 @@ impl TreePNode {
         retx_id: u64,
         ctx: &mut Context<'_, TreePMessage>,
     ) {
-        let Some(entry) = self.retx_pending.get_mut(&retx_id) else {
+        let pending = &mut self.features().retx_pending;
+        let Some(entry) = pending.get_mut(&retx_id) else {
             return; // acked in the meantime
         };
         if entry.attempts_left == 0 {
-            let entry = self
-                .retx_pending
-                .remove(&retx_id)
-                .expect("entry checked above");
+            let entry = pending.remove(&retx_id).expect("entry checked above");
             ctx.set_trace(entry.trace);
             self.hop_declared_dead(entry, ctx);
             return;

@@ -47,7 +47,7 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
         ctx.start_trace("subscribe");
-        self.local_topics.insert(topic);
+        self.features().local_topics.insert(topic);
         self.filters_changed(ctx);
         self.send_subscription(topic, true, ctx)
     }
@@ -61,7 +61,7 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
         ctx.start_trace("unsubscribe");
-        self.local_topics.remove(&topic);
+        self.features().local_topics.remove(&topic);
         self.filters_changed(ctx);
         self.send_subscription(topic, false, ctx)
     }
@@ -173,7 +173,7 @@ impl TreePNode {
         // application DHT value sharing the coordinate; the directory
         // overwrites it (the coordinate is the directory's by contract).
         let mut set = self
-            .store
+            .dht_store()
             .get(topic)
             .and_then(|v| decode_subscriber_set(v))
             .unwrap_or_default();
@@ -184,7 +184,7 @@ impl TreePNode {
         }
         let subscribers = set.len() as u32;
         let value = encode_subscriber_set(&set);
-        self.store.put(topic, value);
+        self.features().store.put(topic, value);
         self.store_changed();
         self.push_replicas(topic, ctx);
         let ack = TreePMessage::SubscribeAck {
@@ -202,7 +202,9 @@ impl TreePNode {
         &self,
         topic: NodeId,
     ) -> Option<std::collections::BTreeSet<(NodeId, NodeAddr)>> {
-        self.store.get(topic).and_then(|v| decode_subscriber_set(v))
+        self.dht_store()
+            .get(topic)
+            .and_then(|v| decode_subscriber_set(v))
     }
 
     // ---- filter reporting --------------------------------------------------------
@@ -215,10 +217,9 @@ impl TreePNode {
         if !self.config.pubsub_enabled {
             return;
         }
-        let filter = self
-            .tables
-            .subtree_filter(self.local_topics.iter(), MAX_FILTER_TOPICS);
-        if self.last_reported_filter.as_ref() == Some(&filter) {
+        let filter = self.subtree_filter();
+        let last = self.features().last_reported_filter.as_ref();
+        if last == Some(&filter) {
             return;
         }
         self.report_filter(filter, ctx);
@@ -232,17 +233,22 @@ impl TreePNode {
         if !self.config.pubsub_enabled {
             return;
         }
-        let filter = self
-            .tables
-            .subtree_filter(self.local_topics.iter(), MAX_FILTER_TOPICS);
+        let filter = self.subtree_filter();
         self.report_filter(filter, ctx);
+    }
+
+    /// This node's subtree summary: its own topics joined with its
+    /// children's recorded filters.
+    fn subtree_filter(&self) -> TopicFilter {
+        self.tables
+            .subtree_filter(self.subscribed_topics().iter(), MAX_FILTER_TOPICS)
     }
 
     fn report_filter(&mut self, filter: TopicFilter, ctx: &mut Context<'_, TreePMessage>) {
         let Some(parent) = self.tables.parent().map(|p| p.addr) else {
             // A root has nobody to prune for it; remember the summary so a
             // later adoption-time report starts from the right baseline.
-            self.last_reported_filter = Some(filter);
+            self.features().last_reported_filter = Some(filter);
             return;
         };
         let me = self.peer_info();
@@ -256,7 +262,7 @@ impl TreePNode {
                 overflow: filter.overflow,
             },
         );
-        self.last_reported_filter = Some(filter);
+        self.features().last_reported_filter = Some(filter);
     }
 
     /// A child reported its subtree's topic summary: record it (only own

@@ -38,7 +38,8 @@ impl TreePNode {
     ) -> RequestId {
         ctx.start_trace("put_versioned");
         let coord = hash_key(self.config.space, key);
-        let stamp = VersionStamp::next(self.observed.get(&coord).copied(), self.id);
+        let observed = self.features().observed.get(&coord).copied();
+        let stamp = VersionStamp::next(observed, self.id);
         self.observe_stamp(coord, stamp);
         let request_id = self.begin(Pending::Read { key: coord }, ctx);
         let msg = TreePMessage::PutVersioned {
@@ -69,7 +70,7 @@ impl TreePNode {
             origin: self.peer_info(),
             key: coord,
             ttl: 0,
-            min_stamp: self.observed.get(&coord).copied(),
+            min_stamp: self.features().observed.get(&coord).copied(),
             path: Vec::new(),
         };
         self.route_get_versioned(msg, ctx);
@@ -79,13 +80,13 @@ impl TreePNode {
     /// The stamp of the locally stored copy of `key`, if any (values stored
     /// by the unversioned paths carry [`VersionStamp::LEGACY`]).
     pub fn stored_stamp(&self, key: NodeId) -> Option<VersionStamp> {
-        self.store.stamp(key)
+        self.dht_store().stamp(key)
     }
 
     /// Merge `stamp` into the highest-observed table (monotonic-reads
     /// bookkeeping at the origin).
     pub(super) fn observe_stamp(&mut self, key: NodeId, stamp: VersionStamp) {
-        let slot = self.observed.entry(key).or_insert(stamp);
+        let slot = self.features().observed.entry(key).or_insert(stamp);
         if stamp > *slot {
             *slot = stamp;
         }
@@ -117,23 +118,22 @@ impl TreePNode {
             KeyHop::Responsible => {
                 // The store is authoritative here, so the cache (which
                 // could lag it) is not consulted.
-                let value = self.store.stamped(key).cloned();
+                let value = self.dht_store().stamped(key).cloned();
                 return self.serve_read(msg, value, ReadSource::Responsible, ctx);
             }
         };
-        if let Some((stamp, value)) = self.cache.get(key, now) {
-            if satisfies(stamp) {
-                let value = Some(StampedValue {
-                    stamp,
-                    value: value.clone(),
-                });
-                self.stats.cache_hits += 1;
-                ctx.trace_note("cache_hit");
-                return self.serve_read(msg, value, ReadSource::Cache, ctx);
-            }
+        let hit = self.features().cache.get(key, now);
+        if let Some((stamp, value)) = hit.filter(|(stamp, _)| satisfies(*stamp)) {
+            let value = Some(StampedValue {
+                stamp,
+                value: value.clone(),
+            });
+            self.stats.cache_hits += 1;
+            ctx.trace_note("cache_hit");
+            return self.serve_read(msg, value, ReadSource::Cache, ctx);
         }
         if self.config.replica_reads {
-            if let Some(sv) = self.store.stamped(key).cloned() {
+            if let Some(sv) = self.dht_store().stamped(key).cloned() {
                 if satisfies(sv.stamp) {
                     self.stats.replica_served_gets += 1;
                     ctx.trace_note("replica_serve");
@@ -185,7 +185,7 @@ impl TreePNode {
                 // pass-through and the line's expiry would return the
                 // pre-write version (`repair` never grants new slots, so
                 // uncached hops stay untouched).
-                self.cache.repair(key, stamp, value, ctx.now());
+                self.features().cache.repair(key, stamp, value, ctx.now());
                 self.pass_on(next, msg, ctx);
             }
             KeyHop::Responsible => {
@@ -282,7 +282,10 @@ impl TreePNode {
         };
         let origin = *origin;
         if let Some(sv) = value {
-            let fill = self.cache.fill(*key, sv.stamp, &sv.value, ctx.now());
+            let fill = self
+                .features()
+                .cache
+                .fill(*key, sv.stamp, &sv.value, ctx.now());
             self.stats.cache_fills += u64::from(fill.stored);
             self.stats.cache_evictions += u64::from(fill.evicted);
         }
@@ -311,9 +314,9 @@ impl TreePNode {
     ) {
         let now = ctx.now();
         self.learn_peer(sender, now);
-        self.cache.repair(key, stamp, &value, now);
+        self.features().cache.repair(key, stamp, &value, now);
         let me_addr = self.addr.expect("node not started");
-        if self.store.contains(key) || self.in_replica_set(key, self.id, me_addr) {
+        if self.dht_store().contains(key) || self.in_replica_set(key, self.id, me_addr) {
             self.stats.replica_values_received += 1;
             self.apply_write(key, stamp, value, now);
         }
@@ -346,7 +349,7 @@ impl TreePNode {
                 // lacks reaches it through the next digest it exchanges
                 // with that replica; an older one is overwritten by the
                 // next stamped write or repair that reaches it.
-                let held = self.store.stamped(key);
+                let held = self.dht_store().stamped(key);
                 if let Some(fresh) = held.filter(|h| h.stamp > served_stamp).cloned() {
                     // The server answered stale: push the authoritative copy
                     // to it and re-place it on the replica set, so one stale

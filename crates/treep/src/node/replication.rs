@@ -122,7 +122,7 @@ impl TreePNode {
         if !self.replication_enabled() {
             return;
         }
-        let Some(held) = self.store.stamped(key).cloned() else {
+        let Some(held) = self.dht_store().stamped(key).cloned() else {
             return;
         };
         let targets =
@@ -165,7 +165,7 @@ impl TreePNode {
         // survives the transfer; only unstamped (legacy) values ride in
         // the reply's entry list, keeping the pre-versioning wire bytes.
         let (stamped, unstamped): (Vec<_>, Vec<_>) = self
-            .store
+            .dht_store()
             .entries_in_range(range)
             .filter(|(k, _)| !offered.contains(k))
             .filter(|(k, _)| self.in_replica_set(**k, sender.id, sender.addr))
@@ -184,7 +184,7 @@ impl TreePNode {
         // Keys the requester offered that this node lacks and should hold.
         let want: Vec<NodeId> = keys
             .into_iter()
-            .filter(|k| !self.store.contains(*k))
+            .filter(|k| !self.dht_store().contains(*k))
             .filter(|k| self.in_replica_set(*k, self.id, me.addr))
             .collect();
         if !entries.is_empty() || !want.is_empty() {
@@ -215,7 +215,7 @@ impl TreePNode {
             self.apply_write(entry.key, VersionStamp::LEGACY, entry.value, ctx.now());
         }
         for key in want {
-            if let Some(held) = self.store.stamped(key).cloned() {
+            if let Some(held) = self.dht_store().stamped(key).cloned() {
                 self.send(ctx, sender.addr, self.copy_message(key, held));
             }
         }
@@ -254,7 +254,7 @@ impl TreePNode {
                 continue; // gone quiet: nothing to compare with this round
             }
             let partner = partner.addr;
-            let (xor, count) = self.store.digest_range(range);
+            let (xor, count) = self.dht_store().digest_range(range);
             self.stats.replica_digests_sent += 1;
             self.send(
                 ctx,
@@ -281,7 +281,7 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) {
         self.learn_peer(sender, ctx.now());
-        if self.store.digest_range(range) == (xor, count) {
+        if self.dht_store().digest_range(range) == (xor, count) {
             return;
         }
         self.stats.replica_digest_mismatches += 1;
@@ -289,7 +289,7 @@ impl TreePNode {
         let request = TreePMessage::ReplicaSyncRequest {
             sender: self.peer_info(),
             range,
-            keys: self.store.keys_in_range(range),
+            keys: self.dht_store().keys_in_range(range),
         };
         self.send(ctx, sender.addr, request);
     }
@@ -309,7 +309,7 @@ impl TreePNode {
         let me = self.addr.expect("node not started");
         let k = self.config.replication_factor as usize;
         let victims: Vec<NodeId> = self
-            .store
+            .dht_store()
             .iter()
             .map(|(key, _)| *key)
             .filter(|key| self.replica_rank(*key, self.id, me, 2 * k) >= 2 * k)
@@ -320,7 +320,11 @@ impl TreePNode {
                 continue; // nowhere to hand off to: keep the copy
             }
             self.stats.replica_handoffs += 1;
-            let held = self.store.remove(key).expect("victims are stored keys");
+            let held = self
+                .features()
+                .store
+                .remove(key)
+                .expect("victims are stored keys");
             for addr in targets {
                 self.send(ctx, addr, self.copy_message(key, held.clone()));
             }

@@ -181,6 +181,39 @@ fn forwarded_lookup_answers_when_target_is_self() {
 }
 
 #[test]
+fn maintenance_and_lookups_never_allocate_the_feature_state() {
+    let (mut node, mut rng) = started_node(10);
+    node.seed_max_level(1);
+    node.seed_level0_neighbor(peer(3, 0), SimTime::ZERO);
+    node.seed_level0_neighbor(peer(4_000_000_000, 0), SimTime::ZERO);
+    node.seed_child(peer(12, 0), true, SimTime::ZERO);
+    let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10), &mut rng);
+    node.on_timer(encode_timer(TIMER_KEEPALIVE, 0), &mut ctx);
+    let keep_alive = TreePMessage::KeepAlive {
+        sender: peer(3, 0),
+        updates: vec![RoutingUpdate::Contact { peer: peer(7, 0) }],
+    };
+    node.on_message(NodeAddr(3), keep_alive, &mut ctx);
+    node.on_message(NodeAddr(12), leaf_report(12), &mut ctx);
+    node.start_lookup(NodeId(4_000_000_100), RoutingAlgorithm::Greedy, &mut ctx);
+    let mut req = LookupRequest::new(
+        RequestId(9),
+        peer(3, 0),
+        NodeId(10),
+        RoutingAlgorithm::Greedy,
+    );
+    req.advance(NodeAddr(3));
+    node.on_message(NodeAddr(3), TreePMessage::Lookup(req), &mut ctx);
+    assert!(node.features.is_none(), "overlay work allocated the box");
+    assert_eq!(node.dht_store().len(), 0);
+    assert!(node.drain_dht_outcomes().is_empty());
+
+    node.start_multicast(KeyRange::full(node.config.space), vec![1], &mut ctx);
+    assert!(node.features.is_some(), "a multicast is feature work");
+    assert_eq!(node.multicast_deliveries().len(), 1);
+}
+
+#[test]
 fn keep_alive_learns_sender_and_updates() {
     let (mut node, mut rng) = started_node(10);
     let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10), &mut rng);
@@ -1588,10 +1621,10 @@ fn count_kind(delivered: &[(NodeAddr, TreePMessage)], kind: MessageKind) -> usiz
 fn a_matching_replica_digest_is_not_answered() {
     let mut nodes = replicas(&[100, 200, 300]);
     for node in &mut nodes {
-        node.store.put(NodeId(210), b"v".to_vec());
+        node.features().store.put(NodeId(210), b"v".to_vec());
     }
     let range = KeyRange::new(NodeId(150), NodeId(250));
-    let (xor, count) = nodes[0].store.digest_range(range);
+    let (xor, count) = nodes[0].dht_store().digest_range(range);
     let mut rng = simnet::SimRng::seed_from(1);
     let mut ctx = Context::new(SimTime::from_millis(900), NodeAddr(200), &mut rng);
     nodes[1].on_message(
@@ -1612,8 +1645,11 @@ fn a_matching_replica_digest_is_not_answered() {
 #[test]
 fn a_mismatching_replica_digest_opens_one_sync_over_the_same_range() {
     let mut nodes = replicas(&[100, 200, 300]);
-    nodes[1].store.put(NodeId(210), b"v".to_vec());
-    nodes[1].store.put(NodeId(900), b"outside".to_vec());
+    nodes[1].features().store.put(NodeId(210), b"v".to_vec());
+    nodes[1]
+        .features()
+        .store
+        .put(NodeId(900), b"outside".to_vec());
     let range = KeyRange::new(NodeId(150), NodeId(250));
     let mut rng = simnet::SimRng::seed_from(1);
     let mut ctx = Context::new(SimTime::from_millis(900), NodeAddr(200), &mut rng);
@@ -1692,6 +1728,7 @@ fn a_fresh_node_pulls_its_share_from_its_predecessors_digest() {
         holders.sort_by_key(|id| (id.abs_diff(key), *id));
         for &id in &holders[..3] {
             replica(&mut nodes, id)
+                .features()
                 .store
                 .put(NodeId(key), key.to_le_bytes().to_vec());
         }
@@ -1712,10 +1749,13 @@ fn a_fresh_node_pulls_its_share_from_its_predecessors_digest() {
         .replica_pair_range(space, NodeId(200), 3, 1)
         .unwrap();
     assert_eq!(partner.id, NodeId(250));
-    let expected = predecessor.store.keys_in_range(shared);
+    let expected = predecessor.dht_store().keys_in_range(shared);
     assert!(!expected.is_empty());
     let fresh = replica(&mut nodes, 250);
-    assert_eq!(fresh.store.keys_in_range(KeyRange::full(space)), expected);
+    assert_eq!(
+        fresh.dht_store().keys_in_range(KeyRange::full(space)),
+        expected
+    );
     assert_eq!(fresh.stats().replica_digest_mismatches, 1);
     assert_eq!(fresh.stats().replica_values_received, expected.len() as u64);
     // Every one of them is a key 250 is among the three nearest nodes of.
@@ -1748,7 +1788,7 @@ fn a_stamped_value_crosses_as_read_repair_with_its_stamp() {
         assert_eq!(count_kind(&delivered, MessageKind::ReplicaPut), 0);
         for node in &nodes {
             assert_eq!(node.stored_stamp(NodeId(210)), Some(stamp), "{:?}", node.id);
-            assert_eq!(node.store.get(NodeId(210)), Some(&b"v7".to_vec()));
+            assert_eq!(node.dht_store().get(NodeId(210)), Some(&b"v7".to_vec()));
         }
     }
 }
@@ -1765,7 +1805,7 @@ fn a_node_with_empty_tables_sends_no_digest() {
     };
     let mut node =
         TreePNode::new(config, NodeId(10), NodeCharacteristics::default()).with_addr(NodeAddr(10));
-    node.store.put(NodeId(11), b"v".to_vec());
+    node.features().store.put(NodeId(11), b"v".to_vec());
     let mut rng = simnet::SimRng::seed_from(1);
     for round in 1..=6u64 {
         let now = SimTime::from_millis(900 * round);
