@@ -76,6 +76,16 @@ impl<T> Arena<T> {
         }
     }
 
+    /// Make room for `additional` more values without reallocating.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
+    }
+
+    /// Number of values the arena holds before it reallocates.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     /// Number of live values.
     pub fn len(&self) -> usize {
         self.len

@@ -211,10 +211,12 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Pre-size the node storage (avoids re-allocation while adding large
-    /// populations).
+    /// Pre-size the node storage — the node arena and the address index —
+    /// for `additional` more nodes, so adding a large population allocates
+    /// each once at its final size instead of doubling its way there.
     pub fn reserve_nodes(&mut self, additional: usize) {
-        self.handles.reserve(additional);
+        self.nodes.reserve_exact(additional);
+        self.handles.reserve_exact(additional);
     }
 
     /// Start folding every dispatched event into an order-sensitive FNV-1a
@@ -739,6 +741,18 @@ mod tests {
         assert_eq!(m.messages_delivered, 2);
         assert_eq!(m.timers_fired, 1);
         assert_eq!(m.nodes_started, 2);
+    }
+
+    #[test]
+    fn reserved_node_storage_is_not_reallocated() {
+        let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
+        sim.reserve_nodes(1_000);
+        let capacity = (sim.nodes.capacity(), sim.handles.capacity());
+        assert_eq!(capacity, (1_000, 1_000));
+        for _ in 0..1_000 {
+            sim.add_node(PingPong::default());
+        }
+        assert_eq!((sim.nodes.capacity(), sim.handles.capacity()), capacity);
     }
 
     #[test]

@@ -212,7 +212,9 @@ impl TopologyBuilder {
         // 1. Plan the population: identifiers, characteristics, levels.
         let mut plan = self.plan(&mut rng);
 
-        // 2. Create the protocol nodes inside the simulation.
+        // 2. Create the protocol nodes inside the simulation, its node
+        //    storage sized once for the planned population.
+        sim.reserve_nodes(plan.len());
         for entry in plan.iter_mut() {
             let node = TreePNode::new(self.config, entry.id, entry.characteristics);
             entry.addr = sim.add_node(node);
