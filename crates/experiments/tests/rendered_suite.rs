@@ -11,7 +11,8 @@
 //! protocol, of a workload or of a rendering re-pins it once, on purpose,
 //! and says old → new. The constant was captured at `2eaf9a3`, the commit
 //! before the drivers were folded into one harness, and that fold (PR 22)
-//! left it where it was.
+//! left it where it was. PR 25 moved it by design (`0x94a5_2af4_8517_3835`
+//! before): an entry stamped on the gossip horizon is no longer advertised.
 
 use experiments::{
     compare_multicast, compare_overlays, figures, maintenance, run_churn_experiment,
@@ -22,7 +23,7 @@ use experiments::{
 const SEED: u64 = 2005;
 
 /// FNV-1a digest of the rendered suite.
-const PIN_RENDERED_SUITE: u64 = 0x94a5_2af4_8517_3835;
+const PIN_RENDERED_SUITE: u64 = 0x55be_3e7e_dd78_556f;
 
 fn fnv1a(digest: u64, text: &str) -> u64 {
     text.bytes().fold(digest, |d, byte| {

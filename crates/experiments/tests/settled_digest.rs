@@ -17,7 +17,10 @@
 //! that pings the sender itself. PR 21 moved it by design
 //! (`0xc264_7a4a_4533_ee4b` before): the four superiors a keep-alive
 //! advertises are a window that moves on every round instead of the first
-//! four in identifier order, so tables fill differently.
+//! four in identifier order, so tables fill differently. PR 25 moved it by
+//! design (`0xf249_8ba3_0345_87d9` before): an entry stamped on the gossip
+//! horizon is second-hand and no longer advertised, in the instant it is
+//! learned or during a run's first gossip penalty.
 
 use simnet::{SimConfig, SimDuration, Simulation};
 use workloads::TopologyBuilder;
@@ -26,7 +29,7 @@ const SEED: u64 = 2005;
 const NODES: usize = 1000;
 
 /// Event digest of the scenario.
-const PIN_SETTLED_IDLE: u64 = 0xf249_8ba3_0345_87d9;
+const PIN_SETTLED_IDLE: u64 = 0x1c1a_c4c7_8698_471c;
 
 #[test]
 fn settled_idle_overlay_replays_its_pinned_digest() {

@@ -75,8 +75,10 @@ const PIN_SHARDED: u64 = 0x617b_9a1e_18fc_800e;
 /// Digest of the TreeP pub/sub + read-path topology scenario. Unlike the
 /// two ring pins it follows the TreeP protocol: captured pre-telemetry as
 /// `0x4a4b_6849_c770_b106`, re-pinned (with telemetry off) when keep-alives
-/// stopped being acknowledged by nodes that ping the sender themselves.
-const PIN_TREEP: u64 = 0xb6db_9563_e4af_bb01;
+/// stopped being acknowledged by nodes that ping the sender themselves, and
+/// again (`0xb6db_9563_e4af_bb01` before) when an entry stamped on the gossip
+/// horizon stopped being advertised.
+const PIN_TREEP: u64 = 0xa8d7_b4b6_0d74_64f3;
 
 fn run_ring_wheel(telemetry: bool) -> u64 {
     let mut sim = Simulation::new(ring_config(), RING_SEED);

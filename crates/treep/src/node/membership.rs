@@ -85,10 +85,25 @@ impl TreePNode {
     //
     // | silent for | the entry is |
     // |---|---|
-    // | ≤ `gossip_penalty` (2 rounds) | heard directly and lately: advertised onward |
+    // | < `gossip_penalty` (2 rounds) | heard directly and lately: advertised onward |
     // | ≤ `suspect_after` (3.5 rounds) | fresh: chosen like any other |
     // | > `suspect_after` | a **suspect**: pinged and kept in every role, but passed over by whatever hands a request, a reply or a copy to a peer |
     // | > `entry_ttl`, at the next tick | expired: forgotten |
+    //
+    // The first row is one comparison against the **gossip horizon**
+    // `now − gossip_penalty` (`gossip_time`), the very stamp rule 1 gives a
+    // gossiped entry: only a stamp strictly after the horizon is advertised.
+    // An entry learned second-hand sits *on* the horizon the instant it is
+    // learned — in the `KeepAliveAck` of the handler that has just applied
+    // the gossip, too — and behind it ever after, so it is never advertised
+    // however often it is re-learned. During a run's first `gossip_penalty`
+    // the horizon saturates at time zero: gossip is stamped zero, and so is
+    // every entry the topology builder seeds at start-up. Neither is
+    // advertised until the peer is heard from directly, which is what keeps
+    // rule 2 from lapsing in the first second — admitting a stamp *at* the
+    // horizon there made every second-hand entry look first-hand, and the
+    // echo doubled the superior lists of a settling 10⁴-node overlay (4.5
+    // seeded, a peak of 49.6 against 24.5 without it, 12.6 settled).
     //
     // Suspicion costs no message because the two rules above already keep
     // the invariant it needs: a timestamp is either the arrival of a message
@@ -145,7 +160,8 @@ impl TreePNode {
         )
     }
 
-    /// The timestamp given to entries learned through gossip.
+    /// The gossip horizon: the timestamp given to entries learned through
+    /// gossip (time zero during a run's first `gossip_penalty`).
     fn gossip_time(&self, now: SimTime) -> SimTime {
         SimTime::from_micros(
             now.as_micros()
@@ -153,9 +169,11 @@ impl TreePNode {
         )
     }
 
-    /// True when `entry` is fresh enough to be advertised to other peers.
+    /// True when `entry` was heard from directly since the gossip horizon,
+    /// and so may be advertised to other peers. A stamp on the horizon is
+    /// second-hand knowledge and never is.
     fn advertisable(&self, entry: &crate::entry::RoutingEntry, now: SimTime) -> bool {
-        !entry.is_stale(now, self.gossip_penalty())
+        entry.last_seen > self.gossip_time(now)
     }
 
     /// Record (or refresh) knowledge about a peer we just heard from.

@@ -237,6 +237,78 @@ fn keep_alive_learns_sender_and_updates() {
     assert_eq!(keep_alive_acks(&ctx.into_actions()), vec![NodeAddr(3)]);
 }
 
+/// The superiors advertised by the keep-alives and acks among `actions`.
+fn superiors_advertised(actions: &[simnet::Action<TreePMessage>]) -> Vec<NodeId> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            simnet::Action::Send {
+                msg:
+                    TreePMessage::KeepAlive { updates, .. } | TreePMessage::KeepAliveAck { updates, .. },
+                ..
+            } => Some(updates),
+            _ => None,
+        })
+        .flatten()
+        .filter_map(|u| match u {
+            RoutingUpdate::Superior { peer } => Some(peer.id),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `node` hears of superior 900 from a peer it has never heard from, at
+/// `now`; returns what it sends in answer.
+fn learn_superior_second_hand(
+    node: &mut TreePNode,
+    now: SimTime,
+    rng: &mut simnet::SimRng,
+) -> Vec<simnet::Action<TreePMessage>> {
+    let mut ctx = Context::new(now, NodeAddr(10), rng);
+    let keep_alive = TreePMessage::KeepAlive {
+        sender: peer(3, 0),
+        updates: vec![RoutingUpdate::Superior { peer: peer(900, 2) }],
+    };
+    node.on_message(NodeAddr(3), keep_alive, &mut ctx);
+    assert!(
+        node.tables().find(NodeId(900)).is_some(),
+        "the superior is learned"
+    );
+    ctx.into_actions()
+}
+
+#[test]
+fn the_ack_of_the_keep_alive_that_taught_a_superior_does_not_echo_it() {
+    let (mut node, mut rng) = started_node(10);
+    // Long after the first gossip penalty: the entry is stamped exactly
+    // on the horizon, and the ack is built in the same instant.
+    let actions = learn_superior_second_hand(&mut node, SimTime::from_secs(5), &mut rng);
+    assert_eq!(keep_alive_acks(&actions), vec![NodeAddr(3)]);
+    assert_eq!(superiors_advertised(&actions), vec![]);
+}
+
+#[test]
+fn a_superior_learned_second_hand_in_the_first_second_is_not_advertised() {
+    let (mut node, mut rng) = started_node(10);
+    let now = SimTime::from_millis(200);
+    let actions = learn_superior_second_hand(&mut node, now, &mut rng);
+    assert_eq!(superiors_advertised(&actions), vec![]);
+    // The horizon is still time zero at the next tick: the stamp it gave
+    // the gossip must not pass for a direct contact there either.
+    let interval = TreePConfig::default().keepalive_interval;
+    let mut ctx = Context::new(now + interval, NodeAddr(10), &mut rng);
+    node.on_timer(encode_timer(TIMER_KEEPALIVE, 0), &mut ctx);
+    let actions = ctx.into_actions();
+    assert!(actions.iter().any(|a| matches!(
+        a,
+        simnet::Action::Send {
+            msg: TreePMessage::KeepAlive { .. },
+            ..
+        }
+    )));
+    assert_eq!(superiors_advertised(&actions), vec![]);
+}
+
 /// The destinations of the `KeepAliveAck`s among `actions`.
 fn keep_alive_acks(actions: &[simnet::Action<TreePMessage>]) -> Vec<NodeAddr> {
     actions
@@ -1393,8 +1465,11 @@ fn an_ack_ends_the_pending_hop_of_its_own_kind_only() {
 fn join_handshake_establishes_mutual_contact() {
     let (mut responder, mut rng) = started_node(100);
     responder.seed_max_level(1);
-    responder.seed_level0_neighbor(peer(7, 0), SimTime::ZERO);
-    let mut ctx = Context::new(SimTime::ZERO, NodeAddr(100), &mut rng);
+    // Heard from directly a moment before the join: a contact the
+    // responder may suggest (one stamped at time zero it may not — that is
+    // where the gossip horizon sits during a run's first second).
+    responder.seed_level0_neighbor(peer(7, 0), SimTime::from_millis(10));
+    let mut ctx = Context::new(SimTime::from_millis(20), NodeAddr(100), &mut rng);
     // The responder covers the whole space at level 1? Only if close; use
     // a joiner near the responder's id.
     let joiner = peer(101, 0);

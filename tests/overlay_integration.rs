@@ -3,7 +3,7 @@
 //! result must be measurable with `analysis`.
 
 use analysis::{HopHistogram, SummaryStats};
-use simnet::SimDuration;
+use simnet::{SimConfig, SimDuration, Simulation};
 use treep::{audit, RoutingAlgorithm, TreePConfig, TreePNode};
 use workloads::{CapabilityDistribution, LookupWorkload, TopologyBuilder};
 
@@ -162,6 +162,38 @@ fn crashed_peers_leave_every_table_within_one_entry_lifetime() {
         }
         println!("seed {seed}: last stale entry gone after {elapsed}");
     }
+}
+
+/// The settle converges instead of flooding: the superior lists the nodes
+/// hold on the way stay within a small factor of what they hold settled.
+/// Superiors learned second-hand are stamped on the gossip horizon and never
+/// advertised onward; while the horizon admitted its own stamp (and sat at
+/// time zero for a run's first second) they were, and the lists peaked at
+/// 3.5 times their settled size before the echo expired.
+#[test]
+fn settling_does_not_flood_the_superior_lists() {
+    let mut sim = Simulation::new(SimConfig::default(), 2005);
+    let topo = TopologyBuilder::new(1000).build(&mut sim);
+    let mean_superiors = |sim: &Simulation<TreePNode>| {
+        let counts: Vec<f64> = topo
+            .nodes
+            .iter()
+            .filter_map(|n| sim.node(n.addr))
+            .map(|node| node.tables().superiors().count() as f64)
+            .collect();
+        SummaryStats::of(&counts).mean
+    };
+    let mut peak: f64 = 0.0;
+    for _ in 0..24 {
+        sim.run_for(SimDuration::from_millis(250));
+        peak = peak.max(mean_superiors(&sim));
+    }
+    let settled = mean_superiors(&sim);
+    println!("mean superiors per node: peak {peak:.1}, at 6 s {settled:.1}");
+    assert!(
+        peak <= 2.5 * settled,
+        "the settle peaked at {peak:.1} superiors per node against {settled:.1} settled"
+    );
 }
 
 #[test]
