@@ -217,9 +217,10 @@ impl TreePNode {
         if !self.config.pubsub_enabled {
             return;
         }
-        let filter = self.subtree_filter();
-        let last = self.features().last_reported_filter.as_ref();
-        if last == Some(&filter) {
+        let filter = self
+            .tables
+            .subtree_filter(self.subscribed_topics().iter(), MAX_FILTER_TOPICS);
+        if self.features().last_reported_filter.as_ref() == Some(&filter) {
             return;
         }
         self.report_filter(filter, ctx);
@@ -233,15 +234,10 @@ impl TreePNode {
         if !self.config.pubsub_enabled {
             return;
         }
-        let filter = self.subtree_filter();
+        let filter = self
+            .tables
+            .subtree_filter(self.subscribed_topics().iter(), MAX_FILTER_TOPICS);
         self.report_filter(filter, ctx);
-    }
-
-    /// This node's subtree summary: its own topics joined with its
-    /// children's recorded filters.
-    fn subtree_filter(&self) -> TopicFilter {
-        self.tables
-            .subtree_filter(self.subscribed_topics().iter(), MAX_FILTER_TOPICS)
     }
 
     fn report_filter(&mut self, filter: TopicFilter, ctx: &mut Context<'_, TreePMessage>) {

@@ -7,9 +7,16 @@
 //! hierarchy directly: it promotes the strongest node of every tessellation
 //! group, seeds the six routing tables of every peer accordingly, and then
 //! lets the normal maintenance protocol (keep-alives, elections, demotions)
-//! take over. The resulting topology is exactly what the protocol itself
-//! converges to, reached in `O(n)` work instead of `O(n · keepalive)` virtual
-//! time.
+//! take over — in `O(n)` work instead of `O(n · keepalive)` virtual time.
+//!
+//! What it seeds is the hierarchy's skeleton, not the protocol's fixed
+//! point: ring neighbours, one random contact, bus neighbours, parent,
+//! children and ancestors — 9.4 registry entries per node at n = 10⁴ (seed
+//! 2005), where the settled protocol keeps 19.9 (at 6.75 s). The settle
+//! period fills in the difference, the ring contacts, bus members and
+//! superiors that gossip teaches, and on the way the tables peak at 32.5
+//! entries per node (57.6 before PR 25 stopped second-hand entries from
+//! being advertised in a run's first second).
 
 use simnet::{NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
 use std::collections::BTreeMap;
