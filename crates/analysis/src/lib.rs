@@ -17,6 +17,7 @@
 //!   workspace; [`validate_json`] is its checker).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod csv;
 pub mod histogram;

@@ -17,6 +17,7 @@
 //! overlays with identical workloads.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chord;
 pub mod flooding;

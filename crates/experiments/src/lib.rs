@@ -38,6 +38,7 @@
 //! line; the timed legs live in `benchmark/`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baseline_compare;
 pub mod durability;

@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod arena;
 pub mod event;
@@ -53,7 +54,7 @@ pub mod sim;
 pub mod telemetry;
 pub mod time;
 
-pub use arena::{Arena, Handle};
+pub use arena::{prefetch, Arena, Handle};
 pub use event::{Event, EventKind};
 pub use link::{LatencyModel, LinkModel, LossModel};
 pub use metrics::SimMetrics;

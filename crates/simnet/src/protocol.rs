@@ -251,6 +251,12 @@ pub trait Protocol {
     /// Called when the host is about to stop the node gracefully. Crash
     /// failures do **not** invoke this.
     fn on_stop(&mut self, _ctx: &mut Context<'_, Self::Message>) {}
+
+    /// A hint that this node is the target of the host's next event: start
+    /// loading what its handler will read (with [`crate::prefetch`]). It
+    /// must change nothing a callback can observe; the simulator calls it
+    /// one event ahead, and other hosts need not call it at all.
+    fn prefetch(&self) {}
 }
 
 #[cfg(test)]

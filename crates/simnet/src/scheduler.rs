@@ -276,7 +276,14 @@ impl<M> Scheduler<M> {
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.current.peek().map(|e| e.event.at)
+        self.peek().map(|e| e.at)
+    }
+
+    /// The event the next [`Scheduler::pop`] returns, unless something
+    /// earlier is scheduled first. `O(1)`: `current` always holds the
+    /// global minimum.
+    pub fn peek(&self) -> Option<&Event<M>> {
+        self.current.peek().map(|e| &e.event)
     }
 
     /// Pop the next event, advancing the current time to its timestamp.

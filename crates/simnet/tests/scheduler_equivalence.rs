@@ -2,7 +2,9 @@
 //! exact event order of the retained binary-heap reference
 //! ([`HeapScheduler`]) — including FIFO `(time, seq)` tie-breaking — on
 //! seeded random schedule/pop traces spanning every tier of the wheel
-//! (current granule, level-0, level-1 and the far heap).
+//! (current granule, level-0, level-1 and the far heap). The wheel's
+//! `peek`, which the engine looks one event ahead with, is checked against
+//! every pop.
 
 use simnet::{EventKind, HeapScheduler, NodeAddr, Scheduler, SimRng, SimTime, TimerToken};
 
@@ -80,7 +82,13 @@ fn run_trace(seed: u64, ops: usize) {
                 heap.peek_time(),
                 "peek divergence at op {op} (seed {seed})"
             );
+            let peeked = wheel.peek().map(fingerprint);
             let w = wheel.pop();
+            assert_eq!(
+                peeked,
+                w.as_ref().map(fingerprint),
+                "peek is not the next pop at op {op} (seed {seed})"
+            );
             let h = heap.pop();
             match (&w, &h) {
                 (Some(w), Some(h)) => assert_eq!(
@@ -97,8 +105,12 @@ fn run_trace(seed: u64, ops: usize) {
 
     // Drain both completely: the tails must match event-for-event.
     loop {
+        let peeked = wheel.peek().map(fingerprint);
         match (wheel.pop(), heap.pop()) {
-            (Some(w), Some(h)) => assert_eq!(fingerprint(&w), fingerprint(&h), "seed {seed}"),
+            (Some(w), Some(h)) => {
+                assert_eq!(peeked.as_ref(), Some(&fingerprint(&w)), "seed {seed}");
+                assert_eq!(fingerprint(&w), fingerprint(&h), "seed {seed}");
+            }
             (None, None) => break,
             (w, h) => panic!("drain divergence (seed {seed}): {w:?} vs {h:?}"),
         }

@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod transport;

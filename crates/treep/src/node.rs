@@ -621,4 +621,10 @@ impl Protocol for TreePNode {
             _ => {}
         }
     }
+
+    /// Every event starts with a probe of the registry, which is cold by
+    /// the time a node's turn comes round: start loading it one event early.
+    fn prefetch(&self) {
+        self.tables.prefetch();
+    }
 }

@@ -42,21 +42,35 @@
 //! peers, not of (peer, role) pairs.
 //!
 //! **Why a sorted vector.** TreeP's point is that these tables stay small
-//! (Section III.e): a settled 10⁴-node overlay holds 30 entries per node on
-//! average and 115 at most. At that size an ordered tree per table buys
-//! nothing — seven B-trees are seven sets of heap nodes to miss the cache
-//! on and to allocate and free as peers come and go — while a sorted vector
-//! is one contiguous block of a few cache lines:
+//! (Section III.e): a settled 10⁴-node overlay holds 19.9 slots per node
+//! (seed 2005), and at the end of the benchmark's `maint` window
+//! `treep.tables.entries_mean` / `entries_max` read 32.8 / 136 role
+//! entries. At that size an ordered tree per table buys nothing — seven
+//! B-trees are seven sets of heap nodes to miss the cache on and to
+//! allocate and free as peers come and go — while a sorted vector is one
+//! contiguous block of a few dozen cache lines:
 //!
-//! * point operations (`find`, `touch`, role tests, refreshing a known
-//!   peer) are one binary search, `O(log n)`;
+//! * every probe starts with one **count**: the number of slots whose
+//!   identifier is below the key, summed over the whole vector, not
+//!   bisected. At 10⁴ nodes the registry is cold on every event (the node
+//!   last ran thousands of events ago), and each step of a bisection must
+//!   wait for the previous step's miss; the count's loads are independent,
+//!   so the whole vector streams in at once, and the probes the handler
+//!   makes next hit warm lines. Point operations (`find`, `touch`, role
+//!   tests, refreshing a known peer) are that count and one compare;
 //! * range probes (`closest_peer`, `peers_outward_from`, `nearest_peers`,
 //!   `kth_neighbor_ids`, `bus_neighbors`, `closest_child`,
-//!   `multicast_fanout`) are one `partition_point` plus a walk over
-//!   adjacent slots, skipping the ones without the wanted role bit;
+//!   `multicast_fanout`) are that count plus a walk over adjacent slots,
+//!   skipping the ones without the wanted role bit;
 //! * role iterators (`level0`, `children`, `superiors`, …) are a filtered
 //!   scan of the whole vector, in the same ascending-ID order the indexes
 //!   had.
+//!
+//! The identifiers are not split into a column of their own: counting over
+//! a separate `Vec<NodeId>` touches fewer lines but was measured slower,
+//! because the gain is streaming the slots the handler reads next. The
+//! owning node also hints the vector into cache one event ahead, through
+//! [`simnet::Protocol::prefetch`].
 //!
 //! **What is `O(n)`.** Inserting a peer not yet known, or dropping one
 //! ([`RoutingTables::remove_peer`], a parent change that orphans the old
@@ -255,9 +269,29 @@ impl RoutingTables {
 
     // ---- registry core ---------------------------------------------------
 
+    /// The number of slots whose identifier is below `key`: where `key` is,
+    /// or would be inserted. Counted over every slot rather than bisected
+    /// (see the module documentation): the loads do not depend on one
+    /// another, so the cold vector streams in at once.
+    fn rank(&self, key: NodeId) -> usize {
+        self.slots
+            .iter()
+            .map(|s| usize::from(s.entry.id < key))
+            .sum()
+    }
+
     /// Position of `id` in the vector, or where it would be inserted.
     fn position(&self, id: NodeId) -> Result<usize, usize> {
-        self.slots.binary_search_by_key(&id, |s| s.entry.id)
+        let i = self.rank(id);
+        match self.slots.get(i) {
+            Some(s) if s.entry.id == id => Ok(i),
+            _ => Err(i),
+        }
+    }
+
+    /// The number of slots whose identifier is at or below `key`.
+    fn rank_through(&self, key: NodeId) -> usize {
+        self.position(key).map_or_else(|i| i, |i| i + 1)
     }
 
     fn slot(&self, id: NodeId) -> Option<&Slot> {
@@ -317,13 +351,14 @@ impl RoutingTables {
     }
 
     /// Canonical lookup: the single freshest entry for `id`, whatever roles
-    /// it holds ("IF target X is in the routing table"). `O(log n)`.
+    /// it holds ("IF target X is in the routing table"). One count over the
+    /// registry.
     pub fn find(&self, id: NodeId) -> Option<&PeerEntry> {
         self.slot(id).map(|s| &s.entry)
     }
 
     /// Refresh the canonical timestamp of `id`. Returns true if the peer was
-    /// known. `O(log n)` — one binary search, regardless of role count.
+    /// known. One count over the registry, regardless of role count.
     pub fn touch(&mut self, id: NodeId, now: SimTime) -> bool {
         match self.position(id) {
             Ok(i) => {
@@ -369,6 +404,12 @@ impl RoutingTables {
             .any(|s| s.entry.addr == addr && self.is_suspect(&s.entry))
     }
 
+    /// Ask the CPU to start loading the slot vector, ahead of the event that
+    /// will probe it (a hint: it changes nothing, see [`simnet::prefetch`]).
+    pub(crate) fn prefetch(&self) {
+        simnet::prefetch(&self.slots);
+    }
+
     /// Every distinct peer known, each exactly once (the canonical entry).
     pub fn all_peers(&self) -> Vec<PeerEntry> {
         self.slots.iter().map(|s| s.entry).collect()
@@ -382,7 +423,7 @@ impl RoutingTables {
     /// ([`IdSpace::distance`]), which needs no parameter of the space.
     fn outward(&self, key: NodeId) -> impl Iterator<Item = &Slot> {
         let slots = self.slots.as_slice();
-        let mut lo = slots.partition_point(|s| s.entry.id <= key);
+        let mut lo = self.rank_through(key);
         let mut hi = lo;
         std::iter::from_fn(move || {
             let below = lo.checked_sub(1).map(|i| &slots[i]);
@@ -442,8 +483,8 @@ impl RoutingTables {
     /// (excluding the one at `exclude_addr`), ordered by `(distance, id)` —
     /// ties prefer the smaller identifier, matching every other probe of the
     /// registry. The first `count` steps of
-    /// [`RoutingTables::nearest_walk`], copied out, so the cost is
-    /// `O(count + log n)`, not a scan.
+    /// [`RoutingTables::nearest_walk`], copied out, so the cost is the one
+    /// count every probe starts with plus `count` steps.
     ///
     /// This is the successor query the replication subsystem places replicas
     /// with: the `k` nearest registry neighbours of a key coordinate are the
@@ -482,8 +523,10 @@ impl RoutingTables {
             return (None, None);
         }
         let id_at = |i: usize| self.slots.get(i).map(|s| s.entry.id);
-        let first_not_below = self.slots.partition_point(|s| s.entry.id < own);
-        let first_above = self.slots.partition_point(|s| s.entry.id <= own);
+        let (first_not_below, first_above) = match self.position(own) {
+            Ok(i) => (i, i + 1),
+            Err(i) => (i, i),
+        };
         (
             first_not_below.checked_sub(k).and_then(id_at),
             first_above.checked_add(k - 1).and_then(id_at),
@@ -599,9 +642,7 @@ impl RoutingTables {
         own: NodeId,
     ) -> (Option<&PeerEntry>, Option<&PeerEntry>) {
         let bit = bus_bit(level);
-        let (below, rest) = self
-            .slots
-            .split_at(self.slots.partition_point(|s| s.entry.id < own));
+        let (below, rest) = self.slots.split_at(self.rank(own));
         let left = below.iter().rev().find(|s| s.levels & bit != 0);
         let right = rest
             .iter()
@@ -815,8 +856,7 @@ impl RoutingTables {
             .saturating_add(level0_slack);
         let window_lo = range.lo.0.saturating_sub(reach);
         let window_hi = range.hi.0.saturating_add(reach);
-        let first = self.slots.partition_point(|s| s.entry.id.0 < window_lo);
-        self.slots[first..]
+        self.slots[self.rank(NodeId(window_lo))..]
             .iter()
             .take_while(|s| s.entry.id.0 <= window_hi)
             .filter(|s| s.tree & OWN_CHILD != 0)
@@ -1799,6 +1839,107 @@ mod tests {
         // Level-1 node at id 3.5 (direct bus neighbours 3 and 4): l0 + ca + bus + parent.
         let conns = t.active_connections(NodeId(3), 1);
         assert_eq!(conns, 2 + 1 + 1 + 1); // right neighbour 4 only (3 is own id)
+    }
+
+    #[test]
+    fn the_count_answers_what_the_bisection_answered() {
+        // The std bisections the six probes used before they counted are
+        // the reference: `binary_search_by_key` for `position`,
+        // `partition_point` for `outward`, both sides of `kth_neighbor_ids`,
+        // `bus_neighbors` and `multicast_fanout`.
+        let mut state = 0x5eed_0026_u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let space = IdSpace::default();
+        for size in [0usize, 1, 2, 5, 20, 40, 150] {
+            for trial in 0..6 {
+                let mut ids: Vec<u64> = (0..size).map(|_| draw()).collect();
+                // Small identifiers, so neighbours and exact hits collide.
+                if trial % 2 == 1 {
+                    ids.iter_mut().for_each(|id| *id %= 4 * size as u64 + 1);
+                }
+                if trial % 3 == 0 && size > 0 {
+                    ids[0] = 0;
+                    ids[size - 1] = u64::MAX - (trial as u64 % 2);
+                }
+                // Every entry at level 0, so an own child's extent is its
+                // coordinate and the fan-out has an exact reference.
+                let mut t = RoutingTables::new();
+                for (n, &id) in ids.iter().enumerate() {
+                    match n % 3 {
+                        0 => t.upsert_level0(entry(id, 0, 1)),
+                        1 => t.upsert_level(2, entry(id, 0, 1)),
+                        _ => t.upsert_child(entry(id, 0, 1), true),
+                    }
+                }
+                t.validate_invariants().unwrap();
+                let slots = &t.slots;
+                let mut keys = vec![0, 1, u64::MAX - 1, u64::MAX, draw()];
+                for &id in &ids {
+                    keys.extend([id.saturating_sub(1), id, id.saturating_add(1)]);
+                }
+                for key in keys.into_iter().map(NodeId) {
+                    let below = slots.partition_point(|s| s.entry.id < key);
+                    let through = slots.partition_point(|s| s.entry.id <= key);
+                    assert_eq!(
+                        t.position(key),
+                        slots.binary_search_by_key(&key, |s| s.entry.id),
+                        "{key:?} in {size} slots"
+                    );
+                    assert_eq!(t.rank(key), below);
+                    assert_eq!(t.rank_through(key), through);
+
+                    let id_at = |i: usize| slots.get(i).map(|s| s.entry.id);
+                    for k in 1..=3 {
+                        assert_eq!(
+                            t.kth_neighbor_ids(key, k),
+                            (below.checked_sub(k).and_then(id_at), id_at(through + k - 1)),
+                            "{key:?} k {k} in {size} slots"
+                        );
+                    }
+
+                    let bus = |s: &&Slot| s.levels & bus_bit(2) != 0;
+                    let left = slots[..below].iter().rev().find(bus);
+                    let right = slots[below..].iter().find(|s| bus(s) && s.entry.id != key);
+                    let (l, r) = t.bus_neighbors(2, key);
+                    assert_eq!(
+                        (l.map(|e| e.id), r.map(|e| e.id)),
+                        (left.map(|s| s.entry.id), right.map(|s| s.entry.id))
+                    );
+
+                    let mut walk: Vec<NodeId> = slots.iter().map(|s| s.entry.id).collect();
+                    walk.sort_by_key(|id| (id.0.abs_diff(key.0), *id));
+                    assert!(t.peers_outward_from(key).map(|e| e.id).eq(walk));
+
+                    let hi = NodeId(key.0.saturating_add(draw() % 1_000));
+                    let range = KeyRange::new(key, hi);
+                    let slack = draw() % 64;
+                    let fanout: Vec<NodeId> = t
+                        .multicast_fanout(space, 6, range, slack)
+                        .iter()
+                        .map(|e| e.id)
+                        .collect();
+                    let window =
+                        slots.partition_point(|s| s.entry.id.0 < key.0.saturating_sub(slack));
+                    let reference: Vec<NodeId> = slots[window..]
+                        .iter()
+                        .filter(|s| s.tree & OWN_CHILD != 0)
+                        .map(|s| s.entry.id)
+                        .filter(|id| {
+                            range.overlaps_interval(
+                                id.0.saturating_sub(slack),
+                                id.0.saturating_add(slack),
+                            )
+                        })
+                        .collect();
+                    assert_eq!(fanout, reference, "{range:?} slack {slack} in {size} slots");
+                }
+            }
+        }
     }
 
     #[test]

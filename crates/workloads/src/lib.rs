@@ -23,6 +23,7 @@
 //!   node-resource populations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod capabilities;

@@ -174,7 +174,8 @@ fn intact_network_places_exactly_k_copies() {
         });
     }
     // Enough time for the puts, the placement pushes and a few steady-state
-    // rounds (digest probes, no repair needed).
+    // rounds (one pairwise `ReplicaDigest` per replica pair, no repair
+    // needed).
     sim.run_for(SimDuration::from_secs(6));
     let audit = audit_replication(
         topo.nodes
