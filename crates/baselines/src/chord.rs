@@ -366,54 +366,40 @@ impl Protocol for ChordNode {
     }
 }
 
+/// Length of the successor list [`ChordBuilder`] seeds at every node.
+const SUCCESSOR_LIST: usize = 4;
+
 /// Builds a fully stabilised Chord ring inside a simulation.
 #[derive(Debug, Clone)]
 pub struct ChordBuilder {
     n: usize,
-    space: IdSpace,
-    successor_list: usize,
 }
 
 impl ChordBuilder {
     /// A ring of `n` nodes in the default identifier space.
     pub fn new(n: usize) -> Self {
-        ChordBuilder {
-            n,
-            space: IdSpace::default(),
-            successor_list: 4,
-        }
-    }
-
-    /// Use a specific identifier space.
-    pub fn with_space(mut self, space: IdSpace) -> Self {
-        self.space = space;
-        self
-    }
-
-    /// Length of the seeded successor list (default 4).
-    pub fn with_successor_list(mut self, successor_list: usize) -> Self {
-        self.successor_list = successor_list.max(1);
-        self
+        ChordBuilder { n }
     }
 
     /// Create the simulation, seed the ring and return the `(addr, id)`
     /// pairs sorted by identifier.
     pub fn build_simulation(&self, seed: u64) -> (Simulation<ChordNode>, Vec<(NodeAddr, NodeId)>) {
         assert!(self.n >= 2, "a Chord ring needs at least two nodes");
+        let space = IdSpace::default();
         let mut sim = Simulation::new(SimConfig::default(), seed);
         let mut ids: Vec<NodeId> = (0..self.n)
-            .map(|i| self.space.uniform_position(i, self.n))
+            .map(|i| space.uniform_position(i, self.n))
             .collect();
         ids.sort();
         ids.dedup();
         let mut pairs: Vec<(NodeAddr, NodeId)> = Vec::with_capacity(ids.len());
         for &id in &ids {
-            let addr = sim.add_node(ChordNode::new(self.space, id));
+            let addr = sim.add_node(ChordNode::new(space, id));
             pairs.push((addr, id));
         }
         let n = pairs.len();
         for (i, &(addr, id)) in pairs.iter().enumerate() {
-            let successors: Vec<(NodeId, NodeAddr)> = (1..=self.successor_list)
+            let successors: Vec<(NodeId, NodeAddr)> = (1..=SUCCESSOR_LIST)
                 .map(|k| {
                     let (a, i2) = (pairs[(i + k) % n].0, pairs[(i + k) % n].1);
                     (i2, a)
@@ -425,13 +411,13 @@ impl ChordBuilder {
             };
             let mut fingers = Vec::new();
             let mut k = 0u32;
-            while k < self.space.bits() {
-                let start = NodeId(self.space.fold(id.0.wrapping_add(1u64 << k)).0);
+            while k < space.bits() {
+                let start = NodeId(space.fold(id.0.wrapping_add(1u64 << k)).0);
                 // First node clockwise from `start`.
                 let owner = pairs
                     .iter()
                     .min_by_key(|(_, oid)| {
-                        let size = self.space.size();
+                        let size = space.size();
                         let (s, o) = (start.0 % size, oid.0 % size);
                         if o >= s {
                             o - s

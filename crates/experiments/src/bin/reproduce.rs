@@ -16,8 +16,8 @@
 //! serving layer (Figure S) and writes `BENCH_readpath.json`; `--pubsub`
 //! adds the subscription-pruned-publish vs flooding comparison (Figure P)
 //! and writes `BENCH_pubsub.json`; `--scale`
-//! runs the engine scale sweep (legacy vs timer-wheel vs sharded, up to
-//! n = 10⁶) and writes `BENCH_scale.json`; `--smoke`
+//! runs the engine scale sweep (timer-wheel vs sharded, up to n = 10⁶) and
+//! writes `BENCH_scale.json`; `--smoke`
 //! switches to a bounded smoke profile and, unless figures were requested
 //! explicitly, skips the default figure suite (so `--durability --smoke`
 //! runs only the durability gate, `--multicast --lossy --smoke` only the
@@ -194,8 +194,8 @@ fn usage() -> String {
                         writes BENCH_readpath.json)
   --pubsub              subscription-pruned publish vs flooding across
                         fan-out tiers (Figure P; writes BENCH_pubsub.json)
-  --scale               engine scale sweep, legacy vs timer-wheel vs sharded
-                        up to n = 10^6 (writes BENCH_scale.json)
+  --scale               engine scale sweep, timer-wheel vs sharded up to
+                        n = 10^6 (writes BENCH_scale.json)
   --trace-out FILE      capture causal traces of a seeded op mix and write
                         them as Chrome-trace / Perfetto JSON to FILE
   --out DIR   (-o)      also write one CSV per figure into DIR
@@ -523,7 +523,7 @@ fn main() {
     }
 
     if cli.scale {
-        eprintln!("# running engine scale sweep (legacy vs timer-wheel vs sharded)…");
+        eprintln!("# running engine scale sweep (timer-wheel vs sharded)…");
         let params = if cli.smoke {
             ScaleParams::smoke(cli.seed)
         } else {
@@ -534,33 +534,24 @@ fn main() {
         println!("{}", table.render());
         write_bench(&cli, "scale", &table);
         // The smoke profile doubles as the engine regression gate: every
-        // leg must replay bit-identically under the same seed, the wheel
-        // engine must dispatch the exact event sequence of the legacy
-        // reference, and single-thread throughput must hold a conservative
-        // steps/sec floor. Missing rows fail hard so a population-list
-        // edit cannot silently disable the gate.
+        // leg must replay bit-identically under the same seed, and
+        // single-thread throughput must hold a conservative steps/sec
+        // floor. The digests themselves are pinned in tier-1
+        // (`tests/engine_digests.rs`). A missing row fails hard so a
+        // population-list edit cannot silently disable the gate.
         if cli.smoke {
             let gate_n = 10_000;
-            let (Some(wheel), Some(legacy)) =
-                (report.row(gate_n, "wheel"), report.row(gate_n, "legacy"))
-            else {
+            let Some(wheel) = report.row(gate_n, "wheel") else {
                 fail(format!(
-                    "scale smoke gate needs wheel and legacy rows at n = {gate_n}"
+                    "scale smoke gate needs a wheel row at n = {gate_n}"
                 ));
             };
             eprintln!(
-                "#   at n = {gate_n}: legacy {:.0} ksteps/s, wheel {:.0} ksteps/s \
-                 ({:.1}x), engines agree: {:?}",
-                legacy.steps_per_sec / 1e3,
-                wheel.steps_per_sec / 1e3,
-                report.wheel_speedup_at(gate_n).unwrap_or(0.0),
-                report.engines_agree_at(gate_n)
+                "#   at n = {gate_n}: wheel {:.0} ksteps/s",
+                wheel.steps_per_sec / 1e3
             );
             if report.rows.iter().any(|row| !row.deterministic) {
                 fail("scale smoke gate failed: non-deterministic replay");
-            }
-            if report.engines_agree_at(gate_n) != Some(true) {
-                fail("scale smoke gate failed: wheel digest diverges from legacy");
             }
             const STEPS_PER_SEC_FLOOR: f64 = 250_000.0;
             if wheel.steps_per_sec < STEPS_PER_SEC_FLOOR {

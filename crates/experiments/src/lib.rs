@@ -29,8 +29,8 @@
 //! * [`pubsub_compare`] — subscription-pruned topic publish vs flooding
 //!   broadcast across subscriber fan-out tiers (Figure P).
 //! * [`scale`] — the engine scale sweep (n = 10³ … 10⁶): steps/sec,
-//!   bytes/node and peak RSS of the legacy, timer-wheel and sharded
-//!   simulation engines under an identical keep-alive workload.
+//!   bytes/node and peak RSS of the timer-wheel and sharded simulation
+//!   engines under an identical keep-alive workload.
 //!
 //! Every result type renders through one `to_table()` into an
 //! [`analysis::Table`] — aligned text, CSV and BENCH JSON from one column

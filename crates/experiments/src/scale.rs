@@ -1,23 +1,16 @@
 //! Engine scale sweep: steps/sec, bytes/node and peak RSS from n = 10³ to
 //! n = 10⁶ (`reproduce --scale`, `BENCH_scale.json`).
 //!
-//! Three engines run the **identical seeded workload**:
+//! Two engines run the **identical seeded workload**:
 //!
-//! * `legacy` — a faithful replica of the pre-timer-wheel engine: the
-//!   retained [`HeapScheduler`] (binary heap, O(log n) per op), a
-//!   `HashMap<NodeAddr, _>` node table (SipHash per event) and a freshly
-//!   allocated action `Vec` per callback. This is the baseline the tentpole
-//!   optimisations are measured against.
-//! * `wheel` — the current single-threaded [`Simulation`]: hierarchical
-//!   timer wheel, arena-backed slots, recycled action buffer.
+//! * `wheel` — the single-threaded [`Simulation`]: hierarchical timer
+//!   wheel, arena-backed slots, recycled action buffer.
 //! * `sharded` — [`ShardedSimulation`] across OS threads with the
 //!   conservative time-barrier protocol.
 //!
 //! Every leg runs **twice** with the same seed and asserts the FNV event
-//! digests match (`deterministic`). The legacy engine folds its events with
-//! the wheel engine's own [`fold_event`], so equal digests additionally
-//! prove the new engine dispatches byte-for-byte the same event sequence as
-//! the old one ([`ScaleReport::engines_agree_at`]).
+//! digests match (`deterministic`); `tests/engine_digests.rs` pins both
+//! engines' `(digest, events)` at n = 10³ and 10⁴.
 //!
 //! The workload models TreeP keep-alive traffic: nodes form groups of 256
 //! arranged as arity-4 trees (computed arithmetically — no per-node
@@ -27,13 +20,10 @@
 //! timer wheel targets.
 
 use analysis::{Cell, Column, Table};
-use simnet::sim::{fold_event, FNV_OFFSET};
 use simnet::{
-    Action, Context, EventKind, HeapScheduler, LatencyModel, LinkModel, LossModel, NodeAddr,
-    Protocol, ShardedSimulation, SimConfig, SimDuration, SimRng, SimTime, Simulation,
-    TelemetryConfig, TimerToken,
+    Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, ShardedSimulation, SimConfig,
+    SimDuration, SimTime, Simulation, TelemetryConfig, TimerToken,
 };
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Keep-alive period of the workload (1 virtual second).
@@ -57,9 +47,6 @@ pub struct ScaleParams {
     pub seed: u64,
     /// Thread count of the sharded legs.
     pub shard_threads: usize,
-    /// Largest n the legacy baseline runs at (it is the slowest engine;
-    /// capping it bounds sweep wall-time without touching the new engines).
-    pub legacy_max_n: usize,
 }
 
 impl ScaleParams {
@@ -70,7 +57,6 @@ impl ScaleParams {
             horizon: SimDuration::from_secs(5),
             seed,
             shard_threads: 4,
-            legacy_max_n: 1_000_000,
         }
     }
 
@@ -81,7 +67,6 @@ impl ScaleParams {
             horizon: SimDuration::from_secs(2),
             seed,
             shard_threads: 4,
-            legacy_max_n: 10_000,
         }
     }
 }
@@ -146,152 +131,6 @@ impl Protocol for ScaleProto {
     }
 }
 
-// ---- legacy engine replica -------------------------------------------------
-
-struct LegacySlot<P> {
-    proto: P,
-    alive: bool,
-    started: bool,
-}
-
-/// The pre-PR engine, preserved verbatim in its three measured costs:
-/// [`HeapScheduler`] (O(log n) schedule/pop), `HashMap` node lookup per
-/// event, and a fresh action `Vec` per callback ([`Context::new`]).
-struct LegacySimulation<P: Protocol> {
-    config: SimConfig,
-    scheduler: HeapScheduler<P::Message>,
-    nodes: HashMap<NodeAddr, LegacySlot<P>>,
-    next_addr: u64,
-    rng: SimRng,
-    events: u64,
-    messages_sent: u64,
-    digest: u64,
-}
-
-impl<P: Protocol> LegacySimulation<P> {
-    fn new(config: SimConfig, seed: u64) -> Self {
-        LegacySimulation {
-            config,
-            scheduler: HeapScheduler::new(),
-            nodes: HashMap::new(),
-            next_addr: 0,
-            rng: SimRng::seed_from(seed),
-            events: 0,
-            messages_sent: 0,
-            digest: FNV_OFFSET,
-        }
-    }
-
-    fn add_node(&mut self, proto: P) -> NodeAddr {
-        let addr = NodeAddr(self.next_addr);
-        self.next_addr += 1;
-        self.nodes.insert(
-            addr,
-            LegacySlot {
-                proto,
-                alive: true,
-                started: false,
-            },
-        );
-        self.scheduler
-            .schedule(SimTime::ZERO, EventKind::Start { node: addr });
-        addr
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.scheduler.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    fn step(&mut self) -> bool {
-        let Some(event) = self.scheduler.pop() else {
-            return false;
-        };
-        self.events += 1;
-        self.digest = fold_event(self.digest, event.at, event.seq, &event.kind);
-        let now = event.at;
-        match event.kind {
-            EventKind::Start { node } => {
-                let Some(slot) = self.nodes.get_mut(&node) else {
-                    return true;
-                };
-                if !slot.alive || slot.started {
-                    return true;
-                }
-                slot.started = true;
-                let mut ctx = Context::new(now, node, &mut self.rng);
-                slot.proto.on_start(&mut ctx);
-                let actions = ctx.into_actions();
-                self.apply(node, actions, now);
-            }
-            EventKind::Timer { node, token } => {
-                let Some(slot) = self.nodes.get_mut(&node) else {
-                    return true;
-                };
-                if !slot.alive {
-                    return true;
-                }
-                let mut ctx = Context::new(now, node, &mut self.rng);
-                slot.proto.on_timer(token, &mut ctx);
-                let actions = ctx.into_actions();
-                self.apply(node, actions, now);
-            }
-            EventKind::Deliver { src, dest, msg } => {
-                let Some(slot) = self.nodes.get_mut(&dest) else {
-                    return true;
-                };
-                if !slot.alive || !slot.started {
-                    return true;
-                }
-                let mut ctx = Context::new(now, dest, &mut self.rng);
-                slot.proto.on_message(src, msg, &mut ctx);
-                let actions = ctx.into_actions();
-                self.apply(dest, actions, now);
-            }
-            EventKind::Fail { node } | EventKind::Stop { node } => {
-                if let Some(slot) = self.nodes.get_mut(&node) {
-                    slot.alive = false;
-                }
-            }
-        }
-        true
-    }
-
-    fn apply(&mut self, origin: NodeAddr, actions: Vec<Action<P::Message>>, now: SimTime) {
-        for action in actions {
-            match action {
-                Action::Send { dest, msg } => {
-                    self.messages_sent += 1;
-                    if let Some(latency) = self.config.link.transmit(origin, dest, &mut self.rng) {
-                        self.scheduler.schedule(
-                            now + latency,
-                            EventKind::Deliver {
-                                src: origin,
-                                dest,
-                                msg,
-                            },
-                        );
-                    }
-                }
-                Action::SetTimer { delay, token } => {
-                    self.scheduler.schedule(
-                        now + delay,
-                        EventKind::Timer {
-                            node: origin,
-                            token,
-                        },
-                    );
-                }
-                Action::Shutdown => {}
-            }
-        }
-    }
-}
-
 // ---- measurement -----------------------------------------------------------
 
 /// One measured leg of the sweep.
@@ -299,7 +138,7 @@ impl<P: Protocol> LegacySimulation<P> {
 pub struct ScaleRow {
     /// Population size.
     pub n: usize,
-    /// Engine: `legacy`, `wheel` or `sharded`.
+    /// Engine: `wheel` or `sharded`.
     pub engine: &'static str,
     /// OS threads stepping the simulation.
     pub threads: usize,
@@ -388,21 +227,6 @@ fn row_from_runs(
         digest,
         deterministic: digest == digest_b,
     }
-}
-
-fn run_legacy(params: &ScaleParams, n: usize) -> ScaleRow {
-    let deadline = SimTime::from_micros(params.horizon.as_micros());
-    let run = || {
-        let mut sim: LegacySimulation<ScaleProto> = LegacySimulation::new(config(), params.seed);
-        for _ in 0..n {
-            sim.add_node(ScaleProto::new());
-        }
-        let started = Instant::now();
-        sim.run_until(deadline);
-        let wall = started.elapsed().as_secs_f64();
-        (sim.events, sim.messages_sent, sim.digest, wall)
-    };
-    row_from_runs(n, "legacy", 1, [run(), run()])
 }
 
 fn run_wheel(params: &ScaleParams, n: usize) -> ScaleRow {
@@ -617,16 +441,11 @@ pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOv
     }
 }
 
-/// Run the sweep: per population, the legacy baseline (up to
-/// `legacy_max_n`), the single-threaded wheel engine and the sharded
-/// engine, each twice for the determinism assertion.
+/// Run the sweep: per population, the single-threaded wheel engine and the
+/// sharded engine, each twice for the determinism assertion.
 pub fn run_scale(params: &ScaleParams) -> ScaleReport {
     let mut rows = Vec::new();
     for &n in &params.populations {
-        if n <= params.legacy_max_n {
-            eprintln!("#   scale: n = {n}, legacy engine…");
-            rows.push(run_legacy(params, n));
-        }
         eprintln!("#   scale: n = {n}, wheel engine…");
         rows.push(run_wheel(params, n));
         eprintln!("#   scale: n = {n}, sharded engine…");
@@ -649,25 +468,11 @@ impl ScaleReport {
         self.rows.iter().find(|r| r.n == n && r.engine == engine)
     }
 
-    /// steps/sec ratio of the wheel engine over the legacy baseline at `n`.
-    pub fn wheel_speedup_at(&self, n: usize) -> Option<f64> {
-        let wheel = self.row(n, "wheel")?;
-        let legacy = self.row(n, "legacy")?;
-        (legacy.steps_per_sec > 0.0).then(|| wheel.steps_per_sec / legacy.steps_per_sec)
-    }
-
     /// steps/sec ratio of the sharded engine over the wheel engine at `n`.
     pub fn sharded_speedup_at(&self, n: usize) -> Option<f64> {
         let sharded = self.row(n, "sharded")?;
         let wheel = self.row(n, "wheel")?;
         (wheel.steps_per_sec > 0.0).then(|| sharded.steps_per_sec / wheel.steps_per_sec)
-    }
-
-    /// Do the legacy and wheel digests agree at `n`? (They share the FNV
-    /// scheme and must dispatch identical event sequences.) `None` when
-    /// either leg is missing.
-    pub fn engines_agree_at(&self, n: usize) -> Option<bool> {
-        Some(self.row(n, "wheel")?.digest == self.row(n, "legacy")?.digest)
     }
 
     /// The sweep as a table; its JSON is `BENCH_scale.json`.
@@ -703,9 +508,6 @@ impl ScaleReport {
             .meta("horizon_secs", self.horizon_secs)
             .meta("hardware_threads", self.hardware_threads)
             .meta("shard_threads", self.shard_threads);
-        if let Some(speedup) = self.wheel_speedup_at(10_000) {
-            table = table.meta("wheel_speedup_vs_legacy_n10k", Cell::float(speedup, 2, 2));
-        }
         if let Some(speedup) = self.sharded_speedup_at(10_000) {
             table = table.meta("sharded_speedup_vs_wheel_n10k", Cell::float(speedup, 2, 2));
         }
@@ -723,34 +525,19 @@ mod tests {
             horizon: SimDuration::from_secs(2),
             seed: 9,
             shard_threads: 2,
-            legacy_max_n: 300,
         }
     }
 
     #[test]
     fn sweep_runs_all_engines_and_is_deterministic() {
         let report = run_scale(&tiny_params());
-        assert_eq!(report.rows.len(), 3);
+        assert_eq!(report.rows.len(), 2);
         for row in &report.rows {
             assert!(row.deterministic, "{} leg must replay: {row:?}", row.engine);
             assert!(row.events > 0);
             assert!(row.steps_per_sec > 0.0);
             assert!(row.bytes_per_node > 0.0);
         }
-    }
-
-    #[test]
-    fn wheel_engine_matches_legacy_reference_exactly() {
-        let report = run_scale(&tiny_params());
-        assert_eq!(
-            report.engines_agree_at(300),
-            Some(true),
-            "wheel and legacy engines must dispatch identical event sequences"
-        );
-        let legacy = report.row(300, "legacy").unwrap();
-        let wheel = report.row(300, "wheel").unwrap();
-        assert_eq!(legacy.events, wheel.events);
-        assert!((legacy.bytes_per_node - wheel.bytes_per_node).abs() < 1e-9);
     }
 
     #[test]

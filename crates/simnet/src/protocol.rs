@@ -210,11 +210,6 @@ impl<'a, M> Context<'a, M> {
         self.actions.push(Action::Shutdown);
     }
 
-    /// Number of actions queued so far (mainly useful in tests).
-    pub fn pending_actions(&self) -> usize {
-        self.actions.len()
-    }
-
     /// Consume the context, returning the recorded actions.
     pub fn into_actions(self) -> Vec<Action<M>> {
         self.actions

@@ -112,11 +112,6 @@ impl<P: Protocol> ShardedSimulation<P> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `addr`, if any.
     fn owner(&self, addr: NodeAddr) -> Option<&Simulation<P>> {
         self.shards.get((addr.0 / self.block) as usize)

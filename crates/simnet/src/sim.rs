@@ -114,11 +114,9 @@ pub(crate) fn fnv_fold(digest: u64, word: u64) -> u64 {
 
 /// Fold one dispatched event into a digest: its time, FIFO sequence,
 /// target node and kind discriminant. Two runs with equal digests
-/// dispatched the same events in the same order — under any host that
-/// folds with this function, which is how the legacy reference engine of
-/// `reproduce --scale` stays comparable.
+/// dispatched the same events in the same order.
 #[inline]
-pub fn fold_event<M>(digest: u64, at: SimTime, seq: u64, kind: &EventKind<M>) -> u64 {
+fn fold_event<M>(digest: u64, at: SimTime, seq: u64, kind: &EventKind<M>) -> u64 {
     let (tag, node) = event_word(kind);
     let mut d = fnv_fold(digest, at.as_micros());
     d = fnv_fold(d, seq);
@@ -374,11 +372,6 @@ impl<P: Protocol> Simulation<P> {
     /// model).
     pub fn fail_node(&mut self, addr: NodeAddr) {
         let at = self.now();
-        self.scheduler.schedule(at, EventKind::Fail { node: addr });
-    }
-
-    /// Schedule a crash failure of `addr` at time `at`.
-    pub fn fail_node_at(&mut self, addr: NodeAddr, at: SimTime) {
         self.scheduler.schedule(at, EventKind::Fail { node: addr });
     }
 

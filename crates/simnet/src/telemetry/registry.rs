@@ -248,15 +248,6 @@ impl MetricsRegistry {
         &self.series[id.0 as usize]
     }
 
-    /// Every registered metric as `(name, kind, id)`.
-    pub fn iter_ids(&self) -> impl Iterator<Item = (&'static str, MetricKind, MetricId)> + '_ {
-        self.names
-            .iter()
-            .zip(&self.kinds)
-            .enumerate()
-            .map(|(i, (n, k))| (*n, *k, MetricId(i as u16)))
-    }
-
     /// Snapshot every scalar metric (and histogram count) into its series.
     /// Hosts call this on a fixed virtual-time cadence, so two runs of the
     /// same seed produce identical series.

@@ -106,11 +106,6 @@ impl SimDuration {
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// True when the duration is zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add<SimDuration> for SimTime {

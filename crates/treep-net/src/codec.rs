@@ -1104,8 +1104,8 @@ mod wire_compat {
 mod wire_compat_readpath {
     //! Second golden wire-format test: pins the encodings of the
     //! reliability tags (23–24) and the read-path tags (25–30) introduced
-    //! after the legacy golden above was frozen. With `replica_reads`,
-    //! `read_repair` and the hot-key cache all defaulting to off, a node
+    //! after the legacy golden above was frozen. With `replica_reads` and
+    //! the hot-key cache both defaulting to off, a node
     //! never emits these tags — but once two deployments opt in they must
     //! agree on every byte, so the new tags get their own checksum.
     use super::wire_compat::{golden, peer};

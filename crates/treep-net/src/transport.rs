@@ -581,6 +581,52 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_caller_poisons_the_node_lock_and_the_node_keeps_running() {
+        let config = fast_config();
+        let seed = UdpNode::bind(
+            "127.0.0.1:0",
+            config,
+            NodeId(1_000_000),
+            NodeCharacteristics::strong(),
+            vec![],
+        )
+        .expect("bind seed");
+        let joiner = UdpNode::bind(
+            "127.0.0.1:0",
+            config,
+            NodeId(3_000_000_000),
+            NodeCharacteristics::default(),
+            vec![seed.peer_info()],
+        )
+        .expect("bind joiner");
+        std::thread::sleep(Duration::from_millis(600));
+
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            joiner.invoke::<()>(|_, _| panic!("caller bug inside invoke"))
+        }));
+        assert!(caught.is_err(), "the closure's panic reaches the caller");
+        assert!(
+            joiner.shared.hosted.0.is_poisoned(),
+            "the panic unwound through the node lock"
+        );
+
+        let rounds_before = joiner.with_node(|n| n.stats().keepalive_rounds);
+        joiner.lookup(NodeId(1_000_000), RoutingAlgorithm::Greedy);
+        std::thread::sleep(Duration::from_millis(300));
+        let outcomes = joiner.drain_lookup_outcomes();
+        assert_eq!(outcomes.len(), 1);
+        assert!(outcomes[0].status.is_success(), "{:?}", outcomes[0]);
+        let rounds_after = joiner.with_node(|n| n.stats().keepalive_rounds);
+        assert!(
+            rounds_after > rounds_before,
+            "the timer thread must survive the poisoned lock: {rounds_before} -> {rounds_after} keep-alive rounds"
+        );
+
+        joiner.shutdown();
+        seed.shutdown();
+    }
+
+    #[test]
     fn shutdown_is_idempotent_and_fast() {
         let node = UdpNode::bind(
             "127.0.0.1:0",

@@ -89,14 +89,10 @@ pub struct TreePConfig {
     pub max_retransmits: u32,
     /// Read-path: let a routed versioned get be answered by the *first*
     /// node on the route holding a replica whose stamp satisfies the
-    /// client, instead of only by the responsible node (see
+    /// client, instead of only by the responsible node; that node then
+    /// probes the responsible node with the served stamp (read-repair, see
     /// [`crate::readpath`]). `false` keeps the single-responder behaviour.
     pub replica_reads: bool,
-    /// Read-path: after a replica-served get, probe the responsible node
-    /// with the served stamp; a fresher authoritative copy is pushed back
-    /// to the serving node and the key's replica set. `false` leaves
-    /// reconciliation entirely to the anti-entropy rounds.
-    pub read_repair: bool,
     /// Read-path: number of lines of the per-node hot-key cache filled on
     /// the reply path of versioned gets. `0` disables the cache entirely:
     /// no lines are kept, replies travel straight back to the origin, and
@@ -128,7 +124,6 @@ impl Default for TreePConfig {
             replication_factor: 1,
             max_retransmits: 0,
             replica_reads: false,
-            read_repair: false,
             cache_capacity: 0,
             cache_ttl: SimDuration::from_millis(500),
             pubsub_enabled: false,
@@ -187,6 +182,12 @@ impl TreePConfig {
             }
             _ => {}
         }
+        if self.keepalive_interval.as_micros() == 0 {
+            return Err(
+                "keepalive_interval must be positive or the maintenance tick re-arms forever"
+                    .into(),
+            );
+        }
         if self.entry_ttl <= self.keepalive_interval {
             return Err(
                 "entry_ttl must exceed keepalive_interval or entries expire between refreshes"
@@ -198,11 +199,6 @@ impl TreePConfig {
         }
         if self.cache_capacity > 0 && self.cache_ttl.as_micros() == 0 {
             return Err("cache_ttl must be positive when the hot-key cache is enabled".into());
-        }
-        if self.read_repair && !self.replica_reads {
-            return Err(
-                "read_repair needs replica_reads: only replica-served gets are verified".into(),
-            );
         }
         Ok(())
     }
@@ -220,7 +216,6 @@ impl TreePConfig {
     /// cache of that many lines (see [`crate::readpath`]).
     pub fn with_read_path(mut self, cache_capacity: usize) -> Self {
         self.replica_reads = true;
-        self.read_repair = true;
         self.cache_capacity = cache_capacity;
         self
     }
@@ -310,8 +305,7 @@ mod tests {
                 ..TreePConfig::default()
             },
             TreePConfig {
-                read_repair: true,
-                replica_reads: false,
+                keepalive_interval: SimDuration::from_micros(0),
                 ..TreePConfig::default()
             },
         ];
@@ -361,10 +355,9 @@ mod tests {
     fn read_path_is_off_by_default_and_composes() {
         let c = TreePConfig::default();
         assert!(!c.replica_reads, "replica reads default to off");
-        assert!(!c.read_repair, "read repair defaults to off");
         assert_eq!(c.cache_capacity, 0, "hot-key cache defaults to off");
         let r = TreePConfig::default().with_read_path(64);
-        assert!(r.replica_reads && r.read_repair);
+        assert!(r.replica_reads);
         assert_eq!(r.cache_capacity, 64);
         assert!(r.cache_ttl.as_micros() > 0);
         assert!(r.validate().is_ok());

@@ -88,9 +88,9 @@ impl IdSpace {
     }
 
     /// Evenly spread `n` identifiers across the space: id `i` sits at
-    /// `(i + 1/2) * size / n`. Used by the steady-state topology builder and
-    /// by the "preliminary search for an ID range" assignment strategy the
-    /// paper mentions.
+    /// `(i + 1/2) * size / n`. The steady-state topology builder places
+    /// every node this way, the balanced outcome of the "preliminary search
+    /// for an ID range" the paper mentions (Section III).
     pub fn uniform_position(&self, index: usize, n: usize) -> NodeId {
         assert!(n > 0, "cannot place an id among zero nodes");
         assert!(index < n, "index {index} out of range for {n} nodes");
@@ -112,57 +112,8 @@ impl IdSpace {
     }
 }
 
-/// How identifiers are assigned to joining nodes.
-///
-/// Mirrors Section III: "The IDs can be assigned randomly or based on a hash
-/// of the IP/Port numbers … other scenarios can invoke a preliminary search
-/// for an ID range to choose from" (balanced assignment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IdAssignment {
-    /// Uniformly random identifier.
-    Random,
-    /// Identifier derived from a hash of the node's transport address
-    /// (stand-in for the paper's hash of IP/port).
-    HashOfAddress,
-    /// Evenly spaced identifiers (requires knowing the expected population),
-    /// corresponding to the paper's "preliminary search for an ID range"
-    /// strategy that keeps the tree balanced.
-    Uniform {
-        /// Expected number of nodes.
-        expected_nodes: usize,
-    },
-}
-
-/// Stateless ID assignment helper.
-#[derive(Debug, Clone, Copy)]
-pub struct IdAssigner {
-    space: IdSpace,
-    strategy: IdAssignment,
-}
-
-impl IdAssigner {
-    /// Create an assigner for `space` using `strategy`.
-    pub fn new(space: IdSpace, strategy: IdAssignment) -> Self {
-        IdAssigner { space, strategy }
-    }
-
-    /// Assign an identifier to the node with join index `index` and
-    /// transport address `addr_raw`, drawing randomness from `rng` when the
-    /// strategy needs it.
-    pub fn assign(&self, index: usize, addr_raw: u64, rng: &mut simnet::SimRng) -> NodeId {
-        match self.strategy {
-            IdAssignment::Random => self.space.fold(rng.next_u64()),
-            IdAssignment::HashOfAddress => self.space.fold(splitmix64(addr_raw)),
-            IdAssignment::Uniform { expected_nodes } => {
-                let n = expected_nodes.max(index + 1);
-                self.space.uniform_position(index, n)
-            }
-        }
-    }
-}
-
-/// SplitMix64: a tiny, high-quality 64-bit mixer used to hash transport
-/// addresses and external resource names into the identifier space.
+/// SplitMix64: a tiny, high-quality 64-bit mixer used to hash external
+/// resource names into the identifier space.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -185,7 +136,6 @@ pub fn hash_key(space: IdSpace, key: &[u8]) -> NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimRng;
 
     #[test]
     fn space_size_and_bounds() {
@@ -240,30 +190,6 @@ mod tests {
         assert_eq!(s.coverage_radius(h, 5), 65536 >> 1);
         assert_eq!(s.coverage_radius(h, 6), 65536);
         assert_eq!(s.coverage_radius(h, 9), 65536);
-    }
-
-    #[test]
-    fn assigner_strategies() {
-        let space = IdSpace::new(24);
-        let mut rng = SimRng::seed_from(11);
-        let random = IdAssigner::new(space, IdAssignment::Random);
-        let a = random.assign(0, 1, &mut rng);
-        assert!(space.contains(a));
-
-        let hashed = IdAssigner::new(space, IdAssignment::HashOfAddress);
-        let h1 = hashed.assign(0, 42, &mut rng);
-        let h2 = hashed.assign(5, 42, &mut rng);
-        assert_eq!(
-            h1, h2,
-            "hash assignment must be deterministic in the address"
-        );
-        assert_ne!(hashed.assign(0, 43, &mut rng), h1);
-
-        let uniform = IdAssigner::new(space, IdAssignment::Uniform { expected_nodes: 10 });
-        let u0 = uniform.assign(0, 0, &mut rng);
-        let u9 = uniform.assign(9, 0, &mut rng);
-        assert!(u0 < u9);
-        assert!(space.contains(u0) && space.contains(u9));
     }
 
     #[test]

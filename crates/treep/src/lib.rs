@@ -90,7 +90,7 @@ pub use dht::{DhtOutcome, DhtStore};
 pub use discovery::{attribute_key, attribute_query, ResourceDescriptor};
 pub use distance::HierarchicalDistance;
 pub use entry::{PeerInfo, RoutingEntry};
-pub use id::{hash_key, IdAssigner, IdAssignment, IdSpace, NodeId};
+pub use id::{hash_key, IdSpace, NodeId};
 pub use lookup::{LookupOutcome, LookupRequest, LookupStatus, RequestId};
 pub use messages::{MessageKind, RoutingUpdate, TreePMessage};
 pub use multicast::{

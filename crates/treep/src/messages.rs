@@ -461,7 +461,7 @@ pub enum TreePMessage {
         value: Vec<u8>,
     },
     /// Probe sent onward to the responsible node after a replica served a
-    /// versioned get (`read_repair` enabled): "I answered with this stamp —
+    /// versioned get (`replica_reads` enabled): "I answered with this stamp —
     /// was it fresh?" A responsible node holding a strictly fresher copy
     /// answers the server (and the key's replica set) with
     /// [`TreePMessage::ReadRepair`]; one holding none does nothing and gets

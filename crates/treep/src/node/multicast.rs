@@ -121,16 +121,6 @@ impl TreePNode {
         self.originate(request_id, range, MulticastPayload::Aggregate(query), ctx)
     }
 
-    /// Census of the DHT keys stored across `range`: one scoped aggregation
-    /// folding per-node key digests (see [`crate::dht::DhtStore::digest_range`]).
-    pub fn dht_range_digest(
-        &mut self,
-        range: KeyRange,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) -> RequestId {
-        self.start_aggregate(range, AggregateQuery::DhtKeyDigest, ctx)
-    }
-
     // ---- dissemination engine ---------------------------------------------------
 
     /// Start a dissemination here: the message every origin (multicast,

@@ -196,17 +196,6 @@ impl TreePNode {
         self.answer(origin.addr, ack, ctx);
     }
 
-    /// The subscriber set recorded in this node's store for `topic`, when
-    /// this node holds (a replica of) the directory.
-    pub fn subscriber_directory(
-        &self,
-        topic: NodeId,
-    ) -> Option<std::collections::BTreeSet<(NodeId, NodeAddr)>> {
-        self.dht_store()
-            .get(topic)
-            .and_then(|v| decode_subscriber_set(v))
-    }
-
     // ---- filter reporting --------------------------------------------------------
 
     /// Recompute the subtree filter and report it to the parent when it

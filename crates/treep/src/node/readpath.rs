@@ -14,7 +14,7 @@
 //!   replica store (`replica_reads`), then forwards toward the key; the
 //!   node with no closer peer answers from its authoritative store. A
 //!   replica serve sends a `ReadVerify` probe onward to the responsible
-//!   node (`read_repair`); a cache serve does not — its staleness is
+//!   node (read-repair); a cache serve does not — its staleness is
 //!   bounded by `cache_ttl` and repaired in place by passing `ReadRepair`s.
 //! * The reply walks the request's recorded caching path backwards, each
 //!   relay version-check-filling its own cache, so the cacheless
@@ -139,15 +139,13 @@ impl TreePNode {
                     ctx.trace_note("replica_serve");
                     let served_stamp = sv.stamp;
                     self.serve_read(msg, Some(sv), ReadSource::Replica, ctx);
-                    if self.config.read_repair {
-                        let verify = TreePMessage::ReadVerify {
-                            server: self.peer_info(),
-                            key,
-                            served_stamp,
-                            ttl,
-                        };
-                        self.pass_on(next, verify, ctx);
-                    }
+                    let verify = TreePMessage::ReadVerify {
+                        server: self.peer_info(),
+                        key,
+                        served_stamp,
+                        ttl,
+                    };
+                    self.pass_on(next, verify, ctx);
                     return;
                 }
             }

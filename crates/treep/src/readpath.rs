@@ -26,7 +26,7 @@
 //!   of the key coordinate, exactly the nodes a greedy descent funnels
 //!   through, so hot keys are served one or two hops early and the
 //!   responsible node sheds load.
-//! * **Read-repair** (`read_repair`) — a replica-served get sends a
+//! * **Read-repair** (part of `replica_reads`) — a replica-served get sends a
 //!   lightweight `ReadVerify` probe onward to the responsible node carrying
 //!   the served stamp. A responsible node holding a fresher stamp answers
 //!   with `ReadRepair` (the full stamped value) to the serving node *and*
@@ -59,10 +59,10 @@
 //!   carries no stamp to win with — never replaces a stamped one, whichever
 //!   message brought it. [`HotKeyCache::fill`] and [`HotKeyCache::repair`]
 //!   apply the same comparison to a cache line.
-//! * **Defaults off, wire-identical.** All four config knobs default to
-//!   off/zero; a deployment that never calls the versioned API sends no new
-//!   message and stays byte-identical on the wire (the codec's golden
-//!   checksum pins this).
+//! * **Defaults off, wire-identical.** `replica_reads` and
+//!   `cache_capacity` default to off/zero; a deployment that never calls
+//!   the versioned API sends no new message and stays byte-identical on the
+//!   wire (the codec's golden checksum pins this).
 
 use crate::id::NodeId;
 use serde::{Deserialize, Serialize};

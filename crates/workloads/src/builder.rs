@@ -21,11 +21,15 @@
 use simnet::{NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
 use std::collections::BTreeMap;
 use treep::{
-    CharacteristicsSummary, IdAssigner, IdAssignment, NodeCharacteristics, NodeId, PeerInfo,
-    TreePConfig, TreePNode,
+    CharacteristicsSummary, NodeCharacteristics, NodeId, PeerInfo, TreePConfig, TreePNode,
 };
 
 use crate::capabilities::CapabilityDistribution;
+
+/// Virtual time [`TopologyBuilder::build_simulation`] runs the network for
+/// after seeding, so the maintenance protocol refreshes every table at least
+/// once.
+const SETTLE: SimDuration = SimDuration::from_millis(3_000);
 
 /// One node of a built topology, as planned by the builder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,9 +118,6 @@ pub struct TopologyBuilder {
     n: usize,
     config: TreePConfig,
     capabilities: CapabilityDistribution,
-    id_assignment: IdAssignment,
-    extra_contacts: usize,
-    settle: SimDuration,
 }
 
 impl TopologyBuilder {
@@ -127,9 +128,6 @@ impl TopologyBuilder {
             n,
             config: TreePConfig::paper_case_fixed(),
             capabilities: CapabilityDistribution::Heterogeneous,
-            id_assignment: IdAssignment::Uniform { expected_nodes: n },
-            extra_contacts: 1,
-            settle: SimDuration::from_secs(3),
         }
     }
 
@@ -143,32 +141,6 @@ impl TopologyBuilder {
     pub fn with_capabilities(mut self, capabilities: CapabilityDistribution) -> Self {
         self.capabilities = capabilities;
         self
-    }
-
-    /// Use a specific identifier-assignment strategy.
-    pub fn with_id_assignment(mut self, id_assignment: IdAssignment) -> Self {
-        self.id_assignment = id_assignment;
-        self
-    }
-
-    /// Number of additional random level-0 contacts seeded per node on top of
-    /// the two ring neighbours (default 1).
-    pub fn with_extra_contacts(mut self, extra_contacts: usize) -> Self {
-        self.extra_contacts = extra_contacts;
-        self
-    }
-
-    /// Virtual time [`TopologyBuilder::build_simulation`] runs the network
-    /// for after seeding, so the maintenance protocol refreshes every table
-    /// at least once (default 3 s).
-    pub fn with_settle(mut self, settle: SimDuration) -> Self {
-        self.settle = settle;
-        self
-    }
-
-    /// The number of nodes the builder will create.
-    pub fn node_count(&self) -> usize {
-        self.n
     }
 
     /// The protocol configuration the nodes will share.
@@ -205,7 +177,7 @@ impl TopologyBuilder {
     ) -> (Simulation<TreePNode>, BuiltTopology) {
         let mut sim = Simulation::new(config, seed);
         let topo = self.build(&mut sim);
-        sim.run_for(self.settle);
+        sim.run_for(SETTLE);
         (sim, topo)
     }
 
@@ -253,14 +225,13 @@ impl TopologyBuilder {
     // ---- planning --------------------------------------------------------
 
     fn plan(&self, rng: &mut SimRng) -> Vec<PlanEntry> {
-        let assigner = IdAssigner::new(self.config.space, self.id_assignment);
         let characteristics = self.capabilities.sample_population(self.n, rng);
 
         let mut plan: Vec<PlanEntry> = characteristics
             .into_iter()
             .enumerate()
             .map(|(index, characteristics)| {
-                let id = assigner.assign(index, index as u64, rng);
+                let id = self.config.space.uniform_position(index, self.n);
                 PlanEntry {
                     addr: NodeAddr(u64::MAX), // filled in once the node is added
                     id,
@@ -322,17 +293,15 @@ impl TopologyBuilder {
         let infos: Vec<PeerInfo> = plan.iter().map(|e| e.peer_info(&self.config)).collect();
         let n = plan.len();
 
-        // Level-0 ring neighbours plus a few random long-range contacts.
+        // Level-0 ring neighbours plus one random long-range contact.
         for i in 0..n {
             let addr = plan[i].addr;
             let prev = infos[(i + n - 1) % n];
             let next = infos[(i + 1) % n];
             let mut contacts = vec![prev, next];
-            for _ in 0..self.extra_contacts {
-                let j = rng.gen_range_usize(0..n);
-                if j != i {
-                    contacts.push(infos[j]);
-                }
+            let j = rng.gen_range_usize(0..n);
+            if j != i {
+                contacts.push(infos[j]);
             }
             let node = sim.node_mut(addr).expect("planned node exists");
             for contact in contacts {
