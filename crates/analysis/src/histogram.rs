@@ -131,21 +131,6 @@ impl HopSurface {
         &self.rows
     }
 
-    /// The z value of the surface: percentage of requests resolved in
-    /// exactly `hops` hops at the step closest to `failed_fraction`.
-    pub fn percentage_at(&self, failed_fraction: f64, hops: u32) -> f64 {
-        self.rows
-            .iter()
-            .min_by(|a, b| {
-                (a.0 - failed_fraction)
-                    .abs()
-                    .partial_cmp(&(b.0 - failed_fraction).abs())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(_, h)| h.percentage(hops))
-            .unwrap_or(0.0)
-    }
-
     /// The largest hop count appearing anywhere on the surface.
     pub fn max_hops(&self) -> u32 {
         self.rows
@@ -248,8 +233,7 @@ mod tests {
         assert_eq!(rows[1][0], 50.0);
         // Row 1, hop 6 column (offset by the leading x column).
         assert_eq!(rows[1][1 + 6], 50.0);
-        assert_eq!(surface.percentage_at(0.45, 6), 50.0);
-        assert_eq!(surface.percentage_at(0.1, 3), 30.0);
+        assert_eq!(rows[0][1 + 3], 30.0);
     }
 }
 

@@ -49,30 +49,6 @@ impl Series {
             })
             .map(|p| p.1)
     }
-
-    /// Mean of the `y` values (0 for an empty series).
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// Largest `y` value, if any.
-    pub fn max_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.1)
-            .fold(None, |acc, y| Some(acc.map_or(y, |m: f64| m.max(y))))
-    }
-
-    /// True when the `y` values never decrease as `x` increases (points are
-    /// compared in insertion order). Used to sanity-check "failures only make
-    /// things worse" expectations, with `tolerance` absorbing noise.
-    pub fn is_non_decreasing(&self, tolerance: f64) -> bool {
-        self.points.windows(2).all(|w| w[1].1 >= w[0].1 - tolerance)
-    }
 }
 
 /// A set of series sharing the same x axis (one whole figure).
@@ -155,27 +131,12 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.y_at(9.0), Some(3.0));
         assert_eq!(s.y_at(0.0), Some(1.0));
-        assert_eq!(s.mean_y(), 3.0);
-        assert_eq!(s.max_y(), Some(5.0));
     }
 
     #[test]
     fn empty_series_queries() {
         let s = Series::new("empty");
         assert_eq!(s.y_at(1.0), None);
-        assert_eq!(s.mean_y(), 0.0);
-        assert_eq!(s.max_y(), None);
-        assert!(s.is_non_decreasing(0.0));
-    }
-
-    #[test]
-    fn monotonicity_check_respects_tolerance() {
-        let mut s = Series::new("noisy");
-        s.push(0.0, 1.0);
-        s.push(1.0, 0.95);
-        s.push(2.0, 2.0);
-        assert!(!s.is_non_decreasing(0.0));
-        assert!(s.is_non_decreasing(0.1));
     }
 
     #[test]
@@ -221,20 +182,6 @@ mod proptests {
         (0..len)
             .map(|_| lo + (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo))
             .collect()
-    }
-
-    #[test]
-    fn mean_is_bounded_by_extremes() {
-        let mut state = 0x5eed_0001;
-        for _ in 0..200 {
-            let ys = random_vec(&mut state, 99, -1e6, 1e6);
-            let mut s = Series::new("p");
-            for (i, y) in ys.iter().enumerate() {
-                s.push(i as f64, *y);
-            }
-            let max = s.max_y().unwrap();
-            assert!(s.mean_y() <= max + 1e-9);
-        }
     }
 
     #[test]

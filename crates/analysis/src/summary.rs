@@ -55,12 +55,6 @@ impl SummaryStats {
         }
     }
 
-    /// Compute the statistics of a sample of integers.
-    pub fn of_u32(sample: &[u32]) -> Self {
-        let as_f64: Vec<f64> = sample.iter().map(|&x| x as f64).collect();
-        SummaryStats::of(&as_f64)
-    }
-
     /// Nearest-rank percentile of the original sample, `p` in `[0, 100]`.
     pub fn percentile(sample: &[f64], p: f64) -> f64 {
         if sample.is_empty() {
@@ -133,13 +127,6 @@ mod tests {
         assert_eq!(SummaryStats::percentile(&sample, 100.0), 100.0);
         assert_eq!(SummaryStats::percentile(&sample, 0.0), 1.0);
         assert_eq!(SummaryStats::percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn of_u32_matches_of_f64() {
-        let a = SummaryStats::of_u32(&[1, 2, 3, 4]);
-        let b = SummaryStats::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a, b);
     }
 
     #[test]

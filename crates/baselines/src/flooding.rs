@@ -287,11 +287,13 @@ impl Protocol for FloodingNode {
     }
 }
 
+/// Target average degree of the random graph [`FloodingBuilder`] seeds.
+const DEGREE: usize = 4;
+
 /// Builds a connected random graph of [`FloodingNode`]s inside a simulation.
 #[derive(Debug, Clone)]
 pub struct FloodingBuilder {
     n: usize,
-    degree: usize,
     max_ttl: u32,
     space: IdSpace,
 }
@@ -302,16 +304,9 @@ impl FloodingBuilder {
     pub fn new(n: usize) -> Self {
         FloodingBuilder {
             n,
-            degree: 4,
             max_ttl: 7,
             space: IdSpace::default(),
         }
-    }
-
-    /// Target average degree of the random graph.
-    pub fn with_degree(mut self, degree: usize) -> Self {
-        self.degree = degree.max(2);
-        self
     }
 
     /// Flood TTL.
@@ -341,7 +336,7 @@ impl FloodingBuilder {
             adjacency[i].insert((i + 1) % n);
             adjacency[(i + 1) % n].insert(i);
         }
-        let extra_per_node = self.degree.saturating_sub(2);
+        let extra_per_node = DEGREE - 2;
         let mut rng = sim.rng_mut().fork();
         for i in 0..n {
             for _ in 0..extra_per_node {
@@ -407,15 +402,27 @@ mod tests {
         assert_eq!(outcome.hops, 0);
     }
 
+    /// The first node after `origin` that is not one of its neighbours.
+    fn non_neighbor(
+        sim: &Simulation<FloodingNode>,
+        pairs: &[(NodeAddr, NodeId)],
+        origin: NodeAddr,
+    ) -> NodeId {
+        let neighbors = sim.node(origin).unwrap().neighbors();
+        pairs
+            .iter()
+            .find(|(addr, _)| *addr != origin && !neighbors.contains(addr))
+            .expect("the origin is not adjacent to every node")
+            .1
+    }
+
     #[test]
     fn low_ttl_floods_fail_on_distant_targets() {
-        // A pure ring (degree 2) with TTL 2 cannot reach the antipode.
-        let (mut sim, pairs) = FloodingBuilder::new(40)
-            .with_degree(2)
-            .with_ttl(2)
-            .build_simulation(4);
+        // TTL 1 reaches the origin's neighbours and no one behind them.
+        let (mut sim, pairs) = FloodingBuilder::new(40).with_ttl(1).build_simulation(4);
         sim.run_until_idle();
-        let outcome = run_lookup(&mut sim, pairs[0].0, pairs[20].1);
+        let target = non_neighbor(&sim, &pairs, pairs[0].0);
+        let outcome = run_lookup(&mut sim, pairs[0].0, target);
         assert!(!outcome.found);
     }
 
@@ -474,13 +481,15 @@ mod tests {
 
     #[test]
     fn failures_disconnect_the_flood() {
-        let (mut sim, pairs) = FloodingBuilder::new(60).with_degree(2).build_simulation(7);
+        let (mut sim, pairs) = FloodingBuilder::new(60).build_simulation(7);
         sim.run_until_idle();
-        // Sever the ring around the origin.
-        sim.fail_node(pairs[1].0);
-        sim.fail_node(pairs[59].0);
+        // Fail every neighbour of the origin.
+        let target = non_neighbor(&sim, &pairs, pairs[0].0);
+        for neighbor in sim.node(pairs[0].0).unwrap().neighbors().to_vec() {
+            sim.fail_node(neighbor);
+        }
         sim.run_for(SimDuration::from_millis(10));
-        let outcome = run_lookup(&mut sim, pairs[0].0, pairs[30].1);
+        let outcome = run_lookup(&mut sim, pairs[0].0, target);
         assert!(!outcome.found, "origin is isolated, the lookup must fail");
     }
 }

@@ -111,22 +111,6 @@ pub enum FigureData {
 }
 
 impl FigureData {
-    /// The curves, when the figure is a curve family.
-    pub fn as_curves(&self) -> Option<&SeriesSet> {
-        match self {
-            FigureData::Curves(s) => Some(s),
-            FigureData::Surface(_) => None,
-        }
-    }
-
-    /// The surface, when the figure is a surface.
-    pub fn as_surface(&self) -> Option<&HopSurface> {
-        match self {
-            FigureData::Surface(s) => Some(s),
-            FigureData::Curves(_) => None,
-        }
-    }
-
     /// The data as a table: the aligned text shows two decimals of a curve
     /// and one of a surface, the CSV carries every value exactly.
     pub fn to_table(&self, title: &str) -> Table {
@@ -323,12 +307,12 @@ mod tests {
             let table = data.to_table(&format!("Figure {figure}"));
             assert!(!table.is_empty(), "figure {figure} rendered an empty table");
             assert!(table.to_csv().lines().count() > 1);
-            match figure {
-                Figure::F | Figure::G | Figure::H | Figure::I => {
-                    assert!(data.as_surface().is_some())
-                }
-                _ => assert!(data.as_curves().is_some()),
-            }
+            let surface = matches!(figure, Figure::F | Figure::G | Figure::H | Figure::I);
+            assert_eq!(
+                matches!(data, FigureData::Surface(_)),
+                surface,
+                "figure {figure}"
+            );
         }
     }
 

@@ -344,11 +344,6 @@ impl ChurnRunResult {
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
     }
-
-    /// The largest failed fraction the schedule reached.
-    pub fn max_failed_fraction(&self) -> f64 {
-        self.steps.last().map(|s| s.failed_fraction).unwrap_or(0.0)
-    }
 }
 
 /// Run the Section-IV measurement loop with the given parameters.
@@ -658,7 +653,7 @@ mod tests {
         assert_eq!(step.index, 0);
         let last = result.step_at(1.0).unwrap();
         assert_eq!(last.index, result.steps.last().unwrap().index);
-        assert!(result.max_failed_fraction() > 0.5);
+        assert!(last.failed_fraction > 0.5);
     }
 
     #[test]

@@ -353,7 +353,7 @@ pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOv
                 let mut count = 0u64;
                 let mut sum = 0u64;
                 let mut p99 = 0u64;
-                for tag in 0..5u8 {
+                for tag in 0..4u8 {
                     let h = t.dispatch_histogram(tag);
                     count += h.count();
                     sum += h.sum();

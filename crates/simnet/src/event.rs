@@ -34,14 +34,10 @@ pub enum EventKind<M> {
         /// The node to start.
         node: NodeAddr,
     },
-    /// Crash-fail a node: it is removed without running protocol shutdown.
+    /// Crash-fail a node: it goes silent and is removed, the paper's
+    /// crash-stop failure.
     Fail {
         /// The node to fail.
-        node: NodeAddr,
-    },
-    /// Gracefully stop a node (its `on_stop` hook runs).
-    Stop {
-        /// The node to stop.
         node: NodeAddr,
     },
 }
@@ -71,8 +67,7 @@ impl<M> Event<M> {
             EventKind::Deliver { dest, .. } => *dest,
             EventKind::Timer { node, .. }
             | EventKind::Start { node }
-            | EventKind::Fail { node }
-            | EventKind::Stop { node } => *node,
+            | EventKind::Fail { node } => *node,
         }
     }
 }

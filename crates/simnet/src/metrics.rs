@@ -4,8 +4,9 @@ use serde::{Deserialize, Serialize};
 
 /// Aggregate message/event statistics for one simulation run.
 ///
-/// These counters are what the maintenance-overhead ablation (E-X2 in
-/// DESIGN.md) and the baseline comparison report.
+/// Read by the Section-IV runner's maintenance column (`messages_sent`
+/// while the overlay settles after each churn step) and by the benchmark's
+/// `simnet.msgs_to_dead` (`messages_to_dead`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimMetrics {
     /// Messages handed to the link layer by protocols.
@@ -25,23 +26,11 @@ pub struct SimMetrics {
     pub nodes_started: u64,
     /// Nodes crash-failed.
     pub nodes_failed: u64,
-    /// Nodes stopped gracefully.
-    pub nodes_stopped: u64,
     /// Total events dispatched.
     pub events_dispatched: u64,
 }
 
 impl SimMetrics {
-    /// Fraction of sent messages that were delivered (1.0 when nothing was
-    /// sent).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.messages_sent == 0 {
-            1.0
-        } else {
-            self.messages_delivered as f64 / self.messages_sent as f64
-        }
-    }
-
     /// Difference of every counter against an earlier snapshot; used to
     /// measure the traffic of a single experiment phase.
     pub fn delta_since(&self, earlier: &SimMetrics) -> SimMetrics {
@@ -64,7 +53,6 @@ impl SimMetrics {
             timers_dropped: f(self.timers_dropped, other.timers_dropped),
             nodes_started: f(self.nodes_started, other.nodes_started),
             nodes_failed: f(self.nodes_failed, other.nodes_failed),
-            nodes_stopped: f(self.nodes_stopped, other.nodes_stopped),
             events_dispatched: f(self.events_dispatched, other.events_dispatched),
         }
     }
@@ -73,18 +61,6 @@ impl SimMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delivery_ratio_handles_zero() {
-        let m = SimMetrics::default();
-        assert_eq!(m.delivery_ratio(), 1.0);
-        let m = SimMetrics {
-            messages_sent: 10,
-            messages_delivered: 7,
-            ..Default::default()
-        };
-        assert!((m.delivery_ratio() - 0.7).abs() < 1e-12);
-    }
 
     #[test]
     fn delta_since_subtracts_fieldwise() {

@@ -51,8 +51,6 @@ pub enum Action<M> {
         /// Token echoed back on expiry.
         token: TimerToken,
     },
-    /// Ask the host to shut this node down (graceful leave).
-    Shutdown,
 }
 
 /// Execution context passed to every protocol callback.
@@ -205,11 +203,6 @@ impl<'a, M> Context<'a, M> {
         self.actions.push(Action::SetTimer { delay, token });
     }
 
-    /// Request a graceful shutdown of this node.
-    pub fn shutdown(&mut self) {
-        self.actions.push(Action::Shutdown);
-    }
-
     /// Consume the context, returning the recorded actions.
     pub fn into_actions(self) -> Vec<Action<M>> {
         self.actions
@@ -243,10 +236,6 @@ pub trait Protocol {
     /// [`Context::set_timer`] expires.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, Self::Message>) {}
 
-    /// Called when the host is about to stop the node gracefully. Crash
-    /// failures do **not** invoke this.
-    fn on_stop(&mut self, _ctx: &mut Context<'_, Self::Message>) {}
-
     /// A hint that this node is the target of the host's next event: start
     /// loading what its handler will read (with [`crate::prefetch`]). It
     /// must change nothing a callback can observe; the simulator calls it
@@ -268,9 +257,8 @@ mod tests {
         ctx.send(NodeAddr(1), 10);
         ctx.set_timer(SimDuration::from_millis(2), TimerToken(99));
         ctx.send(NodeAddr(2), 20);
-        ctx.shutdown();
         let actions = ctx.into_actions();
-        assert_eq!(actions.len(), 4);
+        assert_eq!(actions.len(), 3);
         match &actions[0] {
             Action::Send { dest, msg } => {
                 assert_eq!(*dest, NodeAddr(1));
@@ -285,7 +273,6 @@ mod tests {
             }
             other => panic!("unexpected action {other:?}"),
         }
-        assert!(matches!(actions[3], Action::Shutdown));
     }
 
     #[test]

@@ -124,16 +124,6 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Choose a uniformly random element of `slice`, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            let idx = self.gen_range_usize(0..slice.len());
-            Some(&slice[idx])
-        }
-    }
-
     /// Fisher–Yates shuffle of `slice` in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         if slice.len() < 2 {
@@ -299,14 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn shuffle_permutes_in_place() {
         let mut rng = SimRng::seed_from(17);
-        let empty: [u32; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let items = [1, 2, 3, 4];
-        for _ in 0..50 {
-            assert!(items.contains(rng.choose(&items).unwrap()));
-        }
         let mut v: Vec<u32> = (0..100).collect();
         let orig = v.clone();
         rng.shuffle(&mut v);

@@ -134,7 +134,6 @@ fn event_word<M>(kind: &EventKind<M>) -> (u8, u64) {
         EventKind::Timer { node, token } => (1, node.0 ^ (token.0 << 1)),
         EventKind::Start { node } => (2, node.0),
         EventKind::Fail { node } => (3, node.0),
-        EventKind::Stop { node } => (4, node.0),
     }
 }
 
@@ -232,7 +231,7 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Have `observer` called with `(arrival time, sender, destination,
-    /// message)` for every message that arrives at a crashed, stopped or
+    /// message)` for every message that arrives at a crashed or
     /// never-started node — the letters [`SimMetrics::messages_to_dead`]
     /// only counts. It runs on that cold branch alone, sees the message
     /// just before it is dropped and cannot act on the simulation, so the
@@ -373,13 +372,6 @@ impl<P: Protocol> Simulation<P> {
     pub fn fail_node(&mut self, addr: NodeAddr) {
         let at = self.now();
         self.scheduler.schedule(at, EventKind::Fail { node: addr });
-    }
-
-    /// Gracefully stop `addr` (its `on_stop` hook runs and may send
-    /// goodbye messages).
-    pub fn stop_node(&mut self, addr: NodeAddr) {
-        let at = self.now();
-        self.scheduler.schedule(at, EventKind::Stop { node: addr });
     }
 
     /// Invoke a closure on a live node with a full [`Context`], dispatching
@@ -605,13 +597,6 @@ impl<P: Protocol> Simulation<P> {
                 slot.alive = false;
                 metrics.nodes_failed += 1;
             }
-            // A stopping node may still send goodbye messages; any timer it
-            // sets is dropped when it fires, the node being dead by then.
-            EventKind::Stop { .. } => {
-                slot.proto.on_stop(&mut ctx);
-                slot.alive = false;
-                metrics.nodes_stopped += 1;
-            }
         }
         let (actions, traces) = ctx.into_parts();
         self.apply_actions(node, actions, traces);
@@ -673,10 +658,6 @@ impl<P: Protocol> Simulation<P> {
                         },
                     );
                 }
-                Action::Shutdown => {
-                    self.scheduler
-                        .schedule(now, EventKind::Stop { node: origin });
-                }
             }
         }
         self.action_buf = actions;
@@ -698,7 +679,6 @@ mod tests {
         pings: u32,
         pongs: u32,
         timer_fires: u32,
-        stopped: bool,
     }
 
     #[derive(Clone, Debug, PartialEq)]
@@ -730,10 +710,6 @@ mod tests {
         fn on_timer(&mut self, token: TimerToken, _ctx: &mut Context<'_, Msg>) {
             assert_eq!(token, TimerToken(7));
             self.timer_fires += 1;
-        }
-
-        fn on_stop(&mut self, _ctx: &mut Context<'_, Msg>) {
-            self.stopped = true;
         }
     }
 
@@ -803,10 +779,6 @@ mod tests {
         assert!(!sim.is_alive(b));
         assert_eq!(sim.alive_count(), 1);
         assert_eq!(sim.metrics().messages_to_dead, 1);
-        assert!(
-            !sim.node(b).unwrap().stopped,
-            "crash failure must not run on_stop"
-        );
     }
 
     #[test]
@@ -907,20 +879,6 @@ mod tests {
             (hinted.event_digest(), hinted.metrics()),
             (plain.event_digest(), plain.metrics())
         );
-    }
-
-    #[test]
-    fn graceful_stop_runs_on_stop() {
-        let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
-        let a = sim.add_node(PingPong::default());
-        let b = sim.add_node(PingPong::default());
-        sim.run_until_idle();
-        sim.stop_node(b);
-        sim.run_until_idle();
-        assert!(sim.node(b).unwrap().stopped);
-        assert!(!sim.is_alive(b));
-        assert!(sim.is_alive(a));
-        assert_eq!(sim.metrics().nodes_stopped, 1);
     }
 
     #[test]

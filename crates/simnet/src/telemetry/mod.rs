@@ -14,7 +14,7 @@
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `engine.dispatch_ns.{deliver,timer,start,fail,stop}` | histogram | wall-clock ns per dispatched event, 1-in-64 sampled |
+//! | `engine.dispatch_ns.{deliver,timer,start,fail}` | histogram | wall-clock ns per dispatched event, 1-in-64 sampled |
 //! | `engine.barrier_stall_ns` | histogram | wall-clock ns a shard thread spent blocked per barrier wait |
 //! | `engine.barrier_epochs` | counter | epochs the sharded engine completed |
 //! | `sim.events`, `sim.messages_sent`, … | counter | mirrors of [`SimMetrics`], refreshed at each sample tick |
@@ -99,7 +99,7 @@ impl TelemetryConfig {
 /// Pre-registered engine metric ids.
 #[derive(Debug, Clone, Copy)]
 struct EngineIds {
-    dispatch: [MetricId; 5],
+    dispatch: [MetricId; 4],
     barrier_stall: MetricId,
     barrier_epochs: MetricId,
     sim: [MetricId; 6],
@@ -143,7 +143,6 @@ impl Telemetry {
                 registry.histogram("engine.dispatch_ns.timer"),
                 registry.histogram("engine.dispatch_ns.start"),
                 registry.histogram("engine.dispatch_ns.fail"),
-                registry.histogram("engine.dispatch_ns.stop"),
             ],
             barrier_stall: registry.histogram("engine.barrier_stall_ns"),
             barrier_epochs: registry.counter("engine.barrier_epochs"),
@@ -266,9 +265,9 @@ impl Telemetry {
     }
 
     /// Record a sampled dispatch cost for digest tag `tag` (0 deliver …
-    /// 4 stop).
+    /// 3 fail).
     pub fn record_dispatch(&mut self, tag: u8, nanos: u64) {
-        let id = self.ids.dispatch[(tag as usize).min(4)];
+        let id = self.ids.dispatch[(tag as usize).min(3)];
         self.registry.observe(id, nanos);
     }
 
@@ -306,7 +305,7 @@ impl Telemetry {
     /// The dispatch-cost histogram for digest tag `tag`.
     pub fn dispatch_histogram(&self, tag: u8) -> &Histogram {
         self.registry
-            .histogram_of(self.ids.dispatch[(tag as usize).min(4)])
+            .histogram_of(self.ids.dispatch[(tag as usize).min(3)])
             .expect("pre-registered")
     }
 

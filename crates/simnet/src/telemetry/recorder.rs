@@ -14,8 +14,8 @@ pub struct FlightEntry {
     pub at: SimTime,
     /// Scheduler sequence number.
     pub seq: u64,
-    /// Event kind tag (0 deliver, 1 timer, 2 start, 3 fail, 4 stop —
-    /// mirrors the digest fold).
+    /// Event kind tag (0 deliver, 1 timer, 2 start, 3 fail — mirrors the
+    /// digest fold).
     pub tag: u8,
     /// The digest's node word (dest ^ src<<1 for delivers).
     pub node: u64,
@@ -28,7 +28,6 @@ impl FlightEntry {
             1 => "timer",
             2 => "start",
             3 => "fail",
-            4 => "stop",
             _ => "?",
         }
     }

@@ -118,15 +118,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Non-empty buckets as `(upper_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(b, &n)| (if b == 0 { 0 } else { 1u64 << b.min(63) }, n))
-    }
 }
 
 /// The registry: names, live values and sampled series for every metric.
@@ -294,7 +285,7 @@ mod tests {
         // Median of {0,1,2,3,1000,1e6} sits in the bucket covering 2..4.
         assert_eq!(h.quantile(0.5), 4);
         assert!(h.quantile(1.0) >= 1_000_000);
-        assert_eq!(h.nonzero_buckets().map(|(_, n)| n).sum::<u64>(), 6);
+        assert_eq!(h.buckets.iter().sum::<u64>(), 6);
     }
 
     #[test]

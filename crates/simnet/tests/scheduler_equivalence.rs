@@ -28,7 +28,7 @@ fn random_kind(rng: &mut SimRng) -> EventKind<u32> {
         2 => EventKind::Start {
             node: NodeAddr(rng.gen_range_u64(0..64)),
         },
-        _ => EventKind::Stop {
+        _ => EventKind::Fail {
             node: NodeAddr(rng.gen_range_u64(0..64)),
         },
     }

@@ -194,9 +194,6 @@ impl Shared {
                     let seq = timers.next_seq;
                     timers.heap.push(PendingTimer { due, token, seq });
                 }
-                Action::Shutdown => {
-                    self.running.store(false, Ordering::SeqCst);
-                }
             }
         }
         for (dest, frames) in sends {

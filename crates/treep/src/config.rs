@@ -228,18 +228,6 @@ impl TreePConfig {
         self.pubsub_enabled = true;
         self
     }
-
-    /// The analytic height bound of Section III.e: `h <= log_t((n+1)/2)`
-    /// for a network of `n` nodes and minimum degree `t >= 2`, i.e. the
-    /// height a balanced TreeP of `n` nodes would have with average fanout
-    /// `c`.
-    pub fn expected_height(n: usize, avg_children: f64) -> u32 {
-        if n <= 1 || avg_children <= 1.0 {
-            return 0;
-        }
-        let h = (((n as f64) + 1.0) / 2.0).log(avg_children);
-        h.ceil().max(0.0) as u32
-    }
 }
 
 #[cfg(test)]
@@ -326,20 +314,6 @@ mod tests {
         with_height(MAX_BUS_LEVEL).validate().unwrap();
         let complaint = with_height(MAX_BUS_LEVEL + 1).validate().unwrap_err();
         assert!(complaint.starts_with("height (64)"), "{complaint}");
-    }
-
-    #[test]
-    fn expected_height_matches_btree_bound() {
-        // h <= log_c((n+1)/2): with c = 4 and n = 2000, (n+1)/2 ~ 1000 and
-        // log_4(1000) ~ 4.98 -> 5.
-        assert_eq!(TreePConfig::expected_height(2000, 4.0), 5);
-        // Degenerate inputs.
-        assert_eq!(TreePConfig::expected_height(1, 4.0), 0);
-        assert_eq!(TreePConfig::expected_height(100, 1.0), 0);
-        // Larger networks are deeper.
-        assert!(
-            TreePConfig::expected_height(100_000, 4.0) > TreePConfig::expected_height(1_000, 4.0)
-        );
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! attribute key so that a query for any single attribute finds the
 //! providers.
 
-use crate::id::{hash_key, IdSpace, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -35,18 +34,6 @@ impl ResourceDescriptor {
     pub fn with_attribute(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.attributes.insert(key.into(), value.into());
         self
-    }
-
-    /// The DHT keys under which this descriptor should be stored: one per
-    /// attribute key/value pair, plus one for the resource name.
-    pub fn index_keys(&self, space: IdSpace) -> Vec<NodeId> {
-        let mut keys = vec![hash_key(space, self.name.as_bytes())];
-        for (k, v) in &self.attributes {
-            keys.push(attribute_key(space, k, v));
-        }
-        keys.sort_unstable();
-        keys.dedup();
-        keys
     }
 
     /// Serialise the descriptor into the byte payload stored in the DHT.
@@ -83,15 +70,6 @@ impl ResourceDescriptor {
     }
 }
 
-/// The DHT key of an attribute query `key = value`.
-pub fn attribute_key(space: IdSpace, key: &str, value: &str) -> NodeId {
-    let mut bytes = Vec::with_capacity(key.len() + value.len() + 1);
-    bytes.extend_from_slice(key.as_bytes());
-    bytes.push(b'=');
-    bytes.extend_from_slice(value.as_bytes());
-    hash_key(space, &bytes)
-}
-
 /// The raw query string (`"key=value"`) used when calling
 /// [`crate::TreePNode::dht_get`] for an attribute search.
 pub fn attribute_query(key: &str, value: &str) -> Vec<u8> {
@@ -125,24 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn index_keys_cover_name_and_attributes() {
-        let space = IdSpace::default();
-        let d = ResourceDescriptor::new("worker-17")
-            .with_attribute("arch", "x86_64")
-            .with_attribute("cpus", "8");
-        let keys = d.index_keys(space);
-        assert_eq!(keys.len(), 3);
-        assert!(keys.contains(&hash_key(space, b"worker-17")));
-        assert!(keys.contains(&attribute_key(space, "arch", "x86_64")));
-        assert!(keys.contains(&attribute_key(space, "cpus", "8")));
-    }
-
-    #[test]
-    fn attribute_key_matches_query_hash() {
-        let space = IdSpace::default();
-        let k = attribute_key(space, "arch", "x86_64");
-        let q = attribute_query("arch", "x86_64");
-        assert_eq!(k, hash_key(space, &q));
-        assert_ne!(k, attribute_key(space, "arch", "arm64"));
+    fn attribute_query_is_key_equals_value() {
+        assert_eq!(attribute_query("arch", "x86_64"), b"arch=x86_64");
     }
 }

@@ -87,7 +87,7 @@ pub use audit::{analytic_table_bound, audit, HierarchyAudit};
 pub use characteristics::{CharacteristicsSummary, NodeCharacteristics};
 pub use config::{ChildPolicy, TreePConfig};
 pub use dht::{DhtOutcome, DhtStore};
-pub use discovery::{attribute_key, attribute_query, ResourceDescriptor};
+pub use discovery::{attribute_query, ResourceDescriptor};
 pub use distance::HierarchicalDistance;
 pub use entry::{PeerInfo, RoutingEntry};
 pub use id::{hash_key, IdSpace, NodeId};

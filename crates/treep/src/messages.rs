@@ -655,24 +655,6 @@ impl TreePMessage {
         self.kind().is_maintenance()
     }
 
-    /// The address the answer to this message should be sent to, when the
-    /// message carries an explicit origin.
-    pub fn origin_addr(&self) -> Option<NodeAddr> {
-        match self {
-            TreePMessage::Lookup(req) => Some(req.origin.addr),
-            TreePMessage::DhtPut { origin, .. }
-            | TreePMessage::DhtGet { origin, .. }
-            | TreePMessage::MulticastDown { origin, .. }
-            | TreePMessage::AggregateUp { origin, .. }
-            | TreePMessage::GetVersioned { origin, .. }
-            | TreePMessage::PutVersioned { origin, .. }
-            | TreePMessage::Subscribe { origin, .. }
-            | TreePMessage::Unsubscribe { origin, .. } => Some(origin.addr),
-            TreePMessage::GetVersionedReply { origin, .. } => Some(*origin),
-            _ => None,
-        }
-    }
-
     /// The request this message ends at its origin, when it is one of the
     /// eight reply kinds. A branch partial of a convergecast (an
     /// `AggregateUp` that is not the final fold) answers no request: it
@@ -796,7 +778,6 @@ mod tests {
         };
         assert_eq!(down.kind().name(), "multicast_down");
         assert!(!down.is_maintenance());
-        assert_eq!(down.origin_addr(), Some(NodeAddr(1)));
 
         let up = TreePMessage::AggregateUp {
             origin: peer(2),
@@ -808,7 +789,6 @@ mod tests {
         };
         assert_eq!(up.kind().name(), "aggregate_up");
         assert!(!up.is_maintenance());
-        assert_eq!(up.origin_addr(), Some(NodeAddr(2)));
     }
 
     #[test]
@@ -822,14 +802,12 @@ mod tests {
             !mack.is_maintenance(),
             "ack overhead is accounted to the multicast, not to maintenance"
         );
-        assert_eq!(mack.origin_addr(), None, "acks are point-to-point");
         let aack = TreePMessage::AggregateAck {
             origin: NodeAddr(4),
             request_id: RequestId(10),
         };
         assert_eq!(aack.kind().name(), "aggregate_ack");
         assert!(!aack.is_maintenance());
-        assert_eq!(aack.origin_addr(), None);
     }
 
     #[test]
@@ -860,7 +838,6 @@ mod tests {
         };
         assert_eq!(reply.kind().name(), "replica_sync_reply");
         assert!(reply.is_maintenance());
-        assert_eq!(reply.origin_addr(), None);
         let digest = TreePMessage::ReplicaDigest {
             sender: peer(3),
             range: KeyRange::new(NodeId(0), NodeId(10)),
@@ -887,7 +864,6 @@ mod tests {
         };
         assert_eq!(get.kind().name(), "get_versioned");
         assert!(!get.is_maintenance(), "versioned gets are user traffic");
-        assert_eq!(get.origin_addr(), Some(NodeAddr(9)));
 
         let reply = TreePMessage::GetVersionedReply {
             request_id: RequestId(1),
@@ -904,7 +880,6 @@ mod tests {
         };
         assert_eq!(reply.kind().name(), "get_versioned_reply");
         assert!(!reply.is_maintenance());
-        assert_eq!(reply.origin_addr(), Some(NodeAddr(9)));
 
         let put = TreePMessage::PutVersioned {
             request_id: RequestId(2),
@@ -916,7 +891,6 @@ mod tests {
         };
         assert_eq!(put.kind().name(), "put_versioned");
         assert!(!put.is_maintenance());
-        assert_eq!(put.origin_addr(), Some(NodeAddr(9)));
 
         let ack = TreePMessage::PutVersionedAck {
             request_id: RequestId(2),
@@ -926,7 +900,6 @@ mod tests {
         };
         assert_eq!(ack.kind().name(), "put_versioned_ack");
         assert!(!ack.is_maintenance());
-        assert_eq!(ack.origin_addr(), None, "acks travel point-to-point");
 
         let repair = TreePMessage::ReadRepair {
             sender: peer(4),
@@ -948,7 +921,6 @@ mod tests {
             !verify.is_maintenance(),
             "verify probes are accounted to the get that caused them"
         );
-        assert_eq!(verify.origin_addr(), None);
     }
 
     #[test]
@@ -961,7 +933,6 @@ mod tests {
         };
         assert_eq!(sub.kind().name(), "subscribe");
         assert!(!sub.is_maintenance(), "subscriptions are user traffic");
-        assert_eq!(sub.origin_addr(), Some(NodeAddr(9)));
 
         let ack = TreePMessage::SubscribeAck {
             request_id: RequestId(1),
@@ -971,7 +942,6 @@ mod tests {
         };
         assert_eq!(ack.kind().name(), "subscribe_ack");
         assert!(!ack.is_maintenance());
-        assert_eq!(ack.origin_addr(), None, "acks travel point-to-point");
 
         let unsub = TreePMessage::Unsubscribe {
             request_id: RequestId(2),
@@ -981,7 +951,6 @@ mod tests {
         };
         assert_eq!(unsub.kind().name(), "unsubscribe");
         assert!(!unsub.is_maintenance());
-        assert_eq!(unsub.origin_addr(), Some(NodeAddr(9)));
 
         let report = TreePMessage::FilterReport {
             child: peer(3),
@@ -993,22 +962,5 @@ mod tests {
             report.is_maintenance(),
             "filter summaries ride the maintenance cycle like child reports"
         );
-        assert_eq!(report.origin_addr(), None);
-    }
-
-    #[test]
-    fn origin_addr_only_for_routed_requests() {
-        let get = TreePMessage::DhtGet {
-            request_id: RequestId(2),
-            origin: peer(9),
-            key: NodeId(1),
-            ttl: 10,
-        };
-        assert_eq!(get.origin_addr(), Some(NodeAddr(9)));
-        let ka = TreePMessage::KeepAlive {
-            sender: peer(1),
-            updates: vec![],
-        };
-        assert_eq!(ka.origin_addr(), None);
     }
 }

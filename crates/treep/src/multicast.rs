@@ -170,16 +170,6 @@ pub enum AggregatePartial {
 }
 
 impl AggregatePartial {
-    /// The neutral element of the query's fold.
-    pub fn identity(query: AggregateQuery) -> Self {
-        match query {
-            AggregateQuery::CountNodes => AggregatePartial::Count(0),
-            AggregateQuery::MaxCapability => AggregatePartial::MaxCapability(0),
-            AggregateQuery::DhtKeyDigest => AggregatePartial::Digest { xor: 0, count: 0 },
-            AggregateQuery::KeysInRange => AggregatePartial::Keys(Vec::new()),
-        }
-    }
-
     /// Fold `other` into `self`. Mismatched kinds (possible only with a
     /// corrupted or adversarial message) leave `self` unchanged.
     pub fn combine(&mut self, other: &AggregatePartial) {
@@ -544,18 +534,18 @@ mod tests {
 
     #[test]
     fn partial_identity_and_combine() {
-        let mut c = AggregatePartial::identity(AggregateQuery::CountNodes);
+        let mut c = AggregatePartial::Count(0);
         c.combine(&AggregatePartial::Count(3));
         c.combine(&AggregatePartial::Count(4));
         assert_eq!(c, AggregatePartial::Count(7));
         assert_eq!(c.as_count(), Some(7));
 
-        let mut m = AggregatePartial::identity(AggregateQuery::MaxCapability);
+        let mut m = AggregatePartial::MaxCapability(0);
         m.combine(&AggregatePartial::MaxCapability(250));
         m.combine(&AggregatePartial::MaxCapability(100));
         assert_eq!(m, AggregatePartial::MaxCapability(250));
 
-        let mut d = AggregatePartial::identity(AggregateQuery::DhtKeyDigest);
+        let mut d = AggregatePartial::Digest { xor: 0, count: 0 };
         d.combine(&AggregatePartial::Digest {
             xor: 0b1010,
             count: 2,
@@ -660,7 +650,7 @@ mod tests {
 
     #[test]
     fn keys_partials_merge_sorted_and_deduped() {
-        let mut a = AggregatePartial::identity(AggregateQuery::KeysInRange);
+        let mut a = AggregatePartial::Keys(Vec::new());
         assert_eq!(a.as_keys(), Some(&[][..]));
         a.combine(&AggregatePartial::Keys(vec![NodeId(3), NodeId(9)]));
         a.combine(&AggregatePartial::Keys(vec![NodeId(1), NodeId(3)]));

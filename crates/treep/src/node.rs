@@ -453,15 +453,8 @@ impl TreePNode {
         if applied {
             let held = f.store.get(key).expect("just merged");
             f.cache.repair(key, stamp, held, now);
-            self.store_changed();
         }
         applied
-    }
-
-    /// `stats.dht_values_stored` follows the store: called after every
-    /// change to it.
-    fn store_changed(&mut self) {
-        self.stats.dht_values_stored = self.dht_store().len() as u64;
     }
 
     fn send(&mut self, ctx: &mut Context<'_, TreePMessage>, dest: NodeAddr, msg: TreePMessage) {

@@ -24,7 +24,6 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
         ctx.start_trace("lookup");
-        self.stats.lookups_initiated += 1;
         let request_id = self.begin(
             Pending::Lookup {
                 target,
@@ -105,7 +104,6 @@ impl TreePNode {
 
         // The target might be this very node.
         if req.target == self.id {
-            self.stats.lookups_answered += 1;
             let answer = TreePMessage::LookupFound {
                 request_id: req.request_id,
                 target: req.target,
@@ -120,7 +118,6 @@ impl TreePNode {
         let decision = route(&self.router_view(ctx.now()), &mut req);
         match decision {
             RouteDecision::Found(entry) => {
-                self.stats.lookups_answered += 1;
                 let answer = TreePMessage::LookupFound {
                     request_id: req.request_id,
                     target: req.target,
@@ -145,9 +142,7 @@ impl TreePNode {
                 };
                 self.answer(req.origin.addr, answer, ctx);
             }
-            RouteDecision::Drop => {
-                self.stats.lookups_ttl_dropped += 1;
-            }
+            RouteDecision::Drop => {} // the TTL ran out; the origin times out
         }
     }
 

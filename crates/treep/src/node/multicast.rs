@@ -116,7 +116,6 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
         ctx.start_trace("aggregate");
-        self.stats.aggregates_initiated += 1;
         let request_id = self.begin(Pending::Aggregate { query }, ctx);
         self.originate(request_id, range, MulticastPayload::Aggregate(query), ctx)
     }
@@ -195,7 +194,6 @@ impl TreePNode {
         let parent = self.tables.parent().map(|p| (p.addr, p.id));
         match parent.filter(|_| *budget > 0) {
             Some((parent_addr, parent_id)) => {
-                self.stats.multicast_forwards += 1;
                 *budget -= 1;
                 *hops += 1;
                 *bus_level = 0;
@@ -410,7 +408,6 @@ impl TreePNode {
 
         // 4. Forward along the collected edges.
         for (dest, dest_id, phase) in edges {
-            self.stats.multicast_forwards += 1;
             let msg = TreePMessage::MulticastDown {
                 origin,
                 request_id,
@@ -551,7 +548,6 @@ impl TreePNode {
         relay.truncated |= truncated;
         relay.expected = relay.expected.saturating_sub(1);
         let finished = (relay.expected == 0).then(|| relays.remove(&round).expect("found above"));
-        self.stats.aggregate_partials_folded += 1;
         if let Some(relay) = finished {
             self.finish_aggregate_branch(relay, ctx);
         }
@@ -658,9 +654,8 @@ impl TreePNode {
         let dest = entry.dest;
         let msg = entry.msg.clone();
         ctx.set_trace(entry.trace);
-        match msg.kind() {
-            MessageKind::AggregateUp => self.stats.aggregate_retransmits += 1,
-            _ => self.stats.multicast_retransmits += 1,
+        if msg.kind() != MessageKind::AggregateUp {
+            self.stats.multicast_retransmits += 1;
         }
         ctx.trace_note("retransmit");
         self.send(ctx, dest, msg);
@@ -707,20 +702,15 @@ impl TreePNode {
                     .and_then(|coord| self.tables.closest_peer(self.config.space, coord, dest))
                     .filter(|e| e.addr != me)
                     .map(|e| (e.addr, e.id));
-                match alt {
-                    Some((alt_addr, alt_id)) => {
-                        self.stats.multicast_reroutes += 1;
-                        self.send_reliable(alt_addr, Some(alt_id), msg, true, ctx);
-                    }
-                    None => self.stats.multicast_retx_abandoned += 1,
+                if let Some((alt_addr, alt_id)) = alt {
+                    self.stats.multicast_reroutes += 1;
+                    self.send_reliable(alt_addr, Some(alt_id), msg, true, ctx);
                 }
             }
-            _ => {
-                // A convergecast report with a dead upstream: the
-                // delegator's relay hold timer already folds the branch up
-                // as truncated; there is nothing useful to re-route to.
-                self.stats.multicast_retx_abandoned += 1;
-            }
+            // A convergecast report with a dead upstream: the delegator's
+            // relay hold timer already folds the branch up as truncated;
+            // there is nothing useful to re-route to.
+            _ => {}
         }
     }
 }

@@ -108,7 +108,6 @@ impl TreePNode {
     ) -> RequestId {
         ctx.start_trace("publish");
         let request_id = self.fresh_request_id();
-        self.stats.publishes_initiated += 1;
         let payload = MulticastPayload::Topic { topic, data };
         self.originate(request_id, KeyRange::full(self.config.space), payload, ctx)
     }
@@ -185,7 +184,6 @@ impl TreePNode {
         let subscribers = set.len() as u32;
         let value = encode_subscriber_set(&set);
         self.features().store.put(topic, value);
-        self.store_changed();
         self.push_replicas(topic, ctx);
         let ack = TreePMessage::SubscribeAck {
             request_id,
@@ -237,7 +235,6 @@ impl TreePNode {
             return;
         };
         let me = self.peer_info();
-        self.stats.filter_reports_sent += 1;
         self.send(
             ctx,
             parent,

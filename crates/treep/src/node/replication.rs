@@ -255,7 +255,6 @@ impl TreePNode {
             }
             let partner = partner.addr;
             let (xor, count) = self.dht_store().digest_range(range);
-            self.stats.replica_digests_sent += 1;
             self.send(
                 ctx,
                 partner,
@@ -285,7 +284,6 @@ impl TreePNode {
             return;
         }
         self.stats.replica_digest_mismatches += 1;
-        self.stats.replica_syncs_sent += 1;
         let request = TreePMessage::ReplicaSyncRequest {
             sender: self.peer_info(),
             range,
@@ -329,6 +327,5 @@ impl TreePNode {
                 self.send(ctx, addr, self.copy_message(key, held.clone()));
             }
         }
-        self.store_changed();
     }
 }

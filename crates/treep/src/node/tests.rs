@@ -1714,7 +1714,10 @@ fn a_matching_replica_digest_is_not_answered() {
     );
     assert!(ctx.into_actions().is_empty(), "agreement is silent");
     assert_eq!(nodes[1].stats().replica_digest_mismatches, 0);
-    assert_eq!(nodes[1].stats().replica_syncs_sent, 0);
+    assert_eq!(
+        nodes[1].stats().sent.get(MessageKind::ReplicaSyncRequest),
+        0
+    );
 }
 
 #[test]
@@ -1759,7 +1762,10 @@ fn a_mismatching_replica_digest_opens_one_sync_over_the_same_range() {
         other => panic!("expected a ReplicaSyncRequest, got {other:?}"),
     }
     assert_eq!(nodes[1].stats().replica_digest_mismatches, 1);
-    assert_eq!(nodes[1].stats().replica_syncs_sent, 1);
+    assert_eq!(
+        nodes[1].stats().sent.get(MessageKind::ReplicaSyncRequest),
+        1
+    );
 }
 
 #[test]
@@ -1896,7 +1902,7 @@ fn a_node_with_empty_tables_sends_no_digest() {
         assert_eq!(node.pending_request_count(), 0, "round {round}");
     }
     assert_eq!(node.stats().replica_sync_rounds, 6);
-    assert_eq!(node.stats().replica_digests_sent, 0);
+    assert_eq!(node.stats().sent.get(MessageKind::ReplicaDigest), 0);
     assert_eq!(node.stats().replica_digest_mismatches, 0);
     assert_eq!(node.dht_store().len(), 1, "nowhere to hand off to: kept");
 }

@@ -190,17 +190,6 @@ impl ReadOutcome {
     pub fn is_success(&self) -> bool {
         !matches!(self, ReadOutcome::TimedOut { .. })
     }
-
-    /// The stamp this outcome observed, if it carried one.
-    pub fn observed_stamp(&self) -> Option<VersionStamp> {
-        match self {
-            ReadOutcome::Got {
-                value: Some(sv), ..
-            } => Some(sv.stamp),
-            ReadOutcome::PutAcked { stamp, .. } => Some(*stamp),
-            _ => None,
-        }
-    }
 }
 
 /// The result of offering a value to a [`HotKeyCache`].
@@ -490,13 +479,11 @@ mod tests {
         };
         assert_eq!(got.request_id(), RequestId(1));
         assert!(got.is_success());
-        assert_eq!(got.observed_stamp(), Some(stamp(3, 4)));
         let timeout = ReadOutcome::TimedOut {
             request_id: RequestId(5),
             key: NodeId(2),
             completed_at: SimTime::ZERO,
         };
         assert!(!timeout.is_success());
-        assert_eq!(timeout.observed_stamp(), None);
     }
 }

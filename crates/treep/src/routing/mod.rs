@@ -192,7 +192,7 @@ pub(crate) fn fallback_hop(view: &RouterView<'_>, req: &LookupRequest) -> Option
     // "ELSE IF Level_A == 0 THEN N = Closest_Child(X)" — in our reading the
     // level-0 check guards the parent-originated branch; a node that has
     // children (level > 0) falls back to the child closest to the target.
-    if let Some(c) = view.tables.closest_child(view.dist.space(), req.target) {
+    if let Some(c) = view.tables.closest_child(req.target) {
         if c.addr != view.self_addr && !req.has_visited(c.addr) {
             return Some(*c);
         }

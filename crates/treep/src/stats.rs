@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 /// This replaces the historical `BTreeMap<String, u64>` keying — recording
 /// a message is now one array add instead of a `String` allocation plus a
 /// tree probe on the hot path. [`KindCounters::iter`] yields
-/// `(kind, count)` pairs for reports, and [`KindCounters::by_name`] keeps
-/// the old string-keyed access working where display code wants it.
+/// `(kind, count)` pairs for reports, which name a kind by
+/// [`MessageKind::name`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KindCounters([u64; MessageKind::COUNT]);
 
@@ -38,15 +38,6 @@ impl KindCounters {
         self.0.iter().sum()
     }
 
-    /// Count looked up by the kind's snake_case display name (`None` for
-    /// unknown names).
-    pub fn by_name(&self, name: &str) -> Option<u64> {
-        MessageKind::ALL
-            .iter()
-            .find(|k| k.name() == name)
-            .map(|k| self.get(*k))
-    }
-
     /// `(kind, count)` for every kind with a nonzero count, in kind order.
     pub fn iter(&self) -> impl Iterator<Item = (MessageKind, u64)> + '_ {
         MessageKind::ALL
@@ -69,16 +60,10 @@ pub struct NodeStats {
     pub received: KindCounters,
     /// Messages sent, counted per kind.
     pub sent: KindCounters,
-    /// Lookups this node originated.
-    pub lookups_initiated: u64,
     /// Lookup requests this node forwarded on behalf of others.
     pub lookups_forwarded: u64,
-    /// Lookup requests answered positively by this node.
-    pub lookups_answered: u64,
     /// Lookup requests that dead-ended here (not-found replies sent).
     pub lookups_dead_ended: u64,
-    /// Lookup requests discarded because their TTL was exhausted.
-    pub lookups_ttl_dropped: u64,
     /// Elections this node participated in.
     pub elections_joined: u64,
     /// Elections this node won (promotions).
@@ -102,16 +87,12 @@ pub struct NodeStats {
     /// Versioned-get replies that skipped a suspect hop of their recorded
     /// path on the walk back to the origin.
     pub replies_rerouted: u64,
-    /// DHT values currently stored at this node.
-    pub dht_values_stored: u64,
     /// Scoped multicasts this node originated.
     pub multicasts_initiated: u64,
     /// Multicast payloads delivered to this node (exactly-once by
     /// construction; a value above the number of distinct multicasts seen
     /// indicates a duplicate).
     pub multicast_deliveries: u64,
-    /// Multicast messages this node forwarded (ascent, bus walk, fan-out).
-    pub multicast_forwards: u64,
     /// Multicast messages discarded because their hop budget ran out.
     pub multicast_budget_dropped: u64,
     /// Duplicate descending multicast visits suppressed by the per-node
@@ -119,34 +100,19 @@ pub struct NodeStats {
     pub multicast_duplicates_suppressed: u64,
     /// Reliable dissemination hops (`MulticastDown`) this node
     /// retransmitted after a missing acknowledgement (non-zero only with
-    /// `max_retransmits > 0`). Convergecast retransmissions are counted
-    /// separately in [`NodeStats::aggregate_retransmits`], so overhead
-    /// ratios against `multicast_down` send counts stay well-defined.
+    /// `max_retransmits > 0`). Convergecast (`AggregateUp`) retransmissions
+    /// are not counted, so overhead ratios against `multicast_down` send
+    /// counts stay well-defined.
     pub multicast_retransmits: u64,
-    /// Reliable convergecast hops (`AggregateUp`) this node retransmitted
-    /// after a missing acknowledgement.
-    pub aggregate_retransmits: u64,
     /// Dissemination hops re-routed through another covering peer after the
     /// original destination exhausted its retransmission budget.
     pub multicast_reroutes: u64,
-    /// Reliable hops abandoned for good: the destination was declared dead
-    /// and no (further) re-route was possible.
-    pub multicast_retx_abandoned: u64,
-    /// Aggregations this node originated.
-    pub aggregates_initiated: u64,
-    /// Convergecast partials this node folded on behalf of others.
-    pub aggregate_partials_folded: u64,
     /// Anti-entropy rounds this node executed.
     pub replica_sync_rounds: u64,
     /// Replicated values received (`ReplicaPut` and sync-reply entries).
     pub replica_values_received: u64,
-    /// `ReplicaSyncRequest`s this node sent, one per mismatching
-    /// `ReplicaDigest` it received.
-    pub replica_syncs_sent: u64,
-    /// `ReplicaDigest`s this node sent: one per round and replica partner
-    /// (its `k - 1` nearest registry successors sharing a key interval).
-    pub replica_digests_sent: u64,
-    /// `ReplicaDigest`s received whose range digested differently here.
+    /// `ReplicaDigest`s received whose range digested differently here;
+    /// each is answered by one `ReplicaSyncRequest`.
     pub replica_digest_mismatches: u64,
     /// Keys handed off (pushed to the replica set, then dropped locally)
     /// because this node left the key's replica set.
@@ -164,16 +130,12 @@ pub struct NodeStats {
     /// Read-repairs this node issued as the responsible node after a
     /// `ReadVerify` probe revealed a stale serve.
     pub read_repairs_issued: u64,
-    /// Topic publishes this node originated.
-    pub publishes_initiated: u64,
     /// Topic publishes delivered to this node (it held a local
     /// subscription; exactly-once per publish by construction).
     pub pubsub_deliveries: u64,
     /// Fan-out branches skipped because the child's recorded subscription
     /// filter provably excluded the published topic.
     pub pubsub_branches_pruned: u64,
-    /// Subtree filter summaries sent to the parent (periodic + event-driven).
-    pub filter_reports_sent: u64,
 }
 
 impl NodeStats {
@@ -225,8 +187,6 @@ mod tests {
         assert_eq!(s.total_received(), 3);
         assert_eq!(s.total_sent(), 1);
         assert_eq!(s.received.get(MessageKind::KeepAlive), 2);
-        assert_eq!(s.received.by_name("keep_alive"), Some(2));
-        assert_eq!(s.received.by_name("no_such_kind"), None);
     }
 
     #[test]

@@ -687,7 +687,7 @@ impl RoutingTables {
     /// the routing algorithm in Figure 3): the first own child on the
     /// outward walk from `target` that is not a suspect, ties preferring
     /// the smaller identifier.
-    pub fn closest_child(&self, _space: IdSpace, target: NodeId) -> Option<&PeerEntry> {
+    pub fn closest_child(&self, target: NodeId) -> Option<&PeerEntry> {
         if self.own_children_len == 0 {
             return None;
         }
@@ -1166,10 +1166,7 @@ mod tests {
             .map(|e| e.id.0)
             .collect();
         assert_eq!(live, vec![20, 40, 60]);
-        assert_eq!(
-            t.closest_child(IdSpace::new(16), NodeId(31)).unwrap().id,
-            NodeId(40)
-        );
+        assert_eq!(t.closest_child(NodeId(31)).unwrap().id, NodeId(40));
         assert_eq!(t.highest_superior().unwrap().id, NodeId(60));
         // Kept: every role, every unfiltered probe, until `expire`.
         assert_eq!(t.level0_degree(), 2);
@@ -1263,13 +1260,12 @@ mod tests {
         assert_eq!(t.children().count(), 3);
         assert!(t.is_own_child(NodeId(5)));
         assert!(!t.is_own_child(NodeId(7)));
-        let space = IdSpace::default();
-        assert_eq!(t.closest_child(space, NodeId(100)).unwrap().id, NodeId(6));
-        assert_eq!(t.closest_child(space, NodeId(0)).unwrap().id, NodeId(5));
+        assert_eq!(t.closest_child(NodeId(100)).unwrap().id, NodeId(6));
+        assert_eq!(t.closest_child(NodeId(0)).unwrap().id, NodeId(5));
         // Equidistant targets prefer the smaller identifier, like the old
         // (distance, id) ordering.
         t.upsert_child(entry(10, 0, 1), true);
-        assert_eq!(t.closest_child(space, NodeId(8)).unwrap().id, NodeId(6));
+        assert_eq!(t.closest_child(NodeId(8)).unwrap().id, NodeId(6));
         t.validate_invariants().unwrap();
     }
 

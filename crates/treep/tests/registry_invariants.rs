@@ -532,7 +532,7 @@ fn random_trace(seed: u64, steps: usize) {
                 // Closest-child agreement with the naive scan.
                 let target = NodeId(rng.gen_range_u64(0..60_000));
                 assert_eq!(
-                    tables.closest_child(space(), target).map(|e| e.id),
+                    tables.closest_child(target).map(|e| e.id),
                     model.closest_child(target),
                     "closest_child diverged"
                 );

@@ -95,11 +95,6 @@ impl BuiltTopology {
         pop
     }
 
-    /// The planned node record for `addr`, if it belongs to the topology.
-    pub fn node_by_addr(&self, addr: NodeAddr) -> Option<&BuiltNode> {
-        self.nodes.iter().find(|n| n.addr == addr)
-    }
-
     /// Addresses of the nodes sitting at the top level of the built
     /// hierarchy.
     pub fn roots(&self) -> Vec<NodeAddr> {
@@ -592,7 +587,8 @@ mod tests {
         let roots = topo.roots();
         assert!(!roots.is_empty());
         for r in roots {
-            assert_eq!(topo.node_by_addr(r).unwrap().level, topo.height);
+            let node = topo.nodes.iter().find(|n| n.addr == r).unwrap();
+            assert_eq!(node.level, topo.height);
         }
     }
 

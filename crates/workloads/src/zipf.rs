@@ -67,16 +67,6 @@ impl ZipfSampler {
         self.alpha
     }
 
-    /// Probability mass of rank `k` (0-based), from the precomputed CDF.
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!(k < self.n);
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
-
     /// Draw one rank in `0..n`: binary-search a uniform variate into the
     /// CDF (`partition_point` finds the first entry ≥ the variate).
     pub fn sample(&self, rng: &mut SimRng) -> usize {
@@ -95,18 +85,23 @@ mod tests {
         (1.0 / ((k + 1) as f64).powf(alpha)) / h
     }
 
+    /// Probability mass of rank `k`, read off the sampler's CDF.
+    fn pmf(z: &ZipfSampler, k: usize) -> f64 {
+        z.cdf[k] - if k == 0 { 0.0 } else { z.cdf[k - 1] }
+    }
+
     #[test]
     fn pmf_matches_the_closed_form() {
         let z = ZipfSampler::new(100, 0.99);
         for k in [0, 1, 9, 50, 99] {
             let expect = closed_form_pmf(100, 0.99, k);
             assert!(
-                (z.pmf(k) - expect).abs() < 1e-12,
+                (pmf(&z, k) - expect).abs() < 1e-12,
                 "rank {k}: pmf {} vs closed form {expect}",
-                z.pmf(k)
+                pmf(&z, k)
             );
         }
-        let mass: f64 = (0..100).map(|k| z.pmf(k)).sum();
+        let mass: f64 = (0..100).map(|k| pmf(&z, k)).sum();
         assert!((mass - 1.0).abs() < 1e-9, "pmf must sum to 1, got {mass}");
     }
 
@@ -114,7 +109,7 @@ mod tests {
     fn alpha_zero_is_uniform() {
         let z = ZipfSampler::new(64, 0.0);
         for k in 0..64 {
-            assert!((z.pmf(k) - 1.0 / 64.0).abs() < 1e-12);
+            assert!((pmf(&z, k) - 1.0 / 64.0).abs() < 1e-12);
         }
     }
 
