@@ -4,7 +4,7 @@
 //! Two engines run the **identical seeded workload**:
 //!
 //! * `wheel` — the single-threaded [`Simulation`]: hierarchical timer
-//!   wheel, arena-backed slots, recycled action buffer.
+//!   wheel, one node table indexed by address, recycled action buffer.
 //! * `sharded` — [`ShardedSimulation`] across OS threads with the
 //!   conservative time-barrier protocol.
 //!

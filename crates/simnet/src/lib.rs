@@ -40,12 +40,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod arena;
 pub mod event;
 pub mod link;
 pub mod metrics;
+mod prefetch;
 pub mod protocol;
 pub mod rng;
 pub mod scheduler;
@@ -54,10 +55,10 @@ pub mod sim;
 pub mod telemetry;
 pub mod time;
 
-pub use arena::{prefetch, Arena, Handle};
 pub use event::{Event, EventKind};
 pub use link::{LatencyModel, LinkModel, LossModel};
 pub use metrics::SimMetrics;
+pub use prefetch::prefetch;
 pub use protocol::{Action, Context, NodeAddr, Protocol, TimerToken};
 pub use rng::SimRng;
 pub use scheduler::{HeapScheduler, Scheduler};

@@ -297,28 +297,15 @@ impl<M> Scheduler<M> {
         self.now = entry.event.at;
         Some(entry.event)
     }
-
-    /// Drop every pending event (used when tearing a simulation down early).
-    pub fn clear(&mut self) {
-        self.current.clear();
-        for slot in &mut self.level0 {
-            slot.clear();
-        }
-        for slot in &mut self.level1 {
-            slot.clear();
-        }
-        self.far.clear();
-        self.len = 0;
-    }
 }
 
 /// The retained `BinaryHeap` reference scheduler (the pre-wheel engine).
 ///
-/// It exists for two reasons: the equivalence property tests replay seeded
-/// random traces against it to pin the wheel's exact pop order, and the
-/// `sim_engine` benchmarks report wheel-vs-heap throughput side by side.
-/// Its semantics are the documented contract: pop in `(time, seq)` order,
-/// clamp past schedules to `now`.
+/// It exists only as the reference that
+/// `crates/simnet/tests/scheduler_equivalence.rs` replays seeded random
+/// traces against, to pin the wheel's exact pop order. Its semantics are
+/// the documented contract: pop in `(time, seq)` order, clamp past
+/// schedules to `now`.
 pub struct HeapScheduler<M> {
     heap: BinaryHeap<Entry<M>>,
     next_seq: EventSeq,
@@ -387,11 +374,6 @@ impl<M> HeapScheduler<M> {
         self.now = entry.event.at;
         Some(entry.event)
     }
-
-    /// Drop every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -450,7 +432,8 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.scheduled_total(), 2);
         assert_eq!(s.peek_time(), Some(SimTime::from_millis(1)));
-        s.clear();
+        s.pop();
+        s.pop();
         assert!(s.is_empty());
         assert_eq!(s.scheduled_total(), 2);
     }

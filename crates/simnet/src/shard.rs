@@ -117,20 +117,16 @@ impl<P: Protocol> ShardedSimulation<P> {
         self.shards.get((addr.0 / self.block) as usize)
     }
 
-    /// Add a node (start scheduled at time zero). Panics past `capacity`.
+    /// Add a node (start scheduled at time zero, before the first run).
+    /// Panics past `capacity`.
     pub fn add_node(&mut self, proto: P) -> NodeAddr {
-        self.add_node_at(proto, SimTime::ZERO)
-    }
-
-    /// Add a node with its start scheduled at `at`.
-    pub fn add_node_at(&mut self, proto: P, at: SimTime) -> NodeAddr {
         assert!(
             self.next_addr < self.capacity,
             "sharded simulation is at capacity ({})",
             self.capacity
         );
         let shard = &mut self.shards[(self.next_addr / self.block) as usize];
-        let addr = shard.add_node_at(proto, at);
+        let addr = shard.add_node(proto);
         debug_assert_eq!(addr.0, self.next_addr, "shards fill in address order");
         self.next_addr += 1;
         addr
@@ -199,11 +195,6 @@ impl<P: Protocol> ShardedSimulation<P> {
     /// Is the node currently alive?
     pub fn is_alive(&self, addr: NodeAddr) -> bool {
         self.owner(addr).is_some_and(|s| s.is_alive(addr))
-    }
-
-    /// Number of alive nodes across all shards.
-    pub fn alive_count(&self) -> usize {
-        self.shards.iter().map(Simulation::alive_count).sum()
     }
 
     /// Total events still queued across all shards.
@@ -463,7 +454,7 @@ mod tests {
         assert!(sim.metrics().messages_delivered >= n);
         sim.run_until_idle();
         assert_eq!(sim.metrics().timers_fired, n * 3);
-        assert_eq!(sim.alive_count(), n as usize);
+        assert!((0..n).all(|a| sim.is_alive(NodeAddr(a))));
         assert_eq!(sim.pending_events(), 0);
     }
 

@@ -30,13 +30,14 @@
 //!
 //! * events come off a hierarchical timer wheel ([`Scheduler`]) in exact
 //!   `(time, seq)` order;
-//! * node state lives in a generation-tagged [`Arena`]; addresses are
-//!   assigned densely from `base`, so resolving one is two `Vec` indexes
-//!   (`addr − base → handle → slot`) instead of a `HashMap` probe;
+//! * node state lives in one `Vec` of slots; addresses are assigned
+//!   densely from `base` and never reused (a crashed node stays, dead but
+//!   inspectable), so resolving one is one index (`addr − base`) instead of
+//!   a `HashMap` probe;
 //! * each callback's actions are recorded into one recycled buffer
 //!   ([`Context::with_buffer`]) instead of a fresh `Vec` per event;
 //! * the engine looks one event ahead: having popped event *k*, it peeks at
-//!   *k + 1* and prefetches that node's arena slot ([`Arena::prefetch`]);
+//!   *k + 1* and prefetches that node's slot ([`prefetch`]);
 //!   once *k* is dispatched it peeks again and hands the node a
 //!   [`Protocol::prefetch`] hint, which can follow the node's now-cached
 //!   pointers to its own tables. At 10⁴ nodes every node is cold when its
@@ -50,10 +51,10 @@
 //! dispatched event so two runs can be compared for identical event order
 //! cheaply.
 
-use crate::arena::{Arena, Handle};
 use crate::event::{Event, EventKind};
 use crate::link::LinkModel;
 use crate::metrics::SimMetrics;
+use crate::prefetch::prefetch;
 use crate::protocol::{Action, Context, NodeAddr, Protocol, SendTrace};
 use crate::rng::SimRng;
 use crate::scheduler::Scheduler;
@@ -144,11 +145,9 @@ type DeadLetterObserver<M> = Box<dyn FnMut(SimTime, NodeAddr, NodeAddr, &M) + Se
 pub struct Simulation<P: Protocol> {
     config: SimConfig,
     scheduler: Scheduler<P::Message>,
-    /// Node state, in a slab arena addressed by dense index handles.
-    nodes: Arena<NodeSlot<P>>,
-    /// `NodeAddr.0 − base → Handle`. Addresses are assigned densely, so
-    /// this is a plain `Vec` — no hashing on the dispatch path.
-    handles: Vec<Handle>,
+    /// Node state, indexed by `NodeAddr.0 − base`. Addresses are assigned
+    /// densely, so this is a plain `Vec` — no hashing on the dispatch path.
+    nodes: Vec<NodeSlot<P>>,
     rng: SimRng,
     metrics: SimMetrics,
     /// Recycled action buffer threaded through every [`Context`].
@@ -179,8 +178,7 @@ impl<P: Protocol> Simulation<P> {
         Simulation {
             config,
             scheduler: Scheduler::new(),
-            nodes: Arena::new(),
-            handles: Vec::new(),
+            nodes: Vec::new(),
             rng: SimRng::seed_from(seed),
             metrics: SimMetrics::default(),
             action_buf: Vec::new(),
@@ -206,8 +204,7 @@ impl<P: Protocol> Simulation<P> {
     ) -> Self {
         let stream = (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Simulation {
-            nodes: Arena::with_capacity(block as usize),
-            handles: Vec::with_capacity(block as usize),
+            nodes: Vec::with_capacity(block as usize),
             base: index as u64 * block,
             block,
             index,
@@ -216,12 +213,11 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Pre-size the node storage — the node arena and the address index —
-    /// for `additional` more nodes, so adding a large population allocates
-    /// each once at its final size instead of doubling its way there.
+    /// Pre-size the node table for `additional` more nodes, so adding a
+    /// large population allocates it once at its final size instead of
+    /// doubling its way there.
     pub fn reserve_nodes(&mut self, additional: usize) {
         self.nodes.reserve_exact(additional);
-        self.handles.reserve_exact(additional);
     }
 
     /// Start folding every dispatched event into an order-sensitive FNV-1a
@@ -289,23 +285,18 @@ impl<P: Protocol> Simulation<P> {
     /// Add a node and schedule its start at the current time. Returns its
     /// address.
     pub fn add_node(&mut self, proto: P) -> NodeAddr {
-        self.add_node_at(proto, self.now())
-    }
-
-    /// Add a node and schedule its start at `at`.
-    pub fn add_node_at(&mut self, proto: P, at: SimTime) -> NodeAddr {
-        let addr = NodeAddr(self.base + self.handles.len() as u64);
-        let handle = self.nodes.insert(NodeSlot {
+        let addr = NodeAddr(self.base + self.nodes.len() as u64);
+        self.nodes.push(NodeSlot {
             proto,
             alive: true,
             started: false,
         });
-        self.handles.push(handle);
-        self.scheduler.schedule(at, EventKind::Start { node: addr });
+        self.scheduler
+            .schedule(self.now(), EventKind::Start { node: addr });
         addr
     }
 
-    /// Index of `addr` in `handles`; out of bounds for an address this
+    /// Index of `addr` in `nodes`; out of bounds for an address this
     /// engine does not own.
     #[inline]
     fn local(&self, addr: NodeAddr) -> usize {
@@ -314,14 +305,13 @@ impl<P: Protocol> Simulation<P> {
 
     #[inline]
     fn slot(&self, addr: NodeAddr) -> Option<&NodeSlot<P>> {
-        let handle = *self.handles.get(self.local(addr))?;
-        self.nodes.get(handle)
+        self.nodes.get(self.local(addr))
     }
 
     #[inline]
     fn slot_mut(&mut self, addr: NodeAddr) -> Option<&mut NodeSlot<P>> {
-        let handle = *self.handles.get(self.local(addr))?;
-        self.nodes.get_mut(handle)
+        let local = self.local(addr);
+        self.nodes.get_mut(local)
     }
 
     /// Immutable access to a node's protocol state (dead nodes remain
@@ -345,25 +335,17 @@ impl<P: Protocol> Simulation<P> {
     /// Addresses of all currently alive nodes, in address order.
     pub fn alive_nodes(&self) -> Vec<NodeAddr> {
         (self.base..)
-            .zip(&self.handles)
-            .filter(|(_, &h)| self.nodes.get(h).map(|s| s.alive).unwrap_or(false))
+            .zip(&self.nodes)
+            .filter(|(_, slot)| slot.alive)
             .map(|(addr, _)| NodeAddr(addr))
             .collect()
     }
 
     /// Addresses of every node ever added, in address order.
     pub fn all_nodes(&self) -> Vec<NodeAddr> {
-        (self.base..self.base + self.handles.len() as u64)
+        (self.base..self.base + self.nodes.len() as u64)
             .map(NodeAddr)
             .collect()
-    }
-
-    /// Number of alive nodes.
-    pub fn alive_count(&self) -> usize {
-        self.handles
-            .iter()
-            .filter(|&&h| self.nodes.get(h).map(|s| s.alive).unwrap_or(false))
-            .count()
     }
 
     /// Crash-fail `addr` immediately: the node stops receiving messages and
@@ -384,8 +366,8 @@ impl<P: Protocol> Simulation<P> {
         addr: NodeAddr,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> Option<R> {
-        let handle = *self.handles.get(self.local(addr))?;
-        let slot = self.nodes.get_mut(handle)?;
+        let local = self.local(addr);
+        let slot = self.nodes.get_mut(local)?;
         if !slot.alive {
             return None;
         }
@@ -409,8 +391,8 @@ impl<P: Protocol> Simulation<P> {
         let Some(event) = self.scheduler.pop() else {
             return false;
         };
-        if let Some(next) = self.next_handle() {
-            self.nodes.prefetch(next);
+        if let Some(next) = self.next_slot() {
+            prefetch(std::slice::from_ref(next));
         }
         self.metrics.events_dispatched += 1;
         assert!(
@@ -450,18 +432,17 @@ impl<P: Protocol> Simulation<P> {
             }
             None => self.dispatch_event(event),
         }
-        if let Some(next) = self.next_handle().and_then(|h| self.nodes.get(h)) {
+        if let Some(next) = self.next_slot() {
             next.proto.prefetch();
         }
         true
     }
 
-    /// The arena handle of the node the next queued event targets, if this
-    /// engine has one at that address.
+    /// The slot of the node the next queued event targets, if this engine
+    /// has one at that address.
     #[inline]
-    fn next_handle(&self) -> Option<Handle> {
-        let next = self.scheduler.peek()?;
-        self.handles.get(self.local(next.target())).copied()
+    fn next_slot(&self) -> Option<&NodeSlot<P>> {
+        self.slot(self.scheduler.peek()?.target())
     }
 
     /// Run until the event queue drains completely.
@@ -546,7 +527,7 @@ impl<P: Protocol> Simulation<P> {
         // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
         // stay independently borrowable alongside the slot.
         let local = self.local(node);
-        let slot = self.handles.get(local).and_then(|&h| self.nodes.get_mut(h));
+        let slot = self.nodes.get_mut(local);
         let metrics = &mut self.metrics;
         let ready = |slot: &&mut NodeSlot<P>| {
             slot.alive
@@ -740,12 +721,53 @@ mod tests {
     fn reserved_node_storage_is_not_reallocated() {
         let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
         sim.reserve_nodes(1_000);
-        let capacity = (sim.nodes.capacity(), sim.handles.capacity());
-        assert_eq!(capacity, (1_000, 1_000));
+        assert_eq!(sim.nodes.capacity(), 1_000);
         for _ in 0..1_000 {
             sim.add_node(PingPong::default());
         }
-        assert_eq!((sim.nodes.capacity(), sim.handles.capacity()), capacity);
+        assert_eq!(sim.nodes.capacity(), 1_000);
+    }
+
+    #[test]
+    fn addresses_outside_the_placement_resolve_to_nothing() {
+        // Shard 1 of 2, four addresses each: it owns 4–7. Below `base` the
+        // index `addr − base` wraps; past the block it runs off the table.
+        let mut shard: Simulation<PingPong> = Simulation::new_shard(ideal_config(), 1, 1, 2, 4);
+        let owned: Vec<NodeAddr> = (0..4)
+            .map(|_| shard.add_node(PingPong::default()))
+            .collect();
+        assert_eq!(owned, (4..8).map(NodeAddr).collect::<Vec<_>>());
+        for addr in [NodeAddr(3), NodeAddr(8), NodeAddr(u64::MAX)] {
+            assert!(shard.node(addr).is_none(), "{addr:?}");
+            assert!(shard.node_mut(addr).is_none(), "{addr:?}");
+            assert!(!shard.is_alive(addr), "{addr:?}");
+            assert_eq!(shard.invoke(addr, |_, _| ()), None, "{addr:?}");
+        }
+        assert!(owned.iter().all(|&addr| shard.is_alive(addr)));
+
+        // Stand-alone: a send to the last address and one to the first
+        // unused address each die as one dead letter.
+        let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
+        let a = sim.add_node(PingPong::default());
+        let b = sim.add_node(PingPong::default());
+        sim.run_until_idle();
+        for (dead, dest) in [(1, NodeAddr(u64::MAX)), (2, NodeAddr(2))] {
+            sim.invoke(a, |_, ctx| ctx.send(dest, Msg::Ping));
+            sim.run_until_idle();
+            assert_eq!(sim.metrics().messages_to_dead, dead, "{dest:?}");
+        }
+
+        // Failing an address nobody has dispatches one event and changes
+        // nothing else.
+        let before = sim.metrics();
+        sim.fail_node(NodeAddr(2));
+        sim.run_until_idle();
+        let expected = SimMetrics {
+            events_dispatched: before.events_dispatched + 1,
+            ..before
+        };
+        assert_eq!(sim.metrics(), expected);
+        assert_eq!(sim.alive_nodes(), vec![a, b]);
     }
 
     #[test]
@@ -777,7 +799,7 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.node(b).unwrap().pings, 0);
         assert!(!sim.is_alive(b));
-        assert_eq!(sim.alive_count(), 1);
+        assert_eq!(sim.alive_nodes().len(), 1);
         assert_eq!(sim.metrics().messages_to_dead, 1);
     }
 

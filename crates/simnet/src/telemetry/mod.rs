@@ -135,7 +135,16 @@ impl Telemetry {
 
     /// Telemetry whose trace/span ids carry `tag << 48` in the high bits,
     /// keeping per-shard allocators collision-free without coordination.
+    ///
+    /// # Panics
+    ///
+    /// When `config.sample_every` is zero: no cadence could ever pass the
+    /// current time.
     pub fn with_tag(config: TelemetryConfig, tag: u64) -> Self {
+        assert!(
+            config.sample_every > SimDuration::ZERO,
+            "TelemetryConfig::sample_every must be positive"
+        );
         let mut registry = MetricsRegistry::new(4096);
         let ids = EngineIds {
             dispatch: [
@@ -401,5 +410,14 @@ mod tests {
         t.maybe_sample(SimTime::from_millis(11), &m);
         let id = t.registry.by_name("sim.events").unwrap();
         assert_eq!(t.registry.series(id), &[(10_000, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample_every must be positive")]
+    fn zero_sampling_cadence_is_rejected() {
+        Telemetry::new(TelemetryConfig {
+            sample_every: SimDuration::ZERO,
+            ..TelemetryConfig::default()
+        });
     }
 }
