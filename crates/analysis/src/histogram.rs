@@ -22,18 +22,13 @@ impl HopHistogram {
         self.total += 1;
     }
 
-    /// Total number of recorded lookups.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Number of lookups resolved in exactly `hops` hops.
-    pub fn count(&self, hops: u32) -> u64 {
+    pub(crate) fn count(&self, hops: u32) -> u64 {
         self.counts.get(&hops).copied().unwrap_or(0)
     }
 
     /// Percentage (0–100) of lookups resolved in exactly `hops` hops.
-    pub fn percentage(&self, hops: u32) -> f64 {
+    pub(crate) fn percentage(&self, hops: u32) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -69,30 +64,12 @@ impl HopHistogram {
         self.counts.keys().next_back().copied()
     }
 
-    /// Smallest recorded hop count.
-    pub fn min(&self) -> Option<u32> {
-        self.counts.keys().next().copied()
-    }
-
     /// The hop count recorded most often (smallest such value on ties).
     pub fn mode(&self) -> Option<u32> {
         self.counts
             .iter()
             .max_by_key(|(h, c)| (**c, std::cmp::Reverse(**h)))
             .map(|(h, _)| *h)
-    }
-
-    /// Iterate `(hops, count)` in increasing hop order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.counts.iter().map(|(h, c)| (*h, *c))
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &HopHistogram) {
-        for (h, c) in other.iter() {
-            *self.counts.entry(h).or_insert(0) += c;
-        }
-        self.total += other.total;
     }
 }
 
@@ -114,16 +91,6 @@ impl HopSurface {
     /// Append the hop histogram measured at `failed_fraction` (0–1).
     pub fn push(&mut self, failed_fraction: f64, histogram: HopHistogram) {
         self.rows.push((failed_fraction, histogram));
-    }
-
-    /// Number of churn steps recorded.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no step was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// The rows in insertion order.
@@ -157,6 +124,32 @@ impl HopSurface {
             })
             .collect();
         (header, rows)
+    }
+}
+
+#[cfg(test)]
+impl HopHistogram {
+    /// Total number of recorded lookups.
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Smallest recorded hop count.
+    pub(crate) fn min(&self) -> Option<u32> {
+        self.counts.keys().next().copied()
+    }
+
+    /// Iterate `(hops, count)` in increasing hop order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.counts.iter().map(|(h, c)| (*h, *c))
+    }
+
+    /// Merge another histogram into this one.
+    pub(crate) fn merge(&mut self, other: &HopHistogram) {
+        for (h, c) in other.iter() {
+            *self.counts.entry(h).or_insert(0) += c;
+        }
+        self.total += other.total;
     }
 }
 
@@ -224,7 +217,7 @@ mod tests {
             worse.record(hops);
         }
         surface.push(0.5, worse);
-        assert_eq!(surface.len(), 2);
+        assert_eq!(surface.rows().len(), 2);
         assert_eq!(surface.max_hops(), 7);
         let (header, rows) = surface.to_grid();
         assert_eq!(header, (0..=7).collect::<Vec<u32>>());

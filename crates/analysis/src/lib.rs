@@ -16,15 +16,15 @@
 //!   table, as CSV and as a BENCH JSON document (the only JSON writer of the
 //!   workspace; [`validate_json`] is its checker).
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod csv;
-pub mod histogram;
-pub mod json;
-pub mod series;
-pub mod summary;
-pub mod table;
+mod csv;
+mod histogram;
+mod json;
+mod series;
+mod summary;
+mod table;
 
 pub use csv::write_document;
 pub use histogram::{HopHistogram, HopSurface};

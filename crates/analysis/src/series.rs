@@ -14,7 +14,7 @@ pub struct Series {
 
 impl Series {
     /// An empty series with the given label.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Series {
             name: name.into(),
             points: Vec::new(),
@@ -22,23 +22,13 @@ impl Series {
     }
 
     /// Append one point.
-    pub fn push(&mut self, x: f64, y: f64) {
+    pub(crate) fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// The `y` value recorded for the point whose `x` is closest to the
     /// query (`None` for an empty series).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
+    pub(crate) fn y_at(&self, x: f64) -> Option<f64> {
         self.points
             .iter()
             .min_by(|a, b| {
@@ -76,21 +66,6 @@ impl SeriesSet {
         self.series.get(name)
     }
 
-    /// Iterate over the series in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &Series> {
-        self.series.values()
-    }
-
-    /// Number of series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when the set holds no series.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
     /// Render the set as aligned columns: `x` followed by one `y` column per
     /// series (name order), using the union of the x values.
     pub fn to_rows(&self) -> (Vec<String>, Vec<Vec<f64>>) {
@@ -124,11 +99,11 @@ mod tests {
     #[test]
     fn push_and_query() {
         let mut s = Series::new("G");
-        assert!(s.is_empty());
+        assert!(s.points.is_empty());
         s.push(0.0, 1.0);
         s.push(10.0, 3.0);
         s.push(20.0, 5.0);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.points.len(), 3);
         assert_eq!(s.y_at(9.0), Some(3.0));
         assert_eq!(s.y_at(0.0), Some(1.0));
     }
@@ -145,9 +120,9 @@ mod tests {
         set.push("G", 0.0, 1.0);
         set.push("NG", 0.0, 2.0);
         set.push("G", 5.0, 3.0);
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.get("G").unwrap().len(), 2);
-        assert_eq!(set.get("NG").unwrap().len(), 1);
+        assert_eq!(set.to_rows().0, ["x", "G", "NG"]);
+        assert_eq!(set.get("G").unwrap().points.len(), 2);
+        assert_eq!(set.get("NG").unwrap().points.len(), 1);
         assert!(set.get("NGSA").is_none());
     }
 

@@ -87,7 +87,7 @@ pub struct ChordNode {
 
 impl ChordNode {
     /// Create a node with the given identifier in `space`.
-    pub fn new(space: IdSpace, id: NodeId) -> Self {
+    pub(crate) fn new(space: IdSpace, id: NodeId) -> Self {
         ChordNode {
             space,
             id,
@@ -105,44 +105,29 @@ impl ChordNode {
         }
     }
 
-    /// The node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The node's successor, if known.
-    pub fn successor(&self) -> Option<(NodeId, NodeAddr)> {
+    pub(crate) fn successor(&self) -> Option<(NodeId, NodeAddr)> {
         self.successors.first().copied()
     }
 
-    /// The node's predecessor, if known.
-    pub fn predecessor(&self) -> Option<(NodeId, NodeAddr)> {
-        self.predecessor
-    }
-
     /// Seed the successor list (closest first).
-    pub fn seed_successors(&mut self, successors: Vec<(NodeId, NodeAddr)>) {
+    pub(crate) fn seed_successors(&mut self, successors: Vec<(NodeId, NodeAddr)>) {
         self.successors = successors;
     }
 
     /// Seed the predecessor.
-    pub fn seed_predecessor(&mut self, predecessor: (NodeId, NodeAddr)) {
+    pub(crate) fn seed_predecessor(&mut self, predecessor: (NodeId, NodeAddr)) {
         self.predecessor = Some(predecessor);
     }
 
     /// Seed the finger table.
-    pub fn seed_fingers(&mut self, fingers: Vec<(NodeId, NodeAddr)>) {
+    pub(crate) fn seed_fingers(&mut self, fingers: Vec<(NodeId, NodeAddr)>) {
         self.fingers = fingers;
     }
 
     /// Drain the lookup outcomes recorded at this origin.
     pub fn drain_lookup_outcomes(&mut self) -> Vec<ChordLookupOutcome> {
         std::mem::take(&mut self.outcomes)
-    }
-
-    /// Number of lookups still awaiting an answer.
-    pub fn pending_lookup_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Originate a lookup for `target`.
@@ -434,6 +419,19 @@ impl ChordBuilder {
             node.seed_fingers(fingers);
         }
         (sim, pairs)
+    }
+}
+
+#[cfg(test)]
+impl ChordNode {
+    /// The node's identifier.
+    pub(crate) fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The node's predecessor, if known.
+    pub(crate) fn predecessor(&self) -> Option<(NodeId, NodeAddr)> {
+        self.predecessor
     }
 }
 

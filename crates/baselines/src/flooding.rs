@@ -81,7 +81,7 @@ pub struct FloodingNode {
 
 impl FloodingNode {
     /// Create a node with the given identifier and flood TTL.
-    pub fn new(id: NodeId, max_ttl: u32) -> Self {
+    pub(crate) fn new(id: NodeId, max_ttl: u32) -> Self {
         FloodingNode {
             id,
             neighbors: Vec::new(),
@@ -97,11 +97,6 @@ impl FloodingNode {
         }
     }
 
-    /// The node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The node's neighbour set.
     pub fn neighbors(&self) -> &[NodeAddr] {
         &self.neighbors
@@ -109,18 +104,13 @@ impl FloodingNode {
 
     /// Seed the neighbour set (the random graph is built by
     /// [`FloodingBuilder`]).
-    pub fn seed_neighbors(&mut self, neighbors: Vec<NodeAddr>) {
+    pub(crate) fn seed_neighbors(&mut self, neighbors: Vec<NodeAddr>) {
         self.neighbors = neighbors;
     }
 
     /// Drain the lookup outcomes recorded at this origin.
     pub fn drain_lookup_outcomes(&mut self) -> Vec<FloodingLookupOutcome> {
         std::mem::take(&mut self.outcomes)
-    }
-
-    /// Number of lookups still awaiting an answer.
-    pub fn pending_lookup_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Originate a flooded lookup for `target`.

@@ -16,11 +16,11 @@
 //! `drain_lookup_outcomes`) so the ablation experiments can drive all three
 //! overlays with identical workloads.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod chord;
-pub mod flooding;
+mod chord;
+mod flooding;
 
 pub use chord::{ChordBuilder, ChordLookupOutcome, ChordMessage, ChordNode};
 pub use flooding::{FloodingBuilder, FloodingLookupOutcome, FloodingMessage, FloodingNode};

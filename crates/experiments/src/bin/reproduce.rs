@@ -30,7 +30,7 @@
 
 use analysis::Table;
 use experiments::{
-    compare_multicast, compare_overlays, compare_pubsub, figures, maintenance,
+    compare_multicast, compare_overlays, compare_pubsub, extract_figure, maintenance_table,
     measure_telemetry_overhead, routing_table_report, run_churn_experiment, run_durability,
     run_read_storm, run_scale, run_trace_demo, sweep_multicast_loss, ChurnRunResult,
     DurabilityParams, ExperimentParams, Figure, LossSweepParams, MulticastParams, PubSubParams,
@@ -305,7 +305,7 @@ fn main() {
 
     for &figure in &cli.figures {
         let fixed = fixed.as_ref().expect("figures imply the churn run");
-        let data = figures::extract(figure, fixed, adaptive.as_ref());
+        let data = extract_figure(figure, fixed, adaptive.as_ref());
         let title = format!("Figure {figure} — {}", figure.description());
         let table = data.to_table(&title);
         println!("{}", table.render());
@@ -335,7 +335,7 @@ fn main() {
         if let Some(a) = adaptive.as_ref() {
             runs.push(a);
         }
-        println!("{}", maintenance::to_table(&runs).render());
+        println!("{}", maintenance_table(&runs).render());
     }
 
     if cli.baselines {

@@ -22,8 +22,8 @@
 use crate::runner::{delta, Scenario};
 use analysis::{ratio, Cell, Column, Table};
 use simnet::{NodeAddr, SimDuration};
-use treep::lookup::RequestId;
-use treep::replication::REPLICA_SYNC_INTERVAL;
+use treep::RequestId;
+use treep::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, DhtOutcome, MessageKind, NodeStats, TreePConfig, TreePNode};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
@@ -146,7 +146,7 @@ pub struct DurabilityReport {
 
 impl DurabilityReport {
     /// All rows of one replication factor, in step order.
-    pub fn rows_for(&self, k: u32) -> Vec<&DurabilityRow> {
+    pub(crate) fn rows_for(&self, k: u32) -> Vec<&DurabilityRow> {
         self.rows.iter().filter(|r| r.k == k).collect()
     }
 

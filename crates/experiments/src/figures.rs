@@ -140,7 +140,7 @@ impl FigureData {
 
 /// Figures A and C: percentage of failed lookups per algorithm, as a function
 /// of the percentage of failed nodes.
-pub fn failed_lookup_curves(result: &ChurnRunResult) -> SeriesSet {
+pub(crate) fn failed_lookup_curves(result: &ChurnRunResult) -> SeriesSet {
     let mut set = SeriesSet::new();
     for step in &result.steps {
         for stats in &step.per_algorithm {
@@ -156,7 +156,7 @@ pub fn failed_lookup_curves(result: &ChurnRunResult) -> SeriesSet {
 
 /// Figures B: mean hops of successful lookups per algorithm, as a function of
 /// the percentage of failed nodes.
-pub fn mean_hop_curves(result: &ChurnRunResult) -> SeriesSet {
+pub(crate) fn mean_hop_curves(result: &ChurnRunResult) -> SeriesSet {
     let mut set = SeriesSet::new();
     for step in &result.steps {
         for stats in &step.per_algorithm {
@@ -172,7 +172,10 @@ pub fn mean_hop_curves(result: &ChurnRunResult) -> SeriesSet {
 
 /// Figure D: mean hops (averaged over the three algorithms) of the fixed-`nc`
 /// run against the variable-`nc` run.
-pub fn hop_comparison_curves(fixed: &ChurnRunResult, adaptive: &ChurnRunResult) -> SeriesSet {
+pub(crate) fn hop_comparison_curves(
+    fixed: &ChurnRunResult,
+    adaptive: &ChurnRunResult,
+) -> SeriesSet {
     let mut set = SeriesSet::new();
     for (label, result) in [("nc=4", fixed), ("nc=variable", adaptive)] {
         for step in &result.steps {
@@ -190,7 +193,10 @@ pub fn hop_comparison_curves(fixed: &ChurnRunResult, adaptive: &ChurnRunResult) 
 
 /// Figure E: minimum and maximum hop counts reached by failed (dead-ended)
 /// lookups, as a function of the percentage of failed nodes.
-pub fn failed_hop_envelope(result: &ChurnRunResult, algorithm: RoutingAlgorithm) -> SeriesSet {
+pub(crate) fn failed_hop_envelope(
+    result: &ChurnRunResult,
+    algorithm: RoutingAlgorithm,
+) -> SeriesSet {
     let mut set = SeriesSet::new();
     for step in &result.steps {
         if let Some(stats) = step.algo(algorithm) {
@@ -215,7 +221,7 @@ pub fn hop_surface(result: &ChurnRunResult, algorithm: RoutingAlgorithm) -> HopS
 
 /// Extract the data of `figure` from the fixed-`nc` run and (when the figure
 /// needs it) the variable-`nc` run.
-pub fn extract(
+pub fn extract_figure(
     figure: Figure,
     fixed: &ChurnRunResult,
     adaptive: Option<&ChurnRunResult>,
@@ -270,21 +276,21 @@ mod tests {
     fn curve_extraction_produces_three_algorithms() {
         let r = result();
         let failed = failed_lookup_curves(&r);
-        assert_eq!(failed.len(), 3);
+        assert_eq!(failed.to_rows().0, ["x", "G", "NG", "NGSA"]);
         for algo in RoutingAlgorithm::ALL {
             let series = failed.get(algo.label()).unwrap();
-            assert_eq!(series.len(), r.steps.len());
+            assert_eq!(series.points.len(), r.steps.len());
             assert!(series.points.iter().all(|(_, y)| (0.0..=100.0).contains(y)));
         }
         let hops = mean_hop_curves(&r);
-        assert_eq!(hops.len(), 3);
+        assert_eq!(hops.to_rows().0, ["x", "G", "NG", "NGSA"]);
     }
 
     #[test]
     fn surfaces_cover_every_step() {
         let r = result();
         let surface = hop_surface(&r, RoutingAlgorithm::Greedy);
-        assert_eq!(surface.len(), r.steps.len());
+        assert_eq!(surface.rows().len(), r.steps.len());
         assert!(surface.max_hops() < 40);
     }
 
@@ -303,7 +309,7 @@ mod tests {
     fn extract_covers_every_figure_and_renders() {
         let r = result();
         for figure in Figure::ALL {
-            let data = extract(figure, &r, Some(&r));
+            let data = extract_figure(figure, &r, Some(&r));
             let table = data.to_table(&format!("Figure {figure}"));
             assert!(!table.is_empty(), "figure {figure} rendered an empty table");
             assert!(table.to_csv().lines().count() > 1);
@@ -320,8 +326,6 @@ mod tests {
     fn comparison_curves_have_two_labels() {
         let r = result();
         let cmp = hop_comparison_curves(&r, &r);
-        assert_eq!(cmp.len(), 2);
-        assert!(cmp.get("nc=4").is_some());
-        assert!(cmp.get("nc=variable").is_some());
+        assert_eq!(cmp.to_rows().0, ["x", "nc=4", "nc=variable"]);
     }
 }

@@ -7,28 +7,28 @@
 //!
 //! * [`ExperimentParams`] — knobs of one run (population, child policy, seed,
 //!   lookups per step, churn schedule).
-//! * [`Scenario`] and [`DeliveryTally`] — the one harness every TreeP driver
+//! * `Scenario` and [`DeliveryTally`] — the one harness every TreeP driver
 //!   below runs on: build (on lossy links if asked), crash a churn step, sum
 //!   `NodeStats` counters over the live nodes, drain an outcome queue, and
 //!   the coverage / duplicate-factor / messages-per-delivery arithmetic.
 //! * [`run_churn_experiment`] — the measurement loop shared by every figure;
 //!   it produces a [`ChurnRunResult`].
-//! * [`figures`] — extraction and rendering of every paper figure (A–I) from
+//! * [`extract_figure`] — extraction and rendering of every paper figure (A–I) from
 //!   one or two run results.
-//! * [`table_routing`] — the routing-table-size accounting of Section III.e.
-//! * [`maintenance`] — the maintenance-overhead ablation.
-//! * [`baseline_compare`] — TreeP vs Chord vs flooding under identical
+//! * [`routing_table_report`] — the routing-table-size accounting of Section III.e.
+//! * [`maintenance_table`] — the maintenance-overhead ablation.
+//! * [`compare_overlays`] — TreeP vs Chord vs flooding under identical
 //!   workloads.
-//! * [`multicast_compare`] — scoped multicast vs flooding broadcast at equal
+//! * [`compare_multicast`] — scoped multicast vs flooding broadcast at equal
 //!   reach (coverage, duplicate factor, messages per delivery).
-//! * [`durability`] — DHT durability under churn: availability vs failed
+//! * [`run_durability`] — DHT durability under churn: availability vs failed
 //!   fraction for replication factors k = 1 vs k = 3, plus anti-entropy
 //!   repair convergence.
-//! * [`readpath`] — the read-path serving layer under a Zipf-skewed read
+//! * [`run_read_storm`] — the read-path serving layer under a Zipf-skewed read
 //!   storm: p99 hops and per-node max load, hot-key cache off vs on.
-//! * [`pubsub_compare`] — subscription-pruned topic publish vs flooding
+//! * [`compare_pubsub`] — subscription-pruned topic publish vs flooding
 //!   broadcast across subscriber fan-out tiers (Figure P).
-//! * [`scale`] — the engine scale sweep (n = 10³ … 10⁶): steps/sec,
+//! * [`run_scale`] — the engine scale sweep (n = 10³ … 10⁶): steps/sec,
 //!   bytes/node and peak RSS of the timer-wheel and sharded simulation
 //!   engines under an identical keep-alive workload.
 //!
@@ -37,25 +37,26 @@
 //! list. The `reproduce` binary drives all of the above from the command
 //! line; the timed legs live in `benchmark/`.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod baseline_compare;
-pub mod durability;
-pub mod figures;
-pub mod maintenance;
-pub mod multicast_compare;
-pub mod params;
-pub mod pubsub_compare;
-pub mod readpath;
-pub mod runner;
-pub mod scale;
-pub mod table_routing;
-pub mod trace_demo;
+mod baseline_compare;
+mod durability;
+mod figures;
+mod maintenance;
+mod multicast_compare;
+mod params;
+mod pubsub_compare;
+mod readpath;
+mod runner;
+mod scale;
+mod table_routing;
+mod trace_demo;
 
 pub use baseline_compare::{compare_overlays, OverlayComparison, OverlayRow};
 pub use durability::{run_durability, DurabilityParams, DurabilityReport, DurabilityRow};
-pub use figures::{Figure, FigureData};
+pub use figures::{extract_figure, hop_surface, Figure, FigureData};
+pub use maintenance::maintenance_table;
 pub use multicast_compare::{
     compare_multicast, sweep_multicast_loss, LossRow, LossSweep, LossSweepParams,
     MulticastComparison, MulticastParams, MulticastRow,
@@ -64,8 +65,7 @@ pub use params::ExperimentParams;
 pub use pubsub_compare::{compare_pubsub, PubSubComparison, PubSubParams, PubSubRow};
 pub use readpath::{run_read_storm, ReadStormParams, ReadStormReport, ReadStormRow};
 pub use runner::{
-    run_churn_experiment, AlgoStepStats, ChurnRunResult, DeliveryTally, MulticastStepStats,
-    ReadPathStepStats, Scenario, StepMeasurement,
+    run_churn_experiment, AlgoStepStats, ChurnRunResult, DeliveryTally, StepMeasurement,
 };
 pub use scale::{
     measure_telemetry_overhead, run_scale, ScaleParams, ScaleReport, ScaleRow, TelemetryOverhead,

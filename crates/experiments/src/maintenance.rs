@@ -12,7 +12,7 @@ use crate::runner::ChurnRunResult;
 use analysis::{Cell, Table};
 
 /// Render the overhead of one or more runs side by side.
-pub fn to_table(results: &[&ChurnRunResult]) -> Table {
+pub fn maintenance_table(results: &[&ChurnRunResult]) -> Table {
     let mut header = vec!["failed %".to_string()];
     header.extend(
         results
@@ -71,8 +71,8 @@ mod tests {
     #[test]
     fn series_and_table_cover_all_steps() {
         let r = result();
-        let table = to_table(&[&r, &r]);
+        let table = maintenance_table(&[&r, &r]);
         assert_eq!(table.len(), r.steps.len());
-        assert!(to_table(&[]).is_empty());
+        assert!(maintenance_table(&[]).is_empty());
     }
 }

@@ -89,11 +89,6 @@ pub struct MulticastComparison {
 }
 
 impl MulticastComparison {
-    /// All rows of one overlay.
-    pub fn overlay_rows(&self, overlay: &str) -> Vec<&MulticastRow> {
-        self.rows.iter().filter(|r| r.overlay == overlay).collect()
-    }
-
     /// Render the comparison as an aligned table.
     pub fn to_table(&self) -> Table {
         let columns = [
@@ -194,7 +189,7 @@ pub struct LossRow {
 impl LossRow {
     /// All multicast traffic (data + retransmits + acks) per met
     /// obligation.
-    pub fn messages_per_delivery(&self) -> f64 {
+    pub(crate) fn messages_per_delivery(&self) -> f64 {
         self.tally
             .per_delivery(self.data_messages + self.retransmits + self.acks)
     }
@@ -380,6 +375,14 @@ fn measure_flooding(params: &MulticastParams, fraction: f64) -> MulticastRow {
         tally: in_range,
         duplicate_factor: network.duplicate_factor(),
         messages,
+    }
+}
+
+#[cfg(test)]
+impl MulticastComparison {
+    /// All rows of one overlay.
+    pub(crate) fn overlay_rows(&self, overlay: &str) -> Vec<&MulticastRow> {
+        self.rows.iter().filter(|r| r.overlay == overlay).collect()
     }
 }
 

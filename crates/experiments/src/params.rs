@@ -17,15 +17,6 @@ pub struct ExperimentParams {
     pub capabilities: CapabilityDistribution,
     /// Random lookups issued per churn step *per routing algorithm*.
     pub lookups_per_step: usize,
-    /// Scoped multicast probes issued per churn step to measure coverage
-    /// under churn (0 disables the measurement entirely and keeps the run
-    /// byte-identical to a probe-free one).
-    pub multicast_probes_per_step: usize,
-    /// Per-hop Bernoulli loss probability of every link in the run
-    /// (`0.0` = the lossless links every figure of the paper uses; a
-    /// positive value exercises the multicast reliability layer under
-    /// churn *and* loss at once).
-    pub link_loss: f64,
     /// The failure schedule.
     pub churn: ChurnPlan,
     /// Virtual time the network is given after each batch of failures, so
@@ -47,8 +38,6 @@ impl ExperimentParams {
             config,
             capabilities: CapabilityDistribution::Heterogeneous,
             lookups_per_step: 100,
-            multicast_probes_per_step: 0,
-            link_loss: 0.0,
             churn: ChurnPlan::paper(),
             settle_per_step: SimDuration::from_secs(3),
             drain_per_step: SimDuration::from_millis(2_500),
@@ -93,36 +82,8 @@ impl ExperimentParams {
         self
     }
 
-    /// Enable the multicast coverage measurement: issue this many scoped
-    /// multicast probes per churn step and record per-step coverage.
-    pub fn with_multicast_probes(mut self, probes_per_step: usize) -> Self {
-        self.multicast_probes_per_step = probes_per_step;
-        self
-    }
-
-    /// Enable the multicast reliability layer (per-hop acks, up to
-    /// `max_retransmits` retransmissions, dead-hop re-routing) for every
-    /// node of the run.
-    pub fn with_reliability(mut self, max_retransmits: u32) -> Self {
-        self.config.max_retransmits = max_retransmits;
-        self
-    }
-
-    /// Drop every message independently with probability `p` (per-hop
-    /// Bernoulli loss on all links).
-    pub fn with_link_loss(mut self, p: f64) -> Self {
-        self.link_loss = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Override the churn schedule.
-    pub fn with_churn(mut self, churn: ChurnPlan) -> Self {
-        self.churn = churn;
-        self
-    }
-
     /// Short label for reports ("nc=4" / "nc=variable").
-    pub fn policy_label(&self) -> &'static str {
+    pub(crate) fn policy_label(&self) -> &'static str {
         match self.config.child_policy {
             treep::ChildPolicy::Fixed(_) => "nc=4",
             treep::ChildPolicy::Adaptive { .. } => "nc=variable",
@@ -166,13 +127,8 @@ mod tests {
     fn builders_compose() {
         let p = ExperimentParams::quick(50, 3)
             .with_lookups_per_step(5)
-            .with_churn(ChurnPlan {
-                fraction_per_step: 0.2,
-                stop_at_surviving_fraction: 0.5,
-            })
             .with_adaptive_policy();
         assert_eq!(p.lookups_per_step, 5);
-        assert_eq!(p.churn.fraction_per_step, 0.2);
         assert_eq!(p.policy_label(), "nc=variable");
     }
 }

@@ -15,7 +15,7 @@ use analysis::{ratio, HopHistogram, SummaryStats};
 use simnet::{
     LatencyModel, LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation,
 };
-use treep::lookup::RequestId;
+use treep::RequestId;
 use treep::{
     audit, HierarchyAudit, KeyRange, LookupOutcome, NodeId, NodeStats, RoutingAlgorithm, TreePNode,
 };
@@ -25,13 +25,13 @@ use workloads::{
 };
 
 /// A dissemination as its receivers identify it: origin and request id.
-pub type Probe = (NodeAddr, RequestId);
+pub(crate) type Probe = (NodeAddr, RequestId);
 
 /// A built and settled TreeP overlay under measurement. The workload
 /// stream is not a field: each driver forks it from `sim` where it always
 /// did (two of them after their crash, one never), so no random stream
 /// moves.
-pub struct Scenario {
+pub(crate) struct Scenario {
     /// The simulation the overlay lives in.
     pub sim: Simulation<TreePNode>,
     /// The overlay as it was built.
@@ -41,14 +41,14 @@ pub struct Scenario {
 impl Scenario {
     /// Build and settle `builder`'s overlay on the simulator's default
     /// lossless links.
-    pub fn build(builder: &TopologyBuilder, seed: u64) -> Scenario {
+    pub(crate) fn build(builder: &TopologyBuilder, seed: u64) -> Scenario {
         Self::build_lossy(builder, seed, LinkModel::default().latency, 0.0)
     }
 
     /// Build and settle `builder`'s overlay on links of the given latency
     /// that drop every message independently with probability `loss`
     /// (0 draws nothing, so a lossless run replays [`Scenario::build`]).
-    pub fn build_lossy(
+    pub(crate) fn build_lossy(
         builder: &TopologyBuilder,
         seed: u64,
         latency: LatencyModel,
@@ -68,16 +68,16 @@ impl Scenario {
     }
 
     /// The live nodes, in build order.
-    pub fn alive(&self) -> Vec<(NodeAddr, NodeId)> {
+    pub(crate) fn alive(&self) -> Vec<(NodeAddr, NodeId)> {
         self.topo.alive_pairs(&self.sim)
     }
 
     /// Fail the victims `plan` picks for `step` (none at step 0, which
     /// measures the intact overlay).
-    pub fn crash(&mut self, plan: &ChurnPlan, step: &ChurnStep, rng: &mut SimRng) {
+    pub(crate) fn crash(&mut self, plan: &ChurnPlan, step: &ChurnStep, rng: &mut SimRng) {
         if step.index > 0 {
             let alive = self.sim.alive_nodes();
-            for victim in plan.pick_victims(&alive, self.topo.len(), rng) {
+            for victim in plan.pick_victims(&alive, self.topo.nodes.len(), rng) {
                 self.sim.fail_node(victim);
             }
         }
@@ -85,7 +85,10 @@ impl Scenario {
 
     /// Sum `N` counters of [`NodeStats`] over the live nodes. A fallen node
     /// takes its counters with it, which is why [`delta`] saturates.
-    pub fn sum<const N: usize>(&self, counters: impl Fn(&NodeStats) -> [u64; N]) -> [u64; N] {
+    pub(crate) fn sum<const N: usize>(
+        &self,
+        counters: impl Fn(&NodeStats) -> [u64; N],
+    ) -> [u64; N] {
         let mut totals = [0; N];
         for (addr, _) in self.alive() {
             let node = self.sim.node(addr).expect("a live node has a state");
@@ -98,7 +101,7 @@ impl Scenario {
 
     /// Drain one outcome queue from every live node, in build order (a
     /// node that has nothing queued is listed with nothing).
-    pub fn drain<T>(
+    pub(crate) fn drain<T>(
         &mut self,
         queue: impl Fn(&mut TreePNode) -> Vec<T>,
     ) -> Vec<(NodeAddr, NodeId, Vec<T>)> {
@@ -113,7 +116,7 @@ impl Scenario {
     /// Issue one batch of data multicasts among `alive`, wait `drain`, and
     /// tally what every live node inside a probe's range received of it.
     /// Returns the number of probes issued beside the tally.
-    pub fn probe_multicasts(
+    pub(crate) fn probe_multicasts(
         &mut self,
         workload: &MulticastWorkload,
         alive: &[(NodeAddr, NodeId)],
@@ -145,12 +148,12 @@ impl Scenario {
 }
 
 /// What `N` counters grew by between two readings of [`Scenario::sum`].
-pub fn delta<const N: usize>(after: [u64; N], before: [u64; N]) -> [u64; N] {
+pub(crate) fn delta<const N: usize>(after: [u64; N], before: [u64; N]) -> [u64; N] {
     std::array::from_fn(|i| after[i].saturating_sub(before[i]))
 }
 
 /// The multicast payloads a node has delivered since it was last asked.
-pub fn multicast_receipts(node: &mut TreePNode) -> Vec<Probe> {
+pub(crate) fn multicast_receipts(node: &mut TreePNode) -> Vec<Probe> {
     let deliveries = node.drain_multicast_deliveries();
     let key = |d: treep::MulticastDelivery| (d.origin.addr, d.request_id);
     deliveries.into_iter().map(key).collect()
@@ -171,7 +174,7 @@ pub struct DeliveryTally {
 impl DeliveryTally {
     /// Count one receiver: every probe in `owed` is an obligation, met by
     /// each of its occurrences in `received`.
-    pub fn record(&mut self, owed: impl IntoIterator<Item = Probe>, received: &[Probe]) {
+    pub(crate) fn record(&mut self, owed: impl IntoIterator<Item = Probe>, received: &[Probe]) {
         for probe in owed {
             let got = received.iter().filter(|r| **r == probe).count();
             self.targets += 1;
@@ -194,7 +197,7 @@ impl DeliveryTally {
 
     /// `messages` per met obligation (infinite when none was met, which
     /// the JSON writer renders as `null`).
-    pub fn per_delivery(&self, messages: u64) -> f64 {
+    pub(crate) fn per_delivery(&self, messages: u64) -> f64 {
         ratio(messages as f64, self.delivered as f64, f64::INFINITY)
     }
 }
@@ -251,42 +254,9 @@ impl AlgoStepStats {
     }
 
     /// Mean hops of the successful lookups.
-    pub fn mean_hops(&self) -> f64 {
+    pub(crate) fn mean_hops(&self) -> f64 {
         self.success_hops.mean
     }
-}
-
-/// Coverage of the scoped multicast probes issued at one churn step —
-/// the dissemination counterpart of the lookup failure curves, measured
-/// under the same failure schedule (the PR 1 follow-up: multicast and
-/// replication durability share one churn harness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MulticastStepStats {
-    /// Scoped multicasts issued this step.
-    pub probes: usize,
-    /// The in-range live nodes over all probes, and how many were reached.
-    pub tally: DeliveryTally,
-    /// Reliable-hop retransmissions spent during this step's probe window
-    /// (always 0 when the configuration has `max_retransmits = 0`).
-    pub retransmits: u64,
-    /// Hops re-routed after a destination was declared dead during this
-    /// step's probe window.
-    pub reroutes: u64,
-}
-
-/// Read-path counter deltas accumulated over one churn step (all zero
-/// unless the configuration enables `replica_reads` / the hot-key cache).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadPathStepStats {
-    /// Versioned gets answered from hot-key caches during the step.
-    pub cache_hits: u64,
-    /// Cache lines evicted during the step.
-    pub cache_evictions: u64,
-    /// Versioned gets answered from replica stores (server not
-    /// responsible for the key).
-    pub replica_served_gets: u64,
-    /// Read-repairs issued by responsible nodes during the step.
-    pub read_repairs_issued: u64,
 }
 
 /// Everything measured at one churn step.
@@ -305,11 +275,6 @@ pub struct StepMeasurement {
     pub maintenance_messages: u64,
     /// Maintenance messages per alive node during the settle window.
     pub maintenance_per_node: f64,
-    /// Multicast probe coverage, when
-    /// [`ExperimentParams::multicast_probes_per_step`] is non-zero.
-    pub multicast: Option<MulticastStepStats>,
-    /// Read-path counter deltas over the whole step window.
-    pub readpath: ReadPathStepStats,
 }
 
 impl StepMeasurement {
@@ -357,23 +322,11 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
     let builder = TopologyBuilder::new(params.nodes)
         .with_config(params.config)
         .with_capabilities(params.capabilities);
-    let latency = LinkModel::default().latency;
-    let mut sc = Scenario::build_lossy(&builder, params.seed, latency, params.link_loss);
+    let mut sc = Scenario::build(&builder, params.seed);
 
     let steady_state = audit_alive(&sc.sim);
     let workload = LookupWorkload::new(params.lookups_per_step);
     let mut rng = sc.sim.rng_mut().fork();
-    // Forked only when probes are on, so a probe-free run stays
-    // byte-identical to one predating the measurement.
-    let mut probe_rng = (params.multicast_probes_per_step > 0).then(|| sc.sim.rng_mut().fork());
-    let readpath_counters = |s: &NodeStats| {
-        [
-            s.cache_hits,
-            s.cache_evictions,
-            s.replica_served_gets,
-            s.read_repairs_issued,
-        ]
-    };
 
     let mut steps = Vec::new();
     for churn_step in params.churn.steps(params.nodes) {
@@ -382,7 +335,6 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
 
         // 2. Let keep-alives, expiry, elections and demotions react.
         let sent_before = sc.sim.metrics().messages_sent;
-        let readpath_before = sc.sum(readpath_counters);
         sc.sim.run_for(params.settle_per_step);
         let maintenance_messages = sc.sim.metrics().messages_sent - sent_before;
 
@@ -407,24 +359,6 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
             .map(|&algorithm| AlgoStepStats::of(algorithm, batches.len(), &outcomes))
             .collect();
 
-        // 5. Optionally probe multicast coverage over the same survivors.
-        let multicast = probe_rng.as_mut().map(|probe_rng| {
-            let workload = MulticastWorkload::data_only(params.multicast_probes_per_step);
-            let reliability = |s: &NodeStats| [s.multicast_retransmits, s.multicast_reroutes];
-            let before = sc.sum(reliability);
-            let (probes, tally) =
-                sc.probe_multicasts(&workload, &alive_pairs, params.drain_per_step, probe_rng);
-            let [retransmits, reroutes] = delta(sc.sum(reliability), before);
-            MulticastStepStats {
-                probes,
-                tally,
-                retransmits,
-                reroutes,
-            }
-        });
-
-        let [cache_hits, cache_evictions, replica_served_gets, read_repairs_issued] =
-            delta(sc.sum(readpath_counters), readpath_before);
         steps.push(StepMeasurement {
             index: churn_step.index,
             failed_fraction: churn_step.failed_fraction,
@@ -432,13 +366,6 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
             per_algorithm,
             maintenance_messages,
             maintenance_per_node: ratio(maintenance_messages as f64, alive_nodes as f64, 0.0),
-            multicast,
-            readpath: ReadPathStepStats {
-                cache_hits,
-                cache_evictions,
-                replica_served_gets,
-                read_repairs_issued,
-            },
         });
     }
 
@@ -452,7 +379,7 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
 }
 
 /// Audit the currently alive nodes of a simulation.
-pub fn audit_alive(sim: &Simulation<TreePNode>) -> HierarchyAudit {
+pub(crate) fn audit_alive(sim: &Simulation<TreePNode>) -> HierarchyAudit {
     let alive = sim.alive_nodes();
     let nodes: Vec<&TreePNode> = alive.iter().filter_map(|&a| sim.node(a)).collect();
     audit(nodes)
@@ -546,107 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_coverage_absent_without_probes() {
-        let result = quick_result();
-        assert!(result.steps.iter().all(|s| s.multicast.is_none()));
-    }
-
-    #[test]
-    fn readpath_counters_stay_zero_with_the_read_path_off() {
-        // The churn runner never issues versioned reads and the default
-        // configuration disables the serving tiers, so every per-step
-        // delta must be exactly zero — any non-zero value means the
-        // defaults-off guarantee broke.
-        let result = quick_result();
-        for step in &result.steps {
-            assert_eq!(step.readpath, ReadPathStepStats::default());
-        }
-    }
-
-    #[test]
-    fn multicast_coverage_is_measured_under_churn() {
-        let params = ExperimentParams::quick(100, 9)
-            .with_lookups_per_step(5)
-            .with_multicast_probes(4);
-        let result = run_churn_experiment(&params);
-        for step in &result.steps {
-            let m = step.multicast.expect("probes enabled => coverage measured");
-            assert_eq!(m.probes, 4);
-            assert!(m.tally.delivered <= m.tally.targets);
-            assert!(m.tally.coverage_pct() <= 100.0);
-        }
-        let intact = result.steps[0].multicast.unwrap();
-        assert!(intact.tally.targets > 0);
-        assert!(
-            (intact.tally.coverage_pct() - 100.0).abs() < 1e-9,
-            "intact steady state must cover every in-range node, got {:.1}%",
-            intact.tally.coverage_pct()
-        );
-    }
-
-    #[test]
-    fn reliability_restores_lossy_multicast_coverage_under_churn() {
-        // The Section-IV churn harness at 10% per-hop loss: the single-shot
-        // baseline loses a large share of its probe deliveries, reliability
-        // restores >= 99% on the intact topology and never does worse than
-        // the baseline across the whole failure schedule.
-        let base_params = ExperimentParams::quick(100, 9)
-            .with_lookups_per_step(5)
-            .with_multicast_probes(4)
-            .with_link_loss(0.10);
-        let reliable_params = base_params.with_reliability(3);
-        let base = run_churn_experiment(&base_params);
-        let reliable = run_churn_experiment(&reliable_params);
-
-        let intact = reliable.steps[0].multicast.expect("probes enabled");
-        assert!(
-            intact.tally.coverage_pct() >= 99.0,
-            "churn runner at 10% per-hop loss with reliability on must \
-             cover >= 99% of the intact topology, got {:.1}%",
-            intact.tally.coverage_pct()
-        );
-        let intact_base = base.steps[0].multicast.expect("probes enabled");
-        assert!(
-            intact_base.tally.coverage_pct() < 99.0,
-            "the unacknowledged baseline should lose probe deliveries at \
-             10% per-hop loss, got {:.1}%",
-            intact_base.tally.coverage_pct()
-        );
-
-        let coverage = |r: &ChurnRunResult| {
-            let (mut delivered, mut targets) = (0usize, 0usize);
-            for step in &r.steps {
-                let m = step.multicast.expect("probes enabled");
-                delivered += m.tally.delivered;
-                targets += m.tally.targets;
-            }
-            delivered as f64 / targets.max(1) as f64
-        };
-        assert!(
-            coverage(&reliable) >= coverage(&base),
-            "reliability must not reduce churn coverage: {:.3} vs {:.3}",
-            coverage(&reliable),
-            coverage(&base)
-        );
-        let total_retx = |r: &ChurnRunResult| -> u64 {
-            r.steps
-                .iter()
-                .filter_map(|s| s.multicast)
-                .map(|m| m.retransmits)
-                .sum()
-        };
-        assert_eq!(
-            total_retx(&base),
-            0,
-            "max_retransmits = 0 must never retransmit"
-        );
-        assert!(
-            total_retx(&reliable) > 0,
-            "a lossy run with reliability on must exercise retransmission"
-        );
-    }
-
-    #[test]
     fn step_at_selects_the_closest_fraction() {
         let result = quick_result();
         let step = result.step_at(0.0).unwrap();
@@ -658,12 +484,11 @@ mod tests {
 
     #[test]
     fn single_step_plan_measures_only_steady_state() {
-        let params = ExperimentParams::quick(60, 3)
-            .with_churn(ChurnPlan {
-                fraction_per_step: 0.5,
-                stop_at_surviving_fraction: 0.9,
-            })
-            .with_lookups_per_step(5);
+        let mut params = ExperimentParams::quick(60, 3).with_lookups_per_step(5);
+        params.churn = ChurnPlan {
+            fraction_per_step: 0.5,
+            stop_at_surviving_fraction: 0.9,
+        };
         let result = run_churn_experiment(&params);
         assert_eq!(result.steps.len(), 1);
         assert_eq!(result.steps[0].failed_fraction, 0.0);

@@ -72,7 +72,7 @@ impl ScaleParams {
 }
 
 /// The keep-alive workload protocol (see module docs for the topology).
-pub struct ScaleProto {
+pub(crate) struct ScaleProto {
     acks: u32,
 }
 
@@ -99,7 +99,7 @@ impl ScaleProto {
 
 /// Workload message: a keep-alive or its ack.
 #[derive(Clone, Debug)]
-pub enum ScaleMsg {
+pub(crate) enum ScaleMsg {
     /// Periodic liveness ping to the parent.
     KeepAlive,
     /// Parent's answer.
@@ -469,7 +469,7 @@ impl ScaleReport {
     }
 
     /// steps/sec ratio of the sharded engine over the wheel engine at `n`.
-    pub fn sharded_speedup_at(&self, n: usize) -> Option<f64> {
+    pub(crate) fn sharded_speedup_at(&self, n: usize) -> Option<f64> {
         let sharded = self.row(n, "sharded")?;
         let wheel = self.row(n, "wheel")?;
         (wheel.steps_per_sec > 0.0).then(|| sharded.steps_per_sec / wheel.steps_per_sec)

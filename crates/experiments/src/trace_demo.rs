@@ -12,7 +12,7 @@
 
 use crate::runner::Scenario;
 use analysis::{Cell, Column, Table};
-use simnet::telemetry::export::chrome_trace;
+use simnet::chrome_trace;
 use simnet::{NodeAddr, SimDuration, TelemetryConfig};
 use std::collections::BTreeMap;
 use treep::{topic_key, KeyRange, RoutingAlgorithm, TreePConfig};

@@ -8,7 +8,7 @@
 //! tier-1: they move if the remote-send branch, the clamp of out-of-range
 //! destinations to the last shard, or the mailbox drain order changes.
 
-use experiments::scale::{run_scale, ScaleParams};
+use experiments::{run_scale, ScaleParams};
 
 const SEED: u64 = 2005;
 

@@ -15,7 +15,7 @@
 //! before): an entry stamped on the gossip horizon is no longer advertised.
 
 use experiments::{
-    compare_multicast, compare_overlays, figures, maintenance, run_churn_experiment,
+    compare_multicast, compare_overlays, extract_figure, maintenance_table, run_churn_experiment,
     run_durability, sweep_multicast_loss, DurabilityParams, ExperimentParams, Figure,
     LossSweepParams, MulticastParams,
 };
@@ -40,13 +40,13 @@ fn quick_suite_renders_its_pinned_digest() {
 
     let mut rendered = Vec::new();
     for figure in Figure::ALL {
-        let data = figures::extract(figure, &fixed, Some(&adaptive));
+        let data = extract_figure(figure, &fixed, Some(&adaptive));
         let title = format!("Figure {figure} — {}", figure.description());
         let table = data.to_table(&title);
         rendered.push(table.render());
         rendered.push(table.to_csv());
     }
-    rendered.push(maintenance::to_table(&[&fixed, &adaptive]).render());
+    rendered.push(maintenance_table(&[&fixed, &adaptive]).render());
     rendered.push(durability.to_table().render());
     rendered.push(durability.to_table().to_csv());
     rendered.push(

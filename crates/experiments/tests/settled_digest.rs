@@ -36,7 +36,7 @@ fn settled_idle_overlay_replays_its_pinned_digest() {
     let mut sim = Simulation::new(SimConfig::default(), SEED);
     sim.enable_digest();
     let topo = TopologyBuilder::new(NODES).build(&mut sim);
-    assert_eq!(topo.len(), NODES);
+    assert_eq!(topo.nodes.len(), NODES);
     // Settle (the builder's default three virtual seconds), then idle.
     sim.run_for(SimDuration::from_secs(3));
     sim.run_for(SimDuration::from_secs(4));

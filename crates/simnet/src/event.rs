@@ -8,7 +8,7 @@ use crate::time::SimTime;
 /// The scheduler orders events by `(time, seq)`; `seq` is assigned in
 /// scheduling order so simultaneous events are processed FIFO, which keeps
 /// runs deterministic.
-pub type EventSeq = u64;
+pub(crate) type EventSeq = u64;
 
 /// What an event does when it is dispatched.
 #[derive(Debug, Clone)]
@@ -56,7 +56,7 @@ pub struct Event<M> {
 
 impl<M> Event<M> {
     /// Convenience constructor.
-    pub fn new(at: SimTime, seq: EventSeq, kind: EventKind<M>) -> Self {
+    pub(crate) fn new(at: SimTime, seq: EventSeq, kind: EventKind<M>) -> Self {
         Event { at, seq, kind }
     }
 

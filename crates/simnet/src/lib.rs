@@ -39,21 +39,21 @@
 //! assert_eq!(sim.node(NodeAddr(0)).unwrap().greeted, 3);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod event;
-pub mod link;
-pub mod metrics;
+mod event;
+mod link;
+mod metrics;
 mod prefetch;
-pub mod protocol;
-pub mod rng;
-pub mod scheduler;
-pub mod shard;
-pub mod sim;
-pub mod telemetry;
-pub mod time;
+mod protocol;
+mod rng;
+mod scheduler;
+mod shard;
+mod sim;
+mod telemetry;
+mod time;
 
 pub use event::{Event, EventKind};
 pub use link::{LatencyModel, LinkModel, LossModel};
@@ -64,5 +64,5 @@ pub use rng::SimRng;
 pub use scheduler::{HeapScheduler, Scheduler};
 pub use shard::ShardedSimulation;
 pub use sim::{SimConfig, Simulation};
-pub use telemetry::{Telemetry, TelemetryConfig, TraceCtx};
+pub use telemetry::{chrome_trace, Telemetry, TelemetryConfig, TraceCtx};
 pub use time::{SimDuration, SimTime};

@@ -25,7 +25,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Draw a latency sample.
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
             LatencyModel::Uniform { min, max } => {
@@ -38,19 +38,11 @@ impl LatencyModel {
         }
     }
 
-    /// The largest latency this model can produce.
-    pub fn max(&self) -> SimDuration {
-        match *self {
-            LatencyModel::Fixed(d) => d,
-            LatencyModel::Uniform { max, .. } => max,
-        }
-    }
-
     /// The smallest latency this model can produce. This lower bound is the
     /// *lookahead* of conservative parallel simulation: a message sent at
     /// time `t` cannot arrive before `t + min`, so shards may safely run
     /// `min` ahead of each other between synchronisation barriers.
-    pub fn min(&self) -> SimDuration {
+    pub(crate) fn min(&self) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
             LatencyModel::Uniform { min, .. } => min,
@@ -72,7 +64,7 @@ pub enum LossModel {
 
 impl LossModel {
     /// Returns true when the message should be dropped.
-    pub fn drops(&self, rng: &mut SimRng) -> bool {
+    pub(crate) fn drops(&self, rng: &mut SimRng) -> bool {
         match *self {
             LossModel::None => false,
             LossModel::Bernoulli { p } => rng.gen_bool(p),
@@ -102,14 +94,6 @@ impl Default for LinkModel {
 }
 
 impl LinkModel {
-    /// A zero-latency, lossless model, handy for unit tests.
-    pub fn ideal() -> Self {
-        LinkModel {
-            latency: LatencyModel::Fixed(SimDuration::from_micros(1)),
-            loss: LossModel::None,
-        }
-    }
-
     /// Decide the fate of one message: `None` if dropped, otherwise the
     /// one-way delivery latency.
     pub fn transmit(
@@ -122,6 +106,28 @@ impl LinkModel {
             None
         } else {
             Some(self.latency.sample(rng))
+        }
+    }
+}
+
+#[cfg(test)]
+impl LatencyModel {
+    /// The largest latency this model can produce.
+    pub(crate) fn max(&self) -> SimDuration {
+        match *self {
+            LatencyModel::Fixed(d) => d,
+            LatencyModel::Uniform { max, .. } => max,
+        }
+    }
+}
+
+#[cfg(test)]
+impl LinkModel {
+    /// A zero-latency, lossless model, handy for unit tests.
+    pub(crate) fn ideal() -> Self {
+        LinkModel {
+            latency: LatencyModel::Fixed(SimDuration::from_micros(1)),
+            loss: LossModel::None,
         }
     }
 }

@@ -39,7 +39,7 @@ impl SimMetrics {
 
     /// Sum of every counter with another engine's; a sharded run reports
     /// the total over its shards.
-    pub fn plus(&self, other: &SimMetrics) -> SimMetrics {
+    pub(crate) fn plus(&self, other: &SimMetrics) -> SimMetrics {
         self.zip_with(other, |a, b| a + b)
     }
 

@@ -330,11 +330,6 @@ impl<M> HeapScheduler<M> {
         }
     }
 
-    /// The current virtual time (time of the most recently popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
         self.heap.len()

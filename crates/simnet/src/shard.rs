@@ -66,8 +66,8 @@ type MailboxRow<M> = Vec<Mutex<Vec<Outgoing<M>>>>;
 
 /// A simulation partitioned across OS threads by node address range.
 ///
-/// See the [module docs](self) for the barrier protocol and determinism
-/// argument. The population must be added before the first `run_*` call;
+/// The barrier protocol and the determinism argument are in the module
+/// notes of `shard.rs`. The population must be added before the first `run_*` call;
 /// node addition mid-run is not supported (a stand-alone [`Simulation`]
 /// covers that use case).
 pub struct ShardedSimulation<P: Protocol> {
@@ -112,11 +112,6 @@ impl<P: Protocol> ShardedSimulation<P> {
         }
     }
 
-    /// The shard owning `addr`, if any.
-    fn owner(&self, addr: NodeAddr) -> Option<&Simulation<P>> {
-        self.shards.get((addr.0 / self.block) as usize)
-    }
-
     /// Add a node (start scheduled at time zero, before the first run).
     /// Panics past `capacity`.
     pub fn add_node(&mut self, proto: P) -> NodeAddr {
@@ -142,17 +137,9 @@ impl<P: Protocol> ShardedSimulation<P> {
     }
 
     /// Per-shard telemetry sinks, in shard order; empty when telemetry is
-    /// off. Merge span logs with [`crate::telemetry::export::chrome_trace`].
+    /// off. Merge span logs with [`crate::chrome_trace`].
     pub fn telemetries(&self) -> Vec<&Telemetry> {
         self.shards.iter().filter_map(|s| s.telemetry()).collect()
-    }
-
-    /// Sampled dispatch-cost observations summed over all shards.
-    pub fn dispatch_samples(&self) -> u64 {
-        self.telemetries()
-            .iter()
-            .map(|t| t.dispatch_samples())
-            .sum()
     }
 
     /// Barrier-stall observations summed over all shards.
@@ -186,21 +173,6 @@ impl<P: Protocol> ShardedSimulation<P> {
                 sum.plus(&shard.metrics())
             })
     }
-
-    /// Immutable access to a node's protocol state.
-    pub fn node(&self, addr: NodeAddr) -> Option<&P> {
-        self.owner(addr)?.node(addr)
-    }
-
-    /// Is the node currently alive?
-    pub fn is_alive(&self, addr: NodeAddr) -> bool {
-        self.owner(addr).is_some_and(|s| s.is_alive(addr))
-    }
-
-    /// Total events still queued across all shards.
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(Simulation::pending_events).sum()
-    }
 }
 
 impl<P> ShardedSimulation<P>
@@ -208,11 +180,6 @@ where
     P: Protocol + Send,
     P::Message: Send,
 {
-    /// Run until every shard's queue drains.
-    pub fn run_until_idle(&mut self) {
-        self.run_until(SimTime::MAX);
-    }
-
     /// Run until virtual time reaches `deadline` (events at exactly
     /// `deadline` are processed) or all queues drain. Spawns one OS thread
     /// per shard for the duration of the call.
@@ -309,6 +276,36 @@ where
                 });
             }
         });
+    }
+}
+
+#[cfg(test)]
+impl<P: Protocol> ShardedSimulation<P> {
+    /// The shard owning `addr`, if any.
+    fn owner(&self, addr: NodeAddr) -> Option<&Simulation<P>> {
+        self.shards.get((addr.0 / self.block) as usize)
+    }
+
+    /// Is the node currently alive?
+    pub(crate) fn is_alive(&self, addr: NodeAddr) -> bool {
+        self.owner(addr).is_some_and(|s| s.is_alive(addr))
+    }
+
+    /// Total events still queued across all shards.
+    pub(crate) fn pending_events(&self) -> usize {
+        self.shards.iter().map(Simulation::pending_events).sum()
+    }
+}
+
+#[cfg(test)]
+impl<P> ShardedSimulation<P>
+where
+    P: Protocol + Send,
+    P::Message: Send,
+{
+    /// Run until every shard's queue drains.
+    pub(crate) fn run_until_idle(&mut self) {
+        self.run_until(SimTime::MAX);
     }
 }
 

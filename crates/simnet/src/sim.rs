@@ -101,7 +101,7 @@ pub(crate) struct Outgoing<M> {
 }
 
 /// Seed of the 64-bit FNV-1a-style event digest.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One xor-multiply round over a whole 64-bit word. A byte-wise FNV would
@@ -240,7 +240,7 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Turn telemetry on: metrics registry, causal spans, engine profiling
-    /// and the flight recorder (see [`crate::telemetry`]). Inert with
+    /// and the flight recorder (see `crate::telemetry`). Inert with
     /// respect to simulation behaviour — a digest-pinned test holds the
     /// engine to that. Trace and span ids carry the placement index in
     /// their high bits, so the sinks of a sharded run merge collision-free.

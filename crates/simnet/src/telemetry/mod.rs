@@ -45,14 +45,16 @@
 //! or `chrome://tracing`; `reproduce --trace-out FILE` writes one for a
 //! seeded run.
 
-pub mod export;
-pub mod recorder;
-pub mod registry;
-pub mod span;
+mod export;
+mod recorder;
+mod registry;
+mod span;
 
-pub use recorder::{FlightEntry, FlightRecorder};
-pub use registry::{Histogram, MetricId, MetricKind, MetricsRegistry};
-pub use span::{NoteRecord, SpanLog, SpanRecord, TraceCtx};
+pub use export::chrome_trace;
+pub(crate) use recorder::{FlightEntry, FlightRecorder};
+pub(crate) use registry::{Histogram, MetricId, MetricsRegistry};
+pub use span::TraceCtx;
+pub(crate) use span::{NoteRecord, SpanLog, SpanRecord};
 
 use crate::metrics::SimMetrics;
 use crate::protocol::NodeAddr;
@@ -128,11 +130,6 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry for a single-threaded host (id tag 0).
-    pub fn new(config: TelemetryConfig) -> Self {
-        Telemetry::with_tag(config, 0)
-    }
-
     /// Telemetry whose trace/span ids carry `tag << 48` in the high bits,
     /// keeping per-shard allocators collision-free without coordination.
     ///
@@ -140,7 +137,7 @@ impl Telemetry {
     ///
     /// When `config.sample_every` is zero: no cadence could ever pass the
     /// current time.
-    pub fn with_tag(config: TelemetryConfig, tag: u64) -> Self {
+    pub(crate) fn with_tag(config: TelemetryConfig, tag: u64) -> Self {
         assert!(
             config.sample_every > SimDuration::ZERO,
             "TelemetryConfig::sample_every must be positive"
@@ -192,7 +189,12 @@ impl Telemetry {
 
     /// Open a root span for an originated operation; the returned context
     /// is what child sends propagate.
-    pub fn start_trace(&mut self, name: &'static str, now: SimTime, node: NodeAddr) -> TraceCtx {
+    pub(crate) fn start_trace(
+        &mut self,
+        name: &'static str,
+        now: SimTime,
+        node: NodeAddr,
+    ) -> TraceCtx {
         let trace_id = self.alloc_trace();
         let span = self.alloc_span();
         self.spans.push_span(SpanRecord {
@@ -215,7 +217,7 @@ impl Telemetry {
     /// Record one message hop under `ctx`: sent at `start`, delivered at
     /// `end` (`None` = dropped by the link). Returns the hop's span id —
     /// the `parent_span` the receiving execution continues under.
-    pub fn record_hop(
+    pub(crate) fn record_hop(
         &mut self,
         label: &'static str,
         ctx: TraceCtx,
@@ -240,7 +242,7 @@ impl Telemetry {
     }
 
     /// Attach an instant note to the current span.
-    pub fn note(&mut self, label: &'static str, ctx: TraceCtx, at: SimTime, node: NodeAddr) {
+    pub(crate) fn note(&mut self, label: &'static str, ctx: TraceCtx, at: SimTime, node: NodeAddr) {
         self.spans.push_note(NoteRecord {
             trace_id: ctx.trace_id,
             span: ctx.parent_span,
@@ -252,12 +254,12 @@ impl Telemetry {
 
     /// Stash the trace context of an in-flight message under its scheduler
     /// sequence number.
-    pub fn put_inflight(&mut self, seq: u64, ctx: TraceCtx) {
+    pub(crate) fn put_inflight(&mut self, seq: u64, ctx: TraceCtx) {
         self.inflight.insert(seq, ctx);
     }
 
     /// Claim the trace context of a delivery, if the message carried one.
-    pub fn take_inflight(&mut self, seq: u64) -> Option<TraceCtx> {
+    pub(crate) fn take_inflight(&mut self, seq: u64) -> Option<TraceCtx> {
         if self.inflight.is_empty() {
             None
         } else {
@@ -268,14 +270,14 @@ impl Telemetry {
     /// True on the 1-in-64 dispatches whose wall-clock cost should be
     /// measured (keeps `Instant::now` off the common path).
     #[inline]
-    pub fn should_time(&mut self) -> bool {
+    pub(crate) fn should_time(&mut self) -> bool {
         self.dispatch_tick = self.dispatch_tick.wrapping_add(1);
         self.time_dispatch && self.dispatch_tick & 63 == 0
     }
 
     /// Record a sampled dispatch cost for digest tag `tag` (0 deliver …
     /// 3 fail).
-    pub fn record_dispatch(&mut self, tag: u8, nanos: u64) {
+    pub(crate) fn record_dispatch(&mut self, tag: u8, nanos: u64) {
         let id = self.ids.dispatch[(tag as usize).min(3)];
         self.registry.observe(id, nanos);
     }
@@ -290,17 +292,17 @@ impl Telemetry {
     }
 
     /// Record one barrier wait's wall-clock stall.
-    pub fn record_barrier_stall(&mut self, nanos: u64) {
+    pub(crate) fn record_barrier_stall(&mut self, nanos: u64) {
         self.registry.observe(self.ids.barrier_stall, nanos);
     }
 
     /// Count one completed sharded epoch.
-    pub fn record_barrier_epoch(&mut self) {
+    pub(crate) fn record_barrier_epoch(&mut self) {
         self.registry.add(self.ids.barrier_epochs, 1);
     }
 
     /// Number of barrier stall observations.
-    pub fn barrier_stall_samples(&self) -> u64 {
+    pub(crate) fn barrier_stall_samples(&self) -> u64 {
         self.registry.value(self.ids.barrier_stall)
     }
 
@@ -322,7 +324,7 @@ impl Telemetry {
     /// if a sample tick elapsed. Hosts call this once per dispatched event;
     /// the interval check is two compares.
     #[inline]
-    pub fn maybe_sample(&mut self, now: SimTime, metrics: &SimMetrics) {
+    pub(crate) fn maybe_sample(&mut self, now: SimTime, metrics: &SimMetrics) {
         if now < self.next_sample {
             return;
         }
@@ -337,6 +339,14 @@ impl Telemetry {
         while self.next_sample <= now {
             self.next_sample += self.sample_every;
         }
+    }
+}
+
+#[cfg(test)]
+impl Telemetry {
+    /// Telemetry for a single-threaded host (id tag 0).
+    pub(crate) fn new(config: TelemetryConfig) -> Self {
+        Telemetry::with_tag(config, 0)
     }
 }
 

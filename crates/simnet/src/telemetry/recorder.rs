@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// One dispatched event, compressed to the digest's view of it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FlightEntry {
+pub(crate) struct FlightEntry {
     /// Virtual dispatch time.
     pub at: SimTime,
     /// Scheduler sequence number.
@@ -48,7 +48,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder retaining the most recent `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         FlightRecorder {
             buf: Vec::with_capacity(cap.min(1 << 20)),
             cap: cap.max(1),
@@ -59,7 +59,7 @@ impl FlightRecorder {
 
     /// Record one event, evicting the oldest past capacity.
     #[inline]
-    pub fn record(&mut self, entry: FlightEntry) {
+    pub(crate) fn record(&mut self, entry: FlightEntry) {
         if self.buf.len() < self.cap {
             self.buf.push(entry);
         } else {
@@ -72,23 +72,13 @@ impl FlightRecorder {
         self.total += 1;
     }
 
-    /// Events recorded over the recorder's lifetime (≥ retained count).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Number of events currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Retained entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FlightEntry> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &FlightEntry> {
         self.buf[self.head..]
             .iter()
             .chain(self.buf[..self.head].iter())
@@ -147,6 +137,14 @@ macro_rules! flight_assert_eq {
             assert_eq!(l, r $(, $($arg)+)?);
         }
     }};
+}
+
+#[cfg(test)]
+impl FlightRecorder {
+    /// Events recorded over the recorder's lifetime (≥ retained count).
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
 }
 
 #[cfg(test)]

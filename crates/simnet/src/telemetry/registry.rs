@@ -21,7 +21,7 @@ pub struct MetricId(u16);
 
 /// The shape of a registered metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonic counter.
     Counter,
     /// Last-write-wins gauge.
@@ -60,7 +60,7 @@ impl Histogram {
     }
 
     /// Record one observation.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v).min(63)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
@@ -85,20 +85,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Upper bound of the bucket holding the `q`-quantile observation
@@ -135,7 +121,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry retaining at most `sample_cap` samples per scalar
     /// metric.
-    pub fn new(sample_cap: usize) -> Self {
+    pub(crate) fn new(sample_cap: usize) -> Self {
         MetricsRegistry {
             sample_cap,
             ..MetricsRegistry::default()
@@ -170,7 +156,7 @@ impl MetricsRegistry {
     }
 
     /// Register a monotonic counter.
-    pub fn counter(&mut self, name: &'static str) -> MetricId {
+    pub(crate) fn counter(&mut self, name: &'static str) -> MetricId {
         self.register(name, MetricKind::Counter)
     }
 
@@ -180,13 +166,13 @@ impl MetricsRegistry {
     }
 
     /// Register a log₂-bucketed histogram.
-    pub fn histogram(&mut self, name: &'static str) -> MetricId {
+    pub(crate) fn histogram(&mut self, name: &'static str) -> MetricId {
         self.register(name, MetricKind::Histogram)
     }
 
     /// Increment a counter (or gauge) by `delta`.
     #[inline]
-    pub fn add(&mut self, id: MetricId, delta: u64) {
+    pub(crate) fn add(&mut self, id: MetricId, delta: u64) {
         let slot = self.slots[id.0 as usize] as usize;
         self.values[slot] += delta;
     }
@@ -200,13 +186,13 @@ impl MetricsRegistry {
 
     /// Record `v` into a histogram.
     #[inline]
-    pub fn observe(&mut self, id: MetricId, v: u64) {
+    pub(crate) fn observe(&mut self, id: MetricId, v: u64) {
         let slot = self.slots[id.0 as usize] as usize;
         self.hists[slot].record(v);
     }
 
     /// Current value of a scalar metric.
-    pub fn value(&self, id: MetricId) -> u64 {
+    pub(crate) fn value(&self, id: MetricId) -> u64 {
         match self.kinds[id.0 as usize] {
             MetricKind::Histogram => self.hists[self.slots[id.0 as usize] as usize].count(),
             _ => self.values[self.slots[id.0 as usize] as usize],
@@ -214,29 +200,11 @@ impl MetricsRegistry {
     }
 
     /// The histogram behind `id`, if it is one.
-    pub fn histogram_of(&self, id: MetricId) -> Option<&Histogram> {
+    pub(crate) fn histogram_of(&self, id: MetricId) -> Option<&Histogram> {
         match self.kinds[id.0 as usize] {
             MetricKind::Histogram => Some(&self.hists[self.slots[id.0 as usize] as usize]),
             _ => None,
         }
-    }
-
-    /// The registered name of `id`.
-    pub fn name(&self, id: MetricId) -> &'static str {
-        self.names[id.0 as usize]
-    }
-
-    /// Look a metric up by registered name.
-    pub fn by_name(&self, name: &str) -> Option<MetricId> {
-        self.names
-            .iter()
-            .position(|n| *n == name)
-            .map(|i| MetricId(i as u16))
-    }
-
-    /// Sampled `(virtual µs, value)` series for a scalar metric.
-    pub fn series(&self, id: MetricId) -> &[(u64, u64)] {
-        &self.series[id.0 as usize]
     }
 
     /// Snapshot every scalar metric (and histogram count) into its series.
@@ -251,6 +219,44 @@ impl MetricsRegistry {
                 s.push((t, v));
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl Histogram {
+    /// Smallest observation (0 when empty).
+    pub(crate) fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
+    /// Largest observation.
+    pub(crate) fn max(&self) -> u64 {
+        self.max
+    }
+}
+
+#[cfg(test)]
+impl MetricsRegistry {
+    /// The registered name of `id`.
+    pub(crate) fn name(&self, id: MetricId) -> &'static str {
+        self.names[id.0 as usize]
+    }
+
+    /// Look a metric up by registered name.
+    pub(crate) fn by_name(&self, name: &str) -> Option<MetricId> {
+        self.names
+            .iter()
+            .position(|n| *n == name)
+            .map(|i| MetricId(i as u16))
+    }
+
+    /// Sampled `(virtual µs, value)` series for a scalar metric.
+    pub(crate) fn series(&self, id: MetricId) -> &[(u64, u64)] {
+        &self.series[id.0 as usize]
     }
 }
 

@@ -77,7 +77,7 @@ pub struct SpanLog {
 
 impl SpanLog {
     /// An empty log that keeps at most `cap` spans (and `cap` notes).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         SpanLog {
             spans: Vec::new(),
             notes: Vec::new(),
@@ -87,7 +87,7 @@ impl SpanLog {
     }
 
     /// Append a span, or count it as dropped past the cap.
-    pub fn push_span(&mut self, rec: SpanRecord) {
+    pub(crate) fn push_span(&mut self, rec: SpanRecord) {
         if self.spans.len() < self.cap {
             self.spans.push(rec);
         } else {
@@ -96,7 +96,7 @@ impl SpanLog {
     }
 
     /// Append a note, or count it as dropped past the cap.
-    pub fn push_note(&mut self, rec: NoteRecord) {
+    pub(crate) fn push_note(&mut self, rec: NoteRecord) {
         if self.notes.len() < self.cap {
             self.notes.push(rec);
         } else {

@@ -51,20 +51,10 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Seconds since the start of the simulation (truncating).
-    pub fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Duration elapsed since `earlier`, saturating at zero if `earlier` is
     /// in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// `self + d`, saturating at [`SimTime::MAX`].
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 
@@ -90,11 +80,6 @@ impl SimDuration {
     /// The duration in microseconds.
     pub fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// The duration in milliseconds (truncating).
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The duration in seconds (truncating).
@@ -150,6 +135,22 @@ impl fmt::Display for SimTime {
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{:06}s", self.0 / 1_000_000, self.0 % 1_000_000)
+    }
+}
+
+#[cfg(test)]
+impl SimTime {
+    /// `self + d`, saturating at [`SimTime::MAX`].
+    pub(crate) fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
+}
+
+#[cfg(test)]
+impl SimDuration {
+    /// The duration in milliseconds (truncating).
+    pub(crate) fn as_millis(self) -> u64 {
+        self.0 / 1_000
     }
 }
 

@@ -47,12 +47,12 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use simnet::NodeAddr;
-use treep::lookup::{LookupRequest, RequestId};
 use treep::{
     AggregatePartial, AggregateQuery, CharacteristicsSummary, KeyRange, MulticastPayload,
     MulticastPhase, NodeId, PeerInfo, ReadSource, ReplicaEntry, RoutingAlgorithm, RoutingUpdate,
     StampedValue, TreePMessage, VersionStamp,
 };
+use treep::{LookupRequest, RequestId};
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +108,7 @@ const PREALLOC_CAP: usize = 1024;
 /// `u32` length prefix followed by its [`encode_message`] bytes. Callers
 /// batching on the send path keep the encoded frames around for MTU
 /// accounting; this avoids encoding each message twice.
-pub fn encode_batch_frames(frames: &[Vec<u8>]) -> Vec<u8> {
+pub(crate) fn encode_batch_frames(frames: &[Vec<u8>]) -> Vec<u8> {
     let payload: usize = frames.iter().map(|f| 4 + f.len()).sum();
     let mut buf = BytesMut::with_capacity(5 + payload);
     buf.put_u8(TAG_BATCH);
@@ -120,7 +120,7 @@ pub fn encode_batch_frames(frames: &[Vec<u8>]) -> Vec<u8> {
 }
 
 /// Encode several messages into one batch datagram (see
-/// [`encode_batch_frames`] for the layout).
+/// `encode_batch_frames` for the layout).
 pub fn encode_batch(msgs: &[TreePMessage]) -> Vec<u8> {
     let frames: Vec<Vec<u8>> = msgs.iter().map(encode_message).collect();
     encode_batch_frames(&frames)

@@ -27,11 +27,11 @@
 //! peer.lookup(NodeId(1_000), RoutingAlgorithm::Greedy);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod codec;
-pub mod transport;
+pub mod codec; // public: `benchmark/` calls `encode_batch` and `decode_datagram` by path
+mod transport;
 
 pub use codec::{decode_message, encode_message, CodecError};
-pub use transport::{addr_to_node_addr, node_addr_to_socket, TransportStats, UdpNode};
+pub use transport::{TransportStats, UdpNode};

@@ -28,7 +28,7 @@ use treep::{
 /// Pack an IPv4 socket address into a [`NodeAddr`] (upper 32 bits: address,
 /// lower 16 bits: port). The mapping is lossless, so overlay messages can
 /// carry real transport addresses inside their `PeerInfo` entries.
-pub fn addr_to_node_addr(addr: SocketAddr) -> NodeAddr {
+pub(crate) fn addr_to_node_addr(addr: SocketAddr) -> NodeAddr {
     match addr {
         SocketAddr::V4(v4) => {
             let ip = u32::from(*v4.ip()) as u64;
@@ -39,7 +39,7 @@ pub fn addr_to_node_addr(addr: SocketAddr) -> NodeAddr {
 }
 
 /// Inverse of [`addr_to_node_addr`].
-pub fn node_addr_to_socket(addr: NodeAddr) -> SocketAddr {
+pub(crate) fn node_addr_to_socket(addr: NodeAddr) -> SocketAddr {
     let ip = Ipv4Addr::from(((addr.0 >> 16) & 0xFFFF_FFFF) as u32);
     let port = (addr.0 & 0xFFFF) as u16;
     SocketAddr::V4(SocketAddrV4::new(ip, port))

@@ -21,7 +21,10 @@ pub struct HierarchyAudit {
     pub level_population: BTreeMap<u32, usize>,
     /// The height of the hierarchy (highest populated level).
     pub height: u32,
-    /// Nodes (beyond the root) without a parent entry.
+    /// Nodes without a parent entry: one in a single tree, one per tree in
+    /// a split hierarchy, none for the nodes on and below a parent cycle.
+    pub roots: usize,
+    /// The roots below the top level.
     pub orphans: usize,
     /// Nodes whose parent entry refers to an ID outside the inspected set.
     pub dangling_parents: usize,
@@ -44,9 +47,11 @@ pub struct HierarchyAudit {
 }
 
 impl HierarchyAudit {
-    /// True when the audit found none of the structural problems.
+    /// True when the audit found one root and none of the structural
+    /// problems.
     pub fn is_clean(&self) -> bool {
-        self.orphans == 0
+        self.roots == 1
+            && self.orphans == 0
             && self.dangling_parents == 0
             && self.inverted_parents == 0
             && self.parent_cycles == 0
@@ -69,7 +74,6 @@ where
         .map(|n| n.tables().parent().and_then(|p| index.get(&p.id).copied()))
         .collect();
     let mut level_population: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut orphans = 0usize;
     let mut dangling_parents = 0usize;
     let mut inverted_parents = 0usize;
     let mut overfull_parents = 0usize;
@@ -87,12 +91,7 @@ where
         height = height.max(node.max_level());
 
         match (node.tables().parent(), parent) {
-            (None, _) => {
-                // The root (a node at the top level) legitimately has no parent.
-                if node.max_level() < height || nodes.len() == 1 {
-                    orphans += 1;
-                }
-            }
+            (None, _) => {}
             (Some(_), None) => dangling_parents += 1,
             (Some(_), Some(p)) => {
                 inverted_parents += usize::from(nodes[*p].max_level() <= node.max_level());
@@ -116,17 +115,11 @@ where
         max_table_size = max_table_size.max(node.tables().sizes().total());
     }
 
-    // The orphan count above guessed the height while iterating; recompute
-    // properly: only nodes strictly below the final height count as orphans.
-    let mut orphans_final = 0usize;
-    for node in &nodes {
-        if node.tables().parent().is_none() && node.max_level() < height {
-            orphans_final += 1;
-        }
-    }
-    if nodes.len() > 1 {
-        orphans = orphans_final;
-    }
+    // A root below the top level is an orphan, so both counts wait for the
+    // height.
+    let parentless = || nodes.iter().filter(|n| n.tables().parent().is_none());
+    let roots = parentless().count();
+    let orphans = parentless().filter(|n| n.max_level() < height).count();
 
     // Every node has at most one parent, so a walk up the graph either ends
     // or runs into a node already walked — and running into a node of the
@@ -146,6 +139,7 @@ where
         nodes: nodes.len(),
         level_population,
         height,
+        roots,
         orphans,
         dangling_parents,
         inverted_parents,
@@ -267,6 +261,28 @@ mod tests {
         let report = audit(nodes.iter());
         assert_eq!(report.orphans, 1);
         assert_eq!(report.dangling_parents, 1);
+        assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn two_roots_over_one_ring_are_not_clean() {
+        // Two level-1 trees over one intact level-0 ring 50-100-150-200:
+        // no orphan, no dangling parent, but two roots that never met.
+        let t = SimTime::ZERO;
+        let ring = [(50, 0), (100, 1), (150, 0), (200, 1)];
+        let mut nodes: Vec<TreePNode> = ring.iter().map(|&(id, lvl)| node(id, lvl)).collect();
+        for (i, n) in nodes.iter_mut().enumerate() {
+            for (id, lvl) in [ring[(i + 1) % 4], ring[(i + 3) % 4]] {
+                n.seed_level0_neighbor(peer(id, lvl), t);
+            }
+        }
+        nodes[0].seed_parent(peer(100, 1), t);
+        nodes[1].seed_child(peer(50, 0), true, t);
+        nodes[2].seed_parent(peer(200, 1), t);
+        nodes[3].seed_child(peer(150, 0), true, t);
+        let report = audit(nodes.iter());
+        assert_eq!((report.roots, report.orphans), (2, 0), "{report:?}");
+        assert_eq!(report.dangling_parents + report.under_connected, 0);
         assert!(!report.is_clean());
     }
 

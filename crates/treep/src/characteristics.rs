@@ -128,7 +128,7 @@ impl NodeCharacteristics {
 
     /// Election countdown: "a node that has higher characteristics will have
     /// smaller countdown initial value" (Section III.b).
-    pub fn election_countdown(&self, base: SimDuration) -> SimDuration {
+    pub(crate) fn election_countdown(&self, base: SimDuration) -> SimDuration {
         let score = self.capability_score();
         // score 1.0 -> 10% of base, score 0.0 -> 100% of base.
         let factor = 1.0 - 0.9 * score;
@@ -138,14 +138,14 @@ impl NodeCharacteristics {
     /// Demotion countdown: the inverse rule — "the higher is the
     /// characteristic the longer is the countdown", so strong parents hold
     /// their position longer while waiting to regain children.
-    pub fn demotion_countdown(&self, base: SimDuration) -> SimDuration {
+    pub(crate) fn demotion_countdown(&self, base: SimDuration) -> SimDuration {
         let score = self.capability_score();
         let factor = 1.0 + 4.0 * score;
         SimDuration::from_micros((base.as_micros() as f64 * factor) as u64)
     }
 
     /// Record `dt` more seconds of uptime.
-    pub fn add_uptime(&mut self, dt_secs: u64) {
+    pub(crate) fn add_uptime(&mut self, dt_secs: u64) {
         self.uptime_s = self.uptime_s.saturating_add(dt_secs);
     }
 }
@@ -170,9 +170,12 @@ impl CharacteristicsSummary {
             max_children: full.max_children(policy),
         }
     }
+}
 
+#[cfg(test)]
+impl CharacteristicsSummary {
     /// The capability score as a float.
-    pub fn score(&self) -> f64 {
+    pub(crate) fn score(&self) -> f64 {
         self.score_milli as f64 / 1000.0
     }
 }

@@ -43,8 +43,8 @@ impl ChildPolicy {
 /// timing of the overlay, and one switch per optional layer, each off by
 /// default and byte-identical to the layer's absence while off. A value
 /// that has one setting at every caller is not a field but a `pub const` of
-/// the layer that reads it, in [`crate::tables`], [`crate::multicast`],
-/// [`crate::replication`] and [`crate::pubsub`].
+/// the layer that reads it, in `crate::tables`, `crate::multicast`,
+/// `crate::replication` and `crate::pubsub`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TreePConfig {
     /// The 1-D identifier space.
@@ -75,7 +75,7 @@ pub struct TreePConfig {
     pub lookup_timeout: SimDuration,
     /// Number of copies of every DHT value the overlay maintains: the
     /// responsible node plus its `k - 1` nearest registry neighbours of the
-    /// key coordinate (see [`crate::replication`]). `1` disables replication
+    /// key coordinate (see `crate::replication`). `1` disables replication
     /// entirely (the paper's single-copy DHT): no replica pushes, no
     /// anti-entropy timer, byte-identical behaviour to the unreplicated
     /// protocol.
@@ -91,7 +91,7 @@ pub struct TreePConfig {
     /// node on the route holding a replica whose stamp satisfies the
     /// client, instead of only by the responsible node; that node then
     /// probes the responsible node with the served stamp (read-repair, see
-    /// [`crate::readpath`]). `false` keeps the single-responder behaviour.
+    /// `crate::readpath`). `false` keeps the single-responder behaviour.
     pub replica_reads: bool,
     /// Read-path: number of lines of the per-node hot-key cache filled on
     /// the reply path of versioned gets. `0` disables the cache entirely:
@@ -102,7 +102,7 @@ pub struct TreePConfig {
     /// Bounds how stale a cache-served value can be (cache hits do not send
     /// read-repair probes). Only meaningful when `cache_capacity > 0`.
     pub cache_ttl: SimDuration,
-    /// Pub/sub: enable the topic layer (see [`crate::pubsub`]). When off —
+    /// Pub/sub: enable the topic layer (see `crate::pubsub`). When off —
     /// the default — no filter reports are sent, no subscription state is
     /// kept, and the protocol is byte-identical to a deployment without
     /// the layer.
@@ -153,7 +153,7 @@ impl TreePConfig {
 
     /// Validate internal consistency; returns a human-readable complaint for
     /// the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.height == 0 {
             return Err("height must be at least 1".into());
         }
@@ -213,7 +213,7 @@ impl TreePConfig {
 
     /// Enable the full read-path serving layer: replica-first gets with
     /// read-repair, and (when `cache_capacity > 0`) the per-hop hot-key
-    /// cache of that many lines (see [`crate::readpath`]).
+    /// cache of that many lines (see `crate::readpath`).
     pub fn with_read_path(mut self, cache_capacity: usize) -> Self {
         self.replica_reads = true;
         self.cache_capacity = cache_capacity;
@@ -223,7 +223,7 @@ impl TreePConfig {
     /// Enable the topic-based pub/sub layer: subscription filters reported
     /// up the tree next to child spans, subscriber directories as
     /// replicated DHT state, and subscription-aware fan-out pruning of
-    /// topic publishes (see [`crate::pubsub`]).
+    /// topic publishes (see `crate::pubsub`).
     pub fn with_pubsub(mut self) -> Self {
         self.pubsub_enabled = true;
         self

@@ -49,7 +49,7 @@ impl DhtStore {
     /// have seen the same writes, in whatever order, hold the same pair
     /// (equal stamps are byte-identical writes, see [`crate::readpath`]).
     /// Returns true when the write was applied.
-    pub fn merge(&mut self, key: NodeId, stamp: VersionStamp, value: Vec<u8>) -> bool {
+    pub(crate) fn merge(&mut self, key: NodeId, stamp: VersionStamp, value: Vec<u8>) -> bool {
         if self.stamp(key).is_some_and(|held| held > stamp) {
             return false;
         }
@@ -58,7 +58,7 @@ impl DhtStore {
     }
 
     /// Retrieve the value stored under `key`.
-    pub fn get(&self, key: NodeId) -> Option<&Vec<u8>> {
+    pub(crate) fn get(&self, key: NodeId) -> Option<&Vec<u8>> {
         self.values.get(&key).map(|held| &held.value)
     }
 
@@ -68,32 +68,22 @@ impl DhtStore {
     }
 
     /// The stamp of the value stored under `key`.
-    pub fn stamp(&self, key: NodeId) -> Option<VersionStamp> {
+    pub(crate) fn stamp(&self, key: NodeId) -> Option<VersionStamp> {
         self.values.get(&key).map(|held| held.stamp)
     }
 
     /// Remove the value stored under `key`.
-    pub fn remove(&mut self, key: NodeId) -> Option<StampedValue> {
+    pub(crate) fn remove(&mut self, key: NodeId) -> Option<StampedValue> {
         self.values.remove(&key)
     }
 
-    /// Number of stored values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Iterate over the stored `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &Vec<u8>)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&NodeId, &Vec<u8>)> {
         self.values.iter().map(|(key, held)| (key, &held.value))
     }
 
     /// True when a value is stored under `key`.
-    pub fn contains(&self, key: NodeId) -> bool {
+    pub(crate) fn contains(&self, key: NodeId) -> bool {
         self.values.contains_key(&key)
     }
 
@@ -109,7 +99,7 @@ impl DhtStore {
 
     /// The keys stored inside `range` with their stamped values, in key
     /// order.
-    pub fn entries_in_range(
+    pub(crate) fn entries_in_range(
         &self,
         range: KeyRange,
     ) -> impl Iterator<Item = (&NodeId, &StampedValue)> {
@@ -173,18 +163,34 @@ pub enum DhtOutcome {
 }
 
 impl DhtOutcome {
+    /// True unless the request timed out.
+    pub fn is_success(&self) -> bool {
+        !matches!(self, DhtOutcome::TimedOut { .. })
+    }
+}
+
+#[cfg(test)]
+impl DhtStore {
+    /// Number of stored values.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True when nothing is stored.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl DhtOutcome {
     /// The request this outcome belongs to.
-    pub fn request_id(&self) -> RequestId {
+    pub(crate) fn request_id(&self) -> RequestId {
         match self {
             DhtOutcome::PutAcked { request_id, .. }
             | DhtOutcome::GetAnswered { request_id, .. }
             | DhtOutcome::TimedOut { request_id, .. } => *request_id,
         }
-    }
-
-    /// True unless the request timed out.
-    pub fn is_success(&self) -> bool {
-        !matches!(self, DhtOutcome::TimedOut { .. })
     }
 }
 

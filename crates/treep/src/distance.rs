@@ -34,13 +34,8 @@ impl HierarchicalDistance {
         HierarchicalDistance { space, height }
     }
 
-    /// The identifier space.
-    pub fn space(&self) -> IdSpace {
-        self.space
-    }
-
     /// The hierarchy height `h`.
-    pub fn height(&self) -> u32 {
+    pub(crate) fn height(&self) -> u32 {
         self.height
     }
 
@@ -51,13 +46,13 @@ impl HierarchicalDistance {
 
     /// Coverage radius `L / 2^(h - lvl)` of a node whose maximum level is
     /// `lvl`.
-    pub fn coverage_radius(&self, lvl: u32) -> u64 {
+    pub(crate) fn coverage_radius(&self, lvl: u32) -> u64 {
         self.space.coverage_radius(self.height, lvl)
     }
 
     /// The hierarchical distance `D(a, b)` where `a` is a node at maximum
     /// level `lvl_a` and `b` is the target coordinate.
-    pub fn hierarchical(&self, a: NodeId, lvl_a: u32, b: NodeId) -> u64 {
+    pub(crate) fn hierarchical(&self, a: NodeId, lvl_a: u32, b: NodeId) -> u64 {
         let d = self.euclidean(a, b);
         if lvl_a == 0 {
             return d;
@@ -66,9 +61,18 @@ impl HierarchicalDistance {
         d.saturating_sub(radius)
     }
 
+    /// True when `b` falls inside the region covered by a node `a` of level
+    /// `lvl_a` (i.e. `D(a, b) = 0` through the radius rule).
+    pub(crate) fn covers(&self, a: NodeId, lvl_a: u32, b: NodeId) -> bool {
+        lvl_a > 0 && self.euclidean(a, b) <= self.coverage_radius(lvl_a)
+    }
+}
+
+#[cfg(test)]
+impl HierarchicalDistance {
     /// The halving criterion used by the greedy algorithm of Figure 3:
     /// forward to `n` only when `D(n, x) <= 1/2 * D(a, x)`.
-    pub fn halves(
+    pub(crate) fn halves(
         &self,
         next: NodeId,
         next_lvl: u32,
@@ -79,12 +83,6 @@ impl HierarchicalDistance {
         let dn = self.hierarchical(next, next_lvl, target);
         let da = self.hierarchical(current, current_lvl, target);
         dn <= da / 2
-    }
-
-    /// True when `b` falls inside the region covered by a node `a` of level
-    /// `lvl_a` (i.e. `D(a, b) = 0` through the radius rule).
-    pub fn covers(&self, a: NodeId, lvl_a: u32, b: NodeId) -> bool {
-        lvl_a > 0 && self.euclidean(a, b) <= self.coverage_radius(lvl_a)
     }
 }
 

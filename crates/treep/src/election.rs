@@ -18,7 +18,7 @@ use simnet::{SimDuration, SimTime};
 
 /// State of an ongoing election this node participates in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ElectionRound {
+pub(crate) struct ElectionRound {
     /// The level the elected parent will occupy.
     pub level: u32,
     /// When this node's countdown expires.
@@ -30,7 +30,7 @@ pub struct ElectionRound {
 
 /// State of a pending self-demotion (parent with fewer than two children).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DemotionCountdown {
+pub(crate) struct DemotionCountdown {
     /// When the countdown expires.
     pub expires_at: SimTime,
     /// Round number used to invalidate stale timers.
@@ -39,7 +39,7 @@ pub struct DemotionCountdown {
 
 /// Election / demotion bookkeeping for one node.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ElectionState {
+pub(crate) struct ElectionState {
     election: Option<ElectionRound>,
     demotion: Option<DemotionCountdown>,
     next_round: u64,
@@ -47,24 +47,24 @@ pub struct ElectionState {
 
 impl ElectionState {
     /// No election or demotion pending.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The election round in progress, if any.
-    pub fn election(&self) -> Option<&ElectionRound> {
+    pub(crate) fn election(&self) -> Option<&ElectionRound> {
         self.election.as_ref()
     }
 
     /// The demotion countdown in progress, if any.
-    pub fn demotion(&self) -> Option<&DemotionCountdown> {
+    pub(crate) fn demotion(&self) -> Option<&DemotionCountdown> {
         self.demotion.as_ref()
     }
 
     /// Begin (or restart) an election countdown for a parent at `level`.
     /// Returns the countdown delay and the round number to embed in the
     /// timer token.
-    pub fn start_election(
+    pub(crate) fn start_election(
         &mut self,
         level: u32,
         characteristics: &NodeCharacteristics,
@@ -85,24 +85,24 @@ impl ElectionState {
     /// A parent announcement arrived: the election is over, cancel any
     /// pending countdown. Returns true when a countdown was actually
     /// cancelled.
-    pub fn cancel_election(&mut self) -> bool {
+    pub(crate) fn cancel_election(&mut self) -> bool {
         self.election.take().is_some()
     }
 
     /// Does the expiring timer with `round` correspond to the live election
     /// countdown? (Stale timers from cancelled rounds must be ignored.)
-    pub fn election_timer_is_current(&self, round: u64) -> bool {
+    pub(crate) fn election_timer_is_current(&self, round: u64) -> bool {
         self.election.map(|e| e.round == round).unwrap_or(false)
     }
 
     /// The countdown expired with no winner announced: this node wins.
     /// Returns the level it should promote itself to.
-    pub fn win_election(&mut self) -> Option<u32> {
+    pub(crate) fn win_election(&mut self) -> Option<u32> {
         self.election.take().map(|e| e.level)
     }
 
     /// Begin (or restart) a demotion countdown.
-    pub fn start_demotion(
+    pub(crate) fn start_demotion(
         &mut self,
         characteristics: &NodeCharacteristics,
         base: SimDuration,
@@ -119,19 +119,19 @@ impl ElectionState {
     }
 
     /// Enough children again: cancel the pending demotion.
-    pub fn cancel_demotion(&mut self) -> bool {
+    pub(crate) fn cancel_demotion(&mut self) -> bool {
         self.demotion.take().is_some()
     }
 
     /// Does the expiring timer with `round` correspond to the live demotion
     /// countdown?
-    pub fn demotion_timer_is_current(&self, round: u64) -> bool {
+    pub(crate) fn demotion_timer_is_current(&self, round: u64) -> bool {
         self.demotion.map(|d| d.round == round).unwrap_or(false)
     }
 
     /// The demotion countdown expired; clear it (the caller performs the
     /// actual demotion).
-    pub fn complete_demotion(&mut self) -> bool {
+    pub(crate) fn complete_demotion(&mut self) -> bool {
         self.demotion.take().is_some()
     }
 }

@@ -98,12 +98,12 @@ pub struct PeerInfo {
 
 impl PeerInfo {
     /// Convert to a routing entry heard at `now`.
-    pub fn into_entry(self, now: SimTime) -> RoutingEntry {
+    pub(crate) fn into_entry(self, now: SimTime) -> RoutingEntry {
         RoutingEntry::new(self.id, self.addr, self.max_level, self.summary, now)
     }
 
     /// Build from an entry (dropping the timestamp).
-    pub fn from_entry(e: &RoutingEntry) -> Self {
+    pub(crate) fn from_entry(e: &RoutingEntry) -> Self {
         PeerInfo {
             id: e.id,
             addr: e.addr,

@@ -62,7 +62,7 @@ impl IdSpace {
     }
 
     /// Largest valid identifier.
-    pub fn max_id(&self) -> NodeId {
+    pub(crate) fn max_id(&self) -> NodeId {
         NodeId(self.size() - 1)
     }
 
@@ -83,7 +83,7 @@ impl IdSpace {
     }
 
     /// The identifier exactly halfway between `a` and `b`.
-    pub fn midpoint(&self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn midpoint(&self, a: NodeId, b: NodeId) -> NodeId {
         NodeId((a.0 / 2) + (b.0 / 2) + ((a.0 % 2 + b.0 % 2) / 2))
     }
 
@@ -103,7 +103,7 @@ impl IdSpace {
     /// distance function (Section III.f), where `L` is the size of the
     /// space, `h` the height of the hierarchy and `lvl` the node's maximum
     /// level. For `lvl >= h` the radius saturates at `L`.
-    pub fn coverage_radius(&self, height: u32, level: u32) -> u64 {
+    pub(crate) fn coverage_radius(&self, height: u32, level: u32) -> u64 {
         if level >= height {
             self.size()
         } else {

@@ -22,8 +22,8 @@
 //! sits on top of the same routing; with `replication_factor = k` every
 //! stored value is kept on the responsible node plus its `k - 1` nearest
 //! registry neighbours and continuously repaired by a pairwise-digest
-//! anti-entropy engine ([`replication`]). The hierarchy doubles as a
-//! dissemination and aggregation spine ([`multicast`]): a payload addressed
+//! anti-entropy engine. The hierarchy doubles as a
+//! dissemination and aggregation spine: a payload addressed
 //! to a contiguous identifier range climbs to the initiator's root, walks
 //! the top-level bus, and descends the own-children links — reaching every
 //! live node in the range **exactly once** with zero duplicate messages —
@@ -60,28 +60,28 @@
 //! assert!(outcomes[0].status.is_success());
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod audit;
-pub mod characteristics;
-pub mod config;
-pub mod dht;
-pub mod discovery;
-pub mod distance;
-pub mod election;
-pub mod entry;
-pub mod id;
-pub mod lookup;
-pub mod messages;
-pub mod multicast;
-pub mod node;
-pub mod pubsub;
-pub mod readpath;
-pub mod replication;
-pub mod routing;
-pub mod stats;
-pub mod tables;
+mod audit;
+mod characteristics;
+mod config;
+mod dht;
+mod discovery;
+mod distance;
+mod election;
+mod entry;
+pub mod id; // public: `benchmark/` calls `treep::id::splitmix64` by path
+mod lookup;
+mod messages;
+mod multicast;
+mod node;
+mod pubsub;
+mod readpath;
+mod replication;
+pub mod routing; // public: `benchmark/` calls `treep::routing::route` by path
+mod stats;
+mod tables;
 
 pub use audit::{analytic_table_bound, audit, HierarchyAudit};
 pub use characteristics::{CharacteristicsSummary, NodeCharacteristics};
@@ -98,12 +98,9 @@ pub use multicast::{
     MulticastPayload, MulticastPhase,
 };
 pub use node::TreePNode;
-pub use pubsub::{
-    decode_subscriber_set, encode_subscriber_set, topic_key, SubscribeOutcome, TopicDelivery,
-    TopicFilter,
-};
+pub use pubsub::{topic_key, SubscribeOutcome, TopicDelivery, TopicFilter};
 pub use readpath::{CacheFill, HotKeyCache, ReadOutcome, ReadSource, StampedValue, VersionStamp};
-pub use replication::{audit_replication, ReplicaEntry, ReplicationAudit};
+pub use replication::{audit_replication, ReplicaEntry, ReplicationAudit, REPLICA_SYNC_INTERVAL};
 pub use routing::{RouteDecision, RouterView, RoutingAlgorithm};
 pub use stats::{KindCounters, NodeStats};
-pub use tables::{PeerEntry, RemovalReport, RoutingTables, TableSizes};
+pub use tables::{PeerEntry, RemovalReport, RoutingTables, TableSizes, MAX_LEVEL0_CONNECTIONS};

@@ -59,12 +59,12 @@ impl LookupRequest {
     }
 
     /// Number of overlay hops travelled so far.
-    pub fn hops(&self) -> u32 {
+    pub(crate) fn hops(&self) -> u32 {
         self.ttl
     }
 
     /// True when `addr` already appears on the path.
-    pub fn has_visited(&self, addr: NodeAddr) -> bool {
+    pub(crate) fn has_visited(&self, addr: NodeAddr) -> bool {
         self.visited.contains(&addr)
     }
 }

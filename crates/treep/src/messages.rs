@@ -51,19 +51,6 @@ pub enum RoutingUpdate {
     },
 }
 
-impl RoutingUpdate {
-    /// The peer carried by the update.
-    pub fn peer(&self) -> PeerInfo {
-        match *self {
-            RoutingUpdate::LevelMember { peer, .. }
-            | RoutingUpdate::ParentOf { peer }
-            | RoutingUpdate::ChildOf { peer }
-            | RoutingUpdate::Superior { peer }
-            | RoutingUpdate::Contact { peer } => peer,
-        }
-    }
-}
-
 /// The TreeP wire protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TreePMessage {
@@ -286,7 +273,7 @@ pub enum TreePMessage {
         /// The comparing node (a mismatch is answered to it).
         sender: PeerInfo,
         /// The interval of keys both ends belong to the replica set of
-        /// (see [`crate::tables::RoutingTables::replica_pair_range`]).
+        /// (see `crate::tables::RoutingTables::replica_pair_range`).
         range: KeyRange,
         /// XOR of the mixed key coordinates the sender stores in `range`.
         xor: u64,
@@ -371,7 +358,7 @@ pub enum TreePMessage {
     // ---- read path -----------------------------------------------------------
     /// A versioned get, routed greedily toward the key's coordinate but
     /// servable by any node on the route holding a satisfying copy (see
-    /// [`crate::readpath`]).
+    /// `crate::readpath`).
     GetVersioned {
         /// Request identifier (scoped by `origin` — identifiers are
         /// per-node counters).
@@ -482,7 +469,7 @@ pub enum TreePMessage {
     // ---- pub/sub -------------------------------------------------------------
     /// Register `origin` as a subscriber of `topic`: routed greedily toward
     /// the topic coordinate; the responsible node adds the origin to the
-    /// topic's replicated subscriber directory (see [`crate::pubsub`]).
+    /// topic's replicated subscriber directory (see `crate::pubsub`).
     /// The origin's *delivery* state is local and immediate — this message
     /// only maintains the directory.
     Subscribe {
@@ -649,12 +636,6 @@ impl std::fmt::Display for MessageKind {
 }
 
 impl TreePMessage {
-    /// True for messages that belong to overlay maintenance rather than user
-    /// traffic; the maintenance-overhead ablation counts these.
-    pub fn is_maintenance(&self) -> bool {
-        self.kind().is_maintenance()
-    }
-
     /// The request this message ends at its origin, when it is one of the
     /// eight reply kinds. A branch partial of a convergecast (an
     /// `AggregateUp` that is not the final fold) answers no request: it
@@ -711,6 +692,29 @@ impl TreePMessage {
             } => Some((*key, ttl)),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+impl RoutingUpdate {
+    /// The peer carried by the update.
+    pub(crate) fn peer(&self) -> PeerInfo {
+        match *self {
+            RoutingUpdate::LevelMember { peer, .. }
+            | RoutingUpdate::ParentOf { peer }
+            | RoutingUpdate::ChildOf { peer }
+            | RoutingUpdate::Superior { peer }
+            | RoutingUpdate::Contact { peer } => peer,
+        }
+    }
+}
+
+#[cfg(test)]
+impl TreePMessage {
+    /// True for messages that belong to overlay maintenance rather than user
+    /// traffic; the maintenance-overhead ablation counts these.
+    pub(crate) fn is_maintenance(&self) -> bool {
+        self.kind().is_maintenance()
     }
 }
 

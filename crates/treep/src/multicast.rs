@@ -58,15 +58,6 @@ impl KeyRange {
         }
     }
 
-    /// The range centred on `center` with the given radius, clamped to the
-    /// space.
-    pub fn around(space: IdSpace, center: NodeId, radius: u64) -> Self {
-        KeyRange {
-            lo: NodeId(center.0.saturating_sub(radius)),
-            hi: NodeId(center.0.saturating_add(radius).min(space.max_id().0)),
-        }
-    }
-
     /// True when `id` falls inside the range.
     pub fn contains(&self, id: NodeId) -> bool {
         self.lo.0 <= id.0 && id.0 <= self.hi.0
@@ -78,7 +69,7 @@ impl KeyRange {
     }
 
     /// True when this range overlaps `[lo, hi]` (inclusive, saturating).
-    pub fn overlaps_interval(&self, lo: u64, hi: u64) -> bool {
+    pub(crate) fn overlaps_interval(&self, lo: u64, hi: u64) -> bool {
         self.lo.0 <= hi && lo <= self.hi.0
     }
 }
@@ -106,7 +97,7 @@ pub enum MulticastPayload {
     Data(Vec<u8>),
     /// Aggregation query; every node in the range contributes a partial.
     Aggregate(AggregateQuery),
-    /// Topic publish (see [`crate::pubsub`]): delivered only to nodes in
+    /// Topic publish (see `crate::pubsub`): delivered only to nodes in
     /// the range holding a local subscription of `topic`, and pruned during
     /// the descent out of branches whose recorded subscription filter
     /// provably excludes the topic.
@@ -130,7 +121,7 @@ pub enum AggregateQuery {
     /// the range — a cheap anti-entropy / key-census primitive.
     DhtKeyDigest,
     /// The DHT keys stored inside the multicast's scoped range — the range
-    /// query of [`crate::pubsub`]: the fan-out visits only subtrees whose
+    /// query of `crate::pubsub`: the fan-out visits only subtrees whose
     /// exact spans intersect the range, and the matching keys fold back up
     /// as a deduplicated [`AggregatePartial::Keys`] list.
     KeysInRange,
@@ -163,16 +154,16 @@ pub enum AggregatePartial {
         count: u64,
     },
     /// Running deduplicated list of DHT keys found inside the range, in key
-    /// order. Bounded by [`crate::pubsub::MAX_RANGE_KEYS`]: a fold that
+    /// order. Bounded by `crate::pubsub::MAX_RANGE_KEYS`: a fold that
     /// reaches the bound may have dropped keys, which callers can detect
-    /// through [`AggregatePartial::keys_at_capacity`].
+    /// through `AggregatePartial::keys_at_capacity`.
     Keys(Vec<NodeId>),
 }
 
 impl AggregatePartial {
     /// Fold `other` into `self`. Mismatched kinds (possible only with a
     /// corrupted or adversarial message) leave `self` unchanged.
-    pub fn combine(&mut self, other: &AggregatePartial) {
+    pub(crate) fn combine(&mut self, other: &AggregatePartial) {
         match (self, other) {
             (AggregatePartial::Count(a), AggregatePartial::Count(b)) => *a += b,
             (AggregatePartial::MaxCapability(a), AggregatePartial::MaxCapability(b)) => {
@@ -250,7 +241,7 @@ impl AggregatePartial {
     /// [`crate::pubsub::MAX_RANGE_KEYS`] bound — later merges may have
     /// dropped keys, so the result must be treated like a truncated
     /// convergecast, not an exhaustive answer.
-    pub fn keys_at_capacity(&self) -> bool {
+    pub(crate) fn keys_at_capacity(&self) -> bool {
         matches!(self, AggregatePartial::Keys(keys) if keys.len() >= crate::pubsub::MAX_RANGE_KEYS)
     }
 }
@@ -342,17 +333,17 @@ impl AggregateOutcome {
 /// comfortably exceeds the hierarchy height plus the expected top-level bus
 /// length; a node that receives a message with none left delivers it and
 /// forwards nothing.
-pub const MULTICAST_HOP_BUDGET: u32 = 512;
+pub(crate) const MULTICAST_HOP_BUDGET: u32 = 512;
 const _: () = assert!(MULTICAST_HOP_BUDGET > crate::tables::MAX_BUS_LEVEL);
 
 /// How long a convergecast relay waits for the partials of its delegated
 /// branches before folding up whatever has arrived (bounds the damage of
 /// a lost `AggregateUp` under churn).
-pub const AGGREGATE_RELAY_TIMEOUT: SimDuration = SimDuration::from_millis(700);
+pub(crate) const AGGREGATE_RELAY_TIMEOUT: SimDuration = SimDuration::from_millis(700);
 
 /// Where a completed relay fold should be reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplyTo {
+pub(crate) enum ReplyTo {
     /// Fold upward to the node this branch was delegated by.
     Upstream(NodeAddr),
     /// This node is the descent root: send the final answer straight to the
@@ -369,7 +360,7 @@ pub enum ReplyTo {
 /// their partials are in or the timer fires; a node with nobody to delegate
 /// to reports it at once with `expected == 0`.
 #[derive(Debug, Clone)]
-pub struct AggregateRelay {
+pub(crate) struct AggregateRelay {
     /// The aggregation origin (its address scopes `request_id`).
     pub origin: PeerInfo,
     /// The origin-local request identifier.
@@ -402,7 +393,7 @@ pub struct AggregateRelay {
 /// duplicate instead of a broken exactly-once guarantee. Bounded so
 /// long-running nodes cannot leak.
 #[derive(Debug, Clone)]
-pub struct SeenWindow<K: Ord + Copy = (NodeAddr, RequestId)> {
+pub(crate) struct SeenWindow<K: Ord + Copy = (NodeAddr, RequestId)> {
     set: std::collections::BTreeSet<K>,
     order: std::collections::VecDeque<K>,
 }
@@ -421,7 +412,7 @@ impl<K: Ord + Copy> Default for SeenWindow<K> {
 
 impl<K: Ord + Copy> SeenWindow<K> {
     /// Record `key`; returns false when it was already present (duplicate).
-    pub fn insert(&mut self, key: K) -> bool {
+    pub(crate) fn insert(&mut self, key: K) -> bool {
         if !self.set.insert(key) {
             return false;
         }
@@ -433,16 +424,6 @@ impl<K: Ord + Copy> SeenWindow<K> {
         }
         true
     }
-
-    /// Number of remembered keys.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
 }
 
 // ---- reliability layer state ------------------------------------------------
@@ -450,7 +431,7 @@ impl<K: Ord + Copy> SeenWindow<K> {
 /// Base retransmission timeout of the reliability layer; doubled after
 /// every unacknowledged attempt (exponential backoff). Comfortably exceeds
 /// one round-trip time. Only armed when `max_retransmits > 0`.
-pub const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(120);
+pub(crate) const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(120);
 
 /// One unacknowledged reliable transmission, waiting in a node's bounded
 /// retransmission queue (see the state machine in
@@ -466,7 +447,7 @@ pub const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(120);
 /// the descent out to that child and later reports the final fold to it
 /// when the child is the origin.
 #[derive(Debug, Clone)]
-pub struct PendingRetx {
+pub(crate) struct PendingRetx {
     /// The peer whose ack is awaited.
     pub dest: NodeAddr,
     /// The destination's overlay identifier, when the sender knows it (it
@@ -488,6 +469,31 @@ pub struct PendingRetx {
     /// restore it, so a retransmit chain stays attributed to the op that
     /// caused it. `None` outside telemetry runs — costs one `Option` copy.
     pub trace: Option<TraceCtx>,
+}
+
+#[cfg(test)]
+impl KeyRange {
+    /// The range centred on `center` with the given radius, clamped to the
+    /// space.
+    pub(crate) fn around(space: IdSpace, center: NodeId, radius: u64) -> Self {
+        KeyRange {
+            lo: NodeId(center.0.saturating_sub(radius)),
+            hi: NodeId(center.0.saturating_add(radius).min(space.max_id().0)),
+        }
+    }
+}
+
+#[cfg(test)]
+impl<K: Ord + Copy> SeenWindow<K> {
+    /// Number of remembered keys.
+    pub(crate) fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    /// True when nothing has been recorded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
 }
 
 #[cfg(test)]

@@ -212,23 +212,13 @@ impl TreePNode {
         self.id
     }
 
-    /// The node's transport address, once known.
-    pub fn addr(&self) -> Option<NodeAddr> {
-        self.addr
-    }
-
     /// The highest level this node currently belongs to.
     pub fn max_level(&self) -> u32 {
         self.max_level
     }
 
-    /// The node's resource characteristics.
-    pub fn characteristics(&self) -> &NodeCharacteristics {
-        &self.characteristics
-    }
-
     /// The protocol configuration.
-    pub fn config(&self) -> &TreePConfig {
+    pub(crate) fn config(&self) -> &TreePConfig {
         &self.config
     }
 
@@ -263,13 +253,6 @@ impl TreePNode {
         self.drain(|f| &mut f.multicast_deliveries)
     }
 
-    /// The multicast payload deliveries recorded at this node (read-only).
-    pub fn multicast_deliveries(&self) -> &[MulticastDelivery] {
-        self.features
-            .as_ref()
-            .map_or(&[], |f| &f.multicast_deliveries)
-    }
-
     /// Drain the completed aggregation outcomes recorded at this origin.
     pub fn drain_aggregate_outcomes(&mut self) -> Vec<AggregateOutcome> {
         self.drain(|f| &mut f.aggregate_outcomes)
@@ -287,7 +270,7 @@ impl TreePNode {
     }
 
     /// The topics this node is locally subscribed to (read-only).
-    pub fn subscribed_topics(&self) -> &BTreeSet<NodeId> {
+    pub(crate) fn subscribed_topics(&self) -> &BTreeSet<NodeId> {
         static NONE: BTreeSet<NodeId> = BTreeSet::new();
         self.features.as_ref().map_or(&NONE, |f| &f.local_topics)
     }
@@ -301,11 +284,6 @@ impl TreePNode {
     /// Drain the topic-publish deliveries recorded at this subscriber.
     pub fn drain_topic_deliveries(&mut self) -> Vec<TopicDelivery> {
         self.drain(|f| &mut f.topic_deliveries)
-    }
-
-    /// The topic-publish deliveries recorded at this subscriber (read-only).
-    pub fn topic_deliveries(&self) -> &[TopicDelivery] {
-        self.features.as_ref().map_or(&[], |f| &f.topic_deliveries)
     }
 
     /// Number of reliable hops whose acknowledgement is still outstanding —
@@ -337,7 +315,7 @@ impl TreePNode {
 
     /// The maximum number of children this node accepts under the configured
     /// policy.
-    pub fn max_children(&self) -> u32 {
+    pub(crate) fn max_children(&self) -> u32 {
         self.characteristics.max_children(self.config.child_policy)
     }
 
@@ -345,7 +323,7 @@ impl TreePNode {
     /// own coordinate joined with its children's reported extents. Carried
     /// on every `ChildReport` so the parent can prune multicast fan-outs
     /// exactly.
-    pub fn subtree_span(&self) -> KeyRange {
+    pub(crate) fn subtree_span(&self) -> KeyRange {
         self.tables
             .own_subtree_extent(self.id, self.config.space, self.config.height)
     }
@@ -619,5 +597,20 @@ impl Protocol for TreePNode {
     /// the time a node's turn comes round: start loading it one event early.
     fn prefetch(&self) {
         self.tables.prefetch();
+    }
+}
+
+#[cfg(test)]
+impl TreePNode {
+    /// The node's transport address, once known.
+    pub(crate) fn addr(&self) -> Option<NodeAddr> {
+        self.addr
+    }
+
+    /// The multicast payload deliveries recorded at this node (read-only).
+    pub(crate) fn multicast_deliveries(&self) -> &[MulticastDelivery] {
+        self.features
+            .as_ref()
+            .map_or(&[], |f| &f.multicast_deliveries)
     }
 }

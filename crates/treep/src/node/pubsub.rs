@@ -118,7 +118,7 @@ impl TreePNode {
     /// deduplicated, sorted answer (see
     /// [`crate::AggregatePartial::Keys`]). The outcome lands in
     /// [`TreePNode::drain_aggregate_outcomes`]; a result at the
-    /// [`crate::pubsub::MAX_RANGE_KEYS`] bound arrives flagged truncated.
+    /// `crate::pubsub::MAX_RANGE_KEYS` bound arrives flagged truncated.
     pub fn start_range_query(
         &mut self,
         range: KeyRange,

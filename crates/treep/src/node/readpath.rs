@@ -77,12 +77,6 @@ impl TreePNode {
         request_id
     }
 
-    /// The stamp of the locally stored copy of `key`, if any (values stored
-    /// by the unversioned paths carry [`VersionStamp::LEGACY`]).
-    pub fn stored_stamp(&self, key: NodeId) -> Option<VersionStamp> {
-        self.dht_store().stamp(key)
-    }
-
     /// Merge `stamp` into the highest-observed table (monotonic-reads
     /// bookkeeping at the origin).
     pub(super) fn observe_stamp(&mut self, key: NodeId, stamp: VersionStamp) {
@@ -358,5 +352,14 @@ impl TreePNode {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl TreePNode {
+    /// The stamp of the locally stored copy of `key`, if any (values stored
+    /// by the unversioned paths carry [`VersionStamp::LEGACY`]).
+    pub(crate) fn stored_stamp(&self, key: NodeId) -> Option<VersionStamp> {
+        self.dht_store().stamp(key)
     }
 }

@@ -75,18 +75,18 @@ pub fn topic_key(space: IdSpace, topic: &str) -> NodeId {
 /// partial carries. A fold that would exceed it is truncated (and flagged
 /// as such through the existing `truncated` convergecast bit), bounding
 /// both datagram size and fold memory.
-pub const MAX_RANGE_KEYS: usize = 4096;
+pub(crate) const MAX_RANGE_KEYS: usize = 4096;
 
 /// Largest number of topics a per-child subscription filter lists exactly;
 /// beyond it the filter degrades to "assume every topic" (overflow),
 /// trading pruning for bounded summary size.
-pub const MAX_FILTER_TOPICS: usize = 64;
+pub(crate) const MAX_FILTER_TOPICS: usize = 64;
 
 /// The topics present in one subtree, summarised for fan-out pruning.
 ///
 /// Exact while small: `topics` lists every topic subscribed to anywhere in
 /// the subtree. Once the set would exceed the configured bound the filter
-/// degrades to `overflow = true` and [`TopicFilter::may_contain`] answers
+/// degrades to `overflow = true` and `TopicFilter::may_contain` answers
 /// `true` for everything — an over-approximation that disables pruning for
 /// the branch but can never lose a delivery.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -100,7 +100,7 @@ pub struct TopicFilter {
 
 impl TopicFilter {
     /// An empty filter: the subtree provably holds no subscribers.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         TopicFilter::default()
     }
 
@@ -121,17 +121,12 @@ impl TopicFilter {
 
     /// True when the subtree may hold a subscriber of `topic`. Pruning a
     /// branch is allowed only when this answers `false`.
-    pub fn may_contain(&self, topic: NodeId) -> bool {
+    pub(crate) fn may_contain(&self, topic: NodeId) -> bool {
         self.overflow || self.topics.contains(&topic)
     }
 
-    /// True when the filter provably excludes every topic (prune always).
-    pub fn is_empty(&self) -> bool {
-        !self.overflow && self.topics.is_empty()
-    }
-
     /// Fold another filter into this one, respecting the summary bound.
-    pub fn merge(&mut self, other: &TopicFilter, max_topics: usize) {
+    pub(crate) fn merge(&mut self, other: &TopicFilter, max_topics: usize) {
         if self.overflow {
             return;
         }
@@ -196,28 +191,13 @@ pub enum SubscribeOutcome {
     },
 }
 
-impl SubscribeOutcome {
-    /// The request this outcome belongs to.
-    pub fn request_id(&self) -> RequestId {
-        match self {
-            SubscribeOutcome::Acked { request_id, .. }
-            | SubscribeOutcome::TimedOut { request_id, .. } => *request_id,
-        }
-    }
-
-    /// True unless the request timed out.
-    pub fn is_success(&self) -> bool {
-        matches!(self, SubscribeOutcome::Acked { .. })
-    }
-}
-
 // ---- subscriber-directory value codec ---------------------------------------
 
 /// Serialise a subscriber set into the DHT value stored under the topic
 /// coordinate: `u32` count, then per subscriber the overlay identifier and
 /// transport address as little-endian `u64`s. Deterministic (sorted input)
 /// so replicas of the directory compare byte-equal.
-pub fn encode_subscriber_set(subscribers: &BTreeSet<(NodeId, NodeAddr)>) -> Vec<u8> {
+pub(crate) fn encode_subscriber_set(subscribers: &BTreeSet<(NodeId, NodeAddr)>) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + subscribers.len() * 16);
     out.extend_from_slice(&(subscribers.len() as u32).to_le_bytes());
     for (id, addr) in subscribers {
@@ -229,7 +209,7 @@ pub fn encode_subscriber_set(subscribers: &BTreeSet<(NodeId, NodeAddr)>) -> Vec<
 
 /// Decode a subscriber set encoded by [`encode_subscriber_set`]. Returns
 /// `None` on a malformed value (wrong length for the declared count).
-pub fn decode_subscriber_set(bytes: &[u8]) -> Option<BTreeSet<(NodeId, NodeAddr)>> {
+pub(crate) fn decode_subscriber_set(bytes: &[u8]) -> Option<BTreeSet<(NodeId, NodeAddr)>> {
     let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let body = bytes.get(4..)?;
     if body.len() != count * 16 {
@@ -242,6 +222,30 @@ pub fn decode_subscriber_set(bytes: &[u8]) -> Option<BTreeSet<(NodeId, NodeAddr)
         out.insert((NodeId(id), NodeAddr(addr)));
     }
     Some(out)
+}
+
+#[cfg(test)]
+impl TopicFilter {
+    /// True when the filter provably excludes every topic (prune always).
+    pub(crate) fn is_empty(&self) -> bool {
+        !self.overflow && self.topics.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl SubscribeOutcome {
+    /// The request this outcome belongs to.
+    pub(crate) fn request_id(&self) -> RequestId {
+        match self {
+            SubscribeOutcome::Acked { request_id, .. }
+            | SubscribeOutcome::TimedOut { request_id, .. } => *request_id,
+        }
+    }
+
+    /// True unless the request timed out.
+    pub(crate) fn is_success(&self) -> bool {
+        matches!(self, SubscribeOutcome::Acked { .. })
+    }
 }
 
 #[cfg(test)]

@@ -97,7 +97,7 @@ impl VersionStamp {
     /// under it was written through the versioned API, so a copy of it must
     /// travel with the stamp (as a `ReadRepair`) to keep its place in the
     /// last-write-wins order.
-    pub fn is_stamped(self) -> bool {
+    pub(crate) fn is_stamped(self) -> bool {
         self > Self::LEGACY
     }
 
@@ -185,11 +185,6 @@ impl ReadOutcome {
             | ReadOutcome::TimedOut { request_id, .. } => *request_id,
         }
     }
-
-    /// True unless the request timed out.
-    pub fn is_success(&self) -> bool {
-        !matches!(self, ReadOutcome::TimedOut { .. })
-    }
 }
 
 /// The result of offering a value to a [`HotKeyCache`].
@@ -246,13 +241,8 @@ impl HotKeyCache {
 
     /// Number of live lines (expired lines may still be counted until the
     /// next touch reaps them).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lines.len()
-    }
-
-    /// True when no line is held.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
     }
 
     /// Look up `key` at `now`: a fresh line bumps its LRU position and is
@@ -334,7 +324,13 @@ impl HotKeyCache {
     /// least as fresh — how a passing `ReadRepair` invalidates stale cache
     /// lines without granting the key a new cache slot. Returns true when a
     /// line was refreshed.
-    pub fn repair(&mut self, key: NodeId, stamp: VersionStamp, value: &[u8], now: SimTime) -> bool {
+    pub(crate) fn repair(
+        &mut self,
+        key: NodeId,
+        stamp: VersionStamp,
+        value: &[u8],
+        now: SimTime,
+    ) -> bool {
         if self.capacity == 0 || !self.lines.contains_key(&key) {
             return false;
         }
@@ -348,6 +344,22 @@ impl HotKeyCache {
         line.expires_at = now + self.ttl;
         line.last_used = self.clock;
         true
+    }
+}
+
+#[cfg(test)]
+impl ReadOutcome {
+    /// True unless the request timed out.
+    pub(crate) fn is_success(&self) -> bool {
+        !matches!(self, ReadOutcome::TimedOut { .. })
+    }
+}
+
+#[cfg(test)]
+impl HotKeyCache {
+    /// True when no line is held.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lines.is_empty()
     }
 }
 

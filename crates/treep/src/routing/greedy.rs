@@ -18,7 +18,7 @@ use crate::lookup::LookupRequest;
 /// `(euclid, id)` order, which makes the tie-break free: the first peer
 /// achieving the minimal metric is the old scan's `(metric, euclid, id)`
 /// winner.
-pub fn greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
+pub(crate) fn greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
     let target = req.target;
     let self_metric = view.self_metric(target, req.ttl);
     let mut best: Option<(u64, RoutingEntry)> = None; // (metric, entry)

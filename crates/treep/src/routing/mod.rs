@@ -23,7 +23,7 @@
 //! where the age comes from). The candidate scans of all three algorithms,
 //! the three probes of the escape hatch and the "target is in my table"
 //! shortcut of [`route`] read the registry through
-//! [`RouterView::is_live`], so the best candidate is the best one that has
+//! `RouterView::is_live`, so the best candidate is the best one that has
 //! been heard of lately; when only suspects qualify, the node routes as if
 //! they had expired already. There is no unfiltered variant: tables whose
 //! cut-off was never set suspect nobody.
@@ -32,9 +32,9 @@ mod greedy;
 mod ngsa;
 mod non_greedy;
 
-pub use greedy::greedy_next_hop;
-pub use ngsa::ngsa_next_hop;
-pub use non_greedy::non_greedy_next_hop;
+use greedy::greedy_next_hop;
+use ngsa::ngsa_next_hop;
+use non_greedy::non_greedy_next_hop;
 
 use crate::distance::HierarchicalDistance;
 use crate::entry::RoutingEntry;
@@ -113,7 +113,7 @@ impl<'a> RouterView<'a> {
 
     /// True when `entry` may be handed a request: it is another node and
     /// not a suspect ([`RoutingTables::is_suspect`]).
-    pub fn is_live(&self, entry: &RoutingEntry) -> bool {
+    pub(crate) fn is_live(&self, entry: &RoutingEntry) -> bool {
         entry.addr != self.self_addr && !self.tables.is_suspect(entry)
     }
 }

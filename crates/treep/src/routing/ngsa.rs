@@ -14,11 +14,11 @@ use crate::lookup::LookupRequest;
 /// Maximum number of alternative hops carried in a request. The paper does
 /// not pin the constant; three keeps the per-request overhead small while
 /// still giving the algorithm an escape path.
-pub const MAX_FALLBACKS: usize = 3;
+pub(super) const MAX_FALLBACKS: usize = 3;
 
 /// Pick the next hop for the NGSA algorithm, updating the request's
 /// fall-back list.
-pub fn ngsa_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
+pub(crate) fn ngsa_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
     let improving = improving_candidates(view, req);
     // Never bounce to somewhere the request has already been: the fall-back
     // list exists precisely to explore *new* branches.

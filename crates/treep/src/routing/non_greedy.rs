@@ -35,7 +35,7 @@ pub(crate) fn improving_candidates(
 }
 
 /// Pick the next hop for the NG algorithm.
-pub fn non_greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
+pub(crate) fn non_greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
     let improving = improving_candidates(view, req);
     if let Some(best) = improving.first() {
         return RouteDecision::Forward(*best);

@@ -29,7 +29,7 @@ impl KindCounters {
 
     /// Record one message of `kind`.
     #[inline]
-    pub fn record(&mut self, kind: MessageKind) {
+    pub(crate) fn record(&mut self, kind: MessageKind) {
         self.0[kind.index()] += 1;
     }
 
@@ -44,11 +44,6 @@ impl KindCounters {
             .iter()
             .map(|k| (*k, self.get(*k)))
             .filter(|(_, n)| *n > 0)
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.0.iter().all(|n| *n == 0)
     }
 }
 
@@ -141,13 +136,13 @@ pub struct NodeStats {
 impl NodeStats {
     /// Record a received message of the given kind.
     #[inline]
-    pub fn record_received(&mut self, kind: MessageKind) {
+    pub(crate) fn record_received(&mut self, kind: MessageKind) {
         self.received.record(kind);
     }
 
     /// Record a sent message of the given kind.
     #[inline]
-    pub fn record_sent(&mut self, kind: MessageKind) {
+    pub(crate) fn record_sent(&mut self, kind: MessageKind) {
         self.sent.record(kind);
     }
 
@@ -170,6 +165,14 @@ impl NodeStats {
             .filter(|(k, _)| k.is_maintenance())
             .map(|(_, n)| n)
             .sum()
+    }
+}
+
+#[cfg(test)]
+impl KindCounters {
+    /// True when nothing has been recorded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.iter().all(|n| *n == 0)
     }
 }
 

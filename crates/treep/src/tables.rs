@@ -107,12 +107,12 @@ pub type PeerEntry = RoutingEntry;
 /// membership bit per level in a `u64` whose bit 0 is the level-0 table.
 /// An identifier space of at most 2⁶³ coordinates cannot tessellate deeper
 /// anyway; [`crate::TreePConfig::validate`] rejects a greater `height`.
-pub const MAX_BUS_LEVEL: u32 = 63;
+pub(crate) const MAX_BUS_LEVEL: u32 = 63;
 
 /// Minimum number of level-0 connections every node keeps alive ("Each node
 /// needs to maintain a minimum of two connections", Section III.a): a node
 /// with fewer neither calls nor joins an election.
-pub const MIN_LEVEL0_CONNECTIONS: usize = 2;
+pub(crate) const MIN_LEVEL0_CONNECTIONS: usize = 2;
 
 /// Maximum number of level-0 neighbours a node actively maintains.
 /// Entries learned through gossip beyond this budget are pruned during
@@ -382,7 +382,7 @@ impl RoutingTables {
 
     /// Move the suspicion cut-off: from now on an entry whose `last_seen`
     /// lies before `instant` is a suspect.
-    pub fn set_suspect_before(&mut self, instant: SimTime) {
+    pub(crate) fn set_suspect_before(&mut self, instant: SimTime) {
         self.suspect_before = instant;
     }
 
@@ -398,7 +398,7 @@ impl RoutingTables {
     /// An address the registry does not know is not: nothing is held
     /// against it. A scan — reply paths name hops by address, and the
     /// registry is a few dozen slots.
-    pub fn is_suspect_addr(&self, addr: simnet::NodeAddr) -> bool {
+    pub(crate) fn is_suspect_addr(&self, addr: simnet::NodeAddr) -> bool {
         self.slots
             .iter()
             .any(|s| s.entry.addr == addr && self.is_suspect(&s.entry))
@@ -503,7 +503,7 @@ impl RoutingTables {
 
     /// [`RoutingTables::nearest_walk`] without the suspects: the peers a
     /// request, a reply or a copy may be handed to, nearest to `key` first.
-    pub fn nearest_live_walk(
+    pub(crate) fn nearest_live_walk(
         &self,
         key: NodeId,
         exclude_addr: simnet::NodeAddr,
@@ -546,7 +546,7 @@ impl RoutingTables {
     /// when the bounds cross: distinct identifiers inside `space` keep them
     /// in order, and for anything else no range is better than the one
     /// [`KeyRange::new`] would make by swapping them.
-    pub fn replica_pair_range(
+    pub(crate) fn replica_pair_range(
         &self,
         space: IdSpace,
         own: NodeId,
@@ -607,7 +607,7 @@ impl RoutingTables {
     // ---- levels i > 0 ------------------------------------------------------
 
     /// Insert or refresh a bus neighbour at `level` (> 0). A level beyond
-    /// [`MAX_BUS_LEVEL`] names no bus this registry can hold (it can only
+    /// `MAX_BUS_LEVEL` names no bus this registry can hold (it can only
     /// come from a malformed message): the entry is ignored.
     pub fn upsert_level(&mut self, level: u32, entry: PeerEntry) {
         assert!(
@@ -753,7 +753,7 @@ impl RoutingTables {
     /// The union of this node's local subscriptions (`local_topics`) and
     /// every recorded child filter, bounded by `max_topics`: the summary
     /// the node reports to its own parent.
-    pub fn subtree_filter<'a, I>(&self, local_topics: I, max_topics: usize) -> TopicFilter
+    pub(crate) fn subtree_filter<'a, I>(&self, local_topics: I, max_topics: usize) -> TopicFilter
     where
         I: IntoIterator<Item = &'a NodeId>,
     {
@@ -788,7 +788,7 @@ impl RoutingTables {
     /// otherwise), clipped to the identifier space. This is the span a node
     /// piggy-backs on its `ChildReport` so its parent can prune fan-outs
     /// exactly.
-    pub fn own_subtree_extent(&self, own: NodeId, space: IdSpace, height: u32) -> KeyRange {
+    pub(crate) fn own_subtree_extent(&self, own: NodeId, space: IdSpace, height: u32) -> KeyRange {
         let mut lo = own.0;
         let mut hi = own.0;
         for child in self.own_children() {

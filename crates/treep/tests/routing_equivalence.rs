@@ -9,12 +9,12 @@
 //! the production `route()` decision is identical in every case.
 
 use simnet::{NodeAddr, SimTime};
-use treep::lookup::{LookupRequest, RequestId};
 use treep::routing::{route, RouteDecision, RouterView};
 use treep::{
     CharacteristicsSummary, ChildPolicy, HierarchicalDistance, IdSpace, NodeCharacteristics,
     NodeId, PeerInfo, RoutingAlgorithm, RoutingEntry, RoutingTables,
 };
+use treep::{LookupRequest, RequestId};
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;

@@ -57,16 +57,6 @@ pub struct BuiltTopology {
 }
 
 impl BuiltTopology {
-    /// Number of nodes in the topology.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the topology holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// `(address, identifier)` pairs for every node, the shape expected by
     /// [`crate::lookups::LookupWorkload::generate`].
     pub fn pairs(&self) -> Vec<(NodeAddr, NodeId)> {
@@ -80,28 +70,6 @@ impl BuiltTopology {
             .iter()
             .filter(|n| sim.is_alive(n.addr))
             .map(|n| (n.addr, n.id))
-            .collect()
-    }
-
-    /// Number of members of each level (a node of level `k` is a member of
-    /// every level `0..=k`).
-    pub fn level_population(&self) -> BTreeMap<u32, usize> {
-        let mut pop = BTreeMap::new();
-        for node in &self.nodes {
-            for lvl in 0..=node.level {
-                *pop.entry(lvl).or_insert(0usize) += 1;
-            }
-        }
-        pop
-    }
-
-    /// Addresses of the nodes sitting at the top level of the built
-    /// hierarchy.
-    pub fn roots(&self) -> Vec<NodeAddr> {
-        self.nodes
-            .iter()
-            .filter(|n| n.level == self.height)
-            .map(|n| n.addr)
             .collect()
     }
 }
@@ -136,11 +104,6 @@ impl TopologyBuilder {
     pub fn with_capabilities(mut self, capabilities: CapabilityDistribution) -> Self {
         self.capabilities = capabilities;
         self
-    }
-
-    /// The protocol configuration the nodes will share.
-    pub fn config(&self) -> TreePConfig {
-        self.config
     }
 
     /// Average tessellation size used when grouping a level into parents.
@@ -462,6 +425,31 @@ impl PlanEntry {
 }
 
 #[cfg(test)]
+impl BuiltTopology {
+    /// Number of members of each level (a node of level `k` is a member of
+    /// every level `0..=k`).
+    pub(crate) fn level_population(&self) -> BTreeMap<u32, usize> {
+        let mut pop = BTreeMap::new();
+        for node in &self.nodes {
+            for lvl in 0..=node.level {
+                *pop.entry(lvl).or_insert(0usize) += 1;
+            }
+        }
+        pop
+    }
+
+    /// Addresses of the nodes sitting at the top level of the built
+    /// hierarchy.
+    pub(crate) fn roots(&self) -> Vec<NodeAddr> {
+        self.nodes
+            .iter()
+            .filter(|n| n.level == self.height)
+            .map(|n| n.addr)
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use treep::{audit, RoutingAlgorithm};
@@ -469,8 +457,7 @@ mod tests {
     #[test]
     fn builds_the_requested_number_of_nodes() {
         let (_sim, topo) = TopologyBuilder::new(64).build_simulation(1);
-        assert_eq!(topo.len(), 64);
-        assert!(!topo.is_empty());
+        assert_eq!(topo.nodes.len(), 64);
     }
 
     #[test]

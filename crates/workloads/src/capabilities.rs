@@ -23,7 +23,7 @@ pub enum CapabilityDistribution {
 
 impl CapabilityDistribution {
     /// Draw the characteristics of one node.
-    pub fn sample(&self, rng: &mut SimRng) -> NodeCharacteristics {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> NodeCharacteristics {
         match *self {
             CapabilityDistribution::Homogeneous(c) => c,
             CapabilityDistribution::Heterogeneous => NodeCharacteristics::sample(rng),
@@ -38,7 +38,7 @@ impl CapabilityDistribution {
     }
 
     /// Draw a whole population of `n` nodes.
-    pub fn sample_population(&self, n: usize, rng: &mut SimRng) -> Vec<NodeCharacteristics> {
+    pub(crate) fn sample_population(&self, n: usize, rng: &mut SimRng) -> Vec<NodeCharacteristics> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 }

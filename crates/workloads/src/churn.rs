@@ -42,7 +42,7 @@ impl ChurnPlan {
 
     /// Number of nodes to remove in one step for an initial population of
     /// `initial` nodes.
-    pub fn victims_per_step(&self, initial: usize) -> usize {
+    pub(crate) fn victims_per_step(&self, initial: usize) -> usize {
         ((initial as f64) * self.fraction_per_step).round().max(1.0) as usize
     }
 

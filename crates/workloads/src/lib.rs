@@ -22,17 +22,17 @@
 //! * [`capabilities::CapabilityDistribution`] — homogeneous or heterogeneous
 //!   node-resource populations.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod builder;
-pub mod capabilities;
-pub mod churn;
-pub mod kv;
-pub mod lookups;
-pub mod multicast;
-pub mod pubsub;
-pub mod zipf;
+mod builder;
+mod capabilities;
+mod churn;
+mod kv;
+mod lookups;
+mod multicast;
+mod pubsub;
+mod zipf;
 
 pub use builder::{BuiltNode, BuiltTopology, TopologyBuilder};
 pub use capabilities::CapabilityDistribution;

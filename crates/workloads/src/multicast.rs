@@ -54,7 +54,7 @@ impl Default for MulticastWorkload {
 
 impl MulticastWorkload {
     /// A workload issuing `ops_per_step` operations per step.
-    pub fn new(ops_per_step: usize) -> Self {
+    pub(crate) fn new(ops_per_step: usize) -> Self {
         MulticastWorkload {
             ops_per_step,
             ..Default::default()
@@ -75,7 +75,7 @@ impl MulticastWorkload {
     }
 
     /// Override the share of aggregation queries.
-    pub fn with_aggregate_fraction(mut self, aggregate_fraction: f64) -> Self {
+    pub(crate) fn with_aggregate_fraction(mut self, aggregate_fraction: f64) -> Self {
         self.aggregate_fraction = aggregate_fraction.clamp(0.0, 1.0);
         self
     }

@@ -53,7 +53,6 @@ pub struct PublishOp {
 /// Generator of pub/sub workload steps over a fixed topic catalogue.
 #[derive(Debug, Clone)]
 pub struct PubSubWorkload {
-    space: IdSpace,
     topics: Vec<NodeId>,
     sampler: ZipfSampler,
 }
@@ -71,21 +70,12 @@ impl PubSubWorkload {
             .map(|i| topic_key(space, &format!("topic-{i}")))
             .collect();
         let sampler = ZipfSampler::new(topics.len(), alpha);
-        PubSubWorkload {
-            space,
-            topics,
-            sampler,
-        }
+        PubSubWorkload { topics, sampler }
     }
 
     /// The topic catalogue (index order = popularity rank order).
     pub fn topics(&self) -> &[NodeId] {
         &self.topics
-    }
-
-    /// The identifier space topics were hashed into.
-    pub fn space(&self) -> IdSpace {
-        self.space
     }
 
     /// Draw one topic index by popularity.

@@ -53,18 +53,8 @@ impl ZipfSampler {
     }
 
     /// Number of ranks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Always false: construction rejects `n == 0`.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The skew exponent.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Draw one rank in `0..n`: binary-search a uniform variate into the
@@ -72,6 +62,14 @@ impl ZipfSampler {
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.gen_f64();
         self.cdf.partition_point(|&c| c < u).min(self.n - 1)
+    }
+}
+
+#[cfg(test)]
+impl ZipfSampler {
+    /// Always false: construction rejects `n == 0`.
+    pub(crate) fn is_empty(&self) -> bool {
+        false
     }
 }
 

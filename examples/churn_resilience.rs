@@ -11,7 +11,9 @@
 //! cargo run --release -p experiments --example churn_resilience [nodes] [seed]
 //! ```
 
-use experiments::{figures, maintenance, run_churn_experiment, ExperimentParams, Figure};
+use experiments::{
+    extract_figure, maintenance_table, run_churn_experiment, ExperimentParams, Figure,
+};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -29,7 +31,7 @@ fn main() {
         result.steady_state.height, result.steady_state.avg_children, result.steady_state.orphans
     );
 
-    let failed = figures::extract(Figure::A, &result, None);
+    let failed = extract_figure(Figure::A, &result, None);
     println!(
         "{}",
         failed
@@ -37,13 +39,13 @@ fn main() {
             .render()
     );
 
-    let hops = figures::extract(Figure::B, &result, None);
+    let hops = extract_figure(Figure::B, &result, None);
     println!(
         "{}",
         hops.to_table("Mean hops per routing algorithm").render()
     );
 
-    let envelope = figures::extract(Figure::E, &result, None);
+    let envelope = extract_figure(Figure::E, &result, None);
     println!(
         "{}",
         envelope
@@ -51,7 +53,7 @@ fn main() {
             .render()
     );
 
-    println!("{}", maintenance::to_table(&[&result]).render());
+    println!("{}", maintenance_table(&[&result]).render());
 
     // Summarise the headline numbers the paper quotes.
     if let Some(step30) = result.step_at(0.30) {

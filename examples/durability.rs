@@ -13,7 +13,7 @@
 //! ```
 
 use simnet::SimDuration;
-use treep::replication::REPLICA_SYNC_INTERVAL;
+use treep::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, TreePConfig};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 

@@ -2,7 +2,7 @@
 //! qualitative results end to end (small populations, so the suite stays
 //! fast).
 
-use experiments::{figures, run_churn_experiment, ExperimentParams, Figure};
+use experiments::{extract_figure, hop_surface, run_churn_experiment, ExperimentParams, Figure};
 use treep::RoutingAlgorithm;
 
 fn quick_run() -> experiments::ChurnRunResult {
@@ -59,8 +59,8 @@ fn the_three_algorithms_stay_within_a_band_of_each_other() {
 fn hop_surfaces_peak_at_a_small_hop_count() {
     let result = quick_run();
     for algorithm in [RoutingAlgorithm::Greedy, RoutingAlgorithm::NonGreedy] {
-        let surface = figures::hop_surface(&result, algorithm);
-        assert_eq!(surface.len(), result.steps.len());
+        let surface = hop_surface(&result, algorithm);
+        assert_eq!(surface.rows().len(), result.steps.len());
         // On the intact topology the bulk of the requests resolve in few hops.
         let (_, intact) = &surface.rows()[0];
         let mode = intact.mode().unwrap_or(0);
@@ -81,7 +81,7 @@ fn every_figure_extracts_and_renders_from_real_runs() {
             .with_adaptive_policy(),
     );
     for figure in Figure::ALL {
-        let data = figures::extract(figure, &fixed, Some(&adaptive));
+        let data = extract_figure(figure, &fixed, Some(&adaptive));
         let table = data.to_table(&format!("Figure {figure}"));
         let rendered = table.render();
         assert!(

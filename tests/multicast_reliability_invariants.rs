@@ -32,7 +32,7 @@ use simnet::{
     SimDuration, Simulation, TelemetryConfig,
 };
 use std::collections::BTreeMap;
-use treep::lookup::RequestId;
+use treep::RequestId;
 use treep::{KeyRange, NodeId, TreePConfig, TreePNode};
 use workloads::TopologyBuilder;
 

@@ -135,7 +135,7 @@ fn crashed_peers_leave_every_table_within_one_entry_lifetime() {
             .build_simulation(seed);
         let mut rng = sim.rng_mut().fork();
         let victims: Vec<_> = rng
-            .sample_indices(topo.len(), 20)
+            .sample_indices(topo.nodes.len(), 20)
             .into_iter()
             .map(|i| &topo.nodes[i])
             .collect();

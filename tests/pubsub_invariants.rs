@@ -11,7 +11,7 @@
 
 use simnet::{flight_assert, flight_assert_eq, NodeAddr, SimDuration, TelemetryConfig};
 use std::collections::{BTreeMap, BTreeSet};
-use treep::lookup::RequestId;
+use treep::RequestId;
 use treep::{KeyRange, NodeId, TreePConfig};
 use workloads::{
     ChurnPlan, KvWorkload, PubSubWorkload, SubscriptionChange, SubscriptionOp, TopologyBuilder,
@@ -221,11 +221,9 @@ fn run_trace(case: &Case, strict: bool) -> Trace {
         .into_iter()
         .filter_map(|addr| sim.node(addr))
         .collect();
-    trace.roots = survivors
-        .iter()
-        .filter(|n| n.tables().parent().is_none())
-        .count();
-    trace.parent_cycles = treep::audit(survivors).parent_cycles;
+    let audit = treep::audit(survivors);
+    trace.roots = audit.roots;
+    trace.parent_cycles = audit.parent_cycles;
     trace
 }
 

@@ -9,7 +9,7 @@
 
 use simnet::{NodeAddr, SimDuration};
 use std::collections::BTreeMap;
-use treep::replication::REPLICA_SYNC_INTERVAL;
+use treep::REPLICA_SYNC_INTERVAL;
 use treep::{NodeId, ReadOutcome, TreePConfig, VersionStamp};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 

@@ -12,7 +12,7 @@
 //! compiles against a `MessageKind` without the digest row.
 
 use simnet::{SimDuration, Simulation};
-use treep::replication::REPLICA_SYNC_INTERVAL;
+use treep::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, NodeStats, TreePConfig, TreePNode};
 use workloads::{KvWorkload, TopologyBuilder};
 

@@ -9,7 +9,7 @@
 //! possibly stale registry views; the audit sees everything.
 
 use simnet::SimDuration;
-use treep::replication::REPLICA_SYNC_INTERVAL;
+use treep::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, ReplicationAudit, TreePConfig};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
