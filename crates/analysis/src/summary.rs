@@ -64,6 +64,23 @@ impl SummaryStats {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         percentile_sorted(&sorted, p)
     }
+
+    /// The first quartile, the median and the third quartile of `sample`,
+    /// each interpolated linearly between the two nearest ranks (the median
+    /// of an even sample is the mean of the middle two); zeros for an empty
+    /// sample.
+    pub fn quartiles(sample: &[f64]) -> [f64; 3] {
+        if sample.is_empty() {
+            return [0.0; 3];
+        }
+        let mut sorted: Vec<f64> = sample.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        [0.25, 0.5, 0.75].map(|q| {
+            let at = q * (sorted.len() - 1) as f64;
+            let below = sorted[at.floor() as usize];
+            below + (at - at.floor()) * (sorted[at.ceil() as usize] - below)
+        })
+    }
 }
 
 /// `part / whole`, or `of_nothing` when there is no whole to divide by:
@@ -127,6 +144,20 @@ mod tests {
         assert_eq!(SummaryStats::percentile(&sample, 100.0), 100.0);
         assert_eq!(SummaryStats::percentile(&sample, 0.0), 1.0);
         assert_eq!(SummaryStats::percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        assert_eq!(
+            SummaryStats::quartiles(&[4.0, 1.0, 3.0, 2.0]),
+            [1.75, 2.5, 3.25]
+        );
+        assert_eq!(
+            SummaryStats::quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0]),
+            [2.0, 3.0, 4.0]
+        );
+        assert_eq!(SummaryStats::quartiles(&[7.0]), [7.0; 3]);
+        assert_eq!(SummaryStats::quartiles(&[]), [0.0; 3]);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! `reproduce` — regenerate every table and figure of the TreeP paper.
 //!
 //! ```text
-//! reproduce [--figure A|B|...|I|all] [--nodes N] [--seed S] [--lookups K]
-//!           [--quick] [--table-routing] [--baselines] [--maintenance]
-//!           [--multicast] [--lossy] [--durability] [--readpath] [--pubsub]
-//!           [--scale] [--smoke] [--out DIR]
+//! reproduce [--figure A|B|...|I|all] [--nodes N] [--seed S] [--seeds K]
+//!           [--lookups K] [--quick] [--table-routing] [--baselines]
+//!           [--maintenance] [--multicast] [--lossy] [--durability]
+//!           [--readpath] [--pubsub] [--scale] [--smoke] [--out DIR]
 //! ```
 //!
 //! Without arguments the binary runs every figure plus the Section III.e
-//! routing-table report with a moderate population (800 nodes). `--quick`
+//! routing-table report with a moderate population (800 nodes). `--seeds K`
+//! runs the churn experiment on K consecutive seeds from `--seed` and prints
+//! each curve figure (A–E) as the median and quartiles per x. `--quick`
 //! shrinks the run for smoke tests; `--durability` adds the replication
 //! durability comparison (Figure R); `--multicast --lossy` adds the
 //! coverage-vs-loss sweep of the multicast reliability layer (Figure L);
@@ -31,16 +33,18 @@
 use analysis::Table;
 use experiments::{
     compare_multicast, compare_overlays, compare_pubsub, extract_figure, maintenance_table,
-    measure_telemetry_overhead, routing_table_report, run_churn_experiment, run_durability,
-    run_read_storm, run_scale, run_trace_demo, sweep_multicast_loss, ChurnRunResult,
-    DurabilityParams, ExperimentParams, Figure, LossSweepParams, MulticastParams, PubSubParams,
-    ReadStormParams, ScaleParams, TraceDemoParams, TELEMETRY_OVERHEAD_BOUND_PCT,
+    measure_telemetry_overhead, quartile_table, routing_table_report, run_churn_experiment,
+    run_durability, run_read_storm, run_scale, run_trace_demo, sweep_multicast_loss,
+    ChurnRunResult, DurabilityParams, ExperimentParams, Figure, FigureData, LossSweepParams,
+    MulticastParams, PubSubParams, ReadStormParams, ScaleParams, TraceDemoParams,
+    TELEMETRY_OVERHEAD_BOUND_PCT,
 };
 
 struct Cli {
     figures: Vec<Figure>,
     nodes: usize,
     seed: u64,
+    seeds: u64,
     lookups: usize,
     quick: bool,
     table_routing: bool,
@@ -72,6 +76,7 @@ impl Cli {
             figures: Figure::ALL.to_vec(),
             nodes: 800,
             seed: 2005,
+            seeds: 1,
             lookups: 100,
             quick: false,
             table_routing: true,
@@ -120,6 +125,11 @@ impl Cli {
                         .parse()
                         .map_err(|e| CliError::Bad(format!("--seed: {e}")))?
                 }
+                "--seeds" => {
+                    cli.seeds = value("--seeds")?
+                        .parse()
+                        .map_err(|e| CliError::Bad(format!("--seeds: {e}")))?
+                }
                 "--lookups" | "-l" => {
                     cli.lookups = value("--lookups")?
                         .parse()
@@ -164,6 +174,16 @@ impl Cli {
             cli.nodes = cli.nodes.min(200);
             cli.lookups = cli.lookups.min(20);
         }
+        if cli.seeds == 0 || cli.seed.checked_add(cli.seeds).is_none() {
+            return Err(CliError::Bad(
+                "--seeds must be at least 1, and --seed + --seeds must fit 64 bits".into(),
+            ));
+        }
+        if cli.seeds > 1 && cli.figures.iter().any(|f| f.is_surface()) {
+            return Err(CliError::Bad(
+                "--seeds summarises the curve figures A-E; pick them with --figure".into(),
+            ));
+        }
         if cli.lossy && !cli.multicast {
             return Err(CliError::Bad(
                 "--lossy is a mode of the multicast driver; pass --multicast too".into(),
@@ -179,6 +199,8 @@ fn usage() -> String {
   --figure A..I|all     run one paper figure (repeatable) instead of the suite
   --nodes N   (-n)      initial population size (default 800)
   --seed S    (-s)      deterministic seed (default 2005)
+  --seeds K             run K consecutive seeds from S and print the median
+                        and quartiles per x (curve figures A-E only)
   --lookups K (-l)      lookups per churn step per algorithm (default 100)
   --quick               shrink the churn schedule for fast runs
   --smoke               bounded smoke profile; runs only the gates asked for
@@ -252,6 +274,41 @@ fn paper_expectation(figure: Figure) -> &'static str {
     }
 }
 
+/// `--seeds K`: run the churn experiment on K consecutive seeds and print
+/// every requested figure (all curves, checked by `Cli::parse`) as the
+/// median and quartiles per x.
+fn print_over_seeds(cli: &Cli, fixed: ExperimentParams, adaptive: ExperimentParams) {
+    let needs_adaptive = cli.figures.iter().any(|f| f.needs_adaptive_run());
+    let mut curves = vec![Vec::new(); cli.figures.len()];
+    for seed in cli.seed..cli.seed + cli.seeds {
+        eprintln!("#   seed {seed}…");
+        let fixed = run_churn_experiment(&ExperimentParams { seed, ..fixed });
+        let adaptive =
+            needs_adaptive.then(|| run_churn_experiment(&ExperimentParams { seed, ..adaptive }));
+        for (&figure, sets) in cli.figures.iter().zip(&mut curves) {
+            if let FigureData::Curves(set) = extract_figure(figure, &fixed, adaptive.as_ref()) {
+                sets.push(set);
+            }
+        }
+    }
+    let last = cli.seed + cli.seeds - 1;
+    for (&figure, sets) in cli.figures.iter().zip(&curves) {
+        let title = format!(
+            "Figure {figure} — {} — median, q1, q3 over seeds {}–{last}",
+            figure.description(),
+            cli.seed
+        );
+        let table = quartile_table(&title, sets);
+        println!("{}", table.render());
+        println!("  ({})\n", paper_expectation(figure));
+        write_csv(
+            cli,
+            &format!("figure_{}_seeds", figure.label().to_lowercase()),
+            &table,
+        );
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match Cli::parse(&args) {
@@ -279,7 +336,8 @@ fn main() {
     }
 
     let needs_adaptive = cli.figures.iter().any(|f| f.needs_adaptive_run());
-    let needs_churn_run = !cli.figures.is_empty() || cli.maintenance;
+    let over_seeds = cli.seeds > 1 && !cli.figures.is_empty();
+    let needs_churn_run = (!cli.figures.is_empty() && !over_seeds) || cli.maintenance;
 
     eprintln!(
         "# TreeP reproduction — n = {}, seed = {}, {} lookups/step/algorithm",
@@ -296,22 +354,26 @@ fn main() {
     } else {
         None
     };
-    let adaptive: Option<ChurnRunResult> = if needs_adaptive {
+    let adaptive: Option<ChurnRunResult> = if needs_adaptive && needs_churn_run {
         eprintln!("# running variable-nc churn experiment…");
         Some(run_churn_experiment(&adaptive_params))
     } else {
         None
     };
 
-    for &figure in &cli.figures {
-        let fixed = fixed.as_ref().expect("figures imply the churn run");
-        let data = extract_figure(figure, fixed, adaptive.as_ref());
-        let title = format!("Figure {figure} — {}", figure.description());
-        let table = data.to_table(&title);
-        println!("{}", table.render());
-        println!("  ({})\n", paper_expectation(figure));
-        let name = format!("figure_{}", figure.label().to_lowercase());
-        write_csv(&cli, &name, &table);
+    if over_seeds {
+        print_over_seeds(&cli, fixed_params, adaptive_params);
+    } else {
+        for &figure in &cli.figures {
+            let fixed = fixed.as_ref().expect("figures imply the churn run");
+            let data = extract_figure(figure, fixed, adaptive.as_ref());
+            let title = format!("Figure {figure} — {}", figure.description());
+            let table = data.to_table(&title);
+            println!("{}", table.render());
+            println!("  ({})\n", paper_expectation(figure));
+            let name = format!("figure_{}", figure.label().to_lowercase());
+            write_csv(&cli, &name, &table);
+        }
     }
 
     if cli.table_routing {

@@ -1,7 +1,8 @@
 //! Extraction and rendering of the paper's figures (Section IV, Figures A–I).
 
 use crate::runner::ChurnRunResult;
-use analysis::{Cell, HopSurface, SeriesSet, Table};
+use analysis::{Cell, HopSurface, SeriesSet, SummaryStats, Table};
+use std::collections::{BTreeMap, BTreeSet};
 use treep::RoutingAlgorithm;
 
 /// The figures of the paper's evaluation.
@@ -77,6 +78,11 @@ impl Figure {
     /// fixed-`nc` run).
     pub fn needs_adaptive_run(self) -> bool {
         matches!(self, Figure::C | Figure::D | Figure::H | Figure::I)
+    }
+
+    /// True for the hop-count surfaces (F–I), false for the curves (A–E).
+    pub fn is_surface(self) -> bool {
+        matches!(self, Figure::F | Figure::G | Figure::H | Figure::I)
     }
 
     /// One-line description used by the `reproduce` binary.
@@ -242,6 +248,40 @@ pub fn extract_figure(
     }
 }
 
+/// One curve figure (A–E) over several seeds: per x, the median and the
+/// quartiles of each series over `per_seed`, one [`SeriesSet`] per seed.
+pub fn quartile_table(title: &str, per_seed: &[SeriesSet]) -> Table {
+    // Series name → x → one y per seed; the x key is exact to 10⁻⁶ %.
+    let mut samples: BTreeMap<String, BTreeMap<i64, Vec<f64>>> = BTreeMap::new();
+    for set in per_seed {
+        for name in &set.to_rows().0[1..] {
+            let at = samples.entry(name.clone()).or_default();
+            for &(x, y) in &set.get(name).expect("a listed series").points {
+                at.entry((x * 1e6).round() as i64).or_default().push(y);
+            }
+        }
+    }
+    let xs: BTreeSet<i64> = samples.values().flat_map(|at| at.keys().copied()).collect();
+    let mut columns = vec![("x".to_string(), "x".to_string())];
+    for name in samples.keys() {
+        columns.push((name.clone(), format!("{name} median")));
+        columns.push((format!("{name}_q1"), "q1".to_string()));
+        columns.push((format!("{name}_q3"), "q3".to_string()));
+    }
+    let mut table = Table::new(title, columns).meta("seeds", per_seed.len());
+    for x in xs {
+        let mut row = vec![Cell::Float(x as f64 / 1e6, None, 2)];
+        for at in samples.values() {
+            let [q1, median, q3] = at
+                .get(&x)
+                .map_or([f64::NAN; 3], |ys| SummaryStats::quartiles(ys));
+            row.extend([median, q1, q3].map(|v| Cell::Float(v, None, 2)));
+        }
+        table.push_row(row);
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,13 +353,31 @@ mod tests {
             let table = data.to_table(&format!("Figure {figure}"));
             assert!(!table.is_empty(), "figure {figure} rendered an empty table");
             assert!(table.to_csv().lines().count() > 1);
-            let surface = matches!(figure, Figure::F | Figure::G | Figure::H | Figure::I);
             assert_eq!(
                 matches!(data, FigureData::Surface(_)),
-                surface,
+                figure.is_surface(),
                 "figure {figure}"
             );
         }
+    }
+
+    #[test]
+    fn quartiles_are_taken_per_series_and_x_over_the_seeds() {
+        let per_seed: Vec<SeriesSet> = [10.0, 40.0, 20.0, 30.0]
+            .iter()
+            .map(|g| {
+                let mut set = SeriesSet::new();
+                set.push("G", 0.0, 0.0);
+                set.push("G", 5.0, *g);
+                set.push("NG", 5.0, 1.0);
+                set
+            })
+            .collect();
+        let csv = quartile_table("A", &per_seed).to_csv();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[0], "x,G,G_q1,G_q3,NG,NG_q1,NG_q3");
+        assert_eq!(lines[1], "0,0,0,0,NaN,NaN,NaN");
+        assert_eq!(lines[2], "5,25,17.5,32.5,1,1,1");
     }
 
     #[test]

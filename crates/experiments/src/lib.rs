@@ -55,7 +55,7 @@ mod trace_demo;
 
 pub use baseline_compare::{compare_overlays, OverlayComparison, OverlayRow};
 pub use durability::{run_durability, DurabilityParams, DurabilityReport, DurabilityRow};
-pub use figures::{extract_figure, hop_surface, Figure, FigureData};
+pub use figures::{extract_figure, hop_surface, quartile_table, Figure, FigureData};
 pub use maintenance::maintenance_table;
 pub use multicast_compare::{
     compare_multicast, sweep_multicast_loss, LossRow, LossSweep, LossSweepParams,

@@ -20,7 +20,10 @@
 //! four in identifier order, so tables fill differently. PR 25 moved it by
 //! design (`0xf249_8ba3_0345_87d9` before): an entry stamped on the gossip
 //! horizon is second-hand and no longer advertised, in the instant it is
-//! learned or during a run's first gossip penalty.
+//! learned or during a run's first gossip penalty. It moved by design again
+//! (`0x1c1a_c4c7_8698_471c` before) when a node began to send one
+//! keep-alive per peer and round, and none to its parent or its own
+//! children, whose link the child report refreshes.
 
 use simnet::{SimConfig, SimDuration, Simulation};
 use workloads::TopologyBuilder;
@@ -29,7 +32,7 @@ const SEED: u64 = 2005;
 const NODES: usize = 1000;
 
 /// Event digest of the scenario.
-const PIN_SETTLED_IDLE: u64 = 0x1c1a_c4c7_8698_471c;
+const PIN_SETTLED_IDLE: u64 = 0xf871_30a1_722c_350d;
 
 #[test]
 fn settled_idle_overlay_replays_its_pinned_digest() {

@@ -77,8 +77,10 @@ const PIN_SHARDED: u64 = 0x617b_9a1e_18fc_800e;
 /// `0x4a4b_6849_c770_b106`, re-pinned (with telemetry off) when keep-alives
 /// stopped being acknowledged by nodes that ping the sender themselves, and
 /// again (`0xb6db_9563_e4af_bb01` before) when an entry stamped on the gossip
-/// horizon stopped being advertised.
-const PIN_TREEP: u64 = 0xa8d7_b4b6_0d74_64f3;
+/// horizon stopped being advertised, and again (`0xa8d7_b4b6_0d74_64f3`
+/// before) when the tick stopped pinging a peer twice and pinging the parent
+/// and own children at all.
+const PIN_TREEP: u64 = 0x618e_ae80_acaf_7e61;
 
 fn run_ring_wheel(telemetry: bool) -> u64 {
     let mut sim = Simulation::new(ring_config(), RING_SEED);

@@ -73,7 +73,9 @@ pub enum TreePMessage {
 
     // ---- maintenance ------------------------------------------------------
     /// Periodic keep-alive between direct neighbours (level 0 and level-i
-    /// buses), carrying piggy-backed routing updates.
+    /// buses), carrying piggy-backed routing updates: one per peer and
+    /// round, and none between a parent and its own child, whose reports
+    /// refresh that link.
     KeepAlive {
         /// The sender.
         sender: PeerInfo,
@@ -81,13 +83,12 @@ pub enum TreePMessage {
         updates: Vec<RoutingUpdate>,
     },
     /// Reply to a keep-alive with the receiver's own updates — sent only
-    /// when the receiver does not itself keep-alive the sender (it holds the
-    /// sender neither as a level-0 neighbour nor as a direct bus neighbour),
-    /// so the ack is that edge's only refresh. A sender the receiver pings
-    /// anyway hears from it once per interval and gets no ack. The receiver
-    /// decides this before it learns the sender, because learning makes
-    /// every sender a level-0 neighbour (see the membership layer's module
-    /// documentation).
+    /// when the sender does not hear from the receiver every round anyway
+    /// (it is neither a level-0 neighbour, a direct bus neighbour, the
+    /// parent nor an own child of the receiver), so the ack is that edge's
+    /// only refresh. The receiver decides this before it learns the sender,
+    /// because learning makes every sender a level-0 neighbour (see the
+    /// membership layer's module documentation).
     KeepAliveAck {
         /// The sender of the ack.
         sender: PeerInfo,

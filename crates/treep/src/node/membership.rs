@@ -9,21 +9,32 @@
 //! the [`TIMER_KEEPALIVE`] maintenance tick that expires stale registry
 //! entries, prunes the gossip-learned level-0 contacts and re-arms itself.
 //!
-//! # One liveness proof per link and direction
+//! # One liveness proof per link, direction and round
 //!
-//! A [`TreePMessage::KeepAlive`] is answered with a
-//! [`TreePMessage::KeepAliveAck`] **only when this node does not itself
-//! keep-alive the sender** — when the sender is neither a level-0 neighbour
-//! nor a direct bus neighbour at one of our levels, the target set of the
-//! maintenance tick. A sender in that set survived our last prune: we
-//! pinged it at our last tick or will at the next, so it hears from us
-//! directly once per interval and an ack would only repeat that (four
-//! messages per link and interval where two prove liveness both ways). A
-//! sender outside it — an asymmetric edge (it keeps us among its nearest,
-//! we pruned it), a first contact, a one-sided bus link — is acknowledged,
-//! because the ack is the only refresh that edge gets. The test runs
-//! *before* the sender is learned: learning makes every sender a level-0
-//! neighbour until the next prune, which would make the test vacuous.
+//! Every round a node is in touch with its **round partners**
+//! ([`crate::tables::RoutingTables::round_partners`], one registry pass):
+//! its level-0 neighbours, its direct bus neighbours at each of its levels,
+//! its parent and its own children. Each hears from it exactly once:
+//!
+//! * the parent by the [`TreePMessage::ChildReport`] and an own child by the
+//!   [`TreePMessage::ChildReportAck`] answering its report — both ends of
+//!   that link are refreshed at the keep-alive cadence already, so the tick
+//!   sends them no [`TreePMessage::KeepAlive`];
+//! * every other partner by one keep-alive, however many roles it holds (a
+//!   level-0 neighbour that is also a bus neighbour, a bus neighbour at two
+//!   levels is one slot, so one ping).
+//!
+//! A keep-alive is answered with a [`TreePMessage::KeepAliveAck`] **only
+//! when its sender is not one of our round partners**. A partner survived
+//! our last prune and hears from us directly once per interval, so an ack
+//! would only repeat that (four messages per link and interval where two
+//! prove liveness both ways). A sender outside the set — an asymmetric edge
+//! (it keeps us among its nearest, we pruned it), a first contact, a
+//! one-sided bus link — is acknowledged, because the ack is the only
+//! refresh that edge gets. The tick and the ack rule read the same set, so
+//! they cannot drift apart. The test runs *before* the sender is learned:
+//! learning makes every sender a level-0 neighbour until the next prune,
+//! which would make the test vacuous.
 //!
 //! Child reports carry the reporting child's **exact subtree span**
 //! ([`TreePNode::subtree_span`]); the parent records it in the registry so
@@ -353,15 +364,13 @@ impl TreePNode {
         sup
     }
 
-    /// True when `peer` is a target of this node's own keep-alives: a
-    /// level-0 neighbour, or a direct bus neighbour at one of our levels —
-    /// membership in the set [`TreePNode::maintenance_tick`] steps 4–5 walk.
-    fn pings(&self, peer: NodeId) -> bool {
-        self.tables.is_level0_neighbor(peer)
-            || (1..=self.max_level).any(|level| {
-                let (l, r) = self.tables.bus_neighbors(level, self.id);
-                [l, r].into_iter().flatten().any(|e| e.id == peer)
-            })
+    /// True when `peer` hears from this node every round without an ack: by
+    /// keep-alive or, as parent or own child, by report — membership in the
+    /// set step 4 of [`TreePNode::maintenance_tick`] walks.
+    fn hears_from_us(&self, peer: NodeId) -> bool {
+        self.tables
+            .round_partners(self.id, self.max_level)
+            .any(|(e, _)| e.id == peer)
     }
 
     // ---- maintenance tick ------------------------------------------------------
@@ -429,16 +438,18 @@ impl TreePNode {
             }
         }
 
-        // 4. Keep-alives to level-0 neighbours, sent straight off the
-        //    registry iterator: `tables` (read) and `stats` (write) are
-        //    disjoint field borrows, so no address buffer is allocated per
-        //    tick (ROADMAP registry follow-up; the only per-message
-        //    allocation left is the keep-alive's own `updates` payload).
+        // 4. One keep-alive to each level-0 neighbour and each direct bus
+        //    neighbour at the levels we belong to, and none to the parent or
+        //    an own child, whose link step 5's report refreshes. The round's
+        //    partners come off one registry pass, a peer in several roles
+        //    once; `tables` (read) and `stats` (write) are disjoint field
+        //    borrows, so no target buffer is allocated per tick (the only
+        //    per-message allocation is the keep-alive's `updates` payload).
         let updates = self.my_updates(now);
         let me = self.peer_info();
         let stats = &mut self.stats;
-        for entry in self.tables.level0() {
-            if entry.addr == me.addr {
+        for (entry, by_report) in self.tables.round_partners(self.id, self.max_level) {
+            if by_report || entry.addr == me.addr {
                 continue;
             }
             let msg = TreePMessage::KeepAlive {
@@ -449,24 +460,7 @@ impl TreePNode {
             ctx.send(entry.addr, msg);
         }
 
-        // 5. Keep-alives to direct bus neighbours at every level we belong
-        //    to — same borrow split, no `Vec` of targets.
-        for level in 1..=self.max_level {
-            let (l, r) = self.tables.bus_neighbors(level, self.id);
-            for entry in [l, r].into_iter().flatten() {
-                if entry.addr == me.addr {
-                    continue;
-                }
-                let msg = TreePMessage::KeepAlive {
-                    sender: me,
-                    updates: updates.clone(),
-                };
-                stats.record_sent(msg.kind());
-                ctx.send(entry.addr, msg);
-            }
-        }
-
-        // 6. Report to the parent ("if they do not report regularly they
+        // 5. Report to the parent ("if they do not report regularly they
         //    will simply be deleted from its routing table"), carrying the
         //    exact extent of this node's subtree for fan-out pruning.
         if let Some(parent) = self.tables.parent().map(|p| p.addr) {
@@ -477,7 +471,7 @@ impl TreePNode {
             self.report_filter_to_parent(ctx);
         }
 
-        // 7. Re-arm the tick.
+        // 6. Re-arm the tick.
         ctx.set_timer(
             self.config.keepalive_interval,
             encode_timer(TIMER_KEEPALIVE, 0),
@@ -565,7 +559,7 @@ impl TreePNode {
         let now = ctx.now();
         // Decided before `learn_peer`, which makes every sender a level-0
         // neighbour and would make the test vacuous.
-        let reply = reply && !self.pings(sender.id);
+        let reply = reply && !self.hears_from_us(sender.id);
         self.learn_peer(sender, now);
         for u in updates {
             self.apply_update(u, now);
@@ -586,9 +580,9 @@ impl TreePNode {
                 self.register_with_parent(p.addr, ctx);
             }
         }
-        // One liveness proof per link and direction: a sender we ping
-        // ourselves hears from us once per interval anyway, so only the
-        // others — whose sole refresh this is — get an ack.
+        // One liveness proof per link, direction and round: a sender that
+        // hears from us every round anyway, by keep-alive or by report, gets
+        // no ack; only the others — whose sole refresh this is — do.
         if reply {
             let me = self.peer_info();
             let my_updates = self.my_updates(now);

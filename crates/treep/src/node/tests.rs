@@ -387,6 +387,76 @@ fn keep_alive_from_a_direct_bus_neighbour_is_not_acked() {
 }
 
 #[test]
+fn keep_alive_from_the_parent_or_an_own_child_is_not_acked() {
+    // Neither is a level-0 or bus neighbour here: what keeps the link alive
+    // is the child report one way and its acknowledgement the other.
+    let (mut node, mut rng) = started_node(10_000);
+    node.seed_max_level(1);
+    node.seed_parent(peer(50_000, 2), SimTime::ZERO);
+    node.seed_child(peer(20_000, 0), true, SimTime::ZERO);
+    for (sender, level, acked) in [(50_000, 2, false), (20_000, 0, false), (70_000, 0, true)] {
+        let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10_000), &mut rng);
+        node.on_message(
+            NodeAddr(sender),
+            TreePMessage::KeepAlive {
+                sender: peer(sender, level),
+                updates: vec![],
+            },
+            &mut ctx,
+        );
+        let expected = if acked {
+            vec![NodeAddr(sender)]
+        } else {
+            vec![]
+        };
+        assert_eq!(keep_alive_acks(&ctx.into_actions()), expected, "{sender}");
+    }
+}
+
+#[test]
+fn one_tick_pings_each_peer_once_and_neither_parent_nor_own_children() {
+    // A level-2 node. Its parent and both own children are level-0
+    // neighbours as well; peer 9 000 is a level-0 neighbour and the direct
+    // left bus neighbour at levels 1 and 2; 11 000 is a plain neighbour.
+    let (mut node, mut rng) = started_node(10_000);
+    node.seed_max_level(2);
+    node.seed_parent(peer(50_000, 3), SimTime::ZERO);
+    for child in [20_000, 30_000] {
+        node.seed_child(peer(child, 1), true, SimTime::ZERO);
+    }
+    for (neighbour, level) in [
+        (9_000, 2),
+        (11_000, 0),
+        (20_000, 1),
+        (30_000, 1),
+        (50_000, 3),
+    ] {
+        node.seed_level0_neighbor(peer(neighbour, level), SimTime::ZERO);
+    }
+    node.seed_level_neighbor(1, peer(9_000, 2), SimTime::ZERO);
+    node.seed_level_neighbor(2, peer(9_000, 2), SimTime::ZERO);
+    let mut ctx = Context::new(SimTime::from_millis(500), NodeAddr(10_000), &mut rng);
+    node.on_timer(encode_timer(TIMER_KEEPALIVE, 0), &mut ctx);
+    let actions = ctx.into_actions();
+    let sent_to = |wanted: MessageKind| {
+        let mut dests: Vec<NodeAddr> = actions
+            .iter()
+            .filter_map(|a| match a {
+                simnet::Action::Send { dest, msg } if msg.kind() == wanted => Some(*dest),
+                _ => None,
+            })
+            .collect();
+        dests.sort();
+        dests
+    };
+    assert_eq!(
+        sent_to(MessageKind::KeepAlive),
+        vec![NodeAddr(9_000), NodeAddr(11_000)]
+    );
+    assert_eq!(sent_to(MessageKind::ChildReport), vec![NodeAddr(50_000)]);
+}
+
+#[test]
 fn asymmetric_edge_stays_fresh_through_acks() {
     // A (1000) keeps B (2000) as its nearest peer; B holds eight peers
     // nearer than A, so every tick of B prunes A again and B never pings

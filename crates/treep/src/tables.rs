@@ -143,6 +143,29 @@ fn bus_bit(level: u32) -> u64 {
     }
 }
 
+/// True for a slot whose link to the owner the child report refreshes every
+/// round: the parent, or an own child.
+fn by_report(s: &Slot) -> bool {
+    s.tree & (PARENT | OWN_CHILD) != 0
+}
+
+/// The direct bus neighbours among `slots`, walked outward from the owner
+/// on one side, that hold no level-0 or report role: the first slot met
+/// with a bit of `buses` is that bus's direct neighbour on this side.
+fn bus_only_neighbours<'a>(
+    slots: impl Iterator<Item = &'a Slot>,
+    buses: u64,
+) -> impl Iterator<Item = &'a PeerEntry> {
+    slots
+        .scan(0, move |passed: &mut u64, s| {
+            let direct = s.levels & buses & !*passed != 0;
+            *passed |= s.levels;
+            Some((s, direct))
+        })
+        .filter(|(s, direct)| *direct && s.levels & LEVEL0 == 0 && !by_report(s))
+        .map(|(s, _)| &s.entry)
+}
+
 /// One known peer and the roles it holds.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -648,6 +671,32 @@ impl RoutingTables {
             .iter()
             .find(|s| s.levels & bit != 0 && s.entry.id != own);
         (left.map(|s| &s.entry), right.map(|s| &s.entry))
+    }
+
+    /// The peers `own` is in touch with every maintenance round, each once:
+    /// its level-0 neighbours, its parent and own children (in identifier
+    /// order), then its direct bus neighbours at levels `1..=max_level` (the
+    /// [`RoutingTables::bus_neighbors`] of each) that hold none of those
+    /// roles. The flag is true for the parent and own children: the child
+    /// report and its acknowledgement refresh that link, so no keep-alive
+    /// needs to. A peer holding several of these roles is one slot, so it
+    /// comes out once.
+    pub(crate) fn round_partners(
+        &self,
+        own: NodeId,
+        max_level: u32,
+    ) -> impl Iterator<Item = (&PeerEntry, bool)> {
+        let near = self
+            .slots
+            .iter()
+            .filter(|s| s.levels & LEVEL0 != 0 || by_report(s))
+            .map(|s| (&s.entry, by_report(s)));
+        let buses = (u64::MAX >> (MAX_BUS_LEVEL - max_level.min(MAX_BUS_LEVEL))) & !LEVEL0;
+        let (below, rest) = self.slots.split_at(self.rank(own));
+        let rest = rest.iter().filter(move |s| s.entry.id != own);
+        let bus =
+            bus_only_neighbours(below.iter().rev(), buses).chain(bus_only_neighbours(rest, buses));
+        near.chain(bus.map(|e| (e, false)))
     }
 
     /// Total number of bus-neighbour entries over all levels `> 0`.

@@ -6,7 +6,11 @@ use experiments::{extract_figure, hop_surface, run_churn_experiment, ExperimentP
 use treep::RoutingAlgorithm;
 
 fn quick_run() -> experiments::ChurnRunResult {
-    run_churn_experiment(&ExperimentParams::quick(150, 2005).with_lookups_per_step(25))
+    quick_run_at(2005)
+}
+
+fn quick_run_at(seed: u64) -> experiments::ChurnRunResult {
+    run_churn_experiment(&ExperimentParams::quick(150, seed).with_lookups_per_step(25))
 }
 
 #[test]
@@ -28,30 +32,56 @@ fn failure_rate_grows_with_churn_but_stays_reasonable() {
     }
 }
 
-#[test]
-fn the_three_algorithms_stay_within_a_band_of_each_other() {
-    // Paper: "these algorithms achieve similar performance with a fluctuation
-    // of 2%". At this scale (150 nodes, 25 lookups per step) individual steps
-    // are noisy, so compare the failure rates averaged over the whole churn
-    // schedule: the three curves must stay within a modest band of each
-    // other.
-    let result = quick_run();
-    let mut averages = Vec::new();
-    for algorithm in RoutingAlgorithm::ALL {
+/// The spread, in percentage points, between the highest and the lowest of
+/// the three algorithms' failure rates averaged over the churn schedule.
+fn algorithm_spread(seed: u64) -> f64 {
+    let result = quick_run_at(seed);
+    let averages = RoutingAlgorithm::ALL.map(|algorithm| {
         let rates: Vec<f64> = result
             .steps
             .iter()
             .filter_map(|s| s.algo(algorithm))
             .map(|a| a.failed_pct())
             .collect();
-        averages.push(rates.iter().sum::<f64>() / rates.len().max(1) as f64);
-    }
+        rates.iter().sum::<f64>() / rates.len().max(1) as f64
+    });
     let min = averages.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = averages.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    max - min
+}
+
+#[test]
+fn the_three_algorithms_stay_within_a_band_of_each_other() {
+    // Paper: "these algorithms achieve similar performance with a fluctuation
+    // of 2%". At this scale (150 nodes, 25 lookups per step) individual steps
+    // are noisy, so compare the failure rates averaged over the whole churn
+    // schedule. One seed is noisy too: its spread leaves a 20-point band on
+    // about a third of the seeds (the median over 40 seeds is ~16), and the
+    // median of ten consecutive seeds still strays up to 22. So the band
+    // holds the median over sixteen seeds, run on two threads.
+    const SEEDS: std::ops::Range<u64> = 2005..2021;
+    let mut spreads: Vec<f64> = std::thread::scope(|scope| {
+        let halves = [0, 1].map(|half| {
+            scope.spawn(move || {
+                SEEDS
+                    .skip(half)
+                    .step_by(2)
+                    .map(algorithm_spread)
+                    .collect::<Vec<_>>()
+            })
+        });
+        halves
+            .into_iter()
+            .flat_map(|half| half.join().expect("a seed's run panicked"))
+            .collect()
+    });
+    spreads.sort_by(f64::total_cmp);
+    let median = (spreads[7] + spreads[8]) / 2.0;
     assert!(
-        max - min <= 20.0,
-        "average failure rates diverged by {:.0} percentage points across algorithms: {averages:?}",
-        max - min
+        median <= 20.0,
+        "the median spread of the average failure rates across algorithms is \
+         {median:.1} percentage points over {} seeds: {spreads:?}",
+        spreads.len()
     );
 }
 
