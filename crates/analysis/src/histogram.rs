@@ -28,7 +28,7 @@ impl HopHistogram {
     }
 
     /// Percentage (0–100) of lookups resolved in exactly `hops` hops.
-    pub(crate) fn percentage(&self, hops: u32) -> f64 {
+    pub fn percentage(&self, hops: u32) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -70,6 +70,14 @@ impl HopHistogram {
             .iter()
             .max_by_key(|(h, c)| (**c, std::cmp::Reverse(**h)))
             .map(|(h, _)| *h)
+    }
+
+    /// Add every lookup `other` recorded to this histogram.
+    pub fn merge(&mut self, other: &HopHistogram) {
+        for (&hops, &count) in &other.counts {
+            *self.counts.entry(hops).or_insert(0) += count;
+        }
+        self.total += other.total;
     }
 }
 
@@ -142,14 +150,6 @@ impl HopHistogram {
     /// Iterate `(hops, count)` in increasing hop order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.counts.iter().map(|(h, c)| (*h, *c))
-    }
-
-    /// Merge another histogram into this one.
-    pub(crate) fn merge(&mut self, other: &HopHistogram) {
-        for (h, c) in other.iter() {
-            *self.counts.entry(h).or_insert(0) += c;
-        }
-        self.total += other.total;
     }
 }
 

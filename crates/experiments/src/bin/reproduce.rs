@@ -2,52 +2,53 @@
 //!
 //! ```text
 //! reproduce [--figure A|B|...|I|all] [--nodes N] [--seed S] [--seeds K]
-//!           [--lookups K] [--quick] [--table-routing] [--baselines]
-//!           [--maintenance] [--multicast] [--lossy] [--durability]
-//!           [--readpath] [--pubsub] [--scale] [--smoke] [--out DIR]
+//!           [--lookups K] [--baselines] [--maintenance] [--multicast]
+//!           [--lossy] [--durability] [--readpath] [--pubsub] [--scale]
+//!           [--smoke] [--out DIR]
 //! ```
 //!
-//! Without arguments the binary runs every figure plus the Section III.e
-//! routing-table report with a moderate population (800 nodes). `--seeds K`
-//! runs the churn experiment on K consecutive seeds from `--seed` and prints
-//! each curve figure (A–E) as the median and quartiles per x. `--quick`
-//! shrinks the run for smoke tests; `--durability` adds the replication
-//! durability comparison (Figure R); `--multicast --lossy` adds the
-//! coverage-vs-loss sweep of the multicast reliability layer (Figure L);
+//! Without arguments the binary runs every figure with a moderate
+//! population (800 nodes). Every figure is computed from the churn runs of
+//! `--seeds K` consecutive seeds from `--seed` (one by default): a curve as
+//! the median and quartiles per x, a hop-count surface as every step's
+//! histograms pooled. Under each figure it prints the verdict against the
+//! paper's readings (`matches`, `deviates by d at x`, or `no numeric
+//! reading`), and it writes every reading with its verdict to
+//! `BENCH_paper.json`. Whenever churn runs ran, it prints the Section III.e
+//! routing-table report of the overlays they built. `--durability` adds the
+//! replication durability comparison (Figure R); `--multicast --lossy` adds
+//! the coverage-vs-loss sweep of the multicast reliability layer (Figure L);
 //! `--readpath` adds the Zipf read-storm comparison of the read-path
 //! serving layer (Figure S) and writes `BENCH_readpath.json`; `--pubsub`
 //! adds the subscription-pruned-publish vs flooding comparison (Figure P)
-//! and writes `BENCH_pubsub.json`; `--scale`
-//! runs the engine scale sweep (timer-wheel vs sharded, up to n = 10⁶) and
-//! writes `BENCH_scale.json`; `--smoke`
-//! switches to a bounded smoke profile and, unless figures were requested
-//! explicitly, skips the default figure suite (so `--durability --smoke`
-//! runs only the durability gate, `--multicast --lossy --smoke` only the
-//! lossy-multicast gate and `--readpath --smoke` only the read-path gate,
-//! which is what CI exercises); `--out DIR` additionally writes one CSV
-//! per figure into `DIR`. Every BENCH document is checked to be well-formed
-//! JSON before it is written (non-zero exit otherwise). An unknown flag
-//! prints the full experiment flag list and exits non-zero; `--help` prints
-//! it and exits zero.
+//! and writes `BENCH_pubsub.json`; `--scale` runs the engine scale sweep
+//! (timer-wheel vs sharded, up to n = 10⁶) and writes `BENCH_scale.json`;
+//! `--smoke` switches to a bounded smoke profile (figure runs use
+//! `ExperimentParams::quick` on at most 200 nodes) and, unless figures
+//! were requested explicitly, skips the default figure suite (so
+//! `--durability --smoke` runs only the durability gate, `--multicast
+//! --lossy --smoke` only the lossy-multicast gate and `--readpath --smoke`
+//! only the read-path gate, which is what CI exercises); `--out DIR`
+//! additionally writes one CSV per figure into `DIR`. Every BENCH document
+//! is checked to be well-formed JSON before it is written (non-zero exit
+//! otherwise). An unknown flag prints the full experiment flag list and
+//! exits non-zero; `--help` prints it and exits zero.
 
 use analysis::Table;
 use experiments::{
-    compare_multicast, compare_overlays, compare_pubsub, extract_figure, maintenance_table,
-    measure_telemetry_overhead, quartile_table, routing_table_report, run_churn_experiment,
-    run_durability, run_read_storm, run_scale, run_trace_demo, sweep_multicast_loss,
-    ChurnRunResult, DurabilityParams, ExperimentParams, Figure, FigureData, LossSweepParams,
-    MulticastParams, PubSubParams, ReadStormParams, ScaleParams, TraceDemoParams,
-    TELEMETRY_OVERHEAD_BOUND_PCT,
+    compare_multicast, compare_overlays, compare_pubsub, maintenance_table,
+    measure_telemetry_overhead, paper_table, routing_table_report, run_durability, run_read_storm,
+    run_scale, run_trace_demo, sweep_multicast_loss, verdict, ChurnRunResult, DurabilityParams,
+    ExperimentParams, Figure, LossSweepParams, MulticastParams, PubSubParams, ReadStormParams,
+    ScaleParams, SeedRuns, TraceDemoParams, FIGURES, TELEMETRY_OVERHEAD_BOUND_PCT,
 };
 
 struct Cli {
-    figures: Vec<Figure>,
+    figures: Vec<&'static Figure>,
     nodes: usize,
     seed: u64,
     seeds: u64,
     lookups: usize,
-    quick: bool,
-    table_routing: bool,
     baselines: bool,
     maintenance: bool,
     multicast: bool,
@@ -58,7 +59,6 @@ struct Cli {
     scale: bool,
     smoke: bool,
     trace_out: Option<String>,
-    table_routing_requested: bool,
     out: Option<String>,
 }
 
@@ -73,13 +73,11 @@ enum CliError {
 impl Cli {
     fn parse(args: &[String]) -> Result<Cli, CliError> {
         let mut cli = Cli {
-            figures: Figure::ALL.to_vec(),
+            figures: FIGURES.iter().collect(),
             nodes: 800,
             seed: 2005,
             seeds: 1,
             lookups: 100,
-            quick: false,
-            table_routing: true,
             baselines: false,
             maintenance: false,
             multicast: false,
@@ -90,10 +88,9 @@ impl Cli {
             scale: false,
             smoke: false,
             trace_out: None,
-            table_routing_requested: false,
             out: None,
         };
-        let mut explicit_figures: Vec<Figure> = Vec::new();
+        let mut explicit_figures: Vec<&'static Figure> = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let arg = args[i].clone();
@@ -107,41 +104,19 @@ impl Cli {
                 "--figure" | "-f" => {
                     let v = value("--figure")?;
                     if v.eq_ignore_ascii_case("all") {
-                        explicit_figures = Figure::ALL.to_vec();
+                        explicit_figures = FIGURES.iter().collect();
                     } else {
                         explicit_figures.push(
-                            Figure::parse(&v)
+                            Figure::named(&v)
                                 .ok_or_else(|| CliError::Bad(format!("unknown figure '{v}'")))?,
                         );
                     }
                 }
-                "--nodes" | "-n" => {
-                    cli.nodes = value("--nodes")?
-                        .parse()
-                        .map_err(|e| CliError::Bad(format!("--nodes: {e}")))?
-                }
-                "--seed" | "-s" => {
-                    cli.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| CliError::Bad(format!("--seed: {e}")))?
-                }
-                "--seeds" => {
-                    cli.seeds = value("--seeds")?
-                        .parse()
-                        .map_err(|e| CliError::Bad(format!("--seeds: {e}")))?
-                }
-                "--lookups" | "-l" => {
-                    cli.lookups = value("--lookups")?
-                        .parse()
-                        .map_err(|e| CliError::Bad(format!("--lookups: {e}")))?
-                }
+                "--nodes" | "-n" => cli.nodes = number("--nodes", value("--nodes")?)?,
+                "--seed" | "-s" => cli.seed = number("--seed", value("--seed")?)?,
+                "--seeds" => cli.seeds = number("--seeds", value("--seeds")?)?,
+                "--lookups" | "-l" => cli.lookups = number("--lookups", value("--lookups")?)?,
                 "--out" | "-o" => cli.out = Some(value("--out")?),
-                "--quick" => cli.quick = true,
-                "--no-table-routing" => cli.table_routing = false,
-                "--table-routing" => {
-                    cli.table_routing = true;
-                    cli.table_routing_requested = true;
-                }
                 "--baselines" => cli.baselines = true,
                 "--maintenance" => cli.maintenance = true,
                 "--multicast" => cli.multicast = true,
@@ -164,24 +139,18 @@ impl Cli {
         }
         if !explicit_figures.is_empty() {
             cli.figures = explicit_figures;
-        } else if cli.smoke || (cli.trace_out.is_some() && !cli.table_routing_requested) {
+        } else if cli.smoke || cli.trace_out.is_some() {
             // Smoke runs are bounded: only what was asked for explicitly.
             // A bare `--trace-out` likewise runs just the trace capture.
             cli.figures = Vec::new();
-            cli.table_routing = false;
         }
-        if cli.quick || cli.smoke {
+        if cli.smoke {
             cli.nodes = cli.nodes.min(200);
             cli.lookups = cli.lookups.min(20);
         }
         if cli.seeds == 0 || cli.seed.checked_add(cli.seeds).is_none() {
             return Err(CliError::Bad(
                 "--seeds must be at least 1, and --seed + --seeds must fit 64 bits".into(),
-            ));
-        }
-        if cli.seeds > 1 && cli.figures.iter().any(|f| f.is_surface()) {
-            return Err(CliError::Bad(
-                "--seeds summarises the curve figures A-E; pick them with --figure".into(),
             ));
         }
         if cli.lossy && !cli.multicast {
@@ -193,21 +162,30 @@ impl Cli {
     }
 }
 
+/// `text`, the value of flag `name`, as a number.
+fn number<T: std::str::FromStr>(name: &str, text: String) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse()
+        .map_err(|e| CliError::Bad(format!("{name}: {e}")))
+}
+
 fn usage() -> String {
     "usage: reproduce [flags]
 
   --figure A..I|all     run one paper figure (repeatable) instead of the suite
   --nodes N   (-n)      initial population size (default 800)
   --seed S    (-s)      deterministic seed (default 2005)
-  --seeds K             run K consecutive seeds from S and print the median
-                        and quartiles per x (curve figures A-E only)
+  --seeds K             run the figures on K consecutive seeds from S
+                        (default 1): a curve's median and quartiles per x,
+                        a surface's histograms pooled; writes
+                        BENCH_paper.json with a verdict per figure
   --lookups K (-l)      lookups per churn step per algorithm (default 100)
-  --quick               shrink the churn schedule for fast runs
-  --smoke               bounded smoke profile; runs only the gates asked for
-  --table-routing       Section III.e routing-table report (default on)
-  --no-table-routing    skip the routing-table report
+  --smoke               bounded smoke profile (at most 200 nodes, the quick
+                        churn schedule); runs only the gates asked for
   --baselines           TreeP vs Chord vs flooding comparison
-  --maintenance         maintenance-overhead ablation
+  --maintenance         maintenance-overhead ablation (of the first seed)
   --multicast           scoped multicast vs flooding broadcast
   --lossy               per-hop-loss sweep of multicast reliability (Figure L;
                         requires --multicast)
@@ -260,55 +238,6 @@ fn write_csv(cli: &Cli, name: &str, table: &Table) {
     }
 }
 
-fn paper_expectation(figure: Figure) -> &'static str {
-    match figure {
-        Figure::A => "paper: ~10% failed lookups at 30% failed nodes, 25-30% at 50%; all three algorithms within ~2%",
-        Figure::B => "paper: mean hops roughly independent of the failure rate (~5 hops)",
-        Figure::C => "paper: same shape as Figure A with variable nc",
-        Figure::D => "paper: variable nc hops grow with failures; fixed nc stays flat",
-        Figure::E => "paper: max failed-lookup hops jumps once ~35% of the nodes are gone (network partitions)",
-        Figure::F => "paper: sharp ridge at ~4-5 hops (~50% of requests at 4 hops), greedy, nc=4",
-        Figure::G => "paper: same ridge, slightly lower peak (~45% at 4 hops), non-greedy",
-        Figure::H => "paper: steeper ridge peaking at 5 hops (~60% of requests), greedy, variable nc",
-        Figure::I => "paper: same as H for non-greedy",
-    }
-}
-
-/// `--seeds K`: run the churn experiment on K consecutive seeds and print
-/// every requested figure (all curves, checked by `Cli::parse`) as the
-/// median and quartiles per x.
-fn print_over_seeds(cli: &Cli, fixed: ExperimentParams, adaptive: ExperimentParams) {
-    let needs_adaptive = cli.figures.iter().any(|f| f.needs_adaptive_run());
-    let mut curves = vec![Vec::new(); cli.figures.len()];
-    for seed in cli.seed..cli.seed + cli.seeds {
-        eprintln!("#   seed {seed}…");
-        let fixed = run_churn_experiment(&ExperimentParams { seed, ..fixed });
-        let adaptive =
-            needs_adaptive.then(|| run_churn_experiment(&ExperimentParams { seed, ..adaptive }));
-        for (&figure, sets) in cli.figures.iter().zip(&mut curves) {
-            if let FigureData::Curves(set) = extract_figure(figure, &fixed, adaptive.as_ref()) {
-                sets.push(set);
-            }
-        }
-    }
-    let last = cli.seed + cli.seeds - 1;
-    for (&figure, sets) in cli.figures.iter().zip(&curves) {
-        let title = format!(
-            "Figure {figure} — {} — median, q1, q3 over seeds {}–{last}",
-            figure.description(),
-            cli.seed
-        );
-        let table = quartile_table(&title, sets);
-        println!("{}", table.render());
-        println!("  ({})\n", paper_expectation(figure));
-        write_csv(
-            cli,
-            &format!("figure_{}_seeds", figure.label().to_lowercase()),
-            &table,
-        );
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match Cli::parse(&args) {
@@ -323,81 +252,71 @@ fn main() {
         }
     };
 
-    let mut fixed_params = ExperimentParams::paper_fixed(cli.nodes, cli.seed);
-    fixed_params.lookups_per_step = cli.lookups;
-    let mut adaptive_params = ExperimentParams::paper_adaptive(cli.nodes, cli.seed);
-    adaptive_params.lookups_per_step = cli.lookups;
-    if cli.quick {
-        fixed_params.churn = workloads::ChurnPlan {
-            fraction_per_step: 0.10,
-            stop_at_surviving_fraction: 0.30,
-        };
-        adaptive_params.churn = fixed_params.churn;
+    let params = if cli.smoke {
+        ExperimentParams::quick(cli.nodes, cli.seed)
+    } else {
+        ExperimentParams::paper_fixed(cli.nodes, cli.seed)
     }
-
-    let needs_adaptive = cli.figures.iter().any(|f| f.needs_adaptive_run());
-    let over_seeds = cli.seeds > 1 && !cli.figures.is_empty();
-    let needs_churn_run = (!cli.figures.is_empty() && !over_seeds) || cli.maintenance;
+    .with_lookups_per_step(cli.lookups);
+    let variable_nc = cli.figures.iter().any(|f| f.variable_nc);
 
     eprintln!(
         "# TreeP reproduction — n = {}, seed = {}, {} lookups/step/algorithm",
         cli.nodes, cli.seed, cli.lookups
     );
-    let fixed: Option<ChurnRunResult> = if needs_churn_run {
-        eprintln!("# running fixed-nc churn experiment (nc = 4, h = 6)…");
-        let fixed = run_churn_experiment(&fixed_params);
-        eprintln!(
-            "#   steady state: height {}, {} orphans, avg {:.1} children/parent",
-            fixed.steady_state.height, fixed.steady_state.orphans, fixed.steady_state.avg_children
-        );
-        Some(fixed)
-    } else {
-        None
-    };
-    let adaptive: Option<ChurnRunResult> = if needs_adaptive && needs_churn_run {
-        eprintln!("# running variable-nc churn experiment…");
-        Some(run_churn_experiment(&adaptive_params))
-    } else {
-        None
-    };
-
-    if over_seeds {
-        print_over_seeds(&cli, fixed_params, adaptive_params);
-    } else {
-        for &figure in &cli.figures {
-            let fixed = fixed.as_ref().expect("figures imply the churn run");
-            let data = extract_figure(figure, fixed, adaptive.as_ref());
-            let title = format!("Figure {figure} — {}", figure.description());
-            let table = data.to_table(&title);
-            println!("{}", table.render());
-            println!("  ({})\n", paper_expectation(figure));
-            let name = format!("figure_{}", figure.label().to_lowercase());
-            write_csv(&cli, &name, &table);
+    let mut runs: Vec<SeedRuns> = Vec::new();
+    if !cli.figures.is_empty() || cli.maintenance {
+        for seed in cli.seed..cli.seed + cli.seeds {
+            let both = if variable_nc { " and variable-nc" } else { "" };
+            eprintln!("# seed {seed}: fixed-nc (nc = 4, h = 6){both} churn runs…");
+            let seed_runs = SeedRuns::run(&ExperimentParams { seed, ..params }, variable_nc);
+            let audit = &seed_runs.fixed.steady_state;
+            eprintln!(
+                "#   steady state: height {}, {} orphans, avg {:.1} children/parent",
+                audit.height, audit.orphans, audit.avg_children
+            );
+            runs.push(seed_runs);
         }
     }
 
-    if cli.table_routing {
-        println!(
-            "{}",
-            routing_table_report(&fixed_params).to_table().render()
-        );
-        if needs_adaptive {
-            println!(
-                "{}",
-                routing_table_report(&adaptive_params).to_table().render()
-            );
+    let mut readings = Vec::new();
+    for figure in &cli.figures {
+        let table = figure.table(&runs);
+        let compared = figure.compare(&runs);
+        println!("{}", table.render());
+        println!("  verdict: {}\n", verdict(&compared));
+        let name = format!("figure_{}", figure.label.to_lowercase());
+        write_csv(&cli, &name, &table);
+        readings.extend(compared);
+    }
+
+    // Section III.e, read off the overlays the churn runs built.
+    let fixed: Vec<&ChurnRunResult> = runs.iter().map(|r| &r.fixed).collect();
+    let variable: Vec<&ChurnRunResult> = runs.iter().filter_map(|r| r.variable.as_ref()).collect();
+    for built in [fixed, variable] {
+        if !built.is_empty() {
+            let report = routing_table_report(&built);
+            println!("{}", report.to_table().render());
+            println!("  verdict: {}\n", verdict(&report.readings));
+            readings.extend(report.readings);
         }
+    }
+
+    if !cli.figures.is_empty() {
+        let table = paper_table(&readings)
+            .meta("nodes", cli.nodes)
+            .meta("first_seed", cli.seed)
+            .meta("seeds", cli.seeds)
+            .meta("lookups", cli.lookups);
+        write_bench(&cli, "paper", &table);
     }
 
     if cli.maintenance {
-        let mut runs: Vec<&ChurnRunResult> = Vec::new();
-        if let Some(f) = fixed.as_ref() {
-            runs.push(f);
-        }
-        if let Some(a) = adaptive.as_ref() {
-            runs.push(a);
-        }
-        println!("{}", maintenance_table(&runs).render());
+        let first = &runs[0];
+        let shown: Vec<&ChurnRunResult> = std::iter::once(&first.fixed)
+            .chain(&first.variable)
+            .collect();
+        println!("{}", maintenance_table(&shown).render());
     }
 
     if cli.baselines {
@@ -689,7 +608,7 @@ fn main() {
     if let Some(path) = &cli.trace_out {
         eprintln!("# capturing causal traces (seeded op mix with telemetry enabled)…");
         let mut params = TraceDemoParams::new(cli.seed);
-        if cli.quick || cli.smoke {
+        if cli.smoke {
             params.nodes = 96;
             params.ops_per_class = 4;
         }

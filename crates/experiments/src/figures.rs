@@ -1,176 +1,257 @@
-//! Extraction and rendering of the paper's figures (Section IV, Figures A–I).
+//! The paper's figures (Section IV, Figures A–I), each declared once in
+//! [`FIGURES`], computed from the churn runs of K seeds (K = 1 is one run)
+//! and held against the numbers the paper reads off it.
 
-use crate::runner::ChurnRunResult;
-use analysis::{Cell, HopSurface, SeriesSet, SummaryStats, Table};
+use crate::params::ExperimentParams;
+use crate::runner::{run_churn_experiment, AlgoStepStats, ChurnRunResult};
+use analysis::{Cell, Column, HopHistogram, HopSurface, SeriesSet, SummaryStats, Table};
 use std::collections::{BTreeMap, BTreeSet};
 use treep::RoutingAlgorithm;
 
-/// The figures of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Figure {
-    /// Figure A — % failed lookups vs % failed nodes, `nc = 4`.
-    A,
-    /// Figure B — mean hops vs % failed nodes, `nc = 4`.
-    B,
-    /// Figure C — % failed lookups vs % failed nodes, variable `nc`.
-    C,
-    /// Figure D — mean hops, fixed vs variable `nc`.
-    D,
-    /// Figure E — min / max hops of failed lookups vs % failed nodes.
-    E,
-    /// Figure F — hop-count surface, greedy, `nc = 4`.
-    F,
-    /// Figure G — hop-count surface, non-greedy, `nc = 4`.
-    G,
-    /// Figure H — hop-count surface, greedy, variable `nc`.
-    H,
-    /// Figure I — hop-count surface, non-greedy, variable `nc`.
-    I,
+/// The churn runs of one seed: the fixed-`nc` run and, when a figure reads
+/// it, the variable-`nc` run.
+#[derive(Debug, Clone)]
+pub struct SeedRuns {
+    /// The run with `nc = 4`.
+    pub fixed: ChurnRunResult,
+    /// The run with the capability-driven `nc`.
+    pub variable: Option<ChurnRunResult>,
 }
+
+impl SeedRuns {
+    /// Run `params`, and when `variable` the same with the variable-`nc`
+    /// policy.
+    pub fn run(params: &ExperimentParams, variable: bool) -> SeedRuns {
+        SeedRuns {
+            fixed: run_churn_experiment(params),
+            variable: variable.then(|| run_churn_experiment(&params.with_adaptive_policy())),
+        }
+    }
+
+    fn variable(&self) -> &ChurnRunResult {
+        self.variable
+            .as_ref()
+            .expect("the variable-nc run was asked for")
+    }
+}
+
+/// A number the paper reads off a figure, `(series, x, low, high)`: the
+/// series at `x` lies in `[low, high]`. A range "25–30 %" is `[25, 30]`;
+/// "~v" is `[0.75·v, 1.25·v]`.
+pub type Reading = (&'static str, f64, f64, f64);
+
+/// "~`v`" at `x`.
+const fn about(series: &'static str, x: f64, v: f64) -> Reading {
+    (series, x, 0.75 * v, 1.25 * v)
+}
+
+/// Figures A and C: ~10 % failed lookups at 30 % failed nodes and 25–30 %
+/// at 50 %, for every algorithm ("all three within ~2 %" is a spread, not
+/// a point).
+const FAILED_LOOKUPS: &[Reading] = &[
+    about("G", 30.0, 10.0),
+    ("G", 50.0, 25.0, 30.0),
+    about("NG", 30.0, 10.0),
+    ("NG", 50.0, 25.0, 30.0),
+    about("NGSA", 30.0, 10.0),
+    ("NGSA", 50.0, 25.0, 30.0),
+];
+
+/// Figure B: ~5 hops whatever the failure rate, read on the intact overlay
+/// and where Figure A is.
+const MEAN_HOPS: &[Reading] = &[
+    about("G", 0.0, 5.0),
+    about("G", 30.0, 5.0),
+    about("G", 50.0, 5.0),
+    about("NG", 0.0, 5.0),
+    about("NG", 30.0, 5.0),
+    about("NG", 50.0, 5.0),
+    about("NGSA", 0.0, 5.0),
+    about("NGSA", 30.0, 5.0),
+    about("NGSA", 50.0, 5.0),
+];
+
+/// What a figure draws.
+#[derive(Debug, Clone, Copy)]
+pub enum Plot {
+    /// Curves over % failed nodes from one seed's runs; over K seeds, the
+    /// median and quartiles of each series per x. They count failures or
+    /// hops: below a reading's band is better than the paper.
+    Curves(fn(&SeedRuns) -> SeriesSet),
+    /// The hop-count surface of one algorithm; over K seeds, each step's
+    /// histograms pooled. A reading names a hop count as `hops_h`, and more
+    /// requests on the paper's ridge than it reads is better.
+    Surface(RoutingAlgorithm),
+}
+
+/// One figure of the paper's evaluation.
+#[derive(Debug)]
+pub struct Figure {
+    /// "A" … "I".
+    pub label: &'static str,
+    /// What it plots, in one line.
+    pub description: &'static str,
+    /// True when it reads the variable-`nc` runs.
+    pub variable_nc: bool,
+    /// How it is drawn.
+    pub plot: Plot,
+    /// The numbers the paper reads off it.
+    pub readings: &'static [Reading],
+}
+
+/// Every figure of Section IV, in paper order.
+pub static FIGURES: [Figure; 9] = [
+    Figure {
+        label: "A",
+        description: "% failed lookups vs % failed nodes (G/NG/NGSA, nc=4)",
+        variable_nc: false,
+        plot: Plot::Curves(|runs| algorithm_curves(&runs.fixed, AlgoStepStats::failed_pct)),
+        readings: FAILED_LOOKUPS,
+    },
+    Figure {
+        label: "B",
+        description: "mean hops vs % failed nodes (G/NG/NGSA, nc=4)",
+        variable_nc: false,
+        plot: Plot::Curves(|runs| algorithm_curves(&runs.fixed, AlgoStepStats::mean_hops)),
+        readings: MEAN_HOPS,
+    },
+    Figure {
+        label: "C",
+        description: "% failed lookups vs % failed nodes (G/NG/NGSA, variable nc)",
+        variable_nc: true,
+        plot: Plot::Curves(|runs| algorithm_curves(runs.variable(), AlgoStepStats::failed_pct)),
+        readings: FAILED_LOOKUPS, // "The same shape as Figure A."
+    },
+    Figure {
+        label: "D",
+        description: "mean hops vs % failed nodes, fixed vs variable nc",
+        variable_nc: true,
+        plot: Plot::Curves(|runs| hop_comparison_curves(&runs.fixed, runs.variable())),
+        readings: &[], // "Variable nc grows with failures, fixed nc stays flat."
+    },
+    Figure {
+        label: "E",
+        description: "min/max hops of failed lookups vs % failed nodes (nc=4)",
+        variable_nc: false,
+        plot: Plot::Curves(|runs| failed_hop_envelope(&runs.fixed, RoutingAlgorithm::Greedy)),
+        // "The maximum jumps once ~35 % of the nodes are gone" says where a
+        // jump sits, which a band on one value cannot hold.
+        readings: &[],
+    },
+    Figure {
+        label: "F",
+        description: "hop-count distribution surface (greedy, nc=4)",
+        variable_nc: false,
+        plot: Plot::Surface(RoutingAlgorithm::Greedy),
+        readings: &[about("hops_4", 0.0, 50.0)], // "A sharp ridge at 4 hops."
+    },
+    Figure {
+        label: "G",
+        description: "hop-count distribution surface (non-greedy, nc=4)",
+        variable_nc: false,
+        plot: Plot::Surface(RoutingAlgorithm::NonGreedy),
+        readings: &[about("hops_4", 0.0, 45.0)], // "A slightly lower peak."
+    },
+    Figure {
+        label: "H",
+        description: "hop-count distribution surface (greedy, variable nc)",
+        variable_nc: true,
+        plot: Plot::Surface(RoutingAlgorithm::Greedy),
+        readings: &[about("hops_5", 0.0, 60.0)], // "A steeper ridge at 5 hops."
+    },
+    Figure {
+        label: "I",
+        description: "hop-count distribution surface (non-greedy, variable nc)",
+        variable_nc: true,
+        plot: Plot::Surface(RoutingAlgorithm::NonGreedy),
+        readings: &[about("hops_5", 0.0, 60.0)], // "The same as H."
+    },
+];
 
 impl Figure {
-    /// Every figure, in paper order.
-    pub const ALL: [Figure; 9] = [
-        Figure::A,
-        Figure::B,
-        Figure::C,
-        Figure::D,
-        Figure::E,
-        Figure::F,
-        Figure::G,
-        Figure::H,
-        Figure::I,
-    ];
+    /// The figure labelled `label`, in either case.
+    pub fn named(label: &str) -> Option<&'static Figure> {
+        let label = label.trim();
+        FIGURES.iter().find(|f| f.label.eq_ignore_ascii_case(label))
+    }
 
-    /// Parse a single-letter figure name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Figure> {
-        match s.trim().to_ascii_uppercase().as_str() {
-            "A" => Some(Figure::A),
-            "B" => Some(Figure::B),
-            "C" => Some(Figure::C),
-            "D" => Some(Figure::D),
-            "E" => Some(Figure::E),
-            "F" => Some(Figure::F),
-            "G" => Some(Figure::G),
-            "H" => Some(Figure::H),
-            "I" => Some(Figure::I),
-            _ => None,
+    /// The run of one seed this figure reads.
+    fn run<'a>(&self, runs: &'a SeedRuns) -> &'a ChurnRunResult {
+        if self.variable_nc {
+            runs.variable()
+        } else {
+            &runs.fixed
         }
     }
 
-    /// Figure label ("A" … "I").
-    pub fn label(self) -> &'static str {
-        match self {
-            Figure::A => "A",
-            Figure::B => "B",
-            Figure::C => "C",
-            Figure::D => "D",
-            Figure::E => "E",
-            Figure::F => "F",
-            Figure::G => "G",
-            Figure::H => "H",
-            Figure::I => "I",
-        }
-    }
-
-    /// Which of the two paper configurations the figure needs. `true` when
-    /// the variable-`nc` run is required (instead of, or in addition to, the
-    /// fixed-`nc` run).
-    pub fn needs_adaptive_run(self) -> bool {
-        matches!(self, Figure::C | Figure::D | Figure::H | Figure::I)
-    }
-
-    /// True for the hop-count surfaces (F–I), false for the curves (A–E).
-    pub fn is_surface(self) -> bool {
-        matches!(self, Figure::F | Figure::G | Figure::H | Figure::I)
-    }
-
-    /// One-line description used by the `reproduce` binary.
-    pub fn description(self) -> &'static str {
-        match self {
-            Figure::A => "% failed lookups vs % failed nodes (G/NG/NGSA, nc=4)",
-            Figure::B => "mean hops vs % failed nodes (G/NG/NGSA, nc=4)",
-            Figure::C => "% failed lookups vs % failed nodes (G/NG/NGSA, variable nc)",
-            Figure::D => "mean hops vs % failed nodes, fixed vs variable nc",
-            Figure::E => "min/max hops of failed lookups vs % failed nodes (nc=4)",
-            Figure::F => "hop-count distribution surface (greedy, nc=4)",
-            Figure::G => "hop-count distribution surface (non-greedy, nc=4)",
-            Figure::H => "hop-count distribution surface (greedy, variable nc)",
-            Figure::I => "hop-count distribution surface (non-greedy, variable nc)",
-        }
-    }
-}
-
-impl std::fmt::Display for Figure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// The extracted data of one figure, ready to be rendered.
-#[derive(Debug, Clone)]
-pub enum FigureData {
-    /// A set of curves over the failed-node percentage (Figures A–E).
-    Curves(SeriesSet),
-    /// A hop-count distribution surface (Figures F–I).
-    Surface(HopSurface),
-}
-
-impl FigureData {
-    /// The data as a table: the aligned text shows two decimals of a curve
-    /// and one of a surface, the CSV carries every value exactly.
-    pub fn to_table(&self, title: &str) -> Table {
-        let (columns, rows, decimals) = match self {
-            FigureData::Curves(set) => {
-                let (header, rows) = set.to_rows();
-                let columns = header.into_iter().map(|name| (name.clone(), name));
-                (columns.collect::<Vec<_>>(), rows, 2)
-            }
-            FigureData::Surface(surface) => {
-                let (hops, rows) = surface.to_grid();
-                let mut columns = vec![("failed_pct".to_string(), "failed %".to_string())];
-                columns.extend(
-                    hops.iter()
-                        .map(|h| (format!("hops_{h}"), format!("{h} hops"))),
-                );
-                (columns, rows, 1)
-            }
+    /// One seed's values the readings are held against: its curves, or the
+    /// % of requests at each hop count a reading names.
+    fn series(&self, runs: &SeedRuns) -> SeriesSet {
+        let algorithm = match self.plot {
+            Plot::Curves(curves) => return curves(runs),
+            Plot::Surface(algorithm) => algorithm,
         };
-        let mut table = Table::new(title, columns);
+        let mut set = SeriesSet::new();
+        for (fraction, histogram) in hop_surface(&[self.run(runs)], algorithm).rows() {
+            for &(series, ..) in self.readings {
+                let hops = series.strip_prefix("hops_").and_then(|h| h.parse().ok());
+                let hops = hops.expect("a surface reading names a hop count");
+                set.push(series, fraction * 100.0, histogram.percentage(hops));
+            }
+        }
+        set
+    }
+
+    /// The figure over the runs of K seeds: per x the median and quartiles
+    /// of each curve, or the surface of every step's histograms pooled. The
+    /// aligned text shows two decimals of a curve and one of a surface; the
+    /// CSV carries every value exactly.
+    pub fn table(&self, runs: &[SeedRuns]) -> Table {
+        let seed = |run: Option<&SeedRuns>| run.expect("a figure of at least one seed").fixed.seed;
+        let (first, last) = (seed(runs.first()), seed(runs.last()));
+        let seeds = if first == last {
+            format!("seed {first}")
+        } else {
+            format!("seeds {first}–{last}")
+        };
+        let title = format!("Figure {} — {}", self.label, self.description);
+        let algorithm = match self.plot {
+            Plot::Curves(_) => {
+                let per_seed: Vec<SeriesSet> = runs.iter().map(|r| self.series(r)).collect();
+                let title = format!("{title} — median, q1, q3 over {seeds}");
+                return quartile_table(&title, &per_seed);
+            }
+            Plot::Surface(algorithm) => algorithm,
+        };
+        let runs: Vec<&ChurnRunResult> = runs.iter().map(|r| self.run(r)).collect();
+        let (hops, rows) = hop_surface(&runs, algorithm).to_grid();
+        let mut columns = vec![("failed_pct".to_string(), "failed %".to_string())];
+        columns.extend(
+            hops.iter()
+                .map(|h| (format!("hops_{h}"), format!("{h} hops"))),
+        );
+        let mut table = Table::new(format!("{title} — pooled over {seeds}"), columns);
         for row in rows {
-            table.push_row(row.into_iter().map(|v| Cell::Float(v, None, decimals)));
+            table.push_row(row.into_iter().map(|v| Cell::Float(v, None, 1)));
         }
         table
     }
-}
 
-/// Figures A and C: percentage of failed lookups per algorithm, as a function
-/// of the percentage of failed nodes.
-pub(crate) fn failed_lookup_curves(result: &ChurnRunResult) -> SeriesSet {
-    let mut set = SeriesSet::new();
-    for step in &result.steps {
-        for stats in &step.per_algorithm {
-            set.push(
-                stats.algorithm.label(),
-                step.failed_fraction * 100.0,
-                stats.failed_pct(),
-            );
-        }
+    /// The figure's readings held against the runs of K seeds.
+    pub fn compare(&self, runs: &[SeedRuns]) -> Vec<ReadingRow> {
+        let per_seed: Vec<SeriesSet> = runs.iter().map(|r| self.series(r)).collect();
+        let higher_is_better = matches!(self.plot, Plot::Surface(_));
+        compare(self.label, higher_is_better, self.readings, &per_seed)
     }
-    set
 }
 
-/// Figures B: mean hops of successful lookups per algorithm, as a function of
-/// the percentage of failed nodes.
-pub(crate) fn mean_hop_curves(result: &ChurnRunResult) -> SeriesSet {
+/// Figures A–C: one value per algorithm and step, over % failed nodes.
+fn algorithm_curves(result: &ChurnRunResult, value: fn(&AlgoStepStats) -> f64) -> SeriesSet {
     let mut set = SeriesSet::new();
     for step in &result.steps {
         for stats in &step.per_algorithm {
-            set.push(
-                stats.algorithm.label(),
-                step.failed_fraction * 100.0,
-                stats.mean_hops(),
-            );
+            let x = step.failed_fraction * 100.0;
+            set.push(stats.algorithm.label(), x, value(stats));
         }
     }
     set
@@ -178,10 +259,7 @@ pub(crate) fn mean_hop_curves(result: &ChurnRunResult) -> SeriesSet {
 
 /// Figure D: mean hops (averaged over the three algorithms) of the fixed-`nc`
 /// run against the variable-`nc` run.
-pub(crate) fn hop_comparison_curves(
-    fixed: &ChurnRunResult,
-    adaptive: &ChurnRunResult,
-) -> SeriesSet {
+fn hop_comparison_curves(fixed: &ChurnRunResult, adaptive: &ChurnRunResult) -> SeriesSet {
     let mut set = SeriesSet::new();
     for (label, result) in [("nc=4", fixed), ("nc=variable", adaptive)] {
         for step in &result.steps {
@@ -199,10 +277,7 @@ pub(crate) fn hop_comparison_curves(
 
 /// Figure E: minimum and maximum hop counts reached by failed (dead-ended)
 /// lookups, as a function of the percentage of failed nodes.
-pub(crate) fn failed_hop_envelope(
-    result: &ChurnRunResult,
-    algorithm: RoutingAlgorithm,
-) -> SeriesSet {
+fn failed_hop_envelope(result: &ChurnRunResult, algorithm: RoutingAlgorithm) -> SeriesSet {
     let mut set = SeriesSet::new();
     for step in &result.steps {
         if let Some(stats) = step.algo(algorithm) {
@@ -214,50 +289,33 @@ pub(crate) fn failed_hop_envelope(
     set
 }
 
-/// Figures F–I: the hop-count distribution surface of one algorithm.
-pub fn hop_surface(result: &ChurnRunResult, algorithm: RoutingAlgorithm) -> HopSurface {
+/// Figures F–I: the hop-count distribution surface of one algorithm, each
+/// step's histogram pooled over `runs` (runs of one churn schedule).
+pub fn hop_surface(runs: &[&ChurnRunResult], algorithm: RoutingAlgorithm) -> HopSurface {
     let mut surface = HopSurface::new();
-    for step in &result.steps {
-        if let Some(stats) = step.algo(algorithm) {
-            surface.push(step.failed_fraction, stats.histogram.clone());
+    let first = runs.first().expect("a surface of at least one run");
+    for (i, step) in first.steps.iter().enumerate() {
+        let mut pooled = HopHistogram::new();
+        for run in runs {
+            if let Some(stats) = run.steps.get(i).and_then(|s| s.algo(algorithm)) {
+                pooled.merge(&stats.histogram);
+            }
         }
+        surface.push(step.failed_fraction, pooled);
     }
     surface
 }
 
-/// Extract the data of `figure` from the fixed-`nc` run and (when the figure
-/// needs it) the variable-`nc` run.
-pub fn extract_figure(
-    figure: Figure,
-    fixed: &ChurnRunResult,
-    adaptive: Option<&ChurnRunResult>,
-) -> FigureData {
-    let adaptive_or_fixed = adaptive.unwrap_or(fixed);
-    match figure {
-        Figure::A => FigureData::Curves(failed_lookup_curves(fixed)),
-        Figure::B => FigureData::Curves(mean_hop_curves(fixed)),
-        Figure::C => FigureData::Curves(failed_lookup_curves(adaptive_or_fixed)),
-        Figure::D => FigureData::Curves(hop_comparison_curves(fixed, adaptive_or_fixed)),
-        Figure::E => FigureData::Curves(failed_hop_envelope(fixed, RoutingAlgorithm::Greedy)),
-        Figure::F => FigureData::Surface(hop_surface(fixed, RoutingAlgorithm::Greedy)),
-        Figure::G => FigureData::Surface(hop_surface(fixed, RoutingAlgorithm::NonGreedy)),
-        Figure::H => FigureData::Surface(hop_surface(adaptive_or_fixed, RoutingAlgorithm::Greedy)),
-        Figure::I => {
-            FigureData::Surface(hop_surface(adaptive_or_fixed, RoutingAlgorithm::NonGreedy))
-        }
-    }
-}
-
-/// One curve figure (A–E) over several seeds: per x, the median and the
-/// quartiles of each series over `per_seed`, one [`SeriesSet`] per seed.
-pub fn quartile_table(title: &str, per_seed: &[SeriesSet]) -> Table {
+/// Per x, the median and the quartiles of each series over `per_seed`, one
+/// [`SeriesSet`] per seed.
+fn quartile_table(title: &str, per_seed: &[SeriesSet]) -> Table {
     // Series name → x → one y per seed; the x key is exact to 10⁻⁶ %.
     let mut samples: BTreeMap<String, BTreeMap<i64, Vec<f64>>> = BTreeMap::new();
     for set in per_seed {
         for name in &set.to_rows().0[1..] {
             let at = samples.entry(name.clone()).or_default();
             for &(x, y) in &set.get(name).expect("a listed series").points {
-                at.entry((x * 1e6).round() as i64).or_default().push(y);
+                at.entry(x_key(x)).or_default().push(y);
             }
         }
     }
@@ -282,61 +340,180 @@ pub fn quartile_table(title: &str, per_seed: &[SeriesSet]) -> Table {
     table
 }
 
+/// An x coordinate as a key exact to 10⁻⁶.
+fn x_key(x: f64) -> i64 {
+    (x * 1e6).round() as i64
+}
+
+/// One reading of the paper held against the runs of K seeds: one row of
+/// `BENCH_paper.json`.
+#[derive(Debug, Clone)]
+pub struct ReadingRow {
+    /// The figure ("A" … "I", or "III.e nc=4").
+    pub figure: String,
+    /// What the paper reads; `None` for a figure that states no number.
+    pub reading: Option<Reading>,
+    /// q1, median and q3 of the series at x over the seeds.
+    pub quartiles: [f64; 3],
+    /// How far the median lies outside the band, positive when that is
+    /// better than the paper; 0 inside it, NaN with nothing to compare.
+    pub deviation: f64,
+}
+
+/// `readings` of `figure` held against `per_seed`, one [`SeriesSet`] per
+/// seed: one row per reading, or one saying there is none.
+pub(crate) fn compare(
+    figure: &str,
+    higher_is_better: bool,
+    readings: &[Reading],
+    per_seed: &[SeriesSet],
+) -> Vec<ReadingRow> {
+    let row = |reading: Option<Reading>| {
+        let (series, x, low, high) = reading.unwrap_or(("", f64::NAN, f64::NAN, f64::NAN));
+        let at_x = |set: &SeriesSet| {
+            let points = &set.get(series)?.points;
+            points.iter().find(|p| x_key(p.0) == x_key(x)).map(|p| p.1)
+        };
+        let ys: Vec<f64> = per_seed.iter().filter_map(at_x).collect();
+        let quartiles = if ys.is_empty() {
+            [f64::NAN; 3]
+        } else {
+            SummaryStats::quartiles(&ys)
+        };
+        let above = match quartiles[1] {
+            median if median < low => median - low,
+            median if median <= high => 0.0,
+            median => median - high,
+        };
+        ReadingRow {
+            figure: figure.to_string(),
+            reading,
+            quartiles,
+            deviation: if higher_is_better { above } else { -above },
+        }
+    };
+    if readings.is_empty() {
+        return vec![row(None)];
+    }
+    readings.iter().map(|&reading| row(Some(reading))).collect()
+}
+
+/// `matches` when the median at every reading lies in its band, else
+/// `deviates by d at x (series)` for the reading farthest outside; `no
+/// numeric reading` for a figure that states no number.
+pub fn verdict(rows: &[ReadingRow]) -> String {
+    if rows.iter().all(|r| r.reading.is_none()) {
+        return "no numeric reading".to_string();
+    }
+    // The first of the farthest outside its band, so a tie names the lowest x.
+    let outside = rows.iter().filter(|r| r.deviation != 0.0);
+    let farthest = outside.min_by(|a, b| b.deviation.abs().total_cmp(&a.deviation.abs()));
+    match farthest.and_then(|row| Some((row.deviation, row.reading?))) {
+        Some((d, (series, x, ..))) => format!("deviates by {d:+.1} at x = {x} ({series})"),
+        None => "matches".to_string(),
+    }
+}
+
+/// `rows` as the `BENCH_paper.json` table: the figure, the reading, the
+/// median and quartiles over the seeds, and the reading's own verdict.
+pub fn paper_table(rows: &[ReadingRow]) -> Table {
+    fn number(value: f64) -> Cell {
+        Cell::float(value, 2, 2)
+    }
+    fn of(row: &ReadingRow, part: fn(Reading) -> f64) -> Cell {
+        number(row.reading.map_or(f64::NAN, part))
+    }
+    let columns = [
+        Column::new("figure", "figure", |r: &ReadingRow| Cell::text(&r.figure)),
+        Column::new("series", "series", |r| {
+            Cell::text(r.reading.map_or("", |r| r.0))
+        }),
+        Column::new("x", "x", |r| of(r, |r| r.1)),
+        Column::new("paper_low", "paper low", |r| of(r, |r| r.2)),
+        Column::new("paper_high", "paper high", |r| of(r, |r| r.3)),
+        Column::new("median", "median", |r| number(r.quartiles[1])),
+        Column::new("q1", "q1", |r| number(r.quartiles[0])),
+        Column::new("q3", "q3", |r| number(r.quartiles[2])),
+        Column::new("verdict", "verdict", |r| {
+            Cell::text(verdict(std::slice::from_ref(r)))
+        }),
+    ];
+    Table::of("The paper's readings against the runs", &columns, rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ExperimentParams;
-    use crate::runner::run_churn_experiment;
 
-    fn result() -> ChurnRunResult {
-        run_churn_experiment(&ExperimentParams::quick(100, 21).with_lookups_per_step(15))
+    fn runs(variable: bool) -> SeedRuns {
+        let params = ExperimentParams::quick(100, 21).with_lookups_per_step(15);
+        SeedRuns::run(&params, variable)
     }
 
     #[test]
     fn figure_parsing_round_trips() {
-        for figure in Figure::ALL {
-            assert_eq!(Figure::parse(figure.label()), Some(figure));
-            assert_eq!(Figure::parse(&figure.label().to_lowercase()), Some(figure));
-            assert!(!figure.description().is_empty());
+        for figure in &FIGURES {
+            assert!(std::ptr::eq(Figure::named(figure.label).unwrap(), figure));
+            let lower = figure.label.to_lowercase();
+            assert!(std::ptr::eq(Figure::named(&lower).unwrap(), figure));
+            assert!(!figure.description.is_empty());
         }
-        assert_eq!(Figure::parse("z"), None);
-        assert_eq!(Figure::parse(""), None);
+        assert!(Figure::named("z").is_none());
+        assert!(Figure::named("").is_none());
     }
 
     #[test]
     fn adaptive_requirement_matches_the_paper() {
-        assert!(!Figure::A.needs_adaptive_run());
-        assert!(Figure::C.needs_adaptive_run());
-        assert!(Figure::D.needs_adaptive_run());
-        assert!(Figure::H.needs_adaptive_run());
-        assert!(!Figure::F.needs_adaptive_run());
+        let variable: String = FIGURES
+            .iter()
+            .filter(|f| f.variable_nc)
+            .map(|f| f.label)
+            .collect();
+        assert_eq!(variable, "CDHI");
     }
 
     #[test]
     fn curve_extraction_produces_three_algorithms() {
-        let r = result();
-        let failed = failed_lookup_curves(&r);
+        let r = runs(false).fixed;
+        let failed = algorithm_curves(&r, AlgoStepStats::failed_pct);
         assert_eq!(failed.to_rows().0, ["x", "G", "NG", "NGSA"]);
         for algo in RoutingAlgorithm::ALL {
             let series = failed.get(algo.label()).unwrap();
             assert_eq!(series.points.len(), r.steps.len());
             assert!(series.points.iter().all(|(_, y)| (0.0..=100.0).contains(y)));
         }
-        let hops = mean_hop_curves(&r);
+        let hops = algorithm_curves(&r, AlgoStepStats::mean_hops);
         assert_eq!(hops.to_rows().0, ["x", "G", "NG", "NGSA"]);
     }
 
     #[test]
     fn surfaces_cover_every_step() {
-        let r = result();
-        let surface = hop_surface(&r, RoutingAlgorithm::Greedy);
+        let r = runs(false).fixed;
+        let surface = hop_surface(&[&r], RoutingAlgorithm::Greedy);
         assert_eq!(surface.rows().len(), r.steps.len());
         assert!(surface.max_hops() < 40);
     }
 
     #[test]
+    fn a_surface_over_two_seeds_adds_their_hop_counts() {
+        let params = ExperimentParams::quick(80, 5).with_lookups_per_step(10);
+        let a = run_churn_experiment(&params);
+        let b = run_churn_experiment(&ExperimentParams { seed: 6, ..params });
+        let pooled = hop_surface(&[&a, &b], RoutingAlgorithm::Greedy);
+        let one = hop_surface(&[&a], RoutingAlgorithm::Greedy);
+        let two = hop_surface(&[&b], RoutingAlgorithm::Greedy);
+        assert_eq!(pooled.rows().len(), a.steps.len());
+        for (i, (x, histogram)) in pooled.rows().iter().enumerate() {
+            assert_eq!(*x, a.steps[i].failed_fraction);
+            let mut sum = one.rows()[i].1.clone();
+            sum.merge(&two.rows()[i].1);
+            assert_eq!(*histogram, sum, "step {i}");
+        }
+    }
+
+    #[test]
     fn envelope_orders_min_below_max() {
-        let r = result();
+        let r = runs(false).fixed;
         let env = failed_hop_envelope(&r, RoutingAlgorithm::Greedy);
         let max = env.get("max").unwrap();
         let min = env.get("min").unwrap();
@@ -347,18 +524,23 @@ mod tests {
 
     #[test]
     fn extract_covers_every_figure_and_renders() {
-        let r = result();
-        for figure in Figure::ALL {
-            let data = extract_figure(figure, &r, Some(&r));
-            let table = data.to_table(&format!("Figure {figure}"));
-            assert!(!table.is_empty(), "figure {figure} rendered an empty table");
+        let runs = [runs(true)];
+        let mut rows = Vec::new();
+        for figure in &FIGURES {
+            let table = figure.table(&runs);
+            assert!(!table.is_empty(), "figure {} rendered empty", figure.label);
             assert!(table.to_csv().lines().count() > 1);
-            assert_eq!(
-                matches!(data, FigureData::Surface(_)),
-                figure.is_surface(),
-                "figure {figure}"
-            );
+            let compared = figure.compare(&runs);
+            assert_eq!(compared.len(), figure.readings.len().max(1));
+            for row in &compared {
+                assert_eq!(row.quartiles[1].is_finite(), row.reading.is_some());
+            }
+            rows.extend(compared);
         }
+        // One row per reading, and one for each figure without any.
+        let table = paper_table(&rows);
+        assert_eq!(table.len(), 6 + 9 + 6 + 1 + 1 + 4);
+        assert!(analysis::validate_json(&table.to_json()).is_ok());
     }
 
     #[test]
@@ -381,8 +563,29 @@ mod tests {
     }
 
     #[test]
+    fn a_reading_matches_inside_its_band_and_deviates_outside_it() {
+        let mut set = SeriesSet::new();
+        set.push("G", 30.0, 12.0);
+        set.push("G", 50.0, 40.0);
+        let per_seed = [set];
+        let inside = ("G", 30.0, 7.5, 12.5);
+        assert_eq!(
+            verdict(&compare("A", false, &[inside], &per_seed)),
+            "matches"
+        );
+        let rows = compare("A", false, &[inside, ("G", 50.0, 25.0, 30.0)], &per_seed);
+        assert_eq!(rows[1].deviation, -10.0);
+        assert_eq!(verdict(&rows), "deviates by -10.0 at x = 50 (G)");
+        // Above the band is better where higher is better.
+        let rows = compare("F", true, &[("G", 50.0, 25.0, 30.0)], &per_seed);
+        assert_eq!(verdict(&rows), "deviates by +10.0 at x = 50 (G)");
+        let none = compare("D", false, &[], &per_seed);
+        assert_eq!(verdict(&none), "no numeric reading");
+    }
+
+    #[test]
     fn comparison_curves_have_two_labels() {
-        let r = result();
+        let r = runs(false).fixed;
         let cmp = hop_comparison_curves(&r, &r);
         assert_eq!(cmp.to_rows().0, ["x", "nc=4", "nc=variable"]);
     }

@@ -13,9 +13,13 @@
 //!   the coverage / duplicate-factor / messages-per-delivery arithmetic.
 //! * [`run_churn_experiment`] — the measurement loop shared by every figure;
 //!   it produces a [`ChurnRunResult`].
-//! * [`extract_figure`] — extraction and rendering of every paper figure (A–I) from
-//!   one or two run results.
-//! * [`routing_table_report`] — the routing-table-size accounting of Section III.e.
+//! * [`FIGURES`] — every paper figure (A–I), declared once: its plot and the
+//!   numbers the paper reads off it. [`Figure::table`] renders it from the
+//!   [`SeedRuns`] of K seeds, [`Figure::compare`] holds it against those
+//!   readings ([`verdict`] sums them up), and [`paper_table`] gathers every
+//!   reading (`BENCH_paper.json`).
+//! * [`routing_table_report`] — the routing-table-size accounting of Section
+//!   III.e, read off the overlays the churn runs built.
 //! * [`maintenance_table`] — the maintenance-overhead ablation.
 //! * [`compare_overlays`] — TreeP vs Chord vs flooding under identical
 //!   workloads.
@@ -55,7 +59,9 @@ mod trace_demo;
 
 pub use baseline_compare::{compare_overlays, OverlayComparison, OverlayRow};
 pub use durability::{run_durability, DurabilityParams, DurabilityReport, DurabilityRow};
-pub use figures::{extract_figure, hop_surface, quartile_table, Figure, FigureData};
+pub use figures::{
+    hop_surface, paper_table, verdict, Figure, Plot, Reading, ReadingRow, SeedRuns, FIGURES,
+};
 pub use maintenance::maintenance_table;
 pub use multicast_compare::{
     compare_multicast, sweep_multicast_loss, LossRow, LossSweep, LossSweepParams,

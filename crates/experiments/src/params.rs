@@ -44,15 +44,6 @@ impl ExperimentParams {
         }
     }
 
-    /// The paper's second configuration: capability-driven `nc`, `h = 6`.
-    pub fn paper_adaptive(nodes: usize, seed: u64) -> Self {
-        let mut params = Self::paper_fixed(nodes, seed);
-        let mut config = TreePConfig::paper_case_adaptive();
-        config.lookup_timeout = SimDuration::from_secs(2);
-        params.config = config;
-        params
-    }
-
     /// A reduced configuration for unit tests and the rendered-suite pin: a
     /// small population, fewer lookups, and a coarser churn schedule (10 %
     /// per step, stop at 30 % survivors) so one run completes in well under
@@ -68,7 +59,9 @@ impl ExperimentParams {
         params
     }
 
-    /// Switch the run to the adaptive child policy, keeping every other knob.
+    /// Switch the run to the adaptive child policy, keeping every other knob:
+    /// `paper_fixed(..).with_adaptive_policy()` is the paper's second
+    /// configuration, capability-driven `nc` and `h = 6`.
     pub fn with_adaptive_policy(mut self) -> Self {
         let mut config = TreePConfig::paper_case_adaptive();
         config.lookup_timeout = self.config.lookup_timeout;
@@ -104,7 +97,7 @@ mod tests {
         assert_eq!(fixed.churn.fraction_per_step, 0.05);
         assert_eq!(fixed.churn.stop_at_surviving_fraction, 0.05);
 
-        let adaptive = ExperimentParams::paper_adaptive(1000, 1);
+        let adaptive = ExperimentParams::paper_fixed(1000, 1).with_adaptive_policy();
         assert!(matches!(
             adaptive.config.child_policy,
             treep::ChildPolicy::Adaptive { .. }
@@ -116,7 +109,7 @@ mod tests {
     fn drain_budget_exceeds_the_lookup_timeout() {
         for params in [
             ExperimentParams::paper_fixed(100, 1),
-            ExperimentParams::paper_adaptive(100, 1),
+            ExperimentParams::paper_fixed(100, 1).with_adaptive_policy(),
             ExperimentParams::quick(100, 1),
         ] {
             assert!(params.drain_per_step.as_micros() > params.config.lookup_timeout.as_micros());

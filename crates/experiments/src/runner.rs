@@ -11,6 +11,7 @@
 //! Chord and flooding baselines keep their own short loops.
 
 use crate::params::ExperimentParams;
+use crate::table_routing::BuiltTables;
 use analysis::{ratio, HopHistogram, SummaryStats};
 use simnet::{
     LatencyModel, LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation,
@@ -295,20 +296,10 @@ pub struct ChurnRunResult {
     pub policy_label: String,
     /// Structural audit of the steady-state topology before any failure.
     pub steady_state: HierarchyAudit,
+    /// Every node's routing table at the same moment.
+    pub(crate) tables: BuiltTables,
     /// One measurement per churn step, in schedule order.
     pub steps: Vec<StepMeasurement>,
-}
-
-impl ChurnRunResult {
-    /// The measurement whose failed fraction is closest to `fraction`.
-    pub fn step_at(&self, fraction: f64) -> Option<&StepMeasurement> {
-        self.steps.iter().min_by(|a, b| {
-            (a.failed_fraction - fraction)
-                .abs()
-                .partial_cmp(&(b.failed_fraction - fraction).abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
 }
 
 /// Run the Section-IV measurement loop with the given parameters.
@@ -325,6 +316,7 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
     let mut sc = Scenario::build(&builder, params.seed);
 
     let steady_state = audit_alive(&sc.sim);
+    let tables = BuiltTables::record(&sc.sim, &sc.topo, &params.config);
     let workload = LookupWorkload::new(params.lookups_per_step);
     let mut rng = sc.sim.rng_mut().fork();
 
@@ -374,6 +366,7 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
         seed: params.seed,
         policy_label: params.policy_label().to_string(),
         steady_state,
+        tables,
         steps,
     }
 }
@@ -383,6 +376,19 @@ pub(crate) fn audit_alive(sim: &Simulation<TreePNode>) -> HierarchyAudit {
     let alive = sim.alive_nodes();
     let nodes: Vec<&TreePNode> = alive.iter().filter_map(|&a| sim.node(a)).collect();
     audit(nodes)
+}
+
+#[cfg(test)]
+impl ChurnRunResult {
+    /// The measurement whose failed fraction is closest to `fraction`.
+    pub(crate) fn step_at(&self, fraction: f64) -> Option<&StepMeasurement> {
+        self.steps.iter().min_by(|a, b| {
+            (a.failed_fraction - fraction)
+                .abs()
+                .partial_cmp(&(b.failed_fraction - fraction).abs())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    }
 }
 
 #[cfg(test)]

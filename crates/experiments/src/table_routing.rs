@@ -3,13 +3,79 @@
 //! The paper derives analytic bounds for the routing-table size and the
 //! number of actively maintained connections per node (`l0 + h` entries for a
 //! pure level-0 node, `l0 + li + Li + ci + ca + da + h − i` for a level-`i`
-//! node). This experiment measures both quantities per level on a built
-//! topology and reports the share of nodes within each bound.
+//! node). A churn run records both quantities for every node of the overlay
+//! it built, before its first failure ([`BuiltTables`]); this module reports
+//! them per level, pooled over the runs of K seeds, with the share of nodes
+//! within each bound held against the paper's 100 %.
 
-use crate::params::ExperimentParams;
-use analysis::{Cell, Column, SummaryStats, Table};
-use treep::{analytic_table_bound, TreePConfig, MAX_LEVEL0_CONNECTIONS};
-use workloads::TopologyBuilder;
+use crate::figures::{compare, Reading, ReadingRow};
+use crate::runner::ChurnRunResult;
+use analysis::{Cell, Column, SeriesSet, SummaryStats, Table};
+use simnet::Simulation;
+use std::collections::BTreeMap;
+use treep::{analytic_table_bound, TreePConfig, TreePNode, MAX_LEVEL0_CONNECTIONS};
+use workloads::BuiltTopology;
+
+/// Every node's routing table right after the build, before any failure,
+/// by maximum level: the sample Section III.e is read from.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BuiltTables {
+    /// Height of the built hierarchy.
+    height: u32,
+    levels: BTreeMap<u32, LevelAccumulator>,
+}
+
+impl BuiltTables {
+    /// Read every built node of `topo` off `sim`.
+    pub(crate) fn record(
+        sim: &Simulation<TreePNode>,
+        topo: &BuiltTopology,
+        config: &TreePConfig,
+    ) -> BuiltTables {
+        let mut tables = BuiltTables {
+            height: topo.height,
+            levels: BTreeMap::new(),
+        };
+        for built in &topo.nodes {
+            let Some(node) = sim.node(built.addr) else {
+                continue;
+            };
+            let acc = tables.levels.entry(node.max_level()).or_default();
+            acc.table_sizes.push(node.tables().sizes().total() as f64);
+            acc.bounds.push(analytic_table_bound(node) as f64);
+            acc.connections.push(node.active_connections() as f64);
+            acc.connection_bounds
+                .push(connection_bound(config, node.max_level()));
+        }
+        tables
+    }
+
+    /// Add the nodes of `other` to this sample.
+    fn pool(&mut self, other: &BuiltTables) {
+        self.height = self.height.max(other.height);
+        for (level, acc) in &other.levels {
+            let pooled = self.levels.entry(*level).or_default();
+            pooled.table_sizes.extend(&acc.table_sizes);
+            pooled.bounds.extend(&acc.bounds);
+            pooled.connections.extend(&acc.connections);
+            pooled.connection_bounds.extend(&acc.connection_bounds);
+        }
+    }
+
+    /// One row per maximum level, lowest first.
+    fn rows(&self) -> Vec<LevelTableRow> {
+        let row = |(&level, acc): (&u32, &LevelAccumulator)| LevelTableRow {
+            level,
+            nodes: acc.table_sizes.len(),
+            table_size: SummaryStats::of(&acc.table_sizes),
+            analytic_bound: SummaryStats::of(&acc.bounds),
+            active_connections: SummaryStats::of(&acc.connections),
+            within_table_bound: share_within(&acc.table_sizes, &acc.bounds),
+            within_connection_bound: share_within(&acc.connections, &acc.connection_bounds),
+        };
+        self.levels.iter().map(row).collect()
+    }
+}
 
 /// Measured table/connection statistics for all nodes whose maximum level is
 /// a given value.
@@ -47,6 +113,9 @@ pub struct RoutingTableReport {
     pub height: u32,
     /// One row per maximum level, lowest first.
     pub rows: Vec<LevelTableRow>,
+    /// Per level, the share of nodes within each bound against the paper's
+    /// 100 %, median over the seeds.
+    pub readings: Vec<ReadingRow>,
 }
 
 impl RoutingTableReport {
@@ -78,46 +147,40 @@ impl RoutingTableReport {
     }
 }
 
-/// Build a steady-state topology with `params` and measure the per-level
-/// routing-table sizes and active-connection counts.
-pub fn routing_table_report(params: &ExperimentParams) -> RoutingTableReport {
-    let builder = TopologyBuilder::new(params.nodes)
-        .with_config(params.config)
-        .with_capabilities(params.capabilities);
-    let (sim, topo) = builder.build_simulation(params.seed);
-
-    let mut per_level: std::collections::BTreeMap<u32, LevelAccumulator> =
-        std::collections::BTreeMap::new();
-    for built in &topo.nodes {
-        let Some(node) = sim.node(built.addr) else {
-            continue;
-        };
-        let acc = per_level.entry(node.max_level()).or_default();
-        acc.table_sizes.push(node.tables().sizes().total() as f64);
-        acc.bounds.push(analytic_table_bound(node) as f64);
-        acc.connections.push(node.active_connections() as f64);
-        acc.connection_bounds
-            .push(connection_bound(&params.config, node.max_level()));
+/// The Section III.e report of the overlays `runs` built (runs of one
+/// configuration), every level's nodes pooled over the runs.
+pub fn routing_table_report(runs: &[&ChurnRunResult]) -> RoutingTableReport {
+    let mut pooled = BuiltTables::default();
+    for run in runs {
+        pooled.pool(&run.tables);
     }
-
-    let rows = per_level
-        .into_iter()
-        .map(|(level, acc)| LevelTableRow {
-            level,
-            nodes: acc.table_sizes.len(),
-            table_size: SummaryStats::of(&acc.table_sizes),
-            analytic_bound: SummaryStats::of(&acc.bounds),
-            active_connections: SummaryStats::of(&acc.connections),
-            within_table_bound: share_within(&acc.table_sizes, &acc.bounds),
-            within_connection_bound: share_within(&acc.connections, &acc.connection_bounds),
+    let rows = pooled.rows();
+    let per_seed: Vec<SeriesSet> = runs
+        .iter()
+        .map(|run| {
+            let mut set = SeriesSet::new();
+            for row in run.tables.rows() {
+                let level = f64::from(row.level);
+                set.push("tables", level, row.within_table_bound * 100.0);
+                set.push("conns", level, row.within_connection_bound * 100.0);
+            }
+            set
         })
         .collect();
-
+    let readings: Vec<Reading> = rows
+        .iter()
+        .flat_map(|row| {
+            ["tables", "conns"].map(|series| (series, f64::from(row.level), 100.0, 100.0))
+        })
+        .collect();
+    let first = runs.first().expect("a report of at least one run");
+    let figure = format!("III.e {}", first.policy_label);
     RoutingTableReport {
-        policy_label: params.policy_label().to_string(),
-        nodes: params.nodes,
-        height: topo.height,
+        policy_label: first.policy_label.clone(),
+        nodes: first.nodes,
+        height: pooled.height,
         rows,
+        readings: compare(&figure, true, &readings, &per_seed),
     }
 }
 
@@ -141,7 +204,7 @@ fn share_within(values: &[f64], bounds: &[f64]) -> f64 {
     within as f64 / values.len().max(1) as f64
 }
 
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 struct LevelAccumulator {
     table_sizes: Vec<f64>,
     bounds: Vec<f64>,
@@ -152,9 +215,14 @@ struct LevelAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ExperimentParams;
+    use crate::runner::run_churn_experiment;
 
+    /// The report of a run that measures only the intact overlay.
     fn report() -> RoutingTableReport {
-        routing_table_report(&ExperimentParams::quick(150, 32))
+        let mut params = ExperimentParams::quick(150, 32).with_lookups_per_step(5);
+        params.churn.stop_at_surviving_fraction = 1.0;
+        routing_table_report(&[&run_churn_experiment(&params)])
     }
 
     #[test]
@@ -165,6 +233,7 @@ mod tests {
         assert_eq!(r.rows.first().unwrap().level, 0);
         let total: usize = r.rows.iter().map(|row| row.nodes).sum();
         assert_eq!(total, 150);
+        assert_eq!(r.readings.len(), 2 * r.rows.len());
     }
 
     #[test]

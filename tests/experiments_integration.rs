@@ -2,7 +2,9 @@
 //! qualitative results end to end (small populations, so the suite stays
 //! fast).
 
-use experiments::{extract_figure, hop_surface, run_churn_experiment, ExperimentParams, Figure};
+use experiments::{
+    hop_surface, run_churn_experiment, verdict, ExperimentParams, SeedRuns, FIGURES,
+};
 use treep::RoutingAlgorithm;
 
 fn quick_run() -> experiments::ChurnRunResult {
@@ -89,7 +91,7 @@ fn the_three_algorithms_stay_within_a_band_of_each_other() {
 fn hop_surfaces_peak_at_a_small_hop_count() {
     let result = quick_run();
     for algorithm in [RoutingAlgorithm::Greedy, RoutingAlgorithm::NonGreedy] {
-        let surface = hop_surface(&result, algorithm);
+        let surface = hop_surface(&[&result], algorithm);
         assert_eq!(surface.rows().len(), result.steps.len());
         // On the intact topology the bulk of the requests resolve in few hops.
         let (_, intact) = &surface.rows()[0];
@@ -104,24 +106,28 @@ fn hop_surfaces_peak_at_a_small_hop_count() {
 
 #[test]
 fn every_figure_extracts_and_renders_from_real_runs() {
-    let fixed = quick_run();
-    let adaptive = run_churn_experiment(
-        &ExperimentParams::quick(150, 2005)
-            .with_lookups_per_step(25)
-            .with_adaptive_policy(),
-    );
-    for figure in Figure::ALL {
-        let data = extract_figure(figure, &fixed, Some(&adaptive));
-        let table = data.to_table(&format!("Figure {figure}"));
+    let params = ExperimentParams::quick(150, 2005).with_lookups_per_step(25);
+    let runs = [SeedRuns::run(&params, true)];
+    for figure in &FIGURES {
+        let table = figure.table(&runs);
         let rendered = table.render();
         assert!(
             rendered.lines().count() >= 3,
-            "figure {figure} rendered almost nothing:\n{rendered}"
+            "figure {} rendered almost nothing:\n{rendered}",
+            figure.label
         );
         let csv = table.to_csv();
         assert!(
             csv.lines().count() >= 2,
-            "figure {figure} produced an empty CSV"
+            "figure {} produced an empty CSV",
+            figure.label
+        );
+        let verdict = verdict(&figure.compare(&runs));
+        assert_eq!(
+            verdict == "no numeric reading",
+            figure.readings.is_empty(),
+            "figure {}: {verdict}",
+            figure.label
         );
     }
 }
