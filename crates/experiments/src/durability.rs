@@ -27,6 +27,13 @@ use treep::REPLICA_SYNC_INTERVAL;
 use treep::{audit_replication, DhtOutcome, MessageKind, NodeStats, TreePConfig, TreePNode};
 use workloads::{ChurnPlan, KvWorkload, TopologyBuilder};
 
+/// Virtual time after each failure batch before repair is measured, so
+/// keep-alives and entry expiry can react.
+const SETTLE_PER_STEP: SimDuration = SimDuration::from_secs(3);
+/// Virtual time the per-step `DhtGet` batch is given to resolve. Must
+/// exceed the configured lookup timeout.
+const DRAIN: SimDuration = SimDuration::from_millis(2_500);
+
 /// Parameters of one durability run.
 #[derive(Debug, Clone)]
 pub struct DurabilityParams {
@@ -40,12 +47,6 @@ pub struct DurabilityParams {
     pub factors: Vec<u32>,
     /// The failure schedule shared by every factor.
     pub churn: ChurnPlan,
-    /// Virtual time after each failure batch before repair is measured, so
-    /// keep-alives and entry expiry can react.
-    pub settle_per_step: SimDuration,
-    /// Virtual time the per-step `DhtGet` batch is given to resolve. Must
-    /// exceed the configured lookup timeout.
-    pub drain: SimDuration,
     /// Upper bound on the extra anti-entropy windows granted per step
     /// before repair is declared non-converged.
     pub max_repair_windows: usize,
@@ -67,8 +68,6 @@ impl DurabilityParams {
                 fraction_per_step: 0.05,
                 stop_at_surviving_fraction: 0.50,
             },
-            settle_per_step: SimDuration::from_secs(3),
-            drain: SimDuration::from_millis(2_500),
             max_repair_windows: 10,
         }
     }
@@ -150,14 +149,37 @@ impl DurabilityReport {
         self.rows.iter().filter(|r| r.k == k).collect()
     }
 
-    /// The row of factor `k` whose failed fraction is closest to `fraction`.
+    /// The row of factor `k` at failed fraction `fraction`.
     pub fn row_at(&self, k: u32, fraction: f64) -> Option<&DurabilityRow> {
-        self.rows_for(k).into_iter().min_by(|a, b| {
-            (a.failed_fraction - fraction)
-                .abs()
-                .partial_cmp(&(b.failed_fraction - fraction).abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        let at = |r: &&DurabilityRow| r.k == k && (r.failed_fraction - fraction).abs() < 1e-9;
+        self.rows.iter().find(at)
+    }
+
+    /// The `reproduce --durability --smoke` gate: at 30 % failed nodes k = 3
+    /// keeps the keys k = 1 loses, for the k − 1 digests of agreeing pairs.
+    pub fn gate(&self) -> Result<String, String> {
+        let row = |k, at: f64| {
+            self.row_at(k, at)
+                .ok_or(format!("no row k = {k} at {at} failed"))
+        };
+        let (k1, k3) = (row(1, 0.3)?, row(3, 0.3)?);
+        for intact in [row(1, 0.0)?, row(3, 0.0)?] {
+            ensure!(intact.availability_pct() >= 99.0, intact);
+        }
+        ensure!(k1.availability_pct() < 90.0, k1);
+        ensure!(k3.availability_pct() >= 99.0, k3);
+        ensure!(k3.converged, k3);
+        ensure!(k3.divergent == 0, k3);
+        let repairs = |r: &&DurabilityRow| r.anti_entropy_msgs_per_node_round;
+        ensure!(self.rows_for(1).iter().all(|r| repairs(r) == 0.0));
+        let intact = row(3, 0.0)?;
+        ensure!((1.9..=2.0).contains(&repairs(&intact)), intact);
+        let (lost, kept) = (k1.availability_pct(), k3.availability_pct());
+        Ok(format!(
+            "at 30% failed: k=1 {lost:.1}% available, k=3 {kept:.1}% available \
+             ({} repair windows, converged: {})",
+            k3.repair_windows, k3.converged
+        ))
     }
 
     /// The comparison as a table: one row per factor and step.
@@ -227,7 +249,7 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
             node.dht_put(&key, value, ctx);
         });
     }
-    sc.sim.run_for(params.settle_per_step);
+    sc.sim.run_for(SETTLE_PER_STEP);
 
     // Anti-entropy messages sent and anti-entropy rounds run: the growth of
     // the first over a step, divided by that of the second, is messages per
@@ -255,7 +277,7 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
 
         // 2. Settle, then grant extra anti-entropy windows until the
         //    replica placement converges (k = 1 has no repair to wait for).
-        sc.sim.run_for(params.settle_per_step);
+        sc.sim.run_for(SETTLE_PER_STEP);
         let mut repair_windows = 0usize;
         let mut audit = audit_now(&sc);
         while k > 1 && !audit.is_converged() && repair_windows < params.max_repair_windows {
@@ -277,7 +299,7 @@ fn run_one_factor(params: &DurabilityParams, k: u32) -> Vec<DurabilityRow> {
                 asked.push((op.source, op.index, request_id));
             }
         }
-        sc.sim.run_for(params.drain);
+        sc.sim.run_for(DRAIN);
         let answers = sc.drain(TreePNode::drain_dht_outcomes);
         let answered = |&(source, index, request_id): &(NodeAddr, usize, RequestId)| {
             let expected = kv.value_bytes(index);
@@ -322,53 +344,61 @@ mod tests {
         assert!(smoke.nodes < full.nodes);
         assert!(smoke.keys < full.keys);
         assert!(smoke.churn.steps(smoke.nodes).len() < full.churn.steps(full.nodes).len());
-        assert!(smoke.drain.as_micros() > smoke.config(3).lookup_timeout.as_micros());
+        assert!(DRAIN.as_micros() > smoke.config(3).lookup_timeout.as_micros());
     }
 
     #[test]
     fn replication_keeps_keys_alive_where_single_copies_die() {
         let report = run_durability(&DurabilityParams::smoke(2005));
-        // Both factors start fully available on the intact network.
-        for k in [1, 3] {
-            let intact = report.row_at(k, 0.0).unwrap();
-            assert_eq!(intact.failed_fraction, 0.0);
-            assert!(
-                intact.availability_pct() >= 99.0,
-                "k={k}: intact availability {:.1}%",
-                intact.availability_pct()
-            );
+        report.gate().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// A report that passes the gate: 100 keys, k = 1 loses 20 of them at
+    /// 30 % failed, k = 3 none.
+    fn passing_report() -> DurabilityReport {
+        let row =
+            |k, failed_fraction, retrievable, anti_entropy_msgs_per_node_round| DurabilityRow {
+                k,
+                failed_fraction,
+                alive_nodes: 100,
+                keys: 100,
+                surviving: retrievable,
+                retrievable,
+                fully_replicated_pct: 100.0,
+                divergent: 0,
+                repair_windows: 1,
+                converged: true,
+                anti_entropy_msgs_per_node_round,
+            };
+        DurabilityReport {
+            nodes: 100,
+            keys: 100,
+            rows: vec![
+                row(1, 0.0, 100, 0.0),
+                row(1, 0.3, 80, 0.0),
+                row(3, 0.0, 100, 1.95),
+                row(3, 0.3, 100, 2.4),
+            ],
         }
-        // The acceptance point: at 30% failed, k = 1 measurably loses keys
-        // while k = 3 stays >= 99% available and converges its replicas.
-        let k1 = report.row_at(1, 0.3).unwrap();
-        let k3 = report.row_at(3, 0.3).unwrap();
-        assert!((k1.failed_fraction - 0.3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn durability_gate_needs_its_acceptance_row() {
+        let mut report = passing_report();
+        assert!(report.gate().is_ok(), "{:?}", report.gate());
+        report.rows.pop();
+        let err = report.gate().unwrap_err();
+        assert_eq!(err, "no row k = 3 at 0.3 failed");
+    }
+
+    #[test]
+    fn durability_gate_names_the_check_that_failed() {
+        let mut report = passing_report();
+        report.rows[3].divergent = 2;
+        let err = report.gate().unwrap_err();
         assert!(
-            k1.availability_pct() < 90.0,
-            "k=1 must lose keys at 30% churn, got {:.1}%",
-            k1.availability_pct()
-        );
-        assert!(
-            k3.availability_pct() >= 99.0,
-            "k=3 must keep >= 99% availability at 30% churn, got {:.1}%",
-            k3.availability_pct()
-        );
-        assert!(
-            k3.converged,
-            "anti-entropy must converge the surviving replicas: {k3:?}"
-        );
-        assert_eq!(k3.divergent, 0);
-        // What the repair costs: nothing without replication, and on the
-        // intact network the k - 1 digests of agreeing pairs (less at the
-        // two edges of the identifier space), no key list.
-        assert!(report
-            .rows_for(1)
-            .iter()
-            .all(|r| r.anti_entropy_msgs_per_node_round == 0.0));
-        let intact = report.row_at(3, 0.0).unwrap();
-        assert!(
-            (1.9..=2.0).contains(&intact.anti_entropy_msgs_per_node_round),
-            "{intact:?}"
+            err.starts_with("k3.divergent == 0; k3 = DurabilityRow { k: 3,"),
+            "{err}"
         );
     }
 
@@ -387,7 +417,7 @@ mod tests {
         assert_eq!(report.rows_for(2).len(), 2);
         assert!(report.rows_for(5).is_empty());
         assert_eq!(report.to_table().len(), report.rows.len());
-        let far = report.row_at(2, 1.0).unwrap();
-        assert!((far.failed_fraction - 0.2).abs() < 1e-9);
+        assert!(report.row_at(2, 0.2).is_some());
+        assert!(report.row_at(2, 1.0).is_none());
     }
 }

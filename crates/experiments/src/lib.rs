@@ -24,25 +24,45 @@
 //! * [`compare_overlays`] — TreeP vs Chord vs flooding under identical
 //!   workloads.
 //! * [`compare_multicast`] — scoped multicast vs flooding broadcast at equal
-//!   reach (coverage, duplicate factor, messages per delivery).
+//!   reach (coverage, duplicate factor, messages per delivery; Figure M).
+//! * [`sweep_multicast_loss`] — multicast coverage vs per-hop loss, the
+//!   reliability layer off vs on (Figure L).
 //! * [`run_durability`] — DHT durability under churn: availability vs failed
 //!   fraction for replication factors k = 1 vs k = 3, plus anti-entropy
-//!   repair convergence.
+//!   repair convergence (Figure R).
 //! * [`run_read_storm`] — the read-path serving layer under a Zipf-skewed read
-//!   storm: p99 hops and per-node max load, hot-key cache off vs on.
+//!   storm: p99 hops and per-node max load, hot-key cache off vs on (Figure S).
 //! * [`compare_pubsub`] — subscription-pruned topic publish vs flooding
 //!   broadcast across subscriber fan-out tiers (Figure P).
 //! * [`run_scale`] — the engine scale sweep (n = 10³ … 10⁶): steps/sec,
 //!   bytes/node and peak RSS of the timer-wheel and sharded simulation
-//!   engines under an identical keep-alive workload.
+//!   engines under an identical keep-alive workload, plus the telemetry
+//!   overhead leg ([`measure_telemetry_overhead`]).
 //!
 //! Every result type renders through one `to_table()` into an
 //! [`analysis::Table`] — aligned text, CSV and BENCH JSON from one column
-//! list. The `reproduce` binary drives all of the above from the command
+//! list. Each report a CI smoke step holds ([`LossSweep`],
+//! [`DurabilityReport`], [`ReadStormReport`], [`PubSubComparison`],
+//! [`ScaleReport`]) has one `gate()`: `Ok` with its summary line, or `Err`
+//! with the check that failed; `reproduce --smoke` and the module's unit
+//! test both call it. The `reproduce` binary declares every experiment once,
+//! in its `EXPERIMENTS` table, and drives all of the above from the command
 //! line; the timed legs live in `benchmark/`.
 
 #![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
+
+/// Return `Err` from the enclosing `gate()` unless `$holds`: the check as
+/// written, then each `$shown` value.
+macro_rules! ensure {
+    ($holds:expr $(, $shown:expr)*) => {
+        let holds: bool = $holds;
+        if !holds {
+            let shown: Vec<String> = vec![$(format!("; {} = {:?}", stringify!($shown), $shown)),*];
+            return Err(format!("{}{}", stringify!($holds), shown.concat()));
+        }
+    };
+}
 
 mod baseline_compare;
 mod durability;
@@ -75,7 +95,6 @@ pub use runner::{
 };
 pub use scale::{
     measure_telemetry_overhead, run_scale, ScaleParams, ScaleReport, ScaleRow, TelemetryOverhead,
-    TELEMETRY_OVERHEAD_BOUND_PCT,
 };
 pub use table_routing::{routing_table_report, LevelTableRow, RoutingTableReport};
 pub use trace_demo::{run_trace_demo, OpTraceSummary, TraceDemoParams, TraceDemoReport};

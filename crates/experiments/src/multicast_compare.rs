@@ -20,7 +20,7 @@
 //! for a bounded retransmission overhead). This is the measured curve the
 //! ROADMAP's old "known limit" paragraph became.
 
-use crate::runner::{delta, multicast_receipts, DeliveryTally, Scenario};
+use crate::runner::{delta, multicast_receipts, DeliveryTally, Scenario, FLOOD_TTL};
 use analysis::{ratio, Cell, Column, Table};
 use baselines::FloodingBuilder;
 use simnet::{LatencyModel, SimDuration};
@@ -36,8 +36,6 @@ pub struct MulticastParams {
     pub seed: u64,
     /// Scope widths to measure, as fractions of the identifier space.
     pub scopes: Vec<f64>,
-    /// Flood TTL (high enough to reach the whole random graph).
-    pub flood_ttl: u32,
 }
 
 impl MulticastParams {
@@ -47,11 +45,10 @@ impl MulticastParams {
             nodes,
             seed,
             scopes: vec![1.0, 0.5, 0.25],
-            flood_ttl: 32,
         }
     }
 
-    /// Reduced run for unit tests and the `--multicast --smoke` gate: only
+    /// Reduced run for unit tests and `reproduce --multicast --smoke`: only
     /// the full-space broadcast and the narrowest scope.
     pub fn quick(nodes: usize, seed: u64) -> Self {
         MulticastParams {
@@ -115,6 +112,15 @@ impl MulticastComparison {
 
 // ---- Figure L: coverage vs per-hop loss ------------------------------------
 
+/// `max_retransmits` of the reliability-on leg (the off leg always runs
+/// with 0).
+const MAX_RETRANSMITS: u32 = 5;
+/// Width of each probe's range as a fraction of the identifier space.
+const PROBE_RANGE_FRACTION: f64 = 0.5;
+/// Virtual time after issuing the probes before coverage is tallied (must
+/// exceed the full retransmission backoff plus one re-route).
+const PROBE_DRAIN: SimDuration = SimDuration::from_secs(20);
+
 /// Parameters of one coverage-vs-loss sweep.
 #[derive(Debug, Clone)]
 pub struct LossSweepParams {
@@ -124,16 +130,8 @@ pub struct LossSweepParams {
     pub seed: u64,
     /// Per-hop Bernoulli loss probabilities to measure.
     pub loss_levels: Vec<f64>,
-    /// `max_retransmits` of the reliability-on leg (the off leg always
-    /// runs with 0).
-    pub max_retransmits: u32,
     /// Scoped multicast probes issued per cell.
     pub probes: usize,
-    /// Width of each probe's range as a fraction of the identifier space.
-    pub range_fraction: f64,
-    /// Virtual time after issuing the probes before coverage is tallied
-    /// (must exceed the full retransmission backoff plus one re-route).
-    pub drain: SimDuration,
 }
 
 impl LossSweepParams {
@@ -143,15 +141,12 @@ impl LossSweepParams {
             nodes,
             seed,
             loss_levels: vec![0.0, 0.10, 0.20],
-            max_retransmits: 5,
             probes: 8,
-            range_fraction: 0.5,
-            drain: SimDuration::from_secs(20),
         }
     }
 
-    /// Bounded profile for the CI gate (`reproduce --multicast --lossy
-    /// --smoke`): small population, the 10 % acceptance point plus the
+    /// Bounded profile for the CI gate (`reproduce --lossy --smoke`): small
+    /// population, the 10 % acceptance point plus the
     /// lossless sanity point.
     pub fn smoke(seed: u64) -> Self {
         LossSweepParams {
@@ -169,8 +164,6 @@ pub struct LossRow {
     pub loss_pct: f64,
     /// True for the reliability-on leg.
     pub reliable: bool,
-    /// Probes issued.
-    pub probes: usize,
     /// The alive in-range nodes over all probes, how many were reached and
     /// with how many app-layer copies (the reliability layer must never
     /// push the duplicate factor above 1.0).
@@ -218,6 +211,35 @@ impl LossSweep {
             .find(|r| (r.loss_pct - loss_pct).abs() < 1e-9 && r.reliable == reliable)
     }
 
+    /// The `reproduce --lossy --smoke` gate: at 10 % per-hop loss the
+    /// reliable leg restores the coverage the single-shot leg loses.
+    pub fn gate(&self) -> Result<String, String> {
+        let row = |loss: f64, r| {
+            self.row(loss, r)
+                .ok_or(format!("no row at {loss}% loss, reliable: {r}"))
+        };
+        let (l0_off, l0_on) = (row(0.0, false)?, row(0.0, true)?);
+        let (base, rel) = (row(10.0, false)?, row(10.0, true)?);
+        for lossless in [l0_off, l0_on] {
+            ensure!(lossless.tally.coverage_pct() == 100.0, lossless);
+            ensure!(lossless.retransmits == 0, lossless);
+        }
+        ensure!(l0_off.acks == 0, l0_off);
+        ensure!(l0_on.acks > 0, l0_on);
+        ensure!(base.tally.coverage_pct() < 99.0, base);
+        ensure!(rel.tally.coverage_pct() >= 99.0, rel);
+        ensure!(rel.tally.duplicate_factor() == 1.0, rel);
+        ensure!(rel.retransmits > 0, rel);
+        ensure!(rel.retransmit_overhead() < 1.0, rel);
+        let (coverage, dup) = (rel.tally.coverage_pct(), rel.tally.duplicate_factor());
+        Ok(format!(
+            "at 10% per-hop loss: reliability on {coverage:.1}% coverage, dup factor {dup:.2}, \
+             {:.2} retx/msg ({} reroutes)",
+            rel.retransmit_overhead(),
+            rel.reroutes
+        ))
+    }
+
     /// Render the sweep as an aligned table.
     pub fn to_table(&self) -> Table {
         let columns = [
@@ -248,7 +270,7 @@ impl LossSweep {
 /// Run one cell: a fresh topology under the given link loss, `probes`
 /// scoped multicasts, coverage / duplicate / overhead tallies.
 fn measure_loss_cell(params: &LossSweepParams, loss: f64, reliable: bool) -> LossRow {
-    let retransmits = if reliable { params.max_retransmits } else { 0 };
+    let retransmits = if reliable { MAX_RETRANSMITS } else { 0 };
     let config = treep::TreePConfig::paper_case_fixed().with_reliability(retransmits);
     let builder = TopologyBuilder::new(params.nodes).with_config(config);
     let latency = LatencyModel::Fixed(SimDuration::from_millis(5));
@@ -256,8 +278,8 @@ fn measure_loss_cell(params: &LossSweepParams, loss: f64, reliable: bool) -> Los
 
     let mut rng = sc.sim.rng_mut().fork();
     let workload =
-        MulticastWorkload::data_only(params.probes).with_range_fraction(params.range_fraction);
-    let (probes, tally) = sc.probe_multicasts(&workload, &sc.alive(), params.drain, &mut rng);
+        MulticastWorkload::data_only(params.probes).with_range_fraction(PROBE_RANGE_FRACTION);
+    let tally = sc.probe_multicasts(&workload, &sc.alive(), PROBE_DRAIN, &mut rng);
     let [data_sends, retransmits, reroutes, acks] = sc.sum(|s| {
         [
             s.sent.get(MessageKind::MulticastDown),
@@ -269,7 +291,6 @@ fn measure_loss_cell(params: &LossSweepParams, loss: f64, reliable: bool) -> Los
     LossRow {
         loss_pct: loss * 100.0,
         reliable,
-        probes,
         tally,
         data_messages: data_sends - retransmits,
         retransmits,
@@ -344,7 +365,7 @@ fn measure_treep(params: &MulticastParams, fraction: f64) -> MulticastRow {
 
 fn measure_flooding(params: &MulticastParams, fraction: f64) -> MulticastRow {
     let (mut sim, pairs) = FloodingBuilder::new(params.nodes)
-        .with_ttl(params.flood_ttl)
+        .with_ttl(FLOOD_TTL)
         .build_simulation(params.seed);
     sim.run_until_idle();
     let range = scope_range(treep::IdSpace::default(), fraction);
@@ -471,48 +492,54 @@ mod tests {
 
     #[test]
     fn loss_sweep_reliability_restores_coverage() {
-        let sweep = sweep_multicast_loss(&LossSweepParams::smoke(7));
+        let sweep = sweep_multicast_loss(&LossSweepParams::smoke(2005));
         assert_eq!(sweep.rows.len(), 4, "2 loss levels x 2 legs");
+        sweep.gate().unwrap_or_else(|e| panic!("{e}"));
+    }
 
-        // Lossless sanity: both legs cover everything, nothing retransmits,
-        // and the off leg sends not a single ack (the byte-identical path).
-        let l0_off = sweep.row(0.0, false).unwrap();
-        let l0_on = sweep.row(0.0, true).unwrap();
-        assert!((l0_off.tally.coverage_pct() - 100.0).abs() < 1e-9);
-        assert!((l0_on.tally.coverage_pct() - 100.0).abs() < 1e-9);
-        assert_eq!(l0_off.acks, 0, "reliability off must send no acks");
-        assert_eq!(l0_off.retransmits, 0);
-        assert_eq!(l0_on.retransmits, 0, "no loss, no retransmissions");
-        assert!(l0_on.acks > 0, "reliability on acks every hop");
+    /// A sweep that passes the gate: 100 obligations per cell, single-shot
+    /// delivery of 80 at 10 % loss.
+    fn passing_sweep() -> LossSweep {
+        let row = |loss_pct, reliable, delivered, retransmits, acks| LossRow {
+            loss_pct,
+            reliable,
+            tally: DeliveryTally {
+                targets: 100,
+                delivered,
+                copies: delivered,
+            },
+            data_messages: 200,
+            retransmits,
+            reroutes: 0,
+            acks,
+        };
+        LossSweep {
+            nodes: 150,
+            rows: vec![
+                row(0.0, false, 100, 0, 0),
+                row(0.0, true, 100, 0, 300),
+                row(10.0, false, 80, 0, 0),
+                row(10.0, true, 100, 40, 300),
+            ],
+        }
+    }
 
-        // The 10% acceptance point: the single-shot baseline loses
-        // deliveries, the reliable leg restores >= 99% coverage at
-        // duplicate factor exactly 1.0 and bounded overhead.
-        let base = sweep.row(10.0, false).unwrap();
-        let rel = sweep.row(10.0, true).unwrap();
-        assert!(
-            base.tally.coverage_pct() < 99.0,
-            "baseline at 10% loss should lose coverage, got {:.1}%",
-            base.tally.coverage_pct()
-        );
-        assert!(
-            rel.tally.coverage_pct() >= 99.0,
-            "reliability at 10% loss must reach >= 99% coverage, got {:.1}%",
-            rel.tally.coverage_pct()
-        );
-        assert!(
-            (rel.tally.duplicate_factor() - 1.0).abs() < 1e-9,
-            "app-layer duplicate factor must stay exactly 1.0, got {}",
-            rel.tally.duplicate_factor()
-        );
-        assert!(
-            rel.retransmits > 0,
-            "the lossy leg must exercise retransmission"
-        );
-        assert!(
-            rel.retransmit_overhead() < 1.0,
-            "overhead must stay below one retransmitted copy per first transmission"
-        );
+    #[test]
+    fn loss_gate_needs_its_acceptance_row() {
+        let mut sweep = passing_sweep();
+        assert!(sweep.gate().is_ok(), "{:?}", sweep.gate());
+        sweep.rows.retain(|r| !(r.loss_pct == 10.0 && r.reliable));
+        let err = sweep.gate().unwrap_err();
+        assert_eq!(err, "no row at 10% loss, reliable: true");
+    }
+
+    #[test]
+    fn loss_gate_names_the_check_that_failed() {
+        let mut sweep = passing_sweep();
+        sweep.rows[3].tally.copies += 1;
+        let err = sweep.gate().unwrap_err();
+        let check = "rel.tally.duplicate_factor() == 1.0; rel = LossRow {";
+        assert!(err.starts_with(check), "{err}");
     }
 
     #[test]

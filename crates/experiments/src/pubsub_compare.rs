@@ -22,12 +22,15 @@
 //! * **branches pruned** (TreeP only) — fan-out edges skipped on filter
 //!   evidence.
 
-use crate::runner::{delta, DeliveryTally, Probe, Scenario};
+use crate::runner::{delta, DeliveryTally, Probe, Scenario, FLOOD_TTL};
 use analysis::{Cell, Column, Table};
 use baselines::FloodingBuilder;
 use simnet::{NodeAddr, SimDuration};
 use treep::{topic_key, MessageKind, NodeStats, TreePConfig, TreePNode};
 use workloads::TopologyBuilder;
+
+/// Virtual time after the publishes before deliveries are tallied.
+const DRAIN: SimDuration = SimDuration::from_secs(10);
 
 /// Parameters of one pub/sub comparison run.
 #[derive(Debug, Clone)]
@@ -41,10 +44,6 @@ pub struct PubSubParams {
     pub fanouts: Vec<usize>,
     /// Publishes issued per cell, each from a random live source.
     pub publishes: usize,
-    /// Flood TTL (high enough to reach the whole random graph).
-    pub flood_ttl: u32,
-    /// Virtual time after the publishes before deliveries are tallied.
-    pub drain: SimDuration,
 }
 
 impl PubSubParams {
@@ -55,8 +54,6 @@ impl PubSubParams {
             seed,
             fanouts: vec![1, 10, 100, 1_000, 10_000],
             publishes: 6,
-            flood_ttl: 32,
-            drain: SimDuration::from_secs(10),
         }
     }
 
@@ -108,6 +105,29 @@ impl PubSubComparison {
     /// All rows of one overlay, in tier order.
     pub fn overlay_rows(&self, overlay: &str) -> Vec<&PubSubRow> {
         self.rows.iter().filter(|r| r.overlay == overlay).collect()
+    }
+
+    /// The `reproduce --pubsub --smoke` gate, the exactly-once and
+    /// messages-per-delivery criteria of the TU-Darmstadt prefix-multicast
+    /// report at every fan-out tier; `Ok` has one line per tier.
+    pub fn gate(&self) -> Result<String, String> {
+        let (treep, flooding) = (self.overlay_rows("TreeP"), self.overlay_rows("Flooding"));
+        ensure!(!treep.is_empty() && treep.len() == flooding.len());
+        let mut summary = Vec::new();
+        for (t, f) in treep.into_iter().zip(flooding) {
+            ensure!(t.subscribers == f.subscribers, t, f);
+            ensure!(t.tally.coverage_pct() == 100.0, t);
+            ensure!(t.tally.duplicate_factor() == 1.0, t);
+            ensure!(t.messages_per_delivery() < f.messages_per_delivery(), t, f);
+            let (coverage, dup) = (t.tally.coverage_pct(), t.tally.duplicate_factor());
+            let (fanout, pruned) = (t.subscribers, t.branches_pruned);
+            let (mpd, flooding) = (t.messages_per_delivery(), f.messages_per_delivery());
+            summary.push(format!(
+                "fanout {fanout}: coverage {coverage:.1}%, dup factor {dup:.2}, \
+                 {mpd:.2} msgs/delivery vs flooding {flooding:.2} ({pruned} branches pruned)"
+            ));
+        }
+        Ok(summary.join("\n#   "))
     }
 
     /// The comparison as a table; its JSON is `BENCH_pubsub.json`.
@@ -197,7 +217,7 @@ fn measure_treep(params: &PubSubParams, fanout: usize) -> PubSubRow {
             probes.push((source, request_id));
         }
     }
-    sc.sim.run_for(params.drain);
+    sc.sim.run_for(DRAIN);
 
     // Every subscriber owes every publish, a fallen one included.
     let receipts = sc.drain(|node: &mut TreePNode| -> Vec<Probe> {
@@ -222,7 +242,7 @@ fn measure_treep(params: &PubSubParams, fanout: usize) -> PubSubRow {
 
 fn measure_flooding(params: &PubSubParams, fanout: usize) -> PubSubRow {
     let (mut sim, pairs) = FloodingBuilder::new(params.nodes)
-        .with_ttl(params.flood_ttl)
+        .with_ttl(FLOOD_TTL)
         .build_simulation(params.seed);
     sim.run_until_idle();
     let mut rng = sim.rng_mut().fork();
@@ -269,7 +289,7 @@ mod tests {
     use super::*;
 
     fn comparison() -> PubSubComparison {
-        compare_pubsub(&PubSubParams::smoke(23))
+        compare_pubsub(&PubSubParams::smoke(2005))
     }
 
     #[test]
@@ -281,41 +301,46 @@ mod tests {
     }
 
     #[test]
-    fn treep_delivers_every_publish_to_every_subscriber_exactly_once() {
-        let c = comparison();
-        for row in c.overlay_rows("TreeP") {
-            assert!(
-                (row.tally.coverage_pct() - 100.0).abs() < 1e-9,
-                "fanout {}: coverage {:.1}%",
-                row.subscribers,
-                row.tally.coverage_pct()
-            );
-            assert!(
-                (row.tally.duplicate_factor() - 1.0).abs() < 1e-9,
-                "fanout {}: duplicate factor {:.2}",
-                row.subscribers,
-                row.tally.duplicate_factor()
-            );
+    fn pruned_publish_beats_flooding_at_every_fanout() {
+        comparison().gate().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// One tier, fan-out 10, four publishes: TreeP meets its 40 obligations
+    /// once each for 90 messages, flooding for 4 000.
+    fn passing_comparison() -> PubSubComparison {
+        let row = |overlay: &str, copies, messages| PubSubRow {
+            overlay: overlay.to_string(),
+            subscribers: 10,
+            tally: DeliveryTally {
+                targets: 40,
+                delivered: 40,
+                copies,
+            },
+            messages,
+            branches_pruned: 0,
+        };
+        PubSubComparison {
+            nodes: 150,
+            rows: vec![row("TreeP", 40, 90), row("Flooding", 400, 4_000)],
         }
     }
 
     #[test]
-    fn pruned_publish_beats_flooding_at_every_fanout() {
-        let c = comparison();
-        for (t, f) in c
-            .overlay_rows("TreeP")
-            .iter()
-            .zip(c.overlay_rows("Flooding"))
-        {
-            assert_eq!(t.subscribers, f.subscribers);
-            assert!(
-                t.messages_per_delivery() < f.messages_per_delivery(),
-                "fanout {}: TreeP {:.2} msgs/delivery must beat flooding {:.2}",
-                t.subscribers,
-                t.messages_per_delivery(),
-                f.messages_per_delivery()
-            );
-        }
+    fn pubsub_gate_needs_its_acceptance_row() {
+        let mut c = passing_comparison();
+        assert!(c.gate().is_ok(), "{:?}", c.gate());
+        c.rows.pop();
+        let err = c.gate().unwrap_err();
+        assert_eq!(err, "!treep.is_empty() && treep.len() == flooding.len()");
+    }
+
+    #[test]
+    fn pubsub_gate_names_the_check_that_failed() {
+        let mut c = passing_comparison();
+        c.rows[0].messages = 4_000;
+        let err = c.gate().unwrap_err();
+        let check = "t.messages_per_delivery() < f.messages_per_delivery(); t = PubSubRow {";
+        assert!(err.starts_with(check), "{err}");
     }
 
     #[test]

@@ -16,15 +16,32 @@
 //!
 //! Both modes run the identical seeded workload (same topology, same Zipf
 //! draw sequence): `cached = false` runs replica-first reads alone
-//! (`cache_capacity = 0`), `cached = true` adds the hot-key cache. The
-//! smoke profile doubles as the CI regression gate: cached p99 hops must
-//! not exceed uncached at equal completion.
+//! (`cache_capacity = 0`), `cached = true` adds the hot-key cache.
+//! [`ReadStormReport::gate`] holds the smoke profile to it: cached p99 hops
+//! must not exceed uncached at equal completion.
 
 use crate::runner::{delta, Scenario};
 use analysis::{ratio, Cell, Column, SummaryStats, Table};
 use simnet::SimDuration;
 use treep::{MessageKind, NodeStats, ReadOutcome, TreePConfig, TreePNode};
 use workloads::{KvWorkload, TopologyBuilder, ZipfSampler};
+
+/// Zipf skew exponent of the read popularity (the classic YCSB-style skew).
+const ALPHA: f64 = 0.99;
+/// Cache-warming rounds per load level, excluded from the statistics.
+const WARMUP_ROUNDS: usize = 2;
+/// Hot-key cache capacity of the cached mode (per node).
+const CACHE_CAPACITY: usize = 32;
+/// Cache line time-to-live. Must comfortably exceed the per-round drain or
+/// the warmed lines expire before the measured rounds read them (the
+/// protocol default of 500 ms is tuned for steady request streams, not the
+/// bursty round structure used here).
+const CACHE_TTL: SimDuration = SimDuration::from_secs(30);
+/// Virtual time after seeding the corpus before reads start.
+const SETTLE: SimDuration = SimDuration::from_secs(3);
+/// Virtual time each round's gets are given to resolve. Must exceed the
+/// configured lookup timeout.
+const DRAIN: SimDuration = SimDuration::from_millis(2_500);
 
 /// Parameters of one read-storm comparison.
 #[derive(Debug, Clone)]
@@ -35,44 +52,22 @@ pub struct ReadStormParams {
     pub seed: u64,
     /// Size of the key corpus (and of the Zipf rank space).
     pub keys: usize,
-    /// Zipf skew exponent of the read popularity.
-    pub alpha: f64,
     /// Offered-load levels: versioned gets issued per measured round.
     pub load_levels: Vec<usize>,
     /// Measured rounds per load level.
     pub rounds: usize,
-    /// Cache-warming rounds per load level, excluded from the statistics.
-    pub warmup_rounds: usize,
-    /// Hot-key cache capacity of the cached mode (per node).
-    pub cache_capacity: usize,
-    /// Cache line time-to-live. Must comfortably exceed the per-round
-    /// drain or the warmed lines expire before the measured rounds read
-    /// them (the protocol default of 500 ms is tuned for steady request
-    /// streams, not the bursty round structure used here).
-    pub cache_ttl: SimDuration,
-    /// Virtual time after seeding the corpus before reads start.
-    pub settle: SimDuration,
-    /// Virtual time each round's gets are given to resolve. Must exceed
-    /// the configured lookup timeout.
-    pub drain: SimDuration,
 }
 
 impl ReadStormParams {
     /// The headline comparison: a hot corpus read at three offered-load
-    /// levels, α = 0.99 (the classic YCSB-style skew).
+    /// levels.
     pub fn new(nodes: usize, seed: u64) -> Self {
         ReadStormParams {
             nodes,
             seed,
             keys: 200,
-            alpha: 0.99,
             load_levels: vec![100, 200, 400],
             rounds: 3,
-            warmup_rounds: 2,
-            cache_capacity: 32,
-            cache_ttl: SimDuration::from_secs(30),
-            settle: SimDuration::from_secs(3),
-            drain: SimDuration::from_millis(2_500),
         }
     }
 
@@ -94,8 +89,8 @@ impl ReadStormParams {
         let mut config = TreePConfig::paper_case_fixed();
         config.lookup_timeout = SimDuration::from_secs(2);
         config.replication_factor = 3;
-        let mut config = config.with_read_path(if cached { self.cache_capacity } else { 0 });
-        config.cache_ttl = self.cache_ttl;
+        let mut config = config.with_read_path(if cached { CACHE_CAPACITY } else { 0 });
+        config.cache_ttl = CACHE_TTL;
         config
     }
 }
@@ -150,8 +145,6 @@ pub struct ReadStormReport {
     pub nodes: usize,
     /// Corpus size.
     pub keys: usize,
-    /// Zipf exponent.
-    pub alpha: f64,
     /// One row per (mode, load level); uncached rows first.
     pub rows: Vec<ReadStormRow>,
 }
@@ -162,6 +155,28 @@ impl ReadStormReport {
         self.rows
             .iter()
             .find(|r| r.cached == cached && r.offered == offered)
+    }
+
+    /// The `reproduce --readpath --smoke` gate, at the first offered load:
+    /// at equal completion the cache spreads the hot keys' load.
+    pub fn gate(&self) -> Result<String, String> {
+        let offered = self.rows.first().map_or(0, |r| r.offered);
+        let row = |cached| {
+            self.row_at(cached, offered)
+                .ok_or(format!("no row cached: {cached}"))
+        };
+        let (off, on) = (row(false)?, row(true)?);
+        ensure!(off.completion_pct() >= 99.0, off);
+        ensure!(on.completion_pct() >= 99.0, on);
+        ensure!(on.cache_hits > 0, on);
+        ensure!(off.cache_hits == 0, off);
+        ensure!(on.p99_hops <= off.p99_hops, on, off);
+        ensure!(on.max_node_load < off.max_node_load, on, off);
+        Ok(format!(
+            "at {offered} gets/round: uncached p99 {:.1} hops / max load {}, \
+             cached p99 {:.1} hops / max load {} ({} cache hits)",
+            off.p99_hops, off.max_node_load, on.p99_hops, on.max_node_load, on.cache_hits
+        ))
     }
 
     /// The comparison as a table; its JSON is `BENCH_readpath.json`.
@@ -190,13 +205,13 @@ impl ReadStormReport {
         ];
         let title = format!(
             "Figure S — Zipf({:.2}) read storm (n = {}, {} keys): hot-key cache off vs on",
-            self.alpha, self.nodes, self.keys
+            ALPHA, self.nodes, self.keys
         );
         Table::of(title, &columns, &self.rows)
             .meta("bench", Cell::text("readpath"))
             .meta("nodes", self.nodes)
             .meta("keys", self.keys)
-            .meta("alpha", Cell::float(self.alpha, 3, 3))
+            .meta("alpha", Cell::float(ALPHA, 3, 3))
     }
 }
 
@@ -210,7 +225,6 @@ pub fn run_read_storm(params: &ReadStormParams) -> ReadStormReport {
     ReadStormReport {
         nodes: params.nodes,
         keys: params.keys,
-        alpha: params.alpha,
         rows,
     }
 }
@@ -220,7 +234,7 @@ fn run_one_mode(params: &ReadStormParams, cached: bool) -> Vec<ReadStormRow> {
     let builder = TopologyBuilder::new(params.nodes).with_config(config);
     let mut sc = Scenario::build(&builder, params.seed);
     let kv = KvWorkload::new(params.keys);
-    let sampler = ZipfSampler::new(params.keys, params.alpha);
+    let sampler = ZipfSampler::new(params.keys, ALPHA);
     let mut rng = sc.sim.rng_mut().fork();
 
     // Seed the corpus with versioned puts and let the placement finish.
@@ -231,11 +245,11 @@ fn run_one_mode(params: &ReadStormParams, cached: bool) -> Vec<ReadStormRow> {
             node.dht_put_versioned(&key, value, ctx);
         });
     }
-    sc.sim.run_for(params.settle);
+    sc.sim.run_for(SETTLE);
     sc.drain(TreePNode::drain_read_outcomes);
 
     // One round: Zipf-distributed versioned gets from random live nodes,
-    // given `drain` to resolve. Returns the gets issued and their outcomes.
+    // given `DRAIN` to resolve. Returns the gets issued and their outcomes.
     let mut round = |sc: &mut Scenario, offered: usize| {
         let batch = kv.zipf_batch(&sc.alive(), &sampler, offered, &mut rng);
         let issued = batch.len();
@@ -245,7 +259,7 @@ fn run_one_mode(params: &ReadStormParams, cached: bool) -> Vec<ReadStormRow> {
                 node.dht_get_versioned(&key, ctx);
             });
         }
-        sc.sim.run_for(params.drain);
+        sc.sim.run_for(DRAIN);
         let drained = sc.drain(TreePNode::drain_read_outcomes).into_iter();
         let outcomes: Vec<ReadOutcome> = drained.flat_map(|(_, _, outcomes)| outcomes).collect();
         (issued, outcomes)
@@ -265,7 +279,7 @@ fn run_one_mode(params: &ReadStormParams, cached: bool) -> Vec<ReadStormRow> {
         // Warm-up: identical skewed traffic, outcomes discarded. The
         // uncached mode runs it too, so both modes measure the same
         // workload position in the RNG stream.
-        for _ in 0..params.warmup_rounds {
+        for _ in 0..WARMUP_ROUNDS {
             round(&mut sc, offered);
         }
 
@@ -347,7 +361,7 @@ mod tests {
         assert!(smoke.nodes < full.nodes);
         assert!(smoke.keys < full.keys);
         assert!(smoke.load_levels.len() < full.load_levels.len());
-        assert!(smoke.drain.as_micros() > smoke.config(true).lookup_timeout.as_micros());
+        assert!(DRAIN.as_micros() > smoke.config(true).lookup_timeout.as_micros());
         assert!(smoke.config(true).cache_capacity > 0);
         assert_eq!(smoke.config(false).cache_capacity, 0);
         assert!(smoke.config(false).replica_reads);
@@ -356,42 +370,14 @@ mod tests {
     #[test]
     fn caching_cuts_tail_hops_and_load_concentration() {
         let report = run_read_storm(&ReadStormParams::smoke(2005));
-        let offered = 150;
-        let off = report.row_at(false, offered).expect("uncached row");
-        let on = report.row_at(true, offered).expect("cached row");
-        // Equal coverage first: the comparison is meaningless if one mode
-        // drops gets.
-        for (label, row) in [("uncached", off), ("cached", on)] {
-            assert!(
-                row.completion_pct() >= 99.0,
-                "{label}: completion {:.1}% ({} of {})",
-                row.completion_pct(),
-                row.completed,
-                row.issued
-            );
-        }
-        assert!(on.cache_hits > 0, "cached mode must exercise the cache");
-        assert_eq!(off.cache_hits, 0, "capacity 0 must never hit");
-        assert!(
-            on.p99_hops <= off.p99_hops,
-            "cache must not lengthen the hop tail: p99 {} vs {}",
-            on.p99_hops,
-            off.p99_hops
-        );
-        assert!(
-            on.max_node_load < off.max_node_load,
-            "cache must spread the hot-key load: busiest node {} vs {}",
-            on.max_node_load,
-            off.max_node_load
-        );
+        report.gate().unwrap_or_else(|e| panic!("{e}"));
     }
 
-    #[test]
-    fn report_accessors_table_and_json() {
-        let report = ReadStormReport {
+    /// Two rows at 20 gets/round; the cached one answers only 38 of 40.
+    fn example_report() -> ReadStormReport {
+        ReadStormReport {
             nodes: 10,
             keys: 5,
-            alpha: 1.0,
             rows: vec![
                 ReadStormRow {
                     cached: false,
@@ -426,7 +412,12 @@ mod tests {
                     read_repairs: 0,
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn report_accessors_table_and_json() {
+        let report = example_report();
         assert_eq!(report.row_at(true, 20).unwrap().cache_hits, 25);
         assert!(report.row_at(true, 99).is_none());
         let table = report.to_table();
@@ -441,5 +432,22 @@ mod tests {
         assert!(json.contains("\"cached\": true"));
         assert!(json.contains("\"p99_hops\": 4.00"));
         analysis::validate_json(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+    }
+
+    #[test]
+    fn read_path_gate_needs_its_acceptance_row() {
+        let mut report = example_report();
+        report.rows.pop();
+        let err = report.gate().unwrap_err();
+        assert_eq!(err, "no row cached: true");
+    }
+
+    #[test]
+    fn read_path_gate_names_the_check_that_failed() {
+        let err = example_report().gate().unwrap_err();
+        assert!(
+            err.starts_with("on.completion_pct() >= 99.0; on = ReadStormRow {"),
+            "{err}"
+        );
     }
 }

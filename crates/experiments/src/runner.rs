@@ -28,6 +28,10 @@ use workloads::{
 /// A dissemination as its receivers identify it: origin and request id.
 pub(crate) type Probe = (NodeAddr, RequestId);
 
+/// TTL of the flooding baseline's broadcasts: high enough to reach the
+/// whole random graph.
+pub(crate) const FLOOD_TTL: u32 = 32;
+
 /// A built and settled TreeP overlay under measurement. The workload
 /// stream is not a field: each driver forks it from `sim` where it always
 /// did (two of them after their crash, one never), so no random stream
@@ -116,14 +120,13 @@ impl Scenario {
 
     /// Issue one batch of data multicasts among `alive`, wait `drain`, and
     /// tally what every live node inside a probe's range received of it.
-    /// Returns the number of probes issued beside the tally.
     pub(crate) fn probe_multicasts(
         &mut self,
         workload: &MulticastWorkload,
         alive: &[(NodeAddr, NodeId)],
         drain: SimDuration,
         rng: &mut SimRng,
-    ) -> (usize, DeliveryTally) {
+    ) -> DeliveryTally {
         let mut probes: Vec<(Probe, KeyRange)> = Vec::new();
         for batch in workload.generate(self.topo.config.space, alive, rng) {
             let MulticastOp::Data(payload) = batch.op else {
@@ -144,7 +147,7 @@ impl Scenario {
             let owed = probes.iter().filter(|(_, range)| range.contains(id));
             tally.record(owed.map(|&(probe, _)| probe), &received);
         }
-        (probes.len(), tally)
+        tally
     }
 }
 

@@ -19,7 +19,8 @@
 //! root. Timer-dominated near-horizon scheduling is exactly the regime the
 //! timer wheel targets.
 
-use analysis::{Cell, Column, Table};
+use crate::trace_demo::TraceDemoReport;
+use analysis::{ratio, Cell, Column, Table};
 use simnet::{
     Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, ShardedSimulation, SimConfig,
     SimDuration, SimTime, Simulation, TelemetryConfig, TimerToken,
@@ -35,6 +36,11 @@ const ARITY: u64 = 4;
 /// Nominal encoded size of one keep-alive / ack datagram (the codec's
 /// encoded keep-alive is < 64 bytes; see `encoding_is_compact`).
 const NOMINAL_MSG_BYTES: u64 = 48;
+/// The population [`ScaleReport::gate`] reads, and the telemetry leg runs at.
+const GATE_N: usize = 10_000;
+/// The wheel engine's steps/sec floor at [`GATE_N`], conservative for a
+/// shared CI host.
+const STEPS_PER_SEC_FLOOR: f64 = 250_000.0;
 
 /// Parameters of one scale sweep.
 #[derive(Debug, Clone)]
@@ -160,7 +166,7 @@ pub struct ScaleRow {
 }
 
 /// The full sweep result.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScaleReport {
     /// One row per (n, engine) leg.
     pub rows: Vec<ScaleRow>,
@@ -174,6 +180,11 @@ pub struct ScaleReport {
     pub hardware_threads: usize,
     /// Threads used by sharded legs.
     pub shard_threads: usize,
+    /// The telemetry leg, when it ran.
+    pub telemetry: Option<TelemetryOverhead>,
+    /// A trace capture, when one ran: proof the exporter emits loadable
+    /// JSON.
+    pub trace: Option<TraceDemoReport>,
 }
 
 fn config() -> SimConfig {
@@ -302,8 +313,9 @@ pub struct TelemetryOverhead {
     pub digests_match: bool,
 }
 
-/// The `--scale --smoke` gate on [`TelemetryOverhead::overhead_pct`].
-pub const TELEMETRY_OVERHEAD_BOUND_PCT: f64 = 10.0;
+/// The bound [`ScaleReport::gate`] holds [`TelemetryOverhead::overhead_pct`]
+/// to.
+const TELEMETRY_OVERHEAD_BOUND_PCT: f64 = 10.0;
 
 /// Off/on pairs [`measure_telemetry_overhead`] runs at most, looking for
 /// one inside the bound.
@@ -320,8 +332,11 @@ impl TelemetryOverhead {
     }
 }
 
-/// Measure telemetry overhead at population `n` (see [`TelemetryOverhead`]).
-pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOverhead {
+/// Measure telemetry overhead (see [`TelemetryOverhead`]) at n = 10⁴, or
+/// at the largest population of `params` below that.
+pub fn measure_telemetry_overhead(params: &ScaleParams) -> TelemetryOverhead {
+    let n = GATE_N.min(*params.populations.last().expect("populations"));
+    eprintln!("#   scale: n = {n}, telemetry overhead leg…");
     // The ratio needs wall-clock runs long enough to time reliably: the
     // smoke horizon yields single-digit-millisecond runs, where scheduler
     // jitter on a shared host swings the ratio by ±30%. Stretch the
@@ -348,35 +363,22 @@ pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOv
         let started = Instant::now();
         sim.run_until(deadline);
         let wall = started.elapsed().as_secs_f64();
-        let (samples, mean_ns, p99_ns) = match sim.telemetry() {
-            Some(t) => {
-                let mut count = 0u64;
-                let mut sum = 0u64;
-                let mut p99 = 0u64;
-                for tag in 0..4u8 {
-                    let h = t.dispatch_histogram(tag);
-                    count += h.count();
-                    sum += h.sum();
-                    p99 = p99.max(h.quantile(0.99));
-                }
-                (
-                    count,
-                    if count > 0 {
-                        sum as f64 / count as f64
-                    } else {
-                        0.0
-                    },
-                    p99,
-                )
-            }
-            None => (0, 0.0, 0),
-        };
+        let (mut samples, mut sum, mut p99_ns) = (0, 0, 0);
+        for h in sim
+            .telemetry()
+            .iter()
+            .flat_map(|t| (0..4u8).map(|tag| t.dispatch_histogram(tag)))
+        {
+            samples += h.count();
+            sum += h.sum();
+            p99_ns = p99_ns.max(h.quantile(0.99));
+        }
         TimedRun {
             events: sim.metrics().events_dispatched,
             digest: sim.event_digest().expect("digest enabled"),
             sps: sim.metrics().events_dispatched as f64 / wall.max(1e-9),
             samples,
-            mean_ns,
+            mean_ns: ratio(sum as f64, samples as f64, 0.0),
             p99_ns,
         }
     };
@@ -402,10 +404,6 @@ pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOv
         }
     }
     let (off, on) = best.expect("at least one pair ran");
-    let (events_off, digest_off, sps_off) = (off.events, off.digest, off.sps);
-    let (events_on, digest_on, sps_on, samples, mean_ns, p99_ns) = (
-        on.events, on.digest, on.sps, on.samples, on.mean_ns, on.p99_ns,
-    );
 
     let mut sharded: ShardedSimulation<ScaleProto> =
         ShardedSimulation::new(config(), params.seed, n, params.shard_threads);
@@ -415,29 +413,22 @@ pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOv
     }
     sharded.run_until(deadline);
     let stall_samples = sharded.barrier_stall_samples();
-    let (stall_count, stall_sum) = sharded
+    let stalls = sharded
         .telemetries()
-        .iter()
-        .map(|t| {
-            let h = t.barrier_stall_histogram();
-            (h.count(), h.sum())
-        })
-        .fold((0u64, 0u64), |(c, s), (hc, hs)| (c + hc, s + hs));
+        .into_iter()
+        .map(|t| t.barrier_stall_histogram());
+    let (stall_count, stall_sum) = stalls.fold((0, 0), |(c, s), h| (c + h.count(), s + h.sum()));
 
     TelemetryOverhead {
         n,
-        steps_per_sec_off: sps_off,
-        steps_per_sec_on: sps_on,
-        dispatch_samples: samples,
-        mean_dispatch_ns: mean_ns,
-        p99_dispatch_ns: p99_ns,
+        steps_per_sec_off: off.sps,
+        steps_per_sec_on: on.sps,
+        dispatch_samples: on.samples,
+        mean_dispatch_ns: on.mean_ns,
+        p99_dispatch_ns: on.p99_ns,
         barrier_stall_samples: stall_samples,
-        mean_barrier_stall_ns: if stall_count > 0 {
-            stall_sum as f64 / stall_count as f64
-        } else {
-            0.0
-        },
-        digests_match: digest_on == digest_off && events_on == events_off,
+        mean_barrier_stall_ns: ratio(stall_sum as f64, stall_count as f64, 0.0),
+        digests_match: on.digest == off.digest && on.events == off.events,
     }
 }
 
@@ -459,6 +450,8 @@ pub fn run_scale(params: &ScaleParams) -> ScaleReport {
             .map(|p| p.get())
             .unwrap_or(1),
         shard_threads: params.shard_threads,
+        telemetry: None,
+        trace: None,
     }
 }
 
@@ -466,6 +459,38 @@ impl ScaleReport {
     /// The row for `(n, engine)`, if that leg ran.
     pub fn row(&self, n: usize, engine: &str) -> Option<&ScaleRow> {
         self.rows.iter().find(|r| r.n == n && r.engine == engine)
+    }
+
+    /// The `reproduce --scale --smoke` gate: replay, throughput, telemetry
+    /// and trace export (the digests are pinned in `tests/engine_digests.rs`).
+    pub fn gate(&self) -> Result<String, String> {
+        let wheel = self
+            .row(GATE_N, "wheel")
+            .ok_or(format!("no wheel row at n = {GATE_N}"))?;
+        ensure!(self.rows.iter().all(|row| row.deterministic));
+        ensure!(wheel.steps_per_sec >= STEPS_PER_SEC_FLOOR, wheel);
+        let t = self.telemetry.as_ref().ok_or("no telemetry leg")?;
+        ensure!(t.digests_match, t);
+        ensure!(t.overhead_pct() <= TELEMETRY_OVERHEAD_BOUND_PCT, t);
+        ensure!(t.dispatch_samples > 0 && t.barrier_stall_samples > 0, t);
+        let trace = self.trace.as_ref().ok_or("no trace capture")?;
+        ensure!(trace.spans > 0);
+        analysis::validate_json(&trace.trace_json).map_err(|e| format!("trace export: {e}"))?;
+        Ok(format!(
+            "at n = {GATE_N}: wheel {:.0} ksteps/s; telemetry {:+.2}% steps/s ({} dispatch \
+             samples, mean {:.0} ns, p99 {} ns; {} barrier-stall samples, mean {:.0} ns); \
+             trace capture {} traces, {} spans, {} bytes of JSON",
+            wheel.steps_per_sec / 1e3,
+            t.overhead_pct(),
+            t.dispatch_samples,
+            t.mean_dispatch_ns,
+            t.p99_dispatch_ns,
+            t.barrier_stall_samples,
+            t.mean_barrier_stall_ns,
+            trace.traces,
+            trace.spans,
+            trace.trace_json.len()
+        ))
     }
 
     /// steps/sec ratio of the sharded engine over the wheel engine at `n`.
@@ -508,7 +533,7 @@ impl ScaleReport {
             .meta("horizon_secs", self.horizon_secs)
             .meta("hardware_threads", self.hardware_threads)
             .meta("shard_threads", self.shard_threads);
-        if let Some(speedup) = self.sharded_speedup_at(10_000) {
+        if let Some(speedup) = self.sharded_speedup_at(GATE_N) {
             table = table.meta("sharded_speedup_vs_wheel_n10k", Cell::float(speedup, 2, 2));
         }
         table
@@ -574,5 +599,69 @@ mod tests {
             }
             assert_eq!(cur, 0);
         }
+    }
+
+    /// A report that passes the gate: both engines replay at n = 10⁴, at
+    /// a million steps/s, with the telemetry leg and a trace capture.
+    fn passing_report() -> ScaleReport {
+        let row = |engine| ScaleRow {
+            n: GATE_N,
+            engine,
+            threads: 1,
+            events: 1_000,
+            wall_ms: 1.0,
+            steps_per_sec: 1e6,
+            bytes_per_node: 48.0,
+            peak_rss_bytes: 0,
+            digest: 1,
+            deterministic: true,
+        };
+        ScaleReport {
+            rows: vec![row("wheel"), row("sharded")],
+            seed: 1,
+            horizon_secs: 2,
+            hardware_threads: 2,
+            shard_threads: 4,
+            telemetry: Some(TelemetryOverhead {
+                n: GATE_N,
+                steps_per_sec_off: 1e6,
+                steps_per_sec_on: 0.99e6,
+                dispatch_samples: 100,
+                mean_dispatch_ns: 90.0,
+                p99_dispatch_ns: 512,
+                barrier_stall_samples: 100,
+                mean_barrier_stall_ns: 1_000.0,
+                digests_match: true,
+            }),
+            trace: Some(TraceDemoReport {
+                nodes: 96,
+                spans: 2,
+                traces: 1,
+                notes: 0,
+                dropped_spans: 0,
+                dispatch_samples: 0,
+                per_op: Vec::new(),
+                trace_json: "[]".to_string(),
+            }),
+        }
+    }
+
+    #[test]
+    fn scale_gate_needs_its_acceptance_row() {
+        let mut report = passing_report();
+        assert!(report.gate().is_ok(), "{:?}", report.gate());
+        report.rows.retain(|row| row.engine != "wheel");
+        assert_eq!(report.gate().unwrap_err(), "no wheel row at n = 10000");
+    }
+
+    #[test]
+    fn scale_gate_names_the_check_that_failed() {
+        let mut report = passing_report();
+        report.telemetry.as_mut().unwrap().digests_match = false;
+        let err = report.gate().unwrap_err();
+        assert!(
+            err.starts_with("t.digests_match; t = TelemetryOverhead {"),
+            "{err}"
+        );
     }
 }

@@ -18,6 +18,9 @@ use std::collections::BTreeMap;
 use treep::{topic_key, KeyRange, RoutingAlgorithm, TreePConfig};
 use workloads::TopologyBuilder;
 
+/// Virtual time to let the operations drain.
+const DRAIN: SimDuration = SimDuration::from_secs(5);
+
 /// Knobs of one trace-capture run.
 #[derive(Debug, Clone)]
 pub struct TraceDemoParams {
@@ -27,8 +30,6 @@ pub struct TraceDemoParams {
     pub seed: u64,
     /// Operations per class (puts, gets, multicasts, publishes, lookups).
     pub ops_per_class: usize,
-    /// Virtual time to let the operations drain.
-    pub drain: SimDuration,
 }
 
 impl TraceDemoParams {
@@ -38,7 +39,16 @@ impl TraceDemoParams {
             nodes: 200,
             seed,
             ops_per_class: 8,
-            drain: SimDuration::from_secs(5),
+        }
+    }
+
+    /// Bounded smoke profile (`--smoke`, and the `--scale --smoke` gate's
+    /// trace capture): 96 nodes, 4 ops per class.
+    pub fn smoke(seed: u64) -> Self {
+        TraceDemoParams {
+            nodes: 96,
+            ops_per_class: 4,
+            ..Self::new(seed)
         }
     }
 }
@@ -168,7 +178,7 @@ pub fn run_trace_demo(params: &TraceDemoParams) -> TraceDemoReport {
         });
         sim.run_for(SimDuration::from_millis(200));
     }
-    sim.run_for(params.drain);
+    sim.run_for(DRAIN);
 
     // Mirror the aggregated protocol counters into the telemetry registry,
     // so the registry is the single sink for engine and protocol metrics.
