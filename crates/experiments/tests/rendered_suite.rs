@@ -19,7 +19,9 @@
 //! more when every figure went through one path over seeds
 //! (`0xc981_377a_bab8_a9c4` before): a curve's table gained its q1 and q3
 //! columns, every title names its seeds, and the Section III.e tables of
-//! both runs joined the suite. No value moved.
+//! both runs joined the suite. No value moved. It moved by design once
+//! more (`0x29f1_931c_4940_de14` before): older evidence no longer raises a
+//! routing entry's level.
 
 use experiments::{
     compare_multicast, compare_overlays, maintenance_table, routing_table_report, run_durability,
@@ -30,7 +32,7 @@ use experiments::{
 const SEED: u64 = 2005;
 
 /// FNV-1a digest of the rendered suite.
-const PIN_RENDERED_SUITE: u64 = 0x29f1_931c_4940_de14;
+const PIN_RENDERED_SUITE: u64 = 0x96e0_c4a7_4c1f_a304;
 
 fn fnv1a(digest: u64, text: &str) -> u64 {
     text.bytes().fold(digest, |d, byte| {

@@ -56,11 +56,12 @@ impl RoutingEntry {
     }
 
     /// Merge newer information about the same peer (refreshed address,
-    /// higher level, newer timestamp, refreshed summary). Older information
-    /// never rolls the canonical record back — in particular the transport
-    /// address changes only on **strictly newer** evidence, so a peer that
-    /// re-joined under a new address cannot be rolled back to the dead one
-    /// even by a stale gossip copy processed in the same simulation tick.
+    /// level, timestamp and summary). Older information changes nothing: a
+    /// stale copy can neither roll the canonical record back nor raise the
+    /// peer's level. In particular the transport address changes only on
+    /// **strictly newer** evidence, so a peer that re-joined under a new
+    /// address cannot be rolled back to the dead one even by a stale gossip
+    /// copy processed in the same simulation tick.
     pub fn merge(&mut self, other: &RoutingEntry) {
         debug_assert_eq!(self.id, other.id);
         if other.last_seen > self.last_seen {
@@ -75,8 +76,6 @@ impl RoutingEntry {
             // gossip override a direct contact.
             self.summary = other.summary;
             self.max_level = other.max_level;
-        } else {
-            self.max_level = self.max_level.max(other.max_level);
         }
     }
 }
@@ -175,8 +174,8 @@ mod tests {
         assert_eq!(old.max_level, 2);
         assert_eq!(old.last_seen, SimTime::from_millis(20));
 
-        // Merging older info keeps the newest timestamp but still learns a
-        // higher level if one was advertised.
+        // An older entry leaves level and timestamp unchanged, even when it
+        // advertises a higher level.
         let stale_high_level = RoutingEntry::new(
             NodeId(3),
             NodeAddr(3),
@@ -186,7 +185,7 @@ mod tests {
         );
         old.merge(&stale_high_level);
         assert_eq!(old.last_seen, SimTime::from_millis(20));
-        assert_eq!(old.max_level, 4);
+        assert_eq!(old.max_level, 2);
     }
 
     #[test]

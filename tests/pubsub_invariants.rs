@@ -284,11 +284,14 @@ fn delivery_traces_replay_deterministically() {
 /// cargo test --release --test pubsub_invariants -- --ignored --nocapture exactly_once_sweep
 /// ```
 ///
-/// The gate is the rate last measured: 144 of 800 seeds failing (2 658 of
-/// 66 576 obligations missed, 138 traces ending with more than one root, 7
-/// with a parent cycle) since the maintenance tick pings each peer once per
-/// round and leaves the parent and own children to the child report; 166
-/// failing (4.8 % missed, 173 split, 10 cyclic) before it, 186 before that.
+/// The gate is the rate last measured: 135 of 800 seeds failing (2 495 of
+/// 66 576 obligations missed, 145 traces ending with more than one root,
+/// none with a parent cycle) since older evidence no longer raises a
+/// routing entry's level (`RoutingEntry::merge`); 144 failing (2 658
+/// missed, 138 split, 7 cyclic) before it, while the maintenance tick
+/// already pinged each peer once per round and left the parent and own
+/// children to the child report; 166 failing (4.8 % missed, 173 split, 10
+/// cyclic) before that, 186 before that.
 /// At a failure rate near 20 % one standard deviation is about 11 seeds of
 /// 800 — 200 seeds (57, 55, 49 in earlier rounds) could not tell a change
 /// from the draw. A change may not make the known bug more frequent.
@@ -296,7 +299,7 @@ fn delivery_traces_replay_deterministically() {
 #[ignore = "800 traces: run it in release mode"]
 fn exactly_once_sweep_over_800_seeds() {
     const SEEDS: std::ops::RangeInclusive<u64> = 1..=800;
-    const FAILING_SEEDS_AT_BASELINE: usize = 144;
+    const FAILING_SEEDS_AT_BASELINE: usize = 135;
     let (mut failing, mut split, mut cyclic) = (Vec::new(), Vec::new(), Vec::new());
     let (mut obligations, mut missed, mut leaked) = (0, 0, 0);
     for seed in SEEDS {

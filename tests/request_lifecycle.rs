@@ -62,7 +62,10 @@
 //! each peer once per round and leaves the parent and own children to the
 //! child report (before it: `0x0c8f_32e0_f3a9_c37c` / `0x3d18_aa89_84d6_2a1b`,
 //! `0x6649_7a83_7164_45cf` / `0x2c3a_425b_9783_d6eb`,
-//! `0x3525_d81b_cb06_76cc` / `0xbd33_34d6_530c_7ba8`).
+//! `0x3525_d81b_cb06_76cc` / `0xbd33_34d6_530c_7ba8`). Seeds 2 and 3
+//! moved again when older evidence stopped raising a routing entry's level
+//! (before: `0x979b_b497_1884_7cd0` / `0x57d4_c4c3_d7e6_14dd`,
+//! `0x4200_d01d_a05e_722f` / `0x34ad_dca2_02e7_c746`); seed 1 did not.
 
 use simnet::{LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
 use treep::{
@@ -81,8 +84,8 @@ const CACHE_LINES: usize = 16;
 /// `(seed, outcome digest, event digest)`.
 const PINS: [(u64, u64, u64); 3] = [
     (1, 0xbdf0_483a_aa37_c58d, 0xc483_7bd0_d51b_1bc6),
-    (2, 0x979b_b497_1884_7cd0, 0x57d4_c4c3_d7e6_14dd),
-    (3, 0x4200_d01d_a05e_722f, 0x34ad_dca2_02e7_c746),
+    (2, 0x1515_9f4f_6457_374b, 0x1be8_0f6f_d34e_53bd),
+    (3, 0x0649_50b9_47b9_9cc6, 0x4abe_64d8_be11_2218),
 ];
 
 struct Run {
