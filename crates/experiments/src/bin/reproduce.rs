@@ -313,8 +313,8 @@ where
 /// The flag list: the run flags, then one flag per experiment.
 fn usage() -> String {
     let line = |head: String, help: String| {
-        let help = help.replace('\n', &format!("\n{:24}", ""));
-        format!("\n  {head:<20}  {help}")
+        let help = help.replace('\n', &format!("\n{:26}", ""));
+        format!("\n  {head:<22}  {help}")
     };
     let mut text = String::from("usage: reproduce [flags]\n");
     for flag in &FLAGS {

@@ -163,17 +163,16 @@ impl DurabilityReport {
                 .ok_or(format!("no row k = {k} at {at} failed"))
         };
         let (k1, k3) = (row(1, 0.3)?, row(3, 0.3)?);
-        for intact in [row(1, 0.0)?, row(3, 0.0)?] {
-            ensure!(intact.availability_pct() >= 99.0, intact);
-        }
+        let (k1_intact, k3_intact) = (row(1, 0.0)?, row(3, 0.0)?);
+        ensure!(k1_intact.availability_pct() >= 99.0, k1_intact);
+        ensure!(k3_intact.availability_pct() >= 99.0, k3_intact);
         ensure!(k1.availability_pct() < 90.0, k1);
         ensure!(k3.availability_pct() >= 99.0, k3);
         ensure!(k3.converged, k3);
         ensure!(k3.divergent == 0, k3);
-        let repairs = |r: &&DurabilityRow| r.anti_entropy_msgs_per_node_round;
-        ensure!(self.rows_for(1).iter().all(|r| repairs(r) == 0.0));
-        let intact = row(3, 0.0)?;
-        ensure!((1.9..=2.0).contains(&repairs(&intact)), intact);
+        let repairs = |r: &DurabilityRow| r.anti_entropy_msgs_per_node_round;
+        ensure!(self.rows_for(1).into_iter().all(|r| repairs(r) == 0.0));
+        ensure!((1.9..=2.0).contains(&repairs(k3_intact)), k3_intact);
         let (lost, kept) = (k1.availability_pct(), k3.availability_pct());
         Ok(format!(
             "at 30% failed: k=1 {lost:.1}% available, k=3 {kept:.1}% available \
