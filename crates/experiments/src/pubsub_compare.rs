@@ -301,6 +301,25 @@ mod tests {
     }
 
     #[test]
+    fn treep_delivers_every_publish_to_every_subscriber_exactly_once() {
+        let c = comparison();
+        for row in c.overlay_rows("TreeP") {
+            assert!(
+                (row.tally.coverage_pct() - 100.0).abs() < 1e-9,
+                "fanout {}: coverage {:.1}%",
+                row.subscribers,
+                row.tally.coverage_pct()
+            );
+            assert!(
+                (row.tally.duplicate_factor() - 1.0).abs() < 1e-9,
+                "fanout {}: duplicate factor {:.2}",
+                row.subscribers,
+                row.tally.duplicate_factor()
+            );
+        }
+    }
+
+    #[test]
     fn pruned_publish_beats_flooding_at_every_fanout() {
         comparison().gate().unwrap_or_else(|e| panic!("{e}"));
     }
