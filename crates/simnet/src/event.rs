@@ -70,6 +70,14 @@ impl<M> Event<M> {
             | EventKind::Fail { node } => *node,
         }
     }
+
+    /// The message a delivery carries; `None` for every other event.
+    pub(crate) fn message(&self) -> Option<&M> {
+        match &self.kind {
+            EventKind::Deliver { msg, .. } => Some(msg),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

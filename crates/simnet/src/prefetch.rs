@@ -1,6 +1,7 @@
 //! [`prefetch`] — the crate's one `unsafe` block. The engine hints the node
 //! slot of the next event into cache with it, and protocols hint their own
-//! per-node tables through [`crate::Protocol::prefetch`].
+//! per-node tables and the next message's heap parts through
+//! [`crate::Protocol::prefetch`].
 
 /// Ask the CPU to start loading every cache line of `items` into its
 /// caches, and return at once. A hint: it reads nothing the caller can

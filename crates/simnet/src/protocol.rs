@@ -237,10 +237,13 @@ pub trait Protocol {
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, Self::Message>) {}
 
     /// A hint that this node is the target of the host's next event: start
-    /// loading what its handler will read (with [`crate::prefetch`]). It
-    /// must change nothing a callback can observe; the simulator calls it
-    /// one event ahead, and other hosts need not call it at all.
-    fn prefetch(&self) {}
+    /// loading what its handler will read (with [`crate::prefetch`]).
+    /// `next` is the message that event delivers, so the node can also load
+    /// the parts of it that live behind a pointer; it is `None` when the
+    /// event is not a delivery. The hint must change nothing a callback can
+    /// observe; the simulator calls it once per event, one event ahead, and
+    /// other hosts need not call it at all.
+    fn prefetch(&self, _next: Option<&Self::Message>) {}
 }
 
 #[cfg(test)]

@@ -38,12 +38,14 @@
 //!   ([`Context::with_buffer`]) instead of a fresh `Vec` per event;
 //! * the engine looks one event ahead: having popped event *k*, it peeks at
 //!   *k + 1* and prefetches that node's slot ([`prefetch`]);
-//!   once *k* is dispatched it peeks again and hands the node a
-//!   [`Protocol::prefetch`] hint, which can follow the node's now-cached
-//!   pointers to its own tables. At 10⁴ nodes every node is cold when its
-//!   event comes up, so the handler otherwise starts by waiting on memory.
-//!   A hint changes nothing that is dispatched, in what order, or with what
-//!   result.
+//!   once *k* is dispatched it peeks again and hands the node one
+//!   [`Protocol::prefetch`] hint naming *k + 1*'s message (`None` for a
+//!   timer, a start or a crash). The node can follow its now-cached
+//!   pointers to its own tables, and the message's pointers to the heap
+//!   parts its handler reads first. At 10⁴ nodes every node and every
+//!   payload is cold when its event comes up, so the handler otherwise
+//!   starts by waiting on memory. A hint changes nothing that is
+//!   dispatched, in what order, or with what result.
 //!
 //! Node sweeps ([`Simulation::alive_nodes`], [`Simulation::all_nodes`])
 //! iterate in address order — deterministic by construction, with nothing
@@ -391,8 +393,8 @@ impl<P: Protocol> Simulation<P> {
         let Some(event) = self.scheduler.pop() else {
             return false;
         };
-        if let Some(next) = self.next_slot() {
-            prefetch(std::slice::from_ref(next));
+        if let Some((_, slot)) = self.next_target() {
+            prefetch(std::slice::from_ref(slot));
         }
         self.metrics.events_dispatched += 1;
         assert!(
@@ -432,17 +434,18 @@ impl<P: Protocol> Simulation<P> {
             }
             None => self.dispatch_event(event),
         }
-        if let Some(next) = self.next_slot() {
-            next.proto.prefetch();
+        if let Some((event, slot)) = self.next_target() {
+            slot.proto.prefetch(event.message());
         }
         true
     }
 
-    /// The slot of the node the next queued event targets, if this engine
-    /// has one at that address.
+    /// The next queued event and the slot of the node it targets, if this
+    /// engine has one at that address.
     #[inline]
-    fn next_slot(&self) -> Option<&NodeSlot<P>> {
-        self.slot(self.scheduler.peek()?.target())
+    fn next_target(&self) -> Option<(&Event<P::Message>, &NodeSlot<P>)> {
+        let event = self.scheduler.peek()?;
+        Some((event, self.slot(event.target())?))
     }
 
     /// Run until the event queue drains completely.
@@ -832,11 +835,15 @@ mod tests {
         assert_eq!((digest, metrics), (plain_digest, plain_metrics));
     }
 
+    /// One lookahead hint: the node it was called on and the message it
+    /// named.
+    type Hint = (*const Hinted, Option<Msg>);
+
     /// `PingPong` whose lookahead hint logs the address of the node it was
-    /// called on.
+    /// called on and the message it was handed.
     struct Hinted {
         inner: PingPong,
-        hints: Rc<RefCell<Vec<*const Hinted>>>,
+        hints: Rc<RefCell<Vec<Hint>>>,
     }
 
     impl Protocol for Hinted {
@@ -854,8 +861,8 @@ mod tests {
             self.inner.on_timer(token, ctx);
         }
 
-        fn prefetch(&self) {
-            self.hints.borrow_mut().push(self);
+        fn prefetch(&self, next: Option<&Msg>) {
+            self.hints.borrow_mut().push((self, next.cloned()));
         }
     }
 
@@ -875,27 +882,36 @@ mod tests {
         }
         hinted.fail_node(NodeAddr(4));
         plain.fail_node(NodeAddr(4));
-        let mut hinted_steps = 0;
+        let (mut hinted_steps, mut timer_hints) = (0, 0);
         for round in 0..4u64 {
             // Every node pings another, and one ping goes to an address
-            // nobody has: its event has no node to hint.
+            // nobody has: its event has no node to hint. Of the events that
+            // carry no message, the starts and node 0's timer are hinted.
             for a in 0..6u64 {
                 let dest = NodeAddr(if a == round { 99 } else { (a + round + 1) % 6 });
                 hinted.invoke(NodeAddr(a), |_, ctx| ctx.send(dest, Msg::Ping));
                 plain.invoke(NodeAddr(a), |_, ctx| ctx.send(dest, Msg::Ping));
             }
             while hinted.step() {
-                let next = hinted.scheduler.peek().map(|e| e.target());
-                let named = next
-                    .and_then(|addr| hinted.node(addr))
-                    .map(|node| node as *const Hinted);
+                let next = hinted.scheduler.peek();
+                let named = next.and_then(|event| {
+                    let node = hinted.node(event.target())?;
+                    let msg = match &event.kind {
+                        EventKind::Deliver { msg, .. } => Some(msg.clone()),
+                        _ => None,
+                    };
+                    Some((node as *const Hinted, msg))
+                });
+                let timer = next.is_some_and(|e| matches!(e.kind, EventKind::Timer { .. }));
                 assert_eq!(hints.borrow_mut().pop(), named, "round {round}");
                 assert!(hints.borrow().is_empty(), "one hint per event");
                 hinted_steps += usize::from(named.is_some());
+                timer_hints += usize::from(timer && named.is_some());
             }
             plain.run_until_idle();
         }
         assert!(hinted_steps > 30, "{hinted_steps} hints");
+        assert_eq!(timer_hints, 1, "node 0's timer is hinted, with no message");
         assert!(hinted.metrics().messages_to_dead > 0);
         assert_eq!(
             (hinted.event_digest(), hinted.metrics()),

@@ -594,9 +594,13 @@ impl Protocol for TreePNode {
     }
 
     /// Every event starts with a probe of the registry, which is cold by
-    /// the time a node's turn comes round: start loading it one event early.
-    fn prefetch(&self) {
+    /// the time a node's turn comes round, and a delivery then walks its
+    /// message's vectors: start loading both one event early.
+    fn prefetch(&self, next: Option<&TreePMessage>) {
         self.tables.prefetch();
+        if let Some(msg) = next {
+            msg.prefetch();
+        }
     }
 }
 

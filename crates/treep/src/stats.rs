@@ -3,7 +3,7 @@
 use crate::messages::MessageKind;
 use serde::{Deserialize, Serialize};
 
-/// Per-[`MessageKind`] counters: a dense `u64` array indexed by the kind's
+/// Per-[`MessageKind`] counters: a dense `u32` array indexed by the kind's
 /// static discriminant.
 ///
 /// This replaces the historical `BTreeMap<String, u64>` keying — recording
@@ -11,8 +11,13 @@ use serde::{Deserialize, Serialize};
 /// tree probe on the hot path. [`KindCounters::iter`] yields
 /// `(kind, count)` pairs for reports, which name a kind by
 /// [`MessageKind::name`].
+///
+/// Every node holds two of these, so the width is memory on every node: a
+/// `u32` per kind keeps them at 280 bytes instead of 560. One node would
+/// need to send 4.3 × 10⁹ messages of one kind to reach the top, and a
+/// count there saturates rather than wraps; every reading widens to `u64`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KindCounters([u64; MessageKind::COUNT]);
+pub struct KindCounters([u32; MessageKind::COUNT]);
 
 impl Default for KindCounters {
     fn default() -> Self {
@@ -24,18 +29,19 @@ impl KindCounters {
     /// Count of messages of `kind`.
     #[inline]
     pub fn get(&self, kind: MessageKind) -> u64 {
-        self.0[kind.index()]
+        u64::from(self.0[kind.index()])
     }
 
-    /// Record one message of `kind`.
+    /// Record one message of `kind` (saturating at `u32::MAX`).
     #[inline]
     pub(crate) fn record(&mut self, kind: MessageKind) {
-        self.0[kind.index()] += 1;
+        let count = &mut self.0[kind.index()];
+        *count = count.saturating_add(1);
     }
 
     /// Sum over all kinds.
     pub fn total(&self) -> u64 {
-        self.0.iter().sum()
+        self.0.iter().map(|n| u64::from(*n)).sum()
     }
 
     /// `(kind, count)` for every kind with a nonzero count, in kind order.
@@ -49,6 +55,7 @@ impl KindCounters {
 
 /// Counters maintained by every TreeP node. Experiments aggregate these to
 /// measure maintenance overhead, promotion/demotion churn and lookup load.
+/// The scalar counters stay `u64`: readers sum them into `u64` totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeStats {
     /// Messages received, counted per kind.
@@ -132,6 +139,9 @@ pub struct NodeStats {
     /// filter provably excluded the published topic.
     pub pubsub_branches_pruned: u64,
 }
+
+// Every node carries one: growing it shows in every node's resident size.
+const _: () = assert!(std::mem::size_of::<NodeStats>() <= 504);
 
 impl NodeStats {
     /// Record a received message of the given kind.
@@ -228,6 +238,18 @@ mod tests {
             ]
         );
         assert_eq!(c.total(), 2);
+    }
+
+    #[test]
+    fn kind_counters_saturate_and_total_exactly() {
+        let mut c = KindCounters([u32::MAX; MessageKind::COUNT]);
+        c.record(MessageKind::KeepAlive);
+        assert_eq!(c.get(MessageKind::KeepAlive), u64::from(u32::MAX));
+        assert_eq!(
+            c.total(),
+            MessageKind::COUNT as u64 * u64::from(u32::MAX),
+            "the sum widens before it adds"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | role | bit | set by |
 //! |---|---|---|
 //! | level-0 neighbour | `levels` bit 0 | [`RoutingTables::upsert_level0`] |
-//! | bus member at level `L` (1 ≤ L ≤ 63) | `levels` bit `L` | [`RoutingTables::upsert_level`] |
+//! | bus member at level `L` (1 ≤ L ≤ 31) | `levels` bit `L` | [`RoutingTables::upsert_level`] |
 //! | child (own or a bus neighbour's) | `tree` bit 0 | [`RoutingTables::upsert_child`] |
 //! | own child (implies child) | `tree` bit 1 | [`RoutingTables::upsert_child`] with `own` |
 //! | parent (mirrors the `parent` field) | `tree` bit 2 | [`RoutingTables::set_parent`] |
@@ -42,13 +42,13 @@
 //! peers, not of (peer, role) pairs.
 //!
 //! **Why a sorted vector.** TreeP's point is that these tables stay small
-//! (Section III.e): a settled 10⁴-node overlay holds 19.9 slots per node
-//! (seed 2005), and at the end of the benchmark's `maint` window
-//! `treep.tables.entries_mean` / `entries_max` read 32.8 / 136 role
-//! entries. At that size an ordered tree per table buys nothing — seven
-//! B-trees are seven sets of heap nodes to miss the cache on and to
-//! allocate and free as peers come and go — while a sorted vector is one
-//! contiguous block of a few dozen cache lines:
+//! (Section III.e). In the benchmark's `maint` workload (n = 10⁴, seed
+//! 2005) a node holds 9.4 slots on average when the overlay is built, 33.9
+//! at the peak of the settle transient (≈ 2.5 s), 27.5 at the end of
+//! set-up and 22.4 at 7 s. At that size an ordered tree per table buys
+//! nothing — seven B-trees are seven sets of heap nodes to miss the cache
+//! on and to allocate and free as peers come and go — while a sorted
+//! vector is one contiguous block of a few dozen cache lines:
 //!
 //! * every probe starts with one **count**: the number of slots whose
 //!   identifier is below the key, summed over the whole vector, not
@@ -75,8 +75,8 @@
 //! **What is `O(n)`.** Inserting a peer not yet known, or dropping one
 //! ([`RoutingTables::remove_peer`], a parent change that orphans the old
 //! parent), shifts the slots behind it — a `memmove` of at most
-//! `n × size_of::<Slot>()` bytes, about 6 KB at the largest table the
-//! protocol produces. A role-filtered probe for a role nobody holds scans
+//! `n × size_of::<Slot>()` bytes, 48 a slot: under 2 KB at the peak mean
+//! above. A role-filtered probe for a role nobody holds scans
 //! every slot. Batch removals stay linear, never quadratic:
 //! [`RoutingTables::expire`] is one `retain` sweep and
 //! [`RoutingTables::prune_level0`] one pass that clears bits followed by
@@ -104,10 +104,12 @@ use std::collections::BTreeMap;
 pub type PeerEntry = RoutingEntry;
 
 /// The highest bus level the registry can represent: each slot has one
-/// membership bit per level in a `u64` whose bit 0 is the level-0 table.
-/// An identifier space of at most 2⁶³ coordinates cannot tessellate deeper
-/// anyway; [`crate::TreePConfig::validate`] rejects a greater `height`.
-pub(crate) const MAX_BUS_LEVEL: u32 = 63;
+/// membership bit per level in a `u32` whose bit 0 is the level-0 table.
+/// Even at `nc = 2`, 31 levels tessellate 2³¹ cells, more than any
+/// population this crate is run at (≤ 10⁷ nodes); a `u64` mask would cost
+/// every slot 8 bytes (56 instead of 48). [`crate::TreePConfig::validate`]
+/// rejects a greater `height`.
+pub(crate) const MAX_BUS_LEVEL: u32 = 31;
 
 /// Minimum number of level-0 connections every node keeps alive ("Each node
 /// needs to maintain a minimum of two connections", Section III.a): a node
@@ -125,7 +127,7 @@ pub const MAX_LEVEL0_CONNECTIONS: usize = 8;
 const _: () = assert!(MAX_LEVEL0_CONNECTIONS >= MIN_LEVEL0_CONNECTIONS);
 
 /// `Slot::levels` bit of the level-0 table.
-const LEVEL0: u64 = 1;
+const LEVEL0: u32 = 1;
 /// `Slot::tree` bits.
 const CHILD: u8 = 1 << 0;
 const OWN_CHILD: u8 = 1 << 1;
@@ -135,7 +137,7 @@ const SUPERIOR: u8 = 1 << 3;
 /// The `Slot::levels` bit of the level-`level` bus, or 0 — a mask no slot
 /// matches — for a level that is not a bus (`0`, or beyond
 /// [`MAX_BUS_LEVEL`]).
-fn bus_bit(level: u32) -> u64 {
+fn bus_bit(level: u32) -> u32 {
     if (1..=MAX_BUS_LEVEL).contains(&level) {
         1 << level
     } else {
@@ -154,10 +156,10 @@ fn by_report(s: &Slot) -> bool {
 /// with a bit of `buses` is that bus's direct neighbour on this side.
 fn bus_only_neighbours<'a>(
     slots: impl Iterator<Item = &'a Slot>,
-    buses: u64,
+    buses: u32,
 ) -> impl Iterator<Item = &'a PeerEntry> {
     slots
-        .scan(0, move |passed: &mut u64, s| {
+        .scan(0, move |passed: &mut u32, s| {
             let direct = s.levels & buses & !*passed != 0;
             *passed |= s.levels;
             Some((s, direct))
@@ -171,10 +173,13 @@ fn bus_only_neighbours<'a>(
 struct Slot {
     entry: PeerEntry,
     /// Bit 0: level-0 neighbour; bit `L`: member of the level-`L` bus.
-    levels: u64,
+    levels: u32,
     /// `CHILD | OWN_CHILD | PARENT | SUPERIOR`.
     tree: u8,
 }
+// The registry is the largest per-node structure: a slot that grows past
+// 48 bytes shows in every node's resident size (see the module docs).
+const _: () = assert!(std::mem::size_of::<Slot>() == 48);
 
 impl Slot {
     fn roleless(&self) -> bool {
@@ -323,7 +328,7 @@ impl RoutingTables {
 
     /// Merge `entry` into the registry (insert, or fold newer information
     /// into the canonical record) and add the given role bits to it.
-    fn grant(&mut self, entry: PeerEntry, levels: u64, tree: u8) {
+    fn grant(&mut self, entry: PeerEntry, levels: u32, tree: u8) {
         let slot = match self.position(entry.id) {
             Ok(i) => {
                 let slot = &mut self.slots[i];
@@ -337,8 +342,9 @@ impl RoutingTables {
                     tree: 0,
                 };
                 // Grow by a quarter, not by doubling: this vector exists once
-                // per node, and at ~30 slots doubling leaves a third of
-                // every node's registry unused.
+                // per node. The settle transient's peak, not this rule, sets
+                // what stays reserved: 40.6 slots a node (1.95 KB) in `maint`
+                // at n = 10⁴, against 22.4 in use once it has settled.
                 if self.slots.len() == self.slots.capacity() {
                     self.slots.reserve_exact(self.slots.len() / 4 + 4);
                 }
@@ -590,7 +596,7 @@ impl RoutingTables {
     }
 
     /// The entries of the slots holding any of the `levels` bits, by ID.
-    fn on_levels(&self, levels: u64) -> impl Iterator<Item = &PeerEntry> {
+    fn on_levels(&self, levels: u32) -> impl Iterator<Item = &PeerEntry> {
         self.slots
             .iter()
             .filter(move |s| s.levels & levels != 0)
@@ -691,7 +697,7 @@ impl RoutingTables {
             .iter()
             .filter(|s| s.levels & LEVEL0 != 0 || by_report(s))
             .map(|s| (&s.entry, by_report(s)));
-        let buses = (u64::MAX >> (MAX_BUS_LEVEL - max_level.min(MAX_BUS_LEVEL))) & !LEVEL0;
+        let buses = (u32::MAX >> (MAX_BUS_LEVEL - max_level.min(MAX_BUS_LEVEL))) & !LEVEL0;
         let (below, rest) = self.slots.split_at(self.rank(own));
         let rest = rest.iter().filter(move |s| s.entry.id != own);
         let bus =
@@ -1276,11 +1282,14 @@ mod tests {
         t.upsert_level(MAX_BUS_LEVEL, entry(100, MAX_BUS_LEVEL, 1));
         t.upsert_level(1, entry(200, 1, 1));
         t.upsert_level0(entry(300, 0, 1));
-        // Beyond the last bus bit: nothing is recorded, nothing shifts out
-        // of range, and no roleless entry is left behind.
-        for level in [MAX_BUS_LEVEL + 1, 100, u32::MAX] {
+        let sizes = t.sizes();
+        // Beyond the last bus bit (63 was a bus while the mask was a `u64`):
+        // nothing is recorded, nothing shifts out of range, and no roleless
+        // entry is left behind.
+        for level in [MAX_BUS_LEVEL + 1, 63, 100, u32::MAX] {
             t.upsert_level(level, entry(400, 0, 1));
             assert!(t.find(NodeId(400)).is_none());
+            assert_eq!(t.sizes(), sizes, "level {level} granted a role");
             assert_eq!(t.level_members(level).count(), 0);
             let (l, r) = t.bus_neighbors(level, NodeId(150));
             assert!(l.is_none() && r.is_none());
