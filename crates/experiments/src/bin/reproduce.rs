@@ -401,11 +401,12 @@ fn main() {
             let both = if variable_nc { " and variable-nc" } else { "" };
             eprintln!("# seed {seed}: fixed-nc (nc = 4, h = 6){both} churn runs…");
             let seed_runs = SeedRuns::run(&ExperimentParams { seed, ..params }, variable_nc);
-            let audit = &seed_runs.fixed.steady_state;
-            eprintln!(
-                "#   steady state: height {}, {} orphans, avg {:.1} children/parent",
-                audit.height, audit.orphans, audit.avg_children
-            );
+            for run in std::iter::once(&seed_runs.fixed).chain(&seed_runs.variable) {
+                eprintln!(
+                    "#   {} steady state: {:?}",
+                    run.policy_label, run.steady_state
+                );
+            }
             runs.push(seed_runs);
         }
     }

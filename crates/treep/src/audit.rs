@@ -26,6 +26,11 @@ pub struct HierarchyAudit {
     pub roots: usize,
     /// The roots below the top level.
     pub orphans: usize,
+    /// Connected components of the roots at the top level, linked by their
+    /// top-level bus entries. Links count only when the top level is the
+    /// configured `height`: below it a root still has a level to be
+    /// promoted to, so each one is a tree of its own.
+    pub top_components: usize,
     /// Nodes whose parent entry refers to an ID outside the inspected set.
     pub dangling_parents: usize,
     /// Nodes whose parent (an inspected node) sits at or below their own
@@ -47,10 +52,13 @@ pub struct HierarchyAudit {
 }
 
 impl HierarchyAudit {
-    /// True when the audit found one root and none of the structural
-    /// problems.
+    /// True when the audit found no structural problem and the roots form
+    /// one top: every root sits at the top level (no orphan), and they are
+    /// one connected top bus — one node when the top level is below the
+    /// configured `height`, where the protocol would elect a root; any
+    /// number of them at `height`, where it stops promoting.
     pub fn is_clean(&self) -> bool {
-        self.roots == 1
+        self.top_components == 1
             && self.orphans == 0
             && self.dangling_parents == 0
             && self.inverted_parents == 0
@@ -120,6 +128,30 @@ where
     let parentless = || nodes.iter().filter(|n| n.tables().parent().is_none());
     let roots = parentless().count();
     let orphans = parentless().filter(|n| n.max_level() < height).count();
+    // Union-find over the roots at the top level: a bus entry naming
+    // another one joins their components, unless a level is left to be
+    // promoted to.
+    let tops: Vec<&TreePNode> = parentless()
+        .filter(|n| n.max_level() == height)
+        .copied()
+        .collect();
+    let top_at: BTreeMap<NodeId, usize> =
+        tops.iter().enumerate().map(|(k, n)| (n.id(), k)).collect();
+    let mut component: Vec<usize> = (0..tops.len()).collect();
+    for (k, top) in tops.iter().enumerate() {
+        if top.config().height != height {
+            continue;
+        }
+        for peer in top.tables().level_members(height) {
+            if let Some(&j) = top_at.get(&peer.id) {
+                let (a, b) = (find(&mut component, k), find(&mut component, j));
+                component[a] = b;
+            }
+        }
+    }
+    let top_components = (0..tops.len())
+        .filter(|&k| find(&mut component, k) == k)
+        .count();
 
     // Every node has at most one parent, so a walk up the graph either ends
     // or runs into a node already walked — and running into a node of the
@@ -141,6 +173,7 @@ where
         height,
         roots,
         orphans,
+        top_components,
         dangling_parents,
         inverted_parents,
         parent_cycles,
@@ -158,6 +191,16 @@ where
         },
         max_table_size,
     }
+}
+
+/// The representative of `k`'s component in a union-find forest, halving
+/// the path on the way.
+fn find(component: &mut [usize], mut k: usize) -> usize {
+    while component[k] != k {
+        component[k] = component[component[k]];
+        k = component[k];
+    }
+    k
 }
 
 /// The analytic routing-table-size bound of Section III.e for a node:
@@ -283,6 +326,33 @@ mod tests {
         let report = audit(nodes.iter());
         assert_eq!((report.roots, report.orphans), (2, 0), "{report:?}");
         assert_eq!(report.dangling_parents + report.under_connected, 0);
+        assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn one_top_bus_at_the_configured_height_is_clean() {
+        // Three parentless nodes at the configured height (6), linked by
+        // their top bus and an intact level-0 ring.
+        let t = SimTime::ZERO;
+        let ids = [50, 100, 150];
+        let height = TreePConfig::default().height;
+        let mut tops: Vec<TreePNode> = ids.iter().map(|&id| node(id, height)).collect();
+        for (i, n) in tops.iter_mut().enumerate() {
+            for other in [ids[(i + 1) % 3], ids[(i + 2) % 3]] {
+                n.seed_level0_neighbor(peer(other, height), t);
+                n.seed_level_neighbor(height, peer(other, height), t);
+            }
+        }
+        let report = audit(tops.iter());
+        assert_eq!((report.roots, report.top_components), (3, 1), "{report:?}");
+        assert!(report.is_clean(), "{report:?}");
+
+        // Two at the same height that never learnt of each other on the bus.
+        let mut apart = [node(50, height), node(100, height)];
+        apart[0].seed_level0_neighbor(peer(100, height), t);
+        apart[1].seed_level0_neighbor(peer(50, height), t);
+        let report = audit(apart.iter());
+        assert_eq!((report.roots, report.top_components), (2, 2), "{report:?}");
         assert!(!report.is_clean());
     }
 

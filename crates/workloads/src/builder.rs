@@ -9,6 +9,13 @@
 //! lets the normal maintenance protocol (keep-alives, elections, demotions)
 //! take over — in `O(n)` work instead of `O(n · keepalive)` virtual time.
 //!
+//! One capacity rule plans the hierarchy, a node's capacity being its
+//! `max_children` (Section III.a): a tessellation group closes once it holds
+//! `max(cap − 1, 2)` members, `cap` being its strongest member's (groups of
+//! `max(nc − 1, 2)` under `Fixed(nc)`), and a level is promoted only while
+//! the capacities can parent every node below the promoted ones — else it
+//! is the top, so a population too weak for a tall tree gets a wide one.
+//!
 //! What it seeds is the hierarchy's skeleton, not the protocol's fixed
 //! point: ring neighbours, one random contact, bus neighbours, parent,
 //! children and ancestors — 9.4 registry entries per node at n = 10⁴ (seed
@@ -106,19 +113,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Average tessellation size used when grouping a level into parents.
-    ///
-    /// One less than the child-policy upper bound so the even child
-    /// distribution below never has to exceed a parent's capacity (`nc` is a
-    /// *maximum*, the converged average fanout sits below it).
-    fn group_size(&self) -> usize {
-        let upper = match self.config.child_policy {
-            treep::ChildPolicy::Fixed(nc) => nc,
-            treep::ChildPolicy::Adaptive { min, max } => (min + max) / 2,
-        };
-        (upper.saturating_sub(1).max(2)) as usize
-    }
-
     /// Create a fresh simulation with the given seed, build the topology into
     /// it, run the network for the settle period, and return both.
     pub fn build_simulation(&self, seed: u64) -> (Simulation<TreePNode>, BuiltTopology) {
@@ -195,6 +189,7 @@ impl TopologyBuilder {
                     id,
                     characteristics,
                     score: characteristics.capability_score(),
+                    capacity: characteristics.max_children(self.config.child_policy) as usize,
                     level: 0,
                 }
             })
@@ -204,8 +199,8 @@ impl TopologyBuilder {
 
         // Promote level by level: group the members of level `j` (ordered by
         // identifier) into tessellations and promote the strongest member of
-        // each group to level `j + 1`.
-        let group = self.group_size();
+        // each group to level `j + 1`, unless the members left at `j` cannot
+        // hold level `j − 1` or the promoted ones the members left.
         for level in 0..self.config.height {
             let members: Vec<usize> = plan
                 .iter()
@@ -219,22 +214,29 @@ impl TopologyBuilder {
             if members.len() < 3 {
                 break;
             }
-            let groups = partition_into_groups(&members, group);
-            if groups.is_empty() {
+            let groups = partition_into_groups(&members, |i| plan[i].capacity);
+            let leaders: Vec<usize> = groups
+                .iter()
+                .map(|g| {
+                    *g.iter()
+                        .max_by(|a, b| {
+                            plan[**a]
+                                .score
+                                .partial_cmp(&plan[**b].score)
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                                .then_with(|| plan[**b].id.cmp(&plan[**a].id))
+                        })
+                        .expect("groups are never empty")
+                })
+                .collect();
+            let capacity = |nodes: &[usize]| nodes.iter().map(|&i| plan[i].capacity).sum::<usize>();
+            let below = plan.iter().filter(|e| e.level + 1 == level).count();
+            let left = members.len() - leaders.len();
+            if below > capacity(&members) - capacity(&leaders) || left > capacity(&leaders) {
                 break;
             }
-            for g in &groups {
-                let leader = *g
-                    .iter()
-                    .max_by(|a, b| {
-                        plan[**a]
-                            .score
-                            .partial_cmp(&plan[**b].score)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| plan[**b].id.cmp(&plan[**a].id))
-                    })
-                    .expect("groups are never empty");
-                plan[leader].level = plan[leader].level.max(level + 1);
+            for &leader in &leaders {
+                plan[leader].level = level + 1;
             }
             if groups.len() == 1 {
                 // A single tessellation at this level: its leader is the root.
@@ -290,29 +292,15 @@ impl TopologyBuilder {
         }
 
         // Parent / child edges: the nodes whose maximum level is exactly `L`
-        // are distributed (by identifier order, evenly) among the nodes whose
-        // maximum level is exactly `L + 1`, respecting each parent's child
-        // capacity.
+        // are distributed (by identifier order, as evenly as the capacities
+        // allow) among the nodes whose maximum level is exactly `L + 1`.
         let mut parent_of: BTreeMap<usize, usize> = BTreeMap::new();
         for level in 0..height {
             let children: Vec<usize> = (0..n).filter(|&i| plan[i].level == level).collect();
             let parents: Vec<usize> = (0..n).filter(|&i| plan[i].level == level + 1).collect();
-            if children.is_empty() || parents.is_empty() {
-                continue;
-            }
-            let assignment = distribute_children(
-                &children,
-                &parents
-                    .iter()
-                    .map(|&p| {
-                        plan[p]
-                            .characteristics
-                            .max_children(self.config.child_policy) as usize
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            for (child_pos, parent_pos) in assignment {
-                let child = children[child_pos];
+            let capacities: Vec<usize> = parents.iter().map(|&p| plan[p].capacity).collect();
+            let assignment = distribute_children(children.len(), &capacities);
+            for (&child, parent_pos) in children.iter().zip(assignment) {
                 let parent = parents[parent_pos];
                 parent_of.insert(child, parent);
                 let child_info = infos[child];
@@ -352,51 +340,51 @@ impl TopologyBuilder {
     }
 }
 
-/// Distribute `children` (positions `0..children.len()`) over parents with
-/// the given capacities, in order, as evenly as possible. Returns
-/// `(child_position, parent_position)` pairs. Children that exceed the total
-/// capacity are appended to the last parent — the self-maintenance protocol
-/// resolves genuine over-capacity later, a dangling child never does.
-fn distribute_children(children: &[usize], capacities: &[usize]) -> Vec<(usize, usize)> {
-    let n_children = children.len();
-    let n_parents = capacities.len();
-    if n_children == 0 || n_parents == 0 {
-        return Vec::new();
-    }
-    let base = n_children / n_parents;
-    let extra = n_children % n_parents;
+/// Distribute `n_children` children, in order, over parents with the given
+/// capacities, in order: each takes `min(cap, share)` or one less, for the
+/// least `share` that holds them all, and the first parents reaching the
+/// share take all of it (under one capacity, the first `n mod parents`
+/// take one more). Returns each child's parent position. Panics when the
+/// capacities cannot hold every child: the plan rules that out, and an
+/// overfull parent is an illegal overlay nothing in the protocol repairs.
+fn distribute_children(n_children: usize, capacities: &[usize]) -> Vec<usize> {
+    let hold = |share: usize| capacities.iter().map(|&c| c.min(share)).sum::<usize>();
+    let share = (0..=n_children)
+        .find(|&share| hold(share) >= n_children)
+        .expect("the plan promotes only what the capacities can parent");
+    let mut full = n_children - hold(share.saturating_sub(1));
     let mut out = Vec::with_capacity(n_children);
-    let mut next_child = 0usize;
-    let mut spill = 0usize;
     for (p, &cap) in capacities.iter().enumerate() {
-        let want = base + usize::from(p < extra) + spill;
-        let is_last = p + 1 == n_parents;
-        let take = if is_last {
-            n_children - next_child
+        let take = if cap >= share && full > 0 {
+            full -= 1;
+            share
         } else {
-            want.min(cap.max(2))
+            cap.min(share.saturating_sub(1))
         };
-        spill = want.saturating_sub(take);
-        for _ in 0..take {
-            if next_child >= n_children {
-                break;
-            }
-            out.push((next_child, p));
-            next_child += 1;
-        }
+        out.extend(std::iter::repeat_n(p, take));
     }
     out
 }
 
-/// Split the (already ordered) member indices into contiguous groups of
-/// roughly `group` elements, merging a too-small tail group into its
-/// predecessor so every tessellation holds at least two nodes.
-fn partition_into_groups(members: &[usize], group: usize) -> Vec<Vec<usize>> {
-    assert!(group >= 2, "tessellation groups need at least two members");
-    if members.is_empty() {
-        return Vec::new();
+/// Split the (already ordered) member indices into contiguous groups by the
+/// capacity rule (the largest `capacity` so far is the strongest member's:
+/// capacity grows with capability), merging a tail of fewer than three into
+/// its predecessor so every tessellation holds at least two nodes.
+fn partition_into_groups(members: &[usize], capacity: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut open = Vec::new();
+    let mut cap = 0;
+    for &m in members {
+        open.push(m);
+        cap = cap.max(capacity(m));
+        if open.len() >= cap.saturating_sub(1).max(2) {
+            groups.push(std::mem::take(&mut open));
+            cap = 0;
+        }
     }
-    let mut groups: Vec<Vec<usize>> = members.chunks(group).map(|c| c.to_vec()).collect();
+    if !open.is_empty() {
+        groups.push(open);
+    }
     if groups.len() >= 2 && groups.last().map(|g| g.len()).unwrap_or(0) < 3 {
         let tail = groups.pop().expect("checked non-empty");
         groups.last_mut().expect("checked len >= 2").extend(tail);
@@ -410,6 +398,8 @@ struct PlanEntry {
     id: NodeId,
     characteristics: NodeCharacteristics,
     score: f64,
+    /// `max_children` under the configured child policy.
+    capacity: usize,
     level: u32,
 }
 
@@ -500,6 +490,57 @@ mod tests {
     }
 
     #[test]
+    fn built_overlay_is_legal_on_both_policies() {
+        // Audited as built, before the settle: what the builder hands the
+        // protocol.
+        for config in [
+            TreePConfig::paper_case_fixed(),
+            TreePConfig::paper_case_adaptive(),
+        ] {
+            for n in [800, 10_000] {
+                let mut sim = Simulation::new(SimConfig::default(), 2005);
+                let topo = TopologyBuilder::new(n).with_config(config).build(&mut sim);
+                let report = audit(topo.nodes.iter().filter_map(|b| sim.node(b.addr)));
+                assert_eq!(report.nodes, n);
+                assert_eq!(report.overfull_parents, 0, "{report:?}");
+                assert_eq!(report.orphans, 0, "{report:?}");
+                assert_eq!(report.dangling_parents, 0, "{report:?}");
+                assert!(report.is_clean(), "{report:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_population_is_built_within_capacity() {
+        // The plan stops promoting where the capacities cannot parent the
+        // next level, so no population, however weak, gets an overfull
+        // parent or a node left without one.
+        let populations = [
+            CapabilityDistribution::Heterogeneous,
+            CapabilityDistribution::Bimodal {
+                strong_fraction: 0.25,
+            },
+            CapabilityDistribution::Homogeneous(NodeCharacteristics::weak()),
+            CapabilityDistribution::Homogeneous(NodeCharacteristics::strong()),
+        ];
+        for capabilities in populations {
+            for n in [4, 18, 23, 150, 300] {
+                let mut sim = Simulation::new(SimConfig::default(), 3);
+                let topo = TopologyBuilder::new(n)
+                    .with_config(TreePConfig::paper_case_adaptive())
+                    .with_capabilities(capabilities)
+                    .build(&mut sim);
+                let report = audit(topo.nodes.iter().filter_map(|b| sim.node(b.addr)));
+                assert_eq!(
+                    (report.overfull_parents, report.orphans),
+                    (0, 0),
+                    "{capabilities:?}, n = {n}: {report:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn promoted_nodes_are_the_strong_ones() {
         let builder =
             TopologyBuilder::new(120).with_capabilities(CapabilityDistribution::Bimodal {
@@ -582,31 +623,47 @@ mod tests {
     #[test]
     fn partitioning_merges_small_tails() {
         let members: Vec<usize> = (0..9).collect();
-        let groups = partition_into_groups(&members, 4);
+        let groups = partition_into_groups(&members, |_| 5);
         assert_eq!(groups.len(), 2);
         assert_eq!(
             groups[1].len(),
             5,
             "tail of one merges into the previous group"
         );
-        assert!(partition_into_groups(&[], 4).is_empty());
+        assert!(partition_into_groups(&[], |_| 5).is_empty());
+        // A member of capacity 7 holds its group open to six members; the
+        // capacity-3 ones after it close theirs at two.
+        let groups = partition_into_groups(&members, |m| if m == 1 { 7 } else { 3 });
+        assert_eq!(groups, [vec![0, 1, 2, 3, 4, 5], vec![6, 7, 8]]);
     }
 
     #[test]
-    fn adaptive_policy_builds_flatter_hierarchies() {
-        let fixed = TopologyBuilder::new(300)
-            .with_config(TreePConfig::paper_case_fixed())
-            .build_simulation(13)
-            .1;
-        let adaptive = TopologyBuilder::new(300)
-            .with_config(TreePConfig::paper_case_adaptive())
-            .build_simulation(13)
-            .1;
+    fn capacity_sizes_the_tree() {
+        // Under the paper's adaptive policy a strong node holds 7 children
+        // and an always-up desktop 3, against the fixed nc = 4: the plan
+        // groups them by 6 and by 2 where fixed nc groups by 3.
+        let adaptive = TreePConfig::paper_case_adaptive();
+        let desktop = NodeCharacteristics {
+            uptime_s: 30 * 24 * 3600,
+            ..NodeCharacteristics::default()
+        };
+        let strong = NodeCharacteristics::strong();
+        assert_eq!(strong.max_children(adaptive.child_policy), 7);
+        assert_eq!(desktop.max_children(adaptive.child_policy), 3);
+        let height = |config: TreePConfig, node: NodeCharacteristics| {
+            let mut sim = Simulation::new(SimConfig::default(), 13);
+            TopologyBuilder::new(300)
+                .with_config(config)
+                .with_capabilities(CapabilityDistribution::Homogeneous(node))
+                .build(&mut sim)
+                .height
+        };
+        let fixed = height(TreePConfig::paper_case_fixed(), strong);
+        let (roomy, cramped) = (height(adaptive, strong), height(adaptive, desktop));
         assert!(
-            adaptive.height <= fixed.height,
-            "larger tessellations cannot make the tree taller (fixed {} vs adaptive {})",
-            fixed.height,
-            adaptive.height
+            roomy <= fixed && cramped > fixed,
+            "capacity 7 must build no taller than nc = 4 and capacity 3 taller \
+             (heights {roomy}, {fixed}, {cramped})"
         );
     }
 }
