@@ -369,6 +369,39 @@ fn write_csv(cli: &Cli, name: &str, table: &Table) {
     }
 }
 
+/// The churn runs of every seed in `seeds`, in seed order. The seeds are
+/// split into one consecutive share per core, run at once: each run is
+/// deterministic and shares nothing, so the result is the same as one seed
+/// after another.
+fn run_seeds(
+    params: &ExperimentParams,
+    seeds: std::ops::Range<u64>,
+    variable_nc: bool,
+) -> Vec<SeedRuns> {
+    let seeds: Vec<u64> = seeds.collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let share = seeds.len().div_ceil(cores).max(1);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = seeds
+            .chunks(share)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&seed| {
+                            SeedRuns::run(&ExperimentParams { seed, ..*params }, variable_nc)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().expect("a seed's churn runs panicked"))
+            .collect()
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match Cli::parse(&args) {
@@ -395,19 +428,20 @@ fn main() {
         "# TreeP reproduction — n = {}, seed = {}, {} lookups/step/algorithm",
         cli.nodes, cli.seed, cli.lookups
     );
-    let mut runs: Vec<SeedRuns> = Vec::new();
-    if !cli.figures.is_empty() || cli.maintenance {
-        for seed in cli.seed..cli.seed + cli.seeds {
-            let both = if variable_nc { " and variable-nc" } else { "" };
-            eprintln!("# seed {seed}: fixed-nc (nc = 4, h = 6){both} churn runs…");
-            let seed_runs = SeedRuns::run(&ExperimentParams { seed, ..params }, variable_nc);
-            for run in std::iter::once(&seed_runs.fixed).chain(&seed_runs.variable) {
-                eprintln!(
-                    "#   {} steady state: {:?}",
-                    run.policy_label, run.steady_state
-                );
-            }
-            runs.push(seed_runs);
+    let runs: Vec<SeedRuns> = if !cli.figures.is_empty() || cli.maintenance {
+        run_seeds(&params, cli.seed..cli.seed + cli.seeds, variable_nc)
+    } else {
+        Vec::new()
+    };
+    for seed_runs in &runs {
+        let both = if variable_nc { " and variable-nc" } else { "" };
+        let seed = seed_runs.fixed.seed;
+        eprintln!("# seed {seed}: fixed-nc (nc = 4, h = 6){both} churn runs…");
+        for run in std::iter::once(&seed_runs.fixed).chain(&seed_runs.variable) {
+            eprintln!(
+                "#   {} steady state: {:?}",
+                run.policy_label, run.steady_state
+            );
         }
     }
 

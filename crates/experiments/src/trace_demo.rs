@@ -6,9 +6,7 @@
 //! set, scoped multicasts, topic publishes, point lookups — and exports the
 //! resulting span trees as a Chrome-trace / Perfetto JSON document. The
 //! per-operation summary (trace counts, hop counts, lost hops, cache-hit
-//! notes) doubles as the data for the console report, and the aggregated
-//! [`treep::NodeStats`] are mirrored into the telemetry registry so one sink
-//! carries engine metrics and protocol counters alike.
+//! notes) doubles as the data for the console report.
 
 use crate::runner::Scenario;
 use analysis::{Cell, Column, Table};
@@ -180,32 +178,7 @@ pub fn run_trace_demo(params: &TraceDemoParams) -> TraceDemoReport {
     }
     sim.run_for(DRAIN);
 
-    // Mirror the aggregated protocol counters into the telemetry registry,
-    // so the registry is the single sink for engine and protocol metrics.
-    let gauges = [
-        "treep.messages_sent",
-        "treep.maintenance_sent",
-        "treep.cache_hits",
-        "treep.multicast_retransmits",
-        "treep.entries_pruned",
-    ];
-    let totals = sc.sum(|s| {
-        [
-            s.total_sent(),
-            s.maintenance_sent(),
-            s.cache_hits,
-            s.multicast_retransmits,
-            s.entries_pruned,
-        ]
-    });
-    let now = sc.sim.now();
-    let telemetry = sc.sim.telemetry_mut().expect("telemetry enabled above");
-    for (name, total) in gauges.into_iter().zip(totals) {
-        let gauge = telemetry.registry.gauge(name);
-        telemetry.registry.set(gauge, total);
-    }
-    telemetry.registry.sample(now);
-
+    let telemetry = sim.telemetry().expect("telemetry enabled above");
     let log = &telemetry.spans;
     let trace_json = chrome_trace(&[log]);
 

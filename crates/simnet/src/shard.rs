@@ -146,7 +146,7 @@ impl<P: Protocol> ShardedSimulation<P> {
     pub fn barrier_stall_samples(&self) -> u64 {
         self.telemetries()
             .iter()
-            .map(|t| t.barrier_stall_samples())
+            .map(|t| t.barrier_stall_histogram().count())
             .sum()
     }
 
@@ -207,7 +207,7 @@ where
                 let done = &done;
                 let barrier = &barrier;
                 scope.spawn(move || loop {
-                    // Wrap each barrier wait with a wall-clock stall gauge
+                    // Wrap each barrier wait with a wall-clock stall histogram
                     // when telemetry is on (the wait time is where a
                     // load-imbalanced epoch shows up).
                     let timed = shard.telemetry().is_some();
@@ -269,9 +269,6 @@ where
                             debug_assert!(out.arrival.as_micros() >= w_end.min(limit_us - 1));
                             shard.schedule_delivery(out);
                         }
-                    }
-                    if let Some(t) = shard.telemetry_mut() {
-                        t.record_barrier_epoch();
                     }
                 });
             }

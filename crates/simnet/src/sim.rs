@@ -156,8 +156,8 @@ pub struct Simulation<P: Protocol> {
     action_buf: Vec<Action<P::Message>>,
     /// FNV-1a fold over dispatched events; `None` until enabled.
     digest: Option<u64>,
-    /// Telemetry sink (registry, spans, flight recorder); `None` until
-    /// enabled, and behaviourally inert when on.
+    /// Telemetry sink (spans, flight recorder, dispatch-cost histograms);
+    /// `None` until enabled, and behaviourally inert when on.
     telemetry: Option<Box<Telemetry>>,
     /// Told of every message that dies at a dead or unstarted destination
     /// (see [`Simulation::on_dead_letter`]); `None` until set.
@@ -241,11 +241,11 @@ impl<P: Protocol> Simulation<P> {
         self.dead_letter = Some(Box::new(observer));
     }
 
-    /// Turn telemetry on: metrics registry, causal spans, engine profiling
-    /// and the flight recorder (see `crate::telemetry`). Inert with
-    /// respect to simulation behaviour — a digest-pinned test holds the
-    /// engine to that. Trace and span ids carry the placement index in
-    /// their high bits, so the sinks of a sharded run merge collision-free.
+    /// Turn telemetry on: causal spans, engine profiling and the flight
+    /// recorder (see `crate::telemetry`). Inert with respect to simulation
+    /// behaviour — a digest-pinned test holds the engine to that. Trace and
+    /// span ids carry the placement index in their high bits, so the sinks
+    /// of a sharded run merge collision-free.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         if self.telemetry.is_none() {
             self.telemetry = Some(Box::new(Telemetry::with_tag(config, self.index as u64)));
@@ -257,8 +257,9 @@ impl<P: Protocol> Simulation<P> {
         self.telemetry.as_deref()
     }
 
-    /// Mutable telemetry access (experiments register their own metrics).
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
+    /// Mutable telemetry access (the sharded engine records barrier
+    /// stalls through it).
+    pub(crate) fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
         self.telemetry.as_deref_mut()
     }
 
@@ -405,10 +406,10 @@ impl<P: Protocol> Simulation<P> {
         if let Some(d) = self.digest.as_mut() {
             *d = fold_event(*d, event.at, event.seq, &event.kind);
         }
-        // Telemetry pre-dispatch: flight-record the event, sample the
-        // scalar series on its virtual-time cadence, and decide whether
-        // this is one of the 1-in-64 dispatches whose wall-clock cost gets
-        // measured. All of it is off the hot path when telemetry is off.
+        // Telemetry pre-dispatch: flight-record the event and decide
+        // whether this is one of the 1-in-64 dispatches whose wall-clock
+        // cost gets measured. All of it is off the hot path when telemetry
+        // is off.
         let mut timed_tag = None;
         if let Some(t) = self.telemetry.as_deref_mut() {
             let (tag, node) = event_word(&event.kind);
@@ -418,7 +419,6 @@ impl<P: Protocol> Simulation<P> {
                 tag,
                 node,
             });
-            t.maybe_sample(event.at, &self.metrics);
             if t.should_time() {
                 timed_tag = Some(tag);
             }
@@ -1011,5 +1011,20 @@ mod tests {
             vec![NodeAddr(0), NodeAddr(1), NodeAddr(3), NodeAddr(4)],
             "alive_nodes is address-ordered with dead nodes skipped"
         );
+    }
+
+    #[test]
+    fn telemetry_times_one_dispatch_in_sixty_four() {
+        let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
+        sim.enable_telemetry(TelemetryConfig::default());
+        let a = sim.add_node(PingPong::default());
+        let b = sim.add_node(PingPong::default());
+        for _ in 0..500 {
+            sim.invoke(a, |_, ctx| ctx.send(b, Msg::Ping));
+            sim.run_until_idle();
+        }
+        let events = sim.metrics().events_dispatched;
+        assert_eq!(events, 1_005);
+        assert_eq!(sim.telemetry().unwrap().dispatch_samples(), events / 64);
     }
 }

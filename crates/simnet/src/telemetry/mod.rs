@@ -1,23 +1,13 @@
-//! Telemetry: metrics registry, causal spans, engine profiling and a
-//! flight recorder — everything off by default, behaviourally inert when on.
+//! Telemetry: causal spans, engine profiling and a flight recorder —
+//! everything off by default, behaviourally inert when on.
 //!
-//! # Registry ids
-//!
-//! Metrics are registered once by `&'static str` name against the
-//! [`MetricsRegistry`] and recorded through the returned dense [`MetricId`]
-//! — the hot path is a `Vec` index, never a hash or a `String`. The engine
-//! pre-registers its own ids at [`Telemetry::new`] (see the `engine.*` and
-//! `sim.*` names below); hosts sample `sim.*` mirrors of [`SimMetrics`] and
-//! every other scalar on a fixed **virtual-time** cadence
-//! ([`TelemetryConfig::sample_every`]), so time series are deterministic
-//! across runs of one seed.
-//!
-//! | name | kind | meaning |
-//! |------|------|---------|
-//! | `engine.dispatch_ns.{deliver,timer,start,fail}` | histogram | wall-clock ns per dispatched event, 1-in-64 sampled |
-//! | `engine.barrier_stall_ns` | histogram | wall-clock ns a shard thread spent blocked per barrier wait |
-//! | `engine.barrier_epochs` | counter | epochs the sharded engine completed |
-//! | `sim.events`, `sim.messages_sent`, … | counter | mirrors of [`SimMetrics`], refreshed at each sample tick |
+//! A [`Telemetry`] holds what its readers read: the span log (exported by
+//! [`chrome_trace`]), the flight recorder (dumped by the `flight_assert!`
+//! macros), four [`Histogram`]s of wall-clock nanoseconds per dispatched
+//! event, one per event kind (deliver, timer, start, fail; 1 event in 64 is
+//! timed), and one of the time a shard thread spent blocked per barrier
+//! wait. Counts of simulated events are [`SimMetrics`](crate::SimMetrics)'
+//! alone.
 //!
 //! # Span model
 //!
@@ -46,19 +36,18 @@
 //! seeded run.
 
 mod export;
+mod histogram;
 mod recorder;
-mod registry;
 mod span;
 
 pub use export::chrome_trace;
+pub(crate) use histogram::Histogram;
 pub(crate) use recorder::{FlightEntry, FlightRecorder};
-pub(crate) use registry::{Histogram, MetricId, MetricsRegistry};
 pub use span::TraceCtx;
 pub(crate) use span::{NoteRecord, SpanLog, SpanRecord};
 
-use crate::metrics::SimMetrics;
 use crate::protocol::NodeAddr;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::collections::HashMap;
 
 /// Tuning knobs for a [`Telemetry`] instance.
@@ -72,11 +61,6 @@ pub struct TelemetryConfig {
     pub recorder_capacity: usize,
     /// Spans (and notes) retained by the span log.
     pub span_capacity: usize,
-    /// Virtual-time cadence for sampling scalars into series.
-    pub sample_every: SimDuration,
-    /// Sample wall-clock dispatch cost (1 event in 64) into the
-    /// per-event-kind histograms.
-    pub time_dispatch: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -84,8 +68,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             recorder_capacity: 4 * 1024,
             span_capacity: 1 << 20,
-            sample_every: SimDuration::from_secs(1),
-            time_dispatch: true,
         }
     }
 }
@@ -98,81 +80,40 @@ impl TelemetryConfig {
     }
 }
 
-/// Pre-registered engine metric ids.
-#[derive(Debug, Clone, Copy)]
-struct EngineIds {
-    dispatch: [MetricId; 4],
-    barrier_stall: MetricId,
-    barrier_epochs: MetricId,
-    sim: [MetricId; 6],
-}
-
-/// Per-host telemetry state: registry, span log, flight recorder and the
-/// deterministic id allocators. One per [`crate::Simulation`]; one per
-/// shard under [`crate::ShardedSimulation`].
+/// Per-host telemetry state: span log, flight recorder, the engine's
+/// cost histograms and the deterministic id allocators. One per
+/// [`crate::Simulation`]; one per shard under [`crate::ShardedSimulation`].
 #[derive(Debug)]
 pub struct Telemetry {
-    /// The metrics registry (engine ids pre-registered, open for hosts).
-    pub registry: MetricsRegistry,
     /// The span log.
     pub spans: SpanLog,
     /// The flight recorder.
     pub recorder: FlightRecorder,
-    ids: EngineIds,
+    /// Sampled wall-clock dispatch cost, indexed by digest tag (0 deliver
+    /// … 3 fail).
+    dispatch: [Histogram; 4],
+    /// Wall-clock stall per barrier wait of the sharded engine.
+    barrier_stall: Histogram,
     tag: u64,
     next_span: u64,
     next_trace: u64,
     dispatch_tick: u64,
-    time_dispatch: bool,
-    sample_every: SimDuration,
-    next_sample: SimTime,
     inflight: HashMap<u64, TraceCtx>,
 }
 
 impl Telemetry {
     /// Telemetry whose trace/span ids carry `tag << 48` in the high bits,
     /// keeping per-shard allocators collision-free without coordination.
-    ///
-    /// # Panics
-    ///
-    /// When `config.sample_every` is zero: no cadence could ever pass the
-    /// current time.
     pub(crate) fn with_tag(config: TelemetryConfig, tag: u64) -> Self {
-        assert!(
-            config.sample_every > SimDuration::ZERO,
-            "TelemetryConfig::sample_every must be positive"
-        );
-        let mut registry = MetricsRegistry::new(4096);
-        let ids = EngineIds {
-            dispatch: [
-                registry.histogram("engine.dispatch_ns.deliver"),
-                registry.histogram("engine.dispatch_ns.timer"),
-                registry.histogram("engine.dispatch_ns.start"),
-                registry.histogram("engine.dispatch_ns.fail"),
-            ],
-            barrier_stall: registry.histogram("engine.barrier_stall_ns"),
-            barrier_epochs: registry.counter("engine.barrier_epochs"),
-            sim: [
-                registry.counter("sim.events"),
-                registry.counter("sim.messages_sent"),
-                registry.counter("sim.messages_delivered"),
-                registry.counter("sim.messages_lost"),
-                registry.counter("sim.timers_fired"),
-                registry.counter("sim.nodes_started"),
-            ],
-        };
         Telemetry {
-            registry,
             spans: SpanLog::new(config.span_capacity),
             recorder: FlightRecorder::new(config.recorder_capacity),
-            ids,
+            dispatch: Default::default(),
+            barrier_stall: Histogram::default(),
             tag: tag << 48,
             next_span: 0,
             next_trace: 0,
             dispatch_tick: 0,
-            time_dispatch: config.time_dispatch,
-            sample_every: config.sample_every,
-            next_sample: SimTime::ZERO + config.sample_every,
             inflight: HashMap::new(),
         }
     }
@@ -272,73 +213,33 @@ impl Telemetry {
     #[inline]
     pub(crate) fn should_time(&mut self) -> bool {
         self.dispatch_tick = self.dispatch_tick.wrapping_add(1);
-        self.time_dispatch && self.dispatch_tick & 63 == 0
+        self.dispatch_tick & 63 == 0
     }
 
     /// Record a sampled dispatch cost for digest tag `tag` (0 deliver …
     /// 3 fail).
     pub(crate) fn record_dispatch(&mut self, tag: u8, nanos: u64) {
-        let id = self.ids.dispatch[(tag as usize).min(3)];
-        self.registry.observe(id, nanos);
+        self.dispatch[(tag as usize).min(3)].record(nanos);
     }
 
     /// Total sampled dispatch observations across all event kinds.
     pub fn dispatch_samples(&self) -> u64 {
-        self.ids
-            .dispatch
-            .iter()
-            .map(|id| self.registry.value(*id))
-            .sum()
+        self.dispatch.iter().map(Histogram::count).sum()
     }
 
     /// Record one barrier wait's wall-clock stall.
     pub(crate) fn record_barrier_stall(&mut self, nanos: u64) {
-        self.registry.observe(self.ids.barrier_stall, nanos);
-    }
-
-    /// Count one completed sharded epoch.
-    pub(crate) fn record_barrier_epoch(&mut self) {
-        self.registry.add(self.ids.barrier_epochs, 1);
-    }
-
-    /// Number of barrier stall observations.
-    pub(crate) fn barrier_stall_samples(&self) -> u64 {
-        self.registry.value(self.ids.barrier_stall)
+        self.barrier_stall.record(nanos);
     }
 
     /// The barrier-stall histogram.
     pub fn barrier_stall_histogram(&self) -> &Histogram {
-        self.registry
-            .histogram_of(self.ids.barrier_stall)
-            .expect("pre-registered")
+        &self.barrier_stall
     }
 
     /// The dispatch-cost histogram for digest tag `tag`.
     pub fn dispatch_histogram(&self, tag: u8) -> &Histogram {
-        self.registry
-            .histogram_of(self.ids.dispatch[(tag as usize).min(3)])
-            .expect("pre-registered")
-    }
-
-    /// Refresh the `sim.*` mirrors and sample every scalar into its series
-    /// if a sample tick elapsed. Hosts call this once per dispatched event;
-    /// the interval check is two compares.
-    #[inline]
-    pub(crate) fn maybe_sample(&mut self, now: SimTime, metrics: &SimMetrics) {
-        if now < self.next_sample {
-            return;
-        }
-        let [events, sent, delivered, lost, timers, started] = self.ids.sim;
-        self.registry.set(events, metrics.events_dispatched);
-        self.registry.set(sent, metrics.messages_sent);
-        self.registry.set(delivered, metrics.messages_delivered);
-        self.registry.set(lost, metrics.messages_lost);
-        self.registry.set(timers, metrics.timers_fired);
-        self.registry.set(started, metrics.nodes_started);
-        self.registry.sample(now);
-        while self.next_sample <= now {
-            self.next_sample += self.sample_every;
-        }
+        &self.dispatch[(tag as usize).min(3)]
     }
 }
 
@@ -403,31 +304,5 @@ mod tests {
         t.put_inflight(9, ctx);
         assert_eq!(t.take_inflight(9), Some(ctx));
         assert_eq!(t.take_inflight(9), None);
-    }
-
-    #[test]
-    fn sampling_respects_cadence() {
-        let mut t = Telemetry::new(TelemetryConfig {
-            sample_every: SimDuration::from_millis(10),
-            ..TelemetryConfig::default()
-        });
-        let m = SimMetrics {
-            events_dispatched: 4,
-            ..SimMetrics::default()
-        };
-        t.maybe_sample(SimTime::from_millis(1), &m);
-        t.maybe_sample(SimTime::from_millis(10), &m);
-        t.maybe_sample(SimTime::from_millis(11), &m);
-        let id = t.registry.by_name("sim.events").unwrap();
-        assert_eq!(t.registry.series(id), &[(10_000, 4)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample_every must be positive")]
-    fn zero_sampling_cadence_is_rejected() {
-        Telemetry::new(TelemetryConfig {
-            sample_every: SimDuration::ZERO,
-            ..TelemetryConfig::default()
-        });
     }
 }

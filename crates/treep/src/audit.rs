@@ -36,6 +36,10 @@ pub struct HierarchyAudit {
     /// Nodes whose parent (an inspected node) sits at or below their own
     /// level: the parent demoted and the child never let go of it.
     pub inverted_parents: usize,
+    /// Nodes whose parent (an inspected node) does not hold them as an own
+    /// child: the parent refused or dropped the child, and the child still
+    /// counts on it.
+    pub disowned_children: usize,
     /// Cycles in the parent graph. The nodes on and below a cycle have no
     /// root: an ascent from them never turns into a descent.
     pub parent_cycles: usize,
@@ -62,6 +66,7 @@ impl HierarchyAudit {
             && self.orphans == 0
             && self.dangling_parents == 0
             && self.inverted_parents == 0
+            && self.disowned_children == 0
             && self.parent_cycles == 0
             && self.overfull_parents == 0
             && self.under_connected == 0
@@ -84,6 +89,7 @@ where
     let mut level_population: BTreeMap<u32, usize> = BTreeMap::new();
     let mut dangling_parents = 0usize;
     let mut inverted_parents = 0usize;
+    let mut disowned_children = 0usize;
     let mut overfull_parents = 0usize;
     let mut under_connected = 0usize;
     let mut children_sum = 0usize;
@@ -103,6 +109,7 @@ where
             (Some(_), None) => dangling_parents += 1,
             (Some(_), Some(p)) => {
                 inverted_parents += usize::from(nodes[*p].max_level() <= node.max_level());
+                disowned_children += usize::from(!nodes[*p].tables().is_own_child(node.id()));
             }
         }
 
@@ -176,6 +183,7 @@ where
         top_components,
         dangling_parents,
         inverted_parents,
+        disowned_children,
         parent_cycles,
         overfull_parents,
         under_connected,
@@ -353,6 +361,27 @@ mod tests {
         apart[1].seed_level0_neighbor(peer(50, height), t);
         let report = audit(apart.iter());
         assert_eq!((report.roots, report.top_components), (2, 2), "{report:?}");
+        assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn a_child_its_parent_does_not_count_is_not_clean() {
+        // 50 and 150 name 100 as their parent; 100 holds only 50.
+        let t = SimTime::ZERO;
+        let mut root = node(100, 1);
+        root.seed_child(peer(50, 0), true, t);
+        let mut nodes = [root, node(50, 0), node(150, 0)];
+        for (i, other) in [(0, [50, 150]), (1, [100, 150]), (2, [100, 50])] {
+            for id in other {
+                nodes[i].seed_level0_neighbor(peer(id, u32::from(id == 100)), t);
+            }
+        }
+        nodes[1].seed_parent(peer(100, 1), t);
+        nodes[2].seed_parent(peer(100, 1), t);
+        let report = audit(nodes.iter());
+        assert_eq!(report.disowned_children, 1, "{report:?}");
+        assert_eq!(report.orphans + report.dangling_parents, 0);
+        assert_eq!(report.inverted_parents + report.under_connected, 0);
         assert!(!report.is_clean());
     }
 
