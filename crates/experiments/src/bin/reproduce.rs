@@ -402,6 +402,24 @@ fn run_seeds(
     })
 }
 
+/// How many of one policy's churn runs ended on a clean overlay
+/// ([`treep::HierarchyAudit::is_clean`]), and the seeds that did not:
+/// `nc=variable 18/20 (unclean: 2016, 2023)`.
+fn settled_health(runs: &[&ChurnRunResult]) -> String {
+    let unclean: Vec<String> = runs
+        .iter()
+        .filter(|r| !r.steady_state.is_clean())
+        .map(|r| r.seed.to_string())
+        .collect();
+    let listed = if unclean.is_empty() {
+        String::new()
+    } else {
+        format!(" (unclean: {})", unclean.join(", "))
+    };
+    let clean = runs.len() - unclean.len();
+    format!("{} {clean}/{}{listed}", runs[0].policy_label, runs.len())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match Cli::parse(&args) {
@@ -444,6 +462,18 @@ fn main() {
             );
         }
     }
+    // The churn runs of each policy, in seed order.
+    let policies: Vec<Vec<&ChurnRunResult>> = [
+        runs.iter().map(|r| &r.fixed).collect(),
+        runs.iter().filter_map(|r| r.variable.as_ref()).collect(),
+    ]
+    .into_iter()
+    .filter(|policy: &Vec<_>| !policy.is_empty())
+    .collect();
+    if !policies.is_empty() {
+        let health: Vec<String> = policies.iter().map(|p| settled_health(p)).collect();
+        eprintln!("#   settled clean: {}", health.join(", "));
+    }
 
     let mut readings = Vec::new();
     for figure in &cli.figures {
@@ -457,15 +487,11 @@ fn main() {
     }
 
     // Section III.e, read off the overlays the churn runs built.
-    let fixed: Vec<&ChurnRunResult> = runs.iter().map(|r| &r.fixed).collect();
-    let variable: Vec<&ChurnRunResult> = runs.iter().filter_map(|r| r.variable.as_ref()).collect();
-    for built in [fixed, variable] {
-        if !built.is_empty() {
-            let report = routing_table_report(&built);
-            println!("{}", report.to_table().render());
-            println!("  verdict: {}\n", verdict(&report.readings));
-            readings.extend(report.readings);
-        }
+    for built in &policies {
+        let report = routing_table_report(built);
+        println!("{}", report.to_table().render());
+        println!("  verdict: {}\n", verdict(&report.readings));
+        readings.extend(report.readings);
     }
 
     if !cli.figures.is_empty() {

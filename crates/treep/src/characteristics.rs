@@ -150,10 +150,11 @@ impl NodeCharacteristics {
     }
 }
 
-/// Compact summary of a peer's characteristics carried inside routing-table
-/// entries and exchanged on first contact ("when two nodes communicate for
-/// the first time they exchange information about their resources and
-/// state", Section III.d).
+/// Compact summary of a peer's characteristics, sent by the peer itself in
+/// its own [`crate::PeerInfo`] ("when two nodes communicate for the first
+/// time they exchange information about their resources and state",
+/// Section III.d). Routing-table entries do not keep it, so a relayed
+/// `PeerInfo` carries [`CharacteristicsSummary::UNKNOWN`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CharacteristicsSummary {
     /// Capability score in `[0, 1]`, quantised to thousandths.
@@ -163,6 +164,12 @@ pub struct CharacteristicsSummary {
 }
 
 impl CharacteristicsSummary {
+    /// The summary of a peer this node only relays: no score, no children.
+    pub const UNKNOWN: CharacteristicsSummary = CharacteristicsSummary {
+        score_milli: 0,
+        max_children: 0,
+    };
+
     /// Build a summary from full characteristics under a child policy.
     pub fn of(full: &NodeCharacteristics, policy: ChildPolicy) -> Self {
         CharacteristicsSummary {

@@ -7,9 +7,10 @@ use simnet::{NodeAddr, SimDuration, SimTime};
 
 /// One row of a routing table: "The main information stored in the routing
 /// table is a set of tuples (ID, IP, Port)" (Section III.c), augmented with
-/// the peer's maximum level, a summary of its resources (exchanged on first
-/// contact) and a freshness timestamp ("All the entries in the routing table
-/// have a timestamp associated …").
+/// the peer's maximum level and a freshness timestamp ("All the entries in
+/// the routing table have a timestamp associated …"). A peer's resource
+/// summary travels on the wire ([`PeerInfo::summary`]) but is not kept here:
+/// nothing the protocol decides reads it back.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RoutingEntry {
     /// The peer's overlay identifier (its coordinate in the 1-D space).
@@ -18,26 +19,17 @@ pub struct RoutingEntry {
     pub addr: NodeAddr,
     /// Highest level the peer belongs to, as far as we know.
     pub max_level: u32,
-    /// Resource summary exchanged on first contact.
-    pub summary: CharacteristicsSummary,
     /// Last time we heard from (or about) this peer.
     pub last_seen: SimTime,
 }
 
 impl RoutingEntry {
     /// Create an entry freshly heard from at `now`.
-    pub fn new(
-        id: NodeId,
-        addr: NodeAddr,
-        max_level: u32,
-        summary: CharacteristicsSummary,
-        now: SimTime,
-    ) -> Self {
+    pub fn new(id: NodeId, addr: NodeAddr, max_level: u32, now: SimTime) -> Self {
         RoutingEntry {
             id,
             addr,
             max_level,
-            summary,
             last_seen: now,
         }
     }
@@ -56,7 +48,7 @@ impl RoutingEntry {
     }
 
     /// Merge newer information about the same peer (refreshed address,
-    /// level, timestamp and summary). Older information changes nothing: a
+    /// level and timestamp). Older information changes nothing: a
     /// stale copy can neither roll the canonical record back nor raise the
     /// peer's level. In particular the transport address changes only on
     /// **strictly newer** evidence, so a peer that re-joined under a new
@@ -67,14 +59,12 @@ impl RoutingEntry {
         if other.last_seen > self.last_seen {
             self.last_seen = other.last_seen;
             self.addr = other.addr;
-            self.summary = other.summary;
             self.max_level = other.max_level;
         } else if other.last_seen == self.last_seen {
             // Same-instant information: refresh the soft fields but keep
             // the established address — same-tick copies cannot be ordered,
             // and flapping to whichever arrived last would let indirect
             // gossip override a direct contact.
-            self.summary = other.summary;
             self.max_level = other.max_level;
         }
     }
@@ -91,23 +81,25 @@ pub struct PeerInfo {
     pub addr: NodeAddr,
     /// Highest level the peer belongs to.
     pub max_level: u32,
-    /// Resource summary.
+    /// Resource summary: the sender's own ([`crate::TreePNode::peer_info`]),
+    /// [`CharacteristicsSummary::UNKNOWN`] on a relayed peer.
     pub summary: CharacteristicsSummary,
 }
 
 impl PeerInfo {
     /// Convert to a routing entry heard at `now`.
     pub(crate) fn into_entry(self, now: SimTime) -> RoutingEntry {
-        RoutingEntry::new(self.id, self.addr, self.max_level, self.summary, now)
+        RoutingEntry::new(self.id, self.addr, self.max_level, now)
     }
 
-    /// Build from an entry (dropping the timestamp).
+    /// Build from an entry (dropping the timestamp). The registry keeps no
+    /// summary, so a relayed peer's is [`CharacteristicsSummary::UNKNOWN`].
     pub(crate) fn from_entry(e: &RoutingEntry) -> Self {
         PeerInfo {
             id: e.id,
             addr: e.addr,
             max_level: e.max_level,
-            summary: e.summary,
+            summary: CharacteristicsSummary::UNKNOWN,
         }
     }
 }
@@ -115,22 +107,10 @@ impl PeerInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characteristics::NodeCharacteristics;
-    use crate::config::ChildPolicy;
-
-    fn summary() -> CharacteristicsSummary {
-        CharacteristicsSummary::of(&NodeCharacteristics::default(), ChildPolicy::Fixed(4))
-    }
 
     #[test]
     fn touch_only_moves_forward() {
-        let mut e = RoutingEntry::new(
-            NodeId(1),
-            NodeAddr(1),
-            0,
-            summary(),
-            SimTime::from_millis(10),
-        );
+        let mut e = RoutingEntry::new(NodeId(1), NodeAddr(1), 0, SimTime::from_millis(10));
         e.touch(SimTime::from_millis(5));
         assert_eq!(e.last_seen, SimTime::from_millis(10));
         e.touch(SimTime::from_millis(20));
@@ -139,13 +119,7 @@ mod tests {
 
     #[test]
     fn staleness_respects_ttl() {
-        let e = RoutingEntry::new(
-            NodeId(1),
-            NodeAddr(1),
-            0,
-            summary(),
-            SimTime::from_millis(100),
-        );
+        let e = RoutingEntry::new(NodeId(1), NodeAddr(1), 0, SimTime::from_millis(100));
         let ttl = SimDuration::from_millis(50);
         assert!(!e.is_stale(SimTime::from_millis(120), ttl));
         assert!(!e.is_stale(SimTime::from_millis(150), ttl));
@@ -156,33 +130,16 @@ mod tests {
 
     #[test]
     fn merge_prefers_newer_information() {
-        let mut old = RoutingEntry::new(
-            NodeId(3),
-            NodeAddr(3),
-            1,
-            summary(),
-            SimTime::from_millis(10),
-        );
-        let newer = RoutingEntry::new(
-            NodeId(3),
-            NodeAddr(3),
-            2,
-            summary(),
-            SimTime::from_millis(20),
-        );
+        let mut old = RoutingEntry::new(NodeId(3), NodeAddr(3), 1, SimTime::from_millis(10));
+        let newer = RoutingEntry::new(NodeId(3), NodeAddr(3), 2, SimTime::from_millis(20));
         old.merge(&newer);
         assert_eq!(old.max_level, 2);
         assert_eq!(old.last_seen, SimTime::from_millis(20));
 
         // An older entry leaves level and timestamp unchanged, even when it
         // advertises a higher level.
-        let stale_high_level = RoutingEntry::new(
-            NodeId(3),
-            NodeAddr(3),
-            4,
-            summary(),
-            SimTime::from_millis(5),
-        );
+        let stale_high_level =
+            RoutingEntry::new(NodeId(3), NodeAddr(3), 4, SimTime::from_millis(5));
         old.merge(&stale_high_level);
         assert_eq!(old.last_seen, SimTime::from_millis(20));
         assert_eq!(old.max_level, 2);
@@ -190,42 +147,18 @@ mod tests {
 
     #[test]
     fn merge_adopts_newer_address_but_never_a_stale_one() {
-        let mut e = RoutingEntry::new(
-            NodeId(3),
-            NodeAddr(30),
-            0,
-            summary(),
-            SimTime::from_millis(10),
-        );
+        let mut e = RoutingEntry::new(NodeId(3), NodeAddr(30), 0, SimTime::from_millis(10));
         // The peer re-joined under a new address: newer info wins.
-        let rejoined = RoutingEntry::new(
-            NodeId(3),
-            NodeAddr(31),
-            0,
-            summary(),
-            SimTime::from_millis(20),
-        );
+        let rejoined = RoutingEntry::new(NodeId(3), NodeAddr(31), 0, SimTime::from_millis(20));
         e.merge(&rejoined);
         assert_eq!(e.addr, NodeAddr(31));
         // A stale gossip copy still carrying the old address is ignored.
-        let stale = RoutingEntry::new(
-            NodeId(3),
-            NodeAddr(30),
-            0,
-            summary(),
-            SimTime::from_millis(15),
-        );
+        let stale = RoutingEntry::new(NodeId(3), NodeAddr(30), 0, SimTime::from_millis(15));
         e.merge(&stale);
         assert_eq!(e.addr, NodeAddr(31));
         // A same-tick copy (equal timestamps are common in the discrete
         // event simulator) cannot roll the address back either.
-        let same_tick = RoutingEntry::new(
-            NodeId(3),
-            NodeAddr(30),
-            1,
-            summary(),
-            SimTime::from_millis(20),
-        );
+        let same_tick = RoutingEntry::new(NodeId(3), NodeAddr(30), 1, SimTime::from_millis(20));
         e.merge(&same_tick);
         assert_eq!(
             e.addr,
@@ -237,13 +170,7 @@ mod tests {
 
     #[test]
     fn peer_info_round_trip() {
-        let e = RoutingEntry::new(
-            NodeId(9),
-            NodeAddr(7),
-            3,
-            summary(),
-            SimTime::from_millis(42),
-        );
+        let e = RoutingEntry::new(NodeId(9), NodeAddr(7), 3, SimTime::from_millis(42));
         let p = PeerInfo::from_entry(&e);
         let back = p.into_entry(SimTime::from_millis(50));
         assert_eq!(back.id, e.id);

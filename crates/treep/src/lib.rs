@@ -103,4 +103,4 @@ pub use readpath::{CacheFill, HotKeyCache, ReadOutcome, ReadSource, StampedValue
 pub use replication::{audit_replication, ReplicaEntry, ReplicationAudit, REPLICA_SYNC_INTERVAL};
 pub use routing::{RouteDecision, RouterView, RoutingAlgorithm};
 pub use stats::{KindCounters, NodeStats};
-pub use tables::{PeerEntry, RemovalReport, RoutingTables, TableSizes, MAX_LEVEL0_CONNECTIONS};
+pub use tables::{PeerEntry, RoutingTables, TableSizes, MAX_LEVEL0_CONNECTIONS};

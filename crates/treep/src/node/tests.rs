@@ -237,6 +237,54 @@ fn keep_alive_learns_sender_and_updates() {
     assert_eq!(keep_alive_acks(&ctx.into_actions()), vec![NodeAddr(3)]);
 }
 
+#[test]
+fn keep_alives_send_the_own_summary_and_relay_unknown_ones() {
+    // The registry keeps no resource summary: a node sends its own as the
+    // keep-alive's sender and with its level membership, and every peer it
+    // relays goes out with the placeholder.
+    let config = TreePConfig::default();
+    let characteristics = NodeCharacteristics::strong();
+    let own = CharacteristicsSummary::of(&characteristics, config.child_policy);
+    assert_ne!(own, CharacteristicsSummary::UNKNOWN);
+    let mut node =
+        TreePNode::new(config, NodeId(10_000), characteristics).with_addr(NodeAddr(10_000));
+    node.seed_max_level(1);
+    let heard = SimTime::from_millis(400);
+    node.seed_parent(peer(50_000, 2), heard);
+    node.seed_child(peer(20_000, 0), true, heard);
+    node.seed_superior(peer(60_000, 3), heard);
+    for neighbour in [9_000, 11_000] {
+        node.seed_level0_neighbor(peer(neighbour, 0), heard);
+    }
+    let mut rng = simnet::SimRng::seed_from(1);
+    let mut ctx = Context::new(SimTime::from_millis(500), NodeAddr(10_000), &mut rng);
+    node.on_timer(encode_timer(TIMER_KEEPALIVE, 0), &mut ctx);
+    let (mut keep_alives, mut relayed) = (0, 0);
+    for action in ctx.into_actions() {
+        let simnet::Action::Send {
+            msg: TreePMessage::KeepAlive { sender, updates },
+            ..
+        } = action
+        else {
+            continue;
+        };
+        keep_alives += 1;
+        assert_eq!(sender.summary, own);
+        for peer in updates.iter().map(RoutingUpdate::peer) {
+            if peer.id == node.id() {
+                assert_eq!(peer.summary, own);
+            } else {
+                assert_eq!(peer.summary, CharacteristicsSummary::UNKNOWN, "{peer:?}");
+                relayed += 1;
+            }
+        }
+    }
+    assert!(
+        keep_alives > 0 && relayed > 0,
+        "{keep_alives} keep-alives relayed {relayed} peers"
+    );
+}
+
 /// The superiors advertised by the keep-alives and acks among `actions`.
 fn superiors_advertised(actions: &[simnet::Action<TreePMessage>]) -> Vec<NodeId> {
     actions

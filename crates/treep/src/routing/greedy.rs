@@ -63,7 +63,7 @@ mod tests {
     }
 
     fn entry(id: u64, level: u32) -> RoutingEntry {
-        RoutingEntry::new(NodeId(id), NodeAddr(id), level, summary(), SimTime::ZERO)
+        RoutingEntry::new(NodeId(id), NodeAddr(id), level, SimTime::ZERO)
     }
 
     fn req(origin_id: u64, target: u64) -> LookupRequest {

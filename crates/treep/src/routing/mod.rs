@@ -215,7 +215,7 @@ mod tests {
     }
 
     fn entry(id: u64, level: u32) -> RoutingEntry {
-        RoutingEntry::new(NodeId(id), NodeAddr(id), level, summary(), SimTime::ZERO)
+        RoutingEntry::new(NodeId(id), NodeAddr(id), level, SimTime::ZERO)
     }
 
     fn origin(id: u64) -> PeerInfo {

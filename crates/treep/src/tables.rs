@@ -31,15 +31,17 @@
 //! | bus member at level `L` (1 ≤ L ≤ 31) | `levels` bit `L` | [`RoutingTables::upsert_level`] |
 //! | child (own or a bus neighbour's) | `tree` bit 0 | [`RoutingTables::upsert_child`] |
 //! | own child (implies child) | `tree` bit 1 | [`RoutingTables::upsert_child`] with `own` |
-//! | parent (mirrors the `parent` field) | `tree` bit 2 | [`RoutingTables::set_parent`] |
+//! | parent (at most one slot) | `tree` bit 2 | [`RoutingTables::set_parent`] |
 //! | superior | `tree` bit 3 | [`RoutingTables::upsert_superior`] |
 //!
 //! One metadata record per peer means [`RoutingTables::find`] and
 //! [`RoutingTables::touch`] always see the one freshest address, level and
 //! timestamp, and [`RoutingTables::expire`] removes a stale peer from all
-//! of its roles at once — roles cannot desynchronize. A slot whose last
-//! role bit is cleared is dropped, so memory is bounded by the number of
-//! peers, not of (peer, role) pairs.
+//! of its roles at once — roles cannot desynchronize. Nothing is mirrored
+//! beside the bits: the parent, the level-0 degree and the own-child count
+//! are read from them, and a removal reports only whether the peer was
+//! known. A slot whose last role bit is cleared is dropped, so memory is
+//! bounded by the number of peers, not of (peer, role) pairs.
 //!
 //! **Why a sorted vector.** TreeP's point is that these tables stay small
 //! (Section III.e). In the benchmark's `maint` workload (n = 10⁴, seed
@@ -75,9 +77,11 @@
 //! **What is `O(n)`.** Inserting a peer not yet known, or dropping one
 //! ([`RoutingTables::remove_peer`], a parent change that orphans the old
 //! parent), shifts the slots behind it — a `memmove` of at most
-//! `n × size_of::<Slot>()` bytes, 48 a slot: under 2 KB at the peak mean
-//! above. A role-filtered probe for a role nobody holds scans
-//! every slot. Batch removals stay linear, never quadratic:
+//! `n × size_of::<Slot>()` bytes, 40 a slot: under 1.4 KB at the peak mean
+//! above. A role-filtered probe for a role nobody holds scans every slot,
+//! and so does a role count ([`RoutingTables::level0_degree`],
+//! [`RoutingTables::own_children_count`], [`RoutingTables::parent`]).
+//! Batch removals stay linear, never quadratic:
 //! [`RoutingTables::expire`] is one `retain` sweep and
 //! [`RoutingTables::prune_level0`] one pass that clears bits followed by
 //! at most one `retain`. The `treep.tables.*_ns` legs of the benchmark
@@ -99,15 +103,15 @@ use simnet::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The canonical registry record: one per known peer, holding the peer's
-/// address, characteristics summary, maximum level and freshness timestamp
-/// exactly once (role membership lives in the role bits next to it).
+/// address, maximum level and freshness timestamp exactly once (role
+/// membership lives in the role bits next to it).
 pub type PeerEntry = RoutingEntry;
 
 /// The highest bus level the registry can represent: each slot has one
 /// membership bit per level in a `u32` whose bit 0 is the level-0 table.
 /// Even at `nc = 2`, 31 levels tessellate 2³¹ cells, more than any
 /// population this crate is run at (≤ 10⁷ nodes); a `u64` mask would cost
-/// every slot 8 bytes (56 instead of 48). [`crate::TreePConfig::validate`]
+/// every slot 8 bytes (48 instead of 40). [`crate::TreePConfig::validate`]
 /// rejects a greater `height`.
 pub(crate) const MAX_BUS_LEVEL: u32 = 31;
 
@@ -178,52 +182,13 @@ struct Slot {
     tree: u8,
 }
 // The registry is the largest per-node structure: a slot that grows past
-// 48 bytes shows in every node's resident size (see the module docs).
-const _: () = assert!(std::mem::size_of::<Slot>() == 48);
+// 40 bytes shows in every node's resident size (see the module docs).
+const _: () = assert!(std::mem::size_of::<Slot>() == 40);
+const _: () = assert!(std::mem::size_of::<RoutingEntry>() == 32);
 
 impl Slot {
     fn roleless(&self) -> bool {
         self.levels == 0 && self.tree == 0
-    }
-
-    fn report(&self) -> RemovalReport {
-        RemovalReport {
-            was_level0: self.levels & LEVEL0 != 0,
-            was_level_neighbor: self.levels & !LEVEL0 != 0,
-            was_own_child: self.tree & OWN_CHILD != 0,
-            was_neighbor_child: self.tree & (CHILD | OWN_CHILD) == CHILD,
-            was_parent: self.tree & PARENT != 0,
-            was_superior: self.tree & SUPERIOR != 0,
-        }
-    }
-}
-
-/// Which tables a peer appears in; returned by [`RoutingTables::remove_peer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RemovalReport {
-    /// The peer was a level-0 neighbour.
-    pub was_level0: bool,
-    /// The peer was a bus neighbour at one or more levels `> 0`.
-    pub was_level_neighbor: bool,
-    /// The peer was one of our own children.
-    pub was_own_child: bool,
-    /// The peer was a neighbour's child we had replicated.
-    pub was_neighbor_child: bool,
-    /// The peer was our parent.
-    pub was_parent: bool,
-    /// The peer was in the superior list.
-    pub was_superior: bool,
-}
-
-impl RemovalReport {
-    /// True when the peer appeared anywhere.
-    pub fn any(&self) -> bool {
-        self.was_level0
-            || self.was_level_neighbor
-            || self.was_own_child
-            || self.was_neighbor_child
-            || self.was_parent
-            || self.was_superior
     }
 }
 
@@ -263,13 +228,6 @@ pub struct RoutingTables {
     /// Every known peer exactly once, in strictly ascending identifier
     /// order; every slot holds at least one role.
     slots: Vec<Slot>,
-    /// The immediate parent (the slot carrying the `PARENT` bit).
-    parent: Option<NodeId>,
-    /// Number of slots with the `LEVEL0` bit: read on every maintenance
-    /// tick (`l0` of Section III.e, the prune budget check).
-    level0_len: usize,
-    /// Number of slots with the `OWN_CHILD` bit (`ca` of Section III.e).
-    own_children_len: usize,
     /// Exact subtree extents reported by own children (`ChildReport`).
     child_spans: BTreeMap<NodeId, KeyRange>,
     /// Topic-subscription summaries reported by own children
@@ -343,7 +301,7 @@ impl RoutingTables {
                 };
                 // Grow by a quarter, not by doubling: this vector exists once
                 // per node. The settle transient's peak, not this rule, sets
-                // what stays reserved: 40.6 slots a node (1.95 KB) in `maint`
+                // what stays reserved: 40.6 slots a node (1.62 KB) in `maint`
                 // at n = 10⁴, against 22.4 in use once it has settled.
                 if self.slots.len() == self.slots.capacity() {
                     self.slots.reserve_exact(self.slots.len() / 4 + 4);
@@ -352,8 +310,6 @@ impl RoutingTables {
                 &mut self.slots[i]
             }
         };
-        self.level0_len += usize::from(levels & !slot.levels & LEVEL0 != 0);
-        self.own_children_len += usize::from(tree & !slot.tree & OWN_CHILD != 0);
         slot.levels |= levels;
         slot.tree |= tree;
         // An own child's level can rise through *any* role's upsert (a
@@ -364,19 +320,15 @@ impl RoutingTables {
         }
     }
 
-    /// Bookkeeping for a slot that has left the vector: the role counters,
-    /// the parent field and the per-child side maps. The child caches are
-    /// left to the caller, so a batch removal recomputes them once.
-    fn settle_removal(&mut self, id: NodeId, report: &RemovalReport) {
-        self.level0_len -= usize::from(report.was_level0);
-        if report.was_own_child {
-            self.own_children_len -= 1;
-            self.child_spans.remove(&id);
-            self.child_filters.remove(&id);
+    /// Bookkeeping for own children that have left the vector: their side
+    /// map records go, and the caches those bounded are recomputed once.
+    /// `ids` may name other peers too; the maps hold own children only.
+    fn drop_children(&mut self, ids: &[NodeId]) {
+        for id in ids {
+            self.child_spans.remove(id);
+            self.child_filters.remove(id);
         }
-        if report.was_parent {
-            self.parent = None;
-        }
+        self.recompute_child_caches();
     }
 
     /// Canonical lookup: the single freshest entry for `id`, whatever roles
@@ -625,7 +577,7 @@ impl RoutingTables {
 
     /// Number of level-0 connections (`l0` in Section III.e).
     pub fn level0_degree(&self) -> usize {
-        self.level0_len
+        self.level0().count()
     }
 
     /// True when `id` is a direct level-0 neighbour.
@@ -730,7 +682,7 @@ impl RoutingTables {
 
     /// Number of own children (`ca` in Section III.e).
     pub fn own_children_count(&self) -> usize {
-        self.own_children_len
+        self.own_children().count()
     }
 
     /// True when `id` is one of this node's own children.
@@ -743,9 +695,6 @@ impl RoutingTables {
     /// outward walk from `target` that is not a suspect, ties preferring
     /// the smaller identifier.
     pub fn closest_child(&self, target: NodeId) -> Option<&PeerEntry> {
-        if self.own_children_len == 0 {
-            return None;
-        }
         self.outward(target)
             .find(|s| s.tree & OWN_CHILD != 0 && !self.is_suspect(&s.entry))
             .map(|s| &s.entry)
@@ -757,14 +706,14 @@ impl RoutingTables {
     /// `ChildReport`). Ignored for peers that are not own children. Returns
     /// true when the span was recorded.
     ///
-    /// Spans are as fresh as the last report: a descendant that joined the
-    /// child's subtree *since* is covered only after the next report round
-    /// per tree level (the same eventual-consistency window as every other
-    /// table entry in the protocol's lazy maintenance). Until then a
-    /// multicast into the not-yet-reported sliver of the subtree can be
-    /// pruned; the steady-state exactly-once/full-coverage guarantees are
-    /// unaffected. An event-driven child report on adoption would close the
-    /// window (see ROADMAP).
+    /// Spans are as fresh as the last report. A child reports at once when
+    /// it adopts this node as its parent, but a descendant that joins
+    /// deeper in the child's subtree *since* is covered only after one
+    /// periodic report round per tree level between it and the child (the
+    /// same eventual-consistency window as every other table entry in the
+    /// protocol's lazy maintenance). Until then a multicast into the
+    /// not-yet-reported sliver of the subtree can be pruned; the
+    /// steady-state exactly-once/full-coverage guarantees are unaffected.
     pub fn record_child_span(&mut self, child: NodeId, span: KeyRange) -> bool {
         if !self.is_own_child(child) {
             return false;
@@ -898,9 +847,6 @@ impl RoutingTables {
         range: KeyRange,
         level0_slack: u64,
     ) -> Vec<PeerEntry> {
-        if self.own_children_len == 0 {
-            return Vec::new();
-        }
         let estimate_reach = if self.max_child_level == 0 {
             0
         } else {
@@ -929,20 +875,15 @@ impl RoutingTables {
 
     /// Record `entry` as the immediate parent.
     pub fn set_parent(&mut self, entry: PeerEntry) {
-        let id = entry.id;
-        if self.parent != Some(id) {
+        if self.parent().is_some_and(|p| p.id != entry.id) {
             self.clear_parent();
         }
         self.grant(entry, 0, PARENT);
-        self.parent = Some(id);
     }
 
     /// Forget the parent (it left or expired).
     pub fn clear_parent(&mut self) -> Option<PeerEntry> {
-        let id = self.parent.take()?;
-        let i = self
-            .position(id)
-            .expect("the parent field names a peer missing from the registry");
+        let i = self.slots.iter().position(|s| s.tree & PARENT != 0)?;
         let slot = &mut self.slots[i];
         slot.tree &= !PARENT;
         let entry = slot.entry;
@@ -952,12 +893,9 @@ impl RoutingTables {
         Some(entry)
     }
 
-    /// The immediate parent, if known.
+    /// The immediate parent, if known: the one slot holding the parent bit.
     pub fn parent(&self) -> Option<&PeerEntry> {
-        self.parent.map(|id| {
-            self.find(id)
-                .expect("the parent field names a peer missing from the registry")
-        })
+        self.in_tree(PARENT).next()
     }
 
     // ---- superiors ---------------------------------------------------------
@@ -989,18 +927,16 @@ impl RoutingTables {
 
     // ---- cross-table operations ---------------------------------------------
 
-    /// Remove `id` from every role and the registry; reports where it was
-    /// found.
-    pub fn remove_peer(&mut self, id: NodeId) -> RemovalReport {
+    /// Remove `id` from every role and the registry; returns whether the
+    /// peer was known.
+    pub fn remove_peer(&mut self, id: NodeId) -> bool {
         let Ok(i) = self.position(id) else {
-            return RemovalReport::default();
+            return false;
         };
-        let report = self.slots.remove(i).report();
-        self.settle_removal(id, &report);
-        if report.was_own_child {
-            self.recompute_child_caches();
+        if self.slots.remove(i).tree & OWN_CHILD != 0 {
+            self.drop_children(&[id]);
         }
-        report
+        true
     }
 
     /// Keep only the `keep` level-0 neighbours closest to `own` in the 1-D
@@ -1018,7 +954,8 @@ impl RoutingTables {
     /// that held no other role, so the cost is linear whatever the number
     /// of victims.
     pub fn prune_level0(&mut self, space: IdSpace, own: NodeId, keep: usize) -> usize {
-        if self.level0_len <= keep {
+        let degree = self.level0_degree();
+        if degree <= keep {
             return 0;
         }
         let rank = |id: NodeId| (space.distance(id, own), id);
@@ -1038,9 +975,7 @@ impl RoutingTables {
         if orphaned {
             self.slots.retain(|s| !s.roleless());
         }
-        let pruned = self.level0_len - keep;
-        self.level0_len = keep;
-        pruned
+        degree - keep
     }
 
     /// Expire every peer not refreshed within `ttl` of `now` ("The entry
@@ -1049,37 +984,31 @@ impl RoutingTables {
     /// so it either stays in all of its roles or leaves all of them — the
     /// roles can never desynchronize (the seed's bug where one stale gossip
     /// copy severed a live parent link is structurally impossible). Returns
-    /// the removed identifiers, ascending, with a report of which roles
-    /// each held.
-    pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<(NodeId, RemovalReport)> {
+    /// the removed identifiers, ascending.
+    pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<NodeId> {
         let mut removed = Vec::new();
+        let mut lost_own_child = false;
         self.slots.retain(|slot| {
             let stale = slot.entry.is_stale(now, ttl);
             if stale {
-                removed.push((slot.entry.id, slot.report()));
+                removed.push(slot.entry.id);
+                lost_own_child |= slot.tree & OWN_CHILD != 0;
             }
             !stale
         });
-        let mut lost_own_child = false;
-        for (id, report) in &removed {
-            self.settle_removal(*id, report);
-            lost_own_child |= report.was_own_child;
-        }
         if lost_own_child {
-            self.recompute_child_caches();
+            self.drop_children(&removed);
         }
         removed
     }
 
     /// Per-table sizes for the Section III.e audit.
     pub fn sizes(&self) -> TableSizes {
-        let mut sizes = TableSizes {
-            level0: self.level0_len,
-            own_children: self.own_children_len,
-            parent: usize::from(self.parent.is_some()),
-            ..TableSizes::default()
-        };
+        let mut sizes = TableSizes::default();
         for slot in &self.slots {
+            sizes.level0 += usize::from(slot.levels & LEVEL0 != 0);
+            sizes.own_children += usize::from(slot.tree & OWN_CHILD != 0);
+            sizes.parent += usize::from(slot.tree & PARENT != 0);
             sizes.level_neighbors += (slot.levels & !LEVEL0).count_ones() as usize;
             sizes.neighbor_children += usize::from(slot.tree & (CHILD | OWN_CHILD) == CHILD);
             sizes.superiors += usize::from(slot.tree & SUPERIOR != 0);
@@ -1091,15 +1020,15 @@ impl RoutingTables {
     /// Section III.e: level-0 connections plus, for nodes in the hierarchy,
     /// own children, direct bus neighbours and the parent link.
     pub fn active_connections(&self, own: NodeId, max_level: u32) -> usize {
-        let mut n = self.level0_len;
+        let mut n = self.level0_degree();
         if max_level > 0 {
-            n += self.own_children_len;
+            n += self.own_children_count();
             for lvl in 1..=max_level.min(MAX_BUS_LEVEL) {
                 let (l, r) = self.bus_neighbors(lvl, own);
                 n += usize::from(l.is_some()) + usize::from(r.is_some());
             }
         }
-        n + usize::from(self.parent.is_some())
+        n + usize::from(self.parent().is_some())
     }
 
     /// Check the structural invariants of the registry design; returns a
@@ -1109,9 +1038,8 @@ impl RoutingTables {
     /// 1. slots are in strictly ascending identifier order,
     /// 2. every slot holds at least one role,
     /// 3. own children are children,
-    /// 4. the parent bit is on exactly the slot the `parent` field names,
-    /// 5. the cached role counts match the bits,
-    /// 6. spans and topic filters belong to own children.
+    /// 4. at most one slot holds the parent bit,
+    /// 5. spans and topic filters belong to own children.
     pub fn validate_invariants(&self) -> Result<(), String> {
         for pair in self.slots.windows(2) {
             if pair[0].entry.id >= pair[1].entry.id {
@@ -1129,26 +1057,10 @@ impl RoutingTables {
             if slot.tree & OWN_CHILD != 0 && slot.tree & CHILD == 0 {
                 return Err(format!("own child {id:?} lacks the child role"));
             }
-            if (slot.tree & PARENT != 0) != (self.parent == Some(id)) {
-                return Err(format!(
-                    "parent bit of {id:?} disagrees with the parent field {:?}",
-                    self.parent
-                ));
-            }
         }
-        if let Some(p) = self.parent {
-            if self.slot(p).is_none() {
-                return Err(format!("parent {p:?} not in registry"));
-            }
-        }
-        if self.level0().count() != self.level0_len {
-            return Err(format!("level-0 count {} is stale", self.level0_len));
-        }
-        if self.own_children().count() != self.own_children_len {
-            return Err(format!(
-                "own-children count {} is stale",
-                self.own_children_len
-            ));
+        if self.in_tree(PARENT).nth(1).is_some() {
+            let parents: Vec<NodeId> = self.in_tree(PARENT).map(|e| e.id).collect();
+            return Err(format!("more than one parent: {parents:?}"));
         }
         for id in self.child_spans.keys() {
             if !self.is_own_child(*id) {
@@ -1167,18 +1079,10 @@ impl RoutingTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characteristics::{CharacteristicsSummary, NodeCharacteristics};
-    use crate::config::ChildPolicy;
     use simnet::NodeAddr;
 
     fn entry(id: u64, level: u32, at_ms: u64) -> RoutingEntry {
-        RoutingEntry::new(
-            NodeId(id),
-            NodeAddr(id),
-            level,
-            CharacteristicsSummary::of(&NodeCharacteristics::default(), ChildPolicy::Fixed(4)),
-            SimTime::from_millis(at_ms),
-        )
+        entry_at_addr(id, id, level, at_ms)
     }
 
     fn entry_at_addr(id: u64, addr: u64, level: u32, at_ms: u64) -> RoutingEntry {
@@ -1186,7 +1090,6 @@ mod tests {
             NodeId(id),
             NodeAddr(addr),
             level,
-            CharacteristicsSummary::of(&NodeCharacteristics::default(), ChildPolicy::Fixed(4)),
             SimTime::from_millis(at_ms),
         )
     }
@@ -1609,18 +1512,10 @@ mod tests {
         t.upsert_child(entry(1, 0, 1), true);
         t.set_parent(entry(1, 1, 1));
         t.upsert_superior(entry(1, 2, 1));
-        let r = t.remove_peer(NodeId(1));
-        assert!(r.any());
-        assert!(
-            r.was_level0
-                && r.was_level_neighbor
-                && r.was_own_child
-                && r.was_parent
-                && r.was_superior
-        );
+        assert!(t.remove_peer(NodeId(1)));
         assert!(t.find(NodeId(1)).is_none());
-        let r2 = t.remove_peer(NodeId(1));
-        assert!(!r2.any());
+        assert_eq!(t.sizes(), TableSizes::default(), "every role is gone");
+        assert!(!t.remove_peer(NodeId(1)));
         t.validate_invariants().unwrap();
     }
 
@@ -1632,9 +1527,7 @@ mod tests {
         t.set_parent(entry(3, 1, 0));
         t.upsert_superior(entry(4, 2, 900));
         let removed = t.expire(SimTime::from_millis(1000), SimDuration::from_millis(500));
-        let ids: Vec<u64> = removed.iter().map(|(id, _)| id.0).collect();
-        assert_eq!(ids, vec![1, 3]);
-        assert!(removed.iter().any(|(id, r)| id.0 == 3 && r.was_parent));
+        assert_eq!(removed, vec![NodeId(1), NodeId(3)]);
         assert!(t.find(NodeId(2)).is_some());
         assert!(t.find(NodeId(4)).is_some());
         assert!(t.parent().is_none());

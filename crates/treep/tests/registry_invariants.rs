@@ -16,20 +16,13 @@
 //! excluded by address.
 
 use simnet::{NodeAddr, SimDuration, SimRng, SimTime};
-use treep::{
-    CharacteristicsSummary, ChildPolicy, IdSpace, KeyRange, NodeCharacteristics, NodeId,
-    RoutingEntry, RoutingTables, TopicFilter,
-};
+use treep::{IdSpace, KeyRange, NodeId, RoutingEntry, RoutingTables, TopicFilter};
 
 fn space() -> IdSpace {
     IdSpace::new(16)
 }
 const HEIGHT: u32 = 6;
 const TTL_MS: u64 = 500;
-
-fn summary() -> CharacteristicsSummary {
-    CharacteristicsSummary::of(&NodeCharacteristics::default(), ChildPolicy::Fixed(4))
-}
 
 /// The naive reference: canonical entries + role sets, every query a scan.
 #[derive(Default)]
@@ -388,7 +381,7 @@ fn random_trace(seed: u64, steps: usize) {
         } else {
             now_ms
         };
-        let entry = RoutingEntry::new(id, addr, level, summary(), SimTime::from_millis(at_ms));
+        let entry = RoutingEntry::new(id, addr, level, SimTime::from_millis(at_ms));
 
         let op = rng.gen_range_u64(0..15);
         let name = match op {
@@ -443,11 +436,11 @@ fn random_trace(seed: u64, steps: usize) {
                 "touch"
             }
             8 => {
-                let report = tables.remove_peer(id);
+                let known = tables.remove_peer(id);
                 assert_eq!(
-                    report.any(),
+                    known,
                     model.peers.contains_key(&id),
-                    "removal report diverged"
+                    "remove_peer known-ness diverged"
                 );
                 model.remove(id);
                 "remove_peer"
@@ -455,11 +448,7 @@ fn random_trace(seed: u64, steps: usize) {
             9 => {
                 let t = SimTime::from_millis(now_ms);
                 let ttl = SimDuration::from_millis(TTL_MS);
-                let removed: Vec<NodeId> = tables
-                    .expire(t, ttl)
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect();
+                let removed = tables.expire(t, ttl);
                 let want = model.expire(t, ttl);
                 assert_eq!(removed, want, "expire victim set diverged");
                 "expire"
@@ -575,7 +564,7 @@ fn expiry_never_severs_roles_of_touched_peers() {
     for _ in 0..200 {
         let mut t = RoutingTables::new();
         let id = NodeId(1 + rng.gen_range_u64(0..1000));
-        let entry = RoutingEntry::new(id, NodeAddr(id.0), 1, summary(), SimTime::ZERO);
+        let entry = RoutingEntry::new(id, NodeAddr(id.0), 1, SimTime::ZERO);
         let mut roles = 0;
         if rng.gen_range_u64(0..2) == 0 {
             t.upsert_level0(entry);

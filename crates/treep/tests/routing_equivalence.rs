@@ -28,7 +28,7 @@ fn summary() -> CharacteristicsSummary {
 }
 
 fn entry(id: u64, level: u32) -> RoutingEntry {
-    RoutingEntry::new(NodeId(id), NodeAddr(id), level, summary(), SimTime::ZERO)
+    RoutingEntry::new(NodeId(id), NodeAddr(id), level, SimTime::ZERO)
 }
 
 /// A random registry mixing every role and level, 0–40 peers.
