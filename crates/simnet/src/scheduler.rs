@@ -13,11 +13,19 @@
 //!
 //! # Layout
 //!
+//! Each pending [`Event`] is stored once, in a **slab**: a `Vec` of
+//! optional events plus a LIFO list of its empty slots, so the slab never
+//! holds more slots than the peak number of pending events. The tiers hold
+//! only 24-byte keys `(time, seq, slot)` naming a slab slot, and `pop` takes
+//! the event out of its slot. An event therefore costs its full size once,
+//! however many tiers its key cascades through, and a bucket's spare
+//! capacity costs 24 bytes a key instead of a whole event.
+//!
 //! Virtual time is bucketed into **granules** of `2^8` µs (256 µs). Pending
-//! events live in exactly one of four tiers, ordered by distance from the
+//! keys live in exactly one of four tiers, ordered by distance from the
 //! cursor:
 //!
-//! 1. **`current`** — a small binary heap holding every event whose granule
+//! 1. **`current`** — a small binary heap holding every key whose granule
 //!    is at or before the cursor granule. This is the only tier that pops,
 //!    so global `(time, seq)` order reduces to the heap's comparator.
 //! 2. **Level 0** — 256 slots of one granule each (a 65.5 ms span). A slot
@@ -25,10 +33,10 @@
 //!    the cursor reaches it.
 //! 3. **Level 1** — 256 slots of 256 granules each (a 16.8 s span). When
 //!    the level-0 window is exhausted, the next non-empty level-1 slot is
-//!    redistributed into level-0 slots (each event cascades at most once).
+//!    redistributed into level-0 slots (each key cascades at most once).
 //! 4. **Far heap** — a `BinaryHeap` for everything beyond the level-1
 //!    window. When both wheel levels drain, the far heap re-seeds the
-//!    level-1 window around its earliest event.
+//!    level-1 window around its earliest key.
 //!
 //! Scheduling routes an event to the outermost tier that can hold it;
 //! popping always takes the minimum of `current`, which is the global
@@ -38,14 +46,37 @@
 //! the comparator restores exact ordering — so the wheel's pop sequence is
 //! byte-identical to the reference heap's, ties included (pinned by
 //! `tests/scheduler_equivalence.rs`).
+//!
+//! When a level-0 granule becomes `current`, the wheel hints that
+//! granule's slab slots into cache ([`prefetch`]). The events were written
+//! up to 65 ms of virtual time earlier and are cold by now; the engine's
+//! one-event look-ahead ([`Scheduler::peek`]) reads each of them before it
+//! is popped, and without the hint it would wait on memory every time.
 
 use crate::event::{Event, EventKind, EventSeq};
+use crate::prefetch::prefetch;
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Internal heap entry. Ordering is reversed so the `BinaryHeap` (a max-heap)
-/// pops the earliest event first.
+/// A pending event's place in the wheel: its `(time, seq)` and the slab
+/// slot that holds it. The derived order compares `(at, seq)` first, and
+/// `seq` is unique, so the slot never decides; the tiers hold
+/// `Reverse<Key>` so the `BinaryHeap`s (max-heaps) pop the earliest first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    seq: EventSeq,
+    slot: usize,
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+// An empty slab slot costs nothing beyond the event it once held.
+const _: () =
+    assert!(std::mem::size_of::<Option<Event<u64>>>() == std::mem::size_of::<Event<u64>>());
+
+/// [`HeapScheduler`]'s entry: the whole event, reverse-ordered by
+/// `(time, seq)` so the `BinaryHeap` (a max-heap) pops the earliest first.
 struct Entry<M> {
     event: Event<M>,
 }
@@ -94,15 +125,19 @@ fn g1(at: SimTime) -> u64 {
 /// order, which keeps simulations deterministic. The pop sequence is exactly
 /// that of [`HeapScheduler`], the retained reference implementation.
 pub struct Scheduler<M> {
-    /// Events with granule ≤ `cursor0`, popped directly.
-    current: BinaryHeap<Entry<M>>,
+    /// Every pending event, in the slot its key names.
+    slab: Vec<Option<Event<M>>>,
+    /// The empty slots of `slab`, the most recently freed last.
+    free: Vec<usize>,
+    /// Keys with granule ≤ `cursor0`, popped directly.
+    current: BinaryHeap<Reverse<Key>>,
     /// Level-0 slots: one granule each, window `[base0, base0 + SLOTS)`.
-    level0: Vec<Vec<Entry<M>>>,
+    level0: Vec<Vec<Reverse<Key>>>,
     /// Level-1 slots: `SLOTS` granules each, window `[base1, base1 + SLOTS)`
     /// in level-1 granule units.
-    level1: Vec<Vec<Entry<M>>>,
+    level1: Vec<Vec<Reverse<Key>>>,
     /// Everything at or beyond the end of the level-1 window.
-    far: BinaryHeap<Entry<M>>,
+    far: BinaryHeap<Reverse<Key>>,
     /// All level-0 granules ≤ `cursor0` have been routed to `current`.
     cursor0: u64,
     /// Start of the level-0 window, in level-0 granules.
@@ -125,6 +160,8 @@ impl<M> Scheduler<M> {
     /// Create an empty scheduler at time zero.
     pub fn new() -> Self {
         Scheduler {
+            slab: Vec::new(),
+            free: Vec::new(),
             current: BinaryHeap::new(),
             level0: (0..SLOTS).map(|_| Vec::new()).collect(),
             level1: (0..SLOTS).map(|_| Vec::new()).collect(),
@@ -170,20 +207,29 @@ impl<M> Scheduler<M> {
         self.next_seq += 1;
         self.scheduled_total += 1;
         self.len += 1;
-        let entry = Entry {
-            event: Event::new(at, seq, kind),
+        let event = Some(Event::new(at, seq, kind));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = event;
+                slot
+            }
+            None => {
+                self.slab.push(event);
+                self.slab.len() - 1
+            }
         };
+        let key = Reverse(Key { at, seq, slot });
         let eg0 = g0(at);
         if eg0 <= self.cursor0 {
-            self.current.push(entry);
+            self.current.push(key);
         } else if eg0 < self.base0 + SLOTS as u64 {
-            self.level0[(eg0 as usize) & (SLOTS - 1)].push(entry);
+            self.level0[(eg0 as usize) & (SLOTS - 1)].push(key);
         } else {
             let eg1 = g1(at);
             if eg1 < self.base1 + SLOTS as u64 {
-                self.level1[(eg1 as usize) & (SLOTS - 1)].push(entry);
+                self.level1[(eg1 as usize) & (SLOTS - 1)].push(key);
             } else {
-                self.far.push(entry);
+                self.far.push(key);
             }
         }
         // Keep the invariant "`current` is non-empty whenever the scheduler
@@ -222,6 +268,9 @@ impl<M> Scheduler<M> {
                     let spare = std::mem::replace(&mut self.current, BinaryHeap::from(bucket));
                     self.level0[idx] = spare.into_vec();
                     self.cursor0 = g;
+                    for Reverse(key) in self.current.iter() {
+                        prefetch(std::slice::from_ref(&self.slab[key.slot]));
+                    }
                     return;
                 }
             }
@@ -238,10 +287,10 @@ impl<M> Scheduler<M> {
                     let items = std::mem::take(&mut self.level1[idx]);
                     self.base0 = gg << (L1_SHIFT - L0_SHIFT);
                     self.cursor0 = self.cursor0.max(self.base0 - 1);
-                    for entry in items {
-                        let eg0 = g0(entry.event.at);
+                    for key in items {
+                        let eg0 = g0(key.0.at);
                         debug_assert!(eg0 >= self.base0 && eg0 < self.base0 + SLOTS as u64);
-                        self.level0[(eg0 as usize) & (SLOTS - 1)].push(entry);
+                        self.level0[(eg0 as usize) & (SLOTS - 1)].push(key);
                     }
                     cascaded = true;
                     break;
@@ -253,19 +302,19 @@ impl<M> Scheduler<M> {
             // Phase 3: both wheel levels exhausted — re-seed the level-1
             // window at the far heap's earliest event (each event migrates
             // out of `far` at most once).
-            let Some(first) = self.far.peek() else {
+            let Some(Reverse(first)) = self.far.peek() else {
                 debug_assert_eq!(self.len, 0, "events lost outside every tier");
                 return;
             };
-            self.base1 = g1(first.event.at);
+            self.base1 = g1(first.at);
             let new_w1_end = self.base1 + SLOTS as u64;
-            while let Some(e) = self.far.peek() {
-                if g1(e.event.at) >= new_w1_end {
+            while let Some(Reverse(next)) = self.far.peek() {
+                if g1(next.at) >= new_w1_end {
                     break;
                 }
-                let entry = self.far.pop().expect("peeked");
-                let idx = (g1(entry.event.at) as usize) & (SLOTS - 1);
-                self.level1[idx].push(entry);
+                let key = self.far.pop().expect("peeked");
+                let idx = (g1(key.0.at) as usize) & (SLOTS - 1);
+                self.level1[idx].push(key);
             }
             // Park the level-0 window one span *before* the new level-1
             // window, so the next phase-2 scan starts exactly at `base1`
@@ -283,19 +332,22 @@ impl<M> Scheduler<M> {
     /// earlier is scheduled first. `O(1)`: `current` always holds the
     /// global minimum.
     pub fn peek(&self) -> Option<&Event<M>> {
-        self.current.peek().map(|e| &e.event)
+        let Reverse(key) = self.current.peek()?;
+        self.slab[key.slot].as_ref()
     }
 
     /// Pop the next event, advancing the current time to its timestamp.
     pub fn pop(&mut self) -> Option<Event<M>> {
-        let entry = self.current.pop()?;
+        let Reverse(key) = self.current.pop()?;
+        let event = self.slab[key.slot].take().expect("a key names a full slot");
+        self.free.push(key.slot);
         self.len -= 1;
         if self.current.is_empty() {
             self.advance();
         }
-        debug_assert!(entry.event.at >= self.now, "time went backwards");
-        self.now = entry.event.at;
-        Some(entry.event)
+        debug_assert!(event.at >= self.now, "time went backwards");
+        self.now = event.at;
+        Some(event)
     }
 }
 
@@ -490,6 +542,43 @@ mod tests {
             .map(|e| e.target().0)
             .collect();
         assert_eq!(order, vec![2, 4, 3]);
+    }
+
+    #[test]
+    fn the_slab_holds_one_slot_per_pending_event_and_no_more() {
+        let mut rng = crate::rng::SimRng::seed_from(39);
+        let mut s: Scheduler<()> = Scheduler::new();
+        let mut peak = 0;
+        let mut check = |s: &Scheduler<()>, op: usize| {
+            peak = peak.max(s.len());
+            let occupied = s.slab.iter().filter(|e| e.is_some()).count();
+            assert_eq!(s.len(), occupied, "op {op}");
+            assert!(s.slab.len() <= peak, "op {op}: a slot leaked");
+        };
+        // Grow the queue, then shrink it, so freed slots are reused and the
+        // drain below starts from a deep queue.
+        for op in 0..8_000 {
+            if rng.gen_bool(if op < 3_000 { 0.7 } else { 0.4 }) {
+                let now = s.now().as_micros();
+                let at = match rng.gen_range_u64(0..5) {
+                    0 => now.saturating_sub(rng.gen_range_u64(1..1_000)), // clamped to now
+                    1 => now + rng.gen_range_u64(0..256),                 // sub-granule
+                    2 => now + rng.gen_range_u64(256..65_536),            // level 0
+                    3 => now + rng.gen_range_u64(65_536..16_800_000),     // level 1
+                    _ => now + rng.gen_range_u64(16_800_000..60_000_000), // far
+                };
+                s.schedule(SimTime::from_micros(at), start(op as u64));
+            } else {
+                s.pop();
+            }
+            check(&s, op);
+        }
+        while s.pop().is_some() {
+            check(&s, usize::MAX);
+        }
+        assert!(peak > 500, "the trace never built a deep queue");
+        assert_eq!(s.slab.len(), peak);
+        assert_eq!(s.free.len(), s.slab.len());
     }
 
     #[test]

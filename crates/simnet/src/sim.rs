@@ -29,7 +29,8 @@
 //! The per-event dispatch path does no hashing and no allocation:
 //!
 //! * events come off a hierarchical timer wheel ([`Scheduler`]) in exact
-//!   `(time, seq)` order;
+//!   `(time, seq)` order; its tiers queue 24-byte keys, and each event is
+//!   stored once, in the wheel's slab;
 //! * node state lives in one `Vec` of slots; addresses are assigned
 //!   densely from `base` and never reused (a crashed node stays, dead but
 //!   inspectable), so resolving one is one index (`addr − base`) instead of
@@ -37,7 +38,9 @@
 //! * each callback's actions are recorded into one recycled buffer
 //!   ([`Context::with_buffer`]) instead of a fresh `Vec` per event;
 //! * the engine looks one event ahead: having popped event *k*, it peeks at
-//!   *k + 1* and prefetches that node's slot ([`prefetch`]);
+//!   *k + 1* (warm: the wheel hints a granule's slab slots into cache
+//!   when the granule becomes current) and prefetches that node's slot
+//!   ([`prefetch`]);
 //!   once *k* is dispatched it peeks again and hands the node one
 //!   [`Protocol::prefetch`] hint naming *k + 1*'s message (`None` for a
 //!   timer, a start or a crash). The node can follow its now-cached
