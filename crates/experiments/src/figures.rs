@@ -134,9 +134,8 @@ pub static FIGURES: [Figure; 9] = [
         description: "min/max hops of failed lookups vs % failed nodes (nc=4)",
         variable_nc: false,
         plot: Plot::Curves(|runs| failed_hop_envelope(&runs.fixed, RoutingAlgorithm::Greedy)),
-        // "The maximum jumps once ~35 % of the nodes are gone" says where a
-        // jump sits, which a band on one value cannot hold.
-        readings: &[],
+        // "The maximum jumps once ~35 % of the nodes are gone."
+        readings: &[("jump_at", 0.0, 30.0, 40.0)],
     },
     Figure {
         label: "F",
@@ -276,15 +275,30 @@ fn hop_comparison_curves(fixed: &ChurnRunResult, adaptive: &ChurnRunResult) -> S
 }
 
 /// Figure E: minimum and maximum hop counts reached by failed (dead-ended)
-/// lookups, as a function of the percentage of failed nodes.
+/// lookups, as a function of the percentage of failed nodes; and, at
+/// x = 0, `jump_at`: the percentage at which the maximum rose most over
+/// the previous step (the first such step on a tie).
 fn failed_hop_envelope(result: &ChurnRunResult, algorithm: RoutingAlgorithm) -> SeriesSet {
     let mut set = SeriesSet::new();
+    // The previous step's maximum, and the largest rise so far with its x.
+    let mut previous: Option<f64> = None;
+    let mut jump: Option<(f64, f64)> = None;
     for step in &result.steps {
         if let Some(stats) = step.algo(algorithm) {
             let x = step.failed_fraction * 100.0;
-            set.push("max", x, stats.failed_hops.max.max(stats.success_hops.max));
+            let max = stats.failed_hops.max.max(stats.success_hops.max);
+            set.push("max", x, max);
             set.push("min", x, stats.failed_hops.min.min(stats.success_hops.min));
+            if let Some(rise) = previous.map(|before| max - before) {
+                if jump.is_none_or(|(largest, _)| rise > largest) {
+                    jump = Some((rise, x));
+                }
+            }
+            previous = Some(max);
         }
+    }
+    if let Some((_, x)) = jump {
+        set.push("jump_at", 0.0, x);
     }
     set
 }
@@ -520,6 +534,16 @@ mod tests {
         for (pmax, pmin) in max.points.iter().zip(&min.points) {
             assert!(pmax.1 >= pmin.1);
         }
+        // The jump sits at the step whose maximum rose most, the first of
+        // equal rises.
+        let rises: Vec<(f64, f64)> = max
+            .points
+            .windows(2)
+            .map(|w| (w[1].0, w[1].1 - w[0].1))
+            .collect();
+        let largest = rises.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
+        let first = rises.iter().find(|r| r.1 == largest).unwrap().0;
+        assert_eq!(env.get("jump_at").unwrap().points, [(0.0, first)]);
     }
 
     #[test]
