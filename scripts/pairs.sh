@@ -1,0 +1,118 @@
+#!/usr/bin/env bash
+# Alternating pairs of the benchmark's contract command on two checkouts of
+# the repository, the evidence a performance claim needs (ROADMAP aim 1:
+# at least ten pairs, each seed run on both sides, alternating which side
+# runs first).
+#
+#   scripts/pairs.sh DIR_PARENT DIR_CHANGE WORKLOAD [PAIRS] [FIRST_SEED]
+#
+# PAIRS defaults to 10 and FIRST_SEED to 2005; pair i runs seed
+# FIRST_SEED + i on both sides, the parent first in even pairs. Each
+# checkout is built once, in a target directory of its own under
+# $PAIRS_TARGET_ROOT (default ${TMPDIR:-/tmp}/pairs-target, one directory
+# per checkout path), so the two never share artifacts. Every run is
+#
+#   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+#       --workload WORKLOAD --seed SEED --seconds 10 --trace 0
+#
+# from inside the checkout, and its stdout is kept under a fresh directory
+# whose name the script prints. The summary gives, per end-to-end metric,
+# each side's median and quartiles, how many pairs the change won (ties
+# count for neither), whether the medians differ by more than the parent's
+# inter-quartile spread, and, for a metric measured in simulated time,
+# whether both sides read the same value on every seed.
+set -euo pipefail
+
+if [ $# -lt 3 ] || [ $# -gt 5 ]; then
+    sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3
+pairs=${4:-10}
+first_seed=${5:-2005}
+target_root=${PAIRS_TARGET_ROOT:-${TMPDIR:-/tmp}/pairs-target}
+out=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
+
+# The target directory of the checkout at $1: one per absolute path.
+target_of() {
+    printf '%s/%s' "$target_root" "$(printf '%s' "$1" | cksum | cut -d' ' -f1)"
+}
+
+bench() { # DIR build|run [-- ARGS...]
+    local dir=$1 command=$2
+    shift 2
+    (cd "$dir" && CARGO_TARGET_DIR=$(target_of "$dir") \
+        cargo "$command" --release --quiet --manifest-path benchmark/Cargo.toml "$@")
+}
+
+for dir in "$parent" "$change"; do
+    echo "building $dir" >&2
+    bench "$dir" build
+done
+
+run() { # SIDE SEED PAIR
+    local dir=$parent
+    [ "$1" = change ] && dir=$change
+    echo "pair $3/$pairs: $1, seed $2" >&2
+    bench "$dir" run -- --workload "$workload" --seed "$2" --seconds 10 --trace 0 \
+        >"$out/$1.$2.txt"
+}
+
+for ((i = 0; i < pairs; i++)); do
+    seed=$((first_seed + i))
+    if ((i % 2 == 0)); then
+        run parent "$seed" $((i + 1))
+        run change "$seed" $((i + 1))
+    else
+        run change "$seed" $((i + 1))
+        run parent "$seed" $((i + 1))
+    fi
+done
+
+echo "runs kept in $out" >&2
+python3 - "$out" "$workload" "$pairs" "$first_seed" <<'EOF'
+import json, re, statistics, sys
+
+out, workload, pairs, first = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+seeds = range(first, first + pairs)
+# "name  value unit  better lower|higher  bound N %  [how it is measured]"
+line = re.compile(r"^(\S+)\s+\S+\s+\S+\s+better (lower|higher)\s+bound\s+\S+ %\s+\[(.*)\]$")
+
+def load(side, seed):
+    text = open(f"{out}/{side}.{seed}.txt").read().splitlines()
+    result = json.loads(text[-1])
+    meta = {m.group(1): (m.group(2), m.group(3)) for m in map(line.match, text) if m}
+    return result, meta
+
+runs = {side: [load(side, s) for s in seeds] for side in ("parent", "change")}
+meta = runs["parent"][0][1]
+
+def simulated(how):
+    # "simulated", or "simulated (udp_kv: wall)" on every workload but udp_kv.
+    return how == "simulated" or (how.startswith("simulated (") and f"{workload}:" not in how)
+
+def quartiles(values):
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+def cell(values):
+    q1, median, q3 = quartiles(values)
+    return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
+
+for side in ("parent", "change"):
+    wrong = [s for s, (r, _) in zip(seeds, runs[side]) if not r["correct"]]
+    print(f"{side}: {pairs} runs, incorrect on seeds {wrong or 'none'}")
+print(f"{'metric':22} {'better':6} {'parent median [q1, q3]':34} {'change median [q1, q3]':34}"
+      f" {'wins':>5} {'> IQR':5} same per seed")
+for name, (better, how) in meta.items():
+    p, c = ([r["metrics"][name]["value"] for r, _ in runs[side]] for side in ("parent", "change"))
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+    (pq1, pm, pq3), (_, cm, _) = quartiles(p), quartiles(c)
+    beyond = "yes" if abs(cm - pm) > pq3 - pq1 else "no"
+    same = ("yes" if p == c else "NO") if simulated(how) else "-"
+    print(f"{name:22} {better:6} {cell(p):34} {cell(c):34} {f'{wins}/{pairs}':>5} {beyond:5} {same}")
+EOF
