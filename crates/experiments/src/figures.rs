@@ -280,23 +280,16 @@ fn hop_comparison_curves(fixed: &ChurnRunResult, adaptive: &ChurnRunResult) -> S
 /// the previous step (the first such step on a tie).
 fn failed_hop_envelope(result: &ChurnRunResult, algorithm: RoutingAlgorithm) -> SeriesSet {
     let mut set = SeriesSet::new();
-    // The previous step's maximum, and the largest rise so far with its x.
-    let mut previous: Option<f64> = None;
-    let mut jump: Option<(f64, f64)> = None;
     for step in &result.steps {
         if let Some(stats) = step.algo(algorithm) {
             let x = step.failed_fraction * 100.0;
-            let max = stats.failed_hops.max.max(stats.success_hops.max);
-            set.push("max", x, max);
+            set.push("max", x, stats.failed_hops.max.max(stats.success_hops.max));
             set.push("min", x, stats.failed_hops.min.min(stats.success_hops.min));
-            if let Some(rise) = previous.map(|before| max - before) {
-                if jump.is_none_or(|(largest, _)| rise > largest) {
-                    jump = Some((rise, x));
-                }
-            }
-            previous = Some(max);
         }
     }
+    let max = set.get("max").map_or(&[][..], |series| &series.points);
+    let rises = max.windows(2).map(|w| (w[1].1 - w[0].1, w[1].0));
+    let jump = rises.reduce(|first, rise| if rise.0 > first.0 { rise } else { first });
     if let Some((_, x)) = jump {
         set.push("jump_at", 0.0, x);
     }

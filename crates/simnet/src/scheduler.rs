@@ -49,9 +49,10 @@
 //!
 //! When a level-0 granule becomes `current`, the wheel hints that
 //! granule's slab slots into cache ([`prefetch`]). The events were written
-//! up to 65 ms of virtual time earlier and are cold by now; the engine's
-//! one-event look-ahead ([`Scheduler::peek`]) reads each of them before it
-//! is popped, and without the hint it would wait on memory every time.
+//! when they were scheduled, thousands of events earlier at 10⁴ nodes, and
+//! are cold by now; the engine's one-event look-ahead
+//! ([`Scheduler::peek`]) reads each of them before it is popped, and
+//! without the hint it would wait on memory every time.
 
 use crate::event::{Event, EventKind, EventSeq};
 use crate::prefetch::prefetch;
@@ -546,7 +547,7 @@ mod tests {
 
     #[test]
     fn the_slab_holds_one_slot_per_pending_event_and_no_more() {
-        let mut rng = crate::rng::SimRng::seed_from(39);
+        let mut rng = crate::rng::SimRng::seed_from(7);
         let mut s: Scheduler<()> = Scheduler::new();
         let mut peak = 0;
         let mut check = |s: &Scheduler<()>, op: usize| {
