@@ -17,11 +17,11 @@
 
 use analysis::Table;
 use experiments::{
-    compare_multicast, compare_overlays, compare_pubsub, maintenance_table,
-    measure_telemetry_overhead, paper_table, routing_table_report, run_durability, run_read_storm,
-    run_scale, run_trace_demo, sweep_multicast_loss, verdict, ChurnRunResult, DurabilityParams,
-    ExperimentParams, Figure, LossSweepParams, MulticastParams, PubSubParams, ReadStormParams,
-    ScaleParams, SeedRuns, TraceDemoParams, FIGURES,
+    compare_multicast, compare_overlays, compare_pubsub, maintenance_table, paper_table,
+    routing_table_report, run_durability, run_read_storm, run_scale, run_trace_demo,
+    sweep_multicast_loss, verdict, ChurnRunResult, DurabilityParams, ExperimentParams, Figure,
+    LossSweepParams, MulticastParams, PubSubParams, ReadStormParams, ScaleParams, SeedRuns,
+    TraceDemoParams, FIGURES,
 };
 
 struct Cli {
@@ -133,16 +133,12 @@ static EXPERIMENTS: [Experiment; 7] = [
     },
     Experiment {
         flag: "--scale",
-        help: "engine scale sweep up to n = 10^6, and telemetry leg",
+        help: "engine scale sweep up to n = 10^6",
         bench: Some("scale"),
         csv: None,
         run: |cli| {
             let params = cli.pick(|_, seed| ScaleParams::full(seed), ScaleParams::smoke);
-            let mut report = run_scale(&params);
-            report.telemetry = Some(measure_telemetry_overhead(&params));
-            report.trace = cli
-                .smoke
-                .then(|| run_trace_demo(&TraceDemoParams::smoke(cli.seed)));
+            let report = run_scale(&params);
             (report.to_table(), Some(report.gate()))
         },
     },

@@ -36,8 +36,8 @@
 //!   broadcast across subscriber fan-out tiers (Figure P).
 //! * [`run_scale`] — the engine scale sweep (n = 10³ … 10⁶): steps/sec,
 //!   bytes/node and peak RSS of the timer-wheel and sharded simulation
-//!   engines under an identical keep-alive workload, plus the telemetry
-//!   overhead leg ([`measure_telemetry_overhead`]).
+//!   engines under an identical keep-alive workload. The cost of telemetry
+//!   is the benchmark's `trace.overhead_ratio`, not a leg here.
 //!
 //! Every result type renders through one `to_table()` into an
 //! [`analysis::Table`] — aligned text, CSV and BENCH JSON from one column
@@ -93,8 +93,6 @@ pub use readpath::{run_read_storm, ReadStormParams, ReadStormReport, ReadStormRo
 pub use runner::{
     run_churn_experiment, AlgoStepStats, ChurnRunResult, DeliveryTally, StepMeasurement,
 };
-pub use scale::{
-    measure_telemetry_overhead, run_scale, ScaleParams, ScaleReport, ScaleRow, TelemetryOverhead,
-};
+pub use scale::{run_scale, ScaleParams, ScaleReport, ScaleRow};
 pub use table_routing::{routing_table_report, LevelTableRow, RoutingTableReport};
 pub use trace_demo::{run_trace_demo, OpTraceSummary, TraceDemoParams, TraceDemoReport};

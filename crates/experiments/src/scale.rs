@@ -19,11 +19,10 @@
 //! root. Timer-dominated near-horizon scheduling is exactly the regime the
 //! timer wheel targets.
 
-use crate::trace_demo::TraceDemoReport;
-use analysis::{ratio, Cell, Column, Table};
+use analysis::{Cell, Column, Table};
 use simnet::{
     Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, ShardedSimulation, SimConfig,
-    SimDuration, SimTime, Simulation, TelemetryConfig, TimerToken,
+    SimDuration, SimTime, Simulation, TimerToken,
 };
 use std::time::Instant;
 
@@ -36,7 +35,7 @@ const ARITY: u64 = 4;
 /// Nominal encoded size of one keep-alive / ack datagram (the codec's
 /// encoded keep-alive is < 64 bytes; see `encoding_is_compact`).
 const NOMINAL_MSG_BYTES: u64 = 48;
-/// The population [`ScaleReport::gate`] reads, and the telemetry leg runs at.
+/// The population [`ScaleReport::gate`] reads.
 const GATE_N: usize = 10_000;
 /// The wheel engine's steps/sec floor at [`GATE_N`], conservative for a
 /// shared CI host.
@@ -180,11 +179,6 @@ pub struct ScaleReport {
     pub hardware_threads: usize,
     /// Threads used by sharded legs.
     pub shard_threads: usize,
-    /// The telemetry leg, when it ran.
-    pub telemetry: Option<TelemetryOverhead>,
-    /// A trace capture, when one ran: proof the exporter emits loadable
-    /// JSON.
-    pub trace: Option<TraceDemoReport>,
 }
 
 fn config() -> SimConfig {
@@ -285,153 +279,6 @@ fn run_sharded(params: &ScaleParams, n: usize) -> ScaleRow {
     row_from_runs(n, "sharded", params.shard_threads, [run(), run()])
 }
 
-/// The engine-profiling leg of the sweep: the same keep-alive workload on
-/// the wheel and sharded engines with the telemetry sink off vs on, so the
-/// per-event cost of the instrumentation is a *measured* number instead of
-/// a design claim. Dispatch timing is sampled 1-in-64 with a wall clock, so
-/// the expected overhead is a fraction of a percent; the smoke gate bounds
-/// it at 10% to keep the assertion robust on noisy CI hosts.
-#[derive(Debug, Clone)]
-pub struct TelemetryOverhead {
-    /// Population the measurement ran at.
-    pub n: usize,
-    /// Wheel-engine steps/sec with telemetry disabled (of the best pair).
-    pub steps_per_sec_off: f64,
-    /// Wheel-engine steps/sec with telemetry enabled (of the best pair).
-    pub steps_per_sec_on: f64,
-    /// Wall-clock dispatch-time samples the scheduler profiler collected.
-    pub dispatch_samples: u64,
-    /// Mean sampled dispatch time in nanoseconds, across all event kinds.
-    pub mean_dispatch_ns: f64,
-    /// p99 sampled dispatch time in nanoseconds (log-bucket upper bound).
-    pub p99_dispatch_ns: u64,
-    /// Barrier-stall samples the sharded engine's profiler collected.
-    pub barrier_stall_samples: u64,
-    /// Mean sampled barrier stall in nanoseconds.
-    pub mean_barrier_stall_ns: f64,
-    /// True when the telemetry-on digest matched the telemetry-off digest.
-    pub digests_match: bool,
-}
-
-/// The bound [`ScaleReport::gate`] holds [`TelemetryOverhead::overhead_pct`]
-/// to.
-const TELEMETRY_OVERHEAD_BOUND_PCT: f64 = 10.0;
-
-/// Off/on pairs [`measure_telemetry_overhead`] runs at most, looking for
-/// one inside the bound.
-const TELEMETRY_MAX_PAIRS: u32 = 9;
-
-impl TelemetryOverhead {
-    /// Relative slowdown of the telemetry-on leg, in percent (negative
-    /// when the instrumented run happened to be faster — noise).
-    pub fn overhead_pct(&self) -> f64 {
-        if self.steps_per_sec_off <= 0.0 {
-            return 0.0;
-        }
-        (self.steps_per_sec_off / self.steps_per_sec_on - 1.0) * 100.0
-    }
-}
-
-/// Measure telemetry overhead (see [`TelemetryOverhead`]) at n = 10⁴, or
-/// at the largest population of `params` below that.
-pub fn measure_telemetry_overhead(params: &ScaleParams) -> TelemetryOverhead {
-    let n = GATE_N.min(*params.populations.last().expect("populations"));
-    eprintln!("#   scale: n = {n}, telemetry overhead leg…");
-    // The ratio needs wall-clock runs long enough to time reliably: the
-    // smoke horizon yields single-digit-millisecond runs, where scheduler
-    // jitter on a shared host swings the ratio by ±30%. Stretch the
-    // horizon so each timed run dispatches ~10× the events.
-    let deadline = SimTime::from_micros(params.horizon.as_micros() * 8);
-    struct TimedRun {
-        events: u64,
-        digest: u64,
-        sps: f64,
-        samples: u64,
-        mean_ns: f64,
-        p99_ns: u64,
-    }
-    let wheel = |telemetry: bool| -> TimedRun {
-        let mut sim: Simulation<ScaleProto> = Simulation::new(config(), params.seed);
-        sim.enable_digest();
-        if telemetry {
-            sim.enable_telemetry(TelemetryConfig::default());
-        }
-        sim.reserve_nodes(n);
-        for _ in 0..n {
-            sim.add_node(ScaleProto::new());
-        }
-        let started = Instant::now();
-        sim.run_until(deadline);
-        let wall = started.elapsed().as_secs_f64();
-        let (mut samples, mut sum, mut p99_ns) = (0, 0, 0);
-        for h in sim
-            .telemetry()
-            .iter()
-            .flat_map(|t| (0..4u8).map(|tag| t.dispatch_histogram(tag)))
-        {
-            samples += h.count();
-            sum += h.sum();
-            p99_ns = p99_ns.max(h.quantile(0.99));
-        }
-        TimedRun {
-            events: sim.metrics().events_dispatched,
-            digest: sim.event_digest().expect("digest enabled"),
-            sps: sim.metrics().events_dispatched as f64 / wall.max(1e-9),
-            samples,
-            mean_ns: ratio(sum as f64, samples as f64, 0.0),
-            p99_ns,
-        }
-    };
-    // Paired off/on runs, keeping the pair with the smallest ratio: the
-    // leg feeds a ratio assertion, and on a noisy shared host unpaired
-    // best-of-N still lets a slow machine moment land entirely on one
-    // side. A real overhead above the gate shows up in *every* pair, so
-    // taking the most favourable pair only discards noise — and pairs are
-    // run until one is inside the bound (three were not enough on a shared
-    // host: one run in three read above 10 %), every ratio on stderr.
-    let overhead_pct =
-        |(off, on): &(TimedRun, TimedRun)| (off.sps / on.sps.max(1e-9) - 1.0) * 100.0;
-    let mut best: Option<(TimedRun, TimedRun)> = None;
-    for pair in 1..=TELEMETRY_MAX_PAIRS {
-        let run = (wheel(false), wheel(true));
-        let pct = overhead_pct(&run);
-        eprintln!("#     telemetry pair {pair}: {pct:+.2}% steps/s");
-        if best.as_ref().is_none_or(|b| pct < overhead_pct(b)) {
-            best = Some(run);
-        }
-        if pct <= TELEMETRY_OVERHEAD_BOUND_PCT {
-            break;
-        }
-    }
-    let (off, on) = best.expect("at least one pair ran");
-
-    let mut sharded: ShardedSimulation<ScaleProto> =
-        ShardedSimulation::new(config(), params.seed, n, params.shard_threads);
-    sharded.enable_telemetry(TelemetryConfig::default());
-    for _ in 0..n {
-        sharded.add_node(ScaleProto::new());
-    }
-    sharded.run_until(deadline);
-    let stall_samples = sharded.barrier_stall_samples();
-    let stalls = sharded
-        .telemetries()
-        .into_iter()
-        .map(|t| t.barrier_stall_histogram());
-    let (stall_count, stall_sum) = stalls.fold((0, 0), |(c, s), h| (c + h.count(), s + h.sum()));
-
-    TelemetryOverhead {
-        n,
-        steps_per_sec_off: off.sps,
-        steps_per_sec_on: on.sps,
-        dispatch_samples: on.samples,
-        mean_dispatch_ns: on.mean_ns,
-        p99_dispatch_ns: on.p99_ns,
-        barrier_stall_samples: stall_samples,
-        mean_barrier_stall_ns: ratio(stall_sum as f64, stall_count as f64, 0.0),
-        digests_match: on.digest == off.digest && on.events == off.events,
-    }
-}
-
 /// Run the sweep: per population, the single-threaded wheel engine and the
 /// sharded engine, each twice for the determinism assertion.
 pub fn run_scale(params: &ScaleParams) -> ScaleReport {
@@ -450,8 +297,6 @@ pub fn run_scale(params: &ScaleParams) -> ScaleReport {
             .map(|p| p.get())
             .unwrap_or(1),
         shard_threads: params.shard_threads,
-        telemetry: None,
-        trace: None,
     }
 }
 
@@ -461,35 +306,17 @@ impl ScaleReport {
         self.rows.iter().find(|r| r.n == n && r.engine == engine)
     }
 
-    /// The `reproduce --scale --smoke` gate: replay, throughput, telemetry
-    /// and trace export (the digests are pinned in `tests/engine_digests.rs`).
+    /// The `reproduce --scale --smoke` gate: replay and throughput (the
+    /// digests are pinned in `tests/engine_digests.rs`).
     pub fn gate(&self) -> Result<String, String> {
         let wheel = self
             .row(GATE_N, "wheel")
             .ok_or(format!("no wheel row at n = {GATE_N}"))?;
         ensure!(self.rows.iter().all(|row| row.deterministic));
         ensure!(wheel.steps_per_sec >= STEPS_PER_SEC_FLOOR, wheel);
-        let t = self.telemetry.as_ref().ok_or("no telemetry leg")?;
-        ensure!(t.digests_match, t);
-        ensure!(t.overhead_pct() <= TELEMETRY_OVERHEAD_BOUND_PCT, t);
-        ensure!(t.dispatch_samples > 0 && t.barrier_stall_samples > 0, t);
-        let trace = self.trace.as_ref().ok_or("no trace capture")?;
-        ensure!(trace.spans > 0);
-        analysis::validate_json(&trace.trace_json).map_err(|e| format!("trace export: {e}"))?;
         Ok(format!(
-            "at n = {GATE_N}: wheel {:.0} ksteps/s; telemetry {:+.2}% steps/s ({} dispatch \
-             samples, mean {:.0} ns, p99 {} ns; {} barrier-stall samples, mean {:.0} ns); \
-             trace capture {} traces, {} spans, {} bytes of JSON",
-            wheel.steps_per_sec / 1e3,
-            t.overhead_pct(),
-            t.dispatch_samples,
-            t.mean_dispatch_ns,
-            t.p99_dispatch_ns,
-            t.barrier_stall_samples,
-            t.mean_barrier_stall_ns,
-            trace.traces,
-            trace.spans,
-            trace.trace_json.len()
+            "at n = {GATE_N}: wheel {:.0} ksteps/s",
+            wheel.steps_per_sec / 1e3
         ))
     }
 
@@ -602,7 +429,7 @@ mod tests {
     }
 
     /// A report that passes the gate: both engines replay at n = 10⁴, at
-    /// a million steps/s, with the telemetry leg and a trace capture.
+    /// a million steps/s.
     fn passing_report() -> ScaleReport {
         let row = |engine| ScaleRow {
             n: GATE_N,
@@ -622,27 +449,6 @@ mod tests {
             horizon_secs: 2,
             hardware_threads: 2,
             shard_threads: 4,
-            telemetry: Some(TelemetryOverhead {
-                n: GATE_N,
-                steps_per_sec_off: 1e6,
-                steps_per_sec_on: 0.99e6,
-                dispatch_samples: 100,
-                mean_dispatch_ns: 90.0,
-                p99_dispatch_ns: 512,
-                barrier_stall_samples: 100,
-                mean_barrier_stall_ns: 1_000.0,
-                digests_match: true,
-            }),
-            trace: Some(TraceDemoReport {
-                nodes: 96,
-                spans: 2,
-                traces: 1,
-                notes: 0,
-                dropped_spans: 0,
-                dispatch_samples: 0,
-                per_op: Vec::new(),
-                trace_json: "[]".to_string(),
-            }),
         }
     }
 
@@ -657,10 +463,10 @@ mod tests {
     #[test]
     fn scale_gate_names_the_check_that_failed() {
         let mut report = passing_report();
-        report.telemetry.as_mut().unwrap().digests_match = false;
+        report.rows[0].steps_per_sec = 1e3;
         let err = report.gate().unwrap_err();
         assert!(
-            err.starts_with("t.digests_match; t = TelemetryOverhead {"),
+            err.starts_with("wheel.steps_per_sec >= STEPS_PER_SEC_FLOOR; wheel = ScaleRow {"),
             "{err}"
         );
     }

@@ -142,14 +142,6 @@ impl<P: Protocol> ShardedSimulation<P> {
         self.shards.iter().filter_map(|s| s.telemetry()).collect()
     }
 
-    /// Barrier-stall observations summed over all shards.
-    pub fn barrier_stall_samples(&self) -> u64 {
-        self.telemetries()
-            .iter()
-            .map(|t| t.barrier_stall_histogram().count())
-            .sum()
-    }
-
     /// Start folding dispatched events into per-shard FNV-1a digests.
     pub fn enable_digest(&mut self) {
         for shard in &mut self.shards {
@@ -450,6 +442,31 @@ mod tests {
         assert_eq!(sim.metrics().timers_fired, n * 3);
         assert!((0..n).all(|a| sim.is_alive(NodeAddr(a))));
         assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn every_barrier_wait_records_one_stall_sample() {
+        let n = 16u64;
+        let mut sim: ShardedSimulation<Chatter> =
+            ShardedSimulation::new(config(), 5, n as usize, 2);
+        sim.enable_telemetry(TelemetryConfig::default());
+        for _ in 0..n {
+            sim.add_node(Chatter {
+                n,
+                ..Default::default()
+            });
+        }
+        sim.run_until_idle();
+        let counts: Vec<u64> = sim
+            .telemetries()
+            .iter()
+            .map(|t| t.barrier_stall_histogram().count())
+            .collect();
+        assert_eq!(counts.len(), 2);
+        // Every shard waits at every barrier: three waits per epoch, and
+        // two in the last one, which only learns that the run is done.
+        assert_eq!(counts[0], counts[1], "{counts:?}");
+        assert!(counts[0] >= 2 && counts[0] % 3 == 2, "{counts:?}");
     }
 
     #[test]

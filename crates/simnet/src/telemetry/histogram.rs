@@ -44,11 +44,6 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Mean observation, 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

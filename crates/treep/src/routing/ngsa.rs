@@ -19,25 +19,19 @@ pub(super) const MAX_FALLBACKS: usize = 3;
 /// Pick the next hop for the NGSA algorithm, updating the request's
 /// fall-back list.
 pub(crate) fn ngsa_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
-    let improving = improving_candidates(view, req);
     // Never bounce to somewhere the request has already been: the fall-back
     // list exists precisely to explore *new* branches.
-    let fresh: Vec<_> = improving
-        .into_iter()
-        .filter(|e| !req.has_visited(e.addr))
-        .collect();
-    let mut fresh = fresh.into_iter();
+    let visited = &req.visited;
+    let mut fresh = improving_candidates(view, req).filter(|e| !visited.contains(&e.addr));
 
     if let Some(best) = fresh.next() {
-        // Record the runners-up as alternative paths.
-        for alt in fresh {
-            if req.fallbacks.len() >= MAX_FALLBACKS {
-                break;
+        // Record the runners-up as alternative paths, reading the walk only
+        // until the list is full.
+        while req.fallbacks.len() < MAX_FALLBACKS {
+            let Some(alt) = fresh.next() else { break };
+            if !req.fallbacks.iter().any(|f| f.addr == alt.addr) {
+                req.fallbacks.push(PeerInfo::from_entry(&alt));
             }
-            if req.fallbacks.iter().any(|f| f.addr == alt.addr) {
-                continue;
-            }
-            req.fallbacks.push(PeerInfo::from_entry(&alt));
         }
         return RouteDecision::Forward(best);
     }

@@ -10,35 +10,31 @@ use super::{fallback_hop, RouteDecision, RouterView};
 use crate::entry::RoutingEntry;
 use crate::lookup::LookupRequest;
 
-/// The strictly-improving peers by Euclidean distance, closest first, or
-/// empty when no known peer improves on the local node. Shared with the
-/// NGSA variant, which also wants the runners-up.
+/// The strictly-improving peers by Euclidean distance, closest first; empty
+/// when no known peer improves on the local node. NG reads the first, the
+/// NGSA variant also the runners-up.
 ///
 /// The registry's ordered outward walk from the target yields peers in
-/// exactly the `(euclidean distance, id)` order the old
-/// `all_peers()`-copy-then-sort produced — so the scan needs no allocation
-/// beyond the result, no sort, and **stops at the first non-improving
-/// peer**: every peer after it in walk order is at least as far from the
-/// target, so the old scan would have filtered it too.
-pub(crate) fn improving_candidates(
-    view: &RouterView<'_>,
+/// `(euclidean distance, id)` order, so the walk is read lazily and **stops
+/// at the first non-improving peer**: every peer after it is at least as
+/// far from the target. Nothing is allocated or sorted.
+pub(crate) fn improving_candidates<'a>(
+    view: &'a RouterView<'a>,
     req: &LookupRequest,
-) -> Vec<RoutingEntry> {
+) -> impl Iterator<Item = RoutingEntry> + 'a {
     let target = req.target;
     let self_d = view.dist.euclidean(view.self_id, target);
     view.tables
         .peers_outward_from(target)
-        .take_while(|p| view.dist.euclidean(p.id, target) < self_d)
+        .take_while(move |p| view.dist.euclidean(p.id, target) < self_d)
         .filter(|p| view.is_live(p))
         .copied()
-        .collect()
 }
 
 /// Pick the next hop for the NG algorithm.
 pub(crate) fn non_greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
-    let improving = improving_candidates(view, req);
-    if let Some(best) = improving.first() {
-        return RouteDecision::Forward(*best);
+    if let Some(best) = improving_candidates(view, req).next() {
+        return RouteDecision::Forward(best);
     }
     match fallback_hop(view, req) {
         Some(entry) => RouteDecision::Forward(entry),
@@ -145,7 +141,7 @@ mod tests {
         let v = view(&tables, &dist, 0);
         let r = req(0, 40_000);
         let cands = improving_candidates(&v, &r);
-        let ids: Vec<u64> = cands.iter().map(|e| e.id.0).collect();
+        let ids: Vec<u64> = cands.map(|e| e.id.0).collect();
         assert_eq!(ids, vec![39_000, 30_000, 10_000]);
     }
 

@@ -27,6 +27,9 @@
 //!    to be lost (no spanning path exists), but exactly-once and queue
 //!    drain must still hold unconditionally.
 
+mod common;
+
+use common::{ancestor_chain_meets, bus_reach, root_of};
 use simnet::{
     flight_assert, flight_assert_eq, LatencyModel, LinkModel, LossModel, NodeAddr, SimConfig,
     SimDuration, Simulation, TelemetryConfig,
@@ -46,77 +49,6 @@ fn experiments_free_audit(sim: &Simulation<TreePNode>) -> treep::HierarchyAudit 
     let alive = sim.alive_nodes();
     let nodes: Vec<&TreePNode> = alive.iter().filter_map(|&a| sim.node(a)).collect();
     treep::audit(nodes)
-}
-
-/// The root of the tree `addr` belongs to: the end of its parent chain.
-/// Returns `None` for a broken chain (dead or unknown parent), which the
-/// heal loop rules out before the strict leg runs.
-fn root_of(sim: &Simulation<TreePNode>, addr: NodeAddr) -> Option<NodeAddr> {
-    let mut cur = addr;
-    for _ in 0..32 {
-        let node = sim.node(cur).filter(|_| sim.is_alive(cur))?;
-        match node.tables().parent() {
-            Some(p) => cur = p.addr,
-            None => return Some(cur),
-        }
-    }
-    None // cycle — structurally impossible, treated as unreachable
-}
-
-/// The roots the top-level bus walk from `root` reaches (including
-/// `root`): the walk runs at the root's own maximum level, leftward and
-/// rightward, each hop using the *visited node's* bus table, exactly like
-/// the dissemination. Dead bus neighbours stop the walk in the model (the
-/// real run may do better via re-route — the model is deliberately the
-/// lower bound the protocol must meet).
-fn bus_reach(sim: &Simulation<TreePNode>, root: NodeAddr) -> std::collections::BTreeSet<NodeAddr> {
-    let mut reached = std::collections::BTreeSet::from([root]);
-    let Some(node) = sim.node(root) else {
-        return reached;
-    };
-    let level = node.max_level();
-    if level == 0 {
-        return reached;
-    }
-    for leftward in [true, false] {
-        let mut cur = root;
-        for _ in 0..NODES {
-            let Some(n) = sim.node(cur).filter(|_| sim.is_alive(cur)) else {
-                break;
-            };
-            let (l, r) = n.tables().bus_neighbors(level, n.id());
-            let next = if leftward { l } else { r };
-            match next.map(|e| e.addr) {
-                Some(next) if sim.is_alive(next) && reached.insert(next) => cur = next,
-                _ => break,
-            }
-        }
-    }
-    reached
-}
-
-/// True when `addr`'s ancestor chain (including `addr` itself) passes
-/// through any node of `reach` — i.e. the dissemination's descent from one
-/// of the walk-visited nodes covers `addr`'s subtree position.
-fn ancestor_chain_meets(
-    sim: &Simulation<TreePNode>,
-    addr: NodeAddr,
-    reach: &std::collections::BTreeSet<NodeAddr>,
-) -> bool {
-    let mut cur = addr;
-    for _ in 0..32 {
-        if reach.contains(&cur) {
-            return true;
-        }
-        let Some(node) = sim.node(cur).filter(|_| sim.is_alive(cur)) else {
-            return false;
-        };
-        match node.tables().parent() {
-            Some(p) => cur = p.addr,
-            None => return false,
-        }
-    }
-    false
 }
 
 struct Probe {

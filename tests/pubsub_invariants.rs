@@ -9,6 +9,9 @@
 //! would give. A determinism cross-check rides along: the whole delivery
 //! trace replays bit-identically from its seed.
 
+mod common;
+
+use common::{ancestor_chain_meets, bus_reach, root_of};
 use simnet::{flight_assert, flight_assert_eq, NodeAddr, SimDuration, TelemetryConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use treep::RequestId;
@@ -477,70 +480,6 @@ fn range_queries_match_the_naive_store_scan_oracle() {
     }
 }
 
-/// The root of the tree `addr` belongs to (end of its parent chain), or
-/// `None` for a broken chain.
-fn root_of(sim: &simnet::Simulation<treep::TreePNode>, addr: NodeAddr) -> Option<NodeAddr> {
-    let mut cur = addr;
-    for _ in 0..32 {
-        let node = sim.node(cur).filter(|_| sim.is_alive(cur))?;
-        match node.tables().parent() {
-            Some(p) => cur = p.addr,
-            None => return Some(cur),
-        }
-    }
-    None
-}
-
-/// The nodes the top-level bus walk from `root` visits (the dissemination's
-/// entry points), walking each direction through the visited node's own bus
-/// table exactly like the descent does.
-fn bus_reach(sim: &simnet::Simulation<treep::TreePNode>, root: NodeAddr) -> BTreeSet<NodeAddr> {
-    let mut reached = BTreeSet::from([root]);
-    let Some(node) = sim.node(root) else {
-        return reached;
-    };
-    let level = node.max_level();
-    if level == 0 {
-        return reached;
-    }
-    for leftward in [true, false] {
-        let mut cur = root;
-        while let Some(n) = sim.node(cur).filter(|_| sim.is_alive(cur)) {
-            let (l, r) = n.tables().bus_neighbors(level, n.id());
-            let next = if leftward { l } else { r };
-            match next.map(|e| e.addr) {
-                Some(next) if sim.is_alive(next) && reached.insert(next) => cur = next,
-                _ => break,
-            }
-        }
-    }
-    reached
-}
-
-/// True when `addr`'s ancestor chain (including itself) passes through a
-/// node of `reach` — i.e. a descent from one of the bus-visited entry
-/// points covers `addr`.
-fn reachable(
-    sim: &simnet::Simulation<treep::TreePNode>,
-    addr: NodeAddr,
-    reach: &BTreeSet<NodeAddr>,
-) -> bool {
-    let mut cur = addr;
-    for _ in 0..32 {
-        if reach.contains(&cur) {
-            return true;
-        }
-        let Some(node) = sim.node(cur).filter(|_| sim.is_alive(cur)) else {
-            return false;
-        };
-        match node.tables().parent() {
-            Some(p) => cur = p.addr,
-            None => return false,
-        }
-    }
-    false
-}
-
 /// Churned network: churn can split the forest into components whose roots
 /// never rediscover each other on the top bus (the ROADMAP's split-brain
 /// note — the paper's Figure E partition regime), and no scoped query can
@@ -579,7 +518,9 @@ fn churned_range_queries_are_bounded_by_the_reachability_oracles() {
             &sim,
             alive_pairs
                 .iter()
-                .filter(|&&(addr, id)| range.contains(id) && reachable(&sim, addr, &reach))
+                .filter(|&&(addr, id)| {
+                    range.contains(id) && ancestor_chain_meets(&sim, addr, &reach)
+                })
                 .map(|&(addr, _)| addr),
             range,
         );
