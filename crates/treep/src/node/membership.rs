@@ -31,8 +31,13 @@
 //! prove liveness both ways). A sender outside the set — an asymmetric edge
 //! (it keeps us among its nearest, we pruned it), a first contact, a
 //! one-sided bus link — is acknowledged, because the ack is the only
-//! refresh that edge gets. The tick and the ack rule read the same set, so
-//! they cannot drift apart. The test runs *before* the sender is learned:
+//! refresh that edge gets. The tick walks the set and the ack rule asks it
+//! of one sender ([`crate::tables::RoutingTables::is_round_partner`]), a
+//! point query of the same rule: the ack rule runs on every keep-alive
+//! (~557 k in a 10 s `maint` window at n = 10⁴, seed 2005), the tick 80 k
+//! times, and only the tick needs the list. The unit test
+//! `tables::tests::the_point_query_answers_what_the_walk_answered` holds
+//! the two equal. The test runs *before* the sender is learned:
 //! learning makes every sender a level-0 neighbour until the next prune,
 //! which would make the test vacuous.
 //!
@@ -189,21 +194,22 @@ impl TreePNode {
 
     /// Record (or refresh) knowledge about a peer we just heard from.
     pub(super) fn learn_peer(&mut self, peer: PeerInfo, now: SimTime) {
-        self.tables.upsert_level0(peer.into_entry(now));
         // If we share a level (> 0) with the sender, it is also a bus contact.
-        if peer.max_level > 0 && peer.max_level <= self.max_level {
-            self.tables
-                .upsert_level(peer.max_level, peer.into_entry(now));
-        }
+        let shared = if peer.max_level <= self.max_level {
+            peer.max_level
+        } else {
+            0
+        };
+        self.tables.upsert_heard(shared, peer.into_entry(now));
     }
 
-    fn apply_update(&mut self, update: RoutingUpdate, now: SimTime) {
+    fn apply_update(&mut self, update: RoutingUpdate, now: SimTime, ring: &mut RingRadius) {
         // Third-party knowledge: stamped in the past so it expires unless
         // the peer is heard from (directly, or through fresh gossip) again.
         let at = self.gossip_time(now);
         match update {
             RoutingUpdate::Contact { peer } => {
-                if peer.id != self.id && self.tightens_ring(peer.id) {
+                if peer.id != self.id && ring.tightened_by(self, peer.id) {
                     self.tables.upsert_level0(peer.into_entry(at));
                 }
             }
@@ -238,26 +244,6 @@ impl TreePNode {
                     self.tables.upsert_superior(peer.into_entry(at));
                 }
             }
-        }
-    }
-
-    /// True when adopting `candidate` as a level-0 contact would tighten
-    /// this node's ring neighbourhood: it is closer than (or completes) the
-    /// four identifier-nearest peers already known. Keeps gossiped contacts
-    /// at ring scale — a gap left by a failed neighbour is re-stitched, but
-    /// the level-0 table does not accumulate every contact the gossip
-    /// stream ever mentions (the Section III.e connection bound).
-    fn tightens_ring(&self, candidate: NodeId) -> bool {
-        let Some(addr) = self.addr else {
-            return true;
-        };
-        let space = self.config.space;
-        // The walk is nearest-first, so the fourth peer is the farthest of
-        // the four: the candidate tightens the ring when it beats that one
-        // (or when there is no fourth yet).
-        match self.tables.nearest_walk(self.id, addr).nth(3) {
-            Some(fourth) => space.distance(candidate, self.id) < space.distance(fourth.id, self.id),
-            None => true,
         }
     }
 
@@ -365,12 +351,13 @@ impl TreePNode {
     }
 
     /// True when `peer` hears from this node every round without an ack: by
-    /// keep-alive or, as parent or own child, by report — membership in the
-    /// set step 4 of [`TreePNode::maintenance_tick`] walks.
+    /// keep-alive or, as parent or own child, by report. It is membership
+    /// in the set step 4 of [`TreePNode::maintenance_tick`] walks, asked as
+    /// a point query of the same rule, because it runs on every keep-alive
+    /// (see the module documentation; a unit test of `tables` holds the
+    /// query equal to the walk).
     fn hears_from_us(&self, peer: NodeId) -> bool {
-        self.tables
-            .round_partners(self.id, self.max_level)
-            .any(|(e, _)| e.id == peer)
+        self.tables.is_round_partner(self.id, self.max_level, peer)
     }
 
     // ---- maintenance tick ------------------------------------------------------
@@ -561,8 +548,9 @@ impl TreePNode {
         // neighbour and would make the test vacuous.
         let reply = reply && !self.hears_from_us(sender.id);
         self.learn_peer(sender, now);
+        let mut ring = RingRadius::default();
         for u in updates {
-            self.apply_update(u, now);
+            self.apply_update(u, now, &mut ring);
         }
         // A parentless node adopts a suitable advertised parent straight
         // away (cheap healing path; the full election still exists for the
@@ -650,5 +638,43 @@ impl TreePNode {
                 self.tables.upsert_superior(s.into_entry(at));
             }
         }
+    }
+}
+
+/// The radius of a node's ring neighbourhood, as a keep-alive's `Contact`
+/// updates are filed against it: the distance to the fourth
+/// identifier-nearest peer known. It is read at the first `Contact` and
+/// again only after the slot count has changed: the update loop only ever
+/// inserts slots, so an unchanged count is an unchanged registry walk.
+#[derive(Default)]
+struct RingRadius {
+    /// The slot count the radius was read at; `None` before the first read.
+    read_at: Option<usize>,
+    /// `None` when there is no fourth peer (or the node has no address
+    /// yet): then every candidate tightens the ring.
+    fourth: Option<u64>,
+}
+
+impl RingRadius {
+    /// True when adopting `candidate` as a level-0 contact would tighten
+    /// `node`'s ring neighbourhood: it is closer than (or completes) the
+    /// four identifier-nearest peers already known. Keeps gossiped contacts
+    /// at ring scale — a gap left by a failed neighbour is re-stitched, but
+    /// the level-0 table does not accumulate every contact the gossip
+    /// stream ever mentions (the Section III.e connection bound).
+    fn tightened_by(&mut self, node: &TreePNode, candidate: NodeId) -> bool {
+        let space = node.config.space;
+        let slots = node.tables.len();
+        if self.read_at != Some(slots) {
+            self.read_at = Some(slots);
+            // The walk is nearest-first, so the fourth peer is the farthest
+            // of the four.
+            self.fourth = node
+                .addr
+                .and_then(|addr| node.tables.nearest_walk(node.id, addr).nth(3))
+                .map(|fourth| space.distance(fourth.id, node.id));
+        }
+        self.fourth
+            .is_none_or(|radius| space.distance(candidate, node.id) < radius)
     }
 }

@@ -435,6 +435,35 @@ fn keep_alive_from_a_direct_bus_neighbour_is_not_acked() {
 }
 
 #[test]
+fn a_contact_is_filed_against_the_ring_as_the_keep_alive_left_it() {
+    // Four ring neighbours at 100–400 from the node; the sender lies far
+    // outside them. The first contact tightens the ring, and the fourth
+    // nearest is now 300 away: the second, at 350, no longer does.
+    let (mut node, mut rng) = started_node(10_000);
+    for id in [9_900, 10_200, 9_700, 10_400] {
+        node.seed_level0_neighbor(peer(id, 0), SimTime::ZERO);
+    }
+    let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10_000), &mut rng);
+    node.on_message(
+        NodeAddr(50_000),
+        TreePMessage::KeepAlive {
+            sender: peer(50_000, 0),
+            updates: vec![
+                RoutingUpdate::Contact {
+                    peer: peer(10_050, 0),
+                },
+                RoutingUpdate::Contact {
+                    peer: peer(10_350, 0),
+                },
+            ],
+        },
+        &mut ctx,
+    );
+    assert!(node.tables().is_level0_neighbor(NodeId(10_050)));
+    assert!(node.tables().find(NodeId(10_350)).is_none());
+}
+
+#[test]
 fn keep_alive_from_the_parent_or_an_own_child_is_not_acked() {
     // Neither is a level-0 or bus neighbour here: what keeps the link alive
     // is the child report one way and its acknowledgement the other.

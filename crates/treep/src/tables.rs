@@ -59,7 +59,10 @@
 //!   wait for the previous step's miss; the count's loads are independent,
 //!   so the whole vector streams in at once, and the probes the handler
 //!   makes next hit warm lines. Point operations (`find`, `touch`, role
-//!   tests, refreshing a known peer) are that count and one compare;
+//!   tests, refreshing a known peer) are that count and one compare. The
+//!   keep-alive's ack test, `is_round_partner`, is one too: the count
+//!   finds the sender's slot, and at most a walk over the slots between it
+//!   and the owner follows;
 //! * range probes (`closest_peer`, `peers_outward_from`, `nearest_peers`,
 //!   `kth_neighbor_ids`, `bus_neighbors`, `closest_child`,
 //!   `multicast_fanout`) are that count plus a walk over adjacent slots,
@@ -147,6 +150,11 @@ fn bus_bit(level: u32) -> u32 {
     } else {
         0
     }
+}
+
+/// The `Slot::levels` bits of the buses at levels `1..=max_level`.
+fn buses_through(max_level: u32) -> u32 {
+    (u32::MAX >> (MAX_BUS_LEVEL - max_level.min(MAX_BUS_LEVEL))) & !LEVEL0
 }
 
 /// True for a slot whose link to the owner the child report refreshes every
@@ -385,6 +393,11 @@ impl RoutingTables {
             .any(|s| s.entry.addr == addr && self.is_suspect(&s.entry))
     }
 
+    /// The number of known peers (slots).
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Ask the CPU to start loading the slot vector, ahead of the event that
     /// will probe it (a hint: it changes nothing, see [`simnet::prefetch`]).
     pub(crate) fn prefetch(&self) {
@@ -570,6 +583,14 @@ impl RoutingTables {
         self.grant(entry, LEVEL0, 0);
     }
 
+    /// Insert or refresh a peer heard from directly: a level-0 neighbour,
+    /// and a member of the level-`level` bus as well (a `level` that is not
+    /// a bus adds nothing). One merge where [`RoutingTables::upsert_level0`]
+    /// and [`RoutingTables::upsert_level`] would make two of the same entry.
+    pub(crate) fn upsert_heard(&mut self, level: u32, entry: PeerEntry) {
+        self.grant(entry, LEVEL0 | bus_bit(level), 0);
+    }
+
     /// All level-0 neighbours, ordered by ID.
     pub fn level0(&self) -> impl Iterator<Item = &PeerEntry> {
         self.on_levels(LEVEL0)
@@ -649,12 +670,43 @@ impl RoutingTables {
             .iter()
             .filter(|s| s.levels & LEVEL0 != 0 || by_report(s))
             .map(|s| (&s.entry, by_report(s)));
-        let buses = (u32::MAX >> (MAX_BUS_LEVEL - max_level.min(MAX_BUS_LEVEL))) & !LEVEL0;
+        let buses = buses_through(max_level);
         let (below, rest) = self.slots.split_at(self.rank(own));
         let rest = rest.iter().filter(move |s| s.entry.id != own);
         let bus =
             bus_only_neighbours(below.iter().rev(), buses).chain(bus_only_neighbours(rest, buses));
         near.chain(bus.map(|e| (e, false)))
+    }
+
+    /// True when `peer` is one of the [`RoutingTables::round_partners`] of
+    /// `own`: the same rule as a point query, for the keep-alive handler's
+    /// ack test. One count finds the peer's slot, and a level-0 or report
+    /// role answers at once. Otherwise the peer is a direct bus neighbour
+    /// when one of its bus bits at levels `1..=max_level` is held by no slot
+    /// between it and `own`: the walk `round_partners` makes outward from
+    /// `own`, taken from the other end.
+    pub(crate) fn is_round_partner(&self, own: NodeId, max_level: u32, peer: NodeId) -> bool {
+        let Ok(i) = self.position(peer) else {
+            return false;
+        };
+        let s = &self.slots[i];
+        if s.levels & LEVEL0 != 0 || by_report(s) {
+            return true;
+        }
+        let held = |m: u32, t: &Slot| m | t.levels;
+        let passed = match peer.cmp(&own) {
+            std::cmp::Ordering::Less => self.slots[i + 1..]
+                .iter()
+                .take_while(|t| t.entry.id < own)
+                .fold(0, held),
+            std::cmp::Ordering::Greater => self.slots[..i]
+                .iter()
+                .rev()
+                .take_while(|t| t.entry.id > own)
+                .fold(0, held),
+            std::cmp::Ordering::Equal => return false,
+        };
+        s.levels & buses_through(max_level) & !passed != 0
     }
 
     /// Total number of bus-neighbour entries over all levels `> 0`.
@@ -1887,6 +1939,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_point_query_answers_what_the_walk_answered() {
+        // The keep-alive's ack test and the tick read one rule through two
+        // code paths; the tick's walk is the reference.
+        let mut state = 0x5eed_0041_u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Partners that are direct bus neighbours and nothing else: the
+        // branch the walk between the peer and `own` decides.
+        let mut bus_only = 0;
+        for trial in 0..300 {
+            let size = draw() % 24;
+            // Small identifiers, so `own` and the absent probes land between
+            // the slots and on them.
+            let span = 3 * size + 2;
+            let mut t = RoutingTables::new();
+            for _ in 0..size {
+                let id = draw() % span;
+                // Buses 1–3 mostly, so slots cover one another's bits; now
+                // and then one up to `MAX_BUS_LEVEL`.
+                let mut levels = ((draw() % 16) as u32) & !LEVEL0;
+                if draw() % 4 == 0 {
+                    levels |= bus_bit(1 + (draw() % u64::from(MAX_BUS_LEVEL)) as u32);
+                }
+                if draw() % 3 == 0 {
+                    levels |= LEVEL0;
+                }
+                let tree = match draw() % 6 {
+                    0 => CHILD,
+                    1 => CHILD | OWN_CHILD,
+                    2 => SUPERIOR,
+                    _ => 0,
+                };
+                if levels == 0 && tree == 0 {
+                    continue;
+                }
+                t.grant(entry(id, 1, 1), levels, tree);
+            }
+            if trial % 4 == 0 {
+                t.set_parent(entry(draw() % span, 2, 1));
+            }
+            t.validate_invariants().unwrap();
+            let ids: Vec<u64> = t.slots.iter().map(|s| s.entry.id.0).collect();
+            // `own` is a slot of its own registry in a third of the trials.
+            let own = match ids.len() {
+                n if n > 0 && trial % 3 == 0 => ids[draw() as usize % n],
+                _ => draw() % span,
+            };
+            let mut probes = ids.clone();
+            probes.extend([own, span, draw() % span, draw() % span]);
+            for max_level in 0..=MAX_BUS_LEVEL {
+                for &p in &probes {
+                    let (own, p) = (NodeId(own), NodeId(p));
+                    let walked = t.round_partners(own, max_level).any(|(e, _)| e.id == p);
+                    assert_eq!(
+                        t.is_round_partner(own, max_level, p),
+                        walked,
+                        "peer {p:?} of {own:?} at max level {max_level} in {ids:?}"
+                    );
+                    let roles = t.slot(p).map(|s| s.levels & LEVEL0 != 0 || by_report(s));
+                    bus_only += usize::from(walked && roles == Some(false));
+                }
+            }
+        }
+        assert!(bus_only > 5_000, "only {bus_only} bus-only partners drawn");
     }
 
     #[test]

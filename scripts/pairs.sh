@@ -19,8 +19,10 @@
 # whose name the script prints. The summary gives, per end-to-end metric,
 # each side's median and quartiles, how many pairs the change won (ties
 # count for neither), whether the medians differ by more than the parent's
-# inter-quartile spread, and, for a metric measured in simulated time,
-# whether both sides read the same value on every seed.
+# inter-quartile spread, the metric's bound and whether the change's median
+# is worse than the parent's by more than it ("OVER"; the no-regression
+# half of a claim), and, for a metric measured in simulated time, whether
+# both sides read the same value on every seed.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -78,12 +80,12 @@ import json, re, statistics, sys
 out, workload, pairs, first = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 seeds = range(first, first + pairs)
 # "name  value unit  better lower|higher  bound N %  [how it is measured]"
-line = re.compile(r"^(\S+)\s+\S+\s+\S+\s+better (lower|higher)\s+bound\s+\S+ %\s+\[(.*)\]$")
+line = re.compile(r"^(\S+)\s+\S+\s+\S+\s+better (lower|higher)\s+bound\s+(\S+) %\s+\[(.*)\]$")
 
 def load(side, seed):
     text = open(f"{out}/{side}.{seed}.txt").read().splitlines()
     result = json.loads(text[-1])
-    meta = {m.group(1): (m.group(2), m.group(3)) for m in map(line.match, text) if m}
+    meta = {m.group(1): (m.group(2), float(m.group(3)), m.group(4)) for m in map(line.match, text) if m}
     return result, meta
 
 runs = {side: [load(side, s) for s in seeds] for side in ("parent", "change")}
@@ -105,14 +107,24 @@ def cell(values):
 for side in ("parent", "change"):
     wrong = [s for s, (r, _) in zip(seeds, runs[side]) if not r["correct"]]
     print(f"{side}: {pairs} runs, incorrect on seeds {wrong or 'none'}")
+def worse_by(parent, change, sign):
+    # How much worse the change's median is, as a fraction of the parent's.
+    if change == parent:
+        return 0.0
+    if parent == 0:
+        return float("inf") if sign * (change - parent) < 0 else float("-inf")
+    return sign * (parent - change) / abs(parent)
+
 print(f"{'metric':22} {'better':6} {'parent median [q1, q3]':34} {'change median [q1, q3]':34}"
-      f" {'wins':>5} {'> IQR':5} same per seed")
-for name, (better, how) in meta.items():
+      f" {'wins':>5} {'> IQR':5} {'bound':10} same per seed")
+for name, (better, bound, how) in meta.items():
     p, c = ([r["metrics"][name]["value"] for r, _ in runs[side]] for side in ("parent", "change"))
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
     (pq1, pm, pq3), (_, cm, _) = quartiles(p), quartiles(c)
     beyond = "yes" if abs(cm - pm) > pq3 - pq1 else "no"
+    over = "OVER" if worse_by(pm, cm, sign) > bound / 100 else "ok"
     same = ("yes" if p == c else "NO") if simulated(how) else "-"
-    print(f"{name:22} {better:6} {cell(p):34} {cell(c):34} {f'{wins}/{pairs}':>5} {beyond:5} {same}")
+    print(f"{name:22} {better:6} {cell(p):34} {cell(c):34} {f'{wins}/{pairs}':>5} {beyond:5}"
+          f" {f'{bound:g} % {over}':10} {same}")
 EOF
