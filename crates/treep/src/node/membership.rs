@@ -545,8 +545,11 @@ impl TreePNode {
     ) {
         let now = ctx.now();
         // Decided before `learn_peer`, which makes every sender a level-0
-        // neighbour and would make the test vacuous.
-        let reply = reply && !self.hears_from_us(sender.id);
+        // neighbour and would make the test vacuous. Asked on an ack too,
+        // whose answer is dropped: it is the handler's opening read, a
+        // count that streams a cold registry in for the bisecting upserts
+        // below (see the `tables` module documentation).
+        let reply = !self.hears_from_us(sender.id) && reply;
         self.learn_peer(sender, now);
         let mut ring = RingRadius::default();
         for u in updates {

@@ -52,21 +52,32 @@
 //! on and to allocate and free as peers come and go — while a sorted
 //! vector is one contiguous block of a few dozen cache lines:
 //!
-//! * every probe starts with one **count**: the number of slots whose
-//!   identifier is below the key, summed over the whole vector, not
-//!   bisected. At 10⁴ nodes the registry is cold on every event (the node
-//!   last ran thousands of events ago), and each step of a bisection must
-//!   wait for the previous step's miss; the count's loads are independent,
-//!   so the whole vector streams in at once, and the probes the handler
-//!   makes next hit warm lines. Point operations (`find`, `touch`, role
-//!   tests, refreshing a known peer) are that count and one compare. The
-//!   keep-alive's ack test, `is_round_partner`, is one too: the count
-//!   finds the sender's slot, and at most a walk over the slots between it
-//!   and the owner follows;
+//! * the **point read** a handler opens the registry with is one
+//!   **count**: the number of slots whose identifier is below the key,
+//!   summed over the whole vector, not bisected. These are `find`,
+//!   `touch`, the role tests (`is_level0_neighbor`, `is_own_child`),
+//!   `kth_neighbor_ids`, `remove_peer` and the keep-alive's ack test
+//!   `is_round_partner` (the count finds the sender's slot, and at most a
+//!   walk over the slots between it and the owner follows). They open an
+//!   event, and their caller may be cold: the engine hints the vector one
+//!   event ahead, but an `invoke`d operation, the UDP host and the
+//!   benchmark's hand-timed legs get no hint, and each step of a bisection
+//!   must wait for the previous step's miss. The count's loads are
+//!   independent, so the whole vector streams in at once. Bisecting these
+//!   too made the cold hand-timed `keep_alive` leg about 30 % slower
+//!   (median 774 → 997 ns on `maint`, seeds 2005–2009, 2-CPU host), and
+//!   the ack handler, while it opened with a bisecting upsert, read 551 →
+//!   798 ns (seed 2005) until it asked `is_round_partner` first;
+//! * what follows in the same event **bisects** with std's branch-free
+//!   search: [`RoutingTables::upsert_level0`] and every other upsert
+//!   (`binary_search_by_key`), and the rank the range probes start from
+//!   (`partition_point`). By then the vector is warm, from the hint and
+//!   from the opening count, so about five dependent loads of cached
+//!   lines replace a count over a few dozen slots;
 //! * range probes (`closest_peer`, `peers_outward_from`, `nearest_peers`,
-//!   `kth_neighbor_ids`, `bus_neighbors`, `closest_child`,
-//!   `multicast_fanout`) are that count plus a walk over adjacent slots,
-//!   skipping the ones without the wanted role bit;
+//!   `bus_neighbors`, `closest_child`, `multicast_fanout`) are that
+//!   bisection plus a walk over adjacent slots, skipping the ones without
+//!   the wanted role bit;
 //! * role iterators (`level0`, `children`, `superiors`, …) are a filtered
 //!   scan of the whole vector, in the same ascending-ID order the indexes
 //!   had.
@@ -264,28 +275,32 @@ impl RoutingTables {
     // ---- registry core ---------------------------------------------------
 
     /// The number of slots whose identifier is below `key`: where `key` is,
-    /// or would be inserted. Counted over every slot rather than bisected
-    /// (see the module documentation): the loads do not depend on one
-    /// another, so the cold vector streams in at once.
+    /// or would be inserted. Bisected: its callers walk on from the answer,
+    /// and the vector is warm by then (see the module documentation).
     fn rank(&self, key: NodeId) -> usize {
-        self.slots
-            .iter()
-            .map(|s| usize::from(s.entry.id < key))
-            .sum()
+        self.slots.partition_point(|s| s.entry.id < key)
     }
 
-    /// Position of `id` in the vector, or where it would be inserted.
+    /// Position of `id` in the vector, or where it would be inserted: the
+    /// point read a handler opens the registry with. Counted over every
+    /// slot rather than bisected (see the module documentation): the loads
+    /// do not depend on one another, so a cold vector streams in at once.
     fn position(&self, id: NodeId) -> Result<usize, usize> {
-        let i = self.rank(id);
+        let i: usize = self
+            .slots
+            .iter()
+            .map(|s| usize::from(s.entry.id < id))
+            .sum();
         match self.slots.get(i) {
             Some(s) if s.entry.id == id => Ok(i),
             _ => Err(i),
         }
     }
 
-    /// The number of slots whose identifier is at or below `key`.
+    /// The number of slots whose identifier is at or below `key`. Bisected,
+    /// like [`RoutingTables::rank`].
     fn rank_through(&self, key: NodeId) -> usize {
-        self.position(key).map_or_else(|i| i, |i| i + 1)
+        self.slots.partition_point(|s| s.entry.id <= key)
     }
 
     fn slot(&self, id: NodeId) -> Option<&Slot> {
@@ -295,7 +310,9 @@ impl RoutingTables {
     /// Merge `entry` into the registry (insert, or fold newer information
     /// into the canonical record) and add the given role bits to it.
     fn grant(&mut self, entry: PeerEntry, levels: u32, tree: u8) {
-        let slot = match self.position(entry.id) {
+        // Bisected: by the time a handler upserts, the engine's hint or the
+        // event's opening read has brought the vector in.
+        let slot = match self.slots.binary_search_by_key(&entry.id, |s| s.entry.id) {
             Ok(i) => {
                 let slot = &mut self.slots[i];
                 slot.entry.merge(&entry);
@@ -477,8 +494,8 @@ impl RoutingTables {
     /// (excluding the one at `exclude_addr`), ordered by `(distance, id)` —
     /// ties prefer the smaller identifier, matching every other probe of the
     /// registry. The first `count` steps of
-    /// [`RoutingTables::nearest_walk`], copied out, so the cost is the one
-    /// count every probe starts with plus `count` steps.
+    /// [`RoutingTables::nearest_walk`], copied out, so the cost is one
+    /// bisection plus `count` steps.
     ///
     /// This is the successor query the replication subsystem places replicas
     /// with: the `k` nearest registry neighbours of a key coordinate are the
@@ -1841,11 +1858,11 @@ mod tests {
     }
 
     #[test]
-    fn the_count_answers_what_the_bisection_answered() {
-        // The std bisections the six probes used before they counted are
-        // the reference: `binary_search_by_key` for `position`,
-        // `partition_point` for `outward`, both sides of `kth_neighbor_ids`,
-        // `bus_neighbors` and `multicast_fanout`.
+    fn the_bisection_answers_what_the_count_answered() {
+        // The count of the slots below a key is the reference: for `rank`,
+        // `rank_through` and `grant`, which bisect, and for `position`,
+        // `kth_neighbor_ids`, `bus_neighbors` and `multicast_fanout`. The
+        // outward walk is held to a sort by distance.
         let mut state = 0x5eed_0026_u64;
         let mut draw = move || {
             state ^= state << 13;
@@ -1877,20 +1894,25 @@ mod tests {
                 }
                 t.validate_invariants().unwrap();
                 let slots = &t.slots;
+                let count = |key: u64| slots.iter().filter(|s| s.entry.id.0 < key).count();
                 let mut keys = vec![0, 1, u64::MAX - 1, u64::MAX, draw()];
                 for &id in &ids {
                     keys.extend([id.saturating_sub(1), id, id.saturating_add(1)]);
                 }
                 for key in keys.into_iter().map(NodeId) {
-                    let below = slots.partition_point(|s| s.entry.id < key);
-                    let through = slots.partition_point(|s| s.entry.id <= key);
-                    assert_eq!(
-                        t.position(key),
-                        slots.binary_search_by_key(&key, |s| s.entry.id),
-                        "{key:?} in {size} slots"
-                    );
+                    let below = count(key.0);
+                    let hit = slots.get(below).is_some_and(|s| s.entry.id == key);
+                    let through = below + usize::from(hit);
+                    let position = if hit { Ok(below) } else { Err(below) };
+                    assert_eq!(t.position(key), position, "{key:?} in {size} slots");
                     assert_eq!(t.rank(key), below);
                     assert_eq!(t.rank_through(key), through);
+
+                    let mut granted = t.clone();
+                    granted.grant(entry(key.0, 0, 2), LEVEL0, 0);
+                    assert_eq!(granted.slots.len(), slots.len() + usize::from(!hit));
+                    assert_eq!(granted.slots[below].entry.id, key);
+                    granted.validate_invariants().unwrap();
 
                     let id_at = |i: usize| slots.get(i).map(|s| s.entry.id);
                     for k in 1..=3 {
@@ -1922,8 +1944,7 @@ mod tests {
                         .iter()
                         .map(|e| e.id)
                         .collect();
-                    let window =
-                        slots.partition_point(|s| s.entry.id.0 < key.0.saturating_sub(slack));
+                    let window = count(key.0.saturating_sub(slack));
                     let reference: Vec<NodeId> = slots[window..]
                         .iter()
                         .filter(|s| s.tree & OWN_CHILD != 0)

@@ -4,7 +4,7 @@
 # at least ten pairs, each seed run on both sides, alternating which side
 # runs first).
 #
-#   scripts/pairs.sh DIR_PARENT DIR_CHANGE WORKLOAD [PAIRS] [FIRST_SEED]
+#   scripts/pairs.sh [--trace] DIR_PARENT DIR_CHANGE WORKLOAD [PAIRS] [FIRST_SEED]
 #
 # PAIRS defaults to 10 and FIRST_SEED to 2005; pair i runs seed
 # FIRST_SEED + i on both sides, the parent first in even pairs. Each
@@ -22,9 +22,23 @@
 # inter-quartile spread, the metric's bound and whether the change's median
 # is worse than the parent's by more than it ("OVER"; the no-regression
 # half of a claim), and, for a metric measured in simulated time, whether
-# both sides read the same value on every seed.
+# both sides read the same value on every seed. A run that exits 1 (an
+# incorrect result) is kept and reported; any other failure stops the script.
+#
+# With --trace every run is the traced pass (--trace 1) instead, and the
+# summary is one row per seed and side: `correct`, `trace.unexplained_share`,
+# `trace.digest_equal` and the hand-timed `keep_alive`, `maintenance tick`
+# and `lookup` handler legs in ns (from the run's `attribution of ...`
+# block; "-" where a workload times none), then each column's median per
+# side (for `correct`, how many runs were). A run whose unexplained share
+# exceeds the benchmark's bound reads `correct` false.
 set -euo pipefail
 
+trace=0
+if [ "${1:-}" = --trace ]; then
+    trace=1
+    shift
+fi
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
     sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2
     exit 2
@@ -58,8 +72,8 @@ run() { # SIDE SEED PAIR
     local dir=$parent
     [ "$1" = change ] && dir=$change
     echo "pair $3/$pairs: $1, seed $2" >&2
-    bench "$dir" run -- --workload "$workload" --seed "$2" --seconds 10 --trace 0 \
-        >"$out/$1.$2.txt"
+    bench "$dir" run -- --workload "$workload" --seed "$2" --seconds 10 --trace "$trace" \
+        >"$out/$1.$2.txt" || [ $? -eq 1 ]
 }
 
 for ((i = 0; i < pairs; i++)); do
@@ -74,6 +88,47 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 echo "runs kept in $out" >&2
+if ((trace)); then
+    python3 - "$out" "$pairs" "$first_seed" <<'EOF'
+import json, re, statistics, sys
+
+out, pairs, first = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+# "  keep_alive: 1234 received x 684 ns (timed on 100 calls)"
+leg = re.compile(r"^  ([^:]+): \S+ (?:received )?x (\S+) ns \(timed on")
+legs = ("keep_alive", "maintenance tick", "lookup")
+heads = ("correct", "unexplained", "digest_equal") + tuple(f"{name} ns" for name in legs)
+
+def row(side, seed):
+    text = open(f"{out}/{side}.{seed}.txt").read().splitlines()
+    result = json.loads(text[-1])
+    timed = {m.group(1): float(m.group(2)) for m in map(leg.match, text) if m}
+    metric = lambda name: result["metrics"].get(name, {}).get("value")
+    return [float(result["correct"]), metric("trace.unexplained_share"),
+            metric("trace.digest_equal")] + [timed.get(name) for name in legs]
+
+def show(value, column):
+    if value is None:
+        return "-"
+    if column == 0:
+        return "true" if value else "false"
+    return f"{value:.3f}" if column < 3 else f"{value:.0f}"
+
+print(f"{'seed':>6} {'side':6} " + " ".join(f"{h:>18}" for h in heads))
+rows = {"parent": [], "change": []}
+for seed in range(first, first + pairs):
+    for side in rows:
+        rows[side].append(row(side, seed))
+        print(f"{seed:>6} {side:6} "
+              + " ".join(f"{show(v, c):>18}" for c, v in enumerate(rows[side][-1])))
+for side, table in rows.items():
+    medians = [f"{sum(r[0] for r in table):.0f}/{len(table)}"]
+    for c in range(1, len(heads)):
+        values = [r[c] for r in table if r[c] is not None]
+        medians.append(f"{statistics.median(values):.4g}" if values else "-")
+    print(f"{'median':>6} {side:6} " + " ".join(f"{m:>18}" for m in medians))
+EOF
+    exit 0
+fi
 python3 - "$out" "$workload" "$pairs" "$first_seed" <<'EOF'
 import json, re, statistics, sys
 
