@@ -35,9 +35,9 @@
 //! * [`compare_pubsub`] — subscription-pruned topic publish vs flooding
 //!   broadcast across subscriber fan-out tiers (Figure P).
 //! * [`run_scale`] — the engine scale sweep (n = 10³ … 10⁶): steps/sec,
-//!   bytes/node and peak RSS of the timer-wheel and sharded simulation
-//!   engines under an identical keep-alive workload. The cost of telemetry
-//!   is the benchmark's `trace.overhead_ratio`, not a leg here.
+//!   bytes/node and peak RSS of the timer-wheel simulation engine under a
+//!   keep-alive workload. The cost of telemetry is the benchmark's
+//!   `trace.overhead_ratio`, not a leg here.
 //!
 //! Every result type renders through one `to_table()` into an
 //! [`analysis::Table`] — aligned text, CSV and BENCH JSON from one column

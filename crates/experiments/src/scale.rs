@@ -1,16 +1,11 @@
 //! Engine scale sweep: steps/sec, bytes/node and peak RSS from n = 10³ to
 //! n = 10⁶ (`reproduce --scale`, `BENCH_scale.json`).
 //!
-//! Two engines run the **identical seeded workload**:
-//!
-//! * `wheel` — the single-threaded [`Simulation`]: hierarchical timer
-//!   wheel, one node table indexed by address, recycled action buffer.
-//! * `sharded` — [`ShardedSimulation`] across OS threads with the
-//!   conservative time-barrier protocol.
-//!
-//! Every leg runs **twice** with the same seed and asserts the FNV event
-//! digests match (`deterministic`); `tests/engine_digests.rs` pins both
-//! engines' `(digest, events)` at n = 10³ and 10⁴.
+//! The engine is the single-threaded [`Simulation`]: hierarchical timer
+//! wheel, one node table indexed by address, recycled action buffer. Every
+//! leg runs **twice** with the same seed and asserts the FNV event digests
+//! match (`deterministic`); `tests/engine_digests.rs` pins its
+//! `(digest, events)` at n = 10³ and 10⁴.
 //!
 //! The workload models TreeP keep-alive traffic: nodes form groups of 256
 //! arranged as arity-4 trees (computed arithmetically — no per-node
@@ -21,8 +16,8 @@
 
 use analysis::{Cell, Column, Table};
 use simnet::{
-    Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, ShardedSimulation, SimConfig,
-    SimDuration, SimTime, Simulation, TimerToken,
+    Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, SimConfig, SimDuration,
+    SimTime, Simulation, TimerToken,
 };
 use std::time::Instant;
 
@@ -50,8 +45,6 @@ pub struct ScaleParams {
     pub horizon: SimDuration,
     /// Deterministic seed shared by every leg.
     pub seed: u64,
-    /// Thread count of the sharded legs.
-    pub shard_threads: usize,
 }
 
 impl ScaleParams {
@@ -61,7 +54,6 @@ impl ScaleParams {
             populations: vec![1_000, 10_000, 100_000, 1_000_000],
             horizon: SimDuration::from_secs(5),
             seed,
-            shard_threads: 4,
         }
     }
 
@@ -71,7 +63,6 @@ impl ScaleParams {
             populations: vec![1_000, 10_000],
             horizon: SimDuration::from_secs(2),
             seed,
-            shard_threads: 4,
         }
     }
 }
@@ -143,10 +134,6 @@ impl Protocol for ScaleProto {
 pub struct ScaleRow {
     /// Population size.
     pub n: usize,
-    /// Engine: `wheel` or `sharded`.
-    pub engine: &'static str,
-    /// OS threads stepping the simulation.
-    pub threads: usize,
     /// Events dispatched in one run.
     pub events: u64,
     /// Wall-clock of the best of the two runs, milliseconds.
@@ -167,18 +154,14 @@ pub struct ScaleRow {
 /// The full sweep result.
 #[derive(Debug)]
 pub struct ScaleReport {
-    /// One row per (n, engine) leg.
+    /// One row per population.
     pub rows: Vec<ScaleRow>,
     /// Seed shared by every leg.
     pub seed: u64,
     /// Virtual horizon per run, seconds.
     pub horizon_secs: u64,
-    /// `std::thread::available_parallelism` of the measuring host. When
-    /// this is below `shard_threads`, sharded legs measure protocol
-    /// correctness and barrier overhead, not parallel speedup.
+    /// `std::thread::available_parallelism` of the measuring host.
     pub hardware_threads: usize,
-    /// Threads used by sharded legs.
-    pub shard_threads: usize,
 }
 
 fn config() -> SimConfig {
@@ -208,32 +191,6 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-fn row_from_runs(
-    n: usize,
-    engine: &'static str,
-    threads: usize,
-    runs: [(u64, u64, u64, f64); 2],
-) -> ScaleRow {
-    let [(events, sent, digest, wall_a), (_, _, digest_b, wall_b)] = runs;
-    let wall = wall_a.min(wall_b);
-    ScaleRow {
-        n,
-        engine,
-        threads,
-        events,
-        wall_ms: wall * 1e3,
-        steps_per_sec: if wall > 0.0 {
-            events as f64 / wall
-        } else {
-            0.0
-        },
-        bytes_per_node: (sent * NOMINAL_MSG_BYTES) as f64 / n as f64,
-        peak_rss_bytes: peak_rss_bytes(),
-        digest,
-        deterministic: digest == digest_b,
-    }
-}
-
 fn run_wheel(params: &ScaleParams, n: usize) -> ScaleRow {
     let deadline = SimTime::from_micros(params.horizon.as_micros());
     let run = || {
@@ -253,42 +210,35 @@ fn run_wheel(params: &ScaleParams, n: usize) -> ScaleRow {
             wall,
         )
     };
-    row_from_runs(n, "wheel", 1, [run(), run()])
-}
-
-fn run_sharded(params: &ScaleParams, n: usize) -> ScaleRow {
-    let deadline = SimTime::from_micros(params.horizon.as_micros());
-    let run = || {
-        let mut sim: ShardedSimulation<ScaleProto> =
-            ShardedSimulation::new(config(), params.seed, n, params.shard_threads);
-        sim.enable_digest();
-        for _ in 0..n {
-            sim.add_node(ScaleProto::new());
-        }
-        let started = Instant::now();
-        sim.run_until(deadline);
-        let wall = started.elapsed().as_secs_f64();
-        let m = sim.metrics();
-        (
-            m.events_dispatched,
-            m.messages_sent,
-            sim.event_digest().expect("digest enabled"),
-            wall,
-        )
-    };
-    row_from_runs(n, "sharded", params.shard_threads, [run(), run()])
-}
-
-/// Run the sweep: per population, the single-threaded wheel engine and the
-/// sharded engine, each twice for the determinism assertion.
-pub fn run_scale(params: &ScaleParams) -> ScaleReport {
-    let mut rows = Vec::new();
-    for &n in &params.populations {
-        eprintln!("#   scale: n = {n}, wheel engine…");
-        rows.push(run_wheel(params, n));
-        eprintln!("#   scale: n = {n}, sharded engine…");
-        rows.push(run_sharded(params, n));
+    let [(events, sent, digest, wall_a), (_, _, digest_b, wall_b)] = [run(), run()];
+    let wall = wall_a.min(wall_b);
+    ScaleRow {
+        n,
+        events,
+        wall_ms: wall * 1e3,
+        steps_per_sec: if wall > 0.0 {
+            events as f64 / wall
+        } else {
+            0.0
+        },
+        bytes_per_node: (sent * NOMINAL_MSG_BYTES) as f64 / n as f64,
+        peak_rss_bytes: peak_rss_bytes(),
+        digest,
+        deterministic: digest == digest_b,
     }
+}
+
+/// Run the sweep: per population, the wheel engine twice, for the
+/// determinism assertion.
+pub fn run_scale(params: &ScaleParams) -> ScaleReport {
+    let rows = params
+        .populations
+        .iter()
+        .map(|&n| {
+            eprintln!("#   scale: n = {n}…");
+            run_wheel(params, n)
+        })
+        .collect();
     ScaleReport {
         rows,
         seed: params.seed,
@@ -296,21 +246,20 @@ pub fn run_scale(params: &ScaleParams) -> ScaleReport {
         hardware_threads: std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1),
-        shard_threads: params.shard_threads,
     }
 }
 
 impl ScaleReport {
-    /// The row for `(n, engine)`, if that leg ran.
-    pub fn row(&self, n: usize, engine: &str) -> Option<&ScaleRow> {
-        self.rows.iter().find(|r| r.n == n && r.engine == engine)
+    /// The row for population `n`, if that leg ran.
+    pub fn row(&self, n: usize) -> Option<&ScaleRow> {
+        self.rows.iter().find(|r| r.n == n)
     }
 
     /// The `reproduce --scale --smoke` gate: replay and throughput (the
     /// digests are pinned in `tests/engine_digests.rs`).
     pub fn gate(&self) -> Result<String, String> {
         let wheel = self
-            .row(GATE_N, "wheel")
+            .row(GATE_N)
             .ok_or(format!("no wheel row at n = {GATE_N}"))?;
         ensure!(self.rows.iter().all(|row| row.deterministic));
         ensure!(wheel.steps_per_sec >= STEPS_PER_SEC_FLOOR, wheel);
@@ -320,20 +269,11 @@ impl ScaleReport {
         ))
     }
 
-    /// steps/sec ratio of the sharded engine over the wheel engine at `n`.
-    pub(crate) fn sharded_speedup_at(&self, n: usize) -> Option<f64> {
-        let sharded = self.row(n, "sharded")?;
-        let wheel = self.row(n, "wheel")?;
-        (wheel.steps_per_sec > 0.0).then(|| sharded.steps_per_sec / wheel.steps_per_sec)
-    }
-
     /// The sweep as a table; its JSON is `BENCH_scale.json`.
     pub fn to_table(&self) -> Table {
         const MIB: f64 = 1024.0 * 1024.0;
         let columns = [
             Column::new("n", "n", |r: &ScaleRow| r.n.into()),
-            Column::new("engine", "engine", |r| Cell::text(r.engine)),
-            Column::new("threads", "threads", |r| r.threads.into()),
             Column::new("events", "events", |r| r.events.into()),
             Column::new("wall_ms", "", |r| Cell::float(r.wall_ms, 1, 1)),
             Column::new("steps_per_sec", "", |r| Cell::float(r.steps_per_sec, 0, 0)),
@@ -354,16 +294,11 @@ impl ScaleReport {
             "Engine scale sweep (seed = {}, horizon = {}s, host threads = {})",
             self.seed, self.horizon_secs, self.hardware_threads
         );
-        let mut table = Table::of(title, &columns, &self.rows)
+        Table::of(title, &columns, &self.rows)
             .meta("bench", Cell::text("scale"))
             .meta("seed", self.seed)
             .meta("horizon_secs", self.horizon_secs)
             .meta("hardware_threads", self.hardware_threads)
-            .meta("shard_threads", self.shard_threads);
-        if let Some(speedup) = self.sharded_speedup_at(GATE_N) {
-            table = table.meta("sharded_speedup_vs_wheel_n10k", Cell::float(speedup, 2, 2));
-        }
-        table
     }
 }
 
@@ -376,16 +311,15 @@ mod tests {
             populations: vec![300],
             horizon: SimDuration::from_secs(2),
             seed: 9,
-            shard_threads: 2,
         }
     }
 
     #[test]
     fn sweep_runs_all_engines_and_is_deterministic() {
         let report = run_scale(&tiny_params());
-        assert_eq!(report.rows.len(), 2);
+        assert_eq!(report.rows.len(), 1);
         for row in &report.rows {
-            assert!(row.deterministic, "{} leg must replay: {row:?}", row.engine);
+            assert!(row.deterministic, "the leg must replay: {row:?}");
             assert!(row.events > 0);
             assert!(row.steps_per_sec > 0.0);
             assert!(row.bytes_per_node > 0.0);
@@ -397,8 +331,7 @@ mod tests {
         let report = run_scale(&tiny_params());
         let json = report.to_table().to_json();
         analysis::validate_json(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
-        assert!(json.contains("\"engine\": \"wheel\""));
-        assert!(json.contains("\"engine\": \"sharded\""));
+        assert!(json.contains("\"n\": 300"));
         assert!(json.contains("\"deterministic\": true"));
     }
 
@@ -428,13 +361,11 @@ mod tests {
         }
     }
 
-    /// A report that passes the gate: both engines replay at n = 10⁴, at
-    /// a million steps/s.
+    /// A report that passes the gate: the engine replays at n = 10⁴, at a
+    /// million steps/s.
     fn passing_report() -> ScaleReport {
-        let row = |engine| ScaleRow {
+        let row = ScaleRow {
             n: GATE_N,
-            engine,
-            threads: 1,
             events: 1_000,
             wall_ms: 1.0,
             steps_per_sec: 1e6,
@@ -444,11 +375,10 @@ mod tests {
             deterministic: true,
         };
         ScaleReport {
-            rows: vec![row("wheel"), row("sharded")],
+            rows: vec![row],
             seed: 1,
             horizon_secs: 2,
             hardware_threads: 2,
-            shard_threads: 4,
         }
     }
 
@@ -456,7 +386,7 @@ mod tests {
     fn scale_gate_needs_its_acceptance_row() {
         let mut report = passing_report();
         assert!(report.gate().is_ok(), "{:?}", report.gate());
-        report.rows.retain(|row| row.engine != "wheel");
+        report.rows.clear();
         assert_eq!(report.gate().unwrap_err(), "no wheel row at n = 10000");
     }
 

@@ -180,7 +180,7 @@ pub fn run_trace_demo(params: &TraceDemoParams) -> TraceDemoReport {
 
     let telemetry = sim.telemetry().expect("telemetry enabled above");
     let log = &telemetry.spans;
-    let trace_json = chrome_trace(&[log]);
+    let trace_json = chrome_trace(log);
 
     // Per-class accounting: group spans under their root's label.
     let mut op_of_trace: BTreeMap<u64, &'static str> = BTreeMap::new();

@@ -1,18 +1,17 @@
 //! Digest-pinned proof that the telemetry subsystem is behaviourally inert.
 //!
-//! The ring constants below were captured from the engine **before** the
+//! The ring constant below was captured from the engine **before** the
 //! telemetry subsystem existed; the TreeP one moves with the protocol and
-//! is captured with telemetry off. Three scenarios — a lossy ring workload
-//! on the wheel engine, the same workload on the sharded engine, and a full
-//! TreeP topology with pub/sub + read path — must replay those exact FNV
-//! event digests with telemetry disabled (default) *and* with telemetry
-//! enabled: tracing allocates ids from plain counters, never the simulation
-//! RNG, and schedules no events of its own, so turning it on may not move a
-//! single event.
+//! is captured with telemetry off. Two scenarios — a lossy ring workload
+//! and a full TreeP topology with pub/sub + read path — must replay those
+//! exact FNV event digests with telemetry disabled (default) *and* with
+//! telemetry enabled: tracing allocates ids from plain counters, never the
+//! simulation RNG, and schedules no events of its own, so turning it on may
+//! not move a single event.
 
 use simnet::{
-    Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, ShardedSimulation, SimConfig,
-    SimDuration, Simulation, TelemetryConfig, TimerToken,
+    Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, SimConfig, SimDuration,
+    Simulation, TelemetryConfig, TimerToken,
 };
 use treep::TreePConfig;
 use workloads::TopologyBuilder;
@@ -68,12 +67,10 @@ fn horizon() -> SimDuration {
     SimDuration::from_millis(4_000)
 }
 
-/// Pre-PR digest of the wheel-engine ring scenario.
+/// Pre-telemetry digest of the ring scenario.
 const PIN_WHEEL: u64 = 0x178f_1fb0_64b5_9f44;
-/// Pre-PR digest of the 4-shard sharded-engine ring scenario.
-const PIN_SHARDED: u64 = 0x617b_9a1e_18fc_800e;
 /// Digest of the TreeP pub/sub + read-path topology scenario. Unlike the
-/// two ring pins it follows the TreeP protocol: captured pre-telemetry as
+/// ring pin it follows the TreeP protocol: captured pre-telemetry as
 /// `0x4a4b_6849_c770_b106`, re-pinned (with telemetry off) when keep-alives
 /// stopped being acknowledged by nodes that ping the sender themselves, and
 /// again (`0xb6db_9563_e4af_bb01` before) when an entry stamped on the gossip
@@ -92,19 +89,6 @@ fn run_ring_wheel(telemetry: bool) -> u64 {
         sim.add_node(RingProto { n: RING_N, acks: 0 });
     }
     sim.run_for(horizon());
-    sim.event_digest().unwrap()
-}
-
-fn run_ring_sharded(telemetry: bool) -> u64 {
-    let mut sim = ShardedSimulation::new(ring_config(), RING_SEED, RING_N as usize, 4);
-    sim.enable_digest();
-    if telemetry {
-        sim.enable_telemetry(TelemetryConfig::default());
-    }
-    for _ in 0..RING_N {
-        sim.add_node(RingProto { n: RING_N, acks: 0 });
-    }
-    sim.run_until(simnet::SimTime::ZERO + horizon());
     sim.event_digest().unwrap()
 }
 
@@ -131,13 +115,6 @@ fn wheel_ring_digest_matches_pre_telemetry_engine() {
 }
 
 #[test]
-fn sharded_ring_digest_matches_pre_telemetry_engine() {
-    let got = run_ring_sharded(false);
-    println!("sharded ring digest: {got:#018x}");
-    assert_eq!(got, PIN_SHARDED);
-}
-
-#[test]
 fn treep_topology_digest_matches_pre_telemetry_engine() {
     let got = run_treep(false);
     println!("treep digest: {got:#018x}");
@@ -147,6 +124,5 @@ fn treep_topology_digest_matches_pre_telemetry_engine() {
 #[test]
 fn telemetry_on_is_event_identical() {
     assert_eq!(run_ring_wheel(true), PIN_WHEEL);
-    assert_eq!(run_ring_sharded(true), PIN_SHARDED);
     assert_eq!(run_treep(true), PIN_TREEP);
 }

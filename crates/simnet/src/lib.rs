@@ -50,7 +50,6 @@ mod prefetch;
 mod protocol;
 mod rng;
 mod scheduler;
-mod shard;
 mod sim;
 mod telemetry;
 mod time;
@@ -62,7 +61,6 @@ pub use prefetch::prefetch;
 pub use protocol::{Action, Context, NodeAddr, Protocol, TimerToken};
 pub use rng::SimRng;
 pub use scheduler::{HeapScheduler, Scheduler};
-pub use shard::ShardedSimulation;
 pub use sim::{SimConfig, Simulation};
 pub use telemetry::{chrome_trace, Telemetry, TelemetryConfig, TraceCtx};
 pub use time::{SimDuration, SimTime};

@@ -37,17 +37,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The smallest latency this model can produce. This lower bound is the
-    /// *lookahead* of conservative parallel simulation: a message sent at
-    /// time `t` cannot arrive before `t + min`, so shards may safely run
-    /// `min` ahead of each other between synchronisation barriers.
-    pub(crate) fn min(&self) -> SimDuration {
-        match *self {
-            LatencyModel::Fixed(d) => d,
-            LatencyModel::Uniform { min, .. } => min,
-        }
-    }
 }
 
 /// How message loss is decided.

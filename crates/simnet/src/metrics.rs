@@ -37,12 +37,6 @@ impl SimMetrics {
         self.zip_with(earlier, |now, then| now - then)
     }
 
-    /// Sum of every counter with another engine's; a sharded run reports
-    /// the total over its shards.
-    pub(crate) fn plus(&self, other: &SimMetrics) -> SimMetrics {
-        self.zip_with(other, |a, b| a + b)
-    }
-
     fn zip_with(&self, other: &SimMetrics, f: impl Fn(u64, u64) -> u64) -> SimMetrics {
         SimMetrics {
             messages_sent: f(self.messages_sent, other.messages_sent),

@@ -7,22 +7,7 @@
 //! a protocol callback and a callback's actions into new events: `step`
 //! pops and accounts one event (digest, telemetry), `dispatch_event` gates
 //! it on the target node's state and runs the callback, and
-//! `apply_actions` schedules what the callback asked for. The
-//! multi-threaded [`ShardedSimulation`](crate::shard::ShardedSimulation) is
-//! a `Vec<Simulation>` plus a barrier loop — it has no dispatch code of its
-//! own.
-//!
-//! # Placement
-//!
-//! Every engine carries a *placement*: the address range
-//! `[base, base + block)` it owns, its index among its peers and one outbox
-//! per peer. A send whose destination lies in the range is scheduled on the
-//! engine's own queue; any other goes, with its arrival time already drawn,
-//! into the owner's outbox for the barrier loop to carry over. A
-//! **stand-alone** engine ([`Simulation::new`]) is the degenerate placement
-//! `base = 0`, `block = u64::MAX`, no peers: every address is local, the
-//! test for that is one subtract-and-compare, and the outboxes are never
-//! touched.
+//! `apply_actions` schedules what the callback asked for.
 //!
 //! # Layout (million-node scale)
 //!
@@ -32,9 +17,9 @@
 //!   `(time, seq)` order; its tiers queue 24-byte keys, and each event is
 //!   stored once, in the wheel's slab;
 //! * node state lives in one `Vec` of slots; addresses are assigned
-//!   densely from `base` and never reused (a crashed node stays, dead but
-//!   inspectable), so resolving one is one index (`addr − base`) instead of
-//!   a `HashMap` probe;
+//!   densely from 0 and never reused (a crashed node stays, dead but
+//!   inspectable), so resolving one is one index (`addr.0`) instead of a
+//!   `HashMap` probe;
 //! * each callback's actions are recorded into one recycled buffer
 //!   ([`Context::with_buffer`]) instead of a fresh `Vec` per event;
 //! * the engine looks one event ahead: having popped event *k*, it peeks at
@@ -92,21 +77,8 @@ struct NodeSlot<P> {
     started: bool,
 }
 
-/// A message on its way to a node, its arrival time already drawn by the
-/// sender's engine: what a local send schedules directly and what a remote
-/// send parks in an outbox.
-pub(crate) struct Outgoing<M> {
-    pub(crate) arrival: SimTime,
-    src: NodeAddr,
-    dest: NodeAddr,
-    msg: M,
-    /// Trace continuation for the receiver's callback (the sender already
-    /// recorded the hop span). Envelope metadata, never serialised.
-    trace: Option<TraceCtx>,
-}
-
 /// Seed of the 64-bit FNV-1a-style event digest.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One xor-multiply round over a whole 64-bit word. A byte-wise FNV would
@@ -114,7 +86,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// path; the word-level variant keeps the avalanche we need (any event
 /// reordering flips the digest) at one multiply per word.
 #[inline]
-pub(crate) fn fnv_fold(digest: u64, word: u64) -> u64 {
+fn fnv_fold(digest: u64, word: u64) -> u64 {
     (digest ^ word).wrapping_mul(FNV_PRIME)
 }
 
@@ -150,7 +122,7 @@ type DeadLetterObserver<M> = Box<dyn FnMut(SimTime, NodeAddr, NodeAddr, &M) + Se
 pub struct Simulation<P: Protocol> {
     config: SimConfig,
     scheduler: Scheduler<P::Message>,
-    /// Node state, indexed by `NodeAddr.0 − base`. Addresses are assigned
+    /// Node state, indexed by `NodeAddr.0`. Addresses are assigned
     /// densely, so this is a plain `Vec` — no hashing on the dispatch path.
     nodes: Vec<NodeSlot<P>>,
     rng: SimRng,
@@ -165,20 +137,11 @@ pub struct Simulation<P: Protocol> {
     /// Told of every message that dies at a dead or unstarted destination
     /// (see [`Simulation::on_dead_letter`]); `None` until set.
     dead_letter: Option<DeadLetterObserver<P::Message>>,
-    /// Placement (see the module docs): the first address this engine owns.
-    base: u64,
-    /// Placement: how many addresses it owns, the same for every peer.
-    block: u64,
-    /// Placement: its position among the peers.
-    index: usize,
-    /// Placement: sends awaiting the barrier loop, one outbox per peer
-    /// (none when stand-alone).
-    outboxes: Vec<Vec<Outgoing<P::Message>>>,
 }
 
 impl<P: Protocol> Simulation<P> {
-    /// Create an empty stand-alone simulation with the given configuration
-    /// and RNG seed.
+    /// Create an empty simulation with the given configuration and RNG
+    /// seed.
     pub fn new(config: SimConfig, seed: u64) -> Self {
         Simulation {
             config,
@@ -190,31 +153,6 @@ impl<P: Protocol> Simulation<P> {
             digest: None,
             telemetry: None,
             dead_letter: None,
-            base: 0,
-            block: u64::MAX,
-            index: 0,
-            outboxes: Vec::new(),
-        }
-    }
-
-    /// Create shard `index` of `shards`, owning `block` addresses. Shard
-    /// RNG streams derive from `seed`; shard 0 uses `seed` itself, so a
-    /// single shard replays the stand-alone engine exactly.
-    pub(crate) fn new_shard(
-        config: SimConfig,
-        seed: u64,
-        index: usize,
-        shards: usize,
-        block: u64,
-    ) -> Self {
-        let stream = (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Simulation {
-            nodes: Vec::with_capacity(block as usize),
-            base: index as u64 * block,
-            block,
-            index,
-            outboxes: (0..shards).map(|_| Vec::new()).collect(),
-            ..Simulation::new(config, seed.wrapping_add(stream))
         }
     }
 
@@ -246,24 +184,16 @@ impl<P: Protocol> Simulation<P> {
 
     /// Turn telemetry on: causal spans, engine profiling and the flight
     /// recorder (see `crate::telemetry`). Inert with respect to simulation
-    /// behaviour — a digest-pinned test holds the engine to that. Trace and
-    /// span ids carry the placement index in their high bits, so the sinks
-    /// of a sharded run merge collision-free.
+    /// behaviour — a digest-pinned test holds the engine to that.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         if self.telemetry.is_none() {
-            self.telemetry = Some(Box::new(Telemetry::with_tag(config, self.index as u64)));
+            self.telemetry = Some(Box::new(Telemetry::new(config)));
         }
     }
 
     /// The telemetry sink, if [`Simulation::enable_telemetry`] was called.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_deref()
-    }
-
-    /// Mutable telemetry access (the sharded engine records barrier
-    /// stalls through it).
-    pub(crate) fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_deref_mut()
     }
 
     /// The event digest so far, if [`Simulation::enable_digest`] was
@@ -291,7 +221,7 @@ impl<P: Protocol> Simulation<P> {
     /// Add a node and schedule its start at the current time. Returns its
     /// address.
     pub fn add_node(&mut self, proto: P) -> NodeAddr {
-        let addr = NodeAddr(self.base + self.nodes.len() as u64);
+        let addr = NodeAddr(self.nodes.len() as u64);
         self.nodes.push(NodeSlot {
             proto,
             alive: true,
@@ -302,22 +232,21 @@ impl<P: Protocol> Simulation<P> {
         addr
     }
 
-    /// Index of `addr` in `nodes`; out of bounds for an address this
-    /// engine does not own.
+    /// Index of `addr` in `nodes`; out of bounds for an address no node
+    /// has.
     #[inline]
-    fn local(&self, addr: NodeAddr) -> usize {
-        addr.0.wrapping_sub(self.base) as usize
+    fn local(addr: NodeAddr) -> usize {
+        addr.0 as usize
     }
 
     #[inline]
     fn slot(&self, addr: NodeAddr) -> Option<&NodeSlot<P>> {
-        self.nodes.get(self.local(addr))
+        self.nodes.get(Self::local(addr))
     }
 
     #[inline]
     fn slot_mut(&mut self, addr: NodeAddr) -> Option<&mut NodeSlot<P>> {
-        let local = self.local(addr);
-        self.nodes.get_mut(local)
+        self.nodes.get_mut(Self::local(addr))
     }
 
     /// Immutable access to a node's protocol state (dead nodes remain
@@ -340,7 +269,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Addresses of all currently alive nodes, in address order.
     pub fn alive_nodes(&self) -> Vec<NodeAddr> {
-        (self.base..)
+        (0..)
             .zip(&self.nodes)
             .filter(|(_, slot)| slot.alive)
             .map(|(addr, _)| NodeAddr(addr))
@@ -349,9 +278,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Addresses of every node ever added, in address order.
     pub fn all_nodes(&self) -> Vec<NodeAddr> {
-        (self.base..self.base + self.nodes.len() as u64)
-            .map(NodeAddr)
-            .collect()
+        (0..self.nodes.len() as u64).map(NodeAddr).collect()
     }
 
     /// Crash-fail `addr` immediately: the node stops receiving messages and
@@ -372,8 +299,7 @@ impl<P: Protocol> Simulation<P> {
         addr: NodeAddr,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> Option<R> {
-        let local = self.local(addr);
-        let slot = self.nodes.get_mut(local)?;
+        let slot = self.nodes.get_mut(Self::local(addr))?;
         if !slot.alive {
             return None;
         }
@@ -443,8 +369,8 @@ impl<P: Protocol> Simulation<P> {
         true
     }
 
-    /// The next queued event and the slot of the node it targets, if this
-    /// engine has one at that address.
+    /// The next queued event and the slot of the node it targets, if there
+    /// is one at that address.
     #[inline]
     fn next_target(&self) -> Option<(&Event<P::Message>, &NodeSlot<P>)> {
         let event = self.scheduler.peek()?;
@@ -478,46 +404,6 @@ impl<P: Protocol> Simulation<P> {
         self.scheduler.len()
     }
 
-    /// Time of the earliest queued event.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.scheduler.peek_time()
-    }
-
-    /// The outboxes filled since the last call, indexed by destination
-    /// peer; the barrier loop empties them between windows.
-    pub(crate) fn outboxes_mut(&mut self) -> &mut [Vec<Outgoing<P::Message>>] {
-        &mut self.outboxes
-    }
-
-    /// Put a delivery on this engine's own queue: a local send, or one a
-    /// peer parked in its outbox for us.
-    pub(crate) fn schedule_delivery(&mut self, out: Outgoing<P::Message>) {
-        let seq = self.scheduler.schedule(
-            out.arrival,
-            EventKind::Deliver {
-                src: out.src,
-                dest: out.dest,
-                msg: out.msg,
-            },
-        );
-        if let (Some(ctx), Some(t)) = (out.trace, self.telemetry.as_deref_mut()) {
-            t.put_inflight(seq, ctx);
-        }
-    }
-
-    /// The peer that owns `dest`, unless that is this engine.
-    #[inline]
-    fn remote_owner(&self, dest: NodeAddr) -> Option<usize> {
-        if dest.0.wrapping_sub(self.base) < self.block {
-            return None;
-        }
-        // Addresses past the last peer's range clamp to that peer, which
-        // records them as messages_to_dead.
-        let last = self.outboxes.len().saturating_sub(1);
-        let owner = ((dest.0 / self.block) as usize).min(last);
-        (owner != self.index).then_some(owner)
-    }
-
     /// The one place an event becomes a protocol callback: find the target
     /// node, gate on its state, run the callback the event kind names, then
     /// apply the actions it recorded.
@@ -532,8 +418,7 @@ impl<P: Protocol> Simulation<P> {
         };
         // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
         // stay independently borrowable alongside the slot.
-        let local = self.local(node);
-        let slot = self.nodes.get_mut(local);
+        let slot = self.nodes.get_mut(Self::local(node));
         let metrics = &mut self.metrics;
         let ready = |slot: &&mut NodeSlot<P>| {
             slot.alive
@@ -590,12 +475,11 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Dispatch recorded actions, then keep the (drained) buffer for the
-    /// next callback. A send draws its fate from the link model here, on
-    /// the sender's RNG stream, so the arrival time is fixed before the
-    /// message leaves this engine. `traces` carries the trace contexts
-    /// attached to sends (by action index); each traced send becomes a hop
-    /// span recorded sender-side, and only the continuation context
-    /// travels with the delivery.
+    /// next callback. A send draws its fate from the link model here, so
+    /// its arrival time is fixed when it is sent. `traces` carries the
+    /// trace contexts attached to sends (by action index); each traced send
+    /// becomes a hop span recorded sender-side, and only the continuation
+    /// context travels with the delivery.
     fn apply_actions(
         &mut self,
         origin: NodeAddr,
@@ -624,16 +508,16 @@ impl<P: Protocol> Simulation<P> {
                         _ => None,
                     };
                     let Some(arrival) = arrival else { continue };
-                    let out = Outgoing {
+                    let seq = self.scheduler.schedule(
                         arrival,
-                        src: origin,
-                        dest,
-                        msg,
-                        trace: hop,
-                    };
-                    match self.remote_owner(dest) {
-                        None => self.schedule_delivery(out),
-                        Some(owner) => self.outboxes[owner].push(out),
+                        EventKind::Deliver {
+                            src: origin,
+                            dest,
+                            msg,
+                        },
+                    );
+                    if let (Some(ctx), Some(t)) = (hop, self.telemetry.as_deref_mut()) {
+                        t.put_inflight(seq, ctx);
                     }
                 }
                 Action::SetTimer { delay, token } => {
@@ -735,28 +619,24 @@ mod tests {
     }
 
     #[test]
-    fn addresses_outside_the_placement_resolve_to_nothing() {
-        // Shard 1 of 2, four addresses each: it owns 4–7. Below `base` the
-        // index `addr − base` wraps; past the block it runs off the table.
-        let mut shard: Simulation<PingPong> = Simulation::new_shard(ideal_config(), 1, 1, 2, 4);
-        let owned: Vec<NodeAddr> = (0..4)
-            .map(|_| shard.add_node(PingPong::default()))
-            .collect();
-        assert_eq!(owned, (4..8).map(NodeAddr).collect::<Vec<_>>());
-        for addr in [NodeAddr(3), NodeAddr(8), NodeAddr(u64::MAX)] {
-            assert!(shard.node(addr).is_none(), "{addr:?}");
-            assert!(shard.node_mut(addr).is_none(), "{addr:?}");
-            assert!(!shard.is_alive(addr), "{addr:?}");
-            assert_eq!(shard.invoke(addr, |_, _| ()), None, "{addr:?}");
-        }
-        assert!(owned.iter().all(|&addr| shard.is_alive(addr)));
-
-        // Stand-alone: a send to the last address and one to the first
-        // unused address each die as one dead letter.
+    fn addresses_outside_the_node_table_resolve_to_nothing() {
+        // Two nodes own addresses 0 and 1: the first unused address and the
+        // last one run off the table.
         let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
         let a = sim.add_node(PingPong::default());
         let b = sim.add_node(PingPong::default());
+        assert_eq!((a, b), (NodeAddr(0), NodeAddr(1)));
         sim.run_until_idle();
+        for addr in [NodeAddr(2), NodeAddr(u64::MAX)] {
+            assert!(sim.node(addr).is_none(), "{addr:?}");
+            assert!(sim.node_mut(addr).is_none(), "{addr:?}");
+            assert!(!sim.is_alive(addr), "{addr:?}");
+            assert_eq!(sim.invoke(addr, |_, _| ()), None, "{addr:?}");
+        }
+        assert!(sim.is_alive(a) && sim.is_alive(b));
+
+        // A send to the last address and one to the first unused address
+        // each die as one dead letter.
         for (dead, dest) in [(1, NodeAddr(u64::MAX)), (2, NodeAddr(2))] {
             sim.invoke(a, |_, ctx| ctx.send(dest, Msg::Ping));
             sim.run_until_idle();

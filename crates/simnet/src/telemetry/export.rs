@@ -1,4 +1,4 @@
-//! Chrome-trace / Perfetto JSON export of span logs.
+//! Chrome-trace / Perfetto JSON export of a span log.
 //!
 //! Emits the legacy Chrome trace "JSON object" form — a top-level object
 //! with a `traceEvents` array — which both `chrome://tracing` and Perfetto
@@ -25,67 +25,62 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
-/// Render one or more span logs (one per shard under the sharded engine)
-/// as a Chrome-trace JSON string.
-pub fn chrome_trace(logs: &[&SpanLog]) -> String {
+/// Render a span log as a Chrome-trace JSON string.
+pub fn chrome_trace(log: &SpanLog) -> String {
     // Close root spans to the latest activity seen anywhere in their trace.
     let mut trace_end: HashMap<u64, u64> = HashMap::new();
-    for log in logs {
-        for s in log.spans() {
-            let end = s.end.unwrap_or(s.start).as_micros();
-            let e = trace_end.entry(s.trace_id).or_insert(end);
-            *e = (*e).max(end);
-        }
+    for s in log.spans() {
+        let end = s.end.unwrap_or(s.start).as_micros();
+        let e = trace_end.entry(s.trace_id).or_insert(end);
+        *e = (*e).max(end);
     }
 
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
-    for log in logs {
-        for s in log.spans() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let start = s.start.as_micros();
-            let end = match s.end {
-                Some(e) => e.as_micros(),
-                None if s.parent == 0 => *trace_end.get(&s.trace_id).unwrap_or(&start),
-                None => start,
-            };
-            let cat = if s.parent == 0 { "op" } else { "hop" };
-            out.push_str("{\"ph\":\"X\",\"name\":\"");
-            escape(s.name, &mut out);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"{cat}\",\"pid\":{},\"tid\":{},\"ts\":{start},\"dur\":{},\
-                 \"args\":{{\"span\":{},\"parent\":{},\"src\":{},\"dest\":{},\"lost\":{}}}}}",
-                s.trace_id,
-                s.dest.0,
-                end.saturating_sub(start),
-                s.id,
-                s.parent,
-                s.src.0,
-                s.dest.0,
-                if s.lost { "true" } else { "false" },
-            );
+    for s in log.spans() {
+        if !first {
+            out.push(',');
         }
-        for n in log.notes() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"");
-            escape(n.label, &mut out);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"note\",\"pid\":{},\"tid\":{},\"ts\":{},\
-                 \"args\":{{\"span\":{}}}}}",
-                n.trace_id,
-                n.node.0,
-                n.at.as_micros(),
-                n.span,
-            );
+        first = false;
+        let start = s.start.as_micros();
+        let end = match s.end {
+            Some(e) => e.as_micros(),
+            None if s.parent == 0 => *trace_end.get(&s.trace_id).unwrap_or(&start),
+            None => start,
+        };
+        let cat = if s.parent == 0 { "op" } else { "hop" };
+        out.push_str("{\"ph\":\"X\",\"name\":\"");
+        escape(s.name, &mut out);
+        let _ = write!(
+            out,
+            "\",\"cat\":\"{cat}\",\"pid\":{},\"tid\":{},\"ts\":{start},\"dur\":{},\
+             \"args\":{{\"span\":{},\"parent\":{},\"src\":{},\"dest\":{},\"lost\":{}}}}}",
+            s.trace_id,
+            s.dest.0,
+            end.saturating_sub(start),
+            s.id,
+            s.parent,
+            s.src.0,
+            s.dest.0,
+            if s.lost { "true" } else { "false" },
+        );
+    }
+    for n in log.notes() {
+        if !first {
+            out.push(',');
         }
+        first = false;
+        out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"");
+        escape(n.label, &mut out);
+        let _ = write!(
+            out,
+            "\",\"cat\":\"note\",\"pid\":{},\"tid\":{},\"ts\":{},\
+             \"args\":{{\"span\":{}}}}}",
+            n.trace_id,
+            n.node.0,
+            n.at.as_micros(),
+            n.span,
+        );
     }
     out.push_str("]}");
     out
@@ -123,7 +118,7 @@ mod tests {
             dest: NodeAddr(7),
             lost: false,
         });
-        let json = chrome_trace(&[&log]);
+        let json = chrome_trace(&log);
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.ends_with("]}"));
         // The root's dur is closed to the hop's end: 40 − 10.

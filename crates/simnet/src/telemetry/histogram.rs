@@ -1,5 +1,5 @@
-//! The log₂-bucketed histogram behind the engine's dispatch-cost and
-//! barrier-stall measurements.
+//! The log₂-bucketed histogram behind the engine's dispatch-cost
+//! measurements.
 
 /// A 64-bucket power-of-two histogram: value `v` lands in bucket
 /// `⌈log₂(v+1)⌉`, so bucket `b` covers `[2^(b−1), 2^b)` (bucket 0 holds

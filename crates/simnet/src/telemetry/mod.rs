@@ -3,11 +3,10 @@
 //!
 //! A [`Telemetry`] holds what its readers read: the span log (exported by
 //! [`chrome_trace`]), the flight recorder (dumped by the `flight_assert!`
-//! macros), four [`Histogram`]s of wall-clock nanoseconds per dispatched
-//! event, one per event kind (deliver, timer, start, fail; 1 event in 64 is
-//! timed), and one of the time a shard thread spent blocked per barrier
-//! wait. Counts of simulated events are [`SimMetrics`](crate::SimMetrics)'
-//! alone.
+//! macros) and four [`Histogram`]s of wall-clock nanoseconds per
+//! dispatched event, one per event kind (deliver, timer, start, fail; 1
+//! event in 64 is timed). Counts of simulated events are
+//! [`SimMetrics`](crate::SimMetrics)' alone.
 //!
 //! # Span model
 //!
@@ -22,13 +21,12 @@
 //! **simulator-envelope metadata**: it rides the in-memory event queue and
 //! is never serialised by any wire codec, which is why enabling tracing
 //! cannot change a single byte on the wire. Trace/span ids come from plain
-//! counters (the sharded engine tags them with the shard index in the high
-//! bits), never from the simulation RNG, so the deterministic event stream
-//! is untouched — a digest-pinned test holds the engine to that.
+//! counters, never from the simulation RNG, so the deterministic event
+//! stream is untouched — a digest-pinned test holds the engine to that.
 //!
 //! # Export format
 //!
-//! [`export::chrome_trace`] renders span logs as Chrome-trace JSON (the
+//! [`export::chrome_trace`] renders a span log as Chrome-trace JSON (the
 //! `traceEvents` array form): one `ph:"X"` complete event per span with
 //! `ts`/`dur` in virtual µs, `pid` = trace id, `tid` = receiving node, and
 //! one `ph:"i"` instant event per note. The file loads directly in Perfetto
@@ -82,7 +80,7 @@ impl TelemetryConfig {
 
 /// Per-host telemetry state: span log, flight recorder, the engine's
 /// cost histograms and the deterministic id allocators. One per
-/// [`crate::Simulation`]; one per shard under [`crate::ShardedSimulation`].
+/// [`crate::Simulation`].
 #[derive(Debug)]
 pub struct Telemetry {
     /// The span log.
@@ -92,9 +90,6 @@ pub struct Telemetry {
     /// Sampled wall-clock dispatch cost, indexed by digest tag (0 deliver
     /// … 3 fail).
     dispatch: [Histogram; 4],
-    /// Wall-clock stall per barrier wait of the sharded engine.
-    barrier_stall: Histogram,
-    tag: u64,
     next_span: u64,
     next_trace: u64,
     dispatch_tick: u64,
@@ -102,15 +97,12 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry whose trace/span ids carry `tag << 48` in the high bits,
-    /// keeping per-shard allocators collision-free without coordination.
-    pub(crate) fn with_tag(config: TelemetryConfig, tag: u64) -> Self {
+    /// Empty telemetry: ids count from 1.
+    pub(crate) fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             spans: SpanLog::new(config.span_capacity),
             recorder: FlightRecorder::new(config.recorder_capacity),
             dispatch: Default::default(),
-            barrier_stall: Histogram::default(),
-            tag: tag << 48,
             next_span: 0,
             next_trace: 0,
             dispatch_tick: 0,
@@ -120,12 +112,12 @@ impl Telemetry {
 
     fn alloc_span(&mut self) -> u64 {
         self.next_span += 1;
-        self.tag | self.next_span
+        self.next_span
     }
 
     fn alloc_trace(&mut self) -> u64 {
         self.next_trace += 1;
-        self.tag | self.next_trace
+        self.next_trace
     }
 
     /// Open a root span for an originated operation; the returned context
@@ -227,27 +219,9 @@ impl Telemetry {
         self.dispatch.iter().map(Histogram::count).sum()
     }
 
-    /// Record one barrier wait's wall-clock stall.
-    pub(crate) fn record_barrier_stall(&mut self, nanos: u64) {
-        self.barrier_stall.record(nanos);
-    }
-
-    /// The barrier-stall histogram.
-    pub fn barrier_stall_histogram(&self) -> &Histogram {
-        &self.barrier_stall
-    }
-
     /// The dispatch-cost histogram for digest tag `tag`.
     pub fn dispatch_histogram(&self, tag: u8) -> &Histogram {
         &self.dispatch[(tag as usize).min(3)]
-    }
-}
-
-#[cfg(test)]
-impl Telemetry {
-    /// Telemetry for a single-threaded host (id tag 0).
-    pub(crate) fn new(config: TelemetryConfig) -> Self {
-        Telemetry::with_tag(config, 0)
     }
 }
 
@@ -256,12 +230,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_are_tagged_and_sequential() {
-        let mut t = Telemetry::with_tag(TelemetryConfig::default(), 3);
+    fn ids_are_sequential() {
+        let mut t = Telemetry::new(TelemetryConfig::default());
         let a = t.start_trace("op", SimTime::ZERO, NodeAddr(1));
         let b = t.start_trace("op", SimTime::ZERO, NodeAddr(2));
-        assert_eq!(a.trace_id >> 48, 3);
-        assert_eq!(b.trace_id, a.trace_id + 1);
+        assert_eq!((a.trace_id, b.trace_id), (1, 2));
         assert_ne!(a.parent_span, b.parent_span);
         assert_eq!(t.spans.spans().len(), 2);
     }

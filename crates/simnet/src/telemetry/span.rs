@@ -26,7 +26,7 @@ pub struct TraceCtx {
 /// One completed (or lost / still-open) span.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanRecord {
-    /// Unique span id (shard tag in the high bits under the sharded engine).
+    /// Unique span id.
     pub id: u64,
     /// Owning trace.
     pub trace_id: u64,
