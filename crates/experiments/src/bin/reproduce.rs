@@ -133,7 +133,7 @@ static EXPERIMENTS: [Experiment; 7] = [
     },
     Experiment {
         flag: "--scale",
-        help: "engine scale sweep up to n = 10^6",
+        help: "TreeP scale sweep, settled overlay left idle, n = 10^3 to 10^5",
         bench: Some("scale"),
         csv: None,
         run: |cli| {

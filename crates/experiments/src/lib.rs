@@ -34,10 +34,11 @@
 //!   storm: p99 hops and per-node max load, hot-key cache off vs on (Figure S).
 //! * [`compare_pubsub`] — subscription-pruned topic publish vs flooding
 //!   broadcast across subscriber fan-out tiers (Figure P).
-//! * [`run_scale`] — the engine scale sweep (n = 10³ … 10⁶): steps/sec,
-//!   bytes/node and peak RSS of the timer-wheel simulation engine under a
-//!   keep-alive workload. The cost of telemetry is the benchmark's
-//!   `trace.overhead_ratio`, not a leg here.
+//! * [`run_scale`] — the scale sweep (n = 10³ … 10⁵): the paper's fixed-nc
+//!   overlay, settled and left idle; maintenance messages per node and
+//!   second, registry size against Section III.e's bound, and the host's
+//!   steps/sec, build time and peak RSS. The cost of telemetry is the
+//!   benchmark's `trace.overhead_ratio`, not a leg here.
 //!
 //! Every result type renders through one `to_table()` into an
 //! [`analysis::Table`] — aligned text, CSV and BENCH JSON from one column

@@ -1,59 +1,48 @@
-//! Engine scale sweep: steps/sec, bytes/node and peak RSS from n = 10³ to
-//! n = 10⁶ (`reproduce --scale`, `BENCH_scale.json`).
+//! Scale sweep of the TreeP overlay from n = 10³ to 10⁵ (`reproduce
+//! --scale`, `BENCH_scale.json`).
 //!
-//! The engine is the single-threaded [`Simulation`]: hierarchical timer
-//! wheel, one node table indexed by address, recycled action buffer. Every
-//! leg runs **twice** with the same seed and asserts the FNV event digests
-//! match (`deterministic`); `tests/engine_digests.rs` pins its
-//! `(digest, events)` at n = 10³ and 10⁴.
-//!
-//! The workload models TreeP keep-alive traffic: nodes form groups of 256
-//! arranged as arity-4 trees (computed arithmetically — no per-node
-//! topology state), every node pings its parent once per second with a
-//! keep-alive answered by an ack, and group roots report to the global
-//! root. Timer-dominated near-horizon scheduling is exactly the regime the
-//! timer wheel targets.
+//! Each leg builds the paper's fixed-nc overlay (`TopologyBuilder::new(n)`),
+//! settles it for the builder's three virtual seconds and then leaves it
+//! idle for the horizon, so that only maintenance runs: keep-alives and
+//! their acks, child reports, expiry. Every leg runs **twice** with the
+//! same seed and compares the FNV event digests (`deterministic`). The
+//! simulated columns (events, digest, maintenance messages per node and
+//! second, registry size against Section III.e's bound) are bit-exact on
+//! any host; build and run time, steps/s and peak RSS are the host's.
 
 use analysis::{Cell, Column, Table};
-use simnet::{
-    Context, LatencyModel, LinkModel, LossModel, NodeAddr, Protocol, SimConfig, SimDuration,
-    SimTime, Simulation, TimerToken,
-};
+use simnet::{SimConfig, SimDuration, Simulation};
 use std::time::Instant;
+use treep::analytic_table_bound;
+use workloads::{TopologyBuilder, SETTLE};
 
-/// Keep-alive period of the workload (1 virtual second).
-const KEEPALIVE_US: u64 = 1_000_000;
-/// Nodes per local tree group.
-const GROUP: u64 = 256;
-/// Tree arity inside a group.
-const ARITY: u64 = 4;
-/// Nominal encoded size of one keep-alive / ack datagram (the codec's
-/// encoded keep-alive is < 64 bytes; see `encoding_is_compact`).
-const NOMINAL_MSG_BYTES: u64 = 48;
-/// The population [`ScaleReport::gate`] reads.
+/// The population [`ScaleReport::gate`] reads throughput at.
 const GATE_N: usize = 10_000;
-/// The wheel engine's steps/sec floor at [`GATE_N`], conservative for a
-/// shared CI host.
+/// `TreePNode` events/s floor over the idle window at [`GATE_N`]: five
+/// smoke runs on a 2-CPU host read 503–629 k, and a shared CI host gets
+/// half of the slowest.
 const STEPS_PER_SEC_FLOOR: f64 = 250_000.0;
+/// The paper's "limiting the overhead introduced by the overlay
+/// maintenance", held at every n: the ceiling CI's `maint` step holds.
+const MSGS_PER_NODE_S_CEILING: f64 = 20.0;
 
 /// Parameters of one scale sweep.
 #[derive(Debug, Clone)]
 pub struct ScaleParams {
     /// Population sizes to sweep, ascending.
     pub populations: Vec<usize>,
-    /// Virtual time horizon of each run.
+    /// Virtual idle time of each run, after the settle.
     pub horizon: SimDuration,
     /// Deterministic seed shared by every leg.
     pub seed: u64,
 }
 
 impl ScaleParams {
-    /// The full sweep: n = 10³ … 10⁶.
+    /// The full sweep: n = 10³, 10⁴ and 10⁵.
     pub fn full(seed: u64) -> ScaleParams {
         ScaleParams {
-            populations: vec![1_000, 10_000, 100_000, 1_000_000],
-            horizon: SimDuration::from_secs(5),
-            seed,
+            populations: vec![1_000, 10_000, 100_000],
+            ..ScaleParams::smoke(seed)
         }
     }
 
@@ -61,87 +50,32 @@ impl ScaleParams {
     pub fn smoke(seed: u64) -> ScaleParams {
         ScaleParams {
             populations: vec![1_000, 10_000],
-            horizon: SimDuration::from_secs(2),
+            horizon: SimDuration::from_secs(4),
             seed,
         }
     }
 }
-
-/// The keep-alive workload protocol (see module docs for the topology).
-pub(crate) struct ScaleProto {
-    acks: u32,
-}
-
-impl ScaleProto {
-    fn new() -> ScaleProto {
-        ScaleProto { acks: 0 }
-    }
-
-    /// Keep-alive destination of `me`: the arity-4 parent inside the group,
-    /// the global root for group roots, nothing for the global root itself.
-    fn keepalive_target(me: u64) -> Option<NodeAddr> {
-        let local = me % GROUP;
-        if local == 0 {
-            if me == 0 {
-                None
-            } else {
-                Some(NodeAddr(0))
-            }
-        } else {
-            Some(NodeAddr(me - local + (local - 1) / ARITY))
-        }
-    }
-}
-
-/// Workload message: a keep-alive or its ack.
-#[derive(Clone, Debug)]
-pub(crate) enum ScaleMsg {
-    /// Periodic liveness ping to the parent.
-    KeepAlive,
-    /// Parent's answer.
-    Ack,
-}
-
-impl Protocol for ScaleProto {
-    type Message = ScaleMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, ScaleMsg>) {
-        // Spread first fires uniformly over one period so load is steady
-        // rather than phase-locked.
-        let jitter = ctx.rng().gen_range_u64(0..KEEPALIVE_US);
-        ctx.set_timer(SimDuration::from_micros(jitter), TimerToken(1));
-    }
-
-    fn on_timer(&mut self, _token: TimerToken, ctx: &mut Context<'_, ScaleMsg>) {
-        if let Some(parent) = Self::keepalive_target(ctx.self_addr().0) {
-            ctx.send(parent, ScaleMsg::KeepAlive);
-        }
-        ctx.set_timer(SimDuration::from_micros(KEEPALIVE_US), TimerToken(1));
-    }
-
-    fn on_message(&mut self, from: NodeAddr, msg: ScaleMsg, ctx: &mut Context<'_, ScaleMsg>) {
-        match msg {
-            ScaleMsg::KeepAlive => ctx.send(from, ScaleMsg::Ack),
-            ScaleMsg::Ack => self.acks += 1,
-        }
-    }
-}
-
-// ---- measurement -----------------------------------------------------------
 
 /// One measured leg of the sweep.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// Population size.
     pub n: usize,
-    /// Events dispatched in one run.
+    /// Events dispatched in one run: settle and idle window.
     pub events: u64,
-    /// Wall-clock of the best of the two runs, milliseconds.
-    pub wall_ms: f64,
-    /// Events per wall-clock second (best run).
+    /// Messages sent per node and virtual second over the idle window.
+    pub msgs_per_node_s: f64,
+    /// Mean registry entries per node at the end of the run.
+    pub table_mean: f64,
+    /// Share of nodes whose registry holds at most
+    /// [`analytic_table_bound`] entries. Values in 0–1.
+    pub within_bound: f64,
+    /// Wall-clock of build and settle, best of the two runs, milliseconds.
+    pub build_ms: f64,
+    /// Wall-clock of the idle window, best of the two runs, milliseconds.
+    pub run_ms: f64,
+    /// Events per wall-clock second over the idle window (best run).
     pub steps_per_sec: f64,
-    /// Nominal wire bytes per node over the horizon.
-    pub bytes_per_node: f64,
     /// Process peak RSS after the leg (`VmHWM`; cumulative high-water
     /// mark, so legs run in ascending n order).
     pub peak_rss_bytes: u64,
@@ -158,23 +92,10 @@ pub struct ScaleReport {
     pub rows: Vec<ScaleRow>,
     /// Seed shared by every leg.
     pub seed: u64,
-    /// Virtual horizon per run, seconds.
+    /// Virtual idle time per run, seconds.
     pub horizon_secs: u64,
     /// `std::thread::available_parallelism` of the measuring host.
     pub hardware_threads: usize,
-}
-
-fn config() -> SimConfig {
-    SimConfig {
-        link: LinkModel {
-            latency: LatencyModel::Uniform {
-                min: SimDuration::from_millis(5),
-                max: SimDuration::from_millis(50),
-            },
-            loss: LossModel::None,
-        },
-        max_events: u64::MAX,
-    }
 }
 
 fn peak_rss_bytes() -> u64 {
@@ -191,52 +112,59 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-fn run_wheel(params: &ScaleParams, n: usize) -> ScaleRow {
-    let deadline = SimTime::from_micros(params.horizon.as_micros());
-    let run = || {
-        let mut sim: Simulation<ScaleProto> = Simulation::new(config(), params.seed);
-        sim.enable_digest();
-        sim.reserve_nodes(n);
-        for _ in 0..n {
-            sim.add_node(ScaleProto::new());
-        }
-        let started = Instant::now();
-        sim.run_until(deadline);
-        let wall = started.elapsed().as_secs_f64();
-        (
-            sim.metrics().events_dispatched,
-            sim.metrics().messages_sent,
-            sim.event_digest().expect("digest enabled"),
-            wall,
-        )
-    };
-    let [(events, sent, digest, wall_a), (_, _, digest_b, wall_b)] = [run(), run()];
-    let wall = wall_a.min(wall_b);
+/// Build, settle and idle one overlay of `n` nodes.
+fn run_once(params: &ScaleParams, n: usize) -> ScaleRow {
+    let started = Instant::now();
+    let mut sim = Simulation::new(SimConfig::default(), params.seed);
+    sim.enable_digest();
+    let topo = TopologyBuilder::new(n).build(&mut sim);
+    sim.run_for(SETTLE);
+    let settled = sim.metrics();
+    let build = started.elapsed().as_secs_f64();
+    sim.run_for(params.horizon);
+    let run = started.elapsed().as_secs_f64() - build;
+    let idle = sim.metrics().delta_since(&settled);
+
+    let (mut entries, mut within) = (0, 0);
+    for built in &topo.nodes {
+        let node = sim.node(built.addr).expect("no node crashes");
+        let size = node.tables().sizes().total();
+        entries += size;
+        within += usize::from(size <= analytic_table_bound(node));
+    }
+    let idle_secs = params.horizon.as_micros() as f64 / 1e6;
     ScaleRow {
         n,
-        events,
-        wall_ms: wall * 1e3,
-        steps_per_sec: if wall > 0.0 {
-            events as f64 / wall
-        } else {
-            0.0
-        },
-        bytes_per_node: (sent * NOMINAL_MSG_BYTES) as f64 / n as f64,
-        peak_rss_bytes: peak_rss_bytes(),
-        digest,
-        deterministic: digest == digest_b,
+        events: sim.metrics().events_dispatched,
+        msgs_per_node_s: idle.messages_sent as f64 / n as f64 / idle_secs,
+        table_mean: entries as f64 / n as f64,
+        within_bound: within as f64 / n as f64,
+        build_ms: build * 1e3,
+        run_ms: run * 1e3,
+        steps_per_sec: idle.events_dispatched as f64 / run,
+        peak_rss_bytes: 0,
+        digest: sim.event_digest().expect("digest enabled"),
+        deterministic: true,
     }
 }
 
-/// Run the sweep: per population, the wheel engine twice, for the
-/// determinism assertion.
+/// Run the sweep: per population, the same overlay twice, for the
+/// determinism check.
 pub fn run_scale(params: &ScaleParams) -> ScaleReport {
     let rows = params
         .populations
         .iter()
         .map(|&n| {
             eprintln!("#   scale: n = {n}…");
-            run_wheel(params, n)
+            let [first, second] = [run_once(params, n), run_once(params, n)];
+            ScaleRow {
+                build_ms: first.build_ms.min(second.build_ms),
+                run_ms: first.run_ms.min(second.run_ms),
+                steps_per_sec: first.steps_per_sec.max(second.steps_per_sec),
+                peak_rss_bytes: peak_rss_bytes(),
+                deterministic: first.digest == second.digest,
+                ..first
+            }
         })
         .collect();
     ScaleReport {
@@ -255,17 +183,19 @@ impl ScaleReport {
         self.rows.iter().find(|r| r.n == n)
     }
 
-    /// The `reproduce --scale --smoke` gate: replay and throughput (the
-    /// digests are pinned in `tests/engine_digests.rs`).
+    /// The `reproduce --scale --smoke` gate: replay, the maintenance
+    /// ceiling at every n, and throughput at n = 10⁴.
     pub fn gate(&self) -> Result<String, String> {
-        let wheel = self
-            .row(GATE_N)
-            .ok_or(format!("no wheel row at n = {GATE_N}"))?;
+        let gated = self.row(GATE_N).ok_or(format!("no row at n = {GATE_N}"))?;
         ensure!(self.rows.iter().all(|row| row.deterministic));
-        ensure!(wheel.steps_per_sec >= STEPS_PER_SEC_FLOOR, wheel);
+        for row in &self.rows {
+            ensure!(row.msgs_per_node_s <= MSGS_PER_NODE_S_CEILING, row);
+        }
+        ensure!(gated.steps_per_sec >= STEPS_PER_SEC_FLOOR, gated);
         Ok(format!(
-            "at n = {GATE_N}: wheel {:.0} ksteps/s",
-            wheel.steps_per_sec / 1e3
+            "at n = {GATE_N}: {:.0} ksteps/s, {:.2} msgs/node/s",
+            gated.steps_per_sec / 1e3,
+            gated.msgs_per_node_s
         ))
     }
 
@@ -275,12 +205,17 @@ impl ScaleReport {
         let columns = [
             Column::new("n", "n", |r: &ScaleRow| r.n.into()),
             Column::new("events", "events", |r| r.events.into()),
-            Column::new("wall_ms", "", |r| Cell::float(r.wall_ms, 1, 1)),
+            Column::new("msgs_per_node_s", "msgs/node/s", |r| {
+                Cell::float(r.msgs_per_node_s, 4, 2)
+            }),
+            Column::new("table_mean", "table", |r| Cell::float(r.table_mean, 4, 2)),
+            Column::new("within_bound", "in bound", |r| {
+                Cell::float(r.within_bound, 4, 4)
+            }),
+            Column::new("build_ms", "build ms", |r| Cell::float(r.build_ms, 1, 0)),
+            Column::new("run_ms", "run ms", |r| Cell::float(r.run_ms, 1, 0)),
             Column::new("steps_per_sec", "", |r| Cell::float(r.steps_per_sec, 0, 0)),
             Column::new("", "ksteps/s", |r| Cell::float(r.steps_per_sec / 1e3, 0, 0)),
-            Column::new("bytes_per_node", "bytes/node", |r| {
-                Cell::float(r.bytes_per_node, 1, 0)
-            }),
             Column::new("peak_rss_bytes", "", |r| r.peak_rss_bytes.into()),
             Column::new("", "peak RSS MB", |r| {
                 Cell::float(r.peak_rss_bytes as f64 / MIB, 0, 0)
@@ -291,7 +226,7 @@ impl ScaleReport {
             }),
         ];
         let title = format!(
-            "Engine scale sweep (seed = {}, horizon = {}s, host threads = {})",
+            "TreeP scale sweep, settled fixed-nc overlay left idle (seed = {}, horizon = {}s, host threads = {})",
             self.seed, self.horizon_secs, self.hardware_threads
         );
         Table::of(title, &columns, &self.rows)
@@ -322,7 +257,8 @@ mod tests {
             assert!(row.deterministic, "the leg must replay: {row:?}");
             assert!(row.events > 0);
             assert!(row.steps_per_sec > 0.0);
-            assert!(row.bytes_per_node > 0.0);
+            assert!(row.msgs_per_node_s > 0.0);
+            assert!(row.table_mean > 0.0);
         }
     }
 
@@ -335,41 +271,18 @@ mod tests {
         assert!(json.contains("\"deterministic\": true"));
     }
 
-    #[test]
-    fn keepalive_targets_form_a_rooted_forest() {
-        assert_eq!(ScaleProto::keepalive_target(0), None);
-        // In-group tree edges.
-        assert_eq!(ScaleProto::keepalive_target(1), Some(NodeAddr(0)));
-        assert_eq!(ScaleProto::keepalive_target(5), Some(NodeAddr(1)));
-        assert_eq!(
-            ScaleProto::keepalive_target(GROUP + 9),
-            Some(NodeAddr(GROUP + 2))
-        );
-        // Group roots report to the global root.
-        assert_eq!(ScaleProto::keepalive_target(GROUP), Some(NodeAddr(0)));
-        assert_eq!(ScaleProto::keepalive_target(3 * GROUP), Some(NodeAddr(0)));
-        // Every node eventually reaches node 0.
-        for start in [7u64, 255, 256, 300, 1023, 5000] {
-            let mut cur = start;
-            let mut hops = 0;
-            while let Some(next) = ScaleProto::keepalive_target(cur) {
-                cur = next.0;
-                hops += 1;
-                assert!(hops < 64, "cycle detected from {start}");
-            }
-            assert_eq!(cur, 0);
-        }
-    }
-
-    /// A report that passes the gate: the engine replays at n = 10⁴, at a
-    /// million steps/s.
+    /// A report that passes the gate: the overlay replays at n = 10⁴, at a
+    /// million steps/s and 19.7 messages per node and second.
     fn passing_report() -> ScaleReport {
         let row = ScaleRow {
             n: GATE_N,
             events: 1_000,
-            wall_ms: 1.0,
+            msgs_per_node_s: 19.7,
+            table_mean: 29.6,
+            within_bound: 0.01,
+            build_ms: 1.0,
+            run_ms: 1.0,
             steps_per_sec: 1e6,
-            bytes_per_node: 48.0,
             peak_rss_bytes: 0,
             digest: 1,
             deterministic: true,
@@ -377,7 +290,7 @@ mod tests {
         ScaleReport {
             rows: vec![row],
             seed: 1,
-            horizon_secs: 2,
+            horizon_secs: 4,
             hardware_threads: 2,
         }
     }
@@ -387,7 +300,7 @@ mod tests {
         let mut report = passing_report();
         assert!(report.gate().is_ok(), "{:?}", report.gate());
         report.rows.clear();
-        assert_eq!(report.gate().unwrap_err(), "no wheel row at n = 10000");
+        assert_eq!(report.gate().unwrap_err(), "no row at n = 10000");
     }
 
     #[test]
@@ -396,7 +309,13 @@ mod tests {
         report.rows[0].steps_per_sec = 1e3;
         let err = report.gate().unwrap_err();
         assert!(
-            err.starts_with("wheel.steps_per_sec >= STEPS_PER_SEC_FLOOR; wheel = ScaleRow {"),
+            err.starts_with("gated.steps_per_sec >= STEPS_PER_SEC_FLOOR; gated = ScaleRow {"),
+            "{err}"
+        );
+        report.rows[0].msgs_per_node_s = 20.5;
+        let err = report.gate().unwrap_err();
+        assert!(
+            err.starts_with("row.msgs_per_node_s <= MSGS_PER_NODE_S_CEILING; row = ScaleRow {"),
             "{err}"
         );
     }

@@ -40,8 +40,8 @@ impl TraceDemoParams {
         }
     }
 
-    /// Bounded smoke profile (`--smoke`, and the `--scale --smoke` gate's
-    /// trace capture): 96 nodes, 4 ops per class.
+    /// Bounded smoke profile (`--trace-out` under `--smoke`): 96 nodes, 4
+    /// ops per class.
     pub fn smoke(seed: u64) -> Self {
         TraceDemoParams {
             nodes: 96,

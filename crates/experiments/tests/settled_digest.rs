@@ -8,7 +8,11 @@
 //! message and with it this digest — so a refactor that claims to change
 //! nothing must leave the constant alone, and a change of the protocol
 //! re-pins it once, on purpose, and says so. The benchmark checks the same
-//! at n = 10⁴; this keeps the guarantee inside tier-1.
+//! at n = 10⁴; this keeps the guarantee inside tier-1. The scenario is
+//! the n = 10³ leg of `reproduce --scale --smoke`, read here through
+//! `run_scale`, so the sweep and this pin run one scenario written once;
+//! CI compares the n = 10⁴ leg's events and digest with
+//! `BENCH_scale.json`.
 //!
 //! History of the constant: `0x485d_088a_77ac_0d59` was captured on the
 //! B-tree peer registry and survived its replacement by the flat one
@@ -25,25 +29,24 @@
 //! keep-alive per peer and round, and none to its parent or its own
 //! children, whose link the child report refreshes.
 
-use simnet::{SimConfig, SimDuration, Simulation};
-use workloads::TopologyBuilder;
-
-const SEED: u64 = 2005;
-const NODES: usize = 1000;
+use experiments::{run_scale, ScaleParams};
+use simnet::SimDuration;
 
 /// Event digest of the scenario.
 const PIN_SETTLED_IDLE: u64 = 0xf871_30a1_722c_350d;
 
 #[test]
 fn settled_idle_overlay_replays_its_pinned_digest() {
-    let mut sim = Simulation::new(SimConfig::default(), SEED);
-    sim.enable_digest();
-    let topo = TopologyBuilder::new(NODES).build(&mut sim);
-    assert_eq!(topo.nodes.len(), NODES);
-    // Settle (the builder's default three virtual seconds), then idle.
-    sim.run_for(SimDuration::from_secs(3));
-    sim.run_for(SimDuration::from_secs(4));
-    let got = sim.event_digest().unwrap();
-    println!("settled idle digest: {got:#018x}");
-    assert_eq!(got, PIN_SETTLED_IDLE);
+    // The smoke profile's first leg of `reproduce --scale`: build, settle
+    // (the builder's three virtual seconds), then idle for four.
+    let params = ScaleParams {
+        populations: vec![1_000],
+        horizon: SimDuration::from_secs(4),
+        seed: 2005,
+    };
+    let report = run_scale(&params);
+    let row = report.row(1_000).expect("leg ran");
+    println!("settled idle digest: {:#018x}", row.digest);
+    assert_eq!(row.digest, PIN_SETTLED_IDLE);
+    assert!(row.deterministic, "the leg must replay");
 }

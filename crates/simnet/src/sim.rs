@@ -197,8 +197,8 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// The event digest so far, if [`Simulation::enable_digest`] was
-    /// called. Equal digests ⇒ identical dispatch sequence, which is the
-    /// determinism regression check used by `reproduce --scale`.
+    /// called. Equal digests ⇒ identical dispatch sequence; `reproduce
+    /// --scale` runs each leg twice and compares the two.
     pub fn event_digest(&self) -> Option<u64> {
         self.digest
     }

@@ -36,7 +36,7 @@ use crate::capabilities::CapabilityDistribution;
 /// Virtual time [`TopologyBuilder::build_simulation`] runs the network for
 /// after seeding, so the maintenance protocol refreshes every table at least
 /// once.
-const SETTLE: SimDuration = SimDuration::from_millis(3_000);
+pub const SETTLE: SimDuration = SimDuration::from_millis(3_000);
 
 /// One node of a built topology, as planned by the builder.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -34,7 +34,7 @@ mod multicast;
 mod pubsub;
 mod zipf;
 
-pub use builder::{BuiltNode, BuiltTopology, TopologyBuilder};
+pub use builder::{BuiltNode, BuiltTopology, TopologyBuilder, SETTLE};
 pub use capabilities::CapabilityDistribution;
 pub use churn::{ChurnPlan, ChurnStep};
 pub use kv::{KvOp, KvWorkload};
