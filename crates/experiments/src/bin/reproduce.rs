@@ -9,11 +9,13 @@
 //! the churn runs of `--seeds K` consecutive seeds (one by default) with
 //! its verdict against the paper's readings, writes every reading to
 //! `BENCH_paper.json`, and prints the Section III.e routing-table report of
-//! the overlays the runs built. Each experiment flag adds its table and
-//! writes its artifacts. `--smoke` runs the bounded profiles, skips the
-//! default figure suite, and exits 1 when an experiment's gate fails: the
-//! CI smoke steps. A BENCH document that is not well-formed JSON is not
-//! written (exit 1). An unknown flag prints the flag list and exits 2.
+//! the overlays the runs built. An experiment flag, `--maintenance` or
+//! `--trace-out` runs just that, without the figure suite unless `--figure`
+//! asks for it: each experiment prints its table and writes its artifacts.
+//! `--smoke` runs the bounded profiles, likewise skips the default figure
+//! suite, and exits 1 when an experiment's gate fails: the CI smoke steps.
+//! A BENCH document that is not well-formed JSON is not written (exit 1).
+//! An unknown flag prints the flag list and exits 2.
 
 use analysis::Table;
 use experiments::{
@@ -280,9 +282,15 @@ impl Cli {
             .iter()
             .filter(|e| picked.contains(&e.flag))
             .collect();
-        // A smoke run is bounded: only what was asked for. A bare
-        // `--trace-out` likewise runs just the trace capture.
-        if cli.figures.is_empty() && !cli.smoke && cli.trace_out.is_none() {
+        // The figure suite is the default run only: a smoke run, an
+        // experiment flag, `--maintenance` or `--trace-out` runs just what
+        // was asked for, and so writes no `BENCH_paper.json`.
+        if cli.figures.is_empty()
+            && !cli.smoke
+            && cli.experiments.is_empty()
+            && !cli.maintenance
+            && cli.trace_out.is_none()
+        {
             cli.figures = FIGURES.iter().collect();
         }
         if cli.smoke {
@@ -320,7 +328,7 @@ fn usage() -> String {
         }
         text += &line(head, flag.help.to_string());
     }
-    text += "\n\nexperiments (each adds its table; under --smoke, its gate):";
+    text += "\n\nexperiments (each prints its table, without the figures unless\n--figure asks; under --smoke, its gate):";
     for e in &EXPERIMENTS {
         let writes = e
             .bench
@@ -555,5 +563,37 @@ fn main() {
                 fail(format!("could not write {path}: {e}"));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Cli {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        match Cli::parse(&args) {
+            Ok(cli) => cli,
+            Err(_) => panic!("{args:?} must parse"),
+        }
+    }
+
+    #[test]
+    fn no_arguments_run_every_figure() {
+        assert_eq!(parse_args(&[]).figures.len(), FIGURES.len());
+    }
+
+    #[test]
+    fn an_experiment_flag_alone_runs_no_figure() {
+        // The figure suite would write a one-seed BENCH_paper.json over
+        // the committed one.
+        let cli = parse_args(&["--scale", "--seed", "2005"]);
+        assert!(cli.figures.is_empty());
+        assert_eq!(cli.experiments.len(), 1);
+        assert!(parse_args(&["--maintenance"]).figures.is_empty());
+        assert!(parse_args(&["--trace-out", "trace.json"])
+            .figures
+            .is_empty());
+        assert_eq!(parse_args(&["--scale", "-f", "A"]).figures.len(), 1);
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! * [`codec`] — a compact, hand-rolled binary encoding of
 //!   [`treep::TreePMessage`] (length-prefixed fields over [`bytes`]).
-//! * [`transport::UdpNode`] — a threaded host: one receive loop decoding
-//!   datagrams into protocol events, one timer loop replaying
-//!   `Context::set_timer` requests against the wall clock.
+//! * [`transport::UdpNode`] — a host on one thread: a receive loop that
+//!   decodes datagrams into protocol events and, once every 10 ms, fires the
+//!   `Context::set_timer` requests that fell due on the wall clock.
 //!
 //! Transport addresses are encoded losslessly into [`simnet::NodeAddr`]
 //! (IPv4 address + port packed into the `u64`), so `PeerInfo` entries carried

@@ -1,20 +1,15 @@
-//! A threaded UDP host for the sans-IO [`TreePNode`] state machine.
+//! A UDP host for the sans-IO [`TreePNode`] state machine.
 //!
-//! Two background threads drive the protocol exactly as the discrete-event
-//! simulator does, only against the wall clock:
-//!
-//! * the **receive loop** decodes incoming datagrams and feeds them to
-//!   `Protocol::on_message`;
-//! * the **timer loop** replays `Context::set_timer` requests when their
-//!   deadline passes and fires `Protocol::on_timer`.
-//!
-//! Every callback runs under the one lock that guards the node and its RNG,
-//! so the state machine observes the same single-threaded semantics it has
-//! under simulation; the actions it produced (sends, timers) are dispatched
-//! after that lock is released.
+//! One thread, the receive loop, drives the protocol as the discrete-event
+//! simulator does, only against the wall clock: it feeds each datagram's
+//! messages to `Protocol::on_message` and, once every [`TIMER_PERIOD`]
+//! (its socket's read timeout), fires the timers that fell due. The node,
+//! its RNG and its pending timers sit behind one lock, so the state machine
+//! sees the single-threaded semantics it has under simulation.
 
 use crate::codec::{decode_datagram, encode_batch_frames, encode_message};
-use simnet::{Action, Context, NodeAddr, Protocol, SimRng, SimTime, TimerToken};
+use simnet::{Action, Context, NodeAddr, Protocol, SimDuration, SimRng, SimTime, TimerToken};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use treep::{
     DhtOutcome, LookupOutcome, NodeCharacteristics, NodeId, PeerInfo, RoutingAlgorithm,
-    TreePConfig, TreePNode,
+    TreePConfig, TreePMessage, TreePNode,
 };
 
 /// Pack an IPv4 socket address into a [`NodeAddr`] (upper 32 bits: address,
@@ -65,30 +60,6 @@ impl<T> Mutex<T> {
     }
 }
 
-struct PendingTimer {
-    due: Instant,
-    token: TimerToken,
-    seq: u64,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse ordering: the earliest deadline sits at the top of the heap.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// Wire-level counters for one UDP node. The overlay's [`treep::NodeStats`]
 /// counts protocol *messages*; these count what actually hits the socket,
 /// so the batching win (messages per datagram) is measurable. Messages that
@@ -121,24 +92,21 @@ impl TransportStats {
     }
 }
 
-/// The state machine and the RNG its callbacks draw from: a callback needs
-/// both, so one lock guards both.
+/// Pending timers, earliest deadline on top. The `u64` numbers them in the
+/// order they were set, so equal deadlines fire first in, first out.
+type Timers = BinaryHeap<Reverse<(SimTime, u64, TimerToken)>>;
+
+/// The state machine, the RNG its callbacks draw from and the timers they
+/// set (with how many were set): one lock guards them all.
 struct Hosted {
     node: TreePNode,
     rng: SimRng,
-}
-
-/// Pending timers and the counter that numbers them (FIFO among equal
-/// deadlines). The timer thread peeks here without ever touching the node.
-#[derive(Default)]
-struct TimerQueue {
-    heap: BinaryHeap<PendingTimer>,
-    next_seq: u64,
+    timers: Timers,
+    timers_set: u64,
 }
 
 struct Shared {
     hosted: Mutex<Hosted>,
-    timers: Mutex<TimerQueue>,
     started_at: Instant,
     self_addr: NodeAddr,
     socket: UdpSocket,
@@ -151,60 +119,68 @@ impl Shared {
         SimTime::from_micros(self.started_at.elapsed().as_micros() as u64)
     }
 
-    /// Run a closure against the node with a fresh context and dispatch the
-    /// actions it produced — after the node lock is released, so encoding
-    /// and socket writes never hold it.
+    /// Run a closure against the node with a fresh context and send what it
+    /// produced.
     fn with_node<R>(
         &self,
-        f: impl FnOnce(&mut TreePNode, &mut Context<'_, treep::TreePMessage>) -> R,
+        f: impl FnOnce(&mut TreePNode, &mut Context<'_, TreePMessage>) -> R,
     ) -> R {
-        let now = self.now();
-        let mut hosted = self.hosted.lock();
-        let Hosted { node, rng } = &mut *hosted;
-        let mut ctx = Context::new(now, self.self_addr, rng);
-        let out = f(node, &mut ctx);
-        let actions = ctx.into_actions();
-        drop(hosted);
-        self.dispatch(actions);
-        out
+        self.run(|node, _, ctx| f(node, ctx))
     }
 
-    fn dispatch(&self, actions: Vec<Action<treep::TreePMessage>>) {
-        // Sends are grouped per destination and flushed as batch frames at
-        // the end: one callback often emits several messages to the same
-        // peer (keep-alive + piggybacked updates, multicast fan-out), and
-        // one datagram per destination beats one per message. Grouping
-        // preserves per-destination order; a destination with a single
-        // message goes out as a plain frame, byte-identical to the
-        // unbatched wire format.
-        let mut sends: Vec<(NodeAddr, Vec<Vec<u8>>)> = Vec::new();
-        for action in actions {
+    /// Fire every timer whose deadline has passed, in one context.
+    fn fire_due(&self) {
+        self.run(|node, timers, ctx| {
+            let now = ctx.now();
+            while timers.peek().is_some_and(|&Reverse((due, ..))| due <= now) {
+                let Reverse((_, _, token)) = timers.pop().expect("peeked");
+                node.on_timer(token, ctx);
+            }
+        });
+    }
+
+    /// Run `f` under the node lock, queue the timers it set on the node's
+    /// clock, and send its messages once the lock is released, grouped per
+    /// destination in order: one callback may send several to one peer
+    /// (`ParentAccept` and `ChildReport` when a child registers,
+    /// `ChildReport` and `FilterReport` on a tick with pub/sub on, multicast
+    /// fan-out), and one datagram per destination beats one per message.
+    fn run<R>(
+        &self,
+        f: impl FnOnce(&mut TreePNode, &mut Timers, &mut Context<'_, TreePMessage>) -> R,
+    ) -> R {
+        let now = self.now();
+        let mut guard = self.hosted.lock();
+        let hosted = &mut *guard;
+        let mut ctx = Context::new(now, self.self_addr, &mut hosted.rng);
+        let out = f(&mut hosted.node, &mut hosted.timers, &mut ctx);
+        let mut sends: Vec<(NodeAddr, Vec<TreePMessage>)> = Vec::new();
+        for action in ctx.into_actions() {
             match action {
-                Action::Send { dest, msg } => {
-                    let bytes = encode_message(&msg);
-                    match sends.iter_mut().find(|(d, _)| *d == dest) {
-                        Some((_, frames)) => frames.push(bytes),
-                        None => sends.push((dest, vec![bytes])),
-                    }
-                }
+                Action::Send { dest, msg } => match sends.iter_mut().find(|(d, _)| *d == dest) {
+                    Some((_, msgs)) => msgs.push(msg),
+                    None => sends.push((dest, vec![msg])),
+                },
                 Action::SetTimer { delay, token } => {
-                    let due = Instant::now() + Duration::from_micros(delay.as_micros());
-                    let mut timers = self.timers.lock();
-                    timers.next_seq += 1;
-                    let seq = timers.next_seq;
-                    timers.heap.push(PendingTimer { due, token, seq });
+                    hosted.timers_set += 1;
+                    let seq = hosted.timers_set;
+                    hosted.timers.push(Reverse((now + delay, seq, token)));
                 }
             }
         }
-        for (dest, frames) in sends {
-            self.flush_to(dest, &frames);
+        drop(guard);
+        for (dest, msgs) in sends {
+            self.flush_to(dest, &msgs);
         }
+        out
     }
 
-    /// Send `frames` to one destination, packing consecutive frames into
-    /// batch datagrams capped at [`MAX_DATAGRAM_BYTES`]. A single frame is
-    /// sent bare (no batch envelope) so unbatched peers interoperate.
-    fn flush_to(&self, dest: NodeAddr, frames: &[Vec<u8>]) {
+    /// Encode `msgs` and send them to one destination, packing consecutive
+    /// frames into batch datagrams capped at [`MAX_DATAGRAM_BYTES`]. A single
+    /// frame is sent bare (no batch envelope), byte-identical to the
+    /// unbatched wire format, so unbatched peers interoperate.
+    fn flush_to(&self, dest: NodeAddr, msgs: &[TreePMessage]) {
+        let frames: Vec<Vec<u8>> = msgs.iter().map(encode_message).collect();
         let sock_dest = node_addr_to_socket(dest);
         let lens: Vec<usize> = frames.iter().map(Vec::len).collect();
         let mut stats = TransportStats::default();
@@ -256,12 +232,16 @@ fn plan_batches(frame_lens: &[usize], max_datagram: usize) -> Vec<(usize, usize)
 /// and keeps each datagram within the receive buffer used by the read loop.
 const MAX_DATAGRAM_BYTES: usize = 60 * 1024;
 
+/// How often the receive loop fires due timers, and its socket's read
+/// timeout: a quiet socket still wakes the loop once a period.
+const TIMER_PERIOD: SimDuration = SimDuration::from_millis(10);
+
 /// A TreeP peer bound to a real UDP socket.
 ///
-/// Dropping the handle stops the background threads and closes the node.
+/// Dropping the handle stops the receive loop and closes the node.
 pub struct UdpNode {
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl UdpNode {
@@ -277,7 +257,7 @@ impl UdpNode {
         bootstrap: Vec<PeerInfo>,
     ) -> std::io::Result<UdpNode> {
         let socket = UdpSocket::bind(bind_addr)?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
+        socket.set_read_timeout(Some(Duration::from_micros(TIMER_PERIOD.as_micros())))?;
         let local = socket.local_addr()?;
         let self_addr = addr_to_node_addr(local);
         let node = TreePNode::new(config, id, characteristics)
@@ -287,8 +267,9 @@ impl UdpNode {
             hosted: Mutex::new(Hosted {
                 node,
                 rng: SimRng::seed_from(self_addr.0 ^ id.0),
+                timers: Timers::new(),
+                timers_set: 0,
             }),
-            timers: Mutex::new(TimerQueue::default()),
             started_at: Instant::now(),
             self_addr,
             socket,
@@ -300,16 +281,19 @@ impl UdpNode {
         // requests).
         shared.with_node(|node, ctx| node.on_start(ctx));
 
-        let recv_shared = Arc::clone(&shared);
-        let recv_thread = std::thread::spawn(move || {
+        // The node's only thread: one callback per message received, and
+        // the due timers once a period, after a datagram or a timeout.
+        let receiver = Arc::clone(&shared);
+        let thread = std::thread::spawn(move || {
             let mut buf = vec![0u8; 64 * 1024];
-            while recv_shared.running.load(Ordering::SeqCst) {
-                match recv_shared.socket.recv_from(&mut buf) {
+            let mut next_firing = SimTime::ZERO;
+            while receiver.running.load(Ordering::SeqCst) {
+                match receiver.socket.recv_from(&mut buf) {
                     Ok((len, from)) => {
                         if let Ok(msgs) = decode_datagram(&buf[..len]) {
                             let from_addr = addr_to_node_addr(from);
                             for msg in msgs {
-                                recv_shared
+                                receiver
                                     .with_node(|node, ctx| node.on_message(from_addr, msg, ctx));
                             }
                         }
@@ -319,30 +303,17 @@ impl UdpNode {
                             || e.kind() == std::io::ErrorKind::TimedOut => {}
                     Err(_) => break,
                 }
-            }
-        });
-
-        let timer_shared = Arc::clone(&shared);
-        let timer_thread = std::thread::spawn(move || {
-            while timer_shared.running.load(Ordering::SeqCst) {
-                let mut due: Vec<TimerToken> = Vec::new();
-                {
-                    let mut timers = timer_shared.timers.lock();
-                    let now = Instant::now();
-                    while timers.heap.peek().is_some_and(|t| t.due <= now) {
-                        due.push(timers.heap.pop().expect("peeked").token);
-                    }
+                let now = receiver.now();
+                if now >= next_firing {
+                    receiver.fire_due();
+                    next_firing = now + TIMER_PERIOD;
                 }
-                for token in due {
-                    timer_shared.with_node(|node, ctx| node.on_timer(token, ctx));
-                }
-                std::thread::sleep(Duration::from_millis(10));
             }
         });
 
         Ok(UdpNode {
             shared,
-            threads: vec![recv_thread, timer_thread],
+            thread: Some(thread),
         })
     }
 
@@ -374,7 +345,7 @@ impl UdpNode {
     /// `Simulation::invoke` offers it under the simulator.
     pub fn invoke<R>(
         &self,
-        f: impl FnOnce(&mut TreePNode, &mut Context<'_, treep::TreePMessage>) -> R,
+        f: impl FnOnce(&mut TreePNode, &mut Context<'_, TreePMessage>) -> R,
     ) -> R {
         self.shared.with_node(f)
     }
@@ -409,29 +380,23 @@ impl UdpNode {
         *self.shared.stats.lock()
     }
 
-    /// Stop the background threads and close the socket.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
+    /// Stop the receive loop and close the socket, as dropping the handle
+    /// does.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for UdpNode {
     fn drop(&mut self) {
-        self.stop();
+        self.shared.running.store(false, Ordering::SeqCst);
+        if let Some(handle) = self.thread.take() {
+            let _ = handle.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimDuration;
 
     fn fast_config() -> TreePConfig {
         TreePConfig {
@@ -616,11 +581,32 @@ mod tests {
         let rounds_after = joiner.with_node(|n| n.stats().keepalive_rounds);
         assert!(
             rounds_after > rounds_before,
-            "the timer thread must survive the poisoned lock: {rounds_before} -> {rounds_after} keep-alive rounds"
+            "the receive loop must keep firing timers past the poisoned lock: {rounds_before} -> {rounds_after} keep-alive rounds"
         );
 
         joiner.shutdown();
         seed.shutdown();
+    }
+
+    #[test]
+    fn a_lone_node_fires_its_timers_on_the_read_timeout() {
+        // No peer, so no datagram ever arrives: only the socket's read
+        // timeout wakes the receive loop to fire the keep-alive timer.
+        let node = UdpNode::bind(
+            "127.0.0.1:0",
+            fast_config(),
+            NodeId(7),
+            NodeCharacteristics::default(),
+            vec![],
+        )
+        .expect("bind");
+        std::thread::sleep(Duration::from_millis(500));
+        let rounds = node.with_node(|n| n.stats().keepalive_rounds);
+        assert!(
+            rounds >= 3,
+            "{rounds} keep-alive rounds in 500 ms at 100 ms"
+        );
+        node.shutdown();
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! A small real-network TreeP cluster over UDP loopback sockets.
 //!
-//! Starts one seed and a handful of peers as real UDP endpoints (one pair of
-//! threads each), lets the join / keep-alive / election protocol organise
-//! them, then resolves identifiers and runs a DHT put/get — all over actual
+//! Starts one seed and a handful of peers as real UDP endpoints (one thread
+//! each), lets the join / keep-alive / election protocol organise them,
+//! then resolves identifiers and runs a DHT put/get — all over actual
 //! datagrams rather than the simulator.
 //!
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p treep-net --example udp_cluster
+//! cargo run --release --example udp_cluster
 //! ```
 
 use std::time::Duration;
