@@ -60,7 +60,7 @@ pub use metrics::SimMetrics;
 pub use prefetch::prefetch;
 pub use protocol::{Action, Context, NodeAddr, Protocol, TimerToken};
 pub use rng::SimRng;
-pub use scheduler::{HeapScheduler, Scheduler};
+pub use scheduler::{HeapScheduler, NextEvent, Scheduler};
 pub use sim::{SimConfig, Simulation};
 pub use telemetry::{chrome_trace, Telemetry, TelemetryConfig, TraceCtx};
 pub use time::{SimDuration, SimTime};

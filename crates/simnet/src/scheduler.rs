@@ -13,13 +13,24 @@
 //!
 //! # Layout
 //!
-//! Each pending [`Event`] is stored once, in a **slab**: a `Vec` of
-//! optional events plus a LIFO list of its empty slots, so the slab never
-//! holds more slots than the peak number of pending events. The tiers hold
-//! only 24-byte keys `(time, seq, slot)` naming a slab slot, and `pop` takes
-//! the event out of its slot. An event therefore costs its full size once,
-//! however many tiers its key cascades through, and a bucket's spare
-//! capacity costs 24 bytes a key instead of a whole event.
+//! Each pending event is stored once, in one of two stores with a LIFO
+//! list of their empty slots each, so neither holds more slots than the
+//! peak number of events of its own kinds pending at once:
+//!
+//! * the **slab** holds deliveries, one `Option<Event<M>>` each: a slot is
+//!   as large as the largest message (160 B for `TreePMessage`);
+//! * the **control table** holds timers, starts and crashes, 24 B a record
+//!   (the node and the timer token; the key holds the time and `seq`).
+//!
+//! At 10⁴ nodes most pending events are control records — a maintenance
+//! tick per node and a deadline per open request — and a build starts every
+//! node at once, so a single store sized for messages would spend most of
+//! its bytes on events that carry 16. The tiers hold only 24-byte keys
+//! `(time, seq, slot)`, where `slot` names a slab slot or, with its top bit
+//! set, a control record; `pop` takes the event out of its store,
+//! rebuilding a control record's [`Event`]. An event therefore costs its
+//! store's slot once, however many tiers its key cascades through, and a
+//! bucket's spare capacity costs 24 bytes a key instead of a whole event.
 //!
 //! Virtual time is bucketed into **granules** of `2^8` µs (256 µs). Pending
 //! keys live in exactly one of four tiers, ordered by distance from the
@@ -48,7 +59,8 @@
 //! `tests/scheduler_equivalence.rs`).
 //!
 //! When a level-0 granule becomes `current`, the wheel hints that
-//! granule's slab slots into cache ([`prefetch`]). The events were written
+//! granule's slots, in whichever store each key names, into cache
+//! ([`prefetch`]). The events were written
 //! when they were scheduled, thousands of events earlier at 10⁴ nodes, and
 //! are cold by now; the engine's one-event look-ahead
 //! ([`Scheduler::peek`]) reads each of them before it is popped, and
@@ -56,14 +68,16 @@
 
 use crate::event::{Event, EventKind, EventSeq};
 use crate::prefetch::prefetch;
+use crate::protocol::{NodeAddr, TimerToken};
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// A pending event's place in the wheel: its `(time, seq)` and the slab
-/// slot that holds it. The derived order compares `(at, seq)` first, and
-/// `seq` is unique, so the slot never decides; the tiers hold
-/// `Reverse<Key>` so the `BinaryHeap`s (max-heaps) pop the earliest first.
+/// A pending event's place in the wheel: its `(time, seq)` and the slot
+/// that holds it, in the slab or, with [`CONTROL`] set, in the control
+/// table. The derived order compares `(at, seq)` first, and `seq` is
+/// unique, so the slot never decides; the tiers hold `Reverse<Key>` so the
+/// `BinaryHeap`s (max-heaps) pop the earliest first.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
@@ -71,10 +85,85 @@ struct Key {
     slot: usize,
 }
 
+/// The bit of [`Key::slot`] that says the event is a control record.
+const CONTROL: usize = 1 << (usize::BITS - 1);
+
+/// Which store holds a key's event, and where.
+enum Store {
+    Slab(usize),
+    Control(usize),
+}
+
+impl Key {
+    fn store(&self) -> Store {
+        if self.slot & CONTROL == 0 {
+            Store::Slab(self.slot)
+        } else {
+            Store::Control(self.slot & !CONTROL)
+        }
+    }
+}
+
+/// A pending timer, start or crash: the event less its `(at, seq)`, which
+/// its key holds.
+#[derive(Clone, Copy)]
+enum Control {
+    Timer { node: NodeAddr, token: TimerToken },
+    Start { node: NodeAddr },
+    Fail { node: NodeAddr },
+}
+
+impl Control {
+    fn node(self) -> NodeAddr {
+        match self {
+            Control::Timer { node, .. } | Control::Start { node } | Control::Fail { node } => node,
+        }
+    }
+
+    fn kind<M>(self) -> EventKind<M> {
+        match self {
+            Control::Timer { node, token } => EventKind::Timer { node, token },
+            Control::Start { node } => EventKind::Start { node },
+            Control::Fail { node } => EventKind::Fail { node },
+        }
+    }
+}
+
 const _: () = assert!(std::mem::size_of::<Key>() == 24);
+const _: () = assert!(std::mem::size_of::<Control>() <= 24);
 // An empty slab slot costs nothing beyond the event it once held.
 const _: () =
     assert!(std::mem::size_of::<Option<Event<u64>>>() == std::mem::size_of::<Event<u64>>());
+
+/// Put `item` into `store`, in the most recently freed slot if there is
+/// one, and return its index.
+fn put<T>(store: &mut Vec<T>, free: &mut Vec<usize>, item: T) -> usize {
+    match free.pop() {
+        Some(slot) => {
+            store[slot] = item;
+            slot
+        }
+        None => {
+            store.push(item);
+            store.len() - 1
+        }
+    }
+}
+
+/// What [`Scheduler::peek`] shows of the next event: its place in the
+/// order, the node it targets and, for a delivery, the message.
+#[derive(Debug)]
+pub struct NextEvent<'a, M> {
+    /// Virtual time at which the event is dispatched.
+    pub at: SimTime,
+    /// FIFO tie-breaker for events scheduled at the same time.
+    pub seq: EventSeq,
+    /// The node the event targets ([`Event::target`]).
+    pub target: NodeAddr,
+    /// The message a delivery carries; `None` for a timer, a start or a
+    /// crash.
+    pub message: Option<&'a M>,
+}
 
 /// [`HeapScheduler`]'s entry: the whole event, reverse-ordered by
 /// `(time, seq)` so the `BinaryHeap` (a max-heap) pops the earliest first.
@@ -126,10 +215,14 @@ fn g1(at: SimTime) -> u64 {
 /// order, which keeps simulations deterministic. The pop sequence is exactly
 /// that of [`HeapScheduler`], the retained reference implementation.
 pub struct Scheduler<M> {
-    /// Every pending event, in the slot its key names.
+    /// Every pending delivery, in the slot its key names.
     slab: Vec<Option<Event<M>>>,
     /// The empty slots of `slab`, the most recently freed last.
     free: Vec<usize>,
+    /// Every pending timer, start and crash, in the record its key names.
+    control: Vec<Control>,
+    /// The unused records of `control`, the most recently freed last.
+    control_free: Vec<usize>,
     /// Keys with granule ≤ `cursor0`, popped directly.
     current: BinaryHeap<Reverse<Key>>,
     /// Level-0 slots: one granule each, window `[base0, base0 + SLOTS)`.
@@ -163,6 +256,8 @@ impl<M> Scheduler<M> {
         Scheduler {
             slab: Vec::new(),
             free: Vec::new(),
+            control: Vec::new(),
+            control_free: Vec::new(),
             current: BinaryHeap::new(),
             level0: (0..SLOTS).map(|_| Vec::new()).collect(),
             level1: (0..SLOTS).map(|_| Vec::new()).collect(),
@@ -208,16 +303,15 @@ impl<M> Scheduler<M> {
         self.next_seq += 1;
         self.scheduled_total += 1;
         self.len += 1;
-        let event = Some(Event::new(at, seq, kind));
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = event;
-                slot
-            }
-            None => {
-                self.slab.push(event);
-                self.slab.len() - 1
-            }
+        let slot = match kind {
+            EventKind::Timer { node, token } => self.put_control(Control::Timer { node, token }),
+            EventKind::Start { node } => self.put_control(Control::Start { node }),
+            EventKind::Fail { node } => self.put_control(Control::Fail { node }),
+            deliver => put(
+                &mut self.slab,
+                &mut self.free,
+                Some(Event::new(at, seq, deliver)),
+            ),
         };
         let key = Reverse(Key { at, seq, slot });
         let eg0 = g0(at);
@@ -239,6 +333,11 @@ impl<M> Scheduler<M> {
             self.advance();
         }
         seq
+    }
+
+    /// Store a control record; returns the key slot that names it.
+    fn put_control(&mut self, control: Control) -> usize {
+        CONTROL | put(&mut self.control, &mut self.control_free, control)
     }
 
     /// Pull the next non-empty tier into `current`. Called only when
@@ -270,7 +369,10 @@ impl<M> Scheduler<M> {
                     self.level0[idx] = spare.into_vec();
                     self.cursor0 = g;
                     for Reverse(key) in self.current.iter() {
-                        prefetch(std::slice::from_ref(&self.slab[key.slot]));
+                        match key.store() {
+                            Store::Slab(i) => prefetch(std::slice::from_ref(&self.slab[i])),
+                            Store::Control(i) => prefetch(std::slice::from_ref(&self.control[i])),
+                        }
                     }
                     return;
                 }
@@ -326,22 +428,42 @@ impl<M> Scheduler<M> {
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek().map(|e| e.at)
+        self.current.peek().map(|Reverse(key)| key.at)
     }
 
     /// The event the next [`Scheduler::pop`] returns, unless something
     /// earlier is scheduled first. `O(1)`: `current` always holds the
     /// global minimum.
-    pub fn peek(&self) -> Option<&Event<M>> {
+    pub fn peek(&self) -> Option<NextEvent<'_, M>> {
         let Reverse(key) = self.current.peek()?;
-        self.slab[key.slot].as_ref()
+        let (target, message) = match key.store() {
+            Store::Slab(i) => {
+                let event = self.slab[i].as_ref().expect("a key names a full slot");
+                (event.target(), event.message())
+            }
+            Store::Control(i) => (self.control[i].node(), None),
+        };
+        Some(NextEvent {
+            at: key.at,
+            seq: key.seq,
+            target,
+            message,
+        })
     }
 
     /// Pop the next event, advancing the current time to its timestamp.
     pub fn pop(&mut self) -> Option<Event<M>> {
         let Reverse(key) = self.current.pop()?;
-        let event = self.slab[key.slot].take().expect("a key names a full slot");
-        self.free.push(key.slot);
+        let event = match key.store() {
+            Store::Slab(i) => {
+                self.free.push(i);
+                self.slab[i].take().expect("a key names a full slot")
+            }
+            Store::Control(i) => {
+                self.control_free.push(i);
+                Event::new(key.at, key.seq, self.control[i].kind())
+            }
+        };
         self.len -= 1;
         if self.current.is_empty() {
             self.advance();
@@ -427,7 +549,6 @@ impl<M> HeapScheduler<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::NodeAddr;
 
     fn start(n: u64) -> EventKind<()> {
         EventKind::Start { node: NodeAddr(n) }
@@ -545,16 +666,33 @@ mod tests {
         assert_eq!(order, vec![2, 4, 3]);
     }
 
+    fn deliver(n: u64) -> EventKind<()> {
+        EventKind::Deliver {
+            src: NodeAddr(n),
+            dest: NodeAddr(n + 1),
+            msg: (),
+        }
+    }
+
+    /// Occupied slab slots and control records in use.
+    fn occupancy(s: &Scheduler<()>) -> (usize, usize) {
+        let slab = s.slab.iter().filter(|e| e.is_some()).count();
+        (slab, s.control.len() - s.control_free.len())
+    }
+
     #[test]
     fn the_slab_holds_one_slot_per_pending_event_and_no_more() {
         let mut rng = crate::rng::SimRng::seed_from(7);
         let mut s: Scheduler<()> = Scheduler::new();
-        let mut peak = 0;
-        let mut check = |s: &Scheduler<()>, op: usize| {
-            peak = peak.max(s.len());
-            let occupied = s.slab.iter().filter(|e| e.is_some()).count();
-            assert_eq!(s.len(), occupied, "op {op}");
-            assert!(s.slab.len() <= peak, "op {op}: a slot leaked");
+        // Pending deliveries and control events, and the peak of each.
+        let (mut pending, mut peak) = ([0usize; 2], [0usize; 2]);
+        let mut check = |s: &Scheduler<()>, pending: [usize; 2], op: usize| {
+            peak = [peak[0].max(pending[0]), peak[1].max(pending[1])];
+            assert_eq!(occupancy(s), (pending[0], pending[1]), "op {op}");
+            assert_eq!(s.len(), pending[0] + pending[1], "op {op}");
+            assert!(s.slab.len() <= peak[0], "op {op}: a slab slot leaked");
+            assert!(s.control.len() <= peak[1], "op {op}: a record leaked");
+            peak
         };
         // Grow the queue, then shrink it, so freed slots are reused and the
         // drain below starts from a deep queue.
@@ -568,18 +706,75 @@ mod tests {
                     3 => now + rng.gen_range_u64(65_536..16_800_000),     // level 1
                     _ => now + rng.gen_range_u64(16_800_000..60_000_000), // far
                 };
-                s.schedule(SimTime::from_micros(at), start(op as u64));
-            } else {
-                s.pop();
+                let is_control = rng.gen_bool(0.5);
+                let kind = if is_control {
+                    start(op as u64)
+                } else {
+                    deliver(op as u64)
+                };
+                s.schedule(SimTime::from_micros(at), kind);
+                pending[usize::from(is_control)] += 1;
+            } else if let Some(e) = s.pop() {
+                pending[usize::from(e.message().is_none())] -= 1;
             }
-            check(&s, op);
+            check(&s, pending, op);
         }
-        while s.pop().is_some() {
-            check(&s, usize::MAX);
+        while let Some(e) = s.pop() {
+            pending[usize::from(e.message().is_none())] -= 1;
+            check(&s, pending, usize::MAX);
         }
-        assert!(peak > 500, "the trace never built a deep queue");
-        assert_eq!(s.slab.len(), peak);
+        let peak = check(&s, pending, usize::MAX);
+        assert!(
+            peak[0] > 250 && peak[1] > 250,
+            "the trace never built a deep queue"
+        );
+        assert_eq!((s.slab.len(), s.control.len()), (peak[0], peak[1]));
         assert_eq!(s.free.len(), s.slab.len());
+        assert_eq!(s.control_free.len(), s.control.len());
+    }
+
+    #[test]
+    fn timers_starts_and_fails_take_no_slab_slot() {
+        let mut s: Scheduler<()> = Scheduler::new();
+        for n in 0..3_000u64 {
+            let at = SimTime::from_micros(n * 997 % 20_000_000);
+            s.schedule(at, start(n));
+            s.schedule(at, EventKind::Fail { node: NodeAddr(n) });
+            let token = TimerToken(n << 32 | 5);
+            s.schedule(
+                at,
+                EventKind::Timer {
+                    node: NodeAddr(n),
+                    token,
+                },
+            );
+        }
+        s.schedule(SimTime::from_millis(7), deliver(41));
+        assert_eq!(s.slab.len(), 1, "only the delivery is in the slab");
+        assert_eq!(occupancy(&s), (1, 9_000));
+        // Every event comes back whole: the delivery from the slab, the
+        // others rebuilt from their records.
+        let mut seen = [0; 4];
+        while let Some(e) = s.pop() {
+            let n = e.target().0;
+            let tag = match e.kind {
+                EventKind::Deliver { src, .. } => {
+                    assert_eq!((src, e.at), (NodeAddr(41), SimTime::from_millis(7)));
+                    0
+                }
+                EventKind::Start { .. } => 1,
+                EventKind::Fail { .. } => 2,
+                EventKind::Timer { token, .. } => {
+                    assert_eq!(token, TimerToken(n << 32 | 5));
+                    3
+                }
+            };
+            if tag > 0 {
+                assert_eq!(e.at, SimTime::from_micros(n * 997 % 20_000_000));
+            }
+            seen[tag] += 1;
+        }
+        assert_eq!(seen, [1, 3_000, 3_000, 3_000]);
     }
 
     #[test]

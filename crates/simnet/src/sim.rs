@@ -15,7 +15,8 @@
 //!
 //! * events come off a hierarchical timer wheel ([`Scheduler`]) in exact
 //!   `(time, seq)` order; its tiers queue 24-byte keys, and each event is
-//!   stored once, in the wheel's slab;
+//!   stored once, a delivery in the wheel's slab of message-sized slots and
+//!   a timer, a start or a crash in its 24-byte control table;
 //! * node state lives in one `Vec` of slots; addresses are assigned
 //!   densely from 0 and never reused (a crashed node stays, dead but
 //!   inspectable), so resolving one is one index (`addr.0`) instead of a
@@ -23,8 +24,8 @@
 //! * each callback's actions are recorded into one recycled buffer
 //!   ([`Context::with_buffer`]) instead of a fresh `Vec` per event;
 //! * the engine looks one event ahead: having popped event *k*, it peeks at
-//!   *k + 1* (warm: the wheel hints a granule's slab slots into cache
-//!   when the granule becomes current) and prefetches that node's slot
+//!   *k + 1* (warm: the wheel hints a granule's slots into cache when the
+//!   granule becomes current) and prefetches that node's slot
 //!   ([`prefetch`]);
 //!   once *k* is dispatched it peeks again and hands the node one
 //!   [`Protocol::prefetch`] hint naming *k + 1*'s message (`None` for a
@@ -47,7 +48,7 @@ use crate::metrics::SimMetrics;
 use crate::prefetch::prefetch;
 use crate::protocol::{Action, Context, NodeAddr, Protocol, SendTrace};
 use crate::rng::SimRng;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{NextEvent, Scheduler};
 use crate::telemetry::{FlightEntry, Telemetry, TelemetryConfig, TraceCtx};
 use crate::time::{SimDuration, SimTime};
 
@@ -363,8 +364,8 @@ impl<P: Protocol> Simulation<P> {
             }
             None => self.dispatch_event(event),
         }
-        if let Some((event, slot)) = self.next_target() {
-            slot.proto.prefetch(event.message());
+        if let Some((next, slot)) = self.next_target() {
+            slot.proto.prefetch(next.message);
         }
         true
     }
@@ -372,9 +373,10 @@ impl<P: Protocol> Simulation<P> {
     /// The next queued event and the slot of the node it targets, if there
     /// is one at that address.
     #[inline]
-    fn next_target(&self) -> Option<(&Event<P::Message>, &NodeSlot<P>)> {
-        let event = self.scheduler.peek()?;
-        Some((event, self.slot(event.target())?))
+    fn next_target(&self) -> Option<(NextEvent<'_, P::Message>, &NodeSlot<P>)> {
+        let next = self.scheduler.peek()?;
+        let slot = self.slot(next.target)?;
+        Some((next, slot))
     }
 
     /// Run until the event queue drains completely.
@@ -775,21 +777,25 @@ mod tests {
                 hinted.invoke(NodeAddr(a), |_, ctx| ctx.send(dest, Msg::Ping));
                 plain.invoke(NodeAddr(a), |_, ctx| ctx.send(dest, Msg::Ping));
             }
+            let (mut last_hint, mut fired) = (None, hinted.metrics().timers_fired);
             while hinted.step() {
-                let next = hinted.scheduler.peek();
-                let named = next.and_then(|event| {
-                    let node = hinted.node(event.target())?;
-                    let msg = match &event.kind {
-                        EventKind::Deliver { msg, .. } => Some(msg.clone()),
-                        _ => None,
-                    };
-                    Some((node as *const Hinted, msg))
+                // This step dispatched the event the last hint named: when
+                // it fired a timer, that hint named no message.
+                if hinted.metrics().timers_fired > fired {
+                    fired = hinted.metrics().timers_fired;
+                    if let Some((_, msg)) = last_hint {
+                        assert_eq!(msg, None, "a timer is hinted with a message");
+                        timer_hints += 1;
+                    }
+                }
+                let named = hinted.scheduler.peek().and_then(|next| {
+                    let node = hinted.node(next.target)?;
+                    Some((node as *const Hinted, next.message.cloned()))
                 });
-                let timer = next.is_some_and(|e| matches!(e.kind, EventKind::Timer { .. }));
                 assert_eq!(hints.borrow_mut().pop(), named, "round {round}");
                 assert!(hints.borrow().is_empty(), "one hint per event");
                 hinted_steps += usize::from(named.is_some());
-                timer_hints += usize::from(timer && named.is_some());
+                last_hint = named;
             }
             plain.run_until_idle();
         }

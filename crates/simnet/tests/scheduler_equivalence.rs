@@ -4,14 +4,31 @@
 //! seeded random schedule/pop traces spanning every tier of the wheel
 //! (current granule, level-0, level-1 and the far heap). The wheel's
 //! `peek`, which the engine looks one event ahead with, is checked against
-//! every pop.
+//! every pop: it names the event's `(at, seq, target)` and, for a delivery
+//! only, its message.
 
-use simnet::{EventKind, HeapScheduler, NodeAddr, Scheduler, SimRng, SimTime, TimerToken};
+use simnet::{
+    Event, EventKind, HeapScheduler, NextEvent, NodeAddr, Scheduler, SimRng, SimTime, TimerToken,
+};
 
 /// A total fingerprint of one popped event, used for exact comparison
 /// (`EventKind` intentionally does not implement `PartialEq`).
-fn fingerprint(event: &simnet::Event<u32>) -> String {
+fn fingerprint(event: &Event<u32>) -> String {
     format!("{event:?}")
+}
+
+/// What `peek` should show of `event`.
+fn view_of(event: &Event<u32>) -> (SimTime, u64, NodeAddr, Option<u32>) {
+    let message = match event.kind {
+        EventKind::Deliver { msg, .. } => Some(msg),
+        _ => None,
+    };
+    (event.at, event.seq, event.target(), message)
+}
+
+/// The same of a peeked view.
+fn seen(next: NextEvent<'_, u32>) -> (SimTime, u64, NodeAddr, Option<u32>) {
+    (next.at, next.seq, next.target, next.message.copied())
 }
 
 fn random_kind(rng: &mut SimRng) -> EventKind<u32> {
@@ -82,11 +99,11 @@ fn run_trace(seed: u64, ops: usize) {
                 heap.peek_time(),
                 "peek divergence at op {op} (seed {seed})"
             );
-            let peeked = wheel.peek().map(fingerprint);
+            let peeked = wheel.peek().map(seen);
             let w = wheel.pop();
             assert_eq!(
                 peeked,
-                w.as_ref().map(fingerprint),
+                w.as_ref().map(view_of),
                 "peek is not the next pop at op {op} (seed {seed})"
             );
             let h = heap.pop();
@@ -105,10 +122,10 @@ fn run_trace(seed: u64, ops: usize) {
 
     // Drain both completely: the tails must match event-for-event.
     loop {
-        let peeked = wheel.peek().map(fingerprint);
+        let peeked = wheel.peek().map(seen);
         match (wheel.pop(), heap.pop()) {
             (Some(w), Some(h)) => {
-                assert_eq!(peeked.as_ref(), Some(&fingerprint(&w)), "seed {seed}");
+                assert_eq!(peeked, Some(view_of(&w)), "seed {seed}");
                 assert_eq!(fingerprint(&w), fingerprint(&h), "seed {seed}");
             }
             (None, None) => break,

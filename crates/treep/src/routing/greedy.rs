@@ -2,6 +2,7 @@
 
 use super::{fallback_hop, RouteDecision, RouterView};
 use crate::entry::RoutingEntry;
+use crate::id::NodeId;
 use crate::lookup::LookupRequest;
 
 /// Pick the next hop greedily: the known peer with the smallest hierarchical
@@ -9,20 +10,17 @@ use crate::lookup::LookupRequest;
 /// `D(n, x) <= D(a, x) / 2`. Falls back to the superior list / closest child
 /// when no peer halves the distance.
 ///
-/// The candidate scan walks the registry's ordered neighbours of the target
-/// outward ([`RouterView::tables`]'s `peers_outward_from`) instead of
-/// copying every entry into a scratch `Vec` (the old `all_peers()` scan).
-/// The hierarchical metric is not monotone in identifier distance (a
-/// high-level peer's coverage radius can zero its distance from far away),
-/// so every peer is still *examined* — but the walk visits them in
-/// `(euclid, id)` order, which makes the tie-break free: the first peer
-/// achieving the minimal metric is the old scan's `(metric, euclid, id)`
-/// winner.
+/// The candidate scan is one in-order pass over the registry
+/// ([`RouterView::tables`]'s `peers`), keeping the lexicographic minimum
+/// of `(metric, euclid, id)`: the hierarchical metric is not monotone in
+/// identifier distance (a high-level peer's coverage radius can zero its
+/// distance from far away), so every peer is examined anyway, and a plain
+/// walk does it without the outward walk's two cursors.
 pub(crate) fn greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> RouteDecision {
     let target = req.target;
     let self_metric = view.self_metric(target, req.ttl);
-    let mut best: Option<(u64, RoutingEntry)> = None; // (metric, entry)
-    for peer in view.tables.peers_outward_from(target) {
+    let mut best: Option<((u64, u64, NodeId), RoutingEntry)> = None;
+    for peer in view.tables.peers() {
         if !view.is_live(peer) {
             continue;
         }
@@ -30,10 +28,9 @@ pub(crate) fn greedy_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) ->
         if metric > self_metric / 2 {
             continue;
         }
-        // Iteration is in (euclid, id) order, so a strictly smaller metric
-        // is the only way to displace the incumbent.
-        if best.is_none_or(|(cur, _)| metric < cur) {
-            best = Some((metric, *peer));
+        let rank = (metric, view.dist.euclidean(peer.id, target), peer.id);
+        if best.is_none_or(|(cur, _)| rank < cur) {
+            best = Some((rank, *peer));
         }
     }
     if let Some((_, entry)) = best {
@@ -52,7 +49,7 @@ mod tests {
     use crate::config::ChildPolicy;
     use crate::distance::HierarchicalDistance;
     use crate::entry::PeerInfo;
-    use crate::id::{IdSpace, NodeId};
+    use crate::id::IdSpace;
     use crate::lookup::RequestId;
     use crate::routing::RoutingAlgorithm;
     use crate::tables::RoutingTables;

@@ -423,7 +423,12 @@ impl RoutingTables {
 
     /// Every distinct peer known, each exactly once (the canonical entry).
     pub fn all_peers(&self) -> Vec<PeerEntry> {
-        self.slots.iter().map(|s| s.entry).collect()
+        self.peers().copied().collect()
+    }
+
+    /// Every known peer, borrowed, in ascending identifier order.
+    pub(crate) fn peers(&self) -> impl Iterator<Item = &PeerEntry> {
+        self.slots.iter().map(|s| &s.entry)
     }
 
     /// Every slot, walked outward from `key` in `(distance, id)` order: two
