@@ -2,9 +2,10 @@
 
 use simnet::SimDuration;
 use treep::TreePConfig;
-use workloads::{CapabilityDistribution, ChurnPlan};
+use workloads::ChurnPlan;
 
-/// Everything needed to run one Section-IV experiment.
+/// Everything needed to run one Section-IV experiment. The population
+/// draws `TopologyBuilder`'s default, heterogeneous capabilities.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentParams {
     /// Initial population size.
@@ -13,8 +14,6 @@ pub struct ExperimentParams {
     pub seed: u64,
     /// Protocol configuration, including the child policy under test.
     pub config: TreePConfig,
-    /// Capability distribution of the population.
-    pub capabilities: CapabilityDistribution,
     /// Random lookups issued per churn step *per routing algorithm*.
     pub lookups_per_step: usize,
     /// The failure schedule.
@@ -22,9 +21,6 @@ pub struct ExperimentParams {
     /// Virtual time the network is given after each batch of failures, so
     /// keep-alives and entry expiry can react before measurements are taken.
     pub settle_per_step: SimDuration,
-    /// Virtual time after issuing a step's lookups before their outcomes are
-    /// collected. Must exceed the configured lookup timeout.
-    pub drain_per_step: SimDuration,
 }
 
 impl ExperimentParams {
@@ -36,11 +32,9 @@ impl ExperimentParams {
             nodes,
             seed,
             config,
-            capabilities: CapabilityDistribution::Heterogeneous,
             lookups_per_step: 100,
             churn: ChurnPlan::paper(),
             settle_per_step: SimDuration::from_secs(3),
-            drain_per_step: SimDuration::from_millis(2_500),
         }
     }
 
@@ -87,6 +81,7 @@ impl ExperimentParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::DRAIN_PER_STEP;
 
     #[test]
     fn paper_configurations_match_section_iv() {
@@ -112,7 +107,7 @@ mod tests {
             ExperimentParams::paper_fixed(100, 1).with_adaptive_policy(),
             ExperimentParams::quick(100, 1),
         ] {
-            assert!(params.drain_per_step.as_micros() > params.config.lookup_timeout.as_micros());
+            assert!(DRAIN_PER_STEP.as_micros() > params.config.lookup_timeout.as_micros());
         }
     }
 

@@ -32,6 +32,10 @@ pub(crate) type Probe = (NodeAddr, RequestId);
 /// whole random graph.
 pub(crate) const FLOOD_TTL: u32 = 32;
 
+/// Virtual time a churn step waits after issuing its lookups before their
+/// outcomes are collected. Must exceed every preset's lookup timeout.
+pub(crate) const DRAIN_PER_STEP: SimDuration = SimDuration::from_millis(2_500);
+
 /// A built and settled TreeP overlay under measurement. The workload
 /// stream is not a field: each driver forks it from `sim` where it always
 /// did (two of them after their crash, one never), so no random stream
@@ -313,9 +317,7 @@ pub struct ChurnRunResult {
 /// surviving nodes, waits for the outcomes, and records failure rates and hop
 /// statistics.
 pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
-    let builder = TopologyBuilder::new(params.nodes)
-        .with_config(params.config)
-        .with_capabilities(params.capabilities);
+    let builder = TopologyBuilder::new(params.nodes).with_config(params.config);
     let mut sc = Scenario::build(&builder, params.seed);
 
     let steady_state = audit_alive(&sc.sim);
@@ -346,7 +348,7 @@ pub fn run_churn_experiment(params: &ExperimentParams) -> ChurnRunResult {
         }
 
         // 4. Wait for answers / timeouts and collect the outcomes.
-        sc.sim.run_for(params.drain_per_step);
+        sc.sim.run_for(DRAIN_PER_STEP);
         let drained = sc.drain(TreePNode::drain_lookup_outcomes).into_iter();
         let outcomes: Vec<LookupOutcome> = drained.flat_map(|(_, _, queue)| queue).collect();
         let per_algorithm = RoutingAlgorithm::ALL

@@ -241,7 +241,6 @@ pub struct Scheduler<M> {
     len: usize,
     next_seq: EventSeq,
     now: SimTime,
-    scheduled_total: u64,
 }
 
 impl<M> Default for Scheduler<M> {
@@ -268,7 +267,6 @@ impl<M> Scheduler<M> {
             len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
@@ -289,7 +287,7 @@ impl<M> Scheduler<M> {
 
     /// Total number of events ever scheduled.
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 
     /// Schedule `kind` for dispatch at time `at`.
@@ -301,7 +299,6 @@ impl<M> Scheduler<M> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.len += 1;
         let slot = match kind {
             EventKind::Timer { node, token } => self.put_control(Control::Timer { node, token }),
@@ -485,7 +482,6 @@ pub struct HeapScheduler<M> {
     heap: BinaryHeap<Entry<M>>,
     next_seq: EventSeq,
     now: SimTime,
-    scheduled_total: u64,
 }
 
 impl<M> Default for HeapScheduler<M> {
@@ -501,7 +497,6 @@ impl<M> HeapScheduler<M> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
@@ -517,7 +512,7 @@ impl<M> HeapScheduler<M> {
 
     /// Total number of events ever scheduled.
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 
     /// Schedule `kind` for dispatch at time `at` (past times clamp to now).
@@ -525,7 +520,6 @@ impl<M> HeapScheduler<M> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry {
             event: Event::new(at, seq, kind),
         });

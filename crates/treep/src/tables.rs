@@ -75,12 +75,12 @@
 //!   from the opening count, so about five dependent loads of cached
 //!   lines replace a count over a few dozen slots;
 //! * range probes (`closest_peer`, `peers_outward_from`, `nearest_peers`,
-//!   `bus_neighbors`, `closest_child`, `multicast_fanout`) are that
-//!   bisection plus a walk over adjacent slots, skipping the ones without
-//!   the wanted role bit;
-//! * role iterators (`level0`, `children`, `superiors`, …) are a filtered
-//!   scan of the whole vector, in the same ascending-ID order the indexes
-//!   had.
+//!   `bus_neighbors`, `closest_child`) are that bisection plus a walk over
+//!   adjacent slots, skipping the ones without the wanted role bit;
+//! * role iterators (`level0`, `children`, `superiors`, …) and the
+//!   multicast fan-out (`multicast_fanout`, the own children whose extent
+//!   overlaps the range) are a filtered scan of the whole vector, in the
+//!   same ascending-ID order the indexes had.
 //!
 //! The identifiers are not split into a column of their own: counting over
 //! a separate `Vec<NodeId>` touches fewer lines but was measured slower,
@@ -106,7 +106,7 @@
 //! `ChildReport`); `multicast_fanout` prefers the exact span over the
 //! tessellation-radius estimate. Spans and topic filters exist only on
 //! parents and only per own child, so they stay in small side maps keyed by
-//! the child's identifier.
+//! the child's identifier; nothing derived from them is cached.
 
 use crate::entry::RoutingEntry;
 use crate::id::{IdSpace, NodeId};
@@ -204,6 +204,7 @@ struct Slot {
 // 40 bytes shows in every node's resident size (see the module docs).
 const _: () = assert!(std::mem::size_of::<Slot>() == 40);
 const _: () = assert!(std::mem::size_of::<RoutingEntry>() == 32);
+const _: () = assert!(std::mem::size_of::<RoutingTables>() == 80);
 
 impl Slot {
     fn roleless(&self) -> bool {
@@ -247,19 +248,13 @@ pub struct RoutingTables {
     /// Every known peer exactly once, in strictly ascending identifier
     /// order; every slot holds at least one role.
     slots: Vec<Slot>,
-    /// Exact subtree extents reported by own children (`ChildReport`).
+    /// Exact subtree extents reported by own children (`ChildReport`),
+    /// dropped with the child's slot.
     child_spans: BTreeMap<NodeId, KeyRange>,
     /// Topic-subscription summaries reported by own children
     /// (`FilterReport`); consulted by the pub/sub fan-out pruning (see
     /// [`crate::pubsub`]). Only populated when the pub/sub layer is on.
     child_filters: BTreeMap<NodeId, TopicFilter>,
-    /// Largest one-sided reach (`max(id - lo, hi - id)`) over
-    /// `child_spans`; monotone over-approximation used to bound the
-    /// `multicast_fanout` range query. Recomputed when a span is dropped.
-    span_reach: u64,
-    /// Highest `max_level` ever seen on an own child; monotone
-    /// over-approximation, recomputed when an own child is removed.
-    max_child_level: u32,
     /// An entry last heard before this instant is a **suspect** (see
     /// [`RoutingTables::is_suspect`]). The owner moves it forward before it
     /// consults a probe; [`SimTime::ZERO`], the default, suspects nobody.
@@ -337,23 +332,15 @@ impl RoutingTables {
         };
         slot.levels |= levels;
         slot.tree |= tree;
-        // An own child's level can rise through *any* role's upsert (a
-        // keep-alive, a gossip update); the fan-out window bound must keep
-        // covering it.
-        if slot.tree & OWN_CHILD != 0 {
-            self.max_child_level = self.max_child_level.max(slot.entry.max_level);
-        }
     }
 
-    /// Bookkeeping for own children that have left the vector: their side
-    /// map records go, and the caches those bounded are recomputed once.
-    /// `ids` may name other peers too; the maps hold own children only.
+    /// Bookkeeping for peers that have left the vector: the side map
+    /// records of those that were own children go.
     fn drop_children(&mut self, ids: &[NodeId]) {
         for id in ids {
             self.child_spans.remove(id);
             self.child_filters.remove(id);
         }
-        self.recompute_child_caches();
     }
 
     /// Canonical lookup: the single freshest entry for `id`, whatever roles
@@ -792,8 +779,6 @@ impl RoutingTables {
         if !self.is_own_child(child) {
             return false;
         }
-        let reach = (child.0.saturating_sub(span.lo.0)).max(span.hi.0.saturating_sub(child.0));
-        self.span_reach = self.span_reach.max(reach);
         self.child_spans.insert(child, span);
         true
     }
@@ -877,34 +862,14 @@ impl RoutingTables {
         KeyRange::new(NodeId(lo), NodeId(hi.min(space.max_id().0)))
     }
 
-    /// Recompute the caches invalidated by removing an own child (the cached
-    /// values are monotone over-approximations, so staleness only ever costs
-    /// a slightly wider pre-filter, never a missed child).
-    fn recompute_child_caches(&mut self) {
-        self.span_reach = self
-            .child_spans
-            .iter()
-            .map(|(id, span)| (id.0.saturating_sub(span.lo.0)).max(span.hi.0.saturating_sub(id.0)))
-            .max()
-            .unwrap_or(0);
-        self.max_child_level = self
-            .own_children()
-            .map(|child| child.max_level)
-            .max()
-            .unwrap_or(0);
-    }
-
     /// Multicast fan-out selection: the own children whose subtree could
     /// intersect `range`, in identifier order.
     ///
-    /// Implemented as a range query on the sorted vector: only own children
-    /// whose coordinate lies within the maximum possible reach of the range
-    /// are examined at all, then each candidate is filtered by its exact
-    /// extent. A child's extent is its **reported subtree span** when
-    /// one arrived via `ChildReport` (exact bookkeeping); otherwise the
-    /// deliberately generous estimate that a level-`j` child's descendants
-    /// lie within one tessellation radius of the level above it,
-    /// `L / 2^(h - (j+1))`, around the child's coordinate. Level-0 children
+    /// Each own child is filtered by its extent: its **reported subtree
+    /// span** when one arrived via `ChildReport` (exact bookkeeping);
+    /// otherwise the deliberately generous estimate that a level-`j` child's
+    /// descendants lie within one tessellation radius of the level above
+    /// it, `L / 2^(h - (j+1))`, around the child's coordinate. Level-0 children
     /// without a span are filtered by their own coordinate widened by
     /// `level0_slack` — pass 0 for exact scoping (payload delivery), or a
     /// positive slack when *visiting* a node just outside the range matters
@@ -921,21 +886,7 @@ impl RoutingTables {
         range: KeyRange,
         level0_slack: u64,
     ) -> Vec<PeerEntry> {
-        let estimate_reach = if self.max_child_level == 0 {
-            0
-        } else {
-            space.coverage_radius(height, self.max_child_level.saturating_add(1).min(height))
-        };
-        let reach = estimate_reach
-            .max(self.span_reach)
-            .saturating_add(level0_slack);
-        let window_lo = range.lo.0.saturating_sub(reach);
-        let window_hi = range.hi.0.saturating_add(reach);
-        self.slots[self.rank(NodeId(window_lo))..]
-            .iter()
-            .take_while(|s| s.entry.id.0 <= window_hi)
-            .filter(|s| s.tree & OWN_CHILD != 0)
-            .map(|s| &s.entry)
+        self.own_children()
             .filter(|child| {
                 let (lo, hi, slack_applies) = self.child_extent(child, space, height);
                 let slack = if slack_applies { level0_slack } else { 0 };
@@ -1007,9 +958,8 @@ impl RoutingTables {
         let Ok(i) = self.position(id) else {
             return false;
         };
-        if self.slots.remove(i).tree & OWN_CHILD != 0 {
-            self.drop_children(&[id]);
-        }
+        self.slots.remove(i);
+        self.drop_children(&[id]);
         true
     }
 
@@ -1061,18 +1011,14 @@ impl RoutingTables {
     /// the removed identifiers, ascending.
     pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<NodeId> {
         let mut removed = Vec::new();
-        let mut lost_own_child = false;
         self.slots.retain(|slot| {
             let stale = slot.entry.is_stale(now, ttl);
             if stale {
                 removed.push(slot.entry.id);
-                lost_own_child |= slot.tree & OWN_CHILD != 0;
             }
             !stale
         });
-        if lost_own_child {
-            self.drop_children(&removed);
-        }
+        self.drop_children(&removed);
         removed
     }
 
@@ -1354,12 +1300,12 @@ mod tests {
     }
 
     #[test]
-    fn fanout_window_tracks_child_level_learned_through_other_roles() {
-        // Regression: the fan-out window bound is derived from the cached
-        // maximum own-child level. A child adopted at level 0 whose real
-        // level is later learned through a *keep-alive* (an `upsert_level0`
-        // merge, not an `upsert_child`) must still widen the window, or its
-        // whole subtree silently misses narrow multicasts.
+    fn fanout_uses_a_child_level_learned_through_other_roles() {
+        // Regression: a child's estimated extent follows its canonical
+        // level. A child adopted at level 0 whose real level is later
+        // learned through a *keep-alive* (an `upsert_level0` merge, not an
+        // `upsert_child`) must widen its extent, or its whole subtree
+        // silently misses narrow multicasts.
         let mut t = RoutingTables::new();
         let space = IdSpace::new(16);
         t.upsert_child(entry(40_000, 0, 1), true);
@@ -1372,7 +1318,7 @@ mod tests {
         assert_eq!(
             fanout.iter().map(|e| e.id.0).collect::<Vec<_>>(),
             vec![40_000],
-            "window bound must cover the child's gossip-learned level"
+            "the extent must cover the child's gossip-learned level"
         );
     }
 
@@ -1949,8 +1895,7 @@ mod tests {
                         .iter()
                         .map(|e| e.id)
                         .collect();
-                    let window = count(key.0.saturating_sub(slack));
-                    let reference: Vec<NodeId> = slots[window..]
+                    let reference: Vec<NodeId> = slots
                         .iter()
                         .filter(|s| s.tree & OWN_CHILD != 0)
                         .map(|s| s.entry.id)

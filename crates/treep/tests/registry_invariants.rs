@@ -161,6 +161,32 @@ impl Model {
             .max_by_key(|id| (self.peers[id].max_level, std::cmp::Reverse(*id)))
     }
 
+    /// The own children a multicast over `range` descends to, by the
+    /// paper's extent rule: the recorded span, else a level-0 child's own
+    /// coordinate (both widened by `slack`), else the tessellation radius
+    /// `L >> (h - (level + 1))` around a higher child.
+    fn fanout(&self, range: KeyRange, slack: u64) -> Vec<NodeId> {
+        self.own_children
+            .iter()
+            .copied()
+            .filter(|id| {
+                let level = self.peers[id].max_level;
+                let (lo, hi) = match self.spans.get(id) {
+                    Some(span) => (
+                        span.lo.0.saturating_sub(slack),
+                        span.hi.0.saturating_add(slack),
+                    ),
+                    None if level == 0 => (id.0.saturating_sub(slack), id.0.saturating_add(slack)),
+                    None => {
+                        let radius = space().size() >> HEIGHT.saturating_sub(level + 1);
+                        (id.0.saturating_sub(radius), id.0.saturating_add(radius))
+                    }
+                };
+                range.lo.0 <= hi && lo <= range.hi.0
+            })
+            .collect()
+    }
+
     fn closest_child(&self, target: NodeId) -> Option<NodeId> {
         self.own_children
             .iter()
@@ -499,25 +525,30 @@ fn random_trace(seed: u64, steps: usize) {
                 "record_child_filter"
             }
             _ => {
-                let a = NodeId(rng.gen_range_u64(0..50_000));
-                let b = NodeId(a.0 + rng.gen_range_u64(0..5_000));
+                // Half the ranges are narrow and among the stored
+                // identifiers, where spans, slack and levels decide.
+                let (reach, width) = if rng.gen_range_u64(0..2) == 0 {
+                    (1_500, 100)
+                } else {
+                    (50_000, 5_000)
+                };
+                let a = NodeId(rng.gen_range_u64(0..reach));
+                let b = NodeId(a.0 + rng.gen_range_u64(0..width));
                 let range = KeyRange::new(a, b);
-                // Fan-out soundness: results are own children, and every
-                // own child whose own coordinate is covered is included (an
-                // extent always contains the child's coordinate, so a
-                // covered child can never be pruned).
-                let fanout = tables.multicast_fanout(space(), HEIGHT, range, 0);
-                for e in &fanout {
-                    assert!(model.own_children.contains(&e.id), "fanout non-child");
-                }
-                for id in &model.own_children {
-                    if range.contains(*id) {
-                        assert!(
-                            fanout.iter().any(|e| e.id == *id),
-                            "covered own child {id:?} pruned from fanout"
-                        );
-                    }
-                }
+                // Fan-out selection: exactly the own children the extent
+                // rule admits, in identifier order, with and without the
+                // level-0 visiting slack.
+                let slack = if rng.gen_range_u64(0..2) == 0 { 0 } else { 700 };
+                let fanout: Vec<NodeId> = tables
+                    .multicast_fanout(space(), HEIGHT, range, slack)
+                    .iter()
+                    .map(|e| e.id)
+                    .collect();
+                assert_eq!(
+                    fanout,
+                    model.fanout(range, slack),
+                    "multicast_fanout({range:?}, slack {slack})"
+                );
                 // Closest-child agreement with the naive scan.
                 let target = NodeId(rng.gen_range_u64(0..60_000));
                 assert_eq!(
