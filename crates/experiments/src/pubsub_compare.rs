@@ -197,7 +197,7 @@ fn measure_treep(params: &PubSubParams, fanout: usize) -> PubSubRow {
             node.start_subscribe(topic, ctx);
         });
     }
-    // Settle: directory registration plus the event-driven filter ascent.
+    // Settle: the event-driven filter ascent.
     sc.sim.run_for(SimDuration::from_secs(3));
 
     let counters = |s: &NodeStats| {

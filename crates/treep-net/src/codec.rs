@@ -38,7 +38,8 @@
 //!
 //! 1. Add the variant to [`treep::TreePMessage`] (and its `MessageKind`).
 //! 2. Add one row to the `TreePMessage` table below with the next free tag.
-//!    Never renumber or reorder an existing row: deployed peers speak it.
+//!    Never renumber or reorder a row, nor reuse a retired tag: peers speak
+//!    them.
 //! 3. Add one `arb_message` arm in the `proptests` module and bump
 //!    `VARIANTS`, so the round-trip and truncation tests draw it.
 //! 4. Pin its bytes in a *new* golden module next to `wire_compat*`. The
@@ -424,9 +425,8 @@ wire_enums! {
         28 => PutVersionedAck { request_id, key, stamp, stored_at },
         29 => ReadRepair { sender, key, stamp, value },
         30 => ReadVerify { server, key, served_stamp, ttl },
-        31 => Subscribe { request_id, origin, topic, ttl },
-        32 => SubscribeAck { request_id, topic, subscribers, stored_at },
-        33 => Unsubscribe { request_id, origin, topic, ttl },
+        // 31–33 (`Subscribe`, `SubscribeAck`, `Unsubscribe`, the subscriber
+        // directory) are retired: they decode as `UnknownTag`, never reused.
         34 => FilterReport { child, topics, overflow },
         35 => ReplicaDigest { sender, range, xor, count },
     }
@@ -756,6 +756,14 @@ mod tests {
     fn unknown_tags_are_rejected() {
         assert_eq!(decode_message(&[99, 0, 0]), Err(CodecError::UnknownTag(99)));
         assert_eq!(decode_message(&[]), Err(CodecError::Truncated));
+        // The retired tags 31–33, under a body laid out as `Subscribe` was
+        // (request id, origin, topic, ttl).
+        let origin = &encode_message(&TreePMessage::JoinRequest { joiner: peer(1, 0) })[1..];
+        let body = [&7u64.to_le_bytes()[..], origin, &[0; 12]].concat();
+        for tag in 31..=33u8 {
+            let frame = [&[tag][..], &body].concat();
+            assert_eq!(decode_message(&frame), Err(CodecError::UnknownTag(tag)));
+        }
     }
 
     #[test]
@@ -1211,38 +1219,25 @@ mod wire_compat_readpath {
 
 #[cfg(test)]
 mod wire_compat_pubsub {
-    //! Third golden wire-format test: pins the pub/sub tags (31–34) plus
+    //! Third golden wire-format test: pins the pub/sub tag (34) plus
     //! the pub/sub extensions threaded through pre-existing tags — the
     //! `Topic` multicast payload, the `KeysInRange` aggregate query and the
     //! `Keys` convergecast partial. With `pubsub_enabled` defaulting to
     //! off a node never emits any of these, so the legacy and read-path
     //! goldens stay byte-identical; this checksum freezes what opted-in
     //! deployments exchange.
+    //!
+    //! Tags 31–33, the subscriber-directory registration, are retired. Their
+    //! three fixtures left this list, and the checksum below is the value the
+    //! code that still spoke them computes over the four that remain, so no
+    //! byte a surviving message produces moved.
     use super::wire_compat::{golden, peer};
     use super::*;
 
-    /// One deterministic message per pub/sub tag in tag order 31–34, then
-    /// the extended payload/query/partial encodings under tags 18–19.
+    /// The pub/sub tag 34, filled and overflowed, then the extended
+    /// payload/query/partial encodings under tags 18–19.
     fn pubsub_messages() -> Vec<TreePMessage> {
         vec![
-            TreePMessage::Subscribe {
-                request_id: RequestId(911),
-                origin: peer(51, 151, 0),
-                topic: NodeId(8_000),
-                ttl: 2,
-            },
-            TreePMessage::SubscribeAck {
-                request_id: RequestId(911),
-                topic: NodeId(8_000),
-                subscribers: 3,
-                stored_at: peer(52, 152, 1),
-            },
-            TreePMessage::Unsubscribe {
-                request_id: RequestId(912),
-                origin: peer(51, 151, 0),
-                topic: NodeId(8_000),
-                ttl: 1,
-            },
             TreePMessage::FilterReport {
                 child: peer(53, 153, 0),
                 topics: vec![NodeId(8_000), NodeId(8_001)],
@@ -1280,7 +1275,7 @@ mod wire_compat_pubsub {
     #[test]
     fn pubsub_tag_encodings_are_frozen() {
         let messages = pubsub_messages();
-        let expected_tags: &[u8] = &[31, 32, 33, 34, 34, 18, 19];
+        let expected_tags: &[u8] = &[34, 34, 18, 19];
         assert_eq!(messages.len(), expected_tags.len());
         for (msg, want_tag) in messages.iter().zip(expected_tags) {
             let tag = encode_message(msg)[0];
@@ -1288,7 +1283,7 @@ mod wire_compat_pubsub {
         }
         assert_eq!(
             golden(&messages, false),
-            (0x144D_4923_C44D_035B_u64, 374),
+            (0x10FE_FB97_2D86_EB10_u64, 233),
             "pub/sub wire format changed; if intentional, bump the \
              protocol notes and re-pin this checksum"
         );
@@ -1403,7 +1398,7 @@ mod proptests {
     /// One random instance of the message variant with index `variant`.
     /// Keep `VARIANTS` in sync when adding messages:
     /// `variant_count_matches_the_enum` fails if a kind is never drawn.
-    const VARIANTS: usize = 35;
+    const VARIANTS: usize = 32;
 
     fn arb_message(variant: usize, state: &mut u64) -> TreePMessage {
         match variant {
@@ -1622,32 +1617,14 @@ mod proptests {
                 served_stamp: arb_stamp(state),
                 ttl: (xorshift(state) % 32) as u32,
             },
-            30 => TreePMessage::Subscribe {
-                request_id: RequestId(xorshift(state)),
-                origin: arb_peer(state),
-                topic: NodeId(xorshift(state)),
-                ttl: (xorshift(state) % 32) as u32,
-            },
-            31 => TreePMessage::SubscribeAck {
-                request_id: RequestId(xorshift(state)),
-                topic: NodeId(xorshift(state)),
-                subscribers: (xorshift(state) % 4096) as u32,
-                stored_at: arb_peer(state),
-            },
-            32 => TreePMessage::Unsubscribe {
-                request_id: RequestId(xorshift(state)),
-                origin: arb_peer(state),
-                topic: NodeId(xorshift(state)),
-                ttl: (xorshift(state) % 32) as u32,
-            },
-            33 => TreePMessage::FilterReport {
+            30 => TreePMessage::FilterReport {
                 child: arb_peer(state),
                 topics: (0..xorshift(state) % 8)
                     .map(|_| NodeId(xorshift(state)))
                     .collect(),
                 overflow: xorshift(state).is_multiple_of(2),
             },
-            34 => TreePMessage::ReplicaDigest {
+            31 => TreePMessage::ReplicaDigest {
                 sender: arb_peer(state),
                 range: treep::KeyRange::new(NodeId(xorshift(state)), NodeId(xorshift(state))),
                 xor: xorshift(state),

@@ -221,9 +221,8 @@ impl TreePConfig {
     }
 
     /// Enable the topic-based pub/sub layer: subscription filters reported
-    /// up the tree next to child spans, subscriber directories as
-    /// replicated DHT state, and subscription-aware fan-out pruning of
-    /// topic publishes (see `crate::pubsub`).
+    /// up the tree next to child spans, and subscription-aware fan-out
+    /// pruning of topic publishes (see `crate::pubsub`).
     pub fn with_pubsub(mut self) -> Self {
         self.pubsub_enabled = true;
         self

@@ -98,7 +98,7 @@ pub use multicast::{
     MulticastPayload, MulticastPhase,
 };
 pub use node::TreePNode;
-pub use pubsub::{topic_key, SubscribeOutcome, TopicDelivery, TopicFilter};
+pub use pubsub::{topic_key, TopicDelivery, TopicFilter};
 pub use readpath::{CacheFill, HotKeyCache, ReadOutcome, ReadSource, StampedValue, VersionStamp};
 pub use replication::{audit_replication, ReplicaEntry, ReplicationAudit, REPLICA_SYNC_INTERVAL};
 pub use routing::{RouteDecision, RouterView, RoutingAlgorithm};

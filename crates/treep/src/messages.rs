@@ -468,46 +468,6 @@ pub enum TreePMessage {
     },
 
     // ---- pub/sub -------------------------------------------------------------
-    /// Register `origin` as a subscriber of `topic`: routed greedily toward
-    /// the topic coordinate; the responsible node adds the origin to the
-    /// topic's replicated subscriber directory (see `crate::pubsub`).
-    /// The origin's *delivery* state is local and immediate — this message
-    /// only maintains the directory.
-    Subscribe {
-        /// Request identifier (for the origin's bookkeeping).
-        request_id: RequestId,
-        /// The subscribing node.
-        origin: PeerInfo,
-        /// The topic coordinate ([`crate::pubsub::topic_key`]).
-        topic: NodeId,
-        /// Remaining TTL of the greedy route.
-        ttl: u32,
-    },
-    /// Acknowledgement of a [`TreePMessage::Subscribe`] or
-    /// [`TreePMessage::Unsubscribe`], sent by the node holding the topic's
-    /// directory.
-    SubscribeAck {
-        /// Request identifier.
-        request_id: RequestId,
-        /// The topic coordinate.
-        topic: NodeId,
-        /// Directory size after the update.
-        subscribers: u32,
-        /// The node holding the directory.
-        stored_at: PeerInfo,
-    },
-    /// Remove `origin` from `topic`'s subscriber directory; the mirror of
-    /// [`TreePMessage::Subscribe`].
-    Unsubscribe {
-        /// Request identifier.
-        request_id: RequestId,
-        /// The unsubscribing node.
-        origin: PeerInfo,
-        /// The topic coordinate.
-        topic: NodeId,
-        /// Remaining TTL of the greedy route.
-        ttl: u32,
-    },
     /// Topic-subscription summary of a child's whole subtree, reported to
     /// the parent next to the [`TreePMessage::ChildReport`] span — both
     /// periodically and immediately when the summary changes. The parent
@@ -624,9 +584,6 @@ message_kinds! {
     PutVersionedAck "put_versioned_ack" user,
     ReadRepair "read_repair" maintenance,
     ReadVerify "read_verify" user,
-    Subscribe "subscribe" user,
-    SubscribeAck "subscribe_ack" user,
-    Unsubscribe "unsubscribe" user,
     FilterReport "filter_report" maintenance,
 }
 
@@ -638,7 +595,7 @@ impl std::fmt::Display for MessageKind {
 
 impl TreePMessage {
     /// The request this message ends at its origin, when it is one of the
-    /// eight reply kinds. A branch partial of a convergecast (an
+    /// seven reply kinds. A branch partial of a convergecast (an
     /// `AggregateUp` that is not the final fold) answers no request: it
     /// belongs to a relay.
     pub(crate) fn answers(&self) -> Option<RequestId> {
@@ -649,7 +606,6 @@ impl TreePMessage {
             | TreePMessage::DhtGetReply { request_id, .. }
             | TreePMessage::GetVersionedReply { request_id, .. }
             | TreePMessage::PutVersionedAck { request_id, .. }
-            | TreePMessage::SubscribeAck { request_id, .. }
             | TreePMessage::AggregateUp {
                 request_id,
                 final_answer: true,
@@ -684,13 +640,7 @@ impl TreePMessage {
             | TreePMessage::DhtGet { key, ttl, .. }
             | TreePMessage::GetVersioned { key, ttl, .. }
             | TreePMessage::PutVersioned { key, ttl, .. }
-            | TreePMessage::ReadVerify { key, ttl, .. }
-            | TreePMessage::Subscribe {
-                topic: key, ttl, ..
-            }
-            | TreePMessage::Unsubscribe {
-                topic: key, ttl, ..
-            } => Some((*key, ttl)),
+            | TreePMessage::ReadVerify { key, ttl, .. } => Some((*key, ttl)),
             _ => None,
         }
     }
@@ -947,33 +897,6 @@ mod tests {
 
     #[test]
     fn pubsub_messages_classify_correctly() {
-        let sub = TreePMessage::Subscribe {
-            request_id: RequestId(1),
-            origin: peer(9),
-            topic: NodeId(5),
-            ttl: 10,
-        };
-        assert_eq!(sub.kind().name(), "subscribe");
-        assert!(!sub.is_maintenance(), "subscriptions are user traffic");
-
-        let ack = TreePMessage::SubscribeAck {
-            request_id: RequestId(1),
-            topic: NodeId(5),
-            subscribers: 3,
-            stored_at: peer(4),
-        };
-        assert_eq!(ack.kind().name(), "subscribe_ack");
-        assert!(!ack.is_maintenance());
-
-        let unsub = TreePMessage::Unsubscribe {
-            request_id: RequestId(2),
-            origin: peer(9),
-            topic: NodeId(5),
-            ttl: 10,
-        };
-        assert_eq!(unsub.kind().name(), "unsubscribe");
-        assert!(!unsub.is_maintenance());
-
         let report = TreePMessage::FilterReport {
             child: peer(3),
             topics: vec![NodeId(5)],

@@ -14,7 +14,7 @@
 //! * `inflight` — the origin side of every request: the one table of what
 //!   this node is waiting on, how an entry is opened, matched to its reply
 //!   and ended by that reply or by its deadline; and the greedy key descent
-//!   the put/get, versioned, read-verify and directory requests ride.
+//!   the put/get, versioned and read-verify requests ride.
 //! * `lookup` — the three lookup algorithms' request handling and the DHT
 //!   put/get routing built on them.
 //! * `multicast` — tree-scoped multicast dissemination and convergecast
@@ -23,8 +23,8 @@
 //!   anti-entropy repair and key handoff (see [`crate::replication`]).
 //! * `readpath` — versioned puts/gets, replica-first serving, read-repair
 //!   and the per-hop hot-key cache (see [`crate::readpath`]).
-//! * `pubsub` — topic subscriptions, the replicated subscriber directory,
-//!   filter reports and topic publishes (see [`crate::pubsub`]).
+//! * `pubsub` — topic subscriptions, filter reports and topic publishes
+//!   (see [`crate::pubsub`]).
 //!
 //! This file owns only construction, the public accessors, the shared
 //! plumbing (request IDs, timer tokens, send accounting) and the
@@ -60,7 +60,7 @@ use crate::messages::{MessageKind, TreePMessage};
 use crate::multicast::{
     AggregateOutcome, AggregateRelay, KeyRange, MulticastDelivery, PendingRetx, SeenWindow,
 };
-use crate::pubsub::{SubscribeOutcome, TopicDelivery, TopicFilter};
+use crate::pubsub::{TopicDelivery, TopicFilter};
 use crate::readpath::{HotKeyCache, ReadOutcome, VersionStamp};
 use crate::routing::RouterView;
 use crate::stats::NodeStats;
@@ -158,7 +158,6 @@ struct Features {
     /// Pub/sub: topics this node is locally subscribed to (drives both
     /// delivery and the subtree filter; empty while the layer is off).
     local_topics: BTreeSet<NodeId>,
-    sub_outcomes: Vec<SubscribeOutcome>,
     topic_deliveries: Vec<TopicDelivery>,
     /// Pub/sub: the last subtree filter reported to the parent, so
     /// unchanged summaries are not re-sent event-driven (the periodic
@@ -273,12 +272,6 @@ impl TreePNode {
     pub(crate) fn subscribed_topics(&self) -> &BTreeSet<NodeId> {
         static NONE: BTreeSet<NodeId> = BTreeSet::new();
         self.features.as_ref().map_or(&NONE, |f| &f.local_topics)
-    }
-
-    /// Drain the completed subscribe/unsubscribe outcomes recorded at this
-    /// origin.
-    pub fn drain_subscribe_outcomes(&mut self) -> Vec<SubscribeOutcome> {
-        self.drain(|f| &mut f.sub_outcomes)
     }
 
     /// Drain the topic-publish deliveries recorded at this subscriber.
@@ -524,8 +517,7 @@ impl Protocol for TreePNode {
             | TreePMessage::LookupNotFound { .. }
             | TreePMessage::DhtPutAck { .. }
             | TreePMessage::DhtGetReply { .. }
-            | TreePMessage::PutVersionedAck { .. }
-            | TreePMessage::SubscribeAck { .. } => self.on_reply(msg, now),
+            | TreePMessage::PutVersionedAck { .. } => self.on_reply(msg, now),
             // ---- replication layer -------------------------------------
             TreePMessage::ReplicaPut { sender, key, value } => {
                 self.handle_replica_put(sender, key, value, ctx)
@@ -568,9 +560,6 @@ impl Protocol for TreePNode {
             } => self.handle_read_repair(sender, key, stamp, value, ctx),
             TreePMessage::ReadVerify { .. } => self.handle_read_verify(msg, ctx),
             // ---- pub/sub layer -----------------------------------------
-            TreePMessage::Subscribe { .. } | TreePMessage::Unsubscribe { .. } => {
-                self.route_subscription(msg, ctx)
-            }
             TreePMessage::FilterReport {
                 child,
                 topics,

@@ -2,9 +2,9 @@
 //! that carries most of them.
 //!
 //! Whatever an application asks of a node — a lookup, a put or get, a
-//! versioned read or write, an aggregation, a directory registration — is a
-//! request with one lifecycle: the origin opens it ([`TreePNode::begin`]:
-//! identifier, table entry, deadline), some node answers it
+//! versioned read or write, an aggregation — is a request with one
+//! lifecycle: the origin opens it ([`TreePNode::begin`]: identifier, table
+//! entry, deadline), some node answers it
 //! ([`TreePNode::answer`]: over the wire, or on the spot when the answering
 //! node is the origin), and it ends exactly once, as the reply
 //! ([`TreePNode::on_reply`]) or as the [`super::TIMER_REQUEST`] deadline
@@ -20,9 +20,9 @@
 //! it must find that request untouched.
 //!
 //! The second half is the greedy descent toward a key coordinate that DHT
-//! puts and gets, their versioned counterparts, read-verify probes and
-//! directory registrations all ride: [`TreePNode::key_hop`] decides one step
-//! of it and [`TreePNode::pass_on`] takes it. The step goes to the nearest
+//! puts and gets, their versioned counterparts and read-verify probes all
+//! ride: [`TreePNode::key_hop`] decides one step of it and
+//! [`TreePNode::pass_on`] takes it. The step goes to the nearest
 //! closer peer that is not a suspect (see the membership layer, "the three
 //! ages of an entry"), so two seconds after a crash a put or get already
 //! reaches the live next-nearest peer — a replica — instead of the corpse;
@@ -34,7 +34,7 @@ use crate::multicast::AggregateQuery;
 use crate::routing::RoutingAlgorithm;
 
 /// What an origin keeps about a request it is waiting on, one variant per
-/// kind of request (five): exactly what the timeout outcome has to name.
+/// kind of request (four): exactly what the timeout outcome has to name.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Pending {
     Lookup {
@@ -52,10 +52,6 @@ pub(super) enum Pending {
     },
     Aggregate {
         query: AggregateQuery,
-    },
-    /// A directory registration or its removal.
-    Subscribe {
-        topic: NodeId,
     },
 }
 
@@ -194,19 +190,6 @@ impl TreePNode {
                 });
             }
             (
-                TreePMessage::SubscribeAck {
-                    topic, subscribers, ..
-                },
-                Pending::Subscribe { .. },
-            ) => {
-                self.features().sub_outcomes.push(SubscribeOutcome::Acked {
-                    request_id,
-                    topic,
-                    subscribers,
-                    completed_at: now,
-                });
-            }
-            (
                 TreePMessage::AggregateUp {
                     query,
                     partial,
@@ -262,15 +245,6 @@ impl TreePNode {
                     .push(AggregateOutcome::TimedOut {
                         request_id,
                         query,
-                        completed_at,
-                    })
-            }
-            Pending::Subscribe { topic } => {
-                self.features()
-                    .sub_outcomes
-                    .push(SubscribeOutcome::TimedOut {
-                        request_id,
-                        topic,
                         completed_at,
                     })
             }

@@ -1,5 +1,5 @@
-//! Pub/sub layer: topic subscriptions, the replicated subscriber
-//! directory, filter reporting and topic publishes.
+//! Pub/sub layer: topic subscriptions, filter reporting and topic
+//! publishes.
 //!
 //! See [`crate::pubsub`] for the design (topic hashing, filter summaries,
 //! pruning rules). This layer owns:
@@ -7,17 +7,9 @@
 //! * **Subscription state** — `local_topics` drives both delivery (the
 //!   multicast descent delivers a [`MulticastPayload::Topic`] payload only
 //!   to locally subscribed nodes) and the subtree filter summary. A
-//!   [`TreePNode::start_subscribe`] takes effect locally at once; the
-//!   directory registration is asynchronous and its loss only delays the
-//!   directory, never delivery.
-//! * **The subscriber directory** — `Subscribe`/`Unsubscribe` ride the same
-//!   greedy key routing as DHT puts; the responsible node folds the origin
-//!   into the topic's encoded subscriber set, stores it under the topic
-//!   coordinate and pushes replica copies
-//!   ([`TreePNode::push_replicas`]), so the anti-entropy engine repairs
-//!   directories like any replicated value. The directory shares the DHT
-//!   keyspace: a topic's directory *is* the DHT value at
-//!   [`crate::pubsub::topic_key`].
+//!   [`TreePNode::start_subscribe`] or [`TreePNode::start_unsubscribe`]
+//!   changes it at once and sends nothing but the filter report it causes:
+//!   no node keeps a directory of a topic's subscribers.
 //! * **Filter reports** — the node's subtree summary
 //!   ([`RoutingTables::subtree_filter`]) is sent to the parent
 //!   event-driven on every change (local subscribe/unsubscribe, a child's
@@ -29,68 +21,27 @@
 //! ignore stray pub/sub messages, no filter state is kept and no timers are
 //! armed, keeping the off-mode wire byte-identical.
 
-use super::inflight::{KeyHop, Pending};
 use super::*;
 use crate::multicast::{AggregateQuery, MulticastPayload};
-use crate::pubsub::{decode_subscriber_set, encode_subscriber_set, MAX_FILTER_TOPICS};
+use crate::pubsub::MAX_FILTER_TOPICS;
 
 impl TreePNode {
     /// Subscribe this node to `topic` (a coordinate from
-    /// [`crate::pubsub::topic_key`]). Delivery starts immediately — the
-    /// local subscription and the event-driven filter report do not wait
-    /// for the directory — while the registration at the topic's
-    /// responsible node resolves asynchronously into
-    /// [`TreePNode::drain_subscribe_outcomes`]. Requires `pubsub_enabled`.
-    pub fn start_subscribe(
-        &mut self,
-        topic: NodeId,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) -> RequestId {
+    /// [`crate::pubsub::topic_key`]). Delivery starts at once: the local
+    /// subscription takes effect now and the changed filter goes to the
+    /// parent in the same event. Requires `pubsub_enabled`.
+    pub fn start_subscribe(&mut self, topic: NodeId, ctx: &mut Context<'_, TreePMessage>) {
         ctx.start_trace("subscribe");
         self.features().local_topics.insert(topic);
         self.filters_changed(ctx);
-        self.send_subscription(topic, true, ctx)
     }
 
     /// Drop this node's subscription of `topic`: the mirror of
-    /// [`TreePNode::start_subscribe`], removing the origin from the
-    /// replicated directory.
-    pub fn start_unsubscribe(
-        &mut self,
-        topic: NodeId,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) -> RequestId {
+    /// [`TreePNode::start_subscribe`].
+    pub fn start_unsubscribe(&mut self, topic: NodeId, ctx: &mut Context<'_, TreePMessage>) {
         ctx.start_trace("unsubscribe");
         self.features().local_topics.remove(&topic);
         self.filters_changed(ctx);
-        self.send_subscription(topic, false, ctx)
-    }
-
-    fn send_subscription(
-        &mut self,
-        topic: NodeId,
-        subscribe: bool,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) -> RequestId {
-        let request_id = self.begin(Pending::Subscribe { topic }, ctx);
-        let origin = self.peer_info();
-        let msg = if subscribe {
-            TreePMessage::Subscribe {
-                request_id,
-                origin,
-                topic,
-                ttl: 0,
-            }
-        } else {
-            TreePMessage::Unsubscribe {
-                request_id,
-                origin,
-                topic,
-                ttl: 0,
-            }
-        };
-        self.route_subscription(msg, ctx);
-        request_id
     }
 
     /// Publish `data` on `topic`: one scoped multicast over the whole
@@ -125,73 +76,6 @@ impl TreePNode {
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
         self.start_aggregate(range, AggregateQuery::KeysInRange, ctx)
-    }
-
-    // ---- directory routing -----------------------------------------------------
-
-    /// Route a `Subscribe`/`Unsubscribe` toward the topic coordinate, or
-    /// apply it here when no peer is closer (this node is responsible).
-    pub(super) fn route_subscription(
-        &mut self,
-        mut msg: TreePMessage,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) {
-        if !self.config.pubsub_enabled {
-            return; // dropped; the origin times out
-        }
-        match self.key_hop(&mut msg, ctx.now()) {
-            KeyHop::Drop => {} // the origin times out
-            KeyHop::Forward(next) => self.pass_on(next, msg, ctx),
-            KeyHop::Responsible => self.apply_subscription_locally(msg, ctx),
-        }
-    }
-
-    /// Responsible node: fold the origin into (or out of) the topic's
-    /// replicated subscriber set and acknowledge.
-    fn apply_subscription_locally(
-        &mut self,
-        msg: TreePMessage,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) {
-        let (request_id, origin, topic, subscribe) = match msg {
-            TreePMessage::Subscribe {
-                request_id,
-                origin,
-                topic,
-                ..
-            } => (request_id, origin, topic, true),
-            TreePMessage::Unsubscribe {
-                request_id,
-                origin,
-                topic,
-                ..
-            } => (request_id, origin, topic, false),
-            _ => unreachable!("apply_subscription_locally only handles subscription requests"),
-        };
-        // A value under the topic coordinate that fails to decode is an
-        // application DHT value sharing the coordinate; the directory
-        // overwrites it (the coordinate is the directory's by contract).
-        let mut set = self
-            .dht_store()
-            .get(topic)
-            .and_then(|v| decode_subscriber_set(v))
-            .unwrap_or_default();
-        if subscribe {
-            set.insert((origin.id, origin.addr));
-        } else {
-            set.remove(&(origin.id, origin.addr));
-        }
-        let subscribers = set.len() as u32;
-        let value = encode_subscriber_set(&set);
-        self.features().store.put(topic, value);
-        self.push_replicas(topic, ctx);
-        let ack = TreePMessage::SubscribeAck {
-            request_id,
-            topic,
-            subscribers,
-            stored_at: self.peer_info(),
-        };
-        self.answer(origin.addr, ack, ctx);
     }
 
     // ---- filter reporting --------------------------------------------------------

@@ -2062,7 +2062,6 @@ fn nothing_to_drain(node: &mut TreePNode) -> bool {
         && node.drain_dht_outcomes().is_empty()
         && node.drain_read_outcomes().is_empty()
         && node.drain_aggregate_outcomes().is_empty()
-        && node.drain_subscribe_outcomes().is_empty()
         && node.drain_multicast_deliveries().is_empty()
         && node.drain_topic_deliveries().is_empty()
 }
@@ -2103,12 +2102,6 @@ fn a_reply_of_the_wrong_kind_resolves_nothing() {
         TreePMessage::DhtPutAck {
             request_id: lookup,
             key,
-            stored_at: peer(777, 0),
-        },
-        TreePMessage::SubscribeAck {
-            request_id: lookup,
-            topic: key,
-            subscribers: 1,
             stored_at: peer(777, 0),
         },
         TreePMessage::LookupFound {
@@ -2239,59 +2232,6 @@ fn a_request_ends_exactly_once() {
     );
     assert_eq!(node.pending_request_count(), 0);
     assert!(nothing_to_drain(&mut node));
-}
-
-#[test]
-fn unsubscribe_is_traced_and_times_out_like_any_request() {
-    use crate::pubsub::SubscribeOutcome;
-    use simnet::{SimConfig, Simulation, TelemetryConfig};
-    let config = TreePConfig::default().with_pubsub();
-    let topic = crate::topic_key(config.space, "jobs");
-    let mut sim: Simulation<TreePNode> = Simulation::new(SimConfig::default(), 7);
-    sim.enable_telemetry(TelemetryConfig::default());
-    let addr = sim.add_node(TreePNode::new(
-        config,
-        NodeId(10),
-        NodeCharacteristics::default(),
-    ));
-    sim.step();
-    // The directory of the topic lives at a peer that is not there: the
-    // `Unsubscribe` leaves and no ack ever comes back.
-    let directory = PeerInfo {
-        id: topic,
-        ..peer(777, 0)
-    };
-    let started = sim.now();
-    sim.node_mut(addr)
-        .unwrap()
-        .seed_level0_neighbor(directory, started);
-    sim.invoke(addr, |node, ctx| node.start_unsubscribe(topic, ctx));
-    let spans = sim.telemetry().unwrap().spans.spans();
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.name == "unsubscribe" && s.parent == 0),
-        "no root span for the unsubscribe: {spans:?}"
-    );
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.name == "unsubscribe" && s.parent != 0),
-        "the hop toward the directory is not recorded under it: {spans:?}"
-    );
-
-    let deadline = started + config.lookup_timeout;
-    sim.run_until(SimTime::from_micros(deadline.as_micros() - 1));
-    assert_eq!(sim.node(addr).unwrap().pending_request_count(), 1);
-    sim.run_until(deadline);
-    let node = sim.node_mut(addr).unwrap();
-    assert_eq!(node.pending_request_count(), 0);
-    let outcomes = node.drain_subscribe_outcomes();
-    assert!(
-        matches!(outcomes[..], [SubscribeOutcome::TimedOut { topic: t, completed_at, .. }]
-            if t == topic && completed_at == deadline),
-        "{outcomes:?}"
-    );
 }
 
 // ---- suspicion: fresh, suspect, expired -----------------------------------------

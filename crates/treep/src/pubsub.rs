@@ -13,20 +13,17 @@
 //!
 //! A topic name hashes onto the 1-D identifier space with
 //! [`crate::id::hash_key`] (FNV-1a folded through SplitMix64), exactly like
-//! a DHT key: [`topic_key`]. The node responsible for that coordinate — the
-//! greedy-routing endpoint, hence the root of the subtree owning the
-//! surrounding ID range — keeps the topic's **subscriber directory** as
-//! replicated DHT state: the sorted subscriber list is serialised with
-//! [`encode_subscriber_set`] and stored under the topic coordinate through
-//! the ordinary store + replica-push path, so the PR 3 anti-entropy layer
-//! replicates and repairs it like any other value.
+//! a DHT key: [`topic_key`]. The coordinate only names the topic in
+//! subscriptions, filters and publishes. No node stores anything under it:
+//! there is no subscriber directory, and a DHT value put under the same
+//! coordinate is an ordinary value like any other.
 //!
 //! ## Filter summaries
 //!
-//! Delivery does not consult the directory (that would funnel every publish
-//! through one subtree). Instead each node tracks the topics it subscribes
-//! to locally, and summarises the topics present in its **whole subtree**
-//! up the tree as a [`TopicFilter`] — sent to the parent as a
+//! Delivery needs no list of a topic's subscribers (one would funnel every
+//! publish through one subtree). Instead each node tracks the topics it
+//! subscribes to locally, and summarises the topics present in its **whole
+//! subtree** up the tree as a [`TopicFilter`] — sent to the parent as a
 //! [`crate::messages::TreePMessage::FilterReport`] next to the existing
 //! `ChildReport` span, both periodically and immediately whenever the
 //! summary changes (subscribe, unsubscribe, a child's filter update). A
@@ -62,11 +59,11 @@ use crate::entry::PeerInfo;
 use crate::id::{hash_key, IdSpace, NodeId};
 use crate::lookup::RequestId;
 use serde::{Deserialize, Serialize};
-use simnet::{NodeAddr, SimTime};
+use simnet::SimTime;
 use std::collections::BTreeSet;
 
-/// Hash a topic name onto the identifier space. The returned coordinate
-/// addresses the topic's subscriber directory exactly like a DHT key.
+/// Hash a topic name onto the identifier space, exactly like a DHT key.
+/// The coordinate names the topic; nothing is stored under it.
 pub fn topic_key(space: IdSpace, topic: &str) -> NodeId {
     hash_key(space, topic.as_bytes())
 }
@@ -163,88 +160,11 @@ pub struct TopicDelivery {
     pub at: SimTime,
 }
 
-/// How a subscription (or unsubscription) request concluded, recorded at
-/// the origin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SubscribeOutcome {
-    /// The directory update was acknowledged by the responsible node.
-    Acked {
-        /// The request.
-        request_id: RequestId,
-        /// The topic coordinate.
-        topic: NodeId,
-        /// Directory size after the update.
-        subscribers: u32,
-        /// When the acknowledgement arrived.
-        completed_at: SimTime,
-    },
-    /// The origin gave up waiting. The local subscription state (and with
-    /// it delivery) is unaffected — only the directory update is in doubt,
-    /// and anti-entropy repairs directories like any replicated value.
-    TimedOut {
-        /// The request.
-        request_id: RequestId,
-        /// The topic coordinate.
-        topic: NodeId,
-        /// When the timeout fired.
-        completed_at: SimTime,
-    },
-}
-
-// ---- subscriber-directory value codec ---------------------------------------
-
-/// Serialise a subscriber set into the DHT value stored under the topic
-/// coordinate: `u32` count, then per subscriber the overlay identifier and
-/// transport address as little-endian `u64`s. Deterministic (sorted input)
-/// so replicas of the directory compare byte-equal.
-pub(crate) fn encode_subscriber_set(subscribers: &BTreeSet<(NodeId, NodeAddr)>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + subscribers.len() * 16);
-    out.extend_from_slice(&(subscribers.len() as u32).to_le_bytes());
-    for (id, addr) in subscribers {
-        out.extend_from_slice(&id.0.to_le_bytes());
-        out.extend_from_slice(&addr.0.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a subscriber set encoded by [`encode_subscriber_set`]. Returns
-/// `None` on a malformed value (wrong length for the declared count).
-pub(crate) fn decode_subscriber_set(bytes: &[u8]) -> Option<BTreeSet<(NodeId, NodeAddr)>> {
-    let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-    let body = bytes.get(4..)?;
-    if body.len() != count * 16 {
-        return None;
-    }
-    let mut out = BTreeSet::new();
-    for chunk in body.chunks_exact(16) {
-        let id = u64::from_le_bytes(chunk[..8].try_into().ok()?);
-        let addr = u64::from_le_bytes(chunk[8..].try_into().ok()?);
-        out.insert((NodeId(id), NodeAddr(addr)));
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 impl TopicFilter {
     /// True when the filter provably excludes every topic (prune always).
     pub(crate) fn is_empty(&self) -> bool {
         !self.overflow && self.topics.is_empty()
-    }
-}
-
-#[cfg(test)]
-impl SubscribeOutcome {
-    /// The request this outcome belongs to.
-    pub(crate) fn request_id(&self) -> RequestId {
-        match self {
-            SubscribeOutcome::Acked { request_id, .. }
-            | SubscribeOutcome::TimedOut { request_id, .. } => *request_id,
-        }
-    }
-
-    /// True unless the request timed out.
-    pub(crate) fn is_success(&self) -> bool {
-        matches!(self, SubscribeOutcome::Acked { .. })
     }
 }
 
@@ -295,52 +215,5 @@ mod tests {
         let mut from_overflow = TopicFilter::empty();
         from_overflow.merge(&TopicFilter::from_topics((0..9).map(NodeId), 4), 4);
         assert!(from_overflow.overflow, "overflow is contagious");
-    }
-
-    #[test]
-    fn subscriber_set_round_trips() {
-        let mut set = BTreeSet::new();
-        set.insert((NodeId(7), NodeAddr(70)));
-        set.insert((NodeId(3), NodeAddr(30)));
-        let bytes = encode_subscriber_set(&set);
-        assert_eq!(decode_subscriber_set(&bytes), Some(set.clone()));
-        assert_eq!(
-            decode_subscriber_set(&encode_subscriber_set(&BTreeSet::new())),
-            Some(BTreeSet::new())
-        );
-        // Deterministic: re-encoding the decoded set is byte-identical.
-        let again = encode_subscriber_set(&decode_subscriber_set(&bytes).unwrap());
-        assert_eq!(again, bytes);
-    }
-
-    #[test]
-    fn malformed_subscriber_values_are_rejected() {
-        assert_eq!(decode_subscriber_set(&[]), None);
-        assert_eq!(decode_subscriber_set(&[1, 0, 0]), None);
-        let mut bytes = encode_subscriber_set(&BTreeSet::from([(NodeId(1), NodeAddr(2))]));
-        bytes.pop();
-        assert_eq!(decode_subscriber_set(&bytes), None, "short body");
-        bytes.push(0);
-        bytes.push(0);
-        assert_eq!(decode_subscriber_set(&bytes), None, "long body");
-    }
-
-    #[test]
-    fn subscribe_outcome_accessors() {
-        let acked = SubscribeOutcome::Acked {
-            request_id: RequestId(4),
-            topic: NodeId(9),
-            subscribers: 3,
-            completed_at: SimTime::ZERO,
-        };
-        assert!(acked.is_success());
-        assert_eq!(acked.request_id(), RequestId(4));
-        let lost = SubscribeOutcome::TimedOut {
-            request_id: RequestId(5),
-            topic: NodeId(9),
-            completed_at: SimTime::ZERO,
-        };
-        assert!(!lost.is_success());
-        assert_eq!(lost.request_id(), RequestId(5));
     }
 }

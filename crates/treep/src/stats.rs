@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// [`MessageKind::name`].
 ///
 /// Every node holds two of these, so the width is memory on every node: a
-/// `u32` per kind keeps them at 280 bytes instead of 560. One node would
+/// `u32` per kind keeps them at 256 bytes instead of 512. One node would
 /// need to send 4.3 × 10⁹ messages of one kind to reach the top, and a
 /// count there saturates rather than wraps; every reading widens to `u64`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,7 +141,7 @@ pub struct NodeStats {
 }
 
 // Every node carries one: growing it shows in every node's resident size.
-const _: () = assert!(std::mem::size_of::<NodeStats>() <= 504);
+const _: () = assert!(std::mem::size_of::<NodeStats>() <= 480);
 
 impl NodeStats {
     /// Record a received message of the given kind.

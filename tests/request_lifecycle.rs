@@ -2,11 +2,11 @@
 //!
 //! Everything an application gets from a `TreePNode` is a request: an
 //! origin opens it, routing carries it, and it ends as an answer or as a
-//! timeout. This trace drives all ten ways of opening one — lookup, put,
-//! get, versioned put and get, multicast, aggregate, subscribe,
-//! unsubscribe, publish — through an overlay with every feature on
-//! (replication, the reliability layer, the read path, pub/sub) under
-//! per-hop loss and crashes, and pins two digests per seed:
+//! timeout. This trace drives all eight ways of opening one — lookup, put,
+//! get, versioned put and get, multicast, aggregate, publish — and the two
+//! calls that open none, subscribe and unsubscribe, through an overlay with
+//! every feature on (replication, the reliability layer, the read path,
+//! pub/sub) under per-hop loss and crashes, and pins two digests per seed:
 //!
 //! * the **outcome digest** — everything every survivor drains after each
 //!   round, every survivor's `NodeStats` and the engine's `SimMetrics` —
@@ -66,6 +66,12 @@
 //! moved again when older evidence stopped raising a routing entry's level
 //! (before: `0x979b_b497_1884_7cd0` / `0x57d4_c4c3_d7e6_14dd`,
 //! `0x4200_d01d_a05e_722f` / `0x34ad_dca2_02e7_c746`); seed 1 did not.
+//! Deleting the subscriber directory moved all six, on purpose: a
+//! subscription no longer sends a registration toward the topic coordinate,
+//! and `NodeStats`' `Debug` text lost the three counters of its kinds
+//! (before: `0xbdf0_483a_aa37_c58d` / `0xc483_7bd0_d51b_1bc6`,
+//! `0x1515_9f4f_6457_374b` / `0x1be8_0f6f_d34e_53bd`,
+//! `0x0649_50b9_47b9_9cc6` / `0x4abe_64d8_be11_2218`).
 
 use simnet::{LinkModel, LossModel, NodeAddr, SimConfig, SimDuration, SimRng, Simulation};
 use treep::{
@@ -83,9 +89,9 @@ const CACHE_LINES: usize = 16;
 
 /// `(seed, outcome digest, event digest)`.
 const PINS: [(u64, u64, u64); 3] = [
-    (1, 0xbdf0_483a_aa37_c58d, 0xc483_7bd0_d51b_1bc6),
-    (2, 0x1515_9f4f_6457_374b, 0x1be8_0f6f_d34e_53bd),
-    (3, 0x0649_50b9_47b9_9cc6, 0x4abe_64d8_be11_2218),
+    (1, 0xd8d1_0889_f8ab_2f9b, 0x76be_716b_b340_79e7),
+    (2, 0x979f_677e_3ad0_5d6b, 0x2d3f_6260_a929_3240),
+    (3, 0x6150_240e_653b_70b6, 0xfa0c_8d80_37e8_92a0),
 ];
 
 struct Run {
@@ -122,17 +128,20 @@ fn open_request(
         alive[rng.gen_range_usize(0..alive.len())].1,
     );
     let range = KeyRange::new(a.min(b), a.max(b));
-    sim.invoke(origin, |node, ctx| match i % 10 {
-        0 => node.start_lookup(target, RoutingAlgorithm::NonGreedyFallback, ctx),
-        1 => node.dht_put(&key, value, ctx),
-        2 => node.dht_get(&key, ctx),
-        3 => node.dht_put_versioned(&key, value, ctx),
-        4 => node.dht_get_versioned(&key, ctx),
-        5 => node.start_multicast(range, value, ctx),
-        6 => node.start_aggregate(range, AggregateQuery::CountNodes, ctx),
-        7 => node.start_subscribe(topic, ctx),
-        8 => node.start_unsubscribe(topic, ctx),
-        _ => node.start_publish(topic, value, ctx),
+    sim.invoke(origin, |node, ctx| {
+        // Subscribing opens no request: it changes local state at once.
+        let _request = match i % 10 {
+            0 => node.start_lookup(target, RoutingAlgorithm::NonGreedyFallback, ctx),
+            1 => node.dht_put(&key, value, ctx),
+            2 => node.dht_get(&key, ctx),
+            3 => node.dht_put_versioned(&key, value, ctx),
+            4 => node.dht_get_versioned(&key, ctx),
+            5 => node.start_multicast(range, value, ctx),
+            6 => node.start_aggregate(range, AggregateQuery::CountNodes, ctx),
+            7 => return node.start_subscribe(topic, ctx),
+            8 => return node.start_unsubscribe(topic, ctx),
+            _ => node.start_publish(topic, value, ctx),
+        };
     });
 }
 
@@ -192,7 +201,6 @@ fn run(seed: u64) -> Run {
                 drain_dht_outcomes,
                 drain_read_outcomes,
                 drain_aggregate_outcomes,
-                drain_subscribe_outcomes,
                 drain_multicast_deliveries,
                 drain_topic_deliveries
             );

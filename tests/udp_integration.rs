@@ -4,8 +4,8 @@
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 use treep::{
-    topic_key, AggregateQuery, KeyRange, NodeCharacteristics, NodeId, ReadOutcome,
-    RoutingAlgorithm, SubscribeOutcome, TreePConfig, TreePMessage,
+    hash_key, AggregateQuery, DhtOutcome, KeyRange, NodeCharacteristics, NodeId, ReadOutcome,
+    RoutingAlgorithm, TreePConfig, TreePMessage,
 };
 use treep_net::{encode_message, UdpNode};
 
@@ -116,6 +116,8 @@ fn receive_loop_survives_hostile_datagrams() {
         batch_of(1, &[&1000u32.to_le_bytes()[..], &[1, 2, 3]].concat()),
         // A frame that decodes, followed by garbage.
         [&valid[..], &[0xAB; 64]].concat(),
+        // A frame under a retired tag (31 was `Subscribe`).
+        [&[31u8][..], &[0; 8], &valid[1..], &[0; 12]].concat(),
     ];
     let mut state = 0x5eed_2005u64;
     let mut next = || {
@@ -244,24 +246,33 @@ fn invoke_runs_versioned_ops_aggregates_and_deadlines_over_udp() {
     let count = counted.partial().and_then(|p| p.as_count());
     assert!(matches!(count, Some(1..=3)), "{counted:?}");
 
-    // Pub/sub is off, so the registration is dropped where it starts and
-    // only the request deadline can end it — on this host, a wall-clock
-    // timer.
+    // A get toward a peer that is gone: nobody answers, so only the request
+    // deadline can end it — on this host, a wall-clock timer. The lone
+    // node's one contact sits on the key's coordinate, its socket closed.
+    let key = b"gone/1";
+    let gone = bind(
+        hash_key(config.space, key).0,
+        NodeCharacteristics::default(),
+        vec![],
+    );
+    let contact = gone.peer_info();
+    gone.shutdown();
+    let lonely = bind(1_000_000_000, NodeCharacteristics::default(), vec![contact]);
     let opened = Instant::now();
-    let topic = topic_key(config.space, "jobs");
-    let sub = reader.invoke(|n, ctx| n.start_subscribe(topic, ctx));
+    let get = lonely.invoke(|n, ctx| n.dht_get(key, ctx));
     poll(|| {
-        reader
-            .invoke(|n, _| n.drain_subscribe_outcomes())
+        lonely
+            .invoke(|n, _| n.drain_dht_outcomes())
             .into_iter()
-            .find(|o| matches!(o, SubscribeOutcome::TimedOut { request_id, .. } if *request_id == sub))
+            .find(|o| matches!(o, DhtOutcome::TimedOut { request_id, .. } if *request_id == get))
     })
     .expect("the deadline never fired");
     assert!(opened.elapsed() >= Duration::from_micros(config.lookup_timeout.as_micros()));
-    for node in [&seed, &writer, &reader] {
+    for node in [&seed, &writer, &reader, &lonely] {
         assert_eq!(node.with_node(|n| n.pending_request_count()), 0);
     }
 
+    lonely.shutdown();
     reader.shutdown();
     writer.shutdown();
     seed.shutdown();
