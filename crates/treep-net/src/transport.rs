@@ -96,13 +96,17 @@ impl TransportStats {
 /// order they were set, so equal deadlines fire first in, first out.
 type Timers = BinaryHeap<Reverse<(SimTime, u64, TimerToken)>>;
 
-/// The state machine, the RNG its callbacks draw from and the timers they
-/// set (with how many were set): one lock guards them all.
+/// The state machine, the RNG its callbacks draw from, the timers they
+/// set (with how many were set) and the buffer their actions are recorded
+/// in: one lock guards them all.
 struct Hosted {
     node: TreePNode,
     rng: SimRng,
     timers: Timers,
     timers_set: u64,
+    /// Cleared by every callback's context and handed back after it, as
+    /// the simulator does, so a callback allocates no action buffer.
+    actions: Vec<Action<TreePMessage>>,
 }
 
 struct Shared {
@@ -119,7 +123,7 @@ impl Shared {
         SimTime::from_micros(self.started_at.elapsed().as_micros() as u64)
     }
 
-    /// Run a closure against the node with a fresh context and send what it
+    /// Run a closure against the node in a context and send what it
     /// produced.
     fn with_node<R>(
         &self,
@@ -139,9 +143,10 @@ impl Shared {
         });
     }
 
-    /// Run `f` under the node lock, queue the timers it set on the node's
-    /// clock, and send its messages once the lock is released, grouped per
-    /// destination in order: one callback may send several to one peer
+    /// Run `f` under the node lock in a context recording into the kept
+    /// action buffer, queue the timers it set on the node's clock, and send
+    /// its messages once the lock is released, grouped per destination in
+    /// order: one callback may send several to one peer
     /// (`ParentAccept` and `ChildReport` when a child registers,
     /// `ChildReport` and `FilterReport` on a tick with pub/sub on, multicast
     /// fan-out), and one datagram per destination beats one per message.
@@ -152,10 +157,12 @@ impl Shared {
         let now = self.now();
         let mut guard = self.hosted.lock();
         let hosted = &mut *guard;
-        let mut ctx = Context::new(now, self.self_addr, &mut hosted.rng);
+        let buffer = std::mem::take(&mut hosted.actions);
+        let mut ctx = Context::with_buffer(now, self.self_addr, &mut hosted.rng, buffer);
         let out = f(&mut hosted.node, &mut hosted.timers, &mut ctx);
         let mut sends: Vec<(NodeAddr, Vec<TreePMessage>)> = Vec::new();
-        for action in ctx.into_actions() {
+        let mut actions = ctx.into_actions();
+        for action in actions.drain(..) {
             match action {
                 Action::Send { dest, msg } => match sends.iter_mut().find(|(d, _)| *d == dest) {
                     Some((_, msgs)) => msgs.push(msg),
@@ -168,6 +175,7 @@ impl Shared {
                 }
             }
         }
+        hosted.actions = actions;
         drop(guard);
         for (dest, msgs) in sends {
             self.flush_to(dest, &msgs);
@@ -269,6 +277,7 @@ impl UdpNode {
                 rng: SimRng::seed_from(self_addr.0 ^ id.0),
                 timers: Timers::new(),
                 timers_set: 0,
+                actions: Vec::new(),
             }),
             started_at: Instant::now(),
             self_addr,

@@ -76,6 +76,7 @@ mod lookup;
 mod messages;
 mod multicast;
 mod node;
+mod pool;
 mod pubsub;
 mod readpath;
 mod replication;

@@ -45,9 +45,19 @@
 //! ([`TreePNode::subtree_span`]); the parent records it in the registry so
 //! the multicast layer can prune fan-outs by exact extents instead of
 //! tessellation-radius estimates.
+//!
+//! # Payload buffers
+//!
+//! The gossip payloads — a keep-alive's or an ack's updates, a report
+//! ack's superiors — are built in a scratch buffer and copied into a
+//! buffer of the thread's free list ([`crate::pool`]), once per message;
+//! the handler that reads one gives it back to the list. A settled overlay
+//! therefore allocates nothing per keep-alive, and every payload still has
+//! a capacity equal to its length, the bytes a clone of it would hold.
 
 use super::*;
 use crate::messages::RoutingUpdate;
+use crate::pool;
 use crate::tables::{MAX_LEVEL0_CONNECTIONS, MIN_LEVEL0_CONNECTIONS};
 
 impl TreePNode {
@@ -247,15 +257,14 @@ impl TreePNode {
         }
     }
 
-    /// The updates this node piggy-backs on keep-alives: its parent, its own
-    /// level membership, and (for parents) a sample of its children — but
-    /// only entries heard from *directly* within the gossip-freshness
-    /// window, so second-hand knowledge (and with it any dead peer) never
-    /// re-enters the gossip stream.
-    fn my_updates(&self, now: SimTime) -> Vec<RoutingUpdate> {
-        // Sized once for the most a node advertises: parent, own level,
-        // and four each of children, superiors and ring contacts.
-        let mut updates = Vec::with_capacity(14);
+    /// Append the updates this node piggy-backs on keep-alives to
+    /// `updates`: its parent, its own level membership, and (for parents) a
+    /// sample of its children — but only entries heard from *directly*
+    /// within the gossip-freshness window, so second-hand knowledge (and
+    /// with it any dead peer) never re-enters the gossip stream. At most 14:
+    /// parent, own level, and four each of children, superiors and ring
+    /// contacts.
+    fn my_updates(&self, now: SimTime, updates: &mut Vec<RoutingUpdate>) {
         if let Some(p) = self.tables.parent().filter(|p| self.advertisable(p, now)) {
             updates.push(RoutingUpdate::ParentOf {
                 peer: PeerInfo::from_entry(p),
@@ -279,9 +288,7 @@ impl TreePNode {
                 });
             }
         }
-        self.push_superiors_in_turn(&mut updates, 4, now, |peer| RoutingUpdate::Superior {
-            peer,
-        });
+        self.push_superiors_in_turn(updates, 4, now, |peer| RoutingUpdate::Superior { peer });
         // Ring repair: advertise the identifier-nearest peers we have heard
         // from directly, so the neighbours of a failed peer stitch the
         // level-0 ring back together within a few rounds instead of waiting
@@ -300,7 +307,6 @@ impl TreePNode {
                 });
             }
         }
-        updates
     }
 
     /// Append up to `count` advertisable superiors to `out`, the window
@@ -329,16 +335,15 @@ impl TreePNode {
         }
     }
 
-    /// Superiors advertised to children in a [`TreePMessage::ChildReportAck`]:
-    /// our own parent, our ancestors, and our direct bus neighbours —
-    /// gated by the same directly-heard freshness bar as every other
-    /// advertisement.
-    fn superiors_for_children(&self, now: SimTime) -> Vec<PeerInfo> {
-        let mut sup: Vec<PeerInfo> = Vec::new();
+    /// Append the superiors advertised to children in a
+    /// [`TreePMessage::ChildReportAck`] to `sup`: our own parent, six of our
+    /// ancestors, and our direct bus neighbours — gated by the same
+    /// directly-heard freshness bar as every other advertisement.
+    fn superiors_for_children(&self, now: SimTime, sup: &mut Vec<PeerInfo>) {
         if let Some(p) = self.tables.parent().filter(|p| self.advertisable(p, now)) {
             sup.push(PeerInfo::from_entry(p));
         }
-        self.push_superiors_in_turn(&mut sup, 6, now, |peer| peer);
+        self.push_superiors_in_turn(sup, 6, now, |peer| peer);
         if self.max_level > 0 {
             let (l, r) = self.tables.bus_neighbors(self.max_level, self.id);
             for e in [l, r].into_iter().flatten() {
@@ -347,7 +352,6 @@ impl TreePNode {
                 }
             }
         }
-        sup
     }
 
     /// True when `peer` hears from this node every round without an ack: by
@@ -430,9 +434,13 @@ impl TreePNode {
         //    an own child, whose link step 5's report refreshes. The round's
         //    partners come off one registry pass, a peer in several roles
         //    once; `tables` (read) and `stats` (write) are disjoint field
-        //    borrows, so no target buffer is allocated per tick (the only
-        //    per-message allocation is the keep-alive's `updates` payload).
-        let updates = self.my_updates(now);
+        //    borrows, so no target buffer is allocated per tick. The updates
+        //    are built once, in the thread's scratch buffer, and each
+        //    keep-alive carries a copy from the free list its receivers
+        //    give their payloads back to (`crate::pool`), so a round in
+        //    steady state allocates nothing.
+        let mut updates = pool::scratch();
+        self.my_updates(now, &mut updates);
         let me = self.peer_info();
         let stats = &mut self.stats;
         for (entry, by_report) in self.tables.round_partners(self.id, self.max_level) {
@@ -441,11 +449,12 @@ impl TreePNode {
             }
             let msg = TreePMessage::KeepAlive {
                 sender: me,
-                updates: updates.clone(),
+                updates: pool::copy(&updates),
             };
             stats.record_sent(msg.kind());
             ctx.send(entry.addr, msg);
         }
+        pool::restore(updates);
 
         // 5. Report to the parent ("if they do not report regularly they
         //    will simply be deleted from its routing table"), carrying the
@@ -552,9 +561,10 @@ impl TreePNode {
         let reply = !self.hears_from_us(sender.id) && reply;
         self.learn_peer(sender, now);
         let mut ring = RingRadius::default();
-        for u in updates {
+        for &u in &updates {
             self.apply_update(u, now, &mut ring);
         }
+        pool::recycle(updates);
         // A parentless node adopts a suitable advertised parent straight
         // away (cheap healing path; the full election still exists for the
         // case where no parent is advertised at all).
@@ -576,7 +586,7 @@ impl TreePNode {
         // no ack; only the others — whose sole refresh this is — do.
         if reply {
             let me = self.peer_info();
-            let my_updates = self.my_updates(now);
+            let my_updates = pool::build(|updates| self.my_updates(now, updates));
             self.send(
                 ctx,
                 sender.addr,
@@ -615,7 +625,7 @@ impl TreePNode {
             self.election.cancel_demotion();
         }
         let me = self.peer_info();
-        let superiors = self.superiors_for_children(now);
+        let superiors = pool::build(|sup| self.superiors_for_children(now, sup));
         self.send(
             ctx,
             child.addr,
@@ -636,11 +646,12 @@ impl TreePNode {
         self.tables.set_parent(parent.into_entry(now));
         self.election.cancel_election();
         let at = self.gossip_time(now);
-        for s in superiors {
+        for &s in &superiors {
             if s.id != self.id {
                 self.tables.upsert_superior(s.into_entry(at));
             }
         }
+        pool::recycle(superiors);
     }
 }
 

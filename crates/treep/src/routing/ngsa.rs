@@ -30,6 +30,9 @@ pub(crate) fn ngsa_next_hop(view: &RouterView<'_>, req: &mut LookupRequest) -> R
         while req.fallbacks.len() < MAX_FALLBACKS {
             let Some(alt) = fresh.next() else { break };
             if !req.fallbacks.iter().any(|f| f.addr == alt.addr) {
+                // Room for the whole list at the first push, none after.
+                req.fallbacks
+                    .reserve_exact(MAX_FALLBACKS - req.fallbacks.len());
                 req.fallbacks.push(PeerInfo::from_entry(&alt));
             }
         }

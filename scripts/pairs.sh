@@ -27,11 +27,12 @@
 #
 # With --trace every run is the traced pass (--trace 1) instead, and the
 # summary is one row per seed and side: `correct`, `trace.unexplained_share`,
-# `trace.digest_equal` and the hand-timed `keep_alive`, `maintenance tick`
-# and `lookup` handler legs in ns (from the run's `attribution of ...`
-# block; "-" where a workload times none), then each column's median per
-# side (for `correct`, how many runs were). A run whose unexplained share
-# exceeds the benchmark's bound reads `correct` false.
+# `trace.digest_equal`, `host.allocs_per_event`, `host.alloc_bytes_per_event`
+# and the hand-timed `keep_alive`, `maintenance tick` and `lookup` handler
+# legs in ns (from the run's `attribution of ...` block; "-" where a
+# workload times none), then each column's median per side (for `correct`,
+# how many runs were). A run whose unexplained share exceeds the
+# benchmark's bound reads `correct` false.
 set -euo pipefail
 
 trace=0
@@ -96,7 +97,8 @@ out, pairs, first = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 # "  keep_alive: 1234 received x 684 ns (timed on 100 calls)"
 leg = re.compile(r"^  ([^:]+): \S+ (?:received )?x (\S+) ns \(timed on")
 legs = ("keep_alive", "maintenance tick", "lookup")
-heads = ("correct", "unexplained", "digest_equal") + tuple(f"{name} ns" for name in legs)
+heads = ("correct", "unexplained", "digest_equal", "allocs/event", "alloc B/event") + tuple(
+    f"{name} ns" for name in legs)
 
 def row(side, seed):
     text = open(f"{out}/{side}.{seed}.txt").read().splitlines()
@@ -104,14 +106,15 @@ def row(side, seed):
     timed = {m.group(1): float(m.group(2)) for m in map(leg.match, text) if m}
     metric = lambda name: result["metrics"].get(name, {}).get("value")
     return [float(result["correct"]), metric("trace.unexplained_share"),
-            metric("trace.digest_equal")] + [timed.get(name) for name in legs]
+            metric("trace.digest_equal"), metric("host.allocs_per_event"),
+            metric("host.alloc_bytes_per_event")] + [timed.get(name) for name in legs]
 
 def show(value, column):
     if value is None:
         return "-"
     if column == 0:
         return "true" if value else "false"
-    return f"{value:.3f}" if column < 3 else f"{value:.0f}"
+    return f"{value:.3f}" if column < 5 else f"{value:.0f}"
 
 print(f"{'seed':>6} {'side':6} " + " ".join(f"{h:>18}" for h in heads))
 rows = {"parent": [], "change": []}
