@@ -28,6 +28,13 @@ impl From<BytesMut> for Vec<u8> {
     }
 }
 
+/// A buffer that appends after `v`'s bytes, into its capacity.
+impl From<Vec<u8>> for BytesMut {
+    fn from(inner: Vec<u8>) -> BytesMut {
+        BytesMut { inner }
+    }
+}
+
 /// Write-side trait: append fixed-width little-endian integers and raw
 /// slices.
 pub trait BufMut {

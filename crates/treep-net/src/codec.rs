@@ -103,28 +103,63 @@ const TAG_BATCH: u8 = 255;
 /// elements actually decode.
 const PREALLOC_CAP: usize = 1024;
 
-/// Encode several already-encoded messages into one batch datagram.
+/// Encode several messages into one batch datagram.
 ///
 /// Layout: `TAG_BATCH`, `u32` message count, then each message as a
-/// `u32` length prefix followed by its [`encode_message`] bytes. Callers
-/// batching on the send path keep the encoded frames around for MTU
-/// accounting; this avoids encoding each message twice.
-pub(crate) fn encode_batch_frames(frames: &[Vec<u8>]) -> Vec<u8> {
-    let payload: usize = frames.iter().map(|f| 4 + f.len()).sum();
-    let mut buf = BytesMut::with_capacity(5 + payload);
-    buf.put_u8(TAG_BATCH);
-    (frames.len() as u32).put(&mut buf);
-    for frame in frames {
-        frame.put(&mut buf);
-    }
-    buf.into()
+/// `u32` length prefix followed by its [`encode_message`] bytes.
+pub fn encode_batch(msgs: &[TreePMessage]) -> Vec<u8> {
+    let mut buf = vec![0; 5];
+    msgs.iter().for_each(|msg| put_framed(&mut buf, msg));
+    seal(&mut buf, msgs.len());
+    buf
 }
 
-/// Encode several messages into one batch datagram (see
-/// `encode_batch_frames` for the layout).
-pub fn encode_batch(msgs: &[TreePMessage]) -> Vec<u8> {
-    let frames: Vec<Vec<u8>> = msgs.iter().map(encode_message).collect();
-    encode_batch_frames(&frames)
+/// Pack messages for one peer, in order, into datagrams built in `buf` (the
+/// caller's to reuse) and hand each to `send` with its message count. Each
+/// message is encoded once, framed, after 5 bytes left for the batch header,
+/// so `buf.len()` is the envelope's size: a message taking it past `max`
+/// starts the next datagram, which only a message over `max` exceeds.
+pub(crate) fn pack_datagrams<'m>(
+    buf: &mut Vec<u8>,
+    msgs: impl IntoIterator<Item = &'m TreePMessage>,
+    max: usize,
+    mut send: impl FnMut(&[u8], usize),
+) {
+    buf.clear();
+    buf.resize(5, 0);
+    let mut count = 0;
+    for msg in msgs {
+        let at = buf.len();
+        put_framed(buf, msg);
+        if count > 0 && buf.len() > max {
+            send(seal(&mut buf[..at], count), count);
+            buf.drain(5..at);
+            count = 0;
+        }
+        count += 1;
+    }
+    if count > 0 {
+        send(seal(buf, count), count);
+    }
+}
+
+/// Write the header of a batch of `count` framed messages into `batch` and
+/// return the datagram, or a lone message bare, as [`encode_message`] does.
+fn seal(batch: &mut [u8], count: usize) -> &[u8] {
+    batch[0] = TAG_BATCH;
+    batch[1..5].copy_from_slice(&(count as u32).to_le_bytes());
+    &batch[if count == 1 { 9 } else { 0 }..]
+}
+
+/// Append `msg`'s encoding to `buf` behind its `u32` length prefix.
+fn put_framed(buf: &mut Vec<u8>, msg: &TreePMessage) {
+    let at = buf.len();
+    let mut out = BytesMut::from(std::mem::take(buf));
+    0u32.put(&mut out);
+    msg.put(&mut out);
+    *buf = out.into();
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decode a datagram that is either a single message or a batch frame.
@@ -884,6 +919,64 @@ mod tests {
         }
         let empty = encode_batch(&[]);
         assert_eq!(decode_datagram(&empty).expect("empty batch").len(), 0);
+    }
+
+    /// Every datagram [`pack_datagrams`] writes for `msgs` under `max`, with
+    /// the number of messages it carries.
+    fn packed(msgs: &[TreePMessage], max: usize) -> Vec<(Vec<u8>, usize)> {
+        // Stale bytes from an earlier call must not leak into a datagram.
+        let mut buf = vec![0xAB; 64];
+        let mut datagrams = Vec::new();
+        pack_datagrams(&mut buf, msgs, max, |datagram, count| {
+            datagrams.push((datagram.to_vec(), count))
+        });
+        datagrams
+    }
+
+    #[test]
+    fn a_lone_packed_message_goes_out_as_its_bare_encoding() {
+        for msg in all_messages() {
+            let bare = encode_message(&msg);
+            assert_eq!(packed(std::slice::from_ref(&msg), usize::MAX), [(bare, 1)]);
+        }
+        assert!(packed(&[], usize::MAX).is_empty());
+    }
+
+    #[test]
+    fn packed_messages_that_fit_go_out_as_their_batch_encoding() {
+        let msgs = all_messages();
+        assert_eq!(
+            packed(&msgs, usize::MAX),
+            [(encode_batch(&msgs), msgs.len())]
+        );
+    }
+
+    #[test]
+    fn a_pack_splits_exactly_at_the_bound() {
+        let msgs = &all_messages()[..3];
+        let bare = |msg: &TreePMessage| (encode_message(msg), 1);
+        let two = encode_batch(&msgs[..2]);
+        assert_eq!(
+            packed(msgs, two.len()),
+            [(two.clone(), 2), bare(&msgs[2])],
+            "the first two fit at their envelope's size; the third starts the next datagram"
+        );
+        assert_eq!(
+            packed(&msgs[..2], two.len() - 1),
+            [bare(&msgs[0]), bare(&msgs[1])],
+            "one byte less splits them"
+        );
+        // A message that starts the next datagram batches with those after it.
+        let four = vec![msgs[0].clone(); 4];
+        let pair = encode_batch(&four[..2]);
+        assert_eq!(packed(&four, pair.len()), [(pair.clone(), 2), (pair, 2)]);
+    }
+
+    #[test]
+    fn an_oversized_message_still_goes_out_alone() {
+        let msgs = &all_messages()[..3];
+        let alone: Vec<_> = msgs.iter().map(|m| (encode_message(m), 1)).collect();
+        assert_eq!(packed(msgs, 1), alone);
     }
 }
 

@@ -7,7 +7,7 @@
 //! driven by real sockets. This crate provides that driver:
 //!
 //! * [`codec`] — a compact, hand-rolled binary encoding of
-//!   [`treep::TreePMessage`] (length-prefixed fields over [`bytes`]).
+//!   [`treep::TreePMessage`] and of the datagrams that carry them.
 //! * [`transport::UdpNode`] — a host on one thread: a receive loop that
 //!   decodes datagrams into protocol events and, once every 10 ms, fires the
 //!   `Context::set_timer` requests that fell due on the wall clock.

@@ -2,18 +2,20 @@
 //!
 //! One thread, the receive loop, drives the protocol as the discrete-event
 //! simulator does, only against the wall clock: it feeds each datagram's
-//! messages to `Protocol::on_message` and, once every [`TIMER_PERIOD`]
-//! (its socket's read timeout), fires the timers that fell due. The node,
-//! its RNG and its pending timers sit behind one lock, so the state machine
-//! sees the single-threaded semantics it has under simulation.
+//! messages to `Protocol::on_message` in one callback and, once every
+//! [`TIMER_PERIOD`] (its socket's read timeout), fires the timers that fell
+//! due in another. The node, its RNG and its pending timers sit behind one
+//! lock, so the state machine sees the single-threaded semantics it has
+//! under simulation; what a callback sends is packed and written after it.
 
-use crate::codec::{decode_datagram, encode_batch_frames, encode_message};
+use crate::codec::{decode_datagram, pack_datagrams};
 use simnet::{Action, Context, NodeAddr, Protocol, SimDuration, SimRng, SimTime, TimerToken};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use treep::{
     DhtOutcome, LookupOutcome, NodeCharacteristics, NodeId, PeerInfo, RoutingAlgorithm,
@@ -40,32 +42,17 @@ pub(crate) fn node_addr_to_socket(addr: NodeAddr) -> SocketAddr {
     SocketAddr::V4(SocketAddrV4::new(ip, port))
 }
 
-/// Thin wrapper over [`std::sync::Mutex`] with the ergonomics of
-/// `parking_lot` (`lock()` returns the guard directly). A poisoned lock is
-/// recovered rather than propagated: the node state machine is a plain data
-/// structure, so the worst a panicking holder can leave behind is stale
-/// routing data the protocol already tolerates.
-struct Mutex<T>(std::sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        match self.0.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
+/// Lock `mutex`, recovering a poisoned lock rather than propagating it: the
+/// node state machine is a plain data structure, so the worst a panicking
+/// holder can leave behind is stale routing data the protocol already
+/// tolerates.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Wire-level counters for one UDP node. The overlay's [`treep::NodeStats`]
 /// counts protocol *messages*; these count what actually hits the socket,
-/// so the batching win (messages per datagram) is measurable. Messages that
-/// leave inside a tag-255 batch envelope are counted **per message** in
-/// [`TransportStats::messages_sent`] — historically only socket writes were
-/// observable, which under-reported batched traffic by the batch width.
+/// so the batching win (messages per datagram) is measurable.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportStats {
     /// UDP datagrams written to the socket (bare frames + batch envelopes).
@@ -90,23 +77,46 @@ impl TransportStats {
             self.messages_sent as f64 / self.datagrams_sent as f64
         }
     }
+
+    /// Count one datagram carrying `messages` messages.
+    fn record(&mut self, messages: usize) {
+        let messages = messages as u64;
+        self.datagrams_sent += 1;
+        self.messages_sent += messages;
+        if messages > 1 {
+            self.batch_datagrams += 1;
+            self.batched_messages += messages;
+        }
+    }
+
+    /// Add `other`'s counts to these.
+    fn add(&mut self, other: TransportStats) {
+        self.datagrams_sent += other.datagrams_sent;
+        self.messages_sent += other.messages_sent;
+        self.batched_messages += other.batched_messages;
+        self.batch_datagrams += other.batch_datagrams;
+    }
 }
 
 /// Pending timers, earliest deadline on top. The `u64` numbers them in the
 /// order they were set, so equal deadlines fire first in, first out.
 type Timers = BinaryHeap<Reverse<(SimTime, u64, TimerToken)>>;
 
-/// The state machine, the RNG its callbacks draw from, the timers they
-/// set (with how many were set) and the buffer their actions are recorded
-/// in: one lock guards them all.
+/// The state machine, the RNG its callbacks draw from and the timers they
+/// set (with how many were set): one lock guards them all.
 struct Hosted {
     node: TreePNode,
     rng: SimRng,
     timers: Timers,
     timers_set: u64,
-    /// Cleared by every callback's context and handed back after it, as
-    /// the simulator does, so a callback allocates no action buffer.
-    actions: Vec<Action<TreePMessage>>,
+}
+
+thread_local! {
+    /// The buffers this thread's callbacks record actions in and pack
+    /// datagrams into: [`Shared::run`] takes them and puts them back, so a
+    /// nested `run` allocates its own.
+    static BUFFERS: Cell<(Vec<Action<TreePMessage>>, Vec<u8>)> =
+        const { Cell::new((Vec::new(), Vec::new())) };
 }
 
 struct Shared {
@@ -123,15 +133,6 @@ impl Shared {
         SimTime::from_micros(self.started_at.elapsed().as_micros() as u64)
     }
 
-    /// Run a closure against the node in a context and send what it
-    /// produced.
-    fn with_node<R>(
-        &self,
-        f: impl FnOnce(&mut TreePNode, &mut Context<'_, TreePMessage>) -> R,
-    ) -> R {
-        self.run(|node, _, ctx| f(node, ctx))
-    }
-
     /// Fire every timer whose deadline has passed, in one context.
     fn fire_due(&self) {
         self.run(|node, timers, ctx| {
@@ -143,11 +144,11 @@ impl Shared {
         });
     }
 
-    /// Run `f` under the node lock in a context recording into the kept
-    /// action buffer, queue the timers it set on the node's clock, and send
-    /// its messages once the lock is released, grouped per destination in
-    /// order: one callback may send several to one peer
-    /// (`ParentAccept` and `ChildReport` when a child registers,
+    /// Run `f` under the node lock in a context recording into this
+    /// thread's buffer, queue the timers it set on the node's clock, and
+    /// send its messages once the lock is released, grouped per destination
+    /// in order of first appearance: one callback may send several to one
+    /// peer (`ParentAccept` and `ChildReport` when a child registers,
     /// `ChildReport` and `FilterReport` on a tick with pub/sub on, multicast
     /// fan-out), and one datagram per destination beats one per message.
     fn run<R>(
@@ -155,89 +156,53 @@ impl Shared {
         f: impl FnOnce(&mut TreePNode, &mut Timers, &mut Context<'_, TreePMessage>) -> R,
     ) -> R {
         let now = self.now();
-        let mut guard = self.hosted.lock();
+        let (actions, mut datagram) = BUFFERS.take();
+        let mut guard = lock(&self.hosted);
         let hosted = &mut *guard;
-        let buffer = std::mem::take(&mut hosted.actions);
-        let mut ctx = Context::with_buffer(now, self.self_addr, &mut hosted.rng, buffer);
+        let mut ctx = Context::with_buffer(now, self.self_addr, &mut hosted.rng, actions);
         let out = f(&mut hosted.node, &mut hosted.timers, &mut ctx);
-        let mut sends: Vec<(NodeAddr, Vec<TreePMessage>)> = Vec::new();
         let mut actions = ctx.into_actions();
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { dest, msg } => match sends.iter_mut().find(|(d, _)| *d == dest) {
-                    Some((_, msgs)) => msgs.push(msg),
-                    None => sends.push((dest, vec![msg])),
-                },
-                Action::SetTimer { delay, token } => {
-                    hosted.timers_set += 1;
-                    let seq = hosted.timers_set;
-                    hosted.timers.push(Reverse((now + delay, seq, token)));
-                }
+        for action in &actions {
+            if let Action::SetTimer { delay, token } = *action {
+                hosted.timers_set += 1;
+                let seq = hosted.timers_set;
+                hosted.timers.push(Reverse((now + delay, seq, token)));
             }
         }
-        hosted.actions = actions;
         drop(guard);
-        for (dest, msgs) in sends {
-            self.flush_to(dest, &msgs);
+        let mut sent = TransportStats::default();
+        let sends = || actions.iter().filter_map(send_of);
+        for (at, (dest, _)) in sends().enumerate() {
+            if sends().take(at).any(|(d, _)| d == dest) {
+                continue;
+            }
+            let msgs = sends().skip(at).filter(|s| s.0 == dest).map(|s| s.1);
+            let to = node_addr_to_socket(dest);
+            pack_datagrams(&mut datagram, msgs, MAX_DATAGRAM_BYTES, |bytes, count| {
+                sent.record(count);
+                let _ = self.socket.send_to(bytes, to);
+            });
         }
+        if sent.datagrams_sent > 0 {
+            lock(&self.stats).add(sent);
+        }
+        actions.clear();
+        BUFFERS.set((actions, datagram));
         out
     }
+}
 
-    /// Encode `msgs` and send them to one destination, packing consecutive
-    /// frames into batch datagrams capped at [`MAX_DATAGRAM_BYTES`]. A single
-    /// frame is sent bare (no batch envelope), byte-identical to the
-    /// unbatched wire format, so unbatched peers interoperate.
-    fn flush_to(&self, dest: NodeAddr, msgs: &[TreePMessage]) {
-        let frames: Vec<Vec<u8>> = msgs.iter().map(encode_message).collect();
-        let sock_dest = node_addr_to_socket(dest);
-        let lens: Vec<usize> = frames.iter().map(Vec::len).collect();
-        let mut stats = TransportStats::default();
-        for (start, end) in plan_batches(&lens, MAX_DATAGRAM_BYTES) {
-            stats.datagrams_sent += 1;
-            stats.messages_sent += (end - start) as u64;
-            if end - start == 1 {
-                let _ = self.socket.send_to(&frames[start], sock_dest);
-            } else {
-                stats.batch_datagrams += 1;
-                stats.batched_messages += (end - start) as u64;
-                let datagram = encode_batch_frames(&frames[start..end]);
-                let _ = self.socket.send_to(&datagram, sock_dest);
-            }
-        }
-        let mut total = self.stats.lock();
-        total.datagrams_sent += stats.datagrams_sent;
-        total.messages_sent += stats.messages_sent;
-        total.batched_messages += stats.batched_messages;
-        total.batch_datagrams += stats.batch_datagrams;
+/// Where `action` sends what, if it is a send.
+fn send_of(action: &Action<TreePMessage>) -> Option<(NodeAddr, &TreePMessage)> {
+    match action {
+        Action::Send { dest, msg } => Some((*dest, msg)),
+        Action::SetTimer { .. } => None,
     }
 }
 
-/// Split frames of the given lengths into consecutive `(start, end)` chunks
-/// that each fit one datagram of `max_datagram` bytes: a chunk of one frame
-/// goes out bare (its own length is the datagram), a wider chunk pays the
-/// tag-255 batch envelope (5-byte header + 4-byte length prefix per frame).
-/// Greedy packing preserves order and never splits a frame; an oversized
-/// single frame still gets its own chunk (the socket rejects it, matching
-/// the historical behaviour, but accounting stays consistent).
-fn plan_batches(frame_lens: &[usize], max_datagram: usize) -> Vec<(usize, usize)> {
-    let mut chunks = Vec::new();
-    let mut start = 0;
-    while start < frame_lens.len() {
-        let mut end = start + 1;
-        let mut payload = 4 + frame_lens[start];
-        while end < frame_lens.len() && 5 + payload + 4 + frame_lens[end] <= max_datagram {
-            payload += 4 + frame_lens[end];
-            end += 1;
-        }
-        chunks.push((start, end));
-        start = end;
-    }
-    chunks
-}
-
-/// Upper bound on an outgoing datagram. Loopback and modern LANs handle
-/// 64 KiB UDP; staying a little under leaves room for the batch envelope
-/// and keeps each datagram within the receive buffer used by the read loop.
+/// Upper bound on an outgoing datagram, batch envelope included. Loopback
+/// and modern LANs handle 64 KiB UDP; staying a little under keeps each
+/// datagram within the receive buffer used by the read loop.
 const MAX_DATAGRAM_BYTES: usize = 60 * 1024;
 
 /// How often the receive loop fires due timers, and its socket's read
@@ -277,7 +242,6 @@ impl UdpNode {
                 rng: SimRng::seed_from(self_addr.0 ^ id.0),
                 timers: Timers::new(),
                 timers_set: 0,
-                actions: Vec::new(),
             }),
             started_at: Instant::now(),
             self_addr,
@@ -288,9 +252,9 @@ impl UdpNode {
 
         // Start the protocol (arms the first keep-alive and sends the join
         // requests).
-        shared.with_node(|node, ctx| node.on_start(ctx));
+        shared.run(|node, _, ctx| node.on_start(ctx));
 
-        // The node's only thread: one callback per message received, and
+        // The node's only thread: one callback per datagram received, and
         // the due timers once a period, after a datagram or a timeout.
         let receiver = Arc::clone(&shared);
         let thread = std::thread::spawn(move || {
@@ -300,11 +264,11 @@ impl UdpNode {
                 match receiver.socket.recv_from(&mut buf) {
                     Ok((len, from)) => {
                         if let Ok(msgs) = decode_datagram(&buf[..len]) {
-                            let from_addr = addr_to_node_addr(from);
-                            for msg in msgs {
-                                receiver
-                                    .with_node(|node, ctx| node.on_message(from_addr, msg, ctx));
-                            }
+                            let from = addr_to_node_addr(from);
+                            receiver.run(|node, _, ctx| {
+                                msgs.into_iter()
+                                    .for_each(|msg| node.on_message(from, msg, ctx))
+                            });
                         }
                     }
                     Err(ref e)
@@ -328,7 +292,7 @@ impl UdpNode {
 
     /// The node's overlay identifier.
     pub fn id(&self) -> NodeId {
-        self.shared.hosted.lock().node.id()
+        lock(&self.shared.hosted).node.id()
     }
 
     /// The node's transport address as a socket address.
@@ -339,12 +303,12 @@ impl UdpNode {
     /// The node's contact information, suitable as a bootstrap entry for
     /// other [`UdpNode::bind`] calls.
     pub fn peer_info(&self) -> PeerInfo {
-        self.shared.hosted.lock().node.peer_info()
+        lock(&self.shared.hosted).node.peer_info()
     }
 
     /// Inspect the protocol state under the lock.
     pub fn with_node<R>(&self, f: impl FnOnce(&TreePNode) -> R) -> R {
-        f(&self.shared.hosted.lock().node)
+        f(&lock(&self.shared.hosted).node)
     }
 
     /// Run `f` against the node with a context on the wall clock and send
@@ -356,7 +320,7 @@ impl UdpNode {
         &self,
         f: impl FnOnce(&mut TreePNode, &mut Context<'_, TreePMessage>) -> R,
     ) -> R {
-        self.shared.with_node(f)
+        self.shared.run(|node, _, ctx| f(node, ctx))
     }
 
     /// Originate a lookup for `target`.
@@ -386,7 +350,7 @@ impl UdpNode {
 
     /// Wire-level send counters accumulated since bind.
     pub fn transport_stats(&self) -> TransportStats {
-        *self.shared.stats.lock()
+        *lock(&self.shared.stats)
     }
 
     /// Stop the receive loop and close the socket, as dropping the handle
@@ -419,44 +383,36 @@ mod tests {
     }
 
     #[test]
-    fn plan_batches_packs_greedily_and_never_splits() {
-        // Everything fits one envelope: 5 + (4+10)*3 = 47 <= 100.
-        assert_eq!(plan_batches(&[10, 10, 10], 100), vec![(0, 3)]);
-        // Second frame overflows the envelope; it starts a new chunk.
-        assert_eq!(plan_batches(&[40, 60, 10], 100), vec![(0, 1), (1, 3)]);
-        // A frame larger than the datagram still gets its own bare chunk.
-        assert_eq!(plan_batches(&[500], 100), vec![(0, 1)]);
-        assert_eq!(plan_batches(&[], 100), Vec::<(usize, usize)>::new());
-    }
-
-    #[test]
-    fn plan_batches_boundary_matches_envelope_overhead() {
-        // Two 40-byte frames inside an envelope cost exactly
-        // 5 + (4+40) + (4+40) = 93 bytes.
-        assert_eq!(plan_batches(&[40, 40], 93), vec![(0, 2)]);
-        assert_eq!(plan_batches(&[40, 40], 92), vec![(0, 1), (1, 2)]);
-        // The planned width agrees with the real encoder's output size.
-        let frames = vec![vec![0u8; 40], vec![1u8; 40]];
-        assert_eq!(encode_batch_frames(&frames).len(), 93);
-    }
-
-    #[test]
     fn transport_stats_count_batched_messages_per_message() {
-        let mut s = TransportStats::default();
-        // Simulate flush accounting: one bare frame, one 3-wide envelope.
-        for (start, end) in plan_batches(&[90, 10, 10, 10], 100) {
-            s.datagrams_sent += 1;
-            s.messages_sent += (end - start) as u64;
-            if end - start > 1 {
-                s.batch_datagrams += 1;
-                s.batched_messages += (end - start) as u64;
+        let msg = TreePMessage::JoinRequest {
+            joiner: PeerInfo {
+                id: NodeId(9),
+                addr: NodeAddr(9),
+                max_level: 0,
+                summary: treep::CharacteristicsSummary::UNKNOWN,
+            },
+        };
+        let frame = crate::encode_message(&msg).len();
+        // Three framed messages fill the envelope; the fourth goes out bare.
+        let max = 5 + 3 * (4 + frame);
+        let mut sent = TransportStats::default();
+        pack_datagrams(&mut Vec::new(), &vec![msg; 4], max, |_, count| {
+            sent.record(count)
+        });
+        let mut total = TransportStats::default();
+        total.add(sent);
+        total.add(sent);
+        assert_eq!(
+            sent,
+            TransportStats {
+                datagrams_sent: 2,
+                messages_sent: 4,
+                batched_messages: 3,
+                batch_datagrams: 1,
             }
-        }
-        assert_eq!(s.datagrams_sent, 2);
-        assert_eq!(s.messages_sent, 4);
-        assert_eq!(s.batched_messages, 3);
-        assert_eq!(s.batch_datagrams, 1);
-        assert!((s.messages_per_datagram() - 2.0).abs() < 1e-9);
+        );
+        assert_eq!(total.messages_sent, 8);
+        assert!((total.messages_per_datagram() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -577,7 +533,7 @@ mod tests {
         }));
         assert!(caught.is_err(), "the closure's panic reaches the caller");
         assert!(
-            joiner.shared.hosted.0.is_poisoned(),
+            joiner.shared.hosted.is_poisoned(),
             "the panic unwound through the node lock"
         );
 

@@ -122,8 +122,9 @@ pub enum AggregateQuery {
     DhtKeyDigest,
     /// The DHT keys stored inside the multicast's scoped range — the range
     /// query of `crate::pubsub`: the fan-out visits only subtrees whose
-    /// exact spans intersect the range, and the matching keys fold back up
-    /// as a deduplicated [`AggregatePartial::Keys`] list.
+    /// spans, widened as for [`AggregateQuery::DhtKeyDigest`], intersect
+    /// the range, and the matching keys fold back up as a deduplicated
+    /// [`AggregatePartial::Keys`] list.
     KeysInRange,
 }
 

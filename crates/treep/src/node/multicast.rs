@@ -294,16 +294,17 @@ impl TreePNode {
         // child can never be the delegating parent or a bus neighbour, so
         // including it cannot bounce a message back where it came from.
         //
-        // DHT-key-digest aggregations widen the filter by one level-1
-        // tessellation radius: a key inside the range is stored at the node
-        // *closest* to it, which can sit just outside the range. Visiting
-        // such a node is one extra message and never a duplicate; its own
-        // contribution is still clipped to `range` by
-        // [`crate::dht::DhtStore::digest_range`].
+        // Aggregations over stored DHT keys (the key digest and the range
+        // query) widen the filter by one level-1 tessellation radius: a key
+        // inside the range is stored at the node *closest* to it, which can
+        // sit just outside the range. Visiting such a node is one extra
+        // message and never a duplicate; its own contribution is still
+        // clipped to `range` by the store
+        // ([`crate::dht::DhtStore::digest_range`], `keys_in_range`).
         let level0_slack = match &payload {
-            MulticastPayload::Aggregate(AggregateQuery::DhtKeyDigest) => {
-                self.config.space.coverage_radius(self.config.height, 1)
-            }
+            MulticastPayload::Aggregate(
+                AggregateQuery::DhtKeyDigest | AggregateQuery::KeysInRange,
+            ) => self.config.space.coverage_radius(self.config.height, 1),
             _ => 0,
         };
         let mut fanout: Vec<(NodeAddr, NodeId)> = self

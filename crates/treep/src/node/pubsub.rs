@@ -64,8 +64,9 @@ impl TreePNode {
     }
 
     /// The DHT keys stored anywhere in `range`: one scoped aggregation
-    /// whose fan-out visits only subtrees whose exact spans intersect the
-    /// range and whose convergecast folds the per-node key lists into one
+    /// whose fan-out visits only subtrees whose spans, widened by one
+    /// level-1 radius, intersect the range (the node storing a key can sit
+    /// just outside it) and whose convergecast folds the per-node key lists into one
     /// deduplicated, sorted answer (see
     /// [`crate::AggregatePartial::Keys`]). The outcome lands in
     /// [`TreePNode::drain_aggregate_outcomes`]; a result at the

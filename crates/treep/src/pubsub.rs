@@ -50,10 +50,13 @@
 //!
 //! [`crate::AggregateQuery::KeysInRange`] rides the same descent: the
 //! multicast's scoped [`crate::KeyRange`] prunes fan-out to the subtrees
-//! whose exact recorded spans intersect the range, every reached node
-//! contributes the DHT keys it stores inside the range, and the partials
-//! fold back through the `AggregateUp` convergecast as a deduplicated,
-//! bounded [`crate::AggregatePartial::Keys`] list.
+//! whose recorded spans, widened by one level-1 radius, intersect the
+//! range, every reached node contributes the DHT keys it stores inside the
+//! range, and the partials fold back through the `AggregateUp`
+//! convergecast as a deduplicated, bounded
+//! [`crate::AggregatePartial::Keys`] list. The slack is the key digest's:
+//! a key is stored at the node closest to it, which can sit just outside
+//! the range, so a fan-out scoped to the range alone misses it.
 
 use crate::entry::PeerInfo;
 use crate::id::{hash_key, IdSpace, NodeId};

@@ -11,6 +11,12 @@
 //! allocations per event there and reads 0.334 with them (seed 2005,
 //! 500 nodes, 2 s idle).
 //!
+//! A `UdpNode` call that sends is held to a budget too: it records the
+//! callback's actions and packs its datagrams into two buffers of the
+//! calling thread that outlive the call. While the actions were kept per
+//! node and every send built its own lists, frames and batch plan, a call
+//! sending one message made 6 allocations; it makes none now.
+//!
 //! The file is a test binary of its own because it installs a global
 //! allocator. The allocator counts calls on the calling thread only, so
 //! whatever else the harness runs does not enter the count.
@@ -18,6 +24,8 @@
 use simnet::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use treep::{NodeCharacteristics, NodeId, TreePConfig, TreePMessage};
+use treep_net::UdpNode;
 use workloads::TopologyBuilder;
 
 /// Allocations per dispatched event that the idle window may cost.
@@ -82,4 +90,55 @@ fn an_idle_overlay_allocates_under_its_budget_per_event() {
         per_event <= BUDGET,
         "{per_event:.3} allocations per event, budget {BUDGET}"
     );
+}
+
+/// Allocations per sending `UdpNode::invoke` the calling thread may make.
+const UDP_SEND_BUDGET: f64 = 0.01;
+
+#[test]
+fn a_udp_invoke_that_sends_allocates_nothing_once_warm() {
+    let bind = |id, bootstrap| {
+        UdpNode::bind(
+            "127.0.0.1:0",
+            TreePConfig::default(),
+            NodeId(id),
+            NodeCharacteristics::strong(),
+            bootstrap,
+        )
+        .expect("bind on loopback")
+    };
+    let seed = bind(1_000_000, Vec::new());
+    let peer = bind(3_000_000_000, vec![seed.peer_info()]);
+    let dest = seed.peer_info().addr;
+    // A keep-alive without updates owns no heap memory, so whatever the
+    // call allocates is the host's.
+    let send = || {
+        peer.invoke(|node, ctx| {
+            let sender = node.peer_info();
+            ctx.send(
+                dest,
+                TreePMessage::KeepAlive {
+                    sender,
+                    updates: Vec::new(),
+                },
+            );
+        })
+    };
+    for _ in 0..100 {
+        send();
+    }
+    const CALLS: u64 = 2_000;
+    let before = ALLOCS.get();
+    for _ in 0..CALLS {
+        send();
+    }
+    let allocs = ALLOCS.get() - before;
+    let per_call = allocs as f64 / CALLS as f64;
+    println!("{CALLS} sending invokes, {allocs} allocations, {per_call:.3} per call");
+    assert!(
+        per_call <= UDP_SEND_BUDGET,
+        "{per_call:.3} allocations per sending invoke, budget {UDP_SEND_BUDGET}"
+    );
+    peer.shutdown();
+    seed.shutdown();
 }

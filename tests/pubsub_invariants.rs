@@ -455,23 +455,32 @@ fn scopes(space: treep::IdSpace, rng: &mut simnet::SimRng) -> Vec<KeyRange> {
 }
 
 /// Stable network: a `KeysInRange` convergecast must return **exactly** the
-/// union of `store.keys_in_range` over the live nodes inside the scope —
-/// the answer a naive flat scan of every in-scope store would produce.
+/// stored keys inside the scope — the answer a naive flat scan of every
+/// live store produces. A key is stored at the node closest to it, which
+/// can sit outside the scope, so the scan covers every store, and the
+/// scopes include narrow ones around stored keys, where that node is
+/// almost surely outside.
 #[test]
 fn range_queries_match_the_naive_store_scan_oracle() {
     let (mut sim, topo, mut rng) = seeded_network(70, 404);
     let space = topo.config.space;
     sim.run_for(SimDuration::from_secs(7));
     let alive_pairs = topo.alive_pairs(&sim);
-    for range in scopes(space, &mut rng) {
-        let oracle = store_scan(
-            &sim,
-            alive_pairs
-                .iter()
-                .filter(|&&(_, id)| range.contains(id))
-                .map(|&(addr, _)| addr),
-            range,
-        );
+    let live = || alive_pairs.iter().map(|&(addr, _)| addr);
+    let stored: Vec<NodeId> = store_scan(&sim, live(), KeyRange::full(space))
+        .into_iter()
+        .collect();
+    let narrow = stored.iter().step_by(stored.len().div_ceil(10)).map(|key| {
+        KeyRange::new(
+            NodeId(key.0.saturating_sub(1_000)),
+            NodeId((key.0 + 1_000).min(space.size() - 1)),
+        )
+    });
+    let mut scopes = scopes(space, &mut rng);
+    scopes.extend(narrow);
+    assert!(scopes.len() >= 16, "{} scopes", scopes.len());
+    for range in scopes {
+        let oracle = store_scan(&sim, live(), range);
         let origin = alive_pairs[rng.gen_range_usize(0..alive_pairs.len())].0;
         let keys = query_keys(&mut sim, origin, range);
         flight_assert_eq!(
