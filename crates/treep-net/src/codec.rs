@@ -166,20 +166,37 @@ fn put_framed(buf: &mut Vec<u8>, msg: &TreePMessage) {
 ///
 /// Single-message datagrams (everything [`encode_message`] produces) pass
 /// through unchanged, so peers that never batch remain wire-compatible.
-pub fn decode_datagram(mut buf: &[u8]) -> Result<Vec<TreePMessage>> {
+pub fn decode_datagram(buf: &[u8]) -> Result<Vec<TreePMessage>> {
+    let mut msgs = Vec::new();
+    decode_datagram_into(buf, &mut msgs)?;
+    Ok(msgs)
+}
+
+/// [`decode_datagram`] into the caller's vector: the datagram's messages
+/// are appended to `out`, which a receive loop reuses, so a warm decode
+/// allocates only what the messages themselves own. On an error `out` is
+/// left as it was.
+pub fn decode_datagram_into(buf: &[u8], out: &mut Vec<TreePMessage>) -> Result<()> {
+    let start = out.len();
+    decode_frames(buf, out).inspect_err(|_| out.truncate(start))
+}
+
+fn decode_frames(mut buf: &[u8], out: &mut Vec<TreePMessage>) -> Result<()> {
     if buf.first() != Some(&TAG_BATCH) {
-        return Ok(vec![decode_message(buf)?]);
+        out.reserve_exact(1);
+        out.push(decode_message(buf)?);
+        return Ok(());
     }
     let _ = get_u8(&mut buf)?;
     let count = u32::get(&mut buf)? as usize;
-    let mut msgs = Vec::with_capacity(count.min(PREALLOC_CAP));
+    out.reserve_exact(count.min(PREALLOC_CAP));
     for _ in 0..count {
         let len = u32::get(&mut buf)? as usize;
         need(buf, len)?;
-        msgs.push(decode_message(&buf[..len])?);
+        out.push(decode_message(&buf[..len])?);
         buf = &buf[len..];
     }
-    Ok(msgs)
+    Ok(())
 }
 
 // ---- the Wire trait and its hand-written impls -------------------------------
@@ -914,8 +931,12 @@ mod tests {
     fn truncated_batches_are_rejected_not_panicking() {
         let msgs = all_messages();
         let datagram = encode_batch(&msgs[..3]);
+        // A reused vector keeps what it held: no frame of a bad datagram.
+        let mut out = vec![msgs[4].clone()];
         for cut in 0..datagram.len() {
             assert!(decode_datagram(&datagram[..cut]).is_err());
+            assert!(decode_datagram_into(&datagram[..cut], &mut out).is_err());
+            assert_eq!(out.len(), 1, "cut at {cut}");
         }
         let empty = encode_batch(&[]);
         assert_eq!(decode_datagram(&empty).expect("empty batch").len(), 0);

@@ -30,7 +30,7 @@
 #![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod codec; // public: `benchmark/` calls `encode_batch` and `decode_datagram` by path
+pub mod codec; // public: `benchmark/` calls `encode_batch` and `decode_datagram` by path, and `tests/alloc_budget.rs` the receive loop's `decode_datagram_into`
 mod transport;
 
 pub use codec::{decode_message, encode_message, CodecError};

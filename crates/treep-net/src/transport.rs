@@ -8,7 +8,7 @@
 //! lock, so the state machine sees the single-threaded semantics it has
 //! under simulation; what a callback sends is packed and written after it.
 
-use crate::codec::{decode_datagram, pack_datagrams};
+use crate::codec::{decode_datagram_into, pack_datagrams};
 use simnet::{Action, Context, NodeAddr, Protocol, SimDuration, SimRng, SimTime, TimerToken};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -259,14 +259,15 @@ impl UdpNode {
         let receiver = Arc::clone(&shared);
         let thread = std::thread::spawn(move || {
             let mut buf = vec![0u8; 64 * 1024];
+            let mut msgs = Vec::new();
             let mut next_firing = SimTime::ZERO;
             while receiver.running.load(Ordering::SeqCst) {
                 match receiver.socket.recv_from(&mut buf) {
                     Ok((len, from)) => {
-                        if let Ok(msgs) = decode_datagram(&buf[..len]) {
+                        if decode_datagram_into(&buf[..len], &mut msgs).is_ok() {
                             let from = addr_to_node_addr(from);
                             receiver.run(|node, _, ctx| {
-                                msgs.into_iter()
+                                msgs.drain(..)
                                     .for_each(|msg| node.on_message(from, msg, ctx))
                             });
                         }

@@ -159,7 +159,7 @@ impl TreePConfig {
         }
         if self.height > MAX_BUS_LEVEL {
             return Err(format!(
-                "height ({}) must be at most {MAX_BUS_LEVEL}: the routing tables hold one bus per level up to that, and even at nc = 2 that many levels tessellate 2^31 cells",
+                "height ({}) must be at most {MAX_BUS_LEVEL}: the routing tables hold one bus per level up to that, and even at nc = 2 that many levels tessellate 2^27 cells",
                 self.height
             ));
         }
@@ -312,7 +312,8 @@ mod tests {
         };
         with_height(MAX_BUS_LEVEL).validate().unwrap();
         let complaint = with_height(MAX_BUS_LEVEL + 1).validate().unwrap_err();
-        assert!(complaint.starts_with("height (32)"), "{complaint}");
+        let over = format!("height ({})", MAX_BUS_LEVEL + 1);
+        assert!(complaint.starts_with(&over), "{complaint}");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::characteristics::CharacteristicsSummary;
 use crate::id::NodeId;
+use crate::tables::Roles;
 use serde::{Deserialize, Serialize};
 use simnet::{NodeAddr, SimDuration, SimTime};
 
@@ -11,7 +12,11 @@ use simnet::{NodeAddr, SimDuration, SimTime};
 /// the routing table have a timestamp associated …"). A peer's resource
 /// summary travels on the wire ([`PeerInfo::summary`]) but is not kept here:
 /// nothing the protocol decides reads it back.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Equality compares the four peer fields only, not the registry's role
+/// bits: a copy taken out of [`crate::RoutingTables`] equals the same entry
+/// built afresh.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RoutingEntry {
     /// The peer's overlay identifier (its coordinate in the 1-D space).
     pub id: NodeId,
@@ -19,8 +24,22 @@ pub struct RoutingEntry {
     pub addr: NodeAddr,
     /// Highest level the peer belongs to, as far as we know.
     pub max_level: u32,
+    /// The registry tables this entry appears in. It fills what would be
+    /// the struct's 4 bytes of padding, so the registry keeps each peer in
+    /// 32 bytes. It says where the registry files the entry, not what is
+    /// known of the peer: [`RoutingEntry::merge`] never touches it, equality
+    /// ignores it, and an entry made outside the registry holds
+    /// [`Roles::NONE`]. Only the registry reads or sets its bits.
+    pub(crate) roles: Roles,
     /// Last time we heard from (or about) this peer.
     pub last_seen: SimTime,
+}
+
+impl PartialEq for RoutingEntry {
+    fn eq(&self, other: &Self) -> bool {
+        (self.id, self.addr, self.max_level, self.last_seen)
+            == (other.id, other.addr, other.max_level, other.last_seen)
+    }
 }
 
 impl RoutingEntry {
@@ -30,6 +49,7 @@ impl RoutingEntry {
             id,
             addr,
             max_level,
+            roles: Roles::NONE,
             last_seen: now,
         }
     }
@@ -48,7 +68,7 @@ impl RoutingEntry {
     }
 
     /// Merge newer information about the same peer (refreshed address,
-    /// level and timestamp). Older information changes nothing: a
+    /// level and timestamp); the registry's role bits stay as they are. Older information changes nothing: a
     /// stale copy can neither roll the canonical record back nor raise the
     /// peer's level. In particular the transport address changes only on
     /// **strictly newer** evidence, so a peer that re-joined under a new

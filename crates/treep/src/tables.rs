@@ -20,19 +20,25 @@
 //!
 //! ## Registry design
 //!
-//! Each known peer is stored **exactly once**, as a slot
-//! `{ `[`PeerEntry`]`, roles }` in one `Vec` kept in ascending
-//! [`NodeId`] order. The six tables are *role bits* on the slot, not
-//! containers of their own:
+//! Each known peer is stored **exactly once**, as one [`PeerEntry`] (a
+//! slot) in one `Vec` kept in ascending [`NodeId`] order. The six tables
+//! are *role bits* of the entry, not containers of their own. The bits sit
+//! in one `u32` that fills the 4 bytes of padding the entry's 28 bytes of
+//! peer fields leave, so a slot is 32 bytes:
 //!
 //! | role | bit | set by |
 //! |---|---|---|
-//! | level-0 neighbour | `levels` bit 0 | [`RoutingTables::upsert_level0`] |
-//! | bus member at level `L` (1 ≤ L ≤ 31) | `levels` bit `L` | [`RoutingTables::upsert_level`] |
-//! | child (own or a bus neighbour's) | `tree` bit 0 | [`RoutingTables::upsert_child`] |
-//! | own child (implies child) | `tree` bit 1 | [`RoutingTables::upsert_child`] with `own` |
-//! | parent (at most one slot) | `tree` bit 2 | [`RoutingTables::set_parent`] |
-//! | superior | `tree` bit 3 | [`RoutingTables::upsert_superior`] |
+//! | level-0 neighbour | 0 | [`RoutingTables::upsert_level0`] |
+//! | bus member at level `L` (1 ≤ L ≤ 27) | `L` | [`RoutingTables::upsert_level`] |
+//! | child (own or a bus neighbour's) | 28 | [`RoutingTables::upsert_child`] |
+//! | own child (implies child) | 29 | [`RoutingTables::upsert_child`] with `own` |
+//! | parent (at most one slot) | 30 | [`RoutingTables::set_parent`] |
+//! | superior | 31 | [`RoutingTables::upsert_superior`] |
+//!
+//! The bits belong to the slot, not to the peer: a copy taken out of the
+//! registry carries the roles it held there, so an insertion starts the
+//! new slot from none, a merge never changes them, and two entries compare
+//! equal whatever roles they carry.
 //!
 //! One metadata record per peer means [`RoutingTables::find`] and
 //! [`RoutingTables::touch`] always see the one freshest address, level and
@@ -91,8 +97,8 @@
 //! **What is `O(n)`.** Inserting a peer not yet known, or dropping one
 //! ([`RoutingTables::remove_peer`], a parent change that orphans the old
 //! parent), shifts the slots behind it — a `memmove` of at most
-//! `n × size_of::<Slot>()` bytes, 40 a slot: under 1.4 KB at the peak mean
-//! above. A role-filtered probe for a role nobody holds scans every slot,
+//! `n × size_of::<PeerEntry>()` bytes, 32 a slot: under 1.1 KB at the peak
+//! mean above. A role-filtered probe for a role nobody holds scans every slot,
 //! and so does a role count ([`RoutingTables::level0_degree`],
 //! [`RoutingTables::own_children_count`], [`RoutingTables::parent`]).
 //! Batch removals stay linear, never quadratic:
@@ -117,17 +123,18 @@ use simnet::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The canonical registry record: one per known peer, holding the peer's
-/// address, maximum level and freshness timestamp exactly once (role
-/// membership lives in the role bits next to it).
+/// address, maximum level and freshness timestamp exactly once, and the
+/// role bits of the tables it appears in.
 pub type PeerEntry = RoutingEntry;
 
-/// The highest bus level the registry can represent: each slot has one
-/// membership bit per level in a `u32` whose bit 0 is the level-0 table.
-/// Even at `nc = 2`, 31 levels tessellate 2³¹ cells, more than any
-/// population this crate is run at (≤ 10⁷ nodes); a `u64` mask would cost
-/// every slot 8 bytes (48 instead of 40). [`crate::TreePConfig::validate`]
-/// rejects a greater `height`.
-pub(crate) const MAX_BUS_LEVEL: u32 = 31;
+/// The highest bus level the registry can represent: each entry has one
+/// membership bit per level in its [`Roles`], whose bit 0 is the level-0
+/// table and whose top four bits are the tree roles. Even at `nc = 2`, 27
+/// levels tessellate 2²⁷ cells, 13 times the largest population this crate
+/// is run at (≤ 10⁷ nodes); a wider mask would not fit the entry's padding
+/// and would cost every slot 8 bytes (40 instead of 32).
+/// [`crate::TreePConfig::validate`] rejects a greater `height`.
+pub(crate) const MAX_BUS_LEVEL: u32 = 27;
 
 /// Minimum number of level-0 connections every node keeps alive ("Each node
 /// needs to maintain a minimum of two connections", Section III.a): a node
@@ -144,17 +151,39 @@ pub(crate) const MIN_LEVEL0_CONNECTIONS: usize = 2;
 pub const MAX_LEVEL0_CONNECTIONS: usize = 8;
 const _: () = assert!(MAX_LEVEL0_CONNECTIONS >= MIN_LEVEL0_CONNECTIONS);
 
-/// `Slot::levels` bit of the level-0 table.
-const LEVEL0: u32 = 1;
-/// `Slot::tree` bits.
-const CHILD: u8 = 1 << 0;
-const OWN_CHILD: u8 = 1 << 1;
-const PARENT: u8 = 1 << 2;
-const SUPERIOR: u8 = 1 << 3;
+/// The tables a registry entry appears in ([`RoutingEntry::roles`]): bit 0
+/// the level-0 table, bit `L` the level-`L` bus (1 ≤ L ≤ [`MAX_BUS_LEVEL`]),
+/// bits 28–31 `CHILD | OWN_CHILD | PARENT | SUPERIOR`. The bits are private
+/// to this module: only the registry reads or sets them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Roles(u32);
 
-/// The `Slot::levels` bit of the level-`level` bus, or 0 — a mask no slot
-/// matches — for a level that is not a bus (`0`, or beyond
-/// [`MAX_BUS_LEVEL`]).
+impl Roles {
+    /// No role: every entry made outside the registry.
+    pub(crate) const NONE: Roles = Roles(0);
+}
+
+/// Role bit of the level-0 table.
+const LEVEL0: u32 = 1;
+/// The tree roles, above the last bus bit.
+const CHILD: u32 = 1 << 28;
+const OWN_CHILD: u32 = 1 << 29;
+const PARENT: u32 = 1 << 30;
+const SUPERIOR: u32 = 1 << 31;
+const _: () = assert!(CHILD == 2 << MAX_BUS_LEVEL);
+
+/// True when `e` holds any of the role `bits`.
+fn holds(e: &PeerEntry, bits: u32) -> bool {
+    e.roles.0 & bits != 0
+}
+
+/// True when `e` holds no role: it has no place in the registry.
+fn roleless(e: &PeerEntry) -> bool {
+    e.roles == Roles::NONE
+}
+
+/// The role bit of the level-`level` bus, or 0 — a mask no entry matches —
+/// for a level that is not a bus (`0`, or beyond [`MAX_BUS_LEVEL`]).
 fn bus_bit(level: u32) -> u32 {
     if (1..=MAX_BUS_LEVEL).contains(&level) {
         1 << level
@@ -163,54 +192,38 @@ fn bus_bit(level: u32) -> u32 {
     }
 }
 
-/// The `Slot::levels` bits of the buses at levels `1..=max_level`.
+/// The role bits of the buses at levels `1..=max_level`.
 fn buses_through(max_level: u32) -> u32 {
-    (u32::MAX >> (MAX_BUS_LEVEL - max_level.min(MAX_BUS_LEVEL))) & !LEVEL0
+    (u32::MAX >> (31 - max_level.min(MAX_BUS_LEVEL))) & !LEVEL0
 }
 
-/// True for a slot whose link to the owner the child report refreshes every
-/// round: the parent, or an own child.
-fn by_report(s: &Slot) -> bool {
-    s.tree & (PARENT | OWN_CHILD) != 0
+/// True for an entry whose link to the owner the child report refreshes
+/// every round: the parent, or an own child.
+fn by_report(e: &PeerEntry) -> bool {
+    holds(e, PARENT | OWN_CHILD)
 }
 
 /// The direct bus neighbours among `slots`, walked outward from the owner
 /// on one side, that hold no level-0 or report role: the first slot met
 /// with a bit of `buses` is that bus's direct neighbour on this side.
 fn bus_only_neighbours<'a>(
-    slots: impl Iterator<Item = &'a Slot>,
+    slots: impl Iterator<Item = &'a PeerEntry>,
     buses: u32,
 ) -> impl Iterator<Item = &'a PeerEntry> {
     slots
-        .scan(0, move |passed: &mut u32, s| {
-            let direct = s.levels & buses & !*passed != 0;
-            *passed |= s.levels;
-            Some((s, direct))
+        .scan(0, move |passed: &mut u32, e| {
+            let direct = e.roles.0 & buses & !*passed != 0;
+            *passed |= e.roles.0;
+            Some((e, direct))
         })
-        .filter(|(s, direct)| *direct && s.levels & LEVEL0 == 0 && !by_report(s))
-        .map(|(s, _)| &s.entry)
+        .filter(|(e, direct)| *direct && !holds(e, LEVEL0) && !by_report(e))
+        .map(|(e, _)| e)
 }
 
-/// One known peer and the roles it holds.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    entry: PeerEntry,
-    /// Bit 0: level-0 neighbour; bit `L`: member of the level-`L` bus.
-    levels: u32,
-    /// `CHILD | OWN_CHILD | PARENT | SUPERIOR`.
-    tree: u8,
-}
-// The registry is the largest per-node structure: a slot that grows past
-// 40 bytes shows in every node's resident size (see the module docs).
-const _: () = assert!(std::mem::size_of::<Slot>() == 40);
+// The registry is the largest per-node structure: an entry that grows past
+// 32 bytes shows in every node's resident size (see the module docs).
 const _: () = assert!(std::mem::size_of::<RoutingEntry>() == 32);
 const _: () = assert!(std::mem::size_of::<RoutingTables>() == 80);
-
-impl Slot {
-    fn roleless(&self) -> bool {
-        self.levels == 0 && self.tree == 0
-    }
-}
 
 /// Size breakdown used by the Section III.e routing-table audit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -247,7 +260,7 @@ impl TableSizes {
 pub struct RoutingTables {
     /// Every known peer exactly once, in strictly ascending identifier
     /// order; every slot holds at least one role.
-    slots: Vec<Slot>,
+    slots: Vec<PeerEntry>,
     /// Exact subtree extents reported by own children (`ChildReport`),
     /// dropped with the child's slot.
     child_spans: BTreeMap<NodeId, KeyRange>,
@@ -273,7 +286,7 @@ impl RoutingTables {
     /// or would be inserted. Bisected: its callers walk on from the answer,
     /// and the vector is warm by then (see the module documentation).
     fn rank(&self, key: NodeId) -> usize {
-        self.slots.partition_point(|s| s.entry.id < key)
+        self.slots.partition_point(|s| s.id < key)
     }
 
     /// Position of `id` in the vector, or where it would be inserted: the
@@ -281,13 +294,9 @@ impl RoutingTables {
     /// slot rather than bisected (see the module documentation): the loads
     /// do not depend on one another, so a cold vector streams in at once.
     fn position(&self, id: NodeId) -> Result<usize, usize> {
-        let i: usize = self
-            .slots
-            .iter()
-            .map(|s| usize::from(s.entry.id < id))
-            .sum();
+        let i: usize = self.slots.iter().map(|s| usize::from(s.id < id)).sum();
         match self.slots.get(i) {
-            Some(s) if s.entry.id == id => Ok(i),
+            Some(s) if s.id == id => Ok(i),
             _ => Err(i),
         }
     }
@@ -295,43 +304,42 @@ impl RoutingTables {
     /// The number of slots whose identifier is at or below `key`. Bisected,
     /// like [`RoutingTables::rank`].
     fn rank_through(&self, key: NodeId) -> usize {
-        self.slots.partition_point(|s| s.entry.id <= key)
-    }
-
-    fn slot(&self, id: NodeId) -> Option<&Slot> {
-        self.position(id).ok().map(|i| &self.slots[i])
+        self.slots.partition_point(|s| s.id <= key)
     }
 
     /// Merge `entry` into the registry (insert, or fold newer information
-    /// into the canonical record) and add the given role bits to it.
-    fn grant(&mut self, entry: PeerEntry, levels: u32, tree: u8) {
+    /// into the canonical record) and add the given role bits to it. The
+    /// roles `entry` carries are not the registry's: a copy taken out of it
+    /// (a parent about to be demoted to a level-0 contact) still holds the
+    /// roles it had, so an inserted entry starts from none.
+    fn grant(&mut self, entry: PeerEntry, roles: u32) {
         // Bisected: by the time a handler upserts, the engine's hint or the
         // event's opening read has brought the vector in.
-        let slot = match self.slots.binary_search_by_key(&entry.id, |s| s.entry.id) {
+        let slot = match self.slots.binary_search_by_key(&entry.id, |s| s.id) {
             Ok(i) => {
                 let slot = &mut self.slots[i];
-                slot.entry.merge(&entry);
+                slot.merge(&entry);
                 slot
             }
             Err(i) => {
-                let fresh = Slot {
-                    entry,
-                    levels: 0,
-                    tree: 0,
-                };
                 // Grow by a quarter, not by doubling: this vector exists once
                 // per node. The settle transient's peak, not this rule, sets
-                // what stays reserved: 40.6 slots a node (1.62 KB) in `maint`
+                // what stays reserved: 40.6 slots a node (1.30 KB) in `maint`
                 // at n = 10⁴, against 22.4 in use once it has settled.
                 if self.slots.len() == self.slots.capacity() {
                     self.slots.reserve_exact(self.slots.len() / 4 + 4);
                 }
-                self.slots.insert(i, fresh);
+                self.slots.insert(
+                    i,
+                    PeerEntry {
+                        roles: Roles::NONE,
+                        ..entry
+                    },
+                );
                 &mut self.slots[i]
             }
         };
-        slot.levels |= levels;
-        slot.tree |= tree;
+        slot.roles.0 |= roles;
     }
 
     /// Bookkeeping for peers that have left the vector: the side map
@@ -347,7 +355,7 @@ impl RoutingTables {
     /// it holds ("IF target X is in the routing table"). One count over the
     /// registry.
     pub fn find(&self, id: NodeId) -> Option<&PeerEntry> {
-        self.slot(id).map(|s| &s.entry)
+        self.position(id).ok().map(|i| &self.slots[i])
     }
 
     /// Refresh the canonical timestamp of `id`. Returns true if the peer was
@@ -355,7 +363,7 @@ impl RoutingTables {
     pub fn touch(&mut self, id: NodeId, now: SimTime) -> bool {
         match self.position(id) {
             Ok(i) => {
-                self.slots[i].entry.touch(now);
+                self.slots[i].touch(now);
                 true
             }
             Err(_) => false,
@@ -394,7 +402,7 @@ impl RoutingTables {
     pub(crate) fn is_suspect_addr(&self, addr: simnet::NodeAddr) -> bool {
         self.slots
             .iter()
-            .any(|s| s.entry.addr == addr && self.is_suspect(&s.entry))
+            .any(|s| s.addr == addr && self.is_suspect(s))
     }
 
     /// The number of known peers (slots).
@@ -415,16 +423,24 @@ impl RoutingTables {
 
     /// Every known peer, borrowed, in ascending identifier order.
     pub(crate) fn peers(&self) -> impl Iterator<Item = &PeerEntry> {
-        self.slots.iter().map(|s| &s.entry)
+        self.slots.iter()
     }
 
-    /// Every slot, walked outward from `key` in `(distance, id)` order: two
-    /// cursors moving apart from the partition point of `key`, the nearer
-    /// side first and the lower side on a tie. Every distance-ordered probe
-    /// of the registry is this walk with a filter, so the tie-break lives
-    /// in one place. The distance is the paper's `|a - b|`
-    /// ([`IdSpace::distance`]), which needs no parameter of the space.
-    fn outward(&self, key: NodeId) -> impl Iterator<Item = &Slot> {
+    /// Every known peer, walked **outward from `key` in 1-D distance
+    /// order** (nearest first; ties prefer the smaller identifier, matching
+    /// every other probe of the registry). A two-cursor merge over the
+    /// sorted vector: no allocation, no copy, and a consumer that stops
+    /// early — like the non-greedy next-hop scan, which only wants peers
+    /// strictly closer to the target than the local node — pays only for
+    /// the prefix it reads.
+    ///
+    /// The cursors move apart from the partition point of `key`, the
+    /// nearer side first and the lower side on a tie. Every
+    /// distance-ordered probe of the registry is this walk with a filter,
+    /// so the tie-break lives in one place. The distance is the paper's
+    /// `|a - b|` ([`IdSpace::distance`]), which needs no parameter of the
+    /// space.
+    pub fn peers_outward_from(&self, key: NodeId) -> impl Iterator<Item = &PeerEntry> {
         let slots = self.slots.as_slice();
         let mut lo = self.rank_through(key);
         let mut hi = lo;
@@ -432,7 +448,7 @@ impl RoutingTables {
             let below = lo.checked_sub(1).map(|i| &slots[i]);
             let above = slots.get(hi);
             let take_below = match (below, above) {
-                (Some(b), Some(a)) => b.entry.id.0.abs_diff(key.0) <= a.entry.id.0.abs_diff(key.0),
+                (Some(b), Some(a)) => b.id.0.abs_diff(key.0) <= a.id.0.abs_diff(key.0),
                 (Some(_), None) => true,
                 (None, _) => false,
             };
@@ -444,17 +460,6 @@ impl RoutingTables {
                 above
             }
         })
-    }
-
-    /// Every known peer, walked **outward from `key` in 1-D distance
-    /// order** (nearest first; ties prefer the smaller identifier, matching
-    /// every other probe of the registry). A two-cursor merge over the
-    /// sorted vector: no allocation, no copy, and a consumer that stops
-    /// early — like the non-greedy next-hop scan, which only wants peers
-    /// strictly closer to the target than the local node — pays only for
-    /// the prefix it reads.
-    pub fn peers_outward_from(&self, key: NodeId) -> impl Iterator<Item = &PeerEntry> {
-        self.outward(key).map(|s| &s.entry)
     }
 
     /// The known peer closest to `key` in the 1-D space (excluding the one
@@ -525,7 +530,7 @@ impl RoutingTables {
         if k == 0 {
             return (None, None);
         }
-        let id_at = |i: usize| self.slots.get(i).map(|s| s.entry.id);
+        let id_at = |i: usize| self.slots.get(i).map(|s| s.id);
         let (first_not_below, first_above) = match self.position(own) {
             Ok(i) => (i, i + 1),
             Err(i) => (i, i),
@@ -569,27 +574,16 @@ impl RoutingTables {
         (lo <= hi).then(|| (partner, KeyRange::new(lo, hi)))
     }
 
-    /// The entries of the slots holding any of the `levels` bits, by ID.
-    fn on_levels(&self, levels: u32) -> impl Iterator<Item = &PeerEntry> {
-        self.slots
-            .iter()
-            .filter(move |s| s.levels & levels != 0)
-            .map(|s| &s.entry)
-    }
-
-    /// The entries of the slots holding any of the `tree` bits, by ID.
-    fn in_tree(&self, tree: u8) -> impl Iterator<Item = &PeerEntry> {
-        self.slots
-            .iter()
-            .filter(move |s| s.tree & tree != 0)
-            .map(|s| &s.entry)
+    /// The entries holding any of the role `bits`, by ID.
+    fn holding(&self, bits: u32) -> impl Iterator<Item = &PeerEntry> {
+        self.slots.iter().filter(move |e| holds(e, bits))
     }
 
     // ---- level 0 ---------------------------------------------------------
 
     /// Insert or refresh a level-0 neighbour.
     pub fn upsert_level0(&mut self, entry: PeerEntry) {
-        self.grant(entry, LEVEL0, 0);
+        self.grant(entry, LEVEL0);
     }
 
     /// Insert or refresh a peer heard from directly: a level-0 neighbour,
@@ -597,12 +591,12 @@ impl RoutingTables {
     /// a bus adds nothing). One merge where [`RoutingTables::upsert_level0`]
     /// and [`RoutingTables::upsert_level`] would make two of the same entry.
     pub(crate) fn upsert_heard(&mut self, level: u32, entry: PeerEntry) {
-        self.grant(entry, LEVEL0 | bus_bit(level), 0);
+        self.grant(entry, LEVEL0 | bus_bit(level));
     }
 
     /// All level-0 neighbours, ordered by ID.
     pub fn level0(&self) -> impl Iterator<Item = &PeerEntry> {
-        self.on_levels(LEVEL0)
+        self.holding(LEVEL0)
     }
 
     /// Number of level-0 connections (`l0` in Section III.e).
@@ -612,7 +606,7 @@ impl RoutingTables {
 
     /// True when `id` is a direct level-0 neighbour.
     pub fn is_level0_neighbor(&self, id: NodeId) -> bool {
-        self.slot(id).is_some_and(|s| s.levels & LEVEL0 != 0)
+        self.find(id).is_some_and(|e| holds(e, LEVEL0))
     }
 
     // ---- levels i > 0 ------------------------------------------------------
@@ -627,19 +621,19 @@ impl RoutingTables {
         );
         let bit = bus_bit(level);
         if bit != 0 {
-            self.grant(entry, bit, 0);
+            self.grant(entry, bit);
         }
     }
 
     /// Members of the level-`level` bus known to this node, ordered by ID
     /// (none for a level that is not a bus).
     pub fn level_members(&self, level: u32) -> impl Iterator<Item = &PeerEntry> {
-        self.on_levels(bus_bit(level))
+        self.holding(bus_bit(level))
     }
 
     /// Levels (> 0) for which we know at least one bus neighbour.
     pub fn known_levels(&self) -> impl Iterator<Item = u32> + '_ {
-        let known = self.slots.iter().fold(0, |acc, s| acc | s.levels);
+        let known = self.slots.iter().fold(0, |acc, e| acc | e.roles.0);
         (1..=MAX_BUS_LEVEL).filter(move |level| known & bus_bit(*level) != 0)
     }
 
@@ -654,11 +648,9 @@ impl RoutingTables {
     ) -> (Option<&PeerEntry>, Option<&PeerEntry>) {
         let bit = bus_bit(level);
         let (below, rest) = self.slots.split_at(self.rank(own));
-        let left = below.iter().rev().find(|s| s.levels & bit != 0);
-        let right = rest
-            .iter()
-            .find(|s| s.levels & bit != 0 && s.entry.id != own);
-        (left.map(|s| &s.entry), right.map(|s| &s.entry))
+        let left = below.iter().rev().find(|e| holds(e, bit));
+        let right = rest.iter().find(|e| holds(e, bit) && e.id != own);
+        (left, right)
     }
 
     /// The peers `own` is in touch with every maintenance round, each once:
@@ -677,11 +669,11 @@ impl RoutingTables {
         let near = self
             .slots
             .iter()
-            .filter(|s| s.levels & LEVEL0 != 0 || by_report(s))
-            .map(|s| (&s.entry, by_report(s)));
+            .filter(|e| holds(e, LEVEL0) || by_report(e))
+            .map(|e| (e, by_report(e)));
         let buses = buses_through(max_level);
         let (below, rest) = self.slots.split_at(self.rank(own));
-        let rest = rest.iter().filter(move |s| s.entry.id != own);
+        let rest = rest.iter().filter(move |s| s.id != own);
         let bus =
             bus_only_neighbours(below.iter().rev(), buses).chain(bus_only_neighbours(rest, buses));
         near.chain(bus.map(|e| (e, false)))
@@ -699,23 +691,23 @@ impl RoutingTables {
             return false;
         };
         let s = &self.slots[i];
-        if s.levels & LEVEL0 != 0 || by_report(s) {
+        if holds(s, LEVEL0) || by_report(s) {
             return true;
         }
-        let held = |m: u32, t: &Slot| m | t.levels;
+        let held = |m: u32, t: &PeerEntry| m | t.roles.0;
         let passed = match peer.cmp(&own) {
             std::cmp::Ordering::Less => self.slots[i + 1..]
                 .iter()
-                .take_while(|t| t.entry.id < own)
+                .take_while(|t| t.id < own)
                 .fold(0, held),
             std::cmp::Ordering::Greater => self.slots[..i]
                 .iter()
                 .rev()
-                .take_while(|t| t.entry.id > own)
+                .take_while(|t| t.id > own)
                 .fold(0, held),
             std::cmp::Ordering::Equal => return false,
         };
-        s.levels & buses_through(max_level) & !passed != 0
+        s.roles.0 & buses_through(max_level) & !passed != 0
     }
 
     /// Total number of bus-neighbour entries over all levels `> 0`.
@@ -728,17 +720,17 @@ impl RoutingTables {
     /// Insert or refresh a child entry. `own` marks children of this node's
     /// tessellation (as opposed to replicated children of bus neighbours).
     pub fn upsert_child(&mut self, entry: PeerEntry, own: bool) {
-        self.grant(entry, 0, if own { CHILD | OWN_CHILD } else { CHILD });
+        self.grant(entry, if own { CHILD | OWN_CHILD } else { CHILD });
     }
 
     /// All known children (own and neighbours'), ordered by ID.
     pub fn children(&self) -> impl Iterator<Item = &PeerEntry> {
-        self.in_tree(CHILD)
+        self.holding(CHILD)
     }
 
     /// This node's own children, ordered by ID.
     pub fn own_children(&self) -> impl Iterator<Item = &PeerEntry> + '_ {
-        self.in_tree(OWN_CHILD)
+        self.holding(OWN_CHILD)
     }
 
     /// Number of own children (`ca` in Section III.e).
@@ -748,7 +740,7 @@ impl RoutingTables {
 
     /// True when `id` is one of this node's own children.
     pub fn is_own_child(&self, id: NodeId) -> bool {
-        self.slot(id).is_some_and(|s| s.tree & OWN_CHILD != 0)
+        self.find(id).is_some_and(|e| holds(e, OWN_CHILD))
     }
 
     /// The own child closest to `target` (the `Closest_Child(X)` primitive of
@@ -756,9 +748,8 @@ impl RoutingTables {
     /// outward walk from `target` that is not a suspect, ties preferring
     /// the smaller identifier.
     pub fn closest_child(&self, target: NodeId) -> Option<&PeerEntry> {
-        self.outward(target)
-            .find(|s| s.tree & OWN_CHILD != 0 && !self.is_suspect(&s.entry))
-            .map(|s| &s.entry)
+        self.peers_outward_from(target)
+            .find(|e| holds(e, OWN_CHILD) && !self.is_suspect(e))
     }
 
     // ---- subtree spans -----------------------------------------------------
@@ -903,16 +894,16 @@ impl RoutingTables {
         if self.parent().is_some_and(|p| p.id != entry.id) {
             self.clear_parent();
         }
-        self.grant(entry, 0, PARENT);
+        self.grant(entry, PARENT);
     }
 
     /// Forget the parent (it left or expired).
     pub fn clear_parent(&mut self) -> Option<PeerEntry> {
-        let i = self.slots.iter().position(|s| s.tree & PARENT != 0)?;
+        let i = self.slots.iter().position(|e| holds(e, PARENT))?;
         let slot = &mut self.slots[i];
-        slot.tree &= !PARENT;
-        let entry = slot.entry;
-        if slot.roleless() {
+        slot.roles.0 &= !PARENT;
+        let entry = *slot;
+        if roleless(slot) {
             self.slots.remove(i);
         }
         Some(entry)
@@ -920,7 +911,7 @@ impl RoutingTables {
 
     /// The immediate parent, if known: the one slot holding the parent bit.
     pub fn parent(&self) -> Option<&PeerEntry> {
-        self.in_tree(PARENT).next()
+        self.holding(PARENT).next()
     }
 
     // ---- superiors ---------------------------------------------------------
@@ -928,12 +919,12 @@ impl RoutingTables {
     /// Insert or refresh an entry of the superior-node list (ancestors and
     /// direct neighbours of the immediate parent).
     pub fn upsert_superior(&mut self, entry: PeerEntry) {
-        self.grant(entry, 0, SUPERIOR);
+        self.grant(entry, SUPERIOR);
     }
 
     /// The superior-node list, ordered by ID.
     pub fn superiors(&self) -> impl Iterator<Item = &PeerEntry> {
-        self.in_tree(SUPERIOR)
+        self.holding(SUPERIOR)
     }
 
     /// True when the superior-node list is non-empty (the
@@ -984,20 +975,20 @@ impl RoutingTables {
         }
         let rank = |id: NodeId| (space.distance(id, own), id);
         let last_kept = keep.checked_sub(1).and_then(|k| {
-            self.outward(own)
-                .filter(|s| s.levels & LEVEL0 != 0)
+            self.peers_outward_from(own)
+                .filter(|e| holds(e, LEVEL0))
                 .nth(k)
-                .map(|s| rank(s.entry.id))
+                .map(|e| rank(e.id))
         });
         let mut orphaned = false;
         for slot in &mut self.slots {
-            if slot.levels & LEVEL0 != 0 && last_kept.is_none_or(|k| rank(slot.entry.id) > k) {
-                slot.levels &= !LEVEL0;
-                orphaned |= slot.roleless();
+            if holds(slot, LEVEL0) && last_kept.is_none_or(|k| rank(slot.id) > k) {
+                slot.roles.0 &= !LEVEL0;
+                orphaned |= roleless(slot);
             }
         }
         if orphaned {
-            self.slots.retain(|s| !s.roleless());
+            self.slots.retain(|e| !roleless(e));
         }
         degree - keep
     }
@@ -1012,9 +1003,9 @@ impl RoutingTables {
     pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<NodeId> {
         let mut removed = Vec::new();
         self.slots.retain(|slot| {
-            let stale = slot.entry.is_stale(now, ttl);
+            let stale = slot.is_stale(now, ttl);
             if stale {
-                removed.push(slot.entry.id);
+                removed.push(slot.id);
             }
             !stale
         });
@@ -1025,13 +1016,14 @@ impl RoutingTables {
     /// Per-table sizes for the Section III.e audit.
     pub fn sizes(&self) -> TableSizes {
         let mut sizes = TableSizes::default();
-        for slot in &self.slots {
-            sizes.level0 += usize::from(slot.levels & LEVEL0 != 0);
-            sizes.own_children += usize::from(slot.tree & OWN_CHILD != 0);
-            sizes.parent += usize::from(slot.tree & PARENT != 0);
-            sizes.level_neighbors += (slot.levels & !LEVEL0).count_ones() as usize;
-            sizes.neighbor_children += usize::from(slot.tree & (CHILD | OWN_CHILD) == CHILD);
-            sizes.superiors += usize::from(slot.tree & SUPERIOR != 0);
+        for e in &self.slots {
+            sizes.level0 += usize::from(holds(e, LEVEL0));
+            sizes.own_children += usize::from(holds(e, OWN_CHILD));
+            sizes.parent += usize::from(holds(e, PARENT));
+            sizes.level_neighbors +=
+                (e.roles.0 & buses_through(MAX_BUS_LEVEL)).count_ones() as usize;
+            sizes.neighbor_children += usize::from(e.roles.0 & (CHILD | OWN_CHILD) == CHILD);
+            sizes.superiors += usize::from(holds(e, SUPERIOR));
         }
         sizes
     }
@@ -1062,24 +1054,24 @@ impl RoutingTables {
     /// 5. spans and topic filters belong to own children.
     pub fn validate_invariants(&self) -> Result<(), String> {
         for pair in self.slots.windows(2) {
-            if pair[0].entry.id >= pair[1].entry.id {
+            if pair[0].id >= pair[1].id {
                 return Err(format!(
                     "slots out of order: {:?} before {:?}",
-                    pair[0].entry.id, pair[1].entry.id
+                    pair[0].id, pair[1].id
                 ));
             }
         }
-        for slot in &self.slots {
-            let id = slot.entry.id;
-            if slot.roleless() {
+        for e in &self.slots {
+            let id = e.id;
+            if roleless(e) {
                 return Err(format!("registry entry {id:?} holds no role"));
             }
-            if slot.tree & OWN_CHILD != 0 && slot.tree & CHILD == 0 {
+            if holds(e, OWN_CHILD) && !holds(e, CHILD) {
                 return Err(format!("own child {id:?} lacks the child role"));
             }
         }
-        if self.in_tree(PARENT).nth(1).is_some() {
-            let parents: Vec<NodeId> = self.in_tree(PARENT).map(|e| e.id).collect();
+        if self.holding(PARENT).nth(1).is_some() {
+            let parents: Vec<NodeId> = self.holding(PARENT).map(|e| e.id).collect();
             return Err(format!("more than one parent: {parents:?}"));
         }
         for id in self.child_spans.keys() {
@@ -1206,10 +1198,11 @@ mod tests {
         t.upsert_level(1, entry(200, 1, 1));
         t.upsert_level0(entry(300, 0, 1));
         let sizes = t.sizes();
-        // Beyond the last bus bit (63 was a bus while the mask was a `u64`):
-        // nothing is recorded, nothing shifts out of range, and no roleless
-        // entry is left behind.
-        for level in [MAX_BUS_LEVEL + 1, 63, 100, u32::MAX] {
+        // Beyond the last bus bit (31 was a bus while the levels had a `u32`
+        // of their own, 63 while they had a `u64`): nothing is recorded, no
+        // bus bit lands on a tree role, nothing shifts out of range, and no
+        // roleless entry is left behind.
+        for level in (MAX_BUS_LEVEL + 1..=31).chain([63, 100, u32::MAX]) {
             t.upsert_level(level, entry(400, 0, 1));
             assert!(t.find(NodeId(400)).is_none());
             assert_eq!(t.sizes(), sizes, "level {level} granted a role");
@@ -1459,6 +1452,29 @@ mod tests {
         t.upsert_level0(entry(60, 1, 2));
         t.set_parent(entry(70, 1, 3));
         assert!(t.find(NodeId(60)).is_some());
+        t.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_demoted_parent_comes_back_as_a_level0_contact_only() {
+        // The tick's demotion path: copy the parent out, clear the role (the
+        // record goes, it held no other), re-insert the copy at level 0. The
+        // copy still carries the parent bit; the registry must not take it.
+        let mut t = RoutingTables::new();
+        t.set_parent(entry(50, 1, 1));
+        t.upsert_superior(entry(60, 2, 1));
+        let demoted = *t.parent().unwrap();
+        t.clear_parent();
+        assert!(t.find(NodeId(50)).is_none());
+        t.upsert_level0(demoted);
+        assert!(t.parent().is_none(), "the demoted parent is parent again");
+        let expected = TableSizes {
+            level0: 1,
+            superiors: 1,
+            ..TableSizes::default()
+        };
+        assert_eq!(t.sizes(), expected);
+        assert_eq!(t.level0().next(), Some(&demoted), "equality ignores roles");
         t.validate_invariants().unwrap();
     }
 
@@ -1845,14 +1861,14 @@ mod tests {
                 }
                 t.validate_invariants().unwrap();
                 let slots = &t.slots;
-                let count = |key: u64| slots.iter().filter(|s| s.entry.id.0 < key).count();
+                let count = |key: u64| slots.iter().filter(|s| s.id.0 < key).count();
                 let mut keys = vec![0, 1, u64::MAX - 1, u64::MAX, draw()];
                 for &id in &ids {
                     keys.extend([id.saturating_sub(1), id, id.saturating_add(1)]);
                 }
                 for key in keys.into_iter().map(NodeId) {
                     let below = count(key.0);
-                    let hit = slots.get(below).is_some_and(|s| s.entry.id == key);
+                    let hit = slots.get(below).is_some_and(|s| s.id == key);
                     let through = below + usize::from(hit);
                     let position = if hit { Ok(below) } else { Err(below) };
                     assert_eq!(t.position(key), position, "{key:?} in {size} slots");
@@ -1860,12 +1876,12 @@ mod tests {
                     assert_eq!(t.rank_through(key), through);
 
                     let mut granted = t.clone();
-                    granted.grant(entry(key.0, 0, 2), LEVEL0, 0);
+                    granted.grant(entry(key.0, 0, 2), LEVEL0);
                     assert_eq!(granted.slots.len(), slots.len() + usize::from(!hit));
-                    assert_eq!(granted.slots[below].entry.id, key);
+                    assert_eq!(granted.slots[below].id, key);
                     granted.validate_invariants().unwrap();
 
-                    let id_at = |i: usize| slots.get(i).map(|s| s.entry.id);
+                    let id_at = |i: usize| slots.get(i).map(|s| s.id);
                     for k in 1..=3 {
                         assert_eq!(
                             t.kth_neighbor_ids(key, k),
@@ -1874,16 +1890,16 @@ mod tests {
                         );
                     }
 
-                    let bus = |s: &&Slot| s.levels & bus_bit(2) != 0;
+                    let bus = |s: &&PeerEntry| holds(s, bus_bit(2));
                     let left = slots[..below].iter().rev().find(bus);
-                    let right = slots[below..].iter().find(|s| bus(s) && s.entry.id != key);
+                    let right = slots[below..].iter().find(|s| bus(s) && s.id != key);
                     let (l, r) = t.bus_neighbors(2, key);
                     assert_eq!(
                         (l.map(|e| e.id), r.map(|e| e.id)),
-                        (left.map(|s| s.entry.id), right.map(|s| s.entry.id))
+                        (left.map(|s| s.id), right.map(|s| s.id))
                     );
 
-                    let mut walk: Vec<NodeId> = slots.iter().map(|s| s.entry.id).collect();
+                    let mut walk: Vec<NodeId> = slots.iter().map(|s| s.id).collect();
                     walk.sort_by_key(|id| (id.0.abs_diff(key.0), *id));
                     assert!(t.peers_outward_from(key).map(|e| e.id).eq(walk));
 
@@ -1897,8 +1913,8 @@ mod tests {
                         .collect();
                     let reference: Vec<NodeId> = slots
                         .iter()
-                        .filter(|s| s.tree & OWN_CHILD != 0)
-                        .map(|s| s.entry.id)
+                        .filter(|s| holds(s, OWN_CHILD))
+                        .map(|s| s.id)
                         .filter(|id| {
                             range.overlaps_interval(
                                 id.0.saturating_sub(slack),
@@ -1949,16 +1965,16 @@ mod tests {
                     2 => SUPERIOR,
                     _ => 0,
                 };
-                if levels == 0 && tree == 0 {
+                if levels | tree == 0 {
                     continue;
                 }
-                t.grant(entry(id, 1, 1), levels, tree);
+                t.grant(entry(id, 1, 1), levels | tree);
             }
             if trial % 4 == 0 {
                 t.set_parent(entry(draw() % span, 2, 1));
             }
             t.validate_invariants().unwrap();
-            let ids: Vec<u64> = t.slots.iter().map(|s| s.entry.id.0).collect();
+            let ids: Vec<u64> = t.slots.iter().map(|s| s.id.0).collect();
             // `own` is a slot of its own registry in a third of the trials.
             let own = match ids.len() {
                 n if n > 0 && trial % 3 == 0 => ids[draw() as usize % n],
@@ -1975,7 +1991,7 @@ mod tests {
                         walked,
                         "peer {p:?} of {own:?} at max level {max_level} in {ids:?}"
                     );
-                    let roles = t.slot(p).map(|s| s.levels & LEVEL0 != 0 || by_report(s));
+                    let roles = t.find(p).map(|s| holds(s, LEVEL0) || by_report(s));
                     bus_only += usize::from(walked && roles == Some(false));
                 }
             }

@@ -13,7 +13,9 @@
 //! `nearest_peers` and the borrowed `nearest_walk`, `peers_outward_from`,
 //! `kth_neighbor_ids`, `bus_neighbors`), asked at keys equal to, just below
 //! and just above a stored identifier, with and without the nearest entry
-//! excluded by address.
+//! excluded by address. One operation re-inserts a copy taken out of the
+//! registry after its peer left: the copy still carries the role bits it
+//! held there, and the registry must file it by the role it is given.
 
 use simnet::{NodeAddr, SimDuration, SimRng, SimTime};
 use treep::{IdSpace, KeyRange, NodeId, RoutingEntry, RoutingTables, TopicFilter};
@@ -409,7 +411,7 @@ fn random_trace(seed: u64, steps: usize) {
         };
         let entry = RoutingEntry::new(id, addr, level, SimTime::from_millis(at_ms));
 
-        let op = rng.gen_range_u64(0..15);
+        let op = rng.gen_range_u64(0..16);
         let name = match op {
             0 | 1 => {
                 tables.upsert_level0(entry);
@@ -523,6 +525,48 @@ fn random_trace(seed: u64, steps: usize) {
                     model.filters.insert(id);
                 }
                 "record_child_filter"
+            }
+            14 => {
+                // A copy taken out of the registry still carries the roles
+                // it held there. Drop the peer (the parent by `clear_parent`,
+                // as the tick demotes one), then re-insert the copy in one
+                // role: the registry must file it as the model does.
+                let from_parent = rng.gen_range_u64(0..2) == 0;
+                let copy = if from_parent {
+                    tables.parent().copied()
+                } else {
+                    tables.find(id).copied()
+                };
+                if let Some(copy) = copy {
+                    if from_parent {
+                        tables.clear_parent();
+                        model.parent = None;
+                        model.gc(copy.id);
+                    } else {
+                        tables.remove_peer(copy.id);
+                        model.remove(copy.id);
+                    }
+                    model.upsert(copy);
+                    match rng.gen_range_u64(0..4) {
+                        0 => {
+                            tables.upsert_level0(copy);
+                            model.level0.insert(copy.id);
+                        }
+                        1 => {
+                            tables.upsert_level(2, copy);
+                            model.levels.entry(2).or_default().insert(copy.id);
+                        }
+                        2 => {
+                            tables.upsert_child(copy, false);
+                            model.children.insert(copy.id);
+                        }
+                        _ => {
+                            tables.upsert_superior(copy);
+                            model.superiors.insert(copy.id);
+                        }
+                    }
+                }
+                "reinsert_copy"
             }
             _ => {
                 // Half the ranges are narrow and among the stored

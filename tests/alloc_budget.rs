@@ -15,7 +15,10 @@
 //! callback's actions and packs its datagrams into two buffers of the
 //! calling thread that outlive the call. While the actions were kept per
 //! node and every send built its own lists, frames and batch plan, a call
-//! sending one message made 6 allocations; it makes none now.
+//! sending one message made 6 allocations; it makes none now. Its receive
+//! loop decodes every datagram into one message vector it owns and drains
+//! into the node; while each datagram was decoded into a fresh vector, a
+//! lone keep-alive cost one allocation to receive.
 //!
 //! The file is a test binary of its own because it installs a global
 //! allocator. The allocator counts calls on the calling thread only, so
@@ -25,6 +28,7 @@ use simnet::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use treep::{NodeCharacteristics, NodeId, TreePConfig, TreePMessage};
+use treep_net::codec::{decode_datagram_into, encode_message};
 use treep_net::UdpNode;
 use workloads::TopologyBuilder;
 
@@ -141,4 +145,37 @@ fn a_udp_invoke_that_sends_allocates_nothing_once_warm() {
     );
     peer.shutdown();
     seed.shutdown();
+}
+
+#[test]
+fn a_warm_datagram_decode_allocates_nothing() {
+    // A keep-alive without updates owns no heap memory: decoding it needs
+    // none beyond the vector the receive loop keeps.
+    let sender = treep::PeerInfo {
+        id: NodeId(7),
+        addr: simnet::NodeAddr(7),
+        max_level: 1,
+        summary: treep::CharacteristicsSummary::UNKNOWN,
+    };
+    let datagram = encode_message(&TreePMessage::KeepAlive {
+        sender,
+        updates: Vec::new(),
+    });
+    let mut msgs = Vec::new();
+    let mut decode = || {
+        decode_datagram_into(&datagram, &mut msgs).expect("a keep-alive decodes");
+        assert_eq!(msgs.len(), 1);
+        msgs.clear();
+    };
+    for _ in 0..100 {
+        decode();
+    }
+    const DATAGRAMS: u64 = 2_000;
+    let before = ALLOCS.get();
+    for _ in 0..DATAGRAMS {
+        decode();
+    }
+    let allocs = ALLOCS.get() - before;
+    println!("{DATAGRAMS} warm decodes, {allocs} allocations");
+    assert_eq!(allocs, 0, "{allocs} allocations in {DATAGRAMS} decodes");
 }
