@@ -33,8 +33,10 @@
 //!   pointers to its own tables, and the message's pointers to the heap
 //!   parts its handler reads first. At 10⁴ nodes every node and every
 //!   payload is cold when its event comes up, so the handler otherwise
-//!   starts by waiting on memory. A hint changes nothing that is
-//!   dispatched, in what order, or with what result.
+//!   starts by waiting on memory. [`Simulation::invoke`] gives a host
+//!   call the same start: it prefetches the node's slot and hands it a
+//!   hint with no message before the call runs. A hint changes nothing
+//!   that is dispatched, in what order, or with what result.
 //!
 //! Node sweeps ([`Simulation::alive_nodes`], [`Simulation::all_nodes`])
 //! iterate in address order — deterministic by construction, with nothing
@@ -294,6 +296,10 @@ impl<P: Protocol> Simulation<P> {
     /// whatever actions it produces. This is how experiments trigger
     /// protocol-level operations (e.g. "start a lookup for key X").
     ///
+    /// The node gets the warm start an event gets from the look-ahead: its
+    /// slot is prefetched and it is handed one [`Protocol::prefetch`] hint,
+    /// with no message, before the closure runs.
+    ///
     /// Returns `None` when the node is missing or dead.
     pub fn invoke<R>(
         &mut self,
@@ -301,9 +307,11 @@ impl<P: Protocol> Simulation<P> {
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> Option<R> {
         let slot = self.nodes.get_mut(Self::local(addr))?;
+        prefetch(std::slice::from_ref(slot));
         if !slot.alive {
             return None;
         }
+        slot.proto.prefetch(None);
         let buf = std::mem::take(&mut self.action_buf);
         let mut ctx = Context::for_host(
             self.scheduler.now(),
@@ -767,15 +775,24 @@ mod tests {
         }
         hinted.fail_node(NodeAddr(4));
         plain.fail_node(NodeAddr(4));
-        let (mut hinted_steps, mut timer_hints) = (0, 0);
+        let (mut hinted_steps, mut timer_hints, mut invoke_hints) = (0, 0, 0);
         for round in 0..4u64 {
             // Every node pings another, and one ping goes to an address
             // nobody has: its event has no node to hint. Of the events that
             // carry no message, the starts and node 0's timer are hinted.
+            // Each invoke of a live node hints that node once, with no
+            // message; node 4 is dead from the first round's events on.
             for a in 0..6u64 {
                 let dest = NodeAddr(if a == round { 99 } else { (a + round + 1) % 6 });
-                hinted.invoke(NodeAddr(a), |_, ctx| ctx.send(dest, Msg::Ping));
+                let invoked = hinted.invoke(NodeAddr(a), |_, ctx| ctx.send(dest, Msg::Ping));
                 plain.invoke(NodeAddr(a), |_, ctx| ctx.send(dest, Msg::Ping));
+                let named = invoked.map(|()| {
+                    let node = hinted.node(NodeAddr(a)).expect("invoked");
+                    (node as *const Hinted, None)
+                });
+                assert_eq!(hints.borrow_mut().pop(), named, "round {round}, node {a}");
+                assert!(hints.borrow().is_empty(), "one hint per invoke");
+                invoke_hints += usize::from(named.is_some());
             }
             let (mut last_hint, mut fired) = (None, hinted.metrics().timers_fired);
             while hinted.step() {
@@ -801,6 +818,11 @@ mod tests {
         }
         assert!(hinted_steps > 30, "{hinted_steps} hints");
         assert_eq!(timer_hints, 1, "node 0's timer is hinted, with no message");
+        assert_eq!(
+            invoke_hints,
+            6 * 4 - 3,
+            "every invoke but node 4's last three"
+        );
         assert!(hinted.metrics().messages_to_dead > 0);
         assert_eq!(
             (hinted.event_digest(), hinted.metrics()),

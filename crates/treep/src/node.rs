@@ -81,7 +81,8 @@ const TIMER_KEEPALIVE: u64 = 0;
 const TIMER_ELECTION: u64 = 1;
 /// Demotion countdown (`promotion`).
 const TIMER_DEMOTION: u64 = 2;
-/// Deadline of one origin-side request of any kind (`inflight`).
+/// Deadline of the oldest open origin-side request, of any kind; at most
+/// one pending per node (`inflight`).
 const TIMER_REQUEST: u64 = 3;
 /// Aggregation relay hold timer (`multicast`).
 const TIMER_AGG_RELAY: u64 = 6;
@@ -110,15 +111,21 @@ pub struct TreePNode {
     bootstrap: Vec<PeerInfo>,
     election: ElectionState,
     next_request_id: u64,
-    /// Every request this node originated and still waits on, of any kind
-    /// (owned by the `inflight` layer).
-    pending: BTreeMap<RequestId, inflight::Pending>,
+    /// Every request this node originated and still waits on, of any kind,
+    /// with its deadline, in identifier order (owned by the `inflight`
+    /// layer).
+    pending: Vec<(RequestId, SimTime, inflight::Pending)>,
     lookup_outcomes: Vec<LookupOutcome>,
     /// `None` until a feature layer first writes (see `Features`).
     features: Option<Box<Features>>,
     stats: NodeStats,
     last_tick: Option<SimTime>,
+    /// A [`TIMER_REQUEST`] is pending (`inflight`). It sits in the
+    /// struct's tail padding.
+    deadline_armed: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<TreePNode>() == 920);
 
 /// Per-node state that only the feature layers read: the DHT store, the
 /// dissemination engine, the read path and pub/sub. About a third of a
@@ -183,11 +190,12 @@ impl TreePNode {
             bootstrap: Vec::new(),
             election: ElectionState::new(),
             next_request_id: 0,
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
             lookup_outcomes: Vec::new(),
             features: None,
             stats: NodeStats::default(),
             last_tick: None,
+            deadline_armed: false,
         }
     }
 
@@ -574,7 +582,7 @@ impl Protocol for TreePNode {
             TIMER_KEEPALIVE => self.maintenance_tick(ctx),
             TIMER_ELECTION => self.election_timer_fired(payload, ctx),
             TIMER_DEMOTION => self.demotion_timer_fired(payload, ctx),
-            TIMER_REQUEST => self.request_timer_fired(payload, ctx),
+            TIMER_REQUEST => self.request_timer_fired(ctx),
             TIMER_AGG_RELAY => self.relay_timer_fired(payload, ctx),
             TIMER_REPLICA => self.replication_tick(ctx),
             TIMER_RETX => self.retransmit_timer_fired(payload, ctx),

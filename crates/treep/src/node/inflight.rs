@@ -7,12 +7,23 @@
 //! entry, deadline), some node answers it
 //! ([`TreePNode::answer`]: over the wire, or on the spot when the answering
 //! node is the origin), and it ends exactly once, as the reply
-//! ([`TreePNode::on_reply`]) or as the [`super::TIMER_REQUEST`] deadline
+//! ([`TreePNode::on_reply`]) or at its deadline
 //! ([`TreePNode::request_timer_fired`]) — whichever finds the entry first
 //! removes it, and the other finds nothing. The other layers say *what* is
 //! asked and what a responsible node does with it; how a request begins, is
 //! matched to its reply and ends is written here once, as two adjacent
 //! matches over [`Pending`].
+//!
+//! # One deadline timer per node
+//!
+//! The open requests are one vector in identifier order. Identifiers only
+//! grow and every request waits the node's one `lookup_timeout`, so that
+//! order is also deadline order, and the oldest open request is always the
+//! next to time out. A node therefore keeps at most one
+//! [`super::TIMER_REQUEST`] pending, armed for the oldest open deadline:
+//! when it fires it ends every request whose deadline has passed, in
+//! identifier order, and re-arms for the oldest one left. A request
+//! answered in time costs no timer event of its own.
 //!
 //! A reply resolves an entry only when their kinds agree. Request
 //! identifiers are one per-node counter shared by every kind, so a stray or
@@ -72,20 +83,34 @@ impl TreePNode {
         self.pending.len()
     }
 
-    /// Open a request: identifier, table entry and deadline, armed before
-    /// the first message leaves.
+    /// Open a request: identifier, table entry and deadline, the deadline
+    /// timer armed before the first message leaves unless an older open
+    /// request's already is.
     pub(super) fn begin(
         &mut self,
         what: Pending,
         ctx: &mut Context<'_, TreePMessage>,
     ) -> RequestId {
         let request_id = self.fresh_request_id();
-        self.pending.insert(request_id, what);
-        ctx.set_timer(
-            self.config.lookup_timeout,
-            encode_timer(TIMER_REQUEST, request_id.0),
-        );
+        let timeout = self.config.lookup_timeout;
+        self.pending.push((request_id, ctx.now() + timeout, what));
+        if !self.deadline_armed {
+            self.arm_deadline(timeout, ctx);
+        }
         request_id
+    }
+
+    /// Arm the node's one deadline timer to fire `delay` from now.
+    fn arm_deadline(&mut self, delay: SimDuration, ctx: &mut Context<'_, TreePMessage>) {
+        self.deadline_armed = true;
+        ctx.set_timer(delay, encode_timer(TIMER_REQUEST, 0));
+    }
+
+    /// Where the open request `request_id` sits in the table, if it is open.
+    fn open_slot(&self, request_id: RequestId) -> Option<usize> {
+        self.pending
+            .binary_search_by_key(&request_id, |&(id, ..)| id)
+            .ok()
     }
 
     /// Send `reply` on its way to the request's origin — `dest` is the
@@ -112,15 +137,16 @@ impl TreePNode {
         let Some(request_id) = reply.answers() else {
             return;
         };
-        let Some(&pending) = self.pending.get(&request_id) else {
+        let Some(slot) = self.open_slot(request_id) else {
             return;
         };
+        let (_, _, pending) = self.pending[slot];
         match (reply, pending) {
             (TreePMessage::LookupFound { hops, .. }, Pending::Lookup { .. }) => {
-                return self.complete_lookup(request_id, LookupStatus::Found, hops, now);
+                self.record_lookup(request_id, pending, LookupStatus::Found, hops, now);
             }
             (TreePMessage::LookupNotFound { hops, .. }, Pending::Lookup { .. }) => {
-                return self.complete_lookup(request_id, LookupStatus::NotFound, hops, now);
+                self.record_lookup(request_id, pending, LookupStatus::NotFound, hops, now);
             }
             (TreePMessage::DhtPutAck { key, stored_at, .. }, Pending::Dht { .. }) => {
                 self.features().dht_outcomes.push(DhtOutcome::PutAcked {
@@ -210,50 +236,54 @@ impl TreePNode {
             }
             _ => return,
         }
-        self.pending.remove(&request_id);
+        self.pending.remove(slot);
     }
 
-    /// The deadline of a request passed: end it as a timeout, unless its
-    /// reply got there first.
-    pub(super) fn request_timer_fired(
-        &mut self,
-        payload: u64,
-        ctx: &mut Context<'_, TreePMessage>,
-    ) {
-        let request_id = RequestId(payload);
+    /// The deadline timer fired: end every request whose deadline has
+    /// passed as a timeout, in identifier order (the ones answered in time
+    /// are gone already), and re-arm for the oldest request still open.
+    pub(super) fn request_timer_fired(&mut self, ctx: &mut Context<'_, TreePMessage>) {
         let completed_at = ctx.now();
-        let Some(&pending) = self.pending.get(&request_id) else {
-            return;
-        };
-        match pending {
-            Pending::Lookup { .. } => {
-                return self.complete_lookup(request_id, LookupStatus::TimedOut, 0, completed_at);
-            }
-            Pending::Dht { key } => self.features().dht_outcomes.push(DhtOutcome::TimedOut {
-                request_id,
-                key,
-                completed_at,
-            }),
-            Pending::Read { key } => self.features().read_outcomes.push(ReadOutcome::TimedOut {
-                request_id,
-                key,
-                completed_at,
-            }),
-            Pending::Aggregate { query } => {
-                self.features()
-                    .aggregate_outcomes
-                    .push(AggregateOutcome::TimedOut {
+        let overdue = self
+            .pending
+            .partition_point(|&(_, deadline, _)| deadline <= completed_at);
+        for slot in 0..overdue {
+            let (request_id, _, pending) = self.pending[slot];
+            match pending {
+                Pending::Lookup { .. } => {
+                    self.record_lookup(request_id, pending, LookupStatus::TimedOut, 0, completed_at)
+                }
+                Pending::Dht { key } => self.features().dht_outcomes.push(DhtOutcome::TimedOut {
+                    request_id,
+                    key,
+                    completed_at,
+                }),
+                Pending::Read { key } => {
+                    self.features().read_outcomes.push(ReadOutcome::TimedOut {
                         request_id,
-                        query,
+                        key,
                         completed_at,
                     })
+                }
+                Pending::Aggregate { query } => {
+                    self.features()
+                        .aggregate_outcomes
+                        .push(AggregateOutcome::TimedOut {
+                            request_id,
+                            query,
+                            completed_at,
+                        })
+                }
             }
         }
-        self.pending.remove(&request_id);
+        self.pending.drain(..overdue);
+        self.deadline_armed = false;
+        if let Some(&(_, deadline, _)) = self.pending.first() {
+            self.arm_deadline(deadline - completed_at, ctx);
+        }
     }
 
-    /// End a pending lookup with `status`: the one [`LookupOutcome`]
-    /// constructor, shared by the reply, the deadline and the origin that
+    /// End the open lookup `request_id` with `status`: the origin that
     /// resolves its own lookup without a hop.
     pub(super) fn complete_lookup(
         &mut self,
@@ -262,13 +292,29 @@ impl TreePNode {
         hops: u32,
         now: SimTime,
     ) {
-        if let Some(&Pending::Lookup {
+        if let Some(slot) = self.open_slot(request_id) {
+            let (_, _, pending) = self.pending.remove(slot);
+            self.record_lookup(request_id, pending, status, hops, now);
+        }
+    }
+
+    /// The one [`LookupOutcome`] constructor, shared by the reply, the
+    /// deadline and the origin that resolves its own lookup: record how the
+    /// lookup `pending` ended. The caller takes it out of the table.
+    fn record_lookup(
+        &mut self,
+        request_id: RequestId,
+        pending: Pending,
+        status: LookupStatus,
+        hops: u32,
+        now: SimTime,
+    ) {
+        if let Pending::Lookup {
             target,
             algorithm,
             started_at,
-        }) = self.pending.get(&request_id)
+        } = pending
         {
-            self.pending.remove(&request_id);
             self.lookup_outcomes.push(LookupOutcome {
                 request_id,
                 target,

@@ -2234,6 +2234,76 @@ fn a_request_ends_exactly_once() {
     assert!(nothing_to_drain(&mut node));
 }
 
+/// The request-deadline timers one callback armed, as `(instant, token)`.
+fn deadline_timers(ctx: Context<'_, TreePMessage>) -> Vec<(SimTime, TimerToken)> {
+    let now = ctx.now();
+    ctx.into_actions()
+        .into_iter()
+        .filter_map(|a| match a {
+            simnet::Action::SetTimer { delay, token } if decode_timer(token).0 == TIMER_REQUEST => {
+                Some((now + delay, token))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn one_deadline_timer_ends_every_overdue_request_at_its_own_deadline() {
+    let (mut node, mut rng, key) = forwarding_node();
+    let timeout = TreePConfig::default().lookup_timeout;
+    // Every request-deadline timer the node has armed and that has not
+    // fired yet, fired here in time order as an engine would.
+    let mut armed: Vec<(SimTime, TimerToken)> = Vec::new();
+    let mut gets = Vec::new();
+    for ms in 0..3 {
+        let mut ctx = Context::new(SimTime::from_millis(ms), NodeAddr(10), &mut rng);
+        gets.push(node.dht_get(b"k", &mut ctx));
+        armed.extend(deadline_timers(ctx));
+        assert_eq!(armed.len(), 1, "one deadline timer per node");
+    }
+    let mut ctx = Context::new(SimTime::from_millis(5), NodeAddr(10), &mut rng);
+    let reply = TreePMessage::DhtGetReply {
+        request_id: gets[1],
+        key,
+        value: None,
+        responder: peer(777, 0),
+    };
+    node.on_message(NodeAddr(777), reply, &mut ctx);
+    armed.extend(deadline_timers(ctx));
+    assert_eq!(node.pending_request_count(), 2);
+
+    let mut fired = 0;
+    while let Some((at, token)) = armed.pop() {
+        let mut ctx = Context::new(at, NodeAddr(10), &mut rng);
+        node.on_timer(token, &mut ctx);
+        armed.extend(deadline_timers(ctx));
+        assert!(armed.len() <= 1, "one deadline timer per node");
+        fired += 1;
+    }
+    assert_eq!(fired, 2, "the first request's deadline, then the third's");
+    assert_eq!(node.pending_request_count(), 0);
+    let timed_out: Vec<_> = node
+        .drain_dht_outcomes()
+        .into_iter()
+        .filter_map(|o| match o {
+            DhtOutcome::TimedOut {
+                request_id,
+                completed_at,
+                ..
+            } => Some((request_id, completed_at)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        timed_out,
+        [
+            (gets[0], SimTime::ZERO + timeout),
+            (gets[2], SimTime::from_millis(2) + timeout)
+        ]
+    );
+}
+
 // ---- suspicion: fresh, suspect, expired -----------------------------------------
 
 /// Sends of one callback, as `(destination, message)`.

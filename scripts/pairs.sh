@@ -22,7 +22,9 @@
 # inter-quartile spread, the metric's bound and whether the change's median
 # is worse than the parent's by more than it ("OVER"; the no-regression
 # half of a claim), and, for a metric measured in simulated time, whether
-# both sides read the same value on every seed. A run that exits 1 (an
+# both sides read the same value on every seed; where they do not, the
+# largest per-seed difference in percent of the parent's value, as in
+# "NO (max 0.19 %)". A run that exits 1 (an
 # incorrect result) is kept and reported; any other failure stops the script.
 #
 # With --trace every run is the traced pass (--trace 1) instead, and the
@@ -173,6 +175,11 @@ def worse_by(parent, change, sign):
         return float("inf") if sign * (change - parent) < 0 else float("-inf")
     return sign * (parent - change) / abs(parent)
 
+def max_rel_diff(parent, change):
+    # The largest per-seed difference, in percent of the parent's value.
+    return max(0.0 if a == b else abs(b - a) / abs(a) * 100 if a else float("inf")
+               for a, b in zip(parent, change))
+
 print(f"{'metric':22} {'better':6} {'parent median [q1, q3]':34} {'change median [q1, q3]':34}"
       f" {'wins':>5} {'> IQR':5} {'bound':10} same per seed")
 for name, (better, bound, how) in meta.items():
@@ -182,7 +189,7 @@ for name, (better, bound, how) in meta.items():
     (pq1, pm, pq3), (_, cm, _) = quartiles(p), quartiles(c)
     beyond = "yes" if abs(cm - pm) > pq3 - pq1 else "no"
     over = "OVER" if worse_by(pm, cm, sign) > bound / 100 else "ok"
-    same = ("yes" if p == c else "NO") if simulated(how) else "-"
+    same = ("yes" if p == c else f"NO (max {max_rel_diff(p, c):.2g} %)") if simulated(how) else "-"
     print(f"{name:22} {better:6} {cell(p):34} {cell(c):34} {f'{wins}/{pairs}':>5} {beyond:5}"
           f" {f'{bound:g} % {over}':10} {same}")
 EOF

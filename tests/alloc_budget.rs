@@ -11,6 +11,11 @@
 //! allocations per event there and reads 0.334 with them (seed 2005,
 //! 500 nodes, 2 s idle).
 //!
+//! A lookup from a warm origin allocates once, for the `visited` path its
+//! request carries: the origin's table of open requests and its outcome
+//! queue keep their capacity, its one deadline timer is already armed, and
+//! the engine stores the hops' messages in slots it reuses.
+//!
 //! A `UdpNode` call that sends is held to a budget too: it records the
 //! callback's actions and packs its datagrams into two buffers of the
 //! calling thread that outlive the call. While the actions were kept per
@@ -24,10 +29,10 @@
 //! allocator. The allocator counts calls on the calling thread only, so
 //! whatever else the harness runs does not enter the count.
 
-use simnet::SimDuration;
+use simnet::{LatencyModel, LinkModel, LossModel, SimConfig, SimDuration, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use treep::{NodeCharacteristics, NodeId, TreePConfig, TreePMessage};
+use treep::{NodeCharacteristics, NodeId, RoutingAlgorithm, TreePConfig, TreePMessage, TreePNode};
 use treep_net::codec::{decode_datagram_into, encode_message};
 use treep_net::UdpNode;
 use workloads::TopologyBuilder;
@@ -94,6 +99,60 @@ fn an_idle_overlay_allocates_under_its_budget_per_event() {
         per_event <= BUDGET,
         "{per_event:.3} allocations per event, budget {BUDGET}"
     );
+}
+
+#[test]
+fn a_warm_lookup_allocates_once_for_its_path() {
+    // One microsecond a hop: the lookup's few events run between two
+    // maintenance events of the 500 nodes.
+    let link = LinkModel {
+        latency: LatencyModel::Fixed(SimDuration::from_micros(1)),
+        loss: LossModel::None,
+    };
+    let config = SimConfig {
+        link,
+        ..SimConfig::default()
+    };
+    let (mut sim, topo) = TopologyBuilder::new(500).build_simulation_with(config, 2005);
+    let pairs = topo.pairs();
+    let (origin, target) = (pairs[0].0, pairs[pairs.len() / 2].1);
+    let lookup = |sim: &mut Simulation<TreePNode>| {
+        let before = (sim.metrics(), ALLOCS.get());
+        sim.invoke(origin, |node, ctx| {
+            node.start_lookup(target, RoutingAlgorithm::Greedy, ctx)
+        });
+        while sim.node(origin).expect("origin").pending_request_count() > 0 {
+            assert!(sim.step(), "the queue drained under an open lookup");
+        }
+        let allocs = ALLOCS.get() - before.1;
+        let metrics = sim.metrics();
+        let events = metrics.events_dispatched - before.0.events_dispatched;
+        assert_eq!(
+            metrics.timers_fired, before.0.timers_fired,
+            "a timer fired inside the lookup"
+        );
+        (events, allocs)
+    };
+    // The first lookup grows the origin's request table and outcome queue
+    // and arms its deadline timer; the second finds all three in place.
+    lookup(&mut sim);
+    let (events, allocs) = lookup(&mut sim);
+    let outcomes = sim
+        .node_mut(origin)
+        .expect("origin")
+        .drain_lookup_outcomes();
+    let hops = outcomes[1].hops;
+    println!("a warm lookup: {hops} hops, {events} events, {allocs} allocations");
+    assert!(
+        outcomes.iter().all(|o| o.status.is_success()),
+        "{outcomes:?}"
+    );
+    assert_eq!(
+        events,
+        u64::from(hops) + 1,
+        "only the lookup's own events ran"
+    );
+    assert_eq!(allocs, 1, "a warm lookup allocates its visited path only");
 }
 
 /// Allocations per sending `UdpNode::invoke` the calling thread may make.

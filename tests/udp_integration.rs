@@ -277,3 +277,73 @@ fn invoke_runs_versioned_ops_aggregates_and_deadlines_over_udp() {
     writer.shutdown();
     seed.shutdown();
 }
+
+/// A node keeps one wall-clock deadline timer for all its open requests:
+/// each request that times out re-arms it for the next, and a request
+/// opened after the last one ended arms it afresh.
+#[test]
+fn consecutive_deadlines_fire_on_the_wall_clock() {
+    // Deadlines short beside the default keep-alive round, so the node does
+    // not suspect its one contact before the last get is sent.
+    let config = TreePConfig {
+        lookup_timeout: simnet::SimDuration::from_millis(200),
+        ..TreePConfig::default()
+    };
+    let timeout = Duration::from_micros(config.lookup_timeout.as_micros());
+    // Gets toward a peer that is gone, as above: only deadlines end them.
+    let key = b"gone/2";
+    let gone = UdpNode::bind(
+        "127.0.0.1:0",
+        config,
+        hash_key(config.space, key),
+        NodeCharacteristics::default(),
+        vec![],
+    )
+    .expect("bind");
+    let contact = gone.peer_info();
+    gone.shutdown();
+    let lonely = UdpNode::bind(
+        "127.0.0.1:0",
+        config,
+        NodeId(1_000_000_000),
+        NodeCharacteristics::default(),
+        vec![contact],
+    )
+    .expect("bind");
+    // Every outcome drained so far: one poll may drain two timeouts.
+    let drained = std::cell::RefCell::new(Vec::new());
+    let timed_out = |get| {
+        poll(|| {
+            let mut drained = drained.borrow_mut();
+            drained.extend(lonely.invoke(|n, _| n.drain_dht_outcomes()));
+            drained
+                .iter()
+                .any(|o| matches!(o, DhtOutcome::TimedOut { request_id, .. } if *request_id == get))
+                .then_some(())
+        })
+        .is_some()
+    };
+
+    // The second get opens while the first is open: its deadline is the
+    // re-armed timer's.
+    let first_opened = Instant::now();
+    let first = lonely.invoke(|n, ctx| n.dht_get(key, ctx));
+    std::thread::sleep(timeout / 4);
+    let second_opened = Instant::now();
+    let second = lonely.invoke(|n, ctx| n.dht_get(key, ctx));
+    assert!(timed_out(first), "the first deadline never fired");
+    assert!(first_opened.elapsed() >= timeout);
+    assert!(timed_out(second), "the re-armed deadline never fired");
+    assert!(second_opened.elapsed() >= timeout);
+    assert_eq!(lonely.with_node(|n| n.pending_request_count()), 0);
+
+    // Nothing is open now: the next get arms the timer again.
+    let third_opened = Instant::now();
+    let third = lonely.invoke(|n, ctx| n.dht_get(key, ctx));
+    assert!(
+        timed_out(third),
+        "a deadline after the last one never fired"
+    );
+    assert!(third_opened.elapsed() >= timeout);
+    lonely.shutdown();
+}
